@@ -1,0 +1,1 @@
+"""perflab: the repository's one benchmark (see README.md here)."""
