@@ -463,6 +463,22 @@ def _conservation_findings(design: object, combo: Combo) -> list[Finding]:
                      "the counters at the bypass site",
                 data={**ledger, "delta": delta,
                       "combo": _combo_label(combo)}))
+        # The flat core keeps its own ledger (ring total, active
+        # outputs, lock/request state); a break there shows up as a
+        # stall long before the flit counts disagree.
+        check = getattr(getattr(mesh, "core", None),
+                        "check_invariants", None)
+        problems = check() if check is not None else []
+        for problem in problems:
+            findings.append(Finding(
+                "BHV403",
+                f"flat mesh state inconsistent in {label}: {problem} "
+                f"[{_combo_label(combo)}]",
+                location=label,
+                hint="FlatMeshCore's active-output list or head state "
+                     "diverged from its rings; see "
+                     "FlatMeshCore.check_invariants",
+                data={"combo": _combo_label(combo)}))
     return findings
 
 

@@ -12,10 +12,34 @@ a saturated mesh is then a cascade of method calls and attribute loads.
 - routing decisions come from a lazily built per-router
   ``dst -> out_port`` table instead of a route-function call per head
   flit per cycle;
-- wormhole grants and round-robin pointers are flat integer lists;
-- the whole mesh steps in one batch loop per cycle inside a single
-  :class:`FlatMeshCore` component instead of one ``Router.step()``
-  call per router.
+- wormhole grants, round-robin pointers and pending-head requests
+  are flat integer lists indexed by output,
+  ``ofid = router_index * 5 + out_port_index``;
+- the whole mesh steps in one loop per cycle inside a single
+  :class:`FlatMeshCore` component, and that loop is *output-centric*:
+  it walks one sorted list of **active outputs** — those locked by a
+  wormhole or requested by a waiting head flit — and moves at most one
+  flit through each.  Cost is per flit moved, not per router scanned.
+
+Per-input head state (``_req[fid]``) is a three-state machine that
+survives pops and commits:
+
+- ``-2``: the next flit to reach the front is a head not yet routed.
+  When one does (a flit lands in the empty input, or a departing tail
+  leaves flits behind) the input joins ``_unres``; the next step start
+  routes it, sets its bit in the output's requester mask ``_rq[ofid]``
+  and activates the output.
+- ``>= 0``: a routed head waiting for that output port.  It pays for
+  routing once and for round-robin only when the output is free.
+- ``-1``: mid-message — the input owns a lock (``_grant[ofid]`` holds
+  its fid) and whatever arrives is body.  A locked output moves its
+  owner's next flit with no request resolution at all; the tail flit
+  releases the lock and returns the input to ``-2``.
+
+An output leaves the active list once it is neither locked nor
+requested.  The list is only rebuilt between walks (activations at step
+start, retirements after the loop), so a head exposed by a departing
+tail waits one cycle for arbitration, exactly as in ``Router.step``.
 
 The *adapter boundary* sits exactly at injection/ejection: every
 router's LOCAL input FIFO and every attached port's ejection FIFO stay
@@ -24,13 +48,17 @@ real ``StagedFifo`` objects, and tiles talk to an unmodified
 linter's wake-contract checks, and ``design_counters`` working
 unchanged.
 
-Bit-identity: the core replicates ``Router.step`` exactly — same port
-order, same wants-resolution, same wormhole grant/round-robin updates,
-same credit checks, and the same trace events in the same order
-(routers row-major, then ports in attachment order, matching the object
-backend's registration order) — and the differential suite in
-``tests/test_kernel_equivalence.py`` pins it against the object
-backend on every shipped design.
+Bit-identity with ``Router.step`` rests on two facts.  Ascending
+``ofid`` is the object backend's visit order (routers row-major in
+registration order, each router's outputs in port order, then ports in
+attachment order), so counters, credits and trace events come out in
+the same sequence.  And routers share no state within a cycle except
+through staged rings and lagged credits, which are not read back until
+commit, so skipping the idle outputs between two active ones changes
+nothing any visited output can see.  The differential suite in
+``tests/test_kernel_equivalence.py`` pins it against the object backend
+on every shipped design; :meth:`FlatMeshCore.check_invariants` cross-
+checks the state machine itself.
 
 Scheduling: the core is one schedulable component.  It reports
 ``kernel_weight`` (routers + ports) so the kernel's saturation bypass
@@ -152,7 +180,8 @@ class FlatRouterView:
 
     @property
     def flits_forwarded(self) -> int:
-        return self._core._fwd[self._index]
+        base = self._index * _N_PORTS
+        return sum(self._core._fwd_out[base:base + _N_PORTS])
 
     @property
     def flits_per_output(self) -> dict[Port, int]:
@@ -195,11 +224,12 @@ class _FlatEgress:
 class FlatMeshCore(Wakeable):
     """The entire mesh as one clocked component.
 
-    ``step`` runs the exact ``Router.step`` algorithm for every router
-    in row-major order over flat arrays, then steps the attached local
-    ports in attachment order; ``commit`` publishes the cycle's ring
-    writes through a dirty list plus the adapter FIFOs.  See the module
-    docstring for the equivalence argument.
+    ``step`` resolves newly exposed head flits, walks the sorted list
+    of active outputs moving at most one flit through each, then steps
+    the attached local ports in attachment order; ``commit`` publishes
+    the cycle's ring writes through a dirty list plus the adapter
+    FIFOs.  See the module docstring for the state machine and the
+    equivalence argument.
     """
 
     name = "flatmesh.core"
@@ -245,22 +275,30 @@ class FlatMeshCore(Wakeable):
         # lag (see repro.noc.router's module docstring).
         self._vis: list[int] = [0] * n5
         self._popped: list[int] = []            # fids popped this cycle
-        # Wormhole allocation state, mirroring Router._grant/_rr.
+        # Wormhole state per output ofid: the fid of the input owning
+        # it (-1 = free), the round-robin pointer (an input port index,
+        # as Router._rr) and the bitmask of input ports whose routed
+        # head waits for it.
         self._grant: list[int] = [-1] * n5
         self._rr: list[int] = [0] * n5
-        # Per-router bitmask of granted outputs (bit o set iff
-        # grant[r*5+o] >= 0), so the arbitration loop visits only
-        # outputs that are locked or freshly requested.
-        self._gmask: list[int] = [0] * n
-        # Output wiring: fid of the downstream ring per (router, out
-        # port), -1 where the mesh edge leaves the output unconnected.
-        # LOCAL outputs resolve through _ejects instead.
+        self._rq: list[int] = [0] * n5
+        # Head state per input (-2 / -1 / out port, see the module
+        # docstring; fid base+LOCAL tracks the local input FIFO), the
+        # inputs whose front flit is an unrouted head, and the
+        # ascending ofids that are locked or requested.
+        self._req: list[int] = [-2] * n5
+        self._unres: list[int] = []
+        self._active: list[int] = []
+        # Output wiring: fid of the downstream ring per output, -1 for
+        # an unconnected mesh edge or a cut link (see _egress), -2 for
+        # LOCAL outputs, which eject through _ejects.
         self._down: list[int] = [-1] * n5
         for r in range(n):
             # Band-local column (coords are global, wiring is in-band).
             bx = r % width
             y = r // width
             base = r * _N_PORTS
+            self._down[base] = -2
             if bx + 1 < width:
                 self._down[base + _EAST] = (r + 1) * _N_PORTS + _WEST
             if bx > 0:
@@ -271,58 +309,44 @@ class FlatMeshCore(Wakeable):
                 self._down[base + _SOUTH] = (r + width) * _N_PORTS + _NORTH
         # Boundary egress stubs (repro.sim.shard): a cut east/west
         # output gets a _FlatEgress here instead of a downstream ring.
-        # None for an unsharded core — the step loop then never looks
-        # past the ``dfid < 0`` edge test, keeping the hot path intact.
+        # None for an unsharded core.
         self._egress: list | None = None
-        # Downstream router index per output fid (saves a division in
-        # the per-flit push path).
-        self._down_router: list[int] = [
-            fid // _N_PORTS if fid >= 0 else -1 for fid in self._down
-        ]
-        # Cached output request of each input's current head flit:
-        # the out-port index for a head flit, -1 for a body flit, -2
-        # for "recompute" (head changed or unknown).  fid base+LOCAL
-        # caches the local input FIFO's head (the ring slot is unused).
-        # A head flit is immutable and stays at the head until popped,
-        # so the cache is invalidated only at pops and at commits into
-        # an empty queue.
-        self._req: list[int] = [-2] * n5
         self._ejects: list[StagedFifo | None] = [None] * n
+        # The local input FIFO's committed deque at each LOCAL fid,
+        # None at ring fids (tells step which kind of input it pops).
+        self._local_items: list = [None] * n5
+        for r, fifo in enumerate(self._local_in):
+            self._local_items[r * _N_PORTS] = fifo._items
         # Lazily built per-router routing tables: rt[r][dst_index] is
         # the output port index for a head flit at router r bound for
         # dst_index = dst_y * width + dst_x.
         self._route_rows: list[list[int] | None] = [None] * n
-        # Occupancy: per-router ring total (committed + staged) for the
-        # per-router skip, and the mesh-wide total for is_idle.
-        self._ring_occ: list[int] = [0] * n
+        # Flits in the rings (committed + staged), for is_idle.
         self._ring_total = 0
-        # Busy bitmasks: bit r set iff router r may have work (ring
-        # occupancy or committed local flits); bit i of ``_inj_mask``
-        # set iff port i (attachment order) may have injection work.
-        # Iterating set bits LSB-first preserves the row-major router
-        # order and attachment port order the trace contract requires.
-        self._busy_mask = 0
+        # Bit i set iff port i (attachment order) may have injection
+        # work; iterating set bits LSB-first keeps the attachment order
+        # the trace contract requires.
         self._inj_mask = 0
         # Attached ports, in attachment order (= object-backend
         # registration order), batch-stepped after the router phase.
         self._ports_list: list[LocalPort] = []
-        # Injection-phase companion: (port, local fid, local FIFO,
-        # router busy bit) so the hot loops never re-derive the wiring.
-        self._inj: list[tuple[LocalPort, int, StagedFifo, int]] = []
+        # Injection-phase companion: (port, local fid, local FIFO) so
+        # the hot loops never re-derive the wiring.
+        self._inj: list[tuple[LocalPort, int, StagedFifo]] = []
         # Adapter FIFOs staged into this cycle; commit touches only
         # these instead of scanning every local/eject FIFO.  All
         # staging flows through the core (router pushes, inlined port
         # injection), which is what makes the dirty lists exhaustive.
-        self._dirty_local: list[tuple[int, StagedFifo, int]] = []
+        self._dirty_local: list[tuple[int, StagedFifo]] = []
         self._dirty_eject: list[StagedFifo] = []
         # Router-internal fault state: routers currently misrouting
-        # (their _route_rows entry holds the *deflected* table), and a
-        # router-index -> blocked-output bitmask dict (None when no
-        # stuck-grant window is open, keeping the hot path one load).
+        # (their _route_rows entry holds the *deflected* table), and
+        # the set of stuck ofids (None when no stuck-grant window is
+        # open, keeping the hot path one test).
         self._misrouted: set[int] = set()
-        self._fault_blocked: dict[int, int] | None = None
-        # Statistics (the object backend's Router counters, flattened).
-        self._fwd: list[int] = [0] * n
+        self._fault_blocked: set[int] | None = None
+        # Flits forwarded per output (Router._flits_per_output,
+        # flattened); the per-router and mesh totals are sums of it.
         self._fwd_out: list[int] = [0] * n5
         # Ring high-water marks, mirroring StagedFifo.high_water: the
         # deepest committed depth per directional input, updated in the
@@ -341,8 +365,7 @@ class FlatMeshCore(Wakeable):
         # The new port starts "possibly busy" so its first step is
         # never skipped; the injection loop prunes it if it idles.
         self._inj_mask |= 1 << index
-        self._inj.append((port, r * _N_PORTS, port._local_in,
-                          1 << r))
+        self._inj.append((port, r * _N_PORTS, port._local_in))
         # ``LocalPort.send`` wakes via ``_kernel_wake``; under the flat
         # backend that hook must both flag the port for the injection
         # loop and wake the core (when a scheduled kernel attached one).
@@ -405,33 +428,36 @@ class FlatMeshCore(Wakeable):
             if r not in self._misrouted:
                 return
             self._misrouted.discard(r)
-        # Rebuild the routing table lazily and re-resolve any cached
-        # head requests: decisions made before the toggle stand (the
-        # flit already claimed its output), decisions not yet made use
-        # the new table — the same boundary the object backend gets
-        # from swapping route_fn between steps.
+        # Rebuild the routing table lazily and send routed-but-
+        # ungranted heads back for resolution: decisions made before
+        # the toggle stand (a locked input already claimed its output),
+        # decisions not yet made use the new table — the same boundary
+        # the object backend gets from swapping route_fn between steps.
         self._route_rows[r] = None
         base = r * _N_PORTS
-        for fid in range(base, base + _N_PORTS):
-            self._req[fid] = -2
-        self._busy_mask |= 1 << r
+        req = self._req
+        for i in range(_N_PORTS):
+            want = req[base + i]
+            if want < 0:
+                continue
+            ofid = base + want
+            self._rq[ofid] &= ~(1 << i)
+            if not self._rq[ofid] and self._grant[ofid] < 0:
+                self._active.remove(ofid)
+            req[base + i] = -2
+            self._unres.append(base + i)
 
     def set_fault_block(self, r: int, out_index: int,
                         blocked: bool) -> None:
-        masks = self._fault_blocked
+        ofid = r * _N_PORTS + out_index
         if blocked:
-            if masks is None:
-                masks = self._fault_blocked = {}
-            masks[r] = masks.get(r, 0) | (1 << out_index)
-        elif masks is not None:
-            remaining = masks.get(r, 0) & ~(1 << out_index)
-            if remaining:
-                masks[r] = remaining
-            else:
-                masks.pop(r, None)
-                if not masks:
-                    self._fault_blocked = None
-        self._busy_mask |= 1 << r
+            if self._fault_blocked is None:
+                self._fault_blocked = set()
+            self._fault_blocked.add(ofid)
+        elif self._fault_blocked is not None:
+            self._fault_blocked.discard(ofid)
+            if not self._fault_blocked:
+                self._fault_blocked = None
 
     # -- scheduling contract ----------------------------------------------
 
@@ -469,279 +495,206 @@ class FlatMeshCore(Wakeable):
 
     # -- per-cycle behaviour ----------------------------------------------
 
-    def step(self, cycle: int) -> None:
-        # Local aliases: this loop is the simulator's hottest path.
+    def _resolve_heads(self) -> None:
+        """Route every newly exposed head flit and file its request.
+
+        Runs at step start, i.e. in the cycle the object backend's
+        ``wants`` scan would first see the head; an output that gains
+        its first requester joins the active list.
+        """
         queues = self._queues
         heads = self._heads
-        counts = self._counts
-        stageds = self._stageds
-        vis = self._vis
-        popped = self._popped
-        dirty = self._dirty
-        dirty_eject = self._dirty_eject
-        grant = self._grant
-        gmask = self._gmask
-        rr = self._rr
-        down = self._down
-        down_router = self._down_router
-        ejects = self._ejects
-        local_in = self._local_in
-        ring_occ = self._ring_occ
-        route_rows = self._route_rows
         req = self._req
-        coords = self.coords
-        fwd = self._fwd
-        fwd_out = self._fwd_out
-        depth = self.depth
+        rq = self._rq
+        grant = self._grant
+        route_rows = self._route_rows
+        local_items = self._local_items
         # Routing bounds/stride use the FULL grid — a band core's
         # tables cover every global destination (see _route_row).
         width = self.full_width
         height = self.height
-        egress = self._egress
-        tracer = self.tracer
-        traced = tracer.enabled
-        fblocked = self._fault_blocked
-        misrouted = self._misrouted
-        n_ports = _N_PORTS
-        wants = [-1] * n_ports
-        ring_total = self._ring_total
-
-        # Busy routers only, LSB-first (= row-major, the trace order).
-        busy = self._busy_mask
-        m = busy
-        while m:
-            low = m & -m
-            m ^= low
-            r = low.bit_length() - 1
-            local = local_in[r]
-            local_items = local._items
-            if not ring_occ[r] and not local_items:
-                busy ^= low
+        fresh = []
+        for fid in self._unres:
+            r, i = divmod(fid, _N_PORTS)
+            flit = local_items[fid][0] if not i else \
+                queues[fid][heads[fid]]
+            if not flit.is_head:
+                # A body flit with no wormhole to follow never moves
+                # (Router.step never requests an output for it).
                 continue
-            base = r * n_ports
-            coord = coords[r]
-            # wants[i]: output index input i's head flit requests, from
-            # the per-head cache (-2 = head changed, resolve afresh).
-            reqmask = 0
-            for i in range(n_ports):
-                fid = base + i
-                if i:
-                    if not counts[fid]:
-                        wants[i] = -1
-                        continue
-                    want = req[fid]
-                    if want != -2:
-                        wants[i] = want
-                        if want >= 0:
-                            reqmask |= 1 << want
-                        continue
-                    flit = queues[fid][heads[fid]]
-                elif local_items:
-                    want = req[fid]
-                    if want != -2:
-                        wants[0] = want
-                        if want >= 0:
-                            reqmask |= 1 << want
-                        continue
-                    flit = local_items[0]
-                else:
-                    wants[0] = -1
-                    continue
-                if flit.is_head:
-                    dx, dy = flit.dst
-                    if 0 <= dx < width and 0 <= dy < height:
-                        row = route_rows[r]
-                        if row is None:
-                            row = self._route_row(r)
-                        want = row[dy * width + dx]
-                    else:
-                        want = _ALL_PORTS.index(
-                            self.route_fn(coord, flit.dst))
-                        if misrouted and r in misrouted:
-                            want = misroute_index(
-                                want, self._fault_connected_mask(r))
-                    reqmask |= 1 << want
-                else:
-                    want = -1
-                req[fid] = want
-                wants[i] = want
-            moved = 0
-            rb = fblocked.get(r, 0) if fblocked is not None else 0
-            # Visit only locked-or-requested outputs, ascending index
-            # (LSB-first == the object backend's port iteration order).
-            om = reqmask | gmask[r]
-            while om:
-                lowo = om & -om
-                om ^= lowo
-                out_index = lowo.bit_length() - 1
-                ofid = base + out_index
-                owner = grant[ofid]
-                if out_index:
-                    dfid = down[ofid]
-                    if dfid < 0:
-                        eg = None if egress is None else egress[ofid]
-                        if eg is None:
-                            continue
-                        # Cut link (repro.sim.shard): credits live in
-                        # the boundary egress — the same lagged
-                        # contract, maintained by the shard exchange.
-                        room = eg.visible + len(eg.staged) < depth
-                    else:
-                        # Lagged credit return: last cycle's committed
-                        # occupancy plus this router's own staged
-                        # pushes.
-                        room = vis[dfid] + stageds[dfid] < depth
-                else:
-                    eject = ejects[r]
+            dx, dy = flit.dst
+            if 0 <= dx < width and 0 <= dy < height:
+                row = route_rows[r]
+                if row is None:
+                    row = self._route_row(r)
+                want = row[dy * width + dx]
+            else:
+                want = _ALL_PORTS.index(
+                    self.route_fn(self.coords[r], flit.dst))
+                if r in self._misrouted:
+                    want = misroute_index(
+                        want, self._fault_connected_mask(r))
+            req[fid] = want
+            ofid = fid - i + want
+            if not rq[ofid] and grant[ofid] < 0:
+                fresh.append(ofid)
+            rq[ofid] |= 1 << i
+        self._unres.clear()
+        if fresh:
+            self._active.extend(fresh)
+            self._active.sort()
+
+    def step(self, cycle: int) -> None:
+        if self._unres:
+            self._resolve_heads()
+        active = self._active
+        if active:
+            # Local aliases: this loop is the simulator's hottest path.
+            queues = self._queues
+            heads = self._heads
+            counts = self._counts
+            stageds = self._stageds
+            vis = self._vis
+            popped = self._popped
+            dirty = self._dirty
+            dirty_eject = self._dirty_eject
+            grant = self._grant
+            rr = self._rr
+            rq = self._rq
+            req = self._req
+            unres = self._unres
+            down = self._down
+            ejects = self._ejects
+            egress = self._egress
+            local_items = self._local_items
+            coords = self.coords
+            fwd_out = self._fwd_out
+            depth = self.depth
+            tracer = self.tracer
+            traced = tracer.enabled
+            fblocked = self._fault_blocked
+            n_ports = _N_PORTS
+            ring_total = self._ring_total
+            retire = False
+            # Ascending ofid == routers row-major, outputs in port
+            # order: the object backend's visit (and trace) order.
+            for ofid in active:
+                dfid = down[ofid]
+                if dfid >= 0:
+                    # Lagged credit return: last cycle's committed
+                    # occupancy plus this cycle's staged pushes.
+                    room = vis[dfid] + stageds[dfid] < depth
+                elif dfid == -2:
+                    eject = ejects[ofid // n_ports]
                     if eject is None:
                         continue
                     # eject.can_accept() inlined (hot at saturation).
                     cap = eject.capacity
                     room = (cap is None or
                             len(eject._items) + len(eject._staged) < cap)
-                if rb and (rb >> out_index) & 1:
+                else:
+                    eg = None if egress is None else egress[ofid]
+                    if eg is None:
+                        continue
+                    # Cut link (repro.sim.shard): credits live in the
+                    # boundary egress — the same lagged contract,
+                    # maintained by the shard exchange.
+                    room = eg.visible + len(eg.staged) < depth
+                if fblocked is not None and ofid in fblocked:
                     # Stuck-grant fault (see Router.fault_block_output).
                     room = False
-                if owner >= 0:
-                    # Locked wormhole: move the owner's next body flit.
-                    if moved & (1 << owner):
-                        continue
-                    if owner:
-                        sfid = base + owner
+                sfid = grant[ofid]
+                if sfid >= 0:
+                    # Locked wormhole: the owner's next flit, if here.
+                    items = local_items[sfid]
+                    if items is None:
                         if not counts[sfid]:
                             continue
-                    elif not local_items:
+                    elif not items:
                         continue
-                    if not room:
-                        if traced:
-                            tracer.link_stall(cycle, coord,
-                                              _PORT_VALUES[out_index],
-                                              "wormhole_stall")
-                        continue
-                    if owner:
-                        head = heads[sfid]
-                        flit = queues[sfid][head]
-                        queues[sfid][head] = None
-                        head += 1
-                        heads[sfid] = 0 if head == depth else head
-                        counts[sfid] -= 1
-                        req[sfid] = -2
-                        ring_occ[r] -= 1
-                        ring_total -= 1
-                        popped.append(sfid)
-                    else:
-                        flit = local_items.popleft()
-                        req[base] = -2
-                    if out_index:
-                        if dfid < 0:
-                            # Cut link: accumulate in the boundary
-                            # egress; the shard exchange ships it.
-                            eg.staged.append(flit)
-                        else:
-                            slot = (heads[dfid] + counts[dfid]
-                                    + stageds[dfid])
-                            if slot >= depth:
-                                slot -= depth
-                            queues[dfid][slot] = flit
-                            if not stageds[dfid]:
-                                dirty.append(dfid)
-                            stageds[dfid] += 1
-                            dr = down_router[ofid]
-                            ring_occ[dr] += 1
-                            busy |= 1 << dr
-                            ring_total += 1
-                    else:
-                        # eject.push_unchecked(flit) inlined: stage the
-                        # flit, then fire the consumer wake hooks.
-                        staged = eject._staged
-                        if not staged:
-                            dirty_eject.append(eject)
-                        staged.append(flit)
-                        for waker in eject._wakers:
-                            waker()
-                    moved |= 1 << owner
-                    fwd[r] += 1
-                    fwd_out[ofid] += 1
+                if not room:
                     if traced:
-                        tracer.flit_forwarded(cycle, coord,
-                                              _PORT_VALUES[out_index],
-                                              flit)
-                    if flit.is_tail:
-                        grant[ofid] = -1
-                        gmask[r] &= ~lowo
+                        tracer.link_stall(
+                            cycle, coords[ofid // n_ports],
+                            _PORT_VALUES[ofid % n_ports],
+                            "wormhole_stall" if sfid >= 0
+                            else "credit_exhausted")
                     continue
-                # Free output: round-robin among requesting heads.
-                start = rr[ofid]
-                for k in range(n_ports):
-                    in_index = start + k
-                    if in_index >= n_ports:
-                        in_index -= n_ports
-                    if wants[in_index] != out_index or \
-                            moved & (1 << in_index):
-                        continue
-                    if not room:
-                        if traced:
-                            tracer.link_stall(cycle, coord,
-                                              _PORT_VALUES[out_index],
-                                              "credit_exhausted")
-                        break
-                    if in_index:
-                        sfid = base + in_index
-                        head = heads[sfid]
-                        flit = queues[sfid][head]
-                        queues[sfid][head] = None
-                        head += 1
-                        heads[sfid] = 0 if head == depth else head
-                        counts[sfid] -= 1
-                        req[sfid] = -2
-                        ring_occ[r] -= 1
-                        ring_total -= 1
-                        popped.append(sfid)
+                if sfid < 0:
+                    # Free output: round-robin among the waiting heads.
+                    mask = rq[ofid]
+                    start = rr[ofid]
+                    ahead = mask >> start
+                    if ahead:
+                        in_index = start - 1 + (ahead & -ahead).bit_length()
                     else:
-                        flit = local_items.popleft()
-                        req[base] = -2
-                    if out_index:
-                        if dfid < 0:
-                            # Cut link: accumulate in the boundary
-                            # egress; the shard exchange ships it.
-                            eg.staged.append(flit)
-                        else:
-                            slot = (heads[dfid] + counts[dfid]
-                                    + stageds[dfid])
-                            if slot >= depth:
-                                slot -= depth
-                            queues[dfid][slot] = flit
-                            if not stageds[dfid]:
-                                dirty.append(dfid)
-                            stageds[dfid] += 1
-                            dr = down_router[ofid]
-                            ring_occ[dr] += 1
-                            busy |= 1 << dr
-                            ring_total += 1
-                    else:
-                        # eject.push_unchecked(flit) inlined: stage the
-                        # flit, then fire the consumer wake hooks.
-                        staged = eject._staged
-                        if not staged:
-                            dirty_eject.append(eject)
-                        staged.append(flit)
-                        for waker in eject._wakers:
-                            waker()
-                    moved |= 1 << in_index
-                    fwd[r] += 1
-                    fwd_out[ofid] += 1
-                    if traced:
-                        tracer.flit_forwarded(cycle, coord,
-                                              _PORT_VALUES[out_index],
-                                              flit)
-                    if not flit.is_tail:
-                        grant[ofid] = in_index
-                        gmask[r] |= lowo
-                    next_rr = in_index + 1
-                    rr[ofid] = 0 if next_rr == n_ports else next_rr
-                    break
-        self._ring_total = ring_total
-        self._busy_mask = busy
+                        in_index = (mask & -mask).bit_length() - 1
+                    rq[ofid] = mask ^ (1 << in_index)
+                    rr[ofid] = 0 if in_index == n_ports - 1 \
+                        else in_index + 1
+                    sfid = ofid - ofid % n_ports + in_index
+                    items = local_items[sfid]
+                    # Lock the output; a single-flit message releases
+                    # it again below.
+                    grant[ofid] = sfid
+                    req[sfid] = -1
+                # ring_total counts ring flits only: a LOCAL pop adds
+                # one on the assumption it enters a ring, and an
+                # eject/egress push takes one back.
+                if items is None:
+                    queue = queues[sfid]
+                    head = heads[sfid]
+                    flit = queue[head]
+                    queue[head] = None
+                    head += 1
+                    heads[sfid] = 0 if head == depth else head
+                    more = counts[sfid] = counts[sfid] - 1
+                    popped.append(sfid)
+                else:
+                    flit = items.popleft()
+                    more = items
+                    ring_total += 1
+                if dfid >= 0:
+                    slot = heads[dfid] + counts[dfid] + stageds[dfid]
+                    if slot >= depth:
+                        slot -= depth
+                    queues[dfid][slot] = flit
+                    if not stageds[dfid]:
+                        dirty.append(dfid)
+                    stageds[dfid] += 1
+                elif dfid == -2:
+                    # eject.push_unchecked(flit) inlined: stage the
+                    # flit, then fire the consumer wake hooks.
+                    staged = eject._staged
+                    if not staged:
+                        dirty_eject.append(eject)
+                    staged.append(flit)
+                    for waker in eject._wakers:
+                        waker()
+                    ring_total -= 1
+                else:
+                    # Cut link: accumulate in the boundary egress; the
+                    # shard exchange ships it.
+                    eg.staged.append(flit)
+                    ring_total -= 1
+                fwd_out[ofid] += 1
+                if traced:
+                    tracer.flit_forwarded(cycle, coords[ofid // n_ports],
+                                          _PORT_VALUES[ofid % n_ports],
+                                          flit)
+                if flit.is_tail:
+                    grant[ofid] = -1
+                    req[sfid] = -2
+                    if more:
+                        # The flit behind the tail is the next head;
+                        # it is routed next cycle, as in Router.step.
+                        unres.append(sfid)
+                    if not rq[ofid]:
+                        retire = True
+            self._ring_total = ring_total
+            if retire:
+                self._active = [ofid for ofid in active
+                                if grant[ofid] >= 0 or rq[ofid]]
         # Injection phase: busy ports only, LSB-first (= attachment
         # order, exactly where the object backend's registration order
         # puts them).  The body is ``LocalPort.step`` inlined (same
@@ -757,7 +710,7 @@ class FlatMeshCore(Wakeable):
             while m:
                 low = m & -m
                 m ^= low
-                port, lfid, fifo, rbit = inj[low.bit_length() - 1]
+                port, lfid, fifo = inj[low.bit_length() - 1]
                 pending = port._pending_flits
                 if not pending:
                     send_queue = port._send_queue
@@ -774,7 +727,7 @@ class FlatMeshCore(Wakeable):
                 staged = fifo._staged
                 if len(fifo._items) + len(staged) < fifo.capacity:
                     if not staged:
-                        dirty_local.append((lfid, fifo, rbit))
+                        dirty_local.append((lfid, fifo))
                     staged.append(pending.popleft())
                     port.flits_injected += 1
                     if not pending:
@@ -792,11 +745,12 @@ class FlatMeshCore(Wakeable):
         vis = self._vis
         dirty = self._dirty
         req = self._req
+        unres = self._unres
         if dirty:
             hw = self._hw
             for fid in dirty:
-                if not counts[fid]:
-                    req[fid] = -2  # first committed flit becomes head
+                if not counts[fid] and req[fid] == -2:
+                    unres.append(fid)  # a head landed in an empty input
                 depth = counts[fid] + stageds[fid]
                 counts[fid] = depth
                 stageds[fid] = 0
@@ -814,17 +768,14 @@ class FlatMeshCore(Wakeable):
             popped.clear()
         dirty_local = self._dirty_local
         if dirty_local:
-            busy = self._busy_mask
-            for lfid, fifo, rbit in dirty_local:
-                if not fifo._items:
-                    req[lfid] = -2
+            for lfid, fifo in dirty_local:
+                if not fifo._items and req[lfid] == -2:
+                    unres.append(lfid)
                 fifo._items.extend(fifo._staged)
                 fifo._staged.clear()
                 if len(fifo._items) > fifo.high_water:
                     fifo.high_water = len(fifo._items)
-                busy |= rbit
             dirty_local.clear()
-            self._busy_mask = busy
         # LocalPort.commit == eject_fifo.commit, inlined; only FIFOs
         # the router phase actually ejected into this cycle.
         dirty_eject = self._dirty_eject
@@ -849,18 +800,17 @@ class FlatMeshCore(Wakeable):
 
         Called by the shard exchange after this core's tick; the body
         is ``commit``'s dirty-ring publication for a ring no in-band
-        router pushes to — same head-cache invalidation, occupancy,
-        high-water and wake effects, so the receiving router sees the
-        flits exactly as if an in-band upstream had staged them this
-        cycle.
+        router pushes to — same head exposure, occupancy, high-water
+        and wake effects, so the receiving router sees the flits
+        exactly as if an in-band upstream had staged them this cycle.
         """
         if not flits:
             return
         q = self._queues[fid]
         depth = self.depth
         count = self._counts[fid]
-        if count == 0:
-            self._req[fid] = -2  # first flit becomes the new head
+        if count == 0 and self._req[fid] == -2:
+            self._unres.append(fid)
         head = self._heads[fid]
         for flit in flits:
             slot = head + count
@@ -873,10 +823,7 @@ class FlatMeshCore(Wakeable):
         self._vis[fid] = count
         if count > self._hw[fid]:
             self._hw[fid] = count
-        r = fid // _N_PORTS
-        self._ring_occ[r] += n
         self._ring_total += n
-        self._busy_mask |= 1 << r
         wake = self._kernel_wake
         if wake is not None:
             wake()
@@ -885,14 +832,53 @@ class FlatMeshCore(Wakeable):
 
     @property
     def total_flits_forwarded(self) -> int:
-        return sum(self._fwd)
+        return sum(self._fwd_out)
 
     @property
     def busy_routers(self) -> int:
-        """Population of the busy-router bitmask — how many routers
-        the next step will even look at (the probe's fabric-activity
-        gauge)."""
-        return self._busy_mask.bit_count()
+        """How many routers the next step will look at: those owning
+        an active output or holding a head flit still to be routed
+        (the probe's fabric-activity gauge)."""
+        return len({fid // _N_PORTS
+                    for fid in self._active + self._unres})
+
+
+    def check_invariants(self) -> list[str]:
+        """Cross-check the step state machine; returns the violations.
+
+        A debugging aid for tests and ``lint --sanitize`` (never called
+        from ``step``), valid at any point outside ``step``.
+        """
+        grant = self._grant
+        rq = self._rq
+        req = self._req
+        problems: list[str] = []
+        expected = [ofid for ofid in range(len(grant))
+                    if grant[ofid] >= 0 or rq[ofid]]
+        if self._active != expected:
+            problems.append(f"active outputs {self._active} != locked-or-"
+                            f"requested outputs {expected}")
+        in_rings = sum(self._counts) + sum(self._stageds)
+        if self._ring_total != in_rings:
+            problems.append(f"_ring_total {self._ring_total} != "
+                            f"{in_rings} flits in the rings")
+        owners = {sfid for sfid in grant if sfid >= 0}
+        for fid, want in enumerate(req):
+            if (want == -1) != (fid in owners):
+                problems.append(f"input {fid}: _req {want} but "
+                                f"lock owner is {fid in owners}")
+        for ofid, mask in enumerate(rq):
+            base = ofid - ofid % _N_PORTS
+            for i in range(_N_PORTS):
+                if not (mask >> i) & 1:
+                    continue
+                fid = base + i
+                waiting = self._counts[fid] if i else self._local_items[fid]
+                if not waiting or req[fid] != ofid - base:
+                    problems.append(
+                        f"output {ofid} requested by input {fid} "
+                        f"(occupied={bool(waiting)}, _req={req[fid]})")
+        return problems
 
 
 class FlatMesh:

@@ -20,7 +20,8 @@ What a sample captures:
   idle cycles skipped, cumulative component steps;
 - fabric activity: per-link flit deltas since the previous sample
   (rate = delta / interval), the busy-router population (the flat
-  backend's busy-mask popcount, the object backend's non-idle count);
+  backend's routers owning an active output, the object backend's
+  non-idle count);
 - :class:`~repro.faults.engine.FaultEngine` counters, when a plan is
   attached;
 - end-to-end latency, two ways: the cheap

@@ -5,7 +5,9 @@ The heavyweight correctness bar — bit-identity with the object mesh
 across every shipped design, kernel, and trace stream — lives in
 ``test_kernel_equivalence.py``; these tests pin the backend's local
 contracts: the factory, the view adapters, raw flit traffic, the
-late-attach wake path, and the new ``CycleSimulator`` kwargs.
+late-attach wake path, the new ``CycleSimulator`` kwargs, and the
+output-centric step's state machine (each scenario compared flit for
+flit with the object backend under a tracer).
 """
 
 import pytest
@@ -13,8 +15,10 @@ import pytest
 from repro.noc.flatmesh import FlatMesh, FlatRouterView, build_mesh
 from repro.noc.mesh import LocalPort, Mesh
 from repro.noc.message import NocMessage, reset_id_counters
+from repro.noc.router import _PORT_INDEX
 from repro.noc.routing import Port
 from repro.sim.kernel import CycleSimulator, StagedFifo
+from repro.telemetry.trace import Tracer
 
 
 class TestBuildMesh:
@@ -223,3 +227,201 @@ class TestKernelKwargs:
         # just pin that it is accepted and reported.
         sim = CycleSimulator(saturation_threshold=0.0)
         assert sim.saturation_threshold == 0.0
+
+
+# -- the output-centric step's state machine --------------------------------
+
+EAST = _PORT_INDEX[Port.EAST]  # fault_block_output takes the index
+
+
+class FlitTracer(Tracer):
+    """Records which flit crossed each link, not just that one did."""
+
+    def flit_forwarded(self, cycle, coord, port, flit):
+        self.link_flits.append((cycle, coord, port, flit.msg_id,
+                                flit.is_head, flit.is_tail))
+
+
+def _message(src, dst, flits):
+    """A message of exactly ``flits`` flits (header + metadata)."""
+    return NocMessage(dst=dst, src=src, n_meta_flits=flits - 1)
+
+
+def _scenario(backend, kernel, size, attach, script, cycles,
+              late=None):
+    """Drive a raw mesh and return everything observable.
+
+    ``script`` maps a cycle to ``fn(mesh, ports)``, run just before
+    that cycle ticks; ``late`` is ``(cycle, coord)`` of a port attached
+    after registration.  The flat backend additionally has its state
+    machine checked after every cycle.
+    """
+    reset_id_counters()
+    sim = CycleSimulator(kernel=kernel, mesh_backend=backend)
+    mesh = build_mesh(*size, backend=backend)
+    ports = {coord: mesh.attach(coord) for coord in attach}
+    mesh.register(sim)
+    tracer = FlitTracer()
+    for router in mesh.routers.values():
+        router.tracer = tracer
+    for port in ports.values():
+        port.tracer = tracer
+    received = []
+    for cycle in range(cycles):
+        if late is not None and cycle == late[0]:
+            ports[late[1]] = port = mesh.attach(late[1])
+            port.tracer = tracer
+            if not mesh.steps_ports:
+                sim.add(port)
+        if cycle in script:
+            script[cycle](mesh, ports)
+        sim.run(1)
+        if backend == "flat":
+            assert mesh.core.check_invariants() == []
+        for coord, port in ports.items():
+            message = port.receive()
+            if message is not None:
+                received.append((cycle, coord, message.msg_id,
+                                 message.src))
+    return {
+        "flits": tracer.link_flits,
+        "stalls": tracer.link_stalls,
+        "injects": [(s.coord, s.msg_id, s.start, s.end)
+                    for s in tracer.inject_spans],
+        "received": received,
+        "per_output": {coord: router.flits_per_output
+                       for coord, router in mesh.routers.items()},
+        "idle": mesh.core.is_idle() if backend == "flat" else None,
+    }
+
+
+def _both(kernel, *args, **kwargs):
+    """Run a scenario on both backends; they must agree flit for flit.
+    Returns the flat run."""
+    flat = _scenario("flat", kernel, *args, **kwargs)
+    obj = _scenario("object", kernel, *args, **kwargs)
+    for key in ("flits", "stalls", "injects", "received", "per_output"):
+        assert flat[key] == obj[key], key
+    return flat
+
+
+def _crossings(run, coord, port):
+    """``(cycle, msg_id, is_head, is_tail)`` of flits through a link."""
+    return [(c, m, h, t) for c, at, p, m, h, t in run["flits"]
+            if at == coord and p == port]
+
+
+@pytest.mark.parametrize("kernel", ["naive", "scheduled"])
+class TestOutputCentricStateMachine:
+    def test_head_behind_a_tail_waits_one_cycle(self, kernel):
+        """Two messages back to back in router (1,0)'s west ring, bound
+        for different outputs: the second head is exposed when the
+        first tail leaves, and is arbitrated the cycle after — even
+        though its output is visited later in that same cycle."""
+        def send(mesh, ports):
+            mesh.routers[(1, 0)].fault_block_output(EAST, True)
+            ports[(0, 0)].send(_message((0, 0), (2, 0), 2))
+            ports[(0, 0)].send(_message((0, 0), (1, 1), 2))
+
+        def release(mesh, ports):
+            mesh.routers[(1, 0)].fault_block_output(EAST, False)
+
+        run = _both(kernel, (3, 2), [(0, 0), (2, 0), (1, 1)],
+                    {0: send, 12: release}, 40)
+        east = _crossings(run, (1, 0), "east")
+        south = _crossings(run, (1, 0), "south")
+        tail_cycle = next(c for c, _, _, tail in east if tail)
+        head_cycle = next(c for c, _, head, _ in south if head)
+        assert head_cycle == tail_cycle + 1
+        assert len(run["received"]) == 2
+
+    def test_single_flit_messages_keep_round_robin_order(self, kernel):
+        """Head+tail flits from four inputs contend for one ejection
+        port: the lock is taken and released within the move, and the
+        round-robin pointer still rotates through every input."""
+        sources = [(0, 1), (2, 1), (1, 0), (1, 2)]
+
+        def send(mesh, ports):
+            for _ in range(6):
+                for src in sources:
+                    ports[src].send(_message(src, (1, 1), 1))
+
+        run = _both(kernel, (3, 3), sources + [(1, 1)], {0: send}, 80)
+        order = [src for _, coord, _, src in run["received"]
+                 if coord == (1, 1)]
+        assert len(order) == 24
+        for start in range(4, 20, 4):  # all four inputs backlogged
+            assert set(order[start:start + 4]) == set(sources)
+
+    def test_head_for_an_unconnected_edge_stalls_forever(self, kernel):
+        def send(mesh, ports):
+            ports[(0, 0)].send(_message((0, 0), (5, 0), 8))
+
+        run = _both(kernel, (2, 1), [(0, 0), (1, 0)], {0: send}, 200)
+        assert run["received"] == []
+        assert run["idle"] is False
+        # The head reached the edge router and stopped there.
+        assert _crossings(run, (0, 0), "east")
+        assert not _crossings(run, (1, 0), "east")
+
+    def test_misroute_reroutes_a_waiting_head(self, kernel):
+        """A head routed east but not yet granted (its output is
+        stuck) follows the new table when a misroute window opens."""
+        def send(mesh, ports):
+            mesh.routers[(1, 0)].fault_block_output(EAST, True)
+            ports[(0, 0)].send(_message((0, 0), (2, 0), 3))
+
+        def misroute(mesh, ports):
+            mesh.routers[(1, 0)].fault_misroute(True)
+
+        run = _both(kernel, (3, 2), [(0, 0), (2, 0)],
+                    {0: send, 8: misroute}, 60)
+        assert (7, (1, 0), "east", "credit_exhausted") in run["stalls"]
+        assert not _crossings(run, (1, 0), "east")
+        assert len(_crossings(run, (1, 0), "south")) == 3
+        assert [r[1] for r in run["received"]] == [(2, 0)]
+
+    def test_misroute_leaves_a_locked_wormhole_alone(self, kernel):
+        def send(mesh, ports):
+            ports[(0, 0)].send(_message((0, 0), (2, 0), 10))
+
+        def misroute(mesh, ports):
+            mesh.routers[(1, 0)].fault_misroute(True)
+            ports[(0, 0)].send(_message((0, 0), (2, 0), 2))
+
+        run = _both(kernel, (3, 2), [(0, 0), (2, 0)],
+                    {0: send, 5: misroute}, 80)
+        east = _crossings(run, (1, 0), "east")
+        south = _crossings(run, (1, 0), "south")
+        assert east[0][0] < 5 < east[-1][0]  # toggled mid-wormhole
+        assert len(east) == 10 and len({m for _, m, _, _ in east}) == 1
+        assert len(south) == 2               # the next message deflects
+        assert len(run["received"]) == 2
+
+    def test_stuck_locked_output_stalls_every_cycle(self, kernel):
+        def send(mesh, ports):
+            ports[(0, 0)].send(_message((0, 0), (2, 0), 12))
+
+        def block(mesh, ports):
+            mesh.routers[(1, 0)].fault_block_output(EAST, True)
+
+        def release(mesh, ports):
+            mesh.routers[(1, 0)].fault_block_output(EAST, False)
+
+        run = _both(kernel, (3, 1), [(0, 0), (2, 0)],
+                    {0: send, 5: block, 15: release}, 60)
+        stalled = [c for c, at, port, kind in run["stalls"]
+                   if (at, port, kind) ==
+                   ((1, 0), "east", "wormhole_stall")]
+        assert stalled == list(range(5, 15))
+        assert len(_crossings(run, (1, 0), "east")) == 12
+        assert len(run["received"]) == 1
+
+    def test_late_port_first_message_activates_its_output(self, kernel):
+        def send(mesh, ports):
+            ports[(1, 1)].send(_message((1, 1), (0, 0), 3))
+
+        run = _both(kernel, (2, 2), [(0, 0)], {60: send}, 100,
+                    late=(50, (1, 1)))
+        assert [r[1] for r in run["received"]] == [(0, 0)]
+        assert len(_crossings(run, (1, 1), "west")) == 3

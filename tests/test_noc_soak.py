@@ -1,5 +1,7 @@
 """NoC soak tests: randomised traffic, conservation, and fairness,
-plus a seeded fault-soak crossing kernels and mesh backends."""
+plus a seeded fault-soak crossing kernels and mesh backends.  Every
+flat-backend case cross-checks ``FlatMeshCore.check_invariants()``
+after every cycle."""
 
 import random
 
@@ -8,7 +10,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.noc import Mesh, NocMessage
+from repro.noc.flatmesh import build_mesh
 from repro.sim.kernel import CycleSimulator
+
+
+def run_checked(sim, mesh, cycles, done=None):
+    """Run ``cycles`` cycles (or until ``done()``), one at a time; a
+    flat mesh has its state machine checked at every cycle boundary."""
+    core = getattr(mesh, "core", None)
+    for _ in range(cycles):
+        if done is not None and done():
+            return
+        sim.run(1)
+        if core is not None:
+            assert core.check_invariants() == []
 
 
 class Drain:
@@ -33,11 +48,20 @@ class TestNocSoak:
         """Whatever random (src, dst, size) workload is injected, every
         message arrives exactly once, intact, at its destination, in
         per-pair order — nothing lost, duplicated, or misrouted."""
+        self.check_random_traffic("object", data)
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_random_traffic_is_conserved_flat(self, data):
+        self.check_random_traffic("flat", data)
+
+    def check_random_traffic(self, backend, data):
         width = data.draw(st.integers(2, 4))
         height = data.draw(st.integers(1, 4))
         coords = [(x, y) for x in range(width) for y in range(height)]
-        sim = CycleSimulator()
-        mesh = Mesh(width, height)
+        sim = CycleSimulator(mesh_backend=backend)
+        mesh = build_mesh(width, height, backend=backend)
         ports = {coord: mesh.attach(coord) for coord in coords}
         mesh.register(sim)
         drains = {coord: Drain(port) for coord, port in ports.items()}
@@ -56,11 +80,12 @@ class TestNocSoak:
                                        data=payload))
             sent.append((src, dst, index, payload))
 
-        sim.run_until(
+        run_checked(
+            sim, mesh, 60_000,
             lambda: sum(len(d.messages) for d in drains.values())
-            == n_messages,
-            max_cycles=60_000,
-        )
+            == n_messages)
+        assert sum(len(d.messages) for d in drains.values()) \
+            == n_messages
         # Exactly-once, intact, correctly routed.
         received = {}
         for dst, drain in drains.items():
@@ -172,7 +197,7 @@ class TestFaultSoak:
             sink = FrameSink(design.eth_tx)
             design.sim.add(sink)
             traffic(design)
-            design.sim.run(15_000)
+            run_checked(design.sim, design.mesh, 15_000)
             assert sink.malformed == 0
             counters = design_counters(design)
             return {

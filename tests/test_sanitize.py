@@ -245,3 +245,20 @@ class TestDefaultTraffic:
         assert actions == []
         leaky = build_leaky_eject_design()
         assert default_traffic(leaky, 1000), "send() hook not used"
+
+
+class TestFlatMeshLedger:
+    def test_broken_active_list_is_a_bhv403_finding(self):
+        from repro.analysis.sanitize import _conservation_findings
+        combo = ("scheduled", "flat", "flat")
+        design = build_design(UdpEchoDesign, combo)
+        for _, fn in default_traffic(design, 200):
+            fn()
+        design.sim.run_until(lambda: design.mesh.core._active,
+                             max_cycles=200)
+        assert _conservation_findings(design, combo) == []
+        # Lose the active list: every wormhole in flight now stalls.
+        design.mesh.core._active.clear()
+        findings = _conservation_findings(design, combo)
+        assert [f.code for f in findings] == ["BHV403"]
+        assert "active outputs" in findings[0].message
