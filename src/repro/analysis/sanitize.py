@@ -463,12 +463,13 @@ def _conservation_findings(design: object, combo: Combo) -> list[Finding]:
                      "the counters at the bypass site",
                 data={**ledger, "delta": delta,
                       "combo": _combo_label(combo)}))
-        # The flat core keeps its own ledger (ring total, active
-        # outputs, lock/request state); a break there shows up as a
-        # stall long before the flit counts disagree.
+        # The flat core keeps its own ledger (ring total, ring stamps,
+        # active outputs, lock/request state); a break there shows up
+        # as a stall long before the flit counts disagree.
         check = getattr(getattr(mesh, "core", None),
                         "check_invariants", None)
-        problems = check() if check is not None else []
+        cycle = getattr(getattr(design, "sim", None), "cycle", None)
+        problems = check(cycle) if check is not None else []
         for problem in problems:
             findings.append(Finding(
                 "BHV403",

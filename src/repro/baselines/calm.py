@@ -21,7 +21,7 @@ from repro.packet.ethernet import ETHERTYPE_IPV4, EthernetHeader, MacAddress
 from repro.packet.ipv4 import IPPROTO_UDP, IPv4Address, IPv4Header
 from repro.packet.udp import UdpHeader
 from repro.packet import udp as udp_mod
-from repro.sim.kernel import CycleSimulator
+from repro.sim.kernel import CycleSimulator, no_commit
 
 MAX_ENDPOINTS = 8
 INFRASTRUCTURE_ENDPOINTS = 4  # scheduler, MAC in/out, buffer manager
@@ -70,8 +70,7 @@ class CrossbarEndpoint:
             flits = max(1, math.ceil(size / params.FLIT_BYTES))
             self._engine_free = cycle + max(flits, self.occupancy)
 
-    def commit(self) -> None:
-        pass
+    commit = no_commit
 
 
 class Crossbar:
@@ -121,8 +120,7 @@ class Crossbar:
                 remaining.append((deliver_at, target, item))
         self._in_flight = remaining
 
-    def commit(self) -> None:
-        pass
+    commit = no_commit
 
 
 class CalmUdpEcho:

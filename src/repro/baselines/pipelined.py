@@ -20,7 +20,7 @@ from repro.packet.ethernet import ETHERTYPE_IPV4, EthernetHeader, MacAddress
 from repro.packet.ipv4 import IPPROTO_UDP, IPv4Address, IPv4Header
 from repro.packet.udp import UdpHeader
 from repro.packet import udp as udp_mod
-from repro.sim.kernel import CycleSimulator
+from repro.sim.kernel import CycleSimulator, no_commit
 
 SERVER_MAC = MacAddress("02:be:e0:00:00:02")
 SERVER_IP = IPv4Address("10.0.0.11")
@@ -84,8 +84,7 @@ class _Stage:
         data = item[0] if isinstance(item, tuple) else item
         return len(data)
 
-    def commit(self) -> None:
-        pass
+    commit = no_commit
 
 
 class PipelinedUdpEchoDesign:

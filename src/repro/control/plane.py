@@ -98,9 +98,6 @@ class ControlEndpoint(Wakeable):
                   CounterValue(name=request.name, value=value,
                                tag=request.tag))
 
-    def commit(self) -> None:
-        pass
-
     # -- quiescence contract (see repro.sim.kernel) ----------------------------
 
     def wake_sources(self):

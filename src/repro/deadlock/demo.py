@@ -15,7 +15,7 @@ import itertools
 from repro.noc.flit import Flit
 from repro.noc.mesh import Mesh
 from repro.noc.routing import Port
-from repro.sim.kernel import CycleSimulator
+from repro.sim.kernel import CycleSimulator, no_commit
 
 _msg_ids = itertools.count(1_000_000)
 
@@ -75,8 +75,7 @@ class CutThroughTile:
         else:
             self._held = forwarded
 
-    def commit(self) -> None:
-        pass  # the LocalPort (registered by the mesh) commits the FIFOs
+    commit = no_commit  # the mesh-registered LocalPort commits the FIFOs
 
     def lint_dest_coords(self):
         """Static destinations for the design linter's derived-chain

@@ -98,9 +98,6 @@ class FrameSource(Wakeable):
         self.sent += 1
         self.bytes_sent += len(frame)
 
-    def commit(self) -> None:
-        pass
-
     # -- quiescence contract (see repro.sim.kernel) --------------------------
 
     def is_idle(self) -> bool:
@@ -149,9 +146,6 @@ class FrameSink(Wakeable):
             self.last_cycle = emit_cycle
             if self.keep_frames:
                 self.frames.append((frame, emit_cycle))
-
-    def commit(self) -> None:
-        pass
 
     # -- quiescence contract (see repro.sim.kernel) --------------------------
 

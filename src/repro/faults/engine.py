@@ -100,9 +100,6 @@ class FaultyWire(Wakeable):
             self.frames_delivered += 1
             self._push(frame, cycle)
 
-    def commit(self) -> None:
-        pass
-
     # -- quiescence contract (see repro.sim.kernel) -------------------------
 
     def is_idle(self) -> bool:
@@ -255,9 +252,6 @@ class FaultEngine(Wakeable):
             _, _, action = events[self._next]
             self._next += 1
             action(cycle)
-
-    def commit(self) -> None:
-        pass
 
     # -- quiescence contract (see repro.sim.kernel) -------------------------
 

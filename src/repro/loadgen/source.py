@@ -93,9 +93,6 @@ class OpenLoopSource(Wakeable):
             self._next = self.arrivals.next_arrival()
             self._check_horizon()
 
-    def commit(self) -> None:
-        pass
-
     # -- quiescence contract (see repro.sim.kernel) --------------------------
 
     def is_idle(self) -> bool:

@@ -6,9 +6,14 @@ a saturated mesh is then a cascade of method calls and attribute loads.
 :class:`FlatMesh` keeps the same construction API and the same
 *observable* behaviour but compiles the mesh into flat parallel arrays:
 
-- the four *directional* input FIFOs of every router become ring
-  buffers in preallocated lists (``q``/``head``/``count``/``staged``),
-  indexed ``fid = router_index * 5 + port_index``;
+- the five input FIFOs of every router are one list of deques
+  indexed ``fid = router_index * 5 + port_index``: the LOCAL slot is
+  the adapter FIFO's own committed queue, a directional slot is a ring
+  allocated on its first push (until then it shares one empty
+  sentinel, so an idle 32x32 mesh owns no ring at all).  Nothing is
+  staged: what a router may see of a ring this cycle is decided by two
+  per-ring *cycle stamps* (below), so each moved flit is touched once
+  and ``commit`` has no ring work left;
 - routing decisions come from a lazily built per-router
   ``dst -> out_port`` table instead of a route-function call per head
   flit per cycle;
@@ -22,7 +27,7 @@ a saturated mesh is then a cascade of method calls and attribute loads.
   flit through each.  Cost is per flit moved, not per router scanned.
 
 Per-input head state (``_req[fid]``) is a three-state machine that
-survives pops and commits:
+survives pops and cycle boundaries:
 
 - ``-2``: the next flit to reach the front is a head not yet routed.
   When one does (a flit lands in the empty input, or a departing tail
@@ -52,24 +57,34 @@ Bit-identity with ``Router.step`` rests on two facts.  Ascending
 ``ofid`` is the object backend's visit order (routers row-major in
 registration order, each router's outputs in port order, then ports in
 attachment order), so counters, credits and trace events come out in
-the same sequence.  And routers share no state within a cycle except
-through staged rings and lagged credits, which are not read back until
-commit, so skipping the idle outputs between two active ones changes
-nothing any visited output can see.  The differential suite in
-``tests/test_kernel_equivalence.py`` pins it against the object backend
-on every shipped design; :meth:`FlatMeshCore.check_invariants` cross-
-checks the state machine itself.
+the same sequence.  And a ring sees at most one push and one pop per
+cycle — it has exactly one upstream output, an output moves at most one
+flit a cycle, and its front flit belongs to one lock or one request —
+so "pushed this cycle" and "popped this cycle" are one stamp each
+(``_pushc[fid] == cycle``, ``_popc[fid] == cycle``).  With ``n`` flits
+physically in the ring, its router may take ``n - pushed`` of them and
+the upstream output sees the lagged credit count ``n + popped`` (it
+reads it before its own push): the two-phase view the object backend
+gets from staging and commit, whichever of the two routers is visited
+first.  The LOCAL input needs no stamp at all, because the injection
+phase that fills it runs after the router walk of the same ``step``.
+The differential suite in ``tests/test_kernel_equivalence.py`` pins it
+against the object backend on every shipped design;
+:meth:`FlatMeshCore.check_invariants` cross-checks the state machine
+itself.
 
 Scheduling: the core is one schedulable component.  It reports
 ``kernel_weight`` (routers + ports) so the kernel's saturation bypass
 weighs it correctly, and ``kernel_substeps()`` (the attached ports) so
 the linter knows who really steps inside it.  ``is_idle`` is true only
-when every ring, LOCAL input, injection queue, and staged ejection is
+when every router input, injection queue, and staged ejection is
 empty — the conjunction of the object backend's per-component
 contracts.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from repro.noc.mesh import LocalPort
 from repro.noc.router import (
@@ -90,13 +105,18 @@ _WEST = 2
 _NORTH = 3
 _SOUTH = 4
 
+# What every directional input slot holds until its first push: empty,
+# falsy and immutable, so a push that forgets to allocate fails loudly.
+_NO_RING: tuple = ()
+
 
 class _RingView:
     """Read-only stand-in for a directional input FIFO.
 
     Exposes the slice of the ``StagedFifo`` surface the linter and
     telemetry read (``capacity``, ``name``, occupancy); pushes go
-    through the core's arrays, never through this view.
+    through the core's rings, never through this view.  Between
+    cycles nothing is in flight, so occupancy is the ring's length.
     """
 
     __slots__ = ("_core", "_fid", "capacity", "name")
@@ -108,22 +128,19 @@ class _RingView:
         self.name = name
 
     def __len__(self) -> int:
-        return self._core._counts[self._fid]
+        return len(self._core._rings[self._fid])
 
     @property
     def occupancy(self) -> int:
-        core = self._core
-        return core._counts[self._fid] + core._stageds[self._fid]
+        return len(self)
 
     @property
     def high_water(self) -> int:
         return self._core._hw[self._fid]
 
     def peek(self):
-        core = self._core
-        if not core._counts[self._fid]:
-            return None
-        return core._queues[self._fid][core._heads[self._fid]]
+        ring = self._core._rings[self._fid]
+        return ring[0] if ring else None
 
     def __repr__(self) -> str:
         return f"_RingView({self.name!r}, occ={self.occupancy})"
@@ -227,9 +244,10 @@ class FlatMeshCore(Wakeable):
     ``step`` resolves newly exposed head flits, walks the sorted list
     of active outputs moving at most one flit through each, then steps
     the attached local ports in attachment order; ``commit`` publishes
-    the cycle's ring writes through a dirty list plus the adapter
-    FIFOs.  See the module docstring for the state machine and the
-    equivalence argument.
+    only the ejection FIFOs written this cycle (the tile engine steps
+    after the mesh in the same cycle, so those stay staged).  See the
+    module docstring for the state machine and the equivalence
+    argument.
     """
 
     name = "flatmesh.core"
@@ -261,20 +279,18 @@ class FlatMeshCore(Wakeable):
             StagedFifo(depth, name=f"router{coord}.in.local")
             for coord in self.coords
         ]
-        # Directional input rings, fid = r * 5 + port_index.  LOCAL
-        # slots exist but stay unused, keeping the indexing branchless.
-        self._queues: list[list] = [[None] * depth for _ in range(n5)]
-        self._heads: list[int] = [0] * n5
-        self._counts: list[int] = [0] * n5      # committed items
-        self._stageds: list[int] = [0] * n5     # staged (this cycle)
-        self._dirty: list[int] = []             # fids staged this cycle
-        # Committed occupancy as of the last cycle boundary — the
-        # credit count the upstream router sees (StagedFifo._visible
-        # flattened).  Refreshed at commit from the dirty and popped
-        # lists, giving inter-router credit return its one cycle of
-        # lag (see repro.noc.router's module docstring).
-        self._vis: list[int] = [0] * n5
-        self._popped: list[int] = []            # fids popped this cycle
+        # Router inputs, fid = r * 5 + port_index: the LOCAL FIFO's
+        # committed deque, or a directional ring (_NO_RING until its
+        # first push; unwired mesh-edge slots never allocate).
+        self._rings: list = [_NO_RING] * n5
+        for r, fifo in enumerate(self._local_in):
+            self._rings[r * _N_PORTS] = fifo._items
+        # The cycle of each ring's latest push and pop.  A flit pushed
+        # this cycle is not yet poppable; a pop this cycle is not yet a
+        # credit upstream (inter-router credit return lags one cycle,
+        # see repro.noc.router's module docstring).
+        self._pushc: list[int] = [-1] * n5
+        self._popc: list[int] = [-1] * n5
         # Wormhole state per output ofid: the fid of the input owning
         # it (-1 = free), the round-robin pointer (an input port index,
         # as Router._rr) and the bitmask of input ports whose routed
@@ -312,16 +328,11 @@ class FlatMeshCore(Wakeable):
         # None for an unsharded core.
         self._egress: list | None = None
         self._ejects: list[StagedFifo | None] = [None] * n
-        # The local input FIFO's committed deque at each LOCAL fid,
-        # None at ring fids (tells step which kind of input it pops).
-        self._local_items: list = [None] * n5
-        for r, fifo in enumerate(self._local_in):
-            self._local_items[r * _N_PORTS] = fifo._items
         # Lazily built per-router routing tables: rt[r][dst_index] is
         # the output port index for a head flit at router r bound for
         # dst_index = dst_y * width + dst_x.
         self._route_rows: list[list[int] | None] = [None] * n
-        # Flits in the rings (committed + staged), for is_idle.
+        # Flits in all router inputs, sum(len(ring)), for is_idle.
         self._ring_total = 0
         # Bit i set iff port i (attachment order) may have injection
         # work; iterating set bits LSB-first keeps the attachment order
@@ -333,11 +344,9 @@ class FlatMeshCore(Wakeable):
         # Injection-phase companion: (port, local fid, local FIFO) so
         # the hot loops never re-derive the wiring.
         self._inj: list[tuple[LocalPort, int, StagedFifo]] = []
-        # Adapter FIFOs staged into this cycle; commit touches only
-        # these instead of scanning every local/eject FIFO.  All
-        # staging flows through the core (router pushes, inlined port
-        # injection), which is what makes the dirty lists exhaustive.
-        self._dirty_local: list[tuple[int, StagedFifo]] = []
+        # Ejection FIFOs staged into this cycle; commit touches only
+        # these instead of scanning every port.  All staging flows
+        # through the router walk, which makes the list exhaustive.
         self._dirty_eject: list[StagedFifo] = []
         # Router-internal fault state: routers currently misrouting
         # (their _route_rows entry holds the *deflected* table), and
@@ -349,9 +358,11 @@ class FlatMeshCore(Wakeable):
         # flattened); the per-router and mesh totals are sums of it.
         self._fwd_out: list[int] = [0] * n5
         # Ring high-water marks, mirroring StagedFifo.high_water: the
-        # deepest committed depth per directional input, updated in the
-        # commit dirty loop so only rings written this cycle pay.
+        # deepest end-of-cycle depth per directional input.  Raised at
+        # push time; _hwc stamps the cycle of the raise so a pop later
+        # in that cycle can take it back.
         self._hw: list[int] = [0] * n5
+        self._hwc: list[int] = [-1] * n5
 
     # -- wiring -----------------------------------------------------------
 
@@ -484,9 +495,6 @@ class FlatMeshCore(Wakeable):
         """Idle iff every object-backend mesh component would be."""
         if self._ring_total:
             return False
-        for fifo in self._local_in:
-            if fifo._items or fifo._staged:
-                return False
         for port in self._ports_list:
             if (port._pending_flits or port._send_queue
                     or port.eject_fifo._staged):
@@ -502,13 +510,11 @@ class FlatMeshCore(Wakeable):
         ``wants`` scan would first see the head; an output that gains
         its first requester joins the active list.
         """
-        queues = self._queues
-        heads = self._heads
+        rings = self._rings
         req = self._req
         rq = self._rq
         grant = self._grant
         route_rows = self._route_rows
-        local_items = self._local_items
         # Routing bounds/stride use the FULL grid — a band core's
         # tables cover every global destination (see _route_row).
         width = self.full_width
@@ -516,8 +522,7 @@ class FlatMeshCore(Wakeable):
         fresh = []
         for fid in self._unres:
             r, i = divmod(fid, _N_PORTS)
-            flit = local_items[fid][0] if not i else \
-                queues[fid][heads[fid]]
+            flit = rings[fid][0]
             if not flit.is_head:
                 # A body flit with no wormhole to follow never moves
                 # (Router.step never requests an output for it).
@@ -547,26 +552,23 @@ class FlatMeshCore(Wakeable):
     def step(self, cycle: int) -> None:
         if self._unres:
             self._resolve_heads()
+        req = self._req
+        unres = self._unres
         active = self._active
         if active:
             # Local aliases: this loop is the simulator's hottest path.
-            queues = self._queues
-            heads = self._heads
-            counts = self._counts
-            stageds = self._stageds
-            vis = self._vis
-            popped = self._popped
-            dirty = self._dirty
+            rings = self._rings
+            pushc = self._pushc
+            popc = self._popc
+            hw = self._hw
+            hwc = self._hwc
             dirty_eject = self._dirty_eject
             grant = self._grant
             rr = self._rr
             rq = self._rq
-            req = self._req
-            unres = self._unres
             down = self._down
             ejects = self._ejects
             egress = self._egress
-            local_items = self._local_items
             coords = self.coords
             fwd_out = self._fwd_out
             depth = self.depth
@@ -574,6 +576,7 @@ class FlatMeshCore(Wakeable):
             traced = tracer.enabled
             fblocked = self._fault_blocked
             n_ports = _N_PORTS
+            no_ring = _NO_RING
             ring_total = self._ring_total
             retire = False
             # Ascending ofid == routers row-major, outputs in port
@@ -581,9 +584,10 @@ class FlatMeshCore(Wakeable):
             for ofid in active:
                 dfid = down[ofid]
                 if dfid >= 0:
-                    # Lagged credit return: last cycle's committed
-                    # occupancy plus this cycle's staged pushes.
-                    room = vis[dfid] + stageds[dfid] < depth
+                    # Lagged credit return: occupancy as of the last
+                    # cycle boundary (this output has not pushed yet,
+                    # and a pop made this cycle is not a credit yet).
+                    room = len(rings[dfid]) + (popc[dfid] == cycle) < depth
                 elif dfid == -2:
                     eject = ejects[ofid // n_ports]
                     if eject is None:
@@ -605,12 +609,11 @@ class FlatMeshCore(Wakeable):
                     room = False
                 sfid = grant[ofid]
                 if sfid >= 0:
-                    # Locked wormhole: the owner's next flit, if here.
-                    items = local_items[sfid]
-                    if items is None:
-                        if not counts[sfid]:
-                            continue
-                    elif not items:
+                    # Locked wormhole: the owner's next flit, if here
+                    # (one pushed this cycle is not here yet).
+                    ring = rings[sfid]
+                    n = len(ring)
+                    if n < 2 and (not n or pushc[sfid] == cycle):
                         continue
                 if not room:
                     if traced:
@@ -633,35 +636,31 @@ class FlatMeshCore(Wakeable):
                     rr[ofid] = 0 if in_index == n_ports - 1 \
                         else in_index + 1
                     sfid = ofid - ofid % n_ports + in_index
-                    items = local_items[sfid]
+                    ring = rings[sfid]
                     # Lock the output; a single-flit message releases
                     # it again below.
                     grant[ofid] = sfid
                     req[sfid] = -1
-                # ring_total counts ring flits only: a LOCAL pop adds
-                # one on the assumption it enters a ring, and an
-                # eject/egress push takes one back.
-                if items is None:
-                    queue = queues[sfid]
-                    head = heads[sfid]
-                    flit = queue[head]
-                    queue[head] = None
-                    head += 1
-                    heads[sfid] = 0 if head == depth else head
-                    more = counts[sfid] = counts[sfid] - 1
-                    popped.append(sfid)
-                else:
-                    flit = items.popleft()
-                    more = items
-                    ring_total += 1
+                flit = ring.popleft()
+                popc[sfid] = cycle
+                if hwc[sfid] == cycle:
+                    # Pushed (and raised) earlier this cycle: the mark
+                    # records end-of-cycle depth, one less after all.
+                    hw[sfid] -= 1
                 if dfid >= 0:
-                    slot = heads[dfid] + counts[dfid] + stageds[dfid]
-                    if slot >= depth:
-                        slot -= depth
-                    queues[dfid][slot] = flit
-                    if not stageds[dfid]:
-                        dirty.append(dfid)
-                    stageds[dfid] += 1
+                    ring_down = rings[dfid]
+                    if not ring_down:
+                        if ring_down is no_ring:
+                            ring_down = rings[dfid] = deque()
+                        if req[dfid] == -2:
+                            # A head landed in an empty input.
+                            unres.append(dfid)
+                    ring_down.append(flit)
+                    pushc[dfid] = cycle
+                    filled = len(ring_down)
+                    if filled > hw[dfid]:
+                        hw[dfid] = filled
+                        hwc[dfid] = cycle
                 elif dfid == -2:
                     # eject.push_unchecked(flit) inlined: stage the
                     # flit, then fire the consumer wake hooks.
@@ -685,9 +684,10 @@ class FlatMeshCore(Wakeable):
                 if flit.is_tail:
                     grant[ofid] = -1
                     req[sfid] = -2
-                    if more:
-                        # The flit behind the tail is the next head;
-                        # it is routed next cycle, as in Router.step.
+                    if ring:
+                        # The flit behind the tail (even one pushed
+                        # this cycle) is the next head; it is routed
+                        # next cycle, as in Router.step.
                         unres.append(sfid)
                     if not rq[ofid]:
                         retire = True
@@ -699,14 +699,16 @@ class FlatMeshCore(Wakeable):
         # order, exactly where the object backend's registration order
         # puts them).  The body is ``LocalPort.step`` inlined (same
         # observable effects: counters, trace events, one flit per
-        # cycle into the local input) minus the local FIFO's waker fire
-        # — its only waker re-activates this core, which a staged local
-        # push keeps active via ``is_idle``.  ``send`` sets the port's
-        # mask bit through its wake hook; the loop prunes idle ports.
+        # cycle into the local input) minus the staging and the local
+        # FIFO's waker fire: this phase runs after the router walk, so
+        # a flit pushed straight into the committed queue cannot be
+        # forwarded before the next cycle, and the FIFO's only waker
+        # re-activates this core, which ``is_idle`` keeps active.
+        # ``send`` sets the port's mask bit through its wake hook; the
+        # loop prunes idle ports.
         m = self._inj_mask
         if m:
             inj = self._inj
-            dirty_local = self._dirty_local
             while m:
                 low = m & -m
                 m ^= low
@@ -724,11 +726,15 @@ class FlatMeshCore(Wakeable):
                     if port.tracer.enabled:
                         port.tracer.inject_start(cycle, port.coord,
                                                  message)
-                staged = fifo._staged
-                if len(fifo._items) + len(staged) < fifo.capacity:
-                    if not staged:
-                        dirty_local.append((lfid, fifo))
-                    staged.append(pending.popleft())
+                items = fifo._items
+                occupancy = len(items)
+                if occupancy < fifo.capacity:
+                    if not occupancy and req[lfid] == -2:
+                        unres.append(lfid)
+                    items.append(pending.popleft())
+                    self._ring_total += 1
+                    if occupancy >= fifo.high_water:
+                        fifo.high_water = occupancy + 1
                     port.flits_injected += 1
                     if not pending:
                         if port.tracer.enabled and \
@@ -740,42 +746,6 @@ class FlatMeshCore(Wakeable):
                             self._inj_mask &= ~low
 
     def commit(self) -> None:
-        counts = self._counts
-        stageds = self._stageds
-        vis = self._vis
-        dirty = self._dirty
-        req = self._req
-        unres = self._unres
-        if dirty:
-            hw = self._hw
-            for fid in dirty:
-                if not counts[fid] and req[fid] == -2:
-                    unres.append(fid)  # a head landed in an empty input
-                depth = counts[fid] + stageds[fid]
-                counts[fid] = depth
-                stageds[fid] = 0
-                vis[fid] = depth
-                if depth > hw[fid]:
-                    hw[fid] = depth
-            dirty.clear()
-        popped = self._popped
-        if popped:
-            # Publish this cycle's credit releases at the boundary; a
-            # fid both popped and pushed was already refreshed above
-            # (re-assigning the merged count is idempotent).
-            for fid in popped:
-                vis[fid] = counts[fid]
-            popped.clear()
-        dirty_local = self._dirty_local
-        if dirty_local:
-            for lfid, fifo in dirty_local:
-                if not fifo._items and req[lfid] == -2:
-                    unres.append(lfid)
-                fifo._items.extend(fifo._staged)
-                fifo._staged.clear()
-                if len(fifo._items) > fifo.high_water:
-                    fifo.high_water = len(fifo._items)
-            dirty_local.clear()
         # LocalPort.commit == eject_fifo.commit, inlined; only FIFOs
         # the router phase actually ejected into this cycle.
         dirty_eject = self._dirty_eject
@@ -798,32 +768,24 @@ class FlatMeshCore(Wakeable):
     def boundary_ingest(self, fid: int, flits) -> None:
         """Apply boundary flits into ingress ring ``fid``.
 
-        Called by the shard exchange after this core's tick; the body
-        is ``commit``'s dirty-ring publication for a ring no in-band
-        router pushes to — same head exposure, occupancy, high-water
-        and wake effects, so the receiving router sees the flits
-        exactly as if an in-band upstream had staged them this cycle.
+        Called by the shard exchange after this core's tick, so the
+        push carries no stamp: the flits are poppable from the next
+        cycle on, exactly as if an in-band upstream had pushed them
+        this cycle — same head exposure, occupancy, high-water and
+        wake effects.
         """
         if not flits:
             return
-        q = self._queues[fid]
-        depth = self.depth
-        count = self._counts[fid]
-        if count == 0 and self._req[fid] == -2:
-            self._unres.append(fid)
-        head = self._heads[fid]
-        for flit in flits:
-            slot = head + count
-            if slot >= depth:
-                slot -= depth
-            q[slot] = flit
-            count += 1
-        n = count - self._counts[fid]
-        self._counts[fid] = count
-        self._vis[fid] = count
-        if count > self._hw[fid]:
-            self._hw[fid] = count
-        self._ring_total += n
+        ring = self._rings[fid]
+        if not ring:
+            if ring is _NO_RING:
+                ring = self._rings[fid] = deque()
+            if self._req[fid] == -2:
+                self._unres.append(fid)
+        ring.extend(flits)
+        if len(ring) > self._hw[fid]:
+            self._hw[fid] = len(ring)
+        self._ring_total += len(flits)
         wake = self._kernel_wake
         if wake is not None:
             wake()
@@ -842,12 +804,14 @@ class FlatMeshCore(Wakeable):
         return len({fid // _N_PORTS
                     for fid in self._active + self._unres})
 
-
-    def check_invariants(self) -> list[str]:
+    def check_invariants(self, cycle: int | None = None) -> list[str]:
         """Cross-check the step state machine; returns the violations.
 
         A debugging aid for tests and ``lint --sanitize`` (never called
-        from ``step``), valid at any point outside ``step``.
+        from ``step``), valid at any point outside ``step``.  ``cycle``
+        is the next cycle the simulator will step (``sim.cycle``); when
+        given, no ring stamp may have reached it — a stamp from the
+        future would hide a flit or a credit that is really there.
         """
         grant = self._grant
         rq = self._rq
@@ -858,10 +822,21 @@ class FlatMeshCore(Wakeable):
         if self._active != expected:
             problems.append(f"active outputs {self._active} != locked-or-"
                             f"requested outputs {expected}")
-        in_rings = sum(self._counts) + sum(self._stageds)
+        rings = self._rings
+        in_rings = sum(map(len, rings))
         if self._ring_total != in_rings:
             problems.append(f"_ring_total {self._ring_total} != "
-                            f"{in_rings} flits in the rings")
+                            f"{in_rings} flits in the router inputs")
+        if cycle is not None:
+            for name in ("_pushc", "_popc", "_hwc"):
+                latest = max(getattr(self, name))
+                if latest >= cycle:
+                    problems.append(f"{name} holds cycle {latest}, which "
+                                    f"has not been stepped (next: {cycle})")
+        for fifo in self._local_in:
+            if fifo._staged:
+                problems.append(f"{fifo.name} has staged flits; the core "
+                                "injects into the committed queue")
         owners = {sfid for sfid in grant if sfid >= 0}
         for fid, want in enumerate(req):
             if (want == -1) != (fid in owners):
@@ -873,11 +848,10 @@ class FlatMeshCore(Wakeable):
                 if not (mask >> i) & 1:
                     continue
                 fid = base + i
-                waiting = self._counts[fid] if i else self._local_items[fid]
-                if not waiting or req[fid] != ofid - base:
+                if not rings[fid] or req[fid] != ofid - base:
                     problems.append(
                         f"output {ofid} requested by input {fid} "
-                        f"(occupied={bool(waiting)}, _req={req[fid]})")
+                        f"(occupied={bool(rings[fid])}, _req={req[fid]})")
         return problems
 
 

@@ -181,10 +181,10 @@ class _FlatIngress:
     def __init__(self, core, fid: int):
         self.core = core
         self.fid = fid
-        self._prev = core._counts[fid]
+        self._prev = len(core._rings[fid])
 
     def take_pops(self) -> int:
-        cur = self.core._counts[self.fid]
+        cur = len(self.core._rings[self.fid])
         pops = self._prev - cur
         self._prev = cur
         return pops
@@ -193,7 +193,7 @@ class _FlatIngress:
         if not flits:
             return
         self.core.boundary_ingest(self.fid, flits)
-        self._prev = self.core._counts[self.fid]
+        self._prev = len(self.core._rings[self.fid])
 
 
 class BoundaryLink:
@@ -302,24 +302,26 @@ class _FlatBoundaryLink(BoundaryLink):
     """Flat-backend link with an inlined, call-free idle check.
 
     Same shape as :class:`_ObjectBoundaryLink`: the receiver fill is
-    ``core._counts[fid]`` (the list is mutated in place, never
-    reassigned), the egress staging list lives on the ``_FlatEgress``.
+    the length of ``core._rings[fid]`` (the list is mutated in place,
+    never reassigned; the ring itself is allocated on its first flit,
+    so it is looked up each time), the egress staging list lives on
+    the ``_FlatEgress``.
     """
 
-    __slots__ = ("_eg", "_core", "_counts", "_fid", "_prev_fill")
+    __slots__ = ("_eg", "_core", "_rings", "_fid", "_prev_fill")
 
     def __init__(self, egress, ingress, sender: int, receiver: int):
         super().__init__(egress, ingress, sender, receiver)
         self._eg = egress.eg
         self._core = ingress.core
-        self._counts = ingress.core._counts
+        self._rings = ingress.core._rings
         self._fid = ingress.fid
-        self._prev_fill = self._counts[self._fid]
+        self._prev_fill = len(self._rings[self._fid])
 
     def exchange(self) -> None:
-        counts = self._counts
+        rings = self._rings
         fid = self._fid
-        cur = counts[fid]
+        cur = len(rings[fid])
         eg = self._eg
         staged = eg.staged
         prev = self._prev_fill
@@ -333,7 +335,7 @@ class _FlatBoundaryLink(BoundaryLink):
             eg.visible += len(flits)
             self._core.boundary_ingest(fid, flits)
             self.flits_exchanged += len(flits)
-            cur = counts[fid]
+            cur = len(rings[fid])
         self._prev_fill = cur
 
 

@@ -62,6 +62,26 @@ A wake that arrives during the step phase still gets the component a
 commit this cycle (so staged pushes into its FIFOs become visible on
 schedule) and a step from the next cycle on — which is exactly when the
 naive kernel would first let it observe the new state.
+
+The call chain
+--------------
+
+:meth:`CycleSimulator.tick` *is* the scheduled cycle body (it hands
+over to the naive body first thing under ``kernel="naive"``), and
+``run``/``run_until`` reach every cycle they do not skip through
+``self.tick``.  They inline the "is there work this cycle" test: a
+non-empty active set means tick now, and only an empty one consults
+``_next_wake_cycle()`` (the hook :mod:`repro.sim.shard` overrides) to
+skip ahead.  A component whose class leaves ``commit`` as the shared
+:func:`no_commit` — most of them: tiles, harnesses, peers — is stepped
+but never asked to commit.
+
+Steps and commits are called *by name on the component*, and ``tick``
+is looked up on the simulator at the start of each ``run``/``run_until``
+at the earliest.  Nothing is pre-bound at ``add()`` time, so a ``tick``,
+``step`` or ``commit`` shadowed on an instance after construction (as
+``repro.telemetry.hostprof`` and ``benchmarks/perflab`` do to attribute
+host time) is called exactly once per non-skipped cycle.
 """
 
 from __future__ import annotations
@@ -98,6 +118,16 @@ class ClockedComponent(Protocol):
     def commit(self) -> None: ...
 
 
+def no_commit(self) -> None:
+    """The one no-op ``commit``, for components that stage nothing.
+
+    ``CycleSimulator.add`` recognises it by identity on the class and
+    leaves such a component out of the scheduled kernel's commit pass.
+    :class:`Wakeable` provides it; a component that is not ``Wakeable``
+    aliases it (``commit = no_commit``).
+    """
+
+
 class Wakeable:
     """Mixin giving a component an externally triggerable wake hook.
 
@@ -109,6 +139,8 @@ class Wakeable:
     """
 
     _kernel_wake: Callable[[], None] | None = None
+
+    commit = no_commit
 
     def _wake(self) -> None:
         wake = self._kernel_wake
@@ -275,6 +307,10 @@ class CycleSimulator:
         self._scheduled = kernel == "scheduled"
         # Scheduled-kernel state.
         self._order: dict = {}          # component -> registration index
+        self._wakers: dict = {}         # component -> its wake closure
+        # Components with a real commit (not no_commit), in
+        # registration order; a dict so membership is O(1) too.
+        self._committers: dict = {}
         self._active: set = set()       # components stepped next cycle
         self._timers: list = []         # heap of (cycle, seq, component)
         self._timer_seq = 0
@@ -287,6 +323,7 @@ class CycleSimulator:
         # Sorted view of the active set, rebuilt only when it changes
         # (under saturation the set is stable for long stretches).
         self._stepping_cache: list = []
+        self._committing_cache: list = []
         self._active_dirty = True
         # Saturation bypass tuning.  The bypass engages on the *raw*
         # active fraction (schedule entries, not weights): a
@@ -301,7 +338,7 @@ class CycleSimulator:
         self._total_weight = 0          # effective component count
         self._sat_limit = 0.0           # threshold * len(components)
         # Adaptive pruning cadence (no explicit prune_interval): start
-        # at the floor and let the controller in _tick_scheduled adapt
+        # at the floor and let the controller in tick() adapt
         # within [_PRUNE_FLOOR, _PRUNE_CAP] from what pruning ticks
         # actually find.  An explicit setting stays fixed.
         self._adaptive = prune_interval is None
@@ -375,14 +412,13 @@ class CycleSimulator:
             getattr(component, "is_idle", None),
             getattr(component, "next_event_cycle", None),
         )
-        waker = None
+        if getattr(type(component), "commit", None) is not no_commit:
+            self._committers[component] = None
+        self._wakers[component] = waker = self._waker_for(component)
         if getattr(component, "_kernel_wake", False) is None:
-            waker = self._waker_for(component)
             component._kernel_wake = waker
         sources = getattr(component, "wake_sources", None)
         if sources is not None:
-            if waker is None:
-                waker = self._waker_for(component)
             for fifo in sources():
                 fifo.add_waker(waker)
 
@@ -426,8 +462,9 @@ class CycleSimulator:
 
     def wake(self, component) -> None:
         """Re-activate ``component`` (no-op under the naive kernel)."""
-        if self._scheduled and component in self._order:
-            self._waker_for(component)()
+        waker = self._wakers.get(component)
+        if waker is not None:
+            waker()
 
     def _arm_timer(self, component, deadline: int) -> None:
         armed = self._armed.get(component)
@@ -492,13 +529,6 @@ class CycleSimulator:
 
     # -- the clock ----------------------------------------------------------
 
-    def tick(self) -> None:
-        """Advance the simulation by one clock cycle."""
-        if self._scheduled:
-            self._tick_scheduled()
-        else:
-            self._tick_naive()
-
     def _tick_naive(self) -> None:
         if self.tracer.enabled:
             self.tracer.cycle_start(self.cycle)
@@ -510,7 +540,10 @@ class CycleSimulator:
             fifo.commit()
         self.cycle += 1
 
-    def _tick_scheduled(self) -> None:
+    def tick(self) -> None:
+        """Advance the simulation by one clock cycle."""
+        if not self._scheduled:
+            return self._tick_naive()
         cycle = self.cycle
         timers = self._timers
         if timers and timers[0][0] <= cycle:
@@ -535,7 +568,7 @@ class CycleSimulator:
             components = self._components
             for component in components:
                 component.step(cycle)
-            for component in components:
+            for component in self._committers:
                 component.commit()
             for fifo in self._fifos:
                 fifo.commit()
@@ -546,10 +579,14 @@ class CycleSimulator:
             self.tracer.cycle_start(cycle)
         if self._active_dirty:
             stepping = sorted(self._active, key=self._order.__getitem__)
+            committers = self._committers
+            committing = [c for c in stepping if c in committers]
             self._stepping_cache = stepping
+            self._committing_cache = committing
             self._active_dirty = False
         else:
             stepping = self._stepping_cache
+            committing = self._committing_cache
         self._late_wakes = late = []
         self._in_step = True
         try:
@@ -559,10 +596,13 @@ class CycleSimulator:
             self._in_step = False
         if late:
             # A late wake already marked the active set dirty, so the
-            # cache is rebuilt next tick; extending in place is safe.
-            stepping.extend(sorted(late, key=self._order.__getitem__))
+            # caches are rebuilt next tick; extending in place is safe.
+            late.sort(key=self._order.__getitem__)
+            stepping.extend(late)
+            committers = self._committers
+            committing.extend(c for c in late if c in committers)
         self.component_steps += len(stepping)
-        for component in stepping:
+        for component in committing:
             component.commit()
         for fifo in self._fifos:
             fifo.commit()
@@ -658,7 +698,7 @@ class CycleSimulator:
             fifo.commit()
         # Prune bookkeeping over the components the scheduled kernel
         # would have stepped (the active set at cycle start plus late
-        # wakes), mirroring _tick_scheduled without the bypass.
+        # wakes), mirroring tick() without the bypass.
         stepped.extend(late)
         contracts = self._contracts
         for component in stepped:
@@ -676,18 +716,21 @@ class CycleSimulator:
         observer.cycle_done(cycle)
 
     def run(self, cycles: int) -> None:
+        tick = self.tick
         if not self._scheduled:
             for _ in range(cycles):
-                self.tick()
+                tick()
             return
         end = self.cycle + cycles
+        active = self._active
         while self.cycle < end:
-            wake = self._next_wake_cycle()
-            target = end if wake is None else min(wake, end)
-            if target > self.cycle:
-                self._skip_to(target)
-                continue
-            self.tick()
+            if not active:
+                wake = self._next_wake_cycle()
+                target = end if wake is None or wake > end else wake
+                if target > self.cycle:
+                    self._skip_to(target)
+                    continue
+            tick()
 
     def run_until(
         self,
@@ -719,6 +762,9 @@ class CycleSimulator:
         limit = start + max_cycles
         deadline = (None if wall_clock_budget_s is None
                     else time.monotonic() + wall_clock_budget_s)
+        tick = self.tick
+        # The naive kernel never skips: it counts as always active.
+        active = self._active if self._scheduled else True
         while not condition():
             if self.cycle - start >= max_cycles:
                 raise TimeoutError(
@@ -729,13 +775,13 @@ class CycleSimulator:
                     f"condition not met within {wall_clock_budget_s}s "
                     f"of wall clock ({self.cycle - start} cycles run)"
                 )
-            if self._scheduled:
+            if not active:
                 wake = self._next_wake_cycle()
-                target = limit if wake is None else min(wake, limit)
+                target = limit if wake is None or wake > limit else wake
                 if target > self.cycle:
                     self._skip_to_condition(condition, target)
                     continue
-            self.tick()
+            tick()
         return self.cycle - start
 
     def _skip_to_condition(

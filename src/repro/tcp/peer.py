@@ -17,6 +17,7 @@ from repro.packet.builder import build_tcp_frame, parse_frame
 from repro.packet.ethernet import MacAddress
 from repro.packet.ipv4 import IPv4Address
 from repro.packet.tcp import TCP_ACK, TCP_FIN, TCP_PSH, TCP_SYN, TcpHeader
+from repro.sim.kernel import no_commit
 from repro.tcp.cc import CongestionControl, make_cc
 from repro.tcp.flow import seq_add, seq_diff
 
@@ -62,8 +63,7 @@ class PeerNetwork:
                 continue
             inbox.append((frame, emit_cycle))
 
-    def commit(self) -> None:
-        pass
+    commit = no_commit
 
 
 class SoftTcpPeer:
@@ -163,8 +163,7 @@ class SoftTcpPeer:
         self._drain_server_frames(cycle)
         self._transmit(cycle)
 
-    def commit(self) -> None:
-        pass
+    commit = no_commit
 
     def _drain_server_frames(self, cycle: int) -> None:
         if self._inbox is not None:

@@ -111,9 +111,6 @@ class Probe(Wakeable):
         self._next = cycle + self.interval
         self.sample(cycle)
 
-    def commit(self) -> None:
-        pass
-
     # -- quiescence contract (see repro.sim.kernel) -------------------------
 
     def is_idle(self) -> bool:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.sim.kernel import no_commit
+
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -88,5 +90,4 @@ class TraceReplayer:
             self._index += 1
             self.replayed += 1
 
-    def commit(self) -> None:
-        pass
+    commit = no_commit

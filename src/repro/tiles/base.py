@@ -287,9 +287,6 @@ class Tile(Wakeable):
         self._pump_eject(cycle)
         self._pump_process(cycle)
 
-    def commit(self) -> None:
-        pass  # the LocalPort (registered separately) commits the FIFOs
-
     # -- quiescence contract (see repro.sim.kernel) ---------------------------
 
     def wake_sources(self):

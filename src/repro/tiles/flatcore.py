@@ -360,9 +360,6 @@ class FlatTileCore(Wakeable):
                 continue
             self._busy &= ~low
 
-    def commit(self) -> None:
-        pass  # tile FIFOs are committed by their mesh/port owners
-
     def _arm(self, index: int, deadline: int, cycle: int) -> None:
         if deadline <= cycle:
             deadline = cycle + 1

@@ -6,13 +6,21 @@ across every shipped design, kernel, and trace stream — lives in
 ``test_kernel_equivalence.py``; these tests pin the backend's local
 contracts: the factory, the view adapters, raw flit traffic, the
 late-attach wake path, the new ``CycleSimulator`` kwargs, and the
-output-centric step's state machine (each scenario compared flit for
-flit with the object backend under a tracer).
+output-centric step's state machine and commit-free rings (each
+scenario compared flit for flit, and high-water mark for high-water
+mark, with the object backend under a tracer).
 """
+
+from collections import deque
 
 import pytest
 
-from repro.noc.flatmesh import FlatMesh, FlatRouterView, build_mesh
+from repro.noc.flatmesh import (
+    _NO_RING,
+    FlatMesh,
+    FlatRouterView,
+    build_mesh,
+)
 from repro.noc.mesh import LocalPort, Mesh
 from repro.noc.message import NocMessage, reset_id_counters
 from repro.noc.router import _PORT_INDEX
@@ -277,7 +285,7 @@ def _scenario(backend, kernel, size, attach, script, cycles,
             script[cycle](mesh, ports)
         sim.run(1)
         if backend == "flat":
-            assert mesh.core.check_invariants() == []
+            assert mesh.core.check_invariants(sim.cycle) == []
         for coord, port in ports.items():
             message = port.receive()
             if message is not None:
@@ -291,6 +299,9 @@ def _scenario(backend, kernel, size, attach, script, cycles,
         "received": received,
         "per_output": {coord: router.flits_per_output
                        for coord, router in mesh.routers.items()},
+        "high_water": {(coord, port.value): fifo.high_water
+                       for coord, router in mesh.routers.items()
+                       for port, fifo in router.inputs.items()},
         "idle": mesh.core.is_idle() if backend == "flat" else None,
     }
 
@@ -300,7 +311,8 @@ def _both(kernel, *args, **kwargs):
     Returns the flat run."""
     flat = _scenario("flat", kernel, *args, **kwargs)
     obj = _scenario("object", kernel, *args, **kwargs)
-    for key in ("flits", "stalls", "injects", "received", "per_output"):
+    for key in ("flits", "stalls", "injects", "received", "per_output",
+                "high_water"):
         assert flat[key] == obj[key], key
     return flat
 
@@ -425,3 +437,172 @@ class TestOutputCentricStateMachine:
                     late=(50, (1, 1)))
         assert [r[1] for r in run["received"]] == [(0, 0)]
         assert len(_crossings(run, (1, 1), "west")) == 3
+
+
+# -- commit-free rings: one push and one pop per ring per cycle -------------
+
+# A 3x1 row streamed end to end, in both directions.  Eastbound, the
+# upstream router's output (ofid 1) is walked before the middle
+# router's (ofid 6), so the middle ring is pushed and then popped in
+# one cycle; westbound (ofid 12 feeding ofid 7) it is popped and then
+# pushed.  Each entry: source, destination, the link into the middle
+# router, the link out of it, and the middle router's input port.
+_ROWS = {
+    "push_then_pop": ((0, 0), (2, 0), ((0, 0), "east"), ((1, 0), "east"),
+                      "west"),
+    "pop_then_push": ((2, 0), (0, 0), ((2, 0), "west"), ((1, 0), "west"),
+                      "east"),
+}
+
+
+@pytest.mark.parametrize("kernel", ["naive", "scheduled"])
+@pytest.mark.parametrize("order", sorted(_ROWS))
+class TestSameCycleRingTraffic:
+    def test_body_flits_cross_the_middle_ring_in_one_cycle(self, kernel,
+                                                           order):
+        src, dst, link_in, link_out, in_port = _ROWS[order]
+
+        def send(mesh, ports):
+            ports[src].send(_message(src, dst, 12))
+
+        run = _both(kernel, (3, 1), [src, dst], {0: send}, 40)
+        entered = [c for c, *_ in _crossings(run, *link_in)]
+        left = [c for c, *_ in _crossings(run, *link_out)]
+        assert len(entered) == 12
+        # Every flit leaves the cycle after it entered: never the same
+        # cycle (a push is not poppable yet), never later (no bubble).
+        assert left == [c + 1 for c in entered]
+        assert entered == list(range(entered[0], entered[0] + 12))
+        # Depth is 1 at every cycle boundary although the ring held 2
+        # flits mid-cycle in the push-then-pop order.
+        assert run["high_water"][((1, 0), in_port)] == 1
+
+    def test_body_flit_into_a_drained_locked_ring_waits_a_cycle(
+            self, kernel, order):
+        """The upstream output sticks mid-message, the middle ring
+        runs dry under its lock, and the next body flit lands in an
+        empty ring: it is the owner's next flit only a cycle later."""
+        src, dst, link_in, link_out, _ = _ROWS[order]
+        out_index = _PORT_INDEX[Port(link_in[1])]
+
+        def send(mesh, ports):
+            ports[src].send(_message(src, dst, 12))
+
+        def block(mesh, ports):
+            mesh.routers[src].fault_block_output(out_index, True)
+
+        def release(mesh, ports):
+            mesh.routers[src].fault_block_output(out_index, False)
+
+        run = _both(kernel, (3, 1), [src, dst],
+                    {0: send, 6: block, 10: release}, 50)
+        entered = [c for c, *_ in _crossings(run, *link_in)]
+        left = [c for c, *_ in _crossings(run, *link_out)]
+        assert len(entered) == 12 and 10 in entered and 9 not in entered
+        assert left == [c + 1 for c in entered]
+
+    def test_new_head_follows_a_tail_without_a_bubble(self, kernel, order):
+        """Tail popped and next head pushed in one cycle: the head is
+        exposed exactly once and routed the cycle after."""
+        src, dst, link_in, link_out, _ = _ROWS[order]
+
+        def send(mesh, ports):
+            for _ in range(3):
+                ports[src].send(_message(src, dst, 3))
+
+        run = _both(kernel, (3, 1), [src, dst], {0: send}, 40)
+        entered = _crossings(run, *link_in)
+        left = _crossings(run, *link_out)
+        assert [f[1:] for f in left] == [f[1:] for f in entered]
+        assert [f[0] for f in left] == [f[0] + 1 for f in entered]
+        assert sum(1 for f in left if f[2]) == 3
+        assert len(run["received"]) == 3
+
+    def test_full_ring_pushed_and_popped_in_one_cycle(self, kernel, order):
+        """The middle ring fills to its depth behind a stuck output and
+        then streams at depth 4 (pop and push every cycle): the mark is
+        the end-of-cycle depth, as ``StagedFifo.high_water``."""
+        src, dst, link_in, link_out, in_port = _ROWS[order]
+        out_index = _PORT_INDEX[Port(link_out[1])]
+
+        def send(mesh, ports):
+            mesh.routers[(1, 0)].fault_block_output(out_index, True)
+            ports[src].send(_message(src, dst, 16))
+
+        def release(mesh, ports):
+            mesh.routers[(1, 0)].fault_block_output(out_index, False)
+
+        run = _both(kernel, (3, 1), [src, dst], {0: send, 14: release},
+                    60)
+        assert run["high_water"][((1, 0), in_port)] == 4
+        assert len(_crossings(run, *link_out)) == 16
+        assert len(run["received"]) == 1
+
+
+@pytest.mark.parametrize("kernel", ["naive", "scheduled"])
+def test_sent_message_leaves_its_router_next_cycle_at_the_earliest(kernel):
+    """Injection pushes straight into the LOCAL input's committed
+    queue, after the router walk of that step: the head sent before
+    cycle 5 ticks is forwarded in cycle 6, as with a staged push."""
+    def send(mesh, ports):
+        ports[(0, 0)].send(_message((0, 0), (1, 0), 2))
+
+    run = _both(kernel, (2, 1), [(0, 0), (1, 0)], {5: send}, 20)
+    assert [c for c, *_ in _crossings(run, (0, 0), "east")] == [6, 7]
+    assert run["high_water"][((0, 0), "local")] == 1
+    assert run["injects"][0][2:] == (5, 6)
+
+
+class TestLazyRings:
+    def test_idle_mesh_allocates_no_ring(self):
+        core = build_mesh(32, 32, backend="flat").core
+        directional = [ring for fid, ring in enumerate(core._rings)
+                       if fid % 5]
+        assert len(directional) == 32 * 32 * 4
+        assert all(ring is _NO_RING for ring in directional)
+        # LOCAL slots are the adapter FIFOs' own queues.
+        assert all(core._rings[r * 5] is fifo._items
+                   for r, fifo in enumerate(core._local_in))
+
+    def test_a_used_ring_is_private_and_kept(self):
+        reset_id_counters()
+        sim = CycleSimulator(mesh_backend="flat")
+        mesh = build_mesh(3, 2, backend="flat")
+        ports = {c: mesh.attach(c) for c in [(0, 0), (2, 0), (2, 1)]}
+        mesh.register(sim)
+        ports[(0, 0)].send(_message((0, 0), (2, 0), 4))
+        ports[(2, 1)].send(_message((2, 1), (2, 0), 4))
+        for _ in range(40):
+            sim.run(1)
+            ports[(2, 0)].receive()
+        core = mesh.core
+        assert core.is_idle() and core.check_invariants(sim.cycle) == []
+        used = [ring for fid, ring in enumerate(core._rings)
+                if fid % 5 and ring is not _NO_RING]
+        # (1,0).west, (2,0).west and (2,0).south carried traffic.
+        assert len(used) == 3
+        assert all(isinstance(ring, deque) and not ring for ring in used)
+        assert len({id(ring) for ring in used}) == 3
+        assert _NO_RING == ()
+
+
+def test_check_invariants_follows_the_ring_representation():
+    sim = CycleSimulator(mesh_backend="flat")
+    mesh = build_mesh(2, 1, backend="flat")
+    ports = {c: mesh.attach(c) for c in [(0, 0), (1, 0)]}
+    mesh.register(sim)
+    ports[(0, 0)].send(_message((0, 0), (1, 0), 6))
+    sim.run(4)
+    core = mesh.core
+    assert core._ring_total == sum(map(len, core._rings)) > 0
+    assert core.check_invariants(sim.cycle) == []
+    core._ring_total += 1
+    core._pushc[7] = sim.cycle
+    core._local_in[1]._staged.append("stray")
+    problems = core.check_invariants(sim.cycle)
+    assert len(problems) == 3
+    assert "_ring_total" in problems[0]
+    assert "_pushc" in problems[1]
+    assert "router(1, 0).in.local" in problems[2]
+    # Without the cycle the stamps cannot be judged.
+    assert len(core.check_invariants()) == 2

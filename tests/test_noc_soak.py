@@ -1,7 +1,8 @@
 """NoC soak tests: randomised traffic, conservation, and fairness,
 plus a seeded fault-soak crossing kernels and mesh backends.  Every
 flat-backend case cross-checks ``FlatMeshCore.check_invariants()``
-after every cycle."""
+after every cycle and ends with the object mesh's high-water marks on
+every router input."""
 
 import random
 
@@ -23,7 +24,14 @@ def run_checked(sim, mesh, cycles, done=None):
             return
         sim.run(1)
         if core is not None:
-            assert core.check_invariants() == []
+            assert core.check_invariants(sim.cycle) == []
+
+
+def input_high_water(mesh):
+    """``high_water`` of every router input: rings and LOCAL FIFOs."""
+    return {(coord, port.value): fifo.high_water
+            for coord, router in mesh.routers.items()
+            for port, fifo in router.inputs.items()}
 
 
 class Drain:
@@ -48,17 +56,31 @@ class TestNocSoak:
         """Whatever random (src, dst, size) workload is injected, every
         message arrives exactly once, intact, at its destination, in
         per-pair order — nothing lost, duplicated, or misrouted."""
-        self.check_random_traffic("object", data)
+        self.check_random_traffic("object", *self.draw_workload(data))
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
     def test_random_traffic_is_conserved_flat(self, data):
-        self.check_random_traffic("flat", data)
+        workload = self.draw_workload(data)
+        assert self.check_random_traffic("flat", *workload) == \
+            self.check_random_traffic("object", *workload)
 
-    def check_random_traffic(self, backend, data):
+    @staticmethod
+    def draw_workload(data):
         width = data.draw(st.integers(2, 4))
         height = data.draw(st.integers(1, 4))
+        coords = [(x, y) for x in range(width) for y in range(height)]
+        sends = []
+        for _ in range(data.draw(st.integers(1, 40))):
+            src = data.draw(st.sampled_from(coords))
+            dst = data.draw(st.sampled_from(
+                [c for c in coords if c != src]))
+            sends.append((src, dst, data.draw(st.integers(0, 700))))
+        return width, height, sends
+
+    def check_random_traffic(self, backend, width, height, sends):
+        """Run one drawn workload; returns the input high-water marks."""
         coords = [(x, y) for x in range(width) for y in range(height)]
         sim = CycleSimulator(mesh_backend=backend)
         mesh = build_mesh(width, height, backend=backend)
@@ -67,13 +89,9 @@ class TestNocSoak:
         drains = {coord: Drain(port) for coord, port in ports.items()}
         sim.add_all(drains.values())
 
-        n_messages = data.draw(st.integers(1, 40))
+        n_messages = len(sends)
         sent = []
-        for index in range(n_messages):
-            src = data.draw(st.sampled_from(coords))
-            dst = data.draw(st.sampled_from(
-                [c for c in coords if c != src]))
-            size = data.draw(st.integers(0, 700))
+        for index, (src, dst, size) in enumerate(sends):
             payload = bytes([index % 251]) * size
             ports[src].send(NocMessage(dst=dst, src=src,
                                        metadata=(src, index),
@@ -108,6 +126,7 @@ class TestNocSoak:
                 if sdst == dst:
                     sent_order.setdefault(src, []).append(index)
             assert per_src == sent_order
+        return input_high_water(mesh)
 
     def test_round_robin_arbitration_is_fair(self):
         """Two senders contending for one path share it ~evenly."""
@@ -206,6 +225,7 @@ class TestFaultSoak:
                 "total_flits": counters["total_flits"],
                 "faults": counters["faults"],
                 "fault_log": list(design.fault_engine.log),
+                "input_high_water": input_high_water(design.mesh),
             }
 
         reference = run(*self.COMBOS[0])

@@ -262,3 +262,16 @@ class TestFlatMeshLedger:
         findings = _conservation_findings(design, combo)
         assert [f.code for f in findings] == ["BHV403"]
         assert "active outputs" in findings[0].message
+
+    def test_ring_stamp_from_the_future_is_a_bhv403_finding(self):
+        from repro.analysis.sanitize import _conservation_findings
+        combo = ("scheduled", "flat", "flat")
+        design = build_design(UdpEchoDesign, combo)
+        design.sim.run(10)
+        core = design.mesh.core
+        # A pop stamped with the cycle about to run would hand the
+        # upstream router a credit one cycle late.
+        core._popc[6] = design.sim.cycle
+        findings = _conservation_findings(design, combo)
+        assert [f.code for f in findings] == ["BHV403"]
+        assert "_popc" in findings[0].message

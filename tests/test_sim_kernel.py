@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.sim.kernel import CycleSimulator, StagedFifo, Wakeable
+from repro.sim.kernel import (
+    CycleSimulator,
+    StagedFifo,
+    Wakeable,
+    no_commit,
+)
 
 
 class Counter:
@@ -391,3 +396,155 @@ class TestRunUntilExactness:
         with pytest.raises(TimeoutError):
             sim.run_until(lambda: False, max_cycles=123)
         assert sim.cycle == 123
+
+
+class Pulse(Wakeable):
+    """Sleeps between pulses ``period`` apart; has a real ``commit``."""
+
+    def __init__(self, period):
+        self.period = period
+
+    def step(self, cycle):
+        self._last = cycle
+
+    def commit(self):
+        pass
+
+    def is_idle(self):
+        return True
+
+    def next_event_cycle(self):
+        return self._last + self.period
+
+
+class Heavy(Counter):
+    """Always busy and weighty enough to engage the saturation bypass."""
+
+    kernel_weight = 16
+
+
+def _count_calls(owner, attribute, log):
+    """Shadow ``owner.attribute`` on the instance, as hostprof does."""
+    original = getattr(owner, attribute)
+
+    def wrapper(*args):
+        log.append(attribute)
+        return original(*args)
+
+    setattr(owner, attribute, wrapper)
+
+
+class TestByNameCallingContract:
+    """``repro.telemetry.hostprof`` and ``benchmarks/perflab`` shadow
+    ``sim.tick``, ``component.step`` and ``component.commit`` on the
+    instances after construction; the kernel must reach each of them
+    once per cycle it does not skip, through ``run`` and ``run_until``
+    alike."""
+
+    @staticmethod
+    def drive(sim, how, cycles):
+        if how == "run":
+            sim.run(cycles)
+        else:
+            sim.run_until(lambda: sim.cycle >= cycles)
+
+    @pytest.mark.parametrize("how", ["run", "run_until"])
+    def test_pulsing_component_between_idle_skips(self, how):
+        sim = CycleSimulator(kernel="scheduled")
+        pulse = Pulse(period=10)
+        sim.add(pulse)
+        log = []
+        for attribute in ("step", "commit"):
+            _count_calls(pulse, attribute, log)
+        _count_calls(sim, "tick", log)
+        # 95 lies inside the idle stretch (91, 100): the bisection
+        # must stop there, not at the next wake.
+        self.drive(sim, how, 95)
+        assert sim.cycle == 95
+        ticked = 95 - sim.idle_cycles_skipped
+        assert ticked == 10  # cycles 0, 10, ..., 90
+        assert log == ["tick", "step", "commit"] * ticked
+
+    @pytest.mark.parametrize("how", ["run", "run_until"])
+    @pytest.mark.parametrize("kernel", ["scheduled", "naive"])
+    def test_saturated_component_under_the_bypass(self, kernel, how):
+        sim = CycleSimulator(kernel=kernel)
+        heavy = Heavy()
+        sim.add(heavy)
+        log = []
+        for attribute in ("step", "commit"):
+            _count_calls(heavy, attribute, log)
+        _count_calls(sim, "tick", log)
+        self.drive(sim, how, 70)  # bypass cycles and two pruning ticks
+        assert sim.cycle == 70 and sim.idle_cycles_skipped == 0
+        assert log == ["tick", "step", "commit"] * 70
+        assert (heavy.steps, heavy.commits) == (70, 70)
+
+
+class TestCommitList:
+    """The scheduled kernel commits only components whose class does
+    not leave ``commit`` as the shared ``no_commit``."""
+
+    def test_membership_is_by_identity_of_the_class_attribute(self):
+        class Inherits(Wakeable):
+            def step(self, cycle):
+                pass
+
+        class Aliases:
+            commit = no_commit
+
+            def step(self, cycle):
+                pass
+
+        class OwnNoOp(Inherits):
+            def commit(self):
+                pass
+
+        sim = CycleSimulator(kernel="scheduled")
+        components = [Inherits(), Aliases(), OwnNoOp(), Counter()]
+        sim.add_all(components)
+        assert list(sim._committers) == components[2:]
+        sim.run(3)
+        assert components[3].commits == 3
+
+    def test_late_woken_committer_still_commits_that_cycle(self):
+        sim = CycleSimulator(kernel="scheduled")
+        fifo = StagedFifo()
+        consumer = SleepyConsumer(fifo)
+
+        class Producer(Wakeable):
+            def step(self, cycle):
+                if cycle == 5:
+                    fifo.push("x")
+
+        sim.add(consumer)   # registered first: asleep when woken
+        sim.add(Producer())
+        sim.run(8)
+        assert consumer.drained == [(6, "x")]
+
+    def test_default_designs_commit_only_the_mesh_core(self):
+        from repro.designs import ScaledEchoDesign, UdpEchoDesign
+        from repro.loadgen.flows import build_competing_flows
+
+        for design in (UdpEchoDesign(), ScaledEchoDesign(),
+                       build_competing_flows()[0]):
+            sim = design.sim
+            assert list(sim._committers) == [design.mesh.core]
+            assert len(sim._components) >= 2
+        # The TCP set-up: mesh, tiles, wire, fault engine, peer
+        # network and three peers — one committer among eight.
+        assert len(sim._components) == 8
+
+
+def test_wake_reuses_the_waker_made_at_add():
+    sim = CycleSimulator(kernel="scheduled")
+    consumer = SleepyConsumer(StagedFifo())
+    sim.add(consumer)
+    assert sim._wakers[consumer] is consumer._kernel_wake
+    assert consumer.fifo._wakers == [consumer._kernel_wake]
+    sim.wake(Counter())  # never added: a no-op, not an error
+    naive = CycleSimulator(kernel="naive")
+    counter = Counter()
+    naive.add(counter)
+    naive.wake(counter)
+    assert naive._wakers == {}
