@@ -16,7 +16,9 @@ pipeline:
   still visible), a FIFO holding staged items whose consumer is pruned
   with no same-cycle wake and no timer due by the next cycle is a lost
   wakeup — the dynamic twin of the static BHV301 check, catching hooks
-  that exist but never fire.
+  that exist but never fire.  Under the flat tile engine, also a busy
+  bit clear over a FIFO holding flits (``FlatTileCore.check_invariants``):
+  the flat mesh wakes a tile only when it ejects into an empty FIFO.
 - **conservation** (BHV403): a flit ledger per mesh.  Every flit a
   port injects must be ejected or still in flight (router input
   occupancy plus ejection-FIFO occupancy); the machinery that drops
@@ -483,6 +485,27 @@ def _conservation_findings(design: object, combo: Combo) -> list[Finding]:
     return findings
 
 
+# -- BHV402: the flat tile engine's busy-bit ledger ---------------------------
+
+def _tile_core_findings(design: object, combo: Combo) -> list[Finding]:
+    tile_core = getattr(design, "tile_core", None)
+    if tile_core is None:
+        return []
+    findings: list[Finding] = []
+    for core in getattr(tile_core, "cores", [tile_core]):
+        for problem in core.check_invariants():
+            findings.append(Finding(
+                "BHV402",
+                f"flat tile engine state inconsistent: {problem} "
+                f"[{_combo_label(combo)}]",
+                location=core.name,
+                hint="the flat mesh wakes a tile only when it ejects "
+                     "into an empty FIFO, so the busy bit must stay set "
+                     "while the FIFO holds flits",
+                data={"combo": _combo_label(combo)}))
+    return findings
+
+
 # -- BHV404: determinism ----------------------------------------------------
 
 def _tiles_list(design: object) -> list[object]:
@@ -630,6 +653,9 @@ def analyze_dynamic(
             _drive(design, actions, cycles, observer)
             if observer is not None:
                 for finding in observer.findings:
+                    add(finding)
+            if "lost-wake" in selected:
+                for finding in _tile_core_findings(design, combo):
                     add(finding)
             if "conservation" in selected:
                 for finding in _conservation_findings(design, combo):

@@ -53,6 +53,18 @@ real ``StagedFifo`` objects, and tiles talk to an unmodified
 linter's wake-contract checks, and ``design_counters`` working
 unchanged.
 
+An ejection fires its FIFO's wake hooks only on the *empty ->
+non-empty edge* — when the flit lands in a FIFO holding nothing,
+committed or staged (in a streaming message the previous flit is still
+there: 23 of 24 ejections at MTU call nothing).  That is enough because
+nobody sleeps over a FIFO that holds flits: this core is awake whenever
+it has a flit to eject, and a consumer may not report idle while a FIFO
+it consumes holds items (DESIGN.md 5c) — ``FlatTileCore`` keeps the
+tile's busy bit set, ``Tile.is_idle`` and ``ControlEndpoint.is_idle``
+return False.  ``StagedFifo.push`` itself stays level-triggered: under
+the object mesh the committing ``LocalPort`` may idle over committed
+items.
+
 Bit-identity with ``Router.step`` rests on two facts.  Ascending
 ``ofid`` is the object backend's visit order (routers row-major in
 registration order, each router's outputs in port order, then ports in
@@ -587,7 +599,8 @@ class FlatMeshCore(Wakeable):
                     # Lagged credit return: occupancy as of the last
                     # cycle boundary (this output has not pushed yet,
                     # and a pop made this cycle is not a credit yet).
-                    room = len(rings[dfid]) + (popc[dfid] == cycle) < depth
+                    filled = len(rings[dfid])
+                    room = filled + (popc[dfid] == cycle) < depth
                 elif dfid == -2:
                     eject = ejects[ofid // n_ports]
                     if eject is None:
@@ -657,19 +670,22 @@ class FlatMeshCore(Wakeable):
                             unres.append(dfid)
                     ring_down.append(flit)
                     pushc[dfid] = cycle
-                    filled = len(ring_down)
+                    filled += 1
                     if filled > hw[dfid]:
                         hw[dfid] = filled
                         hwc[dfid] = cycle
                 elif dfid == -2:
-                    # eject.push_unchecked(flit) inlined: stage the
-                    # flit, then fire the consumer wake hooks.
+                    # eject.push_unchecked(flit) inlined, except that
+                    # the wake hooks fire on the empty -> non-empty
+                    # edge only (module docstring).
                     staged = eject._staged
-                    if not staged:
-                        dirty_eject.append(eject)
+                    first = not staged
                     staged.append(flit)
-                    for waker in eject._wakers:
-                        waker()
+                    if first:
+                        dirty_eject.append(eject)
+                        if not eject._items:
+                            for waker in eject._wakers:
+                                waker()
                     ring_total -= 1
                 else:
                     # Cut link: accumulate in the boundary egress; the
@@ -751,10 +767,11 @@ class FlatMeshCore(Wakeable):
         dirty_eject = self._dirty_eject
         if dirty_eject:
             for eject in dirty_eject:
-                eject._items.extend(eject._staged)
+                items = eject._items
+                items.extend(eject._staged)
                 eject._staged.clear()
-                if len(eject._items) > eject.high_water:
-                    eject.high_water = len(eject._items)
+                if len(items) > eject.high_water:
+                    eject.high_water = len(items)
             dirty_eject.clear()
 
     # -- shard boundary hooks (repro.sim.shard) ---------------------------

@@ -23,6 +23,12 @@ class FlitKind(enum.Enum):
     DATA = "data"
 
 
+# What ``Flit.__init__`` validates against, resolved once: the
+# constructor runs per flit per message encode.
+_DATA = FlitKind.DATA
+_BYTES_LIKE = (bytes, bytearray, memoryview)
+
+
 @dataclass(slots=True, init=False)
 class Flit:
     """One flit.  ``payload`` is bytes for DATA flits, an arbitrary
@@ -45,8 +51,8 @@ class Flit:
     # the one kind that needs it.
     def __init__(self, kind, is_head, is_tail, dst, src, msg_id,
                  payload=None, packet_id=None):
-        if kind is FlitKind.DATA and payload is not None:
-            if not isinstance(payload, (bytes, bytearray, memoryview)):
+        if payload is not None and kind is _DATA:
+            if not isinstance(payload, _BYTES_LIKE):
                 raise TypeError("DATA flit payload must be bytes-like")
             if len(payload) > FLIT_BYTES:
                 raise ValueError(

@@ -9,7 +9,6 @@ performs deconstruction at the receiving tile.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 from repro.noc.flit import Flit, FlitKind
@@ -17,6 +16,10 @@ from repro.params import FLIT_BYTES, NOC_MAX_PAYLOAD_BYTES
 
 _msg_counter = itertools.count(1)
 _packet_counter = itertools.count(1)
+
+_HEADER = FlitKind.HEADER
+_METADATA = FlitKind.METADATA
+_DATA = FlitKind.DATA
 
 #: Bit position of the shard id inside a namespaced id: shard ``k``
 #: allocates ids in ``[k << 48 + 1, (k + 1) << 48)``, so id spaces from
@@ -115,19 +118,22 @@ class NocMessage:
 
     @property
     def n_data_flits(self) -> int:
-        return math.ceil(len(self.data) / FLIT_BYTES)
+        return (len(self.data) + FLIT_BYTES - 1) // FLIT_BYTES
 
     @property
     def n_flits(self) -> int:
-        """Total flits on the wire: header + metadata + data."""
-        return 1 + self.n_meta_flits + self.n_data_flits
+        """Total flits on the wire: header + metadata + data (the
+        length of :meth:`to_flits`, without building it)."""
+        return (1 + self.n_meta_flits
+                + (len(self.data) + FLIT_BYTES - 1) // FLIT_BYTES)
 
     def to_flits(self) -> list[Flit]:
         """Encode as a wormhole-ready flit sequence.
 
         Saturated-path note: one call per message send, ~24 Flit
-        constructions at MTU — hence the hoisted locals and positional
-        construction (`Flit.__init__`'s exact field order).
+        constructions at MTU — hence the hoisted locals, positional
+        construction (`Flit.__init__`'s exact field order) and one
+        comprehension for the full-width data flits.
         """
         dst = self.dst
         src = self.src
@@ -135,24 +141,22 @@ class NocMessage:
         data = self.data
         n_meta = self.n_meta_flits
         n_data = (len(data) + FLIT_BYTES - 1) // FLIT_BYTES
-        flits = [Flit(FlitKind.HEADER, True, not (n_meta or n_data),
+        flits = [Flit(_HEADER, True, not (n_meta or n_data),
                       dst, src, msg_id, None, self.packet_id)]
-        append = flits.append
         if n_meta:
-            meta_kind = FlitKind.METADATA
             last_meta = n_meta - 1
             for i in range(n_meta):
-                append(Flit(meta_kind, False,
-                            i == last_meta and not n_data,
-                            dst, src, msg_id,
-                            self.metadata if i == 0 else None))
+                flits.append(Flit(_METADATA, False,
+                                  i == last_meta and not n_data,
+                                  dst, src, msg_id,
+                                  self.metadata if i == 0 else None))
         if n_data:
-            data_kind = FlitKind.DATA
-            last = n_data - 1
-            for i in range(n_data):
-                append(Flit(data_kind, False, i == last, dst, src,
-                            msg_id,
-                            data[i * FLIT_BYTES:(i + 1) * FLIT_BYTES]))
+            tail_at = (n_data - 1) * FLIT_BYTES
+            flits += [Flit(_DATA, False, False, dst, src, msg_id,
+                           data[at:at + FLIT_BYTES])
+                      for at in range(0, tail_at, FLIT_BYTES)]
+            flits.append(Flit(_DATA, False, True, dst, src, msg_id,
+                              data[tail_at:]))
         return flits
 
 
@@ -203,9 +207,9 @@ class MessageAssembler:
                     f"{self._msg_id}"
                 )
             kind = flit.kind
-            if kind is FlitKind.DATA:
+            if kind is _DATA:
                 self._chunks.append(bytes(flit.payload or b""))
-            elif kind is FlitKind.METADATA:
+            elif kind is _METADATA:
                 if self._meta_count == 0:
                     self._metadata = flit.payload
                 self._meta_count += 1

@@ -39,6 +39,20 @@ bit-identically across ``tile_backend="object"|"flat"``:
   FIFOs as its own ``wake_sources`` — so frame injection, router
   ejection, and fault thaw re-activate exactly the tiles they touch,
   under both the scheduled and naive kernels.
+- **Busy-bit invariant:** a tile whose ejection FIFO holds anything,
+  committed or staged, has its busy bit set (``_busy == 0`` implies
+  every FIFO is empty).  The flat mesh relies on it — it fires a FIFO's
+  wake hooks only when it ejects into an empty one — so it holds
+  unconditionally: an object-mode tile's bit is cleared only if
+  ``is_idle()`` *and* the FIFO is empty, whatever a subclass's
+  ``is_idle`` looks at.  :meth:`FlatTileCore.check_invariants` checks it.
+
+A visit reads one per-tile record, ``_fabric[i]``: the tile, its port,
+the ejection FIFO's two containers (``_items`` and ``_staged``, which
+keep their identity for the FIFO's life), the reassembler, and two
+class-level flags (inlined pumps? default ``service_cycles``?).  Flit
+counts and the injection backlog are computed inline, not through the
+``n_flits`` / ``tx_backlog`` properties.
 
 Scheduling contract (``repro.sim.kernel``): the core reports
 ``kernel_weight`` equal to the tile count it replaces, lists the tiles
@@ -55,6 +69,7 @@ from collections.abc import Iterable
 
 from repro.noc.flit import FlitKind
 from repro.noc.message import next_packet_id
+from repro.params import FLIT_BYTES
 from repro.sim.kernel import CycleSimulator, Wakeable
 from repro.tiles.base import Tile
 
@@ -116,7 +131,8 @@ class FlatTileView:
     @property
     def mode(self) -> str:
         """``"fast"`` (inlined pumps) or ``"object"`` (delegated step)."""
-        return "fast" if self._core._fast[self.index] else "object"
+        *_, fast, _default_service = self._core._fabric[self.index]
+        return "fast" if fast else "object"
 
     @property
     def armed_deadline(self) -> int | None:
@@ -148,16 +164,10 @@ class FlatTileCore(Wakeable):
     def __init__(self, name: str = "flattiles"):
         self.name = name
         self.tiles: list[Tile] = []
-        self._fast: list[bool] = []
-        # True where the class keeps Tile.service_cycles — the pickup
-        # inlines the default instead of a method call.
-        self._default_service: list[bool] = []
-        self._ports: list = []
         self._ejects: list = []
-        self._assemblers: list = []
-        # Per-tile hot-path record, indexed by tile bit:
-        # (tile, port, eject_fifo, assembler, fast, default_service) —
-        # one list lookup per busy tile per cycle instead of six.
+        # Per-tile hot-path record, indexed by tile bit: (tile, port,
+        # eject._items, eject._staged, assembler, fast,
+        # default_service) — one list lookup per busy tile per cycle.
         self._fabric: list[tuple] = []
         # Scheduling state: busy bitmask (bit i == tiles[i] must step),
         # per-tile armed deadline (-1 when unarmed), timer heap of
@@ -180,16 +190,12 @@ class FlatTileCore(Wakeable):
         bit = 1 << index
         self.tiles.append(tile)
         cls = type(tile)
-        self._fast.append(_class_is_fast(cls))
-        self._default_service.append(
-            cls.service_cycles is Tile.service_cycles)
-        self._ports.append(tile.port)
-        self._ejects.append(tile.port.eject_fifo)
-        self._assemblers.append(tile.port._assembler)
+        eject = tile.port.eject_fifo
+        self._ejects.append(eject)
         self._fabric.append((
-            tile, tile.port, tile.port.eject_fifo,
-            tile.port._assembler, self._fast[index],
-            self._default_service[index],
+            tile, tile.port, eject._items, eject._staged,
+            tile.port._assembler, _class_is_fast(cls),
+            cls.service_cycles is Tile.service_cycles,
         ))
         self._deadlines.append(-1)
         self._busy |= bit
@@ -214,7 +220,7 @@ class FlatTileCore(Wakeable):
         # must set the busy bit whether or not the kernel ever wired a
         # waker of its own (it doesn't, under the naive kernel).
         tile._kernel_wake = hook
-        tile.port.eject_fifo.add_waker(hook)
+        eject.add_waker(hook)
         return index
 
     # -- views --------------------------------------------------------------
@@ -253,13 +259,14 @@ class FlatTileCore(Wakeable):
             low = mask & -mask
             mask ^= low
             i = low.bit_length() - 1
-            t, port, eject, assembler, is_fast, has_default_service = \
-                fabric[i]
+            (t, port, items, staged, assembler, is_fast,
+             has_default_service) = fabric[i]
             if t._fault_frozen:
                 continue  # clock gated; stays busy (pinned, like is_idle)
             if not is_fast:
                 t.step(cycle)
-                if t.is_idle():
+                # The busy-bit invariant, whatever is_idle looks at.
+                if t.is_idle() and not (items or staged):
                     self._busy &= ~low
                     deadline = t.next_event_cycle()
                     if deadline is not None:
@@ -267,41 +274,47 @@ class FlatTileCore(Wakeable):
                 continue
             # Inlined Tile.step for engine-default tiles: on_cycle is
             # the base no-op, then _pump_eject / _pump_process with the
-            # exact guard order and tracer calls of tiles/base.py.
-            if eject._items and not port.fault_stalled and \
-                    (t._buffered_flits < t.buffer_flits or
-                     assembler._active):
+            # guards and tracer calls of tiles/base.py (mid-message,
+            # 22 of 24 visits at MTU, is tested before the buffer).
+            if items and not port.fault_stalled and \
+                    (assembler._active or
+                     t._buffered_flits < t.buffer_flits):
                 # ``LocalPort.receive`` inlined (its fault_stalled and
                 # empty-FIFO checks are the guards above): pop one
                 # flit, fault-filter it, feed the reassembler.
                 t._buffered_flits += 1
-                flit = eject._items.popleft()
+                flit = items.popleft()
                 port.flits_ejected += 1
                 fault_eject = port._fault_eject
                 if fault_eject is not None:
                     flit = fault_eject.filter(flit)
                 # Body-DATA flits are ~22 of every 24 at MTU: append
                 # the chunk directly and skip the assembler call.
-                if (not flit.is_tail and not flit.is_head
-                        and flit.kind is _DATA
+                if (flit.kind is _DATA and not flit.is_tail
+                        and not flit.is_head
                         and flit.msg_id == assembler._msg_id
                         and assembler._active):
-                    assembler._chunks.append(bytes(flit.payload or b""))
-                    message = None
+                    # No copy: the tail's b"".join takes any bytes-like.
+                    assembler._chunks.append(flit.payload or b"")
                 else:
                     message = assembler.push(flit)
-                if message is not None:
-                    port.messages_received += 1
-                    t._rx_ready.append((cycle, message))
-                    tracer = t.tracer
-                    if tracer.enabled:
-                        tracer.message_received(cycle, t, message)
-                        tracer.buffer_level(cycle, t, t._buffered_flits)
+                    if message is not None:
+                        port.messages_received += 1
+                        t._rx_ready.append((cycle, message))
+                        tracer = t.tracer
+                        if tracer.enabled:
+                            tracer.message_received(cycle, t, message)
+                            tracer.buffer_level(cycle, t,
+                                                t._buffered_flits)
             in_service = t._in_service
             if in_service is not None and cycle >= t._emit_at:
                 t.messages_in += 1
-                t.bytes_in += len(in_service.data)
-                buffered = t._buffered_flits - in_service.n_flits
+                data = in_service.data
+                t.bytes_in += len(data)
+                # in_service.n_flits, inlined.
+                buffered = t._buffered_flits - (
+                    1 + in_service.n_meta_flits
+                    + (len(data) + FLIT_BYTES - 1) // FLIT_BYTES)
                 t._buffered_flits = buffered if buffered > 0 else 0
                 if in_service.packet_id is None:
                     in_service.packet_id = next_packet_id()
@@ -320,12 +333,18 @@ class FlatTileCore(Wakeable):
                     tracer.buffer_level(cycle, t, t._buffered_flits)
                 t._in_service = in_service = None
             rx = t._rx_ready
-            if (in_service is None and rx and rx[0][0] <= cycle
+            # port.tx_backlog, inlined here and below: messages queued
+            # plus one mid-injection.
+            if (rx and in_service is None and rx[0][0] <= cycle
                     and cycle >= t._engine_free
-                    and port.tx_backlog < t.max_tx_backlog):
+                    and len(port._send_queue)
+                    + (1 if port._pending_flits else 0)
+                    < t.max_tx_backlog):
                 message = rx.popleft()[1]
                 if has_default_service:
-                    n_flits = message.n_flits
+                    n_flits = (1 + message.n_meta_flits
+                               + (len(message.data) + FLIT_BYTES - 1)
+                               // FLIT_BYTES)
                     occupancy = t.occupancy
                     busy_cycles = (n_flits if n_flits > occupancy
                                    else occupancy)
@@ -341,14 +360,16 @@ class FlatTileCore(Wakeable):
                     tracer.processing_start(cycle, t, message)
             # Inlined Tile.is_idle + next_event_cycle, mirroring the
             # kernel's post-step reschedule for the object backend.
-            if eject._items or eject._staged:
+            if items or staged:
                 continue  # flits to pump (or a full buffer to poll)
             if t._in_service is not None:
                 self._busy &= ~low
                 self._arm(i, t._emit_at, cycle)
                 continue
             if rx:
-                if port.tx_backlog < t.max_tx_backlog:
+                if len(port._send_queue) + \
+                        (1 if port._pending_flits else 0) \
+                        < t.max_tx_backlog:
                     tail_cycle = rx[0][0]
                     engine_free = t._engine_free
                     self._busy &= ~low
@@ -399,6 +420,29 @@ class FlatTileCore(Wakeable):
         if timers:
             return timers[0][0]
         return None
+
+    def check_invariants(self) -> list[str]:
+        """Cross-check the scheduling state; returns the violations.
+
+        A debugging aid for tests and ``lint --sanitize`` (never called
+        from ``step``), valid at any point outside ``step``: a clear
+        busy bit over a FIFO that holds flits is a lost wake-up, an
+        armed deadline with no heap entry a timer that never fires.
+        """
+        problems: list[str] = []
+        live = set(self._timers)
+        for i, (tile, _port, items, staged, *_rest) in \
+                enumerate(self._fabric):
+            if (items or staged) and not (self._busy >> i) & 1:
+                problems.append(
+                    f"tile {tile.name!r} is not busy but its ejection "
+                    f"FIFO holds {len(items)}+{len(staged)} flit(s)")
+            deadline = self._deadlines[i]
+            if deadline != -1 and (deadline, i) not in live:
+                problems.append(
+                    f"tile {tile.name!r} is armed for cycle {deadline} "
+                    "with no entry in the timer heap")
+        return problems
 
     def __repr__(self) -> str:
         return (f"FlatTileCore({self.name!r}, tiles={len(self.tiles)}, "

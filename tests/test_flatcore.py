@@ -3,17 +3,27 @@
 The cross-backend bit-identity is pinned by
 ``test_kernel_equivalence``; these tests cover the core's own API —
 adoption, fast/object mode classification, views, wake plumbing,
-``register_tiles`` validation — and the structural-lint interplay
-(double-stepping an adopted tile is a BHV106).
+``register_tiles`` validation — the structural-lint interplay
+(double-stepping an adopted tile is a BHV106), and the tile<->mesh
+edge: the flat mesh wakes a tile only when it ejects into an empty
+FIFO, so every way a tile can sit on a non-empty FIFO (streaming,
+frozen, link-stalled, object mode, pruned between frames) is run under
+flat/flat and compared flit for flit with object/object.
 """
 
 import pytest
 
 from repro.analysis.structural import run as lint
+from repro.designs import FrameSink, FrameSource
 from repro.designs.udp_stack import UdpEchoDesign
 from repro.designs.multi_stack import MultiStackDesign
+from repro.faults import FaultPlan
+from repro.noc.flatmesh import build_mesh
+from repro.noc.message import NocMessage, reset_id_counters
 from repro.packet import IPv4Address, MacAddress, build_ipv4_udp_frame
 from repro.sim.kernel import CycleSimulator
+from repro.telemetry.trace import Tracer, attach_tracer
+from repro.tiles.base import Tile
 from repro.tiles.flatcore import FlatTileCore, register_tiles
 
 CLIENT_IP = IPv4Address("10.0.0.1")
@@ -137,3 +147,265 @@ class TestLintIntegration:
         codes = [f.code for f in lint(design)
                  if f.code == "BHV106" and f.location == "udp_rx"]
         assert codes == ["BHV106"]
+
+
+# -- the tile<->mesh edge ------------------------------------------------------
+
+class FlitTracer(Tracer):
+    """Records which flit crossed each link, not just that one did."""
+
+    def flit_forwarded(self, cycle, coord, port, flit):
+        self.link_flits.append((cycle, coord, port, flit.msg_id,
+                                flit.is_head, flit.is_tail))
+
+
+def counting_waker(fifo):
+    """Append a waker that counts its calls; returns the tally list."""
+    calls = []
+    fifo.add_waker(lambda: calls.append(1))
+    return calls
+
+
+def observed(sim, mesh, tiles, tracer):
+    """Everything the two backend pairs must agree on."""
+    return {
+        "cycle": sim.cycle,
+        "flits": tracer.link_flits,
+        "stalls": tracer.link_stalls,
+        "spans": tracer.spans,
+        "buffer_levels": tracer.buffer_levels,
+        "input_high_water": {
+            (coord, port.value): fifo.high_water
+            for coord, router in mesh.routers.items()
+            for port, fifo in router.inputs.items()},
+        "eject_high_water": {
+            coord: port.eject_fifo.high_water
+            for coord, port in mesh.ports.items()},
+        "tiles": {t.name: (t.messages_in, t.messages_out, t.bytes_in,
+                           t.drops) for t in tiles},
+    }
+
+
+def faulted_echo(backend, plan, probe):
+    """One MTU frame through a ``UdpEchoDesign`` under ``plan``; the
+    flat run has both cores' invariants checked after every cycle and
+    ``probe(design, wakes)`` called before each one."""
+    reset_id_counters()
+    design = echo_design(mesh_backend=backend, tile_backend=backend,
+                         fault_plan=plan)
+    tracer = attach_tracer(design, FlitTracer())
+    sink = FrameSink(design.eth_tx)
+    design.sim.add(sink)
+    wakes = counting_waker(design.app.port.eject_fifo)
+    design.inject(echo_frame(design, bytes(1400)), 1)
+    for _ in range(600):
+        probe(design, wakes)
+        design.sim.run(1)
+        if backend == "flat":
+            assert design.mesh.core.check_invariants(
+                design.sim.cycle) == []
+            assert design.tile_core.check_invariants() == []
+    assert sink.count == 1
+    run = observed(design.sim, design.mesh, design.tiles, tracer)
+    run["frames"] = list(sink.frames)
+    run["fault_log"] = list(design.fault_engine.log)
+    return run, wakes
+
+
+class Sink(Tile):
+    def __init__(self, name, mesh, coord, **kwargs):
+        super().__init__(name, mesh, coord, **kwargs)
+        self.received = []
+
+    def handle_message(self, message, cycle):
+        self.received.append((cycle, message))
+        return []
+
+
+class OnCycleSink(Sink):
+    """Object mode: overriding ``on_cycle`` takes the tile off the
+    inlined fast path (and makes the base ``is_idle`` never-idle)."""
+
+    def on_cycle(self, cycle):
+        pass
+
+
+class SloppySink(OnCycleSink):
+    """... with an ``is_idle`` that forgets its ejection FIFO."""
+
+    def is_idle(self):
+        return not self._rx_ready and self._in_service is None
+
+
+def raw_chain(backend, sink_cls, kernel="scheduled"):
+    """source port (0,0) -> ``sink_cls`` tile at (1,0), traced."""
+    reset_id_counters()
+    sim = CycleSimulator(kernel=kernel, mesh_backend=backend,
+                         tile_backend=backend)
+    mesh = build_mesh(2, 1, backend=backend)
+    source = mesh.attach((0, 0))
+    sink = sink_cls("sink", mesh, (1, 0), occupancy=1, parse_latency=1)
+    mesh.register(sim)
+    core = register_tiles(sim, [sink], backend)
+    tracer = FlitTracer()
+    for router in mesh.routers.values():
+        router.tracer = tracer
+    for port in mesh.ports.values():
+        port.tracer = tracer
+    sink.tracer = tracer
+    return sim, mesh, source, sink, core, tracer
+
+
+def mtu_message(data=bytes(22 * 64)):
+    return NocMessage(dst=(1, 0), src=(0, 0), metadata="m", data=data)
+
+
+class TestEjectionEdge:
+    def streamed(self, backend, sink_cls=Sink, data=bytes(22 * 64)):
+        sim, mesh, source, sink, core, tracer = raw_chain(backend,
+                                                          sink_cls)
+        fifo = sink.port.eject_fifo
+        wakes = counting_waker(fifo)
+        per_message = []
+        for _ in range(2):
+            source.send(mtu_message(data))
+            before = len(sink.received)
+            for _ in range(200):
+                sim.run(1)
+                if core is not None:
+                    assert mesh.core.check_invariants(sim.cycle) == []
+                    assert core.check_invariants() == []
+                if len(sink.received) > before and not fifo.occupancy:
+                    break
+            per_message.append(len(wakes))
+        run = observed(sim, mesh, [sink], tracer)
+        run["received"] = [(cycle, bytes(m.data), type(m.data))
+                           for cycle, m in sink.received]
+        return run, per_message
+
+    def test_one_wake_per_message_streamed_into_an_empty_fifo(self):
+        """24 flits into an empty FIFO fire the hooks once; they fire
+        again only for the first flit after the FIFO has drained."""
+        flat, per_message = self.streamed("flat")
+        assert per_message == [1, 2]
+        obj, level_triggered = self.streamed("object")
+        assert level_triggered == [24, 48]  # StagedFifo.push: every flit
+        assert flat == obj
+        assert len(flat["received"]) == 2
+
+    def test_object_mode_tile_under_the_flat_core(self):
+        flat, per_message = self.streamed("flat", OnCycleSink)
+        assert per_message == [1, 2]
+        assert flat == self.streamed("object", OnCycleSink)[0]
+        assert len(flat["received"]) == 2
+
+    def test_sloppy_object_mode_tile_keeps_its_busy_bit(self):
+        """The core keeps a tile busy over a non-empty FIFO whatever
+        the tile's own ``is_idle`` says — the flits behind the first
+        bring no wake, so clearing the bit would strand them."""
+        flat, per_message = self.streamed("flat", SloppySink)
+        assert per_message == [1, 2]
+        assert flat == self.streamed("flat", Sink)[0]
+        assert len(flat["received"]) == 2
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_bytes_like_payloads_reassemble_to_bytes(self, wrap):
+        """The fast path keeps the DATA chunks uncopied until the
+        tail's join; any bytes-like a ``Flit`` admits must come out as
+        equal ``bytes``."""
+        payload = bytes(range(256)) * 5 + b"tail"
+        flat, _ = self.streamed("flat", data=wrap(payload))
+        assert flat["received"][0][1:] == (payload, bytes)
+        assert flat == self.streamed("object", data=wrap(payload))[0]
+
+    @staticmethod
+    def app_backlog(window):
+        """A probe asserting the app tile sits on a full ejection FIFO,
+        mid-message, for the whole of ``window`` — and that nothing
+        wakes it there."""
+        seen = []
+
+        def probe(design, wakes):
+            if design.sim.cycle in window:
+                fifo = design.app.port.eject_fifo
+                assert len(fifo) == fifo.capacity
+                assert design.app.port.mid_message
+                assert len(wakes) == 1
+                seen.append(design.sim.cycle)
+
+        return probe, seen
+
+    @pytest.mark.parametrize("fault", ["freeze", "stall"])
+    def test_backed_up_fifo_drains_after_the_fault_window(self, fault):
+        """The app tile is frozen (or its link stalled) three flits
+        into a 24-flit message: its FIFO fills, the wormhole backs up,
+        and after the window the tile drains all of it although no
+        push ever finds the FIFO empty again."""
+        def plan():
+            if fault == "freeze":
+                return FaultPlan(seed=1).freeze_tile("app", at=90,
+                                                     duration=100)
+            return FaultPlan(seed=1).stall_link((3, 0), at=90,
+                                                duration=100)
+
+        probe, seen = self.app_backlog(range(100, 190))
+        flat, wakes = faulted_echo("flat", plan(), probe)
+        assert len(seen) == 90
+        assert len(wakes) == 1
+        obj, _ = faulted_echo("object", plan(), lambda design, wakes: None)
+        assert flat == obj
+        assert flat["tiles"]["app"][0] == 1
+
+    def test_core_pruned_between_paced_frames(self):
+        """Twelve MTU frames at a tenth of line rate: the kernel prunes
+        the tile core between frames and skips the idle stretches, so
+        every frame's first flit must wake it.  The counts are the
+        level-triggered parent's (PR 14), to the cycle."""
+        runs = {}
+        for backend in ("flat", "object"):
+            reset_id_counters()
+            design = echo_design(line_rate_bytes_per_cycle=50.0,
+                                 mesh_backend=backend,
+                                 tile_backend=backend)
+            tracer = attach_tracer(design, FlitTracer())
+            frame = echo_frame(design, bytes(1400))
+            source = FrameSource(design.inject, lambda i: frame,
+                                 rate=5.0, count=12)
+            sink = FrameSink(design.eth_tx)
+            design.sim.add(source)
+            design.sim.add(sink)
+            design.sim.run_until(lambda: sink.count >= 12,
+                                 max_cycles=20_000)
+            runs[backend] = observed(design.sim, design.mesh,
+                                     design.tiles, tracer)
+            runs[backend]["frames"] = list(sink.frames)
+            if backend == "flat":
+                assert design.tile_core.is_idle()
+                assert design.tile_core.check_invariants() == []
+                assert (design.sim.cycle,
+                        design.sim.idle_cycles_skipped,
+                        design.sim.component_steps) == (3753, 778, 11501)
+        assert runs["flat"] == runs["object"]
+
+
+class TestCheckInvariants:
+    def test_clear_bit_over_a_non_empty_fifo_is_reported(self):
+        design = echo_design(tile_backend="flat")
+        core = design.tile_core
+        fifo = design.app.port.eject_fifo
+        design.inject(echo_frame(design, bytes(600)), 1)
+        design.sim.run_until(lambda: len(fifo), max_cycles=400)
+        core._busy &= ~(1 << core.tiles.index(design.app))
+        problems = core.check_invariants()
+        assert len(problems) == 1
+        assert "'app' is not busy" in problems[0]
+
+    def test_armed_deadline_without_a_heap_entry_is_reported(self):
+        design = echo_design(tile_backend="flat")
+        core = design.tile_core
+        design.inject(echo_frame(design), 1)
+        design.sim.run_until(lambda: core._timers, max_cycles=400)
+        assert core.check_invariants() == []
+        core._timers.clear()
+        problems = core.check_invariants()
+        assert problems and all("timer heap" in p for p in problems)

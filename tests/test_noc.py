@@ -46,6 +46,24 @@ class TestMessageEncoding:
         assert msg.n_data_flits == 3
         assert msg.n_flits == 5  # header + meta + 3 data
 
+    @pytest.mark.parametrize("n_meta", [0, 1, 2])
+    def test_n_flits_is_the_encoded_length(self, n_meta):
+        """The integer formula behind ``n_flits`` (also inlined by the
+        flat tile engine) against the encoder, across every flit
+        boundary up to four data flits and one byte."""
+        for size in range(4 * 64 + 2):
+            msg = NocMessage(dst=(0, 0), src=(1, 1), data=bytes(size),
+                             n_meta_flits=n_meta)
+            flits = msg.to_flits()
+            assert msg.n_flits == len(flits), size
+            assert msg.n_data_flits == len(flits) - 1 - n_meta
+            assert [f.is_head for f in flits] == \
+                [True] + [False] * (len(flits) - 1)
+            assert [f.is_tail for f in flits] == \
+                [False] * (len(flits) - 1) + [True]
+            assert b"".join(f.payload for f in flits
+                            if f.kind is FlitKind.DATA) == bytes(size)
+
     def test_empty_message(self):
         msg = NocMessage(dst=(0, 0), src=(0, 0), n_meta_flits=0)
         flits = msg.to_flits()

@@ -1,6 +1,7 @@
 """NoC soak tests: randomised traffic, conservation, and fairness,
 plus a seeded fault-soak crossing kernels and mesh backends.  Every
 flat-backend case cross-checks ``FlatMeshCore.check_invariants()``
+(and, where tiles run on it, ``FlatTileCore.check_invariants()``)
 after every cycle and ends with the object mesh's high-water marks on
 every router input."""
 
@@ -15,9 +16,10 @@ from repro.noc.flatmesh import build_mesh
 from repro.sim.kernel import CycleSimulator
 
 
-def run_checked(sim, mesh, cycles, done=None):
+def run_checked(sim, mesh, cycles, done=None, tile_core=None):
     """Run ``cycles`` cycles (or until ``done()``), one at a time; a
-    flat mesh has its state machine checked at every cycle boundary."""
+    flat mesh and a flat tile core have their state machines checked
+    at every cycle boundary."""
     core = getattr(mesh, "core", None)
     for _ in range(cycles):
         if done is not None and done():
@@ -25,6 +27,8 @@ def run_checked(sim, mesh, cycles, done=None):
         sim.run(1)
         if core is not None:
             assert core.check_invariants(sim.cycle) == []
+        if tile_core is not None:
+            assert tile_core.check_invariants() == []
 
 
 def input_high_water(mesh):
@@ -216,7 +220,8 @@ class TestFaultSoak:
             sink = FrameSink(design.eth_tx)
             design.sim.add(sink)
             traffic(design)
-            run_checked(design.sim, design.mesh, 15_000)
+            run_checked(design.sim, design.mesh, 15_000,
+                        tile_core=design.tile_core)
             assert sink.malformed == 0
             counters = design_counters(design)
             return {

@@ -275,3 +275,28 @@ class TestFlatMeshLedger:
         findings = _conservation_findings(design, combo)
         assert [f.code for f in findings] == ["BHV403"]
         assert "_popc" in findings[0].message
+
+
+class TestFlatTileLedger:
+    def test_clear_busy_bit_over_a_non_empty_fifo_is_a_bhv402_finding(self):
+        from repro.analysis.sanitize import _tile_core_findings
+        combo = ("scheduled", "flat", "flat")
+        design = build_design(UdpEchoDesign, combo)
+        for _, fn in default_traffic(design, 200):
+            fn()
+        fifo = design.app.port.eject_fifo
+        design.sim.run_until(lambda: len(fifo), max_cycles=400)
+        assert _tile_core_findings(design, combo) == []
+        # The flat mesh will not wake the app tile for the flits behind
+        # this one: a clear bit here is a tile that never drains.
+        core = design.tile_core
+        core._busy &= ~(1 << core.tiles.index(design.app))
+        findings = _tile_core_findings(design, combo)
+        assert [f.code for f in findings] == ["BHV402"]
+        assert "'app' is not busy" in findings[0].message
+
+    def test_object_tile_backend_has_no_ledger(self):
+        from repro.analysis.sanitize import _tile_core_findings
+        combo = ("scheduled", "object", "object")
+        assert _tile_core_findings(build_design(UdpEchoDesign, combo),
+                                   combo) == []

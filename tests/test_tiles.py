@@ -1,5 +1,7 @@
 """Tests for the tile framework and protocol tiles."""
 
+import dataclasses
+
 import pytest
 
 from repro.designs import FrameSink, FrameSource, GoodputMeter, UdpEchoDesign
@@ -11,7 +13,7 @@ from repro.packet import (
     parse_frame,
 )
 from repro.sim.kernel import CycleSimulator
-from repro.tiles.base import NextHopTable, Tile
+from repro.tiles.base import NextHopTable, PacketMeta, Tile
 
 CLIENT_MAC = MacAddress("02:00:00:00:00:01")
 CLIENT_IP = IPv4Address("10.0.0.1")
@@ -91,6 +93,19 @@ class TestNextHopTable:
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
             NextHopTable(policy="magic")
+
+
+class TestPacketMeta:
+    def test_clone_carries_every_field(self):
+        """``clone`` names its fields by hand; one added to the
+        dataclass later must not be dropped silently."""
+        names = [f.name for f in dataclasses.fields(PacketMeta)]
+        meta = PacketMeta(**{name: object() for name in names})
+        copy = meta.clone()
+        assert copy is not meta
+        assert type(copy) is PacketMeta
+        for name in names:
+            assert getattr(copy, name) is getattr(meta, name), name
 
 
 class PassThrough(Tile):
