@@ -466,8 +466,9 @@ def _conservation_findings(design: object, combo: Combo) -> list[Finding]:
                 data={**ledger, "delta": delta,
                       "combo": _combo_label(combo)}))
         # The flat core keeps its own ledger (ring total, ring stamps,
-        # active outputs, lock/request state); a break there shows up
-        # as a stall long before the flit counts disagree.
+        # active outputs, lock/request state, the in-flight message
+        # table its int handles name); a break there shows up as a
+        # stall or a lost message long before the flit counts disagree.
         check = getattr(getattr(mesh, "core", None),
                         "check_invariants", None)
         cycle = getattr(getattr(design, "sim", None), "cycle", None)
@@ -478,8 +479,8 @@ def _conservation_findings(design: object, combo: Combo) -> list[Finding]:
                 f"flat mesh state inconsistent in {label}: {problem} "
                 f"[{_combo_label(combo)}]",
                 location=label,
-                hint="FlatMeshCore's active-output list or head state "
-                     "diverged from its rings; see "
+                hint="FlatMeshCore's active-output list, head state or "
+                     "in-flight table diverged from its rings; see "
                      "FlatMeshCore.check_invariants",
                 data={"combo": _combo_label(combo)}))
     return findings

@@ -48,10 +48,23 @@ tail waits one cycle for arbitration, exactly as in ``Router.step``.
 
 The *adapter boundary* sits exactly at injection/ejection: every
 router's LOCAL input FIFO and every attached port's ejection FIFO stay
-real ``StagedFifo`` objects, and tiles talk to an unmodified
+real ``StagedFifo`` objects, and tiles talk to
 :class:`~repro.noc.mesh.LocalPort`.  That keeps tiles, the tracer, the
 linter's wake-contract checks, and ``design_counters`` working
-unchanged.
+unchanged.  What those FIFOs, the rings and a port's injection queue
+*hold* is an int handle, not a ``Flit`` (format: :mod:`repro.noc.flit`).
+Body flits carry nothing the fabric reads, so injection start files a
+copy of the message — the one ``to_flits()`` would capture, at the same
+moment — in ``_inflight`` under a fresh sequence number and queues a
+``range`` of handles; the walk moves ints (tail test ``handle < 0``,
+``dst`` read from the table once per head) and the ejecting port counts
+them and takes the message out on the tail.  The key is an injection
+sequence number, not ``msg_id``, which nothing keeps unique among
+messages in flight: a tile may send one message object twice, or
+forward the message it received.  ``Flit`` objects are built, once per
+message by ``to_flits()``, only for someone who looks at one — a
+recording tracer, ``_RingView.peek()``, a port with an ejection fault
+filter (:meth:`FlatMeshCore.flit_of`).
 
 An ejection fires its FIFO's wake hooks only on the *empty ->
 non-empty edge* — when the flit lands in a FIFO holding nothing,
@@ -98,7 +111,16 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.noc.flit import (
+    _BYTES_LIKE,
+    HANDLE_COUNT_MASK,
+    HANDLE_HEAD,
+    HANDLE_SEQ_SHIFT,
+    Flit,
+    decode_handle,
+)
 from repro.noc.mesh import LocalPort
+from repro.noc.message import NocMessage
 from repro.noc.router import (
     _ALL_PORTS,
     _N_PORTS,
@@ -106,7 +128,7 @@ from repro.noc.router import (
     misroute_index,
 )
 from repro.noc.routing import Port, xy_route, yx_route
-from repro.params import ROUTER_INPUT_FIFO_FLITS
+from repro.params import FLIT_BYTES, ROUTER_INPUT_FIFO_FLITS
 from repro.sim.kernel import CycleSimulator, StagedFifo, Wakeable
 from repro.telemetry.trace import NULL_TRACER
 
@@ -150,9 +172,9 @@ class _RingView:
     def high_water(self) -> int:
         return self._core._hw[self._fid]
 
-    def peek(self):
+    def peek(self) -> Flit | None:
         ring = self._core._rings[self._fid]
-        return ring[0] if ring else None
+        return self._core.flit_of(ring[0]) if ring else None
 
     def __repr__(self) -> str:
         return f"_RingView({self.name!r}, occ={self.occupancy})"
@@ -163,7 +185,10 @@ class FlatRouterView:
 
     Quacks like :class:`repro.noc.router.Router` for everything outside
     the hot loop: ``coord``/``name``, the ``inputs`` dict (LOCAL is the
-    real adapter FIFO, directions are :class:`_RingView`\\ s),
+    real adapter FIFO and, like every queue of a flat mesh, holds int
+    handles, not ``Flit`` objects — messages enter through
+    ``LocalPort.send`` only; directions are :class:`_RingView`\\ s,
+    whose ``peek()`` materialises the ``Flit``),
     ``connect_output`` for the LOCAL ejection hookup, the forwarding
     counters, and a ``tracer`` property that forwards to the core so
     ``attach_tracer`` works untouched.
@@ -375,6 +400,14 @@ class FlatMeshCore(Wakeable):
         # in that cycle can take it back.
         self._hw: list[int] = [0] * n5
         self._hwc: list[int] = [-1] * n5
+        # Messages in flight by injection sequence number (module
+        # docstring), and the ``Flit`` objects of those somebody looked
+        # at; an ``_observed`` entry leaves with its ``_inflight`` one.
+        # Band cores of one sharded design count in disjoint residue
+        # classes, so a handle names one message on both sides of a cut.
+        self._inflight: dict[int, NocMessage] = {}
+        self._observed: dict[int, list[Flit]] = {}
+        self._seq = x_offset
 
     # -- wiring -----------------------------------------------------------
 
@@ -383,6 +416,7 @@ class FlatMeshCore(Wakeable):
 
     def add_port(self, port: LocalPort) -> None:
         self._ports_list.append(port)
+        port._core = self
         r = port.router._index
         index = len(self._inj)
         # The new port starts "possibly busy" so its first step is
@@ -523,6 +557,7 @@ class FlatMeshCore(Wakeable):
         its first requester joins the active list.
         """
         rings = self._rings
+        inflight = self._inflight
         req = self._req
         rq = self._rq
         grant = self._grant
@@ -535,11 +570,19 @@ class FlatMeshCore(Wakeable):
         for fid in self._unres:
             r, i = divmod(fid, _N_PORTS)
             flit = rings[fid][0]
-            if not flit.is_head:
+            if flit.__class__ is not int:
+                raise TypeError(
+                    f"{flit!r} in input {fid} of a flat mesh, whose "
+                    "queues hold int handles: inject messages through "
+                    "LocalPort.send")
+            if flit < 0:
+                flit = -flit
+            if not flit & HANDLE_HEAD:
                 # A body flit with no wormhole to follow never moves
                 # (Router.step never requests an output for it).
                 continue
-            dx, dy = flit.dst
+            dst = inflight[flit >> HANDLE_SEQ_SHIFT].dst
+            dx, dy = dst
             if 0 <= dx < width and 0 <= dy < height:
                 row = route_rows[r]
                 if row is None:
@@ -547,7 +590,7 @@ class FlatMeshCore(Wakeable):
                 want = row[dy * width + dx]
             else:
                 want = _ALL_PORTS.index(
-                    self.route_fn(self.coords[r], flit.dst))
+                    self.route_fn(self.coords[r], dst))
                 if r in self._misrouted:
                     want = misroute_index(
                         want, self._fault_connected_mask(r))
@@ -586,6 +629,8 @@ class FlatMeshCore(Wakeable):
             depth = self.depth
             tracer = self.tracer
             traced = tracer.enabled
+            inflight = self._inflight
+            observed = self._observed
             fblocked = self._fault_blocked
             n_ports = _N_PORTS
             no_ring = _NO_RING
@@ -689,17 +734,31 @@ class FlatMeshCore(Wakeable):
                     ring_total -= 1
                 else:
                     # Cut link: accumulate in the boundary egress; the
-                    # shard exchange ships it.
-                    eg.staged.append(flit)
+                    # shard exchange ships it — a head with its message,
+                    # which boundary_ingest files on the other side.
+                    bits = -flit if flit < 0 else flit
+                    eg.staged.append(
+                        (flit, inflight[bits >> HANDLE_SEQ_SHIFT])
+                        if bits & HANDLE_HEAD else flit)
                     ring_total -= 1
                 fwd_out[ofid] += 1
                 if traced:
+                    # flit_of(flit), inlined: a tracer pays for the
+                    # Flit objects it looks at, once per message.
+                    bits = -flit if flit < 0 else flit
+                    seq = bits >> HANDLE_SEQ_SHIFT
+                    flits = observed.get(seq)
+                    if flits is None:
+                        flits = observed[seq] = inflight[seq].to_flits()
                     tracer.flit_forwarded(cycle, coords[ofid // n_ports],
                                           _PORT_VALUES[ofid % n_ports],
-                                          flit)
-                if flit.is_tail:
+                                          flits[~(bits & HANDLE_COUNT_MASK)])
+                if flit < 0:
                     grant[ofid] = -1
                     req[sfid] = -2
+                    if dfid == -1:
+                        # The whole message has left through the cut.
+                        self.take(-flit >> HANDLE_SEQ_SHIFT)
                     if ring:
                         # The flit behind the tail (even one pushed
                         # this cycle) is the next head; it is routed
@@ -736,7 +795,28 @@ class FlatMeshCore(Wakeable):
                         self._inj_mask &= ~low
                         continue
                     message = send_queue.popleft()
-                    pending.extend(message.to_flits())
+                    # File the receiver's copy; the flits are a head
+                    # handle, a countdown and the negated tail.
+                    data = message.data
+                    if data.__class__ is not bytes:
+                        if not isinstance(data, _BYTES_LIKE):
+                            raise TypeError(
+                                "DATA flit payload must be bytes-like")
+                        data = bytes(data)
+                    n_meta = message.n_meta_flits
+                    self._seq = seq = self._seq + self.full_width
+                    self._inflight[seq] = NocMessage(
+                        message.dst, message.src,
+                        message.metadata if n_meta else None, data,
+                        n_meta, message.msg_id, message.packet_id)
+                    base = seq << HANDLE_SEQ_SHIFT
+                    n = n_meta + (len(data) + FLIT_BYTES - 1) // FLIT_BYTES
+                    if n:
+                        pending.append(base | HANDLE_HEAD | n)
+                        pending.extend(range(base + n - 1, base, -1))
+                        pending.append(-base)
+                    else:
+                        pending.append(-(base | HANDLE_HEAD))
                     port._injecting = message
                     port.messages_sent += 1
                     if port.tracer.enabled:
@@ -760,6 +840,26 @@ class FlatMeshCore(Wakeable):
                         port._injecting = None
                         if not port._send_queue:
                             self._inj_mask &= ~low
+
+    def flit_of(self, handle: int) -> Flit:
+        """The ``Flit`` a handle stands for, for whoever looks at one
+        (tracer, ``_RingView.peek``, a port's ejection fault filter).
+
+        A message's flits are built once, by ``to_flits()`` on its
+        in-flight copy, so an observer sees the same object at every
+        hop — as it does under the object mesh.
+        """
+        seq, _head, _tail, count = decode_handle(handle)
+        flits = self._observed.get(seq)
+        if flits is None:
+            flits = self._observed[seq] = self._inflight[seq].to_flits()
+        return flits[~count]
+
+    def take(self, seq: int) -> NocMessage:
+        """Remove and return the message injected as ``seq``: its tail
+        handle has left this core (ejected, or staged for a cut link)."""
+        self._observed.pop(seq, None)
+        return self._inflight.pop(seq)
 
     def commit(self) -> None:
         # LocalPort.commit == eject_fifo.commit, inlined; only FIFOs
@@ -789,10 +889,16 @@ class FlatMeshCore(Wakeable):
         push carries no stamp: the flits are poppable from the next
         cycle on, exactly as if an in-band upstream had pushed them
         this cycle — same head exposure, occupancy, high-water and
-        wake effects.
+        wake effects.  A head arrives as ``(handle, message)`` (the
+        sending core's walk staged it so) and the message is filed here.
         """
         if not flits:
             return
+        for at, item in enumerate(flits):
+            if item.__class__ is tuple:
+                handle, message = item
+                flits[at] = handle
+                self._inflight[decode_handle(handle)[0]] = message
         ring = self._rings[fid]
         if not ring:
             if ring is _NO_RING:
@@ -869,6 +975,52 @@ class FlatMeshCore(Wakeable):
                     problems.append(
                         f"output {ofid} requested by input {fid} "
                         f"(occupied={bool(rings[fid])}, _req={req[fid]})")
+        problems.extend(self._check_table())
+        return problems
+
+    def _check_table(self) -> list[str]:
+        """The in-flight table against every queue that holds handles."""
+        inflight = self._inflight
+        queues = [(f"input {fid}", ring)
+                  for fid, ring in enumerate(self._rings) if ring]
+        for port in self._ports_list:
+            eject = port.eject_fifo
+            queues.append((f"injection queue {port.coord}",
+                           port._pending_flits))
+            queues.append((eject.name, [*eject._items, *eject._staged]))
+        problems: list[str] = []
+        named: set[int] = set()
+        dangling: dict[int, str] = {}
+        for where, queue in queues:
+            seen: set[int] = set()
+            last = (0, 0)
+            for handle in queue:
+                if handle.__class__ is not int:
+                    problems.append(f"{where} holds {handle!r}, not a "
+                                    "handle")
+                    continue
+                seq, _head, _tail, count = decode_handle(handle)
+                if seq not in inflight:
+                    dangling.setdefault(seq, where)
+                # One message's handles: one run, counting down by one.
+                if seq in seen and last != (seq, count + 1):
+                    problems.append(f"{where}: handle {count} of injection "
+                                    f"#{seq} is out of sequence")
+                seen.add(seq)
+                last = (seq, count)
+            named |= seen
+        problems.extend(f"{where}: a handle of injection #{seq} names no "
+                        "in-flight message"
+                        for seq, where in dangling.items())
+        if self._egress is None:
+            # (On a band core a message can be between handles: head
+            # gone east, the rest not yet in from the west.)
+            problems.extend(f"in-flight message #{seq} is named by no "
+                            "handle (leaked)"
+                            for seq in inflight.keys() - named)
+        problems.extend(f"observed flits of injection #{seq}, which is "
+                        "not in flight"
+                        for seq in self._observed.keys() - inflight.keys())
         return problems
 
 

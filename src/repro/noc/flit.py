@@ -7,6 +7,25 @@ wormhole path their header opened.  Flits are 512 bits (64 bytes) wide,
 and the top 64 bits of the header flit are the original OpenPiton header
 (destination, source, length), which is why the paper could reuse the
 OpenPiton routers unmodified.
+
+Flit handles
+------------
+
+Body flits carry nothing the fabric reads, so the flat mesh
+(:mod:`repro.noc.flatmesh`) moves no :class:`Flit` objects: its rings,
+injection queues and ejection FIFOs hold one ``int`` per flit, a
+*handle*::
+
+    seq << HANDLE_SEQ_SHIFT | HANDLE_HEAD (header only) | flits still to come
+
+with the handle of a message's **last** flit negated, so the tail test
+is ``handle < 0``.  ``seq`` (>= 1, so no handle is 0) is the injection
+sequence number under which the injecting core filed its copy of the
+message; the message travels once, by reference, in that table and the
+ejecting port takes it out on the tail.  ``Flit`` objects exist there
+only where someone looks at one (tracer, fault filter, ``peek()``),
+built once per message by ``NocMessage.to_flits()``.  The object mesh
+(:mod:`repro.noc.mesh`, the reference) moves ``Flit`` objects as ever.
 """
 
 from __future__ import annotations
@@ -27,6 +46,19 @@ class FlitKind(enum.Enum):
 # constructor runs per flit per message encode.
 _DATA = FlitKind.DATA
 _BYTES_LIKE = (bytes, bytearray, memoryview)
+
+# The handle format (module docstring).  32 bits of count cover
+# NOC_MAX_PAYLOAD_BYTES many times over.
+HANDLE_SEQ_SHIFT = 33
+HANDLE_HEAD = 1 << 32
+HANDLE_COUNT_MASK = HANDLE_HEAD - 1
+
+
+def decode_handle(handle: int) -> tuple[int, bool, bool, int]:
+    """``(seq, is_head, is_tail, flits_still_to_come)`` of a handle."""
+    bits = -handle if handle < 0 else handle
+    return (bits >> HANDLE_SEQ_SHIFT, bool(bits & HANDLE_HEAD),
+            handle < 0, bits & HANDLE_COUNT_MASK)
 
 
 @dataclass(slots=True, init=False)

@@ -11,13 +11,30 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.noc.flit import Flit
+from repro.noc.flit import HANDLE_HEAD, HANDLE_SEQ_SHIFT, Flit
 from repro.noc.message import MessageAssembler, NocMessage
 from repro.noc.router import Router
 from repro.noc.routing import Port
 from repro.params import ROUTER_INPUT_FIFO_FLITS
 from repro.sim.kernel import CycleSimulator, StagedFifo, Wakeable
 from repro.telemetry.trace import NULL_TRACER
+
+
+def handle_framing_error(bits: int, assembler: MessageAssembler
+                          ) -> ValueError:
+    """Which wormhole framing rule the handle ``bits`` (sign removed)
+    broke at a port whose reassembly state is ``assembler`` — the three
+    errors of ``MessageAssembler.push``, keyed on the injection
+    sequence number instead of ``msg_id``."""
+    seq = bits >> HANDLE_SEQ_SHIFT
+    if bits & HANDLE_HEAD:
+        return ValueError(
+            f"header handle of injection #{seq} arrived mid-message")
+    if not assembler._active:
+        return ValueError(
+            f"body handle of injection #{seq} without a header")
+    return ValueError(f"interleaved handle of injection #{seq} inside "
+                      f"injection #{assembler._seq}")
 
 
 class LocalPort(Wakeable):
@@ -42,6 +59,11 @@ class LocalPort(Wakeable):
     fault_stalled = False
     _fault_eject = None
 
+    #: The :class:`~repro.noc.flatmesh.FlatMeshCore` stepping this
+    #: port (None under the object mesh): its queues then hold int
+    #: handles (``repro.noc.flit``), not ``Flit`` objects.
+    _core = None
+
     def __init__(self, router: Router, eject_depth: int = 4):
         self.router = router
         self.coord = router.coord
@@ -51,7 +73,7 @@ class LocalPort(Wakeable):
         router.connect_output(Port.LOCAL, self.eject_fifo)
         self._local_in = router.inputs[Port.LOCAL]
         self._assembler = MessageAssembler()
-        self._pending_flits: deque[Flit] = deque()
+        self._pending_flits: deque[Flit | int] = deque()
         self._send_queue: deque[NocMessage] = deque()
         self._injecting: NocMessage | None = None
         self.messages_sent = 0
@@ -137,6 +159,12 @@ class LocalPort(Wakeable):
         share: a stalled port (``fault_stalled``) ejects nothing, so
         the FIFO fills and back-pressures the fabric, and an ejection
         fault filter may corrupt a popped DATA flit's payload.
+
+        Under the flat mesh what pops is an int handle: the port checks
+        the wormhole framing on it and on the tail takes the message
+        out of the core's in-flight table.  A fault filter looks at
+        flits, so for it each handle is turned into the message's
+        ``Flit`` and reassembled from the (possibly corrupted) payloads.
         """
         if self.fault_stalled:
             return None
@@ -145,6 +173,28 @@ class LocalPort(Wakeable):
             return None
         self.eject_fifo.pop()
         self.flits_ejected += 1
+        core = self._core
+        if core is not None:
+            bits = -flit if flit < 0 else flit
+            seq = bits >> HANDLE_SEQ_SHIFT
+            if self._fault_eject is None:
+                assembler = self._assembler
+                if bits & HANDLE_HEAD:
+                    if assembler._active:
+                        raise handle_framing_error(bits, assembler)
+                    assembler._active = True
+                    assembler._seq = seq
+                elif not assembler._active or seq != assembler._seq:
+                    raise handle_framing_error(bits, assembler)
+                if flit > 0:
+                    return None
+                assembler._active = False
+                self.messages_received += 1
+                return core.take(seq)
+            tail = flit < 0
+            flit = core.flit_of(flit)
+            if tail:
+                core.take(seq)
         if self._fault_eject is not None:
             flit = self._fault_eject.filter(flit)
         message = self._assembler.push(flit)

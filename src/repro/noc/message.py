@@ -130,10 +130,11 @@ class NocMessage:
     def to_flits(self) -> list[Flit]:
         """Encode as a wormhole-ready flit sequence.
 
-        Saturated-path note: one call per message send, ~24 Flit
-        constructions at MTU — hence the hoisted locals, positional
-        construction (`Flit.__init__`'s exact field order) and one
-        comprehension for the full-width data flits.
+        Saturated-path note (object mesh; the flat mesh calls this
+        only for a message somebody observes): one call per message
+        send, ~24 Flit constructions at MTU — hence the hoisted locals,
+        positional construction (`Flit.__init__`'s exact field order)
+        and one comprehension for the full-width data flits.
         """
         dst = self.dst
         src = self.src
@@ -168,11 +169,15 @@ class MessageAssembler:
     suffices per port.
     """
 
-    __slots__ = ("_active", "_dst", "_src", "_msg_id", "_packet_id",
-                 "_metadata", "_meta_count", "_chunks")
+    __slots__ = ("_active", "_seq", "_dst", "_src", "_msg_id",
+                 "_packet_id", "_metadata", "_meta_count", "_chunks")
 
     def __init__(self):
         self._active = False
+        # Under the flat mesh the port counts int handles instead of
+        # pushing flits (LocalPort.receive): ``_active`` is shared,
+        # ``_seq`` names the message whose handles are arriving.
+        self._seq = 0
         self._dst = self._src = None
         self._msg_id = self._packet_id = None
         self._metadata = None
@@ -215,14 +220,13 @@ class MessageAssembler:
                 self._meta_count += 1
         if flit.is_tail:
             self._active = False
-            message = NocMessage(
+            return NocMessage(
                 dst=self._dst,
                 src=self._src,
                 metadata=self._metadata,
                 data=b"".join(self._chunks),
                 n_meta_flits=self._meta_count,
+                msg_id=self._msg_id,
                 packet_id=self._packet_id,
             )
-            message.msg_id = self._msg_id
-            return message
         return None

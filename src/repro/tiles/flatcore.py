@@ -49,10 +49,16 @@ bit-identically across ``tile_backend="object"|"flat"``:
 
 A visit reads one per-tile record, ``_fabric[i]``: the tile, its port,
 the ejection FIFO's two containers (``_items`` and ``_staged``, which
-keep their identity for the FIFO's life), the reassembler, and two
+keep their identity for the FIFO's life), the reassembler, the flat
+mesh core stepping the port (None under the object mesh), and two
 class-level flags (inlined pumps? default ``service_cycles``?).  Flit
 counts and the injection backlog are computed inline, not through the
-``n_flits`` / ``tx_backlog`` properties.
+``n_flits`` / ``tx_backlog`` properties.  Under a flat mesh the FIFO
+holds int handles (``repro.noc.flit``) and the inlined receive is the
+handle branch of ``LocalPort.receive``: count, check the framing, take
+the message from the mesh core's table on the tail — no chunk list, no
+join.  Anything else that pops (``Flit`` objects from the object mesh,
+a port with a fault filter) goes through ``port.receive()`` itself.
 
 Scheduling contract (``repro.sim.kernel``): the core reports
 ``kernel_weight`` equal to the tile count it replaces, lists the tiles
@@ -67,13 +73,12 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable
 
-from repro.noc.flit import FlitKind
+from repro.noc.flit import HANDLE_HEAD, HANDLE_SEQ_SHIFT
+from repro.noc.mesh import handle_framing_error
 from repro.noc.message import next_packet_id
 from repro.params import FLIT_BYTES
 from repro.sim.kernel import CycleSimulator, Wakeable
 from repro.tiles.base import Tile
-
-_DATA = FlitKind.DATA
 
 # A tile class is eligible for the inlined fast path only if it leaves
 # every engine-internal hook untouched.  ``handle_message`` /
@@ -166,7 +171,7 @@ class FlatTileCore(Wakeable):
         self.tiles: list[Tile] = []
         self._ejects: list = []
         # Per-tile hot-path record, indexed by tile bit: (tile, port,
-        # eject._items, eject._staged, assembler, fast,
+        # eject._items, eject._staged, assembler, mesh_core, fast,
         # default_service) — one list lookup per busy tile per cycle.
         self._fabric: list[tuple] = []
         # Scheduling state: busy bitmask (bit i == tiles[i] must step),
@@ -194,7 +199,7 @@ class FlatTileCore(Wakeable):
         self._ejects.append(eject)
         self._fabric.append((
             tile, tile.port, eject._items, eject._staged,
-            tile.port._assembler, _class_is_fast(cls),
+            tile.port._assembler, tile.port._core, _class_is_fast(cls),
             cls.service_cycles is Tile.service_cycles,
         ))
         self._deadlines.append(-1)
@@ -259,7 +264,7 @@ class FlatTileCore(Wakeable):
             low = mask & -mask
             mask ^= low
             i = low.bit_length() - 1
-            (t, port, items, staged, assembler, is_fast,
+            (t, port, items, staged, assembler, mesh_core, is_fast,
              has_default_service) = fabric[i]
             if t._fault_frozen:
                 continue  # clock gated; stays busy (pinned, like is_idle)
@@ -279,33 +284,38 @@ class FlatTileCore(Wakeable):
             if items and not port.fault_stalled and \
                     (assembler._active or
                      t._buffered_flits < t.buffer_flits):
-                # ``LocalPort.receive`` inlined (its fault_stalled and
-                # empty-FIFO checks are the guards above): pop one
-                # flit, fault-filter it, feed the reassembler.
                 t._buffered_flits += 1
-                flit = items.popleft()
-                port.flits_ejected += 1
-                fault_eject = port._fault_eject
-                if fault_eject is not None:
-                    flit = fault_eject.filter(flit)
-                # Body-DATA flits are ~22 of every 24 at MTU: append
-                # the chunk directly and skip the assembler call.
-                if (flit.kind is _DATA and not flit.is_tail
-                        and not flit.is_head
-                        and flit.msg_id == assembler._msg_id
-                        and assembler._active):
-                    # No copy: the tail's b"".join takes any bytes-like.
-                    assembler._chunks.append(flit.payload or b"")
+                message = None
+                if mesh_core is None or port._fault_eject is not None:
+                    # Flit objects (object mesh) or a fault filter that
+                    # wants to see them: not the path worth inlining.
+                    message = port.receive()
                 else:
-                    message = assembler.push(flit)
-                    if message is not None:
+                    # The handle branch of ``LocalPort.receive`` inlined
+                    # (its fault_stalled and empty-FIFO checks are the
+                    # guards above): pop one handle, check the wormhole
+                    # framing, take the message on the tail.
+                    flit = items.popleft()
+                    port.flits_ejected += 1
+                    bits = -flit if flit < 0 else flit
+                    if bits & HANDLE_HEAD:
+                        if assembler._active:
+                            raise handle_framing_error(bits, assembler)
+                        assembler._active = True
+                        assembler._seq = bits >> HANDLE_SEQ_SHIFT
+                    elif not assembler._active or \
+                            bits >> HANDLE_SEQ_SHIFT != assembler._seq:
+                        raise handle_framing_error(bits, assembler)
+                    if flit < 0:
+                        assembler._active = False
                         port.messages_received += 1
-                        t._rx_ready.append((cycle, message))
-                        tracer = t.tracer
-                        if tracer.enabled:
-                            tracer.message_received(cycle, t, message)
-                            tracer.buffer_level(cycle, t,
-                                                t._buffered_flits)
+                        message = mesh_core.take(bits >> HANDLE_SEQ_SHIFT)
+                if message is not None:
+                    t._rx_ready.append((cycle, message))
+                    tracer = t.tracer
+                    if tracer.enabled:
+                        tracer.message_received(cycle, t, message)
+                        tracer.buffer_level(cycle, t, t._buffered_flits)
             in_service = t._in_service
             if in_service is not None and cycle >= t._emit_at:
                 t.messages_in += 1

@@ -263,6 +263,22 @@ class TestFlatMeshLedger:
         assert [f.code for f in findings] == ["BHV403"]
         assert "active outputs" in findings[0].message
 
+    def test_handle_without_its_message_is_a_bhv403_finding(self):
+        from repro.analysis.sanitize import _conservation_findings
+        combo = ("scheduled", "flat", "flat")
+        design = build_design(UdpEchoDesign, combo)
+        for _, fn in default_traffic(design, 200):
+            fn()
+        core = design.mesh.core
+        design.sim.run_until(lambda: core._inflight, max_cycles=200)
+        assert _conservation_findings(design, combo) == []
+        # The handles of this message now reach a port that has no
+        # message to hand its tile on the tail.
+        del core._inflight[next(iter(core._inflight))]
+        findings = _conservation_findings(design, combo)
+        assert [f.code for f in findings] == ["BHV403"]
+        assert "names no in-flight message" in findings[0].message
+
     def test_ring_stamp_from_the_future_is_a_bhv403_finding(self):
         from repro.analysis.sanitize import _conservation_findings
         combo = ("scheduled", "flat", "flat")
