@@ -493,17 +493,16 @@ def _tile_core_findings(design: object, combo: Combo) -> list[Finding]:
     if tile_core is None:
         return []
     findings: list[Finding] = []
-    for core in getattr(tile_core, "cores", [tile_core]):
-        for problem in core.check_invariants():
-            findings.append(Finding(
-                "BHV402",
-                f"flat tile engine state inconsistent: {problem} "
-                f"[{_combo_label(combo)}]",
-                location=core.name,
-                hint="the flat mesh wakes a tile only when it ejects "
-                     "into an empty FIFO, so the busy bit must stay set "
-                     "while the FIFO holds flits",
-                data={"combo": _combo_label(combo)}))
+    for problem in tile_core.check_invariants():
+        findings.append(Finding(
+            "BHV402",
+            f"flat tile engine state inconsistent: {problem} "
+            f"[{_combo_label(combo)}]",
+            location=tile_core.name,
+            hint="the flat mesh wakes a tile only when it ejects "
+                 "into an empty FIFO, so the busy bit must stay set "
+                 "while the FIFO holds flits",
+            data={"combo": _combo_label(combo)}))
     return findings
 
 

@@ -18,7 +18,7 @@ from repro.faults import attach_faults
 from repro.noc.flatmesh import build_mesh
 from repro.packet.ethernet import ETHERTYPE_IPV4, MacAddress
 from repro.packet.ipv4 import IPPROTO_UDP, IPv4Address
-from repro.sim.shard import make_simulator
+from repro.sim.kernel import CycleSimulator
 from repro.tiles.flatcore import register_tiles
 from repro.tiles.ethernet import EthernetRxTile, EthernetTxTile
 from repro.tiles.ip import IpRxTile, IpTxTile
@@ -50,14 +50,13 @@ class ScaledEchoDesign:
                  width: int | None = None,
                  height: int | None = None,
                  fault_plan=None,
-                 shards: int = 1,
-                 shard_transport: str = "loopback",
-                 shard_bounds: list[int] | None = None,
                  app_coords: list[tuple[int, int]] | None = None):
         self.width = self.WIDTH if width is None else width
         self.height = self.HEIGHT if height is None else height
-        if self.width < 3 or self.height < 2:
-            raise ValueError("the stack needs at least a 3x2 mesh")
+        if (self.width < 3 or self.height < 2
+                or self.width * self.height < 7):
+            raise ValueError("the stack needs at least 3 columns, 2 rows "
+                             "and 7 sites (six stack tiles plus one app)")
         max_apps = self.width * self.height - 6
         if not 1 <= n_apps <= max_apps:
             raise ValueError(
@@ -65,14 +64,11 @@ class ScaledEchoDesign:
             )
         self.n_apps = n_apps
         self.udp_port = udp_port
-        self.sim = make_simulator(kernel=kernel,
+        self.sim = CycleSimulator(kernel=kernel,
                                   mesh_backend=mesh_backend,
-                                  tile_backend=tile_backend,
-                                  shards=shards,
-                                  shard_transport=shard_transport)
+                                  tile_backend=tile_backend)
         self.mesh = build_mesh(self.width, self.height,
-                               backend=mesh_backend, shards=shards,
-                               shard_bounds=shard_bounds)
+                               backend=mesh_backend)
 
         self.eth_rx = EthernetRxTile("eth_rx", self.mesh, (0, 0),
                                      my_mac=SERVER_MAC)
@@ -89,9 +85,8 @@ class ScaledEchoDesign:
         # App placement: the default fills every non-stack coordinate
         # row-major; an explicit ``app_coords`` pins replicas to chosen
         # sites (e.g. the far-east columns, which spreads transit
-        # evenly over every column — the shard-scaling benchmark's
-        # operating point).  Either way the XY east-then-south /
-        # west-then-north discipline is re-verified below.
+        # evenly over every column).  Either way the XY east-then-south
+        # / west-then-north discipline is re-verified below.
         stack_coords = {(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)}
         if app_coords is None:
             app_coords = [
@@ -105,6 +100,9 @@ class ScaledEchoDesign:
             if len(set(app_coords)) != len(app_coords):
                 raise ValueError("app_coords has duplicates")
             for coord in app_coords:
+                if len(coord) != 2:
+                    raise ValueError(
+                        f"app_coords entry {coord} is not an (x, y) pair")
                 if coord in stack_coords:
                     raise ValueError(
                         f"app at {coord} collides with a stack tile")

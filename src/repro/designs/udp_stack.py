@@ -20,7 +20,7 @@ from repro.noc.flatmesh import build_mesh
 from repro.packet.ethernet import ETHERTYPE_IPV4, MacAddress
 from repro.packet.ipv4 import IPPROTO_UDP, IPv4Address
 from repro.analysis.deadlock import assert_deadlock_free
-from repro.sim.shard import make_simulator
+from repro.sim.kernel import CycleSimulator
 from repro.tiles.flatcore import register_tiles
 from repro.tiles.ethernet import EthernetRxTile, EthernetTxTile
 from repro.tiles.ip import IpRxTile, IpTxTile
@@ -39,17 +39,12 @@ class UdpEchoDesign:
                  kernel: str = "scheduled",
                  mesh_backend: str = "flat",
                  tile_backend: str = "flat",
-                 fault_plan=None,
-                 shards: int = 1,
-                 shard_transport: str = "loopback"):
+                 fault_plan=None):
         self.udp_port = udp_port
-        self.sim = make_simulator(kernel=kernel,
+        self.sim = CycleSimulator(kernel=kernel,
                                   mesh_backend=mesh_backend,
-                                  tile_backend=tile_backend,
-                                  shards=shards,
-                                  shard_transport=shard_transport)
-        self.mesh = build_mesh(4, 2, backend=mesh_backend,
-                               shards=shards)
+                                  tile_backend=tile_backend)
+        self.mesh = build_mesh(4, 2, backend=mesh_backend)
 
         self.eth_rx = EthernetRxTile("eth_rx", self.mesh, (0, 0),
                                      my_mac=SERVER_MAC)
@@ -130,20 +125,15 @@ class LoggedUdpEchoDesign(UdpEchoDesign):
                  kernel: str = "scheduled",
                  mesh_backend: str = "flat",
                  tile_backend: str = "flat",
-                 fault_plan=None,
-                 shards: int = 1,
-                 shard_transport: str = "loopback"):
+                 fault_plan=None):
         # Build from scratch (different geometry than the base class).
         from repro.tiles.logger import PacketLogTile
 
         self.udp_port = udp_port
-        self.sim = make_simulator(kernel=kernel,
+        self.sim = CycleSimulator(kernel=kernel,
                                   mesh_backend=mesh_backend,
-                                  tile_backend=tile_backend,
-                                  shards=shards,
-                                  shard_transport=shard_transport)
-        self.mesh = build_mesh(5, 2, backend=mesh_backend,
-                               shards=shards)
+                                  tile_backend=tile_backend)
+        self.mesh = build_mesh(5, 2, backend=mesh_backend)
 
         self.eth_rx = EthernetRxTile("eth_rx", self.mesh, (0, 0),
                                      my_mac=SERVER_MAC)

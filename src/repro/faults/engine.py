@@ -150,13 +150,6 @@ class FaultEngine(Wakeable):
     kernel (timer wheel wakes it at exactly each event cycle).
     """
 
-    #: Freezes/stalls/thaws touch tiles and ports across the whole
-    #: mesh, so a sharded run steps the engine at the coordinator,
-    #: after every shard's tick and the boundary exchange — the same
-    #: "visible from N+1" timing as the unsharded registration slot
-    #: (see repro.sim.shard).
-    shard_scope = "global"
-
     def __init__(self, design, plan: FaultPlan):
         self.design = design
         self.plan = plan

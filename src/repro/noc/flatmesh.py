@@ -256,25 +256,6 @@ class FlatRouterView:
         return f"FlatRouterView({self.coord})"
 
 
-class _FlatEgress:
-    """Sender-side stub for a cut output of a band core.
-
-    Mirrors the downstream ring the output *would* have: ``staged``
-    accumulates this cycle's pushes and ``visible`` tracks the credit
-    count — last exchange's committed occupancy of the peer shard's
-    ingress ring.  The shard boundary exchange drains ``staged`` and
-    applies the peer's pops each cycle (see repro.noc.shardmesh), so
-    the sender's room check ``visible + len(staged) < depth`` is
-    bit-identical to the unsharded lagged-credit check.
-    """
-
-    __slots__ = ("staged", "visible")
-
-    def __init__(self):
-        self.staged: list = []
-        self.visible = 0
-
-
 class FlatMeshCore(Wakeable):
     """The entire mesh as one clocked component.
 
@@ -290,25 +271,16 @@ class FlatMeshCore(Wakeable):
     name = "flatmesh.core"
     tracer = NULL_TRACER
 
-    def __init__(self, width: int, height: int, depth: int, route_fn,
-                 x_offset: int = 0, full_width: int | None = None):
+    def __init__(self, width: int, height: int, depth: int, route_fn):
         self.width = width
         self.height = height
         self.depth = depth
         self.route_fn = route_fn
-        # Band geometry (repro.sim.shard): ``width`` columns of a
-        # ``full_width``-wide design, starting at global column
-        # ``x_offset``.  Coordinates are global; an unsharded core has
-        # x_offset == 0 and full_width == width, and behaves exactly
-        # as before.
-        self.x_offset = x_offset
-        self.full_width = width if full_width is None else full_width
         n = width * height
         self.n_routers = n
         n5 = n * _N_PORTS
         self.coords: list[tuple[int, int]] = [
-            (x, y) for y in range(height)
-            for x in range(x_offset, x_offset + width)
+            (x, y) for y in range(height) for x in range(width)
         ]
         # Adapter boundary: LOCAL inputs are real StagedFifos so
         # LocalPort (and the linter's wake checks) see ordinary queues.
@@ -343,27 +315,22 @@ class FlatMeshCore(Wakeable):
         self._unres: list[int] = []
         self._active: list[int] = []
         # Output wiring: fid of the downstream ring per output, -1 for
-        # an unconnected mesh edge or a cut link (see _egress), -2 for
-        # LOCAL outputs, which eject through _ejects.
+        # an unconnected mesh edge, -2 for LOCAL outputs, which eject
+        # through _ejects.
         self._down: list[int] = [-1] * n5
         for r in range(n):
-            # Band-local column (coords are global, wiring is in-band).
-            bx = r % width
+            x = r % width
             y = r // width
             base = r * _N_PORTS
             self._down[base] = -2
-            if bx + 1 < width:
+            if x + 1 < width:
                 self._down[base + _EAST] = (r + 1) * _N_PORTS + _WEST
-            if bx > 0:
+            if x > 0:
                 self._down[base + _WEST] = (r - 1) * _N_PORTS + _EAST
             if y > 0:
                 self._down[base + _NORTH] = (r - width) * _N_PORTS + _SOUTH
             if y + 1 < height:
                 self._down[base + _SOUTH] = (r + width) * _N_PORTS + _NORTH
-        # Boundary egress stubs (repro.sim.shard): a cut east/west
-        # output gets a _FlatEgress here instead of a downstream ring.
-        # None for an unsharded core.
-        self._egress: list | None = None
         self._ejects: list[StagedFifo | None] = [None] * n
         # Lazily built per-router routing tables: rt[r][dst_index] is
         # the output port index for a head flit at router r bound for
@@ -403,11 +370,11 @@ class FlatMeshCore(Wakeable):
         # Messages in flight by injection sequence number (module
         # docstring), and the ``Flit`` objects of those somebody looked
         # at; an ``_observed`` entry leaves with its ``_inflight`` one.
-        # Band cores of one sharded design count in disjoint residue
-        # classes, so a handle names one message on both sides of a cut.
+        # ``_seq`` pre-increments from 0, so no message is ever filed
+        # under 0, which the negated-tail encoding could not tell apart.
         self._inflight: dict[int, NocMessage] = {}
         self._observed: dict[int, list[Flit]] = {}
-        self._seq = x_offset
+        self._seq = 0
 
     # -- wiring -----------------------------------------------------------
 
@@ -437,20 +404,14 @@ class FlatMeshCore(Wakeable):
         port._kernel_wake = hook
 
     def _route_row(self, r: int) -> list[int]:
-        """Build (once) the dst -> out-port table for router ``r``.
-
-        The table spans the *full* grid (``full_width`` columns), not
-        just this band: a band core routes flits bound for other
-        shards toward its cut edge, where the boundary egress takes
-        over.
-        """
-        full_width = self.full_width
+        """Build (once) the dst -> out-port table for router ``r``."""
+        width = self.width
         route_fn = self.route_fn
         here = self.coords[r]
-        row = [0] * (full_width * self.height)
+        row = [0] * (width * self.height)
         d = 0
         for y in range(self.height):
-            for x in range(full_width):
+            for x in range(width):
                 row[d] = _ALL_PORTS.index(route_fn(here, (x, y)))
                 d += 1
         if r in self._misrouted:
@@ -468,11 +429,8 @@ class FlatMeshCore(Wakeable):
         object backend's ``Router._connected_mask``."""
         base = r * _N_PORTS
         mask = 1 if self._ejects[r] is not None else 0
-        egress = self._egress
         for i in range(1, _N_PORTS):
-            fid = base + i
-            if self._down[fid] >= 0 or \
-                    (egress is not None and egress[fid] is not None):
+            if self._down[base + i] >= 0:
                 mask |= 1 << i
         return mask
 
@@ -562,9 +520,7 @@ class FlatMeshCore(Wakeable):
         rq = self._rq
         grant = self._grant
         route_rows = self._route_rows
-        # Routing bounds/stride use the FULL grid — a band core's
-        # tables cover every global destination (see _route_row).
-        width = self.full_width
+        width = self.width
         height = self.height
         fresh = []
         for fid in self._unres:
@@ -623,7 +579,6 @@ class FlatMeshCore(Wakeable):
             rq = self._rq
             down = self._down
             ejects = self._ejects
-            egress = self._egress
             coords = self.coords
             fwd_out = self._fwd_out
             depth = self.depth
@@ -655,13 +610,8 @@ class FlatMeshCore(Wakeable):
                     room = (cap is None or
                             len(eject._items) + len(eject._staged) < cap)
                 else:
-                    eg = None if egress is None else egress[ofid]
-                    if eg is None:
-                        continue
-                    # Cut link (repro.sim.shard): credits live in the
-                    # boundary egress — the same lagged contract,
-                    # maintained by the shard exchange.
-                    room = eg.visible + len(eg.staged) < depth
+                    # Unwired mesh-edge output: nothing to move into.
+                    continue
                 if fblocked is not None and ofid in fblocked:
                     # Stuck-grant fault (see Router.fault_block_output).
                     room = False
@@ -719,7 +669,7 @@ class FlatMeshCore(Wakeable):
                     if filled > hw[dfid]:
                         hw[dfid] = filled
                         hwc[dfid] = cycle
-                elif dfid == -2:
+                else:
                     # eject.push_unchecked(flit) inlined, except that
                     # the wake hooks fire on the empty -> non-empty
                     # edge only (module docstring).
@@ -731,15 +681,6 @@ class FlatMeshCore(Wakeable):
                         if not eject._items:
                             for waker in eject._wakers:
                                 waker()
-                    ring_total -= 1
-                else:
-                    # Cut link: accumulate in the boundary egress; the
-                    # shard exchange ships it — a head with its message,
-                    # which boundary_ingest files on the other side.
-                    bits = -flit if flit < 0 else flit
-                    eg.staged.append(
-                        (flit, inflight[bits >> HANDLE_SEQ_SHIFT])
-                        if bits & HANDLE_HEAD else flit)
                     ring_total -= 1
                 fwd_out[ofid] += 1
                 if traced:
@@ -756,9 +697,6 @@ class FlatMeshCore(Wakeable):
                 if flit < 0:
                     grant[ofid] = -1
                     req[sfid] = -2
-                    if dfid == -1:
-                        # The whole message has left through the cut.
-                        self.take(-flit >> HANDLE_SEQ_SHIFT)
                     if ring:
                         # The flit behind the tail (even one pushed
                         # this cycle) is the next head; it is routed
@@ -804,7 +742,7 @@ class FlatMeshCore(Wakeable):
                                 "DATA flit payload must be bytes-like")
                         data = bytes(data)
                     n_meta = message.n_meta_flits
-                    self._seq = seq = self._seq + self.full_width
+                    self._seq = seq = self._seq + 1
                     self._inflight[seq] = NocMessage(
                         message.dst, message.src,
                         message.metadata if n_meta else None, data,
@@ -857,7 +795,7 @@ class FlatMeshCore(Wakeable):
 
     def take(self, seq: int) -> NocMessage:
         """Remove and return the message injected as ``seq``: its tail
-        handle has left this core (ejected, or staged for a cut link)."""
+        handle has been ejected."""
         self._observed.pop(seq, None)
         return self._inflight.pop(seq)
 
@@ -873,45 +811,6 @@ class FlatMeshCore(Wakeable):
                 if len(items) > eject.high_water:
                     eject.high_water = len(items)
             dirty_eject.clear()
-
-    # -- shard boundary hooks (repro.sim.shard) ---------------------------
-
-    def set_boundary_egress(self, fid: int, eg: _FlatEgress) -> None:
-        """Route the cut output ``fid`` into a boundary egress stub."""
-        if self._egress is None:
-            self._egress = [None] * (self.n_routers * _N_PORTS)
-        self._egress[fid] = eg
-
-    def boundary_ingest(self, fid: int, flits) -> None:
-        """Apply boundary flits into ingress ring ``fid``.
-
-        Called by the shard exchange after this core's tick, so the
-        push carries no stamp: the flits are poppable from the next
-        cycle on, exactly as if an in-band upstream had pushed them
-        this cycle — same head exposure, occupancy, high-water and
-        wake effects.  A head arrives as ``(handle, message)`` (the
-        sending core's walk staged it so) and the message is filed here.
-        """
-        if not flits:
-            return
-        for at, item in enumerate(flits):
-            if item.__class__ is tuple:
-                handle, message = item
-                flits[at] = handle
-                self._inflight[decode_handle(handle)[0]] = message
-        ring = self._rings[fid]
-        if not ring:
-            if ring is _NO_RING:
-                ring = self._rings[fid] = deque()
-            if self._req[fid] == -2:
-                self._unres.append(fid)
-        ring.extend(flits)
-        if len(ring) > self._hw[fid]:
-            self._hw[fid] = len(ring)
-        self._ring_total += len(flits)
-        wake = self._kernel_wake
-        if wake is not None:
-            wake()
 
     # -- statistics -------------------------------------------------------
 
@@ -1012,12 +911,9 @@ class FlatMeshCore(Wakeable):
         problems.extend(f"{where}: a handle of injection #{seq} names no "
                         "in-flight message"
                         for seq, where in dangling.items())
-        if self._egress is None:
-            # (On a band core a message can be between handles: head
-            # gone east, the rest not yet in from the west.)
-            problems.extend(f"in-flight message #{seq} is named by no "
-                            "handle (leaked)"
-                            for seq in inflight.keys() - named)
+        problems.extend(f"in-flight message #{seq} is named by no "
+                        "handle (leaked)"
+                        for seq in inflight.keys() - named)
         problems.extend(f"observed flits of injection #{seq}, which is "
                         "not in flight"
                         for seq in self._observed.keys() - inflight.keys())
@@ -1041,8 +937,7 @@ class FlatMesh:
 
     def __init__(self, width: int, height: int,
                  fifo_depth: int = ROUTER_INPUT_FIFO_FLITS,
-                 routing: str = "xy", x_offset: int = 0,
-                 full_width: int | None = None):
+                 routing: str = "xy"):
         if width < 1 or height < 1:
             raise ValueError(f"bad mesh dimensions {width}x{height}")
         try:
@@ -1053,10 +948,7 @@ class FlatMesh:
         self.width = width
         self.height = height
         self.routing = routing
-        self.x_offset = x_offset
-        self.core = FlatMeshCore(width, height, fifo_depth, route_fn,
-                                 x_offset=x_offset,
-                                 full_width=full_width)
+        self.core = FlatMeshCore(width, height, fifo_depth, route_fn)
         self.routers: dict[tuple[int, int], FlatRouterView] = {
             coord: FlatRouterView(self.core, index, coord)
             for index, coord in enumerate(self.core.coords)
@@ -1119,9 +1011,7 @@ class FlatMesh:
 
 def build_mesh(width: int, height: int,
                fifo_depth: int = ROUTER_INPUT_FIFO_FLITS,
-               routing: str = "xy", backend: str = "object",
-               shards: int = 1,
-               shard_bounds: list[int] | None = None):
+               routing: str = "xy", backend: str = "object"):
     """Construct a mesh with the selected backend.
 
     ``backend="object"`` returns the classic per-object
@@ -1129,19 +1019,7 @@ def build_mesh(width: int, height: int,
     :class:`FlatMesh`.  Both expose the same construction/attachment
     API and are proven cycle- and trace-identical by the differential
     equivalence suite.
-
-    ``shards > 1`` returns a :class:`~repro.noc.shardmesh.ShardedMesh`
-    — ``shards`` contiguous column-band meshes of the requested
-    backend stitched by boundary links — for use with a sharded
-    simulator (:func:`repro.sim.shard.make_simulator`).
-    ``shard_bounds`` optionally pins the per-shard band widths (they
-    must sum to ``width``) instead of the default even split.
     """
-    if shards > 1:
-        from repro.noc.shardmesh import ShardedMesh
-        return ShardedMesh(width, height, fifo_depth=fifo_depth,
-                           routing=routing, backend=backend,
-                           shards=shards, shard_bounds=shard_bounds)
     if backend == "flat":
         return FlatMesh(width, height, fifo_depth=fifo_depth,
                         routing=routing)

@@ -204,16 +204,7 @@ class LocalPort(Wakeable):
 
 
 class Mesh:
-    """A width x height 2D mesh of wormhole routers.
-
-    ``x_offset`` shifts the router coordinates east without changing
-    the geometry: a band mesh built with ``x_offset=2, width=3`` hosts
-    the global columns 2..4 of a wider design, keyed by their *global*
-    coordinates.  The sharded engine (:mod:`repro.sim.shard`) builds
-    one band per shard and stitches the cut east/west links with
-    boundary stubs; an unsharded mesh keeps ``x_offset=0`` and is
-    wired exactly as before.
-    """
+    """A width x height 2D mesh of wormhole routers."""
 
     #: Ports are standalone simulator components here — one attached
     #: after ``register`` must be added to the simulator by the
@@ -222,7 +213,7 @@ class Mesh:
 
     def __init__(self, width: int, height: int,
                  fifo_depth: int = ROUTER_INPUT_FIFO_FLITS,
-                 routing: str = "xy", x_offset: int = 0):
+                 routing: str = "xy"):
         if width < 1 or height < 1:
             raise ValueError(f"bad mesh dimensions {width}x{height}")
         from repro.noc.routing import xy_route, yx_route
@@ -234,19 +225,15 @@ class Mesh:
         self.width = width
         self.height = height
         self.routing = routing
-        self.x_offset = x_offset
         self.routers: dict[tuple[int, int], Router] = {}
         for y in range(height):
-            for x in range(x_offset, x_offset + width):
+            for x in range(width):
                 self.routers[(x, y)] = Router((x, y), fifo_depth,
                                               route_fn=route_fn)
         self._wire()
         self._ports: dict[tuple[int, int], LocalPort] = {}
 
     def _wire(self) -> None:
-        # Neighbour-presence wiring (rather than arithmetic bounds) so
-        # a band mesh leaves its cut east/west outputs unconnected for
-        # the shard engine's boundary stubs.
         for (x, y), router in self.routers.items():
             east = self.routers.get((x + 1, y))
             if east is not None:

@@ -21,13 +21,6 @@ _HEADER = FlitKind.HEADER
 _METADATA = FlitKind.METADATA
 _DATA = FlitKind.DATA
 
-#: Bit position of the shard id inside a namespaced id: shard ``k``
-#: allocates ids in ``[k << 48 + 1, (k + 1) << 48)``, so id spaces from
-#: different shards can never collide and shard 0's space is exactly
-#: the unsharded one.  2^48 ids per shard is unreachable in practice
-#: (a saturated 32x32 mesh allocates ~2e6 ids per simulated second).
-SHARD_ID_SHIFT = 48
-
 
 def reset_id_counters() -> None:
     """Restart the global message/packet id counters from 1.
@@ -41,38 +34,6 @@ def reset_id_counters() -> None:
     global _msg_counter, _packet_counter
     _msg_counter = itertools.count(1)
     _packet_counter = itertools.count(1)
-
-
-class IdNamespace:
-    """A shard-private message/packet id namespace.
-
-    The module-global counters are process-wide mutable state — exactly
-    what breaks determinism once a design is partitioned across shards
-    (allocation order would depend on shard interleaving, and two shards
-    would hand out colliding ids).  A sharded run gives every shard its
-    own :class:`IdNamespace`; the engine installs the namespace around
-    each shard's tick (in-process transport) or once per worker process
-    (multiprocessing transport).  Ids carry the shard id in the high
-    bits (:data:`SHARD_ID_SHIFT`), so the per-shard sequences are
-    disjoint and shard 0 — where a design's ingress lives — allocates
-    the same packet ids an unsharded run would.
-    """
-
-    __slots__ = ("shard_id", "_msg", "_packet")
-
-    def __init__(self, shard_id: int = 0):
-        if shard_id < 0:
-            raise ValueError("shard_id must be >= 0")
-        self.shard_id = shard_id
-        base = shard_id << SHARD_ID_SHIFT
-        self._msg = itertools.count(base + 1)
-        self._packet = itertools.count(base + 1)
-
-    def install(self) -> None:
-        """Make this namespace the allocation source for new ids."""
-        global _msg_counter, _packet_counter
-        _msg_counter = self._msg
-        _packet_counter = self._packet
 
 
 def next_packet_id() -> int:

@@ -14,8 +14,7 @@ hop, one flit per link per cycle.  Credit return is symmetric: a pop
 from a router input FIFO becomes visible to the upstream router only at
 the next cycle boundary (``StagedFifo._visible``), so *every*
 inter-router link — flits forward, credits backward — carries exactly
-one cycle of lookahead.  That is what lets :mod:`repro.sim.shard` cut
-the mesh between any two routers and synchronise shards once per cycle.
+one cycle of lookahead.
 """
 
 from __future__ import annotations
@@ -228,8 +227,7 @@ class Router:
                         downstream._visible + len(downstream._staged) < cap)
             else:
                 # Ejection to the attached tile stays same-cycle: port
-                # and router live in the same clock domain (and always
-                # in the same shard).
+                # and router live in the same clock domain.
                 room = (cap is None or
                         len(downstream._items) + len(downstream._staged)
                         < cap)

@@ -71,8 +71,7 @@ over to the naive body first thing under ``kernel="naive"``), and
 ``run``/``run_until`` reach every cycle they do not skip through
 ``self.tick``.  They inline the "is there work this cycle" test: a
 non-empty active set means tick now, and only an empty one consults
-``_next_wake_cycle()`` (the hook :mod:`repro.sim.shard` overrides) to
-skip ahead.  A component whose class leaves ``commit`` as the shared
+``_next_wake_cycle()`` to skip ahead.  A component whose class leaves ``commit`` as the shared
 :func:`no_commit` — most of them: tiles, harnesses, peers — is stepped
 but never asked to commit.
 
@@ -181,10 +180,7 @@ class StagedFifo:
         #: credit count a link-level producer sees.  Router-to-router
         #: links release credits with one cycle of lag (a pop becomes
         #: visible upstream only at the next cycle boundary, like a
-        #: hardware credit return crossing the link), which is what
-        #: gives every inter-router link a full cycle of lookahead and
-        #: lets the sharded engine cut the mesh anywhere between
-        #: routers (see repro.sim.shard).
+        #: hardware credit return crossing the link).
         self._visible = 0
 
     def __len__(self) -> int:

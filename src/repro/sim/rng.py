@@ -30,19 +30,3 @@ class SeededStreams:
                 _derive_seed(self.root_seed, name)
             )
         return self._streams[name]
-
-    def for_shard(self, shard_id: int) -> "SeededStreams":
-        """Streams for one shard of a partitioned run.
-
-        Derived from ``(root_seed, shard_id)`` so every shard draws
-        reproducible, independent randomness regardless of how shards
-        interleave at runtime.  Shard 0 keeps the root seed itself:
-        a design's stochastic components are anchored to shard 0 (see
-        :mod:`repro.sim.shard`), so a sharded run replays the exact
-        byte-identical streams of the unsharded reference.
-        """
-        if shard_id == 0:
-            return SeededStreams(self.root_seed)
-        return SeededStreams(
-            _derive_seed(self.root_seed, f"shard{shard_id}")
-        )

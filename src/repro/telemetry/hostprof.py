@@ -110,18 +110,10 @@ class HostProfiler:
 
         mesh = getattr(design, "mesh", None)
         core = getattr(mesh, "core", None)
-        if core is not None and not hasattr(core, "step"):
-            # Sharded flat mesh: ``mesh.core`` is a gauge-only facade —
-            # the per-band cores do the stepping, so time those.
-            for band in getattr(mesh, "bands", []):
-                self._patch(band.core, "step", "noc.flatmesh.step")
-                self._patch(band.core, "commit", "noc.flatmesh.commit")
-        elif core is not None:
+        if core is not None:
             self._patch(core, "step", "noc.flatmesh.step")
             self._patch(core, "commit", "noc.flatmesh.commit")
         elif mesh is not None:
-            # Covers the sharded object mesh too: its merged router map
-            # iterates the same router objects the band meshes step.
             for router in mesh.routers.values():
                 self._patch(router, "step", "noc.router.step")
                 self._patch(router, "commit", "noc.router.commit")
@@ -132,12 +124,9 @@ class HostProfiler:
         # fast tiles' pump bodies, so their host time lands in the
         # ``tiles_flat`` bucket; object-mode tiles (and every tile
         # under the object backend) still hit the per-tile patches.
-        # A sharded design's ``ShardTileCores`` aggregate holds one
-        # stepping core per populated shard.
         tile_core = getattr(design, "tile_core", None)
         if tile_core is not None:
-            for inner in getattr(tile_core, "cores", [tile_core]):
-                self._patch(inner, "step", "tiles_flat")
+            self._patch(tile_core, "step", "tiles_flat")
 
         tiles = design.tiles
         if isinstance(tiles, dict):

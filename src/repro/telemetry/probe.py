@@ -66,12 +66,6 @@ class Probe(Wakeable):
     """The periodic sampler.  Build via :func:`attach_probe`."""
 
     name = "telemetry.probe"
-    #: Samples read the whole design (every router, port and tile), so
-    #: a sharded run steps the probe at the coordinator, after the
-    #: boundary exchange (see repro.sim.shard).  Read-only, so the
-    #: only observable difference is that end-of-cycle FIFO depths
-    #: include the exchange's deliveries.
-    shard_scope = "global"
 
     def __init__(self, design: object,
                  interval: int = DEFAULT_INTERVAL,

@@ -151,7 +151,6 @@ def design_counters(design: object) -> dict:
             "kernel": getattr(design.sim, "kernel", "naive"),
             "mesh": getattr(design.sim, "mesh_backend", "object"),
             "tile": getattr(design.sim, "tile_backend", "object"),
-            "shards": getattr(design.sim, "shards", 1),
         },
         "tiles": tiles,
         "tile_kinds": dict(sorted(tile_kinds.items())),
@@ -226,8 +225,7 @@ def design_report(design: object,
                       for kind, count in counters["tile_kinds"].items())
     lines = [f"design state at cycle {counters['cycle']}",
              f"backends: kernel={backends['kernel']} "
-             f"mesh={backends['mesh']} tile={backends['tile']} "
-             f"shards={backends['shards']}",
+             f"mesh={backends['mesh']} tile={backends['tile']}",
              f"tile kinds: {kinds}",
              f"{'tile':<14} {'kind':<14} {'coord':<8} "
              f"{'msgs in':>8} {'msgs out':>9} {'bytes in':>10} "

@@ -459,49 +459,8 @@ class FlatTileCore(Wakeable):
                 f"busy={self.busy_tiles})")
 
 
-class ShardTileCores:
-    """Per-shard :class:`FlatTileCore` group (sharded flat backend).
-
-    A sharded design's tiles cannot share one core — each shard's
-    tiles must step inside that shard's simulator — so
-    :func:`register_tiles` builds one core per populated shard and
-    returns this aggregate, which exposes the slice of the core
-    surface telemetry reads (``busy_tiles``, the views, ``tiles``).
-    """
-
-    __slots__ = ("cores",)
-
-    def __init__(self, cores: list[FlatTileCore]):
-        self.cores = cores
-
-    @property
-    def tiles(self) -> list[Tile]:
-        return [tile for core in self.cores for tile in core.tiles]
-
-    @property
-    def busy_tiles(self) -> int:
-        return sum(core.busy_tiles for core in self.cores)
-
-    def views(self) -> list[FlatTileView]:
-        out: list[FlatTileView] = []
-        for core in self.cores:
-            out.extend(core.views())
-        return out
-
-    def view(self, name: str) -> FlatTileView:
-        for core in self.cores:
-            if name in core._index_of:
-                return core.view(name)
-        raise KeyError(f"no adopted tile named {name!r}")
-
-    def __repr__(self) -> str:
-        return (f"ShardTileCores({len(self.cores)} cores, "
-                f"tiles={len(self.tiles)})")
-
-
 def register_tiles(sim: CycleSimulator, tiles,
-                   tile_backend: str = "object"
-                   ) -> FlatTileCore | ShardTileCores | None:
+                   tile_backend: str = "object") -> FlatTileCore | None:
     """Register a design's tiles with ``sim`` under a tile backend.
 
     ``"object"``: every tile is its own scheduled component (the
@@ -512,13 +471,6 @@ def register_tiles(sim: CycleSimulator, tiles,
 
     Returns the core under ``"flat"``, None under ``"object"``; design
     constructors store it as ``self.tile_core``.
-
-    A sharded simulator routes each tile to its owning shard: under
-    ``"object"`` the per-tile ``add`` already does that, and under
-    ``"flat"`` the tiles are partitioned into one core per populated
-    shard (adoption order preserves the design's tile order within
-    each shard, which is the reference stepping order restricted to
-    that shard) — returned as a :class:`ShardTileCores`.
     """
     if tile_backend not in ("object", "flat"):
         raise ValueError(f"unknown tile backend {tile_backend!r} "
@@ -528,21 +480,6 @@ def register_tiles(sim: CycleSimulator, tiles,
     if tile_backend == "object":
         sim.add_all(sequence)
         return None
-    if getattr(sim, "is_sharded", False):
-        by_shard: dict[int, FlatTileCore] = {}
-        for tile in sequence:
-            shard = sim.shard_of(tile.coord)
-            core = by_shard.get(shard)
-            if core is None:
-                core = by_shard[shard] = FlatTileCore(
-                    name=f"flattiles.s{shard}")
-            core.adopt(tile)
-        cores = [by_shard[shard] for shard in sorted(by_shard)]
-        # Add after adoption (like the unsharded path) so the kernel
-        # snapshots the full wake_sources/kernel_weight.
-        for shard, core in zip(sorted(by_shard), cores):
-            sim.sims[shard].add(core)
-        return ShardTileCores(cores)
     core = FlatTileCore()
     for tile in sequence:
         core.adopt(tile)

@@ -396,12 +396,10 @@ def test_check_invariants_audits_the_table():
     assert core.check_invariants(sim.cycle) == []
 
 
-@pytest.mark.parametrize("shards", [1, 2])
-def test_a_drained_traced_run_leaves_the_tables_empty(shards):
+def test_a_drained_traced_run_leaves_the_tables_empty():
     reset_id_counters()
     design = UdpEchoDesign(udp_port=7, line_rate_bytes_per_cycle=None,
-                           mesh_backend="flat", tile_backend="flat",
-                           shards=shards)
+                           mesh_backend="flat", tile_backend="flat")
     design.add_client(CLIENT_IP, CLIENT_MAC)
     tracer = attach_tracer(design, Tracer())
     frame = build_ipv4_udp_frame(CLIENT_MAC, design.server_mac,
@@ -414,17 +412,7 @@ def test_a_drained_traced_run_leaves_the_tables_empty(shards):
     design.sim.add(sink)
     design.sim.run(4000)
     assert sink.count == 8 and tracer.link_flits
-    bands = getattr(design.mesh, "bands", [design.mesh])
-    assert len(bands) == shards
-    seqs = []
-    for band in bands:
-        core = band.core
-        assert not core._inflight and not core._observed
-        assert core.check_invariants() == []
-        seqs.append(core._seq)
-    if shards == 2:
-        # Disjoint residue classes: a handle names one message on both
-        # sides of the cut.
-        width = design.mesh.width
-        assert len({seq % width for seq in seqs}) == 2
-    assert all(seqs)
+    core = design.mesh.core
+    assert not core._inflight and not core._observed
+    assert core.check_invariants() == []
+    assert core._seq

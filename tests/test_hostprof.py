@@ -91,21 +91,6 @@ class TestAttribution:
         assert "noc.router.step" in report
         assert "noc.localport.step" in report
 
-    def test_sharded_design_buckets(self):
-        # The sharded facades (gauge-only mesh core, per-shard tile
-        # core aggregate) must still route host time into the flat
-        # buckets — the profiler times the per-band inner cores.
-        design = make_design(shards=2)
-        drive(design)
-        profiler, wall = profile_run(design, 2000)
-        report = profiler.report()
-        assert "noc.flatmesh.step" in report
-        assert "tiles_flat" in report
-        assert wall > 0
-        # profile_run uninstalled: the band cores stepped unwrapped.
-        for band in design.mesh.bands:
-            assert not getattr(band.core.step, "__wrapped__", None)
-
     def test_exclusive_time_accounting(self):
         """Self time never exceeds inclusive time, and the phase
         shares sum to ~100% — nested calls are charged once."""

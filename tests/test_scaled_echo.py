@@ -6,7 +6,8 @@ import pytest
 
 from repro import params
 from repro.analysis import analyze_chains
-from repro.designs import FrameSink, ScaledEchoDesign
+from repro.designs import FrameSink, FrameSource, ScaledEchoDesign
+from repro.noc.message import reset_id_counters
 from repro.packet import (
     IPv4Address,
     MacAddress,
@@ -14,6 +15,7 @@ from repro.packet import (
     parse_frame,
 )
 from repro.resources import max_frequency_mhz
+from repro.telemetry import design_counters, design_report
 
 CLIENT_MAC = MacAddress("02:00:00:00:00:01")
 
@@ -106,3 +108,87 @@ class TestScaledEcho:
             ScaledEchoDesign(n_apps=23)
         with pytest.raises(ValueError):
             ScaledEchoDesign(n_apps=0)
+
+    def test_a_mesh_with_no_free_site_is_rejected_as_such(self):
+        """3x2 holds exactly the six stack tiles: the size check says
+        so, instead of the app-count check reporting "1-0 app tiles"."""
+        with pytest.raises(ValueError, match="7 sites"):
+            ScaledEchoDesign(n_apps=1, width=3, height=2)
+        # The smallest meshes that do have a free site build.
+        tall = ScaledEchoDesign(n_apps=1, width=3, height=3)
+        assert tall.apps[0].coord == (0, 2)
+        wide = ScaledEchoDesign(n_apps=2, width=4, height=2)
+        assert [app.coord for app in wide.apps] == [(3, 0), (3, 1)]
+
+
+class TestAppCoords:
+    @pytest.mark.parametrize("n_apps, coords, message", [
+        (2, [(3, 0), (3, 0)], "duplicates"),
+        (1, [(1, 1)], "collides with a stack tile"),
+        (1, [(7, 0)], "off-mesh"),
+        (1, [(3, -1)], "off-mesh"),
+        (2, [(3, 0)], "2 apps need 2 app_coords, got 1"),
+        (1, [(1, 2, 3)], "not an \\(x, y\\) pair"),
+    ])
+    def test_bad_placements_are_rejected(self, n_apps, coords, message):
+        with pytest.raises(ValueError, match=message):
+            ScaledEchoDesign(n_apps=n_apps, app_coords=coords)
+
+    def test_placement_is_honoured(self):
+        coords = [(6, 3), (3, 0), (0, 2), (5, 1)]
+        design = ScaledEchoDesign(n_apps=3, app_coords=coords)
+        # In order, one replica per coordinate; the surplus is ignored.
+        assert [app.coord for app in design.apps] == coords[:3]
+        assert design.total_tiles == 9
+        assert set(design.mesh.ports) == {
+            (0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), *coords[:3]}
+
+    def test_far_east_placement_echoes_identically_on_every_backend(self):
+        """perflab's ``echo_sat_mtu_32x32`` placement, scaled down:
+        replicas in the two far-east columns, so every request crosses
+        the whole mesh and back."""
+        coords = [(x, y) for x in (6, 7) for y in range(4)]
+        n_frames = 24
+
+        def run(**backends):
+            reset_id_counters()
+            design = ScaledEchoDesign(n_apps=len(coords), width=8,
+                                      height=4, app_coords=coords,
+                                      **backends)
+            ip = IPv4Address("10.0.2.1")
+            design.add_client(ip, CLIENT_MAC)
+            requests = [
+                build_ipv4_udp_frame(CLIENT_MAC, design.server_mac, ip,
+                                     design.server_ip, 5000 + i, 7,
+                                     bytes([i]) * 700)
+                for i in range(n_frames)]
+            source = FrameSource(design.inject, requests.__getitem__,
+                                 rate=None, count=n_frames)
+            sink = FrameSink(design.eth_tx)
+            design.sim.add(source)
+            design.sim.add(sink)
+            design.sim.run_until(lambda: sink.count >= n_frames,
+                                 max_cycles=20_000)
+            return design, requests, sink
+
+        design, requests, sink = run()
+        replies = {}
+        for frame, _cycle in sink.frames:
+            reply = parse_frame(frame)
+            replies[reply.udp.dst_port] = reply.payload
+        assert replies == {5000 + i: bytes([i]) * 700
+                           for i in range(n_frames)}
+        assert sum(app.requests for app in design.apps) == n_frames
+        assert sum(1 for app in design.apps if app.requests) > 1
+
+        counters = design_counters(design)
+        assert set(counters.pop("backends")) == {"kernel", "mesh", "tile"}
+        assert "shards=" not in design_report(design)
+
+        reference, _, reference_sink = run(
+            kernel="naive", mesh_backend="object", tile_backend="object")
+        assert reference_sink.frames == sink.frames
+        reference_counters = design_counters(reference)
+        assert reference_counters.pop("backends") == {
+            "kernel": "naive", "mesh": "object", "tile": "object"}
+        assert reference_counters == counters
