@@ -1,18 +1,18 @@
 """Activity-scheduled kernel speed: idle-heavy vs saturating load.
 
 The scheduled kernel only spends Python cycles where simulated activity
-exists: idle components leave the active set and fully quiescent
-stretches are skipped wholesale (see ``repro.sim.kernel``).  This
-benchmark runs the UDP echo design under both kernels at two operating
-points and writes ``BENCH_kernel.json``:
+exists: a component is stepped on the cycles it asked for or was woken
+for, and fully quiescent stretches are skipped wholesale (see
+``repro.sim.kernel``).  This benchmark runs the UDP echo design under
+both kernels at two operating points and writes ``BENCH_kernel.json``:
 
 - *idle-heavy*: MTU-sized requests paced at 10% of the 50 B/cycle line
   rate, so the mesh is quiescent for most of every inter-frame gap.
   This is where activity scheduling pays: ~3.3x wall-clock speedup
   measured locally, with ~40% of cycles skipped outright.
-- *saturating*: the same requests injected back-to-back.  Nothing is
-  idle, so the scheduled kernel's saturation bypass degenerates to
-  naive stepping and the two kernels run at parity.
+- *saturating*: the same requests injected back-to-back.  Nearly
+  everything is due every cycle, so the scheduled kernel steps what
+  the naive one steps and the two run at parity.
 
 Both runs assert bit-identical results (frame bytes and emit cycles)
 across kernels — speed must never change simulated behaviour.  The

@@ -13,9 +13,14 @@ benchmark measures what that buys and writes ``BENCH_mesh.json``:
   row guards against the flat backend taxing the idle path.
 - *saturating*: the section VII-I scaled echo design (22 application
   tiles on the paper's 7x4 U200 floorplan) under back-to-back
-  MTU-sized requests.  ~115 schedulable components collapse into one
-  batch-stepped core, and wormholes stretch across the whole fabric:
-  this is where the flat backend pays off (~3.4x measured locally).
+  MTU-sized requests, on the *naive* kernel so the row measures the
+  mesh backends and not how the scheduler treats the object mesh's
+  ~115 components (a scheduled kernel that steps only the routers and
+  ports with work speeds the object side up 1.5x and moves the ratio
+  without the flat mesh changing).  Those components collapse into
+  one batch-stepped core, and wormholes stretch across the whole
+  fabric: this is where the flat backend pays off (~3.3x measured
+  locally).
 - *tiles saturating*: the tile-engine axis — ``tile_backend="flat"``
   vs ``"object"`` with the mesh held flat on both sides.  A 12x10
   scaled echo (114 application tiles) under back-to-back MTU-sized
@@ -128,6 +133,11 @@ def _run_scaled(backend: str, cycles: int, n_apps: int = 22,
     return wall, list(sink.frames)
 
 
+def _run_sat(backend: str, cycles: int):
+    """Mesh axis: object tiles, naive kernel on both sides."""
+    return _run_scaled(backend, cycles, kernel="naive")
+
+
 def _run_tiles(tile_backend: str, cycles: int):
     """Tile-engine axis: mesh held flat, naive kernel on both sides."""
     return _run_scaled("flat", cycles, TILE_APPS, TILE_WIDTH,
@@ -161,9 +171,10 @@ def run_mesh_backend() -> dict:
     idle = _measure(_run_udp, IDLE_RATE, IDLE_CYCLES)
     idle.update(design="UdpEchoDesign 4x2",
                 cycles=IDLE_CYCLES, rate_bytes_per_cycle=IDLE_RATE)
-    sat = _measure(_run_scaled, SAT_CYCLES)
-    sat.update(design="ScaledEchoDesign 7x4 (22 apps)",
-               cycles=SAT_CYCLES, rate_bytes_per_cycle=None)
+    sat = _measure(_run_sat, SAT_CYCLES)
+    sat.update(design="ScaledEchoDesign 7x4 (22 apps), naive kernel",
+               cycles=SAT_CYCLES, rate_bytes_per_cycle=None,
+               kernel="naive")
     tiles = _measure(_run_tiles, SAT_CYCLES, reps=TILE_REPS)
     tiles.update(design=(f"ScaledEchoDesign {TILE_WIDTH}x{TILE_HEIGHT} "
                          f"({TILE_APPS} apps), naive kernel"),

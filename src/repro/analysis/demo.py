@@ -19,6 +19,7 @@ build_broken_wake_design        BHV301  wake_sources() misses the FIFO
 build_idle_liar_design          BHV401  is_idle() lies while work remains
 build_leaky_eject_design        BHV403  pops the eject FIFO off the books
 build_step_parity_design        BHV404  behaviour depends on step count
+build_early_read_design         BHV405  reads its port without the cycle
 build_phantom_dest_design       BHV501  declared domain coord unattached
 build_stale_domain_design       BHV502  domain wider than the replicas
 build_escaped_domain_design     BHV503  replicas outside the domain
@@ -31,6 +32,7 @@ canonical *dynamic* lost wakeup — the staged push its consumer misses.)
 
 from __future__ import annotations
 
+from repro.noc.flatmesh import FlatMesh
 from repro.noc.mesh import Mesh
 from repro.noc.message import NocMessage
 from repro.sim.kernel import CycleSimulator
@@ -159,9 +161,8 @@ class LeakyEjectTile(Tile):
         self.leaked = 0
 
     def on_cycle(self, cycle: int) -> None:
-        fifo = self.port.eject_fifo
-        while fifo._items:
-            fifo._items.popleft()  # BUG: bypasses LocalPort.receive()
+        while self.port.eject_ready(cycle):
+            self.port.eject_fifo.pop()  # BUG: not LocalPort.pop_flit()
             self.leaked += 1
 
     def handle_message(self, message: NocMessage,
@@ -218,8 +219,7 @@ class StepParityTile(Tile):
     def is_idle(self) -> bool:
         if self._fault_frozen:
             return False
-        eject = self.port.eject_fifo
-        if eject._items or eject._staged:
+        if self.port.eject_fifo.occupancy:
             return False
         if self._in_service is not None:
             return True
@@ -260,6 +260,53 @@ class StepParityDesign:
 
 def build_step_parity_design(kernel: str = "scheduled") -> StepParityDesign:
     return StepParityDesign(kernel=kernel)
+
+
+# -- BHV405: a flat mesh's flit read in the cycle it lands --------------------
+
+class EarlyReadTile(Tile):
+    """Takes an extra flit per cycle through ``receive()`` without
+    saying which cycle it is stepping, so it reads a flat mesh's flit
+    in the cycle it lands, one before an object mesh would show it.
+    Never idle and every pop counted: the other passes stay silent.
+    """
+
+    def __init__(self, name: str, mesh: Mesh, coord: tuple[int, int],
+                 **kwargs: object) -> None:
+        super().__init__(name, mesh, coord, **kwargs)
+        self.early = 0
+
+    def on_cycle(self, cycle: int) -> None:
+        if self.port.receive() is not None:  # BUG: not receive(cycle)
+            self.early += 1
+
+    def handle_message(self, message: NocMessage,
+                       cycle: int) -> list[NocMessage]:
+        return []
+
+
+class EarlyReadDesign:
+    """A flat 2x1 mesh: an ingress port feeding the early reader."""
+
+    def __init__(self, kernel: str = "scheduled") -> None:
+        self.sim = CycleSimulator(kernel=kernel, mesh_backend="flat")
+        self.mesh = FlatMesh(2, 1)
+        self.reader = EarlyReadTile("reader", self.mesh, (1, 0))
+        self.ingress = self.mesh.attach((0, 0))
+        self.tiles = [self.reader]
+        self.mesh.register(self.sim)
+        self.sim.add(self.reader)
+        self.chains = [["ingress", "reader"]]
+        self.tile_coords = {"ingress": (0, 0), "reader": (1, 0)}
+
+    def send(self, data: bytes = b"x" * 256) -> None:
+        self.ingress.send(NocMessage(dst=self.reader.coord,
+                                     src=self.ingress.coord,
+                                     data=data))
+
+
+def build_early_read_design(kernel: str = "scheduled") -> EarlyReadDesign:
+    return EarlyReadDesign(kernel=kernel)
 
 
 # -- BHV501/502/503: destination-domain declarations vs reality --------------

@@ -85,6 +85,9 @@ CODES: dict[str, tuple[str, str]] = {
                       "ejected + in-flight (unattributed loss)"),
     "BHV404": (ERROR, "non-determinism: two kernel x backend combos "
                       "diverged under identical traffic"),
+    "BHV405": (ERROR, "early read: an ejected flit consumed in the "
+                      "cycle a flat mesh pushed it (a consumer did not "
+                      "pass its cycle to the port)"),
     # -- BHV5xx: data-flow routing (destination domains) ---------------
     "BHV501": (ERROR, "declared destination-domain coordinate has no "
                       "tile attached (data-dependent dispatch to it "

@@ -116,7 +116,7 @@ class DesignModel:
     def components(self) -> list:
         if self.sim is None:
             return []
-        return list(self.sim._components)
+        return list(self.sim.components)
 
     def substeps(self, component: object) -> list:
         """Sub-components ``component`` steps internally each cycle.

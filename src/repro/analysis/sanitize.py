@@ -7,23 +7,28 @@ executes — by running short, bounded, fully instrumented simulations
 and reporting through the same :class:`~repro.analysis.findings`
 pipeline:
 
-- **idle-truth** (BHV401): every component the scheduled kernel pruned
-  is *shadow-stepped* each cycle with a state fingerprint taken around
-  its own ``step``.  A truthfully idle component's step is a no-op by
-  the quiescence contract (the same property the kernel's saturation
-  bypass relies on); a fingerprint change means ``is_idle()`` lied.
-- **lost-wake** (BHV402): at the end of each step phase (staged pushes
-  still visible), a FIFO holding staged items whose consumer is pruned
-  with no same-cycle wake and no timer due by the next cycle is a lost
-  wakeup — the dynamic twin of the static BHV301 check, catching hooks
-  that exist but never fire.  Under the flat tile engine, also a busy
-  bit clear over a FIFO holding flits (``FlatTileCore.check_invariants``):
-  the flat mesh wakes a tile only when it ejects into an empty FIFO.
+- **idle-truth** (BHV401): every component the scheduled kernel left
+  asleep is *shadow-stepped* each cycle with a state fingerprint taken
+  around its own ``step``.  A truthfully idle component's step is a
+  no-op by the quiescence contract; a fingerprint change means
+  ``is_idle()`` lied.
+- **lost-wake** (BHV402): at the end of each step phase (before
+  anything commits), a FIFO pushed into this cycle whose consumer is
+  asleep past the next cycle — no wake reached it and no timer is due
+  in time — is a lost wakeup: the dynamic twin of the static BHV301
+  check, catching hooks that exist but never fire.  Under the flat
+  tile engine, also a busy bit clear over a FIFO holding flits
+  (``FlatTileCore.check_invariants``): the flat mesh wakes a tile only
+  when it ejects into an empty FIFO.
 - **conservation** (BHV403): a flit ledger per mesh.  Every flit a
   port injects must be ejected or still in flight (router input
   occupancy plus ejection-FIFO occupancy); the machinery that drops
   traffic does so outside the fabric (wire faults pre-injection, tile
-  drops post-ejection), so any imbalance is unattributed loss.
+  drops post-ejection), so any imbalance is unattributed loss.  And
+  its time axis (BHV405): a consumer that reads its port inside a tick
+  without passing the cycle (``port.receive()``) takes a flat mesh's
+  flit in the cycle it was pushed, one cycle early and silently; the
+  stamped FIFO is then empty at the end of that cycle.
 - **determinism** (BHV404): the same traffic is replayed, cycle by
   cycle, under two kernel x mesh x tile combos; per-cycle digests of
   the design counters localize the first divergent cycle, and the
@@ -84,10 +89,11 @@ NAIVE_REFERENCE: Combo = ("naive", "object", "object")
 SANITIZE_PASSES: dict[str, str] = {
     "idle-truth": "shadow-step pruned components; any observable "
                   "progress is an is_idle() lie (BHV401)",
-    "lost-wake": "staged push into a FIFO whose consumer stays pruned "
-                 "with no same-cycle wake (BHV402)",
+    "lost-wake": "push into a FIFO whose consumer stays asleep past "
+                 "the next cycle (BHV402)",
     "conservation": "flit ledger: injected == ejected + in-flight per "
-                    "mesh (BHV403)",
+                    "mesh (BHV403), no flit consumed in the cycle a "
+                    "flat mesh ejected it (BHV405)",
     "determinism": "dual-run digest across two kernel x backend "
                    "combos, localizing the first divergence (BHV404)",
 }
@@ -235,11 +241,12 @@ class SanitizeObserver:
     """The per-run instrumentation behind
     :meth:`repro.sim.kernel.CycleSimulator.sanitized_tick`.
 
-    ``shadow_step`` owns stepping every pruned component (the kernel
+    ``shadow_step`` owns stepping every sleeping component (the kernel
     hands them over instead of stepping them) and, when the idle-truth
     pass is selected, fingerprints observable state around the step.
-    ``step_phase_done`` runs the lost-wake check while staged pushes
-    are still distinguishable from committed items.
+    ``step_phase_done`` runs the lost-wake check while this cycle's
+    pushes are still distinguishable from older items, ``cycle_done``
+    the early-read check.
     """
 
     def __init__(self, design: object, model: DesignModel,
@@ -254,6 +261,14 @@ class SanitizeObserver:
         self.findings: list[Finding] = []
         self._reported_401: set[int] = set()
         self._reported_402: set[tuple[int, int]] = set()
+        # The ejection FIFOs a flat mesh pushes into unstaged.
+        self._stamped: list[tuple[str, StagedFifo]] = []
+        if "conservation" in selected:
+            for label, mesh in _meshes_of(design):
+                if getattr(mesh, "core", None) is not None:
+                    self._stamped.extend(
+                        (f"{label}{coord}", port.eject_fifo)
+                        for coord, port in mesh.ports.items())
         # id(component) -> [(probe, label), ...]
         self._plans: dict[int, list[tuple[Callable[[], object], str]]] = {}
         # (component, name, consumed StagedFifos) for the wake check.
@@ -311,14 +326,9 @@ class SanitizeObserver:
                     continue
                 fifos_seen.append(fifo)
                 fname = getattr(fifo, "name", "fifo")
-                if isinstance(fifo, StagedFifo):
-                    plan.append((
-                        lambda f=fifo: (len(f._items), len(f._staged)),
-                        f"fifo {fname}"))
-                else:
-                    plan.append((
-                        lambda f=fifo: (len(f), f.occupancy),
-                        f"fifo {fname}"))
+                plan.append((
+                    lambda f=fifo: (len(f), f.occupancy),
+                    f"fifo {fname}"))
         return plan
 
     # -- sanitized_tick callbacks ------------------------------------------
@@ -356,26 +366,23 @@ class SanitizeObserver:
     def step_phase_done(self, cycle: int) -> None:
         if not self.check_wake:
             return
-        active = self.sim._active
-        armed = self.sim._armed
+        wake_cycle = self.sim.wake_cycle
         for component, name, fifos in self._consumers:
-            if component in active:
-                continue
+            due = wake_cycle(component)
+            if due is not None and due <= cycle + 1:
+                continue  # awake, woken, or a timer is due in time
             for fifo in fifos:
-                if not fifo._staged:
+                if not fifo.pushed_at(cycle):
                     continue
                 key = (id(component), id(fifo))
                 if key in self._reported_402:
                     continue
-                deadline = armed.get(component)
-                if deadline is not None and deadline <= cycle + 1:
-                    continue  # a timer wakes it in time; nothing lost
                 self._reported_402.add(key)
                 self.findings.append(Finding(
                     "BHV402",
-                    f"push into {fifo.name!r} staged at cycle {cycle} "
-                    f"but its consumer {name!r} is pruned, was not "
-                    f"woken this cycle, and has no timer due by cycle "
+                    f"push into {fifo.name!r} at cycle {cycle} but its "
+                    f"consumer {name!r} is asleep, was not woken this "
+                    f"cycle, and has no timer due by cycle "
                     f"{cycle + 1} [{_combo_label(self.combo)}]",
                     location=name,
                     hint="the producer's push must reach a wake hook "
@@ -385,11 +392,28 @@ class SanitizeObserver:
                           "combo": _combo_label(self.combo)}))
 
     def cycle_done(self, cycle: int) -> None:
-        pass
+        # One flit per FIFO per cycle, pushed behind whatever was
+        # there: it can only be gone already if somebody popped it.
+        early = [(where, fifo) for where, fifo in self._stamped
+                 if fifo.pushed_at(cycle) and not fifo.occupancy]
+        for where, fifo in early:
+            self._stamped.remove((where, fifo))
+            self.findings.append(Finding(
+                "BHV405",
+                f"flit ejected into {fifo.name!r} at cycle {cycle} was "
+                f"consumed in that same cycle "
+                f"[{_combo_label(self.combo)}]",
+                location=where,
+                hint="a consumer stepped inside a tick must pass the "
+                     "cycle it is stepping: port.receive(cycle) / "
+                     "pop_flit(cycle) / eject_ready(cycle); without it "
+                     "it sees a flat mesh's flit one cycle early",
+                data={"cycle": cycle, "fifo": fifo.name,
+                      "combo": _combo_label(self.combo)}))
 
 
 def _drive(design: object, actions: Sequence[Action], cycles: int,
-           observer: SanitizeObserver | None) -> None:
+           observer: SanitizeObserver) -> None:
     """Tick ``design`` to ``cycles``, firing traffic actions on their
     cycles.  Always plain per-cycle ticks (never ``run``): idle-skip
     would make runs incomparable and starve the shadow checks."""
@@ -401,10 +425,7 @@ def _drive(design: object, actions: Sequence[Action], cycles: int,
         while index < total and ordered[index][0] <= sim.cycle:
             ordered[index][1]()
             index += 1
-        if observer is None:
-            sim.tick()
-        else:
-            sim.sanitized_tick(observer)
+        sim.sanitized_tick(observer)
 
 
 # -- BHV403: flit conservation ---------------------------------------------
@@ -424,7 +445,7 @@ def conservation_ledger(mesh: object) -> dict[str, int]:
     """The flit ledger of one mesh: injected, ejected, in flight.
 
     In-flight counts every router input (directional rings and LOCAL)
-    plus every ejection FIFO, committed and staged — anything a port
+    plus every ejection FIFO, visible or not yet — anything a port
     injected that no port has ejected yet.  Flits awaiting injection
     (``_pending_flits``) are not injected yet and tile-level drops
     happen after ejection, so the identity is exact: the machinery
@@ -461,8 +482,7 @@ def _conservation_findings(design: object, combo: Combo) -> list[Finding]:
                 location=label,
                 hint="something pops an ejection FIFO without counting "
                      "flits_ejected (or pushes flits outside a port); "
-                     "route drains through LocalPort.receive or bump "
-                     "the counters at the bypass site",
+                     "route drains through LocalPort.receive / pop_flit",
                 data={**ledger, "delta": delta,
                       "combo": _combo_label(combo)}))
         # The flat core keeps its own ledger (ring total, ring stamps,
@@ -641,19 +661,16 @@ def analyze_dynamic(
         seen.add(key)
         report.findings.append(finding)
 
-    observed = ("idle-truth" in selected) or ("lost-wake" in selected)
-    if observed or "conservation" in selected:
+    if {"idle-truth", "lost-wake", "conservation"} & set(selected):
         for combo in combo_list:
             reset_id_counters()
             design = build_design(factory, combo, fault_plan)
             model = extract(design, name=report.target)
             actions = traffic_fn(design, cycles)
-            observer = (SanitizeObserver(design, model, selected, combo)
-                        if observed else None)
+            observer = SanitizeObserver(design, model, selected, combo)
             _drive(design, actions, cycles, observer)
-            if observer is not None:
-                for finding in observer.findings:
-                    add(finding)
+            for finding in observer.findings:
+                add(finding)
             if "lost-wake" in selected:
                 for finding in _tile_core_findings(design, combo):
                     add(finding)

@@ -71,7 +71,7 @@ def run(design: object) -> list[Finding]:
     """The BHV3xx lint pass over an instantiated design."""
     model = extract(design)
     findings: list[Finding] = []
-    scheduled = bool(getattr(model.sim, "_scheduled", False))
+    scheduled = getattr(model.sim, "kernel", None) == "scheduled"
 
     for component in model.components():
         name = _name_of(component)

@@ -67,7 +67,7 @@ class ControlEndpoint(Wakeable):
     # -- clocked behaviour ----------------------------------------------------------
 
     def step(self, cycle: int) -> None:
-        message = self.port.receive()
+        message = self.port.receive(cycle)
         if message is None:
             return
         payload = message.metadata
@@ -106,8 +106,7 @@ class ControlEndpoint(Wakeable):
     def is_idle(self) -> bool:
         """Control messages are rare; the endpoint sleeps whenever its
         ejection FIFO is empty."""
-        fifo = self.port.eject_fifo
-        return not fifo._items and not fifo._staged
+        return not self.port.eject_fifo.occupancy
 
 
 class ControlPlane:

@@ -43,19 +43,14 @@ class CutThroughTile:
             local_in.push(self._held)
             self.port.flits_injected += 1
             self._held = None
-        flit = self.port.eject_fifo.peek()
+        flit = self.port.pop_flit(cycle)
         if flit is None:
             return
+        self.flits_through += 1
         if self.next_coord is None:
-            self.port.eject_fifo.pop()
-            self.port.flits_ejected += 1
-            self.flits_through += 1
             if flit.is_tail:
                 self.messages_through += 1
             return
-        self.port.eject_fifo.pop()
-        self.port.flits_ejected += 1
-        self.flits_through += 1
         if flit.is_head:
             self._out_msg_id = next(_msg_ids)
         if flit.is_tail:

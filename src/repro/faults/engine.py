@@ -103,7 +103,9 @@ class FaultyWire(Wakeable):
     # -- quiescence contract (see repro.sim.kernel) -------------------------
 
     def is_idle(self) -> bool:
-        return not self._heap
+        """Timer-only: a frame on the wire moves at its arrival cycle,
+        and ``inject`` wakes the wire for a new one."""
+        return True
 
     def next_event_cycle(self) -> int | None:
         return self._heap[0][0] if self._heap else None

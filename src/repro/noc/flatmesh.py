@@ -13,7 +13,7 @@ a saturated mesh is then a cascade of method calls and attribute loads.
   sentinel, so an idle 32x32 mesh owns no ring at all).  Nothing is
   staged: what a router may see of a ring this cycle is decided by two
   per-ring *cycle stamps* (below), so each moved flit is touched once
-  and ``commit`` has no ring work left;
+  and the core has no ``commit`` at all;
 - routing decisions come from a lazily built per-router
   ``dst -> out_port`` table instead of a route-function call per head
   flit per cycle;
@@ -66,17 +66,29 @@ message by ``to_flits()``, only for someone who looks at one — a
 recording tracer, ``_RingView.peek()``, a port with an ejection fault
 filter (:meth:`FlatMeshCore.flit_of`).
 
+Ejection is stamped the same way.  The LOCAL output appends the handle
+straight to the ejection FIFO's committed queue and stamps the cycle on
+the FIFO (``StagedFifo._pushc``); a consumer stepping at cycle ``c``
+may take ``len - (pushed at c)`` flits, so a flit ejected at ``c`` is
+first consumable at ``c + 1`` whether its consumer steps before or
+after this core — what staging and ``LocalPort.commit`` give the object
+mesh.  Every consumer goes through ``LocalPort.pop_flit(cycle)`` /
+``receive(cycle)`` (``FlatTileCore`` inlines it), which is also where
+``high_water`` stays the exact end-of-cycle depth: the push raises the
+mark and stamps the raise (``_hwc``), a pop later in the same cycle
+takes it back — as ``_hw`` / ``_hwc`` do for the rings.  The room test
+needs no stamp: ejection credit is same-cycle under the object mesh
+too (``Router.step``), and an output pushes at most once a cycle.
+
 An ejection fires its FIFO's wake hooks only on the *empty ->
-non-empty edge* — when the flit lands in a FIFO holding nothing,
-committed or staged (in a streaming message the previous flit is still
+non-empty edge* (in a streaming message the previous flit is still
 there: 23 of 24 ejections at MTU call nothing).  That is enough because
-nobody sleeps over a FIFO that holds flits: this core is awake whenever
-it has a flit to eject, and a consumer may not report idle while a FIFO
-it consumes holds items (DESIGN.md 5c) — ``FlatTileCore`` keeps the
-tile's busy bit set, ``Tile.is_idle`` and ``ControlEndpoint.is_idle``
-return False.  ``StagedFifo.push`` itself stays level-triggered: under
-the object mesh the committing ``LocalPort`` may idle over committed
-items.
+nobody sleeps over a FIFO that holds flits: a consumer may not report
+idle while a FIFO it consumes holds items (DESIGN.md 5c) —
+``FlatTileCore`` keeps the tile's busy bit set, ``Tile.is_idle`` and
+``ControlEndpoint.is_idle`` return False.  ``StagedFifo.push`` itself
+stays level-triggered: under the object mesh the committing
+``LocalPort`` may idle over committed items.
 
 Bit-identity with ``Router.step`` rests on two facts.  Ascending
 ``ofid`` is the object backend's visit order (routers row-major in
@@ -98,13 +110,11 @@ against the object backend on every shipped design;
 :meth:`FlatMeshCore.check_invariants` cross-checks the state machine
 itself.
 
-Scheduling: the core is one schedulable component.  It reports
-``kernel_weight`` (routers + ports) so the kernel's saturation bypass
-weighs it correctly, and ``kernel_substeps()`` (the attached ports) so
-the linter knows who really steps inside it.  ``is_idle`` is true only
-when every router input, injection queue, and staged ejection is
-empty — the conjunction of the object backend's per-component
-contracts.
+Scheduling: the core is one schedulable component with no ``commit``.
+``kernel_substeps()`` (the attached ports) tells the linter who really
+steps inside it.  ``is_idle`` is true when no router input holds a flit
+and no port has anything to inject — the conjunction of the object
+backend's per-component contracts, read off two integers.
 """
 
 from __future__ import annotations
@@ -261,11 +271,10 @@ class FlatMeshCore(Wakeable):
 
     ``step`` resolves newly exposed head flits, walks the sorted list
     of active outputs moving at most one flit through each, then steps
-    the attached local ports in attachment order; ``commit`` publishes
-    only the ejection FIFOs written this cycle (the tile engine steps
-    after the mesh in the same cycle, so those stay staged).  See the
-    module docstring for the state machine and the equivalence
-    argument.
+    the attached local ports in attachment order.  Nothing is staged,
+    so there is no ``commit``: rings and ejection FIFOs carry cycle
+    stamps instead.  See the module docstring for the state machine
+    and the equivalence argument.
     """
 
     name = "flatmesh.core"
@@ -348,10 +357,6 @@ class FlatMeshCore(Wakeable):
         # Injection-phase companion: (port, local fid, local FIFO) so
         # the hot loops never re-derive the wiring.
         self._inj: list[tuple[LocalPort, int, StagedFifo]] = []
-        # Ejection FIFOs staged into this cycle; commit touches only
-        # these instead of scanning every port.  All staging flows
-        # through the router walk, which makes the list exhaustive.
-        self._dirty_eject: list[StagedFifo] = []
         # Router-internal fault state: routers currently misrouting
         # (their _route_rows entry holds the *deflected* table), and
         # the set of stuck ofids (None when no stuck-grant window is
@@ -476,11 +481,6 @@ class FlatMeshCore(Wakeable):
 
     # -- scheduling contract ----------------------------------------------
 
-    @property
-    def kernel_weight(self) -> int:
-        """Scheduling weight: the component count this core replaces."""
-        return self.n_routers + len(self._ports_list)
-
     def kernel_substeps(self):
         """Components batch-stepped inside this one (for the linter)."""
         return list(self._ports_list)
@@ -496,14 +496,11 @@ class FlatMeshCore(Wakeable):
         return list(self._local_in)
 
     def is_idle(self) -> bool:
-        """Idle iff every object-backend mesh component would be."""
-        if self._ring_total:
-            return False
-        for port in self._ports_list:
-            if (port._pending_flits or port._send_queue
-                    or port.eject_fifo._staged):
-                return False
-        return True
+        """Idle iff every object-backend mesh component would be: no
+        flit in a router input, no port with anything to inject (a
+        port's mask bit is set by ``send`` and cleared only once its
+        queues are empty)."""
+        return not (self._ring_total or self._inj_mask)
 
     # -- per-cycle behaviour ----------------------------------------------
 
@@ -573,7 +570,6 @@ class FlatMeshCore(Wakeable):
             popc = self._popc
             hw = self._hw
             hwc = self._hwc
-            dirty_eject = self._dirty_eject
             grant = self._grant
             rr = self._rr
             rq = self._rq
@@ -605,10 +601,11 @@ class FlatMeshCore(Wakeable):
                     eject = ejects[ofid // n_ports]
                     if eject is None:
                         continue
-                    # eject.can_accept() inlined (hot at saturation).
+                    # eject.can_accept() inlined (hot at saturation);
+                    # nothing is ever staged in an ejection FIFO.
                     cap = eject.capacity
-                    room = (cap is None or
-                            len(eject._items) + len(eject._staged) < cap)
+                    filled = len(eject._items)
+                    room = cap is None or filled < cap
                 else:
                     # Unwired mesh-edge output: nothing to move into.
                     continue
@@ -670,17 +667,18 @@ class FlatMeshCore(Wakeable):
                         hw[dfid] = filled
                         hwc[dfid] = cycle
                 else:
-                    # eject.push_unchecked(flit) inlined, except that
-                    # the wake hooks fire on the empty -> non-empty
+                    # An unstaged push (StagedFifo's docstring): the
+                    # stamp keeps the flit from this cycle's consumer.
+                    # The wake hooks fire on the empty -> non-empty
                     # edge only (module docstring).
-                    staged = eject._staged
-                    first = not staged
-                    staged.append(flit)
-                    if first:
-                        dirty_eject.append(eject)
-                        if not eject._items:
-                            for waker in eject._wakers:
-                                waker()
+                    eject._items.append(flit)
+                    eject._pushc = cycle
+                    if not filled:
+                        for waker in eject._wakers:
+                            waker()
+                    if filled >= eject.high_water:
+                        eject.high_water = filled + 1
+                        eject._hwc = cycle
                     ring_total -= 1
                 fwd_out[ofid] += 1
                 if traced:
@@ -799,19 +797,6 @@ class FlatMeshCore(Wakeable):
         self._observed.pop(seq, None)
         return self._inflight.pop(seq)
 
-    def commit(self) -> None:
-        # LocalPort.commit == eject_fifo.commit, inlined; only FIFOs
-        # the router phase actually ejected into this cycle.
-        dirty_eject = self._dirty_eject
-        if dirty_eject:
-            for eject in dirty_eject:
-                items = eject._items
-                items.extend(eject._staged)
-                eject._staged.clear()
-                if len(items) > eject.high_water:
-                    eject.high_water = len(items)
-            dirty_eject.clear()
-
     # -- statistics -------------------------------------------------------
 
     @property
@@ -850,13 +835,17 @@ class FlatMeshCore(Wakeable):
             problems.append(f"_ring_total {self._ring_total} != "
                             f"{in_rings} flits in the router inputs")
         if cycle is not None:
-            for name in ("_pushc", "_popc", "_hwc"):
-                latest = max(getattr(self, name))
+            ejects = [e for e in self._ejects if e is not None]
+            stamps = {"_pushc": self._pushc + [e._pushc for e in ejects],
+                      "_popc": self._popc,
+                      "_hwc": self._hwc + [e._hwc for e in ejects]}
+            for name, values in stamps.items():
+                latest = max(values)
                 if latest >= cycle:
                     problems.append(f"{name} holds cycle {latest}, which "
                                     f"has not been stepped (next: {cycle})")
         for fifo in self._local_in:
-            if fifo._staged:
+            if fifo.occupancy != len(fifo):
                 problems.append(f"{fifo.name} has staged flits; the core "
                                 "injects into the committed queue")
         owners = {sfid for sfid in grant if sfid >= 0}
@@ -886,7 +875,7 @@ class FlatMeshCore(Wakeable):
             eject = port.eject_fifo
             queues.append((f"injection queue {port.coord}",
                            port._pending_flits))
-            queues.append((eject.name, [*eject._items, *eject._staged]))
+            queues.append((eject.name, eject.snapshot()))
         problems: list[str] = []
         named: set[int] = set()
         dangling: dict[int, str] = {}

@@ -44,8 +44,11 @@ class LocalPort(Wakeable):
     port streams one flit into the router's local input FIFO (the same
     one-flit-per-cycle discipline as a hardware injection port).
 
-    Ejection: the router pushes flits into ``eject_fifo``; ``receive()``
-    pops one flit per call and returns a completed message on its tail.
+    Ejection: the router pushes flits into ``eject_fifo``; every
+    consumer takes them through :meth:`receive` (or :meth:`pop_flit`
+    for a raw flit), handing over the cycle it is stepping so a flit
+    ejected this very cycle stays out of sight, whichever mesh backend
+    filled the FIFO.
 
     ``LocalPort`` is a clocked component — add it to the simulator (the
     tile framework does this automatically).
@@ -81,9 +84,8 @@ class LocalPort(Wakeable):
         self.flits_injected = 0
         #: Flits popped off the ejection FIFO — the other side of the
         #: ``flits_injected`` ledger the conservation sanitizer
-        #: (repro.analysis.sanitize, BHV403) balances.  Anything that
-        #: pops ``eject_fifo`` without going through :meth:`receive`
-        #: must bump this itself.
+        #: (repro.analysis.sanitize, BHV403) balances; kept by
+        #: :meth:`pop_flit`.
         self.flits_ejected = 0
         #: Deepest the unbounded tile-side injection queue has ever
         #: been (messages queued plus one mid-injection) — the telemetry
@@ -149,11 +151,41 @@ class LocalPort(Wakeable):
         """True while the ejection side is partway through a message."""
         return self._assembler.mid_message
 
-    def receive(self) -> NocMessage | None:
+    def eject_ready(self, cycle: int | None = None) -> int:
+        """Ejected flits a consumer stepping at ``cycle`` may take: the
+        committed ones, less one a flat mesh pushed this very cycle
+        (``StagedFifo._pushc``).  None is a reader between ticks, who
+        sees them all."""
+        fifo = self.eject_fifo
+        return len(fifo._items) - (fifo._pushc == cycle)
+
+    def pop_flit(self, cycle: int | None = None):
+        """Take the oldest ejected flit visible at ``cycle``, or None.
+
+        What comes out is a ``Flit`` under the object mesh and an int
+        handle under the flat one.  This is the one place that pops the
+        ejection FIFO, so it keeps the ``flits_ejected`` ledger and the
+        FIFO's end-of-cycle high-water mark (a flat mesh raises the
+        mark when it pushes; a pop later in that cycle takes it back).
+        """
+        fifo = self.eject_fifo
+        items = fifo._items
+        if len(items) <= (fifo._pushc == cycle):
+            return None     # empty, or only this cycle's flit
+        if fifo._hwc == cycle:
+            fifo.high_water -= 1
+            fifo._hwc = -1
+        self.flits_ejected += 1
+        return items.popleft()
+
+    def receive(self, cycle: int | None = None) -> NocMessage | None:
         """Consume at most one ejected flit; a completed message or None.
 
         A tile that calls this once per cycle drains at one flit/cycle,
-        matching the single router ejection port.
+        matching the single router ejection port.  ``cycle`` is the
+        cycle being stepped (see :meth:`pop_flit`); a consumer inside
+        a tick that leaves it out takes a flat mesh's flit one cycle
+        early and nothing raises (``lint --sanitize`` reports BHV405).
 
         Fault injection taps here — the staging both mesh backends
         share: a stalled port (``fault_stalled``) ejects nothing, so
@@ -168,11 +200,9 @@ class LocalPort(Wakeable):
         """
         if self.fault_stalled:
             return None
-        flit = self.eject_fifo.peek()
+        flit = self.pop_flit(cycle)
         if flit is None:
             return None
-        self.eject_fifo.pop()
-        self.flits_ejected += 1
         core = self._core
         if core is not None:
             bits = -flit if flit < 0 else flit

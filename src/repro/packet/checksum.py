@@ -1,18 +1,12 @@
 """The Internet checksum (RFC 1071), used by IPv4, UDP, and TCP.
 
-The hot path sums 32-bit big-endian words and defers the carry fold to
-the end: RFC 1071 section 2 permits any accumulator width because
-one's-complement addition is associative and ``2**16 == 1 (mod 0xFFFF)``
-— the sum of a buffer's 16-bit words and the sum of its 32-bit words
-are congruent, and one final fold canonicalises the result.  Odd (or
-non-multiple-of-4) input is zero-padded, which adds nothing to the sum.
-
-An optional numpy backend can be selected with
-``set_checksum_backend("numpy")`` or by setting the
-``REPRO_CHECKSUM_NUMPY`` environment variable before import; the
-pure-Python word loop is the default and requires nothing beyond the
-stdlib.  Both produce bit-identical checksums (asserted by
-tests/test_packet_fuzz.py).
+The sum is one big-integer reduction.  One's-complement addition of
+16-bit words is addition modulo ``0xFFFF`` (with ``0xFFFF`` standing
+for a non-zero multiple), and ``2**16 == 1 (mod 0xFFFF)``, so the
+buffer read as a single big-endian integer is congruent to the sum of
+its 16-bit words: ``int.from_bytes(data) % 0xFFFF`` is the folded sum,
+computed in C without a word loop.  Odd-length input is zero-padded,
+which adds nothing to the sum.
 
 ``incremental_update`` implements RFC 1624 equation 3 (the -0-safe
 form of RFC 1071's incremental update) so tiles that rewrite a few
@@ -22,57 +16,23 @@ can patch an existing checksum without touching the payload.
 
 from __future__ import annotations
 
-import os
-import struct
-
-_np = None  # numpy module when the numpy backend is active, else None
-
-# struct.Struct unpackers keyed by 32-bit word count.  Packet sizes are
-# bounded (MTU-ish), so this stays small; cleared if it ever balloons.
-_WORD_STRUCTS: dict[int, struct.Struct] = {}
-_WORD_STRUCTS_MAX = 2048
-
-
-def set_checksum_backend(name: str) -> None:
-    """Select the checksum implementation: ``"words"`` or ``"numpy"``.
-
-    ``"words"`` is the stdlib 32-bit word loop; ``"numpy"`` vectorises
-    the word sum (raises ImportError if numpy is unavailable).
-    """
-    global _np
-    if name == "words":
-        _np = None
-    elif name == "numpy":
-        import numpy
-        _np = numpy
-    else:
-        raise ValueError(f"unknown checksum backend {name!r}")
-
 
 def internet_checksum(data: bytes) -> int:
     """One's-complement 16-bit checksum over ``data``.
 
-    Processes the buffer as 32-bit big-endian words with the carry
-    fold deferred to the end; bit-identical to the classic 16-bit
-    byte-pair loop for every input (including odd lengths, which are
-    zero-padded per RFC 1071).
+    Bit-identical to the classic 16-bit byte-pair loop with end-around
+    carry for every input (including odd lengths, which are zero-padded
+    per RFC 1071): that loop folds a non-zero sum into ``1..0xFFFF``,
+    so a non-zero buffer whose words sum to a multiple of ``0xFFFF``
+    yields ``0xFFFF``, not 0.
     """
-    pad = -len(data) & 3
-    if pad:
-        data = data + b"\x00" * pad
-    if _np is not None:
-        total = int(_np.frombuffer(data, dtype=">u4").sum(dtype="uint64"))
-    else:
-        nwords = len(data) >> 2
-        unpacker = _WORD_STRUCTS.get(nwords)
-        if unpacker is None:
-            if len(_WORD_STRUCTS) >= _WORD_STRUCTS_MAX:
-                _WORD_STRUCTS.clear()
-            unpacker = _WORD_STRUCTS[nwords] = struct.Struct(f"!{nwords}I")
-        total = sum(unpacker.unpack(data))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+    if len(data) & 1:
+        data = data + b"\x00"
+    value = int.from_bytes(data, "big")
+    total = value % 0xFFFF
+    if not total and value:
+        total = 0xFFFF
+    return total ^ 0xFFFF
 
 
 def incremental_update(checksum: int, old: bytes, new: bytes) -> int:
@@ -106,7 +66,3 @@ def verify_checksum(data: bytes) -> bool:
     whole buffer equal 0xFFFF, so the complemented sum is zero.
     """
     return internet_checksum(data) == 0
-
-
-if os.environ.get("REPRO_CHECKSUM_NUMPY"):
-    set_checksum_backend("numpy")

@@ -17,20 +17,21 @@ Scheduling
 The simulator ships two kernels, selected by ``kernel=``:
 
 ``"scheduled"`` (the default)
-    Activity-scheduled execution.  Components that implement the
-    *quiescence contract* (below) are removed from the per-cycle active
-    set while idle and re-activated in O(1) by either a *wake hook* on a
-    :class:`StagedFifo` they consume from or a *timer wheel* entry for
-    their next self-generated event.  When the whole design is
-    quiescent, idle stretches are skipped wholesale instead of being
-    ticked one no-op cycle at a time.
+    A component is stepped on the cycles it asked for or was woken
+    for, and on no other; a stretch of cycles nobody asked for is
+    skipped from its first cycle.  All of the scheduler's state is one
+    list, ``wake_at[i]``: the next cycle the component in registration
+    slot ``i`` must be stepped (a far-future sentinel when only a wake
+    can rouse it).  ``tick`` steps, in registration order, exactly the
+    slots with ``wake_at[i] <= cycle``, commits them, then asks each
+    one it stepped for its next cycle — once — and stores the answer.
+    Going to sleep, arming a timer and waking are one list store each.
 
 ``"naive"``
-    The original exhaustive scheduler: every registered component steps
-    and commits every cycle.  Kept as an escape hatch and as the
+    Every registered component steps and commits every cycle: the
     reference for differential (cycle-equivalence) testing.
 
-The quiescence contract — all optional, checked with ``getattr``:
+The quiescence contract — all optional, looked up once at ``add``:
 
 ``is_idle() -> bool``
     True iff ``step(cycle)`` would make no externally visible state
@@ -49,19 +50,24 @@ The quiescence contract — all optional, checked with ``getattr``:
     a no-op and the component re-idles), waking late is a bug.
 
 ``wake_sources() -> iterable[StagedFifo]``
-    The FIFOs whose ``push`` must re-activate this component — its NoC
-    input FIFOs, ejection FIFO, and so on.  Wired up by :meth:`add`.
+    The FIFOs whose ``push`` must wake this component — its NoC input
+    FIFOs, ejection FIFO, and so on.  Wired up by :meth:`add`.
 
 ``_kernel_wake``
     Slot filled by the kernel with a zero-argument wake callable (see
-    :class:`Wakeable`).  Components call it from externally-invoked
-    mutators (``push_frame``, ``send``) so out-of-band state changes
-    re-activate them.
+    :class:`Wakeable`), for externally-invoked mutators (``push_frame``,
+    ``send``) to call so out-of-band state changes wake the component.
 
-A wake that arrives during the step phase still gets the component a
-commit this cycle (so staged pushes into its FIFOs become visible on
-schedule) and a step from the next cycle on — which is exactly when the
-naive kernel would first let it observe the new state.
+The wake rule is what stepping everything in registration order would
+do.  Outside a tick a wake lowers ``wake_at[i]`` to the current cycle.
+Raised during the step phase it lowers it to *this* tick if slot ``i``
+is still ahead of the slot being stepped (the naive kernel would step
+``i`` later in this very cycle, with the waker's change in view) and to
+the *next* tick if the slot has passed (the naive kernel already
+stepped it, seeing nothing); a passed slot with a real ``commit`` still
+commits this tick, so a push staged into its FIFO lands on schedule.
+A component that is being stepped anyway ignores the wake: it is asked
+``is_idle()`` after the commit phase, with the change in view.
 
 The call chain
 --------------
@@ -69,23 +75,18 @@ The call chain
 :meth:`CycleSimulator.tick` *is* the scheduled cycle body (it hands
 over to the naive body first thing under ``kernel="naive"``), and
 ``run``/``run_until`` reach every cycle they do not skip through
-``self.tick``.  They inline the "is there work this cycle" test: a
-non-empty active set means tick now, and only an empty one consults
-``_next_wake_cycle()`` to skip ahead.  A component whose class leaves ``commit`` as the shared
-:func:`no_commit` — most of them: tiles, harnesses, peers — is stepped
-but never asked to commit.
-
-Steps and commits are called *by name on the component*, and ``tick``
-is looked up on the simulator at the start of each ``run``/``run_until``
-at the earliest.  Nothing is pre-bound at ``add()`` time, so a ``tick``,
+``self.tick``; between ticks they jump straight to ``min(wake_at)``.
+A component whose class leaves ``commit`` as the shared
+:func:`no_commit` — on the default path every one — is never asked to
+commit.  Steps and commits are called *by name on the component*, and
+``tick`` is looked up once per ``run``/``run_until``, so a ``tick``,
 ``step`` or ``commit`` shadowed on an instance after construction (as
-``repro.telemetry.hostprof`` and ``benchmarks/perflab`` do to attribute
-host time) is called exactly once per non-skipped cycle.
+``benchmarks/perflab`` does to attribute host time) is called exactly
+once per non-skipped cycle.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from collections import deque
 from collections.abc import Callable, Iterable
@@ -93,13 +94,9 @@ from typing import Protocol, runtime_checkable
 
 
 class WallClockBudgetExceeded(TimeoutError):
-    """``run_until`` exceeded its ``wall_clock_budget_s``.
-
-    Distinct from the plain ``TimeoutError`` raised when ``max_cycles``
-    is exhausted: a cycle budget bounds *simulated* time, the wall
-    budget bounds *host* time — the guard chaos sweeps and CI use so a
-    wedged design fails instead of hanging the job.
-    """
+    """``run_until`` exceeded its ``wall_clock_budget_s``: the bound on
+    *host* time (``max_cycles`` bounds simulated time) that lets chaos
+    sweeps and CI fail a wedged design instead of hanging the job."""
 
 
 @runtime_checkable
@@ -107,9 +104,8 @@ class ClockedComponent(Protocol):
     """Anything driven by the simulator clock.
 
     ``step(cycle)`` computes against last cycle's state; ``commit()``
-    publishes this cycle's writes.  Components may additionally
-    implement the quiescence contract (module docstring) to be
-    eligible for idle-skip under the scheduled kernel.
+    publishes this cycle's writes.  The quiescence contract (module
+    docstring) is optional.
     """
 
     def step(self, cycle: int) -> None: ...
@@ -119,22 +115,19 @@ class ClockedComponent(Protocol):
 
 def no_commit(self) -> None:
     """The one no-op ``commit``, for components that stage nothing.
-
     ``CycleSimulator.add`` recognises it by identity on the class and
     leaves such a component out of the scheduled kernel's commit pass.
-    :class:`Wakeable` provides it; a component that is not ``Wakeable``
-    aliases it (``commit = no_commit``).
-    """
+    :class:`Wakeable` provides it; others alias it (``commit =
+    no_commit``)."""
 
 
 class Wakeable:
     """Mixin giving a component an externally triggerable wake hook.
 
     The scheduled kernel fills :attr:`_kernel_wake` when the component
-    is added; methods that mutate component state from outside the
-    component's own ``step`` (frame injection, message send) call
-    :meth:`_wake` so the scheduler re-activates the sleeper.  Under the
-    naive kernel the slot stays None and ``_wake`` is a no-op.
+    is added; methods that mutate its state from outside its own
+    ``step`` (frame injection, message send) call :meth:`_wake`.  Under
+    the naive kernel the slot stays None and ``_wake`` is a no-op.
     """
 
     _kernel_wake: Callable[[], None] | None = None
@@ -156,36 +149,54 @@ class StagedFifo:
     during *step* can never overflow the queue.
 
     Wake hooks: consumers registered through :meth:`add_waker` are
-    re-activated on every ``push`` — the mechanism the scheduled kernel
-    uses to let downstream components sleep while the queue is empty.
+    woken on every ``push`` — the mechanism the scheduled kernel uses
+    to let downstream components sleep while the queue is empty.
+
+    A producer that is handed the cycle may skip the staging: it
+    appends to the committed queue and stamps the cycle, and whoever
+    consumes in that same cycle leaves the stamped item alone.  The
+    flat mesh ejects this way, at most one flit per FIFO per cycle,
+    into FIFOs read through ``LocalPort.pop_flit(cycle)``, so its
+    ejection FIFOs need no ``commit`` at all.
     """
 
     __slots__ = ("capacity", "name", "high_water", "_items", "_staged",
-                 "_wakers", "_visible")
+                 "_wakers", "_visible", "_pushc", "_hwc")
 
     def __init__(self, capacity: int | None = None, name: str = "fifo"):
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be >= 1 (or None for unbounded)")
         self.capacity = capacity
         self.name = name
-        #: Maximum end-of-cycle depth ever committed — the telemetry
-        #: plane's per-queue high-water mark.  Updated at commit (the
-        #: only point the occupancy is architecturally observable), so
-        #: it costs nothing on cycles without staged pushes.
+        #: Maximum end-of-cycle depth ever reached — the telemetry
+        #: plane's per-queue high-water mark.
         self.high_water = 0
         self._items: deque = deque()
         self._staged: list = []
         self._wakers: list[Callable[[], None]] = []
         #: Committed occupancy as of the last commit boundary — the
-        #: credit count a link-level producer sees.  Router-to-router
-        #: links release credits with one cycle of lag (a pop becomes
-        #: visible upstream only at the next cycle boundary, like a
-        #: hardware credit return crossing the link).
+        #: credit count a router-to-router link sees (a pop is a credit
+        #: upstream only from the next cycle boundary on).
         self._visible = 0
+        # Stamps of a producer that pushes unstaged: the cycle of its
+        # latest push, and the cycle that push raised ``high_water`` —
+        # a pop later in that cycle takes the raise back, keeping the
+        # mark the exact end-of-cycle depth.
+        self._pushc = -1
+        self._hwc = -1
 
     def __len__(self) -> int:
-        """Number of committed (visible) items."""
+        """Number of committed items (between ticks: all visible)."""
         return len(self._items)
+
+    def pushed_at(self, cycle: int) -> bool:
+        """Whether something was pushed at ``cycle`` (asked before that
+        cycle's commit) — the sanitizer's lost-wake probe."""
+        return bool(self._staged) or self._pushc == cycle
+
+    def snapshot(self) -> list:
+        """Every item held, committed then staged, oldest first."""
+        return [*self._items, *self._staged]
 
     @property
     def occupancy(self) -> int:
@@ -205,9 +216,7 @@ class StagedFifo:
     def push(self, item) -> None:
         if not self.can_accept():
             raise OverflowError(f"push to full StagedFifo {self.name!r}")
-        self._staged.append(item)
-        for waker in self._wakers:
-            waker()
+        self.push_unchecked(item)
 
     def push_unchecked(self, item) -> None:
         """``push`` minus the capacity re-check, for hot paths that
@@ -239,42 +248,45 @@ class StagedFifo:
             self._visible = len(self._items)
 
     def drain(self) -> list:
-        """Pop and return *everything*: committed items, then staged.
-
-        Draining empties the FIFO completely — the staging buffer is
-        cleared too, so nothing silently becomes visible on the next
-        ``commit``.  Committed items come first (they are older); staged
-        items follow in push order.  Mid-simulation use still breaks the
-        two-phase abstraction (a drain observes writes from the current
-        cycle), so this remains a between-runs/testing convenience.
-        """
-        out = list(self._items)
-        out.extend(self._staged)
+        """Pop and return *everything*: committed items, then staged
+        (so nothing silently becomes visible on the next ``commit``).
+        It observes writes of the current cycle, so it is a
+        between-runs/testing convenience, not for use mid-simulation."""
+        out = self.snapshot()
         self._items.clear()
         self._staged.clear()
         self._visible = 0
         return out
 
 
+#: ``wake_at`` value of a component only a wake can rouse.
+_NEVER = 1 << 62
+
+
+def _never_idle() -> bool:
+    """``is_idle`` of a component without one: step it every cycle."""
+    return False
+
+
+def _no_timer() -> None:
+    """``next_event_cycle`` of a component without one."""
+
+
 class CycleSimulator:
     """Drives a set of :class:`ClockedComponent` objects cycle by cycle.
 
-    ``kernel`` selects the scheduler: ``"scheduled"`` (activity-based,
-    the default) or ``"naive"`` (step everything every cycle — the
-    reference for differential testing; see the module docstring).
-
-    ``tracer`` is the observability event bus
-    (:mod:`repro.telemetry.trace`); it defaults to the shared no-op
-    tracer, so an untraced simulation pays a single attribute test per
-    tick.  Use :func:`repro.telemetry.trace.attach_tracer` to wire a
-    recording tracer into a whole design.
+    ``kernel`` selects the scheduler: ``"scheduled"`` (the default) or
+    ``"naive"`` (step everything every cycle — the reference for
+    differential testing; see the module docstring).  ``tracer`` is the
+    observability event bus (:mod:`repro.telemetry.trace`); it defaults
+    to the shared no-op tracer, one attribute test per tick.  Use
+    :func:`repro.telemetry.trace.attach_tracer` to wire a recording
+    tracer into a whole design.
     """
 
     def __init__(self, tracer=None, kernel: str = "scheduled",
                  mesh_backend: str = "object",
-                 tile_backend: str = "object",
-                 saturation_threshold: float | None = None,
-                 prune_interval: int | None = None):
+                 tile_backend: str = "object"):
         from repro.telemetry.trace import NULL_TRACER
         if kernel not in ("scheduled", "naive"):
             raise ValueError(f"unknown kernel {kernel!r} "
@@ -285,11 +297,6 @@ class CycleSimulator:
         if tile_backend not in ("object", "flat"):
             raise ValueError(f"unknown tile backend {tile_backend!r} "
                              "(choose 'object' or 'flat')")
-        if saturation_threshold is not None and saturation_threshold < 0:
-            raise ValueError("saturation_threshold must be >= 0 "
-                             "(fractions > 1 disable the bypass)")
-        if prune_interval is not None and prune_interval < 1:
-            raise ValueError("prune_interval must be >= 1 cycle")
         self.cycle = 0
         self.kernel = kernel
         # Advisory: design constructors thread their mesh and tile
@@ -301,94 +308,55 @@ class CycleSimulator:
         self._components: list[ClockedComponent] = []
         self._fifos: list[StagedFifo] = []
         self._scheduled = kernel == "scheduled"
-        # Scheduled-kernel state.
-        self._order: dict = {}          # component -> registration index
+        # Scheduled-kernel state, one entry per registration slot:
+        # the next cycle to step it, its is_idle / next_event_cycle (a
+        # stand-in where it has none), whether its class really commits.
+        self._wake_at: list[int] = []
+        self._idle_of: list[Callable[[], bool]] = []
+        self._timer_of: list[Callable[[], int | None]] = []
+        self._commits: list[bool] = []
+        self._committing = False        # any(self._commits)
         self._wakers: dict = {}         # component -> its wake closure
-        # Components with a real commit (not no_commit), in
-        # registration order; a dict so membership is O(1) too.
-        self._committers: dict = {}
-        self._active: set = set()       # components stepped next cycle
-        self._timers: list = []         # heap of (cycle, seq, component)
-        self._timer_seq = 0
-        self._armed: dict = {}          # component -> earliest armed cycle
-        self._in_step = False
-        self._late_wakes: list = []
-        # component -> (is_idle, next_event_cycle) resolved once at add
-        # time; (None, None) for components without the contract.
-        self._contracts: dict = {}
-        # Sorted view of the active set, rebuilt only when it changes
-        # (under saturation the set is stable for long stretches).
-        self._stepping_cache: list = []
-        self._committing_cache: list = []
-        self._active_dirty = True
-        # Saturation bypass tuning.  The bypass engages on the *raw*
-        # active fraction (schedule entries, not weights): a
-        # batch-stepped component like the flat mesh core is one cheap
-        # entry however many routers it absorbs.  ``kernel_weight``
-        # (the component count such a core replaces) instead feeds the
-        # effective design size that derives the prune interval.
-        self._saturation_threshold = (
-            0.25 if saturation_threshold is None else saturation_threshold
-        )
-        self._prune_interval_cfg = prune_interval
-        self._total_weight = 0          # effective component count
-        self._sat_limit = 0.0           # threshold * len(components)
-        # Adaptive pruning cadence (no explicit prune_interval): start
-        # at the floor and let the controller in tick() adapt
-        # within [_PRUNE_FLOOR, _PRUNE_CAP] from what pruning ticks
-        # actually find.  An explicit setting stays fixed.
-        self._adaptive = prune_interval is None
-        self._prune_interval = prune_interval or self._PRUNE_FLOOR
+        # The slot being stepped (-1 between ticks), the slots stepped
+        # this tick, and the committing slots woken this tick after
+        # their turn had passed.
+        self._stepping = -1
+        self._stepped: list[int] = []
+        self._late: list[int] = []
         # Stats (scheduled kernel only; stay 0 under naive).
         self.idle_cycles_skipped = 0
         self.component_steps = 0
 
-    @property
-    def saturation_threshold(self) -> float:
-        """Active-weight fraction above which the bypass engages."""
-        return self._saturation_threshold
-
-    #: Adaptive prune-cadence bounds: the controller never checks more
-    #: often than every _PRUNE_FLOOR cycles under saturation, and never
-    #: lets more than _PRUNE_CAP bypass cycles pass without one full
-    #: pruning sweep (the bound on how stale the active set can get).
-    _PRUNE_FLOOR = 32
-    _PRUNE_CAP = 4096
+    # -- read-only view ------------------------------------------------------
 
     @property
-    def prune_interval(self) -> int:
-        """Cycles between pruning ticks while the bypass is engaged.
+    def components(self) -> tuple:
+        """The registered components, in registration order."""
+        return tuple(self._components)
 
-        With no explicit ``prune_interval=``, the cadence is adaptive:
-        every pruning tick that finds nothing to prune doubles the
-        interval (a genuinely saturated design pays ever fewer full
-        sweeps), and any tick that *does* prune — or any cycle below
-        the saturation threshold — resets it to the floor, so a
-        draining design is detected within one floor-interval.  Bounds
-        are [32, 4096].  An explicit setting disables the controller
-        and stays fixed.
-        """
-        return self._prune_interval
-
-    @property
-    def active_components(self) -> int:
-        """Schedule entries in the active set (all, under naive)."""
+    def wake_cycle(self, component) -> int | None:
+        """The next cycle ``component`` will be stepped, as things
+        stand: the current one or earlier while awake (always, under
+        naive), a later one asleep on a timer, None asleep for good."""
         if not self._scheduled:
-            return len(self._components)
-        return len(self._active)
+            return self.cycle
+        due = self._wake_at[self._wakers[component].slot]
+        return None if due == _NEVER else due
 
     def stats(self) -> dict:
-        """Operational scheduler state, as the telemetry probe samples it.
-
-        Plain ints only — the dict is JSON-able as-is and cheap enough
-        to build every sampling interval.
-        """
+        """Scheduler state as the telemetry probe samples it (plain
+        ints, JSON-able): ``active`` counts the components due at the
+        current cycle (all, under naive), ``armed_timers`` the sleepers
+        with a cycle of their own."""
+        cycle = self.cycle
+        wake_at = self._wake_at
+        asleep = sum(1 for due in wake_at if due > cycle)
         return {
             "kernel": self.kernel,
-            "cycle": self.cycle,
+            "cycle": cycle,
             "components": len(self._components),
-            "active": self.active_components,
-            "armed_timers": len(self._timers),
+            "active": len(self._components) - asleep,
+            "armed_timers": asleep - wake_at.count(_NEVER),
             "idle_cycles_skipped": self.idle_cycles_skipped,
             "component_steps": self.component_steps,
         }
@@ -399,18 +367,15 @@ class CycleSimulator:
         self._components.append(component)
         if not self._scheduled:
             return
-        self._order[component] = len(self._components) - 1
-        self._total_weight += int(getattr(component, "kernel_weight", 1))
-        self._sat_limit = (self._saturation_threshold
-                           * len(self._components))
-        self._active.add(component)
-        self._contracts[component] = (
-            getattr(component, "is_idle", None),
-            getattr(component, "next_event_cycle", None),
-        )
-        if getattr(type(component), "commit", None) is not no_commit:
-            self._committers[component] = None
-        self._wakers[component] = waker = self._waker_for(component)
+        slot = len(self._wake_at)
+        self._wake_at.append(0)         # due until it first reports idle
+        self._idle_of.append(getattr(component, "is_idle", _never_idle))
+        self._timer_of.append(
+            getattr(component, "next_event_cycle", _no_timer))
+        commits = getattr(type(component), "commit", None) is not no_commit
+        self._commits.append(commits)
+        self._committing |= commits
+        self._wakers[component] = waker = self._waker_for(component, slot)
         if getattr(component, "_kernel_wake", False) is None:
             component._kernel_wake = waker
         sources = getattr(component, "wake_sources", None)
@@ -423,92 +388,46 @@ class CycleSimulator:
             self.add(component)
 
     def register_fifo(self, fifo: StagedFifo) -> StagedFifo:
-        """Track a free-standing FIFO so the simulator commits it.
-
-        FIFOs owned by a component should be committed by that
-        component's ``commit`` instead.
-        """
+        """Track a free-standing FIFO so the simulator commits it (one
+        owned by a component is committed by that component)."""
         self._fifos.append(fifo)
         return fifo
 
     # -- scheduled-kernel machinery ----------------------------------------
 
-    def _waker_for(self, component) -> Callable[[], None]:
-        active = self._active
+    def _waker_for(self, component, slot: int) -> Callable[[], None]:
+        wake_at = self._wake_at
+        commits = self._commits[slot]
 
         def wake() -> None:
-            if component in active:
+            cycle = self.cycle
+            if wake_at[slot] <= cycle:
+                return      # awake: asked is_idle() after it steps
+            if slot > self._stepping:
+                # Between ticks, or its turn this tick is still ahead.
+                wake_at[slot] = cycle
                 return
-            active.add(component)
-            self._active_dirty = True
-            if self._in_step:
-                # Woken mid-step: too late to step this cycle (the
-                # naive kernel's step would see nothing new anyway)
-                # but it must commit this cycle so staged pushes into
-                # its FIFOs land on schedule.  Everything stepped this
-                # cycle was already in the active set, so reaching
-                # here means this component is not being stepped.
-                self._late_wakes.append(component)
+            # Its turn has passed (stepping everything would have
+            # stepped it before the waker, seeing nothing new): next
+            # tick — but it must commit this tick, so staged pushes
+            # into its FIFOs land on schedule.
+            wake_at[slot] = cycle + 1
+            if commits and slot not in self._late:
+                self._late.append(slot)
 
         # Tag the closure with its target so static analysis
         # (repro.analysis.wake) can verify FIFO hooks are wired to the
         # component that consumes the FIFO.
         wake.component = component
+        wake.slot = slot
         return wake
 
     def wake(self, component) -> None:
-        """Re-activate ``component`` (no-op under the naive kernel)."""
+        """Wake ``component`` (no-op under the naive kernel, or for a
+        component that was never added)."""
         waker = self._wakers.get(component)
         if waker is not None:
             waker()
-
-    def _arm_timer(self, component, deadline: int) -> None:
-        armed = self._armed.get(component)
-        if armed is not None and armed <= deadline:
-            return  # an equal-or-earlier (safe) wake is already queued
-        self._armed[component] = deadline
-        self._timer_seq += 1
-        heapq.heappush(self._timers, (deadline, self._timer_seq, component))
-
-    def _service_timers(self, cycle: int) -> None:
-        timers = self._timers
-        while timers and timers[0][0] <= cycle:
-            deadline, _, component = heapq.heappop(timers)
-            if self._armed.get(component) == deadline:
-                del self._armed[component]
-            if component not in self._active:
-                self._active.add(component)
-                self._active_dirty = True
-
-    def _reschedule(self, component, cycle: int) -> None:
-        """Deactivate ``component`` if it reports quiescence.
-
-        (The tick loop inlines this per stepped component; this method
-        is the readable reference and the hook for external callers.)
-        """
-        is_idle, next_event = self._contracts[component]
-        if is_idle is None or not is_idle():
-            return
-        if component in self._active:
-            self._active.discard(component)
-            self._active_dirty = True
-        if next_event is None:
-            return
-        deadline = next_event()
-        if deadline is not None:
-            self._arm_timer(component, max(deadline, cycle + 1))
-
-    def _next_wake_cycle(self) -> int | None:
-        """Earliest cycle with scheduled work, or None if fully quiescent.
-
-        Only meaningful under the scheduled kernel; callers use it to
-        skip idle stretches in O(1).
-        """
-        if self._active:
-            return self.cycle
-        if self._timers:
-            return max(self._timers[0][0], self.cycle)
-        return None
 
     def _skip_to(self, target: int) -> None:
         """Advance the clock over a stretch of provably idle cycles."""
@@ -541,173 +460,99 @@ class CycleSimulator:
         if not self._scheduled:
             return self._tick_naive()
         cycle = self.cycle
-        timers = self._timers
-        if timers and timers[0][0] <= cycle:
-            self._service_timers(cycle)
-        # Saturation bypass: when a sizeable fraction of the schedule
-        # entries is active, pruning bookkeeping (idle checks, timer
-        # arms, set churn) costs more than the no-op steps it saves.
-        # Stepping a sleeping component is always safe — its step is a
-        # no-op by contract — so step the full registration list
-        # naive-style, keeping a periodic pruning tick (every
-        # ``prune_interval`` cycles) so the active set drains when load
-        # drops.  The bypass *engages* on raw entry counts — a
-        # batch-stepping core skips its own idle internals, so it stays
-        # one cheap entry however many components it absorbs — but the
-        # design-size gate uses effective weight, so a design that is
-        # large only through such a core still qualifies.
-        saturated = (self._total_weight >= 16
-                     and len(self._active) > self._sat_limit)
-        if saturated and cycle % self._prune_interval:
-            if self.tracer.enabled:
-                self.tracer.cycle_start(cycle)
-            components = self._components
-            for component in components:
-                component.step(cycle)
-            for component in self._committers:
-                component.commit()
-            for fifo in self._fifos:
-                fifo.commit()
-            self.component_steps += len(components)
-            self.cycle = cycle + 1
-            return
         if self.tracer.enabled:
             self.tracer.cycle_start(cycle)
-        if self._active_dirty:
-            stepping = sorted(self._active, key=self._order.__getitem__)
-            committers = self._committers
-            committing = [c for c in stepping if c in committers]
-            self._stepping_cache = stepping
-            self._committing_cache = committing
-            self._active_dirty = False
-        else:
-            stepping = self._stepping_cache
-            committing = self._committing_cache
-        self._late_wakes = late = []
-        self._in_step = True
+        components = self._components
+        stepped = self._stepped     # reused: no allocation per tick
+        stepped.clear()
+        slot = 0
         try:
-            for component in stepping:
-                component.step(cycle)
+            # Read live: a wake lowers the entry of a slot still ahead.
+            for due in self._wake_at:
+                if due <= cycle:
+                    self._stepping = slot
+                    components[slot].step(cycle)
+                    stepped.append(slot)
+                slot += 1
+            self._stepping = slot   # every turn has passed
+            if self._committing:
+                commits = self._commits
+                for slot in stepped:
+                    if commits[slot]:
+                        components[slot].commit()
+                late = self._late
+                if late:
+                    for slot in late:
+                        components[slot].commit()
+                    late.clear()
+            for fifo in self._fifos:
+                fifo.commit()
         finally:
-            self._in_step = False
-        if late:
-            # A late wake already marked the active set dirty, so the
-            # caches are rebuilt next tick; extending in place is safe.
-            late.sort(key=self._order.__getitem__)
-            stepping.extend(late)
-            committers = self._committers
-            committing.extend(c for c in late if c in committers)
-        self.component_steps += len(stepping)
-        for component in committing:
-            component.commit()
-        for fifo in self._fifos:
-            fifo.commit()
-        contracts = self._contracts
-        active = self._active
-        pruned = 0
-        for component in stepping:
-            is_idle, next_event = contracts[component]
-            if is_idle is None or not is_idle():
-                continue
-            active.discard(component)
-            self._active_dirty = True
-            pruned += 1
-            if next_event is None:
-                continue
-            deadline = next_event()
-            if deadline is not None:
-                self._arm_timer(component, max(deadline, cycle + 1))
-        if self._adaptive:
-            # Adapt the pruning cadence to what this tick observed: a
-            # saturated sweep that pruned nothing doubles the interval
-            # (up to the cap), one that found idle components — or any
-            # cycle below the saturation threshold — resets it to the
-            # floor so draining load is noticed promptly.
-            if saturated:
-                if pruned:
-                    self._prune_interval = self._PRUNE_FLOOR
-                elif self._prune_interval < self._PRUNE_CAP:
-                    self._prune_interval *= 2
-            elif self._prune_interval != self._PRUNE_FLOOR:
-                self._prune_interval = self._PRUNE_FLOOR
+            self._stepping = -1
+        wake_at = self._wake_at
+        idle_of = self._idle_of
+        timer_of = self._timer_of
+        for slot in stepped:
+            # Busy: wake_at[slot] stays <= cycle, due again next tick.
+            if idle_of[slot]():
+                deadline = timer_of[slot]()
+                wake_at[slot] = (
+                    _NEVER if deadline is None
+                    else deadline if deadline > cycle else cycle + 1)
+        self.component_steps += len(stepped)
         self.cycle = cycle + 1
 
     def sanitized_tick(self, observer) -> None:
         """One instrumented cycle for :mod:`repro.analysis.sanitize`.
 
-        Steps the *full* registration list naive-style — safe because a
-        truthfully idle component's step is a no-op by contract, the
-        same property the saturation bypass relies on — while
-        maintaining the scheduled kernel's activity bookkeeping (active
-        set, timers, pruning) exactly as a bypass-free scheduled run
-        would.  The divergence between the two is the signal:
-
-        - a component *not* in the active set is handed to
-          ``observer.shadow_step(component, cycle)`` instead of being
-          stepped directly, so the observer can fingerprint it around
-          its own step (BHV401 idle-truthfulness);
-        - after the step phase, ``observer.step_phase_done(cycle)``
-          runs with staged pushes still visible, so pushes into FIFOs
-          whose consumers stayed pruned are observable (BHV402).
-
-        This method is strictly opt-in: the normal ``tick`` path never
-        consults it, so the sanitizer-off fast path is untouched.
-        Under the naive kernel nothing is ever pruned and this
-        degrades to a plain naive tick plus the observer callbacks.
+        Steps and commits *everything*, naive-style — safe because a
+        truthfully idle component's step is a no-op by contract — while
+        keeping ``wake_at`` exactly as :meth:`tick` would.  A component
+        that is not due is handed to ``observer.shadow_step(component,
+        cycle)`` instead of being stepped directly, so the observer can
+        fingerprint it around its own step (BHV401), and
+        ``observer.step_phase_done(cycle)`` runs before anything
+        commits, while this cycle's pushes into FIFOs whose consumers
+        stay asleep can still be told apart (BHV402).  Strictly opt-in:
+        :meth:`tick` never consults it.
         """
         cycle = self.cycle
-        if not self._scheduled:
-            if self.tracer.enabled:
-                self.tracer.cycle_start(cycle)
-            for component in self._components:
-                component.step(cycle)
-            observer.step_phase_done(cycle)
-            for component in self._components:
-                component.commit()
-            for fifo in self._fifos:
-                fifo.commit()
-            self.cycle = cycle + 1
-            observer.cycle_done(cycle)
-            return
-        if self._timers and self._timers[0][0] <= cycle:
-            self._service_timers(cycle)
         if self.tracer.enabled:
             self.tracer.cycle_start(cycle)
-        active = self._active
-        stepped = []
-        self._late_wakes = late = []
-        self._in_step = True
+        components = self._components
+        stepped: list[int] = []
+        slot = 0
         try:
-            for component in self._components:
-                if component in active:
-                    stepped.append(component)
+            if not self._scheduled:
+                for component in components:
                     component.step(cycle)
+            for due in self._wake_at:
+                self._stepping = slot
+                if due <= cycle:
+                    components[slot].step(cycle)
+                    stepped.append(slot)
                 else:
-                    observer.shadow_step(component, cycle)
+                    observer.shadow_step(components[slot], cycle)
+                slot += 1
+            self._stepping = slot
+            observer.step_phase_done(cycle)
+            for component in components:
+                component.commit()
+            self._late.clear()
+            for fifo in self._fifos:
+                fifo.commit()
         finally:
-            self._in_step = False
-        observer.step_phase_done(cycle)
-        self.component_steps += len(self._components)
-        for component in self._components:
-            component.commit()
-        for fifo in self._fifos:
-            fifo.commit()
-        # Prune bookkeeping over the components the scheduled kernel
-        # would have stepped (the active set at cycle start plus late
-        # wakes), mirroring tick() without the bypass.
-        stepped.extend(late)
-        contracts = self._contracts
-        for component in stepped:
-            is_idle, next_event = contracts[component]
-            if is_idle is None or not is_idle():
-                continue
-            active.discard(component)
-            self._active_dirty = True
-            if next_event is None:
-                continue
-            deadline = next_event()
-            if deadline is not None:
-                self._arm_timer(component, max(deadline, cycle + 1))
+            self._stepping = -1
+        wake_at = self._wake_at
+        idle_of = self._idle_of
+        timer_of = self._timer_of
+        for slot in stepped:
+            if idle_of[slot]():
+                deadline = timer_of[slot]()
+                wake_at[slot] = (
+                    _NEVER if deadline is None
+                    else deadline if deadline > cycle else cycle + 1)
+        self.component_steps += len(wake_at)
         self.cycle = cycle + 1
         observer.cycle_done(cycle)
 
@@ -718,15 +563,13 @@ class CycleSimulator:
                 tick()
             return
         end = self.cycle + cycles
-        active = self._active
+        wake_at = self._wake_at or (_NEVER,)
         while self.cycle < end:
-            if not active:
-                wake = self._next_wake_cycle()
-                target = end if wake is None or wake > end else wake
-                if target > self.cycle:
-                    self._skip_to(target)
-                    continue
-            tick()
+            wake = min(wake_at)
+            if wake > self.cycle:
+                self._skip_to(end if wake > end else wake)
+            else:
+                tick()
 
     def run_until(
         self,
@@ -738,29 +581,26 @@ class CycleSimulator:
 
         Raises TimeoutError if the condition does not hold within
         ``max_cycles`` — the standard way tests detect a hung (e.g.
-        deadlocked) design.  ``wall_clock_budget_s`` additionally
-        bounds *host* time: when set, the run raises
-        :class:`WallClockBudgetExceeded` once the budget elapses (the
-        check runs between ticks, so one pathological tick can overrun
-        the budget, but a wedged loop cannot hang the caller).
+        deadlocked) design — and :class:`WallClockBudgetExceeded` once
+        ``wall_clock_budget_s`` of host time have passed (checked
+        between ticks: a wedged loop cannot hang the caller).
 
-        Under the scheduled kernel, fully idle stretches are skipped
-        and the condition re-evaluated at each wake boundary.  During
-        a stretch no simulated state changes except ``self.cycle``, so
-        a condition that flips mid-stretch (e.g. ``sim.cycle >= N``)
-        is located by bisection and observed at the exact cycle it
-        first became true — never overshot.  (A condition that flips
-        back and forth *within* one idle stretch as a function of the
-        cycle number alone has no well-defined first-true cycle under
-        any scheduler; bisection returns one of its true cycles.)
+        Idle stretches are skipped and the condition re-evaluated at
+        each wake boundary.  During a stretch no simulated state
+        changes except ``self.cycle``, so a condition that flips
+        mid-stretch (e.g. ``sim.cycle >= N``) is located by bisection
+        and observed at the exact cycle it first became true.  (One
+        that flips back and forth within a stretch has no well-defined
+        first-true cycle; bisection returns one of its true cycles.)
         """
         start = self.cycle
         limit = start + max_cycles
         deadline = (None if wall_clock_budget_s is None
                     else time.monotonic() + wall_clock_budget_s)
         tick = self.tick
-        # The naive kernel never skips: it counts as always active.
-        active = self._active if self._scheduled else True
+        # The naive kernel never skips: cycle 0 is always due.
+        wake_at = (0,) if not self._scheduled else \
+            self._wake_at or (_NEVER,)
         while not condition():
             if self.cycle - start >= max_cycles:
                 raise TimeoutError(
@@ -771,13 +611,12 @@ class CycleSimulator:
                     f"condition not met within {wall_clock_budget_s}s "
                     f"of wall clock ({self.cycle - start} cycles run)"
                 )
-            if not active:
-                wake = self._next_wake_cycle()
-                target = limit if wake is None or wake > limit else wake
-                if target > self.cycle:
-                    self._skip_to_condition(condition, target)
-                    continue
-            tick()
+            wake = min(wake_at)
+            if wake > self.cycle:
+                self._skip_to_condition(
+                    condition, limit if wake > limit else wake)
+            else:
+                tick()
         return self.cycle - start
 
     def _skip_to_condition(
@@ -786,12 +625,9 @@ class CycleSimulator:
         target: int,
     ) -> None:
         """Skip an idle stretch, stopping at the first cycle in
-        ``(cycle, target]`` where ``condition`` holds (if any).
-
-        Only the clock advances during an idle stretch, so probing the
-        condition at a trial cycle is just a matter of setting
-        ``self.cycle`` — no component state is touched.
-        """
+        ``(cycle, target]`` where ``condition`` holds (if any).  Only
+        the clock advances during a stretch, so probing a trial cycle
+        is just a matter of setting ``self.cycle``."""
         here = self.cycle
         self.cycle = target
         fired = condition()

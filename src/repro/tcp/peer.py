@@ -17,28 +17,34 @@ from repro.packet.builder import build_tcp_frame, parse_frame
 from repro.packet.ethernet import MacAddress
 from repro.packet.ipv4 import IPv4Address
 from repro.packet.tcp import TCP_ACK, TCP_FIN, TCP_PSH, TCP_SYN, TcpHeader
-from repro.sim.kernel import no_commit
+from repro.sim.kernel import Wakeable
 from repro.tcp.cc import CongestionControl, make_cc
 from repro.tcp.flow import seq_add, seq_diff
 
 
-class PeerNetwork:
+class PeerNetwork(Wakeable):
     """Demultiplexes a design's egress frames to multiple peers.
 
     A single peer may drain ``design.eth_tx.frames_out`` directly, but
     with several clients each frame must reach the right one; this
     clocked component routes by (destination IP, destination port).
-    Register it with the simulator *before* the peers it feeds.
+    Register it with the simulator *before* the peers it feeds: a peer
+    it wakes then steps in the same cycle, as it would if everything
+    were stepped in order.
+
+    Like ``FrameSink`` it sleeps between frames — woken when the TX
+    tile queues one, timed to the emit cycle of the oldest.
     """
 
     def __init__(self, design):
         self.design = design
-        self._inboxes: dict[tuple[int, int], deque] = {}
+        self._inboxes: dict[tuple[int, int], tuple[deque, SoftTcpPeer]] = {}
         self.unrouted = 0
+        design.eth_tx.frame_listeners.append(self._wake)
 
     def register(self, peer: SoftTcpPeer) -> None:
         inbox: deque = deque()
-        self._inboxes[(int(peer.my_ip), peer.src_port)] = inbox
+        self._inboxes[(int(peer.my_ip), peer.src_port)] = (inbox, peer)
         peer._inbox = inbox
 
     def step(self, cycle: int) -> None:
@@ -57,20 +63,34 @@ class PeerNetwork:
             if parsed.ip is None or l4 is None:
                 self.unrouted += 1
                 continue
-            inbox = self._inboxes.get((int(parsed.ip.dst), l4.dst_port))
-            if inbox is None:
+            route = self._inboxes.get((int(parsed.ip.dst), l4.dst_port))
+            if route is None:
                 self.unrouted += 1
                 continue
+            inbox, peer = route
             inbox.append((frame, emit_cycle))
+            peer._wake()
 
-    commit = no_commit
+    # -- quiescence contract (see repro.sim.kernel) -------------------------
+
+    def is_idle(self) -> bool:
+        return True
+
+    def next_event_cycle(self) -> int | None:
+        queue = self.design.eth_tx.frames_out
+        return queue[0][1] if queue else None
 
 
-class SoftTcpPeer:
+class SoftTcpPeer(Wakeable):
     """A clocked client endpoint wired frame-to-frame to a design.
 
     ``service_cycles`` is the per-frame processing cost of the host
     (model knob); ``wire_cycles`` is the one-way link+switch latency.
+
+    Behind a :class:`PeerNetwork` the peer sleeps between its events:
+    a frame in its inbox (the network wakes it), the cycle it may next
+    transmit something it already has to send, the retransmission
+    deadline.  Draining ``frames_out`` itself it is stepped every cycle.
     """
 
     def __init__(self, design, my_ip: IPv4Address, my_mac: MacAddress,
@@ -131,14 +151,17 @@ class SoftTcpPeer:
     def connect(self) -> None:
         """Start the active open on the next step."""
         self._connect_requested = True
+        self._wake()
 
     _connect_requested = False
 
     def send(self, data: bytes) -> None:
         self.send_stream.extend(data)
+        self._wake()
 
     def close(self) -> None:
         self._close_requested = True
+        self._wake()
 
     _close_requested = False
 
@@ -163,7 +186,38 @@ class SoftTcpPeer:
         self._drain_server_frames(cycle)
         self._transmit(cycle)
 
-    commit = no_commit
+    # -- quiescence contract (see repro.sim.kernel) -------------------------
+
+    def is_idle(self) -> bool:
+        return self._inbox is not None and not self._inbox
+
+    def next_event_cycle(self) -> int | None:
+        """When ``_next_frame`` next returns a frame, nothing arriving:
+        as soon as the transmitter is free if it has one to send now,
+        else when the retransmission timer of what is outstanding runs
+        out (``_next_frame`` tests ``cycle - _last_tx_cycle >
+        rto_cycles``), else never."""
+        if not self.established:
+            if self._connect_requested and not self._syn_sent:
+                return self._tx_free
+            if self._syn_sent:
+                return max(self._tx_free,
+                           self._last_tx_cycle + self.rto_cycles + 1)
+            return None
+        if self._ack_pending:
+            return self._tx_free
+        send_window = self.peer_window
+        if self.cc is not None and self.cwnd:
+            send_window = min(send_window, self.cwnd)
+        if self.send_stream and send_window > len(self.sent_unacked):
+            return self._tx_free
+        if self.sent_unacked:
+            return max(self._tx_free,
+                       self._last_tx_cycle + self.rto_cycles + 1)
+        if self._close_requested and not self.fin_sent and \
+                not self.send_stream:
+            return self._tx_free
+        return None
 
     def _drain_server_frames(self, cycle: int) -> None:
         if self._inbox is not None:

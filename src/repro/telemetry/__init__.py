@@ -1,4 +1,4 @@
-"""Telemetry: tracing, metrics, sampling probes, profiling (sec V-F).
+"""Telemetry: tracing, metrics, sampling probes (sec V-F).
 
 Two planes, two costs:
 
@@ -14,9 +14,9 @@ Two planes, two costs:
   cheap enough to leave on.
 
 Both planes share one null-path contract: not attached means not
-wrapped — ``NULL_TRACER``, ``attach_probe(design, None)`` and an
-uninstalled :class:`~repro.telemetry.hostprof.HostProfiler` cost
-exactly nothing on the hot path.
+wrapped — ``NULL_TRACER`` and ``attach_probe(design, None)`` cost
+exactly nothing on the hot path.  Where *host* time goes is measured
+from outside the program, by ``benchmarks/perflab``.
 """
 
 from repro.telemetry.export import (
@@ -24,7 +24,6 @@ from repro.telemetry.export import (
     parse_prometheus_text,
     prometheus_text,
 )
-from repro.telemetry.hostprof import HostProfiler, profile_run
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
@@ -55,7 +54,6 @@ __all__ = [
     "FrameTraceRecorder",
     "Gauge",
     "Histogram",
-    "HostProfiler",
     "MetricsRegistry",
     "MetricsWindow",
     "NULL_TRACER",
@@ -72,7 +70,6 @@ __all__ = [
     "jain_index",
     "tcp_flow_counters",
     "parse_prometheus_text",
-    "profile_run",
     "prometheus_text",
     "write_chrome_trace",
 ]

@@ -311,8 +311,7 @@ class Tile(Wakeable):
             return False
         if type(self).on_cycle is not Tile.on_cycle:
             return False
-        eject = self.port.eject_fifo
-        if eject._items or eject._staged:
+        if self.port.eject_fifo.occupancy:
             return False  # flits to pump (or a full buffer to poll)
         if self._in_service is not None:
             return True   # sleeps until the _emit_at timer
@@ -342,17 +341,18 @@ class Tile(Wakeable):
         mid-message); the buffer cap gates the *start* of the next
         message, which is where real backpressure bites.
         """
-        if self.port.fault_stalled:
-            # Checked before the peek: receive() would return None and
-            # the buffered-flit count must not advance for it.
+        port = self.port
+        if port.fault_stalled:
+            # Checked before the readiness test: receive() would return
+            # None and the buffered-flit count must not advance for it.
             return
         if self._buffered_flits >= self.buffer_flits and \
-                not self.port.mid_message:
+                not port.mid_message:
             return
-        if self.port.eject_fifo.peek() is None:
+        if not port.eject_ready(cycle):
             return
         self._buffered_flits += 1
-        message = self.port.receive()
+        message = port.receive(cycle)
         if message is not None:
             self._rx_ready.append((cycle, message))
             if self.tracer.enabled:

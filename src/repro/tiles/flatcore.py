@@ -33,35 +33,37 @@ bit-identically across ``tile_backend="object"|"flat"``:
   load balancer) keep working unchanged.  ``handle_message``,
   ``service_cycles``, ``send`` and ``drop`` are always dispatched
   through the instance, so subclass hooks and instance-level patches
-  (``hostprof``) fire under both modes.
+  (``benchmarks/perflab``) fire under both modes.
 - Each adopted tile gets a ``_kernel_wake`` hook that sets its busy bit
   (and wakes the core), and the core registers the tiles' ejection
   FIFOs as its own ``wake_sources`` — so frame injection, router
   ejection, and fault thaw re-activate exactly the tiles they touch,
   under both the scheduled and naive kernels.
-- **Busy-bit invariant:** a tile whose ejection FIFO holds anything,
-  committed or staged, has its busy bit set (``_busy == 0`` implies
-  every FIFO is empty).  The flat mesh relies on it — it fires a FIFO's
-  wake hooks only when it ejects into an empty one — so it holds
-  unconditionally: an object-mode tile's bit is cleared only if
-  ``is_idle()`` *and* the FIFO is empty, whatever a subclass's
-  ``is_idle`` looks at.  :meth:`FlatTileCore.check_invariants` checks it.
+- **Busy-bit invariant:** a tile whose ejection FIFO holds anything
+  has its busy bit set (``_busy == 0`` implies every FIFO is empty).
+  The flat mesh relies on it — it fires a FIFO's wake hooks only when
+  it ejects into an empty one — so it holds unconditionally: an
+  object-mode tile's bit is cleared only if ``is_idle()`` *and* the
+  FIFO is empty, whatever a subclass's ``is_idle`` looks at.
+  :meth:`FlatTileCore.check_invariants` checks it.
 
 A visit reads one per-tile record, ``_fabric[i]``: the tile, its port,
-the ejection FIFO's two containers (``_items`` and ``_staged``, which
-keep their identity for the FIFO's life), the reassembler, the flat
-mesh core stepping the port (None under the object mesh), and two
+the ejection FIFO and its committed queue (which keeps its identity for
+the FIFO's life; what an object mesh has staged shows only in
+``occupancy``, asked when the queue is empty), the reassembler, the
+flat mesh core stepping the port (None under the object mesh), and two
 class-level flags (inlined pumps? default ``service_cycles``?).  Flit
 counts and the injection backlog are computed inline, not through the
 ``n_flits`` / ``tx_backlog`` properties.  Under a flat mesh the FIFO
-holds int handles (``repro.noc.flit``) and the inlined receive is the
-handle branch of ``LocalPort.receive``: count, check the framing, take
-the message from the mesh core's table on the tail — no chunk list, no
-join.  Anything else that pops (``Flit`` objects from the object mesh,
-a port with a fault filter) goes through ``port.receive()`` itself.
+holds int handles (``repro.noc.flit``) and the inlined receive is
+``LocalPort.pop_flit(cycle)`` plus the handle branch of
+``LocalPort.receive``: leave a flit ejected this very cycle alone, pop,
+count, keep the high-water mark, check the framing, take the message
+from the mesh core's table on the tail — no chunk list, no join.
+Anything else that pops (``Flit`` objects from the object mesh, a port
+with a fault filter) goes through ``port.receive(cycle)`` itself.
 
-Scheduling contract (``repro.sim.kernel``): the core reports
-``kernel_weight`` equal to the tile count it replaces, lists the tiles
+Scheduling contract (``repro.sim.kernel``): the core lists the tiles
 as ``kernel_substeps()`` so the linter treats them as
 registered-by-proxy, and implements ``is_idle``/``next_event_cycle``
 over its own busy mask and timer heap — mirroring, tile by tile, what
@@ -171,7 +173,7 @@ class FlatTileCore(Wakeable):
         self.tiles: list[Tile] = []
         self._ejects: list = []
         # Per-tile hot-path record, indexed by tile bit: (tile, port,
-        # eject._items, eject._staged, assembler, mesh_core, fast,
+        # eject, eject._items, assembler, mesh_core, fast,
         # default_service) — one list lookup per busy tile per cycle.
         self._fabric: list[tuple] = []
         # Scheduling state: busy bitmask (bit i == tiles[i] must step),
@@ -198,7 +200,7 @@ class FlatTileCore(Wakeable):
         eject = tile.port.eject_fifo
         self._ejects.append(eject)
         self._fabric.append((
-            tile, tile.port, eject._items, eject._staged,
+            tile, tile.port, eject, eject._items,
             tile.port._assembler, tile.port._core, _class_is_fast(cls),
             cls.service_cycles is Tile.service_cycles,
         ))
@@ -264,14 +266,14 @@ class FlatTileCore(Wakeable):
             low = mask & -mask
             mask ^= low
             i = low.bit_length() - 1
-            (t, port, items, staged, assembler, mesh_core, is_fast,
+            (t, port, eject, items, assembler, mesh_core, is_fast,
              has_default_service) = fabric[i]
             if t._fault_frozen:
                 continue  # clock gated; stays busy (pinned, like is_idle)
             if not is_fast:
                 t.step(cycle)
                 # The busy-bit invariant, whatever is_idle looks at.
-                if t.is_idle() and not (items or staged):
+                if t.is_idle() and not eject.occupancy:
                     self._busy &= ~low
                     deadline = t.next_event_cycle()
                     if deadline is not None:
@@ -281,7 +283,11 @@ class FlatTileCore(Wakeable):
             # the base no-op, then _pump_eject / _pump_process with the
             # guards and tracer calls of tiles/base.py (mid-message,
             # 22 of 24 visits at MTU, is tested before the buffer).
-            if items and not port.fault_stalled and \
+            # A lone flit the mesh ejected this very cycle is not
+            # here yet (port.eject_ready(cycle), inlined).
+            n = len(items)
+            if n and (n > 1 or eject._pushc != cycle) and \
+                    not port.fault_stalled and \
                     (assembler._active or
                      t._buffered_flits < t.buffer_flits):
                 t._buffered_flits += 1
@@ -289,13 +295,17 @@ class FlatTileCore(Wakeable):
                 if mesh_core is None or port._fault_eject is not None:
                     # Flit objects (object mesh) or a fault filter that
                     # wants to see them: not the path worth inlining.
-                    message = port.receive()
+                    message = port.receive(cycle)
                 else:
-                    # The handle branch of ``LocalPort.receive`` inlined
-                    # (its fault_stalled and empty-FIFO checks are the
-                    # guards above): pop one handle, check the wormhole
-                    # framing, take the message on the tail.
+                    # ``LocalPort.pop_flit`` and the handle branch of
+                    # ``receive`` inlined (the fault_stalled and
+                    # readiness checks are the guards above): pop one
+                    # handle, check the wormhole framing, take the
+                    # message on the tail.
                     flit = items.popleft()
+                    if eject._hwc == cycle:
+                        eject.high_water -= 1
+                        eject._hwc = -1
                     port.flits_ejected += 1
                     bits = -flit if flit < 0 else flit
                     if bits & HANDLE_HEAD:
@@ -370,7 +380,7 @@ class FlatTileCore(Wakeable):
                     tracer.processing_start(cycle, t, message)
             # Inlined Tile.is_idle + next_event_cycle, mirroring the
             # kernel's post-step reschedule for the object backend.
-            if items or staged:
+            if items or eject.occupancy:
                 continue  # flits to pump (or a full buffer to poll)
             if t._in_service is not None:
                 self._busy &= ~low
@@ -401,11 +411,6 @@ class FlatTileCore(Wakeable):
         heapq.heappush(self._timers, (deadline, index))
 
     # -- quiescence contract (see repro.sim.kernel) -------------------------
-
-    @property
-    def kernel_weight(self) -> int:
-        """Effective design size: the schedule entries this replaces."""
-        return max(1, len(self.tiles))
 
     def kernel_substeps(self) -> list:
         """The components this core steps on the kernel's behalf."""
@@ -441,12 +446,11 @@ class FlatTileCore(Wakeable):
         """
         problems: list[str] = []
         live = set(self._timers)
-        for i, (tile, _port, items, staged, *_rest) in \
-                enumerate(self._fabric):
-            if (items or staged) and not (self._busy >> i) & 1:
+        for i, (tile, _port, eject, *_rest) in enumerate(self._fabric):
+            if eject.occupancy and not (self._busy >> i) & 1:
                 problems.append(
                     f"tile {tile.name!r} is not busy but its ejection "
-                    f"FIFO holds {len(items)}+{len(staged)} flit(s)")
+                    f"FIFO holds {eject.occupancy} flit(s)")
             deadline = self._deadlines[i]
             if deadline != -1 and (deadline, i) not in live:
                 problems.append(

@@ -74,6 +74,7 @@ def _demo_designs():
     from repro.analysis.demo import (
         build_blind_forwarder_design,
         build_broken_wake_design,
+        build_early_read_design,
         build_escaped_domain_design,
         build_idle_liar_design,
         build_leaky_eject_design,
@@ -90,6 +91,7 @@ def _demo_designs():
         "idle_liar": build_idle_liar_design,
         "leaky_eject": build_leaky_eject_design,
         "step_parity": build_step_parity_design,
+        "early_read": build_early_read_design,
         "phantom_dest": build_phantom_dest_design,
         "stale_domain": build_stale_domain_design,
         "escaped_domain": build_escaped_domain_design,

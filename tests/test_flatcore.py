@@ -11,6 +11,8 @@ frozen, link-stalled, object mode, pruned between frames) is run under
 flat/flat and compared flit for flit with object/object.
 """
 
+import random
+
 import pytest
 
 from repro.analysis.structural import run as lint
@@ -113,10 +115,6 @@ class TestScheduling:
         design.sim.run(500)
         assert len(design.eth_tx.frames_out) == 1
         assert core.is_idle()
-
-    def test_kernel_weight_matches_tile_count(self):
-        design = echo_design(tile_backend="flat")
-        assert design.tile_core.kernel_weight == len(design.tiles)
 
     def test_substeps_and_wake_sources_cover_all_tiles(self):
         design = echo_design(tile_backend="flat")
@@ -357,10 +355,13 @@ class TestEjectionEdge:
         assert flat["tiles"]["app"][0] == 1
 
     def test_core_pruned_between_paced_frames(self):
-        """Twelve MTU frames at a tenth of line rate: the kernel prunes
-        the tile core between frames and skips the idle stretches, so
-        every frame's first flit must wake it.  The counts are the
-        level-triggered parent's (PR 14), to the cycle."""
+        """Twelve MTU frames at a tenth of line rate: the tile core
+        sleeps between frames and the kernel skips the idle stretches,
+        so every frame's first flit must wake it.  The counts are
+        pinned: the run ends the cycle the naive kernel ends it (3752;
+        the sink now counts a frame in the tick that emits it), 1652 of
+        those cycles are skipped and the four components take 3867
+        steps between them."""
         runs = {}
         for backend in ("flat", "object"):
             reset_id_counters()
@@ -384,8 +385,152 @@ class TestEjectionEdge:
                 assert design.tile_core.check_invariants() == []
                 assert (design.sim.cycle,
                         design.sim.idle_cycles_skipped,
-                        design.sim.component_steps) == (3753, 778, 11501)
+                        design.sim.component_steps) == (3752, 1652, 3867)
         assert runs["flat"] == runs["object"]
+
+
+class PassThroughFilter:
+    """An ejection fault filter that corrupts nothing: the port still
+    has to hand it ``Flit`` objects, one per popped handle."""
+
+    def __init__(self):
+        self.flits = 0
+
+    def filter(self, flit):
+        self.flits += 1
+        return flit
+
+
+#: consumer kind -> (mesh backend, tile backend, sink class)
+EDGE_CONSUMERS = {
+    "fast tile": ("flat", "flat", Sink),
+    "object-mode tile in the core": ("flat", "flat", OnCycleSink),
+    "registered object tile": ("flat", "object", Sink),
+    "fault-filtered port": ("flat", "flat", Sink),
+    "stalled port": ("flat", "flat", Sink),
+    "frozen tile": ("flat", "flat", Sink),
+}
+
+
+def edge_soak(kind, reference, occupancy, seed=0xED6E, cycles=2_000):
+    """Seeded bursts from a source port into one sink tile.  At
+    ``occupancy`` 30 the sink is slower than the link, so its 4-deep
+    ejection FIFO fills, drains and sits empty by turns; at 1 it takes
+    a flit a cycle and the FIFO never holds more than the flit in
+    transit.  ``reference`` runs the same thing on the object mesh with
+    object tiles.  Untraced: the flat run moves int handles.  Both flat
+    cores' invariants are checked every cycle."""
+    mesh_backend, tile_backend, sink_cls = EDGE_CONSUMERS[kind]
+    if reference:
+        mesh_backend = tile_backend = "object"
+    reset_id_counters()
+    rng = random.Random(seed)
+    sim = CycleSimulator(mesh_backend=mesh_backend,
+                         tile_backend=tile_backend)
+    mesh = build_mesh(2, 1, backend=mesh_backend)
+    source = mesh.attach((0, 0))
+    sink = sink_cls("sink", mesh, (1, 0), occupancy=occupancy,
+                    parse_latency=2, buffer_flits=24)
+    mesh.register(sim)
+    core = register_tiles(sim, [sink], tile_backend)
+    port, fifo = sink.port, sink.port.eject_fifo
+    if kind == "fault-filtered port":
+        port._fault_eject = PassThroughFilter()
+    blocked = set()
+    start = 150
+    while start < cycles - 300:
+        length = rng.randrange(40, 120)
+        blocked.update(range(start, start + length))
+        start += length + rng.randrange(150, 350)
+    ejected, consumed = [], []
+    for cycle in range(cycles):
+        burst = (cycle // 100) % 3 != 2 and cycle < cycles - 300
+        if burst and rng.random() < 0.04:
+            source.send(NocMessage(dst=(1, 0), src=(0, 0), metadata="m",
+                                   data=bytes(rng.randrange(0, 700))))
+        if kind == "stalled port":
+            port.fault_stalled = cycle in blocked
+        elif kind == "frozen tile":
+            if sink._fault_frozen and cycle not in blocked:
+                sink._fault_frozen = False
+                sink._wake()        # as FaultEngine._thaw does
+            elif cycle in blocked:
+                sink._fault_frozen = True
+        sim.run(1)
+        if mesh_backend == "flat":
+            assert mesh.core.check_invariants(sim.cycle) == []
+        if core is not None:
+            assert core.check_invariants() == []
+        # Flits the router has pushed so far, and flits popped so far.
+        ejected.append(fifo.occupancy + port.flits_ejected)
+        consumed.append(port.flits_ejected)
+    if kind == "fault-filtered port":
+        assert port._fault_eject.flits == port.flits_ejected
+    return {
+        "ejected": ejected,
+        "consumed": consumed,
+        "received": [(cycle, len(m.data)) for cycle, m in sink.received],
+        "eject_high_water": fifo.high_water,
+        "input_high_water": {
+            (coord, p.value): f.high_water
+            for coord, router in mesh.routers.items()
+            for p, f in router.inputs.items()},
+        "tile": (sink.messages_in, sink.bytes_in, sink.drops),
+        "in_flight": fifo.occupancy,
+    }
+
+
+def first_cycle_reaching(series):
+    """``out[k]``: the first cycle whose cumulative count exceeds k."""
+    out = []
+    for cycle, count in enumerate(series):
+        out.extend([cycle] * (count - len(out)))
+    return out
+
+
+class TestEjectionFifoVisibility:
+    """The flat mesh pushes straight into the ejection FIFO's
+    committed queue; a cycle stamp, not a commit, hides the flit from
+    whoever consumes in that same cycle.  Every kind of consumer must
+    see exactly what the object mesh's staging shows it."""
+
+    @pytest.mark.parametrize("occupancy", [30, 1])
+    @pytest.mark.parametrize("kind", list(EDGE_CONSUMERS))
+    def test_soak_matches_the_object_mesh_cycle_for_cycle(self, kind,
+                                                          occupancy):
+        run = edge_soak(kind, False, occupancy)
+        assert run == edge_soak(kind, True, occupancy)
+        assert len(run["received"]) > 20 and run["in_flight"] == 0
+        # End-of-cycle depth: a slow or held-up sink backs the FIFO up;
+        # one that keeps pace never leaves more than one flit in it,
+        # though the mesh pushes the next before it pops (the mark the
+        # push raises is taken back by the pop).
+        backs_up = occupancy == 30 or kind in ("stalled port",
+                                               "frozen tile")
+        assert run["eject_high_water"] == (4 if backs_up else 1)
+        ejected_at = first_cycle_reaching(run["ejected"])
+        consumed_at = first_cycle_reaching(run["consumed"])
+        assert len(ejected_at) == len(consumed_at) > 200
+        waits = [c - e for e, c in zip(ejected_at, consumed_at)]
+        # Ejected at c: consumable at c + 1 at the earliest, and taken
+        # then whenever nothing holds the consumer back.
+        assert min(waits) == 1
+        assert waits.count(1) > len(waits) // 4
+
+    def test_between_ticks_a_reader_sees_everything(self):
+        sim, mesh, source, sink, core, tracer = raw_chain("flat", Sink)
+        sink._fault_frozen = True       # nobody consumes
+        source.send(mtu_message(bytes(64)))
+        port = sink.port
+        sim.run_until(lambda: len(port.eject_fifo), max_cycles=50)
+        pushed_at = sim.cycle - 1
+        assert port.eject_ready(pushed_at) == 0     # the consumer's view
+        assert port.eject_ready(pushed_at + 1) == 1
+        assert port.eject_ready() == 1              # between ticks
+        assert port.eject_fifo.high_water == 1
+        assert port.pop_flit(pushed_at) is None
+        assert port.pop_flit() is not None
+        assert port.eject_fifo.high_water == 1      # it was there at c's end
 
 
 class TestCheckInvariants:

@@ -189,52 +189,11 @@ class TestLateAttach:
 class TestKernelKwargs:
     def test_defaults(self):
         sim = CycleSimulator()
-        assert sim.saturation_threshold == 0.25
         assert sim.mesh_backend == "object"
-        # The adaptive prune cadence starts at its floor.
-        assert sim.prune_interval == 32
-
-    def test_explicit_values_survive(self):
-        sim = CycleSimulator(saturation_threshold=0.5,
-                             prune_interval=100)
-        assert sim.saturation_threshold == 0.5
-        assert sim.prune_interval == 100
-        mesh = build_mesh(8, 8, backend="flat")
-        mesh.register(sim)
-        assert sim.prune_interval == 100  # explicit => never adapted
-
-    def test_prune_interval_starts_at_floor_regardless_of_size(self):
-        # The cadence is adaptive (driven by what pruning ticks find at
-        # runtime, see tests/test_adaptive_prune.py), not derived from
-        # design size: registration leaves it at the floor.
-        small = CycleSimulator()
-        build_mesh(2, 2, backend="flat").register(small)
-        big = CycleSimulator()
-        build_mesh(16, 16, backend="flat").register(big)
-        assert small.prune_interval == 32
-        assert big.prune_interval == 32
-
-    def test_flat_core_weight_counts_routers_and_ports(self):
-        mesh = build_mesh(4, 4, backend="flat")
-        assert mesh.core.kernel_weight == 16
-        mesh.attach((0, 0))
-        mesh.attach((3, 3))
-        assert mesh.core.kernel_weight == 18
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CycleSimulator(saturation_threshold=-0.1)
-        with pytest.raises(ValueError):
-            CycleSimulator(prune_interval=0)
-        with pytest.raises(ValueError):
             CycleSimulator(mesh_backend="vapor")
-
-    def test_saturation_threshold_zero_disables_idle_skip_bypass(self):
-        # threshold 0 -> the bypass fires whenever anything is active,
-        # which must not change results (covered by equivalence); here
-        # just pin that it is accepted and reported.
-        sim = CycleSimulator(saturation_threshold=0.0)
-        assert sim.saturation_threshold == 0.0
 
 
 # -- the output-centric step's state machine --------------------------------

@@ -152,6 +152,6 @@ class TestListing:
     def test_list_codes_includes_new_families(self, capsys):
         assert main(["--list-codes"]) == 0
         out = capsys.readouterr().out
-        for code in ("BHV401", "BHV402", "BHV403", "BHV404",
+        for code in ("BHV401", "BHV402", "BHV403", "BHV404", "BHV405",
                      "BHV501", "BHV502", "BHV503", "BHV504"):
             assert code in out

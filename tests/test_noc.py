@@ -25,7 +25,7 @@ class Drain:
         self.messages = []
 
     def step(self, cycle):
-        message = self.port.receive()
+        message = self.port.receive(cycle)
         if message is not None:
             self.messages.append(message)
 
@@ -278,7 +278,7 @@ class TestMeshDelivery:
             def step(self, cycle):
                 self._tick += 1
                 if self._tick % 7 == 0:  # drain every 7th cycle only
-                    message = self.port.receive()
+                    message = self.port.receive(cycle)
                     if message is not None:
                         self.messages.append(message)
 

@@ -44,7 +44,7 @@ class Drain:
         self.messages = []
 
     def step(self, cycle):
-        message = self.port.receive()
+        message = self.port.receive(cycle)
         if message is not None:
             self.messages.append(message)
 

@@ -1,9 +1,9 @@
 """Property/fuzz tests for the packet codec layer.
 
-The vectorised checksum (32-bit-word deferred-carry fold, optional
-numpy backend) and the header pack/unpack caches are pure
-optimisations: every one of them must be bit-identical to the naive
-form.  These tests pin that with seeded random fuzzing —
+The big-integer checksum (one ``% 0xFFFF`` over the whole buffer) and
+the header pack/unpack caches are pure optimisations: every one of them
+must be bit-identical to the naive form.  These tests pin that with
+seeded random fuzzing —
 
 - ``internet_checksum`` against an embedded reference byte-pair loop
   over random odd/even-length buffers;
@@ -24,7 +24,6 @@ import pytest
 from repro.packet.checksum import (
     incremental_update,
     internet_checksum,
-    set_checksum_backend,
     verify_checksum,
 )
 from repro.packet.ethernet import EthernetHeader, MacAddress
@@ -85,25 +84,26 @@ class TestChecksumEquivalence:
             buf[10:12] = struct.pack("!H", csum)
             assert verify_checksum(bytes(buf))
 
-    def test_numpy_backend_equivalence(self):
-        pytest.importorskip("numpy")
+    def test_mtu_buffers_and_multiples_of_ffff(self):
+        """Frame-sized buffers, and the one place ``% 0xFFFF`` and the
+        end-around-carry loop could part: a non-zero buffer whose words
+        sum to a multiple of 0xFFFF folds to 0xFFFF, never to 0."""
         rng = random.Random(0xBEE)
-        try:
-            set_checksum_backend("numpy")
-            for _ in range(300):
-                buf = random_bytes(rng, rng.randrange(0, 80))
+        for _ in range(300):
+            buf = random_bytes(rng, rng.randrange(20, 1502))
+            assert internet_checksum(buf) == reference_checksum(buf)
+        for words in (1, 2, 3, 10, 750, 0xFFFF, 0x10000):
+            for word in (b"\xff\xff", b"\x00\x00", b"\xff\xfe\x00\x01",
+                         b"\x80\x00\x7f\xff"):
+                buf = word * words
                 assert internet_checksum(buf) == reference_checksum(buf)
-            for _ in range(20):
-                buf = random_bytes(rng, rng.randrange(1400, 1600))
-                assert internet_checksum(buf) == reference_checksum(buf)
-            for buf in self.CORNERS:
-                assert internet_checksum(buf) == reference_checksum(buf)
-        finally:
-            set_checksum_backend("words")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            set_checksum_backend("simd")
+                assert internet_checksum(buf + b"\x00") == \
+                    reference_checksum(buf)
+        for _ in range(200):
+            # Append the word that completes the sum to 0xFFFF.
+            buf = random_bytes(rng, rng.randrange(1, 40) * 2)
+            buf += struct.pack("!H", reference_checksum(buf))
+            assert internet_checksum(buf) == reference_checksum(buf) == 0
 
 
 class TestIncrementalUpdate:

@@ -17,6 +17,7 @@ from repro.analysis import SANITIZE_PASSES, analyze, analyze_dynamic
 from repro.analysis.demo import (
     build_blind_forwarder_design,
     build_broken_wake_design,
+    build_early_read_design,
     build_escaped_domain_design,
     build_idle_liar_design,
     build_leaky_eject_design,
@@ -109,6 +110,46 @@ class TestLeakyEject:
     def test_static_passes_stay_silent(self):
         report = analyze(build_leaky_eject_design(), name="leaky_eject")
         assert report.findings == [], report.render()
+
+
+class TestEarlyRead:
+    def test_bhv405_only(self):
+        report = analyze_dynamic(build_early_read_design,
+                                 name="early_read", cycles=400)
+        assert codes_of(report) == ["BHV405"]
+        finding = report.findings[0]
+        assert finding.location == "mesh(1, 0)"
+        # The head flit reaches the reader's FIFO at cycle 22 and is
+        # gone by the end of it; the honest fixtures above, one cycle
+        # later, first touch theirs at 23.
+        assert finding.data["cycle"] == 22
+
+    def test_static_passes_stay_silent(self):
+        report = analyze(build_early_read_design(), name="early_read")
+        assert report.findings == [], report.render()
+
+    def test_passing_the_cycle_is_the_whole_fix(self, monkeypatch):
+        from repro.analysis.demo import EarlyReadTile
+
+        def on_cycle(self, cycle):
+            if self.port.receive(cycle) is not None:
+                self.early += 1
+
+        monkeypatch.setattr(EarlyReadTile, "on_cycle", on_cycle)
+        report = analyze_dynamic(build_early_read_design,
+                                 name="early_read", cycles=400)
+        assert report.findings == [], report.render()
+
+    def test_belongs_to_the_conservation_pass(self):
+        report = analyze_dynamic(build_early_read_design,
+                                 name="early_read", cycles=400,
+                                 passes=["idle-truth", "lost-wake",
+                                         "determinism"])
+        assert report.findings == [], report.render()
+        report = analyze_dynamic(build_early_read_design,
+                                 name="early_read", cycles=400,
+                                 passes=["conservation"])
+        assert codes_of(report) == ["BHV405"]
 
 
 class TestStepParity:

@@ -417,14 +417,8 @@ class Pulse(Wakeable):
         return self._last + self.period
 
 
-class Heavy(Counter):
-    """Always busy and weighty enough to engage the saturation bypass."""
-
-    kernel_weight = 16
-
-
 def _count_calls(owner, attribute, log):
-    """Shadow ``owner.attribute`` on the instance, as hostprof does."""
+    """Shadow ``owner.attribute`` on the instance, as perflab does."""
     original = getattr(owner, attribute)
 
     def wrapper(*args):
@@ -435,11 +429,10 @@ def _count_calls(owner, attribute, log):
 
 
 class TestByNameCallingContract:
-    """``repro.telemetry.hostprof`` and ``benchmarks/perflab`` shadow
-    ``sim.tick``, ``component.step`` and ``component.commit`` on the
-    instances after construction; the kernel must reach each of them
-    once per cycle it does not skip, through ``run`` and ``run_until``
-    alike."""
+    """``benchmarks/perflab`` shadows ``sim.tick``, ``component.step``
+    and ``component.commit`` on the instances after construction; the
+    kernel must reach each of them once per cycle it does not skip,
+    through ``run`` and ``run_until`` alike."""
 
     @staticmethod
     def drive(sim, how, cycles):
@@ -468,17 +461,19 @@ class TestByNameCallingContract:
     @pytest.mark.parametrize("how", ["run", "run_until"])
     @pytest.mark.parametrize("kernel", ["scheduled", "naive"])
     def test_saturated_component_under_the_bypass(self, kernel, how):
+        # (The name predates the wake_at kernel: there is no bypass
+        # left, an always-busy component is simply due every cycle.)
         sim = CycleSimulator(kernel=kernel)
-        heavy = Heavy()
-        sim.add(heavy)
+        busy = Counter()
+        sim.add(busy)
         log = []
         for attribute in ("step", "commit"):
-            _count_calls(heavy, attribute, log)
+            _count_calls(busy, attribute, log)
         _count_calls(sim, "tick", log)
-        self.drive(sim, how, 70)  # bypass cycles and two pruning ticks
+        self.drive(sim, how, 70)
         assert sim.cycle == 70 and sim.idle_cycles_skipped == 0
         assert log == ["tick", "step", "commit"] * 70
-        assert (heavy.steps, heavy.commits) == (70, 70)
+        assert (busy.steps, busy.commits) == (70, 70)
 
 
 class TestCommitList:
@@ -503,8 +498,16 @@ class TestCommitList:
         sim = CycleSimulator(kernel="scheduled")
         components = [Inherits(), Aliases(), OwnNoOp(), Counter()]
         sim.add_all(components)
-        assert list(sim._committers) == components[2:]
+        # Shadowed on the instance (as perflab shadows the mesh
+        # core's): the class decides, so the first two are never asked.
+        log = []
+        for index, component in enumerate(components):
+            original = component.commit
+            component.commit = \
+                lambda index=index, original=original: (
+                    log.append(index), original())
         sim.run(3)
+        assert log == [2, 3] * 3
         assert components[3].commits == 3
 
     def test_late_woken_committer_still_commits_that_cycle(self):
@@ -522,29 +525,329 @@ class TestCommitList:
         sim.run(8)
         assert consumer.drained == [(6, "x")]
 
-    def test_default_designs_commit_only_the_mesh_core(self):
+    def test_default_designs_commit_nothing(self):
+        """Both flat cores are commit-free, so no component of a
+        default design has a commit pass left (``mesh.core.commit``
+        stays an attribute — perflab wraps it — but it is the shared
+        no-op the kernel never calls)."""
         from repro.designs import ScaledEchoDesign, UdpEchoDesign
         from repro.loadgen.flows import build_competing_flows
 
         for design in (UdpEchoDesign(), ScaledEchoDesign(),
                        build_competing_flows()[0]):
             sim = design.sim
-            assert list(sim._committers) == [design.mesh.core]
-            assert len(sim._components) >= 2
+            assert len(sim.components) >= 2
+            assert design.mesh.core in sim.components
+            for component in sim.components:
+                assert type(component).commit is no_commit, component
         # The TCP set-up: mesh, tiles, wire, fault engine, peer
-        # network and three peers — one committer among eight.
-        assert len(sim._components) == 8
+        # network and three peers.
+        assert len(sim.components) == 8
 
 
 def test_wake_reuses_the_waker_made_at_add():
     sim = CycleSimulator(kernel="scheduled")
     consumer = SleepyConsumer(StagedFifo())
     sim.add(consumer)
-    assert sim._wakers[consumer] is consumer._kernel_wake
+    assert consumer._kernel_wake.component is consumer
     assert consumer.fifo._wakers == [consumer._kernel_wake]
+    sim.run(3)
+    assert sim.wake_cycle(consumer) is None     # only a wake rouses it
+    sim.wake(consumer)
+    assert sim.wake_cycle(consumer) == sim.cycle == 3
     sim.wake(Counter())  # never added: a no-op, not an error
     naive = CycleSimulator(kernel="naive")
-    counter = Counter()
-    naive.add(counter)
-    naive.wake(counter)
-    assert naive._wakers == {}
+    sleeper = SleepyConsumer(StagedFifo())
+    naive.add(sleeper)
+    naive.wake(sleeper)
+    assert sleeper._kernel_wake is None and sleeper.fifo._wakers == []
+    assert naive.wake_cycle(sleeper) == naive.cycle
+
+
+# -- the wake_at scheduler ---------------------------------------------------
+
+def quiescent(component, cycle):
+    """Nothing to do at ``cycle``: idle, and no timer due."""
+    is_idle = getattr(component, "is_idle", None)
+    if is_idle is None or not is_idle():
+        return False
+    next_event = getattr(component, "next_event_cycle", None)
+    deadline = None if next_event is None else next_event()
+    return deadline is None or deadline > cycle
+
+
+class TestNoTickWithoutWork:
+    """Idle means idle: on the default path (flat mesh, flat tiles) a
+    paced design is ticked on exactly the cycles some component has
+    work, and every other cycle is skipped."""
+
+    CYCLES = 6_000
+
+    @staticmethod
+    def paced_echo(kernel):
+        from repro.designs import FrameSink, FrameSource, UdpEchoDesign
+        from repro.noc.message import reset_id_counters
+        from repro.packet import (
+            IPv4Address,
+            MacAddress,
+            build_ipv4_udp_frame,
+        )
+
+        reset_id_counters()
+        design = UdpEchoDesign(udp_port=7, kernel=kernel)
+        assert (design.sim.mesh_backend, design.sim.tile_backend) == \
+            ("flat", "flat")
+        ip, mac = IPv4Address("10.0.0.1"), MacAddress("02:00:00:00:00:01")
+        design.add_client(ip, mac)
+        frame = build_ipv4_udp_frame(mac, design.server_mac, ip,
+                                     design.server_ip, 5555, 7,
+                                     bytes(1400))
+        source = FrameSource(design.inject, lambda i: frame, rate=5.0,
+                             count=15)
+        sink = FrameSink(design.eth_tx)
+        design.sim.add(source)
+        design.sim.add(sink)
+        return design, sink
+
+    def test_every_tick_has_work_and_every_idle_cycle_is_skipped(self):
+        design, sink = self.paced_echo("scheduled")
+        sim = design.sim
+        tick = sim.tick
+        all_idle_ticks = []
+        ticks = []
+
+        def watched_tick():
+            ticks.append(sim.cycle)
+            if all(quiescent(c, sim.cycle) for c in sim.components):
+                all_idle_ticks.append(sim.cycle)
+            tick()
+
+        sim.tick = watched_tick
+        sim.run(self.CYCLES)
+        assert sink.count == 15
+        assert all_idle_ticks == []
+        assert len(ticks) + sim.idle_cycles_skipped == self.CYCLES
+        assert sim.idle_cycles_skipped > self.CYCLES // 3
+
+        # The same design stepped exhaustively: the cycles on which
+        # nobody has work are the cycles the scheduler skipped.
+        shadow, shadow_sink = self.paced_echo("naive")
+        idle_cycles = []
+        for cycle in range(self.CYCLES):
+            if all(quiescent(c, cycle) for c in shadow.sim.components):
+                idle_cycles.append(cycle)
+            shadow.sim.tick()
+        assert shadow_sink.frames == sink.frames
+        assert sim.idle_cycles_skipped == len(idle_cycles)
+        assert sorted(set(range(self.CYCLES)) - set(ticks)) == idle_cycles
+
+
+class Mailbox(Wakeable):
+    """Sleeps over an unstaged inbox; logs when it first sees an item.
+    ``on_cycle`` maps a cycle to the mailboxes it posts to then."""
+
+    def __init__(self, on_cycle=None):
+        self.inbox = []
+        self.seen = []
+        self.stepped = []
+        self.on_cycle = on_cycle or {}
+
+    def step(self, cycle):
+        self.stepped.append(cycle)
+        while self.inbox:
+            self.seen.append((cycle, self.inbox.pop(0)))
+        for target in self.on_cycle.get(cycle, ()):
+            target.inbox.append(f"from {cycle}")
+            target._wake()
+
+    def is_idle(self):
+        return not self.inbox
+
+    def next_event_cycle(self):
+        return min((c for c in self.on_cycle if c > self.stepped[-1]),
+                   default=None)
+
+
+class CommittingMailbox(Mailbox):
+    """... with a real ``commit``, logging the last step before it."""
+
+    def __init__(self):
+        super().__init__()
+        self.commits = []
+
+    def commit(self):
+        self.commits.append(self.stepped[-1] if self.stepped else None)
+
+
+class TestWakeRule:
+    """A wake lands where stepping everything in order would let the
+    woken component see the change: this tick if its slot is still
+    ahead of the waker's, the next tick if it has passed."""
+
+    @staticmethod
+    def build(kernel):
+        sim = CycleSimulator(kernel=kernel)
+        early = CommittingMailbox()
+        late = Mailbox()
+        waker = Mailbox(on_cycle={5: (early, late)})
+        sim.add_all([early, waker, late])
+        return sim, early, waker, late
+
+    @pytest.mark.parametrize("kernel", ["scheduled", "naive"])
+    def test_earlier_slot_wakes_this_tick_later_slot_next(self, kernel):
+        sim, early, waker, late = self.build(kernel)
+        sim.run(10)
+        assert late.seen == [(5, "from 5")]     # slot ahead: this tick
+        assert early.seen == [(6, "from 5")]    # slot passed: next tick
+
+    def test_sleepers_take_no_other_step(self):
+        sim, early, waker, late = self.build("scheduled")
+        sim.run(10)
+        assert waker.stepped == [0, 5]
+        assert late.stepped == [0, 5]
+        assert early.stepped == [0, 6]
+        assert sim.idle_cycles_skipped == 10 - 3
+
+    def test_late_woken_component_commits_the_tick_it_is_woken(self):
+        sim, early, waker, late = self.build("scheduled")
+        sim.run(5)
+        assert early.commits == [0]
+        sim.run(1)                      # cycle 5: woken after its slot
+        assert early.stepped == [0] and early.commits == [0, 0]
+        sim.run(1)
+        assert early.stepped == [0, 6] and early.commits == [0, 0, 6]
+
+    def test_between_ticks_a_wake_is_for_the_current_cycle(self):
+        sim, early, waker, late = self.build("scheduled")
+        sim.run(3)
+        assert sim.wake_cycle(late) is None
+        assert sim.wake_cycle(waker) == 5
+        late.inbox.append("poke")
+        sim.wake(late)
+        assert sim.wake_cycle(late) == 3
+        sim.run(1)
+        assert late.seen == [(3, "poke")]
+        # Waking a component that is already due changes nothing.
+        sim.wake(waker)
+        assert sim.wake_cycle(waker) == 4
+        sim.wake(waker)
+        sim.run(6)
+        assert waker.stepped == [0, 4, 5]
+
+
+class Churner(Wakeable):
+    """Sleeps on a timer of its own period and pokes a neighbour every
+    third firing; counts every call the kernel makes on it."""
+
+    def __init__(self, period):
+        self.period = period
+        self.neighbour = None
+        self.pokes = 0
+        self.fired = []
+        self._next = period
+        self.calls = {"step": 0, "is_idle": 0, "next_event_cycle": 0}
+
+    def step(self, cycle):
+        self.calls["step"] += 1
+        if self.pokes:
+            self.fired.append((cycle, "poked", self.pokes))
+            self.pokes = 0
+        if cycle >= self._next:
+            self.fired.append((cycle, "timer"))
+            self._next = cycle + self.period
+            if len(self.fired) % 3 == 0:
+                self.neighbour.pokes += 1
+                self.neighbour._wake()
+
+    def is_idle(self):
+        self.calls["is_idle"] += 1
+        return not self.pokes
+
+    def next_event_cycle(self):
+        self.calls["next_event_cycle"] += 1
+        return self._next
+
+
+class TestChurn:
+    """Forty components sleeping, timing out and waking each other:
+    the scheduler's work is per transition, not per component per
+    tick — a sleeper is asked nothing until it is stepped again."""
+
+    @staticmethod
+    def build(kernel):
+        sim = CycleSimulator(kernel=kernel)
+        churners = [Churner(period=7 + 3 * (i % 11)) for i in range(40)]
+        for i, churner in enumerate(churners):
+            churner.neighbour = churners[(i * 7 + 3) % 40]
+        sim.add_all(churners)
+        return sim, churners
+
+    def test_one_question_per_step_and_none_while_asleep(self):
+        sim, churners = self.build("scheduled")
+        ticks = []
+        tick = sim.tick
+        sim.tick = lambda: (ticks.append(sim.cycle), tick())
+        sim.run(2_000)
+        naive, reference = self.build("naive")
+        naive.run(2_000)
+        assert [c.fired for c in churners] == [c.fired for c in reference]
+        steps = sum(c.calls["step"] for c in churners)
+        assert steps == sim.component_steps
+        # Sleep, timer and wake transitions really happened, ...
+        assert sim.idle_cycles_skipped > 0
+        assert any(kind == "poked" for c in churners
+                   for _cycle, kind, *_ in c.fired)
+        # ... stepping only who is due (naive: 40 per cycle), ...
+        assert steps < 2_000 * 40 // 8
+        for churner in churners:
+            calls = churner.calls
+            # ... and each step is followed by exactly one is_idle()
+            # and, if idle, one next_event_cycle(): nothing is polled,
+            # re-sorted or re-armed while a component sleeps.
+            assert calls["is_idle"] == calls["step"]
+            assert 0 < calls["next_event_cycle"] <= calls["step"]
+        assert len(ticks) + sim.idle_cycles_skipped == 2_000
+
+    def test_sanitized_tick_files_the_same_wake_cycles_as_tick(self):
+        """``sanitized_tick`` repeats ``tick``'s wake bookkeeping in
+        a body of its own; through the same churn — timers, wakes for
+        slots ahead and slots passed, a timer already in the past — the
+        two must agree on every component's wake cycle after every
+        cycle."""
+
+        class StaleTimer(Wakeable):
+            def step(self, cycle):
+                pass
+
+            def is_idle(self):
+                return True
+
+            def next_event_cycle(self):
+                return 3
+
+        class Shadow:
+            def shadow_step(self, component, cycle):
+                component.step(cycle)
+
+            def step_phase_done(self, cycle):
+                pass
+
+            def cycle_done(self, cycle):
+                pass
+
+        plain, churners = self.build("scheduled")
+        sanitized, shadowed = self.build("scheduled")
+        observer = Shadow()
+        for sim, group in ((plain, churners), (sanitized, shadowed)):
+            group.append(StaleTimer())
+            sim.add(group[-1])
+        for _ in range(600):
+            plain.tick()
+            sanitized.sanitized_tick(observer)
+            assert [plain.wake_cycle(c) for c in churners] == \
+                [sanitized.wake_cycle(c) for c in shadowed]
+        assert plain.wake_cycle(churners[-1]) == 600    # clamped: next tick
+        del churners[-1], shadowed[-1]
+        assert [c.fired for c in churners] == [c.fired for c in shadowed]
+        assert any(kind == "poked" for c in churners
+                   for _cycle, kind, *_ in c.fired)

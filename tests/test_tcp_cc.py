@@ -245,3 +245,90 @@ class TestCompetingFlowSignatures:
         again = run_competing_flows(cc="reno")
         assert json.dumps(again, sort_keys=True) == \
             json.dumps(signatures["reno"], sort_keys=True)
+
+    #: cc -> (completion cycle, wire drops, per flow (completion
+    #: cycle, segments, timeouts, fast retransmits, cwnd, ssthresh)),
+    #: as run at the commit before the peers learned to sleep.
+    PINNED = {
+        "tahoe": (10619, 4, [(10619, 90, 0, 2, 11185, 2048),
+                             (8079, 92, 0, 1, 13082, 5120),
+                             (8881, 87, 0, 1, 12865, 3072)]),
+        "reno": (8527, 4, [(6874, 95, 0, 1, 13826, 6656),
+                           (8527, 96, 0, 2, 11617, 3204),
+                           (8309, 90, 0, 1, 13265, 3072)]),
+        "cubic": (12318, 5, [(11124, 137, 0, 3, 5134, 5010),
+                             (8690, 138, 0, 1, 8082, 7168),
+                             (12318, 211, 0, 1, 5255, 4300)]),
+    }
+
+    def test_signatures_survive_a_kernel_that_lets_peers_sleep(
+            self, signatures):
+        """A peer that misses a wake or a timer sends a segment late
+        (or never): every count and cycle below would move."""
+        for cc, (completion, drops, flows) in self.PINNED.items():
+            result = signatures[cc]
+            assert result["completion_cycle"] == completion, cc
+            assert result["wire_drops"] == drops, cc
+            assert [(f["completion_cycle"], f["segments_sent"],
+                     f["retransmits"], f["fast_retransmits"],
+                     f["cwnd"], f["ssthresh"])
+                    for f in result["flows"]] == flows, cc
+
+    @pytest.mark.parametrize("kernel", ["scheduled", "naive"])
+    def test_timeout_retransmission_fires_on_its_cycle(self, kernel):
+        """Total loss until cycle 30 000: every flow's SYN and its
+        retransmissions wait out whole RTOs with nothing arriving, so
+        only the peer's own timer can bring it back."""
+        from repro.loadgen.flows import build_competing_flows
+
+        design, peers = build_competing_flows(
+            cc="reno", n_flows=2, loss=0.0, stream_bytes=4 * 1024,
+            rto_cycles=3_000, wire_cycles=500, kernel=kernel)
+        inject = design.inject
+        sent_at = []
+
+        def black_hole(frame, arrival):
+            sent_at.append(arrival - 500)
+            if arrival >= 30_000:
+                inject(frame, arrival)
+
+        design.inject = black_hole
+        design.sim.run_until(
+            lambda: all(p.bytes_acked >= 4 * 1024 for p in peers),
+            max_cycles=100_000)
+        # Both peers: SYN at 0, then one more every RTO + 1 cycles.
+        assert sent_at[:20] == [3_001 * (k // 2) for k in range(20)]
+        for peer in peers:
+            assert peer.retransmits >= 9 and peer.established
+
+    def test_an_established_idle_peer_is_not_stepped(self):
+        """Between its events — a frame in its inbox, something to
+        send, the RTO — a peer behind a PeerNetwork sleeps."""
+        from repro.loadgen.flows import build_competing_flows
+
+        design, peers = build_competing_flows(
+            cc="reno", n_flows=2, loss=0.0, stream_bytes=8 * 1024)
+        sim = design.sim
+        steps = {peer.src_port: [] for peer in peers}
+        for peer in peers:
+            step = peer.step
+            peer.step = lambda cycle, peer=peer, step=step: (
+                steps[peer.src_port].append(cycle), step(cycle))
+        sim.run_until(
+            lambda: all(p.bytes_acked >= 8 * 1024 for p in peers),
+            max_cycles=200_000)
+        done = sim.cycle
+        for peer in peers:
+            assert peer.established and not peer.sent_unacked
+            # Far fewer steps than cycles while the stream ran ...
+            assert 8 < len(steps[peer.src_port]) < done // 10
+        # ... and none at all once everything is acknowledged: only a
+        # frame, a send() or a close() can rouse the peer now.
+        sim.run(5_000)
+        for peer in peers:
+            assert steps[peer.src_port][-1] < done
+            assert sim.wake_cycle(peer) is None
+        peers[0].send(b"more")
+        assert sim.wake_cycle(peers[0]) == sim.cycle
+        sim.run_until(lambda: peers[0].bytes_acked >= 8 * 1024 + 4,
+                      max_cycles=20_000)
