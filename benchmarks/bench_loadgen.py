@@ -75,8 +75,7 @@ def matched_offered_gbps(frame_len: int) -> float:
 
 
 def _echo_design():
-    design = UdpEchoDesign(udp_port=7, kernel="scheduled",
-                           mesh_backend="flat", tile_backend="flat")
+    design = UdpEchoDesign(udp_port=7, profile="fast")
     design.add_client(CLIENT_IP, CLIENT_MAC)
     frame = build_ipv4_udp_frame(
         CLIENT_MAC, design.server_mac, CLIENT_IP, design.server_ip,

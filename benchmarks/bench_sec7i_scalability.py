@@ -7,12 +7,12 @@ not LUTs; (2) NoC bandwidth scales with duplicated stacks up to the
 load balancer's serialisation limit (the Fig 12 companion numbers).
 
 A third, simulation-side sweep rides along: the scaled echo design is
-actually *run* at growing mesh sizes under the flat mesh backend
-(``repro.noc.flatmesh``), which collapses the whole fabric into one
-batch-stepped component.  The object backend is timed only at the
-paper's 7x4 floorplan; the 8x8 and 16x16 rows are flat-only — sizes
-where per-object stepping stops being CI-friendly — showing the
-backend extends the scalability story beyond the U200's 28-tile wall.
+actually *run* at growing mesh sizes under the ``fast`` profile, whose
+flat mesh (``repro.noc.flatmesh``) collapses the whole fabric into one
+batch-stepped component.  ``reference`` is timed only at the paper's
+7x4 floorplan; the 8x8 and 16x16 rows are ``fast`` only — sizes where
+per-object stepping stops being CI-friendly — showing the fast path
+extends the scalability story beyond the U200's 28-tile wall.
 """
 
 import time
@@ -33,20 +33,20 @@ from repro.resources import (
 CLIENT_IP = IPv4Address("10.0.0.1")
 CLIENT_MAC = MacAddress("02:00:00:00:00:01")
 SWEEP_CYCLES = 6_000
-# (width, height, app tiles, backends to time): the 7x4 row is the
-# paper's U200 floorplan and runs both backends; larger meshes flat
+# (width, height, app tiles, profiles to time): the 7x4 row is the
+# paper's U200 floorplan and runs both profiles; larger meshes fast
 # only.
 SWEEP_POINTS = (
-    (7, 4, 22, ("object", "flat")),
-    (8, 8, 58, ("flat",)),
-    (16, 16, 250, ("flat",)),
+    (7, 4, 22, ("reference", "fast")),
+    (8, 8, 58, ("fast",)),
+    (16, 16, 250, ("fast",)),
 )
 
 
-def _run_point(backend: str, width: int, height: int, n_apps: int):
+def _run_point(profile: str, width: int, height: int, n_apps: int):
     reset_id_counters()
     design = ScaledEchoDesign(n_apps=n_apps, width=width, height=height,
-                              mesh_backend=backend)
+                              profile=profile)
     design.add_client(CLIENT_IP, CLIENT_MAC)
     frames = [build_ipv4_udp_frame(CLIENT_MAC, design.server_mac,
                                    CLIENT_IP, design.server_ip,
@@ -65,17 +65,17 @@ def _run_point(backend: str, width: int, height: int, n_apps: int):
 
 def run_simulated_sweep():
     rows = []
-    for width, height, n_apps, backends in SWEEP_POINTS:
+    for width, height, n_apps, profiles in SWEEP_POINTS:
         walls = {}
         frames = None
-        for backend in backends:
-            wall, got = _run_point(backend, width, height, n_apps)
-            walls[backend] = wall
+        for profile in profiles:
+            wall, got = _run_point(profile, width, height, n_apps)
+            walls[profile] = wall
             assert frames is None or frames == got, \
-                "backends disagreed on delivered frames"
+                "profiles disagreed on delivered frames"
             frames = got
         rows.append((width, height, n_apps, frames,
-                     walls.get("object"), walls["flat"]))
+                     walls.get("reference"), walls["fast"]))
     return rows
 
 
@@ -121,14 +121,14 @@ def bench_sec7i_scalability(benchmark, report):
     sweep = run_simulated_sweep()
     report.row()
     report.table(
-        ["mesh", "app tiles", "frames", "object s", "flat s"],
+        ["mesh", "app tiles", "frames", "reference s", "fast s"],
         [[f"{w}x{h}", apps, frames,
-          "-" if obj is None else f"{obj:.2f}", f"{flat:.2f}"]
-         for w, h, apps, frames, obj, flat in sweep],
+          "-" if ref is None else f"{ref:.2f}", f"{fast:.2f}"]
+         for w, h, apps, frames, ref, fast in sweep],
     )
     report.row("simulated sweep: 6k cycles of saturating MTU echo; "
-               "8x8 and 16x16 run under the flat backend only")
+               "8x8 and 16x16 run under the fast profile only")
     # Every row — including 16x16/250 apps, past the paper's 28-tile
     # wall — must actually move traffic end to end.
-    for _w, _h, _apps, frames, _obj, _flat in sweep:
+    for _w, _h, _apps, frames, _ref, _fast in sweep:
         assert frames and frames > 0

@@ -12,9 +12,9 @@ Run:  python examples/deadlock_analysis.py
 
 from repro.analysis import analyze
 from repro.analysis.deadlock import DeadlockError
+from repro.analysis.demo import Fig5Design
 from repro.config import build_design, design_from_xml
 from repro.config.examples import UDP_ECHO_XML
-from repro.deadlock.demo import Fig5Design
 from repro.noc import NocMessage
 
 

@@ -9,14 +9,14 @@ upstream, so the chain acquires the concatenated link sequence of all
 its hops in order; a cycle anywhere in the union graph over all chains
 is a potential deadlock.
 
-This module is the canonical home of the analysis (it moved here from
-the old ``repro.deadlock.analysis`` module, since removed; the
-``repro.deadlock`` package re-exports the stable API and keeps the
-runtime demo).  Two entry points:
+This module is the home of the analysis; the runtime counterpart —
+cut-through relay tiles that make the Fig 5a deadlock actually happen
+in the cycle simulator — is in :mod:`repro.analysis.demo`.  Two entry
+points:
 
 - the functional API (:func:`analyze_chains`,
   :func:`assert_deadlock_free`) over explicitly declared chains, used
-  by the design constructors; and
+  by :meth:`repro.designs.base.Design.register`; and
 - :func:`run`, the lint *pass* over an instantiated design, which
   additionally derives the real traffic chains from the next-hop
   tables (round-robin/flow-hash destination sets included), splits

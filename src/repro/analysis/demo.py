@@ -8,6 +8,12 @@ kernel the tile idles out before traffic arrives and nothing ever
 wakes it, so the same design stalls forever.  The wake-contract pass
 flags exactly this divergence as BHV301 *before* anything runs.
 
+Every builder takes ``profile`` as the shipped designs do, but a
+fixture maps it to its *kernel* only (:func:`_fixture_sim`) and keeps
+the mesh it builds by hand: the scheduled kernel over an object
+``Mesh`` is a pairing no shipped design has, and exactly the one that
+shows these bugs.
+
 The remaining builders each seed exactly one bug for one finding code,
 so the linter's regression tests can assert "this pass catches this
 bug, and no other pass misfires on it":
@@ -27,17 +33,39 @@ build_blind_forwarder_design    BHV504  forwarding with no declarations
 ==============================  ======  ==================================
 
 (BHV402 needs no dedicated fixture: the broken-wake design is also the
-canonical *dynamic* lost wakeup — the staged push its consumer misses.)
+canonical *dynamic* lost wakeup — the staged push its consumer misses —
+and, stalling under ``fast`` while it works under ``reference``, a
+BHV404 as well.)
+
+The module ends with the runtime reproduction of the paper's Fig 5
+deadlock (BHV201's fixture): :class:`CutThroughTile` forwards flits as
+they arrive (streaming, like the paper's protocol engines) with only a
+couple of flits of internal buffering, so a blocked downstream transfer
+back-pressures through the tile and holds the upstream wormhole open.
+Chaining four of them in the Fig 5a placement wedges the NoC on a
+sufficiently long packet; the Fig 5b placement streams the same packet
+through cleanly.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from repro.noc.flatmesh import FlatMesh
+from repro.noc.flit import Flit
 from repro.noc.mesh import Mesh
 from repro.noc.message import NocMessage
-from repro.sim.kernel import CycleSimulator
+from repro.noc.routing import Port
+from repro.sim.kernel import CycleSimulator, no_commit
+from repro.sim.profiles import lookup
 from repro.tiles.base import DestDomain, Tile
 from repro.tiles.scheduler import RoundRobinSchedulerTile
+
+
+def _fixture_sim(profile: str) -> CycleSimulator:
+    """A fixture's simulator: the profile's kernel, nothing else."""
+    kernel, _flat = lookup(profile)
+    return CycleSimulator(kernel=kernel)
 
 
 class BrokenWakeEchoTile(Tile):
@@ -60,8 +88,8 @@ class BrokenWakeEchoTile(Tile):
 class BrokenWakeDesign:
     """A 2x1 mesh: an ingress port feeding one broken echo tile."""
 
-    def __init__(self, kernel: str = "scheduled") -> None:
-        self.sim = CycleSimulator(kernel=kernel)
+    def __init__(self, profile: str = "fast") -> None:
+        self.sim = _fixture_sim(profile)
         self.mesh = Mesh(2, 1)
         self.echo = BrokenWakeEchoTile("echo", self.mesh, (1, 0))
         self.ingress = self.mesh.attach((0, 0))
@@ -77,8 +105,8 @@ class BrokenWakeDesign:
                                      data=data))
 
 
-def build_broken_wake_design(kernel: str = "scheduled") -> BrokenWakeDesign:
-    return BrokenWakeDesign(kernel=kernel)
+def build_broken_wake_design(profile: str = "fast") -> BrokenWakeDesign:
+    return BrokenWakeDesign(profile)
 
 
 # -- shared fixture scaffolding ---------------------------------------------
@@ -128,8 +156,8 @@ class IdleLiarTile(Tile):
 class IdleLiarDesign:
     """A 2x1 mesh holding one lying tile; no traffic needed."""
 
-    def __init__(self, kernel: str = "scheduled") -> None:
-        self.sim = CycleSimulator(kernel=kernel)
+    def __init__(self, profile: str = "fast") -> None:
+        self.sim = _fixture_sim(profile)
         self.mesh = Mesh(2, 1)
         self.liar = IdleLiarTile("liar", self.mesh, (1, 0))
         self.tiles = [self.liar]
@@ -139,8 +167,8 @@ class IdleLiarDesign:
         self.tile_coords = {"liar": (1, 0)}
 
 
-def build_idle_liar_design(kernel: str = "scheduled") -> IdleLiarDesign:
-    return IdleLiarDesign(kernel=kernel)
+def build_idle_liar_design(profile: str = "fast") -> IdleLiarDesign:
+    return IdleLiarDesign(profile)
 
 
 # -- BHV403: flits popped off the books -------------------------------------
@@ -173,8 +201,8 @@ class LeakyEjectTile(Tile):
 class LeakyEjectDesign:
     """A 2x1 mesh: an ingress port feeding the leaky tile."""
 
-    def __init__(self, kernel: str = "scheduled") -> None:
-        self.sim = CycleSimulator(kernel=kernel)
+    def __init__(self, profile: str = "fast") -> None:
+        self.sim = _fixture_sim(profile)
         self.mesh = Mesh(2, 1)
         self.leaky = LeakyEjectTile("leaky", self.mesh, (1, 0))
         self.ingress = self.mesh.attach((0, 0))
@@ -190,8 +218,8 @@ class LeakyEjectDesign:
                                      data=data))
 
 
-def build_leaky_eject_design(kernel: str = "scheduled") -> LeakyEjectDesign:
-    return LeakyEjectDesign(kernel=kernel)
+def build_leaky_eject_design(profile: str = "fast") -> LeakyEjectDesign:
+    return LeakyEjectDesign(profile)
 
 
 # -- BHV404: behaviour keyed to step count ----------------------------------
@@ -241,8 +269,8 @@ class StepParityTile(Tile):
 class StepParityDesign:
     """A 2x1 mesh: an ingress port feeding the parity tile."""
 
-    def __init__(self, kernel: str = "scheduled") -> None:
-        self.sim = CycleSimulator(kernel=kernel)
+    def __init__(self, profile: str = "fast") -> None:
+        self.sim = _fixture_sim(profile)
         self.mesh = Mesh(2, 1)
         self.parity = StepParityTile("parity", self.mesh, (1, 0))
         self.ingress = self.mesh.attach((0, 0))
@@ -258,8 +286,8 @@ class StepParityDesign:
                                      data=data))
 
 
-def build_step_parity_design(kernel: str = "scheduled") -> StepParityDesign:
-    return StepParityDesign(kernel=kernel)
+def build_step_parity_design(profile: str = "fast") -> StepParityDesign:
+    return StepParityDesign(profile)
 
 
 # -- BHV405: a flat mesh's flit read in the cycle it lands --------------------
@@ -288,8 +316,8 @@ class EarlyReadTile(Tile):
 class EarlyReadDesign:
     """A flat 2x1 mesh: an ingress port feeding the early reader."""
 
-    def __init__(self, kernel: str = "scheduled") -> None:
-        self.sim = CycleSimulator(kernel=kernel, mesh_backend="flat")
+    def __init__(self, profile: str = "fast") -> None:
+        self.sim = _fixture_sim(profile)
         self.mesh = FlatMesh(2, 1)
         self.reader = EarlyReadTile("reader", self.mesh, (1, 0))
         self.ingress = self.mesh.attach((0, 0))
@@ -305,8 +333,8 @@ class EarlyReadDesign:
                                      data=data))
 
 
-def build_early_read_design(kernel: str = "scheduled") -> EarlyReadDesign:
-    return EarlyReadDesign(kernel=kernel)
+def build_early_read_design(profile: str = "fast") -> EarlyReadDesign:
+    return EarlyReadDesign(profile)
 
 
 # -- BHV501/502/503: destination-domain declarations vs reality --------------
@@ -356,9 +384,9 @@ class _DomainFixtureDesign:
     well-behaved sink tiles; (2, 1) stays unoccupied."""
 
     def __init__(self, dispatcher_cls: type,
-                 kernel: str = "scheduled",
+                 profile: str = "fast",
                  **dispatcher_kwargs: object) -> None:
-        self.sim = CycleSimulator(kernel=kernel)
+        self.sim = _fixture_sim(profile)
         self.mesh = Mesh(3, 2)
         self.dispatch = dispatcher_cls("dispatch", self.mesh, (1, 0),
                                        **dispatcher_kwargs)
@@ -381,25 +409,25 @@ class _DomainFixtureDesign:
 
 
 def build_phantom_dest_design(
-        kernel: str = "scheduled") -> _DomainFixtureDesign:
+        profile: str = "fast") -> _DomainFixtureDesign:
     """BHV501: the declared domain names the unoccupied (2, 1)."""
-    return _DomainFixtureDesign(PhantomDomainTile, kernel=kernel,
+    return _DomainFixtureDesign(PhantomDomainTile, profile,
                                 phantom=(2, 1))
 
 
 def build_stale_domain_design(
-        kernel: str = "scheduled") -> _DomainFixtureDesign:
+        profile: str = "fast") -> _DomainFixtureDesign:
     """BHV502: sink_b is declared but only sink_a is a replica."""
-    design = _DomainFixtureDesign(StaleDomainScheduler, kernel=kernel,
+    design = _DomainFixtureDesign(StaleDomainScheduler, profile,
                                   stale=(1, 1))
     design.dispatch.add_replica(design.sink_a.coord)
     return design
 
 
 def build_escaped_domain_design(
-        kernel: str = "scheduled") -> _DomainFixtureDesign:
+        profile: str = "fast") -> _DomainFixtureDesign:
     """BHV503: both sinks are replicas but only sink_a is declared."""
-    design = _DomainFixtureDesign(EscapedDomainScheduler, kernel=kernel)
+    design = _DomainFixtureDesign(EscapedDomainScheduler, profile)
     design.dispatch.add_replica(design.sink_a.coord)
     design.dispatch.add_replica(design.sink_b.coord)
     return design
@@ -427,8 +455,8 @@ class BlindForwarderDesign:
     """A 3x1 mesh: the forwarder is non-terminal in a declared chain,
     so its statically-invisible routing is the linter's blind spot."""
 
-    def __init__(self, kernel: str = "scheduled") -> None:
-        self.sim = CycleSimulator(kernel=kernel)
+    def __init__(self, profile: str = "fast") -> None:
+        self.sim = _fixture_sim(profile)
         self.mesh = Mesh(3, 1)
         self.sink = CountingSinkTile("sink", self.mesh, (2, 0))
         self.fwd = BlindForwarderTile("fwd", self.mesh, (1, 0),
@@ -449,5 +477,124 @@ class BlindForwarderDesign:
 
 
 def build_blind_forwarder_design(
-        kernel: str = "scheduled") -> BlindForwarderDesign:
-    return BlindForwarderDesign(kernel=kernel)
+        profile: str = "fast") -> BlindForwarderDesign:
+    return BlindForwarderDesign(profile)
+
+
+# -- BHV201: the Fig 5 message-level deadlock, at run time -------------------
+
+_msg_ids = itertools.count(1_000_000)
+
+
+class CutThroughTile:
+    """A streaming relay: each ejected flit is re-addressed to the next
+    tile and injected immediately.  ``next_coord=None`` makes it a sink."""
+
+    def __init__(self, name: str, mesh: Mesh, coord: tuple[int, int],
+                 next_coord: tuple[int, int] | None) -> None:
+        self.name = name
+        self.coord = coord
+        self.next_coord = next_coord
+        self.port = mesh.attach(coord)
+        self._held: Flit | None = None
+        self._out_msg_id = 0
+        self.flits_through = 0
+        self.messages_through = 0
+
+    def step(self, cycle: int) -> None:
+        local_in = self.port.router.inputs[Port.LOCAL]
+        if self._held is not None:
+            if not local_in.can_accept():
+                return  # blocked: stop consuming, hold the wormhole open
+            local_in.push(self._held)
+            self.port.flits_injected += 1
+            self._held = None
+        flit = self.port.pop_flit(cycle)
+        if flit is None:
+            return
+        self.flits_through += 1
+        if self.next_coord is None:
+            if flit.is_tail:
+                self.messages_through += 1
+            return
+        if flit.is_head:
+            self._out_msg_id = next(_msg_ids)
+        if flit.is_tail:
+            self.messages_through += 1
+        forwarded = Flit(
+            kind=flit.kind,
+            is_head=flit.is_head,
+            is_tail=flit.is_tail,
+            dst=self.next_coord,
+            src=self.coord,
+            msg_id=self._out_msg_id,
+            payload=flit.payload,
+        )
+        if local_in.can_accept():
+            local_in.push(forwarded)
+            self.port.flits_injected += 1
+        else:
+            self._held = forwarded
+
+    commit = no_commit  # the mesh-registered LocalPort commits the FIFOs
+
+    def lint_dest_coords(self) -> list[tuple[int, int]]:
+        """Static destinations for the design linter's derived-chain
+        analysis (this tile has no NextHopTable)."""
+        return [] if self.next_coord is None else [self.next_coord]
+
+
+class Fig5Design:
+    """The Fig 5 receive chain eth -> ip -> udp -> app on a 4x1 mesh,
+    in the deadlocking (``variant="a"``) or safe (``"b"``) placement.
+
+    The Ethernet position is the injection point (its processing is the
+    message entering the NoC); ip and udp are streaming relays; app is
+    a sink.  Shaped like a design (``sim``/``mesh``/``tiles``/
+    ``chains``/``tile_coords``) so ``python -m repro.tools.lint`` can
+    analyze it directly.
+    """
+
+    def __init__(self, variant: str = "a") -> None:
+        if variant == "a":
+            coords = {"eth": (0, 0), "ip": (2, 0), "udp": (1, 0),
+                      "app": (3, 0)}
+        elif variant == "b":
+            coords = {"eth": (0, 0), "ip": (1, 0), "udp": (2, 0),
+                      "app": (3, 0)}
+        else:
+            raise ValueError(f"unknown Fig 5 variant {variant!r}")
+        self.variant = variant
+        self.sim = CycleSimulator()
+        self.mesh = Mesh(4, 1)
+        self.tiles = {
+            "ip": CutThroughTile("ip", self.mesh, coords["ip"],
+                                 coords["udp"]),
+            "udp": CutThroughTile("udp", self.mesh, coords["udp"],
+                                  coords["app"]),
+            "app": CutThroughTile("app", self.mesh, coords["app"], None),
+        }
+        self.ingress = self.mesh.attach(coords["eth"])
+        self.mesh.register(self.sim)
+        self.sim.add_all(self.tiles.values())
+        self.chains = [["eth", "ip", "udp", "app"]]
+        self.tile_coords = dict(coords)
+
+
+def build_fig5a_design(profile: str = "ignored") -> Fig5Design:
+    """The deadlocking placement.  The wedge is in the placement, so
+    the design is the same hand-built one whatever the profile."""
+    return Fig5Design("a")
+
+
+def build_fig5b_design(profile: str = "ignored") -> Fig5Design:
+    """The safe placement; ``profile`` ignored as for Fig 5a."""
+    return Fig5Design("b")
+
+
+def build_fig5_layout(variant: str) -> tuple:
+    """Build a :class:`Fig5Design` and unpack it the historical way:
+    ``(sim, ingress_port, tiles, chain, coords)``."""
+    design = Fig5Design(variant)
+    return (design.sim, design.ingress, design.tiles,
+            design.chains[0], design.tile_coords)

@@ -83,8 +83,8 @@ CODES: dict[str, tuple[str, str]] = {
                       "is pruned and not woken in the same cycle"),
     "BHV403": (ERROR, "flit conservation violated: injected flits != "
                       "ejected + in-flight (unattributed loss)"),
-    "BHV404": (ERROR, "non-determinism: two kernel x backend combos "
-                      "diverged under identical traffic"),
+    "BHV404": (ERROR, "non-determinism: the fast and reference "
+                      "profiles diverged under identical traffic"),
     "BHV405": (ERROR, "early read: an ejected flit consumed in the "
                       "cycle a flat mesh pushed it (a consumer did not "
                       "pass its cycle to the port)"),

@@ -30,9 +30,13 @@ pipeline:
   flit in the cycle it was pushed, one cycle early and silently; the
   stamped FIFO is then empty at the end of that cycle.
 - **determinism** (BHV404): the same traffic is replayed, cycle by
-  cycle, under two kernel x mesh x tile combos; per-cycle digests of
-  the design counters localize the first divergent cycle, and the
-  final counters / egress frames are deep-compared.
+  cycle, under the ``fast`` and the ``reference`` profile; per-cycle
+  digests of the design counters localize the first divergent cycle,
+  and the final counters / egress frames are deep-compared.
+
+The three single-run passes run under ``fast``, the profile people
+run (a fixture maps a profile to its kernel over its own hand-built
+mesh, see :mod:`repro.analysis.demo`).
 
 Everything here is strictly opt-in: the normal ``tick``/``run`` paths
 never consult the sanitizer, so a design that does not ask for it runs
@@ -61,8 +65,6 @@ from repro.noc.message import reset_id_counters
 from repro.sim.kernel import StagedFifo
 from repro.telemetry.stats import design_counters
 
-#: (kernel, mesh backend, tile backend).
-Combo = tuple[str, str, str]
 #: (fire cycle, zero-argument thunk).
 Action = tuple[int, Callable[[], None]]
 #: (design, cycles) -> actions.
@@ -73,18 +75,6 @@ TrafficFn = Callable[[object, int], list[Action]]
 #: fleet in CI.
 DEFAULT_CYCLES = 2000
 
-#: Default combos a design is sanitized under: the scheduled kernel
-#: over both compiled backends (the configurations users actually run).
-DEFAULT_COMBOS: tuple[Combo, ...] = (
-    ("scheduled", "flat", "flat"),
-    ("scheduled", "object", "object"),
-)
-
-#: The reference combo the determinism pass falls back to when fewer
-#: than two combos are given: the exhaustive kernel over the
-#: object-for-object backends.
-NAIVE_REFERENCE: Combo = ("naive", "object", "object")
-
 #: name -> one-line description, mirroring the static PASSES registry.
 SANITIZE_PASSES: dict[str, str] = {
     "idle-truth": "shadow-step pruned components; any observable "
@@ -94,8 +84,8 @@ SANITIZE_PASSES: dict[str, str] = {
     "conservation": "flit ledger: injected == ejected + in-flight per "
                     "mesh (BHV403), no flit consumed in the cycle a "
                     "flat mesh ejected it (BHV405)",
-    "determinism": "dual-run digest across two kernel x backend "
-                   "combos, localizing the first divergence (BHV404)",
+    "determinism": "dual-run digest, fast against reference, "
+                   "localizing the first divergence (BHV404)",
 }
 
 # Counter attributes a component (or its port / substeps) may expose;
@@ -127,40 +117,14 @@ def _component_name(component: object) -> str:
     return type(component).__name__
 
 
-def _combo_label(combo: Combo) -> str:
-    return "/".join(combo)
-
-
-def build_design(factory: Callable[..., object],
-                 combo: Combo | None = None,
+def build_design(factory: Callable[..., object], profile: str = "fast",
                  fault_plan: object | None = None) -> object:
-    """Instantiate ``factory`` under ``combo``, dropping unsupported
-    keyword arguments.
-
-    Shipped designs accept the full ``kernel`` / ``mesh_backend`` /
-    ``tile_backend`` / ``fault_plan`` set; demo and fixture designs
-    often take only ``kernel``.  Unknown-keyword ``TypeError``\\ s are
-    retried without the rejected kwarg so one driver covers both.
-    """
-    kwargs: dict[str, object] = {}
-    if combo is not None:
-        kernel, mesh_backend, tile_backend = combo
-        kwargs["kernel"] = kernel
-        kwargs["mesh_backend"] = mesh_backend
-        kwargs["tile_backend"] = tile_backend
-    if fault_plan is not None:
-        kwargs["fault_plan"] = fault_plan
-    while True:
-        try:
-            return factory(**kwargs)
-        except TypeError as error:
-            message = str(error)
-            if "keyword" not in message:
-                raise
-            dropped = next((key for key in kwargs if key in message), None)
-            if dropped is None:
-                raise
-            del kwargs[dropped]
+    """Instantiate ``factory`` under ``profile``.  Every factory the
+    linter can name takes ``profile``; ``fault_plan`` is passed only
+    when there is one (the fixtures take none)."""
+    if fault_plan is None:
+        return factory(profile=profile)
+    return factory(profile=profile, fault_plan=fault_plan)
 
 
 def _payload(index: int, length: int) -> bytes:
@@ -250,10 +214,9 @@ class SanitizeObserver:
     """
 
     def __init__(self, design: object, model: DesignModel,
-                 passes: Iterable[str], combo: Combo) -> None:
+                 passes: Iterable[str]) -> None:
         self.sim = design.sim
         self.model = model
-        self.combo = combo
         selected = set(passes)
         scheduled = getattr(self.sim, "kernel", "naive") == "scheduled"
         self.check_idle = "idle-truth" in selected and scheduled
@@ -354,14 +317,12 @@ class SanitizeObserver:
             f"pruned component made observable progress when "
             f"shadow-stepped at cycle {cycle} "
             f"(changed: {', '.join(changed[:4])})"
-            f"{' ...' if len(changed) > 4 else ''} "
-            f"[{_combo_label(self.combo)}]",
+            f"{' ...' if len(changed) > 4 else ''}",
             location=name,
             hint="is_idle() reported quiescence while work remained — "
                  "fix is_idle()/next_event_cycle() or wire the missing "
                  "wake source",
-            data={"cycle": cycle, "changed": changed,
-                  "combo": _combo_label(self.combo)}))
+            data={"cycle": cycle, "changed": changed}))
 
     def step_phase_done(self, cycle: int) -> None:
         if not self.check_wake:
@@ -382,14 +343,12 @@ class SanitizeObserver:
                     "BHV402",
                     f"push into {fifo.name!r} at cycle {cycle} but its "
                     f"consumer {name!r} is asleep, was not woken this "
-                    f"cycle, and has no timer due by cycle "
-                    f"{cycle + 1} [{_combo_label(self.combo)}]",
+                    f"cycle, and has no timer due by cycle {cycle + 1}",
                     location=name,
                     hint="the producer's push must reach a wake hook "
                          "for this consumer: check wake_sources() "
                          "covers the FIFO",
-                    data={"cycle": cycle, "fifo": fifo.name,
-                          "combo": _combo_label(self.combo)}))
+                    data={"cycle": cycle, "fifo": fifo.name}))
 
     def cycle_done(self, cycle: int) -> None:
         # One flit per FIFO per cycle, pushed behind whatever was
@@ -401,15 +360,13 @@ class SanitizeObserver:
             self.findings.append(Finding(
                 "BHV405",
                 f"flit ejected into {fifo.name!r} at cycle {cycle} was "
-                f"consumed in that same cycle "
-                f"[{_combo_label(self.combo)}]",
+                "consumed in that same cycle",
                 location=where,
                 hint="a consumer stepped inside a tick must pass the "
                      "cycle it is stepping: port.receive(cycle) / "
                      "pop_flit(cycle) / eject_ready(cycle); without it "
                      "it sees a flat mesh's flit one cycle early",
-                data={"cycle": cycle, "fifo": fifo.name,
-                      "combo": _combo_label(self.combo)}))
+                data={"cycle": cycle, "fifo": fifo.name}))
 
 
 def _drive(design: object, actions: Sequence[Action], cycles: int,
@@ -462,7 +419,7 @@ def conservation_ledger(mesh: object) -> dict[str, int]:
             "in_flight": in_flight}
 
 
-def _conservation_findings(design: object, combo: Combo) -> list[Finding]:
+def _conservation_findings(design: object) -> list[Finding]:
     findings: list[Finding] = []
     for label, mesh in _meshes_of(design):
         if not getattr(mesh, "ports", None):
@@ -477,14 +434,12 @@ def _conservation_findings(design: object, combo: Combo) -> list[Finding]:
                 f"{'lost' if delta > 0 else 'conjured'} in {label}: "
                 f"injected={ledger['injected']} "
                 f"ejected={ledger['ejected']} "
-                f"in_flight={ledger['in_flight']} "
-                f"[{_combo_label(combo)}]",
+                f"in_flight={ledger['in_flight']}",
                 location=label,
                 hint="something pops an ejection FIFO without counting "
                      "flits_ejected (or pushes flits outside a port); "
                      "route drains through LocalPort.receive / pop_flit",
-                data={**ledger, "delta": delta,
-                      "combo": _combo_label(combo)}))
+                data={**ledger, "delta": delta}))
         # The flat core keeps its own ledger (ring total, ring stamps,
         # active outputs, lock/request state, the in-flight message
         # table its int handles name); a break there shows up as a
@@ -496,19 +451,17 @@ def _conservation_findings(design: object, combo: Combo) -> list[Finding]:
         for problem in problems:
             findings.append(Finding(
                 "BHV403",
-                f"flat mesh state inconsistent in {label}: {problem} "
-                f"[{_combo_label(combo)}]",
+                f"flat mesh state inconsistent in {label}: {problem}",
                 location=label,
                 hint="FlatMeshCore's active-output list, head state or "
                      "in-flight table diverged from its rings; see "
-                     "FlatMeshCore.check_invariants",
-                data={"combo": _combo_label(combo)}))
+                     "FlatMeshCore.check_invariants"))
     return findings
 
 
 # -- BHV402: the flat tile engine's busy-bit ledger ---------------------------
 
-def _tile_core_findings(design: object, combo: Combo) -> list[Finding]:
+def _tile_core_findings(design: object) -> list[Finding]:
     tile_core = getattr(design, "tile_core", None)
     if tile_core is None:
         return []
@@ -516,13 +469,11 @@ def _tile_core_findings(design: object, combo: Combo) -> list[Finding]:
     for problem in tile_core.check_invariants():
         findings.append(Finding(
             "BHV402",
-            f"flat tile engine state inconsistent: {problem} "
-            f"[{_combo_label(combo)}]",
+            f"flat tile engine state inconsistent: {problem}",
             location=tile_core.name,
             hint="the flat mesh wakes a tile only when it ejects "
                  "into an empty FIFO, so the busy bit must stay set "
-                 "while the FIFO holds flits",
-            data={"combo": _combo_label(combo)}))
+                 "while the FIFO holds flits"))
     return findings
 
 
@@ -553,11 +504,11 @@ def _cycle_digest(design: object) -> int:
 
 
 def _determinism_run(
-        factory: Callable[..., object], combo: Combo,
+        factory: Callable[..., object], profile: str,
         fault_plan: object | None, traffic: TrafficFn, cycles: int,
 ) -> tuple[list[int], dict, list | None]:
     reset_id_counters()
-    design = build_design(factory, combo, fault_plan)
+    design = build_design(factory, profile, fault_plan)
     actions = sorted(traffic(design, cycles), key=lambda a: a[0])
     sim = design.sim
     digests: list[int] = []
@@ -570,7 +521,7 @@ def _determinism_run(
         sim.tick()
         digests.append(_cycle_digest(design))
     counters = design_counters(design)
-    counters.pop("backends", None)  # the one *expected* difference
+    counters.pop("profile", None)  # the one *expected* difference
     eth_tx = getattr(design, "eth_tx", None)
     frames = (None if eth_tx is None
               else list(getattr(eth_tx, "frames_out", [])))
@@ -578,12 +529,12 @@ def _determinism_run(
 
 
 def _determinism_findings(
-        factory: Callable[..., object], pair: tuple[Combo, Combo],
+        factory: Callable[..., object],
         fault_plan: object | None, traffic: TrafficFn, cycles: int,
         target: str,
 ) -> list[Finding]:
-    runs = [_determinism_run(factory, combo, fault_plan, traffic, cycles)
-            for combo in pair]
+    runs = [_determinism_run(factory, profile, fault_plan, traffic, cycles)
+            for profile in ("fast", "reference")]
     (digests_a, counters_a, frames_a) = runs[0]
     (digests_b, counters_b, frames_b) = runs[1]
     if (digests_a == digests_b and counters_a == counters_b
@@ -599,16 +550,15 @@ def _determinism_findings(
     detail = f"; differing counters: {', '.join(keys)}" if keys else ""
     if frames_a != frames_b:
         detail += "; egress frame streams differ"
-    labels = f"{_combo_label(pair[0])} vs {_combo_label(pair[1])}"
     return [Finding(
         "BHV404",
-        f"identical traffic diverged under {labels}: {where}{detail}",
+        f"identical traffic diverged under fast vs reference: "
+        f"{where}{detail}",
         location=target,
         hint="per-cycle observable state must be independent of the "
-             "kernel and backends; look for state advanced by step "
-             "count rather than by committed events",
-        data={"combos": [list(pair[0]), list(pair[1])],
-              "first_divergent_cycle": divergent,
+             "profile; look for state advanced by step count rather "
+             "than by committed events",
+        data={"first_divergent_cycle": divergent,
               "counter_keys": keys})]
 
 
@@ -619,20 +569,18 @@ def analyze_dynamic(
         name: str | None = None,
         passes: Iterable[str] | None = None,
         cycles: int = DEFAULT_CYCLES,
-        combos: Iterable[Combo] | None = None,
         fault_plan: object | None = None,
         traffic: TrafficFn | None = None,
 ) -> AnalysisReport:
     """Run the selected sanitizer passes over ``factory``'s design.
 
-    ``factory`` is called once per combo (every run needs a fresh
-    design); ``traffic`` (default :func:`default_traffic`) builds the
-    per-run action schedule, and ``fault_plan`` composes the run with
-    :mod:`repro.faults` — the sanitizer invariants hold under fault
-    injection, which is precisely when silent loss tends to appear.
-
-    Findings duplicated across combos are reported once (tagged with
-    the first combo that saw them).
+    ``factory(profile=...)`` is called once per run (every run needs a
+    fresh design): under ``fast`` for the three single-run passes, under
+    ``fast`` and ``reference`` for determinism.  ``traffic`` (default
+    :func:`default_traffic`) builds the per-run action schedule, and
+    ``fault_plan`` composes the run with :mod:`repro.faults` — the
+    sanitizer invariants hold under fault injection, which is precisely
+    when silent loss tends to appear.
     """
     selected = (list(SANITIZE_PASSES) if passes is None
                 else list(passes))
@@ -642,11 +590,6 @@ def analyze_dynamic(
                        f"available: {sorted(SANITIZE_PASSES)}")
     if cycles < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles}")
-    combo_list: list[Combo] = [tuple(c) for c in
-                               (DEFAULT_COMBOS if combos is None
-                                else combos)]
-    if not combo_list:
-        raise ValueError("at least one combo is required")
     traffic_fn: TrafficFn = (default_traffic if traffic is None
                              else traffic)
     report = AnalysisReport(
@@ -662,30 +605,24 @@ def analyze_dynamic(
         report.findings.append(finding)
 
     if {"idle-truth", "lost-wake", "conservation"} & set(selected):
-        for combo in combo_list:
-            reset_id_counters()
-            design = build_design(factory, combo, fault_plan)
-            model = extract(design, name=report.target)
-            actions = traffic_fn(design, cycles)
-            observer = SanitizeObserver(design, model, selected, combo)
-            _drive(design, actions, cycles, observer)
-            for finding in observer.findings:
+        reset_id_counters()
+        design = build_design(factory, "fast", fault_plan)
+        model = extract(design, name=report.target)
+        actions = traffic_fn(design, cycles)
+        observer = SanitizeObserver(design, model, selected)
+        _drive(design, actions, cycles, observer)
+        for finding in observer.findings:
+            add(finding)
+        if "lost-wake" in selected:
+            for finding in _tile_core_findings(design):
                 add(finding)
-            if "lost-wake" in selected:
-                for finding in _tile_core_findings(design, combo):
-                    add(finding)
-            if "conservation" in selected:
-                for finding in _conservation_findings(design, combo):
-                    add(finding)
+        if "conservation" in selected:
+            for finding in _conservation_findings(design):
+                add(finding)
 
     if "determinism" in selected:
-        if len(combo_list) >= 2:
-            pair = (combo_list[0], combo_list[1])
-        else:
-            pair = (combo_list[0], NAIVE_REFERENCE)
         for finding in _determinism_findings(
-                factory, pair, fault_plan, traffic_fn, cycles,
-                report.target):
+                factory, fault_plan, traffic_fn, cycles, report.target):
             add(finding)
 
     report.passes_run.extend(f"sanitize:{p}" for p in selected)

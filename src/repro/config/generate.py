@@ -15,12 +15,9 @@ from collections.abc import Callable
 
 from repro.config.schema import DesignSpec, TileSpec
 from repro.config.validate import validate
-from repro.analysis.deadlock import assert_deadlock_free
-from repro.noc.flatmesh import build_mesh
+from repro.designs.base import Design
 from repro.packet.ethernet import MacAddress
 from repro.packet.ipv4 import IPv4Address
-from repro.sim.kernel import CycleSimulator
-from repro.tiles.flatcore import register_tiles
 from repro.tiles.buffer import BufferTile
 from repro.tiles.ethernet import EthernetRxTile, EthernetTxTile
 from repro.tiles.ip import IpRxTile, IpTxTile
@@ -149,19 +146,16 @@ def register_tile_type(type_name: str, factory: Callable) -> None:
     TILE_TYPES[type_name] = factory
 
 
-class GeneratedDesign:
+class GeneratedDesign(Design):
     """A design built from a :class:`DesignSpec`."""
 
-    def __init__(self, spec: DesignSpec, kernel: str = "scheduled",
-                 mesh_backend: str = "flat",
-                 tile_backend: str = "flat"):
+    # The addresses are whatever the spec gave its Ethernet and IP tiles.
+    server_ip = server_mac = None
+
+    def __init__(self, spec: DesignSpec, profile: str = "fast"):
         self.spec = spec
         self.report = validate(spec)
-        self.sim = CycleSimulator(kernel=kernel,
-                                  mesh_backend=mesh_backend,
-                                  tile_backend=tile_backend)
-        self.mesh = build_mesh(spec.width, spec.height,
-                               backend=mesh_backend)
+        super().__init__(spec.width, spec.height, profile)
         context = BuildContext(self.mesh)
         self.tiles: dict[str, object] = {}
         for tile_spec in spec.tiles:
@@ -173,13 +167,8 @@ class GeneratedDesign:
                 )
             self.tiles[tile_spec.name] = factory(tile_spec, context)
         self._wire_dests(spec)
-        self.mesh.register(self.sim)
-        self.tile_backend = tile_backend
-        self.tile_core = register_tiles(self.sim, self.tiles,
-                                        tile_backend)
-        self.chains = [chain.tiles for chain in spec.chains]
-        self.tile_coords = spec.coords()
-        assert_deadlock_free(self.chains, self.tile_coords)
+        self.register(self.tiles,
+                      [chain.tiles for chain in spec.chains])
 
     def _wire_dests(self, spec: DesignSpec) -> None:
         coords = spec.coords()
@@ -219,9 +208,6 @@ class GeneratedDesign:
     @property
     def eth_tx(self) -> EthernetTxTile:
         return self._find(EthernetTxTile)[0]
-
-    def inject(self, frame: bytes, cycle: int) -> None:
-        self.eth_rx.push_frame(frame, cycle)
 
     def add_neighbor(self, ip: IPv4Address, mac: MacAddress) -> None:
         for eth_tx in self._find(EthernetTxTile):

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from repro.control.controller import InternalControllerTile
 from repro.control.plane import ControlPlane
-from repro.analysis.deadlock import assert_deadlock_free
+from repro.designs.base import Design
 from repro.designs.virt_stack import NatEchoDesign
-from repro.faults import attach_faults
 from repro.packet.ethernet import MacAddress
 from repro.packet.ipv4 import IPv4Address
 
@@ -24,12 +23,19 @@ class ManagedNatEchoDesign(NatEchoDesign):
 
     CONTROL_PORT = 9000
 
-    def __init__(self, udp_port: int = 7, fault_plan=None, **kwargs):
-        # Attach faults only once the controller tile exists, so plans
-        # may target it; the base class must not attach first.
-        super().__init__(udp_port=udp_port, fault_plan=None, **kwargs)
+    def __init__(self, udp_port: int = 7,
+                 line_rate_bytes_per_cycle: float | None = 50.0,
+                 profile: str = "fast",
+                 fault_plan=None):
+        # Not NatEchoDesign.__init__, which registers what it built:
+        # this design has a tile to add first.
+        Design.__init__(self, 5, 2, profile)
+        tiles, chains = self._nat_stack(udp_port,
+                                        line_rate_bytes_per_cycle)
         self.control = ControlPlane(5, 2)
 
+        # The controller is one more tile of the stack, registered (and
+        # open to fault plans) with the rest.
         controller_ep = self.control.attach((4, 1), "controller")
         self.controller = InternalControllerTile(
             "controller", self.mesh, (4, 1), endpoint=controller_ep,
@@ -38,8 +44,10 @@ class ManagedNatEchoDesign(NatEchoDesign):
                                            self.udp_tx.coord)
         self.udp_rx.next_hop.set_entry(self.CONTROL_PORT,
                                        self.controller.coord)
-        self.tiles.append(self.controller)
-        self.tile_coords["controller"] = self.controller.coord
+        tiles.append(self.controller)
+        chains.append(["eth_rx", "ip_rx", "nat_rx", "udp_rx",
+                       "controller", "udp_tx", "nat_tx", "ip_tx",
+                       "eth_tx"])
 
         # NAT endpoint: the control plane rewrites the virtual->physical
         # mapping on client migration.
@@ -85,16 +93,5 @@ class ManagedNatEchoDesign(NatEchoDesign):
             "udp_rx": udp_ep,
         }
 
-        # The base design already ran mesh.register(), so the
-        # controller's freshly-attached local port must be added too —
-        # unless the mesh backend steps its ports itself.
-        if not self.mesh.steps_ports:
-            self.sim.add(self.controller.port)
-        self.sim.add(self.controller)
+        self.register(tiles, chains, fault_plan)
         self.control.register(self.sim)
-
-        self.chains.append(["eth_rx", "ip_rx", "nat_rx", "udp_rx",
-                            "controller", "udp_tx", "nat_tx", "ip_tx",
-                            "eth_tx"])
-        assert_deadlock_free(self.chains, self.tile_coords)
-        attach_faults(self, fault_plan)

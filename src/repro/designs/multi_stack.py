@@ -15,28 +15,19 @@ Layout (5 x 2N mesh), rows r = 2k, 2k+1 per stack k:
 from __future__ import annotations
 
 from repro.apps.echo import UdpEchoAppTile
-from repro.analysis.deadlock import assert_deadlock_free
-from repro.faults import attach_faults
-from repro.noc.flatmesh import build_mesh
-from repro.noc.mesh import Mesh
+from repro.designs.base import SERVER_IP, SERVER_MAC, Design
 from repro.packet.ethernet import ETHERTYPE_IPV4, MacAddress
 from repro.packet.ipv4 import IPPROTO_UDP, IPv4Address
-from repro.sim.kernel import CycleSimulator
-from repro.tiles.flatcore import register_tiles
 from repro.tiles.ethernet import EthernetRxTile, EthernetTxTile
 from repro.tiles.ip import IpRxTile, IpTxTile
 from repro.tiles.loadbalancer import FlowHashLoadBalancerTile
 from repro.tiles.udp import UdpRxTile, UdpTxTile
 
-SERVER_MAC = MacAddress("02:be:e0:00:00:01")
-SERVER_IP = IPv4Address("10.0.0.10")
-
 
 class _Stack:
     """One replicated UDP echo stack instance."""
 
-    def __init__(self, index: int, mesh: Mesh, udp_port: int,
-                 line_rate):
+    def __init__(self, index: int, mesh, udp_port: int, line_rate):
         top = 2 * index
         bottom = top + 1
         suffix = f"_{index}"
@@ -69,41 +60,29 @@ class _Stack:
                        self.udp_tx, self.ip_tx, self.eth_tx)]
 
 
-class MultiStackDesign:
+class MultiStackDesign(Design):
     """N duplicated UDP stacks behind a flow-hash load balancer."""
 
     def __init__(self, stacks: int = 2, udp_port: int = 7,
                  line_rate_bytes_per_cycle: float | None = None,
-                 kernel: str = "scheduled",
-                 mesh_backend: str = "flat",
-                 tile_backend: str = "flat",
+                 profile: str = "fast",
                  fault_plan=None):
         if stacks < 1:
             raise ValueError("need at least one stack")
-        self.sim = CycleSimulator(kernel=kernel,
-                                  mesh_backend=mesh_backend,
-                                  tile_backend=tile_backend)
-        self.mesh = build_mesh(5, 2 * stacks, backend=mesh_backend)
+        super().__init__(5, 2 * stacks, profile)
         self.lb = FlowHashLoadBalancerTile("lb", self.mesh, (0, 0))
         self.stacks = [
             _Stack(index, self.mesh, udp_port,
                    line_rate_bytes_per_cycle)
             for index in range(stacks)
         ]
-        self.tiles = [self.lb]
-        self.chains = []
+        tiles = [self.lb]
+        chains = []
         for stack in self.stacks:
             self.lb.add_stack(stack.eth_rx.coord)
-            self.tiles.extend(stack.tiles)
-            self.chains.append(["lb"] + stack.chain)
-
-        self.mesh.register(self.sim)
-        self.tile_backend = tile_backend
-        self.tile_core = register_tiles(self.sim, self.tiles,
-                                        tile_backend)
-        self.tile_coords = {t.name: t.coord for t in self.tiles}
-        assert_deadlock_free(self.chains, self.tile_coords)
-        attach_faults(self, fault_plan)
+            tiles.extend(stack.tiles)
+            chains.append(["lb"] + stack.chain)
+        self.register(tiles, chains, fault_plan)
 
     def add_client(self, ip: IPv4Address, mac: MacAddress) -> None:
         for stack in self.stacks:
@@ -114,11 +93,3 @@ class MultiStackDesign:
 
     def total_echoed(self) -> int:
         return sum(stack.app.requests for stack in self.stacks)
-
-    @property
-    def server_ip(self) -> IPv4Address:
-        return SERVER_IP
-
-    @property
-    def server_mac(self) -> MacAddress:
-        return SERVER_MAC

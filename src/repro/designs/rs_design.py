@@ -15,42 +15,30 @@ from __future__ import annotations
 
 from repro import params
 from repro.apps.reed_solomon.tile import RsEncoderTile
-from repro.analysis.deadlock import assert_deadlock_free
-from repro.faults import attach_faults
-from repro.noc.flatmesh import build_mesh
-from repro.packet.ethernet import ETHERTYPE_IPV4, MacAddress
-from repro.packet.ipv4 import IPPROTO_UDP, IPv4Address
-from repro.sim.kernel import CycleSimulator
-from repro.tiles.flatcore import register_tiles
+from repro.designs.base import SERVER_IP, SERVER_MAC, Design
+from repro.packet.ethernet import ETHERTYPE_IPV4
+from repro.packet.ipv4 import IPPROTO_UDP
 from repro.tiles.ethernet import EthernetRxTile, EthernetTxTile
 from repro.tiles.ip import IpRxTile, IpTxTile
 from repro.tiles.scheduler import RoundRobinSchedulerTile
 from repro.tiles.udp import UdpRxTile, UdpTxTile
 
-SERVER_MAC = MacAddress("02:be:e0:00:00:01")
-SERVER_IP = IPv4Address("10.0.0.10")
-
 _RS_COORDS = [(4, 0), (5, 0), (3, 1), (4, 1)]
 
 
-class RsDesign:
+class RsDesign(Design):
     """Beehive hosting 1-4 Reed-Solomon encoder instances."""
 
     def __init__(self, instances: int = 4, udp_port: int = 7000,
                  line_rate_bytes_per_cycle: float | None = 50.0,
                  rs_gbps: float = params.RS_TILE_GBPS,
-                 kernel: str = "scheduled",
-                 mesh_backend: str = "flat",
-                 tile_backend: str = "flat",
+                 profile: str = "fast",
                  fault_plan=None):
         if not 1 <= instances <= 4:
             raise ValueError("this layout hosts 1-4 RS instances")
+        super().__init__(6, 2, profile)
         self.instances = instances
         self.udp_port = udp_port
-        self.sim = CycleSimulator(kernel=kernel,
-                                  mesh_backend=mesh_backend,
-                                  tile_backend=tile_backend)
-        self.mesh = build_mesh(6, 2, backend=mesh_backend)
 
         self.eth_rx = EthernetRxTile("eth_rx", self.mesh, (0, 0),
                                      my_mac=SERVER_MAC)
@@ -70,9 +58,6 @@ class RsDesign:
             "eth_tx", self.mesh, (0, 1), my_mac=SERVER_MAC,
             line_rate_bytes_per_cycle=line_rate_bytes_per_cycle,
         )
-        self.tiles = [self.eth_rx, self.ip_rx, self.udp_rx,
-                      self.scheduler, *self.rs_tiles, self.udp_tx,
-                      self.ip_tx, self.eth_tx]
 
         self.eth_rx.next_hop.set_entry(ETHERTYPE_IPV4, self.ip_rx.coord)
         self.ip_rx.next_hop.set_entry(IPPROTO_UDP, self.udp_rx.coord)
@@ -85,34 +70,15 @@ class RsDesign:
         self.ip_tx.next_hop.set_entry(self.ip_tx.DEFAULT,
                                       self.eth_tx.coord)
 
-        self.mesh.register(self.sim)
-        self.tile_backend = tile_backend
-        self.tile_core = register_tiles(self.sim, self.tiles,
-                                        tile_backend)
-
-        self.chains = [
-            ["eth_rx", "ip_rx", "udp_rx", "sched", tile.name,
-             "udp_tx", "ip_tx", "eth_tx"]
-            for tile in self.rs_tiles
-        ]
-        self.tile_coords = {t.name: t.coord for t in self.tiles}
-        assert_deadlock_free(self.chains, self.tile_coords)
-        attach_faults(self, fault_plan)
-
-    def add_client(self, ip: IPv4Address, mac: MacAddress) -> None:
-        self.eth_tx.add_neighbor(ip, mac)
-
-    def inject(self, frame: bytes, cycle: int) -> None:
-        self.eth_rx.push_frame(frame, cycle)
+        self.register(
+            [self.eth_rx, self.ip_rx, self.udp_rx,
+             self.scheduler, *self.rs_tiles, self.udp_tx,
+             self.ip_tx, self.eth_tx],
+            [["eth_rx", "ip_rx", "udp_rx", "sched", tile.name,
+              "udp_tx", "ip_tx", "eth_tx"]
+             for tile in self.rs_tiles],
+            fault_plan)
 
     @property
     def total_requests(self) -> int:
         return sum(tile.requests for tile in self.rs_tiles)
-
-    @property
-    def server_ip(self) -> IPv4Address:
-        return SERVER_IP
-
-    @property
-    def server_mac(self) -> MacAddress:
-        return SERVER_MAC

@@ -13,27 +13,20 @@ declared chains.
 from __future__ import annotations
 
 from repro.apps.echo import UdpEchoAppTile
-from repro.analysis.deadlock import assert_deadlock_free
-from repro.faults import attach_faults
-from repro.noc.flatmesh import build_mesh
-from repro.packet.ethernet import ETHERTYPE_IPV4, MacAddress
-from repro.packet.ipv4 import IPPROTO_UDP, IPv4Address
-from repro.sim.kernel import CycleSimulator
-from repro.tiles.flatcore import register_tiles
+from repro.designs.base import SERVER_IP, SERVER_MAC, Design
+from repro.packet.ethernet import ETHERTYPE_IPV4
+from repro.packet.ipv4 import IPPROTO_UDP
 from repro.tiles.ethernet import EthernetRxTile, EthernetTxTile
 from repro.tiles.ip import IpRxTile, IpTxTile
 from repro.tiles.udp import UdpRxTile, UdpTxTile
 
-SERVER_MAC = MacAddress("02:be:e0:00:00:01")
-SERVER_IP = IPv4Address("10.0.0.10")
 
-
-class ScaledEchoDesign:
+class ScaledEchoDesign(Design):
     """A UDP stack with replicated echo tiles, 7x4 / 22 apps default.
 
     ``width``/``height`` generalise the paper's 7x4 U200 floorplan so
-    the flat mesh backend can be swept to sizes (16x16 and beyond) the
-    object backend cannot reach in CI time.  The layout rule is
+    the ``fast`` profile can be swept to sizes (16x16 and beyond)
+    ``reference`` cannot reach in CI time.  The layout rule is
     unchanged: the six stack tiles occupy columns 0-2 of rows 0-1, and
     every remaining coordinate may host an application replica.
     """
@@ -44,9 +37,7 @@ class ScaledEchoDesign:
 
     def __init__(self, n_apps: int = 22, udp_port: int = 7,
                  line_rate_bytes_per_cycle: float | None = None,
-                 kernel: str = "scheduled",
-                 mesh_backend: str = "flat",
-                 tile_backend: str = "flat",
+                 profile: str = "fast",
                  width: int | None = None,
                  height: int | None = None,
                  fault_plan=None,
@@ -62,13 +53,9 @@ class ScaledEchoDesign:
             raise ValueError(
                 f"this layout hosts 1-{max_apps} app tiles"
             )
+        super().__init__(self.width, self.height, profile)
         self.n_apps = n_apps
         self.udp_port = udp_port
-        self.sim = CycleSimulator(kernel=kernel,
-                                  mesh_backend=mesh_backend,
-                                  tile_backend=tile_backend)
-        self.mesh = build_mesh(self.width, self.height,
-                               backend=mesh_backend)
 
         self.eth_rx = EthernetRxTile("eth_rx", self.mesh, (0, 0),
                                      my_mac=SERVER_MAC)
@@ -117,9 +104,6 @@ class ScaledEchoDesign:
             UdpEchoAppTile(f"app{i}", self.mesh, app_coords[i])
             for i in range(n_apps)
         ]
-        self.tiles = [self.eth_rx, self.ip_rx, self.udp_rx,
-                      self.eth_tx, self.ip_tx, self.udp_tx,
-                      *self.apps]
 
         self.eth_rx.next_hop.set_entry(ETHERTYPE_IPV4, self.ip_rx.coord)
         self.ip_rx.next_hop.set_entry(IPPROTO_UDP, self.udp_rx.coord)
@@ -134,34 +118,14 @@ class ScaledEchoDesign:
         self.ip_tx.next_hop.set_entry(self.ip_tx.DEFAULT,
                                       self.eth_tx.coord)
 
-        self.mesh.register(self.sim)
-        self.tile_backend = tile_backend
-        self.tile_core = register_tiles(self.sim, self.tiles,
-                                        tile_backend)
-
-        self.chains = [
-            ["eth_rx", "ip_rx", "udp_rx", app.name,
-             "udp_tx", "ip_tx", "eth_tx"]
-            for app in self.apps
-        ]
-        self.tile_coords = {t.name: t.coord for t in self.tiles}
-        assert_deadlock_free(self.chains, self.tile_coords)
-        attach_faults(self, fault_plan)
+        self.register(
+            [self.eth_rx, self.ip_rx, self.udp_rx,
+             self.eth_tx, self.ip_tx, self.udp_tx, *self.apps],
+            [["eth_rx", "ip_rx", "udp_rx", app.name,
+              "udp_tx", "ip_tx", "eth_tx"]
+             for app in self.apps],
+            fault_plan)
 
     @property
     def total_tiles(self) -> int:
         return len(self.tiles)
-
-    def add_client(self, ip: IPv4Address, mac: MacAddress) -> None:
-        self.eth_tx.add_neighbor(ip, mac)
-
-    def inject(self, frame: bytes, cycle: int) -> None:
-        self.eth_rx.push_frame(frame, cycle)
-
-    @property
-    def server_ip(self) -> IPv4Address:
-        return SERVER_IP
-
-    @property
-    def server_mac(self) -> MacAddress:
-        return SERVER_MAC

@@ -15,13 +15,9 @@ the NoC.
 from __future__ import annotations
 
 from repro import params
-from repro.faults import attach_faults
-from repro.noc.flatmesh import build_mesh
-from repro.packet.ethernet import ETHERTYPE_IPV4, MacAddress
-from repro.packet.ipv4 import IPPROTO_TCP, IPv4Address
-from repro.analysis.deadlock import assert_deadlock_free
-from repro.sim.kernel import CycleSimulator
-from repro.tiles.flatcore import register_tiles
+from repro.designs.base import SERVER_IP, SERVER_MAC, Design
+from repro.packet.ethernet import ETHERTYPE_IPV4
+from repro.packet.ipv4 import IPPROTO_TCP
 from repro.tcp.app import TcpEchoAppTile
 from repro.tcp.flow import FlowTable
 from repro.tcp.rx_engine import TcpRxEngineTile
@@ -31,11 +27,8 @@ from repro.tiles.ethernet import EthernetRxTile, EthernetTxTile
 from repro.tiles.ip import IpRxTile, IpTxTile
 from repro.tiles.logger import PacketLogTile
 
-SERVER_MAC = MacAddress("02:be:e0:00:00:01")
-SERVER_IP = IPv4Address("10.0.0.10")
 
-
-class TcpServerDesign:
+class TcpServerDesign(Design):
     """Beehive with the server-side TCP engine and one application."""
 
     def __init__(self, tcp_port: int = 5000,
@@ -46,16 +39,11 @@ class TcpServerDesign:
                  max_flows: int = 8,
                  mss: int = params.TCP_MSS_BYTES,
                  congestion_control: bool | str = False,
-                 kernel: str = "scheduled",
-                 mesh_backend: str = "flat",
-                 tile_backend: str = "flat",
+                 profile: str = "fast",
                  fault_plan=None,
                  **app_kwargs):
+        super().__init__(6, 2, profile)
         self.tcp_port = tcp_port
-        self.sim = CycleSimulator(kernel=kernel,
-                                  mesh_backend=mesh_backend,
-                                  tile_backend=tile_backend)
-        self.mesh = build_mesh(6, 2, backend=mesh_backend)
         self.flows = FlowTable(max_flows=max_flows)
 
         self.rx_buf = BufferTile(
@@ -92,9 +80,9 @@ class TcpServerDesign:
             "eth_tx", self.mesh, (0, 1), my_mac=SERVER_MAC,
             line_rate_bytes_per_cycle=line_rate_bytes_per_cycle,
         )
-        self.tiles = [self.eth_rx, self.ip_rx, self.tcp_rx, self.app,
-                      self.tcp_tx, self.ip_tx, self.eth_tx,
-                      self.rx_buf, self.tx_buf]
+        tiles = [self.eth_rx, self.ip_rx, self.tcp_rx, self.app,
+                 self.tcp_tx, self.ip_tx, self.eth_tx,
+                 self.rx_buf, self.tx_buf]
 
         self.log_rx = self.log_tx = None
         if with_logging:
@@ -102,7 +90,7 @@ class TcpServerDesign:
                                         direction="rx")
             self.log_tx = PacketLogTile("log_tx", self.mesh, (2, 1),
                                         direction="tx")
-            self.tiles.extend([self.log_rx, self.log_tx])
+            tiles.extend([self.log_rx, self.log_tx])
 
         # Dedicated wires between the engines (section V-D).
         self.tcp_rx.connect_tx(self.tcp_tx)
@@ -125,11 +113,6 @@ class TcpServerDesign:
         self.ip_tx.next_hop.set_entry(self.ip_tx.DEFAULT,
                                       self.eth_tx.coord)
 
-        self.mesh.register(self.sim)
-        self.tile_backend = tile_backend
-        self.tile_core = register_tiles(self.sim, self.tiles,
-                                        tile_backend)
-
         rx_chain = ["eth_rx", "ip_rx"]
         if with_logging:
             rx_chain.append("log_rx")
@@ -138,25 +121,10 @@ class TcpServerDesign:
         if with_logging:
             tx_chain.append("log_tx")
         tx_chain.extend(["ip_tx", "eth_tx"])
-        self.chains = [rx_chain, tx_chain,
+        self.register(tiles,
+                      [rx_chain, tx_chain,
                        ["tcp_rx", "app"], ["app", "tcp_rx"],
                        ["app", "rx_buf"], ["rx_buf", "app"],
                        ["app", "tcp_tx"], ["tcp_tx", "app"],
-                       ["app", "tx_buf"], ["tx_buf", "app"]]
-        self.tile_coords = {t.name: t.coord for t in self.tiles}
-        assert_deadlock_free(self.chains, self.tile_coords)
-        attach_faults(self, fault_plan)
-
-    def add_client(self, ip: IPv4Address, mac: MacAddress) -> None:
-        self.eth_tx.add_neighbor(ip, mac)
-
-    def inject(self, frame: bytes, cycle: int) -> None:
-        self.eth_rx.push_frame(frame, cycle)
-
-    @property
-    def server_ip(self) -> IPv4Address:
-        return SERVER_IP
-
-    @property
-    def server_mac(self) -> MacAddress:
-        return SERVER_MAC
+                       ["app", "tx_buf"], ["tx_buf", "app"]],
+                      fault_plan)

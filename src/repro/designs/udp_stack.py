@@ -15,36 +15,24 @@ run on.
 from __future__ import annotations
 
 from repro.apps.echo import UdpEchoAppTile
-from repro.faults import attach_faults
-from repro.noc.flatmesh import build_mesh
-from repro.packet.ethernet import ETHERTYPE_IPV4, MacAddress
-from repro.packet.ipv4 import IPPROTO_UDP, IPv4Address
-from repro.analysis.deadlock import assert_deadlock_free
-from repro.sim.kernel import CycleSimulator
-from repro.tiles.flatcore import register_tiles
+from repro.designs.base import SERVER_IP, SERVER_MAC, Design
+from repro.packet.ethernet import ETHERTYPE_IPV4
+from repro.packet.ipv4 import IPPROTO_UDP
 from repro.tiles.ethernet import EthernetRxTile, EthernetTxTile
 from repro.tiles.ip import IpRxTile, IpTxTile
 from repro.tiles.udp import UdpRxTile, UdpTxTile
 
-SERVER_MAC = MacAddress("02:be:e0:00:00:01")
-SERVER_IP = IPv4Address("10.0.0.10")
 
-
-class UdpEchoDesign:
+class UdpEchoDesign(Design):
     """Build and run the 7-tile UDP echo stack."""
 
     def __init__(self, udp_port: int = 7,
                  line_rate_bytes_per_cycle: float | None = 50.0,
                  app_tile_cls=UdpEchoAppTile,
-                 kernel: str = "scheduled",
-                 mesh_backend: str = "flat",
-                 tile_backend: str = "flat",
+                 profile: str = "fast",
                  fault_plan=None):
+        super().__init__(4, 2, profile)
         self.udp_port = udp_port
-        self.sim = CycleSimulator(kernel=kernel,
-                                  mesh_backend=mesh_backend,
-                                  tile_backend=tile_backend)
-        self.mesh = build_mesh(4, 2, backend=mesh_backend)
 
         self.eth_rx = EthernetRxTile("eth_rx", self.mesh, (0, 0),
                                      my_mac=SERVER_MAC)
@@ -57,8 +45,6 @@ class UdpEchoDesign:
             "eth_tx", self.mesh, (0, 1), my_mac=SERVER_MAC,
             line_rate_bytes_per_cycle=line_rate_bytes_per_cycle,
         )
-        self.tiles = [self.eth_rx, self.ip_rx, self.udp_rx, self.app,
-                      self.udp_tx, self.ip_tx, self.eth_tx]
 
         self.eth_rx.next_hop.set_entry(ETHERTYPE_IPV4, self.ip_rx.coord)
         self.ip_rx.next_hop.set_entry(IPPROTO_UDP, self.udp_rx.coord)
@@ -69,38 +55,15 @@ class UdpEchoDesign:
         self.ip_tx.next_hop.set_entry(self.ip_tx.DEFAULT,
                                       self.eth_tx.coord)
 
-        self.mesh.register(self.sim)
-        self.tile_backend = tile_backend
-        self.tile_core = register_tiles(self.sim, self.tiles, tile_backend)
-
-        # Message chains (tile-name sequences) for deadlock analysis.
-        self.chains = [
-            ["eth_rx", "ip_rx", "udp_rx", "app",
-             "udp_tx", "ip_tx", "eth_tx"],
-        ]
-        self.tile_coords = {t.name: t.coord for t in self.tiles}
-        assert_deadlock_free(self.chains, self.tile_coords)
-        attach_faults(self, fault_plan)
-
-    # -- host-facing conveniences -------------------------------------------
-
-    def add_client(self, ip: IPv4Address, mac: MacAddress) -> None:
-        """Teach the TX path a client's MAC (static neighbour table)."""
-        self.eth_tx.add_neighbor(ip, mac)
-
-    def inject(self, frame: bytes, cycle: int) -> None:
-        self.eth_rx.push_frame(frame, cycle)
-
-    @property
-    def server_ip(self) -> IPv4Address:
-        return SERVER_IP
-
-    @property
-    def server_mac(self) -> MacAddress:
-        return SERVER_MAC
+        self.register(
+            [self.eth_rx, self.ip_rx, self.udp_rx, self.app,
+             self.udp_tx, self.ip_tx, self.eth_tx],
+            [["eth_rx", "ip_rx", "udp_rx", "app",
+              "udp_tx", "ip_tx", "eth_tx"]],
+            fault_plan)
 
 
-class LoggedUdpEchoDesign(UdpEchoDesign):
+class LoggedUdpEchoDesign(Design):
     """UDP echo with a logging tile and network log readback (V-F).
 
     Layout (5x2 mesh):
@@ -122,18 +85,12 @@ class LoggedUdpEchoDesign(UdpEchoDesign):
 
     def __init__(self, udp_port: int = 7,
                  line_rate_bytes_per_cycle: float | None = 50.0,
-                 kernel: str = "scheduled",
-                 mesh_backend: str = "flat",
-                 tile_backend: str = "flat",
+                 profile: str = "fast",
                  fault_plan=None):
-        # Build from scratch (different geometry than the base class).
         from repro.tiles.logger import PacketLogTile
 
+        super().__init__(5, 2, profile)
         self.udp_port = udp_port
-        self.sim = CycleSimulator(kernel=kernel,
-                                  mesh_backend=mesh_backend,
-                                  tile_backend=tile_backend)
-        self.mesh = build_mesh(5, 2, backend=mesh_backend)
 
         self.eth_rx = EthernetRxTile("eth_rx", self.mesh, (0, 0),
                                      my_mac=SERVER_MAC)
@@ -150,8 +107,6 @@ class LoggedUdpEchoDesign(UdpEchoDesign):
             "eth_tx", self.mesh, (0, 1), my_mac=SERVER_MAC,
             line_rate_bytes_per_cycle=line_rate_bytes_per_cycle,
         )
-        self.tiles = [self.eth_rx, self.ip_rx, self.log, self.udp_rx,
-                      self.app, self.udp_tx, self.ip_tx, self.eth_tx]
 
         self.eth_rx.next_hop.set_entry(ETHERTYPE_IPV4, self.ip_rx.coord)
         self.ip_rx.next_hop.set_entry(IPPROTO_UDP, self.log.coord)
@@ -167,17 +122,12 @@ class LoggedUdpEchoDesign(UdpEchoDesign):
         self.ip_tx.next_hop.set_entry(self.ip_tx.DEFAULT,
                                       self.eth_tx.coord)
 
-        self.mesh.register(self.sim)
-        self.tile_backend = tile_backend
-        self.tile_core = register_tiles(self.sim, self.tiles, tile_backend)
-
-        # Chains segmented at the log tile's dropping request buffer.
-        self.chains = [
-            ["eth_rx", "ip_rx", "log", "udp_rx", "app",
-             "udp_tx", "ip_tx", "eth_tx"],
-            ["udp_rx", "log"],
-            ["log", "udp_tx", "ip_tx", "eth_tx"],
-        ]
-        self.tile_coords = {t.name: t.coord for t in self.tiles}
-        assert_deadlock_free(self.chains, self.tile_coords)
-        attach_faults(self, fault_plan)
+        self.register(
+            [self.eth_rx, self.ip_rx, self.log, self.udp_rx,
+             self.app, self.udp_tx, self.ip_tx, self.eth_tx],
+            # Chains segmented at the log tile's dropping request buffer.
+            [["eth_rx", "ip_rx", "log", "udp_rx", "app",
+              "udp_tx", "ip_tx", "eth_tx"],
+             ["udp_rx", "log"],
+             ["log", "udp_tx", "ip_tx", "eth_tx"]],
+            fault_plan)

@@ -20,38 +20,37 @@ paper's fix for repeated headers breaking resource ordering:
 from __future__ import annotations
 
 from repro.apps.echo import UdpEchoAppTile
-from repro.faults import attach_faults
-from repro.noc.flatmesh import build_mesh
+from repro.designs.base import SERVER_IP, SERVER_MAC, Design
 from repro.packet.ethernet import ETHERTYPE_IPV4, MacAddress
 from repro.packet.ipv4 import IPPROTO_IPIP, IPPROTO_UDP, IPv4Address
-from repro.analysis.deadlock import assert_deadlock_free
-from repro.sim.kernel import CycleSimulator
-from repro.tiles.flatcore import register_tiles
 from repro.tiles.ethernet import EthernetRxTile, EthernetTxTile
 from repro.tiles.ip import IpRxTile, IpTxTile
 from repro.tiles.ipinip import IpInIpDecapTile, IpInIpEncapTile
 from repro.tiles.nat import NatRxTile, NatTxTile, NatTable
 from repro.tiles.udp import UdpRxTile, UdpTxTile
 
-SERVER_MAC = MacAddress("02:be:e0:00:00:01")
-SERVER_PHYS_IP = IPv4Address("10.0.0.10")
+SERVER_PHYS_IP = SERVER_IP
 SERVER_VIRT_IP = IPv4Address("172.16.0.10")
 
 
-class NatEchoDesign:
+class NatEchoDesign(Design):
     """UDP echo with an IP NAT translating client addresses."""
 
     def __init__(self, udp_port: int = 7,
                  line_rate_bytes_per_cycle: float | None = 50.0,
-                 kernel: str = "scheduled",
-                 mesh_backend: str = "flat",
-                 tile_backend: str = "flat",
+                 profile: str = "fast",
                  fault_plan=None):
+        super().__init__(5, 2, profile)
+        self.register(*self._nat_stack(udp_port,
+                                       line_rate_bytes_per_cycle),
+                      fault_plan)
+
+    def _nat_stack(self, udp_port: int,
+                   line_rate_bytes_per_cycle: float | None):
+        """Build and wire the nine stack tiles; returns ``(tiles,
+        chains)``, still unregistered, so the managed variant can add
+        its controller tile first."""
         self.udp_port = udp_port
-        self.sim = CycleSimulator(kernel=kernel,
-                                  mesh_backend=mesh_backend,
-                                  tile_backend=tile_backend)
-        self.mesh = build_mesh(5, 2, backend=mesh_backend)
         self.nat_table = NatTable()
 
         self.eth_rx = EthernetRxTile("eth_rx", self.mesh, (0, 0),
@@ -70,9 +69,6 @@ class NatEchoDesign:
             "eth_tx", self.mesh, (0, 1), my_mac=SERVER_MAC,
             line_rate_bytes_per_cycle=line_rate_bytes_per_cycle,
         )
-        self.tiles = [self.eth_rx, self.ip_rx, self.nat_rx, self.udp_rx,
-                      self.app, self.udp_tx, self.nat_tx, self.ip_tx,
-                      self.eth_tx]
 
         self.eth_rx.next_hop.set_entry(ETHERTYPE_IPV4, self.ip_rx.coord)
         self.ip_rx.next_hop.set_entry(IPPROTO_UDP, self.nat_rx.coord)
@@ -87,50 +83,29 @@ class NatEchoDesign:
         self.ip_tx.next_hop.set_entry(self.ip_tx.DEFAULT,
                                       self.eth_tx.coord)
 
-        self.mesh.register(self.sim)
-        self.tile_backend = tile_backend
-        self.tile_core = register_tiles(self.sim, self.tiles,
-                                        tile_backend)
-
-        self.chains = [
-            ["eth_rx", "ip_rx", "nat_rx", "udp_rx", "app",
-             "udp_tx", "nat_tx", "ip_tx", "eth_tx"],
-        ]
-        self.tile_coords = {t.name: t.coord for t in self.tiles}
-        assert_deadlock_free(self.chains, self.tile_coords)
-        attach_faults(self, fault_plan)
+        return (
+            [self.eth_rx, self.ip_rx, self.nat_rx, self.udp_rx,
+             self.app, self.udp_tx, self.nat_tx, self.ip_tx,
+             self.eth_tx],
+            [["eth_rx", "ip_rx", "nat_rx", "udp_rx", "app",
+              "udp_tx", "nat_tx", "ip_tx", "eth_tx"]],
+        )
 
     def map_client(self, virtual_ip: IPv4Address,
                    physical_ip: IPv4Address, mac: MacAddress) -> None:
         self.nat_table.set_mapping(virtual_ip, physical_ip)
         self.eth_tx.add_neighbor(physical_ip, mac)
 
-    def add_client(self, ip: IPv4Address, mac: MacAddress) -> None:
-        """Teach the TX path a client's MAC (same interface as the
-        other designs; NAT mapping is separate via map_client)."""
-        self.eth_tx.add_neighbor(ip, mac)
 
-    def inject(self, frame: bytes, cycle: int) -> None:
-        self.eth_rx.push_frame(frame, cycle)
-
-    server_ip = SERVER_PHYS_IP
-    server_mac = SERVER_MAC
-
-
-class IpInIpEchoDesign:
+class IpInIpEchoDesign(Design):
     """UDP echo behind an IP-in-IP tunnel, with duplicated IP tiles."""
 
     def __init__(self, udp_port: int = 7,
                  line_rate_bytes_per_cycle: float | None = 50.0,
-                 kernel: str = "scheduled",
-                 mesh_backend: str = "flat",
-                 tile_backend: str = "flat",
+                 profile: str = "fast",
                  fault_plan=None):
+        super().__init__(6, 2, profile)
         self.udp_port = udp_port
-        self.sim = CycleSimulator(kernel=kernel,
-                                  mesh_backend=mesh_backend,
-                                  tile_backend=tile_backend)
-        self.mesh = build_mesh(6, 2, backend=mesh_backend)
 
         self.eth_rx = EthernetRxTile("eth_rx", self.mesh, (0, 0),
                                      my_mac=SERVER_MAC)
@@ -150,10 +125,6 @@ class IpInIpEchoDesign:
             "eth_tx", self.mesh, (0, 1), my_mac=SERVER_MAC,
             line_rate_bytes_per_cycle=line_rate_bytes_per_cycle,
         )
-        self.tiles = [self.eth_rx, self.ip_rx_outer, self.decap,
-                      self.ip_rx_inner, self.udp_rx, self.app,
-                      self.udp_tx, self.ip_tx_inner, self.encap,
-                      self.ip_tx_outer, self.eth_tx]
 
         self.eth_rx.next_hop.set_entry(ETHERTYPE_IPV4,
                                        self.ip_rx_outer.coord)
@@ -172,19 +143,15 @@ class IpInIpEchoDesign:
         self.ip_tx_outer.next_hop.set_entry(self.ip_tx_outer.DEFAULT,
                                             self.eth_tx.coord)
 
-        self.mesh.register(self.sim)
-        self.tile_backend = tile_backend
-        self.tile_core = register_tiles(self.sim, self.tiles,
-                                        tile_backend)
-
-        self.chains = [
-            ["eth_rx", "ip_rx_outer", "decap", "ip_rx_inner", "udp_rx",
-             "app", "udp_tx", "ip_tx_inner", "encap", "ip_tx_outer",
-             "eth_tx"],
-        ]
-        self.tile_coords = {t.name: t.coord for t in self.tiles}
-        assert_deadlock_free(self.chains, self.tile_coords)
-        attach_faults(self, fault_plan)
+        self.register(
+            [self.eth_rx, self.ip_rx_outer, self.decap,
+             self.ip_rx_inner, self.udp_rx, self.app,
+             self.udp_tx, self.ip_tx_inner, self.encap,
+             self.ip_tx_outer, self.eth_tx],
+            [["eth_rx", "ip_rx_outer", "decap", "ip_rx_inner", "udp_rx",
+              "app", "udp_tx", "ip_tx_inner", "encap", "ip_tx_outer",
+              "eth_tx"]],
+            fault_plan)
 
     def add_tunnel_peer(self, virtual_ip: IPv4Address,
                         physical_ip: IPv4Address, mac: MacAddress) -> None:
@@ -193,9 +160,5 @@ class IpInIpEchoDesign:
         self.encap.set_endpoint(virtual_ip, physical_ip)
         self.eth_tx.add_neighbor(physical_ip, mac)
 
-    def inject(self, frame: bytes, cycle: int) -> None:
-        self.eth_rx.push_frame(frame, cycle)
-
     server_phys_ip = SERVER_PHYS_IP
     server_virt_ip = SERVER_VIRT_IP
-    server_mac = SERVER_MAC

@@ -17,26 +17,19 @@ elements scale independently of application elements.
 from __future__ import annotations
 
 from repro.apps.vr.tile import VrWitnessTile
-from repro.analysis.deadlock import assert_deadlock_free
-from repro.faults import attach_faults
-from repro.noc.flatmesh import build_mesh
-from repro.packet.ethernet import ETHERTYPE_IPV4, MacAddress
-from repro.packet.ipv4 import IPPROTO_UDP, IPv4Address
-from repro.sim.kernel import CycleSimulator
-from repro.tiles.flatcore import register_tiles
+from repro.designs.base import SERVER_IP, SERVER_MAC, Design
+from repro.packet.ethernet import ETHERTYPE_IPV4
+from repro.packet.ipv4 import IPPROTO_UDP
 from repro.tiles.ethernet import EthernetRxTile, EthernetTxTile
 from repro.tiles.ip import IpRxTile, IpTxTile
 from repro.tiles.udp import UdpRxTile, UdpTxTile
-
-SERVER_MAC = MacAddress("02:be:e0:00:00:01")
-SERVER_IP = IPv4Address("10.0.0.10")
 
 VR_BASE_PORT = 9000
 
 _WITNESS_COORDS = [(3, 0), (4, 0), (5, 0), (3, 1)]
 
 
-class VrWitnessDesign:
+class VrWitnessDesign(Design):
     """Beehive hosting witness tiles for 1-4 shards.
 
     ``duplicate_udp=True`` instantiates two UDP RX and two UDP TX
@@ -46,19 +39,13 @@ class VrWitnessDesign:
     def __init__(self, shards: int = 4,
                  line_rate_bytes_per_cycle: float | None = 50.0,
                  duplicate_udp: bool = False,
-                 kernel: str = "scheduled",
-                 mesh_backend: str = "flat",
-                 tile_backend: str = "flat",
+                 profile: str = "fast",
                  fault_plan=None):
         if not 1 <= shards <= 4:
             raise ValueError("this layout hosts 1-4 witness shards")
+        super().__init__(7 if duplicate_udp else 6, 2, profile)
         self.shards = shards
         self.duplicate_udp = duplicate_udp
-        self.sim = CycleSimulator(kernel=kernel,
-                                  mesh_backend=mesh_backend,
-                                  tile_backend=tile_backend)
-        width = 7 if duplicate_udp else 6
-        self.mesh = build_mesh(width, 2, backend=mesh_backend)
         witness_coords = ([(4, 0), (5, 0), (6, 0), (4, 1)]
                           if duplicate_udp else _WITNESS_COORDS)
 
@@ -92,9 +79,6 @@ class VrWitnessDesign:
             "eth_tx", self.mesh, (0, 1), my_mac=SERVER_MAC,
             line_rate_bytes_per_cycle=line_rate_bytes_per_cycle,
         )
-        self.tiles = [self.eth_rx, self.ip_rx, *self.udp_rx_tiles,
-                      *self.witnesses, *self.udp_tx_tiles, self.ip_tx,
-                      self.eth_tx]
 
         self.eth_rx.next_hop.set_entry(ETHERTYPE_IPV4, self.ip_rx.coord)
         # Replicated UDP RX tiles: flows spread by hash at the IP layer.
@@ -117,35 +101,16 @@ class VrWitnessDesign:
         self.ip_tx.next_hop.set_entry(self.ip_tx.DEFAULT,
                                       self.eth_tx.coord)
 
-        self.mesh.register(self.sim)
-        self.tile_backend = tile_backend
-        self.tile_core = register_tiles(self.sim, self.tiles,
-                                        tile_backend)
-
-        self.chains = [
-            ["eth_rx", "ip_rx", udp_rx.name, witness.name,
-             udp_tx.name, "ip_tx", "eth_tx"]
-            for witness in self.witnesses
-            for udp_rx in self.udp_rx_tiles
-            for udp_tx in self.udp_tx_tiles
-        ]
-        self.tile_coords = {t.name: t.coord for t in self.tiles}
-        assert_deadlock_free(self.chains, self.tile_coords)
-        attach_faults(self, fault_plan)
-
-    def add_client(self, ip: IPv4Address, mac: MacAddress) -> None:
-        self.eth_tx.add_neighbor(ip, mac)
-
-    def inject(self, frame: bytes, cycle: int) -> None:
-        self.eth_rx.push_frame(frame, cycle)
+        self.register(
+            [self.eth_rx, self.ip_rx, *self.udp_rx_tiles,
+             *self.witnesses, *self.udp_tx_tiles, self.ip_tx,
+             self.eth_tx],
+            [["eth_rx", "ip_rx", udp_rx.name, witness.name,
+              udp_tx.name, "ip_tx", "eth_tx"]
+             for witness in self.witnesses
+             for udp_rx in self.udp_rx_tiles
+             for udp_tx in self.udp_tx_tiles],
+            fault_plan)
 
     def shard_port(self, shard: int) -> int:
         return VR_BASE_PORT + shard
-
-    @property
-    def server_ip(self) -> IPv4Address:
-        return SERVER_IP
-
-    @property
-    def server_mac(self) -> MacAddress:
-        return SERVER_MAC

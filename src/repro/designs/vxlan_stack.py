@@ -19,40 +19,31 @@ wraps and emits it.
 from __future__ import annotations
 
 from repro.apps.echo import UdpEchoAppTile
-from repro.analysis.deadlock import assert_deadlock_free
-from repro.faults import attach_faults
-from repro.noc.flatmesh import build_mesh
+from repro.designs.base import SERVER_IP, SERVER_MAC, Design
 from repro.packet.ethernet import ETHERTYPE_IPV4, MacAddress
 from repro.packet.ipv4 import IPPROTO_UDP, IPv4Address
 from repro.packet.vxlan import VXLAN_UDP_PORT
-from repro.sim.kernel import CycleSimulator
-from repro.tiles.flatcore import register_tiles
 from repro.tiles.ethernet import EthernetRxTile, EthernetTxTile
 from repro.tiles.ip import IpRxTile, IpTxTile
 from repro.tiles.udp import UdpRxTile, UdpTxTile
 from repro.tiles.vxlan import VxlanDecapTile, VxlanEncapTile
 
-VTEP_MAC = MacAddress("02:be:e0:00:00:01")
-VTEP_IP = IPv4Address("10.0.0.10")
+VTEP_MAC = SERVER_MAC
+VTEP_IP = SERVER_IP
 INNER_MAC = MacAddress("02:aa:00:00:00:10")
 INNER_IP = IPv4Address("192.168.0.10")
 
 
-class VxlanEchoDesign:
+class VxlanEchoDesign(Design):
     """A UDP echo server living inside a VXLAN overlay."""
 
     def __init__(self, vni: int = 7700, udp_port: int = 7,
                  line_rate_bytes_per_cycle: float | None = 50.0,
-                 kernel: str = "scheduled",
-                 mesh_backend: str = "flat",
-                 tile_backend: str = "flat",
+                 profile: str = "fast",
                  fault_plan=None):
+        super().__init__(8, 2, profile)
         self.vni = vni
         self.udp_port = udp_port
-        self.sim = CycleSimulator(kernel=kernel,
-                                  mesh_backend=mesh_backend,
-                                  tile_backend=tile_backend)
-        self.mesh = build_mesh(8, 2, backend=mesh_backend)
 
         # Outer (underlay) stack.
         self.eth_rx = EthernetRxTile("eth_rx", self.mesh, (0, 0),
@@ -83,11 +74,6 @@ class VxlanEchoDesign:
             "eth_tx", self.mesh, (0, 1), my_mac=VTEP_MAC,
             line_rate_bytes_per_cycle=line_rate_bytes_per_cycle,
         )
-        self.tiles = [self.eth_rx, self.ip_rx, self.udp_rx,
-                      self.decap, self.in_eth_rx, self.in_ip_rx,
-                      self.in_udp_rx, self.app, self.in_udp_tx,
-                      self.in_ip_tx, self.in_eth_tx, self.encap,
-                      self.udp_tx, self.ip_tx, self.eth_tx]
 
         self.decap.allow_vni(vni)
 
@@ -116,19 +102,16 @@ class VxlanEchoDesign:
         self.ip_tx.next_hop.set_entry(self.ip_tx.DEFAULT,
                                       self.eth_tx.coord)
 
-        self.mesh.register(self.sim)
-        self.tile_backend = tile_backend
-        self.tile_core = register_tiles(self.sim, self.tiles,
-                                        tile_backend)
-
-        self.chains = [
-            ["eth_rx", "ip_rx", "udp_rx", "decap", "in_eth_rx",
-             "in_ip_rx", "in_udp_rx", "app", "in_udp_tx", "in_ip_tx",
-             "in_eth_tx", "encap", "udp_tx", "ip_tx", "eth_tx"],
-        ]
-        self.tile_coords = {t.name: t.coord for t in self.tiles}
-        assert_deadlock_free(self.chains, self.tile_coords)
-        attach_faults(self, fault_plan)
+        self.register(
+            [self.eth_rx, self.ip_rx, self.udp_rx,
+             self.decap, self.in_eth_rx, self.in_ip_rx,
+             self.in_udp_rx, self.app, self.in_udp_tx,
+             self.in_ip_tx, self.in_eth_tx, self.encap,
+             self.udp_tx, self.ip_tx, self.eth_tx],
+            [["eth_rx", "ip_rx", "udp_rx", "decap", "in_eth_rx",
+              "in_ip_rx", "in_udp_rx", "app", "in_udp_tx", "in_ip_tx",
+              "in_eth_tx", "encap", "udp_tx", "ip_tx", "eth_tx"]],
+            fault_plan)
 
     def add_overlay_peer(self, inner_ip: IPv4Address,
                          inner_mac: MacAddress,
@@ -138,9 +121,6 @@ class VxlanEchoDesign:
         self.in_eth_tx.add_neighbor(inner_ip, inner_mac)
         self.encap.set_vtep(inner_mac, vtep_ip)
         self.eth_tx.add_neighbor(vtep_ip, vtep_mac)
-
-    def inject(self, frame: bytes, cycle: int) -> None:
-        self.eth_rx.push_frame(frame, cycle)
 
     server_vtep_ip = VTEP_IP
     server_vtep_mac = VTEP_MAC

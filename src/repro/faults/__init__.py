@@ -17,8 +17,8 @@ survives node failure) are exercised through one declarative layer:
 
 Determinism: all randomness derives from the plan seed via
 :class:`repro.sim.rng.SeededStreams`, and every injection point sits
-on state shared by both mesh backends, so an active plan keeps the
-kernel x backend differential suite green.
+on state shared by both meshes, so an active plan keeps the
+``fast`` / ``reference`` differential suite green.
 """
 
 from repro.faults.engine import (

@@ -5,7 +5,7 @@ impairments at the MAC boundary, NoC link stalls and ejection-flit
 corruption, tile freezes and crashes, and (for the event-level VR
 cluster) node freezes — without referencing any concrete design
 object.  The same plan can therefore be attached to several
-independently constructed designs (the kernel x mesh-backend
+independently constructed designs (the ``fast`` / ``reference``
 differential suite relies on this), and every random draw it implies
 comes from :class:`repro.sim.rng.SeededStreams` derived from the
 plan's single ``seed``, so a plan replays bit-identically.

@@ -34,17 +34,14 @@ def build_competing_flows(cc: str = "reno", n_flows: int = 3,
                           window: int = 60_000,
                           wire_cycles: int = 500,
                           rto_cycles: int = 10_000,
-                          kernel: str = "scheduled",
-                          mesh_backend: str = "flat",
-                          tile_backend: str = "flat"):
+                          profile: str = "fast"):
     """Construct the design plus its N sending peers (not yet run)."""
     plan = FaultPlan(seed=seed).wire(drop=loss) if loss else None
     design = TcpServerDesign(
         tcp_port=5000, app_tile_cls=TcpSinkAppTile,
         request_size=request_size, mss=mss,
         line_rate_bytes_per_cycle=None, max_flows=n_flows + 2,
-        kernel=kernel, mesh_backend=mesh_backend,
-        tile_backend=tile_backend, fault_plan=plan)
+        profile=profile, fault_plan=plan)
     network = PeerNetwork(design)
     design.sim.add(network)
     peers = []

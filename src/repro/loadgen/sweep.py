@@ -10,10 +10,9 @@ per-request latency without any side channel.  Latencies go through a
 the fixed post-warmup window so curves are comparable across points.
 
 Everything in a result derives from cycles, counts, and seeded draws —
-two runs with identical arguments produce byte-identical documents, on
-every kernel x mesh x tile backend combination (the differential
-suites pin the stack itself; the arrival schedule never touches
-backend state).
+two runs with identical arguments produce byte-identical documents,
+under either profile (the differential suites pin the stack itself; the
+arrival schedule never touches simulator state).
 """
 
 from __future__ import annotations
@@ -53,17 +52,14 @@ def run_point(offered_gbps: float, *, seed: int = 0xBEE,
               warmup_cycles: int = 20_000,
               zipf_keys: int = 64, zipf_skew: float = 1.0,
               max_admission: int = 64,
-              kernel: str = "scheduled",
-              mesh_backend: str = "flat",
-              tile_backend: str = "flat",
+              profile: str = "fast",
               metrics: MetricsRegistry | None = None,
               arrival_kwargs: dict | None = None) -> dict:
     """One offered-load point on the UDP echo design."""
     if payload_bytes < _TAG.size:
         raise ValueError(f"payload_bytes must be >= {_TAG.size} "
                          f"(the latency tag), got {payload_bytes}")
-    design = UdpEchoDesign(kernel=kernel, mesh_backend=mesh_backend,
-                           tile_backend=tile_backend)
+    design = UdpEchoDesign(profile=profile)
     design.add_client(CLIENT_IP, CLIENT_MAC)
     streams = SeededStreams(seed)
     zipf = ZipfPopularity(zipf_keys, zipf_skew,

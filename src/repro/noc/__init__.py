@@ -12,7 +12,7 @@ from repro.noc.message import MessageAssembler, NocMessage
 from repro.noc.routing import Port, xy_route, xy_route_path
 from repro.noc.router import Router
 from repro.noc.mesh import LocalPort, Mesh
-from repro.noc.flatmesh import FlatMesh, build_mesh
+from repro.noc.flatmesh import FlatMesh
 
 __all__ = [
     "FlatMesh",
@@ -20,7 +20,6 @@ __all__ = [
     "FlitKind",
     "LocalPort",
     "Mesh",
-    "build_mesh",
     "MessageAssembler",
     "NocMessage",
     "Port",

@@ -997,24 +997,3 @@ class FlatMesh:
     def total_flits_forwarded(self) -> int:
         return self.core.total_flits_forwarded
 
-
-def build_mesh(width: int, height: int,
-               fifo_depth: int = ROUTER_INPUT_FIFO_FLITS,
-               routing: str = "xy", backend: str = "object"):
-    """Construct a mesh with the selected backend.
-
-    ``backend="object"`` returns the classic per-object
-    :class:`~repro.noc.mesh.Mesh`; ``backend="flat"`` returns a
-    :class:`FlatMesh`.  Both expose the same construction/attachment
-    API and are proven cycle- and trace-identical by the differential
-    equivalence suite.
-    """
-    if backend == "flat":
-        return FlatMesh(width, height, fifo_depth=fifo_depth,
-                        routing=routing)
-    if backend == "object":
-        from repro.noc.mesh import Mesh
-        return Mesh(width, height, fifo_depth=fifo_depth,
-                    routing=routing)
-    raise ValueError(f"unknown mesh backend {backend!r} "
-                     "(choose 'object' or 'flat')")

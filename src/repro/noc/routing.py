@@ -4,7 +4,7 @@ Beehive prevents routing-level deadlock with dimension-ordered routing
 (section IV-E): a flit first travels along X to the destination column,
 then along Y, so the channel dependency graph of the *routing function*
 is acyclic.  (Message-level deadlock across chained tiles is the job of
-:mod:`repro.deadlock`.)
+:mod:`repro.analysis.deadlock`.)
 """
 
 from __future__ import annotations

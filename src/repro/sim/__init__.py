@@ -11,7 +11,9 @@ Two simulators underpin the reproduction:
   the distributed-systems world (hosts, switches, links, clients).
 
 :mod:`repro.sim.rng` provides named, seeded random streams so every
-experiment is reproducible run-to-run.
+experiment is reproducible run-to-run; :mod:`repro.sim.profiles` is the
+two-row table (``reference`` / ``fast``) a design's ``profile=`` is
+looked up in.
 """
 
 from repro.sim.events import EventSimulator

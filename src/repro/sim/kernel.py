@@ -14,7 +14,9 @@ simulator deterministic and faithful to clocked RTL.
 Scheduling
 ----------
 
-The simulator ships two kernels, selected by ``kernel=``:
+The simulator ships two kernels, selected by ``kernel=`` (designs do
+not pass it: their ``profile`` names a kernel, see
+:mod:`repro.sim.profiles`):
 
 ``"scheduled"`` (the default)
     A component is stepped on the cycles it asked for or was woken
@@ -284,26 +286,13 @@ class CycleSimulator:
     tracer into a whole design.
     """
 
-    def __init__(self, tracer=None, kernel: str = "scheduled",
-                 mesh_backend: str = "object",
-                 tile_backend: str = "object"):
+    def __init__(self, tracer=None, kernel: str = "scheduled"):
         from repro.telemetry.trace import NULL_TRACER
         if kernel not in ("scheduled", "naive"):
             raise ValueError(f"unknown kernel {kernel!r} "
                              "(choose 'scheduled' or 'naive')")
-        if mesh_backend not in ("object", "flat"):
-            raise ValueError(f"unknown mesh backend {mesh_backend!r} "
-                             "(choose 'object' or 'flat')")
-        if tile_backend not in ("object", "flat"):
-            raise ValueError(f"unknown tile backend {tile_backend!r} "
-                             "(choose 'object' or 'flat')")
         self.cycle = 0
         self.kernel = kernel
-        # Advisory: design constructors thread their mesh and tile
-        # backends through here (mirroring kernel=) so harnesses,
-        # telemetry, and bench reports can consult them.
-        self.mesh_backend = mesh_backend
-        self.tile_backend = tile_backend
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._components: list[ClockedComponent] = []
         self._fifos: list[StagedFifo] = []

@@ -80,11 +80,7 @@ class Probe(Wakeable):
         self.series = SnapshotSeries(
             interval=interval,
             design=design_name or type(design).__name__,
-            meta={
-                "kernel": design.sim.kernel,
-                "mesh_backend": design.sim.mesh_backend,
-                "tile_backend": design.sim.tile_backend,
-            },
+            meta={"profile": getattr(design, "profile", "hand-built")},
         )
         self.samples_taken = 0
         self._next = design.sim.cycle + interval

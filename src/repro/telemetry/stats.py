@@ -147,11 +147,7 @@ def design_counters(design: object) -> dict:
         tile_kinds[tile.kind] = tile_kinds.get(tile.kind, 0) + 1
     counters = {
         "cycle": design.sim.cycle,
-        "backends": {
-            "kernel": getattr(design.sim, "kernel", "naive"),
-            "mesh": getattr(design.sim, "mesh_backend", "object"),
-            "tile": getattr(design.sim, "tile_backend", "object"),
-        },
+        "profile": getattr(design, "profile", "hand-built"),
         "tiles": tiles,
         "tile_kinds": dict(sorted(tile_kinds.items())),
         "router_flits": routers,
@@ -220,12 +216,10 @@ def design_report(design: object,
     design ran with; when given, the windowed time-series is appended.
     """
     counters = design_counters(design)
-    backends = counters["backends"]
     kinds = ", ".join(f"{kind} x{count}"
                       for kind, count in counters["tile_kinds"].items())
     lines = [f"design state at cycle {counters['cycle']}",
-             f"backends: kernel={backends['kernel']} "
-             f"mesh={backends['mesh']} tile={backends['tile']}",
+             f"profile: {counters['profile']}",
              f"tile kinds: {kinds}",
              f"{'tile':<14} {'kind':<14} {'coord':<8} "
              f"{'msgs in':>8} {'msgs out':>9} {'bytes in':>10} "

@@ -4,11 +4,13 @@
 objects with one array-of-struct core that keeps a busy bitmask, steps
 only the members with work, and preserves the object API through
 read-only views.  :class:`FlatTileCore` applies the same recipe to the
-tile layer — under the object backend every tile is its own schedule
-entry paying kernel dispatch, contract checks, and two ``_pump_*``
-method calls per cycle; under the flat backend the whole protocol
+tile layer — under the ``reference`` profile every tile is its own
+schedule entry paying kernel dispatch, contract checks, and two
+``_pump_*`` method calls per cycle; under ``fast`` the whole protocol
 pipeline is one entry whose step inlines the pump bodies for tiles in
-the busy mask only.
+the busy mask only.  The core only ever runs over a flat mesh: a tile
+whose port no :class:`~repro.noc.flatmesh.FlatMeshCore` steps is
+refused at :meth:`FlatTileCore.adopt`.
 
 Correctness contract
 --------------------
@@ -16,7 +18,7 @@ Correctness contract
 The core replicates :class:`repro.tiles.base.Tile` semantics *exactly*
 (same guard order, same counter updates, same tracer events in the same
 within-cycle order) so the differential equivalence suite holds
-bit-identically across ``tile_backend="object"|"flat"``:
+bit-identically between individually registered tiles and the core:
 
 - Tiles stay the source of truth for all mutable state (``_rx_ready``,
   ``_in_service``, ``_buffered_flits``, counters, ...).  The core owns
@@ -24,8 +26,8 @@ bit-identically across ``tile_backend="object"|"flat"``:
   and a timer heap.  Telemetry (``design_counters``, the probe) and the
   fault engine keep reading and mutating tiles directly.
 - Adoption order is registration order, and the busy mask is iterated
-  LSB-first, so trace events appear in the same order as the object
-  backend's per-tile stepping.
+  LSB-first, so trace events appear in the same order as per-tile
+  stepping.
 - A tile whose class overrides any engine-internal hook (``on_cycle``,
   ``_pump_process``, ...) falls back to *object mode*: the core calls
   its ``step``/``is_idle``/``next_event_cycle`` methods instead of the
@@ -49,19 +51,18 @@ bit-identically across ``tile_backend="object"|"flat"``:
 
 A visit reads one per-tile record, ``_fabric[i]``: the tile, its port,
 the ejection FIFO and its committed queue (which keeps its identity for
-the FIFO's life; what an object mesh has staged shows only in
-``occupancy``, asked when the queue is empty), the reassembler, the
-flat mesh core stepping the port (None under the object mesh), and two
-class-level flags (inlined pumps? default ``service_cycles``?).  Flit
-counts and the injection backlog are computed inline, not through the
-``n_flits`` / ``tx_backlog`` properties.  Under a flat mesh the FIFO
-holds int handles (``repro.noc.flit``) and the inlined receive is
+the FIFO's life, and is all the FIFO holds: the flat mesh stages
+nothing), the reassembler, the flat mesh core stepping the port, and
+two class-level flags (inlined pumps? default ``service_cycles``?).
+Flit counts and the injection backlog are computed inline, not through
+the ``n_flits`` / ``tx_backlog`` properties.  The FIFO holds int
+handles (``repro.noc.flit``) and the inlined receive is
 ``LocalPort.pop_flit(cycle)`` plus the handle branch of
 ``LocalPort.receive``: leave a flit ejected this very cycle alone, pop,
 count, keep the high-water mark, check the framing, take the message
-from the mesh core's table on the tail — no chunk list, no join.
-Anything else that pops (``Flit`` objects from the object mesh, a port
-with a fault filter) goes through ``port.receive(cycle)`` itself.
+from the mesh core's table on the tail — no chunk list, no join.  A
+port with a fault filter, which wants to see ``Flit`` objects, goes
+through ``port.receive(cycle)`` itself.
 
 Scheduling contract (``repro.sim.kernel``): the core lists the tiles
 as ``kernel_substeps()`` so the linter treats them as
@@ -73,7 +74,6 @@ the kernel would have computed for individually registered tiles.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable
 
 from repro.noc.flit import HANDLE_HEAD, HANDLE_SEQ_SHIFT
 from repro.noc.mesh import handle_framing_error
@@ -193,6 +193,11 @@ class FlatTileCore(Wakeable):
         if not isinstance(tile, Tile):
             raise TypeError(f"FlatTileCore can only adopt Tiles, "
                             f"got {type(tile).__name__}")
+        if tile.port._core is None:
+            raise TypeError(
+                f"FlatTileCore can only adopt tiles on a FlatMesh, but "
+                f"no FlatMeshCore steps the port of {tile.name!r}: "
+                "register it with the simulator on its own")
         index = len(self.tiles)
         bit = 1 << index
         self.tiles.append(tile)
@@ -273,7 +278,7 @@ class FlatTileCore(Wakeable):
             if not is_fast:
                 t.step(cycle)
                 # The busy-bit invariant, whatever is_idle looks at.
-                if t.is_idle() and not eject.occupancy:
+                if t.is_idle() and not items:
                     self._busy &= ~low
                     deadline = t.next_event_cycle()
                     if deadline is not None:
@@ -292,9 +297,9 @@ class FlatTileCore(Wakeable):
                      t._buffered_flits < t.buffer_flits):
                 t._buffered_flits += 1
                 message = None
-                if mesh_core is None or port._fault_eject is not None:
-                    # Flit objects (object mesh) or a fault filter that
-                    # wants to see them: not the path worth inlining.
+                if port._fault_eject is not None:
+                    # A fault filter wants to see Flit objects: not the
+                    # path worth inlining.
                     message = port.receive(cycle)
                 else:
                     # ``LocalPort.pop_flit`` and the handle branch of
@@ -379,8 +384,8 @@ class FlatTileCore(Wakeable):
                 if tracer.enabled:
                     tracer.processing_start(cycle, t, message)
             # Inlined Tile.is_idle + next_event_cycle, mirroring the
-            # kernel's post-step reschedule for the object backend.
-            if items or eject.occupancy:
+            # kernel's post-step reschedule of a tile with its own slot.
+            if items:
                 continue  # flits to pump (or a full buffer to poll)
             if t._in_service is not None:
                 self._busy &= ~low
@@ -463,29 +468,17 @@ class FlatTileCore(Wakeable):
                 f"busy={self.busy_tiles})")
 
 
-def register_tiles(sim: CycleSimulator, tiles,
-                   tile_backend: str = "object") -> FlatTileCore | None:
-    """Register a design's tiles with ``sim`` under a tile backend.
-
-    ``"object"``: every tile is its own scheduled component (the
-    classic ``sim.add_all``).  ``"flat"``: all tiles are adopted into
-    one :class:`FlatTileCore` registered in their place — same
-    registration slot, so within-cycle step order (and therefore every
-    trace stream) is preserved bit-identically.
-
-    Returns the core under ``"flat"``, None under ``"object"``; design
-    constructors store it as ``self.tile_core``.
+def register_tiles(sim: CycleSimulator, tiles) -> FlatTileCore:
+    """Adopt ``tiles`` (a sequence, or a dict's values) into one
+    :class:`FlatTileCore` and register it with ``sim`` in their place —
+    the ``fast`` half of :meth:`repro.designs.base.Design.register`,
+    which under ``reference`` gives each tile a slot of its own
+    (``sim.add_all``).  The core takes the slot the first tile would
+    have had, so within-cycle step order (and therefore every trace
+    stream) is the same either way.
     """
-    if tile_backend not in ("object", "flat"):
-        raise ValueError(f"unknown tile backend {tile_backend!r} "
-                         "(choose 'object' or 'flat')")
-    sequence: Iterable[Tile] = (
-        tiles.values() if isinstance(tiles, dict) else tiles)
-    if tile_backend == "object":
-        sim.add_all(sequence)
-        return None
     core = FlatTileCore()
-    for tile in sequence:
+    for tile in (tiles.values() if isinstance(tiles, dict) else tiles):
         core.adopt(tile)
     sim.add(core)
     return core

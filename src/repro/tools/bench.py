@@ -1,6 +1,6 @@
 """Perf-lab runner — execute benchmarks, record JSON, gate regressions.
 
-    python -m repro.tools.bench benchmarks/bench_mesh_backend.py \\
+    python -m repro.tools.bench benchmarks/bench_profiles.py \\
         --out BENCH_run.json
     python -m repro.tools.bench --input BENCH_run.json \\
         --compare BENCH_baseline.json

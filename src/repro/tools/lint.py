@@ -14,9 +14,9 @@ built with :class:`repro.config.generate.GeneratedDesign` and analyzed
 the same way.
 
 ``--sanitize`` additionally runs the dynamic sanitizer passes
-(BHV4xx): bounded instrumented simulations under one or more
-kernel/mesh/tile combos (``--combos scheduled/flat/flat``, repeatable)
-for ``--cycles`` cycles each.  ``--pass`` filters across both
+(BHV4xx): bounded instrumented simulations of ``--cycles`` cycles each,
+under the ``fast`` profile, plus a ``reference`` run for the
+determinism pass to compare it with.  ``--pass`` filters across both
 families; a sanitize-family pass name requires ``--sanitize``.
 
 Exit status: 0 clean (warnings allowed unless ``--strict``), 1 when
@@ -76,17 +76,18 @@ def _demo_designs():
         build_broken_wake_design,
         build_early_read_design,
         build_escaped_domain_design,
+        build_fig5a_design,
+        build_fig5b_design,
         build_idle_liar_design,
         build_leaky_eject_design,
         build_phantom_dest_design,
         build_stale_domain_design,
         build_step_parity_design,
     )
-    from repro.deadlock.demo import Fig5Design
 
     return {
-        "fig5a": lambda: Fig5Design("a"),
-        "fig5b": lambda: Fig5Design("b"),
+        "fig5a": build_fig5a_design,
+        "fig5b": build_fig5b_design,
         "broken_wake": build_broken_wake_design,
         "idle_liar": build_idle_liar_design,
         "leaky_eject": build_leaky_eject_design,
@@ -124,32 +125,17 @@ def _split_passes(passes, sanitize: bool, error) -> tuple[list | None,
     return static, (dynamic if sanitize else [])
 
 
-def _parse_combos(specs) -> list[tuple[str, str, str]] | None:
-    """``kernel/mesh/tile`` strings -> combo tuples (None: defaults)."""
-    if not specs:
-        return None
-    combos = []
-    for spec in specs:
-        parts = spec.split("/")
-        if len(parts) != 3 or not all(parts):
-            raise ValueError(
-                f"bad combo {spec!r}: expected kernel/mesh/tile, "
-                "e.g. scheduled/flat/flat")
-        combos.append(tuple(parts))
-    return combos
-
-
 def _sanitize_into(report: AnalysisReport, factory, name: str,
-                   passes, cycles: int, combos) -> None:
+                   passes, cycles: int) -> None:
     """Run the dynamic passes and fold the results into ``report``."""
     dynamic = analyze_dynamic(factory, name=name, passes=passes,
-                              cycles=cycles, combos=combos)
+                              cycles=cycles)
     report.extend(dynamic.findings)
     report.passes_run.extend(dynamic.passes_run)
 
 
-def _lint_xml(path: str, passes, sanitize_passes=(), cycles: int = 0,
-              combos=None) -> AnalysisReport:
+def _lint_xml(path: str, passes, sanitize_passes=(),
+              cycles: int = 0) -> AnalysisReport:
     """Spec-lint an XML file, then build it and run the instance passes.
 
     Build-time rejections (the generator's own validation and deadlock
@@ -186,17 +172,16 @@ def _lint_xml(path: str, passes, sanitize_passes=(), cycles: int = 0,
     report.passes_run.extend(instance.passes_run)
     if sanitize_passes is None or sanitize_passes:
         _sanitize_into(report, lambda **kw: GeneratedDesign(spec, **kw),
-                       report.target, sanitize_passes, cycles, combos)
+                       report.target, sanitize_passes, cycles)
     return report
 
 
 def _lint_named(name: str, factory, passes, sanitize_passes=(),
-                cycles: int = 0, combos=None) -> AnalysisReport:
+                cycles: int = 0) -> AnalysisReport:
     design = factory()
     report = analyze(design, name=name, passes=passes)
     if sanitize_passes is None or sanitize_passes:
-        _sanitize_into(report, factory, name, sanitize_passes, cycles,
-                       combos)
+        _sanitize_into(report, factory, name, sanitize_passes, cycles)
     return report
 
 
@@ -249,10 +234,6 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="N",
                         help="simulated cycles per sanitizer run "
                              f"(default {DEFAULT_CYCLES})")
-    parser.add_argument("--combos", action="append", metavar="K/M/T",
-                        help="kernel/mesh/tile combo for the sanitizer "
-                             "(repeatable), e.g. scheduled/flat/flat; "
-                             "default: scheduled over both backends")
     args = parser.parse_args(argv)
 
     if args.list_codes:
@@ -261,10 +242,6 @@ def main(argv: list[str] | None = None) -> int:
 
     static_passes, sanitize_passes = _split_passes(
         args.passes, args.sanitize, parser.error)
-    try:
-        combos = _parse_combos(args.combos)
-    except ValueError as error:
-        parser.error(str(error))
     if args.cycles < 1:
         parser.error(f"--cycles must be >= 1, got {args.cycles}")
 
@@ -290,8 +267,7 @@ def main(argv: list[str] | None = None) -> int:
             factory = shipped.get(target) or demos[target]
             try:
                 report = _lint_named(target, factory, static_passes,
-                                     sanitize_passes, args.cycles,
-                                     combos)
+                                     sanitize_passes, args.cycles)
             except Exception as error:  # noqa: BLE001 - reported, not hidden
                 print(f"error: cannot build design {target!r}: {error}",
                       file=sys.stderr)
@@ -299,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
         elif target.endswith(".xml"):
             try:
                 report = _lint_xml(target, static_passes,
-                                   sanitize_passes, args.cycles, combos)
+                                   sanitize_passes, args.cycles)
             except OSError as error:
                 print(f"error: cannot read {target}: {error}",
                       file=sys.stderr)

@@ -108,12 +108,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-admission", type=int, default=64,
                         help="NIC backlog limit before overrun "
                              "(default 64)")
-    parser.add_argument("--kernel", default="scheduled",
-                        help="simulation kernel (default scheduled)")
-    parser.add_argument("--mesh", default="flat",
-                        help="mesh backend (default flat)")
-    parser.add_argument("--tile", default="flat",
-                        help="tile backend (default flat)")
     parser.add_argument("--out", metavar="PATH",
                         help="write the repro.bench/1 document here")
     parser.add_argument("--flows", type=int, default=0, metavar="N",
@@ -134,9 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.flows:
         result = run_competing_flows(
             cc=args.cc, n_flows=args.flows, loss=args.loss,
-            stream_bytes=args.stream_bytes, seed=args.seed,
-            kernel=args.kernel, mesh_backend=args.mesh,
-            tile_backend=args.tile)
+            stream_bytes=args.stream_bytes, seed=args.seed)
         _print_flows(result)
         if args.out:
             Path(args.out).write_text(
@@ -149,9 +141,7 @@ def main(argv: list[str] | None = None) -> int:
                    duration_cycles=args.duration,
                    warmup_cycles=args.warmup,
                    zipf_keys=args.zipf_keys, zipf_skew=args.zipf_skew,
-                   max_admission=args.max_admission,
-                   kernel=args.kernel, mesh_backend=args.mesh,
-                   tile_backend=args.tile)
+                   max_admission=args.max_admission)
     _print_sweep(result)
     if args.out:
         document = sweep_document(result)

@@ -11,8 +11,7 @@ from repro.analysis import (
     analyze,
     analyze_chains,
 )
-from repro.analysis.demo import build_broken_wake_design
-from repro.deadlock.demo import Fig5Design
+from repro.analysis.demo import Fig5Design, build_broken_wake_design
 from repro.noc.routing import Port
 from repro.tools.lint import _shipped_designs, main as lint_main
 
@@ -85,7 +84,7 @@ class TestDeadlockPass:
         whole Fig 5a path is statically visible)."""
         from types import SimpleNamespace
 
-        from repro.deadlock.demo import CutThroughTile
+        from repro.analysis.demo import CutThroughTile
         from repro.noc.mesh import Mesh
         from repro.sim.kernel import CycleSimulator
 
@@ -121,12 +120,12 @@ class TestWakeContractPass:
         """The lint finding corresponds to a real behavioural bug: the
         design works under the naive kernel and stalls forever under
         the scheduled one."""
-        naive = build_broken_wake_design("naive")
+        naive = build_broken_wake_design("reference")
         naive.send()
         naive.sim.run(200)
         assert naive.echo.echoed == 1
 
-        sched = build_broken_wake_design("scheduled")
+        sched = build_broken_wake_design("fast")
         sched.send()
         sched.sim.run(200)
         assert sched.echo.echoed == 0  # lost wakeup: message stranded
@@ -134,7 +133,7 @@ class TestWakeContractPass:
 
     def test_fixed_design_passes_and_runs(self):
         """Restoring the wake hook clears the finding and the stall."""
-        design = build_broken_wake_design("scheduled")
+        design = build_broken_wake_design("fast")
         design.echo.wake_sources = \
             lambda: (design.echo.port.eject_fifo,)
         # Re-wire as the kernel would have at add() time: the kernel

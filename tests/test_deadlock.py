@@ -8,7 +8,7 @@ from repro.analysis.deadlock import (
     assert_deadlock_free,
     chain_link_sequence,
 )
-from repro.deadlock import build_fig5_layout
+from repro.analysis.demo import build_fig5_layout
 from repro.noc import NocMessage, Port
 
 

@@ -176,7 +176,7 @@ class TestTileFaults:
         """Kernel-wake-safe resume: with idle-skip active, the thaw
         must wake the tile even though nothing else is scheduled."""
         plan = FaultPlan(seed=1).freeze_tile("app", at=10, duration=3000)
-        design, sink = echo_design(plan, kernel="scheduled")
+        design, sink = echo_design(plan)
         inject_echoes(design, count=3, gap=10)
         design.sim.run(8000)
         assert sink.count == 3
@@ -258,7 +258,7 @@ class TestFaultTelemetry:
 
 class TestWallClockBudget:
     def test_budget_raises(self):
-        design, _sink = echo_design(None, kernel="naive")
+        design, _sink = echo_design(None, profile="reference")
         with pytest.raises(WallClockBudgetExceeded):
             design.sim.run_until(lambda: False, max_cycles=10**9,
                                  wall_clock_budget_s=0.05)

@@ -3,14 +3,19 @@
 The cross-backend bit-identity is pinned by
 ``test_kernel_equivalence``; these tests cover the core's own API —
 adoption, fast/object mode classification, views, wake plumbing,
-``register_tiles`` validation — the structural-lint interplay
-(double-stepping an adopted tile is a BHV106), and the tile<->mesh
-edge: the flat mesh wakes a tile only when it ejects into an empty
-FIFO, so every way a tile can sit on a non-empty FIFO (streaming,
-frozen, link-stalled, object mode, pruned between frames) is run under
-flat/flat and compared flit for flit with object/object.
+``register_tiles`` — the structural-lint interplay (double-stepping an
+adopted tile is a BHV106), and the tile<->mesh edge: the flat mesh
+wakes a tile only when it ejects into an empty FIFO, so every way a
+tile can sit on a non-empty FIFO (streaming, frozen, link-stalled,
+object mode, pruned between frames) is run on the flat engines and
+compared flit for flit with an object mesh and individually registered
+tiles.  The raw chains here are built by hand (``MESHES[...]`` and
+``register_tiles`` or ``sim.add``), always under the scheduled kernel:
+with the design-level runs on the two profiles they are what says
+whether a divergence is the kernel's or the engines'.
 """
 
+import inspect
 import random
 
 import pytest
@@ -20,7 +25,8 @@ from repro.designs import FrameSink, FrameSource
 from repro.designs.udp_stack import UdpEchoDesign
 from repro.designs.multi_stack import MultiStackDesign
 from repro.faults import FaultPlan
-from repro.noc.flatmesh import build_mesh
+from repro.noc.flatmesh import FlatMesh
+from repro.noc.mesh import Mesh
 from repro.noc.message import NocMessage, reset_id_counters
 from repro.packet import IPv4Address, MacAddress, build_ipv4_udp_frame
 from repro.sim.kernel import CycleSimulator
@@ -30,6 +36,7 @@ from repro.tiles.flatcore import FlatTileCore, register_tiles
 
 CLIENT_IP = IPv4Address("10.0.0.1")
 CLIENT_MAC = MacAddress("02:00:00:00:00:01")
+MESHES = {"object": Mesh, "flat": FlatMesh}
 
 
 def echo_design(**kwargs):
@@ -46,27 +53,30 @@ def echo_frame(design, payload=b"ping"):
 
 class TestRegisterTiles:
     def test_flat_returns_core_object_returns_none(self):
-        flat = echo_design(tile_backend="flat")
+        flat = echo_design(profile="fast")
         assert isinstance(flat.tile_core, FlatTileCore)
         assert len(flat.tile_core.tiles) == len(flat.tiles)
 
-        obj = echo_design(tile_backend="object")
+        obj = echo_design(profile="reference")
         assert obj.tile_core is None
+        assert set(flat.tiles) <= set(flat.tile_core.tiles)
+        assert set(obj.tiles) <= set(obj.sim.components)
 
     def test_unknown_backend_rejected(self):
-        sim = CycleSimulator()
-        with pytest.raises(ValueError, match="tile backend"):
-            register_tiles(sim, [], "vector")
-        with pytest.raises(ValueError, match="tile backend"):
-            CycleSimulator(tile_backend="vector")
-        with pytest.raises(ValueError, match="tile backend"):
-            echo_design(tile_backend="vector")
+        """There is no backend string left to get wrong: the old
+        keywords are plain ``TypeError``s where they used to be taken
+        (``test_flatmesh`` has the unknown *profile*)."""
+        with pytest.raises(TypeError, match="kernel"):
+            echo_design(kernel="naive")
+        with pytest.raises(TypeError):
+            register_tiles(CycleSimulator(), [], "flat")
+        assert list(inspect.signature(CycleSimulator).parameters) == \
+            ["tracer", "kernel"]
 
     def test_dict_of_tiles_accepted(self):
-        design = echo_design(tile_backend="flat")
+        design = echo_design()
         sim = CycleSimulator()
-        core = register_tiles(sim, {t.name: t for t in design.tiles},
-                              "flat")
+        core = register_tiles(sim, {t.name: t for t in design.tiles})
         assert [t.name for t in core.tiles] == \
             [t.name for t in design.tiles]
 
@@ -75,10 +85,18 @@ class TestRegisterTiles:
         with pytest.raises(TypeError, match="adopt"):
             core.adopt(object())
 
+    def test_adopt_rejects_a_tile_on_an_object_mesh(self):
+        """The core inlines the handle branch of the port, which only a
+        flat mesh feeds; a tile on an object ``Mesh`` used to take a
+        slow path silently."""
+        tile = Tile("lonely", Mesh(2, 1), (1, 0))
+        with pytest.raises(TypeError, match="FlatMesh.*'lonely'"):
+            FlatTileCore().adopt(tile)
+
 
 class TestViews:
     def test_views_expose_name_kind_and_mode(self):
-        design = echo_design(tile_backend="flat")
+        design = echo_design()
         core = design.tile_core
         views = core.views()
         assert [v.name for v in views] == [t.name for t in design.tiles]
@@ -89,13 +107,13 @@ class TestViews:
     def test_overriding_engine_hook_falls_back_to_object_mode(self):
         # The flow-hash load balancer overrides _pump_process (fan-out
         # service), so the core must not inline it.
-        design = MultiStackDesign(stacks=2, tile_backend="flat")
+        design = MultiStackDesign(stacks=2)
         modes = {v.name: v.mode for v in design.tile_core.views()}
         assert modes["lb"] == "object"
         assert modes["udp_rx_0"] == "fast"
 
     def test_by_kind_counts(self):
-        design = echo_design(tile_backend="flat")
+        design = echo_design()
         by_kind = design.tile_core.by_kind
         assert len(by_kind["udp_rx"]) == 1
         names = [design.tile_core.tiles[i].name
@@ -105,7 +123,7 @@ class TestViews:
 
 class TestScheduling:
     def test_core_goes_idle_and_wakes_on_injection(self):
-        design = echo_design(tile_backend="flat")
+        design = echo_design()
         core = design.tile_core
         design.sim.run(50)
         assert core.is_idle()
@@ -117,7 +135,7 @@ class TestScheduling:
         assert core.is_idle()
 
     def test_substeps_and_wake_sources_cover_all_tiles(self):
-        design = echo_design(tile_backend="flat")
+        design = echo_design()
         core = design.tile_core
         assert core.kernel_substeps() == design.tiles
         assert core.wake_sources() == \
@@ -126,12 +144,12 @@ class TestScheduling:
 
 class TestLintIntegration:
     def test_flat_design_lints_clean(self):
-        for backend in ("object", "flat"):
-            design = echo_design(tile_backend=backend)
+        for profile in ("reference", "fast"):
+            design = echo_design(profile=profile)
             assert [f.code for f in lint(design)] == []
 
     def test_double_adoption_is_flagged(self):
-        design = echo_design(tile_backend="flat")
+        design = echo_design()
         second = FlatTileCore("second")
         second.adopt(design.eth_rx)
         design.sim.add(second)
@@ -140,7 +158,7 @@ class TestLintIntegration:
         assert codes == ["BHV106"]
 
     def test_registered_and_adopted_is_flagged(self):
-        design = echo_design(tile_backend="flat")
+        design = echo_design()
         design.sim.add(design.udp_rx)
         codes = [f.code for f in lint(design)
                  if f.code == "BHV106" and f.location == "udp_rx"]
@@ -184,13 +202,12 @@ def observed(sim, mesh, tiles, tracer):
     }
 
 
-def faulted_echo(backend, plan, probe):
+def faulted_echo(profile, plan, probe):
     """One MTU frame through a ``UdpEchoDesign`` under ``plan``; the
-    flat run has both cores' invariants checked after every cycle and
-    ``probe(design, wakes)`` called before each one."""
+    ``fast`` run has both cores' invariants checked after every cycle
+    and ``probe(design, wakes)`` called before each one."""
     reset_id_counters()
-    design = echo_design(mesh_backend=backend, tile_backend=backend,
-                         fault_plan=plan)
+    design = echo_design(profile=profile, fault_plan=plan)
     tracer = attach_tracer(design, FlitTracer())
     sink = FrameSink(design.eth_tx)
     design.sim.add(sink)
@@ -199,7 +216,7 @@ def faulted_echo(backend, plan, probe):
     for _ in range(600):
         probe(design, wakes)
         design.sim.run(1)
-        if backend == "flat":
+        if profile == "fast":
             assert design.mesh.core.check_invariants(
                 design.sim.cycle) == []
             assert design.tile_core.check_invariants() == []
@@ -235,16 +252,23 @@ class SloppySink(OnCycleSink):
         return not self._rx_ready and self._in_service is None
 
 
-def raw_chain(backend, sink_cls, kernel="scheduled"):
+def add_tiles(sim, tiles, engine):
+    """``"flat"``: one core for all of them; ``"object"``: a slot each."""
+    if engine == "flat":
+        return register_tiles(sim, tiles)
+    sim.add_all(tiles)
+    return None
+
+
+def raw_chain(backend, sink_cls):
     """source port (0,0) -> ``sink_cls`` tile at (1,0), traced."""
     reset_id_counters()
-    sim = CycleSimulator(kernel=kernel, mesh_backend=backend,
-                         tile_backend=backend)
-    mesh = build_mesh(2, 1, backend=backend)
+    sim = CycleSimulator()
+    mesh = MESHES[backend](2, 1)
     source = mesh.attach((0, 0))
     sink = sink_cls("sink", mesh, (1, 0), occupancy=1, parse_latency=1)
     mesh.register(sim)
-    core = register_tiles(sim, [sink], backend)
+    core = add_tiles(sim, [sink], backend)
     tracer = FlitTracer()
     for router in mesh.routers.values():
         router.tracer = tracer
@@ -347,10 +371,11 @@ class TestEjectionEdge:
                                                 duration=100)
 
         probe, seen = self.app_backlog(range(100, 190))
-        flat, wakes = faulted_echo("flat", plan(), probe)
+        flat, wakes = faulted_echo("fast", plan(), probe)
         assert len(seen) == 90
         assert len(wakes) == 1
-        obj, _ = faulted_echo("object", plan(), lambda design, wakes: None)
+        obj, _ = faulted_echo("reference", plan(),
+                              lambda design, wakes: None)
         assert flat == obj
         assert flat["tiles"]["app"][0] == 1
 
@@ -363,11 +388,10 @@ class TestEjectionEdge:
         those cycles are skipped and the four components take 3867
         steps between them."""
         runs = {}
-        for backend in ("flat", "object"):
+        for profile in ("fast", "reference"):
             reset_id_counters()
             design = echo_design(line_rate_bytes_per_cycle=50.0,
-                                 mesh_backend=backend,
-                                 tile_backend=backend)
+                                 profile=profile)
             tracer = attach_tracer(design, FlitTracer())
             frame = echo_frame(design, bytes(1400))
             source = FrameSource(design.inject, lambda i: frame,
@@ -377,16 +401,16 @@ class TestEjectionEdge:
             design.sim.add(sink)
             design.sim.run_until(lambda: sink.count >= 12,
                                  max_cycles=20_000)
-            runs[backend] = observed(design.sim, design.mesh,
+            runs[profile] = observed(design.sim, design.mesh,
                                      design.tiles, tracer)
-            runs[backend]["frames"] = list(sink.frames)
-            if backend == "flat":
+            runs[profile]["frames"] = list(sink.frames)
+            if profile == "fast":
                 assert design.tile_core.is_idle()
                 assert design.tile_core.check_invariants() == []
                 assert (design.sim.cycle,
                         design.sim.idle_cycles_skipped,
                         design.sim.component_steps) == (3752, 1652, 3867)
-        assert runs["flat"] == runs["object"]
+        assert runs["fast"] == runs["reference"]
 
 
 class PassThroughFilter:
@@ -401,7 +425,7 @@ class PassThroughFilter:
         return flit
 
 
-#: consumer kind -> (mesh backend, tile backend, sink class)
+#: consumer kind -> (mesh, tile engine, sink class)
 EDGE_CONSUMERS = {
     "fast tile": ("flat", "flat", Sink),
     "object-mode tile in the core": ("flat", "flat", OnCycleSink),
@@ -420,19 +444,18 @@ def edge_soak(kind, reference, occupancy, seed=0xED6E, cycles=2_000):
     transit.  ``reference`` runs the same thing on the object mesh with
     object tiles.  Untraced: the flat run moves int handles.  Both flat
     cores' invariants are checked every cycle."""
-    mesh_backend, tile_backend, sink_cls = EDGE_CONSUMERS[kind]
+    mesh_kind, tile_engine, sink_cls = EDGE_CONSUMERS[kind]
     if reference:
-        mesh_backend = tile_backend = "object"
+        mesh_kind = tile_engine = "object"
     reset_id_counters()
     rng = random.Random(seed)
-    sim = CycleSimulator(mesh_backend=mesh_backend,
-                         tile_backend=tile_backend)
-    mesh = build_mesh(2, 1, backend=mesh_backend)
+    sim = CycleSimulator()
+    mesh = MESHES[mesh_kind](2, 1)
     source = mesh.attach((0, 0))
     sink = sink_cls("sink", mesh, (1, 0), occupancy=occupancy,
                     parse_latency=2, buffer_flits=24)
     mesh.register(sim)
-    core = register_tiles(sim, [sink], tile_backend)
+    core = add_tiles(sim, [sink], tile_engine)
     port, fifo = sink.port, sink.port.eject_fifo
     if kind == "fault-filtered port":
         port._fault_eject = PassThroughFilter()
@@ -457,7 +480,7 @@ def edge_soak(kind, reference, occupancy, seed=0xED6E, cycles=2_000):
             elif cycle in blocked:
                 sink._fault_frozen = True
         sim.run(1)
-        if mesh_backend == "flat":
+        if mesh_kind == "flat":
             assert mesh.core.check_invariants(sim.cycle) == []
         if core is not None:
             assert core.check_invariants() == []
@@ -535,7 +558,7 @@ class TestEjectionFifoVisibility:
 
 class TestCheckInvariants:
     def test_clear_bit_over_a_non_empty_fifo_is_reported(self):
-        design = echo_design(tile_backend="flat")
+        design = echo_design()
         core = design.tile_core
         fifo = design.app.port.eject_fifo
         design.inject(echo_frame(design, bytes(600)), 1)
@@ -546,7 +569,7 @@ class TestCheckInvariants:
         assert "'app' is not busy" in problems[0]
 
     def test_armed_deadline_without_a_heap_entry_is_reported(self):
-        design = echo_design(tile_backend="flat")
+        design = echo_design()
         core = design.tile_core
         design.inject(echo_frame(design), 1)
         design.sim.run_until(lambda: core._timers, max_cycles=400)

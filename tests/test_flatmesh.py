@@ -1,26 +1,24 @@
-"""Unit tests for the flat (array-of-struct) mesh backend and the
-kernel knobs that ship with it.
+"""Unit tests for the flat (array-of-struct) mesh.
 
-The heavyweight correctness bar — bit-identity with the object mesh
-across every shipped design, kernel, and trace stream — lives in
-``test_kernel_equivalence.py``; these tests pin the backend's local
-contracts: the factory, the view adapters, raw flit traffic, the
-late-attach wake path, the new ``CycleSimulator`` kwargs, and the
-output-centric step's state machine and commit-free rings (each
-scenario compared flit for flit, and high-water mark for high-water
-mark, with the object backend under a tracer).
+The heavyweight correctness bar — bit-identity of the two profiles
+across every shipped design and trace stream — lives in
+``test_kernel_equivalence.py``; these tests pin the flat mesh's local
+contracts: which mesh a profile builds, the view adapters, raw flit
+traffic, the late-attach wake path, the ``CycleSimulator`` keywords,
+and the output-centric step's state machine and commit-free rings.
+Each scenario is built by hand, on ``MESHES[...]`` under either kernel
+— pairings no profile has, which is what localises a ``fast`` !=
+``reference`` divergence to the mesh — and compared flit for flit, and
+high-water mark for high-water mark, with the object mesh under a
+tracer.
 """
 
 from collections import deque
 
 import pytest
 
-from repro.noc.flatmesh import (
-    _NO_RING,
-    FlatMesh,
-    FlatRouterView,
-    build_mesh,
-)
+from repro.designs.base import Design
+from repro.noc.flatmesh import _NO_RING, FlatMesh, FlatRouterView
 from repro.noc.mesh import LocalPort, Mesh
 from repro.noc.message import NocMessage, reset_id_counters
 from repro.noc.router import _PORT_INDEX
@@ -28,44 +26,53 @@ from repro.noc.routing import Port
 from repro.sim.kernel import CycleSimulator, StagedFifo
 from repro.telemetry.trace import Tracer
 
+MESHES = {"object": Mesh, "flat": FlatMesh}
+
 
 class TestBuildMesh:
+    """The mesh a design gets is its profile's
+    (``repro.designs.base.Design.__init__``)."""
+
     def test_object_backend(self):
-        mesh = build_mesh(3, 2, backend="object")
-        assert isinstance(mesh, Mesh)
-        assert (mesh.width, mesh.height) == (3, 2)
+        design = Design(3, 2, "reference")
+        assert isinstance(design.mesh, Mesh)
+        assert (design.mesh.width, design.mesh.height) == (3, 2)
+        assert design.sim.kernel == "naive"
 
     def test_flat_backend(self):
-        mesh = build_mesh(3, 2, backend="flat")
-        assert isinstance(mesh, FlatMesh)
-        assert (mesh.width, mesh.height) == (3, 2)
+        design = Design(3, 2)
+        assert design.profile == "fast"
+        assert isinstance(design.mesh, FlatMesh)
+        assert (design.mesh.width, design.mesh.height) == (3, 2)
+        assert design.sim.kernel == "scheduled"
 
     def test_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            build_mesh(3, 2, backend="vapor")
+        for profile in ("vapor", "flat", "scheduled", None):
+            with pytest.raises(ValueError,
+                               match="'reference' or 'fast'"):
+                Design(3, 2, profile)
 
     def test_options_forwarded(self):
-        mesh = build_mesh(2, 2, fifo_depth=7, routing="yx",
-                          backend="flat")
+        mesh = FlatMesh(2, 2, fifo_depth=7, routing="yx")
         assert mesh.routing == "yx"
         view = mesh.routers[(0, 0)]
         assert view.inputs[Port.EAST].capacity == 7
 
     def test_bad_dimensions(self):
-        for backend in ("object", "flat"):
+        for mesh_cls in MESHES.values():
             with pytest.raises(ValueError):
-                build_mesh(0, 2, backend=backend)
+                mesh_cls(0, 2)
 
     def test_bad_routing(self):
-        for backend in ("object", "flat"):
+        for mesh_cls in MESHES.values():
             with pytest.raises(ValueError):
-                build_mesh(2, 2, routing="zigzag", backend=backend)
+                mesh_cls(2, 2, routing="zigzag")
 
 
 class TestFlatMeshStructure:
     def test_router_grid_matches_object_mesh(self):
-        flat = build_mesh(4, 3, backend="flat")
-        obj = build_mesh(4, 3, backend="object")
+        flat = FlatMesh(4, 3)
+        obj = Mesh(4, 3)
         assert set(flat.routers) == set(obj.routers)
         for coord, view in flat.routers.items():
             assert isinstance(view, FlatRouterView)
@@ -73,13 +80,13 @@ class TestFlatMeshStructure:
             assert view.name == obj.routers[coord].name
 
     def test_local_input_is_a_real_fifo(self):
-        mesh = build_mesh(2, 2, backend="flat")
+        mesh = FlatMesh(2, 2)
         local = mesh.routers[(1, 0)].inputs[Port.LOCAL]
         assert isinstance(local, StagedFifo)
         assert local.name == "router(1, 0).in.local"
 
     def test_direction_inputs_are_ring_views(self):
-        mesh = build_mesh(2, 2, backend="flat")
+        mesh = FlatMesh(2, 2)
         east = mesh.routers[(0, 0)].inputs[Port.EAST]
         assert len(east) == 0
         assert east.occupancy == 0
@@ -87,19 +94,19 @@ class TestFlatMeshStructure:
         assert east.name == "router(0, 0).in.east"
 
     def test_connect_output_rejects_directions(self):
-        mesh = build_mesh(2, 2, backend="flat")
+        mesh = FlatMesh(2, 2)
         with pytest.raises(ValueError):
             mesh.routers[(0, 0)].connect_output(
                 Port.EAST, StagedFifo(4, name="x"))
 
     def test_attach_is_idempotent(self):
-        mesh = build_mesh(2, 2, backend="flat")
+        mesh = FlatMesh(2, 2)
         port = mesh.attach((1, 1))
         assert isinstance(port, LocalPort)
         assert mesh.attach((1, 1)) is port
 
     def test_attach_off_mesh_raises(self):
-        mesh = build_mesh(2, 2, backend="flat")
+        mesh = FlatMesh(2, 2)
         with pytest.raises(KeyError):
             mesh.attach((5, 5))
 
@@ -108,8 +115,8 @@ def _run_raw_traffic(backend, kernel, cycles=200):
     """Send two multi-flit messages corner-to-corner and return every
     observable outcome."""
     reset_id_counters()
-    sim = CycleSimulator(kernel=kernel, mesh_backend=backend)
-    mesh = build_mesh(3, 3, backend=backend)
+    sim = CycleSimulator(kernel=kernel)
+    mesh = MESHES[backend](3, 3)
     src = mesh.attach((0, 0))
     dst = mesh.attach((2, 2))
     mesh.register(sim)
@@ -157,8 +164,8 @@ class TestLateAttach:
         ``mesh.register``; the flat core must adopt (and wake for)
         such a port without it ever entering the simulator."""
         reset_id_counters()
-        sim = CycleSimulator(kernel="scheduled", mesh_backend=backend)
-        mesh = build_mesh(2, 2, backend=backend)
+        sim = CycleSimulator(kernel="scheduled")
+        mesh = MESHES[backend](2, 2)
         early = mesh.attach((0, 0))
         mesh.register(sim)
         sim.run(50)  # everything idle: the kernel is asleep
@@ -187,13 +194,18 @@ class TestLateAttach:
 
 
 class TestKernelKwargs:
+    """The simulator knows its kernel and nothing of meshes or tiles."""
+
     def test_defaults(self):
         sim = CycleSimulator()
-        assert sim.mesh_backend == "object"
+        assert sim.kernel == "scheduled"
+        assert not [name for name in vars(sim) if "backend" in name]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            CycleSimulator(mesh_backend="vapor")
+        with pytest.raises(ValueError, match="'scheduled' or 'naive'"):
+            CycleSimulator(kernel="fast")
+        with pytest.raises(TypeError):
+            CycleSimulator(None, "scheduled", "flat")
 
 
 # -- the output-centric step's state machine --------------------------------
@@ -224,8 +236,8 @@ def _scenario(backend, kernel, size, attach, script, cycles,
     machine checked after every cycle.
     """
     reset_id_counters()
-    sim = CycleSimulator(kernel=kernel, mesh_backend=backend)
-    mesh = build_mesh(*size, backend=backend)
+    sim = CycleSimulator(kernel=kernel)
+    mesh = MESHES[backend](*size)
     ports = {coord: mesh.attach(coord) for coord in attach}
     mesh.register(sim)
     tracer = FlitTracer()
@@ -514,7 +526,7 @@ def test_sent_message_leaves_its_router_next_cycle_at_the_earliest(kernel):
 
 class TestLazyRings:
     def test_idle_mesh_allocates_no_ring(self):
-        core = build_mesh(32, 32, backend="flat").core
+        core = FlatMesh(32, 32).core
         directional = [ring for fid, ring in enumerate(core._rings)
                        if fid % 5]
         assert len(directional) == 32 * 32 * 4
@@ -525,8 +537,8 @@ class TestLazyRings:
 
     def test_a_used_ring_is_private_and_kept(self):
         reset_id_counters()
-        sim = CycleSimulator(mesh_backend="flat")
-        mesh = build_mesh(3, 2, backend="flat")
+        sim = CycleSimulator()
+        mesh = FlatMesh(3, 2)
         ports = {c: mesh.attach(c) for c in [(0, 0), (2, 0), (2, 1)]}
         mesh.register(sim)
         ports[(0, 0)].send(_message((0, 0), (2, 0), 4))
@@ -546,8 +558,8 @@ class TestLazyRings:
 
 
 def test_check_invariants_follows_the_ring_representation():
-    sim = CycleSimulator(mesh_backend="flat")
-    mesh = build_mesh(2, 1, backend="flat")
+    sim = CycleSimulator()
+    mesh = FlatMesh(2, 1)
     ports = {c: mesh.attach(c) for c in [(0, 0), (1, 0)]}
     mesh.register(sim)
     ports[(0, 0)].send(_message((0, 0), (1, 0), 6))

@@ -1,6 +1,6 @@
 """Flit handles: what the flat mesh moves instead of ``Flit`` objects.
 
-Under ``backend="flat"`` a flit in flight is an int (``repro.noc.flit``:
+On a ``FlatMesh`` a flit in flight is an int (``repro.noc.flit``:
 ``seq << 33 | head << 32 | flits still to come``, tail negated) and the
 message travels once, by reference, in ``FlatMeshCore._inflight``.
 These tests pin the representation against the object mesh — the
@@ -16,7 +16,7 @@ import pytest
 from repro.designs import FrameSink, FrameSource, UdpEchoDesign
 from repro.faults.engine import _EjectFault
 from repro.noc import message as message_module
-from repro.noc.flatmesh import build_mesh
+from repro.noc.flatmesh import FlatMesh
 from repro.noc.flit import (
     HANDLE_HEAD,
     HANDLE_SEQ_SHIFT,
@@ -24,6 +24,7 @@ from repro.noc.flit import (
     FlitKind,
     decode_handle,
 )
+from repro.noc.mesh import Mesh
 from repro.noc.message import NocMessage, reset_id_counters
 from repro.noc.routing import Port
 from repro.packet import IPv4Address, MacAddress, build_ipv4_udp_frame
@@ -34,6 +35,7 @@ from repro.tiles.flatcore import register_tiles
 
 CLIENT_IP = IPv4Address("10.0.0.1")
 CLIENT_MAC = MacAddress("02:00:00:00:00:01")
+MESHES = {"object": Mesh, "flat": FlatMesh}
 
 FIELDS = ("dst", "src", "metadata", "data", "n_meta_flits", "msg_id",
           "packet_id")
@@ -65,8 +67,8 @@ def flit_count(monkeypatch):
 
 def raw_mesh(backend, width=2, attach=((0, 0), (1, 0)), traced=True):
     reset_id_counters()
-    sim = CycleSimulator(mesh_backend=backend)
-    mesh = build_mesh(width, 1, backend=backend)
+    sim = CycleSimulator()
+    mesh = MESHES[backend](width, 1)
     ports = {coord: mesh.attach(coord) for coord in attach}
     mesh.register(sim)
     tracer = HopTracer() if traced else None
@@ -106,11 +108,10 @@ def test_handle_format_round_trips():
     assert decode_handle(-(base | HANDLE_HEAD)) == (7, True, True, 0)
 
 
-def echo_run(mesh_backend, tile_backend, frames=20):
+def echo_run(profile, frames=20):
     reset_id_counters()
     design = UdpEchoDesign(udp_port=7, line_rate_bytes_per_cycle=None,
-                           mesh_backend=mesh_backend,
-                           tile_backend=tile_backend)
+                           profile=profile)
     design.add_client(CLIENT_IP, CLIENT_MAC)
     frame = build_ipv4_udp_frame(CLIENT_MAC, design.server_mac,
                                  CLIENT_IP, design.server_ip, 5555, 7,
@@ -126,11 +127,11 @@ def echo_run(mesh_backend, tile_backend, frames=20):
 
 
 def test_the_default_path_builds_no_flit(flit_count):
-    design, flat_frames = echo_run("flat", "flat")
+    design, flat_frames = echo_run("fast")
     assert flit_count[0] == 0
     core = design.mesh.core
     assert not core._inflight and not core._observed
-    design, object_frames = echo_run("object", "object")
+    design, object_frames = echo_run("reference")
     injected = sum(port.flits_injected
                    for port in design.mesh.ports.values())
     assert flit_count[0] == injected > 20 * 24
@@ -270,12 +271,12 @@ class OnCycleSink(Tile):
 
 def test_object_mode_tile_receives_through_the_handle_branch(flit_count):
     reset_id_counters()
-    sim = CycleSimulator(mesh_backend="flat", tile_backend="flat")
-    mesh = build_mesh(2, 1, backend="flat")
+    sim = CycleSimulator()
+    mesh = FlatMesh(2, 1)
     source = mesh.attach((0, 0))
     sink = OnCycleSink("sink", mesh, (1, 0))
     mesh.register(sim)
-    core = register_tiles(sim, [sink], "flat")
+    core = register_tiles(sim, [sink])
     assert core.view("sink").mode == "object"
     sent = NocMessage(dst=(1, 0), src=(0, 0), metadata="m",
                       data=bytes(range(150)))
@@ -313,11 +314,11 @@ def test_broken_wormhole_framing_raises_at_the_port(handles, error):
 
 @pytest.mark.parametrize("handles, error", framing_cases())
 def test_broken_wormhole_framing_raises_in_the_tile_core(handles, error):
-    sim = CycleSimulator(mesh_backend="flat", tile_backend="flat")
-    mesh = build_mesh(2, 1, backend="flat")
+    sim = CycleSimulator()
+    mesh = FlatMesh(2, 1)
     sink = Tile("sink", mesh, (1, 0))
     mesh.register(sim)
-    core = register_tiles(sim, [sink], "flat")
+    core = register_tiles(sim, [sink])
     assert core.view("sink").mode == "fast"
     sink.port.eject_fifo._items.extend(handles)
     with pytest.raises(ValueError, match=error):
@@ -398,8 +399,7 @@ def test_check_invariants_audits_the_table():
 
 def test_a_drained_traced_run_leaves_the_tables_empty():
     reset_id_counters()
-    design = UdpEchoDesign(udp_port=7, line_rate_bytes_per_cycle=None,
-                           mesh_backend="flat", tile_backend="flat")
+    design = UdpEchoDesign(udp_port=7, line_rate_bytes_per_cycle=None)
     design.add_client(CLIENT_IP, CLIENT_MAC)
     tracer = attach_tracer(design, Tracer())
     frame = build_ipv4_udp_frame(CLIENT_MAC, design.server_mac,

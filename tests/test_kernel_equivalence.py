@@ -1,13 +1,11 @@
-"""Differential tests: the scheduled kernel must be cycle-exact.
+"""Differential tests: ``fast`` must be cycle-exact.
 
-Every shipped design is driven with identical traffic under every
-(kernel, mesh backend, tile backend) combination — ``kernel="naive"``
-(the exhaustive reference scheduler) vs ``kernel="scheduled"``
-(activity scheduling with idle-skip), crossed with
-``mesh_backend="object"|"flat"`` (per-router components vs the
-array-of-struct batch core) and ``tile_backend="object"|"flat"``
-(per-tile schedule entries vs the flat tile engine) — and the
-complete observable state is compared:
+Every shipped design is driven with identical traffic under the two
+profiles — ``reference`` (the naive kernel stepping every component
+every cycle, one object per router, every tile a component of its own)
+and ``fast`` (activity scheduling with idle-skip over the
+array-of-struct mesh and tile cores) — and the complete observable
+state is compared:
 
 - per-tile counters (messages/bytes in and out, drops with reasons)
   and per-router flit counts;
@@ -17,22 +15,32 @@ complete observable state is compared:
 
 Any scheduling or batching bug — a missed wake, a late timer, a
 reordered step, a flit moved through the wrong arbitration order —
-shows up as a diff here, which is the correctness bar both refactors
-are held to (an optimisation that changes results is a different
-simulator, not a faster one).
+shows up as a diff here, which is the correctness bar the fast path
+is held to (an optimisation that changes results is a different
+simulator, not a faster one).  A diff here says *that* the profiles
+disagree; the hand-built pairings in ``test_sim_kernel``, ``test_noc``
+and ``test_flatmesh`` (scheduled kernel over an object mesh, flat mesh
+under the naive kernel) say in which layer.
 """
 
 import pytest
 
+import repro.designs
+from repro.config import design_from_xml
+from repro.config.examples import UDP_ECHO_XML
+from repro.config.generate import GeneratedDesign
+from repro.control import encode_control_rpc
 from repro.designs import (
     FrameSink,
     FrameSource,
     LoggedUdpEchoDesign,
+    ManagedNatEchoDesign,
     MultiStackDesign,
     ScaledEchoDesign,
     UdpEchoDesign,
     VxlanEchoDesign,
 )
+from repro.designs.base import Design
 from repro.designs.rs_design import RsDesign
 from repro.designs.tcp_stack import TcpServerDesign
 from repro.designs.virt_stack import NatEchoDesign
@@ -44,6 +52,7 @@ from repro.packet import (
     build_ipv4_udp_frame,
 )
 from repro.packet.vxlan import build_vxlan_frame
+from repro.sim.profiles import PROFILES, lookup
 from repro.apps.vr.tile import MSG_PREPARE, PrepareWire
 from repro.tcp.peer import SoftTcpPeer
 from repro.telemetry import design_counters
@@ -51,23 +60,11 @@ from repro.telemetry.trace import Tracer, attach_tracer
 
 CLIENT_IP = IPv4Address("10.0.0.1")
 CLIENT_MAC = MacAddress("02:00:00:00:00:01")
-# (kernel, mesh_backend, tile_backend) — the first combo is the
-# reference: exhaustive scheduler, per-object routers, per-object tiles.
-COMBOS = (
-    ("naive", "object", "object"),
-    ("scheduled", "object", "object"),
-    ("naive", "flat", "object"),
-    ("scheduled", "flat", "object"),
-    ("naive", "object", "flat"),
-    ("scheduled", "object", "flat"),
-    ("naive", "flat", "flat"),
-    ("scheduled", "flat", "flat"),
-)
 
 
 def fingerprint(design, sink, tracer):
     """Everything observable about a finished run, comparable across
-    kernels."""
+    profiles."""
     counters = design_counters(design)
     return {
         "cycle": design.sim.cycle,
@@ -89,30 +86,65 @@ def fingerprint(design, sink, tracer):
 
 
 def run_both(scenario):
-    """Run ``scenario(kernel, backend, tiles)`` under every combo,
-    resetting
-    the global id counters so packet/message ids (and the spans keyed
-    by them) compare equal."""
+    """Run ``scenario(profile)`` under both profiles, resetting the
+    global id counters so packet/message ids (and the spans keyed by
+    them) compare equal."""
     results = {}
-    for combo in COMBOS:
+    for profile in PROFILES:
         reset_id_counters()
-        results[combo] = scenario(*combo)
+        results[profile] = scenario(profile)
     return results
 
 
 def assert_equivalent(scenario):
     results = run_both(scenario)
-    reference = results[COMBOS[0]]
-    for combo, candidate in results.items():
-        if combo == COMBOS[0]:
-            continue
-        assert set(reference) == set(candidate)
-        for key in reference:
-            assert reference[key] == candidate[key], (
-                f"divergence in {key!r} under "
-                f"kernel={combo[0]!r} mesh_backend={combo[1]!r} "
-                f"tile_backend={combo[2]!r}"
-            )
+    reference, fast = results["reference"], results["fast"]
+    assert set(reference) == set(fast)
+    for key in reference:
+        assert reference[key] == fast[key], (
+            f"fast diverges from reference in {key!r}")
+
+
+#: Every shipped design class, and the one the XML tooling builds.
+DESIGNS = {
+    name: cls for name, cls in vars(repro.designs).items()
+    if name in repro.designs.__all__ and isinstance(cls, type)
+    and issubclass(cls, Design)
+}
+DESIGNS["GeneratedDesign"] = lambda **kwargs: GeneratedDesign(
+    design_from_xml(UDP_ECHO_XML), **kwargs)
+
+
+class TestDesignContract:
+    """What perflab, the probe, the linter and the fault engine read
+    off a design is there under both profiles, for every design."""
+
+    SURFACE = ("profile", "sim", "mesh", "tiles", "tile_core", "chains",
+               "tile_coords", "fault_engine")
+
+    @pytest.mark.parametrize("name", sorted(DESIGNS))
+    def test_both_profiles_construct_with_the_same_surface(self, name):
+        assert len(DESIGNS) == 12
+        for profile in PROFILES:
+            design = DESIGNS[name](profile=profile)
+            assert isinstance(design, Design)
+            missing = [attr for attr in self.SURFACE
+                       if not hasattr(design, attr)]
+            assert missing == []
+            kernel, flat = lookup(profile)
+            assert (design.profile, design.sim.kernel) == (profile, kernel)
+            assert hasattr(design.mesh, "core") == flat
+            assert (design.tile_core is not None) == flat
+            assert design.fault_engine is None
+            tiles = design.tiles
+            tiles = list(tiles.values() if isinstance(tiles, dict)
+                         else tiles)
+            assert design.tile_coords == {t.name: t.coord for t in tiles}
+            stepped = (design.tile_core.tiles if flat
+                       else design.sim.components)
+            assert set(tiles) <= set(stepped)
+        with pytest.raises(TypeError, match="kernel"):
+            DESIGNS[name](kernel="naive")
 
 
 def echo_frame(design, payload, sport=5555, port=7):
@@ -126,11 +158,10 @@ class TestUdpEchoEquivalence:
         """10% line rate: mostly idle cycles — the idle-skip sweet
         spot, and exactly where a wrong wake would surface."""
 
-        def scenario(kernel, backend, tiles):
+        def scenario(profile):
             design = UdpEchoDesign(udp_port=7,
                                    line_rate_bytes_per_cycle=50.0,
-                                   kernel=kernel,
-                                   mesh_backend=backend, tile_backend=tiles)
+                                   profile=profile)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())
             frame = echo_frame(design, b"x" * 64)
@@ -149,11 +180,10 @@ class TestUdpEchoEquivalence:
         """Saturation: no idle cycles, contention and backpressure
         everywhere — checks the active-set path under load."""
 
-        def scenario(kernel, backend, tiles):
+        def scenario(profile):
             design = UdpEchoDesign(udp_port=7,
                                    line_rate_bytes_per_cycle=None,
-                                   kernel=kernel,
-                                   mesh_backend=backend, tile_backend=tiles)
+                                   profile=profile)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())
             frame = echo_frame(design, b"y" * 256)
@@ -172,11 +202,10 @@ class TestUdpEchoEquivalence:
         """Bursts separated by thousand-cycle gaps: each gap is an
         idle-skip; each burst must land on the exact cycle."""
 
-        def scenario(kernel, backend, tiles):
+        def scenario(profile):
             design = UdpEchoDesign(udp_port=7,
                                    line_rate_bytes_per_cycle=50.0,
-                                   kernel=kernel,
-                                   mesh_backend=backend, tile_backend=tiles)
+                                   profile=profile)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())
             sink = FrameSink(design.eth_tx)
@@ -197,11 +226,10 @@ class TestUdpEchoEquivalence:
     def test_mixed_drops_and_misses(self):
         """Frames for the wrong port/MAC exercise the drop paths."""
 
-        def scenario(kernel, backend, tiles):
+        def scenario(profile):
             design = UdpEchoDesign(udp_port=7,
                                    line_rate_bytes_per_cycle=50.0,
-                                   kernel=kernel,
-                                   mesh_backend=backend, tile_backend=tiles)
+                                   profile=profile)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())
             sink = FrameSink(design.eth_tx)
@@ -219,11 +247,10 @@ class TestUdpEchoEquivalence:
 
 class TestLoggedEchoEquivalence:
     def test_logged_echo(self):
-        def scenario(kernel, backend, tiles):
+        def scenario(profile):
             design = LoggedUdpEchoDesign(udp_port=7,
                                          line_rate_bytes_per_cycle=50.0,
-                                         kernel=kernel,
-                                   mesh_backend=backend, tile_backend=tiles)
+                                         profile=profile)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())
             sink = FrameSink(design.eth_tx)
@@ -243,10 +270,9 @@ class TestTcpEquivalence:
         """A full TCP session: handshake, request/response transfer,
         retransmission timers — the richest timer workload we have."""
 
-        def scenario(kernel, backend, tiles):
+        def scenario(profile):
             design = TcpServerDesign(tcp_port=5000, request_size=16,
-                                     kernel=kernel,
-                                   mesh_backend=backend, tile_backend=tiles)
+                                     profile=profile)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())
             peer = SoftTcpPeer(design, CLIENT_IP, CLIENT_MAC,
@@ -273,11 +299,10 @@ class TestVxlanEquivalence:
     INNER_MAC = MacAddress("02:aa:00:00:00:01")
 
     def test_overlay_echo(self):
-        def scenario(kernel, backend, tiles):
+        def scenario(profile):
             design = VxlanEchoDesign(vni=7700, udp_port=7,
                                      line_rate_bytes_per_cycle=50.0,
-                                     kernel=kernel,
-                                   mesh_backend=backend, tile_backend=tiles)
+                                     profile=profile)
             design.add_overlay_peer(self.INNER_IP, self.INNER_MAC,
                                     self.REMOTE_VTEP_IP,
                                     self.REMOTE_VTEP_MAC)
@@ -305,10 +330,9 @@ class TestVxlanEquivalence:
 
 class TestMultiStackEquivalence:
     def test_two_stacks_flow_spread(self):
-        def scenario(kernel, backend, tiles):
+        def scenario(profile):
             design = MultiStackDesign(stacks=2, udp_port=7,
-                                      kernel=kernel,
-                                   mesh_backend=backend, tile_backend=tiles)
+                                      profile=profile)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())
             sinks = [FrameSink(stack.eth_tx)
@@ -332,11 +356,10 @@ class TestMultiStackEquivalence:
 
 class TestRsEquivalence:
     def test_round_robin_encode(self):
-        def scenario(kernel, backend, tiles):
+        def scenario(profile):
             design = RsDesign(instances=4,
                               line_rate_bytes_per_cycle=50.0,
-                              kernel=kernel,
-                                   mesh_backend=backend, tile_backend=tiles)
+                              profile=profile)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())
             sink = FrameSink(design.eth_tx)
@@ -371,11 +394,10 @@ class TestVrEquivalence:
         )
 
     def test_witness_shards(self):
-        def scenario(kernel, backend, tiles):
+        def scenario(profile):
             design = VrWitnessDesign(shards=2,
                                      line_rate_bytes_per_cycle=50.0,
-                                     kernel=kernel,
-                                   mesh_backend=backend, tile_backend=tiles)
+                                     profile=profile)
             design.add_client(self.LEADER_IP, self.LEADER_MAC)
             tracer = attach_tracer(design, Tracer())
             sink = FrameSink(design.eth_tx)
@@ -395,10 +417,9 @@ class TestVrEquivalence:
 
 class TestScaledEchoEquivalence:
     def test_many_apps(self):
-        def scenario(kernel, backend, tiles):
+        def scenario(profile):
             design = ScaledEchoDesign(n_apps=8, udp_port=7,
-                                      kernel=kernel,
-                                   mesh_backend=backend, tile_backend=tiles)
+                                      profile=profile)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())
             sink = FrameSink(design.eth_tx)
@@ -420,11 +441,10 @@ class TestNatEquivalence:
     CLIENT_PHYS_IP = IPv4Address("10.0.0.1")
 
     def test_nat_echo(self):
-        def scenario(kernel, backend, tiles):
+        def scenario(profile):
             design = NatEchoDesign(udp_port=7,
                                    line_rate_bytes_per_cycle=50.0,
-                                   kernel=kernel,
-                                   mesh_backend=backend, tile_backend=tiles)
+                                   profile=profile)
             design.map_client(self.CLIENT_VIRT_IP,
                               self.CLIENT_PHYS_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())
@@ -444,11 +464,62 @@ class TestNatEquivalence:
         assert_equivalent(scenario)
 
 
+class TestManagedNatEquivalence:
+    """The controller tile is one of the stack's tiles: inside the
+    tile core under ``fast`` (object mode, it overrides ``on_cycle``),
+    next to an object control NoC under both profiles."""
+
+    ADMIN_IP = IPv4Address("10.0.0.200")
+    ADMIN_MAC = MacAddress("02:00:00:00:00:aa")
+
+    def test_control_rpcs_between_echoes(self):
+        from repro.faults import FaultPlan
+
+        def scenario(profile):
+            plan = FaultPlan(seed=5).freeze_tile("controller", at=300,
+                                                 duration=400)
+            design = ManagedNatEchoDesign(udp_port=7, profile=profile,
+                                          fault_plan=plan)
+            design.map_client(IPv4Address("172.16.0.1"), CLIENT_IP,
+                              CLIENT_MAC)
+            design.add_client(self.ADMIN_IP, self.ADMIN_MAC)
+            tracer = attach_tracer(design, Tracer())
+            sink = FrameSink(design.eth_tx)
+            design.sim.add(sink)
+
+            def rpc(target, table, key, value, tag, op="update"):
+                return build_ipv4_udp_frame(
+                    self.ADMIN_MAC, design.server_mac, self.ADMIN_IP,
+                    design.server_ip, 6000, design.CONTROL_PORT,
+                    encode_control_rpc(target, table, key, value,
+                                       tag=tag, op=op))
+
+            for i in range(6):
+                at = 1 + i * 260
+                design.inject(rpc(design.nat_rx.coord, "nat",
+                                  f"172.16.0.{i + 2}", f"10.0.0.{i + 2}",
+                                  tag=i), at)
+                design.inject(echo_frame(design, b"echo%02d" % i * 9),
+                              at + 7)
+                design.inject(rpc(design.nat_rx.coord, "",
+                                  "translations", "", tag=100 + i,
+                                  op="read_counter"), at + 90)
+            design.sim.run(3000)
+            assert design.controller.rpcs_served == 12
+            assert sink.count == 18
+            fp = fingerprint(design, sink, tracer)
+            fp["control_flits"] = design.control.mesh.total_flits_forwarded
+            fp["fault_log"] = list(design.fault_engine.log)
+            return fp
+
+        assert_equivalent(scenario)
+
+
 class TestFaultEquivalence:
     """Active fault plans must not break cycle-exactness: the wire
     impairments draw from seeded streams at the inject boundary and
-    the NoC faults act on the shared LocalPort staging, so every
-    (kernel, backend) combo observes the bit-identical fault stream."""
+    the NoC faults act on the shared LocalPort staging, so both
+    profiles observe the bit-identical fault stream."""
 
     def _fault_fingerprint(self, design, sink, tracer):
         fp = fingerprint(design, sink, tracer)
@@ -461,14 +532,13 @@ class TestFaultEquivalence:
     def test_wire_impairments(self):
         from repro.faults import FaultPlan
 
-        def scenario(kernel, backend, tiles):
+        def scenario(profile):
             plan = FaultPlan(seed=0xD1CE).wire(
                 drop=0.2, corrupt=0.1, duplicate=0.15, reorder=0.2,
                 delay=0.3)
             design = UdpEchoDesign(udp_port=7,
                                    line_rate_bytes_per_cycle=50.0,
-                                   kernel=kernel, mesh_backend=backend,
-                                   tile_backend=tiles, fault_plan=plan)
+                                   profile=profile, fault_plan=plan)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())
             sink = FrameSink(design.eth_tx)
@@ -485,7 +555,7 @@ class TestFaultEquivalence:
     def test_tile_and_noc_faults(self):
         from repro.faults import FaultPlan
 
-        def scenario(kernel, backend, tiles):
+        def scenario(profile):
             plan = (FaultPlan(seed=0xD1CE)
                     .freeze_tile("app", at=300, duration=800)
                     .crash_tile("eth_rx", at=20, duration=100)
@@ -493,8 +563,7 @@ class TestFaultEquivalence:
                     .corrupt_flits(0.3, coords=[(2, 0)]))
             design = UdpEchoDesign(udp_port=7,
                                    line_rate_bytes_per_cycle=50.0,
-                                   kernel=kernel, mesh_backend=backend,
-                                   tile_backend=tiles, fault_plan=plan)
+                                   profile=profile, fault_plan=plan)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())
             sink = FrameSink(design.eth_tx)
@@ -509,13 +578,12 @@ class TestFaultEquivalence:
 
 
 class TestIdleSkipActuallyHappens:
-    """Equivalence is vacuous if the scheduled kernel never sleeps —
-    pin that the idle-heavy scenarios really do skip cycles."""
+    """Equivalence is vacuous if ``fast`` never sleeps — pin that the
+    idle-heavy scenarios really do skip cycles."""
 
     def test_paced_udp_run_skips_most_cycles(self):
         design = UdpEchoDesign(udp_port=7,
-                               line_rate_bytes_per_cycle=50.0,
-                               kernel="scheduled")
+                               line_rate_bytes_per_cycle=50.0)
         design.add_client(CLIENT_IP, CLIENT_MAC)
         frame = echo_frame(design, b"x" * 64)
         source = FrameSource(design.inject, lambda i: frame,
@@ -528,7 +596,7 @@ class TestIdleSkipActuallyHappens:
         assert design.sim.idle_cycles_skipped > 3000
 
     def test_naive_kernel_never_skips(self):
-        design = UdpEchoDesign(udp_port=7, kernel="naive")
+        design = UdpEchoDesign(udp_port=7, profile="reference")
         design.add_client(CLIENT_IP, CLIENT_MAC)
         design.sim.run(500)
         assert design.sim.idle_cycles_skipped == 0
@@ -536,18 +604,17 @@ class TestIdleSkipActuallyHappens:
 
 class TestProbedEquivalence:
     """An attached telemetry probe is read-only and timer-driven, so it
-    must neither break kernel x backend equivalence nor change any
+    must neither break profile equivalence nor change any
     observable of the run it samples (its wakes do bound the scheduled
     kernel's idle skips — more wakeups, same cycles)."""
 
     def _scenario(self, probed):
         from repro.telemetry import attach_probe
 
-        def scenario(kernel, backend, tiles):
+        def scenario(profile):
             design = UdpEchoDesign(udp_port=7,
                                    line_rate_bytes_per_cycle=50.0,
-                                   kernel=kernel,
-                                   mesh_backend=backend, tile_backend=tiles)
+                                   profile=profile)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             tracer = attach_tracer(design, Tracer())
             probe = attach_probe(design,
@@ -572,8 +639,8 @@ class TestProbedEquivalence:
     def test_probe_changes_nothing_observable(self):
         results_probed = run_both(self._scenario(probed=True))
         results_plain = run_both(self._scenario(probed=False))
-        for combo in COMBOS:
-            for key in results_plain[combo]:
-                assert results_plain[combo][key] == \
-                    results_probed[combo][key], (
-                        f"probe perturbed {key!r} under {combo!r}")
+        for profile in PROFILES:
+            for key in results_plain[profile]:
+                assert results_plain[profile][key] == \
+                    results_probed[profile][key], (
+                        f"probe perturbed {key!r} under {profile!r}")

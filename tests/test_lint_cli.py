@@ -2,7 +2,7 @@
 
 Pins the exit-code contract (0 clean / 1 findings / 2 unusable
 target), ``--pass`` filtering across both pass families, the
-``--sanitize`` plumbing (``--cycles``, ``--combos``), and the JSON
+``--sanitize`` plumbing (``--cycles``), and the JSON
 round-trip the CI jobs consume.
 """
 
@@ -85,8 +85,7 @@ class TestSanitize:
         assert "BHV401" in out and "BHV402" in out
 
     def test_clean_design_stays_clean(self):
-        assert main(["udp_echo", "--sanitize", "--cycles", "400",
-                     "--combos", "scheduled/flat/flat"]) == 0
+        assert main(["udp_echo", "--sanitize", "--cycles", "400"]) == 0
 
     def test_without_flag_no_simulation_runs(self, capsys):
         # idle_liar's bug is dynamic-only: without --sanitize the
@@ -94,29 +93,21 @@ class TestSanitize:
         assert main(["idle_liar"]) == 0
         assert "BHV401" not in capsys.readouterr().out
 
-    def test_bad_combo_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["udp_echo", "--sanitize", "--combos", "scheduled"])
-        assert excinfo.value.code == 2
-        assert "bad combo" in capsys.readouterr().err
-
     def test_bad_cycles_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["udp_echo", "--sanitize", "--cycles", "0"])
         assert excinfo.value.code == 2
         assert "--cycles" in capsys.readouterr().err
 
-    def test_explicit_combo_respected(self, capsys):
-        # step_parity only diverges against a naive-kernel run.  Two
-        # scheduled combos agree with each other; a single combo is
-        # paired with the naive reference and exposes the bug.
-        assert main(["step_parity", "--sanitize", "--cycles", "400",
-                     "--combos", "scheduled/object/object",
-                     "--combos", "scheduled/flat/flat"]) == 0
-        capsys.readouterr()
-        assert main(["step_parity", "--sanitize", "--cycles", "400",
-                     "--combos", "scheduled/object/object"]) == 1
+    def test_step_parity_fires_without_a_flag(self, capsys):
+        # step_parity only diverges against a naive-kernel run, which
+        # the determinism pass always makes: its reference side.
+        assert main(["step_parity", "--sanitize", "--cycles", "400"]) == 1
         assert "BHV404" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["step_parity", "--sanitize", "--combos",
+                  "scheduled/flat/flat"])
+        assert excinfo.value.code == 2  # the flag is gone
 
 
 class TestJson:

@@ -6,7 +6,7 @@ law), unit tests pin the ``OpenLoopSource`` admission boundary, a
 regression test drives ``FrameSource`` at twice line rate, and the
 sweep tests pin the acceptance shape: a monotone goodput curve that
 saturates at the knee with the p999 tail blowing up past it —
-byte-identical across runs and across kernel x mesh x tile backends.
+byte-identical across runs and across the two profiles.
 """
 
 import json
@@ -320,18 +320,12 @@ class TestSweep:
         assert json.dumps(a, sort_keys=True) == \
             json.dumps(b, sort_keys=True)
 
-    @pytest.mark.parametrize("kernel,mesh,tile", [
-        ("naive", "object", "object"),
-        ("naive", "flat", "flat"),
-        ("scheduled", "object", "flat"),
-        ("scheduled", "flat", "object"),
-    ])
-    def test_sweep_identical_across_backends(self, kernel, mesh, tile):
+    def test_sweep_identical_across_profiles(self):
         from repro.loadgen.sweep import run_point
-        reference = run_point(30.0, **self.POINT_KWARGS)
-        other = run_point(30.0, kernel=kernel, mesh_backend=mesh,
-                          tile_backend=tile, **self.POINT_KWARGS)
-        assert json.dumps(other, sort_keys=True) == \
+        fast = run_point(30.0, **self.POINT_KWARGS)
+        reference = run_point(30.0, profile="reference",
+                              **self.POINT_KWARGS)
+        assert json.dumps(fast, sort_keys=True) == \
             json.dumps(reference, sort_keys=True)
 
     def test_arrival_kinds_run_end_to_end(self):

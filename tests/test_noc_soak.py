@@ -1,9 +1,9 @@
 """NoC soak tests: randomised traffic, conservation, and fairness,
-plus a seeded fault-soak crossing kernels and mesh backends.  Every
-flat-backend case cross-checks ``FlatMeshCore.check_invariants()``
-(and, where tiles run on it, ``FlatTileCore.check_invariants()``)
-after every cycle and ends with the object mesh's high-water marks on
-every router input."""
+plus seeded fault soaks of three designs, ``fast`` against
+``reference``.  Every flat-mesh case cross-checks
+``FlatMeshCore.check_invariants()`` (and, where tiles run on it,
+``FlatTileCore.check_invariants()``) after every cycle and ends with
+the object mesh's high-water marks on every router input."""
 
 import random
 
@@ -11,9 +11,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.noc import Mesh, NocMessage
-from repro.noc.flatmesh import build_mesh
+from repro.designs import (
+    FrameSink,
+    ScaledEchoDesign,
+    TcpServerDesign,
+    UdpEchoDesign,
+)
+from repro.faults import FaultPlan
+from repro.noc import FlatMesh, Mesh, NocMessage
+from repro.noc.message import reset_id_counters
+from repro.packet import IPv4Address, MacAddress, build_ipv4_udp_frame
 from repro.sim.kernel import CycleSimulator
+from repro.tcp.peer import SoftTcpPeer
+from repro.telemetry import design_counters
+
+CLIENT_IP = IPv4Address("10.0.0.1")
+CLIENT_MAC = MacAddress("02:00:00:00:00:01")
 
 
 def run_checked(sim, mesh, cycles, done=None, tile_core=None):
@@ -86,8 +99,8 @@ class TestNocSoak:
     def check_random_traffic(self, backend, width, height, sends):
         """Run one drawn workload; returns the input high-water marks."""
         coords = [(x, y) for x in range(width) for y in range(height)]
-        sim = CycleSimulator(mesh_backend=backend)
-        mesh = build_mesh(width, height, backend=backend)
+        sim = CycleSimulator()
+        mesh = {"object": Mesh, "flat": FlatMesh}[backend](width, height)
         ports = {coord: mesh.attach(coord) for coord in coords}
         mesh.register(sim)
         drains = {coord: Drain(port) for coord, port in ports.items()}
@@ -158,86 +171,138 @@ class TestNocSoak:
 
 
 class TestFaultSoak:
-    """Seeded chaos soak across every (kernel, mesh backend) combo.
+    """Seeded chaos soaks, ``fast`` against ``reference``.
 
     The fault hooks live at shared boundaries — the inject wire and
     the tile-side LocalPort — so an identical FaultPlan must produce
-    a bit-identical run (egress frames, tile counters, fault log)
-    whether the mesh is the object graph or the flat array core, and
-    whether the kernel sweeps every component or idle-skips.
+    a bit-identical run (egress frames, tile counters, fault log,
+    high-water marks) whether the mesh is the object graph or the flat
+    array core, the tiles sit in a ``FlatTileCore`` or each in a slot
+    of their own, and the kernel sweeps every component or idle-skips.
+    The ``fast`` run has both cores' invariants checked every cycle.
     """
 
-    COMBOS = (
-        ("naive", "object"),
-        ("scheduled", "object"),
-        ("naive", "flat"),
-        ("scheduled", "flat"),
-    )
+    @staticmethod
+    def wire_faults(seed):
+        return FaultPlan(seed=seed).wire(drop=0.15, corrupt=0.1,
+                                         duplicate=0.1, reorder=0.15,
+                                         delay=0.25)
+
+    @staticmethod
+    def echo_traffic(design, seed, frames):
+        # Seeded, bursty, variable-size traffic over many flows — same
+        # for both profiles because the rng is rebuilt from the seed.
+        rng = random.Random(seed)
+        cycle = 1
+        for i in range(frames):
+            payload = bytes(rng.randrange(256)
+                            for _ in range(rng.randrange(8, 600)))
+            frame = build_ipv4_udp_frame(
+                CLIENT_MAC, design.server_mac, CLIENT_IP,
+                design.server_ip, 5555 + i % 32, 7, payload)
+            design.inject(frame, cycle)
+            cycle += rng.choice((1, 3, 40, 200))
+
+    @staticmethod
+    def soak(design, cycles, sink=None):
+        """Run ``cycles`` cycles under the checkers; returns what the
+        two profiles must agree on."""
+        run_checked(design.sim, design.mesh, cycles,
+                    tile_core=design.tile_core)
+        counters = design_counters(design)
+        assert sink is None or sink.malformed == 0
+        return {
+            "frames": None if sink is None else list(sink.frames),
+            "tiles": counters["tiles"],
+            "total_flits": counters["total_flits"],
+            "faults": counters["faults"],
+            "fault_log": list(design.fault_engine.log),
+            "input_high_water": input_high_water(design.mesh),
+        }
+
+    @staticmethod
+    def assert_identical(run):
+        reset_id_counters()
+        reference = run("reference")
+        reset_id_counters()
+        fast = run("fast")
+        assert set(reference) == set(fast)
+        for key in reference:
+            assert reference[key] == fast[key], (
+                f"fault-soak divergence in {key!r}: fast != reference")
+        return fast
 
     @pytest.mark.parametrize("seed", [11, 29, 47])
     def test_identical_faulty_runs_across_combos(self, seed):
-        from repro.designs import FrameSink, UdpEchoDesign
-        from repro.faults import FaultPlan
-        from repro.noc.message import reset_id_counters
-        from repro.packet import (
-            IPv4Address,
-            MacAddress,
-            build_ipv4_udp_frame,
-        )
-        from repro.telemetry import design_counters
-
-        client_ip = IPv4Address("10.0.0.1")
-        client_mac = MacAddress("02:00:00:00:00:01")
-
-        def plan():
-            return (FaultPlan(seed=seed)
-                    .wire(drop=0.15, corrupt=0.1, duplicate=0.1,
-                          reorder=0.15, delay=0.25)
+        def run(profile):
+            plan = (self.wire_faults(seed)
                     .freeze_tile("app", at=400, duration=600)
                     .stall_link((3, 0), at=2000, duration=300)
                     .corrupt_flits(0.1, coords=[(2, 0)]))
-
-        def traffic(design):
-            # Seeded, bursty, variable-size traffic — same for every
-            # combo because the rng is rebuilt from the seed.
-            rng = random.Random(seed)
-            cycle = 1
-            for _ in range(40):
-                payload = bytes(rng.randrange(256)
-                                for _ in range(rng.randrange(8, 600)))
-                frame = build_ipv4_udp_frame(
-                    client_mac, design.server_mac, client_ip,
-                    design.server_ip, 5555, 7, payload)
-                design.inject(frame, cycle)
-                cycle += rng.choice((1, 3, 40, 200))
-
-        def run(kernel, backend):
-            reset_id_counters()
-            design = UdpEchoDesign(udp_port=7, kernel=kernel,
-                                   mesh_backend=backend,
-                                   fault_plan=plan())
-            design.add_client(client_ip, client_mac)
+            design = UdpEchoDesign(udp_port=7, profile=profile,
+                                   fault_plan=plan)
+            design.add_client(CLIENT_IP, CLIENT_MAC)
             sink = FrameSink(design.eth_tx)
             design.sim.add(sink)
-            traffic(design)
-            run_checked(design.sim, design.mesh, 15_000,
-                        tile_core=design.tile_core)
-            assert sink.malformed == 0
-            counters = design_counters(design)
-            return {
-                "frames": list(sink.frames),
-                "tiles": counters["tiles"],
-                "total_flits": counters["total_flits"],
-                "faults": counters["faults"],
-                "fault_log": list(design.fault_engine.log),
-                "input_high_water": input_high_water(design.mesh),
-            }
+            self.echo_traffic(design, seed, 40)
+            return self.soak(design, 15_000, sink)
 
-        reference = run(*self.COMBOS[0])
-        for combo in self.COMBOS[1:]:
-            candidate = run(*combo)
-            for key in reference:
-                assert reference[key] == candidate[key], (
-                    f"fault-soak divergence in {key!r} under "
-                    f"kernel={combo[0]!r} mesh_backend={combo[1]!r}"
-                )
+        assert self.assert_identical(run)["frames"]
+
+    @pytest.mark.parametrize("seed", [13, 31])
+    def test_scaled_echo_7x4_fault_soak(self, seed):
+        """22 replicas behind one flow-hash table: a frozen replica and
+        a stalled one back wormholes up across the 7x4 mesh while the
+        other twenty keep answering."""
+        def run(profile):
+            plan = (self.wire_faults(seed)
+                    .freeze_tile("app3", at=400, duration=900)
+                    .stall_link((6, 3), at=1500, duration=500)
+                    .corrupt_flits(0.1, coords=[(2, 0)]))
+            design = ScaledEchoDesign(profile=profile, fault_plan=plan)
+            assert (design.width, design.height) == (7, 4)
+            design.add_client(CLIENT_IP, CLIENT_MAC)
+            sink = FrameSink(design.eth_tx)
+            design.sim.add(sink)
+            self.echo_traffic(design, seed, 80)
+            out = self.soak(design, 12_000, sink)
+            out["per_app"] = [app.requests for app in design.apps]
+            return out
+
+        fast = self.assert_identical(run)
+        assert len(fast["frames"]) > 40
+        assert sum(1 for served in fast["per_app"] if served) > 10
+
+    @pytest.mark.parametrize("seed", [17, 37])
+    def test_tcp_server_fault_soak(self, seed):
+        """Object-mode TCP engine tiles inside the tile core, a soft
+        peer with a short RTO outside it, and a wire that drops,
+        duplicates, reorders and delays what the peer sends: the
+        stream only advances through retransmission timers."""
+        def run(profile):
+            plan = (FaultPlan(seed=seed)
+                    .wire(drop=0.08, duplicate=0.05, reorder=0.08,
+                          delay=0.2)
+                    .freeze_tile("app", at=3_000, duration=700)
+                    .stall_link((3, 0), at=6_000, duration=400))
+            design = TcpServerDesign(tcp_port=5000, request_size=256,
+                                     mss=512, profile=profile,
+                                     fault_plan=plan)
+            design.add_client(CLIENT_IP, CLIENT_MAC)
+            peer = SoftTcpPeer(design, CLIENT_IP, CLIENT_MAC,
+                               design.server_ip, 5000, mss=512,
+                               wire_cycles=50, rto_cycles=1_500)
+            design.sim.add(peer)
+            peer.connect()
+            rng = random.Random(seed)
+            peer.send(bytes(rng.randrange(256) for _ in range(16_384)))
+            out = self.soak(design, 20_000)
+            out["received"] = bytes(peer.received)
+            out["peer"] = (peer.established, peer.segments_sent,
+                           peer.retransmits, peer.bytes_acked)
+            return out
+
+        fast = self.assert_identical(run)
+        established, _sent, retransmits, acked = fast["peer"]
+        assert established and retransmits > 5
+        assert acked == len(fast["received"]) > 4_096

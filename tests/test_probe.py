@@ -106,26 +106,28 @@ class TestSampling:
 
 class TestBackends:
     def test_high_water_identical_across_backends(self):
-        """The flat backend inlines FIFO commits, so its high-water
-        tracking must stay value-identical to StagedFifo's."""
+        """The flat mesh stamps where ``StagedFifo`` commits, so its
+        high-water tracking must stay value-identical to it."""
         from repro.telemetry import design_counters
 
-        def water(backend):
-            design, _, _ = run_echo(mesh_backend=backend)
+        def water(profile):
+            design, _, _ = run_echo(profile=profile)
             counters = design_counters(design)
             tiles = {t.name: (t.eject_high_water,
                               t.tx_backlog_high_water)
                      for t in counters["tiles"]}
             return tiles, counters["router_input_high_water"]
 
-        assert water("flat") == water("object")
+        assert water("fast") == water("reference")
 
     def test_probe_works_on_object_backend_and_naive_kernel(self):
-        _, probe_obj, sink_obj = run_echo(mesh_backend="object")
-        _, probe_naive, sink_naive = run_echo(kernel="naive")
-        assert sink_obj.count == sink_naive.count
-        assert probe_obj.samples_taken == probe_naive.samples_taken
-        # Cross-config totals agree: same design, same traffic.
-        last_obj = probe_obj.series.snapshots[-1]
-        last_naive = probe_naive.series.snapshots[-1]
-        assert last_obj["total_flits"] == last_naive["total_flits"]
+        _, probe_fast, sink_fast = run_echo()
+        _, probe_ref, sink_ref = run_echo(profile="reference")
+        assert probe_ref.series.meta == {"profile": "reference"}
+        assert sink_fast.count == sink_ref.count
+        assert probe_fast.samples_taken == probe_ref.samples_taken
+        # Cross-profile totals agree: same design, same traffic.
+        last_fast = probe_fast.series.snapshots[-1]
+        last_ref = probe_ref.series.snapshots[-1]
+        assert last_fast["total_flits"] == last_ref["total_flits"]
+        assert last_ref["kernel"]["kernel"] == "naive"

@@ -5,7 +5,7 @@ stall/corrupt faults the suite already covers: a misroute window
 deflects every routing decision one legal hop sideways, a stuck-grant
 window wedges one output arbiter.  Both are seed-deterministic windows
 from the :class:`repro.faults.FaultPlan` builder and must behave
-bit-identically on the object-graph and flat mesh backends — the whole
+bit-identically on the object-graph and the flat mesh — the whole
 point of modelling them at the routing-function level.
 """
 
@@ -174,8 +174,8 @@ class TestBackendBitIdentity:
                                           duration=800)),
     }
 
-    def signature(self, plan, mesh_backend):
-        design, sink = run_echo(plan, mesh_backend=mesh_backend)
+    def signature(self, plan, profile):
+        design, sink = run_echo(plan, profile=profile)
         return {
             "frames": [(frame.hex(), cycle)
                        for frame, cycle in sink.frames],
@@ -185,14 +185,14 @@ class TestBackendBitIdentity:
     @pytest.mark.parametrize("name", sorted(PLANS))
     def test_object_and_flat_mesh_agree(self, name):
         make_plan = self.PLANS[name]
-        flat = self.signature(make_plan(), "flat")
-        obj = self.signature(make_plan(), "object")
+        flat = self.signature(make_plan(), "fast")
+        obj = self.signature(make_plan(), "reference")
         assert json.dumps(flat, sort_keys=True) == \
             json.dumps(obj, sort_keys=True)
 
     def test_window_replay_is_deterministic(self):
         make_plan = self.PLANS["combined"]
-        first = self.signature(make_plan(), "flat")
-        second = self.signature(make_plan(), "flat")
+        first = self.signature(make_plan(), "fast")
+        second = self.signature(make_plan(), "fast")
         assert json.dumps(first, sort_keys=True) == \
             json.dumps(second, sort_keys=True)

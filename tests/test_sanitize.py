@@ -26,8 +26,6 @@ from repro.analysis.demo import (
     build_step_parity_design,
 )
 from repro.analysis.sanitize import (
-    DEFAULT_COMBOS,
-    NAIVE_REFERENCE,
     build_design,
     conservation_ledger,
     default_traffic,
@@ -43,11 +41,9 @@ def codes_of(report):
 class TestCleanDesigns:
     """Shipped designs carry no seeded bugs: the sanitizer must agree."""
 
-    @pytest.mark.parametrize("combo", list(DEFAULT_COMBOS),
-                             ids=lambda c: "/".join(c))
-    def test_udp_echo_sanitizes_clean(self, combo):
+    def test_udp_echo_sanitizes_clean(self):
         report = analyze_dynamic(UdpEchoDesign, name="udp_echo",
-                                 cycles=600, combos=[combo])
+                                 cycles=600)
         assert report.findings == [], report.render()
         assert sorted(report.passes_run) == sorted(
             f"sanitize:{p}" for p in SANITIZE_PASSES)
@@ -55,17 +51,13 @@ class TestCleanDesigns:
     def test_udp_echo_clean_under_faults(self):
         plan = FaultPlan(seed=3).wire(drop=0.02, corrupt=0.02)
         report = analyze_dynamic(UdpEchoDesign, name="udp_echo",
-                                 cycles=600,
-                                 combos=[("scheduled", "flat", "flat")],
-                                 fault_plan=plan)
+                                 cycles=600, fault_plan=plan)
         assert report.findings == [], report.render()
 
     def test_tcp_server_sanitizes_clean(self):
         from repro.designs import TcpServerDesign
         report = analyze_dynamic(TcpServerDesign, name="tcp_server",
-                                 cycles=600,
-                                 combos=[("scheduled", "object",
-                                          "object")])
+                                 cycles=600)
         assert report.findings == [], report.render()
 
 
@@ -153,21 +145,15 @@ class TestEarlyRead:
 
 
 class TestStepParity:
-    COMBOS = [("scheduled", "object", "object"), NAIVE_REFERENCE]
-
     def test_bhv404_under_kernel_divergence(self):
-        report = analyze_dynamic(build_step_parity_design,
-                                 name="step_parity", cycles=400,
-                                 combos=self.COMBOS)
-        assert codes_of(report) == ["BHV404"]
-        assert report.findings[0].data["first_divergent_cycle"] >= 0
-
-    def test_clean_under_default_combos(self):
-        # Both default combos run the scheduled kernel, where the
-        # step-count-dependent behaviour is self-consistent.
+        # No flag, no second configuration to name: determinism always
+        # has the naive kernel on its reference side.
         report = analyze_dynamic(build_step_parity_design,
                                  name="step_parity", cycles=400)
-        assert report.findings == [], report.render()
+        assert codes_of(report) == ["BHV404"]
+        finding = report.findings[0]
+        assert finding.data["first_divergent_cycle"] >= 0
+        assert "fast vs reference" in finding.message
 
     def test_static_passes_stay_silent(self):
         report = analyze(build_step_parity_design(), name="step_parity")
@@ -221,10 +207,6 @@ class TestPassSelection:
         with pytest.raises(ValueError, match="cycles"):
             analyze_dynamic(build_idle_liar_design, cycles=0)
 
-    def test_empty_combos_raises(self):
-        with pytest.raises(ValueError, match="combo"):
-            analyze_dynamic(build_idle_liar_design, combos=[])
-
 
 class TestConservationLedger:
     def test_balances_on_a_clean_run(self):
@@ -242,8 +224,7 @@ class TestConservationLedger:
         assert ledger["injected"] > 0
 
     def test_detects_off_books_loss(self):
-        design = build_design(build_leaky_eject_design,
-                              ("scheduled", "object", "object"))
+        design = build_design(build_leaky_eject_design)
         design.send()
         for _ in range(50):
             design.sim.tick()
@@ -253,23 +234,36 @@ class TestConservationLedger:
 
 
 class TestBuildDesign:
-    def test_passes_full_combo_to_shipped_designs(self):
-        design = build_design(UdpEchoDesign, ("naive", "flat", "flat"))
+    def test_passes_profile_to_shipped_designs(self):
+        design = build_design(UdpEchoDesign, "reference")
+        assert design.profile == "reference"
         assert design.sim.kernel == "naive"
-        assert design.sim.mesh_backend == "flat"
+        plan = FaultPlan(seed=3).wire(drop=0.5)
+        assert build_design(UdpEchoDesign, "fast", plan).fault_plan is plan
 
-    def test_drops_unsupported_kwargs_for_fixtures(self):
-        # Fixture builders accept only ``kernel``; the backend kwargs
-        # must be silently retried away, not crash the run.
-        design = build_design(build_idle_liar_design,
-                              ("scheduled", "flat", "flat"))
-        assert design.sim.kernel == "scheduled"
+    def test_fixtures_map_the_profile_to_their_kernel(self):
+        # ... over the mesh they build by hand, object or flat.
+        from repro.noc import FlatMesh, Mesh
+        for builder, mesh_cls in [(build_idle_liar_design, Mesh),
+                                  (build_early_read_design, FlatMesh)]:
+            for profile, kernel in [("fast", "scheduled"),
+                                    ("reference", "naive")]:
+                design = build_design(builder, profile)
+                assert design.sim.kernel == kernel
+                assert type(design.mesh) is mesh_cls
+
+    def test_every_lintable_factory_takes_a_profile(self):
+        from repro.tools.lint import _demo_designs, _shipped_designs
+        for name, factory in {**_shipped_designs(),
+                              **_demo_designs()}.items():
+            for profile in ("fast", "reference"):
+                assert build_design(factory, profile).sim, name
 
     def test_unrelated_type_errors_still_raise(self):
         def bad_factory(**kwargs):
             raise TypeError("completely unrelated failure")
         with pytest.raises(TypeError, match="unrelated"):
-            build_design(bad_factory, ("scheduled", "object", "object"))
+            build_design(bad_factory)
 
 
 class TestDefaultTraffic:
@@ -291,45 +285,42 @@ class TestDefaultTraffic:
 class TestFlatMeshLedger:
     def test_broken_active_list_is_a_bhv403_finding(self):
         from repro.analysis.sanitize import _conservation_findings
-        combo = ("scheduled", "flat", "flat")
-        design = build_design(UdpEchoDesign, combo)
+        design = build_design(UdpEchoDesign)
         for _, fn in default_traffic(design, 200):
             fn()
         design.sim.run_until(lambda: design.mesh.core._active,
                              max_cycles=200)
-        assert _conservation_findings(design, combo) == []
+        assert _conservation_findings(design) == []
         # Lose the active list: every wormhole in flight now stalls.
         design.mesh.core._active.clear()
-        findings = _conservation_findings(design, combo)
+        findings = _conservation_findings(design)
         assert [f.code for f in findings] == ["BHV403"]
         assert "active outputs" in findings[0].message
 
     def test_handle_without_its_message_is_a_bhv403_finding(self):
         from repro.analysis.sanitize import _conservation_findings
-        combo = ("scheduled", "flat", "flat")
-        design = build_design(UdpEchoDesign, combo)
+        design = build_design(UdpEchoDesign)
         for _, fn in default_traffic(design, 200):
             fn()
         core = design.mesh.core
         design.sim.run_until(lambda: core._inflight, max_cycles=200)
-        assert _conservation_findings(design, combo) == []
+        assert _conservation_findings(design) == []
         # The handles of this message now reach a port that has no
         # message to hand its tile on the tail.
         del core._inflight[next(iter(core._inflight))]
-        findings = _conservation_findings(design, combo)
+        findings = _conservation_findings(design)
         assert [f.code for f in findings] == ["BHV403"]
         assert "names no in-flight message" in findings[0].message
 
     def test_ring_stamp_from_the_future_is_a_bhv403_finding(self):
         from repro.analysis.sanitize import _conservation_findings
-        combo = ("scheduled", "flat", "flat")
-        design = build_design(UdpEchoDesign, combo)
+        design = build_design(UdpEchoDesign)
         design.sim.run(10)
         core = design.mesh.core
         # A pop stamped with the cycle about to run would hand the
         # upstream router a credit one cycle late.
         core._popc[6] = design.sim.cycle
-        findings = _conservation_findings(design, combo)
+        findings = _conservation_findings(design)
         assert [f.code for f in findings] == ["BHV403"]
         assert "_popc" in findings[0].message
 
@@ -337,23 +328,22 @@ class TestFlatMeshLedger:
 class TestFlatTileLedger:
     def test_clear_busy_bit_over_a_non_empty_fifo_is_a_bhv402_finding(self):
         from repro.analysis.sanitize import _tile_core_findings
-        combo = ("scheduled", "flat", "flat")
-        design = build_design(UdpEchoDesign, combo)
+        design = build_design(UdpEchoDesign)
         for _, fn in default_traffic(design, 200):
             fn()
         fifo = design.app.port.eject_fifo
         design.sim.run_until(lambda: len(fifo), max_cycles=400)
-        assert _tile_core_findings(design, combo) == []
+        assert _tile_core_findings(design) == []
         # The flat mesh will not wake the app tile for the flits behind
         # this one: a clear bit here is a tile that never drains.
         core = design.tile_core
         core._busy &= ~(1 << core.tiles.index(design.app))
-        findings = _tile_core_findings(design, combo)
+        findings = _tile_core_findings(design)
         assert [f.code for f in findings] == ["BHV402"]
         assert "'app' is not busy" in findings[0].message
 
-    def test_object_tile_backend_has_no_ledger(self):
+    def test_reference_has_no_tile_core_to_audit(self):
         from repro.analysis.sanitize import _tile_core_findings
-        combo = ("scheduled", "object", "object")
-        assert _tile_core_findings(build_design(UdpEchoDesign, combo),
-                                   combo) == []
+        reference = build_design(UdpEchoDesign, "reference")
+        assert reference.tile_core is None
+        assert _tile_core_findings(reference) == []

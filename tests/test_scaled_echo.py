@@ -150,11 +150,11 @@ class TestAppCoords:
         coords = [(x, y) for x in (6, 7) for y in range(4)]
         n_frames = 24
 
-        def run(**backends):
+        def run(profile="fast"):
             reset_id_counters()
             design = ScaledEchoDesign(n_apps=len(coords), width=8,
                                       height=4, app_coords=coords,
-                                      **backends)
+                                      profile=profile)
             ip = IPv4Address("10.0.2.1")
             design.add_client(ip, CLIENT_MAC)
             requests = [
@@ -182,13 +182,11 @@ class TestAppCoords:
         assert sum(1 for app in design.apps if app.requests) > 1
 
         counters = design_counters(design)
-        assert set(counters.pop("backends")) == {"kernel", "mesh", "tile"}
-        assert "shards=" not in design_report(design)
+        assert counters.pop("profile") == "fast"
+        assert "profile: fast" in design_report(design)
 
-        reference, _, reference_sink = run(
-            kernel="naive", mesh_backend="object", tile_backend="object")
+        reference, _, reference_sink = run("reference")
         assert reference_sink.frames == sink.frames
         reference_counters = design_counters(reference)
-        assert reference_counters.pop("backends") == {
-            "kernel": "naive", "mesh": "object", "tile": "object"}
+        assert reference_counters.pop("profile") == "reference"
         assert reference_counters == counters

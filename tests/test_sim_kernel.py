@@ -577,14 +577,14 @@ def quiescent(component, cycle):
 
 
 class TestNoTickWithoutWork:
-    """Idle means idle: on the default path (flat mesh, flat tiles) a
-    paced design is ticked on exactly the cycles some component has
-    work, and every other cycle is skipped."""
+    """Idle means idle: under ``fast`` a paced design is ticked on
+    exactly the cycles some component has work, and every other cycle
+    is skipped."""
 
     CYCLES = 6_000
 
     @staticmethod
-    def paced_echo(kernel):
+    def paced_echo():
         from repro.designs import FrameSink, FrameSource, UdpEchoDesign
         from repro.noc.message import reset_id_counters
         from repro.packet import (
@@ -594,9 +594,7 @@ class TestNoTickWithoutWork:
         )
 
         reset_id_counters()
-        design = UdpEchoDesign(udp_port=7, kernel=kernel)
-        assert (design.sim.mesh_backend, design.sim.tile_backend) == \
-            ("flat", "flat")
+        design = UdpEchoDesign(udp_port=7)
         ip, mac = IPv4Address("10.0.0.1"), MacAddress("02:00:00:00:00:01")
         design.add_client(ip, mac)
         frame = build_ipv4_udp_frame(mac, design.server_mac, ip,
@@ -610,7 +608,7 @@ class TestNoTickWithoutWork:
         return design, sink
 
     def test_every_tick_has_work_and_every_idle_cycle_is_skipped(self):
-        design, sink = self.paced_echo("scheduled")
+        design, sink = self.paced_echo()
         sim = design.sim
         tick = sim.tick
         all_idle_ticks = []
@@ -629,9 +627,10 @@ class TestNoTickWithoutWork:
         assert len(ticks) + sim.idle_cycles_skipped == self.CYCLES
         assert sim.idle_cycles_skipped > self.CYCLES // 3
 
-        # The same design stepped exhaustively: the cycles on which
-        # nobody has work are the cycles the scheduler skipped.
-        shadow, shadow_sink = self.paced_echo("naive")
+        # The same design ticked through every cycle (``tick`` never
+        # skips): the cycles on which nobody has work are the cycles
+        # ``run`` skipped.
+        shadow, shadow_sink = self.paced_echo()
         idle_cycles = []
         for cycle in range(self.CYCLES):
             if all(quiescent(c, cycle) for c in shadow.sim.components):

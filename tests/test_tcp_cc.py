@@ -274,8 +274,11 @@ class TestCompetingFlowSignatures:
                      f["cwnd"], f["ssthresh"])
                     for f in result["flows"]] == flows, cc
 
-    @pytest.mark.parametrize("kernel", ["scheduled", "naive"])
-    def test_timeout_retransmission_fires_on_its_cycle(self, kernel):
+    @pytest.mark.parametrize("profile", [
+        pytest.param("fast", id="scheduled"),   # named for the kernel
+        pytest.param("reference", id="naive"),  # whose timers they try
+    ])
+    def test_timeout_retransmission_fires_on_its_cycle(self, profile):
         """Total loss until cycle 30 000: every flow's SYN and its
         retransmissions wait out whole RTOs with nothing arriving, so
         only the peer's own timer can bring it back."""
@@ -283,7 +286,7 @@ class TestCompetingFlowSignatures:
 
         design, peers = build_competing_flows(
             cc="reno", n_flows=2, loss=0.0, stream_bytes=4 * 1024,
-            rto_cycles=3_000, wire_cycles=500, kernel=kernel)
+            rto_cycles=3_000, wire_cycles=500, profile=profile)
         inject = design.inject
         sent_at = []
 

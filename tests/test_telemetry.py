@@ -186,21 +186,21 @@ class TestDesignCountersEdgeCases:
 
     def test_flit_attribution_identical_across_backends(self):
         """Per-router flit counts (and their report rendering) must
-        not depend on which mesh backend ran the design."""
+        not depend on which profile ran the design."""
         from repro.designs import UdpEchoDesign
         from repro.telemetry import design_counters
 
-        def flits(backend):
+        def flits(profile):
             design = UdpEchoDesign(udp_port=7,
                                    line_rate_bytes_per_cycle=None,
-                                   mesh_backend=backend)
+                                   profile=profile)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             design.inject(frame(design, b"route me"), 0)
             design.sim.run(600)
             counters = design_counters(design)
             return counters["router_flits"], counters["total_flits"]
 
-        assert flits("flat") == flits("object")
+        assert flits("fast") == flits("reference")
 
     def test_report_includes_p999_column(self):
         from repro.telemetry import (
