@@ -22,35 +22,16 @@ import pytest
 from repro import params
 from repro.control.messages import CounterRead
 from repro.designs import (
-    FrameSink,
-    FrameSource,
-    GoodputMeter,
+    CLIENT_IP,
+    CLIENT_MAC,
     UdpEchoDesign,
+    saturation_goodput,
 )
 from repro.designs.managed_stack import ManagedNatEchoDesign
 from repro.noc import Mesh, NocMessage
-from repro.packet import IPv4Address, MacAddress, build_ipv4_udp_frame
+from repro.packet import IPv4Address
 from repro.sim.kernel import CycleSimulator
 from repro.tiles.base import Tile
-
-CLIENT_IP = IPv4Address("10.0.0.1")
-CLIENT_MAC = MacAddress("02:00:00:00:00:01")
-
-
-def echo_goodput(design, size, cycles):
-    design.add_client(CLIENT_IP, CLIENT_MAC)
-    frame = build_ipv4_udp_frame(CLIENT_MAC, design.server_mac,
-                                 CLIENT_IP, design.server_ip, 5555, 7,
-                                 bytes(size))
-    source = FrameSource(design.inject, lambda i: frame, rate=None)
-    sink = FrameSink(design.eth_tx, keep_frames=False)
-    meter = GoodputMeter(sink, warmup_frames=20)
-    design.sim.add(source)
-    design.sim.add(sink)
-    for _ in range(cycles):
-        design.sim.tick()
-        meter.maybe_start()
-    return meter.goodput_gbps()
 
 
 def buffer_ablation():
@@ -60,8 +41,8 @@ def buffer_ablation():
                                line_rate_bytes_per_cycle=None)
         for tile in design.tiles:
             tile.buffer_flits = buffer_flits
-        rows.append((buffer_flits,
-                     echo_goodput(design, 9000, 60_000)))
+        rows.append((buffer_flits, saturation_goodput(
+            design, bytes(9000), 60_000, warmup_frames=20).gbps))
     return rows
 
 
@@ -152,7 +133,8 @@ def control_plane_isolation():
 
             design.sim.add(Storm())
         design.eth_tx.line_rate = None
-        return echo_goodput(design, 256, 20_000)
+        return saturation_goodput(design, bytes(256), 20_000,
+                                  warmup_frames=20).gbps
 
     return run(False), run(True)
 

@@ -11,46 +11,33 @@ per-packet latency grows by roughly one tile transit (~13 cycles /
 import pytest
 
 from repro.designs import (
-    FrameSink,
-    FrameSource,
-    GoodputMeter,
+    CLIENT_IP,
+    CLIENT_MAC,
     IpInIpEchoDesign,
     LoggedUdpEchoDesign,
     NatEchoDesign,
     UdpEchoDesign,
     VxlanEchoDesign,
+    client_frame,
+    saturation_goodput,
 )
-from repro.packet import (
-    IPv4Address,
-    MacAddress,
-    build_ipv4_udp_frame,
-    parse_frame,
-)
+from repro.packet import IPv4Address, MacAddress, build_ipv4_udp_frame
 from repro.packet.builder import build_ipinip_udp_frame
 from repro.packet.vxlan import build_vxlan_frame
 
-CLIENT_IP = IPv4Address("10.0.0.1")
-CLIENT_MAC = MacAddress("02:00:00:00:00:01")
 CLIENT_VIRT = IPv4Address("172.16.0.1")
 INNER_IP = IPv4Address("192.168.0.1")
 INNER_MAC = MacAddress("02:aa:00:00:00:01")
 
 
-def _measure(design, frame, goodput_frame=None, cycles=15_000):
+def _measure(design, frame, cycles=15_000):
     """(chain tiles, one-packet latency cycles, 64 B KReq/s)."""
-    sink = FrameSink(design.eth_tx, keep_frames=False)
-    design.sim.add(sink)
     design.inject(frame, 0)
-    design.sim.run_until(lambda: sink.count >= 1, max_cycles=5000)
+    design.sim.run_until(lambda: design.eth_tx.frames_out,
+                         max_cycles=5000)
     latency = design.eth_tx.last_transit_cycles
-    source = FrameSource(design.inject,
-                         lambda i: goodput_frame or frame, rate=None)
-    meter = GoodputMeter(sink, warmup_frames=30)
-    design.sim.add(source)
-    for _ in range(cycles):
-        design.sim.tick()
-        meter.maybe_start()
-    return len(design.chains[0]), latency, meter.kreqs()
+    rate = saturation_goodput(design, [frame], cycles).kreqs
+    return len(design.chains[0]), latency, rate
 
 
 def run_composability():
@@ -58,25 +45,19 @@ def run_composability():
 
     design = UdpEchoDesign(udp_port=7, line_rate_bytes_per_cycle=None)
     design.add_client(CLIENT_IP, CLIENT_MAC)
-    frame = build_ipv4_udp_frame(CLIENT_MAC, design.server_mac,
-                                 CLIENT_IP, design.server_ip, 5555, 7,
-                                 bytes(64))
-    rows["plain UDP (7 tiles)"] = _measure(design, frame)
+    rows["plain UDP (7 tiles)"] = _measure(
+        design, client_frame(design, bytes(64)))
 
     design = LoggedUdpEchoDesign(udp_port=7,
                                  line_rate_bytes_per_cycle=None)
     design.add_client(CLIENT_IP, CLIENT_MAC)
-    frame = build_ipv4_udp_frame(CLIENT_MAC, design.server_mac,
-                                 CLIENT_IP, design.server_ip, 5555, 7,
-                                 bytes(64))
-    rows["+ logging tap (8 tiles)"] = _measure(design, frame)
+    rows["+ logging tap (8 tiles)"] = _measure(
+        design, client_frame(design, bytes(64)))
 
     design = NatEchoDesign(udp_port=7, line_rate_bytes_per_cycle=None)
     design.map_client(CLIENT_VIRT, CLIENT_IP, CLIENT_MAC)
-    frame = build_ipv4_udp_frame(CLIENT_MAC, design.server_mac,
-                                 CLIENT_IP, design.server_ip, 5555, 7,
-                                 bytes(64))
-    rows["+ NAT rx/tx (9 tiles)"] = _measure(design, frame)
+    rows["+ NAT rx/tx (9 tiles)"] = _measure(
+        design, client_frame(design, bytes(64)))
 
     design = IpInIpEchoDesign(udp_port=7,
                               line_rate_bytes_per_cycle=None)

@@ -12,11 +12,10 @@ import itertools
 import pytest
 
 from repro import params
-from repro.designs import FrameSink
+from repro.designs import CLIENT_IP, CLIENT_MAC, FrameSink
 from repro.designs.multi_stack import MultiStackDesign
-from repro.packet import IPv4Address, MacAddress, build_ipv4_udp_frame
+from repro.packet import IPv4Address, build_ipv4_udp_frame
 
-CLIENT_MAC = MacAddress("02:00:00:00:00:01")
 SIZES = (64, 256, 1024, 4096)
 
 
@@ -83,8 +82,7 @@ def lb_ceiling_gbps(cycles: int = 8_000) -> float:
     lb.add_stack(sink.coord)
     mesh.register(sim)
     sim.add_all([lb, sink])
-    frame = build_ipv4_udp_frame(CLIENT_MAC, CLIENT_MAC,
-                                 IPv4Address("10.0.0.1"),
+    frame = build_ipv4_udp_frame(CLIENT_MAC, CLIENT_MAC, CLIENT_IP,
                                  IPv4Address("10.0.0.2"), 1, 7,
                                  bytes(64))
     for _ in range(cycles):

@@ -16,15 +16,12 @@ from repro.baselines.hoststacks import (
     demikernel_udp_kreqs,
 )
 from repro.designs import (
-    FrameSink,
-    FrameSource,
-    GoodputMeter,
+    CLIENT_IP,
+    CLIENT_MAC,
     UdpEchoDesign,
+    client_frame,
+    saturation_goodput,
 )
-from repro.packet import IPv4Address, MacAddress, build_ipv4_udp_frame
-
-CLIENT_IP = IPv4Address("10.0.0.1")
-CLIENT_MAC = MacAddress("02:00:00:00:00:01")
 
 SIZES = (64, 256, 1024, 4096, 9000)
 
@@ -35,25 +32,12 @@ def _cycles_for(size: int) -> int:
 
 def beehive_goodput(size: int) -> tuple[float, float]:
     design = UdpEchoDesign(udp_port=7, line_rate_bytes_per_cycle=None)
-    design.add_client(CLIENT_IP, CLIENT_MAC)
-    frame = build_ipv4_udp_frame(CLIENT_MAC, design.server_mac,
-                                 CLIENT_IP, design.server_ip, 5555, 7,
-                                 bytes(size))
-    source = FrameSource(design.inject, lambda i: frame, rate=None)
-    sink = FrameSink(design.eth_tx, keep_frames=False)
-    meter = GoodputMeter(sink, warmup_frames=30)
-    design.sim.add(source)
-    design.sim.add(sink)
-    for _ in range(_cycles_for(size)):
-        design.sim.tick()
-        meter.maybe_start()
-    return meter.goodput_gbps(), meter.kreqs()
+    measured = saturation_goodput(design, bytes(size), _cycles_for(size))
+    return measured.gbps, measured.kreqs
 
 
 def saturate_echo(design, size: int) -> float:
-    frame = build_ipv4_udp_frame(CLIENT_MAC, design.server_mac,
-                                 CLIENT_IP, design.server_ip, 5555, 7,
-                                 bytes(size))
+    frame = client_frame(design, bytes(size))
 
     class Source:
         def __init__(self):

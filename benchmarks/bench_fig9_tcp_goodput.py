@@ -17,13 +17,10 @@ from repro.baselines.hoststacks import (
     linux_tcp_goodput_gbps,
     linux_tcp_kreqs,
 )
+from repro.designs import CLIENT_IP, CLIENT_MAC
 from repro.designs.tcp_stack import TcpServerDesign
-from repro.packet import IPv4Address, MacAddress
 from repro.tcp.app import TcpSourceAppTile
 from repro.tcp.peer import SoftTcpPeer
-
-CLIENT_IP = IPv4Address("10.0.0.1")
-CLIENT_MAC = MacAddress("02:00:00:00:00:01")
 
 SIZES = (64, 256, 1024, 4096, 8960)
 WARMUP_CYCLES = 80_000

@@ -13,31 +13,31 @@ itself is taxing the measurement.  This benchmark pins that contract:
   so any goodput gap is the harness's own (admission boundary, wake
   pattern), not arrival-process variance.  Both goodputs are computed
   over the same post-warmup window; ``matched.goodput_ratio``
-  (open / closed) is floored at 0.98 by
-  ``baselines/BENCH_loadgen_floor.json`` — the open-loop harness may
-  cost at most 2%.
+  (open / closed) is floored at 0.98 — the open-loop harness may cost
+  at most 2%.
 - *poisson at the same mean*: the production ``run_point`` path
   (seeded Poisson arrivals, Zipf keys, latency tags) at the same mean
   rate, reported for context.  Its goodput also tracks the realised
   Poisson draw, so it gets a loose floor, not the 2% gate.
 - *sweep*: a short pinned-seed offered-load sweep.  The knee and the
   past-knee p999 blow-up are deterministic (every quantity derives
-  from cycles, counts, and seeded draws), so CI gates them with
-  ``--threshold 0``.
+  from cycles, counts, and seeded draws), so their floors are tight.
 
-Run via ``python -m repro.tools.bench benchmarks/bench_loadgen.py
---compare benchmarks/baselines/BENCH_loadgen_floor.json --threshold
-0``.
+``run_loadgen`` asserts every floor itself; CI runs this file under
+``pytest --benchmark-disable``.
 """
 
 from repro import params
-from repro.designs import FrameSink, FrameSource, UdpEchoDesign
+from repro.designs import (
+    CLIENT_IP,
+    CLIENT_MAC,
+    FrameSink,
+    UdpEchoDesign,
+    attach_client,
+    client_frame,
+)
 from repro.loadgen import run_point, sweep
 from repro.loadgen.source import OpenLoopSource, nic_backlog
-from repro.packet import IPv4Address, MacAddress, build_ipv4_udp_frame
-
-CLIENT_IP = IPv4Address("10.0.0.1")
-CLIENT_MAC = MacAddress("02:00:00:00:00:01")
 
 SEED = 7
 PAYLOAD = 256                 # bytes of UDP payload per request
@@ -76,13 +76,7 @@ def matched_offered_gbps(frame_len: int) -> float:
 
 def _echo_design():
     design = UdpEchoDesign(udp_port=7, profile="fast")
-    design.add_client(CLIENT_IP, CLIENT_MAC)
-    frame = build_ipv4_udp_frame(
-        CLIENT_MAC, design.server_mac, CLIENT_IP, design.server_ip,
-        20_000, 7, bytes(PAYLOAD))
-    sink = FrameSink(design.eth_tx)
-    design.sim.add(sink)
-    return design, frame, sink
+    return design, client_frame(design, bytes(PAYLOAD), src_port=20_000)
 
 
 def _window_goodput(sink: FrameSink) -> float:
@@ -95,12 +89,11 @@ def _window_goodput(sink: FrameSink) -> float:
 
 def closed_loop_goodput() -> float:
     """Closed-loop FrameSource at the matched rate."""
-    design, frame, sink = _echo_design()
+    design, frame = _echo_design()
     wire_bytes = len(frame) + params.ETHERNET_OVERHEAD_BYTES
-    rate = wire_bytes / MATCHED_INTERVAL  # bytes/cycle
-    source = FrameSource(design.inject, lambda i: frame, rate=rate,
-                         count=DURATION // MATCHED_INTERVAL)
-    design.sim.add(source)
+    source, sink = attach_client(
+        design, [frame], rate=wire_bytes / MATCHED_INTERVAL,
+        count=DURATION // MATCHED_INTERVAL)
     design.sim.run_until(lambda: source.done,
                          max_cycles=DURATION + 10_000)
     design.sim.run_until(lambda: sink.count >= source.sent,
@@ -110,13 +103,15 @@ def closed_loop_goodput() -> float:
 
 def open_loop_goodput() -> float:
     """OpenLoopSource on the identical deterministic schedule."""
-    design, frame, sink = _echo_design()
+    design, frame = _echo_design()
+    design.add_client(CLIENT_IP, CLIENT_MAC)
+    sink = FrameSink(design.eth_tx)
     source = OpenLoopSource(design.inject,
                             lambda seq, cycle: frame,
                             FixedInterval(MATCHED_INTERVAL),
                             horizon_cycles=DURATION,
                             admission=nic_backlog(design))
-    design.sim.add(source)
+    design.sim.add_all([sink, source])
     design.sim.run_until(lambda: source.done,
                          max_cycles=DURATION + 10_000)
     design.sim.run_until(lambda: sink.count >= source.admitted,
@@ -125,10 +120,8 @@ def open_loop_goodput() -> float:
 
 
 def run_loadgen():
-    probe = build_ipv4_udp_frame(
-        CLIENT_MAC, MacAddress("02:00:00:00:00:02"), CLIENT_IP,
-        IPv4Address("10.0.0.2"), 20_000, 7, bytes(PAYLOAD))
-    offered = matched_offered_gbps(len(probe))
+    _design, frame = _echo_design()
+    offered = matched_offered_gbps(len(frame))
 
     closed = closed_loop_goodput()
     open_ = open_loop_goodput()
@@ -159,13 +152,22 @@ def run_loadgen():
             "past_knee_delivery_drops": past_knee["offered_dropped"],
         },
     }
-    # The contracts hold on the CLI path too, not only under pytest:
-    # the open-loop admission boundary must not tax a sub-knee load
-    # (within 2% of the closed-loop generator on the same schedule),
-    # and the tail past the knee must actually blow up.
-    assert result["matched"]["goodput_ratio"] >= 0.98
-    assert result["sweep"]["p999_past_knee_cycles"] > \
-        2 * result["sweep"]["p999_at_knee_cycles"]
+    # The floors.  The open-loop admission boundary must not tax a
+    # sub-knee load (within 2% of the closed-loop generator on the same
+    # schedule; measures 1.00).  The sweep values are deterministic
+    # (pinned seed, cycle-derived), so the knee floor and the p999
+    # ceiling are tight; the Poisson goodput floor is loose because it
+    # tracks the realised seed-7 draw.  And the tail past the knee must
+    # actually blow up.
+    matched, swept = result["matched"], result["sweep"]
+    assert matched["goodput_ratio"] >= 0.98
+    assert matched["open_goodput_gbps"] >= 25.0
+    assert matched["poisson_goodput_gbps"] >= 23.5
+    assert swept["knee_gbps"] >= 40.0
+    assert swept["goodput_at_knee_gbps"] >= 30.0
+    assert swept["p999_at_knee_cycles"] <= 400
+    assert swept["p999_past_knee_cycles"] > \
+        2 * swept["p999_at_knee_cycles"]
     return result
 
 

@@ -6,8 +6,8 @@ cycle — or ``fast`` — the scheduled kernel over the flat mesh and tile
 cores.  The two are bit-identical (``tests/test_kernel_equivalence.py``
 is the differential suite; every row here asserts the same frames at
 the same emit cycles again); this benchmark measures what the fast path
-is worth at the two ends of the load range and writes
-``BENCH_profiles.json``:
+is worth at the two ends of the load range and asserts a floor under
+each ratio:
 
 - *idle-heavy*: the 4x2 UDP echo design, MTU-sized requests paced at
   10% of the 50 B/cycle line rate.  Most cycles nobody has work:
@@ -23,17 +23,11 @@ job; this file only guards the ratio, so a change that slows ``fast``
 down to its own executable spec cannot pass unnoticed.
 """
 
-import json
 import time
-from pathlib import Path
 
-from repro.designs import FrameSink, FrameSource, UdpEchoDesign
+from repro.designs import UdpEchoDesign, attach_client, client_frame
 from repro.designs.scaled_echo import ScaledEchoDesign
 from repro.noc.message import reset_id_counters
-from repro.packet import IPv4Address, MacAddress, build_ipv4_udp_frame
-
-CLIENT_IP = IPv4Address("10.0.0.1")
-CLIENT_MAC = MacAddress("02:00:00:00:00:01")
 
 LINE_RATE = 50.0                 # bytes/cycle, the modelled MAC rate
 IDLE_RATE = LINE_RATE / 10.0     # "10% line rate" injection pacing
@@ -44,30 +38,19 @@ SAT_APPS = 22
 REPS = 2                         # best-of-N wall clock per profile
 
 # Hard regression floors: 0.8x the lowest of six runs on the
-# development host, three through ``repro.tools.bench`` and three
-# through pytest (idle-heavy 10.8-13.0x, 3.3-4.8 s against
+# development host (idle-heavy 10.8-13.0x, 3.3-4.8 s against
 # 0.28-0.44 s; saturating 3.91-4.85x, 3.0-3.6 s against 0.72-0.81 s;
 # best-of-2 each).
 MIN_IDLE_SPEEDUP = 8.6
 MIN_SAT_SPEEDUP = 3.1
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / \
-    "BENCH_profiles.json"
-
 
 def _drive(design, frames: int, rate: float | None, cycles: int):
     """Cycle ``frames`` distinct requests through a built design:
     (wall seconds, frames [(bytes, cycle)], cycles skipped)."""
-    design.add_client(CLIENT_IP, CLIENT_MAC)
-    requests = [build_ipv4_udp_frame(CLIENT_MAC, design.server_mac,
-                                     CLIENT_IP, design.server_ip,
-                                     5000 + i, 7, bytes(PAYLOAD))
+    requests = [client_frame(design, bytes(PAYLOAD), src_port=5000 + i)
                 for i in range(frames)]
-    source = FrameSource(design.inject,
-                         lambda i: requests[i % frames], rate=rate)
-    sink = FrameSink(design.eth_tx)
-    design.sim.add(source)
-    design.sim.add(sink)
+    _source, sink = attach_client(design, requests, rate=rate)
     started = time.perf_counter()
     design.sim.run(cycles)
     wall = time.perf_counter() - started
@@ -128,7 +111,6 @@ def run_profiles() -> dict:
 
 def bench_profiles(benchmark, report):
     results = benchmark.pedantic(run_profiles, rounds=1, iterations=1)
-    RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
 
     rows = []
     for tag in ("idle_heavy", "saturating"):
@@ -141,8 +123,6 @@ def bench_profiles(benchmark, report):
          "cycles skipped"],
         rows,
     )
-    report.row()
-    report.row(f"results written to {RESULTS_PATH.name}")
 
     idle = results["idle_heavy"]
     assert idle["speedup"] >= MIN_IDLE_SPEEDUP, (

@@ -20,18 +20,15 @@ import time
 import pytest
 
 from repro import params
-from repro.designs import FrameSink, FrameSource
+from repro.designs import attach_client, client_frame
 from repro.designs.scaled_echo import ScaledEchoDesign
 from repro.noc.message import reset_id_counters
-from repro.packet import IPv4Address, MacAddress, build_ipv4_udp_frame
 from repro.resources import (
     max_frequency_mhz,
     max_placeable_tiles,
     tile_cost,
 )
 
-CLIENT_IP = IPv4Address("10.0.0.1")
-CLIENT_MAC = MacAddress("02:00:00:00:00:01")
 SWEEP_CYCLES = 6_000
 # (width, height, app tiles, profiles to time): the 7x4 row is the
 # paper's U200 floorplan and runs both profiles; larger meshes fast
@@ -47,16 +44,9 @@ def _run_point(profile: str, width: int, height: int, n_apps: int):
     reset_id_counters()
     design = ScaledEchoDesign(n_apps=n_apps, width=width, height=height,
                               profile=profile)
-    design.add_client(CLIENT_IP, CLIENT_MAC)
-    frames = [build_ipv4_udp_frame(CLIENT_MAC, design.server_mac,
-                                   CLIENT_IP, design.server_ip,
-                                   5000 + i, 7, bytes(1458))
+    frames = [client_frame(design, bytes(1458), src_port=5000 + i)
               for i in range(min(n_apps, 32))]
-    source = FrameSource(design.inject,
-                         lambda i: frames[i % len(frames)], rate=None)
-    sink = FrameSink(design.eth_tx)
-    design.sim.add(source)
-    design.sim.add(sink)
+    _source, sink = attach_client(design, frames, rate=None)
     started = time.perf_counter()
     design.sim.run(SWEEP_CYCLES)
     wall = time.perf_counter() - started

@@ -13,17 +13,9 @@ import pytest
 from repro import params
 from repro.apps.reed_solomon import ReedSolomonCodec
 from repro.apps.reed_solomon.cpu import CpuReedSolomonBaseline
-from repro.designs import FrameSink, FrameSource, RsDesign
+from repro.designs import RsDesign, attach_client
 from repro.energy.model import FpgaEnergyModel, TileActivity
-from repro.packet import (
-    IPv4Address,
-    MacAddress,
-    build_ipv4_udp_frame,
-    parse_frame,
-)
-
-CLIENT_IP = IPv4Address("10.0.0.1")
-CLIENT_MAC = MacAddress("02:00:00:00:00:01")
+from repro.packet import parse_frame
 
 PAPER = {
     # apps: (cpu mJ/op, fpga mJ/op, cpu Gbps, fpga Gbps)
@@ -37,15 +29,8 @@ PAPER = {
 def fpga_point(instances: int, cycles: int = 60_000):
     design = RsDesign(instances=instances,
                       line_rate_bytes_per_cycle=None)
-    design.add_client(CLIENT_IP, CLIENT_MAC)
     request = os.urandom(4096)
-    frame = build_ipv4_udp_frame(CLIENT_MAC, design.server_mac,
-                                 CLIENT_IP, design.server_ip, 5555,
-                                 7000, request)
-    source = FrameSource(design.inject, lambda i: frame, rate=None)
-    sink = FrameSink(design.eth_tx)
-    design.sim.add(source)
-    design.sim.add(sink)
+    _source, sink = attach_client(design, request, rate=None)
     design.sim.run(cycles)
 
     # Functional check: the accelerator's parity is the codec's parity.

@@ -7,11 +7,13 @@ despite Beehive's per-layer tiles, because NoC hops are cheap.
 """
 
 from repro.baselines import CalmUdpEcho
-from repro.designs import FrameSink, UdpEchoDesign
-from repro.packet import IPv4Address, MacAddress, build_ipv4_udp_frame
-
-CLIENT_IP = IPv4Address("10.0.0.1")
-CLIENT_MAC = MacAddress("02:00:00:00:00:01")
+from repro.designs import (
+    CLIENT_IP,
+    CLIENT_MAC,
+    FrameSink,
+    UdpEchoDesign,
+    client_frame,
+)
 
 
 def beehive_latency_cycles() -> int:
@@ -19,10 +21,7 @@ def beehive_latency_cycles() -> int:
     design.add_client(CLIENT_IP, CLIENT_MAC)
     sink = FrameSink(design.eth_tx)
     design.sim.add(sink)
-    frame = build_ipv4_udp_frame(CLIENT_MAC, design.server_mac,
-                                 CLIENT_IP, design.server_ip, 5555, 7,
-                                 b"x")
-    design.inject(frame, 0)
+    design.inject(client_frame(design, b"x"), 0)
     design.sim.run_until(lambda: sink.count >= 1, max_cycles=2000)
     return design.eth_tx.last_transit_cycles
 
@@ -30,10 +29,7 @@ def beehive_latency_cycles() -> int:
 def calm_latency_cycles() -> int:
     design = CalmUdpEcho(udp_port=7)
     design.add_client(CLIENT_IP, CLIENT_MAC)
-    frame = build_ipv4_udp_frame(CLIENT_MAC, design.server_mac,
-                                 CLIENT_IP, design.server_ip, 5555, 7,
-                                 b"x")
-    design.inject(frame, 0)
+    design.inject(client_frame(design, b"x"), 0)
     design.sim.run_until(lambda: design.frames_echoed >= 1,
                          max_cycles=2000)
     return design.last_transit_cycles

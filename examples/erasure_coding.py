@@ -15,17 +15,9 @@ import os
 from repro import params
 from repro.apps.reed_solomon import ReedSolomonCodec
 from repro.apps.reed_solomon.cpu import CpuReedSolomonBaseline
-from repro.designs import FrameSink, FrameSource, RsDesign
+from repro.designs import RsDesign, attach_client
 from repro.energy.model import FpgaEnergyModel, TileActivity
-from repro.packet import (
-    IPv4Address,
-    MacAddress,
-    build_ipv4_udp_frame,
-    parse_frame,
-)
-
-CLIENT_IP = IPv4Address("10.0.0.1")
-CLIENT_MAC = MacAddress("02:00:00:00:00:01")
+from repro.packet import parse_frame
 
 
 def demonstrate_recovery():
@@ -47,16 +39,8 @@ def accelerator_goodput(instances: int, cycles: int = 60_000):
     """Measured consume-rate of N encoder tiles, plus verification."""
     design = RsDesign(instances=instances,
                       line_rate_bytes_per_cycle=None)
-    design.add_client(CLIENT_IP, CLIENT_MAC)
     request = os.urandom(4096)
-    frame = build_ipv4_udp_frame(
-        CLIENT_MAC, design.server_mac, CLIENT_IP, design.server_ip,
-        5555, 7000, request,
-    )
-    source = FrameSource(design.inject, lambda i: frame, rate=None)
-    sink = FrameSink(design.eth_tx)
-    design.sim.add(source)
-    design.sim.add(sink)
+    _source, sink = attach_client(design, request, rate=None)
     design.sim.run(cycles)
 
     reply = parse_frame(sink.frames[0][0])

@@ -14,7 +14,12 @@ Run:  python examples/network_virtualization.py
 import json
 
 from repro.control.controller import encode_control_rpc
-from repro.designs import FrameSink, IpInIpEchoDesign
+from repro.designs import (
+    CLIENT_IP as CLIENT_PHYS,
+    CLIENT_MAC,
+    FrameSink,
+    IpInIpEchoDesign,
+)
 from repro.designs.managed_stack import ManagedNatEchoDesign
 from repro.packet import (
     IPv4Address,
@@ -26,8 +31,6 @@ from repro.packet.builder import build_ipinip_udp_frame
 from repro.packet.vxlan import VxlanHeader, build_vxlan_frame
 from repro.designs import VxlanEchoDesign
 
-CLIENT_MAC = MacAddress("02:00:00:00:00:01")
-CLIENT_PHYS = IPv4Address("10.0.0.1")
 CLIENT_PHYS_NEW = IPv4Address("10.0.0.99")
 CLIENT_VIRT = IPv4Address("172.16.0.1")
 ADMIN_IP = IPv4Address("10.0.0.200")

@@ -11,34 +11,17 @@ Run:  python examples/quickstart.py
 
 from repro import params
 from repro.designs import (
-    FrameSink,
-    FrameSource,
-    GoodputMeter,
     UdpEchoDesign,
+    attach_client,
+    saturation_goodput,
 )
-from repro.packet import (
-    IPv4Address,
-    MacAddress,
-    build_ipv4_udp_frame,
-    parse_frame,
-)
-
-CLIENT_IP = IPv4Address("10.0.0.1")
-CLIENT_MAC = MacAddress("02:00:00:00:00:01")
+from repro.packet import parse_frame
 
 
 def one_packet():
     """Echo a single datagram and report the per-packet latency."""
     design = UdpEchoDesign(udp_port=7, line_rate_bytes_per_cycle=None)
-    design.add_client(CLIENT_IP, CLIENT_MAC)
-    sink = FrameSink(design.eth_tx)
-    design.sim.add(sink)
-
-    frame = build_ipv4_udp_frame(
-        CLIENT_MAC, design.server_mac, CLIENT_IP, design.server_ip,
-        src_port=5555, dst_port=7, payload=b"hello, beehive",
-    )
-    design.inject(frame, cycle=0)
+    _source, sink = attach_client(design, b"hello, beehive", count=1)
     design.sim.run_until(lambda: sink.count >= 1, max_cycles=2000)
 
     reply = parse_frame(sink.frames[0][0])
@@ -53,20 +36,8 @@ def saturating_goodput(payload_bytes: int = 64,
                        cycles: int = 20_000) -> float:
     """Drive the stack at full rate and measure echo goodput."""
     design = UdpEchoDesign(udp_port=7, line_rate_bytes_per_cycle=None)
-    design.add_client(CLIENT_IP, CLIENT_MAC)
-    frame = build_ipv4_udp_frame(
-        CLIENT_MAC, design.server_mac, CLIENT_IP, design.server_ip,
-        5555, 7, bytes(payload_bytes),
-    )
-    source = FrameSource(design.inject, lambda i: frame, rate=None)
-    sink = FrameSink(design.eth_tx, keep_frames=False)
-    meter = GoodputMeter(sink, warmup_frames=50)
-    design.sim.add(source)
-    design.sim.add(sink)
-    for _ in range(cycles):
-        design.sim.tick()
-        meter.maybe_start()
-    return meter.goodput_gbps()
+    return saturation_goodput(design, bytes(payload_bytes), cycles,
+                              warmup_frames=50).gbps
 
 
 def main():

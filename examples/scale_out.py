@@ -13,12 +13,10 @@ Run:  python examples/scale_out.py
 import itertools
 
 from repro import params
-from repro.designs import FrameSink, ScaledEchoDesign
-from repro.packet import IPv4Address, MacAddress, build_ipv4_udp_frame
+from repro.designs import CLIENT_MAC, FrameSink, ScaledEchoDesign
+from repro.packet import IPv4Address, build_ipv4_udp_frame
 from repro.resources import max_frequency_mhz
 from repro.telemetry import design_counters, design_report
-
-CLIENT_MAC = MacAddress("02:00:00:00:00:01")
 
 
 def main():

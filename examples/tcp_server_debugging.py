@@ -13,13 +13,10 @@ client, runs an RPC exchange with an injected packet loss, then:
 Run:  python examples/tcp_server_debugging.py
 """
 
+from repro.designs import CLIENT_IP, CLIENT_MAC
 from repro.designs.tcp_stack import TcpServerDesign
-from repro.packet import IPv4Address, MacAddress
 from repro.tcp.peer import SoftTcpPeer
 from repro.telemetry import FrameTraceRecorder, TraceReplayer
-
-CLIENT_IP = IPv4Address("10.0.0.1")
-CLIENT_MAC = MacAddress("02:00:00:00:00:01")
 
 
 def build(with_recorder=False):

@@ -14,16 +14,10 @@ paper-vs-measured results.
 
 Quick start::
 
-    from repro.designs import UdpEchoDesign, FrameSink
-    from repro.packet import build_ipv4_udp_frame, MacAddress, IPv4Address
+    from repro.designs import UdpEchoDesign, attach_client
 
     design = UdpEchoDesign(udp_port=7)
-    design.add_client(IPv4Address("10.0.0.1"),
-                      MacAddress("02:00:00:00:00:01"))
-    frame = build_ipv4_udp_frame(...)
-    design.inject(frame, cycle=0)
-    sink = FrameSink(design.eth_tx)
-    design.sim.add(sink)
+    source, sink = attach_client(design, b"hello", count=1)
     design.sim.run_until(lambda: sink.count >= 1)
 """
 

@@ -15,7 +15,7 @@ from collections.abc import Callable
 
 from repro.config.schema import DesignSpec, TileSpec
 from repro.config.validate import validate
-from repro.designs.base import Design
+from repro.designs.base import SERVER_IP, SERVER_MAC, Design
 from repro.packet.ethernet import MacAddress
 from repro.packet.ipv4 import IPv4Address
 from repro.tiles.buffer import BufferTile
@@ -149,9 +149,6 @@ def register_tile_type(type_name: str, factory: Callable) -> None:
 class GeneratedDesign(Design):
     """A design built from a :class:`DesignSpec`."""
 
-    # The addresses are whatever the spec gave its Ethernet and IP tiles.
-    server_ip = server_mac = None
-
     def __init__(self, spec: DesignSpec, profile: str = "fast"):
         self.spec = spec
         self.report = validate(spec)
@@ -209,7 +206,27 @@ class GeneratedDesign(Design):
     def eth_tx(self) -> EthernetTxTile:
         return self._find(EthernetTxTile)[0]
 
-    def add_neighbor(self, ip: IPv4Address, mac: MacAddress) -> None:
+    # The host-facing values are the design's own: what the spec gave
+    # its RX tiles (one given no address accepts any, the shared
+    # default included) and the first port its UDP RX tile routes.
+
+    @property
+    def server_mac(self) -> MacAddress:
+        return next((tile.my_mac for tile in self._find(EthernetRxTile)
+                     if tile.my_mac is not None), SERVER_MAC)
+
+    @property
+    def server_ip(self) -> IPv4Address:
+        return next((tile.my_ip for tile in self._find(IpRxTile)
+                     if tile.my_ip is not None), SERVER_IP)
+
+    @property
+    def udp_port(self) -> int | None:
+        return next((key for tile in self._find(UdpRxTile)
+                     for key in tile.next_hop.keys()
+                     if isinstance(key, int)), None)
+
+    def add_client(self, ip: IPv4Address, mac: MacAddress) -> None:
         for eth_tx in self._find(EthernetTxTile):
             eth_tx.add_neighbor(ip, mac)
 

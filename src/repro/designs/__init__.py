@@ -5,7 +5,15 @@ tables, and the declared message chains that the static deadlock
 analyzer checks at construction time.
 """
 
-from repro.designs.harness import FrameSink, FrameSource, GoodputMeter
+from repro.designs.harness import (
+    CLIENT_IP,
+    CLIENT_MAC,
+    FrameSink,
+    FrameSource,
+    attach_client,
+    client_frame,
+    saturation_goodput,
+)
 from repro.designs.udp_stack import LoggedUdpEchoDesign, UdpEchoDesign
 from repro.designs.virt_stack import IpInIpEchoDesign, NatEchoDesign
 from repro.designs.managed_stack import ManagedNatEchoDesign
@@ -17,9 +25,10 @@ from repro.designs.vr_design import VrWitnessDesign
 from repro.designs.vxlan_stack import VxlanEchoDesign
 
 __all__ = [
+    "CLIENT_IP",
+    "CLIENT_MAC",
     "FrameSink",
     "FrameSource",
-    "GoodputMeter",
     "IpInIpEchoDesign",
     "LoggedUdpEchoDesign",
     "ManagedNatEchoDesign",
@@ -31,4 +40,7 @@ __all__ = [
     "UdpEchoDesign",
     "VrWitnessDesign",
     "VxlanEchoDesign",
+    "attach_client",
+    "client_frame",
+    "saturation_goodput",
 ]

@@ -1,21 +1,33 @@
 """Traffic harness for cycle-level experiments.
 
-``FrameSource`` plays the role of the paper's FPGA packet generator
+The paper drives every design it evaluates with one packet generator
 (section VII-C: "we run a packet generator on another U200, because the
-client machines cannot generate enough traffic to saturate the FPGA"):
-it injects frames into a design's ingress at a configurable byte rate.
-``FrameSink``/``GoodputMeter`` collect egress frames and compute
-goodput the way the paper plots it (UDP payload bytes per second).
+client machines cannot generate enough traffic to saturate the FPGA")
+and reads the results off one set of counters.  So does this module:
+``CLIENT_IP`` / ``CLIENT_MAC`` are the one synthetic client,
+:func:`client_frame` addresses a request from it to a design,
+:func:`attach_client` puts a paced ``FrameSource`` and a ``FrameSink``
+on the design's simulator, and :func:`saturation_goodput` is the
+saturated run that computes goodput the way the paper plots it (UDP
+payload bytes per second).  Every bench, tool and example goes through
+these; ``benchmarks/perflab`` builds on the two classes directly.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 
 from repro import params
-from repro.packet.builder import parse_frame
+from repro.packet.builder import build_ipv4_udp_frame, parse_frame
+from repro.packet.ethernet import MacAddress
+from repro.packet.ipv4 import IPv4Address
 from repro.sim.kernel import Wakeable
+
+#: The one synthetic client.
+CLIENT_IP = IPv4Address("10.0.0.1")
+CLIENT_MAC = MacAddress("02:00:00:00:00:01")
 
 
 class FrameSource(Wakeable):
@@ -160,43 +172,65 @@ class FrameSink(Wakeable):
         return queue[0][1] if queue else None
 
 
-class GoodputMeter:
-    """Computes goodput the way Fig 7 plots it."""
+def client_frame(design, payload: bytes, src_port: int = 5555,
+                 dst_port: int | None = None) -> bytes:
+    """A UDP request from the client to the address ``design`` answers
+    on (``server_mac`` / ``server_ip``, and ``udp_port`` unless
+    ``dst_port`` names another)."""
+    if dst_port is None:
+        dst_port = design.udp_port
+    return build_ipv4_udp_frame(CLIENT_MAC, design.server_mac, CLIENT_IP,
+                                design.server_ip, src_port, dst_port,
+                                payload)
 
-    def __init__(self, sink: FrameSink, warmup_frames: int = 0):
-        self.sink = sink
-        self.warmup_frames = warmup_frames
-        self._base_count = 0
-        self._base_payload = 0
-        self._base_cycle = None
 
-    def maybe_start(self) -> None:
-        """Begin measuring once the warmup frames have egressed."""
-        if self._base_cycle is None and \
-                self.sink.count >= self.warmup_frames:
-            self._base_count = self.sink.count
-            self._base_payload = self.sink.payload_bytes
-            self._base_cycle = self.sink.last_cycle
+def attach_client(design, traffic: bytes | Sequence[bytes],
+                  rate: float | None = 50.0, count: int | None = None,
+                  keep_frames: bool = True
+                  ) -> tuple[FrameSource, FrameSink]:
+    """Put the client on ``design``: teach the TX path its MAC, add a
+    source injecting ``traffic`` at ``rate`` (``count`` frames, or
+    without end) and a sink draining ``design.eth_tx``.
 
-    @property
-    def frames(self) -> int:
-        return self.sink.count - self._base_count
+    ``traffic`` is one UDP payload, sent as :func:`client_frame` builds
+    it, or a sequence of ready frames, sent round-robin.
+    """
+    design.add_client(CLIENT_IP, CLIENT_MAC)
+    frames = ([client_frame(design, traffic)]
+              if isinstance(traffic, bytes) else list(traffic))
+    n_frames = len(frames)
+    source = FrameSource(design.inject, lambda i: frames[i % n_frames],
+                         rate=rate, count=count)
+    sink = FrameSink(design.eth_tx, keep_frames=keep_frames)
+    design.sim.add(source)
+    design.sim.add(sink)
+    return source, sink
 
-    def goodput_gbps(self) -> float:
-        """Payload goodput over the measured window."""
-        if self._base_cycle is None or self.sink.last_cycle is None:
-            return 0.0
-        cycles = self.sink.last_cycle - self._base_cycle
-        if cycles <= 0:
-            return 0.0
-        payload = self.sink.payload_bytes - self._base_payload
-        return payload * 8 / (cycles * params.CYCLE_TIME_S) / 1e9
 
-    def kreqs(self) -> float:
-        """Thousands of requests (frames) per second over the window."""
-        if self._base_cycle is None or self.sink.last_cycle is None:
-            return 0.0
-        cycles = self.sink.last_cycle - self._base_cycle
-        if cycles <= 0:
-            return 0.0
-        return self.frames / (cycles * params.CYCLE_TIME_S) / 1e3
+@dataclass(frozen=True)
+class Goodput:
+    """What :func:`saturation_goodput` measured after the warm-up."""
+
+    gbps: float         # UDP payload goodput, the way Fig 7 plots it
+    kreqs: float        # thousands of requests (frames) per second
+    sink: FrameSink     # everything that egressed, warm-up included
+
+
+def saturation_goodput(design, traffic: bytes | Sequence[bytes],
+                       cycles: int, warmup_frames: int = 30) -> Goodput:
+    """Saturate ``design`` with the client's ``traffic`` (see
+    :func:`attach_client`) for ``cycles`` cycles; the measured window
+    opens at the egress of the ``warmup_frames``-th frame and closes at
+    the last one."""
+    _source, sink = attach_client(design, traffic, rate=None)
+    sim = design.sim
+    end = sim.cycle + cycles
+    sim.run_until(lambda: sink.count >= warmup_frames, max_cycles=cycles)
+    frames, payload, opened = \
+        sink.count, sink.payload_bytes, sink.last_cycle
+    sim.run(end - sim.cycle)
+    window_s = (sink.last_cycle - opened) * params.CYCLE_TIME_S
+    return Goodput(
+        gbps=(sink.payload_bytes - payload) * 8 / window_s / 1e9,
+        kreqs=(sink.count - frames) / window_s / 1e3,
+        sink=sink)

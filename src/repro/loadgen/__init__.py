@@ -15,8 +15,7 @@ model, into aggregate arrival processes:
   admission boundary (overrun is counted, never silently buffered);
 - :mod:`repro.loadgen.sweep` — the offered-load sweep driver: walks a
   load list over the UDP echo design, records p50/p99/p999 latency and
-  goodput-vs-offered-load through :mod:`repro.telemetry.metrics`, and
-  emits schema-valid ``repro.bench/1`` documents;
+  goodput-vs-offered-load through :mod:`repro.telemetry.metrics`;
 - :mod:`repro.loadgen.flows` — N competing TCP flows with pluggable
   congestion control (:mod:`repro.tcp.cc`) through seeded loss, with
   Jain-fairness and retransmission signatures.
@@ -35,7 +34,7 @@ from repro.loadgen.arrivals import (
 )
 from repro.loadgen.flows import run_competing_flows
 from repro.loadgen.source import OpenLoopSource, nic_backlog
-from repro.loadgen.sweep import run_point, sweep, sweep_document
+from repro.loadgen.sweep import run_point, sweep
 
 __all__ = [
     "ARRIVAL_KINDS",
@@ -50,5 +49,4 @@ __all__ = [
     "run_competing_flows",
     "run_point",
     "sweep",
-    "sweep_document",
 ]

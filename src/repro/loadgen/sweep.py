@@ -20,18 +20,18 @@ from __future__ import annotations
 import struct
 
 from repro import params
-from repro.designs.harness import FrameSink
+from repro.designs.harness import (
+    CLIENT_IP,
+    CLIENT_MAC,
+    FrameSink,
+    client_frame,
+)
 from repro.designs.udp_stack import UdpEchoDesign
 from repro.loadgen.arrivals import ZipfPopularity, make_arrivals
 from repro.loadgen.source import OpenLoopSource, nic_backlog
-from repro.packet.builder import build_ipv4_udp_frame, parse_frame
-from repro.packet.ethernet import MacAddress
-from repro.packet.ipv4 import IPv4Address
+from repro.packet.builder import parse_frame
 from repro.sim.rng import SeededStreams
 from repro.telemetry.metrics import MetricsRegistry
-
-CLIENT_IP = IPv4Address("10.0.0.1")
-CLIENT_MAC = MacAddress("02:00:00:00:00:01")
 
 #: magic, zipf key, sequence, injection cycle.
 _TAG = struct.Struct("<HHIQ")
@@ -69,9 +69,7 @@ def run_point(offered_gbps: float, *, seed: int = 0xBEE,
     def frame_for(seq: int, cycle: int) -> bytes:
         key = zipf.sample()
         payload = _TAG.pack(_MAGIC, key, seq & 0xFFFFFFFF, cycle) + pad
-        return build_ipv4_udp_frame(
-            CLIENT_MAC, design.server_mac, CLIENT_IP, design.server_ip,
-            20_000 + key, design.udp_port, payload)
+        return client_frame(design, payload, src_port=20_000 + key)
 
     probe = frame_for(0, 0)
     arrivals = make_arrivals(arrival,
@@ -165,24 +163,3 @@ def sweep(offered_gbps_list, **kwargs) -> dict:
         "knee_gbps": knee,
         "n_points": len(curve),
     }
-
-
-def sweep_document(result: dict) -> dict:
-    """Wrap a sweep result as a schema-valid ``repro.bench/1`` doc.
-
-    ``wall_s`` is pinned to 0.0: host timing would break the
-    byte-identical-documents contract CI's determinism check relies
-    on.
-    """
-    from repro.tools.bench import flatten_metrics, validate_bench_document
-
-    doc = {
-        "schema": "repro.bench/1",
-        "results": {
-            "loadgen_sweep": {
-                "wall_s": 0.0,
-                "metrics": flatten_metrics(result),
-            },
-        },
-    }
-    return validate_bench_document(doc)

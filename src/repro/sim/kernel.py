@@ -295,7 +295,6 @@ class CycleSimulator:
         self.kernel = kernel
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._components: list[ClockedComponent] = []
-        self._fifos: list[StagedFifo] = []
         self._scheduled = kernel == "scheduled"
         # Scheduled-kernel state, one entry per registration slot:
         # the next cycle to step it, its is_idle / next_event_cycle (a
@@ -376,12 +375,6 @@ class CycleSimulator:
         for component in components:
             self.add(component)
 
-    def register_fifo(self, fifo: StagedFifo) -> StagedFifo:
-        """Track a free-standing FIFO so the simulator commits it (one
-        owned by a component is committed by that component)."""
-        self._fifos.append(fifo)
-        return fifo
-
     # -- scheduled-kernel machinery ----------------------------------------
 
     def _waker_for(self, component, slot: int) -> Callable[[], None]:
@@ -440,8 +433,6 @@ class CycleSimulator:
             component.step(self.cycle)
         for component in self._components:
             component.commit()
-        for fifo in self._fifos:
-            fifo.commit()
         self.cycle += 1
 
     def tick(self) -> None:
@@ -474,8 +465,6 @@ class CycleSimulator:
                     for slot in late:
                         components[slot].commit()
                     late.clear()
-            for fifo in self._fifos:
-                fifo.commit()
         finally:
             self._stepping = -1
         wake_at = self._wake_at
@@ -528,8 +517,6 @@ class CycleSimulator:
             for component in components:
                 component.commit()
             self._late.clear()
-            for fifo in self._fifos:
-                fifo.commit()
         finally:
             self._stepping = -1
         wake_at = self._wake_at

@@ -56,22 +56,10 @@ class FlowHashLoadBalancerTile(Tile):
         self._rx_ready.append((cycle, pseudo))
         self._wake()
 
-    def _pump_process(self, cycle: int) -> None:
-        # Same engine as Tile, but the per-packet service time is the
-        # paper's flits + 1 recovery cycle rather than max(flits, occ).
-        if self._in_service is not None and cycle >= self._emit_at:
-            self._finish_service(self._in_service, cycle)
-            self._in_service = None
-        if (self._in_service is None
-                and self._rx_ready
-                and self._rx_ready[0][0] <= cycle
-                and cycle >= self._engine_free
-                and self.port.tx_backlog < self.max_tx_backlog):
-            _tail, message = self._rx_ready.popleft()
-            self._begin_service(
-                message, cycle,
-                message.n_flits + params.LOAD_BALANCER_RECOVERY_CYCLES,
-            )
+    def service_cycles(self, message: NocMessage) -> int:
+        """The paper's flits + 1 recovery cycle rather than
+        max(flits, occupancy)."""
+        return message.n_flits + params.LOAD_BALANCER_RECOVERY_CYCLES
 
     def _pick(self, frame: bytes) -> tuple[int, int] | None:
         if not self.stacks:

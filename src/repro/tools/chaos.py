@@ -58,16 +58,16 @@ def _udp_plan(seed: int, loss: float) -> FaultPlan:
 
 def run_udp_echo(seed: int, budget_s: float,
                  loss: float) -> tuple[list[str], str]:
-    from repro.designs.harness import FrameSink
+    from repro.designs.harness import (
+        CLIENT_IP,
+        CLIENT_MAC,
+        FrameSink,
+        client_frame,
+    )
     from repro.designs.udp_stack import UdpEchoDesign
-    from repro.packet.builder import build_ipv4_udp_frame
-    from repro.packet.ethernet import MacAddress
-    from repro.packet.ipv4 import IPv4Address
 
-    client_ip = IPv4Address("10.0.0.1")
-    client_mac = MacAddress("02:00:00:00:00:01")
     design = UdpEchoDesign(fault_plan=_udp_plan(seed, loss))
-    design.add_client(client_ip, client_mac)
+    design.add_client(CLIENT_IP, CLIENT_MAC)
     sink = FrameSink(design.eth_tx)
     design.sim.add(sink)
 
@@ -76,10 +76,7 @@ def run_udp_echo(seed: int, budget_s: float,
     for i in range(n_frames):
         payload = b"chaos-%03d-%d" % (i, seed)
         sent_payloads.add(payload)
-        frame = build_ipv4_udp_frame(
-            client_mac, design.server_mac, client_ip, design.server_ip,
-            5555, design.udp_port, payload)
-        design.inject(frame, 1 + i * 40)
+        design.inject(client_frame(design, payload), 1 + i * 40)
 
     failures: list[str] = []
     try:
@@ -105,18 +102,15 @@ def run_udp_echo(seed: int, budget_s: float,
 
 def run_tcp_server(seed: int, budget_s: float,
                    loss: float) -> tuple[list[str], str]:
+    from repro.designs.harness import CLIENT_IP, CLIENT_MAC
     from repro.designs.tcp_stack import TcpServerDesign
-    from repro.packet.ethernet import MacAddress
-    from repro.packet.ipv4 import IPv4Address
     from repro.tcp.peer import SoftTcpPeer
 
-    client_ip = IPv4Address("10.0.0.1")
-    client_mac = MacAddress("02:00:00:00:00:01")
     plan = FaultPlan(seed=seed).wire(drop=loss)
     design = TcpServerDesign(tcp_port=5000, request_size=64,
                              fault_plan=plan)
-    design.add_client(client_ip, client_mac)
-    peer = SoftTcpPeer(design, client_ip, client_mac,
+    design.add_client(CLIENT_IP, CLIENT_MAC)
+    peer = SoftTcpPeer(design, CLIENT_IP, CLIENT_MAC,
                        design.server_ip, 5000, wire_cycles=50)
     design.sim.add(peer)
 
@@ -183,6 +177,11 @@ def run_vr_cluster(seed: int, budget_s: float) -> tuple[list[str], str]:
 
 def _hostile_frames(seed: int, count: int = 40):
     """Deterministic garbage: random bytes, runts, flipped-bit frames."""
+    from repro.designs.base import SERVER_MAC
+    from repro.designs.harness import CLIENT_MAC
+    from repro.packet.ethernet import EthernetHeader
+
+    header = EthernetHeader(dst=SERVER_MAC, src=CLIENT_MAC).pack()
     rng = random.Random(seed)
     for i in range(count):
         kind = i % 3
@@ -193,9 +192,8 @@ def _hostile_frames(seed: int, count: int = 40):
             yield bytes(rng.randrange(256)
                         for _ in range(rng.randrange(0, 14)))
         else:  # plausible Ethernet/IPv4 header, garbage after
-            yield (bytes.fromhex("02bee0000001020000000001" "0800")
-                   + bytes(rng.randrange(256)
-                           for _ in range(rng.randrange(10, 120))))
+            yield header + bytes(rng.randrange(256)
+                                 for _ in range(rng.randrange(10, 120)))
 
 
 def run_design_hostile(name: str, seed: int,

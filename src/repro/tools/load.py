@@ -2,15 +2,15 @@
 
     python -m repro.tools.load --offered 20,40,60,80,100
     python -m repro.tools.load --offered 20,60 --arrival bursty \\
-        --out BENCH_load.json
+        --out sweep.json
     python -m repro.tools.load --flows 3 --cc cubic --loss 0.01
 
 The default mode walks the offered-load list through
 :func:`repro.loadgen.sweep.sweep` and prints one row per point
 (goodput, delivery ratio, latency percentiles) plus the knee; with
-``--out`` the result is written as a schema-valid ``repro.bench/1``
-document (byte-identical across runs with the same arguments — CI
-diffs two invocations to pin determinism).
+``--out`` the result is written as sorted JSON (byte-identical across
+runs with the same arguments — CI diffs two invocations to pin
+determinism).
 
 ``--flows`` switches to the competing-TCP-flows harness
 (:func:`repro.loadgen.flows.run_competing_flows`): N peers with the
@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from repro.loadgen.flows import run_competing_flows
-from repro.loadgen.sweep import sweep, sweep_document
+from repro.loadgen.sweep import sweep
 from repro.tcp.cc import _CC_REGISTRY
 
 
@@ -109,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="NIC backlog limit before overrun "
                              "(default 64)")
     parser.add_argument("--out", metavar="PATH",
-                        help="write the repro.bench/1 document here")
+                        help="write the result as JSON here")
     parser.add_argument("--flows", type=int, default=0, metavar="N",
                         help="run N competing TCP flows instead of "
                              "the sweep")
@@ -144,9 +144,8 @@ def main(argv: list[str] | None = None) -> int:
                    max_admission=args.max_admission)
     _print_sweep(result)
     if args.out:
-        document = sweep_document(result)
         Path(args.out).write_text(
-            json.dumps(document, indent=2, sort_keys=True) + "\n")
+            json.dumps(result, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out}")
     return 0
 

@@ -181,16 +181,9 @@ def _run_live(args) -> int:
     # Reuse the trace tool's design loading + traffic conventions, but
     # sample with a probe instead of recording a full trace.
     from repro.config import build_design
-    from repro.designs.harness import FrameSink, FrameSource
-    from repro.packet import IPv4Address, MacAddress, build_ipv4_udp_frame
+    from repro.designs.harness import attach_client
     from repro.telemetry.probe import attach_probe
-    from repro.tools.trace import (
-        CLIENT_IP,
-        CLIENT_MAC,
-        _default_port,
-        _load_spec,
-        _spec_param,
-    )
+    from repro.tools.trace import _load_spec
 
     try:
         spec = _load_spec(args.design)
@@ -200,21 +193,14 @@ def _run_live(args) -> int:
         return 1
 
     design = build_design(spec)
+    if design.udp_port is None:
+        print(f"error: design {args.design!r} routes no UDP port",
+              file=sys.stderr)
+        return 1
     probe = attach_probe(design, interval=args.interval,
                          design_name=args.design)
-    design.add_neighbor(CLIENT_IP, CLIENT_MAC)
-    server_mac = MacAddress(
-        _spec_param(spec, "eth_rx", "my_mac") or "02:be:e0:00:00:01")
-    server_ip = IPv4Address(
-        _spec_param(spec, "ip_rx", "my_ip") or "10.0.0.10")
-    port = _default_port(spec)
-    frame = build_ipv4_udp_frame(CLIENT_MAC, server_mac, CLIENT_IP,
-                                 server_ip, 5555, port,
-                                 bytes(args.payload))
-    source = FrameSource(design.inject, lambda i: frame, rate=args.rate)
-    sink = FrameSink(design.eth_tx, keep_frames=False)
-    design.sim.add(source)
-    design.sim.add(sink)
+    source, sink = attach_client(design, bytes(args.payload),
+                                 rate=args.rate, keep_frames=False)
 
     use_curses = (not args.plain and sys.stdout.isatty())
     screen = None

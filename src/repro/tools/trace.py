@@ -11,11 +11,13 @@ simulated client into the design's Ethernet RX tile for ``--cycles``
 cycles, then writes the Chrome trace-event JSON (loadable in Perfetto /
 ``chrome://tracing``) and prints the windowed text summary.
 
-Traffic is plain UDP addressed to ``--port`` (defaulting to the first
-``port:N`` entry found on a ``udp_rx`` tile, so the echo design answers
-it end to end; designs expecting an application payload — e.g. the
-Reed-Solomon accelerator — still exercise their receive path, and any
-drops show up in the trace with their reason).
+Traffic is plain UDP from the harness client
+(:func:`repro.designs.harness.attach_client`) addressed to ``--port``
+(defaulting to the design's own ``udp_port``, the first port its
+``udp_rx`` tile routes, so the echo design answers it end to end;
+designs expecting an application payload — e.g. the Reed-Solomon
+accelerator — still exercise their receive path, and any drops show up
+in the trace with their reason).
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from repro.config.examples import (
     UDP_ECHO_XML,
     VR_DESIGN_XML,
 )
-from repro.designs.harness import FrameSink, FrameSource
-from repro.packet import IPv4Address, MacAddress, build_ipv4_udp_frame
+from repro.designs.harness import attach_client, client_frame
 from repro.telemetry.stats import design_report
 from repro.telemetry.trace import (
     MetricsWindow,
@@ -46,58 +47,12 @@ BUILTIN_DESIGNS = {
     "vr_witness": VR_DESIGN_XML,
 }
 
-CLIENT_IP = IPv4Address("10.0.0.1")
-CLIENT_MAC = MacAddress("02:00:00:00:00:01")
-
 
 def _load_spec(name_or_path: str):
     if name_or_path in BUILTIN_DESIGNS:
         return design_from_xml(BUILTIN_DESIGNS[name_or_path])
     with open(name_or_path) as handle:
         return design_from_xml(handle.read())
-
-
-def _spec_param(spec, tile_type: str, param: str) -> str | None:
-    for tile in spec.tiles:
-        if tile.type == tile_type and param in tile.params:
-            return tile.params[param]
-    return None
-
-
-def _default_port(spec) -> int:
-    """The first UDP port a ``udp_rx`` tile routes — traffic sent there
-    actually goes somewhere."""
-    for tile in spec.tiles:
-        if tile.type != "udp_rx":
-            continue
-        for dest in tile.dests:
-            key = dest.key
-            if isinstance(key, str) and key.startswith("port:"):
-                return int(key.split(":", 1)[1], 0)
-    return 7
-
-
-def run_traced(spec, cycles: int, rate: float | None, payload: int,
-               port: int, window: int):
-    """Build, trace, and drive one design; returns the pieces."""
-    design = build_design(spec)
-    tracer = attach_tracer(design, Tracer())
-    design.add_neighbor(CLIENT_IP, CLIENT_MAC)
-
-    server_mac = MacAddress(
-        _spec_param(spec, "eth_rx", "my_mac") or "02:be:e0:00:00:01")
-    server_ip = IPv4Address(
-        _spec_param(spec, "ip_rx", "my_ip") or "10.0.0.10")
-    frame = build_ipv4_udp_frame(CLIENT_MAC, server_mac, CLIENT_IP,
-                                 server_ip, 5555, port, bytes(payload))
-    source = FrameSource(design.inject, lambda i: frame, rate=rate)
-    sink = FrameSink(design.eth_tx, keep_frames=False)
-    design.sim.add(source)
-    design.sim.add(sink)
-    design.sim.run(cycles)
-
-    metrics = MetricsWindow(tracer, window)
-    return design, tracer, metrics, source, sink
 
 
 def _rate(text: str) -> float | None:
@@ -148,14 +103,22 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot parse design {args.design!r}: "
               f"{type(error).__name__}: {error}", file=sys.stderr)
         return 1
-    port = args.port if args.port is not None else _default_port(spec)
+    design = build_design(spec)
+    port = args.port if args.port is not None else design.udp_port
+    if port is None:
+        print(f"error: design {args.design!r} routes no UDP port; "
+              "pass --port", file=sys.stderr)
+        return 1
 
-    design, tracer, metrics, source, sink = run_traced(
-        spec, args.cycles, args.rate, args.payload, port, args.window)
+    tracer = attach_tracer(design, Tracer())
+    frame = client_frame(design, bytes(args.payload), dst_port=port)
+    source, sink = attach_client(design, [frame], rate=args.rate,
+                                 keep_frames=False)
+    design.sim.run(args.cycles)
     write_chrome_trace(tracer, args.out, args.window)
 
     if not args.quiet:
-        print(design_report(design, metrics))
+        print(design_report(design, MetricsWindow(tracer, args.window)))
         print(f"\ninjected {source.sent} frames (port {port}, "
               f"{args.payload} B payload), egressed {sink.count}")
         print(f"trace: {len(tracer.spans)} tile spans, "

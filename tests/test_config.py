@@ -184,7 +184,7 @@ class TestGeneratedDesign:
         """The XML-generated design behaves like the handwritten one."""
         spec = design_from_xml(UDP_ECHO_XML)
         design = build_design(spec)
-        design.add_neighbor(CLIENT_IP, CLIENT_MAC)
+        design.add_client(CLIENT_IP, CLIENT_MAC)
         sink = FrameSink(design.eth_tx)
         design.sim.add(sink)
         frame = build_ipv4_udp_frame(
@@ -194,6 +194,28 @@ class TestGeneratedDesign:
         design.inject(frame, 0)
         design.sim.run_until(lambda: sink.count >= 1, max_cycles=2000)
         assert parse_frame(sink.frames[0][0]).payload == b"from-xml"
+
+    def test_names_its_own_address_and_port(self):
+        """Host-facing values come from the design's own tiles: a spec
+        with other addresses answers on those, one with none on the
+        shared default (its RX tiles accept any)."""
+        moved = UDP_ECHO_XML.replace("02:be:e0:00:00:01",
+                                     "02:be:e0:00:00:77") \
+            .replace("10.0.0.10", "10.0.7.7").replace("port:7", "port:53")
+        design = build_design(design_from_xml(moved))
+        assert design.server_mac == MacAddress("02:be:e0:00:00:77")
+        assert design.server_ip == IPv4Address("10.0.7.7")
+        assert design.udp_port == 53
+        spec = design_from_xml(UDP_ECHO_XML)
+        for tile in spec.tiles:
+            if tile.type in ("eth_rx", "ip_rx"):
+                tile.params.clear()
+            if tile.type == "udp_rx":
+                tile.dests.clear()
+        design = build_design(spec)
+        assert design.server_mac == MacAddress("02:be:e0:00:00:01")
+        assert design.server_ip == IPv4Address("10.0.0.10")
+        assert design.udp_port is None
 
     def test_deadlocky_layout_rejected_at_build(self):
         """Building the Fig 5a placement fails the compile-time check."""

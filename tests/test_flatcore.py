@@ -23,7 +23,7 @@ import pytest
 from repro.analysis.structural import run as lint
 from repro.designs import FrameSink, FrameSource
 from repro.designs.udp_stack import UdpEchoDesign
-from repro.designs.multi_stack import MultiStackDesign
+from repro.designs.tcp_stack import TcpServerDesign
 from repro.faults import FaultPlan
 from repro.noc.flatmesh import FlatMesh
 from repro.noc.mesh import Mesh
@@ -105,12 +105,12 @@ class TestViews:
         assert core.view(design.app).name == "app"
 
     def test_overriding_engine_hook_falls_back_to_object_mode(self):
-        # The flow-hash load balancer overrides _pump_process (fan-out
-        # service), so the core must not inline it.
-        design = MultiStackDesign(stacks=2)
+        # The TCP TX engine overrides on_cycle (retransmit timers), so
+        # the core must not inline it.
+        design = TcpServerDesign()
         modes = {v.name: v.mode for v in design.tile_core.views()}
-        assert modes["lb"] == "object"
-        assert modes["udp_rx_0"] == "fast"
+        assert modes["tcp_tx"] == "object"
+        assert modes["ip_tx"] == "fast"
 
     def test_by_kind_counts(self):
         design = echo_design()

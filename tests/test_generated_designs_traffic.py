@@ -33,7 +33,7 @@ def run_until(design, sink, count, max_cycles=20_000):
 class TestGeneratedRsDesign:
     def build(self):
         design = build_design(design_from_xml(RS_DESIGN_XML))
-        design.add_neighbor(CLIENT_IP, CLIENT_MAC)
+        design.add_client(CLIENT_IP, CLIENT_MAC)
         sink = FrameSink(design.eth_tx)
         design.sim.add(sink)
         return design, sink
@@ -65,7 +65,7 @@ class TestGeneratedRsDesign:
 class TestGeneratedVrDesign:
     def build(self):
         design = build_design(design_from_xml(VR_DESIGN_XML))
-        design.add_neighbor(CLIENT_IP, CLIENT_MAC)
+        design.add_client(CLIENT_IP, CLIENT_MAC)
         sink = FrameSink(design.eth_tx)
         design.sim.add(sink)
         return design, sink

@@ -335,15 +335,12 @@ class TestSweep:
                               **self.POINT_KWARGS)
             assert point["delivered"] > 0, arrival
 
-    def test_sweep_document_is_schema_valid(self):
-        from repro.loadgen.sweep import sweep, sweep_document
-        from repro.tools.bench import validate_bench_document
+    def test_sweep_result_is_plain_json(self):
+        from repro.loadgen.sweep import sweep
         result = sweep([25.0], **self.POINT_KWARGS)
-        document = sweep_document(result)
-        assert validate_bench_document(document) is document
-        metrics = document["results"]["loadgen_sweep"]["metrics"]
-        assert "curve.0.goodput_gbps" in metrics
-        assert metrics["knee_gbps"] == 25.0
+        assert json.loads(json.dumps(result)) == result
+        assert "goodput_gbps" in result["curve"][0]
+        assert result["knee_gbps"] == 25.0
 
     def test_payload_must_fit_the_tag(self):
         from repro.loadgen.sweep import run_point
@@ -365,7 +362,7 @@ class TestLoadCli:
         assert main([*args, "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
         document = json.loads(first.read_text())
-        assert document["schema"] == "repro.bench/1"
+        assert document["n_points"] == 2
 
     def test_flows_mode(self, capsys):
         from repro.tools.load import main

@@ -273,6 +273,26 @@ class TestDefaultTraffic:
         assert actions, "expected scheduled traffic"
         assert all(0 <= at < 1000 for at, _fn in actions)
 
+    def test_xml_design_gets_frames_its_chain_processes(self):
+        """A generated design names its own address and port, so the
+        sanitizer's traffic is echoed instead of dropped at ingress."""
+        from repro.config import design_from_xml
+        from repro.config.examples import UDP_ECHO_XML
+        from repro.config.generate import GeneratedDesign
+        spec = design_from_xml(UDP_ECHO_XML)
+        designs = []
+
+        def traffic(design, cycles):
+            designs.append(design)
+            return default_traffic(design, cycles)
+
+        report = analyze_dynamic(
+            lambda **kw: GeneratedDesign(spec, **kw), name="udp_echo.xml",
+            cycles=600, traffic=traffic)
+        assert report.findings == [], report.render()
+        assert designs
+        assert all(d.eth_tx.messages_in > 0 for d in designs)
+
     def test_uses_send_hook_for_fixture_designs(self):
         design = build_idle_liar_design()
         # No inject, no send: an idle fixture gets an empty schedule.

@@ -126,22 +126,6 @@ class TestCycleSimulator:
         with pytest.raises(TimeoutError):
             sim.run_until(lambda: False, max_cycles=10)
 
-    def test_registered_fifo_commits(self):
-        sim = CycleSimulator()
-        fifo = sim.register_fifo(StagedFifo())
-
-        class Producer:
-            def step(self, cycle):
-                fifo.push(cycle)
-
-            def commit(self):
-                pass
-
-        sim.add(Producer())
-        sim.run(3)
-        # Cycle 2's push commits at end of cycle 2; all three visible.
-        assert fifo.drain() == [0, 1, 2]
-
     def test_two_phase_isolation(self):
         """A consumer never sees a value pushed in the same cycle."""
         sim = CycleSimulator()

@@ -4,7 +4,12 @@ import dataclasses
 
 import pytest
 
-from repro.designs import FrameSink, FrameSource, GoodputMeter, UdpEchoDesign
+from repro.designs import (
+    FrameSink,
+    FrameSource,
+    UdpEchoDesign,
+    saturation_goodput,
+)
 from repro.noc import Mesh, NocMessage
 from repro.packet import (
     IPv4Address,
@@ -305,15 +310,8 @@ class TestUdpEchoDesign:
     def test_small_packet_goodput_matches_paper(self):
         """Paper: ~9 Gbps / 18392 KReq/s of 64 B packets (section VII-C)."""
         design = self.make_design(line_rate_bytes_per_cycle=None)
-        sink = FrameSink(design.eth_tx, keep_frames=False)
-        meter = GoodputMeter(sink, warmup_frames=50)
-        source = FrameSource(design.inject,
-                             lambda i: self.request(design, bytes(64)),
-                             rate=None)
-        design.sim.add(source)
-        design.sim.add(sink)
-        for _ in range(15000):
-            design.sim.tick()
-            meter.maybe_start()
-        assert 8.0 <= meter.goodput_gbps() <= 11.0
-        assert 17000 <= meter.kreqs() <= 20500
+        measured = saturation_goodput(
+            design, [self.request(design, bytes(64))], 15000,
+            warmup_frames=50)
+        assert 8.0 <= measured.gbps <= 11.0
+        assert 17000 <= measured.kreqs <= 20500

@@ -351,3 +351,16 @@ class TestTraceCli:
 
         code = main([str(tmp_path / "nope.xml")])
         assert code == 1
+
+    def test_cli_wants_a_port_when_the_design_routes_none(self, tmp_path,
+                                                          capsys):
+        from repro.config.examples import UDP_ECHO_XML
+        from repro.tools.trace import main
+
+        path = tmp_path / "portless.xml"
+        path.write_text(UDP_ECHO_XML.replace("port:7", "default"))
+        out = tmp_path / "portless.json"
+        assert main([str(path), "--out", str(out)]) == 1
+        assert "routes no UDP port" in capsys.readouterr().err
+        assert main([str(path), "--port", "7", "--cycles", "600",
+                     "--quiet", "--out", str(out)]) == 0
