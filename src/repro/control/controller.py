@@ -13,7 +13,12 @@ from __future__ import annotations
 import itertools
 import json
 
-from repro.control.messages import ControlAck, TableUpdate
+from repro.control.messages import (
+    ControlAck,
+    CounterRead,
+    CounterValue,
+    TableUpdate,
+)
 from repro.control.plane import ControlEndpoint
 from repro.noc.mesh import Mesh
 from repro.noc.message import NocMessage
@@ -64,6 +69,7 @@ class InternalControllerTile(Tile):
                  endpoint: ControlEndpoint, **kwargs):
         super().__init__(name, mesh, coord, **kwargs)
         self.endpoint = endpoint
+        endpoint.on_reply = self._wake
         self.next_hop = NextHopTable(name=f"{name}.nexthop")
         self._tags = itertools.count(1)
         # internal tag -> (client PacketMeta, external tag)
@@ -81,7 +87,6 @@ class InternalControllerTile(Tile):
         tag = next(self._tags)
         self._pending[tag] = (meta, command.get("tag"))
         if command.get("op", "update") == "read_counter":
-            from repro.control.messages import CounterRead
             request = CounterRead(name=command["key"],
                                   reply_to=self.endpoint.coord, tag=tag)
             self.endpoint.send(command["target"], request)
@@ -96,8 +101,12 @@ class InternalControllerTile(Tile):
             self.endpoint.send(command["target"], update)
         return []
 
+    def is_idle(self) -> bool:
+        """Idle between RPCs and the control NoC's replies to them:
+        the endpoint wakes the tile when it files a reply."""
+        return not self.endpoint.has_replies and self._engine_idle()
+
     def on_cycle(self, cycle: int) -> None:
-        from repro.control.messages import CounterValue
         for reply in self.endpoint.pop_replies():
             if isinstance(reply, ControlAck):
                 body = {"ok": reply.ok, "detail": reply.detail}

@@ -42,6 +42,9 @@ class ControlEndpoint(Wakeable):
         self.counters: dict[str, Callable] = {}
         self.updates_applied = 0
         self._replies: list = []  # completions for locally-sent requests
+        #: Called when a completion is filed: the wake of whoever pops
+        #: them (:class:`~repro.control.controller.InternalControllerTile`).
+        self.on_reply: Callable[[], None] | None = None
 
     # -- registration --------------------------------------------------------
 
@@ -58,6 +61,10 @@ class ControlEndpoint(Wakeable):
     def send(self, dst: tuple[int, int], payload) -> None:
         self.port.send(NocMessage(dst=dst, src=self.coord,
                                   metadata=payload))
+
+    @property
+    def has_replies(self) -> bool:
+        return bool(self._replies)
 
     def pop_replies(self) -> list:
         replies = self._replies
@@ -77,6 +84,8 @@ class ControlEndpoint(Wakeable):
             self._read_counter(payload)
         else:
             self._replies.append(payload)
+            if self.on_reply is not None:
+                self.on_reply()
 
     def _apply_update(self, update: TableUpdate, src) -> None:
         handler = self.table_handlers.get(update.table)

@@ -136,7 +136,7 @@ class TcpRxEngineTile(Tile):
 
         outputs: list[NocMessage] = []
         if tcp.flag(TCP_SYN) and not tcp.flag(TCP_ACK):
-            self._handle_syn(four_tuple, tcp, meta, flow_id)
+            self._handle_syn(four_tuple, tcp, flow_id, cycle)
             return []
         if flow_id is None:
             return []  # no flow and not a SYN: filtered out
@@ -151,8 +151,8 @@ class TcpRxEngineTile(Tile):
         outputs.extend(self._satisfy_pending(flow_id))
         return outputs
 
-    def _handle_syn(self, four_tuple, tcp: TcpHeader, meta: PacketMeta,
-                    flow_id: int | None) -> None:
+    def _handle_syn(self, four_tuple, tcp: TcpHeader,
+                    flow_id: int | None, cycle: int) -> None:
         if tcp.dst_port not in self.listen_ports:
             return
         if flow_id is None:
@@ -171,10 +171,13 @@ class TcpRxEngineTile(Tile):
         rx.rcv_nxt = seq_add(tcp.seq, 1)
         rx.peer_window = tcp.window
         rx.state = TcpState.SYN_RCVD
-        self.tx_engine.request_synack(flow_id)
+        self.tx_engine.request_synack(flow_id, cycle)
 
     def _process_ack(self, rx, tcp: TcpHeader,
                      outputs: list[NocMessage], cycle: int) -> None:
+        # peer_window, snd_una and state are what the TX engine's
+        # pump decides on: writing them is a wire, like the calls below.
+        self.tx_engine._wake()
         rx.peer_window = tcp.window
         tx = self.flows.tx[rx.flow_id]
         ack = tcp.ack

@@ -23,7 +23,7 @@ from repro.noc.message import NocMessage
 from repro.packet.ipv4 import IPPROTO_TCP, IPv4Address, IPv4Header
 from repro.packet.tcp import TCP_ACK, TCP_PSH, TCP_SYN, TcpHeader
 from repro.tcp.cc import CongestionControl, make_cc
-from repro.tcp.flow import FlowTable, seq_add, seq_diff
+from repro.tcp.flow import FlowTable, TcpState, seq_add, seq_diff
 from repro.tcp.messages import TxGrant, TxReady, TxReserve
 from repro.tiles.base import NextHopTable, PacketMeta, Tile
 from repro.tiles.buffer import BufferTile
@@ -62,10 +62,6 @@ class TcpTxEngineTile(Tile):
         self.cc = make_cc(congestion_control, initial_window_mss)
         self.congestion_control = self.cc is not None
         self.initial_window_mss = initial_window_mss
-        # Dedicated-wire calls from the RX engine arrive mid-step
-        # without a cycle argument in older call sites; remember the
-        # last on_cycle clock so CC time (CUBIC) stays monotone.
-        self._last_cycle = 0
         # The engine is pipelined: different flows issue pipeline_ii
         # cycles apart; the same flow waits the full occupancy (its
         # flow-state read-modify-write round-trip).  Section VII-D's
@@ -87,8 +83,11 @@ class TcpTxEngineTile(Tile):
         self.payload_bytes_out = 0
 
     # -- dedicated wires from the RX engine ------------------------------------
+    # Each one hands the pump work (or window) from outside its step,
+    # so each one wakes the engine; the RX engine passes the cycle it
+    # is stepping, because a sleeping engine has no clock of its own.
 
-    def request_synack(self, flow_id: int) -> None:
+    def request_synack(self, flow_id: int, cycle: int) -> None:
         tx = self.flows.tx[flow_id]
         if tx.iss == 0:
             self._iss_counter += 0x10000
@@ -100,32 +99,34 @@ class TcpTxEngineTile(Tile):
             self._pending_reserve.setdefault(flow_id, deque())
             self._rr_flows.append(flow_id)
             if self.cc is not None:
-                self.cc.on_connect(tx, self.mss, self._last_cycle)
+                self.cc.on_connect(tx, self.mss, cycle)
         self._control.append(("synack", flow_id))
+        self._wake()
 
     def request_ack(self, flow_id: int) -> None:
         self._control.append(("ack", flow_id))
+        self._wake()
 
-    def fast_retransmit(self, flow_id: int,
-                        cycle: int | None = None) -> None:
+    def fast_retransmit(self, flow_id: int, cycle: int) -> None:
         if self.cc is not None:
             tx = self.flows.tx.get(flow_id)
             rx = self.flows.rx.get(flow_id)
             if tx is not None and rx is not None:
                 in_flight = max(self.mss, seq_diff(tx.snd_nxt,
                                                    rx.snd_una))
-                self.cc.on_loss(tx, in_flight, self.mss,
-                                self._now(cycle))
+                self.cc.on_loss(tx, in_flight, self.mss, cycle)
         self._control.append(("fast_rtx", flow_id))
+        self._wake()
 
     def on_ack_advance(self, flow_id: int, acked_bytes: int,
-                       cycle: int | None = None) -> None:
+                       cycle: int) -> None:
         """Dedicated-wire notification from the RX engine: new data
         was acknowledged.  Acked bytes free transmit-ring space, so
         any reservation waiting on that space can be granted now (an
         idle engine would otherwise never re-evaluate it); with
         congestion control enabled the window also grows (RFC 5681).
         """
+        self._wake()  # bytes left flight: the send window has room
         if flow_id in self._pending_reserve and \
                 self._pending_reserve[flow_id]:
             for out in self._grant_reservations(flow_id):
@@ -135,12 +136,7 @@ class TcpTxEngineTile(Tile):
         tx = self.flows.tx.get(flow_id)
         if tx is None:
             return
-        self.cc.on_ack(tx, acked_bytes, self.mss, self._now(cycle))
-
-    def _now(self, cycle: int | None) -> int:
-        """Cycle for a dedicated-wire event, falling back to the last
-        clocked step for legacy callers that pass none."""
-        return cycle if cycle is not None else self._last_cycle
+        self.cc.on_ack(tx, acked_bytes, self.mss, cycle)
 
     def release_flow(self, flow_id: int) -> None:
         self._pending_reserve.pop(flow_id, None)
@@ -211,7 +207,6 @@ class TcpTxEngineTile(Tile):
     # -- transmission pump -----------------------------------------------------------
 
     def on_cycle(self, cycle: int) -> None:
-        self._last_cycle = cycle
         if cycle < self._pace_free or \
                 self.port.tx_backlog >= self.max_tx_backlog:
             return
@@ -226,6 +221,48 @@ class TcpTxEngineTile(Tile):
             if self._pending_reserve[flow_id]:
                 for out in self._grant_reservations(flow_id):
                     self.send(out)
+
+    # -- quiescence contract (repro.sim.kernel; DESIGN.md 5c) -----------------
+
+    def is_idle(self) -> bool:
+        """The pump acts on a request from the application, a signal
+        on the dedicated wires or a retransmission timer, and sleeps
+        otherwise: a message arrives through the ejection FIFO, every
+        wire wakes the engine, and :meth:`next_event_cycle` is the
+        timer.  Behind a full injection backlog it polls while it has
+        anything to send — only the port's progress unblocks that."""
+        if not self._engine_idle():
+            return False
+        return self.port.tx_backlog < self.max_tx_backlog or \
+            self._pump_due() is None
+
+    def next_event_cycle(self) -> int | None:
+        deadlines = (super().next_event_cycle(), self._pump_due())
+        return min((d for d in deadlines if d is not None), default=None)
+
+    def _pump_due(self) -> int | None:
+        """The first cycle :meth:`on_cycle` could send something, as
+        the state stands (None: not before a wake).  A control entry
+        waits for the engine's pace; unsent data the window admits, for
+        its flow's pace too; a handshake or bytes in flight, for the
+        retransmission timer, which fires on the first cycle *past*
+        ``last_tx_cycle + rto_cycles``.  Early is safe, late is not."""
+        if self._control:
+            return self._pace_free
+        due = []
+        rx_flows = self.flows.rx
+        for flow_id, tx in self.flows.tx.items():
+            rx = rx_flows.get(flow_id)
+            if rx is None or tx.iss == 0:
+                continue
+            if self._send_length(tx, rx) > 0:
+                due.append(self._flow_pace.get(flow_id, 0))
+            if rx.state == TcpState.SYN_RCVD or (
+                    rx.state in (TcpState.ESTABLISHED,
+                                 TcpState.CLOSE_WAIT)
+                    and seq_diff(tx.snd_nxt, rx.snd_una) > 0):
+                due.append(tx.last_tx_cycle + self.rto_cycles + 1)
+        return max(min(due), self._pace_free) if due else None
 
     def _next_transmission(self, cycle: int) -> NocMessage | None:
         while self._control:
@@ -250,7 +287,6 @@ class TcpTxEngineTile(Tile):
             if message is not None:
                 return message
         # Retransmission timer.
-        from repro.tcp.flow import TcpState
         for flow_id in self.flows.tx:
             tx = self.flows.tx[flow_id]
             rx = self.flows.rx.get(flow_id)
@@ -280,17 +316,9 @@ class TcpTxEngineTile(Tile):
             return None
         if cycle < self._flow_pace.get(flow_id, 0):
             return None  # this flow's state round-trip is in flight
-        unsent = tx.tx_written - tx.tx_stream_sent
-        if unsent <= 0:
+        length = self._send_length(tx, rx)
+        if length <= 0:
             return None
-        in_flight = seq_diff(tx.snd_nxt, rx.snd_una)
-        send_window = rx.peer_window
-        if self.congestion_control and tx.cwnd:
-            send_window = min(send_window, tx.cwnd)
-        window_room = send_window - in_flight
-        if window_room <= 0:
-            return None
-        length = min(unsent, window_room, self.mss)
         payload = self._read_ring(tx, tx.tx_stream_sent, length)
         message = self._build_segment(flow_id, payload=payload,
                                       seq=tx.snd_nxt)
@@ -299,6 +327,19 @@ class TcpTxEngineTile(Tile):
         self._flow_pace[flow_id] = cycle + self.occupancy
         self.payload_bytes_out += len(payload)
         return message
+
+    def _send_length(self, tx, rx) -> int:
+        """Bytes of the next new-data segment: unsent stream the send
+        window admits, up to one MSS (<= 0: nothing to send, or no
+        room)."""
+        unsent = tx.tx_written - tx.tx_stream_sent
+        if unsent <= 0:
+            return 0
+        send_window = rx.peer_window
+        if self.congestion_control and tx.cwnd:
+            send_window = min(send_window, tx.cwnd)
+        window_room = send_window - seq_diff(tx.snd_nxt, rx.snd_una)
+        return min(unsent, window_room, self.mss)
 
     def _retransmit(self, flow_id: int, cycle: int) -> NocMessage | None:
         """Go-back-N: resend one segment from the oldest unacked byte."""

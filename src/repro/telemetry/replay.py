@@ -64,30 +64,40 @@ class TraceReplayer:
         # Events due at or before the start are pre-loaded, exactly as
         # a recorded run's initial frames were injected before the
         # clock started.
-        while not self.done:
-            event = self.events[self._index]
-            due = self.start_cycle + (event.cycle - self._base)
-            if due > self.start_cycle:
-                break
-            self.design.inject(event.frame, due)
-            self._index += 1
-            self.replayed += 1
+        self._inject_until(self.start_cycle)
 
     @property
     def done(self) -> bool:
         return self._index >= len(self.events)
 
+    def _due(self) -> int:
+        """The cycle the next event is due (there must be one)."""
+        return self.start_cycle + (
+            self.events[self._index].cycle - self._base)
+
+    def _inject_until(self, cycle: int) -> None:
+        while not self.done:
+            due = self._due()
+            if due > cycle:
+                return
+            self.design.inject(self.events[self._index].frame, due)
+            self._index += 1
+            self.replayed += 1
+
     def step(self, cycle: int) -> None:
         # Inject one cycle ahead of the due time (stamped with the due
         # cycle): components that already stepped this cycle then see
         # the frame become consumable exactly at its recorded cycle.
-        while not self.done:
-            event = self.events[self._index]
-            due = self.start_cycle + (event.cycle - self._base)
-            if due > cycle + 1:
-                return
-            self.design.inject(event.frame, due)
-            self._index += 1
-            self.replayed += 1
+        self._inject_until(cycle + 1)
 
     commit = no_commit
+
+    # -- quiescence contract (see repro.sim.kernel) -------------------------
+
+    def is_idle(self) -> bool:
+        """Nothing happens between events: the replayer sleeps until
+        the cycle before the next one is due."""
+        return True
+
+    def next_event_cycle(self) -> int | None:
+        return None if self.done else self._due() - 1

@@ -191,7 +191,13 @@ class Tile(Wakeable):
     emit deadline, engine recovery, future-stamped arrivals) are served
     by the kernel's timer wheel.  A subclass that overrides
     :meth:`on_cycle` is conservatively treated as always active unless
-    it also overrides :meth:`is_idle` with its own contract.
+    it also overrides :meth:`is_idle` with its own contract, as the
+    two shipped ones do (DESIGN.md 5c): the TCP TX engine sleeps
+    until a dedicated wire from the RX engine, a message from the
+    application or its retransmission timer, the controller tile
+    until an RPC or a reply from the control NoC — each built on
+    :meth:`_engine_idle`, and each woken (``_wake()``) by whoever hands
+    it work from outside its own ``step``.
     """
 
     KIND = "generic"  # key into the resource model's cost tables
@@ -302,14 +308,22 @@ class Tile(Wakeable):
         A subclass that overrides :meth:`on_cycle` has per-cycle
         behaviour the base class cannot reason about, so it is reported
         never-idle (always stepped — naive-kernel behaviour) unless it
-        supplies its own contract.
+        supplies its own contract: :meth:`_engine_idle` for the message
+        engine, its own test for what ``on_cycle`` waits on, and a
+        ``_wake()`` from everyone who hands it work out of band.
         """
+        if type(self).on_cycle is not Tile.on_cycle:
+            return False
+        return self._engine_idle()
+
+    def _engine_idle(self) -> bool:
+        """The message engine's half of :meth:`is_idle`: the ejection
+        pump and the processing engine have nothing to do until a flit
+        arrives or :meth:`next_event_cycle` comes round."""
         if self._fault_frozen:
             # Pinned active: a frozen tile's timers are stale, so it
             # must not be descheduled against them; the fault engine
             # additionally wakes it at thaw (kernel-wake-safe resume).
-            return False
-        if type(self).on_cycle is not Tile.on_cycle:
             return False
         if self.port.eject_fifo.occupancy:
             return False  # flits to pump (or a full buffer to poll)

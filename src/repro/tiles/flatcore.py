@@ -28,11 +28,25 @@ bit-identically between individually registered tiles and the core:
 - Adoption order is registration order, and the busy mask is iterated
   LSB-first, so trace events appear in the same order as per-tile
   stepping.
+- **The in-core wake rule** is the kernel's (DESIGN.md 5c), applied
+  between the tiles of one core: a tile woken during the walk by a
+  tile *earlier* in adoption order steps in this cycle (stepping every
+  tile in order would have run it after the waker, with the change in
+  view), one woken by a *later* tile keeps its bit for the next.  The
+  walk therefore re-reads the busy bits above the current tile after
+  the two places a tile runs code that can wake another — an
+  object-mode ``step`` and a ``handle_message`` — and nowhere else:
+  nothing is added per pumped flit.  The TCP RX engine (adopted before
+  the TX engine) queueing an ACK over the dedicated wires is the
+  shipped case: the sleeping TX engine sends it in that same cycle.
 - A tile whose class overrides any engine-internal hook (``on_cycle``,
   ``_pump_process``, ...) falls back to *object mode*: the core calls
   its ``step``/``is_idle``/``next_event_cycle`` methods instead of the
-  inlined fast path, so application tiles (VR, RS, TCP engines, the
-  load balancer) keep working unchanged.  ``handle_message``,
+  inlined fast path, so such tiles (of the shipped ones, the TCP TX
+  engine and the controller) keep working unchanged and sleep
+  whenever their own contract says so; an idle tile that names no
+  ``next_event_cycle`` also voids a timer it armed earlier, as the
+  kernel's ``wake_at`` would.  ``handle_message``,
   ``service_cycles``, ``send`` and ``drop`` are always dispatched
   through the instance, so subclass hooks and instance-level patches
   (``benchmarks/perflab``) fire under both modes.
@@ -277,12 +291,17 @@ class FlatTileCore(Wakeable):
                 continue  # clock gated; stays busy (pinned, like is_idle)
             if not is_fast:
                 t.step(cycle)
+                mask = self._busy & -(low << 1)  # in-core wake rule
                 # The busy-bit invariant, whatever is_idle looks at.
                 if t.is_idle() and not items:
                     self._busy &= ~low
                     deadline = t.next_event_cycle()
                     if deadline is not None:
                         self._arm(i, deadline, cycle)
+                    else:
+                        # A timer armed earlier (an RTO since ACKed)
+                        # is void, as in the kernel's wake_at.
+                        self._deadlines[i] = -1
                 continue
             # Inlined Tile.step for engine-default tiles: on_cycle is
             # the base no-op, then _pump_eject / _pump_process with the
@@ -351,6 +370,9 @@ class FlatTileCore(Wakeable):
                         t.send(out)
                 finally:
                     t._service_ctx = None
+                # The in-core wake rule: a tile the handler woke
+                # steps this cycle if it is later in the walk.
+                mask = self._busy & -(low << 1)
                 tracer = t.tracer
                 if tracer.enabled:
                     tracer.processing_end(cycle, t, in_service,

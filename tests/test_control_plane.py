@@ -111,6 +111,32 @@ class TestManagedDesign:
         reply = parse_frame(sink.frames[-1][0])
         return json.loads(reply.payload.decode())
 
+    def test_idle_controller_sleeps_and_answers_on_the_same_cycle(self):
+        """The controller's quiescence contract: asleep until an RPC
+        arrives or its endpoint files a reply (which wakes it), so an
+        idle managed design skips cycles, and a table update issued
+        after a long sleep is confirmed on the cycle ``reference`` —
+        where the tile is stepped every cycle — confirms it."""
+        answered = {}
+        for profile in ("fast", "reference"):
+            design = ManagedNatEchoDesign(udp_port=7, profile=profile)
+            design.eth_tx.add_neighbor(ADMIN_IP, ADMIN_MAC)
+            sink = FrameSink(design.eth_tx)
+            design.sim.add(sink)
+            design.sim.run(20_000)
+            if profile == "fast":
+                assert design.sim.idle_cycles_skipped > 19_000
+                view = design.tile_core.view("controller")
+                assert view.mode == "object" and not view.busy
+                assert design.sim.wake_cycle(design.tile_core) is None
+            response = self.rpc(design, sink, control_rpc_frame(
+                design, design.nat_rx.coord, "nat", CLIENT_VIRT_IP,
+                IPv4Address("10.0.0.99"), tag=4))
+            assert response == {"ok": True, "detail": "", "tag": 4}
+            answered[profile] = sink.frames[-1]
+        assert answered["fast"] == answered["reference"]
+        assert answered["fast"][1] > 20_000
+
     def test_nat_update_rpc_roundtrip(self):
         """The paper's migration flow: RPC -> control NoC -> NAT table
         -> confirmation."""

@@ -556,6 +556,103 @@ class TestEjectionFifoVisibility:
         assert port.eject_fifo.high_water == 1      # it was there at c's end
 
 
+class Relay(Sink):
+    """Object mode with a contract of its own: asleep until someone
+    ``poke``s it (a dedicated wire, like the TCP RX engine's into the
+    TX engine), it notes the cycle it noticed and passes the token on,
+    one smaller, to its peer."""
+
+    def __init__(self, name, mesh, coord, **kwargs):
+        super().__init__(name, mesh, coord, **kwargs)
+        self.inbox = []
+        self.noticed = []
+        self.peer = None
+
+    def poke(self, token):
+        self.inbox.append(token)
+        self._wake()
+
+    def on_cycle(self, cycle):
+        for token in self.inbox:
+            self.noticed.append((cycle, token))
+            if token and self.peer is not None:
+                self.peer.poke(token - 1)
+        self.inbox.clear()
+
+    def is_idle(self):
+        return not self.inbox and self._engine_idle()
+
+
+class Knocker(Sink):
+    """Inlined (fast) mode: pokes its peer from ``handle_message``."""
+
+    peer = None
+
+    def handle_message(self, message, cycle):
+        self.peer.poke(0)
+        return super().handle_message(message, cycle)
+
+
+class TestInCoreWakeRule:
+    """DESIGN.md 5c's wake rule holds between the tiles of one core as
+    it does between kernel slots: woken by a tile earlier in the walk,
+    a tile steps this cycle; by a later one, the next — what stepping
+    every tile in order does, and what individually registered tiles
+    get from the kernel."""
+
+    def build(self, engine, kernel, classes):
+        sim = CycleSimulator(kernel=kernel)
+        mesh = FlatMesh(3, 1)
+        source = mesh.attach((2, 0))
+        tiles = [cls(f"t{x}", mesh, (x, 0), occupancy=1, parse_latency=1)
+                 for x, cls in enumerate(classes)]
+        tiles[0].peer, tiles[1].peer = tiles[1], tiles[0]
+        mesh.register(sim)
+        core = add_tiles(sim, tiles, engine)
+        return sim, source, tiles, core
+
+    ENGINES = [("flat", "scheduled"), ("object", "scheduled"),
+               ("object", "naive")]
+
+    def test_object_mode_tiles_pass_a_token_back_and_forth(self):
+        runs = []
+        for engine, kernel in self.ENGINES:
+            sim, _, (first, second), core = self.build(
+                engine, kernel, [Relay, Relay])
+            sim.run(40)
+            if core is not None:
+                assert core.is_idle() and not core._busy
+            first.poke(4)
+            sim.run(40)
+            runs.append((first.noticed, second.noticed))
+        # first -> second: the same cycle; second -> first: the next.
+        assert runs[0] == ([(40, 4), (41, 2), (42, 0)],
+                           [(40, 3), (41, 1)])
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("classes", [(Knocker, Relay),
+                                         (Relay, Knocker)])
+    def test_a_handler_wakes_a_later_tile_this_cycle(self, classes):
+        runs = []
+        for engine, kernel in self.ENGINES:
+            sim, source, tiles, core = self.build(engine, kernel,
+                                                  classes)
+            knocker = tiles[classes.index(Knocker)]
+            relay = tiles[classes.index(Relay)]
+            sim.run(40)
+            source.send(NocMessage(dst=knocker.coord, src=(2, 0),
+                                   metadata="knock"))
+            for _ in range(40):
+                sim.run(1)
+                if core is not None:
+                    assert core.check_invariants() == []
+            (handled, _), = knocker.received
+            (noticed, _), = relay.noticed
+            assert noticed - handled == classes.index(Knocker)
+            runs.append((handled, noticed))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 class TestCheckInvariants:
     def test_clear_bit_over_a_non_empty_fifo_is_reported(self):
         design = echo_design()

@@ -53,10 +53,15 @@ from repro.packet import (
 )
 from repro.packet.vxlan import build_vxlan_frame
 from repro.sim.profiles import PROFILES, lookup
+from repro.analysis.sanitize import default_traffic
 from repro.apps.vr.tile import MSG_PREPARE, PrepareWire
-from repro.tcp.peer import SoftTcpPeer
+from repro.loadgen.flows import build_competing_flows
+from repro.tcp.app import TcpSourceAppTile
+from repro.tcp.peer import PeerNetwork, SoftTcpPeer
 from repro.telemetry import design_counters
 from repro.telemetry.trace import Tracer, attach_tracer
+from repro.tools.lint import _shipped_designs
+from tests.test_tcp import play, scripted_session
 
 CLIENT_IP = IPv4Address("10.0.0.1")
 CLIENT_MAC = MacAddress("02:00:00:00:00:01")
@@ -287,6 +292,166 @@ class TestTcpEquivalence:
             assert len(peer.received) >= 16
             fp = fingerprint(design, None, tracer)
             fp["peer_received"] = bytes(peer.received)
+            return fp
+
+        assert_equivalent(scenario)
+
+    # The three below put the TX engine to sleep (its quiescence
+    # contract, DESIGN.md 5c) and need every one of its wakes and
+    # timers to land on the always-stepped engine's cycle.  A lying
+    # ``is_idle`` inside an awake tile core is invisible to the
+    # sanitizer's BHV401, so these are its gate.
+
+    @staticmethod
+    def run_checked(design, done, max_cycles):
+        """``run_until(done)`` a cycle at a time, with both flat
+        cores' ``check_invariants()`` after each (``fast`` only; a
+        skipped cycle changed nothing and is not checked again)."""
+        sim, core = design.sim, design.tile_core
+        for _ in range(max_cycles):
+            if done():
+                return
+            stepped = sim.component_steps
+            sim.run(1)
+            if core is not None and sim.component_steps != stepped:
+                assert design.mesh.core.check_invariants(sim.cycle) == []
+                assert core.check_invariants() == []
+        raise TimeoutError(f"not done within {max_cycles} cycles")
+
+    @staticmethod
+    def tcp_fingerprint(design, tracer, peers, sent_at):
+        fp = fingerprint(design, None, tracer)
+        fp["tx_sends"] = sent_at
+        fp["flows"] = [vars(flow) for table in (design.flows.rx,
+                                                design.flows.tx)
+                       for flow in table.values()]
+        fp["engines"] = [
+            (design.tcp_tx.segments_out, design.tcp_tx.pure_acks_out,
+             design.tcp_tx.payload_bytes_out, design.tcp_rx.segments_in,
+             design.tcp_rx.out_of_order_drops)]
+        fp["peers"] = [(peer.segments_sent, peer.retransmits,
+                        peer.fast_retransmits, peer.bytes_acked,
+                        bytes(peer.received)) for peer in peers]
+        return fp
+
+    @staticmethod
+    def tap(design):
+        """Every egress frame with its emit cycle, and the cycle of
+        every ``send`` of the TX engine."""
+        egress, sent_at = [], []
+        frames_out = design.eth_tx.frames_out
+        design.eth_tx.frame_listeners.append(
+            lambda: egress.append(frames_out[-1]))
+        send = design.tcp_tx.send
+        design.tcp_tx.send = lambda message: (
+            sent_at.append(design.sim.cycle), send(message))
+        return egress, sent_at
+
+    def test_competing_flows_through_loss(self):
+        """perflab's ``tcp_loss_reno`` in small: four Reno clients
+        through 1% loss, every ACK and duplicate ACK requested over the
+        wires by an RX engine that steps before the TX engine."""
+        size = 24 * 1024
+
+        def scenario(profile):
+            design, peers = build_competing_flows(
+                cc="reno", n_flows=4, loss=0.01, stream_bytes=size,
+                rto_cycles=4_000, profile=profile)
+            tracer = attach_tracer(design, Tracer())
+            egress, sent_at = self.tap(design)
+            self.run_checked(
+                design, lambda: all(p.bytes_acked >= size for p in peers),
+                50_000)
+            assert design.fault_engine.counters["wire.drop"] == 4
+            assert [p.fast_retransmits for p in peers] == [1, 1, 1, 1]
+            fp = self.tcp_fingerprint(design, tracer, peers, sent_at)
+            fp["egress"] = egress
+            fp["fault_log"] = list(design.fault_engine.log)
+            return fp
+
+        assert_equivalent(scenario)
+
+    def test_server_as_sender_through_loss(self):
+        """The engine's own loss recovery after it has slept: the
+        sixth data segment never reaches the client, whose duplicate
+        ACKs bring one fast retransmit; the discarded segments behind
+        it then go back one per retransmission timeout (go-back-N, one
+        segment a timer), CUBIC collapsing the window each time."""
+        total = 16 * 1024
+
+        def scenario(profile):
+            design = TcpServerDesign(
+                tcp_port=5000, app_tile_cls=TcpSourceAppTile,
+                request_size=64, mss=1000, chunk_size=8192,
+                total_bytes=total, line_rate_bytes_per_cycle=None,
+                congestion_control="cubic", profile=profile)
+            design.tcp_tx.rto_cycles = 2_000
+            design.add_client(CLIENT_IP, CLIENT_MAC)
+            tracer = attach_tracer(design, Tracer())
+            network = PeerNetwork(design)
+            peer = SoftTcpPeer(design, CLIENT_IP, CLIENT_MAC,
+                               design.server_ip, 5000, service_cycles=2,
+                               window=60_000, wire_cycles=400)
+            network.register(peer)
+            design.sim.add_all([network, peer])
+            handle = peer._handle_frame
+            data_segments = []
+
+            def lose_the_sixth(frame, cycle):
+                if len(frame) > 100:
+                    data_segments.append(cycle)
+                    if len(data_segments) == 6:
+                        return
+                handle(frame, cycle)
+
+            peer._handle_frame = lose_the_sixth
+            egress, sent_at = self.tap(design)
+            peer.connect()
+            self.run_checked(design,
+                             lambda: len(peer.received) >= total, 60_000)
+            tx = design.flows.tx[0]
+            assert (tx.fast_retransmits, tx.retransmits) == (1, 11)
+            # It slept through every one of those timers.
+            gaps = [b - a for a, b in zip(sent_at, sent_at[1:])]
+            assert sum(gap > 1_000 for gap in gaps) >= 11
+            if profile == "fast":
+                assert design.sim.idle_cycles_skipped > 20_000
+            fp = self.tcp_fingerprint(design, tracer, [peer], sent_at)
+            fp["egress"] = egress
+            return fp
+
+        assert_equivalent(scenario)
+
+    def test_synack_retransmissions_fire_on_their_cycle(self):
+        """Nothing from the server reaches the client before cycle
+        12 000 (and the client's own RTO is far longer): only the
+        engine's timer brings the SYN-ACK back, every ``rto_cycles +
+        1`` cycles after the last one left."""
+        def scenario(profile):
+            design = TcpServerDesign(tcp_port=5000, request_size=16,
+                                     profile=profile)
+            design.tcp_tx.rto_cycles = 3_000
+            design.add_client(CLIENT_IP, CLIENT_MAC)
+            tracer = attach_tracer(design, Tracer())
+            network = PeerNetwork(design)
+            peer = SoftTcpPeer(design, CLIENT_IP, CLIENT_MAC,
+                               design.server_ip, 5000, wire_cycles=500)
+            network.register(peer)
+            design.sim.add_all([network, peer])
+            handle = peer._handle_frame
+            peer._handle_frame = lambda frame, cycle: (
+                handle(frame, cycle) if cycle >= 12_000 else None)
+            egress, sent_at = self.tap(design)
+            peer.connect()
+            peer.send(b"0123456789abcdef")
+            self.run_checked(design,
+                             lambda: len(peer.received) >= 16, 30_000)
+            first = sent_at[0]
+            assert sent_at[:5] == [first + 3_001 * k for k in range(5)]
+            assert design.flows.tx[0].retransmits == 4
+            assert peer.retransmits == 0 and peer.established
+            fp = self.tcp_fingerprint(design, tracer, [peer], sent_at)
+            fp["egress"] = egress
             return fp
 
         assert_equivalent(scenario)
@@ -594,6 +759,31 @@ class TestIdleSkipActuallyHappens:
         design.sim.run(6000)
         assert sink.count == 20
         assert design.sim.idle_cycles_skipped > 3000
+
+    @pytest.mark.parametrize("name", sorted(_shipped_designs()))
+    def test_every_shipped_design_sleeps_once_drained(self, name):
+        """No shipped design holds a component, or a tile inside its
+        core, that never reports idle (an ``on_cycle`` override
+        without a contract of its own did, until the TCP TX engine and
+        the controller tile got theirs): traffic in, traffic drained,
+        and nothing is due again — no bit busy, no timer armed."""
+        design = _shipped_designs()[name]()
+        if hasattr(design, "tcp_port"):
+            design.add_client(CLIENT_IP, CLIENT_MAC)
+            actions = scripted_session(design, gap=250)
+        else:
+            actions = default_traffic(design, 2_000)
+        play(design, actions)
+        design.sim.run(4_000)
+        assert sum(tile.messages_in for tile in design.tile_core.tiles)
+        for component in design.sim.components:
+            assert design.sim.wake_cycle(component) is None, component
+        for view in design.tile_core.views():
+            assert view.tile.is_idle(), view
+            assert not view.busy and view.armed_deadline is None, view
+        skipped = design.sim.idle_cycles_skipped
+        design.sim.run(1_000)
+        assert design.sim.idle_cycles_skipped == skipped + 1_000
 
     def test_naive_kernel_never_skips(self):
         design = UdpEchoDesign(udp_port=7, profile="reference")

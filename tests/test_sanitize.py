@@ -55,10 +55,30 @@ class TestCleanDesigns:
         assert report.findings == [], report.render()
 
     def test_tcp_server_sanitizes_clean(self):
+        """Over real segments — handshake, a request the app echoes,
+        three duplicate ACKs, the covering ACK — so every pass runs
+        over a tile core whose TX engine goes to sleep and is woken by
+        each of the RX engine's wires (``default_traffic`` finds no
+        ``udp_port`` here and would send garbage ``eth_rx`` drops)."""
         from repro.designs import TcpServerDesign
+        from tests.test_tcp import CLIENT_IP, CLIENT_MAC, scripted_session
+        designs = []
+
+        def traffic(design, cycles):
+            designs.append(design)
+            return [(0, lambda: design.add_client(CLIENT_IP, CLIENT_MAC)),
+                    *scripted_session(design, gap=250)]
+
         report = analyze_dynamic(TcpServerDesign, name="tcp_server",
-                                 cycles=600)
+                                 cycles=2_200, traffic=traffic)
         assert report.findings == [], report.render()
+        assert sorted(report.passes_run) == sorted(
+            f"sanitize:{p}" for p in SANITIZE_PASSES)
+        for design in designs:
+            tx = design.flows.tx[0]
+            assert design.tcp_tx.segments_out == 4
+            assert (tx.fast_retransmits, tx.tx_written) == (1, 64)
+            assert design.tcp_tx.is_idle()
 
 
 class TestBrokenWake:

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.designs.tcp_stack import TcpServerDesign
 from repro.packet import IPv4Address, MacAddress
+from repro.packet.builder import build_tcp_frame
+from repro.packet.tcp import TCP_ACK, TCP_PSH, TCP_SYN, TcpHeader
 from repro.tcp.flow import (
     FlowTable,
     TcpState,
@@ -378,3 +380,128 @@ class TestSourceApp:
         design.sim.run_until(lambda: len(peer.received) >= total,
                              max_cycles=2_000_000)
         assert len(peer.received) == total
+
+
+def scripted_session(design, gap, start=10):
+    """``(cycle, action)`` pairs: a client driven by hand, one frame
+    every ``gap`` cycles, so the TX engine is asleep before each one.
+    SYN (the ``request_synack`` wire), the ACK that completes the
+    handshake, one request (``request_ack``; the echo app's
+    ``TxReady`` then makes the engine send as many bytes back), three
+    duplicate ACKs for those (``fast_retransmit`` on the third), and
+    the ACK that covers them (``on_ack_advance``).  The server's ISS is
+    read when a frame is due, so the schedule fits any echo design."""
+    size = design.app.request_size
+
+    def segment(flags, seq, acked=0, payload=b""):
+        def inject(at):
+            ack = seq_add(design.flows.tx[0].iss, acked) if acked else 0
+            header = TcpHeader(src_port=40_000, dst_port=design.tcp_port,
+                               seq=seq, ack=ack, flags=flags,
+                               window=65535)
+            design.inject(build_tcp_frame(
+                CLIENT_MAC, design.server_mac, CLIENT_IP,
+                design.server_ip, header, payload), at)
+        return inject
+
+    frames = [
+        segment(TCP_SYN, 7000),
+        segment(TCP_ACK, 7001, acked=1),
+        segment(TCP_ACK | TCP_PSH, 7001, acked=1, payload=bytes(size)),
+        segment(TCP_ACK, 7001 + size, acked=1),
+        segment(TCP_ACK, 7001 + size, acked=1),
+        segment(TCP_ACK, 7001 + size, acked=1),
+        segment(TCP_ACK, 7001 + size, acked=1 + size),
+    ]
+    return [(at, lambda inject=inject, at=at: inject(at))
+            for at, inject in zip(range(start, start + gap * len(frames),
+                                        gap), frames)]
+
+
+def play(design, actions):
+    """Run ``design`` through ``(cycle, action)`` pairs, each action
+    called between ticks once its cycle has come."""
+    for at, action in sorted(actions, key=lambda pair: pair[0]):
+        design.sim.run(at - design.sim.cycle)
+        action()
+
+
+class TestTxEngineSleeps:
+    """The TX engine's quiescence contract (DESIGN.md 5c): stepped on
+    a wire from the RX engine, a message from the app or one of its
+    own timers, and on no other cycle."""
+
+    WIRES = ("request_synack", "request_ack", "fast_retransmit",
+             "on_ack_advance")
+    GAP = 1_000
+
+    def logged(self, profile):
+        """A design whose TX engine logs the cycle of every wire
+        call, every ``send`` and every ``step``."""
+        design = make_design(profile=profile)
+        engine = design.tcp_tx
+        log = {name: [] for name in (*self.WIRES, "send", "step")}
+        for name, cycles in log.items():
+            def logged(*args, inner=getattr(engine, name), cycles=cycles):
+                cycles.append(design.sim.cycle)
+                return inner(*args)
+            setattr(engine, name, logged)
+        return design, log
+
+    def drive(self, profile):
+        """The whole scripted session, and a quiet tail."""
+        design, log = self.logged(profile)
+        play(design, scripted_session(design, self.GAP))
+        design.sim.run(self.GAP)
+        return design, log
+
+    def test_every_wire_and_the_app_rouse_it_on_the_right_cycle(self):
+        design, fast = self.drive("fast")
+        _, reference = self.drive("reference")
+        tx = design.flows.tx[0]
+        assert tx.fast_retransmits == 1 and tx.retransmits == 0
+        assert seq_diff(design.flows.rx[0].snd_una, tx.iss) == 17
+        # Every wire fired, and the engine was stepped in that very
+        # cycle: the RX engine sits before it in the step order.
+        for wire in self.WIRES:
+            assert fast[wire] and set(fast[wire]) <= set(fast["step"])
+        # SYN-ACK, ACK, the grant to the app, the echo (after the
+        # app's TxReady), the fast retransmission: each leaves in the
+        # cycle the always-stepped engine of ``reference`` sends it.
+        assert len(fast["send"]) == 5
+        for name in (*self.WIRES, "send"):
+            assert fast[name] == reference[name], name
+        # ... having been stepped a few dozen times, not 8 000.
+        assert len(reference["step"]) == design.sim.cycle
+        assert len(fast["step"]) < 40
+
+    def test_an_established_idle_engine_is_not_stepped(self):
+        design, log = self.drive("fast")
+        sim = design.sim
+        view = design.tile_core.view("tcp_tx")
+        assert view.mode == "object"    # it overrides on_cycle
+        assert not view.busy and view.armed_deadline is None
+        assert design.tcp_tx.is_idle()
+        assert design.tcp_tx.next_event_cycle() is None
+        quiet_from = sim.cycle
+        skipped = sim.idle_cycles_skipped
+        sim.run(5_000)
+        assert log["step"][-1] < quiet_from
+        assert sim.idle_cycles_skipped == skipped + 5_000
+
+    def test_a_sleeping_engine_keeps_its_retransmission_timer(self):
+        """Bytes in flight and nothing arriving: the only thing that
+        can bring the engine back is the timer it armed, one cycle
+        past ``last_tx_cycle + rto_cycles``."""
+        design, log = self.logged("fast")
+        design.tcp_tx.rto_cycles = 3_000
+        play(design, scripted_session(design, 400)[:3])
+        design.sim.run(400)
+        sent = log["send"]
+        echoed_at = sent[-1]
+        view = design.tile_core.view("tcp_tx")
+        assert not view.busy
+        assert view.armed_deadline == echoed_at + 3_001
+        design.sim.run(7_000)
+        assert sent[-2:] == [echoed_at + 3_001, echoed_at + 6_002]
+        assert design.flows.tx[0].retransmits == 2

@@ -131,7 +131,7 @@ class TestLossResponse:
         tx, rx = flow_state(design)
         opened = tx.cwnd
         assert opened > 4 * MSS
-        design.tcp_tx.fast_retransmit(rx.flow_id)
+        design.tcp_tx.fast_retransmit(rx.flow_id, design.sim.cycle)
         assert tx.cwnd < opened
         assert tx.cwnd == tx.ssthresh
 

@@ -84,6 +84,32 @@ class TestReplay:
         replayer = TraceReplayer(design, [])
         assert replayer.done
 
+    def test_replayer_sleeps_between_events(self):
+        """The replayer's quiescence contract: stepped the cycle before
+        each event is due (it injects one cycle ahead) and never again
+        once done, so a replayed design skips its idle cycles — with
+        the frames out on the cycles the recorded run emitted them."""
+        original = make_design()
+        recorder = FrameTraceRecorder(original)
+        recorder.attach()
+        offsets = (0, 3_000, 3_001, 9_000)
+        for index, offset in enumerate(offsets):
+            original.inject(frame(original, bytes([index]) * 32), offset)
+        original_out = self.run_and_capture(original, 4)
+
+        design = make_design()
+        replayer = TraceReplayer(design, recorder.events)
+        design.sim.add(replayer)
+        stepped = []
+        step = replayer.step
+        replayer.step = lambda cycle: (stepped.append(cycle), step(cycle))
+        assert self.run_and_capture(design, 4) == original_out
+        assert stepped == [0, 2_999, 3_000, 8_999]
+        assert replayer.done and replayer.replayed == 4
+        assert replayer.next_event_cycle() is None
+        assert design.sim.wake_cycle(replayer) is None
+        assert design.sim.idle_cycles_skipped > 8_000
+
 
 class TestDesignStats:
     def test_counters_and_report(self):
