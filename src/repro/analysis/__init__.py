@@ -20,6 +20,10 @@ wakeups, flit conservation, determinism) through the same finding
 pipeline — see :func:`repro.analysis.sanitize.analyze_dynamic` and
 ``python -m repro.tools.lint --sanitize``.
 
+A name is imported from its submodule when first asked for
+(:mod:`repro._exports`): a design's build-time deadlock check loads
+``repro.analysis.deadlock`` and none of the other passes.
+
 Entry points::
 
     from repro.analysis import analyze
@@ -31,59 +35,59 @@ or, from a shell::
     python -m repro.tools.lint udp_echo --json
 """
 
-from __future__ import annotations
+from typing import TYPE_CHECKING
 
-from collections.abc import Iterable
+from repro._exports import lazy_exports
 
-from repro.analysis import dataflow as _dataflow_pass
-from repro.analysis import deadlock as _deadlock_pass
-from repro.analysis import structural as _structural_pass
-from repro.analysis import wake as _wake_pass
-from repro.analysis.deadlock import (
-    DeadlockError,
-    analyze_chains,
-    assert_deadlock_free,
-    build_dependency_graph,
-    chain_link_sequence,
-    derive_streaming_chains,
-    witness_cycles,
-)
-from repro.analysis.findings import (
-    CODES,
-    ERROR,
-    INFO,
-    WARNING,
-    AnalysisReport,
-    Finding,
-)
-from repro.analysis.model import DesignModel, extract
-from repro.analysis.sanitize import SANITIZE_PASSES, analyze_dynamic
-from repro.analysis.structural import lint_spec
+if TYPE_CHECKING:
+    from repro.analysis.deadlock import (
+        DeadlockError,
+        analyze_chains,
+        assert_deadlock_free,
+        build_dependency_graph,
+        chain_link_sequence,
+        chains_through,
+        derive_streaming_chains,
+        witness_cycles,
+    )
+    from repro.analysis.findings import (
+        CODES,
+        ERROR,
+        INFO,
+        WARNING,
+        AnalysisReport,
+        Finding,
+    )
+    from repro.analysis.model import DesignModel, extract
+    from repro.analysis.passes import PASSES, analyze
+    from repro.analysis.sanitize import SANITIZE_PASSES, analyze_dynamic
+    from repro.analysis.structural import lint_spec
 
-#: name -> pass callable (design-like -> list[Finding]), in run order.
-PASSES = {
-    "structural": _structural_pass.run,
-    "deadlock": _deadlock_pass.run,
-    "wake-contract": _wake_pass.run,
-    "dataflow": _dataflow_pass.run,
+#: exported name -> the submodule that defines it.
+_EXPORTS = {
+    "DeadlockError": "deadlock",
+    "analyze_chains": "deadlock",
+    "assert_deadlock_free": "deadlock",
+    "build_dependency_graph": "deadlock",
+    "chain_link_sequence": "deadlock",
+    "chains_through": "deadlock",
+    "derive_streaming_chains": "deadlock",
+    "witness_cycles": "deadlock",
+    "CODES": "findings",
+    "ERROR": "findings",
+    "INFO": "findings",
+    "WARNING": "findings",
+    "AnalysisReport": "findings",
+    "Finding": "findings",
+    "DesignModel": "model",
+    "extract": "model",
+    "PASSES": "passes",
+    "analyze": "passes",
+    "SANITIZE_PASSES": "sanitize",
+    "analyze_dynamic": "sanitize",
+    "lint_spec": "structural",
 }
-
-
-def analyze(design: object, *, name: str | None = None,
-            passes: Iterable[str] | None = None) -> AnalysisReport:
-    """Run the requested passes (default: all) over ``design``."""
-    model = extract(design, name=name)
-    selected = list(PASSES) if passes is None else list(passes)
-    unknown = [p for p in selected if p not in PASSES]
-    if unknown:
-        raise KeyError(f"unknown pass(es) {unknown}; "
-                       f"available: {sorted(PASSES)}")
-    report = AnalysisReport(target=model.name)
-    for pass_name in selected:
-        report.extend(PASSES[pass_name](model))
-        report.passes_run.append(pass_name)
-    return report
-
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "CODES",
@@ -102,6 +106,7 @@ __all__ = [
     "assert_deadlock_free",
     "build_dependency_graph",
     "chain_link_sequence",
+    "chains_through",
     "derive_streaming_chains",
     "extract",
     "lint_spec",

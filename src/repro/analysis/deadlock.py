@@ -29,14 +29,15 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-import networkx as nx
-
 from repro.analysis.findings import Finding
 from repro.analysis.model import DesignModel, extract
 from repro.noc.routing import Port, route_path, xy_route
 
 Coord = tuple
 Resource = tuple  # ((x, y), Port)
+#: held -> wanted -> names of the chains that wait that way; insertion
+#: ordered, and every resource is a key (one nothing waits on maps to {}).
+Graph = dict[Resource, dict[Resource, set[str]]]
 #: (here, dst) -> next output port.
 RouteFn = Callable[[tuple[int, int], tuple[int, int]], Port]
 
@@ -83,62 +84,121 @@ def chain_link_sequence(chain: list[str],
     return links
 
 
+def _add_edge(graph: Graph, held: Resource, wanted: Resource,
+              chain_name: str) -> None:
+    graph.setdefault(held, {}).setdefault(wanted, set()).add(chain_name)
+    graph.setdefault(wanted, {})
+
+
+def _add_chain(graph: Graph, chain: list[str], coords: dict[str, Coord],
+               route_fn: RouteFn) -> None:
+    """Add one chain's dependency edges; raises before touching
+    ``graph`` if the chain names an unknown tile or stays on one."""
+    name = "->".join(chain)
+    sequence = chain_link_sequence(chain, coords, route_fn)
+    for held, wanted in zip(sequence, sequence[1:]):
+        if held != wanted:
+            _add_edge(graph, held, wanted, name)
+    # A repeated resource inside one chain is an immediate self-wait.
+    seen: set[Resource] = set()
+    for resource in sequence:
+        if resource in seen and resource[1] != Port.LOCAL:
+            _add_edge(graph, resource, resource, name)
+        seen.add(resource)
+
+
 def build_dependency_graph(chains: list[list[str]],
                            coords: dict[str, Coord],
-                           route_fn: RouteFn = xy_route) -> nx.DiGraph:
-    """Union of every chain's consecutive-resource dependency edges."""
-    graph = nx.DiGraph()
+                           route_fn: RouteFn = xy_route) -> Graph:
+    """Union of every chain's consecutive-resource dependency edges.
+
+    A dict of dicts: ``graph[held][wanted]`` is the set of chain names
+    that hold ``held`` while waiting for ``wanted``.  Resources enter
+    it in the order the chains acquire them (held, then wanted).
+    """
+    graph: Graph = {}
     for chain in chains:
-        name = "->".join(chain)
-        sequence = chain_link_sequence(chain, coords, route_fn)
-        for held, wanted in zip(sequence, sequence[1:]):
-            if held == wanted:
-                continue
-            if graph.has_edge(held, wanted):
-                graph[held][wanted]["chains"].add(name)
-            else:
-                graph.add_edge(held, wanted, chains={name})
-        # A repeated resource inside one chain is an immediate self-wait.
-        seen: dict[Resource, int] = {}
-        for position, resource in enumerate(sequence):
-            if resource in seen and resource[1] != Port.LOCAL:
-                graph.add_edge(resource, resource, chains={name})
-            seen[resource] = position
+        _add_chain(graph, chain, coords, route_fn)
     return graph
 
 
-def witness_cycles(graph: nx.DiGraph) -> list[list[Resource]]:
-    """One witness cycle per independent cyclic region of the graph.
+def _strong_components(graph: Graph) -> list[set[Resource]]:
+    """Tarjan's strongly connected components, without recursion: the
+    chains of a 32x32 design are thousands of links long."""
+    index: dict[Resource, int] = {}
+    low: dict[Resource, int] = {}
+    stack: list[Resource] = []
+    on_stack: set[Resource] = set()
+    components: list[set[Resource]] = []
+    for root in graph:
+        if root in index:
+            continue
+        work = [(root, iter(graph[root]))]
+        while work:
+            node, successors = work[-1]
+            if node not in index:
+                index[node] = low[node] = len(index)
+                stack.append(node)
+                on_stack.add(node)
+            for successor in successors:
+                if successor not in index:
+                    work.append((successor, iter(graph[successor])))
+                    break
+                if successor in on_stack:
+                    low[node] = min(low[node], index[successor])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component: set[Resource] = set()
+                    while node not in component:
+                        component.add(stack.pop())
+                    on_stack -= component
+                    components.append(component)
+    return components
+
+
+def witness_cycles(graph: Graph) -> list[list[Resource]]:
+    """One witness cycle per independent cyclic region of the graph
+    (the dict of dicts :func:`build_dependency_graph` returns).
+
+    A region's witness starts at its earliest-inserted resource and
+    follows each resource's earliest-inserted successor inside the
+    region until one repeats, so it does not depend on the hash seed.
 
     LOCAL ejection ports are consumed by tiles (which always drain
     eventually in a correct design), so a cycle must involve at least
     one mesh link to count as a true NoC deadlock.
     """
     cycles: list[list[Resource]] = []
-    for scc in nx.strongly_connected_components(graph):
-        if len(scc) == 1:
-            node = next(iter(scc))
-            if not graph.has_edge(node, node):
-                continue
-        try:
-            edges = nx.find_cycle(graph.subgraph(scc),
-                                  orientation="original")
-        except nx.NetworkXNoCycle:  # pragma: no cover - SCC has a cycle
+    inserted = {node: rank for rank, node in enumerate(graph)}
+    for component in _strong_components(graph):
+        node = min(component, key=inserted.__getitem__)
+        if len(component) == 1 and node not in graph[node]:
             continue
-        cycle = [edge[0] for edge in edges]
+        walk: dict[Resource, int] = {}
+        while node not in walk:
+            walk[node] = len(walk)
+            node = next(n for n in graph[node] if n in component)
+        cycle = list(walk)[walk[node]:]
         if all(resource[1] == Port.LOCAL for resource in cycle):
             continue
         cycles.append(cycle)
     return cycles
 
 
-def chains_through(graph: nx.DiGraph, cycle: list[Resource]) -> list[str]:
-    """The chain names contributing edges inside the cycle's region."""
+def chains_through(graph: Graph, cycle: list[Resource]) -> list[str]:
+    """The chain names, sorted, on the edges of ``graph`` (the dict of
+    dicts :func:`build_dependency_graph` returns) between two resources
+    of ``cycle``."""
     involved: set[str] = set()
     cycle_set = set(cycle)
-    for held, wanted, data in graph.edges(data=True):
-        if held in cycle_set and wanted in cycle_set:
-            involved.update(data["chains"])
+    for held in cycle_set:
+        for wanted, names in graph[held].items():
+            if wanted in cycle_set:
+                involved.update(names)
     return sorted(involved)
 
 
@@ -160,11 +220,6 @@ def assert_deadlock_free(chains: list[list[str]],
     if not cycles:
         return
     raise DeadlockError(cycles[0], chains_through(graph, cycles[0]))
-
-
-def analyze_design(design: object) -> None:
-    """Convenience: check a built design exposing .chains/.tile_coords."""
-    assert_deadlock_free(design.chains, design.tile_coords)
 
 
 # -- chain derivation from the instantiated routing state ---------------------
@@ -319,26 +374,19 @@ def run(design: object) -> list[Finding]:
             seen.add(key)
             all_chains.append(chain)
 
-    graph = nx.DiGraph()
+    graph: Graph = {}
     route_fn = model.route_fn
     for chain in all_chains:
         if _drains_at_boundary(chain, model):
             continue  # cannot sustain a wait; see _drains_at_boundary
         try:
-            sub = build_dependency_graph([chain], model.coords, route_fn)
+            _add_chain(graph, chain, model.coords, route_fn)
         except KeyError as error:
             findings.append(Finding(
                 "BHV121", str(error), location=" -> ".join(chain)))
-            continue
         except ValueError as error:
             findings.append(Finding(
                 "BHV205", str(error), location=" -> ".join(chain)))
-            continue
-        for held, wanted, data in sub.edges(data=True):
-            if graph.has_edge(held, wanted):
-                graph[held][wanted]["chains"].update(data["chains"])
-            else:
-                graph.add_edge(held, wanted, chains=set(data["chains"]))
 
     for cycle in witness_cycles(graph):
         links = " -> ".join(f"{coord}:{port.value}"

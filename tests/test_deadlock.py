@@ -1,15 +1,24 @@
 """Tests for the static deadlock analysis and its runtime counterpart."""
 
-import pytest
+import json
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.analysis import analyze
 from repro.analysis.deadlock import (
     DeadlockError,
     analyze_chains,
     assert_deadlock_free,
+    build_dependency_graph,
     chain_link_sequence,
+    witness_cycles,
 )
-from repro.analysis.demo import build_fig5_layout
+from repro.analysis.deadlock import _strong_components as strong_components
+from repro.analysis.demo import Fig5Design, build_fig5_layout
 from repro.noc import NocMessage, Port
+from tests.test_import_graph import run_python
 
 
 class TestChainLinkSequence:
@@ -124,3 +133,135 @@ class TestRuntimeDeadlock:
             _, _, _, chain, coords = build_fig5_layout(variant)
             static = analyze_chains([chain], coords) is not None
             assert static == expect_deadlock
+
+
+# -- the dict graph against networkx -----------------------------------------
+
+PORTS = (Port.LOCAL, Port.EAST)
+
+
+@st.composite
+def digraphs(draw):
+    """A dependency graph of at most 12 resources in the shape
+    ``build_dependency_graph`` returns, self-loops included.  Half the
+    resources are LOCAL ports, so LOCAL-only cycles do come up."""
+    size = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(size)))
+    nodes = [((rank, 0), PORTS[rank % 2]) for rank in order]
+    edges = draw(st.lists(st.tuples(st.sampled_from(nodes),
+                                    st.sampled_from(nodes)),
+                          max_size=3 * size))
+    graph = {node: {} for node in nodes}
+    for held, wanted in edges:
+        graph[held].setdefault(wanted, set()).add("chain")
+    return graph
+
+
+class TestAgainstNetworkx:
+    """The in-house SCC and witness code replaced three networkx
+    calls; networkx (a dev dependency only) stays the reference."""
+
+    @given(graph=digraphs())
+    def test_same_partition_and_sound_witnesses(self, graph):
+        nx = pytest.importorskip("networkx")
+        reference = nx.DiGraph()
+        reference.add_nodes_from(graph)
+        reference.add_edges_from((held, wanted) for held in graph
+                                 for wanted in graph[held])
+        components = strong_components(graph)
+        assert sorted(map(sorted, components)) == sorted(
+            map(sorted, nx.strongly_connected_components(reference)))
+
+        cycles = witness_cycles(graph)
+        regions = []
+        for cycle in cycles:
+            # A closed walk over real edges, inside one component.
+            for held, wanted in zip(cycle, cycle[1:] + cycle[:1]):
+                assert wanted in graph[held]
+            assert len(set(cycle)) == len(cycle)
+            assert any(port != Port.LOCAL for _, port in cycle)
+            region = next(c for c in components if cycle[0] in c)
+            assert set(cycle) <= region
+            regions.append(region)
+        # One witness per region.  A region goes without only when it
+        # has no cycle (a lone resource that does not wait on itself)
+        # or its witness was a cycle of LOCAL ports.
+        assert len({id(region) for region in regions}) == len(regions)
+        for region in components:
+            if any(region is reported for reported in regions):
+                continue
+            if reference.subgraph(region).number_of_edges() == 0:
+                assert len(region) == 1
+                continue
+            local = [n for n in region if n[1] == Port.LOCAL]
+            assert not nx.is_directed_acyclic_graph(
+                reference.subgraph(local))
+
+    def test_a_long_chain_needs_no_recursion(self):
+        coords = {f"t{i}": (i % 64, i // 64) for i in range(4096)}
+        chain = [f"t{i}" for i in range(4096)]
+        graph = build_dependency_graph([chain], coords)
+        assert len(strong_components(graph)) == len(graph) > 8000
+        assert witness_cycles(graph) == []
+
+
+# -- the witness is a definition, not an accident of hashing -----------------
+
+FIG5A_MESSAGE = (
+    "resource cycle [(1, 0):east -> (2, 0):local -> (2, 0):west -> "
+    "(1, 0):local -> (1, 0):east] "
+    "(chains: eth->ip->udp->app, ip->udp->app)")
+FIG5A_DATA = {
+    "cycle": [[[1, 0], "east"], [[2, 0], "local"],
+              [[2, 0], "west"], [[1, 0], "local"]],
+    "chains": ["eth->ip->udp->app", "ip->udp->app"],
+}
+FIG5A_ERROR = (
+    "message-level deadlock: resource cycle [(1, 0):east -> "
+    "(2, 0):local -> (2, 0):west -> (1, 0):local] "
+    "(chains: eth->ip->udp->app); "
+    "re-place the tiles so each chain acquires links in order")
+
+#: The cyclic region (b <-> c) is less than half of the graph, the case
+#: in which networkx walked a ``set`` of ``(coord, Port)`` and the
+#: witness came out in a rotation that depended on PYTHONHASHSEED.
+SMALL_REGION = """
+from repro.analysis.deadlock import build_dependency_graph, witness_cycles
+coords = {name: (x, 0) for x, name in enumerate("abcdef")}
+coords.update(g=(0, 1), h=(5, 1))
+chains = [["g", "a", "f", "h"], ["b", "c", "b", "c"]]
+for cycle in witness_cycles(build_dependency_graph(chains, coords)):
+    print([(coord, port.value) for coord, port in cycle])
+"""
+
+
+class TestWitnessIsPinned:
+    def test_fig5a_texts_are_those_of_the_networkx_analyzer(self):
+        """Recorded at d425d27, the last commit on networkx."""
+        [finding] = [f for f in analyze(Fig5Design("a"),
+                                        name="fig5a").findings
+                     if f.code == "BHV201"]
+        assert finding.message == FIG5A_MESSAGE
+        assert finding.data == FIG5A_DATA
+        _, _, _, chain, coords = build_fig5_layout("a")
+        with pytest.raises(DeadlockError) as excinfo:
+            assert_deadlock_free([chain], coords)
+        assert str(excinfo.value) == FIG5A_ERROR
+
+    def test_same_witness_under_every_hash_seed(self):
+        outputs = {run_python(SMALL_REGION, hash_seed=seed)
+                   for seed in ("0", "1", "2")}
+        assert outputs == {
+            "[((1, 0), 'east'), ((2, 0), 'local'), "
+            "((2, 0), 'west'), ((1, 0), 'local')]\n"}
+
+    def test_lint_json_is_byte_identical_under_every_hash_seed(self):
+        lint = ("import sys; from repro.tools.lint import main; "
+                "assert main(['fig5a', '--json']) == 1")
+        outputs = {run_python(lint, hash_seed=seed)
+                   for seed in ("0", "1", "2")}
+        assert len(outputs) == 1
+        [finding] = [f for f in json.loads(outputs.pop())["findings"]
+                     if f["code"] == "BHV201"]
+        assert finding["message"] == FIG5A_MESSAGE
+        assert finding["data"] == FIG5A_DATA

@@ -112,9 +112,10 @@ def assert_equivalent(scenario):
 
 #: Every shipped design class, and the one the XML tooling builds.
 DESIGNS = {
-    name: cls for name, cls in vars(repro.designs).items()
-    if name in repro.designs.__all__ and isinstance(cls, type)
-    and issubclass(cls, Design)
+    name: cls
+    for name in repro.designs.__all__
+    for cls in [getattr(repro.designs, name)]
+    if isinstance(cls, type) and issubclass(cls, Design)
 }
 DESIGNS["GeneratedDesign"] = lambda **kwargs: GeneratedDesign(
     design_from_xml(UDP_ECHO_XML), **kwargs)
