@@ -14,9 +14,10 @@ a saturated mesh is then a cascade of method calls and attribute loads.
   staged: what a router may see of a ring this cycle is decided by two
   per-ring *cycle stamps* (below), so each moved flit is touched once
   and the core has no ``commit`` at all;
-- routing decisions come from a lazily built per-router
-  ``dst -> out_port`` table instead of a route-function call per head
-  flit per cycle;
+- a routing decision is one ``route_fn`` call per (router, in-mesh
+  destination), made when a head flit first needs it and kept in that
+  router's memo: nothing is built per router, and a corrupted ``dst``
+  off the mesh is routed afresh every time, so it cannot grow the memo;
 - wormhole grants, round-robin pointers and pending-head requests
   are flat integer lists indexed by output,
   ``ofid = router_index * 5 + out_port_index``;
@@ -341,10 +342,10 @@ class FlatMeshCore(Wakeable):
             if y + 1 < height:
                 self._down[base + _SOUTH] = (r + width) * _N_PORTS + _NORTH
         self._ejects: list[StagedFifo | None] = [None] * n
-        # Lazily built per-router routing tables: rt[r][dst_index] is
-        # the output port index for a head flit at router r bound for
-        # dst_index = dst_y * width + dst_x.
-        self._route_rows: list[list[int] | None] = [None] * n
+        # Routes taken so far: _route_rows[r][dst_y * width + dst_x] is
+        # the output port index for a head flit at router r, filed by
+        # the first head that asked (None until a router routes one).
+        self._route_rows: list[dict[int, int] | None] = [None] * n
         # Flits in all router inputs, sum(len(ring)), for is_idle.
         self._ring_total = 0
         # Bit i set iff port i (attachment order) may have injection
@@ -358,7 +359,7 @@ class FlatMeshCore(Wakeable):
         # the hot loops never re-derive the wiring.
         self._inj: list[tuple[LocalPort, int, StagedFifo]] = []
         # Router-internal fault state: routers currently misrouting
-        # (their _route_rows entry holds the *deflected* table), and
+        # (their _route_rows entry holds *deflected* routes), and
         # the set of stuck ofids (None when no stuck-grant window is
         # open, keeping the hot path one test).
         self._misrouted: set[int] = set()
@@ -408,24 +409,14 @@ class FlatMeshCore(Wakeable):
 
         port._kernel_wake = hook
 
-    def _route_row(self, r: int) -> list[int]:
-        """Build (once) the dst -> out-port table for router ``r``."""
-        width = self.width
-        route_fn = self.route_fn
-        here = self.coords[r]
-        row = [0] * (width * self.height)
-        d = 0
-        for y in range(self.height):
-            for x in range(width):
-                row[d] = _ALL_PORTS.index(route_fn(here, (x, y)))
-                d += 1
+    def _route(self, r: int, dst) -> int:
+        """Output port index for a head at router ``r`` bound for
+        ``dst``, deflected while ``r`` is in a misroute-one-hop window
+        (so the window is baked into what ``_resolve_heads`` memoises)."""
+        want = _ALL_PORTS.index(self.route_fn(self.coords[r], dst))
         if r in self._misrouted:
-            # Misroute-one-hop window: bake the deflection into the
-            # table so the hot loop pays nothing extra.
-            mask = self._fault_connected_mask(r)
-            row = [misroute_index(p, mask) for p in row]
-        self._route_rows[r] = row
-        return row
+            want = misroute_index(want, self._fault_connected_mask(r))
+        return want
 
     # -- router-internal faults (see repro.faults) ------------------------
 
@@ -448,11 +439,11 @@ class FlatMeshCore(Wakeable):
             if r not in self._misrouted:
                 return
             self._misrouted.discard(r)
-        # Rebuild the routing table lazily and send routed-but-
-        # ungranted heads back for resolution: decisions made before
-        # the toggle stand (a locked input already claimed its output),
-        # decisions not yet made use the new table — the same boundary
-        # the object backend gets from swapping route_fn between steps.
+        # Forget this router's routes and send routed-but-ungranted
+        # heads back for resolution: decisions made before the toggle
+        # stand (a locked input already claimed its output), decisions
+        # not yet made use the new table — the same boundary the object
+        # backend gets from swapping route_fn between steps.
         self._route_rows[r] = None
         base = r * _N_PORTS
         req = self._req
@@ -539,14 +530,13 @@ class FlatMeshCore(Wakeable):
             if 0 <= dx < width and 0 <= dy < height:
                 row = route_rows[r]
                 if row is None:
-                    row = self._route_row(r)
-                want = row[dy * width + dx]
+                    row = route_rows[r] = {}
+                want = row.get(dy * width + dx)
+                if want is None:
+                    want = row[dy * width + dx] = self._route(r, dst)
             else:
-                want = _ALL_PORTS.index(
-                    self.route_fn(self.coords[r], dst))
-                if r in self._misrouted:
-                    want = misroute_index(
-                        want, self._fault_connected_mask(r))
+                # Off the mesh (a corrupted header): never memoised.
+                want = self._route(r, dst)
             req[fid] = want
             ofid = fid - i + want
             if not rq[ofid] and grant[ofid] < 0:
@@ -863,6 +853,15 @@ class FlatMeshCore(Wakeable):
                     problems.append(
                         f"output {ofid} requested by input {fid} "
                         f"(occupied={bool(rings[fid])}, _req={req[fid]})")
+        # A memoised route that outlived its table (a deflected one past
+        # its misroute window, a clean one into it) misroutes for good.
+        for r, row in enumerate(self._route_rows):
+            for d, want in (row or {}).items():
+                dst = (d % self.width, d // self.width)
+                now = self._route(r, dst)
+                if want != now:
+                    problems.append(f"router {self.coords[r]} memoises output "
+                                    f"{want} for {dst}, not {now}")
         problems.extend(self._check_table())
         return problems
 

@@ -126,6 +126,7 @@ class SoftTcpPeer(Wakeable):
         self.fast_retransmits = 0
 
         self.iss = iss
+        self._data_seq = seq_add(iss, 1)  # of the first stream byte
         self.snd_nxt = iss
         self.snd_una = iss
         self.rcv_nxt = 0
@@ -167,7 +168,7 @@ class SoftTcpPeer(Wakeable):
 
     @property
     def bytes_acked(self) -> int:
-        return seq_diff(self.snd_una, seq_add(self.iss, 1))
+        return seq_diff(self.snd_una, self._data_seq)
 
     def _roll_back(self) -> None:
         """Go-back-N on a detected loss: the server discards
@@ -239,7 +240,7 @@ class SoftTcpPeer(Wakeable):
             return
         tcp = parsed.tcp
         if tcp.flag(TCP_SYN) and tcp.flag(TCP_ACK):
-            if tcp.ack == seq_add(self.iss, 1):
+            if tcp.ack == self._data_seq:
                 self.rcv_nxt = seq_add(tcp.seq, 1)
                 self.snd_una = tcp.ack
                 self.snd_nxt = tcp.ack

@@ -274,6 +274,7 @@ def _scenario(backend, kernel, size, attach, script, cycles,
                        for coord, router in mesh.routers.items()
                        for port, fifo in router.inputs.items()},
         "idle": mesh.core.is_idle() if backend == "flat" else None,
+        "mesh": mesh,
     }
 
 
@@ -346,6 +347,28 @@ class TestOutputCentricStateMachine:
         # The head reached the edge router and stopped there.
         assert _crossings(run, (0, 0), "east")
         assert not _crossings(run, (1, 0), "east")
+
+    @pytest.mark.parametrize("window", [False, True])
+    def test_off_mesh_destination_routes_as_an_in_mesh_one(self, kernel,
+                                                           window):
+        """A destination past the east edge takes the route (and, in a
+        misroute window at (1, 0), the deflection) an in-mesh one takes
+        — but by a direct call at every hop: it is never memoised."""
+        def send(mesh, ports):
+            mesh.routers[(1, 0)].fault_misroute(window)
+            ports[(0, 0)].send(_message((0, 0), (2, 0), 3))
+            ports[(0, 0)].send(_message((0, 0), (5, 0), 3))
+
+        run = _both(kernel, (3, 2), [(0, 0), (2, 0)], {0: send}, 80)
+        detour, straight = ("south", "east") if window else ("east", "south")
+        assert len(_crossings(run, (1, 0), detour)) == 6
+        assert not _crossings(run, (1, 0), straight)
+        # Both reached the east column; only one had somewhere to go.
+        assert [r[1] for r in run["received"]] == [(2, 0)]
+        assert not _crossings(run, (2, int(window)), "east")
+        assert run["idle"] is False
+        routes = run["mesh"].core._route_rows
+        assert {d for row in routes if row for d in row} == {2}  # (2, 0)
 
     def test_misroute_reroutes_a_waiting_head(self, kernel):
         """A head routed east but not yet granted (its output is
@@ -555,6 +578,83 @@ class TestLazyRings:
         assert all(isinstance(ring, deque) and not ring for ring in used)
         assert len({id(ring) for ring in used}) == 3
         assert _NO_RING == ()
+
+
+class CountingRoute:
+    """Wraps ``core.route_fn``; records every ``(here, dst)`` asked."""
+
+    def __init__(self, core):
+        self.calls = []
+        self.route_fn = core.route_fn
+        core.route_fn = self
+
+    def __call__(self, here, dst):
+        self.calls.append((here, dst))
+        return self.route_fn(here, dst)
+
+
+def _memo_size(core):
+    return sum(len(row) for row in core._route_rows if row)
+
+
+class TestLazyRoutes:
+    """The mesh computes the routes its traffic takes: one ``route_fn``
+    call per (router, destination) a head visits, nothing per router."""
+
+    def test_idle_mesh_has_routed_nothing(self):
+        core = FlatMesh(32, 32).core
+        counter = CountingRoute(core)
+        assert core._route_rows == [None] * (32 * 32)
+        assert core.check_invariants() == []
+        assert counter.calls == []
+
+    def test_one_call_per_router_on_the_path(self):
+        reset_id_counters()
+        sim = CycleSimulator()
+        mesh = FlatMesh(32, 32)
+        ports = {c: mesh.attach(c) for c in [(0, 0), (3, 2)]}
+        mesh.register(sim)
+        counter = CountingRoute(mesh.core)
+
+        def deliver():
+            ports[(0, 0)].send(_message((0, 0), (3, 2), 4))
+            sim.run_until(lambda: ports[(3, 2)].receive() is not None,
+                          max_cycles=100)
+
+        deliver()
+        path = [(0, 0), (1, 0), (2, 0), (3, 0), (3, 1), (3, 2)]
+        assert counter.calls == [(here, (3, 2)) for here in path]
+        rows = mesh.core._route_rows
+        assert [mesh.core.coords[r] for r, row in enumerate(rows)
+                if row is not None] == path
+        assert _memo_size(mesh.core) == len(path)
+        deliver()
+        assert len(counter.calls) == len(path)
+
+    def test_a_run_routes_at_most_routers_times_ports(self):
+        """``tests/test_scaled_echo.py``'s far-east placement
+        (perflab's 32x32 scaled to 8x4)."""
+        from repro.designs import (
+            ScaledEchoDesign,
+            attach_client,
+            client_frame,
+        )
+
+        reset_id_counters()
+        coords = [(x, y) for x in (6, 7) for y in range(4)]
+        design = ScaledEchoDesign(n_apps=len(coords), width=8, height=4,
+                                  app_coords=coords)
+        core = design.mesh.core
+        counter = CountingRoute(core)
+        frames = [client_frame(design, bytes(700), src_port=5000 + i)
+                  for i in range(24)]
+        _source, sink = attach_client(design, frames, rate=None, count=24)
+        design.sim.run_until(lambda: sink.count >= 24, max_cycles=20_000)
+        assert sum(1 for app in design.apps if app.requests) > 1
+        assert 0 < len(counter.calls) <= 8 * 4 * len(design.mesh.ports)
+        assert len(set(counter.calls)) == len(counter.calls)
+        assert _memo_size(core) == len(counter.calls)
+        assert core.check_invariants(design.sim.cycle) == []
 
 
 def test_check_invariants_follows_the_ring_representation():

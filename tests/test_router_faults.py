@@ -132,6 +132,48 @@ class TestMisrouteWindow:
         assert faulted == clean
 
 
+class TestMemoisedRoutesFollowTheWindow:
+    """The flat mesh keeps one route per (router, destination) a head
+    asked for; both edges of a misroute window must forget them."""
+
+    def frames(self, profile):
+        # Echoes 40 cycles apart from cycle 1: before, inside and after
+        # the window, all to the same few destinations through (1, 0).
+        plan = FaultPlan().misroute((1, 0), at=100, duration=200)
+        design, sink = echo_design(plan, profile=profile)
+        inject_echoes(design, count=12)
+        core = getattr(design.mesh, "core", None)
+        while sink.count < 12:
+            assert design.sim.cycle < 5_000
+            design.sim.run(1)
+            if core is not None:
+                assert core.check_invariants(design.sim.cycle) == []
+        assert design.fault_engine.counters["noc.misroute_off"] == 1
+        return sink.frames
+
+    def test_fast_matches_reference_with_invariants_clean(self):
+        assert self.frames("fast") == self.frames("reference")
+
+    @pytest.mark.parametrize("stale", ["deflected", "clean"])
+    def test_a_route_that_outlives_its_table_is_a_violation(self, stale):
+        design, _sink = echo_design(None)
+        core = design.mesh.core
+        r = core.coords.index((1, 0))
+        core.set_misroute(r, stale == "deflected")
+        inject_echoes(design, count=1)
+        design.sim.run(400)
+        assert core._route_rows[r]
+        assert core.check_invariants(design.sim.cycle) == []
+        # A toggle that forgot to forget: heads would follow the old
+        # table for the rest of the run.
+        core._misrouted ^= {r}
+        problems = core.check_invariants(design.sim.cycle)
+        assert problems and all("router (1, 0) memoises output"
+                                in problem for problem in problems)
+        core._route_rows[r] = None
+        assert core.check_invariants(design.sim.cycle) == []
+
+
 class TestStuckGrantWindow:
     def test_output_wedges_then_recovers(self):
         clean_design, clean_sink = run_echo(None)
