@@ -39,7 +39,7 @@ def buffer_ablation():
     for buffer_flits in (64, 120, 320):
         design = UdpEchoDesign(udp_port=7,
                                line_rate_bytes_per_cycle=None)
-        for tile in design.tiles:
+        for tile in design.tiles.values():
             tile.buffer_flits = buffer_flits
         rows.append((buffer_flits, saturation_goodput(
             design, bytes(9000), 60_000, warmup_frames=20).gbps))

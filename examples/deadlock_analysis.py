@@ -13,7 +13,7 @@ Run:  python examples/deadlock_analysis.py
 from repro.analysis import analyze
 from repro.analysis.deadlock import DeadlockError
 from repro.analysis.demo import Fig5Design
-from repro.config import build_design, design_from_xml
+from repro.config import GeneratedDesign, design_from_xml
 from repro.config.examples import UDP_ECHO_XML
 from repro.noc import NocMessage
 
@@ -55,7 +55,7 @@ def compile_time_rejection():
     spec = design_from_xml(UDP_ECHO_XML)
     spec.tile("ip_rx").x, spec.tile("udp_rx").x = 2, 1  # Fig 5a swap
     try:
-        build_design(spec)
+        GeneratedDesign(spec)
     except DeadlockError as error:
         print(f"  DeadlockError: {error}")
 

@@ -51,6 +51,9 @@ CODES: dict[str, tuple[str, str]] = {
                         "nothing to check"),
     "BHV123": (ERROR, "destination entry with no targets"),
     "BHV124": (ERROR, "destination targets an unknown tile"),
+    "BHV125": (ERROR, "unknown tile type"),
+    "BHV126": (ERROR, "required tile param missing"),
+    "BHV127": (ERROR, "tile param value does not parse"),
     # -- BHV2xx: routing / deadlock ------------------------------------
     "BHV201": (ERROR, "channel-dependency cycle: a message chain can "
                       "hold a NoC link it later re-acquires"),

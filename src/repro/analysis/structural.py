@@ -49,6 +49,7 @@ def lint_spec(spec: object) -> list[Finding]:
                 location=tile.name))
         else:
             seen_coords[tile.coord] = tile.name
+        findings.extend(_type_findings(tile, all_names))
         for dest in tile.dests:
             for target in dest.targets:
                 if target not in all_names:
@@ -76,6 +77,45 @@ def lint_spec(spec: object) -> list[Finding]:
             "no chains declared: deadlock analysis has nothing to "
             "check",
             location=spec.name))
+    return findings
+
+
+def _type_findings(tile: object, all_names: set[str]) -> list[Finding]:
+    """What only a tile factory would otherwise find out: a type the
+    registry does not know, a required ``<param>`` that is missing (or
+    names no tile), a value its parser rejects."""
+    # Imported here: ``repro.config``'s validator imports this module.
+    from repro.config.registry import TILE_TYPES
+
+    tile_type = TILE_TYPES.get(tile.type)
+    if tile_type is None:
+        return [Finding(
+            "BHV125",
+            f"tile {tile.name!r} has unknown type {tile.type!r} "
+            f"(registered: {', '.join(sorted(TILE_TYPES))})",
+            location=tile.name)]
+    findings = []
+    for name in tile_type.required:
+        if name not in tile.params:
+            findings.append(Finding(
+                "BHV126",
+                f"tile {tile.name!r} ({tile.type}) needs a {name!r} "
+                "param", location=tile.name))
+        elif name not in tile_type.params and \
+                tile.params[name] not in all_names:
+            findings.append(Finding(
+                "BHV124",
+                f"tile {tile.name!r} param {name!r} names unknown tile "
+                f"{tile.params[name]!r}", location=tile.name))
+    for name, parse in tile_type.params.items():
+        if name in tile.params:
+            try:
+                parse(tile.params[name])
+            except ValueError as error:
+                findings.append(Finding(
+                    "BHV127",
+                    f"tile {tile.name!r} param {name!r}: {error}",
+                    location=tile.name))
     return findings
 
 

@@ -1,338 +1,28 @@
 """Canonical XML design files.
 
-These are the declarative versions of the handwritten designs; the
-config tests build them and run traffic through, and the Table VI
+The declarative form of three shipped designs, printed from the spec
+the design class itself runs (``Cls.spec(...)``) when first asked for;
+the config tests build them and run traffic through, and the Table VI
 benchmark measures instantiation cost against them.
 """
 
-UDP_ECHO_XML = """
-<design name="udp_echo" width="4" height="2">
-  <tile>
-    <name>eth_rx</name>
-    <type>eth_rx</type>
-    <x>0</x>
-    <y>0</y>
-    <param name="my_mac" value="02:be:e0:00:00:01"/>
-    <dest>
-      <key>ethertype:0x0800</key>
-      <target>ip_rx</target>
-    </dest>
-  </tile>
-  <tile>
-    <name>ip_rx</name>
-    <type>ip_rx</type>
-    <x>1</x>
-    <y>0</y>
-    <param name="my_ip" value="10.0.0.10"/>
-    <dest>
-      <key>proto:17</key>
-      <target>udp_rx</target>
-    </dest>
-  </tile>
-  <tile>
-    <name>udp_rx</name>
-    <type>udp_rx</type>
-    <x>2</x>
-    <y>0</y>
-    <dest>
-      <key>port:7</key>
-      <target>app</target>
-    </dest>
-  </tile>
-  <tile>
-    <name>app</name>
-    <type>echo_app</type>
-    <x>3</x>
-    <y>0</y>
-    <dest>
-      <key>default</key>
-      <target>udp_tx</target>
-    </dest>
-  </tile>
-  <tile>
-    <name>udp_tx</name>
-    <type>udp_tx</type>
-    <x>2</x>
-    <y>1</y>
-    <dest>
-      <key>default</key>
-      <target>ip_tx</target>
-    </dest>
-  </tile>
-  <tile>
-    <name>ip_tx</name>
-    <type>ip_tx</type>
-    <x>1</x>
-    <y>1</y>
-    <dest>
-      <key>default</key>
-      <target>eth_tx</target>
-    </dest>
-  </tile>
-  <tile>
-    <name>eth_tx</name>
-    <type>eth_tx</type>
-    <x>0</x>
-    <y>1</y>
-    <param name="my_mac" value="02:be:e0:00:00:01"/>
-    <param name="line_rate" value="none"/>
-  </tile>
-  <chain tiles="eth_rx ip_rx udp_rx app udp_tx ip_tx eth_tx"/>
-</design>
-"""
+import repro.designs
+from repro.config.xmlio import design_to_xml
 
-RS_DESIGN_XML = """
-<design name="rs_accelerator" width="6" height="2">
-  <tile>
-    <name>eth_rx</name>
-    <type>eth_rx</type>
-    <x>0</x>
-    <y>0</y>
-    <param name="my_mac" value="02:be:e0:00:00:01"/>
-    <dest>
-      <key>ethertype:0x0800</key>
-      <target>ip_rx</target>
-    </dest>
-  </tile>
-  <tile>
-    <name>ip_rx</name>
-    <type>ip_rx</type>
-    <x>1</x>
-    <y>0</y>
-    <param name="my_ip" value="10.0.0.10"/>
-    <dest>
-      <key>proto:17</key>
-      <target>udp_rx</target>
-    </dest>
-  </tile>
-  <tile>
-    <name>udp_rx</name>
-    <type>udp_rx</type>
-    <x>2</x>
-    <y>0</y>
-    <dest>
-      <key>port:7000</key>
-      <target>sched</target>
-    </dest>
-  </tile>
-  <tile>
-    <name>sched</name>
-    <type>rr_scheduler</type>
-    <x>3</x>
-    <y>0</y>
-    <dest>
-      <key>default</key>
-      <target>rs0 rs1 rs2 rs3</target>
-    </dest>
-  </tile>
-  <tile>
-    <name>rs0</name>
-    <type>rs_encoder</type>
-    <x>4</x>
-    <y>0</y>
-    <param name="data_shards" value="8"/>
-    <param name="parity_shards" value="2"/>
-    <param name="gbps" value="15.0"/>
-    <dest>
-      <key>default</key>
-      <target>udp_tx</target>
-    </dest>
-  </tile>
-  <tile>
-    <name>rs1</name>
-    <type>rs_encoder</type>
-    <x>5</x>
-    <y>0</y>
-    <param name="data_shards" value="8"/>
-    <param name="parity_shards" value="2"/>
-    <param name="gbps" value="15.0"/>
-    <dest>
-      <key>default</key>
-      <target>udp_tx</target>
-    </dest>
-  </tile>
-  <tile>
-    <name>rs2</name>
-    <type>rs_encoder</type>
-    <x>3</x>
-    <y>1</y>
-    <param name="data_shards" value="8"/>
-    <param name="parity_shards" value="2"/>
-    <param name="gbps" value="15.0"/>
-    <dest>
-      <key>default</key>
-      <target>udp_tx</target>
-    </dest>
-  </tile>
-  <tile>
-    <name>rs3</name>
-    <type>rs_encoder</type>
-    <x>4</x>
-    <y>1</y>
-    <param name="data_shards" value="8"/>
-    <param name="parity_shards" value="2"/>
-    <param name="gbps" value="15.0"/>
-    <dest>
-      <key>default</key>
-      <target>udp_tx</target>
-    </dest>
-  </tile>
-  <tile>
-    <name>udp_tx</name>
-    <type>udp_tx</type>
-    <x>2</x>
-    <y>1</y>
-    <dest>
-      <key>default</key>
-      <target>ip_tx</target>
-    </dest>
-  </tile>
-  <tile>
-    <name>ip_tx</name>
-    <type>ip_tx</type>
-    <x>1</x>
-    <y>1</y>
-    <dest>
-      <key>default</key>
-      <target>eth_tx</target>
-    </dest>
-  </tile>
-  <tile>
-    <name>eth_tx</name>
-    <type>eth_tx</type>
-    <x>0</x>
-    <y>1</y>
-    <param name="my_mac" value="02:be:e0:00:00:01"/>
-    <param name="line_rate" value="none"/>
-  </tile>
-  <chain tiles="eth_rx ip_rx udp_rx sched rs0 udp_tx ip_tx eth_tx"/>
-  <chain tiles="eth_rx ip_rx udp_rx sched rs1 udp_tx ip_tx eth_tx"/>
-  <chain tiles="eth_rx ip_rx udp_rx sched rs2 udp_tx ip_tx eth_tx"/>
-  <chain tiles="eth_rx ip_rx udp_rx sched rs3 udp_tx ip_tx eth_tx"/>
-</design>
-"""
+#: name -> (design class, the keywords the file is written for).
+_EXAMPLES = {
+    "UDP_ECHO_XML": ("UdpEchoDesign", {"udp_port": 7}),
+    "RS_DESIGN_XML": ("RsDesign", {"instances": 4, "udp_port": 7000}),
+    "VR_DESIGN_XML": ("VrWitnessDesign", {"shards": 4}),
+}
 
-VR_DESIGN_XML = """
-<design name="vr_witness" width="6" height="2">
-  <tile>
-    <name>eth_rx</name>
-    <type>eth_rx</type>
-    <x>0</x>
-    <y>0</y>
-    <param name="my_mac" value="02:be:e0:00:00:01"/>
-    <dest>
-      <key>ethertype:0x0800</key>
-      <target>ip_rx</target>
-    </dest>
-  </tile>
-  <tile>
-    <name>ip_rx</name>
-    <type>ip_rx</type>
-    <x>1</x>
-    <y>0</y>
-    <param name="my_ip" value="10.0.0.10"/>
-    <dest>
-      <key>proto:17</key>
-      <target>udp_rx</target>
-    </dest>
-  </tile>
-  <tile>
-    <name>udp_rx</name>
-    <type>udp_rx</type>
-    <x>2</x>
-    <y>0</y>
-    <dest>
-      <key>port:9000</key>
-      <target>witness0</target>
-    </dest>
-    <dest>
-      <key>port:9001</key>
-      <target>witness1</target>
-    </dest>
-    <dest>
-      <key>port:9002</key>
-      <target>witness2</target>
-    </dest>
-    <dest>
-      <key>port:9003</key>
-      <target>witness3</target>
-    </dest>
-  </tile>
-  <tile>
-    <name>witness0</name>
-    <type>vr_witness</type>
-    <x>3</x>
-    <y>0</y>
-    <param name="shard" value="0"/>
-    <dest>
-      <key>default</key>
-      <target>udp_tx</target>
-    </dest>
-  </tile>
-  <tile>
-    <name>witness1</name>
-    <type>vr_witness</type>
-    <x>4</x>
-    <y>0</y>
-    <param name="shard" value="1"/>
-    <dest>
-      <key>default</key>
-      <target>udp_tx</target>
-    </dest>
-  </tile>
-  <tile>
-    <name>witness2</name>
-    <type>vr_witness</type>
-    <x>5</x>
-    <y>0</y>
-    <param name="shard" value="2"/>
-    <dest>
-      <key>default</key>
-      <target>udp_tx</target>
-    </dest>
-  </tile>
-  <tile>
-    <name>witness3</name>
-    <type>vr_witness</type>
-    <x>3</x>
-    <y>1</y>
-    <param name="shard" value="3"/>
-    <dest>
-      <key>default</key>
-      <target>udp_tx</target>
-    </dest>
-  </tile>
-  <tile>
-    <name>udp_tx</name>
-    <type>udp_tx</type>
-    <x>2</x>
-    <y>1</y>
-    <dest>
-      <key>default</key>
-      <target>ip_tx</target>
-    </dest>
-  </tile>
-  <tile>
-    <name>ip_tx</name>
-    <type>ip_tx</type>
-    <x>1</x>
-    <y>1</y>
-    <dest>
-      <key>default</key>
-      <target>eth_tx</target>
-    </dest>
-  </tile>
-  <tile>
-    <name>eth_tx</name>
-    <type>eth_tx</type>
-    <x>0</x>
-    <y>1</y>
-    <param name="my_mac" value="02:be:e0:00:00:01"/>
-    <param name="line_rate" value="none"/>
-  </tile>
-  <chain tiles="eth_rx ip_rx udp_rx witness0 udp_tx ip_tx eth_tx"/>
-  <chain tiles="eth_rx ip_rx udp_rx witness1 udp_tx ip_tx eth_tx"/>
-  <chain tiles="eth_rx ip_rx udp_rx witness2 udp_tx ip_tx eth_tx"/>
-  <chain tiles="eth_rx ip_rx udp_rx witness3 udp_tx ip_tx eth_tx"/>
-</design>
-"""
+
+def __getattr__(name: str) -> str:
+    if name not in _EXAMPLES:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    cls, keywords = _EXAMPLES[name]
+    text = design_to_xml(getattr(repro.designs, cls).spec(
+        line_rate_bytes_per_cycle=None, **keywords))
+    globals()[name] = text
+    return text

@@ -37,7 +37,8 @@ def validate(design: DesignSpec) -> ValidationReport:
     """Raise :class:`ValidationError` on a broken design; otherwise
     return the report (including auto-generated empty-tile coords)."""
     findings: list[Finding] = lint_spec(design)
-    problems = [f.message for f in findings if f.severity == ERROR]
+    problems = [f"{f.code}: {f.message}" for f in findings
+                if f.severity == ERROR]
     if problems:
         raise ValidationError(problems)
     return ValidationReport(

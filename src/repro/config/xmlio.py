@@ -14,7 +14,16 @@ from repro.config.schema import ChainSpec, DesignSpec, DestSpec, TileSpec
 
 
 def design_from_xml(text: str) -> DesignSpec:
-    root = ET.fromstring(text)
+    """Parse a design file; anything that is not one is a ValueError."""
+    try:
+        return _design_from_root(ET.fromstring(text))
+    except ET.ParseError as error:
+        raise ValueError(f"not well-formed XML: {error}") from None
+    except KeyError as error:
+        raise ValueError(f"missing attribute {error}") from None
+
+
+def _design_from_root(root: ET.Element) -> DesignSpec:
     if root.tag != "design":
         raise ValueError(f"expected <design>, got <{root.tag}>")
     design = DesignSpec(

@@ -1,13 +1,17 @@
 """Prebuilt Beehive designs used by the evaluation.
 
-Each design couples a mesh, a set of tiles, the packet-level next-hop
-tables, and the declared message chains that the static deadlock
-analyzer checks at construction time.
+Each design is the spec it publishes (``Cls.spec(**keywords)``: tiles,
+coordinates, next-hop entries and the message chains the static
+deadlock analyzer checks at construction time), generated.
+:data:`SHIPPED` names them for the tools; :func:`load_design` takes
+one of those names or a design XML path.
 
 A name is imported from its submodule when first asked for
 (:mod:`repro._exports`): a UDP echo loads neither TCP nor numpy.
 """
 
+import sys
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro._exports import lazy_exports
@@ -55,6 +59,40 @@ _EXPORTS = {
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
+#: shipped design name -> (its class, the keywords that differ from
+#: the class's defaults): the one table of what "a shipped design" is.
+SHIPPED = {
+    "udp_echo": ("UdpEchoDesign", {}),
+    "logged_udp_echo": ("LoggedUdpEchoDesign", {}),
+    "nat_echo": ("NatEchoDesign", {}),
+    "ipinip_echo": ("IpInIpEchoDesign", {}),
+    "managed_nat_echo": ("ManagedNatEchoDesign", {}),
+    "multi_stack": ("MultiStackDesign", {}),
+    "scaled_echo": ("ScaledEchoDesign", {}),
+    "tcp_server": ("TcpServerDesign", {}),
+    "tcp_server_logged": ("TcpServerDesign", {"with_logging": True}),
+    "rs": ("RsDesign", {}),
+    "vr_witness": ("VrWitnessDesign", {}),
+    "vxlan_echo": ("VxlanEchoDesign", {}),
+}
+
+
+def load_design(target: str):
+    """``(spec, factory)`` for a shipped design name or the path of a
+    design XML file; ``factory(profile=..., fault_plan=...)`` builds
+    it.  Raises ``OSError`` for a path that cannot be read and
+    ``ValueError`` for a file that is not a design."""
+    if target in SHIPPED:
+        name, keywords = SHIPPED[target]
+        cls = getattr(sys.modules[__name__], name)
+        return cls.spec(**keywords), partial(cls, **keywords)
+    from repro.config.generate import GeneratedDesign
+    from repro.config.xmlio import design_from_xml
+    with open(target) as handle:
+        spec = design_from_xml(handle.read())
+    return spec, partial(GeneratedDesign, spec)
+
+
 __all__ = [
     "CLIENT_IP",
     "CLIENT_MAC",
@@ -66,6 +104,7 @@ __all__ = [
     "MultiStackDesign",
     "NatEchoDesign",
     "RsDesign",
+    "SHIPPED",
     "ScaledEchoDesign",
     "TcpServerDesign",
     "UdpEchoDesign",
@@ -73,5 +112,6 @@ __all__ = [
     "VxlanEchoDesign",
     "attach_client",
     "client_frame",
+    "load_design",
     "saturation_goodput",
 ]

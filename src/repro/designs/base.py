@@ -2,11 +2,12 @@
 
 The paper's section V-G describes a Beehive design as a declarative
 list of tiles, coordinates and next-hop entries from which tooling
-generates the rest.  :class:`Design` is "the rest": the modules under
-:mod:`repro.designs` (and :class:`repro.config.generate.GeneratedDesign`)
-say how large the mesh is, build their tiles on ``self.mesh``, fill the
-next-hop tables and hand the tile list and the declared message chains
-to :meth:`Design.register`.
+generates the rest.  :class:`Design` is "the rest":
+:class:`repro.config.generate.GeneratedDesign` — which every class
+under :mod:`repro.designs` is, over the spec it publishes — says how
+large the mesh is, builds the spec's tiles on ``self.mesh``, fills the
+next-hop tables and hands the tiles and the declared message chains to
+:meth:`Design.register`.
 
 How a design is run is one value, ``profile`` — ``"fast"`` (the
 default) or ``"reference"``, looked up in :mod:`repro.sim.profiles`.
@@ -43,11 +44,6 @@ class Design:
     fault engine and ``benchmarks/perflab`` read.
     """
 
-    # Host-facing defaults: a design with one Ethernet pair named
-    # ``eth_rx`` / ``eth_tx`` answering on the shared address.
-    server_ip = SERVER_IP
-    server_mac = SERVER_MAC
-
     def __init__(self, width: int, height: int, profile: str = "fast"):
         kernel, flat = lookup(profile)
         self.profile = profile
@@ -73,10 +69,3 @@ class Design:
         self.tile_coords = {tile.name: tile.coord for tile in members}
         assert_deadlock_free(chains, self.tile_coords)
         attach_faults(self, fault_plan)
-
-    def add_client(self, ip: IPv4Address, mac: MacAddress) -> None:
-        """Teach the TX path a client's MAC (static neighbour table)."""
-        self.eth_tx.add_neighbor(ip, mac)
-
-    def inject(self, frame: bytes, cycle: int) -> None:
-        self.eth_rx.push_frame(frame, cycle)

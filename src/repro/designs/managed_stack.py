@@ -10,9 +10,8 @@ over UDP — the full client-migration flow.
 
 from __future__ import annotations
 
-from repro.control.controller import InternalControllerTile
-from repro.control.plane import ControlPlane
-from repro.designs.base import Design
+from repro.config.schema import ChainSpec, DesignSpec
+from repro.designs.stack import dests, tile
 from repro.designs.virt_stack import NatEchoDesign
 from repro.packet.ethernet import MacAddress
 from repro.packet.ipv4 import IPv4Address
@@ -23,31 +22,26 @@ class ManagedNatEchoDesign(NatEchoDesign):
 
     CONTROL_PORT = 9000
 
-    def __init__(self, udp_port: int = 7,
-                 line_rate_bytes_per_cycle: float | None = 50.0,
-                 profile: str = "fast",
-                 fault_plan=None):
-        # Not NatEchoDesign.__init__, which registers what it built:
-        # this design has a tile to add first.
-        Design.__init__(self, 5, 2, profile)
-        tiles, chains = self._nat_stack(udp_port,
-                                        line_rate_bytes_per_cycle)
-        self.control = ControlPlane(5, 2)
-
+    @classmethod
+    def spec(cls, udp_port: int = 7,
+             line_rate_bytes_per_cycle: float | None = 50.0) -> DesignSpec:
         # The controller is one more tile of the stack, registered (and
-        # open to fault plans) with the rest.
-        controller_ep = self.control.attach((4, 1), "controller")
-        self.controller = InternalControllerTile(
-            "controller", self.mesh, (4, 1), endpoint=controller_ep,
-        )
-        self.controller.next_hop.set_entry(self.controller.DEFAULT,
-                                           self.udp_tx.coord)
-        self.udp_rx.next_hop.set_entry(self.CONTROL_PORT,
-                                       self.controller.coord)
-        tiles.append(self.controller)
-        chains.append(["eth_rx", "ip_rx", "nat_rx", "udp_rx",
-                       "controller", "udp_tx", "nat_tx", "ip_tx",
-                       "eth_tx"])
+        # open to fault plans) with the rest; the registry attaches it
+        # to the control plane it makes.
+        spec = NatEchoDesign.spec(udp_port, line_rate_bytes_per_cycle)
+        spec.name = "managed_nat_echo"
+        spec.tiles.append(tile("controller", "controller", (4, 1),
+                               {"default": ["udp_tx"]}))
+        spec.tile("udp_rx").dests += dests(
+            {f"port:{cls.CONTROL_PORT}": ["controller"]})
+        spec.chains.append(ChainSpec([
+            "controller" if name == "app" else name
+            for name in spec.chains[0].tiles]))
+        return spec
+
+    def __init__(self, *args, **keywords):
+        super().__init__(*args, **keywords)
+        self.control = self.controller.endpoint.plane
 
         # NAT endpoint: the control plane rewrites the virtual->physical
         # mapping on client migration.
@@ -87,11 +81,9 @@ class ManagedNatEchoDesign(NatEchoDesign):
         udp_ep.on_counter("drops", lambda: self.udp_rx.drops)
 
         self.endpoints = {
-            "controller": controller_ep,
+            "controller": self.controller.endpoint,
             "nat": nat_ep,
             "eth_tx": eth_ep,
             "udp_rx": udp_ep,
         }
-
-        self.register(tiles, chains, fault_plan)
         self.control.register(self.sim)

@@ -14,79 +14,49 @@ Layout (5 x 2N mesh), rows r = 2k, 2k+1 per stack k:
 
 from __future__ import annotations
 
-from repro.apps.echo import UdpEchoAppTile
-from repro.designs.base import SERVER_IP, SERVER_MAC, Design
-from repro.packet.ethernet import ETHERTYPE_IPV4, MacAddress
-from repro.packet.ipv4 import IPPROTO_UDP, IPv4Address
-from repro.tiles.ethernet import EthernetRxTile, EthernetTxTile
-from repro.tiles.ip import IpRxTile, IpTxTile
-from repro.tiles.loadbalancer import FlowHashLoadBalancerTile
-from repro.tiles.udp import UdpRxTile, UdpTxTile
+from types import SimpleNamespace
+
+from repro.config.schema import DesignSpec
+from repro.designs.stack import (
+    ShippedDesign,
+    design_spec,
+    path,
+    stack_tiles,
+    tile,
+)
 
 
-class _Stack:
-    """One replicated UDP echo stack instance."""
-
-    def __init__(self, index: int, mesh, udp_port: int, line_rate):
-        top = 2 * index
-        bottom = top + 1
-        suffix = f"_{index}"
-        self.eth_rx = EthernetRxTile(f"eth_rx{suffix}", mesh, (1, top),
-                                     my_mac=SERVER_MAC)
-        self.ip_rx = IpRxTile(f"ip_rx{suffix}", mesh, (2, top),
-                              my_ip=SERVER_IP)
-        self.udp_rx = UdpRxTile(f"udp_rx{suffix}", mesh, (3, top))
-        self.app = UdpEchoAppTile(f"app{suffix}", mesh, (4, top))
-        self.eth_tx = EthernetTxTile(
-            f"eth_tx{suffix}", mesh, (1, bottom), my_mac=SERVER_MAC,
-            line_rate_bytes_per_cycle=line_rate,
-        )
-        self.ip_tx = IpTxTile(f"ip_tx{suffix}", mesh, (2, bottom))
-        self.udp_tx = UdpTxTile(f"udp_tx{suffix}", mesh, (3, bottom))
-        self.tiles = [self.eth_rx, self.ip_rx, self.udp_rx, self.app,
-                      self.udp_tx, self.ip_tx, self.eth_tx]
-
-        self.eth_rx.next_hop.set_entry(ETHERTYPE_IPV4, self.ip_rx.coord)
-        self.ip_rx.next_hop.set_entry(IPPROTO_UDP, self.udp_rx.coord)
-        self.udp_rx.next_hop.set_entry(udp_port, self.app.coord)
-        self.app.next_hop.set_entry(self.app.DEFAULT, self.udp_tx.coord)
-        self.udp_tx.next_hop.set_entry(self.udp_tx.DEFAULT,
-                                       self.ip_tx.coord)
-        self.ip_tx.next_hop.set_entry(self.ip_tx.DEFAULT,
-                                      self.eth_tx.coord)
-
-        self.chain = [tile.name for tile in
-                      (self.eth_rx, self.ip_rx, self.udp_rx, self.app,
-                       self.udp_tx, self.ip_tx, self.eth_tx)]
-
-
-class MultiStackDesign(Design):
+class MultiStackDesign(ShippedDesign):
     """N duplicated UDP stacks behind a flow-hash load balancer."""
 
-    def __init__(self, stacks: int = 2, udp_port: int = 7,
-                 line_rate_bytes_per_cycle: float | None = None,
-                 profile: str = "fast",
-                 fault_plan=None):
+    @staticmethod
+    def spec(stacks: int = 2, udp_port: int = 7,
+             line_rate_bytes_per_cycle: float | None = None) -> DesignSpec:
         if stacks < 1:
             raise ValueError("need at least one stack")
-        super().__init__(5, 2 * stacks, profile)
-        self.lb = FlowHashLoadBalancerTile("lb", self.mesh, (0, 0))
-        self.stacks = [
-            _Stack(index, self.mesh, udp_port,
-                   line_rate_bytes_per_cycle)
-            for index in range(stacks)
-        ]
-        tiles = [self.lb]
-        chains = []
-        for stack in self.stacks:
-            self.lb.add_stack(stack.eth_rx.coord)
-            tiles.extend(stack.tiles)
-            chains.append(["lb"] + stack.chain)
-        self.register(tiles, chains, fault_plan)
+        lb = tile("lb", "load_balancer", (0, 0), {
+            "default": [f"eth_rx_{k}" for k in range(stacks)]})
+        tiles, chains = [lb], []
+        for k in range(stacks):
+            top, bottom = 2 * k, 2 * k + 1
+            rx, tx = stack_tiles(
+                {f"port:{udp_port}": [f"app_{k}"]},
+                line_rate_bytes_per_cycle,
+                rx=((1, top), (2, top), (3, top)),
+                tx=((3, bottom), (2, bottom), (1, bottom)),
+                name=f"{{}}_{k}".format)
+            stack = path(*rx) \
+                + path(tile(f"app_{k}", "echo_app", (4, top)), *tx)
+            tiles += stack
+            chains.append([lb, *stack])
+        return design_spec("multi_stack", 5, 2 * stacks, tiles, chains)
 
-    def add_client(self, ip: IPv4Address, mac: MacAddress) -> None:
-        for stack in self.stacks:
-            stack.eth_tx.add_neighbor(ip, mac)
+    @property
+    def stacks(self) -> list[SimpleNamespace]:
+        """Per stack, the two tiles callers reach for."""
+        return [SimpleNamespace(eth_tx=self.tiles[f"eth_tx_{k}"],
+                                app=self.tiles[f"app_{k}"])
+                for k in range(len(self.lb.stacks))]
 
     def inject(self, frame: bytes, cycle: int) -> None:
         self.lb.push_frame(frame, cycle)

@@ -15,116 +15,82 @@ the NoC.
 from __future__ import annotations
 
 from repro import params
-from repro.designs.base import SERVER_IP, SERVER_MAC, Design
-from repro.packet.ethernet import ETHERTYPE_IPV4
-from repro.packet.ipv4 import IPPROTO_TCP
+from repro.config.registry import (
+    TILE_TYPES,
+    register_tile_type,
+    tcp_app_type,
+)
+from repro.config.schema import DesignSpec
+from repro.designs.stack import (
+    ShippedDesign,
+    design_spec,
+    path,
+    stack_tiles,
+    tile,
+)
 from repro.tcp.app import TcpEchoAppTile
-from repro.tcp.flow import FlowTable
-from repro.tcp.rx_engine import TcpRxEngineTile
-from repro.tcp.tx_engine import TcpTxEngineTile
-from repro.tiles.buffer import BufferTile
-from repro.tiles.ethernet import EthernetRxTile, EthernetTxTile
-from repro.tiles.ip import IpRxTile, IpTxTile
-from repro.tiles.logger import PacketLogTile
 
 
-class TcpServerDesign(Design):
+def _app_type(cls: type) -> str:
+    """The registry's name for a TCP application class; one it has not
+    met (a test's subclass) is registered under its own name."""
+    for name, entry in TILE_TYPES.items():
+        if entry.cls in (cls, f"{cls.__module__}:{cls.__qualname__}"):
+            return name
+    register_tile_type(cls.__qualname__, tcp_app_type(cls))
+    return cls.__qualname__
+
+
+class TcpServerDesign(ShippedDesign):
     """Beehive with the server-side TCP engine and one application."""
 
-    def __init__(self, tcp_port: int = 5000,
-                 app_tile_cls=TcpEchoAppTile,
-                 request_size: int = 64,
-                 with_logging: bool = False,
-                 line_rate_bytes_per_cycle: float | None = 50.0,
-                 max_flows: int = 8,
-                 mss: int = params.TCP_MSS_BYTES,
-                 congestion_control: bool | str = False,
-                 profile: str = "fast",
-                 fault_plan=None,
-                 **app_kwargs):
-        super().__init__(6, 2, profile)
-        self.tcp_port = tcp_port
-        self.flows = FlowTable(max_flows=max_flows)
+    @staticmethod
+    def spec(tcp_port: int = 5000, app_tile_cls: type = TcpEchoAppTile,
+             request_size: int = 64, with_logging: bool = False,
+             line_rate_bytes_per_cycle: float | None = 50.0,
+             max_flows: int = 8, mss: int = params.TCP_MSS_BYTES,
+             congestion_control: bool | str = False,
+             **app_kwargs) -> DesignSpec:
+        app_type = _app_type(app_tile_cls)
+        unknown = sorted(set(app_kwargs) - set(TILE_TYPES[app_type].params))
+        if unknown:
+            raise TypeError(f"unexpected keyword argument(s) {unknown}")
+        (eth_rx, ip_rx, _), (_, ip_tx, eth_tx) = stack_tiles(
+            {}, line_rate_bytes_per_cycle)
+        # The engines share the flow table and the dedicated wires of
+        # section V-D; the app reaches all four over the NoC.
+        tcp_rx = tile("tcp_rx", "tcp_rx", (3, 0),
+                      {f"port:{tcp_port}": ["app"]}, max_flows=max_flows,
+                      rx_buffer="rx_buf", tx_engine="tcp_tx")
+        tcp_tx = tile("tcp_tx", "tcp_tx", (3, 1), tx_buffer="tx_buf",
+                      mss=mss, congestion_control="reno"
+                      if congestion_control is True
+                      else congestion_control or None)
+        app = tile("app", app_type, (4, 0), tcp_rx="tcp_rx",
+                   tcp_tx="tcp_tx", rx_buffer="rx_buf", tx_buffer="tx_buf",
+                   request_size=request_size, **app_kwargs)
+        rx_buf = tile("rx_buf", "buffer", (5, 0),
+                      size_bytes=max_flows * params.TCP_RX_BUFFER_BYTES)
+        tx_buf = tile("tx_buf", "buffer", (4, 1),
+                      size_bytes=max_flows * params.TCP_TX_BUFFER_BYTES)
+        # Logging tiles sit between IP and TCP, where the paper put them.
+        logs = [tile("log_rx", "log", (2, 0), direction="rx"),
+                tile("log_tx", "log", (2, 1), direction="tx")
+                ] if with_logging else []
+        rx_chain = path(eth_rx, (ip_rx, "proto:6"), *logs[:1], tcp_rx)
+        tx_chain = path(tcp_tx, *logs[1:], ip_tx, eth_tx)
+        return design_spec(
+            "tcp_server", 6, 2,
+            [eth_rx, ip_rx, tcp_rx, app, tcp_tx, ip_tx, eth_tx,
+             rx_buf, tx_buf, *logs],
+            [rx_chain, tx_chain, *(
+                chain for other in (tcp_rx, rx_buf, tcp_tx, tx_buf)
+                for chain in ([app, other], [other, app]))])
 
-        self.rx_buf = BufferTile(
-            "rx_buf", self.mesh, (5, 0),
-            size_bytes=max_flows * params.TCP_RX_BUFFER_BYTES,
-        )
-        self.tx_buf = BufferTile(
-            "tx_buf", self.mesh, (4, 1),
-            size_bytes=max_flows * params.TCP_TX_BUFFER_BYTES,
-        )
+    @property
+    def flows(self):
+        return self.tcp_rx.flows
 
-        self.eth_rx = EthernetRxTile("eth_rx", self.mesh, (0, 0),
-                                     my_mac=SERVER_MAC)
-        self.ip_rx = IpRxTile("ip_rx", self.mesh, (1, 0), my_ip=SERVER_IP)
-        self.tcp_rx = TcpRxEngineTile("tcp_rx", self.mesh, (3, 0),
-                                      flows=self.flows,
-                                      rx_buffer=self.rx_buf)
-        self.tcp_tx = TcpTxEngineTile(
-            "tcp_tx", self.mesh, (3, 1), flows=self.flows,
-            tx_buffer=self.tx_buf, mss=mss,
-            congestion_control=congestion_control,
-        )
-        self.app = app_tile_cls(
-            "app", self.mesh, (4, 0),
-            tcp_rx_coord=self.tcp_rx.coord,
-            tcp_tx_coord=self.tcp_tx.coord,
-            rx_buffer_coord=self.rx_buf.coord,
-            tx_buffer_coord=self.tx_buf.coord,
-            request_size=request_size,
-            **app_kwargs,
-        )
-        self.ip_tx = IpTxTile("ip_tx", self.mesh, (1, 1))
-        self.eth_tx = EthernetTxTile(
-            "eth_tx", self.mesh, (0, 1), my_mac=SERVER_MAC,
-            line_rate_bytes_per_cycle=line_rate_bytes_per_cycle,
-        )
-        tiles = [self.eth_rx, self.ip_rx, self.tcp_rx, self.app,
-                 self.tcp_tx, self.ip_tx, self.eth_tx,
-                 self.rx_buf, self.tx_buf]
-
-        self.log_rx = self.log_tx = None
-        if with_logging:
-            self.log_rx = PacketLogTile("log_rx", self.mesh, (2, 0),
-                                        direction="rx")
-            self.log_tx = PacketLogTile("log_tx", self.mesh, (2, 1),
-                                        direction="tx")
-            tiles.extend([self.log_rx, self.log_tx])
-
-        # Dedicated wires between the engines (section V-D).
-        self.tcp_rx.connect_tx(self.tcp_tx)
-        self.tcp_rx.listen(tcp_port, self.app.coord)
-
-        # Packet-level routing.
-        self.eth_rx.next_hop.set_entry(ETHERTYPE_IPV4, self.ip_rx.coord)
-        if with_logging:
-            self.ip_rx.next_hop.set_entry(IPPROTO_TCP, self.log_rx.coord)
-            self.log_rx.next_hop.set_entry(PacketLogTile.FORWARD,
-                                           self.tcp_rx.coord)
-            self.tcp_tx.next_hop.set_entry(self.tcp_tx.DEFAULT,
-                                           self.log_tx.coord)
-            self.log_tx.next_hop.set_entry(PacketLogTile.FORWARD,
-                                           self.ip_tx.coord)
-        else:
-            self.ip_rx.next_hop.set_entry(IPPROTO_TCP, self.tcp_rx.coord)
-            self.tcp_tx.next_hop.set_entry(self.tcp_tx.DEFAULT,
-                                           self.ip_tx.coord)
-        self.ip_tx.next_hop.set_entry(self.ip_tx.DEFAULT,
-                                      self.eth_tx.coord)
-
-        rx_chain = ["eth_rx", "ip_rx"]
-        if with_logging:
-            rx_chain.append("log_rx")
-        rx_chain.append("tcp_rx")
-        tx_chain = ["tcp_tx"]
-        if with_logging:
-            tx_chain.append("log_tx")
-        tx_chain.extend(["ip_tx", "eth_tx"])
-        self.register(tiles,
-                      [rx_chain, tx_chain,
-                       ["tcp_rx", "app"], ["app", "tcp_rx"],
-                       ["app", "rx_buf"], ["rx_buf", "app"],
-                       ["app", "tcp_tx"], ["tcp_tx", "app"],
-                       ["app", "tx_buf"], ["tx_buf", "app"]],
-                      fault_plan)
+    @property
+    def tcp_port(self) -> int:
+        return next(iter(self.tcp_rx.listen_ports))

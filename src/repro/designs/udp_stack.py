@@ -14,56 +14,29 @@ run on.
 
 from __future__ import annotations
 
-from repro.apps.echo import UdpEchoAppTile
-from repro.designs.base import SERVER_IP, SERVER_MAC, Design
-from repro.packet.ethernet import ETHERTYPE_IPV4
-from repro.packet.ipv4 import IPPROTO_UDP
-from repro.tiles.ethernet import EthernetRxTile, EthernetTxTile
-from repro.tiles.ip import IpRxTile, IpTxTile
-from repro.tiles.udp import UdpRxTile, UdpTxTile
+from repro.config.schema import DesignSpec
+from repro.designs.stack import (
+    ShippedDesign,
+    design_spec,
+    path,
+    stack_tiles,
+    tile,
+)
 
 
-class UdpEchoDesign(Design):
-    """Build and run the 7-tile UDP echo stack."""
+class UdpEchoDesign(ShippedDesign):
+    """The 7-tile UDP echo stack."""
 
-    def __init__(self, udp_port: int = 7,
-                 line_rate_bytes_per_cycle: float | None = 50.0,
-                 app_tile_cls=UdpEchoAppTile,
-                 profile: str = "fast",
-                 fault_plan=None):
-        super().__init__(4, 2, profile)
-        self.udp_port = udp_port
-
-        self.eth_rx = EthernetRxTile("eth_rx", self.mesh, (0, 0),
-                                     my_mac=SERVER_MAC)
-        self.ip_rx = IpRxTile("ip_rx", self.mesh, (1, 0), my_ip=SERVER_IP)
-        self.udp_rx = UdpRxTile("udp_rx", self.mesh, (2, 0))
-        self.app = app_tile_cls("app", self.mesh, (3, 0))
-        self.udp_tx = UdpTxTile("udp_tx", self.mesh, (2, 1))
-        self.ip_tx = IpTxTile("ip_tx", self.mesh, (1, 1))
-        self.eth_tx = EthernetTxTile(
-            "eth_tx", self.mesh, (0, 1), my_mac=SERVER_MAC,
-            line_rate_bytes_per_cycle=line_rate_bytes_per_cycle,
-        )
-
-        self.eth_rx.next_hop.set_entry(ETHERTYPE_IPV4, self.ip_rx.coord)
-        self.ip_rx.next_hop.set_entry(IPPROTO_UDP, self.udp_rx.coord)
-        self.udp_rx.next_hop.set_entry(udp_port, self.app.coord)
-        self.app.next_hop.set_entry(self.app.DEFAULT, self.udp_tx.coord)
-        self.udp_tx.next_hop.set_entry(self.udp_tx.DEFAULT,
-                                       self.ip_tx.coord)
-        self.ip_tx.next_hop.set_entry(self.ip_tx.DEFAULT,
-                                      self.eth_tx.coord)
-
-        self.register(
-            [self.eth_rx, self.ip_rx, self.udp_rx, self.app,
-             self.udp_tx, self.ip_tx, self.eth_tx],
-            [["eth_rx", "ip_rx", "udp_rx", "app",
-              "udp_tx", "ip_tx", "eth_tx"]],
-            fault_plan)
+    @staticmethod
+    def spec(udp_port: int = 7,
+             line_rate_bytes_per_cycle: float | None = 50.0) -> DesignSpec:
+        rx, tx = stack_tiles({f"port:{udp_port}": ["app"]},
+                             line_rate_bytes_per_cycle)
+        tiles = path(*rx) + path(tile("app", "echo_app", (3, 0)), *tx)
+        return design_spec("udp_echo", 4, 2, tiles, [tiles])
 
 
-class LoggedUdpEchoDesign(Design):
+class LoggedUdpEchoDesign(ShippedDesign):
     """UDP echo with a logging tile and network log readback (V-F).
 
     Layout (5x2 mesh):
@@ -83,51 +56,17 @@ class LoggedUdpEchoDesign(Design):
 
     LOG_PORT = 5100
 
-    def __init__(self, udp_port: int = 7,
-                 line_rate_bytes_per_cycle: float | None = 50.0,
-                 profile: str = "fast",
-                 fault_plan=None):
-        from repro.tiles.logger import PacketLogTile
-
-        super().__init__(5, 2, profile)
-        self.udp_port = udp_port
-
-        self.eth_rx = EthernetRxTile("eth_rx", self.mesh, (0, 0),
-                                     my_mac=SERVER_MAC)
-        self.ip_rx = IpRxTile("ip_rx", self.mesh, (1, 0),
-                              my_ip=SERVER_IP)
-        self.log = PacketLogTile("log", self.mesh, (2, 0),
-                                 direction="rx",
-                                 readback_port=self.LOG_PORT)
-        self.udp_rx = UdpRxTile("udp_rx", self.mesh, (3, 0))
-        self.app = UdpEchoAppTile("app", self.mesh, (4, 0))
-        self.udp_tx = UdpTxTile("udp_tx", self.mesh, (4, 1))
-        self.ip_tx = IpTxTile("ip_tx", self.mesh, (1, 1))
-        self.eth_tx = EthernetTxTile(
-            "eth_tx", self.mesh, (0, 1), my_mac=SERVER_MAC,
-            line_rate_bytes_per_cycle=line_rate_bytes_per_cycle,
-        )
-
-        self.eth_rx.next_hop.set_entry(ETHERTYPE_IPV4, self.ip_rx.coord)
-        self.ip_rx.next_hop.set_entry(IPPROTO_UDP, self.log.coord)
-        self.log.next_hop.set_entry(PacketLogTile.FORWARD,
-                                    self.udp_rx.coord)
-        self.log.next_hop.set_entry(PacketLogTile.READBACK,
-                                    self.udp_tx.coord)
-        self.udp_rx.next_hop.set_entry(udp_port, self.app.coord)
-        self.udp_rx.next_hop.set_entry(self.LOG_PORT, self.log.coord)
-        self.app.next_hop.set_entry(self.app.DEFAULT, self.udp_tx.coord)
-        self.udp_tx.next_hop.set_entry(self.udp_tx.DEFAULT,
-                                       self.ip_tx.coord)
-        self.ip_tx.next_hop.set_entry(self.ip_tx.DEFAULT,
-                                      self.eth_tx.coord)
-
-        self.register(
-            [self.eth_rx, self.ip_rx, self.log, self.udp_rx,
-             self.app, self.udp_tx, self.ip_tx, self.eth_tx],
-            # Chains segmented at the log tile's dropping request buffer.
-            [["eth_rx", "ip_rx", "log", "udp_rx", "app",
-              "udp_tx", "ip_tx", "eth_tx"],
-             ["udp_rx", "log"],
-             ["log", "udp_tx", "ip_tx", "eth_tx"]],
-            fault_plan)
+    @classmethod
+    def spec(cls, udp_port: int = 7,
+             line_rate_bytes_per_cycle: float | None = 50.0) -> DesignSpec:
+        (eth_rx, ip_rx, udp_rx), tx = stack_tiles(
+            {f"port:{udp_port}": ["app"], f"port:{cls.LOG_PORT}": ["log"]},
+            line_rate_bytes_per_cycle, rx=((0, 0), (1, 0), (3, 0)),
+            tx=((4, 1), (1, 1), (0, 1)))
+        log = tile("log", "log", (2, 0), {"readback": ["udp_tx"]},
+                   direction="rx", readback_port=cls.LOG_PORT)
+        tiles = path(eth_rx, ip_rx, log, udp_rx) \
+            + path(tile("app", "echo_app", (4, 0)), *tx)
+        # Chains segmented at the log tile's dropping request buffer.
+        return design_spec("logged_udp_echo", 5, 2, tiles,
+                           [tiles, [udp_rx, log], [log, *tx]])

@@ -16,101 +16,71 @@ elements scale independently of application elements.
 
 from __future__ import annotations
 
-from repro.apps.vr.tile import VrWitnessTile
-from repro.designs.base import SERVER_IP, SERVER_MAC, Design
-from repro.packet.ethernet import ETHERTYPE_IPV4
-from repro.packet.ipv4 import IPPROTO_UDP
-from repro.tiles.ethernet import EthernetRxTile, EthernetTxTile
-from repro.tiles.ip import IpRxTile, IpTxTile
-from repro.tiles.udp import UdpRxTile, UdpTxTile
+from repro.config.schema import DesignSpec
+from repro.designs.stack import (
+    ShippedDesign,
+    design_spec,
+    dests,
+    path,
+    stack_tiles,
+    tile,
+)
 
 VR_BASE_PORT = 9000
 
-_WITNESS_COORDS = [(3, 0), (4, 0), (5, 0), (3, 1)]
 
-
-class VrWitnessDesign(Design):
+class VrWitnessDesign(ShippedDesign):
     """Beehive hosting witness tiles for 1-4 shards.
 
     ``duplicate_udp=True`` instantiates two UDP RX and two UDP TX
     tiles (7x2 mesh) with flow-hash distribution at the IP layer.
     """
 
-    def __init__(self, shards: int = 4,
-                 line_rate_bytes_per_cycle: float | None = 50.0,
-                 duplicate_udp: bool = False,
-                 profile: str = "fast",
-                 fault_plan=None):
+    @staticmethod
+    def spec(shards: int = 4,
+             line_rate_bytes_per_cycle: float | None = 50.0,
+             duplicate_udp: bool = False) -> DesignSpec:
         if not 1 <= shards <= 4:
             raise ValueError("this layout hosts 1-4 witness shards")
-        super().__init__(7 if duplicate_udp else 6, 2, profile)
-        self.shards = shards
-        self.duplicate_udp = duplicate_udp
-        witness_coords = ([(4, 0), (5, 0), (6, 0), (4, 1)]
-                          if duplicate_udp else _WITNESS_COORDS)
+        copies = ("0", "1") if duplicate_udp else ("",)
+        # One UDP port per shard: stateful tiles need sticky routing.
+        ports = {f"port:{VR_BASE_PORT + s}": [f"witness{s}"]
+                 for s in range(shards)}
+        udp_rx = [tile(f"udp_rx{copy}", "udp_rx", (2 + i, 0), ports)
+                  for i, copy in enumerate(copies)]
+        udp_tx = [tile(f"udp_tx{copy}", "udp_tx", (2 + i, 1),
+                       {"default": ["ip_tx"]})
+                  for i, copy in enumerate(copies)]
+        # Replicated UDP RX tiles: flows spread by hash at the IP
+        # layer; witnesses spread replies across the UDP TX replicas.
+        (eth_rx, ip_rx, _), (_, ip_tx, eth_tx) = stack_tiles(
+            {}, line_rate_bytes_per_cycle)
+        ip_rx.dests = dests({"proto:17": [spec.name for spec in udp_rx]})
+        west = 2 + len(copies)
+        witnesses = [
+            tile(f"witness{s}", "vr_witness", coord,
+                 {"default": [spec.name for spec in udp_tx]},
+                 policy="round_robin", shard=s)
+            for s, coord in zip(range(shards), (
+                (west, 0), (west + 1, 0), (west + 2, 0), (west, 1)))]
+        return design_spec(
+            "vr_witness", west + 3, 2,
+            [*path(eth_rx, ip_rx), *udp_rx, *witnesses, *udp_tx,
+             *path(ip_tx, eth_tx)],
+            [[eth_rx, ip_rx, rx, witness, tx, ip_tx, eth_tx]
+             for witness in witnesses for rx in udp_rx for tx in udp_tx])
 
-        self.eth_rx = EthernetRxTile("eth_rx", self.mesh, (0, 0),
-                                     my_mac=SERVER_MAC)
-        self.ip_rx = IpRxTile("ip_rx", self.mesh, (1, 0),
-                              my_ip=SERVER_IP)
-        if duplicate_udp:
-            self.udp_rx_tiles = [
-                UdpRxTile("udp_rx0", self.mesh, (2, 0)),
-                UdpRxTile("udp_rx1", self.mesh, (3, 0)),
-            ]
-            self.udp_tx_tiles = [
-                UdpTxTile("udp_tx0", self.mesh, (2, 1)),
-                UdpTxTile("udp_tx1", self.mesh, (3, 1)),
-            ]
-        else:
-            self.udp_rx_tiles = [UdpRxTile("udp_rx", self.mesh,
-                                           (2, 0))]
-            self.udp_tx_tiles = [UdpTxTile("udp_tx", self.mesh,
-                                           (2, 1))]
-        self.udp_rx = self.udp_rx_tiles[0]
-        self.udp_tx = self.udp_tx_tiles[0]
-        self.witnesses = [
-            VrWitnessTile(f"witness{s}", self.mesh,
-                          witness_coords[s], shard=s)
-            for s in range(shards)
-        ]
-        self.ip_tx = IpTxTile("ip_tx", self.mesh, (1, 1))
-        self.eth_tx = EthernetTxTile(
-            "eth_tx", self.mesh, (0, 1), my_mac=SERVER_MAC,
-            line_rate_bytes_per_cycle=line_rate_bytes_per_cycle,
-        )
+    @property
+    def witnesses(self) -> list:
+        return self.tiles_named("witness")
 
-        self.eth_rx.next_hop.set_entry(ETHERTYPE_IPV4, self.ip_rx.coord)
-        # Replicated UDP RX tiles: flows spread by hash at the IP layer.
-        self.ip_rx.next_hop.set_entry(
-            IPPROTO_UDP, [tile.coord for tile in self.udp_rx_tiles]
-        )
-        for shard, witness in enumerate(self.witnesses):
-            # One UDP port per shard: stateful tiles need sticky routing.
-            for udp_rx in self.udp_rx_tiles:
-                udp_rx.next_hop.set_entry(VR_BASE_PORT + shard,
-                                          witness.coord)
-            # Witnesses spread replies across the UDP TX replicas.
-            witness.next_hop.policy = "round_robin"
-            witness.next_hop.set_entry(
-                witness.DEFAULT,
-                [tile.coord for tile in self.udp_tx_tiles],
-            )
-        for udp_tx in self.udp_tx_tiles:
-            udp_tx.next_hop.set_entry(udp_tx.DEFAULT, self.ip_tx.coord)
-        self.ip_tx.next_hop.set_entry(self.ip_tx.DEFAULT,
-                                      self.eth_tx.coord)
+    @property
+    def udp_rx_tiles(self) -> list:
+        return self.tiles_named("udp_rx")
 
-        self.register(
-            [self.eth_rx, self.ip_rx, *self.udp_rx_tiles,
-             *self.witnesses, *self.udp_tx_tiles, self.ip_tx,
-             self.eth_tx],
-            [["eth_rx", "ip_rx", udp_rx.name, witness.name,
-              udp_tx.name, "ip_tx", "eth_tx"]
-             for witness in self.witnesses
-             for udp_rx in self.udp_rx_tiles
-             for udp_tx in self.udp_tx_tiles],
-            fault_plan)
+    @property
+    def udp_tx_tiles(self) -> list:
+        return self.tiles_named("udp_tx")
 
     def shard_port(self, shard: int) -> int:
         return VR_BASE_PORT + shard

@@ -109,9 +109,11 @@ def design_utilization(design, name: str | None = None,
                        include_empty: bool = True) -> DesignUtilization:
     """Aggregate cost of a built design (its tiles' KINDs plus the
     auto-generated empty-tile routers filling the mesh rectangle)."""
-    kinds = [tile.KIND for tile in design.tiles]
+    tiles = design.tiles
+    tiles = list(tiles.values() if isinstance(tiles, dict) else tiles)
+    kinds = [tile.KIND for tile in tiles]
     if include_empty:
-        occupied = {tile.coord for tile in design.tiles}
+        occupied = {tile.coord for tile in tiles}
         mesh = design.mesh
         empties = mesh.width * mesh.height - len(occupied)
         kinds.extend(["empty"] * empties)

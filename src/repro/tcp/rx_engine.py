@@ -8,7 +8,7 @@ dropped and re-ACKed — the engine has no SACK, mirroring the paper.
 
 The engine writes only the RX half of the flow state; it reads the TX
 half and signals the transmit engine over dedicated wires
-(:meth:`connect_tx` — direct method calls, not NoC messages), because
+(``tx_engine`` — direct method calls, not NoC messages), because
 "every receive path has only one corresponding transmit path, so wires
 do not fan out".
 """
@@ -48,7 +48,7 @@ class TcpRxEngineTile(Tile):
                  flows: FlowTable, rx_buffer: BufferTile,
                  rx_buf_bytes: int = params.TCP_RX_BUFFER_BYTES,
                  pipeline_ii: int = params.TCP_ENGINE_PIPELINE_II_CYCLES,
-                 **kwargs):
+                 tx_engine=None, **kwargs):
         kwargs.setdefault("occupancy", params.TCP_ENGINE_PER_PACKET_CYCLES)
         super().__init__(name, mesh, coord, **kwargs)
         # Like the TX engine, the RX pipeline issues a new segment
@@ -61,7 +61,7 @@ class TcpRxEngineTile(Tile):
         self.rx_buffer = rx_buffer
         self.rx_buf_bytes = rx_buf_bytes
         self.listen_ports: dict[int, tuple[int, int]] = {}  # port -> app
-        self.tx_engine = None
+        self.tx_engine = tx_engine
         self._next_buf_base = 0
         # Per-flow: stream offset already handed to the app via RxNotify.
         self._notified: dict[int, int] = {}
@@ -83,14 +83,15 @@ class TcpRxEngineTile(Tile):
 
     # -- wiring ---------------------------------------------------------------
 
-    def connect_tx(self, tx_engine) -> None:
-        """Attach the dedicated wires to the transmit engine."""
-        self.tx_engine = tx_engine
-
     def listen(self, port: int, app_coord: tuple[int, int]) -> None:
         """Accept connections on ``port`` for the app tile at
         ``app_coord``."""
         self.listen_ports[port] = app_coord
+
+    def connect(self, key: int, targets, policy="flow_hash") -> None:
+        """A ``port:N`` destination is ``listen(N, app)``."""
+        (app_coord,) = targets
+        self.listen(key, app_coord)
 
     # -- message handling -------------------------------------------------------
 

@@ -270,6 +270,21 @@ class Tile(Wakeable):
         packets (e.g. the TCP engines' app-interface bookkeeping)."""
         return max(message.n_flits, self.occupancy)
 
+    def connect(self, key, targets: list[tuple[int, int]],
+                policy: str = "flow_hash") -> None:
+        """Declare where the traffic this tile matches on ``key`` goes
+        — how a design spec's ``<dest>`` reaches the tile.  Several
+        ``targets`` are balanced by ``policy``.  A tile that keeps its
+        destinations elsewhere than in a next-hop table overrides this.
+        """
+        table = getattr(self, "next_hop", None)
+        if table is None:
+            raise ValueError(
+                f"tile {self.name!r} cannot take destinations")
+        if len(targets) > 1:
+            table.policy = policy
+        table.set_entry(key, targets)
+
     # -- helpers --------------------------------------------------------------
 
     def make_message(self, dst: tuple[int, int], metadata=None,

@@ -97,6 +97,11 @@ class EthernetTxTile(Tile):
     def add_neighbor(self, ip: IPv4Address, mac: MacAddress) -> None:
         self.neighbor_macs[IPv4Address(ip)] = MacAddress(mac)
 
+    def connect(self, key, targets, policy="flow_hash") -> None:
+        """A destination makes this an inner TX tile: frames go to the
+        encapsulation tile there instead of a MAC."""
+        (self.emit_to_noc,) = targets
+
     def dest_domain(self) -> DestDomain | None:
         """A MAC-facing TX tile addresses nothing on the NoC; an inner
         (overlay) TX tile addresses exactly its encapsulation tile."""

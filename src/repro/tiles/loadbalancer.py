@@ -40,6 +40,10 @@ class FlowHashLoadBalancerTile(Tile):
     def add_stack(self, ingress_coord: tuple[int, int]) -> None:
         self.stacks.append(ingress_coord)
 
+    def connect(self, key, targets, policy="flow_hash") -> None:
+        """Every destination is one more stack, whatever its key."""
+        self.stacks.extend(targets)
+
     def lint_dest_coords(self) -> list[tuple[int, int]]:
         """Static-lint hook: frames may go to any registered stack."""
         return list(self.stacks)

@@ -103,6 +103,13 @@ class PacketLogTile(Tile):
         self.dropped_requests = 0
         self.next_hop = NextHopTable(name=f"{name}.nexthop")
 
+    def connect(self, key, targets, policy="flow_hash") -> None:
+        """``readback`` is where log reads are answered; under any
+        other key the tile forwards the traffic it taps."""
+        super().connect(
+            self.READBACK if key == self.READBACK else self.FORWARD,
+            targets, policy)
+
     # -- logging ---------------------------------------------------------
 
     def _record(self, meta: PacketMeta | None, data: bytes,

@@ -29,6 +29,10 @@ class RoundRobinSchedulerTile(Tile):
     def add_replica(self, coord: tuple[int, int]) -> None:
         self.replicas.append(coord)
 
+    def connect(self, key, targets, policy="round_robin") -> None:
+        """Every destination is one more replica, whatever its key."""
+        self.replicas.extend(targets)
+
     def lint_dest_coords(self) -> list[tuple[int, int]]:
         """Static-lint hook: requests may go to any registered replica."""
         return list(self.replicas)

@@ -35,9 +35,9 @@ class VxlanDecapTile(Tile):
     DEFAULT = "default"
 
     def __init__(self, name: str, mesh: Mesh, coord: tuple[int, int],
-                 **kwargs):
+                 vni: int | None = None, **kwargs):
         super().__init__(name, mesh, coord, **kwargs)
-        self.known_vnis: set[int] = set()
+        self.known_vnis: set[int] = set() if vni is None else {vni}
         self.next_hop = NextHopTable(name=f"{name}.nexthop")
         self.decapsulated = 0
         self.unknown_vni_drops = 0

@@ -198,14 +198,12 @@ def _hostile_frames(seed: int, count: int = 40):
 
 def run_design_hostile(name: str, seed: int,
                        budget_s: float) -> tuple[list[str], str]:
-    from repro.designs.harness import FrameSink
-    from repro.tools.lint import _shipped_designs
+    from repro.designs import SHIPPED, FrameSink, load_design
 
-    shipped = _shipped_designs()
-    if name not in shipped:
+    if name not in SHIPPED:
         return [f"unknown design {name!r} "
-                f"(have {', '.join(sorted(shipped))})"], ""
-    design = shipped[name]()
+                f"(have {', '.join(sorted(SHIPPED))})"], ""
+    design = load_design(name)[1]()
     attach_faults(design, FaultPlan(seed=seed).wire(
         drop=0.1, corrupt=0.2, duplicate=0.05, reorder=0.1, delay=0.1))
     sink = None

@@ -2,10 +2,12 @@
 
     python -m repro.tools.design validate  design.xml
     python -m repro.tools.design analyze   design.xml
-    python -m repro.tools.design generate  design.xml
-    python -m repro.tools.design loc       design.xml TILE
+    python -m repro.tools.design generate  udp_echo
+    python -m repro.tools.design loc       rs rs3
     python -m repro.tools.design resources design.xml
 
+The design is an XML path or the name of a shipped design, read from
+the spec its class publishes (:func:`repro.designs.load_design`).
 ``validate`` checks topology soundness and reports the auto-generated
 empty tiles; ``analyze`` runs the compile-time deadlock analysis over
 the declared chains; ``generate`` prints the top-level wiring;
@@ -18,32 +20,17 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.config import (
-    design_from_xml,
-    generate_top_level,
-    instantiation_loc,
-    validate,
-)
+from repro.config import generate_top_level, instantiation_loc, validate
+from repro.config.registry import TILE_TYPES
 from repro.config.validate import ValidationError
+from repro.designs import load_design
 from repro.analysis.deadlock import analyze_chains
 from repro.resources import tile_cost
 from repro import params
 
-# Mapping from config tile types to resource-model kinds.
-_RESOURCE_KIND = {
-    "eth_rx": "eth_rx", "eth_tx": "eth_tx", "ip_rx": "ip_rx",
-    "ip_tx": "ip_tx", "udp_rx": "udp_rx", "udp_tx": "udp_tx",
-    "echo_app": "echo_app", "buffer": "buffer_tile",
-    "nat_rx": "nat", "nat_tx": "nat", "ipinip_encap": "ipinip",
-    "ipinip_decap": "ipinip", "log": "log_tile",
-    "load_balancer": "load_balancer", "rr_scheduler": "load_balancer",
-    "rs_encoder": "rs_encoder", "vr_witness": "vr_witness",
-}
 
-
-def _load(path: str):
-    with open(path) as handle:
-        return design_from_xml(handle.read())
+def _load(target: str):
+    return load_design(target)[0]
 
 
 def cmd_validate(args) -> int:
@@ -104,11 +91,7 @@ def cmd_resources(args) -> int:
     total_luts = 0
     total_brams = 0.0
     for tile in design.tiles:
-        kind = _RESOURCE_KIND.get(tile.type)
-        if kind is None:
-            print(f"  {tile.name:<16} ({tile.type}): no cost model")
-            continue
-        cost = tile_cost(kind)
+        cost = tile_cost(TILE_TYPES[tile.type].tile_class().KIND)
         total_luts += cost.luts
         total_brams += cost.brams
         print(f"  {tile.name:<16} {cost.luts:>7} LUTs "
@@ -139,12 +122,18 @@ def main(argv: list[str] | None = None) -> int:
         ("resources", cmd_resources, ()),
     ):
         command = sub.add_parser(name)
-        command.add_argument("design", help="path to the design XML")
+        command.add_argument(
+            "design", help="design XML path or shipped design name")
         for argument in extra:
             command.add_argument(argument)
         command.set_defaults(handler=handler)
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (OSError, ValueError) as error:
+        # Unreadable, not a design file, or one ``validate`` rejects.
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

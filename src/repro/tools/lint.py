@@ -7,11 +7,11 @@
     python -m repro.tools.lint --list-codes
 
 A target is either the name of a shipped design (see ``--list``) or a
-path to a design XML file.  Named designs are instantiated and every
+path to a design XML file (:func:`repro.designs.load_design`).  Either
+way its spec is linted first; then the design is built and every
 analysis pass runs over the real objects — mesh, routers, next-hop
-tables, simulator components.  XML targets are first spec-linted, then
-built with :class:`repro.config.generate.GeneratedDesign` and analyzed
-the same way.
+tables, simulator components.  The seeded-bug demo targets have no
+spec and are only built.
 
 ``--sanitize`` additionally runs the dynamic sanitizer passes
 (BHV4xx): bounded instrumented simulations of ``--cycles`` cycles each,
@@ -33,38 +33,7 @@ import sys
 from repro.analysis import CODES, SANITIZE_PASSES, AnalysisReport, analyze
 from repro.analysis.findings import Finding
 from repro.analysis.sanitize import DEFAULT_CYCLES, analyze_dynamic
-
-
-def _shipped_designs():
-    """name -> zero-argument design factory, for every shipped design."""
-    from repro.designs import (
-        IpInIpEchoDesign,
-        LoggedUdpEchoDesign,
-        ManagedNatEchoDesign,
-        MultiStackDesign,
-        NatEchoDesign,
-        RsDesign,
-        ScaledEchoDesign,
-        TcpServerDesign,
-        UdpEchoDesign,
-        VrWitnessDesign,
-        VxlanEchoDesign,
-    )
-    return {
-        "udp_echo": UdpEchoDesign,
-        "logged_udp_echo": LoggedUdpEchoDesign,
-        "nat_echo": NatEchoDesign,
-        "ipinip_echo": IpInIpEchoDesign,
-        "managed_nat_echo": ManagedNatEchoDesign,
-        "multi_stack": MultiStackDesign,
-        "scaled_echo": ScaledEchoDesign,
-        "tcp_server": TcpServerDesign,
-        "tcp_server_logged":
-            lambda **kw: TcpServerDesign(with_logging=True, **kw),
-        "rs": RsDesign,
-        "vr_witness": VrWitnessDesign,
-        "vxlan_echo": VxlanEchoDesign,
-    }
+from repro.designs import SHIPPED, load_design
 
 
 def _demo_designs():
@@ -134,50 +103,48 @@ def _sanitize_into(report: AnalysisReport, factory, name: str,
     report.passes_run.extend(dynamic.passes_run)
 
 
-def _lint_xml(path: str, passes, sanitize_passes=(),
-              cycles: int = 0) -> AnalysisReport:
-    """Spec-lint an XML file, then build it and run the instance passes.
+def _lint(target: str, passes, sanitize_passes=(),
+          cycles: int = 0) -> AnalysisReport:
+    """Spec-lint ``target`` (a shipped name or an XML path), then build
+    it and run the instance passes over the real objects.
 
     Build-time rejections (the generator's own validation and deadlock
     gate) are folded into the report instead of escaping as tracebacks.
     """
     from repro.analysis import lint_spec
     from repro.analysis.deadlock import DeadlockError
-    from repro.config import design_from_xml
-    from repro.config.generate import GeneratedDesign
     from repro.config.validate import ValidationError
 
-    with open(path) as handle:
-        spec = design_from_xml(handle.read())
-    report = AnalysisReport(target=f"{spec.name} ({path})")
+    spec, factory = load_design(target)
+    name = target if target in SHIPPED else f"{spec.name} ({target})"
+    report = AnalysisReport(target=name)
     report.extend(lint_spec(spec))
     report.passes_run.append("spec")
     if not report.ok:
         return report  # cannot build a spec the spec-lint rejects
     try:
-        design = GeneratedDesign(spec)
+        design = factory()
     except ValidationError as error:
         for problem in error.problems:
             report.findings.append(Finding(
-                "BHV120", f"build rejected: {problem}", location=path))
+                "BHV120", f"build rejected: {problem}", location=target))
         return report
     except DeadlockError as error:
         report.findings.append(Finding(
-            "BHV201", f"build rejected: {error}", location=path,
+            "BHV201", f"build rejected: {error}", location=target,
             hint="re-place the tiles so each chain acquires links in "
                  "ascending order (paper Fig 5b)"))
         return report
-    instance = analyze(design, name=report.target, passes=passes)
+    instance = analyze(design, name=name, passes=passes)
     report.extend(instance.findings)
     report.passes_run.extend(instance.passes_run)
     if sanitize_passes is None or sanitize_passes:
-        _sanitize_into(report, lambda **kw: GeneratedDesign(spec, **kw),
-                       report.target, sanitize_passes, cycles)
+        _sanitize_into(report, factory, name, sanitize_passes, cycles)
     return report
 
 
-def _lint_named(name: str, factory, passes, sanitize_passes=(),
-                cycles: int = 0) -> AnalysisReport:
+def _lint_demo(name: str, factory, passes, sanitize_passes=(),
+               cycles: int = 0) -> AnalysisReport:
     design = factory()
     report = analyze(design, name=name, passes=passes)
     if sanitize_passes is None or sanitize_passes:
@@ -245,16 +212,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.cycles < 1:
         parser.error(f"--cycles must be >= 1, got {args.cycles}")
 
-    shipped = _shipped_designs()
     demos = _demo_designs()
     if args.list_designs:
-        print("shipped:", " ".join(sorted(shipped)))
+        print("shipped:", " ".join(sorted(SHIPPED)))
         print("demos:  ", " ".join(sorted(demos)))
         return 0
 
     targets = list(args.targets)
     if args.all:
-        targets.extend(name for name in sorted(shipped)
+        targets.extend(name for name in sorted(SHIPPED)
                        if name not in targets)
     if not targets:
         parser.error("no targets (give a design name / XML path, "
@@ -263,20 +229,19 @@ def main(argv: list[str] | None = None) -> int:
     worst = 0
     reports = []
     for target in targets:
-        if target in shipped or target in demos:
-            factory = shipped.get(target) or demos[target]
+        if target in demos:
             try:
-                report = _lint_named(target, factory, static_passes,
-                                     sanitize_passes, args.cycles)
+                report = _lint_demo(target, demos[target], static_passes,
+                                    sanitize_passes, args.cycles)
             except Exception as error:  # noqa: BLE001 - reported, not hidden
                 print(f"error: cannot build design {target!r}: {error}",
                       file=sys.stderr)
                 return 2
-        elif target.endswith(".xml"):
+        elif target in SHIPPED or target.endswith(".xml"):
             try:
-                report = _lint_xml(target, static_passes,
-                                   sanitize_passes, args.cycles)
-            except OSError as error:
+                report = _lint(target, static_passes,
+                               sanitize_passes, args.cycles)
+            except (OSError, ValueError) as error:
                 print(f"error: cannot read {target}: {error}",
                       file=sys.stderr)
                 return 2

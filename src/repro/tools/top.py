@@ -4,7 +4,7 @@
     python -m repro.tools.top --replay snapshots.json --plain
     python -m repro.tools.top udp_echo --save snapshots.json
 
-Live mode builds a design (XML path or builtin name), attaches a
+Live mode builds a design (XML path or shipped name), attaches a
 :class:`repro.telemetry.probe.Probe`, drives the same UDP traffic the
 trace tool does, and redraws a frame per sample: a link-utilization
 heatmap of the mesh, per-tile occupancy (queue depths against their
@@ -180,19 +180,13 @@ def render_all(series: SnapshotSeries) -> str:
 def _run_live(args) -> int:
     # Reuse the trace tool's design loading + traffic conventions, but
     # sample with a probe instead of recording a full trace.
-    from repro.config import build_design
     from repro.designs.harness import attach_client
     from repro.telemetry.probe import attach_probe
-    from repro.tools.trace import _load_spec
+    from repro.tools.trace import build_target
 
-    try:
-        spec = _load_spec(args.design)
-    except OSError as error:
-        print(f"error: cannot read design {args.design!r}: {error}",
-              file=sys.stderr)
+    design = build_target(args.design)
+    if design is None:
         return 1
-
-    design = build_design(spec)
     if design.udp_port is None:
         print(f"error: design {args.design!r} routes no UDP port",
               file=sys.stderr)
@@ -262,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
                     "recorded snapshot series.",
     )
     parser.add_argument("design", nargs="?",
-                        help="design XML path or builtin name "
+                        help="design XML path or shipped name "
                              "(omit with --replay)")
     parser.add_argument("--replay", metavar="SNAPSHOTS_JSON",
                         help="render a recorded snapshot series instead "

@@ -3,9 +3,9 @@
     python -m repro.tools.trace udp_echo --cycles 5000 --out trace.json
     python -m repro.tools.trace my_design.xml --rate 50 --payload 256
 
-The positional argument is either a design XML file or one of the
-builtin example designs (``udp_echo``, ``rs_accelerator``,
-``vr_witness``).  The tool builds the design, attaches a
+The positional argument is either a design XML file or the name of a
+shipped design (``python -m repro.tools.lint --list``).  The tool
+builds the design, attaches a
 :class:`repro.telemetry.trace.Tracer`, drives UDP traffic from a
 simulated client into the design's Ethernet RX tile for ``--cycles``
 cycles, then writes the Chrome trace-event JSON (loadable in Perfetto /
@@ -24,14 +24,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-import xml.etree.ElementTree as ET
 
-from repro.config import build_design, design_from_xml
-from repro.config.examples import (
-    RS_DESIGN_XML,
-    UDP_ECHO_XML,
-    VR_DESIGN_XML,
-)
+from repro.designs import SHIPPED, load_design
 from repro.designs.harness import attach_client, client_frame
 from repro.telemetry.stats import design_report
 from repro.telemetry.trace import (
@@ -41,18 +35,18 @@ from repro.telemetry.trace import (
     write_chrome_trace,
 )
 
-BUILTIN_DESIGNS = {
-    "udp_echo": UDP_ECHO_XML,
-    "rs_accelerator": RS_DESIGN_XML,
-    "vr_witness": VR_DESIGN_XML,
-}
-
-
-def _load_spec(name_or_path: str):
-    if name_or_path in BUILTIN_DESIGNS:
-        return design_from_xml(BUILTIN_DESIGNS[name_or_path])
-    with open(name_or_path) as handle:
-        return design_from_xml(handle.read())
+def build_target(target: str):
+    """The design ``target`` names (a shipped name or an XML path), or
+    None after saying on stderr why there is none."""
+    try:
+        return load_design(target)[1]()
+    except OSError as error:
+        print(f"error: cannot read design {target!r}: {error}",
+              file=sys.stderr)
+    except ValueError as error:  # not a design, or one validate rejects
+        print(f"error: cannot build design {target!r}: {error}",
+              file=sys.stderr)
+    return None
 
 
 def _rate(text: str) -> float | None:
@@ -73,8 +67,8 @@ def main(argv: list[str] | None = None) -> int:
                     "Perfetto-loadable JSON plus a text summary.",
     )
     parser.add_argument("design",
-                        help="design XML path or builtin name "
-                             f"({', '.join(sorted(BUILTIN_DESIGNS))})")
+                        help="design XML path or shipped name "
+                             f"({', '.join(sorted(SHIPPED))})")
     parser.add_argument("--cycles", type=int, default=5000,
                         help="cycles to simulate (default 5000)")
     parser.add_argument("--rate", type=_rate, default=50.0,
@@ -93,17 +87,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="suppress the text summary")
     args = parser.parse_args(argv)
 
-    try:
-        spec = _load_spec(args.design)
-    except OSError as error:
-        print(f"error: cannot read design {args.design!r}: {error}",
-              file=sys.stderr)
+    design = build_target(args.design)
+    if design is None:
         return 1
-    except (KeyError, ValueError, ET.ParseError) as error:
-        print(f"error: cannot parse design {args.design!r}: "
-              f"{type(error).__name__}: {error}", file=sys.stderr)
-        return 1
-    design = build_design(spec)
     port = args.port if args.port is not None else design.udp_port
     if port is None:
         print(f"error: design {args.design!r} routes no UDP port; "

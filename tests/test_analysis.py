@@ -10,10 +10,12 @@ from repro.analysis import (
     Finding,
     analyze,
     analyze_chains,
+    lint_spec,
 )
 from repro.analysis.demo import Fig5Design, build_broken_wake_design
+from repro.designs import SHIPPED, load_design
 from repro.noc.routing import Port
-from repro.tools.lint import _shipped_designs, main as lint_main
+from repro.tools.lint import main as lint_main
 
 
 class TestFindingPipeline:
@@ -147,9 +149,10 @@ class TestWakeContractPass:
 
 
 class TestShippedDesignsLintClean:
-    @pytest.mark.parametrize("name", sorted(_shipped_designs()))
+    @pytest.mark.parametrize("name", sorted(SHIPPED))
     def test_no_errors(self, name):
-        factory = _shipped_designs()[name]
+        spec, factory = load_design(name)
+        assert lint_spec(spec) == []
         report = analyze(factory(), name=name)
         assert report.ok, report.render()
 

@@ -6,9 +6,9 @@ from repro.config import (
     ChainSpec,
     DesignSpec,
     DestSpec,
+    GeneratedDesign,
     TileSpec,
     ValidationError,
-    build_design,
     design_from_xml,
     design_to_xml,
     generate_top_level,
@@ -164,6 +164,26 @@ class TestValidationEdgeCases:
         assert report.empty_coords[0] == (0, 0)
         assert report.empty_coords[-1] == (2, 2)
 
+    @pytest.mark.parametrize("tile, code", [
+        (TileSpec("a", "quantum_tile", 0, 0), "BHV125"),
+        (TileSpec("a", "eth_tx", 0, 0), "BHV126"),
+        (TileSpec("a", "eth_tx", 0, 0, {"my_mac": "02:00:00:00:00:01",
+                                        "line_rate": "fast"}), "BHV127"),
+        (TileSpec("a", "eth_rx", 0, 0, {"my_mac": "not-a-mac"}), "BHV127"),
+        (TileSpec("a", "tcp_tx", 0, 0, {"tx_buffer": "nowhere"}),
+         "BHV124"),
+    ])
+    def test_tile_types_and_params_are_checked_before_any_factory(
+            self, tile, code):
+        """The registry entry says what a type requires and how each
+        param parses; the factory no longer finds out the hard way."""
+        design = DesignSpec(name="t", width=1, height=1, tiles=[tile])
+        with pytest.raises(ValidationError, match=code) as excinfo:
+            validate(design)
+        assert len(excinfo.value.problems) == 1
+        with pytest.raises(ValidationError, match=code):
+            GeneratedDesign(design)
+
     def test_no_chains_is_a_warning_not_an_error(self):
         design = DesignSpec(name="quiet", width=2, height=1)
         design.tiles = [TileSpec(name="a", type="ip_rx", x=0, y=0)]
@@ -183,7 +203,7 @@ class TestGeneratedDesign:
     def test_builds_and_echoes(self):
         """The XML-generated design behaves like the handwritten one."""
         spec = design_from_xml(UDP_ECHO_XML)
-        design = build_design(spec)
+        design = GeneratedDesign(spec)
         design.add_client(CLIENT_IP, CLIENT_MAC)
         sink = FrameSink(design.eth_tx)
         design.sim.add(sink)
@@ -202,7 +222,7 @@ class TestGeneratedDesign:
         moved = UDP_ECHO_XML.replace("02:be:e0:00:00:01",
                                      "02:be:e0:00:00:77") \
             .replace("10.0.0.10", "10.0.7.7").replace("port:7", "port:53")
-        design = build_design(design_from_xml(moved))
+        design = GeneratedDesign(design_from_xml(moved))
         assert design.server_mac == MacAddress("02:be:e0:00:00:77")
         assert design.server_ip == IPv4Address("10.0.7.7")
         assert design.udp_port == 53
@@ -212,7 +232,7 @@ class TestGeneratedDesign:
                 tile.params.clear()
             if tile.type == "udp_rx":
                 tile.dests.clear()
-        design = build_design(spec)
+        design = GeneratedDesign(spec)
         assert design.server_mac == MacAddress("02:be:e0:00:00:01")
         assert design.server_ip == IPv4Address("10.0.0.10")
         assert design.udp_port is None
@@ -223,18 +243,18 @@ class TestGeneratedDesign:
         # Swap ip_rx and udp_rx coordinates: eth->ip now crosses udp.
         spec.tile("ip_rx").x, spec.tile("udp_rx").x = 2, 1
         with pytest.raises(DeadlockError):
-            build_design(spec)
+            GeneratedDesign(spec)
 
     def test_unknown_type_rejected(self):
         spec = DesignSpec(name="t", width=1, height=1, tiles=[
             TileSpec(name="a", type="quantum_tile", x=0, y=0),
         ])
-        with pytest.raises(KeyError, match="quantum_tile"):
-            build_design(spec)
+        with pytest.raises(ValidationError, match="BHV125.*quantum_tile"):
+            GeneratedDesign(spec)
 
     def test_replicated_targets_load_balance(self):
         spec = design_from_xml(UDP_ECHO_XML)
-        design = build_design(spec)
+        design = GeneratedDesign(spec)
         table = design.tiles["udp_rx"].next_hop
         table.set_entry(7, [(3, 0), (3, 1)])
         picks = {table.lookup(7, flow_key=(0, 0, p, 7))

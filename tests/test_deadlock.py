@@ -161,9 +161,13 @@ class TestAgainstNetworkx:
     """The in-house SCC and witness code replaced three networkx
     calls; networkx (a dev dependency only) stays the reference."""
 
+    @pytest.fixture(scope="class")
+    def nx(self):
+        """Imported once, outside every example's deadline."""
+        return pytest.importorskip("networkx")
+
     @given(graph=digraphs())
-    def test_same_partition_and_sound_witnesses(self, graph):
-        nx = pytest.importorskip("networkx")
+    def test_same_partition_and_sound_witnesses(self, nx, graph):
         reference = nx.DiGraph()
         reference.add_nodes_from(graph)
         reference.add_edges_from((held, wanted) for held in graph

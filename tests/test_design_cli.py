@@ -3,7 +3,9 @@
 import pytest
 
 from repro.config.examples import RS_DESIGN_XML, UDP_ECHO_XML
+from repro.designs import SHIPPED
 from repro.tools.design import main
+from repro.tools.lint import main as lint_main
 
 
 @pytest.fixture
@@ -67,3 +69,46 @@ class TestCli:
         out = capsys.readouterr().out
         assert "TOTAL" in out
         assert "rs0" in out
+
+    def test_a_shipped_name_is_a_design_too(self, capsys):
+        for name in sorted(SHIPPED):
+            assert main(["validate", name]) == 0
+            assert main(["generate", name]) == 0
+        assert main(["loc", "rs", "rs3"]) == 0
+        assert "XML declaration:  14 lines" in capsys.readouterr().out
+
+    def test_unreadable_or_not_a_design_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "junk.xml"
+        path.write_text("<design width='2'><tile>")
+        assert main(["validate", str(tmp_path / "nope.xml")]) == 1
+        assert main(["generate", str(path)]) == 1
+        assert capsys.readouterr().err.count("error:") == 2
+
+
+#: What only a tile factory used to find out, after ``validate`` had
+#: said OK: (edit to the UDP echo file, finding code, what it names).
+MALFORMED = {
+    "unknown type": (("<type>echo_app</type>", "<type>echo_ap</type>"),
+                     "BHV125", "echo_ap"),
+    "missing required param": (
+        ('<y>1</y>\n    <param name="my_mac" value="02:be:e0:00:00:01"/>',
+         "<y>1</y>"), "BHV126", "my_mac"),
+    "unparsable value": (('value="none"', 'value="fast"'),
+                         "BHV127", "line_rate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_tile_is_a_finding_not_a_traceback(case, tmp_path,
+                                                     capsys):
+    (old, new), code, named = MALFORMED[case]
+    assert UDP_ECHO_XML.count(old) == 1
+    path = tmp_path / "malformed.xml"
+    path.write_text(UDP_ECHO_XML.replace(old, new))
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert f"error: {code}" in out and named in out and "OK" not in out
+    assert main(["generate", str(path)]) == 1
+    assert code in capsys.readouterr().err
+    assert lint_main([str(path)]) == 1
+    assert f"error {code}" in capsys.readouterr().out

@@ -189,7 +189,7 @@ class TestTileFaults:
         design, sink = echo_design(plan)
         inject_echoes(design, count=20, gap=2)
         design.sim.run(8000)
-        eth_rx = {t.name: t for t in design.tiles}["eth_rx"]
+        eth_rx = design.tiles["eth_rx"]
         lost = eth_rx.drop_reasons.get("fault: crash", 0)
         assert lost > 0
         assert sink.count == 20 - lost

@@ -59,8 +59,8 @@ class TestRegisterTiles:
 
         obj = echo_design(profile="reference")
         assert obj.tile_core is None
-        assert set(flat.tiles) <= set(flat.tile_core.tiles)
-        assert set(obj.tiles) <= set(obj.sim.components)
+        assert set(flat.tiles.values()) <= set(flat.tile_core.tiles)
+        assert set(obj.tiles.values()) <= set(obj.sim.components)
 
     def test_unknown_backend_rejected(self):
         """There is no backend string left to get wrong: the old
@@ -76,9 +76,8 @@ class TestRegisterTiles:
     def test_dict_of_tiles_accepted(self):
         design = echo_design()
         sim = CycleSimulator()
-        core = register_tiles(sim, {t.name: t for t in design.tiles})
-        assert [t.name for t in core.tiles] == \
-            [t.name for t in design.tiles]
+        core = register_tiles(sim, dict(design.tiles))
+        assert [t.name for t in core.tiles] == list(design.tiles)
 
     def test_adopt_rejects_non_tiles(self):
         core = FlatTileCore()
@@ -99,7 +98,7 @@ class TestViews:
         design = echo_design()
         core = design.tile_core
         views = core.views()
-        assert [v.name for v in views] == [t.name for t in design.tiles]
+        assert [v.name for v in views] == list(design.tiles)
         assert all(v.mode == "fast" for v in views)
         assert core.view("udp_rx").tile is design.udp_rx
         assert core.view(design.app).name == "app"
@@ -137,9 +136,9 @@ class TestScheduling:
     def test_substeps_and_wake_sources_cover_all_tiles(self):
         design = echo_design()
         core = design.tile_core
-        assert core.kernel_substeps() == design.tiles
+        assert core.kernel_substeps() == list(design.tiles.values())
         assert core.wake_sources() == \
-            [t.port.eject_fifo for t in design.tiles]
+            [t.port.eject_fifo for t in design.tiles.values()]
 
 
 class TestLintIntegration:
@@ -221,7 +220,7 @@ def faulted_echo(profile, plan, probe):
                 design.sim.cycle) == []
             assert design.tile_core.check_invariants() == []
     assert sink.count == 1
-    run = observed(design.sim, design.mesh, design.tiles, tracer)
+    run = observed(design.sim, design.mesh, design.tiles.values(), tracer)
     run["frames"] = list(sink.frames)
     run["fault_log"] = list(design.fault_engine.log)
     return run, wakes
@@ -402,7 +401,7 @@ class TestEjectionEdge:
             design.sim.run_until(lambda: sink.count >= 12,
                                  max_cycles=20_000)
             runs[profile] = observed(design.sim, design.mesh,
-                                     design.tiles, tracer)
+                                     design.tiles.values(), tracer)
             runs[profile]["frames"] = list(sink.frames)
             if profile == "fast":
                 assert design.tile_core.is_idle()

@@ -9,7 +9,7 @@ import os
 
 from repro.apps.reed_solomon import ReedSolomonCodec
 from repro.apps.vr.tile import MSG_PREPARE, MSG_PREPARE_OK, PrepareWire
-from repro.config import build_design, design_from_xml
+from repro.config import GeneratedDesign, design_from_xml
 from repro.config.examples import RS_DESIGN_XML, VR_DESIGN_XML
 from repro.designs import FrameSink
 from repro.packet import (
@@ -32,7 +32,7 @@ def run_until(design, sink, count, max_cycles=20_000):
 
 class TestGeneratedRsDesign:
     def build(self):
-        design = build_design(design_from_xml(RS_DESIGN_XML))
+        design = GeneratedDesign(design_from_xml(RS_DESIGN_XML))
         design.add_client(CLIENT_IP, CLIENT_MAC)
         sink = FrameSink(design.eth_tx)
         design.sim.add(sink)
@@ -64,7 +64,7 @@ class TestGeneratedRsDesign:
 
 class TestGeneratedVrDesign:
     def build(self):
-        design = build_design(design_from_xml(VR_DESIGN_XML))
+        design = GeneratedDesign(design_from_xml(VR_DESIGN_XML))
         design.add_client(CLIENT_IP, CLIENT_MAC)
         sink = FrameSink(design.eth_tx)
         design.sim.add(sink)

@@ -31,6 +31,7 @@ from repro.config.examples import UDP_ECHO_XML
 from repro.config.generate import GeneratedDesign
 from repro.control import encode_control_rpc
 from repro.designs import (
+    SHIPPED,
     FrameSink,
     FrameSource,
     LoggedUdpEchoDesign,
@@ -39,6 +40,7 @@ from repro.designs import (
     ScaledEchoDesign,
     UdpEchoDesign,
     VxlanEchoDesign,
+    load_design,
 )
 from repro.designs.base import Design
 from repro.designs.rs_design import RsDesign
@@ -60,7 +62,6 @@ from repro.tcp.app import TcpSourceAppTile
 from repro.tcp.peer import PeerNetwork, SoftTcpPeer
 from repro.telemetry import design_counters
 from repro.telemetry.trace import Tracer, attach_tracer
-from repro.tools.lint import _shipped_designs
 from tests.test_tcp import play, scripted_session
 
 CLIENT_IP = IPv4Address("10.0.0.1")
@@ -761,14 +762,14 @@ class TestIdleSkipActuallyHappens:
         assert sink.count == 20
         assert design.sim.idle_cycles_skipped > 3000
 
-    @pytest.mark.parametrize("name", sorted(_shipped_designs()))
+    @pytest.mark.parametrize("name", sorted(SHIPPED))
     def test_every_shipped_design_sleeps_once_drained(self, name):
         """No shipped design holds a component, or a tile inside its
         core, that never reports idle (an ``on_cycle`` override
         without a contract of its own did, until the TCP TX engine and
         the controller tile got theirs): traffic in, traffic drained,
         and nothing is due again — no bit busy, no timer armed."""
-        design = _shipped_designs()[name]()
+        design = load_design(name)[1]()
         if hasattr(design, "tcp_port"):
             design.add_client(CLIENT_IP, CLIENT_MAC)
             actions = scripted_session(design, gap=250)

@@ -55,7 +55,7 @@ class TestSampling:
         assert snapshot["busy_routers"] >= 1
         assert snapshot["links"]  # saturated echo moves flits
         tiles = snapshot["tiles"]
-        assert set(tiles) == {t.name for t in design.tiles}
+        assert set(tiles) == set(design.tiles)
         eth_rx = tiles["eth_rx"]
         assert eth_rx["msgs_out"] > 0
         assert eth_rx["tx_hwm"] >= eth_rx["tx_backlog"]

@@ -273,9 +273,11 @@ class TestBuildDesign:
                 assert type(design.mesh) is mesh_cls
 
     def test_every_lintable_factory_takes_a_profile(self):
-        from repro.tools.lint import _demo_designs, _shipped_designs
-        for name, factory in {**_shipped_designs(),
-                              **_demo_designs()}.items():
+        from repro.designs import SHIPPED, load_design
+        from repro.tools.lint import _demo_designs
+        for name, factory in {
+                **{name: load_design(name)[1] for name in SHIPPED},
+                **_demo_designs()}.items():
             for profile in ("fast", "reference"):
                 assert build_design(factory, profile).sim, name
 

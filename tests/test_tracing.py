@@ -48,7 +48,7 @@ class TestNullTracer:
             assert router.tracer is NULL_TRACER
         for port in design.mesh.ports.values():
             assert port.tracer is NULL_TRACER
-        for tile in design.tiles:
+        for tile in design.tiles.values():
             assert tile.tracer is NULL_TRACER
         assert NULL_TRACER.enabled is False
 
