@@ -30,7 +30,7 @@ from repro.designs import (
 from repro.designs.managed_stack import ManagedNatEchoDesign
 from repro.noc import Mesh, NocMessage
 from repro.packet import IPv4Address
-from repro.sim.kernel import CycleSimulator
+from repro.sim.kernel import CycleSimulator, no_commit
 from repro.tiles.base import Tile
 
 
@@ -63,7 +63,7 @@ class _Relay(Tile):
 def fifo_depth_ablation():
     rows = []
     for depth in (1, 2, 4, 8):
-        sim = CycleSimulator()
+        sim = CycleSimulator(kernel="naive")   # routers commit
         mesh = Mesh(3, 1, fifo_depth=depth)
         src = mesh.attach((0, 0))
         relay = _Relay("relay", mesh, (1, 0), dest=(2, 0))
@@ -128,8 +128,7 @@ def control_plane_isolation():
                     )
                     controller_ep.pop_replies()
 
-                def commit(self):
-                    pass
+                commit = no_commit
 
             design.sim.add(Storm())
         design.eth_tx.line_rate = None

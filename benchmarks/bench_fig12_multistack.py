@@ -15,6 +15,7 @@ from repro import params
 from repro.designs import CLIENT_IP, CLIENT_MAC, FrameSink
 from repro.designs.multi_stack import MultiStackDesign
 from repro.packet import IPv4Address, build_ipv4_udp_frame
+from repro.sim.kernel import no_commit
 
 SIZES = (64, 256, 1024, 4096)
 
@@ -44,8 +45,7 @@ def multistack_goodput(stacks: int, size: int,
                 design.inject(frame, cycle)
                 self._free = cycle + max(1, (len(frame) + 24) // 64)
 
-        def commit(self):
-            pass
+        commit = no_commit
 
     sinks = [FrameSink(stack.eth_tx, keep_frames=False)
              for stack in design.stacks]
@@ -75,7 +75,7 @@ def lb_ceiling_gbps(cycles: int = 8_000) -> float:
             self.count += 1
             return []
 
-    sim = CycleSimulator()
+    sim = CycleSimulator(kernel="naive")   # routers commit
     mesh = Mesh(2, 1)
     lb = FlowHashLoadBalancerTile("lb", mesh, (0, 0))
     sink = Sink("sink", mesh, (1, 0))

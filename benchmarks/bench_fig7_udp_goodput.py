@@ -22,6 +22,7 @@ from repro.designs import (
     client_frame,
     saturation_goodput,
 )
+from repro.sim.kernel import no_commit
 
 SIZES = (64, 256, 1024, 4096, 9000)
 
@@ -48,8 +49,7 @@ def saturate_echo(design, size: int) -> float:
                 design.inject(frame, cycle)
                 self._free = cycle + max(1, len(frame) // 64)
 
-        def commit(self):
-            pass
+        commit = no_commit
 
     design.sim.add(Source())
     design.sim.run(_cycles_for(size))

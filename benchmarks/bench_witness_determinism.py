@@ -19,6 +19,7 @@ from repro.packet import (
     build_ipv4_udp_frame,
     parse_frame,
 )
+from repro.sim.kernel import no_commit
 from repro.sim.rng import SeededStreams
 
 LEADER_IP = IPv4Address("10.0.0.2")
@@ -56,8 +57,7 @@ def hardware_latencies() -> list[float]:
                 design.inject(frame, cycle)
                 self._free = cycle + 25  # ~10 Mprepare/s offered
 
-        def commit(self):
-            pass
+        commit = no_commit
 
     design.sim.add(Source())
     previous = 0

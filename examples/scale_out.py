@@ -16,6 +16,7 @@ from repro import params
 from repro.designs import CLIENT_MAC, FrameSink, ScaledEchoDesign
 from repro.packet import IPv4Address, build_ipv4_udp_frame
 from repro.resources import max_frequency_mhz
+from repro.sim.kernel import no_commit
 from repro.telemetry import design_counters, design_report
 
 
@@ -52,8 +53,7 @@ def main():
                 design.inject(next(cycler), cycle)
                 self._free = cycle + 2
 
-        def commit(self):
-            pass
+        commit = no_commit
 
     sink = FrameSink(design.eth_tx, keep_frames=False)
     design.sim.add(Source())

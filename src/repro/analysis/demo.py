@@ -8,11 +8,18 @@ kernel the tile idles out before traffic arrives and nothing ever
 wakes it, so the same design stalls forever.  The wake-contract pass
 flags exactly this divergence as BHV301 *before* anything runs.
 
-Every builder takes ``profile`` as the shipped designs do, but a
-fixture maps it to its *kernel* only (:func:`_fixture_sim`) and keeps
-the mesh it builds by hand: the scheduled kernel over an object
-``Mesh`` is a pairing no shipped design has, and exactly the one that
-shows these bugs.
+Every builder takes ``profile`` as the shipped designs do and maps it
+to a kernel and a mesh (:func:`_fixture`): the scheduled kernel over a
+``FlatMesh`` under ``fast``, the naive one over an object ``Mesh``
+under ``reference``.  What it does not take from the profile is the
+tile engine: a fixture registers its hand-built tiles one by one, so
+the kernel's wake rule — not the flat tile core's — is what schedules
+the buggy tile.  Two fixtures keep the object ``Mesh`` on the naive
+kernel whatever the profile: the leaky-eject tile (its bug is
+bookkeeping, not scheduling; on a flat mesh its off-the-books pops
+would also part ``fast`` from ``reference``, a BHV404 beside its
+BHV403) and the Fig 5 relays (they push ``Flit`` objects into a
+router's LOCAL FIFO).
 
 The remaining builders each seed exactly one bug for one finding code,
 so the linter's regression tests can assert "this pass catches this
@@ -33,9 +40,9 @@ build_blind_forwarder_design    BHV504  forwarding with no declarations
 ==============================  ======  ==================================
 
 (BHV402 needs no dedicated fixture: the broken-wake design is also the
-canonical *dynamic* lost wakeup — the staged push its consumer misses —
-and, stalling under ``fast`` while it works under ``reference``, a
-BHV404 as well.)
+canonical *dynamic* lost wakeup — the ejection its consumer sleeps
+through — and, stalling under ``fast`` while it works under
+``reference``, a BHV404 as well.)
 
 The module ends with the runtime reproduction of the paper's Fig 5
 deadlock (BHV201's fixture): :class:`CutThroughTile` forwards flits as
@@ -62,10 +69,10 @@ from repro.tiles.base import DestDomain, Tile
 from repro.tiles.scheduler import RoundRobinSchedulerTile
 
 
-def _fixture_sim(profile: str) -> CycleSimulator:
-    """A fixture's simulator: the profile's kernel, nothing else."""
-    kernel, _flat = lookup(profile)
-    return CycleSimulator(kernel=kernel)
+def _fixture(profile: str) -> tuple[CycleSimulator, type]:
+    """A fixture's simulator and mesh class under ``profile``."""
+    kernel, flat = lookup(profile)
+    return CycleSimulator(kernel=kernel), FlatMesh if flat else Mesh
 
 
 class BrokenWakeEchoTile(Tile):
@@ -89,8 +96,8 @@ class BrokenWakeDesign:
     """A 2x1 mesh: an ingress port feeding one broken echo tile."""
 
     def __init__(self, profile: str = "fast") -> None:
-        self.sim = _fixture_sim(profile)
-        self.mesh = Mesh(2, 1)
+        self.sim, mesh = _fixture(profile)
+        self.mesh = mesh(2, 1)
         self.echo = BrokenWakeEchoTile("echo", self.mesh, (1, 0))
         self.ingress = self.mesh.attach((0, 0))
         self.tiles = [self.echo]
@@ -157,8 +164,8 @@ class IdleLiarDesign:
     """A 2x1 mesh holding one lying tile; no traffic needed."""
 
     def __init__(self, profile: str = "fast") -> None:
-        self.sim = _fixture_sim(profile)
-        self.mesh = Mesh(2, 1)
+        self.sim, mesh = _fixture(profile)
+        self.mesh = mesh(2, 1)
         self.liar = IdleLiarTile("liar", self.mesh, (1, 0))
         self.tiles = [self.liar]
         self.mesh.register(self.sim)
@@ -199,10 +206,11 @@ class LeakyEjectTile(Tile):
 
 
 class LeakyEjectDesign:
-    """A 2x1 mesh: an ingress port feeding the leaky tile."""
+    """A 2x1 object mesh on the naive kernel, whatever the profile: an
+    ingress port feeding the leaky tile."""
 
     def __init__(self, profile: str = "fast") -> None:
-        self.sim = _fixture_sim(profile)
+        self.sim = CycleSimulator(kernel="naive")
         self.mesh = Mesh(2, 1)
         self.leaky = LeakyEjectTile("leaky", self.mesh, (1, 0))
         self.ingress = self.mesh.attach((0, 0))
@@ -270,8 +278,8 @@ class StepParityDesign:
     """A 2x1 mesh: an ingress port feeding the parity tile."""
 
     def __init__(self, profile: str = "fast") -> None:
-        self.sim = _fixture_sim(profile)
-        self.mesh = Mesh(2, 1)
+        self.sim, mesh = _fixture(profile)
+        self.mesh = mesh(2, 1)
         self.parity = StepParityTile("parity", self.mesh, (1, 0))
         self.ingress = self.mesh.attach((0, 0))
         self.tiles = [self.parity]
@@ -317,7 +325,7 @@ class EarlyReadDesign:
     """A flat 2x1 mesh: an ingress port feeding the early reader."""
 
     def __init__(self, profile: str = "fast") -> None:
-        self.sim = _fixture_sim(profile)
+        self.sim = _fixture(profile)[0]
         self.mesh = FlatMesh(2, 1)
         self.reader = EarlyReadTile("reader", self.mesh, (1, 0))
         self.ingress = self.mesh.attach((0, 0))
@@ -386,8 +394,8 @@ class _DomainFixtureDesign:
     def __init__(self, dispatcher_cls: type,
                  profile: str = "fast",
                  **dispatcher_kwargs: object) -> None:
-        self.sim = _fixture_sim(profile)
-        self.mesh = Mesh(3, 2)
+        self.sim, mesh = _fixture(profile)
+        self.mesh = mesh(3, 2)
         self.dispatch = dispatcher_cls("dispatch", self.mesh, (1, 0),
                                        **dispatcher_kwargs)
         self.sink_a = CountingSinkTile("sink_a", self.mesh, (2, 0))
@@ -456,8 +464,8 @@ class BlindForwarderDesign:
     so its statically-invisible routing is the linter's blind spot."""
 
     def __init__(self, profile: str = "fast") -> None:
-        self.sim = _fixture_sim(profile)
-        self.mesh = Mesh(3, 1)
+        self.sim, mesh = _fixture(profile)
+        self.mesh = mesh(3, 1)
         self.sink = CountingSinkTile("sink", self.mesh, (2, 0))
         self.fwd = BlindForwarderTile("fwd", self.mesh, (1, 0),
                                       forward_to=self.sink.coord)
@@ -545,8 +553,9 @@ class CutThroughTile:
 
 
 class Fig5Design:
-    """The Fig 5 receive chain eth -> ip -> udp -> app on a 4x1 mesh,
-    in the deadlocking (``variant="a"``) or safe (``"b"``) placement.
+    """The Fig 5 receive chain eth -> ip -> udp -> app on a 4x1 object
+    mesh under the naive kernel, in the deadlocking (``variant="a"``)
+    or safe (``"b"``) placement.
 
     The Ethernet position is the injection point (its processing is the
     message entering the NoC); ip and udp are streaming relays; app is
@@ -565,7 +574,7 @@ class Fig5Design:
         else:
             raise ValueError(f"unknown Fig 5 variant {variant!r}")
         self.variant = variant
-        self.sim = CycleSimulator()
+        self.sim = CycleSimulator(kernel="naive")
         self.mesh = Mesh(4, 1)
         self.tiles = {
             "ip": CutThroughTile("ip", self.mesh, coords["ip"],

@@ -54,6 +54,7 @@ CODES: dict[str, tuple[str, str]] = {
     "BHV125": (ERROR, "unknown tile type"),
     "BHV126": (ERROR, "required tile param missing"),
     "BHV127": (ERROR, "tile param value does not parse"),
+    "BHV128": (ERROR, "tile param the type does not take"),
     # -- BHV2xx: routing / deadlock ------------------------------------
     "BHV201": (ERROR, "channel-dependency cycle: a message chain can "
                       "hold a NoC link it later re-acquires"),

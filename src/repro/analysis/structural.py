@@ -83,7 +83,8 @@ def lint_spec(spec: object) -> list[Finding]:
 def _type_findings(tile: object, all_names: set[str]) -> list[Finding]:
     """What only a tile factory would otherwise find out: a type the
     registry does not know, a required ``<param>`` that is missing (or
-    names no tile), a value its parser rejects."""
+    names no tile), a value its parser rejects — and what nothing would:
+    a ``<param>`` the type does not take, which the build ignores."""
     # Imported here: ``repro.config``'s validator imports this module.
     from repro.config.registry import TILE_TYPES
 
@@ -94,7 +95,12 @@ def _type_findings(tile: object, all_names: set[str]) -> list[Finding]:
             f"tile {tile.name!r} has unknown type {tile.type!r} "
             f"(registered: {', '.join(sorted(TILE_TYPES))})",
             location=tile.name)]
-    findings = []
+    taken = {*tile_type.params, *tile_type.required}
+    findings = [Finding(
+        "BHV128",
+        f"tile {tile.name!r} ({tile.type}) takes no {name!r} param "
+        f"(takes: {', '.join(sorted(taken)) or 'none'})",
+        location=tile.name) for name in tile.params if name not in taken]
     for name in tile_type.required:
         if name not in tile.params:
             findings.append(Finding(

@@ -56,7 +56,8 @@ class TileType:
     name; a ``required`` name that ``params`` does not parse names
     another tile.  ``bind(values, spec, context)`` edits the parsed
     ``values`` in place into constructor keywords: renames, and the
-    tiles and shared objects the references stand for.
+    tiles and shared objects the references stand for.  It reads no
+    ``<param>`` but those two name: any other is a lint error.
     """
 
     cls: str | type
@@ -95,7 +96,7 @@ def _eth_tx(values: dict, spec: TileSpec, context: BuildContext) -> None:
 
 def _nat_table(values: dict, spec: TileSpec, context: BuildContext) -> None:
     from repro.tiles.nat import NatTable
-    name = spec.params.get("table", "default")
+    name = values.get("table", "default")
     values["table"] = context.shared(f"nat_table:{name}", NatTable)
 
 
@@ -134,8 +135,8 @@ def tcp_app_type(cls: str | type) -> TileType:
 
 def _controller(values: dict, spec: TileSpec, context: BuildContext) -> None:
     from repro.control.plane import ControlPlane
-    plane = context.shared("control_plane", lambda: ControlPlane(
-        context.mesh.width, context.mesh.height))
+    plane = context.shared("control_plane",
+                           lambda: ControlPlane(context.mesh))
     values["endpoint"] = plane.attach(spec.coord, spec.name)
 
 
@@ -152,8 +153,10 @@ TILE_TYPES: dict[str, TileType] = {
     "echo_app": TileType("repro.apps.echo:UdpEchoAppTile"),
     "buffer": TileType("repro.tiles.buffer:BufferTile",
                        {"size_bytes": _int}),
-    "nat_rx": TileType("repro.tiles.nat:NatRxTile", bind=_nat_table),
-    "nat_tx": TileType("repro.tiles.nat:NatTxTile", bind=_nat_table),
+    "nat_rx": TileType("repro.tiles.nat:NatRxTile", {"table": str},
+                       bind=_nat_table),
+    "nat_tx": TileType("repro.tiles.nat:NatTxTile", {"table": str},
+                       bind=_nat_table),
     "ipinip_encap": TileType("repro.tiles.ipinip:IpInIpEncapTile",
                              {"tunnel_src": IPv4Address},
                              required=("tunnel_src",)),

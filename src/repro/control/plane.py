@@ -2,10 +2,11 @@
 
 The control plane is a physically separate mesh (the paper uses a
 lower-width NoC; ours is the same flit-accurate model with shallower
-buffering, since control messages are small and rare).  Keeping it
-separate means control traffic never shares resources with the long
-data-plane chains in the deadlock dependency graph, so endpoint
-placement is unconstrained.
+buffering, since control messages are small and rare), of the data
+mesh's type and size: a flat mesh under ``fast``, routers under
+``reference``.  Keeping it separate means control traffic never shares
+resources with the long data-plane chains in the deadlock dependency
+graph, so endpoint placement is unconstrained.
 
 Each participating tile gets a :class:`ControlEndpoint` at its own
 coordinates.  The endpoint dispatches :class:`TableUpdate` and
@@ -24,7 +25,7 @@ from repro.control.messages import (
     CounterValue,
     TableUpdate,
 )
-from repro.noc.mesh import LocalPort, Mesh
+from repro.noc.mesh import LocalPort
 from repro.noc.message import NocMessage
 from repro.sim.kernel import CycleSimulator, Wakeable
 
@@ -119,13 +120,15 @@ class ControlEndpoint(Wakeable):
 
 
 class ControlPlane:
-    """The separate control NoC plus its endpoints."""
+    """The separate control NoC beside ``data_mesh``, plus its
+    endpoints."""
 
-    def __init__(self, width: int, height: int):
+    def __init__(self, data_mesh):
         # Lower-width NoC: shallower router buffering (the 64-bit vs
         # 512-bit datapath width is immaterial to a functional model of
         # small control messages).
-        self.mesh = Mesh(width, height, fifo_depth=2)
+        self.mesh = type(data_mesh)(data_mesh.width, data_mesh.height,
+                                    fifo_depth=2)
         self.endpoints: dict[tuple[int, int], ControlEndpoint] = {}
 
     def attach(self, coord: tuple[int, int],

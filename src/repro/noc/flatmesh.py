@@ -87,9 +87,9 @@ there: 23 of 24 ejections at MTU call nothing).  That is enough because
 nobody sleeps over a FIFO that holds flits: a consumer may not report
 idle while a FIFO it consumes holds items (DESIGN.md 5c) —
 ``FlatTileCore`` keeps the tile's busy bit set, ``Tile.is_idle`` and
-``ControlEndpoint.is_idle`` return False.  ``StagedFifo.push`` itself
-stays level-triggered: under the object mesh the committing
-``LocalPort`` may idle over committed items.
+``ControlEndpoint.is_idle`` return False.  (``StagedFifo.push`` wakes
+nobody: the object mesh stages, and runs only under the naive kernel,
+which steps everyone.)
 
 Bit-identity with ``Router.step`` rests on two facts.  Ascending
 ``ofid`` is the object backend's visit order (routers row-major in

@@ -131,19 +131,6 @@ class LocalPort(Wakeable):
     def commit(self) -> None:
         self.eject_fifo.commit()
 
-    # -- quiescence contract (see repro.sim.kernel) -------------------------
-
-    def wake_sources(self):
-        """Router ejections must re-activate the port: it owns the
-        ejection FIFO's commit, so a staged flit needs it scheduled."""
-        return (self.eject_fifo,)
-
-    def is_idle(self) -> bool:
-        """Nothing queued or mid-injection, and no staged ejections to
-        commit.  ``send`` wakes the port for new injections."""
-        return (not self._pending_flits and not self._send_queue
-                and not self.eject_fifo._staged)
-
     # -- receive side -------------------------------------------------------
 
     @property

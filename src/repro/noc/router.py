@@ -167,21 +167,6 @@ class Router:
                 except AttributeError:
                     pass
 
-    # -- quiescence contract (see repro.sim.kernel) -----------------------
-
-    def wake_sources(self):
-        """Pushes into any input FIFO re-activate the router."""
-        return self.inputs.values()
-
-    def is_idle(self) -> bool:
-        """A router with empty input FIFOs has nothing to move or
-        commit; wormhole grants and arbitration pointers are static
-        until the next flit arrives, so it can sleep until a wake."""
-        for fifo in self._in_fifos:
-            if fifo._items or fifo._staged:
-                return False
-        return True
-
     # -- per-cycle behaviour ------------------------------------------------
 
     def _route(self, flit: Flit) -> Port:

@@ -1,6 +1,7 @@
 """Cycle-driven simulation kernel.
 
-Models synchronous digital hardware with a two-phase clock:
+Models synchronous digital hardware with a clock.  Under the naive
+kernel (the reference) the clock is two-phase:
 
 1. *step*: every component reads the state committed at the end of the
    previous cycle and stages its outputs (e.g. pushes flits into
@@ -9,7 +10,12 @@ Models synchronous digital hardware with a two-phase clock:
 
 Because no staged write is observable until every component has stepped,
 the result is independent of component iteration order, which keeps the
-simulator deterministic and faithful to clocked RTL.
+simulator deterministic and faithful to clocked RTL.  The scheduled
+kernel is single-phase: it steps and never commits, so it runs only
+components that stage nothing (their class ``commit`` is the shared
+:func:`no_commit`); a producer there stamps what it writes with the
+cycle instead (see :class:`StagedFifo`), and :meth:`CycleSimulator.add`
+refuses anything else.
 
 Scheduling
 ----------
@@ -25,21 +31,23 @@ not pass it: their ``profile`` names a kernel, see
     list, ``wake_at[i]``: the next cycle the component in registration
     slot ``i`` must be stepped (a far-future sentinel when only a wake
     can rouse it).  ``tick`` steps, in registration order, exactly the
-    slots with ``wake_at[i] <= cycle``, commits them, then asks each
-    one it stepped for its next cycle — once — and stores the answer.
-    Going to sleep, arming a timer and waking are one list store each.
+    slots with ``wake_at[i] <= cycle``, then asks each one it stepped
+    for its next cycle — once — and stores the answer.  Going to
+    sleep, arming a timer and waking are one list store each.  A
+    component with a real ``commit`` is refused (``TypeError``).
 
 ``"naive"``
     Every registered component steps and commits every cycle: the
-    reference for differential (cycle-equivalence) testing.
+    reference for differential (cycle-equivalence) testing, and the
+    kernel for any mix of object and flat components.
 
 The quiescence contract — all optional, looked up once at ``add``:
 
 ``is_idle() -> bool``
     True iff ``step(cycle)`` would make no externally visible state
     change at the current cycle *and every future cycle* until either
-    (a) an item is pushed into one of the component's
-    :meth:`wake_sources` FIFOs, (b) the component is woken through its
+    (a) the producer of one of the component's :meth:`wake_sources`
+    FIFOs fires its wake hooks, (b) the component is woken through its
     ``_kernel_wake`` hook, or (c) the cycle returned by
     ``next_event_cycle()`` arrives.  A component without ``is_idle``
     is stepped every cycle, exactly as under the naive kernel.
@@ -52,8 +60,9 @@ The quiescence contract — all optional, looked up once at ``add``:
     a no-op and the component re-idles), waking late is a bug.
 
 ``wake_sources() -> iterable[StagedFifo]``
-    The FIFOs whose ``push`` must wake this component — its NoC input
-    FIFOs, ejection FIFO, and so on.  Wired up by :meth:`add`.
+    The FIFOs whose producer must wake this component — a tile's
+    ejection FIFO, say, which the flat mesh fills.  Wired up by
+    :meth:`add` (the FIFO's ``add_waker``).
 
 ``_kernel_wake``
     Slot filled by the kernel with a zero-argument wake callable (see
@@ -66,10 +75,9 @@ Raised during the step phase it lowers it to *this* tick if slot ``i``
 is still ahead of the slot being stepped (the naive kernel would step
 ``i`` later in this very cycle, with the waker's change in view) and to
 the *next* tick if the slot has passed (the naive kernel already
-stepped it, seeing nothing); a passed slot with a real ``commit`` still
-commits this tick, so a push staged into its FIFO lands on schedule.
-A component that is being stepped anyway ignores the wake: it is asked
-``is_idle()`` after the commit phase, with the change in view.
+stepped it, seeing nothing).  A component that is being stepped anyway
+ignores the wake: it is asked ``is_idle()`` after every slot has
+stepped, with the change in view.
 
 The call chain
 --------------
@@ -78,13 +86,12 @@ The call chain
 over to the naive body first thing under ``kernel="naive"``), and
 ``run``/``run_until`` reach every cycle they do not skip through
 ``self.tick``; between ticks they jump straight to ``min(wake_at)``.
-A component whose class leaves ``commit`` as the shared
-:func:`no_commit` — on the default path every one — is never asked to
-commit.  Steps and commits are called *by name on the component*, and
-``tick`` is looked up once per ``run``/``run_until``, so a ``tick``,
-``step`` or ``commit`` shadowed on an instance after construction (as
-``benchmarks/perflab`` does to attribute host time) is called exactly
-once per non-skipped cycle.
+Steps (and, under naive, commits) are called *by name on the
+component*, and ``tick`` is looked up once per ``run``/``run_until``,
+so a ``tick``, ``step`` or ``commit`` shadowed on an instance after
+construction (as ``benchmarks/perflab`` does to attribute host time) is
+called exactly once per cycle its kernel steps (commits) the
+component: the scheduled kernel never calls ``commit``.
 """
 
 from __future__ import annotations
@@ -117,10 +124,9 @@ class ClockedComponent(Protocol):
 
 def no_commit(self) -> None:
     """The one no-op ``commit``, for components that stage nothing.
-    ``CycleSimulator.add`` recognises it by identity on the class and
-    leaves such a component out of the scheduled kernel's commit pass.
-    :class:`Wakeable` provides it; others alias it (``commit =
-    no_commit``)."""
+    ``CycleSimulator.add`` recognises it by identity on the class: the
+    scheduled kernel accepts only such components.  :class:`Wakeable`
+    provides it; others alias it (``commit = no_commit``)."""
 
 
 class Wakeable:
@@ -150,16 +156,20 @@ class StagedFifo:
     capacity immediately, so a producer that checks :meth:`can_accept`
     during *step* can never overflow the queue.
 
-    Wake hooks: consumers registered through :meth:`add_waker` are
-    woken on every ``push`` — the mechanism the scheduled kernel uses
-    to let downstream components sleep while the queue is empty.
+    Staging is for the two-phase (naive) clock, whose commit pass
+    publishes the staged items.  A producer that is handed the cycle
+    may skip the staging: it appends to the committed queue and stamps
+    the cycle, and whoever consumes in that same cycle leaves the
+    stamped item alone.  The flat mesh ejects this way, at most one
+    flit per FIFO per cycle, into FIFOs read through
+    ``LocalPort.pop_flit(cycle)``, so its ejection FIFOs need no
+    ``commit`` at all — the scheduled kernel has no commit pass.
 
-    A producer that is handed the cycle may skip the staging: it
-    appends to the committed queue and stamps the cycle, and whoever
-    consumes in that same cycle leaves the stamped item alone.  The
-    flat mesh ejects this way, at most one flit per FIFO per cycle,
-    into FIFOs read through ``LocalPort.pop_flit(cycle)``, so its
-    ejection FIFOs need no ``commit`` at all.
+    Wake hooks: consumers registered through :meth:`add_waker` are the
+    ones such a producer wakes (the flat mesh on the empty -> non-empty
+    edge), so they can sleep while the queue is empty.  ``push`` wakes
+    nobody: a staged push is read after a commit, and only the naive
+    kernel, which steps everything, commits.
     """
 
     __slots__ = ("capacity", "name", "high_water", "_items", "_staged",
@@ -212,7 +222,7 @@ class StagedFifo:
         return len(self._items) + len(self._staged) + n <= capacity
 
     def add_waker(self, waker: Callable[[], None]) -> None:
-        """Re-activate a consumer (and its committer) on every push."""
+        """Have an unstaged producer re-activate a consumer."""
         self._wakers.append(waker)
 
     def push(self, item) -> None:
@@ -224,8 +234,6 @@ class StagedFifo:
         """``push`` minus the capacity re-check, for hot paths that
         have just tested :meth:`can_accept` themselves."""
         self._staged.append(item)
-        for waker in self._wakers:
-            waker()
 
     def peek(self):
         """The oldest committed item, or None if empty."""
@@ -298,19 +306,15 @@ class CycleSimulator:
         self._scheduled = kernel == "scheduled"
         # Scheduled-kernel state, one entry per registration slot:
         # the next cycle to step it, its is_idle / next_event_cycle (a
-        # stand-in where it has none), whether its class really commits.
+        # stand-in where it has none).
         self._wake_at: list[int] = []
         self._idle_of: list[Callable[[], bool]] = []
         self._timer_of: list[Callable[[], int | None]] = []
-        self._commits: list[bool] = []
-        self._committing = False        # any(self._commits)
         self._wakers: dict = {}         # component -> its wake closure
-        # The slot being stepped (-1 between ticks), the slots stepped
-        # this tick, and the committing slots woken this tick after
-        # their turn had passed.
+        # The slot being stepped (-1 between ticks) and the slots
+        # stepped this tick.
         self._stepping = -1
         self._stepped: list[int] = []
-        self._late: list[int] = []
         # Stats (scheduled kernel only; stay 0 under naive).
         self.idle_cycles_skipped = 0
         self.component_steps = 0
@@ -352,17 +356,21 @@ class CycleSimulator:
     # -- registration -------------------------------------------------------
 
     def add(self, component: ClockedComponent) -> None:
-        self._components.append(component)
         if not self._scheduled:
+            self._components.append(component)
             return
+        if getattr(type(component), "commit", None) is not no_commit:
+            raise TypeError(
+                f"{type(component).__name__} has a commit phase and the "
+                "scheduled kernel has none: run it under "
+                "CycleSimulator(kernel='naive'), or give a class that "
+                "stages nothing `commit = no_commit`")
+        self._components.append(component)
         slot = len(self._wake_at)
         self._wake_at.append(0)         # due until it first reports idle
         self._idle_of.append(getattr(component, "is_idle", _never_idle))
         self._timer_of.append(
             getattr(component, "next_event_cycle", _no_timer))
-        commits = getattr(type(component), "commit", None) is not no_commit
-        self._commits.append(commits)
-        self._committing |= commits
         self._wakers[component] = waker = self._waker_for(component, slot)
         if getattr(component, "_kernel_wake", False) is None:
             component._kernel_wake = waker
@@ -379,23 +387,16 @@ class CycleSimulator:
 
     def _waker_for(self, component, slot: int) -> Callable[[], None]:
         wake_at = self._wake_at
-        commits = self._commits[slot]
 
         def wake() -> None:
             cycle = self.cycle
             if wake_at[slot] <= cycle:
                 return      # awake: asked is_idle() after it steps
-            if slot > self._stepping:
-                # Between ticks, or its turn this tick is still ahead.
-                wake_at[slot] = cycle
-                return
-            # Its turn has passed (stepping everything would have
-            # stepped it before the waker, seeing nothing new): next
-            # tick — but it must commit this tick, so staged pushes
-            # into its FIFOs land on schedule.
-            wake_at[slot] = cycle + 1
-            if commits and slot not in self._late:
-                self._late.append(slot)
+            # Between ticks, or its turn this tick is still ahead: this
+            # cycle.  Its turn has passed (stepping everything would
+            # have stepped it before the waker, seeing nothing new):
+            # the next.
+            wake_at[slot] = cycle if slot > self._stepping else cycle + 1
 
         # Tag the closure with its target so static analysis
         # (repro.analysis.wake) can verify FIFO hooks are wired to the
@@ -454,17 +455,6 @@ class CycleSimulator:
                     components[slot].step(cycle)
                     stepped.append(slot)
                 slot += 1
-            self._stepping = slot   # every turn has passed
-            if self._committing:
-                commits = self._commits
-                for slot in stepped:
-                    if commits[slot]:
-                        components[slot].commit()
-                late = self._late
-                if late:
-                    for slot in late:
-                        components[slot].commit()
-                    late.clear()
         finally:
             self._stepping = -1
         wake_at = self._wake_at
@@ -516,7 +506,6 @@ class CycleSimulator:
             observer.step_phase_done(cycle)
             for component in components:
                 component.commit()
-            self._late.clear()
         finally:
             self._stepping = -1
         wake_at = self._wake_at

@@ -11,12 +11,15 @@
     :class:`repro.tiles.flatcore.FlatTileCore`.
 
 The two are bit-identical (``tests/test_kernel_equivalence.py``); a
-profile only decides how much host time a run costs.  Only designs
-choose one (:class:`repro.designs.base.Design`); a unit test that wants
-a *mixed* pairing — the scheduled kernel over an object ``Mesh``, say —
-builds it by hand from ``CycleSimulator(kernel=...)`` and the mesh
-class, which is what localises a ``fast`` != ``reference`` divergence
-to a layer.
+profile only decides how much host time a run costs.  Each is one mode
+throughout: ``reference`` two-phase, ``fast`` single-phase (the
+scheduled kernel has no commit pass and refuses a component with one).
+Only designs choose a profile (:class:`repro.designs.base.Design`); a
+unit test that wants a *mixed* pairing — a flat mesh under the naive
+kernel, say — builds it by hand from ``CycleSimulator(kernel=...)`` and
+the mesh class, which is what localises a ``fast`` != ``reference``
+divergence to a layer.  Any mix with an object ``Mesh`` in it runs
+under the naive kernel, the one that commits its routers.
 """
 
 from __future__ import annotations

@@ -193,7 +193,7 @@ class Probe(Wakeable):
         else:
             busy_routers = sum(
                 1 for router in design.mesh.routers.values()
-                if not router.is_idle())
+                if any(fifo.occupancy for fifo in router.inputs.values()))
         registry.gauge("noc.busy_routers",
                        "routers with (possible) work this cycle"
                        ).set(busy_routers)

@@ -90,7 +90,7 @@ class TestDeadlockPass:
         from repro.noc.mesh import Mesh
         from repro.sim.kernel import CycleSimulator
 
-        sim = CycleSimulator()
+        sim = CycleSimulator(kernel="naive")
         mesh = Mesh(4, 1)
         coords = {"eth": (0, 0), "ip": (2, 0), "udp": (1, 0),
                   "app": (3, 0)}

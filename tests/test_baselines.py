@@ -23,7 +23,7 @@ from repro.packet import (
     MacAddress,
     build_ipv4_udp_frame,
 )
-from repro.sim.kernel import CycleSimulator
+from repro.sim.kernel import CycleSimulator, no_commit
 
 CLIENT_MAC = MacAddress("02:00:00:00:00:01")
 CLIENT_IP = IPv4Address("10.0.0.1")
@@ -40,8 +40,7 @@ def saturate(design, frame, cycles=20000):
                 design.inject(frame, cycle)
                 self._free = cycle + max(1, (len(frame) + 24) // 64)
 
-        def commit(self):
-            pass
+        commit = no_commit
 
     design.sim.add(Source())
     design.sim.run(cycles)
@@ -236,8 +235,7 @@ class TestMultiStack:
                     design.inject(frame, cycle)
                     self._free = cycle + max(1, (len(frame) + 24) // 64)
 
-            def commit(self):
-                pass
+            commit = no_commit
 
         sinks = [FrameSink(s.eth_tx, keep_frames=False)
                  for s in design.stacks]

@@ -30,7 +30,7 @@ class Collector(Tile):
 
 
 def buffer_fixture():
-    sim = CycleSimulator()
+    sim = CycleSimulator(kernel="naive")
     mesh = Mesh(3, 1)
     requester_port = mesh.attach((0, 0))
     buffer_tile = BufferTile("buf", mesh, (1, 0), size_bytes=1024)
@@ -83,7 +83,7 @@ class TestBufferTile:
 
     def test_shared_between_tiles(self):
         """Multiple tiles can share state through one buffer tile."""
-        sim = CycleSimulator()
+        sim = CycleSimulator(kernel="naive")
         mesh = Mesh(3, 1)
         writer = mesh.attach((0, 0))
         buffer_tile = BufferTile("buf", mesh, (1, 0))
@@ -116,7 +116,7 @@ class TestLogEntry:
 
 
 def logger_fixture(**log_kwargs):
-    sim = CycleSimulator()
+    sim = CycleSimulator(kernel="naive")
     mesh = Mesh(3, 1)
     src = mesh.attach((0, 0))
     log_tile = PacketLogTile("log", mesh, (1, 0), **log_kwargs)
@@ -197,7 +197,7 @@ MAC = MacAddress("02:00:00:00:00:01")
 
 class TestDistributionTiles:
     def test_round_robin_scheduler(self):
-        sim = CycleSimulator()
+        sim = CycleSimulator(kernel="naive")
         mesh = Mesh(4, 1)
         src = mesh.attach((0, 0))
         scheduler = RoundRobinSchedulerTile("sched", mesh, (1, 0))
@@ -219,7 +219,7 @@ class TestDistributionTiles:
         assert len(replica_b.received) == 5
 
     def test_flow_lb_sticky_and_spread(self):
-        sim = CycleSimulator()
+        sim = CycleSimulator(kernel="naive")
         mesh = Mesh(3, 2)
         lb = FlowHashLoadBalancerTile("lb", mesh, (0, 0))
         stack_a = Collector("sa", mesh, (1, 0))
@@ -251,7 +251,7 @@ class TestDistributionTiles:
 
     def test_lb_throughput_is_paper_limit(self):
         """4 cycles per 64 B packet -> 32 Gbps (section VII-I)."""
-        sim = CycleSimulator()
+        sim = CycleSimulator(kernel="naive")
         mesh = Mesh(2, 1)
         lb = FlowHashLoadBalancerTile("lb", mesh, (0, 0))
         sink = Collector("sink", mesh, (1, 0))

@@ -172,6 +172,9 @@ class TestValidationEdgeCases:
         (TileSpec("a", "eth_rx", 0, 0, {"my_mac": "not-a-mac"}), "BHV127"),
         (TileSpec("a", "tcp_tx", 0, 0, {"tx_buffer": "nowhere"}),
          "BHV124"),
+        # A misspelt name used to be dropped: line rate 50.0, no finding.
+        (TileSpec("a", "eth_tx", 0, 0, {"my_mac": "02:00:00:00:00:01",
+                                        "line_rat": "12.5"}), "BHV128"),
     ])
     def test_tile_types_and_params_are_checked_before_any_factory(
             self, tile, code):

@@ -19,6 +19,7 @@ from repro.packet import (
     build_ipv4_udp_frame,
     parse_frame,
 )
+from repro.noc import FlatMesh, Mesh
 from repro.sim.kernel import CycleSimulator
 
 CLIENT_MAC = MacAddress("02:00:00:00:00:01")
@@ -29,59 +30,84 @@ ADMIN_MAC = MacAddress("02:00:00:00:00:aa")
 
 
 class TestControlPlaneBasics:
-    def build(self):
-        sim = CycleSimulator()
-        plane = ControlPlane(3, 1)
-        a = plane.attach((0, 0), "a")
-        b = plane.attach((2, 0), "b")
-        plane.register(sim)
-        return sim, plane, a, b
+    """Every scenario runs twice — the control NoC as a flat mesh under
+    the scheduled kernel (``fast``) and as object routers under the
+    naive one (``reference``) — and must come out the same, to the
+    cycle its reply lands."""
 
-    def test_table_update_applied_and_acked(self):
-        sim, plane, a, b = self.build()
-        table = {}
-        b.on_table("routes", lambda key, value: table.update({key: value}))
-        a.send(b.coord, TableUpdate(table="routes", key="k", value="v",
-                                    reply_to=a.coord, tag=7))
-        sim.run_until(lambda: a.pop_replies() != [] or table,
-                      max_cycles=200)
-        sim.run(50)
-        assert table == {"k": "v"}
-        assert b.updates_applied == 1
+    PAIRINGS = [(FlatMesh, "scheduled"), (Mesh, "naive")]
 
-    def test_unknown_table_nacked(self):
-        sim, plane, a, b = self.build()
+    def on_both(self, scenario):
+        outcomes = []
+        for mesh_cls, kernel in self.PAIRINGS:
+            sim = CycleSimulator(kernel=kernel)
+            plane = ControlPlane(mesh_cls(3, 1))
+            assert type(plane.mesh) is mesh_cls
+            a = plane.attach((0, 0), "a")
+            b = plane.attach((2, 0), "b")
+            plane.register(sim)
+            outcomes.append(scenario(sim, plane, a, b))
+        assert outcomes[0] == outcomes[1]
+        return outcomes[0]
+
+    @staticmethod
+    def first_replies(sim, a):
+        """Tick until ``a`` files replies: (that cycle, the replies)."""
         replies = []
-        a.send(b.coord, TableUpdate(table="nope", key="k", value="v",
-                                    reply_to=a.coord, tag=1))
         for _ in range(200):
             sim.tick()
             replies.extend(a.pop_replies())
             if replies:
                 break
+        return sim.cycle, replies
+
+    def test_table_update_applied_and_acked(self):
+        def scenario(sim, plane, a, b):
+            table = {}
+            b.on_table("routes",
+                       lambda key, value: table.update({key: value}))
+            a.send(b.coord, TableUpdate(table="routes", key="k",
+                                        value="v", reply_to=a.coord,
+                                        tag=7))
+            sim.run_until(lambda: a.has_replies, max_cycles=200)
+            acked = sim.cycle
+            sim.run(50)
+            return table, b.updates_applied, acked, a.pop_replies()
+
+        table, applied, _acked, replies = self.on_both(scenario)
+        assert table == {"k": "v"}
+        assert applied == 1
+        assert replies == [ControlAck(ok=True, tag=7)]
+
+    def test_unknown_table_nacked(self):
+        def scenario(sim, plane, a, b):
+            a.send(b.coord, TableUpdate(table="nope", key="k", value="v",
+                                        reply_to=a.coord, tag=1))
+            return self.first_replies(sim, a)
+
+        _cycle, replies = self.on_both(scenario)
         assert isinstance(replies[0], ControlAck)
         assert not replies[0].ok
 
     def test_counter_read(self):
-        sim, plane, a, b = self.build()
-        b.on_counter("hits", lambda: 42)
-        a.send(b.coord, CounterRead(name="hits", reply_to=a.coord,
-                                    tag=3))
-        replies = []
-        for _ in range(200):
-            sim.tick()
-            replies.extend(a.pop_replies())
-            if replies:
-                break
+        def scenario(sim, plane, a, b):
+            b.on_counter("hits", lambda: 42)
+            a.send(b.coord, CounterRead(name="hits", reply_to=a.coord,
+                                        tag=3))
+            return self.first_replies(sim, a)
+
+        _cycle, replies = self.on_both(scenario)
         assert replies[0] == CounterValue(name="hits", value=42, tag=3)
 
     def test_control_mesh_is_separate(self):
         """Control traffic rides its own routers (section IV-F)."""
-        sim, plane, a, b = self.build()
-        a.send(b.coord, TableUpdate(table="x", key=1, value=2,
-                                    reply_to=a.coord))
-        sim.run(100)
-        assert plane.mesh.total_flits_forwarded > 0
+        def scenario(sim, plane, a, b):
+            a.send(b.coord, TableUpdate(table="x", key=1, value=2,
+                                        reply_to=a.coord))
+            sim.run(100)
+            return plane.mesh.total_flits_forwarded
+
+        assert self.on_both(scenario) > 0
 
 
 def control_rpc_frame(design, target, table, key, value, tag=1,

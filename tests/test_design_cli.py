@@ -95,6 +95,8 @@ MALFORMED = {
          "<y>1</y>"), "BHV126", "my_mac"),
     "unparsable value": (('value="none"', 'value="fast"'),
                          "BHV127", "line_rate"),
+    "param the type does not take": (
+        ('name="line_rate"', 'name="line_rat"'), "BHV128", "line_rat"),
 }
 
 

@@ -6,11 +6,12 @@ across every shipped design and trace stream — lives in
 contracts: which mesh a profile builds, the view adapters, raw flit
 traffic, the late-attach wake path, the ``CycleSimulator`` keywords,
 and the output-centric step's state machine and commit-free rings.
-Each scenario is built by hand, on ``MESHES[...]`` under either kernel
-— pairings no profile has, which is what localises a ``fast`` !=
-``reference`` divergence to the mesh — and compared flit for flit, and
-high-water mark for high-water mark, with the object mesh under a
-tracer.
+Each scenario is built by hand, the flat mesh under either kernel —
+under the naive one a pairing no profile has, which is what localises
+a ``fast`` != ``reference`` divergence to the mesh — and compared flit
+for flit, and high-water mark for high-water mark, with the object mesh
+under the naive kernel (the only one that commits its routers), under
+a tracer.
 """
 
 from collections import deque
@@ -27,6 +28,12 @@ from repro.sim.kernel import CycleSimulator, StagedFifo
 from repro.telemetry.trace import Tracer
 
 MESHES = {"object": Mesh, "flat": FlatMesh}
+
+
+def _sim(backend, kernel):
+    """``kernel`` for the flat mesh; the object mesh always runs on
+    the naive kernel, the one with a commit pass."""
+    return CycleSimulator(kernel=kernel if backend == "flat" else "naive")
 
 
 class TestBuildMesh:
@@ -115,7 +122,7 @@ def _run_raw_traffic(backend, kernel, cycles=200):
     """Send two multi-flit messages corner-to-corner and return every
     observable outcome."""
     reset_id_counters()
-    sim = CycleSimulator(kernel=kernel)
+    sim = _sim(backend, kernel)
     mesh = MESHES[backend](3, 3)
     src = mesh.attach((0, 0))
     dst = mesh.attach((2, 2))
@@ -164,7 +171,7 @@ class TestLateAttach:
         ``mesh.register``; the flat core must adopt (and wake for)
         such a port without it ever entering the simulator."""
         reset_id_counters()
-        sim = CycleSimulator(kernel="scheduled")
+        sim = _sim(backend, "scheduled")
         mesh = MESHES[backend](2, 2)
         early = mesh.attach((0, 0))
         mesh.register(sim)
@@ -236,7 +243,7 @@ def _scenario(backend, kernel, size, attach, script, cycles,
     machine checked after every cycle.
     """
     reset_id_counters()
-    sim = CycleSimulator(kernel=kernel)
+    sim = _sim(backend, kernel)
     mesh = MESHES[backend](*size)
     ports = {coord: mesh.attach(coord) for coord in attach}
     mesh.register(sim)
@@ -279,8 +286,8 @@ def _scenario(backend, kernel, size, attach, script, cycles,
 
 
 def _both(kernel, *args, **kwargs):
-    """Run a scenario on both backends; they must agree flit for flit.
-    Returns the flat run."""
+    """Run a scenario on the flat mesh under ``kernel`` and on the
+    object mesh; they must agree flit for flit.  Returns the flat run."""
     flat = _scenario("flat", kernel, *args, **kwargs)
     obj = _scenario("object", kernel, *args, **kwargs)
     for key in ("flits", "stalls", "injects", "received", "per_output",

@@ -66,8 +66,11 @@ def flit_count(monkeypatch):
 
 
 def raw_mesh(backend, width=2, attach=((0, 0), (1, 0)), traced=True):
+    """The flat mesh under the scheduled kernel or the object mesh
+    under the naive one, its ports attached."""
     reset_id_counters()
-    sim = CycleSimulator()
+    sim = CycleSimulator(kernel="naive" if backend == "object"
+                         else "scheduled")
     mesh = MESHES[backend](width, 1)
     ports = {coord: mesh.attach(coord) for coord in attach}
     mesh.register(sim)

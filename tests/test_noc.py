@@ -14,7 +14,7 @@ from repro.noc import (
     xy_route,
     xy_route_path,
 )
-from repro.sim.kernel import CycleSimulator
+from repro.sim.kernel import CycleSimulator, no_commit
 
 
 class Drain:
@@ -29,12 +29,12 @@ class Drain:
         if message is not None:
             self.messages.append(message)
 
-    def commit(self):
-        pass
+    commit = no_commit
 
 
 def build(width=4, height=4):
-    sim = CycleSimulator()
+    """An object mesh, on the kernel that commits its routers."""
+    sim = CycleSimulator(kernel="naive")
     mesh = Mesh(width, height)
     return sim, mesh
 
@@ -282,8 +282,7 @@ class TestMeshDelivery:
                     if message is not None:
                         self.messages.append(message)
 
-            def commit(self):
-                pass
+            commit = no_commit
 
         drain = SlowDrain(dst_port)
         sim.add(drain)
@@ -342,7 +341,7 @@ class TestYxRouting:
         assert len(xy) == len(yx)
 
     def test_yx_mesh_delivers_in_order(self):
-        sim = CycleSimulator()
+        sim = CycleSimulator(kernel="naive")
         mesh = Mesh(3, 3, routing="yx")
         src = mesh.attach((0, 0))
         dst_port = mesh.attach((2, 2))

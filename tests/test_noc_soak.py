@@ -21,7 +21,7 @@ from repro.faults import FaultPlan
 from repro.noc import FlatMesh, Mesh, NocMessage
 from repro.noc.message import reset_id_counters
 from repro.packet import IPv4Address, MacAddress, build_ipv4_udp_frame
-from repro.sim.kernel import CycleSimulator
+from repro.sim.kernel import CycleSimulator, no_commit
 from repro.tcp.peer import SoftTcpPeer
 from repro.telemetry import design_counters
 
@@ -61,8 +61,7 @@ class Drain:
         if message is not None:
             self.messages.append(message)
 
-    def commit(self):
-        pass
+    commit = no_commit
 
 
 class TestNocSoak:
@@ -97,10 +96,13 @@ class TestNocSoak:
         return width, height, sends
 
     def check_random_traffic(self, backend, width, height, sends):
-        """Run one drawn workload; returns the input high-water marks."""
+        """Run one drawn workload (the object mesh on the naive kernel,
+        the flat one on the scheduled); returns the input high-water
+        marks."""
         coords = [(x, y) for x in range(width) for y in range(height)]
-        sim = CycleSimulator()
-        mesh = {"object": Mesh, "flat": FlatMesh}[backend](width, height)
+        flat = backend == "flat"
+        sim = CycleSimulator(kernel="scheduled" if flat else "naive")
+        mesh = (FlatMesh if flat else Mesh)(width, height)
         ports = {coord: mesh.attach(coord) for coord in coords}
         mesh.register(sim)
         drains = {coord: Drain(port) for coord, port in ports.items()}
@@ -147,7 +149,7 @@ class TestNocSoak:
 
     def test_round_robin_arbitration_is_fair(self):
         """Two senders contending for one path share it ~evenly."""
-        sim = CycleSimulator()
+        sim = CycleSimulator(kernel="naive")
         mesh = Mesh(3, 2)
         a = mesh.attach((0, 0))
         b = mesh.attach((0, 1))

@@ -37,7 +37,7 @@ class YxUdpEchoDesign:
     the other — the column-major dual of the row-major XY layout."""
 
     def __init__(self):
-        self.sim = CycleSimulator()
+        self.sim = CycleSimulator(kernel="naive")
         self.mesh = Mesh(2, 4, routing="yx")
         self.eth_rx = EthernetRxTile("eth_rx", self.mesh, (0, 0),
                                      my_mac=SERVER_MAC)

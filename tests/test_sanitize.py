@@ -262,15 +262,20 @@ class TestBuildDesign:
         assert build_design(UdpEchoDesign, "fast", plan).fault_plan is plan
 
     def test_fixtures_map_the_profile_to_their_kernel(self):
-        # ... over the mesh they build by hand, object or flat.
+        # ... and to the profile's mesh, but for the early reader (a
+        # flat-mesh bug) and the leaky tile (object mesh, naive kernel).
         from repro.noc import FlatMesh, Mesh
-        for builder, mesh_cls in [(build_idle_liar_design, Mesh),
-                                  (build_early_read_design, FlatMesh)]:
-            for profile, kernel in [("fast", "scheduled"),
-                                    ("reference", "naive")]:
+        for builder, meshes in [
+                (build_idle_liar_design, (FlatMesh, Mesh)),
+                (build_early_read_design, (FlatMesh, FlatMesh))]:
+            for profile, kernel, mesh_cls in zip(
+                    ("fast", "reference"), ("scheduled", "naive"), meshes):
                 design = build_design(builder, profile)
                 assert design.sim.kernel == kernel
                 assert type(design.mesh) is mesh_cls
+        design = build_design(build_leaky_eject_design, "fast")
+        assert design.sim.kernel == "naive"
+        assert type(design.mesh) is Mesh
 
     def test_every_lintable_factory_takes_a_profile(self):
         from repro.designs import SHIPPED, load_design

@@ -15,6 +15,7 @@ from repro.packet import (
     parse_frame,
 )
 from repro.resources import max_frequency_mhz
+from repro.sim.kernel import no_commit
 from repro.telemetry import design_counters, design_report
 
 CLIENT_MAC = MacAddress("02:00:00:00:00:01")
@@ -40,8 +41,7 @@ def saturating_run(design, n_flows=60, cycles=15_000):
                 design.inject(next(cycler), cycle)
                 self._free = cycle + 2
 
-        def commit(self):
-            pass
+        commit = no_commit
 
     sink = FrameSink(design.eth_tx, keep_frames=False)
     design.sim.add(Source())

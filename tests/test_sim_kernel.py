@@ -104,9 +104,26 @@ class TestStagedFifo:
         assert fifo.can_accept()
 
 
+class Stepper(Counter):
+    """A :class:`Counter` with nothing to commit, as the scheduled
+    kernel requires: its ``commits`` stays 0."""
+
+    commit = no_commit
+
+
+def post(fifo, item, cycle):
+    """Push ``item`` unstaged at ``cycle`` and wake the FIFO's
+    consumers, as the flat mesh ejects: whoever steps at ``cycle`` does
+    not see it yet (:class:`SleepyConsumer` reads through the stamp)."""
+    fifo._items.append(item)
+    fifo._pushc = cycle
+    for waker in fifo._wakers:
+        waker()
+
+
 class TestCycleSimulator:
     def test_step_then_commit_each_cycle(self):
-        sim = CycleSimulator()
+        sim = CycleSimulator(kernel="naive")
         comp = Counter()
         sim.add(comp)
         sim.run(5)
@@ -116,7 +133,7 @@ class TestCycleSimulator:
 
     def test_run_until(self):
         sim = CycleSimulator()
-        comp = Counter()
+        comp = Stepper()
         sim.add(comp)
         consumed = sim.run_until(lambda: comp.steps >= 3)
         assert consumed == 3
@@ -128,7 +145,7 @@ class TestCycleSimulator:
 
     def test_two_phase_isolation(self):
         """A consumer never sees a value pushed in the same cycle."""
-        sim = CycleSimulator()
+        sim = CycleSimulator(kernel="naive")
         fifo = StagedFifo()
         seen = []
 
@@ -144,8 +161,7 @@ class TestCycleSimulator:
                 if fifo.peek() is not None:
                     seen.append((cycle, fifo.pop()))
 
-            def commit(self):
-                pass
+            commit = no_commit
 
         sim.add(Producer())
         sim.add(Observer())
@@ -158,8 +174,8 @@ class TestCycleSimulator:
 
 
 class SleepyConsumer(Wakeable):
-    """Test component honouring the quiescence contract: drains a FIFO,
-    sleeps while it is empty."""
+    """Test component honouring the quiescence contract: drains a FIFO
+    filled by :func:`post`, sleeps while it is empty."""
 
     def __init__(self, fifo):
         self.fifo = fifo
@@ -168,17 +184,16 @@ class SleepyConsumer(Wakeable):
 
     def step(self, cycle):
         self.steps += 1
-        while self.fifo.peek() is not None:
-            self.drained.append((cycle, self.fifo.pop()))
-
-    def commit(self):
-        self.fifo.commit()
+        fifo = self.fifo
+        # What LocalPort.pop_flit(cycle) takes: not a flit of this cycle.
+        while len(fifo) > (fifo._pushc == cycle):
+            self.drained.append((cycle, fifo.pop()))
 
     def wake_sources(self):
         return (self.fifo,)
 
     def is_idle(self):
-        return not self.fifo._items and not self.fifo._staged
+        return not self.fifo.occupancy
 
 
 class Alarm(Wakeable):
@@ -193,9 +208,6 @@ class Alarm(Wakeable):
         if cycle >= self._next:
             self.fired.append(cycle)
             self._next = cycle + self.period
-
-    def commit(self):
-        pass
 
     def is_idle(self):
         return True
@@ -222,31 +234,28 @@ class TestScheduledKernel:
         sim.add(consumer)
         sim.run(10)
         assert consumer.steps == 1
-        fifo.push("ping")  # external injection mid-quiescence
+        post(fifo, "ping", sim.cycle)  # external injection mid-quiescence
         sim.run(10)
-        # Woken: the push commits, the consumer drains it next step.
+        # Woken: the push is stamped, the consumer drains it next step.
         assert consumer.drained == [(11, "ping")]
         # ...then goes back to sleep instead of being stepped 10 times.
         assert consumer.steps <= 3
 
     def test_same_cycle_push_commits_on_schedule(self):
-        """A producer stepping before a sleeping consumer wakes it in
-        time for the consumer's FIFO to commit that same cycle — so the
-        item is visible exactly one cycle after the push, as under the
-        naive kernel."""
+        """A producer stepping before a sleeping consumer wakes it this
+        very cycle, and the stamp keeps the item from it until the next
+        — so the item is visible exactly one cycle after the push, as a
+        staged push committed under the naive kernel would be."""
         results = {}
         for kernel in ("naive", "scheduled"):
             sim = CycleSimulator(kernel=kernel)
             fifo = StagedFifo()
             consumer = SleepyConsumer(fifo)
 
-            class Producer:
+            class Producer(Wakeable):
                 def step(self, cycle):
                     if cycle == 5:
-                        fifo.push("x")
-
-                def commit(self):
-                    pass
+                        post(fifo, "x", cycle)
 
             sim.add(Producer())
             sim.add(consumer)
@@ -290,7 +299,7 @@ class TestScheduledKernel:
 
     def test_component_without_contract_always_stepped(self):
         sim = CycleSimulator(kernel="scheduled")
-        comp = Counter()
+        comp = Stepper()
         sim.add(comp)
         sim.run(50)
         assert comp.steps == 50
@@ -383,16 +392,13 @@ class TestRunUntilExactness:
 
 
 class Pulse(Wakeable):
-    """Sleeps between pulses ``period`` apart; has a real ``commit``."""
+    """Sleeps between pulses ``period`` apart."""
 
     def __init__(self, period):
         self.period = period
 
     def step(self, cycle):
         self._last = cycle
-
-    def commit(self):
-        pass
 
     def is_idle(self):
         return True
@@ -416,7 +422,8 @@ class TestByNameCallingContract:
     """``benchmarks/perflab`` shadows ``sim.tick``, ``component.step``
     and ``component.commit`` on the instances after construction; the
     kernel must reach each of them once per cycle it does not skip,
-    through ``run`` and ``run_until`` alike."""
+    through ``run`` and ``run_until`` alike — ``commit`` under the
+    naive kernel only: the scheduled one has no commit pass."""
 
     @staticmethod
     def drive(sim, how, cycles):
@@ -440,7 +447,7 @@ class TestByNameCallingContract:
         assert sim.cycle == 95
         ticked = 95 - sim.idle_cycles_skipped
         assert ticked == 10  # cycles 0, 10, ..., 90
-        assert log == ["tick", "step", "commit"] * ticked
+        assert log == ["tick", "step"] * ticked
 
     @pytest.mark.parametrize("how", ["run", "run_until"])
     @pytest.mark.parametrize("kernel", ["scheduled", "naive"])
@@ -448,7 +455,8 @@ class TestByNameCallingContract:
         # (The name predates the wake_at kernel: there is no bypass
         # left, an always-busy component is simply due every cycle.)
         sim = CycleSimulator(kernel=kernel)
-        busy = Counter()
+        naive = kernel == "naive"
+        busy = Counter() if naive else Stepper()
         sim.add(busy)
         log = []
         for attribute in ("step", "commit"):
@@ -456,15 +464,20 @@ class TestByNameCallingContract:
         _count_calls(sim, "tick", log)
         self.drive(sim, how, 70)
         assert sim.cycle == 70 and sim.idle_cycles_skipped == 0
-        assert log == ["tick", "step", "commit"] * 70
-        assert (busy.steps, busy.commits) == (70, 70)
+        phases = ["tick", "step", "commit"] if naive else ["tick", "step"]
+        assert log == phases * 70
+        assert (busy.steps, busy.commits) == (70, 70 if naive else 0)
 
 
 class TestCommitList:
-    """The scheduled kernel commits only components whose class does
-    not leave ``commit`` as the shared ``no_commit``."""
+    """The scheduled kernel has no commit pass, so it takes only
+    components whose class leaves ``commit`` as the shared
+    ``no_commit``; everything else runs under the naive kernel."""
 
-    def test_membership_is_by_identity_of_the_class_attribute(self):
+    def test_scheduled_kernel_refuses_a_commit_phase(self):
+        from repro.noc.mesh import LocalPort
+        from repro.noc.router import Router
+
         class Inherits(Wakeable):
             def step(self, cycle):
                 pass
@@ -479,51 +492,45 @@ class TestCommitList:
             def commit(self):
                 pass
 
-        sim = CycleSimulator(kernel="scheduled")
-        components = [Inherits(), Aliases(), OwnNoOp(), Counter()]
-        sim.add_all(components)
-        # Shadowed on the instance (as perflab shadows the mesh
-        # core's): the class decides, so the first two are never asked.
-        log = []
-        for index, component in enumerate(components):
-            original = component.commit
-            component.commit = \
-                lambda index=index, original=original: (
-                    log.append(index), original())
+        router = Router((0, 0))
+        for component in (router, LocalPort(router), OwnNoOp()):
+            sim = CycleSimulator(kernel="scheduled")
+            with pytest.raises(TypeError, match=type(component).__name__):
+                sim.add(component)
+            assert sim.components == ()
+            naive = CycleSimulator(kernel="naive")
+            naive.add(component)
+            assert naive.components == (component,)
+        sim = CycleSimulator()
+        accepted = [Inherits(), Aliases()]
+        sim.add_all(accepted)
         sim.run(3)
-        assert log == [2, 3] * 3
-        assert components[3].commits == 3
-
-    def test_late_woken_committer_still_commits_that_cycle(self):
-        sim = CycleSimulator(kernel="scheduled")
-        fifo = StagedFifo()
-        consumer = SleepyConsumer(fifo)
-
-        class Producer(Wakeable):
-            def step(self, cycle):
-                if cycle == 5:
-                    fifo.push("x")
-
-        sim.add(consumer)   # registered first: asleep when woken
-        sim.add(Producer())
-        sim.run(8)
-        assert consumer.drained == [(6, "x")]
+        assert sim.components == tuple(accepted)
+        with pytest.raises(TypeError, match="kernel='naive'"):
+            sim.add(Counter())
 
     def test_default_designs_commit_nothing(self):
-        """Both flat cores are commit-free, so no component of a
-        default design has a commit pass left (``mesh.core.commit``
-        stays an attribute — perflab wraps it — but it is the shared
-        no-op the kernel never calls)."""
-        from repro.designs import ScaledEchoDesign, UdpEchoDesign
+        """Under ``fast`` every shipped design is flat cores plus
+        commit-free components (``mesh.core.commit`` stays an attribute
+        — perflab wraps it — but it is the shared no-op, never
+        called)."""
+        from repro.designs import SHIPPED, load_design
         from repro.loadgen.flows import build_competing_flows
 
-        for design in (UdpEchoDesign(), ScaledEchoDesign(),
-                       build_competing_flows()[0]):
-            sim = design.sim
-            assert len(sim.components) >= 2
-            assert design.mesh.core in sim.components
-            for component in sim.components:
+        sizes = {}
+        for name in SHIPPED:
+            design = load_design(name)[1]()
+            sizes[name] = len(design.sim.components)
+            assert design.mesh.core in design.sim.components
+            for component in design.sim.components:
                 assert type(component).commit is no_commit, component
+        # Two flat cores each, but for the managed NAT: data mesh, tile
+        # core, control mesh and four control endpoints.
+        assert sizes.pop("managed_nat_echo") == 7
+        assert set(sizes.values()) == {2}
+        sim = build_competing_flows()[0].sim
+        for component in sim.components:
+            assert type(component).commit is no_commit, component
         # The TCP set-up: mesh, tiles, wire, fault engine, peer
         # network and three peers.
         assert len(sim.components) == 8
@@ -651,17 +658,6 @@ class Mailbox(Wakeable):
                    default=None)
 
 
-class CommittingMailbox(Mailbox):
-    """... with a real ``commit``, logging the last step before it."""
-
-    def __init__(self):
-        super().__init__()
-        self.commits = []
-
-    def commit(self):
-        self.commits.append(self.stepped[-1] if self.stepped else None)
-
-
 class TestWakeRule:
     """A wake lands where stepping everything in order would let the
     woken component see the change: this tick if its slot is still
@@ -670,7 +666,7 @@ class TestWakeRule:
     @staticmethod
     def build(kernel):
         sim = CycleSimulator(kernel=kernel)
-        early = CommittingMailbox()
+        early = Mailbox()
         late = Mailbox()
         waker = Mailbox(on_cycle={5: (early, late)})
         sim.add_all([early, waker, late])
@@ -690,15 +686,6 @@ class TestWakeRule:
         assert late.stepped == [0, 5]
         assert early.stepped == [0, 6]
         assert sim.idle_cycles_skipped == 10 - 3
-
-    def test_late_woken_component_commits_the_tick_it_is_woken(self):
-        sim, early, waker, late = self.build("scheduled")
-        sim.run(5)
-        assert early.commits == [0]
-        sim.run(1)                      # cycle 5: woken after its slot
-        assert early.stepped == [0] and early.commits == [0, 0]
-        sim.run(1)
-        assert early.stepped == [0, 6] and early.commits == [0, 0, 6]
 
     def test_between_ticks_a_wake_is_for_the_current_cycle(self):
         sim, early, waker, late = self.build("scheduled")

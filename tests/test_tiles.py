@@ -138,7 +138,7 @@ class Collector(Tile):
 
 
 def chain_fixture(occupancy=13, parse_latency=9):
-    sim = CycleSimulator()
+    sim = CycleSimulator(kernel="naive")
     mesh = Mesh(3, 1)
     src_port = mesh.attach((0, 0))
     middle = PassThrough("mid", mesh, (1, 0), dest=(2, 0),
@@ -207,7 +207,7 @@ class TestTileEngine:
             def handle_message(self, message, cycle):
                 return self.drop(message)
 
-        sim = CycleSimulator()
+        sim = CycleSimulator(kernel="naive")
         mesh = Mesh(2, 1)
         src = mesh.attach((0, 0))
         dropper = Dropper("d", mesh, (1, 0))

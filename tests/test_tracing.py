@@ -132,7 +132,7 @@ class _SourceTile(_SinkTile):
 
 class TestPacketSpans:
     def build_two_tile_echo(self, schedule=(0,)):
-        sim = CycleSimulator()
+        sim = CycleSimulator(kernel="naive")
         mesh = Mesh(2, 1)
         echo = _EchoBackTile("echo", mesh, (1, 0))
         source = _SourceTile("source", mesh, (0, 0), target=(1, 0),
