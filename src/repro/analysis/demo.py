@@ -29,7 +29,7 @@ bug, and no other pass misfires on it":
 builder                         code    seeded bug
 ==============================  ======  ==================================
 build_broken_wake_design        BHV301  wake_sources() misses the FIFO
-build_idle_liar_design          BHV401  is_idle() lies while work remains
+build_idle_liar_design          BHV401  step() sleeps while work remains
 build_leaky_eject_design        BHV403  pops the eject FIFO off the books
 build_step_parity_design        BHV404  behaviour depends on step count
 build_early_read_design         BHV405  reads its port without the cycle
@@ -63,7 +63,7 @@ from repro.noc.flit import Flit
 from repro.noc.mesh import Mesh
 from repro.noc.message import NocMessage
 from repro.noc.routing import Port
-from repro.sim.kernel import CycleSimulator, no_commit
+from repro.sim.kernel import NEVER, CycleSimulator, no_commit
 from repro.sim.profiles import lookup
 from repro.tiles.base import DestDomain, Tile
 from repro.tiles.scheduler import RoundRobinSchedulerTile
@@ -132,13 +132,13 @@ class CountingSinkTile(Tile):
         return []
 
 
-# -- BHV401: is_idle() that lies --------------------------------------------
+# -- BHV401: a step that lies about when it is next due ---------------------
 
 class IdleLiarTile(Tile):
-    """Holds a private work list its ``is_idle()`` pretends not to have.
+    """Holds a private work list its step's answer pretends not to have.
 
-    The scheduled kernel prunes it immediately; the idle-truth pass
-    shadow-steps it and watches ``echoed`` advance — observable
+    The scheduled kernel prunes it after its first step; the idle-truth
+    pass shadow-steps it and watches ``echoed`` advance — observable
     progress from a component that swore it was quiescent.
     """
 
@@ -153,11 +153,9 @@ class IdleLiarTile(Tile):
             self._work.pop()
             self.echoed += 1
 
-    def is_idle(self) -> bool:
-        return True  # BUG: claims quiescence while _work remains
-
-    def next_event_cycle(self) -> int | None:
-        return None  # ... and never arms a timer to come back for it
+    def _due(self) -> int:
+        # BUG: only a wake, says step, while _work remains.
+        return NEVER
 
 
 class IdleLiarDesign:
@@ -185,9 +183,9 @@ class LeakyEjectTile(Tile):
     ``receive()`` — so ``flits_ejected`` never learns about the flits
     and the conservation ledger shows unattributed loss.
 
-    ``on_cycle`` is overridden, so the base ``is_idle()`` honestly
-    reports never-idle: the tile is stepped every cycle and the other
-    dynamic passes stay silent.
+    ``on_cycle`` is overridden, so the base ``step`` honestly returns
+    None: the tile is stepped every cycle and the other dynamic passes
+    stay silent.
     """
 
     def __init__(self, name: str, mesh: Mesh, coord: tuple[int, int],
@@ -238,9 +236,9 @@ class StepParityTile(Tile):
     ``steps_seen`` advances once per ``step`` call — which is every
     cycle under the naive kernel but only on active cycles under the
     scheduled one, so identical traffic produces different echo/drop
-    streams.  ``is_idle()`` is *honest* (the base queue checks, minus
-    the on_cycle guard), so the idle-truth pass stays silent: this is
-    the bug class only the determinism pass can see.
+    streams.  Its step's answer is *honest* (the message engine's, as
+    ``on_cycle`` waits on nothing), so the idle-truth pass stays
+    silent: this is the bug class only the determinism pass can see.
     """
 
     def __init__(self, name: str, mesh: Mesh, coord: tuple[int, int],
@@ -252,16 +250,8 @@ class StepParityTile(Tile):
     def on_cycle(self, cycle: int) -> None:
         self.steps_seen += 1  # BUG: observable state keyed to stepping
 
-    def is_idle(self) -> bool:
-        if self._fault_frozen:
-            return False
-        if self.port.eject_fifo.occupancy:
-            return False
-        if self._in_service is not None:
-            return True
-        if self._rx_ready:
-            return self.port.tx_backlog < self.max_tx_backlog
-        return True
+    def _due(self) -> int | None:
+        return self._engine_due()
 
     def handle_message(self, message: NocMessage,
                        cycle: int) -> list[NocMessage]:
@@ -304,7 +294,10 @@ class EarlyReadTile(Tile):
     """Takes an extra flit per cycle through ``receive()`` without
     saying which cycle it is stepping, so it reads a flat mesh's flit
     in the cycle it lands, one before an object mesh would show it.
-    Never idle and every pop counted: the other passes stay silent.
+    It polls its port, so it asks for the next cycle every time (a
+    FIFO it empties the cycle it is pushed would read as a lost wake
+    if it slept), and every pop is counted: the other passes stay
+    silent.
     """
 
     def __init__(self, name: str, mesh: Mesh, coord: tuple[int, int],
@@ -315,6 +308,10 @@ class EarlyReadTile(Tile):
     def on_cycle(self, cycle: int) -> None:
         if self.port.receive() is not None:  # BUG: not receive(cycle)
             self.early += 1
+
+    def step(self, cycle: int) -> int:
+        super().step(cycle)
+        return cycle + 1
 
     def handle_message(self, message: NocMessage,
                        cycle: int) -> list[NocMessage]:

@@ -70,13 +70,10 @@ CODES: dict[str, tuple[str, str]] = {
                       "with no wake hook (lost-wakeup stall)"),
     "BHV302": (ERROR, "component can idle-sleep but has no wake "
                       "mechanism at all"),
-    "BHV303": (WARNING, "next_event_cycle() implemented without "
-                        "is_idle() (the timer is never consulted)"),
-    "BHV304": (WARNING, "quiescence probe misbehaved (is_idle / "
-                        "next_event_cycle raised or returned a wrong "
-                        "type)"),
-    "BHV305": (INFO, "component has no quiescence contract; it is "
-                     "stepped every cycle (naive-kernel behaviour)"),
+    "BHV304": (WARNING, "wake_sources() raised"),
+    "BHV305": (INFO, "component that consumes FIFOs returned None from "
+                     "every step: it is stepped every cycle "
+                     "(naive-kernel behaviour)"),
     "BHV306": (WARNING, "declared wake source is not wired to wake "
                         "this component"),
     # -- BHV4xx: dynamic sanitizer (bounded instrumented runs) ---------

@@ -157,8 +157,6 @@ class DesignModel:
             return list(hook())
         if isinstance(component, Router):
             return list(component._in_fifos)
-        if isinstance(component, LocalPort):
-            return [component.eject_fifo]
         port = getattr(component, "port", None)
         if isinstance(port, LocalPort):
             # Tiles, control endpoints, controller tiles: they all pull

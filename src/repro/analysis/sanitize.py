@@ -7,11 +7,13 @@ executes — by running short, bounded, fully instrumented simulations
 and reporting through the same :class:`~repro.analysis.findings`
 pipeline:
 
-- **idle-truth** (BHV401): every component the scheduled kernel left
-  asleep is *shadow-stepped* each cycle with a state fingerprint taken
-  around its own ``step``.  A truthfully idle component's step is a
-  no-op by the quiescence contract; a fingerprint change means
-  ``is_idle()`` lied.
+- **idle-truth** (BHV401): every component whose stored cycle is past
+  the current one is *shadow-stepped* each cycle with a state
+  fingerprint taken around its own ``step``.  Stepping a component
+  before the cycle it returned is a no-op by the quiescence contract;
+  a fingerprint change means its ``step`` lied about when it is next
+  due.  And its converse (BHV305, info): a FIFO consumer that returned
+  None from every step, so was never asleep.
 - **lost-wake** (BHV402): at the end of each step phase (before
   anything commits), a FIFO pushed into this cycle whose consumer is
   asleep past the next cycle — no wake reached it and no timer is due
@@ -77,8 +79,8 @@ DEFAULT_CYCLES = 2000
 
 #: name -> one-line description, mirroring the static PASSES registry.
 SANITIZE_PASSES: dict[str, str] = {
-    "idle-truth": "shadow-step pruned components; any observable "
-                  "progress is an is_idle() lie (BHV401)",
+    "idle-truth": "shadow-step sleeping components; any observable "
+                  "progress is a lie in what step returned (BHV401)",
     "lost-wake": "push into a FIFO whose consumer stays asleep past "
                  "the next cycle (BHV402)",
     "conservation": "flit ledger: injected == ejected + in-flight per "
@@ -208,7 +210,8 @@ class SanitizeObserver:
     ``shadow_step`` owns stepping every sleeping component (the kernel
     hands them over instead of stepping them) and, when the idle-truth
     pass is selected, fingerprints observable state around the step.
-    ``step_phase_done`` runs the lost-wake check while this cycle's
+    ``step_phase_done`` notes which FIFO consumers are asleep (for
+    :meth:`restless`) and runs the lost-wake check while this cycle's
     pushes are still distinguishable from older items, ``cycle_done``
     the early-read check.
     """
@@ -234,9 +237,11 @@ class SanitizeObserver:
                         for coord, port in mesh.ports.items())
         # id(component) -> [(probe, label), ...]
         self._plans: dict[int, list[tuple[Callable[[], object], str]]] = {}
-        # (component, name, consumed StagedFifos) for the wake check.
+        # (component, name, consumed StagedFifos) for the wake checks,
+        # and the ids of those ever asleep after a step phase.
         self._consumers: list[tuple[object, str, list[StagedFifo]]] = []
-        if self.check_wake:
+        self._slept: set[int] = set()
+        if self.check_idle or self.check_wake:
             for component in model.components():
                 fifos: list[StagedFifo] = []
                 pool = [component]
@@ -319,18 +324,18 @@ class SanitizeObserver:
             f"(changed: {', '.join(changed[:4])})"
             f"{' ...' if len(changed) > 4 else ''}",
             location=name,
-            hint="is_idle() reported quiescence while work remained — "
-                 "fix is_idle()/next_event_cycle() or wire the missing "
+            hint="step returned a later cycle (or NEVER) while work "
+                 "remained — fix what it returns or wire the missing "
                  "wake source",
             data={"cycle": cycle, "changed": changed}))
 
     def step_phase_done(self, cycle: int) -> None:
-        if not self.check_wake:
-            return
         wake_cycle = self.sim.wake_cycle
         for component, name, fifos in self._consumers:
             due = wake_cycle(component)
-            if due is not None and due <= cycle + 1:
+            if due is None or due > cycle:
+                self._slept.add(id(component))
+            if not self.check_wake or due is not None and due <= cycle + 1:
                 continue  # awake, woken, or a timer is due in time
             for fifo in fifos:
                 if not fifo.pushed_at(cycle):
@@ -349,6 +354,21 @@ class SanitizeObserver:
                          "for this consumer: check wake_sources() "
                          "covers the FIFO",
                     data={"cycle": cycle, "fifo": fifo.name}))
+
+    def restless(self) -> list[Finding]:
+        """BHV305 for every FIFO consumer no step phase left asleep."""
+        if not self.check_idle:
+            return []
+        return [Finding(
+            "BHV305",
+            f"{type(component).__name__} returned None from every step: "
+            "it was stepped every cycle",
+            location=name,
+            hint="return the next cycle it is due (NEVER while only a "
+                 "wake can give it work) and declare wake_sources() to "
+                 "make it eligible for idle-skip")
+            for component, name, _fifos in self._consumers
+            if id(component) not in self._slept]
 
     def cycle_done(self, cycle: int) -> None:
         # One flit per FIFO per cycle, pushed behind whatever was
@@ -611,7 +631,7 @@ def analyze_dynamic(
         actions = traffic_fn(design, cycles)
         observer = SanitizeObserver(design, model, selected)
         _drive(design, actions, cycles, observer)
-        for finding in observer.findings:
+        for finding in observer.findings + observer.restless():
             add(finding)
         if "lost-wake" in selected:
             for finding in _tile_core_findings(design):

@@ -1,21 +1,26 @@
 """Wake-contract verification (BHV3xx).
 
-The activity-scheduled kernel (:mod:`repro.sim.kernel`) deschedules any
-component whose ``is_idle()`` returns True.  A descheduled component is
-revived only by (a) a wake hook on a FIFO it consumes, (b) its
-``_kernel_wake`` slot being called from an external mutator, or (c) a
-timer armed from ``next_event_cycle()``.  A component that can sleep
-but has no wake path for some input *stalls silently* — the benchmark
-completes with wrong numbers or hangs — so this pass turns the contract
-into lint findings:
+The activity-scheduled kernel (:mod:`repro.sim.kernel`) steps a
+component again on the cycle its ``step`` returned.  One that asked for
+:data:`~repro.sim.kernel.NEVER` — or for a cycle far off — is revived
+early only by (a) a wake hook on a FIFO it consumes or (b) its
+``_kernel_wake`` slot being called from an external mutator.  A
+component that can sleep but has no wake path for some input *stalls
+silently* — the benchmark completes with wrong numbers or hangs — so
+this pass turns the contract into lint findings.  Under a scheduled
+kernel any component may sleep, so every one is checked; under the
+naive kernel, which steps everything every cycle, only those that
+declare ``wake_sources()``:
 
-- every FIFO a sleeper consumes must wake it (``wake_sources()`` must
-  cover all inputs, and — under a scheduled kernel — the hook must
-  actually be wired);
-- a sleeper must have at least one wake mechanism;
-- ``is_idle()`` / ``next_event_cycle()`` must be implemented
-  consistently (probed once; the probe is side-effect-free by
-  contract).
+- every FIFO it consumes must wake it (``wake_sources()`` must cover
+  all inputs, and — under a scheduled kernel — the hook must actually
+  be wired);
+- one that declares ``wake_sources()`` must have at least one wake
+  mechanism, and ``wake_sources()`` must not raise.
+
+What ``step`` returns is only known by running it: a component that
+asks for every cycle (BHV305) is the sanitizer's finding
+(:mod:`repro.analysis.sanitize`).
 """
 
 from __future__ import annotations
@@ -48,25 +53,6 @@ def _wired_to(fifo: StagedFifo, component: object) -> bool:
     return False
 
 
-def _probe(component: object) -> tuple[object, Finding | None]:
-    """Call ``is_idle()`` defensively; (value, finding-or-None)."""
-    name = _name_of(component)
-    try:
-        idle = component.is_idle()
-    except Exception as error:  # noqa: BLE001 - lint must not crash
-        return None, Finding(
-            "BHV304",
-            f"is_idle() raised {type(error).__name__}: {error}",
-            location=name)
-    if not isinstance(idle, bool):
-        return idle, Finding(
-            "BHV304",
-            f"is_idle() returned {idle!r} ({type(idle).__name__}), "
-            "expected bool",
-            location=name)
-    return idle, None
-
-
 def run(design: object) -> list[Finding]:
     """The BHV3xx lint pass over an instantiated design."""
     model = extract(design)
@@ -74,45 +60,21 @@ def run(design: object) -> list[Finding]:
     scheduled = getattr(model.sim, "kernel", None) == "scheduled"
 
     for component in model.components():
-        name = _name_of(component)
-        has_is_idle = callable(getattr(component, "is_idle", None))
-        has_next_event = callable(
-            getattr(component, "next_event_cycle", None))
         sources_fn = getattr(component, "wake_sources", None)
+        declares = callable(sources_fn)
+        if not declares and not scheduled:
+            continue    # the naive kernel steps it every cycle anyway
+        name = _name_of(component)
         consumed = model.consumed_fifos(component)
-
-        if not has_is_idle:
-            if has_next_event:
-                findings.append(Finding(
-                    "BHV303",
-                    "next_event_cycle() is implemented but is_idle() "
-                    "is not; the kernel never consults the timer",
-                    location=name))
-            if consumed and scheduled:
-                # (Under the naive kernel everything is stepped every
-                # cycle: the contract only buys idle-skip.)
-                findings.append(Finding(
-                    "BHV305",
-                    f"{type(component).__name__} has no quiescence "
-                    "contract; it is stepped every cycle",
-                    location=name,
-                    hint="implement is_idle()/wake_sources() to make "
-                         "it eligible for idle-skip"))
-            continue
-
-        _, probe_finding = _probe(component)
-        if probe_finding is not None:
-            findings.append(probe_finding)
-
-        declared: list[StagedFifo] = []
-        if callable(sources_fn):
+        declared = []
+        if declares:
             try:
                 declared = list(sources_fn())
-            except Exception as error:  # noqa: BLE001
+            except Exception as error:  # noqa: BLE001 - must not crash
                 findings.append(Finding(
                     "BHV304",
-                    f"wake_sources() raised "
-                    f"{type(error).__name__}: {error}",
+                    f"wake_sources() raised {type(error).__name__}: "
+                    f"{error}",
                     location=name))
         declared_ids = {id(fifo) for fifo in declared}
 
@@ -135,13 +97,12 @@ def run(design: object) -> list[Finding]:
                     data={"fifo": fifo.name}))
 
         # A sleeper with no wake mechanism at all can never be revived.
-        has_wake_slot = hasattr(component, "_kernel_wake")
-        if not declared and not has_next_event and not has_wake_slot:
+        if (declares and not declared
+                and not hasattr(component, "_kernel_wake")):
             findings.append(Finding(
                 "BHV302",
-                "implements is_idle() but has no wake_sources(), no "
-                "next_event_cycle() and no _kernel_wake slot: once "
-                "descheduled it sleeps forever",
+                "declares no wake source and has no _kernel_wake slot: "
+                "once its step returns NEVER it sleeps forever",
                 location=name))
 
         # Declared wake sources must be hookable (and, under a

@@ -101,10 +101,12 @@ class InternalControllerTile(Tile):
             self.endpoint.send(command["target"], update)
         return []
 
-    def is_idle(self) -> bool:
-        """Idle between RPCs and the control NoC's replies to them:
+    def _due(self) -> int | None:
+        """Asleep between RPCs and the control NoC's replies to them:
         the endpoint wakes the tile when it files a reply."""
-        return not self.endpoint.has_replies and self._engine_idle()
+        if self.endpoint.has_replies:
+            return None
+        return self._engine_due()
 
     def on_cycle(self, cycle: int) -> None:
         for reply in self.endpoint.pop_replies():

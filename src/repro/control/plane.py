@@ -27,11 +27,15 @@ from repro.control.messages import (
 )
 from repro.noc.mesh import LocalPort
 from repro.noc.message import NocMessage
-from repro.sim.kernel import CycleSimulator, Wakeable
+from repro.sim.kernel import NEVER, CycleSimulator, Wakeable
 
 
 class ControlEndpoint(Wakeable):
-    """A tile's attachment to the control NoC (a clocked component)."""
+    """A tile's attachment to the control NoC (a clocked component).
+
+    Control messages are rare: the endpoint sleeps whenever its
+    ejection FIFO is empty, and the FIFO wakes it.
+    """
 
     def __init__(self, plane: ControlPlane, coord: tuple[int, int],
                  name: str):
@@ -74,19 +78,19 @@ class ControlEndpoint(Wakeable):
 
     # -- clocked behaviour ----------------------------------------------------------
 
-    def step(self, cycle: int) -> None:
+    def step(self, cycle: int) -> int | None:
         message = self.port.receive(cycle)
-        if message is None:
-            return
-        payload = message.metadata
-        if isinstance(payload, TableUpdate):
-            self._apply_update(payload, message.src)
-        elif isinstance(payload, CounterRead):
-            self._read_counter(payload)
-        else:
-            self._replies.append(payload)
-            if self.on_reply is not None:
-                self.on_reply()
+        if message is not None:
+            payload = message.metadata
+            if isinstance(payload, TableUpdate):
+                self._apply_update(payload, message.src)
+            elif isinstance(payload, CounterRead):
+                self._read_counter(payload)
+            else:
+                self._replies.append(payload)
+                if self.on_reply is not None:
+                    self.on_reply()
+        return None if self.port.eject_fifo.occupancy else NEVER
 
     def _apply_update(self, update: TableUpdate, src) -> None:
         handler = self.table_handlers.get(update.table)
@@ -112,11 +116,6 @@ class ControlEndpoint(Wakeable):
 
     def wake_sources(self):
         return (self.port.eject_fifo,)
-
-    def is_idle(self) -> bool:
-        """Control messages are rare; the endpoint sleeps whenever its
-        ejection FIFO is empty."""
-        return not self.port.eject_fifo.occupancy
 
 
 class ControlPlane:

@@ -23,7 +23,7 @@ from repro import params
 from repro.packet.builder import build_ipv4_udp_frame, parse_frame
 from repro.packet.ethernet import MacAddress
 from repro.packet.ipv4 import IPv4Address
-from repro.sim.kernel import Wakeable
+from repro.sim.kernel import NEVER, Wakeable
 
 #: The one synthetic client.
 CLIENT_IP = IPv4Address("10.0.0.1")
@@ -47,6 +47,10 @@ class FrameSource(Wakeable):
     the frame is *counted* in ``offered_dropped``/``drop_reasons`` and
     discarded, never buffered, so memory stays flat however far
     arrivals outrun admission.
+
+    Pacing is timer-driven: ``step`` returns the next injection cycle.
+    Only a backlog-blocked source polls (the backlog callable is
+    opaque, so no wake exists).
     """
 
     def __init__(self, push: Callable[[bytes, int], None],
@@ -72,22 +76,20 @@ class FrameSource(Wakeable):
         self.offered_dropped = 0
         self.drop_reasons: dict[str, int] = {}
         self._next_free = 0
-        self._blocked = False
 
     @property
     def done(self) -> bool:
         return self.count is not None and self.offered >= self.count
 
-    def step(self, cycle: int) -> None:
-        if self.done or cycle < self._next_free:
-            return
+    def step(self, cycle: int) -> int | None:
+        if self.done:
+            return NEVER
+        if cycle < self._next_free:
+            return self._next_free
         blocked = (self.backlog is not None
                    and self.backlog() >= self.max_backlog)
         if blocked and self.overrun == "block":
-            # Polled until the backlog drains: nothing wakes a source.
-            self._blocked = True
-            return
-        self._blocked = False
+            return None     # polled until the backlog drains
         frame = self.frame_factory(self.offered)
         wire_bytes = len(frame) + params.ETHERNET_OVERHEAD_BYTES
         if self.rate is not None:
@@ -105,24 +107,20 @@ class FrameSource(Wakeable):
             reason = "offered: admission overrun"
             self.drop_reasons[reason] = \
                 self.drop_reasons.get(reason, 0) + 1
-            return
-        self.push(frame, arrival)
-        self.sent += 1
-        self.bytes_sent += len(frame)
-
-    # -- quiescence contract (see repro.sim.kernel) --------------------------
-
-    def is_idle(self) -> bool:
-        """Pacing is timer-driven; only a backlog-blocked source needs
-        to poll (the backlog callable is opaque, so no wake exists)."""
-        return self.done or not self._blocked
-
-    def next_event_cycle(self) -> int | None:
-        return None if self.done else self._next_free
+        else:
+            self.push(frame, arrival)
+            self.sent += 1
+            self.bytes_sent += len(frame)
+        return NEVER if self.done else self._next_free
 
 
 class FrameSink(Wakeable):
-    """Drains an Ethernet TX tile's MAC output (a clocked component)."""
+    """Drains an Ethernet TX tile's MAC output (a clocked component).
+
+    It sleeps between frames: every recorded value derives from a
+    frame's emit cycle, so draining on the emit cycle (the cycle
+    ``step`` returns) or on a wake from the TX tile loses nothing.
+    """
 
     def __init__(self, eth_tx, keep_frames: bool = True):
         self.eth_tx = eth_tx
@@ -138,12 +136,12 @@ class FrameSink(Wakeable):
         if listeners is not None:
             listeners.append(self._wake)
 
-    def step(self, cycle: int) -> None:
+    def step(self, cycle: int) -> int:
         while self.eth_tx.frames_out:
             frame, emit_cycle = self.eth_tx.frames_out.popleft()
             if emit_cycle > cycle:
                 self.eth_tx.frames_out.appendleft((frame, emit_cycle))
-                break
+                return emit_cycle
             self.count += 1
             self.frame_bytes += len(frame)
             try:
@@ -158,18 +156,7 @@ class FrameSink(Wakeable):
             self.last_cycle = emit_cycle
             if self.keep_frames:
                 self.frames.append((frame, emit_cycle))
-
-    # -- quiescence contract (see repro.sim.kernel) --------------------------
-
-    def is_idle(self) -> bool:
-        """Always idle between events: every recorded value derives
-        from a frame's emit cycle, so draining on the emit cycle (via
-        the timer) or on a wake from the TX tile loses nothing."""
-        return True
-
-    def next_event_cycle(self) -> int | None:
-        queue = self.eth_tx.frames_out
-        return queue[0][1] if queue else None
+        return NEVER
 
 
 def client_frame(design, payload: bytes, src_port: int = 5555,

@@ -25,7 +25,7 @@ import heapq
 from collections import Counter
 
 from repro.faults.plan import FaultPlan, WireFaultSpec
-from repro.sim.kernel import Wakeable
+from repro.sim.kernel import NEVER, Wakeable
 from repro.sim.rng import SeededStreams
 
 
@@ -47,7 +47,9 @@ class FaultyWire(Wakeable):
     impairments and are released to the underlying ``push`` callable in
     arrival order (a heap keyed by arrival cycle), modelling a physical
     link: a delayed frame is overtaken by later traffic instead of
-    head-of-line blocking it.
+    head-of-line blocking it.  Timer-only: a frame on the wire moves at
+    its arrival cycle, which ``step`` returns, and ``inject`` wakes the
+    wire for a new one.
     """
 
     def __init__(self, sim, push, spec: WireFaultSpec, rng, engine):
@@ -93,22 +95,13 @@ class FaultyWire(Wakeable):
 
     # -- clocked behaviour --------------------------------------------------
 
-    def step(self, cycle: int) -> None:
+    def step(self, cycle: int) -> int:
         heap = self._heap
         while heap and heap[0][0] <= cycle:
             _, _, frame = heapq.heappop(heap)
             self.frames_delivered += 1
             self._push(frame, cycle)
-
-    # -- quiescence contract (see repro.sim.kernel) -------------------------
-
-    def is_idle(self) -> bool:
-        """Timer-only: a frame on the wire moves at its arrival cycle,
-        and ``inject`` wakes the wire for a new one."""
-        return True
-
-    def next_event_cycle(self) -> int | None:
-        return self._heap[0][0] if self._heap else None
+        return heap[0][0] if heap else NEVER
 
 
 class _EjectFault:
@@ -241,23 +234,13 @@ class FaultEngine(Wakeable):
 
     # -- clocked behaviour --------------------------------------------------
 
-    def step(self, cycle: int) -> None:
+    def step(self, cycle: int) -> int:
         events = self._events
         while self._next < len(events) and events[self._next][0] <= cycle:
             _, _, action = events[self._next]
             self._next += 1
             action(cycle)
-
-    # -- quiescence contract (see repro.sim.kernel) -------------------------
-
-    def is_idle(self) -> bool:
-        return (self._next >= len(self._events)
-                or self._events[self._next][0] > self.sim.cycle)
-
-    def next_event_cycle(self) -> int | None:
-        if self._next >= len(self._events):
-            return None
-        return self._events[self._next][0]
+        return events[self._next][0] if self._next < len(events) else NEVER
 
 
 def _iter_tiles(design):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from repro.sim.kernel import Wakeable
+from repro.sim.kernel import NEVER, Wakeable
 
 OVERRUN_REASON = "offered: admission overrun"
 
@@ -40,7 +40,8 @@ class OpenLoopSource(Wakeable):
     injection cycle is offered so payloads can carry timestamps).
     ``arrivals`` is an :class:`repro.loadgen.arrivals.ArrivalProcess`.
     Exactly one of ``count`` / ``horizon_cycles`` bounds the run (both
-    may be given; whichever trips first ends it).
+    may be given; whichever trips first ends it).  Purely timer-driven:
+    the next arrival time is always known, and ``step`` returns it.
     """
 
     def __init__(self, push: Callable[[bytes, int], None],
@@ -76,7 +77,7 @@ class OpenLoopSource(Wakeable):
                 self._next > self.horizon_cycles:
             self.done = True
 
-    def step(self, cycle: int) -> None:
+    def step(self, cycle: int) -> int:
         while not self.done and self._next <= cycle:
             self.offered += 1
             if self.admission is not None and \
@@ -92,13 +93,4 @@ class OpenLoopSource(Wakeable):
                 self.bytes_admitted += len(frame)
             self._next = self.arrivals.next_arrival()
             self._check_horizon()
-
-    # -- quiescence contract (see repro.sim.kernel) --------------------------
-
-    def is_idle(self) -> bool:
-        """Purely timer-driven: the next arrival time is always known,
-        so the source never needs polling."""
-        return True
-
-    def next_event_cycle(self) -> int | None:
-        return None if self.done else math.ceil(self._next)
+        return NEVER if self.done else math.ceil(self._next)

@@ -84,10 +84,10 @@ too (``Router.step``), and an output pushes at most once a cycle.
 An ejection fires its FIFO's wake hooks only on the *empty ->
 non-empty edge* (in a streaming message the previous flit is still
 there: 23 of 24 ejections at MTU call nothing).  That is enough because
-nobody sleeps over a FIFO that holds flits: a consumer may not report
-idle while a FIFO it consumes holds items (DESIGN.md 5c) —
-``FlatTileCore`` keeps the tile's busy bit set, ``Tile.is_idle`` and
-``ControlEndpoint.is_idle`` return False.  (``StagedFifo.push`` wakes
+nobody sleeps over a FIFO that holds flits: a consumer's step may not
+return a later cycle while a FIFO it consumes holds items (DESIGN.md
+5c) — ``FlatTileCore`` keeps the tile's busy bit set, ``Tile.step`` and
+``ControlEndpoint.step`` return None.  (``StagedFifo.push`` wakes
 nobody: the object mesh stages, and runs only under the naive kernel,
 which steps everyone.)
 
@@ -113,9 +113,10 @@ itself.
 
 Scheduling: the core is one schedulable component with no ``commit``.
 ``kernel_substeps()`` (the attached ports) tells the linter who really
-steps inside it.  ``is_idle`` is true when no router input holds a flit
-and no port has anything to inject — the conjunction of the object
-backend's per-component contracts, read off two integers.
+steps inside it.  Its ``step`` returns :data:`~repro.sim.kernel.NEVER`
+when no router input holds a flit and no port has anything to inject —
+the conjunction of the object backend's per-component contracts, read
+off two integers — and None (every cycle) otherwise.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ from repro.noc.router import (
 )
 from repro.noc.routing import Port, xy_route, yx_route
 from repro.params import FLIT_BYTES, ROUTER_INPUT_FIFO_FLITS
-from repro.sim.kernel import CycleSimulator, StagedFifo, Wakeable
+from repro.sim.kernel import NEVER, CycleSimulator, StagedFifo, Wakeable
 from repro.telemetry.trace import NULL_TRACER
 
 # Port indices, identical to repro.noc.router's hot-path encoding.
@@ -346,7 +347,7 @@ class FlatMeshCore(Wakeable):
         # the output port index for a head flit at router r, filed by
         # the first head that asked (None until a router routes one).
         self._route_rows: list[dict[int, int] | None] = [None] * n
-        # Flits in all router inputs, sum(len(ring)), for is_idle.
+        # Flits in all router inputs, sum(len(ring)), for step's answer.
         self._ring_total = 0
         # Bit i set iff port i (attachment order) may have injection
         # work; iterating set bits LSB-first keeps the attachment order
@@ -477,21 +478,14 @@ class FlatMeshCore(Wakeable):
         return list(self._ports_list)
 
     def wake_sources(self):
-        """Pushes into any adapter FIFO re-activate the whole mesh."""
-        fifos: list[StagedFifo] = list(self._local_in)
-        fifos.extend(port.eject_fifo for port in self._ports_list)
-        return fifos
+        """Pushes into a router's LOCAL input re-activate the mesh.
+        (The ejection FIFOs are the mesh's output, woken for their
+        consumers: the mesh's own answer covers what it ejects.)"""
+        return list(self._local_in)
 
     def lint_consumed_fifos(self):
         """The FIFOs the router phase itself pops from."""
         return list(self._local_in)
-
-    def is_idle(self) -> bool:
-        """Idle iff every object-backend mesh component would be: no
-        flit in a router input, no port with anything to inject (a
-        port's mask bit is set by ``send`` and cleared only once its
-        queues are empty)."""
-        return not (self._ring_total or self._inj_mask)
 
     # -- per-cycle behaviour ----------------------------------------------
 
@@ -547,7 +541,7 @@ class FlatMeshCore(Wakeable):
             self._active.extend(fresh)
             self._active.sort()
 
-    def step(self, cycle: int) -> None:
+    def step(self, cycle: int) -> int | None:
         if self._unres:
             self._resolve_heads()
         req = self._req
@@ -704,7 +698,7 @@ class FlatMeshCore(Wakeable):
         # FIFO's waker fire: this phase runs after the router walk, so
         # a flit pushed straight into the committed queue cannot be
         # forwarded before the next cycle, and the FIFO's only waker
-        # re-activates this core, which ``is_idle`` keeps active.
+        # re-activates this core, which its answer keeps due.
         # ``send`` sets the port's mask bit through its wake hook; the
         # loop prunes idle ports.
         m = self._inj_mask
@@ -766,6 +760,11 @@ class FlatMeshCore(Wakeable):
                         port._injecting = None
                         if not port._send_queue:
                             self._inj_mask &= ~low
+        # Due every cycle while a flit is in a router input or a port
+        # has anything to inject (a port's mask bit is set by ``send``
+        # and cleared only once its queues are empty): the conjunction
+        # of the object backend's per-component contracts.
+        return None if self._ring_total or self._inj_mask else NEVER
 
     def flit_of(self, handle: int) -> Flit:
         """The ``Flit`` a handle stands for, for whoever looks at one
@@ -942,7 +941,6 @@ class FlatMesh:
             for index, coord in enumerate(self.core.coords)
         }
         self._ports: dict[tuple[int, int], LocalPort] = {}
-        self._sim: CycleSimulator | None = None
 
     def attach(self, coord: tuple[int, int],
                eject_depth: int = 4) -> LocalPort:
@@ -955,10 +953,6 @@ class FlatMesh:
         port = LocalPort(self.routers[coord], eject_depth)
         self._ports[coord] = port
         self.core.add_port(port)
-        if self._sim is not None:
-            # Late attach: the kernel's wake_sources snapshot predates
-            # this port, so hook its ejection FIFO here as well.
-            self._wire_port(port, wire_fifo=True)
         return port
 
     @property
@@ -966,30 +960,16 @@ class FlatMesh:
         """All attached local ports, keyed by coordinate."""
         return self._ports
 
-    def _wire_port(self, port: LocalPort, wire_fifo: bool = False) -> None:
-        """Hook a late-attached port's ejection FIFO into the kernel.
-
-        The send-side wake hook is installed by ``add_port`` (it must
-        exist even without a simulator); only the ejection FIFO's waker
-        — which the kernel snapshots from ``wake_sources`` at ``add``
-        time for earlier ports — needs wiring here.
-        """
-        waker = self.core._kernel_wake
-        if waker is not None and wire_fifo:
-            port.eject_fifo.add_waker(waker)
-
     def register(self, simulator: CycleSimulator) -> None:
         """Add the mesh to a simulator as one batch-stepped component.
 
-        Each port's ``_kernel_wake`` hook (installed at attach) flags
-        the port for the core's injection loop and wakes the core.
-        Ports attached *after* registration additionally get their
-        ejection FIFO's waker wired on attach (the object backend
+        Each port's ``_kernel_wake`` hook (installed at attach, so a
+        port attached *after* registration too) flags the port for the
+        core's injection loop and wakes the core: the object backend
         leaves late-attached ports unregistered, which the linter
         flags; the flat backend has no such hole because the core
-        steps every attached port).
+        steps every attached port.
         """
-        self._sim = simulator
         simulator.add(self.core)
 
     @property

@@ -29,10 +29,10 @@ not pass it: their ``profile`` names a kernel, see
     for, and on no other; a stretch of cycles nobody asked for is
     skipped from its first cycle.  All of the scheduler's state is one
     list, ``wake_at[i]``: the next cycle the component in registration
-    slot ``i`` must be stepped (a far-future sentinel when only a wake
-    can rouse it).  ``tick`` steps, in registration order, exactly the
-    slots with ``wake_at[i] <= cycle``, then asks each one it stepped
-    for its next cycle — once — and stores the answer.  Going to
+    slot ``i`` must be stepped (:data:`NEVER` when only a wake can
+    rouse it).  ``tick`` steps, in registration order, exactly the
+    slots with ``wake_at[i] <= cycle`` and stores what each step
+    returns as it goes: one call per stepped component.  Going to
     sleep, arming a timer and waking are one list store each.  A
     component with a real ``commit`` is refused (``TypeError``).
 
@@ -41,23 +41,18 @@ not pass it: their ``profile`` names a kernel, see
     reference for differential (cycle-equivalence) testing, and the
     kernel for any mix of object and flat components.
 
-The quiescence contract — all optional, looked up once at ``add``:
+The quiescence contract — what ``step`` returns, plus two optional
+hooks looked up once at ``add``:
 
-``is_idle() -> bool``
-    True iff ``step(cycle)`` would make no externally visible state
-    change at the current cycle *and every future cycle* until either
-    (a) the producer of one of the component's :meth:`wake_sources`
-    FIFOs fires its wake hooks, (b) the component is woken through its
-    ``_kernel_wake`` hook, or (c) the cycle returned by
-    ``next_event_cycle()`` arrives.  A component without ``is_idle``
-    is stepped every cycle, exactly as under the naive kernel.
-
-``next_event_cycle() -> int | None``
-    The absolute cycle of the component's next self-generated event
-    (a paced injector's next send, a tile engine's emit deadline), or
-    None if only external input can create work.  Consulted only when
-    ``is_idle()`` is True; waking *early* is always safe (the step is
-    a no-op and the component re-idles), waking late is a bug.
+``step(cycle) -> int | None``
+    The next cycle the component must be stepped.  ``None`` — the
+    answer of a component with no contract — means every cycle.
+    :data:`NEVER` means only a wake can rouse it; any other cycle, at
+    the latest then (a cycle at or before ``cycle`` means ``cycle +
+    1``).  The promise: stepping it on any cycle before that one, with
+    no wake in between, would change nothing observable.  Waking
+    *early* is always safe (the step is a no-op and returns again),
+    waking late is a bug.  The naive kernel ignores the value.
 
 ``wake_sources() -> iterable[StagedFifo]``
     The FIFOs whose producer must wake this component — a tile's
@@ -70,14 +65,14 @@ The quiescence contract — all optional, looked up once at ``add``:
     ``send``) to call so out-of-band state changes wake the component.
 
 The wake rule is what stepping everything in registration order would
-do.  Outside a tick a wake lowers ``wake_at[i]`` to the current cycle.
-Raised during the step phase it lowers it to *this* tick if slot ``i``
-is still ahead of the slot being stepped (the naive kernel would step
-``i`` later in this very cycle, with the waker's change in view) and to
-the *next* tick if the slot has passed (the naive kernel already
-stepped it, seeing nothing).  A component that is being stepped anyway
-ignores the wake: it is asked ``is_idle()`` after every slot has
-stepped, with the change in view.
+do, and a wake only ever lowers ``wake_at[i]``.  Outside a tick it
+lowers it to the current cycle.  Raised during the step phase it lowers
+it to *this* tick if slot ``i`` is still ahead of the slot being
+stepped (the naive kernel would step ``i`` later in this very cycle,
+with the waker's change in view) and to the *next* tick if the slot has
+passed (the naive kernel already stepped it, seeing nothing).  A wake
+raised during slot ``i``'s own step is for the next tick too, and
+survives whatever that step returns.
 
 The call chain
 --------------
@@ -112,12 +107,12 @@ class WallClockBudgetExceeded(TimeoutError):
 class ClockedComponent(Protocol):
     """Anything driven by the simulator clock.
 
-    ``step(cycle)`` computes against last cycle's state; ``commit()``
-    publishes this cycle's writes.  The quiescence contract (module
-    docstring) is optional.
+    ``step(cycle)`` computes against last cycle's state and returns
+    the next cycle it is due (``None``: every cycle; module docstring);
+    ``commit()`` publishes this cycle's writes.
     """
 
-    def step(self, cycle: int) -> None: ...
+    def step(self, cycle: int) -> int | None: ...
 
     def commit(self) -> None: ...
 
@@ -269,17 +264,9 @@ class StagedFifo:
         return out
 
 
-#: ``wake_at`` value of a component only a wake can rouse.
-_NEVER = 1 << 62
-
-
-def _never_idle() -> bool:
-    """``is_idle`` of a component without one: step it every cycle."""
-    return False
-
-
-def _no_timer() -> None:
-    """``next_event_cycle`` of a component without one."""
+#: What ``step`` returns, and ``wake_at`` holds, for a component only
+#: a wake can rouse.
+NEVER = 1 << 62
 
 
 class CycleSimulator:
@@ -304,17 +291,12 @@ class CycleSimulator:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._components: list[ClockedComponent] = []
         self._scheduled = kernel == "scheduled"
-        # Scheduled-kernel state, one entry per registration slot:
-        # the next cycle to step it, its is_idle / next_event_cycle (a
-        # stand-in where it has none).
+        # Scheduled-kernel state: the next cycle to step each
+        # registration slot, and the slot being stepped (-1 between
+        # ticks).
         self._wake_at: list[int] = []
-        self._idle_of: list[Callable[[], bool]] = []
-        self._timer_of: list[Callable[[], int | None]] = []
         self._wakers: dict = {}         # component -> its wake closure
-        # The slot being stepped (-1 between ticks) and the slots
-        # stepped this tick.
         self._stepping = -1
-        self._stepped: list[int] = []
         # Stats (scheduled kernel only; stay 0 under naive).
         self.idle_cycles_skipped = 0
         self.component_steps = 0
@@ -333,7 +315,7 @@ class CycleSimulator:
         if not self._scheduled:
             return self.cycle
         due = self._wake_at[self._wakers[component].slot]
-        return None if due == _NEVER else due
+        return None if due == NEVER else due
 
     def stats(self) -> dict:
         """Scheduler state as the telemetry probe samples it (plain
@@ -348,7 +330,7 @@ class CycleSimulator:
             "cycle": cycle,
             "components": len(self._components),
             "active": len(self._components) - asleep,
-            "armed_timers": asleep - wake_at.count(_NEVER),
+            "armed_timers": asleep - wake_at.count(NEVER),
             "idle_cycles_skipped": self.idle_cycles_skipped,
             "component_steps": self.component_steps,
         }
@@ -367,10 +349,7 @@ class CycleSimulator:
                 "stages nothing `commit = no_commit`")
         self._components.append(component)
         slot = len(self._wake_at)
-        self._wake_at.append(0)         # due until it first reports idle
-        self._idle_of.append(getattr(component, "is_idle", _never_idle))
-        self._timer_of.append(
-            getattr(component, "next_event_cycle", _no_timer))
+        self._wake_at.append(0)         # due until its step says more
         self._wakers[component] = waker = self._waker_for(component, slot)
         if getattr(component, "_kernel_wake", False) is None:
             component._kernel_wake = waker
@@ -390,13 +369,17 @@ class CycleSimulator:
 
         def wake() -> None:
             cycle = self.cycle
-            if wake_at[slot] <= cycle:
-                return      # awake: asked is_idle() after it steps
-            # Between ticks, or its turn this tick is still ahead: this
-            # cycle.  Its turn has passed (stepping everything would
-            # have stepped it before the waker, seeing nothing new):
-            # the next.
-            wake_at[slot] = cycle if slot > self._stepping else cycle + 1
+            stepping = self._stepping
+            if slot > stepping:
+                # Between ticks, or its turn this tick is still ahead.
+                if wake_at[slot] > cycle:
+                    wake_at[slot] = cycle
+            elif slot == stepping or wake_at[slot] > cycle + 1:
+                # Its turn has passed (stepping everything would have
+                # stepped it before the waker, seeing nothing new), or
+                # is now: the next cycle.  From its own step this marks
+                # the entry for ``tick`` to keep over the answer.
+                wake_at[slot] = cycle + 1
 
         # Tag the closure with its target so static analysis
         # (repro.analysis.wake) can verify FIFO hooks are wired to the
@@ -444,41 +427,37 @@ class CycleSimulator:
         if self.tracer.enabled:
             self.tracer.cycle_start(cycle)
         components = self._components
-        stepped = self._stepped     # reused: no allocation per tick
-        stepped.clear()
-        slot = 0
+        wake_at = self._wake_at
+        steps = slot = 0
         try:
             # Read live: a wake lowers the entry of a slot still ahead.
-            for due in self._wake_at:
+            for due in wake_at:
                 if due <= cycle:
                     self._stepping = slot
-                    components[slot].step(cycle)
-                    stepped.append(slot)
+                    nxt = components[slot].step(cycle)
+                    if nxt is not None:
+                        # None: due again next tick, the entry stays.
+                        # An entry past this cycle is a wake from its
+                        # own step; it outranks the answer.
+                        wake_at[slot] = (nxt if nxt > cycle >= wake_at[slot]
+                                         else cycle + 1)
+                    steps += 1
                 slot += 1
         finally:
             self._stepping = -1
-        wake_at = self._wake_at
-        idle_of = self._idle_of
-        timer_of = self._timer_of
-        for slot in stepped:
-            # Busy: wake_at[slot] stays <= cycle, due again next tick.
-            if idle_of[slot]():
-                deadline = timer_of[slot]()
-                wake_at[slot] = (
-                    _NEVER if deadline is None
-                    else deadline if deadline > cycle else cycle + 1)
-        self.component_steps += len(stepped)
+        self.component_steps += steps
         self.cycle = cycle + 1
 
     def sanitized_tick(self, observer) -> None:
         """One instrumented cycle for :mod:`repro.analysis.sanitize`.
 
         Steps and commits *everything*, naive-style — safe because a
-        truthfully idle component's step is a no-op by contract — while
-        keeping ``wake_at`` exactly as :meth:`tick` would.  A component
-        that is not due is handed to ``observer.shadow_step(component,
-        cycle)`` instead of being stepped directly, so the observer can
-        fingerprint it around its own step (BHV401), and
+        component stepped before it is due is a no-op by contract — while
+        keeping ``wake_at`` exactly as :meth:`tick` would (what a
+        shadow step returns is not stored).  A component that is not due
+        is handed to ``observer.shadow_step(component, cycle)`` instead
+        of being stepped directly, so the observer can fingerprint it
+        around its own step (BHV401), and
         ``observer.step_phase_done(cycle)`` runs before anything
         commits, while this cycle's pushes into FIFOs whose consumers
         stay asleep can still be told apart (BHV402).  Strictly opt-in:
@@ -488,17 +467,19 @@ class CycleSimulator:
         if self.tracer.enabled:
             self.tracer.cycle_start(cycle)
         components = self._components
-        stepped: list[int] = []
+        wake_at = self._wake_at
         slot = 0
         try:
             if not self._scheduled:
                 for component in components:
                     component.step(cycle)
-            for due in self._wake_at:
+            for due in wake_at:
                 self._stepping = slot
                 if due <= cycle:
-                    components[slot].step(cycle)
-                    stepped.append(slot)
+                    nxt = components[slot].step(cycle)
+                    if nxt is not None:
+                        wake_at[slot] = (nxt if nxt > cycle >= wake_at[slot]
+                                         else cycle + 1)
                 else:
                     observer.shadow_step(components[slot], cycle)
                 slot += 1
@@ -508,15 +489,6 @@ class CycleSimulator:
                 component.commit()
         finally:
             self._stepping = -1
-        wake_at = self._wake_at
-        idle_of = self._idle_of
-        timer_of = self._timer_of
-        for slot in stepped:
-            if idle_of[slot]():
-                deadline = timer_of[slot]()
-                wake_at[slot] = (
-                    _NEVER if deadline is None
-                    else deadline if deadline > cycle else cycle + 1)
         self.component_steps += len(wake_at)
         self.cycle = cycle + 1
         observer.cycle_done(cycle)
@@ -528,7 +500,7 @@ class CycleSimulator:
                 tick()
             return
         end = self.cycle + cycles
-        wake_at = self._wake_at or (_NEVER,)
+        wake_at = self._wake_at or (NEVER,)
         while self.cycle < end:
             wake = min(wake_at)
             if wake > self.cycle:
@@ -565,7 +537,7 @@ class CycleSimulator:
         tick = self.tick
         # The naive kernel never skips: cycle 0 is always due.
         wake_at = (0,) if not self._scheduled else \
-            self._wake_at or (_NEVER,)
+            self._wake_at or (NEVER,)
         while not condition():
             if self.cycle - start >= max_cycles:
                 raise TimeoutError(

@@ -17,7 +17,7 @@ from repro.packet.builder import build_tcp_frame, parse_frame
 from repro.packet.ethernet import MacAddress
 from repro.packet.ipv4 import IPv4Address
 from repro.packet.tcp import TCP_ACK, TCP_FIN, TCP_PSH, TCP_SYN, TcpHeader
-from repro.sim.kernel import Wakeable
+from repro.sim.kernel import NEVER, Wakeable
 from repro.tcp.cc import CongestionControl, make_cc
 from repro.tcp.flow import seq_add, seq_diff
 
@@ -47,13 +47,13 @@ class PeerNetwork(Wakeable):
         self._inboxes[(int(peer.my_ip), peer.src_port)] = (inbox, peer)
         peer._inbox = inbox
 
-    def step(self, cycle: int) -> None:
+    def step(self, cycle: int) -> int:
         frames_out = self.design.eth_tx.frames_out
         while frames_out:
             frame, emit_cycle = frames_out.popleft()
             if emit_cycle > cycle:
                 frames_out.appendleft((frame, emit_cycle))
-                break
+                return emit_cycle
             try:
                 parsed = parse_frame(frame)
             except ValueError:
@@ -70,15 +70,7 @@ class PeerNetwork(Wakeable):
             inbox, peer = route
             inbox.append((frame, emit_cycle))
             peer._wake()
-
-    # -- quiescence contract (see repro.sim.kernel) -------------------------
-
-    def is_idle(self) -> bool:
-        return True
-
-    def next_event_cycle(self) -> int | None:
-        queue = self.design.eth_tx.frames_out
-        return queue[0][1] if queue else None
+        return NEVER
 
 
 class SoftTcpPeer(Wakeable):
@@ -183,16 +175,14 @@ class SoftTcpPeer(Wakeable):
 
     # -- clocked behaviour --------------------------------------------------------
 
-    def step(self, cycle: int) -> None:
+    def step(self, cycle: int) -> int | None:
         self._drain_server_frames(cycle)
         self._transmit(cycle)
+        if self._inbox is None or self._inbox:
+            return None     # draining frames_out itself: every cycle
+        return self._due()
 
-    # -- quiescence contract (see repro.sim.kernel) -------------------------
-
-    def is_idle(self) -> bool:
-        return self._inbox is not None and not self._inbox
-
-    def next_event_cycle(self) -> int | None:
+    def _due(self) -> int:
         """When ``_next_frame`` next returns a frame, nothing arriving:
         as soon as the transmitter is free if it has one to send now,
         else when the retransmission timer of what is outstanding runs
@@ -204,7 +194,7 @@ class SoftTcpPeer(Wakeable):
             if self._syn_sent:
                 return max(self._tx_free,
                            self._last_tx_cycle + self.rto_cycles + 1)
-            return None
+            return NEVER
         if self._ack_pending:
             return self._tx_free
         send_window = self.peer_window
@@ -218,7 +208,7 @@ class SoftTcpPeer(Wakeable):
         if self._close_requested and not self.fin_sent and \
                 not self.send_stream:
             return self._tx_free
-        return None
+        return NEVER
 
     def _drain_server_frames(self, cycle: int) -> None:
         if self._inbox is not None:

@@ -224,21 +224,23 @@ class TcpTxEngineTile(Tile):
 
     # -- quiescence contract (repro.sim.kernel; DESIGN.md 5c) -----------------
 
-    def is_idle(self) -> bool:
+    def _due(self) -> int | None:
         """The pump acts on a request from the application, a signal
         on the dedicated wires or a retransmission timer, and sleeps
         otherwise: a message arrives through the ejection FIFO, every
-        wire wakes the engine, and :meth:`next_event_cycle` is the
-        timer.  Behind a full injection backlog it polls while it has
-        anything to send — only the port's progress unblocks that."""
-        if not self._engine_idle():
-            return False
-        return self.port.tx_backlog < self.max_tx_backlog or \
-            self._pump_due() is None
-
-    def next_event_cycle(self) -> int | None:
-        deadlines = (super().next_event_cycle(), self._pump_due())
-        return min((d for d in deadlines if d is not None), default=None)
+        wire wakes the engine, and the timer is the earlier of the
+        engine's deadline and :meth:`_pump_due`.  Behind a full
+        injection backlog it polls while it has anything to send — only
+        the port's progress unblocks that."""
+        due = self._engine_due()
+        if due is None:
+            return None
+        pump = self._pump_due()
+        if pump is None:
+            return due
+        if self.port.tx_backlog >= self.max_tx_backlog:
+            return None
+        return pump if pump < due else due
 
     def _pump_due(self) -> int | None:
         """The first cycle :meth:`on_cycle` could send something, as

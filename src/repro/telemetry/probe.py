@@ -95,19 +95,11 @@ class Probe(Wakeable):
 
     # -- clocked component --------------------------------------------------
 
-    def step(self, cycle: int) -> None:
-        if cycle < self._next:
-            return
-        self._next = cycle + self.interval
-        self.sample(cycle)
-
-    # -- quiescence contract (see repro.sim.kernel) -------------------------
-
-    def is_idle(self) -> bool:
-        """Sampling is purely timer-driven."""
-        return True
-
-    def next_event_cycle(self) -> int:
+    def step(self, cycle: int) -> int:
+        # Sampling is purely timer-driven: due again at the next sample.
+        if cycle >= self._next:
+            self._next = cycle + self.interval
+            self.sample(cycle)
         return self._next
 
     # -- sampling -----------------------------------------------------------
@@ -199,14 +191,19 @@ class Probe(Wakeable):
                        ).set(busy_routers)
 
         # Busy-tile population: the flat tile core's busy-mask
-        # popcount, or the object backend's non-idle count.
+        # popcount, or the tiles whose step would ask for the next
+        # cycle as things stand; a tile that is no ``Tile`` (no
+        # ``_due``) counts as not busy.  (Not ``sim.wake_cycle``: the
+        # naive kernel schedules nothing, so every tile reads as due.)
         tile_core = getattr(design, "tile_core", None)
         if tile_core is not None:
             busy_tiles = tile_core.busy_tiles
         else:
-            busy_tiles = sum(
-                1 for tile in _iter_tiles(design)
-                if hasattr(tile, "is_idle") and not tile.is_idle())
+            busy_tiles = 0
+            for tile in _iter_tiles(design):
+                due = getattr(tile, "_due", None)
+                if due is not None and due() is None:
+                    busy_tiles += 1
         registry.gauge("tiles.busy",
                        "tiles with (possible) work this cycle"
                        ).set(busy_tiles)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.sim.kernel import no_commit
+from repro.sim.kernel import NEVER, no_commit
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,8 @@ class TraceReplayer:
 
     A clocked component: add it to the target design's simulator.  The
     trace's first event is aligned to ``start_cycle``; every later
-    event keeps its recorded offset.
+    event keeps its recorded offset.  Nothing happens between events:
+    the replayer sleeps until the cycle before the next one is due.
     """
 
     def __init__(self, design: object, events: list[TraceEvent],
@@ -84,20 +85,11 @@ class TraceReplayer:
             self._index += 1
             self.replayed += 1
 
-    def step(self, cycle: int) -> None:
+    def step(self, cycle: int) -> int:
         # Inject one cycle ahead of the due time (stamped with the due
         # cycle): components that already stepped this cycle then see
         # the frame become consumable exactly at its recorded cycle.
         self._inject_until(cycle + 1)
+        return NEVER if self.done else self._due() - 1
 
     commit = no_commit
-
-    # -- quiescence contract (see repro.sim.kernel) -------------------------
-
-    def is_idle(self) -> bool:
-        """Nothing happens between events: the replayer sleeps until
-        the cycle before the next one is due."""
-        return True
-
-    def next_event_cycle(self) -> int | None:
-        return None if self.done else self._due() - 1

@@ -37,7 +37,7 @@ from collections.abc import Iterable
 from repro import params
 from repro.noc.mesh import LocalPort, Mesh
 from repro.noc.message import NocMessage, next_packet_id
-from repro.sim.kernel import Wakeable
+from repro.sim.kernel import NEVER, Wakeable
 from repro.telemetry.trace import NULL_TRACER
 from repro.packet.ethernet import EthernetHeader
 from repro.packet.ipv4 import IPv4Header
@@ -185,18 +185,18 @@ class Tile(Wakeable):
     message into zero or more outputs) and may override :meth:`on_cycle`
     (source/application behaviour independent of message arrival).
 
-    Scheduling: the base class implements the kernel's quiescence
-    contract, so a purely message-driven tile sleeps while it has no
-    flits to pump and no engine work, and its timers (``parse_latency``
-    emit deadline, engine recovery, future-stamped arrivals) are served
-    by the kernel's timer wheel.  A subclass that overrides
-    :meth:`on_cycle` is conservatively treated as always active unless
-    it also overrides :meth:`is_idle` with its own contract, as the
-    two shipped ones do (DESIGN.md 5c): the TCP TX engine sleeps
+    Scheduling: ``step`` returns when the tile is next due (the
+    kernel's quiescence contract), so a purely message-driven tile
+    sleeps while it has no flits to pump and no engine work, and its
+    timers (``parse_latency`` emit deadline, engine recovery,
+    future-stamped arrivals) are the cycles it returns.  A subclass
+    that overrides :meth:`on_cycle` is conservatively stepped every
+    cycle unless it also overrides :meth:`_due` with its own contract,
+    as the two shipped ones do (DESIGN.md 5c): the TCP TX engine sleeps
     until a dedicated wire from the RX engine, a message from the
     application or its retransmission timer, the controller tile
     until an RPC or a reply from the control NoC — each built on
-    :meth:`_engine_idle`, and each woken (``_wake()``) by whoever hands
+    :meth:`_engine_due`, and each woken (``_wake()``) by whoever hands
     it work from outside its own ``step``.
     """
 
@@ -304,12 +304,13 @@ class Tile(Wakeable):
 
     # -- clocked behaviour ----------------------------------------------------
 
-    def step(self, cycle: int) -> None:
+    def step(self, cycle: int) -> int | None:
         if self._fault_frozen:
-            return  # clock gated by an injected freeze/crash window
+            return None  # clock gated by an injected freeze/crash window
         self.on_cycle(cycle)
         self._pump_eject(cycle)
         self._pump_process(cycle)
+        return self._due()
 
     # -- quiescence contract (see repro.sim.kernel) ---------------------------
 
@@ -317,50 +318,41 @@ class Tile(Wakeable):
         """Flits ejected by the router re-activate the tile."""
         return (self.port.eject_fifo,)
 
-    def is_idle(self) -> bool:
-        """True when ``step`` is provably a no-op until a wake or timer.
+    def _due(self) -> int | None:
+        """What :meth:`step` returns: when the tile is next due, as
+        things stand (side-effect free).
 
         A subclass that overrides :meth:`on_cycle` has per-cycle
-        behaviour the base class cannot reason about, so it is reported
-        never-idle (always stepped — naive-kernel behaviour) unless it
-        supplies its own contract: :meth:`_engine_idle` for the message
+        behaviour the base class cannot reason about, so it is stepped
+        every cycle (naive-kernel behaviour) unless it overrides this
+        with its own contract: :meth:`_engine_due` for the message
         engine, its own test for what ``on_cycle`` waits on, and a
         ``_wake()`` from everyone who hands it work out of band.
         """
         if type(self).on_cycle is not Tile.on_cycle:
-            return False
-        return self._engine_idle()
+            return None
+        return self._engine_due()
 
-    def _engine_idle(self) -> bool:
-        """The message engine's half of :meth:`is_idle`: the ejection
-        pump and the processing engine have nothing to do until a flit
-        arrives or :meth:`next_event_cycle` comes round."""
-        if self._fault_frozen:
-            # Pinned active: a frozen tile's timers are stale, so it
-            # must not be descheduled against them; the fault engine
-            # additionally wakes it at thaw (kernel-wake-safe resume).
-            return False
-        if self.port.eject_fifo.occupancy:
-            return False  # flits to pump (or a full buffer to poll)
+    def _engine_due(self) -> int | None:
+        """The message engine's half of :meth:`_due`: every cycle while
+        frozen (its timers are stale) or while the ejection pump has
+        flits (or a full buffer to poll), else the engine's next
+        deadline, else :data:`NEVER` — until a flit arrives."""
+        if self._fault_frozen or self.port.eject_fifo.occupancy:
+            return None
         if self._in_service is not None:
-            return True   # sleeps until the _emit_at timer
-        if self._rx_ready:
+            return self._emit_at
+        rx = self._rx_ready
+        if rx:
             # Pickup waits on arrival/engine timers — but a blocked
             # injection queue must be polled, since only the port's
             # progress (not a wake) unblocks it.
-            return self.port.tx_backlog < self.max_tx_backlog
-        return True
-
-    def next_event_cycle(self) -> int | None:
-        """The engine's next self-scheduled deadline, if any."""
-        if self._in_service is not None:
-            return self._emit_at
-        if self._rx_ready:
-            tail_cycle = self._rx_ready[0][0]
-            if tail_cycle > self._engine_free:
-                return tail_cycle
-            return self._engine_free
-        return None
+            if self.port.tx_backlog >= self.max_tx_backlog:
+                return None
+            tail_cycle = rx[0][0]
+            engine_free = self._engine_free
+            return tail_cycle if tail_cycle > engine_free else engine_free
+        return NEVER
 
     def _pump_eject(self, cycle: int) -> None:
         """Consume at most one flit from the router, space permitting.

@@ -40,13 +40,13 @@ bit-identically between individually registered tiles and the core:
   the TX engine) queueing an ACK over the dedicated wires is the
   shipped case: the sleeping TX engine sends it in that same cycle.
 - A tile whose class overrides any engine-internal hook (``on_cycle``,
-  ``_pump_process``, ...) falls back to *object mode*: the core calls
-  its ``step``/``is_idle``/``next_event_cycle`` methods instead of the
-  inlined fast path, so such tiles (of the shipped ones, the TCP TX
-  engine and the controller) keep working unchanged and sleep
-  whenever their own contract says so; an idle tile that names no
-  ``next_event_cycle`` also voids a timer it armed earlier, as the
-  kernel's ``wake_at`` would.  ``handle_message``,
+  ``_due``, ``_pump_process``, ...) falls back to *object mode*: the
+  core calls its ``step`` instead of the inlined fast path and takes
+  the cycle it returns as the kernel would, so such tiles (of the
+  shipped ones, the TCP TX engine and the controller) keep working
+  unchanged and sleep whenever their own contract says so; a tile
+  that returns :data:`~repro.sim.kernel.NEVER` also voids a timer it
+  armed earlier, as the kernel's ``wake_at`` would.  ``handle_message``,
   ``service_cycles``, ``send`` and ``drop`` are always dispatched
   through the instance, so subclass hooks and instance-level patches
   (``benchmarks/perflab``) fire under both modes.
@@ -59,8 +59,9 @@ bit-identically between individually registered tiles and the core:
   has its busy bit set (``_busy == 0`` implies every FIFO is empty).
   The flat mesh relies on it — it fires a FIFO's wake hooks only when
   it ejects into an empty one — so it holds unconditionally: an
-  object-mode tile's bit is cleared only if ``is_idle()`` *and* the
-  FIFO is empty, whatever a subclass's ``is_idle`` looks at.
+  object-mode tile's bit is cleared only if its ``step`` returned a
+  cycle *and* the FIFO is empty, whatever a subclass's ``_due`` looks
+  at.
   :meth:`FlatTileCore.check_invariants` checks it.
 
 A visit reads one per-tile record, ``_fabric[i]``: the tile, its port,
@@ -80,9 +81,10 @@ through ``port.receive(cycle)`` itself.
 
 Scheduling contract (``repro.sim.kernel``): the core lists the tiles
 as ``kernel_substeps()`` so the linter treats them as
-registered-by-proxy, and implements ``is_idle``/``next_event_cycle``
-over its own busy mask and timer heap — mirroring, tile by tile, what
-the kernel would have computed for individually registered tiles.
+registered-by-proxy, and its ``step`` returns when it is next due from
+its own busy mask and timer heap (None while any bit is set, else the
+earliest live timer) — mirroring, tile by tile, what the kernel would
+have computed for individually registered tiles.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ from repro.noc.flit import HANDLE_HEAD, HANDLE_SEQ_SHIFT
 from repro.noc.mesh import handle_framing_error
 from repro.noc.message import next_packet_id
 from repro.params import FLIT_BYTES
-from repro.sim.kernel import CycleSimulator, Wakeable
+from repro.sim.kernel import NEVER, CycleSimulator, Wakeable
 from repro.tiles.base import Tile
 
 # A tile class is eligible for the inlined fast path only if it leaves
@@ -101,7 +103,7 @@ from repro.tiles.base import Tile
 # ``service_cycles`` / ``send`` / ``drop`` are instance-dispatched in
 # both modes, so overriding them does not disqualify a class.
 _ENGINE_HOOKS = (
-    "step", "commit", "on_cycle", "is_idle", "next_event_cycle",
+    "step", "commit", "on_cycle", "_due", "_engine_due",
     "wake_sources", "_pump_eject", "_pump_process", "_begin_service",
     "_finish_service",
 )
@@ -268,18 +270,16 @@ class FlatTileCore(Wakeable):
 
     # -- clocked behaviour --------------------------------------------------
 
-    def step(self, cycle: int) -> None:
+    def step(self, cycle: int) -> int | None:
         timers = self._timers
+        deadlines = self._deadlines
         if timers and timers[0][0] <= cycle:
-            deadlines = self._deadlines
             while timers and timers[0][0] <= cycle:
                 deadline, index = heapq.heappop(timers)
                 if deadlines[index] == deadline:
                     deadlines[index] = -1
                     self._busy |= 1 << index
         mask = self._busy
-        if not mask:
-            return
         fabric = self._fabric
         while mask:
             low = mask & -mask
@@ -288,20 +288,19 @@ class FlatTileCore(Wakeable):
             (t, port, eject, items, assembler, mesh_core, is_fast,
              has_default_service) = fabric[i]
             if t._fault_frozen:
-                continue  # clock gated; stays busy (pinned, like is_idle)
+                continue  # clock gated; stays busy (as Tile.step says)
             if not is_fast:
-                t.step(cycle)
+                due = t.step(cycle)
                 mask = self._busy & -(low << 1)  # in-core wake rule
-                # The busy-bit invariant, whatever is_idle looks at.
-                if t.is_idle() and not items:
+                # The busy-bit invariant, whatever _due looks at.
+                if due is not None and not items:
                     self._busy &= ~low
-                    deadline = t.next_event_cycle()
-                    if deadline is not None:
-                        self._arm(i, deadline, cycle)
+                    if due != NEVER:
+                        self._arm(i, due, cycle)
                     else:
                         # A timer armed earlier (an RTO since ACKed)
                         # is void, as in the kernel's wake_at.
-                        self._deadlines[i] = -1
+                        deadlines[i] = -1
                 continue
             # Inlined Tile.step for engine-default tiles: on_cycle is
             # the base no-op, then _pump_eject / _pump_process with the
@@ -405,8 +404,8 @@ class FlatTileCore(Wakeable):
                 tracer = t.tracer
                 if tracer.enabled:
                     tracer.processing_start(cycle, t, message)
-            # Inlined Tile.is_idle + next_event_cycle, mirroring the
-            # kernel's post-step reschedule of a tile with its own slot.
+            # Inlined Tile._due, mirroring what the kernel stores for a
+            # tile with its own slot.
             if items:
                 continue  # flits to pump (or a full buffer to poll)
             if t._in_service is not None:
@@ -427,6 +426,11 @@ class FlatTileCore(Wakeable):
                 # wake) unblocks it, so the bit stays set for polling.
                 continue
             self._busy &= ~low
+        if self._busy:
+            return None
+        while timers and deadlines[timers[0][1]] != timers[0][0]:
+            heapq.heappop(timers)  # lazily drop superseded entries
+        return timers[0][0] if timers else NEVER
 
     def _arm(self, index: int, deadline: int, cycle: int) -> None:
         if deadline <= cycle:
@@ -437,7 +441,7 @@ class FlatTileCore(Wakeable):
         self._deadlines[index] = deadline
         heapq.heappush(self._timers, (deadline, index))
 
-    # -- quiescence contract (see repro.sim.kernel) -------------------------
+    # -- scheduling contract (see repro.sim.kernel) -------------------------
 
     def kernel_substeps(self) -> list:
         """The components this core steps on the kernel's behalf."""
@@ -450,18 +454,6 @@ class FlatTileCore(Wakeable):
     def lint_consumed_fifos(self):
         """FIFOs the core itself pops (via the inlined eject pump)."""
         return list(self._ejects)
-
-    def is_idle(self) -> bool:
-        return not self._busy
-
-    def next_event_cycle(self) -> int | None:
-        timers = self._timers
-        deadlines = self._deadlines
-        while timers and deadlines[timers[0][1]] != timers[0][0]:
-            heapq.heappop(timers)  # lazily drop superseded entries
-        if timers:
-            return timers[0][0]
-        return None
 
     def check_invariants(self) -> list[str]:
         """Cross-check the scheduling state; returns the violations.

@@ -148,6 +148,59 @@ class TestWakeContractPass:
         assert design.echo.echoed == 1
 
 
+    def test_a_raising_wake_source_is_bhv304(self):
+        """The static pass checks the components that declare
+        ``wake_sources()``; what their step returns is only known by
+        running it (BHV305 is the sanitizer's), so nothing asks a
+        method BHV303 used to find missing."""
+        assert "BHV303" not in CODES
+        design = build_broken_wake_design("fast")
+
+        def raising():
+            raise RuntimeError("no sources today")
+
+        design.echo.wake_sources = raising
+        findings = analyze(design, name="raising").by_code("BHV304")
+        assert len(findings) == 1
+        assert "no sources today" in findings[0].message
+        assert findings[0].location == "echo"
+
+    @pytest.mark.parametrize("kernel", ["scheduled", "naive"])
+    def test_a_sleeper_without_wake_sources_is_bhv301_when_scheduled(
+            self, kernel):
+        """Any component may return NEVER, so under a scheduled kernel
+        one that consumes a FIFO no hook wires to it is flagged whether
+        or not it declares ``wake_sources()``; the naive kernel steps it
+        every cycle, so there it loses nothing."""
+        from types import SimpleNamespace
+
+        from repro.noc.flatmesh import FlatMesh
+        from repro.sim.kernel import NEVER, CycleSimulator, Wakeable
+
+        class PortDrainer(Wakeable):
+            def __init__(self, port):
+                self.port = port
+
+            def step(self, cycle):
+                while self.port.receive(cycle) is not None:
+                    pass
+                return NEVER
+
+        sim = CycleSimulator(kernel=kernel)
+        mesh = FlatMesh(2, 1)
+        drainer = PortDrainer(mesh.attach((1, 0)))
+        mesh.register(sim)
+        sim.add(drainer)
+        design = SimpleNamespace(sim=sim, mesh=mesh, tiles={})
+        findings = analyze(design, name="drainer").by_code("BHV301")
+        if kernel == "naive":
+            assert findings == []
+        else:
+            assert len(findings) == 1
+            assert findings[0].location == "PortDrainer"
+            assert findings[0].data == {"fifo": drainer.port.eject_fifo.name}
+
+
 class TestShippedDesignsLintClean:
     @pytest.mark.parametrize("name", sorted(SHIPPED))
     def test_no_errors(self, name):

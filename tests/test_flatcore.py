@@ -30,7 +30,7 @@ from repro.noc.flatmesh import FlatMesh
 from repro.noc.mesh import Mesh
 from repro.noc.message import NocMessage, reset_id_counters
 from repro.packet import IPv4Address, MacAddress, build_ipv4_udp_frame
-from repro.sim.kernel import CycleSimulator
+from repro.sim.kernel import NEVER, CycleSimulator
 from repro.telemetry.trace import Tracer, attach_tracer
 from repro.tiles.base import Tile
 from repro.tiles.flatcore import FlatTileCore, register_tiles
@@ -125,14 +125,17 @@ class TestScheduling:
     def test_core_goes_idle_and_wakes_on_injection(self):
         design = echo_design()
         core = design.tile_core
-        design.sim.run(50)
-        assert core.is_idle()
+        sim = design.sim
+        sim.run(50)
+        assert sim.wake_cycle(core) is None  # asleep until a wake
         assert core.busy_tiles == 0
-        design.inject(echo_frame(design), design.sim.cycle)
-        assert not core.is_idle()  # eth_rx's busy bit is set again
-        design.sim.run(500)
+        design.inject(echo_frame(design), sim.cycle)
+        # eth_rx's busy bit is set again, and the core is due now.
+        assert core.busy_tiles == 1
+        assert sim.wake_cycle(core) == sim.cycle
+        sim.run(500)
         assert len(design.eth_tx.frames_out) == 1
-        assert core.is_idle()
+        assert core.busy_tiles == 0
 
     def test_substeps_and_wake_sources_cover_all_tiles(self):
         design = echo_design()
@@ -239,17 +242,20 @@ class Sink(Tile):
 
 class OnCycleSink(Sink):
     """Object mode: overriding ``on_cycle`` takes the tile off the
-    inlined fast path (and makes the base ``is_idle`` never-idle)."""
+    inlined fast path (and makes the base ``step`` return None: due
+    every cycle)."""
 
     def on_cycle(self, cycle):
         pass
 
 
 class SloppySink(OnCycleSink):
-    """... with an ``is_idle`` that forgets its ejection FIFO."""
+    """... with a ``_due`` that forgets its ejection FIFO."""
 
-    def is_idle(self):
-        return not self._rx_ready and self._in_service is None
+    def _due(self):
+        if self._rx_ready or self._in_service is not None:
+            return None
+        return NEVER
 
 
 def add_tiles(sim, tiles, engine):
@@ -324,7 +330,7 @@ class TestEjectionEdge:
 
     def test_sloppy_object_mode_tile_keeps_its_busy_bit(self):
         """The core keeps a tile busy over a non-empty FIFO whatever
-        the tile's own ``is_idle`` says — the flits behind the first
+        the tile's own step returns — the flits behind the first
         bring no wake, so clearing the bit would strand them."""
         flat, per_message = self.streamed("flat", SloppySink)
         assert per_message == [1, 2]
@@ -406,7 +412,7 @@ class TestEjectionEdge:
                                      design.tiles.values(), tracer)
             runs[profile]["frames"] = list(sink.frames)
             if profile == "fast":
-                assert design.tile_core.is_idle()
+                assert design.tile_core.busy_tiles == 0
                 assert design.tile_core.check_invariants() == []
                 assert (design.sim.cycle,
                         design.sim.idle_cycles_skipped,
@@ -581,8 +587,8 @@ class Relay(Sink):
                 self.peer.poke(token - 1)
         self.inbox.clear()
 
-    def is_idle(self):
-        return not self.inbox and self._engine_idle()
+    def _due(self):
+        return None if self.inbox else self._engine_due()
 
 
 class Knocker(Sink):
@@ -623,7 +629,7 @@ class TestInCoreWakeRule:
                 engine, kernel, [Relay, Relay])
             sim.run(40)
             if core is not None:
-                assert core.is_idle() and not core._busy
+                assert sim.wake_cycle(core) is None and not core._busy
             first.poke(4)
             sim.run(40)
             runs.append((first.noticed, second.noticed))

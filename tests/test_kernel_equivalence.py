@@ -54,6 +54,7 @@ from repro.packet import (
     build_ipv4_udp_frame,
 )
 from repro.packet.vxlan import build_vxlan_frame
+from repro.sim.kernel import NEVER
 from repro.sim.profiles import PROFILES, lookup
 from repro.analysis.sanitize import default_traffic
 from repro.apps.vr.tile import MSG_PREPARE, PrepareWire
@@ -300,9 +301,9 @@ class TestTcpEquivalence:
 
     # The three below put the TX engine to sleep (its quiescence
     # contract, DESIGN.md 5c) and need every one of its wakes and
-    # timers to land on the always-stepped engine's cycle.  A lying
-    # ``is_idle`` inside an awake tile core is invisible to the
-    # sanitizer's BHV401, so these are its gate.
+    # timers to land on the always-stepped engine's cycle.  A tile
+    # inside an awake tile core that lies about when it is next due is
+    # invisible to the sanitizer's BHV401, so these are its gate.
 
     @staticmethod
     def run_checked(design, done, max_cycles):
@@ -765,7 +766,7 @@ class TestIdleSkipActuallyHappens:
     @pytest.mark.parametrize("name", sorted(SHIPPED))
     def test_every_shipped_design_sleeps_once_drained(self, name):
         """No shipped design holds a component, or a tile inside its
-        core, that never reports idle (an ``on_cycle`` override
+        core, whose step asks for every cycle (an ``on_cycle`` override
         without a contract of its own did, until the TCP TX engine and
         the controller tile got theirs): traffic in, traffic drained,
         and nothing is due again — no bit busy, no timer armed."""
@@ -781,7 +782,7 @@ class TestIdleSkipActuallyHappens:
         for component in design.sim.components:
             assert design.sim.wake_cycle(component) is None, component
         for view in design.tile_core.views():
-            assert view.tile.is_idle(), view
+            assert view.tile._due() == NEVER, view
             assert not view.busy and view.armed_deadline is None, view
         skipped = design.sim.idle_cycles_skipped
         design.sim.run(1_000)

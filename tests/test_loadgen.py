@@ -21,6 +21,7 @@ from repro.loadgen.arrivals import (
     make_arrivals,
 )
 from repro.loadgen.source import OVERRUN_REASON, OpenLoopSource
+from repro.sim.kernel import NEVER
 from repro.sim.rng import SeededStreams
 
 MEAN = 100.0
@@ -218,12 +219,11 @@ class TestOpenLoopSource:
 
     def test_quiescence_contract(self):
         source, _ = self.make(gap=10.0, count=2)
-        assert source.is_idle()
-        assert source.next_event_cycle() == 10
-        for cycle in range(25):
+        assert source.step(0) == 10     # purely timer-driven
+        for cycle in range(1, 24):
             source.step(cycle)
         assert source.done
-        assert source.next_event_cycle() is None
+        assert source.step(24) == NEVER
 
 
 class TestFrameSourceOverrun:

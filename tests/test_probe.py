@@ -131,3 +131,33 @@ class TestBackends:
         last_ref = probe_ref.series.snapshots[-1]
         assert last_fast["total_flits"] == last_ref["total_flits"]
         assert last_ref["kernel"]["kernel"] == "naive"
+
+    def test_reference_gauge_series_are_pinned(self):
+        """Without a tile core the busy-tile gauge counts the tiles
+        whose step would ask for the next cycle (the naive kernel,
+        which steps everything, cannot say); both series are the ones
+        the tiles' former ``is_idle()`` count gave, and busy tiles match
+        the ``fast`` core's busy mask sample for sample."""
+        runs = {profile: run_echo(profile=profile, interval=250)[1]
+                for profile in ("reference", "fast")}
+        series = {profile: [(s["busy_tiles"], s["kernel"]["active"])
+                            for s in probe.series.snapshots]
+                  for profile, probe in runs.items()}
+        busy = [3, 2, 1, 1, 2, 1, 1, 2, 3, 2, 1]
+        assert series["reference"] == [(b, 25) for b in busy]
+        assert [b for b, _ in series["fast"]] == busy
+        registry = runs["reference"].registry
+        assert registry.get("tiles.busy").value == 1
+        assert registry.get("kernel.active_components").value == 25
+
+    def test_tiles_that_are_not_tiles_count_as_not_busy(self):
+        """``attach_probe`` takes any design: the Fig 5 demo's
+        cut-through tiles are no ``Tile`` subclass and are sampled as
+        not busy rather than raising."""
+        from repro.analysis.demo import Fig5Design
+
+        design = Fig5Design("b")
+        probe = attach_probe(design, interval=10)
+        design.sim.run(35)
+        assert [s["busy_tiles"] for s in probe.series.snapshots] == \
+            [0, 0, 0]

@@ -32,6 +32,7 @@ from repro.analysis.sanitize import (
 )
 from repro.designs import UdpEchoDesign
 from repro.faults import FaultPlan
+from repro.sim.kernel import NEVER
 
 
 def codes_of(report):
@@ -78,7 +79,7 @@ class TestCleanDesigns:
             tx = design.flows.tx[0]
             assert design.tcp_tx.segments_out == 4
             assert (tx.fast_retransmits, tx.tx_written) == (1, 64)
-            assert design.tcp_tx.is_idle()
+            assert design.tcp_tx._due() == NEVER
 
 
 class TestBrokenWake:
@@ -108,6 +109,34 @@ class TestIdleLiar:
 
     def test_static_passes_stay_silent(self):
         report = analyze(build_idle_liar_design(), name="idle_liar")
+        assert report.findings == [], report.render()
+
+
+class TestRestless:
+    """BHV305 comes from what ``step`` returned during the run: a FIFO
+    consumer that asked for every cycle, every time."""
+
+    @pytest.fixture
+    def restless(self, monkeypatch):
+        from repro.analysis.demo import IdleLiarTile
+        monkeypatch.setattr(IdleLiarTile, "_due", lambda self: None)
+
+    def test_a_consumer_that_never_sleeps_is_bhv305(self, restless):
+        report = analyze_dynamic(build_idle_liar_design,
+                                 name="idle_liar", cycles=200)
+        # Never asleep, so never shadow-stepped: no BHV401 either.
+        assert codes_of(report) == ["BHV305"]
+        finding, = report.findings
+        assert (finding.location, finding.severity) == ("liar", "info")
+        assert report.ok
+        # Not from a missing method: the static passes see nothing.
+        assert analyze(build_idle_liar_design(), name="idle_liar"
+                       ).findings == []
+
+    def test_belongs_to_the_idle_truth_pass(self, restless):
+        report = analyze_dynamic(build_idle_liar_design,
+                                 name="idle_liar", cycles=200,
+                                 passes=["lost-wake", "conservation"])
         assert report.findings == [], report.render()
 
 

@@ -1,8 +1,12 @@
 """Tests for the cycle-driven simulation kernel."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.sim.kernel import (
+    NEVER,
     CycleSimulator,
     StagedFifo,
     Wakeable,
@@ -175,7 +179,7 @@ class TestCycleSimulator:
 
 class SleepyConsumer(Wakeable):
     """Test component honouring the quiescence contract: drains a FIFO
-    filled by :func:`post`, sleeps while it is empty."""
+    filled by :func:`post`, sleeps (returns NEVER) while it is empty."""
 
     def __init__(self, fifo):
         self.fifo = fifo
@@ -188,12 +192,10 @@ class SleepyConsumer(Wakeable):
         # What LocalPort.pop_flit(cycle) takes: not a flit of this cycle.
         while len(fifo) > (fifo._pushc == cycle):
             self.drained.append((cycle, fifo.pop()))
+        return None if fifo.occupancy else NEVER
 
     def wake_sources(self):
         return (self.fifo,)
-
-    def is_idle(self):
-        return not self.fifo.occupancy
 
 
 class Alarm(Wakeable):
@@ -208,11 +210,6 @@ class Alarm(Wakeable):
         if cycle >= self._next:
             self.fired.append(cycle)
             self._next = cycle + self.period
-
-    def is_idle(self):
-        return True
-
-    def next_event_cycle(self):
         return self._next
 
 
@@ -398,13 +395,7 @@ class Pulse(Wakeable):
         self.period = period
 
     def step(self, cycle):
-        self._last = cycle
-
-    def is_idle(self):
-        return True
-
-    def next_event_cycle(self):
-        return self._last + self.period
+        return cycle + self.period
 
 
 def _count_calls(owner, attribute, log):
@@ -557,16 +548,6 @@ def test_wake_reuses_the_waker_made_at_add():
 
 # -- the wake_at scheduler ---------------------------------------------------
 
-def quiescent(component, cycle):
-    """Nothing to do at ``cycle``: idle, and no timer due."""
-    is_idle = getattr(component, "is_idle", None)
-    if is_idle is None or not is_idle():
-        return False
-    next_event = getattr(component, "next_event_cycle", None)
-    deadline = None if next_event is None else next_event()
-    return deadline is None or deadline > cycle
-
-
 class TestNoTickWithoutWork:
     """Idle means idle: under ``fast`` a paced design is ticked on
     exactly the cycles some component has work, and every other cycle
@@ -598,33 +579,55 @@ class TestNoTickWithoutWork:
         design.sim.add(sink)
         return design, sink
 
+    @staticmethod
+    def has_work(component, cycle):
+        """Whether ``component`` has work at ``cycle``, read from its own
+        state rather than from anything the scheduler stores."""
+        from repro.designs import FrameSink, FrameSource
+        from repro.noc.flatmesh import FlatMeshCore
+        from repro.tiles.flatcore import FlatTileCore
+
+        if isinstance(component, FlatMeshCore):
+            return bool(component._ring_total or component._inj_mask)
+        if isinstance(component, FlatTileCore):
+            return bool(component._busy) or any(
+                0 <= deadline <= cycle for deadline in component._deadlines)
+        if isinstance(component, FrameSource):
+            return not component.done and component._next_free <= cycle
+        if isinstance(component, FrameSink):
+            frames = component.eth_tx.frames_out
+            return bool(frames) and frames[0][1] <= cycle
+        raise AssertionError(f"no oracle for {type(component).__name__}")
+
     def test_every_tick_has_work_and_every_idle_cycle_is_skipped(self):
         design, sink = self.paced_echo()
         sim = design.sim
+        assert len(sim.components) == 4
         tick = sim.tick
-        all_idle_ticks = []
+        idle_ticks = []
         ticks = []
 
         def watched_tick():
             ticks.append(sim.cycle)
-            if all(quiescent(c, sim.cycle) for c in sim.components):
-                all_idle_ticks.append(sim.cycle)
+            if not any(self.has_work(c, sim.cycle) for c in sim.components):
+                idle_ticks.append(sim.cycle)
             tick()
 
         sim.tick = watched_tick
         sim.run(self.CYCLES)
         assert sink.count == 15
-        assert all_idle_ticks == []
+        assert idle_ticks == []
         assert len(ticks) + sim.idle_cycles_skipped == self.CYCLES
         assert sim.idle_cycles_skipped > self.CYCLES // 3
 
         # The same design ticked through every cycle (``tick`` never
         # skips): the cycles on which nobody has work are the cycles
-        # ``run`` skipped.
+        # ``run`` skipped, and skipping them changes nothing.
         shadow, shadow_sink = self.paced_echo()
         idle_cycles = []
         for cycle in range(self.CYCLES):
-            if all(quiescent(c, cycle) for c in shadow.sim.components):
+            if not any(self.has_work(c, cycle)
+                       for c in shadow.sim.components):
                 idle_cycles.append(cycle)
             shadow.sim.tick()
         assert shadow_sink.frames == sink.frames
@@ -649,13 +652,7 @@ class Mailbox(Wakeable):
         for target in self.on_cycle.get(cycle, ()):
             target.inbox.append(f"from {cycle}")
             target._wake()
-
-    def is_idle(self):
-        return not self.inbox
-
-    def next_event_cycle(self):
-        return min((c for c in self.on_cycle if c > self.stepped[-1]),
-                   default=None)
+        return min((c for c in self.on_cycle if c > cycle), default=NEVER)
 
 
 class TestWakeRule:
@@ -705,9 +702,90 @@ class TestWakeRule:
         assert waker.stepped == [0, 4, 5]
 
 
+class Answering(Wakeable):
+    """Logs the cycle of every step and returns ``answer(cycle)``;
+    ``during`` maps a cycle to the components that step wakes."""
+
+    def __init__(self, answer, during=None):
+        self.answer = answer
+        self.during = during or {}
+        self.stepped = []
+
+    def step(self, cycle):
+        self.stepped.append(cycle)
+        for target in self.during.get(cycle, ()):
+            target._wake()
+        return self.answer(cycle)
+
+
+class TestStepAnswer:
+    """What ``step`` returns is the one thing the scheduled kernel asks:
+    None is every cycle, NEVER only a wake, a cycle at or before the
+    one stepped the next, and a wake only ever lowers the answer."""
+
+    def test_a_wake_lowers_a_slot_ahead_to_this_cycle_a_passed_one_to_the_next(
+            self):
+        sim = CycleSimulator()
+        early = Answering(lambda c: 9 if c < 9 else NEVER)
+        late = Answering(lambda c: NEVER)
+        waker = Answering(lambda c: 5 if c < 5 else NEVER)
+        waker.during = {5: (early, late)}
+        sim.add_all([early, waker, late])
+        sim.run(20)
+        assert late.stepped == [0, 5]           # ahead: this cycle
+        assert early.stepped == [0, 6, 9]       # passed: the next, and
+        assert waker.stepped == [0, 5]          # its own timer still
+
+    def test_a_wake_during_its_own_step_survives_a_never_answer(self):
+        sim = CycleSimulator()
+        selfish = Answering(lambda c: NEVER)
+        selfish.during = {0: (selfish,), 7: (selfish,)}
+        sim.add(selfish)
+        sim.run(5)
+        assert selfish.stepped == [0, 1]
+        assert sim.wake_cycle(selfish) is None
+        sim.wake(selfish)
+        sim.run(2)
+        assert selfish.stepped == [0, 1, 5]
+
+    def test_an_answer_at_or_before_the_cycle_means_the_next(self):
+        sim = CycleSimulator()
+        stale = Answering(lambda c: c - 3 if c % 2 else c)
+        sim.add(stale)
+        sim.run(6)
+        assert stale.stepped == list(range(6))
+        assert sim.wake_cycle(stale) == sim.cycle == 6
+        assert sim.idle_cycles_skipped == 0
+
+    def test_none_is_every_cycle_and_never_only_a_wake(self):
+        sim = CycleSimulator()
+        busy = Answering(lambda c: None)
+        sleeper = Answering(lambda c: NEVER)
+        sim.add_all([busy, sleeper])
+        sim.run(20)
+        assert busy.stepped == list(range(20))
+        assert sleeper.stepped == [0]
+        assert sim.wake_cycle(sleeper) is None
+        sim.wake(sleeper)
+        sim.run(5)
+        assert sleeper.stepped == [0, 20]
+        assert busy.stepped == list(range(25))
+
+    def test_naive_kernel_steps_everything_whatever_the_answer(self):
+        sim = CycleSimulator(kernel="naive")
+        answers = [None, NEVER, 100, -1]
+        components = [Answering(lambda c, a=a: a) for a in answers]
+        sim.add_all(components)
+        sim.run(10)
+        for component in components:
+            assert component.stepped == list(range(10))
+            assert sim.wake_cycle(component) == sim.cycle
+        assert sim.idle_cycles_skipped == sim.component_steps == 0
+
+
 class Churner(Wakeable):
     """Sleeps on a timer of its own period and pokes a neighbour every
-    third firing; counts every call the kernel makes on it."""
+    third firing; logs the cycle of every step the kernel makes."""
 
     def __init__(self, period):
         self.period = period
@@ -715,10 +793,10 @@ class Churner(Wakeable):
         self.pokes = 0
         self.fired = []
         self._next = period
-        self.calls = {"step": 0, "is_idle": 0, "next_event_cycle": 0}
+        self.stepped = []
 
     def step(self, cycle):
-        self.calls["step"] += 1
+        self.stepped.append(cycle)
         if self.pokes:
             self.fired.append((cycle, "poked", self.pokes))
             self.pokes = 0
@@ -728,20 +806,13 @@ class Churner(Wakeable):
             if len(self.fired) % 3 == 0:
                 self.neighbour.pokes += 1
                 self.neighbour._wake()
-
-    def is_idle(self):
-        self.calls["is_idle"] += 1
-        return not self.pokes
-
-    def next_event_cycle(self):
-        self.calls["next_event_cycle"] += 1
         return self._next
 
 
 class TestChurn:
     """Forty components sleeping, timing out and waking each other:
     the scheduler's work is per transition, not per component per
-    tick — a sleeper is asked nothing until it is stepped again."""
+    tick — a sleeper is called for nothing until it is due again."""
 
     @staticmethod
     def build(kernel):
@@ -761,21 +832,20 @@ class TestChurn:
         naive, reference = self.build("naive")
         naive.run(2_000)
         assert [c.fired for c in churners] == [c.fired for c in reference]
-        steps = sum(c.calls["step"] for c in churners)
+        steps = sum(len(c.stepped) for c in churners)
         assert steps == sim.component_steps
         # Sleep, timer and wake transitions really happened, ...
         assert sim.idle_cycles_skipped > 0
         assert any(kind == "poked" for c in churners
                    for _cycle, kind, *_ in c.fired)
-        # ... stepping only who is due (naive: 40 per cycle), ...
+        # ... stepping only who is due (naive: 40 per cycle), and each
+        # step but the first (cycle 0, before any answer) is one its
+        # answer or a poke asked for: the step is the only call, and
+        # nothing is polled while a component sleeps.
         assert steps < 2_000 * 40 // 8
         for churner in churners:
-            calls = churner.calls
-            # ... and each step is followed by exactly one is_idle()
-            # and, if idle, one next_event_cycle(): nothing is polled,
-            # re-sorted or re-armed while a component sleeps.
-            assert calls["is_idle"] == calls["step"]
-            assert 0 < calls["next_event_cycle"] <= calls["step"]
+            fired = {cycle for cycle, *_ in churner.fired}
+            assert [c for c in churner.stepped if c not in fired] == [0]
         assert len(ticks) + sim.idle_cycles_skipped == 2_000
 
     def test_sanitized_tick_files_the_same_wake_cycles_as_tick(self):
@@ -787,12 +857,6 @@ class TestChurn:
 
         class StaleTimer(Wakeable):
             def step(self, cycle):
-                pass
-
-            def is_idle(self):
-                return True
-
-            def next_event_cycle(self):
                 return 3
 
         class Shadow:
@@ -821,3 +885,16 @@ class TestChurn:
         assert [c.fired for c in churners] == [c.fired for c in shadowed]
         assert any(kind == "poked" for c in churners
                    for _cycle, kind, *_ in c.fired)
+
+
+def test_one_contract_step_says_when_it_is_next_due():
+    """The kernel asks a component one thing, by calling its ``step``:
+    no class under ``src/repro`` defines the two questions the contract
+    used to ask after every step."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    offenders = [
+        f"{path.relative_to(src)}:{number}"
+        for path in sorted(src.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\bdef (is_idle|next_event_cycle)\b", line)]
+    assert offenders == []

@@ -8,6 +8,7 @@ from repro.designs.tcp_stack import TcpServerDesign
 from repro.packet import IPv4Address, MacAddress
 from repro.packet.builder import build_tcp_frame
 from repro.packet.tcp import TCP_ACK, TCP_PSH, TCP_SYN, TcpHeader
+from repro.sim.kernel import NEVER
 from repro.tcp.flow import (
     FlowTable,
     TcpState,
@@ -481,8 +482,7 @@ class TestTxEngineSleeps:
         view = design.tile_core.view("tcp_tx")
         assert view.mode == "object"    # it overrides on_cycle
         assert not view.busy and view.armed_deadline is None
-        assert design.tcp_tx.is_idle()
-        assert design.tcp_tx.next_event_cycle() is None
+        assert design.tcp_tx._due() == NEVER    # no work, no timer
         quiet_from = sim.cycle
         skipped = sim.idle_cycles_skipped
         sim.run(5_000)

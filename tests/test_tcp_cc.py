@@ -316,7 +316,7 @@ class TestCompetingFlowSignatures:
         for peer in peers:
             step = peer.step
             peer.step = lambda cycle, peer=peer, step=step: (
-                steps[peer.src_port].append(cycle), step(cycle))
+                steps[peer.src_port].append(cycle), step(cycle))[1]
         sim.run_until(
             lambda: all(p.bytes_acked >= 8 * 1024 for p in peers),
             max_cycles=200_000)
