@@ -43,9 +43,11 @@ survives pops and cycle boundaries:
   releases the lock and returns the input to ``-2``.
 
 An output leaves the active list once it is neither locked nor
-requested.  The list is only rebuilt between walks (activations at step
-start, retirements after the loop), so a head exposed by a departing
-tail waits one cycle for arbitration, exactly as in ``Router.step``.
+requested.  The list only changes between walks, and stays sorted in
+place: an activation at step start is one ``insort``, a lone retirement
+after the loop one ``remove``, and only a walk that retires two or more
+outputs rebuilds it.  So a head exposed by a departing tail waits one
+cycle for arbitration, exactly as in ``Router.step``.
 
 The *adapter boundary* sits exactly at injection/ejection: every
 router's LOCAL input FIFO and every attached port's ejection FIFO stay
@@ -121,6 +123,7 @@ off two integers — and None (every cycle) otherwise.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 
 from repro.noc.flit import (
@@ -504,7 +507,7 @@ class FlatMeshCore(Wakeable):
         route_rows = self._route_rows
         width = self.width
         height = self.height
-        fresh = []
+        active = self._active
         for fid in self._unres:
             r, i = divmod(fid, _N_PORTS)
             flit = rings[fid][0]
@@ -534,12 +537,9 @@ class FlatMeshCore(Wakeable):
             req[fid] = want
             ofid = fid - i + want
             if not rq[ofid] and grant[ofid] < 0:
-                fresh.append(ofid)
+                insort(active, ofid)
             rq[ofid] |= 1 << i
         self._unres.clear()
-        if fresh:
-            self._active.extend(fresh)
-            self._active.sort()
 
     def step(self, cycle: int) -> int | None:
         if self._unres:
@@ -570,7 +570,8 @@ class FlatMeshCore(Wakeable):
             n_ports = _N_PORTS
             no_ring = _NO_RING
             ring_total = self._ring_total
-            retire = False
+            # The output the walk retires; -2 once a second one retires.
+            retired = -1
             # Ascending ofid == routers row-major, outputs in port
             # order: the object backend's visit (and trace) order.
             for ofid in active:
@@ -685,9 +686,13 @@ class FlatMeshCore(Wakeable):
                         # next cycle, as in Router.step.
                         unres.append(sfid)
                     if not rq[ofid]:
-                        retire = True
+                        retired = ofid if retired == -1 else -2
             self._ring_total = ring_total
-            if retire:
+            # Nothing requests an output during the walk, so one that
+            # went free and unrequested stays retired.
+            if retired >= 0:
+                active.remove(retired)
+            elif retired == -2:
                 self._active = [ofid for ofid in active
                                 if grant[ofid] >= 0 or rq[ofid]]
         # Injection phase: busy ports only, LSB-first (= attachment

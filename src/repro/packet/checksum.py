@@ -10,8 +10,9 @@ which adds nothing to the sum.
 
 ``incremental_update`` implements RFC 1624 equation 3 (the -0-safe
 form of RFC 1071's incremental update) so tiles that rewrite a few
-header words — NAT address translation, IP identification bumps —
-can patch an existing checksum without touching the payload.
+header words — NAT address translation — can patch an existing
+checksum without touching the payload.  ``IPv4Header.pack`` writes the
+same sum out inline for its one 16-bit identification word.
 """
 
 from __future__ import annotations

@@ -84,8 +84,10 @@ class EthernetHeader:
     VLAN_HEADER_LEN = 18
 
     def __post_init__(self):
-        self.dst = MacAddress(self.dst)
-        self.src = MacAddress(self.src)
+        if self.dst.__class__ is not MacAddress:
+            self.dst = MacAddress(self.dst)
+        if self.src.__class__ is not MacAddress:
+            self.src = MacAddress(self.src)
         if self.vlan is not None and not 0 <= self.vlan < 4096:
             raise ValueError(f"VLAN id out of range: {self.vlan}")
 

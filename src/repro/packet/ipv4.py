@@ -11,17 +11,16 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.packet.checksum import (
-    incremental_update,
-    internet_checksum,
-    verify_checksum,
-)
+from repro.packet.checksum import internet_checksum, verify_checksum
 
 IPPROTO_TCP = 6
 IPPROTO_UDP = 17
 IPPROTO_IPIP = 4
 
 _FIXED = struct.Struct("!BBHHHBBH4s4s")
+_U16 = struct.Struct("!H")
+# RFC 768/793 pseudo-header: source, destination, zero, protocol, length.
+_PSEUDO = struct.Struct("!IIxBH")
 FIXED_HEADER_LEN = 20
 
 # Codec caches.  Headers repeat heavily inside a simulation (same flows,
@@ -99,8 +98,10 @@ class IPv4Header:
     options: bytes = b""
 
     def __post_init__(self):
-        self.src = IPv4Address(self.src)
-        self.dst = IPv4Address(self.dst)
+        if self.src.__class__ is not IPv4Address:
+            self.src = IPv4Address(self.src)
+        if self.dst.__class__ is not IPv4Address:
+            self.dst = IPv4Address(self.dst)
         if len(self.options) % 4:
             raise ValueError("IPv4 options must be 32-bit aligned")
         if len(self.options) > 40:
@@ -126,7 +127,7 @@ class IPv4Header:
         via RFC 1624) in — bit-identical to packing from scratch.
         """
         key = (
-            int(self.src), int(self.dst), self.protocol,
+            self.src._value, self.dst._value, self.protocol,
             self.total_length, self.ttl, self.dscp, self.ecn,
             self.flags, self.fragment_offset, self.options,
         )
@@ -157,10 +158,13 @@ class IPv4Header:
         ident = self.identification
         if not ident:
             return raw0
-        ident_bytes = struct.pack("!H", ident)
-        csum = incremental_update(csum0, b"\x00\x00", ident_bytes)
-        return raw0[:4] + ident_bytes + raw0[6:10] \
-            + struct.pack("!H", csum) + raw0[12:]
+        # incremental_update(csum0, b"\x00\x00", ident), written out:
+        # RFC 1624 eq. 3, ~HC + ~0x0000 + ident, folded, complemented.
+        total = (csum0 ^ 0xFFFF) + 0xFFFF + ident
+        while total >> 16:
+            total = (total & 0xFFFF) + (total >> 16)
+        return raw0[:4] + _U16.pack(ident) + raw0[6:10] \
+            + _U16.pack(total ^ 0xFFFF) + raw0[12:]
 
     @classmethod
     def unpack(cls, data: bytes) -> tuple["IPv4Header", bytes]:
@@ -225,6 +229,5 @@ class IPv4Header:
 
     def pseudo_header(self, l4_length: int) -> bytes:
         """The pseudo-header used by UDP/TCP checksums (RFC 768/793)."""
-        return self.src.packed + self.dst.packed + struct.pack(
-            "!BBH", 0, self.protocol, l4_length
-        )
+        return _PSEUDO.pack(self.src._value, self.dst._value,
+                            self.protocol, l4_length)

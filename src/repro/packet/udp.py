@@ -21,9 +21,10 @@ class UdpHeader:
     checksum: int = 0
 
     def __post_init__(self):
-        for port in (self.src_port, self.dst_port):
-            if not 0 <= port < 65536:
-                raise ValueError(f"port out of range: {port}")
+        src, dst = self.src_port, self.dst_port
+        if not (0 <= src < 65536 and 0 <= dst < 65536):
+            bad = dst if 0 <= src < 65536 else src
+            raise ValueError(f"port out of range: {bad}")
 
     @property
     def payload_len(self) -> int:
@@ -51,8 +52,13 @@ class UdpHeader:
         src_port, dst_port, length, checksum = _HDR.unpack_from(data)
         if length < HEADER_LEN or length > len(data):
             raise ValueError(f"bad UDP length {length} (have {len(data)})")
-        header = cls(src_port=src_port, dst_port=dst_port, length=length,
-                     checksum=checksum)
+        # 16-bit struct fields cannot be out of range: skip the
+        # __post_init__ port test and set the four fields directly.
+        header = object.__new__(cls)
+        header.src_port = src_port
+        header.dst_port = dst_port
+        header.length = length
+        header.checksum = checksum
         return header, data[HEADER_LEN:length]
 
     def verify(self, pseudo_header: bytes, payload: bytes) -> bool:

@@ -33,6 +33,7 @@ import zlib
 from collections import Counter, deque
 from dataclasses import dataclass
 from collections.abc import Iterable
+from functools import lru_cache
 
 from repro import params
 from repro.noc.mesh import LocalPort, Mesh
@@ -78,6 +79,10 @@ class PacketMeta:
                 l4.src_port, l4.dst_port)
 
 
+# Memoised and bounded, like the packet codec caches: a simulation
+# hashes the same few flows once per packet.  Keys are int tuples, so
+# equal keys have equal reprs and so equal hashes.
+@lru_cache(maxsize=4096)
 def flow_hash(key: tuple) -> int:
     """Deterministic hash used by the load-balancing hash tables."""
     return zlib.crc32(repr(key).encode()) & 0xFFFFFFFF
@@ -289,8 +294,7 @@ class Tile(Wakeable):
 
     def make_message(self, dst: tuple[int, int], metadata=None,
                      data: bytes = b"") -> NocMessage:
-        return NocMessage(dst=dst, src=self.coord, metadata=metadata,
-                          data=data)
+        return NocMessage(dst, self.coord, metadata, data)
 
     def drop(self, message: NocMessage | None, reason: str = "") -> list:
         reason = reason or "unspecified"

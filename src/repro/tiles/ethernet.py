@@ -86,7 +86,8 @@ class EthernetTxTile(Tile):
         # hands its frames to the encapsulation tile over the NoC
         # instead of a MAC.
         self.emit_to_noc = emit_to_noc
-        self.neighbor_macs: dict[IPv4Address, MacAddress] = {}
+        # Next-hop IP -> the packed Ethernet header to its MAC.
+        self.neighbor_headers: dict[IPv4Address, bytes] = {}
         self.frames_out: deque[tuple[bytes, int]] = deque()
         # MAC-side consumers (FrameSink and friends) register a wake
         # callback here so a newly queued frame re-activates them.
@@ -95,7 +96,9 @@ class EthernetTxTile(Tile):
         self._line_free = 0
 
     def add_neighbor(self, ip: IPv4Address, mac: MacAddress) -> None:
-        self.neighbor_macs[IPv4Address(ip)] = MacAddress(mac)
+        self.neighbor_headers[IPv4Address(ip)] = EthernetHeader(
+            dst=MacAddress(mac), src=self.my_mac,
+            ethertype=ETHERTYPE_IPV4).pack()
 
     def connect(self, key, targets, policy="flow_hash") -> None:
         """A destination makes this an inner TX tile: frames go to the
@@ -113,12 +116,10 @@ class EthernetTxTile(Tile):
         meta: PacketMeta = message.metadata
         if meta is None or meta.ip is None:
             return self.drop(message, "no IP metadata for framing")
-        dst_mac = self.neighbor_macs.get(meta.ip.dst)
-        if dst_mac is None:
+        eth = self.neighbor_headers.get(meta.ip.dst)
+        if eth is None:
             return self.drop(message, f"no MAC for {meta.ip.dst}")
-        eth = EthernetHeader(dst=dst_mac, src=self.my_mac,
-                             ethertype=ETHERTYPE_IPV4)
-        frame = eth.pack() + message.data
+        frame = eth + message.data
         if self.emit_to_noc is not None:
             self.frame_bytes_out += len(frame)
             out = NocMessage(dst=self.emit_to_noc, src=self.coord,

@@ -39,17 +39,24 @@ bit-identically between individually registered tiles and the core:
   nothing is added per pumped flit.  The TCP RX engine (adopted before
   the TX engine) queueing an ACK over the dedicated wires is the
   shipped case: the sleeping TX engine sends it in that same cycle.
-- A tile whose class overrides any engine-internal hook (``on_cycle``,
-  ``_due``, ``_pump_process``, ...) falls back to *object mode*: the
-  core calls its ``step`` instead of the inlined fast path and takes
-  the cycle it returns as the kernel would, so such tiles (of the
-  shipped ones, the TCP TX engine and the controller) keep working
-  unchanged and sleep whenever their own contract says so; a tile
-  that returns :data:`~repro.sim.kernel.NEVER` also voids a timer it
-  armed earlier, as the kernel's ``wake_at`` would.  ``handle_message``,
-  ``service_cycles``, ``send`` and ``drop`` are always dispatched
-  through the instance, so subclass hooks and instance-level patches
-  (``benchmarks/perflab``) fire under both modes.
+- **The dispatch rule**, one for every hook the walk inlines: the
+  walk runs ``Tile``'s own body of a hook only when neither the tile's
+  class nor the tile itself replaces it; otherwise it calls the hook
+  through the instance, as ``Tile.step`` would.  The engine-internal
+  hooks (``on_cycle``, ``_due``, ``_pump_process``, ...) are judged
+  once, at adoption: a tile that replaces any of them falls back to
+  *object mode* — the core calls its ``step`` instead of the inlined
+  fast path and takes the cycle it returns as the kernel would, so
+  such tiles (of the shipped ones, the TCP TX engine and the
+  controller) keep working unchanged and sleep whenever their own
+  contract says so; a tile that returns
+  :data:`~repro.sim.kernel.NEVER` also voids a timer it armed earlier,
+  as the kernel's ``wake_at`` would.  ``service_cycles`` is the one
+  per-message hook inlined: its class is judged at adoption and the
+  tile's instance ``__dict__`` at every message, so an instance-level
+  patch on a built design counts from the next message on (a patch on
+  the class after adoption is not seen: patch the tile).
+  ``handle_message``, ``send`` and ``drop`` are never inlined.
 - Each adopted tile gets a ``_kernel_wake`` hook that sets its busy bit
   (and wakes the core), and the core registers the tiles' ejection
   FIFOs as its own ``wake_sources`` — so frame injection, router
@@ -67,8 +74,10 @@ bit-identically between individually registered tiles and the core:
 A visit reads one per-tile record, ``_fabric[i]``: the tile, its port,
 the ejection FIFO and its committed queue (which keeps its identity for
 the FIFO's life, and is all the FIFO holds: the flat mesh stages
-nothing), the reassembler, the flat mesh core stepping the port, and
-two class-level flags (inlined pumps? default ``service_cycles``?).
+nothing), the reassembler, the flat mesh core stepping the port, two
+flags fixed at adoption (inlined pumps? a class with the default
+``service_cycles``?) and the tile's instance ``__dict__``, where the
+walk looks for an instance-level ``service_cycles``.
 Flit counts and the injection backlog are computed inline, not through
 the ``n_flits`` / ``tx_backlog`` properties.  The FIFO holds int
 handles (``repro.noc.flit``) and the inlined receive is
@@ -98,10 +107,13 @@ from repro.params import FLIT_BYTES
 from repro.sim.kernel import NEVER, CycleSimulator, Wakeable
 from repro.tiles.base import Tile
 
-# A tile class is eligible for the inlined fast path only if it leaves
-# every engine-internal hook untouched.  ``handle_message`` /
-# ``service_cycles`` / ``send`` / ``drop`` are instance-dispatched in
-# both modes, so overriding them does not disqualify a class.
+# The dispatch rule (module docstring): ``Tile``'s body of a hook is
+# inlined only when neither the class nor the instance replaces it.  A
+# tile gets the inlined pumps only if the rule holds, at adoption, for
+# every engine-internal hook below.  ``service_cycles`` is judged per
+# message instead (its instance half); ``handle_message`` / ``send`` /
+# ``drop`` are always called through the instance, so replacing any of
+# those four does not disqualify a tile.
 _ENGINE_HOOKS = (
     "step", "commit", "on_cycle", "_due", "_engine_due",
     "wake_sources", "_pump_eject", "_pump_process", "_begin_service",
@@ -110,7 +122,10 @@ _ENGINE_HOOKS = (
 _FAST_CLASS_CACHE: dict[type, bool] = {}
 
 
-def _class_is_fast(cls: type) -> bool:
+def _is_fast(tile: Tile) -> bool:
+    """Whether ``tile`` runs on the inlined pumps (the rule, applied
+    to every engine-internal hook; the class half is cached)."""
+    cls = type(tile)
     fast = _FAST_CLASS_CACHE.get(cls)
     if fast is None:
         fast = all(
@@ -118,7 +133,7 @@ def _class_is_fast(cls: type) -> bool:
             for hook in _ENGINE_HOOKS
         )
         _FAST_CLASS_CACHE[cls] = fast
-    return fast
+    return fast and vars(tile).keys().isdisjoint(_ENGINE_HOOKS)
 
 
 class FlatTileView:
@@ -154,8 +169,7 @@ class FlatTileView:
     @property
     def mode(self) -> str:
         """``"fast"`` (inlined pumps) or ``"object"`` (delegated step)."""
-        *_, fast, _default_service = self._core._fabric[self.index]
-        return "fast" if fast else "object"
+        return "fast" if self._core._fabric[self.index][6] else "object"
 
     @property
     def armed_deadline(self) -> int | None:
@@ -190,7 +204,8 @@ class FlatTileCore(Wakeable):
         self._ejects: list = []
         # Per-tile hot-path record, indexed by tile bit: (tile, port,
         # eject, eject._items, assembler, mesh_core, fast,
-        # default_service) — one list lookup per busy tile per cycle.
+        # default_service, vars(tile)) — one list lookup per busy tile
+        # per cycle.
         self._fabric: list[tuple] = []
         # Scheduling state: busy bitmask (bit i == tiles[i] must step),
         # per-tile armed deadline (-1 when unarmed), timer heap of
@@ -222,8 +237,8 @@ class FlatTileCore(Wakeable):
         self._ejects.append(eject)
         self._fabric.append((
             tile, tile.port, eject, eject._items,
-            tile.port._assembler, tile.port._core, _class_is_fast(cls),
-            cls.service_cycles is Tile.service_cycles,
+            tile.port._assembler, tile.port._core, _is_fast(tile),
+            cls.service_cycles is Tile.service_cycles, vars(tile),
         ))
         self._deadlines.append(-1)
         self._busy |= bit
@@ -286,7 +301,7 @@ class FlatTileCore(Wakeable):
             mask ^= low
             i = low.bit_length() - 1
             (t, port, eject, items, assembler, mesh_core, is_fast,
-             has_default_service) = fabric[i]
+             has_default_service, own) = fabric[i]
             if t._fault_frozen:
                 continue  # clock gated; stays busy (as Tile.step says)
             if not is_fast:
@@ -387,7 +402,7 @@ class FlatTileCore(Wakeable):
                     + (1 if port._pending_flits else 0)
                     < t.max_tx_backlog):
                 message = rx.popleft()[1]
-                if has_default_service:
+                if has_default_service and "service_cycles" not in own:
                     n_flits = (1 + message.n_meta_flits
                                + (len(message.data) + FLIT_BYTES - 1)
                                // FLIT_BYTES)

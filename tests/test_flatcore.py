@@ -22,7 +22,13 @@ import random
 import pytest
 
 from repro.analysis.structural import run as lint
-from repro.designs import FrameSink, FrameSource
+from repro.designs import (
+    FrameSink,
+    FrameSource,
+    ScaledEchoDesign,
+    attach_client,
+    client_frame,
+)
 from repro.designs.udp_stack import UdpEchoDesign
 from repro.designs.tcp_stack import TcpServerDesign
 from repro.faults import FaultPlan
@@ -659,6 +665,85 @@ class TestInCoreWakeRule:
             assert noticed - handled == classes.index(Knocker)
             runs.append((handled, noticed))
         assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def shadow(design, hook, calls):
+    """Replace ``hook`` on the built design's ``udp_rx`` instance with
+    one that logs the cycle of each call: ``service_cycles`` then takes
+    60 cycles a message, ``send`` forwards to the tile's own."""
+    tile = design.tiles["udp_rx"]
+    if hook == "service_cycles":
+        def service_cycles(message):
+            calls.append(design.sim.cycle)
+            return 60
+        tile.service_cycles = service_cycles
+    else:
+        send = tile.send
+
+        def logged_send(message):
+            calls.append(design.sim.cycle)
+            send(message)
+        tile.send = logged_send
+
+
+class TestInlinedHooks:
+    """The flat core inlines ``Tile``'s own hooks only when neither the
+    class nor the instance replaces them; otherwise the instance's hook
+    runs, as under ``reference``.  ``service_cycles`` is inlined and
+    ``send`` is not: a patch on either counts from the next message."""
+
+    @pytest.mark.parametrize("hook", ["service_cycles", "send"])
+    def test_an_instance_hook_runs_under_both_profiles(self, hook):
+        runs = {}
+        for profile in ("reference", "fast"):
+            reset_id_counters()
+            design = echo_design(profile=profile)
+            calls = []
+            shadow(design, hook, calls)
+            frames = [echo_frame(design, bytes(64)) for _ in range(20)]
+            _source, sink = attach_client(design, frames, rate=None,
+                                          count=20)
+            design.sim.run_until(lambda: sink.count >= 20,
+                                 max_cycles=20_000)
+            runs[profile] = (sink.frames, calls)
+        assert len(runs["reference"][1]) == 20
+        assert runs["fast"] == runs["reference"]
+        if hook == "service_cycles":
+            emits = [cycle for _frame, cycle in runs["fast"][0]]
+            assert {b - a for a, b in zip(emits, emits[1:])} == {60}
+
+    def test_an_engine_hook_on_the_instance_means_object_mode(self):
+        mesh = FlatMesh(2, 1)
+        plain = Sink("plain", mesh, (0, 0))
+        patched = Sink("patched", mesh, (1, 0))
+        patched._due = patched._engine_due
+        core = register_tiles(CycleSimulator(), [plain, patched])
+        assert [v.mode for v in core.views()] == ["fast", "object"]
+
+    def test_handoff_counters_match_reference_at_64_bytes(self):
+        """The counters the tile -> port hand-off writes, on the scaled
+        echo design's 64 B saturation run (perflab's
+        ``echo_sat_64b_7x4`` in small)."""
+        runs = {}
+        for profile in ("reference", "fast"):
+            reset_id_counters()
+            design = ScaledEchoDesign(profile=profile)
+            frames = [client_frame(design, bytes(64), src_port=5000 + i)
+                      for i in range(32)]
+            _source, sink = attach_client(design, frames, rate=None,
+                                          count=200)
+            design.sim.run_until(lambda: sink.count >= 200,
+                                 max_cycles=20_000)
+            runs[profile] = {
+                "frames": sink.frames,
+                "ports": {coord: (port.tx_backlog_high_water,
+                                  port.messages_sent)
+                          for coord, port in design.mesh.ports.items()},
+                "tiles": {name: (tile.messages_out, tile.bytes_out)
+                          for name, tile in design.tiles.items()},
+            }
+        assert runs["fast"] == runs["reference"]
+        assert len(runs["fast"]["frames"]) == 200
 
 
 class TestCheckInvariants:

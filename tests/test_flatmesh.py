@@ -667,6 +667,69 @@ class TestLazyRoutes:
         assert core.check_invariants(design.sim.cycle) == []
 
 
+def _walks(size, attach, script, cycles):
+    """Step a flat mesh a cycle at a time: the active-output list
+    before and after each step, checked sorted and consistent with the
+    rest of the state machine after every one."""
+    reset_id_counters()
+    sim = CycleSimulator()
+    mesh = FlatMesh(*size)
+    ports = {coord: mesh.attach(coord) for coord in attach}
+    mesh.register(sim)
+    core = mesh.core
+    walks = []
+    for cycle in range(cycles):
+        if cycle in script:
+            script[cycle](ports)
+        before = list(core._active)
+        sim.run(1)
+        assert core._active == sorted(core._active)
+        assert core.check_invariants(sim.cycle) == []
+        walks.append((before, list(core._active)))
+        for port in ports.values():
+            port.receive()
+    return [walk for walk in walks if walk[0] != walk[1]]
+
+
+class TestActiveListInPlace:
+    """The active-output list is kept sorted in place: an activation
+    is inserted, a lone retirement removed, and only a walk that
+    retires two outputs rebuilds the list."""
+
+    def test_one_output_retires(self):
+        def send(ports):
+            ports[(0, 0)].send(_message((0, 0), (1, 0), 3))
+
+        walks = _walks((2, 1), [(0, 0), (1, 0)], {0: send}, 20)
+        # (0,0).east is ofid 1, (1,0).local ofid 5: each tail frees
+        # one output in its own walk.
+        assert walks == [([], [1]), ([1], [1, 5]), ([1, 5], [5]),
+                         ([5], [])]
+
+    def test_two_outputs_retire_in_one_walk(self):
+        def send(ports):
+            ports[(0, 0)].send(_message((0, 0), (1, 0), 3))
+            ports[(0, 1)].send(_message((0, 1), (1, 1), 3))
+
+        walks = _walks((2, 2), [(0, 0), (1, 0), (0, 1), (1, 1)],
+                       {0: send}, 20)
+        assert walks == [([], [1, 11]), ([1, 11], [1, 5, 11, 15]),
+                         ([1, 5, 11, 15], [5, 15]), ([5, 15], [])]
+
+    def test_an_output_below_every_active_one_activates_first(self):
+        def long_message(ports):
+            ports[(2, 0)].send(_message((2, 0), (1, 0), 12))
+
+        def short_message(ports):
+            ports[(0, 0)].send(_message((0, 0), (1, 0), 2))
+
+        walks = _walks((3, 1), [(0, 0), (1, 0), (2, 0)],
+                       {0: long_message, 4: short_message}, 40)
+        # (0,0).east (ofid 1) joins below (1,0).local and (2,0).west.
+        assert ([5, 12], [1, 5, 12]) in walks
+        assert walks[-1] == ([5], [])
+
+
 def test_check_invariants_follows_the_ring_representation():
     sim = CycleSimulator()
     mesh = FlatMesh(2, 1)

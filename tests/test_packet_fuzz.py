@@ -8,7 +8,8 @@ seeded random fuzzing —
 - ``internet_checksum`` against an embedded reference byte-pair loop
   over random odd/even-length buffers;
 - ``incremental_update`` (RFC 1071/1624) against a full recompute
-  after splicing random words;
+  after splicing random words, and ``IPv4Header.pack``'s inline copy of
+  it against a reference pack for every identification;
 - pack -> unpack round-trips for every header codec (Ethernet with
   and without 802.1Q, IPv4 with options, UDP, TCP with options,
   VXLAN), with the caches hot;
@@ -225,6 +226,46 @@ class TestIPv4RoundTrip:
             parsed, _ = IPv4Header.unpack(raw + b"\x00" * 8)
             assert parsed.identification == ident
 
+    @staticmethod
+    def _reference_pack(header: IPv4Header) -> bytes:
+        """``struct`` + ``internet_checksum``: no template, no patch."""
+        raw = struct.pack(
+            "!BBHHHBBH4s4s", (4 << 4) | header.ihl,
+            (header.dscp << 2) | header.ecn, header.total_length,
+            header.identification,
+            (header.flags << 13) | header.fragment_offset, header.ttl,
+            header.protocol, 0, header.src.packed, header.dst.packed,
+        ) + header.options
+        return raw[:10] + struct.pack("!H", internet_checksum(raw)) \
+            + raw[12:]
+
+    def test_every_identification_matches_a_reference_pack(self):
+        """The inline RFC 1624 patch, for all 65 536 identifications on
+        two templates: a random one with options and the echo reply's."""
+        rng = random.Random(0x1D)
+        templates = [
+            self._random_header(rng, 8),
+            IPv4Header(src=IPv4Address("10.0.0.10"),
+                       dst=IPv4Address("10.0.0.1"),
+                       total_length=20 + 8 + 64),
+        ]
+        for header in templates:
+            mismatched = []
+            for ident in range(1 << 16):
+                header.identification = ident
+                if header.pack() != self._reference_pack(header):
+                    mismatched.append(ident)
+            assert mismatched == []
+
+    def test_pseudo_header_is_the_byte_concatenation(self):
+        rng = random.Random(0x768)
+        for _ in range(300):
+            header = self._random_header(rng, 0)
+            length = rng.randrange(0, 1 << 16)
+            assert header.pseudo_header(length) == \
+                header.src.packed + header.dst.packed + \
+                struct.pack("!BBH", 0, header.protocol, length)
+
     def test_corrupted_checksum_rejected(self):
         rng = random.Random(6)
         header = self._random_header(rng, 4)
@@ -283,6 +324,29 @@ class TestUdpRoundTrip:
         bad_length = UdpHeader(src_port=1, dst_port=2, length=100)
         with pytest.raises(ValueError):
             UdpHeader.unpack(bad_length.pack())
+
+    @pytest.mark.parametrize("ports, bad", [
+        ((70000, 7), 70000), ((7, 70000), 70000), ((-1, 7), -1),
+        ((7, 65536), 65536), ((70000, -5), 70000)])
+    def test_out_of_range_port_names_the_first_bad_one(self, ports, bad):
+        src_port, dst_port = ports
+        with pytest.raises(ValueError) as raised:
+            UdpHeader(src_port=src_port, dst_port=dst_port)
+        assert str(raised.value) == f"port out of range: {bad}"
+
+    def test_unpack_builds_the_same_header_for_a_subclass(self):
+        class Tagged(UdpHeader):
+            pass
+
+        raw = UdpHeader(src_port=1234, dst_port=7, length=10,
+                        checksum=0xBEEF).pack() + b"hi"
+        plain, _ = UdpHeader.unpack(raw)
+        tagged, rest = Tagged.unpack(raw)
+        assert type(plain) is UdpHeader and type(tagged) is Tagged
+        assert vars(plain) == vars(tagged) == vars(
+            UdpHeader(src_port=1234, dst_port=7, length=10,
+                      checksum=0xBEEF))
+        assert rest == b"hi"
 
 
 class TestTcpRoundTrip:

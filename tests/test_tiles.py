@@ -1,6 +1,7 @@
 """Tests for the tile framework and protocol tiles."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.packet import (
     parse_frame,
 )
 from repro.sim.kernel import CycleSimulator
-from repro.tiles.base import NextHopTable, PacketMeta, Tile
+from repro.tiles.base import NextHopTable, PacketMeta, Tile, flow_hash
 
 CLIENT_MAC = MacAddress("02:00:00:00:00:01")
 CLIENT_IP = IPv4Address("10.0.0.1")
@@ -98,6 +99,28 @@ class TestNextHopTable:
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
             NextHopTable(policy="magic")
+
+    def test_flow_hash_memo_picks_what_the_hash_picks(self):
+        """``flow_hash`` memoises the hash, not an index, so a
+        control-plane rewrite that shrinks or grows the list re-spreads
+        remembered flows exactly as a fresh hash would; and the memo
+        never outgrows its bound."""
+        rng = random.Random(0xF10)
+        table = NextHopTable(policy="flow_hash")
+        bound = flow_hash.cache_info().maxsize
+        keys = [tuple(rng.randrange(1 << 32) for _ in range(4))
+                for _ in range(bound + 500)]
+        for n_dests in (4, 2, 7, 1, 5):
+            dests = [(x, 0) for x in range(n_dests)]
+            table.set_entry(7, dests)
+            for key in keys:
+                assert table.lookup(7, flow_key=key) == \
+                    dests[flow_hash.__wrapped__(key) % n_dests]
+                assert flow_hash.cache_info().currsize <= bound
+        hits = flow_hash.cache_info().hits
+        assert table.lookup(7, flow_key=keys[-1]) == \
+            dests[flow_hash.__wrapped__(keys[-1]) % 5]
+        assert flow_hash.cache_info().hits == hits + 1
 
 
 class TestPacketMeta:
