@@ -44,10 +44,21 @@ survives pops and cycle boundaries:
 
 An output leaves the active list once it is neither locked nor
 requested.  The list only changes between walks, and stays sorted in
-place: an activation at step start is one ``insort``, a lone retirement
-after the loop one ``remove``, and only a walk that retires two or more
-outputs rebuilds it.  So a head exposed by a departing tail waits one
-cycle for arbitration, exactly as in ``Router.step``.
+place, never rebuilt: an activation at step start is one ``insort``,
+each output the walk retired one ``remove`` after the loop.  So a head
+exposed by a departing tail waits one cycle for arbitration, exactly as
+in ``Router.step``.  A locked output is visited owner first: a walk
+whose owner has no flit ready looks at nothing downstream.
+
+Forwarding counts are credited per message, not per move: the grant
+adds the whole message (the head handle's count + 1) to
+``_fwd_out[ofid]``.  The readers — :meth:`FlatMeshCore.forwarded`,
+``total_flits_forwarded``, ``FlatRouterView.flits_per_output`` — take
+back, for each locked output, the flits of its message not yet through
+it: the next flit's count + 1, found at the front of the owner's input
+or, where that ran dry, further up the same wormhole.  So every count
+is exact between steps, as the object mesh's per-move counters are;
+raw ``_fwd_out`` runs ahead mid-message and nothing else reads it.
 
 The *adapter boundary* sits exactly at injection/ejection: every
 router's LOCAL input FIFO and every attached port's ejection FIFO stay
@@ -249,14 +260,13 @@ class FlatRouterView:
 
     @property
     def flits_forwarded(self) -> int:
-        base = self._index * _N_PORTS
-        return sum(self._core._fwd_out[base:base + _N_PORTS])
+        return sum(self.flits_per_output.values())
 
     @property
     def flits_per_output(self) -> dict[Port, int]:
         base = self._index * _N_PORTS
-        fwd_out = self._core._fwd_out
-        return {port: fwd_out[base + port_index]
+        forwarded = self._core.forwarded
+        return {port: forwarded(base + port_index)
                 for port_index, port in enumerate(_ALL_PORTS)}
 
     @property
@@ -368,8 +378,9 @@ class FlatMeshCore(Wakeable):
         # open, keeping the hot path one test).
         self._misrouted: set[int] = set()
         self._fault_blocked: set[int] | None = None
-        # Flits forwarded per output (Router._flits_per_output,
-        # flattened); the per-router and mesh totals are sums of it.
+        # Flits credited per output: each grant adds its whole message,
+        # so a locked output runs ahead of Router._flits_per_output
+        # until its tail has passed.  Read through ``forwarded``.
         self._fwd_out: list[int] = [0] * n5
         # Ring high-water marks, mirroring StagedFifo.high_water: the
         # deepest end-of-cycle depth per directional input.  Raised at
@@ -570,17 +581,26 @@ class FlatMeshCore(Wakeable):
             n_ports = _N_PORTS
             no_ring = _NO_RING
             ring_total = self._ring_total
-            # The output the walk retires; -2 once a second one retires.
-            retired = -1
+            # Outputs the walk frees, in walk order.
+            retired = []
             # Ascending ofid == routers row-major, outputs in port
             # order: the object backend's visit (and trace) order.
             for ofid in active:
+                sfid = grant[ofid]
+                if sfid >= 0:
+                    # Locked wormhole: the owner's next flit, if here
+                    # (one pushed this cycle is not here yet).
+                    ring = rings[sfid]
+                    n = len(ring)
+                    if n < 2 and (not n or pushc[sfid] == cycle):
+                        continue
                 dfid = down[ofid]
                 if dfid >= 0:
                     # Lagged credit return: occupancy as of the last
                     # cycle boundary (this output has not pushed yet,
                     # and a pop made this cycle is not a credit yet).
-                    filled = len(rings[dfid])
+                    ring_down = rings[dfid]
+                    filled = len(ring_down)
                     room = filled + (popc[dfid] == cycle) < depth
                 elif dfid == -2:
                     eject = ejects[ofid // n_ports]
@@ -594,18 +614,9 @@ class FlatMeshCore(Wakeable):
                 else:
                     # Unwired mesh-edge output: nothing to move into.
                     continue
-                if fblocked is not None and ofid in fblocked:
-                    # Stuck-grant fault (see Router.fault_block_output).
-                    room = False
-                sfid = grant[ofid]
-                if sfid >= 0:
-                    # Locked wormhole: the owner's next flit, if here
-                    # (one pushed this cycle is not here yet).
-                    ring = rings[sfid]
-                    n = len(ring)
-                    if n < 2 and (not n or pushc[sfid] == cycle):
-                        continue
-                if not room:
+                if not room or fblocked is not None and ofid in fblocked:
+                    # No credit, or a stuck-grant fault (see
+                    # Router.fault_block_output).
                     if traced:
                         tracer.link_stall(
                             cycle, coords[ofid // n_ports],
@@ -631,15 +642,21 @@ class FlatMeshCore(Wakeable):
                     # it again below.
                     grant[ofid] = sfid
                     req[sfid] = -1
-                flit = ring.popleft()
+                    flit = ring.popleft()
+                    # Credit the whole message now: the head's count
+                    # + 1 (a lone head-tail is negated with a zero
+                    # count, so its masked bits are 0 too).  Readers
+                    # take back what is still upstream (``forwarded``).
+                    fwd_out[ofid] += (flit & HANDLE_COUNT_MASK) + 1
+                else:
+                    flit = ring.popleft()
                 popc[sfid] = cycle
                 if hwc[sfid] == cycle:
                     # Pushed (and raised) earlier this cycle: the mark
                     # records end-of-cycle depth, one less after all.
                     hw[sfid] -= 1
                 if dfid >= 0:
-                    ring_down = rings[dfid]
-                    if not ring_down:
+                    if not filled:
                         if ring_down is no_ring:
                             ring_down = rings[dfid] = deque()
                         if req[dfid] == -2:
@@ -665,7 +682,6 @@ class FlatMeshCore(Wakeable):
                         eject.high_water = filled + 1
                         eject._hwc = cycle
                     ring_total -= 1
-                fwd_out[ofid] += 1
                 if traced:
                     # flit_of(flit), inlined: a tracer pays for the
                     # Flit objects it looks at, once per message.
@@ -686,15 +702,12 @@ class FlatMeshCore(Wakeable):
                         # next cycle, as in Router.step.
                         unres.append(sfid)
                     if not rq[ofid]:
-                        retired = ofid if retired == -1 else -2
+                        retired.append(ofid)
             self._ring_total = ring_total
             # Nothing requests an output during the walk, so one that
             # went free and unrequested stays retired.
-            if retired >= 0:
-                active.remove(retired)
-            elif retired == -2:
-                self._active = [ofid for ofid in active
-                                if grant[ofid] >= 0 or rq[ofid]]
+            for ofid in retired:
+                active.remove(ofid)
         # Injection phase: busy ports only, LSB-first (= attachment
         # order, exactly where the object backend's registration order
         # puts them).  The body is ``LocalPort.step`` inlined (same
@@ -793,9 +806,65 @@ class FlatMeshCore(Wakeable):
 
     # -- statistics -------------------------------------------------------
 
+    def forwarded(self, ofid: int) -> int:
+        """Flits output ``ofid`` has moved so far, exact between steps.
+
+        A grant credits ``_fwd_out`` with its whole message at once, so
+        a locked output gives back the flits of that message that have
+        not been through it: the next one's count + 1.
+        """
+        moved = self._fwd_out[ofid]
+        if self._grant[ofid] >= 0:
+            moved -= self._unmoved(ofid)
+        return moved
+
     @property
     def total_flits_forwarded(self) -> int:
-        return sum(self._fwd_out)
+        grant = self._grant
+        return sum(self._fwd_out) - sum(
+            self._unmoved(ofid) for ofid in self._active if grant[ofid] >= 0)
+
+    def _unmoved(self, ofid: int) -> int:
+        """Flits of the message locking ``ofid`` not yet through it.
+        (A tail handle is negated with a zero count, so its masked bits
+        are 0 as well.)"""
+        return (self._next_flit(ofid) & HANDLE_COUNT_MASK) + 1
+
+    def _next_flit(self, ofid: int) -> int:
+        """The handle of the next flit of the message locking ``ofid``.
+
+        It is at the front of the owner's input or, where that has run
+        dry, further up the same wormhole: a drained directional input
+        is fed by an output the same message still locks, and behind a
+        drained LOCAL input is its port's injection queue.  Raises
+        ``LookupError`` when the state machine says otherwise.
+        """
+        grant = self._grant
+        rings = self._rings
+        fid = grant[ofid]
+        for _hop in range(self.n_routers):
+            ring = rings[fid]
+            if ring:
+                return ring[0]
+            r, i = divmod(fid, _N_PORTS)
+            if i == _LOCAL:
+                for port, lfid, _fifo in self._inj:
+                    if lfid == fid and port._pending_flits:
+                        return port._pending_flits[0]
+                raise LookupError(f"input {fid} and its injection queue "
+                                  "hold none of the message")
+            # The output feeding input port i is the opposite port of
+            # the neighbour in direction i.
+            up = ((r + (0, 1, -1, -self.width, self.width)[i]) * _N_PORTS
+                  + (0, _WEST, _EAST, _SOUTH, _NORTH)[i])
+            if not 0 <= up < len(grant) or self._down[up] != fid:
+                raise LookupError(f"input {fid} ran dry and is fed by "
+                                  "no output")
+            if grant[up] < 0:
+                raise LookupError(f"input {fid} ran dry and output {up} "
+                                  "feeding it is unlocked")
+            fid = grant[up]
+        raise LookupError("the wormhole is longer than the mesh")
 
     @property
     def busy_routers(self) -> int:
@@ -857,6 +926,25 @@ class FlatMeshCore(Wakeable):
                     problems.append(
                         f"output {ofid} requested by input {fid} "
                         f"(occupied={bool(rings[fid])}, _req={req[fid]})")
+        # A grant credited its whole message (``forwarded``): the lock's
+        # next flit must be found, must not be a head (that one went
+        # through), and no more may be left than the output was
+        # credited.  (Whether the message is in flight is the table's
+        # business, below.)
+        for ofid, owner in enumerate(grant):
+            if owner < 0:
+                continue
+            try:
+                handle = self._next_flit(ofid)
+            except LookupError as error:
+                problems.append(f"locked output {ofid}: {error}")
+                continue
+            seq, head, _tail, count = decode_handle(handle)
+            if head or count + 1 > self._fwd_out[ofid]:
+                problems.append(
+                    f"locked output {ofid}: {count + 1} flits of injection "
+                    f"#{seq} left (head={head}) against "
+                    f"{self._fwd_out[ofid]} credited")
         # A memoised route that outlived its table (a deflected one past
         # its misroute window, a clean one into it) misroutes for good.
         for r, row in enumerate(self._route_rows):

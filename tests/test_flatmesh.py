@@ -20,6 +20,7 @@ import pytest
 
 from repro.designs.base import Design
 from repro.noc.flatmesh import _NO_RING, FlatMesh, FlatRouterView
+from repro.noc.flit import HANDLE_HEAD
 from repro.noc.mesh import LocalPort, Mesh
 from repro.noc.message import NocMessage, reset_id_counters
 from repro.noc.router import _PORT_INDEX
@@ -667,6 +668,139 @@ class TestLazyRoutes:
         assert core.check_invariants(design.sim.cycle) == []
 
 
+def forwarding_counts(mesh):
+    """Every router's per-output forwarding counts, and the mesh total."""
+    return ({coord: router.flits_per_output
+             for coord, router in mesh.routers.items()},
+            mesh.total_flits_forwarded)
+
+
+def forwarding_in_lockstep(build, payload_bytes, n_frames, cycles):
+    """Step ``build(profile)`` under both profiles one cycle at a time,
+    ``n_frames`` echo requests of ``payload_bytes`` offered back to
+    back, and require the forwarding counts to agree after every cycle.
+
+    Returns the cycles at whose end the flat mesh's raw per-grant
+    credits ran ahead of its exact counts: a run with none could not
+    tell a reader that skips the correction from one that applies it.
+    """
+    from repro.designs import attach_client, client_frame
+
+    designs = []
+    for profile in ("fast", "reference"):
+        reset_id_counters()
+        design = build(profile)
+        frames = [client_frame(design, bytes([i]) * payload_bytes,
+                               src_port=5000 + i)
+                  for i in range(n_frames)]
+        attach_client(design, frames, rate=None, count=n_frames)
+        designs.append(design)
+    fast, reference = designs
+    core = fast.mesh.core
+    ahead = 0
+    for _ in range(cycles):
+        fast.sim.run(1)
+        reference.sim.run(1)
+        counts = forwarding_counts(fast.mesh)
+        assert counts == forwarding_counts(reference.mesh), fast.sim.cycle
+        ahead += sum(core._fwd_out) != counts[1]
+    assert core.check_invariants(fast.sim.cycle) == []
+    return ahead
+
+
+def _scaled_echo(**keywords):
+    from repro.designs import ScaledEchoDesign
+    return lambda profile: ScaledEchoDesign(profile=profile, **keywords)
+
+
+# perflab's 32x32 placement at 8x8: replicas in the two far-east
+# columns, so every request crosses the whole mesh and back.
+_FAR_EAST = _scaled_echo(n_apps=16, width=8, height=8,
+                         app_coords=[(x, y) for x in (6, 7)
+                                     for y in range(8)])
+
+
+class TestForwardingCountsEveryCycle:
+    """A grant credits its whole message to the output at once; what
+    every reader returns is still the count of flits moved, at every
+    cycle, mid-message included."""
+
+    @pytest.mark.parametrize("build, payload_bytes, n_frames, cycles", [
+        (_scaled_echo(), 1458, 8, 700),
+        (_scaled_echo(), 64, 24, 500),
+        (_scaled_echo(), 700, 12, 600),
+        (_FAR_EAST, 1458, 6, 700),
+    ], ids=["7x4_mtu", "7x4_64b", "7x4_700b", "8x8_far_east_mtu"])
+    def test_flat_matches_object_mesh(self, build, payload_bytes, n_frames,
+                                      cycles):
+        assert forwarding_in_lockstep(build, payload_bytes, n_frames,
+                                      cycles)
+
+
+def _row_until(stop):
+    """A 3x1 row streaming one 6-flit message from (0, 0) to (2, 0),
+    stepped until ``stop(core)``.  Output ofids: (0,0).east 1,
+    (1,0).east 6, (2,0).local 10; input fids: (0,0).local 0,
+    (1,0).west 7."""
+    reset_id_counters()
+    sim = CycleSimulator()
+    mesh = FlatMesh(3, 1)
+    ports = {c: mesh.attach(c) for c in [(0, 0), (2, 0)]}
+    mesh.register(sim)
+    ports[(0, 0)].send(_message((0, 0), (2, 0), 6))
+    core = mesh.core
+    while not stop(core):
+        sim.run(1)
+    assert core.check_invariants(sim.cycle) == []
+    return sim, core, ports[(0, 0)]
+
+
+class TestCreditChecks:
+    """``check_invariants`` finds every lock's next flit the way the
+    forwarding readers do, and reports a search that fails."""
+
+    def test_a_drained_local_input_is_read_through_its_port(self):
+        sim, core, port = _row_until(lambda core: core._grant[1] >= 0)
+        before = core.forwarded(1), core.total_flits_forwarded
+        # The flit a mid-step reader may find still queued at the port.
+        port._pending_flits.appendleft(core._rings[0].popleft())
+        core._ring_total -= 1
+        assert not core._rings[0]
+        assert (core.forwarded(1), core.total_flits_forwarded) == before
+        assert core.check_invariants(sim.cycle) == []
+
+    def test_a_search_that_reaches_an_unlocked_output(self):
+        # The tail has left (0,0).east but not (1,0).east.
+        sim, core, _port = _row_until(
+            lambda core: core._grant[1] < 0 <= core._grant[6])
+        flits = list(core._rings[7])
+        core._rings[7].clear()
+        # Bait: a search that followed the free output's -1 would find
+        # these and report nothing.
+        core._rings[-1] = deque(flits)
+        problems = core.check_invariants(sim.cycle)
+        assert ("locked output 6: input 7 ran dry and output 1 feeding "
+                "it is unlocked") in problems
+        with pytest.raises(LookupError):
+            core.forwarded(6)
+
+    def test_a_search_that_finds_no_flit(self):
+        sim, core, port = _row_until(lambda core: core._grant[1] >= 0)
+        core._rings[0].clear()
+        port._pending_flits.clear()
+        problems = core.check_invariants(sim.cycle)
+        assert ("locked output 1: input 0 and its injection queue hold "
+                "none of the message") in problems
+
+    def test_a_head_where_the_next_flit_should_be(self):
+        sim, core, _port = _row_until(
+            lambda core: core._grant[6] >= 0 and core._rings[7])
+        core._rings[7][0] |= HANDLE_HEAD
+        problems = core.check_invariants(sim.cycle)
+        assert any(p.startswith("locked output 6: ") and "head=True" in p
+                   for p in problems)
+
+
 def _walks(size, attach, script, cycles):
     """Step a flat mesh a cycle at a time: the active-output list
     before and after each step, checked sorted and consistent with the
@@ -692,9 +826,9 @@ def _walks(size, attach, script, cycles):
 
 
 class TestActiveListInPlace:
-    """The active-output list is kept sorted in place: an activation
-    is inserted, a lone retirement removed, and only a walk that
-    retires two outputs rebuilds the list."""
+    """The active-output list is kept sorted in place and never
+    rebuilt: an activation is inserted, and every output a walk retires
+    is removed after the walk, in walk order."""
 
     def test_one_output_retires(self):
         def send(ports):

@@ -22,6 +22,7 @@ from repro.packet import (
     MacAddress,
     build_ipv4_udp_frame,
 )
+from tests.test_flatmesh import forwarding_in_lockstep
 
 CLIENT_IP = IPv4Address("10.0.0.1")
 CLIENT_MAC = MacAddress("02:00:00:00:00:01")
@@ -198,6 +199,26 @@ class TestStuckGrantWindow:
         design, sink = run_echo(plan)
         assert [c for _, c in sink.frames] == \
             [c for _, c in clean_sink.frames]
+
+
+class TestForwardingCountsInWindows:
+    """A grant credits its whole message to the output at once; stuck
+    and deflected wormholes are where that credit could be misread.
+    The stuck window opens mid-message on the first request's path, so
+    the inputs downstream of it run dry under their locks and every
+    reader has to find the message's next flit upstream."""
+
+    @pytest.mark.parametrize("plan", [
+        lambda: FaultPlan().stuck_grant((0, 0), "east", at=20,
+                                        duration=100),
+        lambda: FaultPlan().misroute((1, 0), at=100, duration=300),
+    ], ids=["stuck_grant", "misroute"])
+    def test_counts_match_the_object_mesh_every_cycle(self, plan):
+        def build(profile):
+            return UdpEchoDesign(udp_port=7, fault_plan=plan(),
+                                 profile=profile)
+
+        assert forwarding_in_lockstep(build, 1458, 10, 900)
 
 
 class TestBackendBitIdentity:
