@@ -81,7 +81,7 @@ def run_scalability():
                 + app_tiles * tile_cost("echo_app").luts)
         rows.append((app_tiles, total, fmax, luts,
                      100 * luts / params.U200_TOTAL_LUTS))
-    return rows, max_placeable_tiles(250.0)
+    return rows, max_placeable_tiles()
 
 
 def bench_sec7i_scalability(benchmark, report):

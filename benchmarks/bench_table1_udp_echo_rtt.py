@@ -21,7 +21,7 @@ SAMPLES = 100_000
 def run_table1():
     results = {}
     for name, model in table1_configs().items():
-        results[name] = model.run(n=SAMPLES)
+        results[name] = model.run()
     return results
 
 

@@ -60,8 +60,11 @@ def main():
     print(f"client echoed 3 RPCs ({len(peer.received)} bytes) despite "
           f"the loss; client retransmits: {peer.retransmits}")
 
-    print("\nTCP RX log (cycle-timestamped, read back from the log "
-          "tile):")
+    # This design's log tiles have no readback port, so the entries are
+    # read from the tile in process (logged_udp_echo shows the section
+    # V-F network readback).
+    print("\nTCP RX log (cycle-timestamped, the log tile's entries read "
+          "in process):")
     for entry in design.log_rx.entries:
         print(f"  cycle {entry.cycle:>7} {entry.direction} "
               f"{entry.summary:<18} seq={entry.seq} ack={entry.ack} "

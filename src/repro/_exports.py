@@ -12,10 +12,9 @@ from collections.abc import Callable
 from importlib import import_module
 
 
-def lazy_exports(
-    package: str, table: dict[str, str],
-) -> tuple[Callable[[str], object], Callable[[], list[str]]]:
-    """The module-level ``(__getattr__, __dir__)`` pair for ``package``."""
+def lazy_exports(package: str,
+                 table: dict[str, str]) -> Callable[[str], object]:
+    """The module-level ``__getattr__`` for ``package``."""
 
     def __getattr__(name: str) -> object:
         if name not in table:
@@ -25,7 +24,4 @@ def lazy_exports(
         setattr(sys.modules[package], name, value)
         return value
 
-    def __dir__() -> list[str]:
-        return sorted({*vars(sys.modules[package]), *table})
-
-    return __getattr__, __dir__
+    return __getattr__

@@ -87,7 +87,7 @@ _EXPORTS = {
     "analyze_dynamic": "sanitize",
     "lint_spec": "structural",
 }
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "CODES",

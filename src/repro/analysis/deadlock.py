@@ -27,19 +27,15 @@ points:
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 from repro.analysis.findings import Finding
 from repro.analysis.model import DesignModel, extract
-from repro.noc.routing import Port, route_path, xy_route
+from repro.noc.routing import Port, route_path
 
 Coord = tuple
 Resource = tuple  # ((x, y), Port)
 #: held -> wanted -> names of the chains that wait that way; insertion
 #: ordered, and every resource is a key (one nothing waits on maps to {}).
 Graph = dict[Resource, dict[Resource, set[str]]]
-#: (here, dst) -> next output port.
-RouteFn = Callable[[tuple[int, int], tuple[int, int]], Port]
 
 # Hard cap on derived-path enumeration; beyond this the pass reports
 # BHV204 and analyzes the paths found so far.
@@ -63,8 +59,7 @@ class DeadlockError(RuntimeError):
 
 
 def chain_link_sequence(chain: list[str],
-                        coords: dict[str, Coord],
-                        route_fn: RouteFn = xy_route) -> list[Resource]:
+                        coords: dict[str, Coord]) -> list[Resource]:
     """The ordered list of NoC links a chain can hold simultaneously.
 
     Each tile-to-tile hop contributes its full route, including the
@@ -80,7 +75,7 @@ def chain_link_sequence(chain: list[str],
             raise ValueError(
                 f"chain hop {src_name}->{dst_name} stays on one tile"
             )
-        links.extend(route_path(src, dst, route_fn))
+        links.extend(route_path(src, dst))
     return links
 
 
@@ -90,12 +85,12 @@ def _add_edge(graph: Graph, held: Resource, wanted: Resource,
     graph.setdefault(wanted, {})
 
 
-def _add_chain(graph: Graph, chain: list[str], coords: dict[str, Coord],
-               route_fn: RouteFn) -> None:
+def _add_chain(graph: Graph, chain: list[str],
+               coords: dict[str, Coord]) -> None:
     """Add one chain's dependency edges; raises before touching
     ``graph`` if the chain names an unknown tile or stays on one."""
     name = "->".join(chain)
-    sequence = chain_link_sequence(chain, coords, route_fn)
+    sequence = chain_link_sequence(chain, coords)
     for held, wanted in zip(sequence, sequence[1:]):
         if held != wanted:
             _add_edge(graph, held, wanted, name)
@@ -108,8 +103,7 @@ def _add_chain(graph: Graph, chain: list[str], coords: dict[str, Coord],
 
 
 def build_dependency_graph(chains: list[list[str]],
-                           coords: dict[str, Coord],
-                           route_fn: RouteFn = xy_route) -> Graph:
+                           coords: dict[str, Coord]) -> Graph:
     """Union of every chain's consecutive-resource dependency edges.
 
     A dict of dicts: ``graph[held][wanted]`` is the set of chain names
@@ -118,7 +112,7 @@ def build_dependency_graph(chains: list[list[str]],
     """
     graph: Graph = {}
     for chain in chains:
-        _add_chain(graph, chain, coords, route_fn)
+        _add_chain(graph, chain, coords)
     return graph
 
 
@@ -203,19 +197,17 @@ def chains_through(graph: Graph, cycle: list[Resource]) -> list[str]:
 
 
 def analyze_chains(chains: list[list[str]],
-                   coords: dict[str, Coord],
-                   route_fn: RouteFn = xy_route) -> list | None:
+                   coords: dict[str, Coord]) -> list | None:
     """Returns a witness resource cycle, or None if deadlock-free."""
-    graph = build_dependency_graph(chains, coords, route_fn)
+    graph = build_dependency_graph(chains, coords)
     cycles = witness_cycles(graph)
     return cycles[0] if cycles else None
 
 
 def assert_deadlock_free(chains: list[list[str]],
-                         coords: dict[str, Coord],
-                         route_fn: RouteFn = xy_route) -> None:
+                         coords: dict[str, Coord]) -> None:
     """Raise :class:`DeadlockError` if the chains admit a cycle."""
-    graph = build_dependency_graph(chains, coords, route_fn)
+    graph = build_dependency_graph(chains, coords)
     cycles = witness_cycles(graph)
     if not cycles:
         return
@@ -375,12 +367,11 @@ def run(design: object) -> list[Finding]:
             all_chains.append(chain)
 
     graph: Graph = {}
-    route_fn = model.route_fn
     for chain in all_chains:
         if _drains_at_boundary(chain, model):
             continue  # cannot sustain a wait; see _drains_at_boundary
         try:
-            _add_chain(graph, chain, model.coords, route_fn)
+            _add_chain(graph, chain, model.coords)
         except KeyError as error:
             findings.append(Finding(
                 "BHV121", str(error), location=" -> ".join(chain)))

@@ -124,10 +124,6 @@ class Finding:
         if self.severity not in _SEVERITY_RANK:
             raise ValueError(f"bad severity {self.severity!r}")
 
-    @property
-    def is_error(self) -> bool:
-        return self.severity == ERROR
-
     def to_dict(self) -> dict:
         out = {
             "code": self.code,

@@ -10,11 +10,9 @@ and :class:`repro.config.generate.GeneratedDesign` qualify.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 
 from repro.noc.mesh import LocalPort, Mesh
 from repro.noc.router import Router
-from repro.noc.routing import xy_route, yx_route
 from repro.sim.kernel import CycleSimulator, StagedFifo
 
 Coord = tuple
@@ -54,14 +52,6 @@ class DesignModel:
             coord = getattr(tile, "coord", None)
             if coord is not None:
                 self.tiles_at.setdefault(coord, []).append(tile_name)
-
-    # -- routing -----------------------------------------------------------
-
-    @property
-    def route_fn(self) -> Callable[[tuple[int, int], tuple[int, int]],
-                                   object]:
-        routing = getattr(self.mesh, "routing", "xy")
-        return {"xy": xy_route, "yx": yx_route}.get(routing, xy_route)
 
     # -- next-hop extraction -----------------------------------------------
 
@@ -133,15 +123,6 @@ class DesignModel:
         if not callable(hook):
             return []
         return list(hook())
-
-    def substep_parents(self) -> dict[int, object]:
-        """Map ``id(substep) -> parent`` over all registered
-        components."""
-        parents: dict[int, object] = {}
-        for component in self.components():
-            for sub in self.substeps(component):
-                parents[id(sub)] = component
-        return parents
 
     def consumed_fifos(
             self, component: object) -> list[StagedFifo]:

@@ -205,7 +205,7 @@ def _registration_findings(model: DesignModel) -> list[Finding]:
     # unless it is *also* in the simulator directly, in which case it
     # steps twice per cycle.  The same applies when two parents both
     # claim a substep (e.g. a tile adopted by two flat tile cores):
-    # ``substep_parents`` dedupes on id, so count occurrences here.
+    # count every claim, since a map by id would keep only the last.
     sub_claims: dict[int, dict[int, object]] = {}
     sub_by_id: dict[int, object] = {}
     for component in model.components():

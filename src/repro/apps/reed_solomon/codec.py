@@ -95,6 +95,3 @@ class ReedSolomonCodec:
             out.append(acc.tobytes())
         return out
 
-    def verify(self, data_blocks: list[bytes],
-               parity_blocks: list[bytes]) -> bool:
-        return self.encode(data_blocks) == list(parity_blocks)

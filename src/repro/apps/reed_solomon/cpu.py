@@ -28,15 +28,7 @@ class CpuRsResult:
 class CpuReedSolomonBaseline:
     """Models N copies of the BackBlaze encoder pinned to N cores."""
 
-    def __init__(self,
-                 core_gbps: float = params.RS_CPU_CORE_GBPS,
-                 request_bytes: int = params.RS_REQUEST_BYTES,
-                 idle_w: float = params.RS_CPU_IDLE_W,
-                 core_w: float = params.RS_CPU_CORE_W):
-        self.core_gbps = core_gbps
-        self.request_bytes = request_bytes
-        self.idle_w = idle_w
-        self.core_w = core_w
+    def __init__(self):
         self.codec = ReedSolomonCodec(params.RS_DATA_SHARDS,
                                       params.RS_PARITY_SHARDS)
 
@@ -48,9 +40,9 @@ class CpuReedSolomonBaseline:
         """Steady-state goodput and energy for N busy encoder cores."""
         if instances < 1:
             raise ValueError("need at least one instance")
-        goodput = self.core_gbps * instances
-        ops = goodput * 1e9 / 8 / self.request_bytes
-        power = self.idle_w + self.core_w * instances
+        goodput = params.RS_CPU_CORE_GBPS * instances
+        ops = goodput * 1e9 / 8 / params.RS_REQUEST_BYTES
+        power = params.RS_CPU_IDLE_W + params.RS_CPU_CORE_W * instances
         return CpuRsResult(
             instances=instances,
             goodput_gbps=goodput,

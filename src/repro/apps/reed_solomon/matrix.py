@@ -51,9 +51,6 @@ class GFMatrix:
     def augment(self, other: GFMatrix) -> GFMatrix:
         return GFMatrix(np.concatenate([self.data, other.data], axis=1))
 
-    def submatrix(self, rows, cols) -> GFMatrix:
-        return GFMatrix(self.data[np.ix_(rows, cols)])
-
     def select_rows(self, rows) -> GFMatrix:
         return GFMatrix(self.data[list(rows)])
 
@@ -81,9 +78,3 @@ class GFMatrix:
                                     work[col])
         return GFMatrix(work[:, n:])
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GFMatrix) and \
-            np.array_equal(self.data, other.data)
-
-    def __repr__(self) -> str:
-        return f"GFMatrix({self.data.tolist()})"

@@ -32,7 +32,6 @@ class RsEncoderTile(Tile):
                  data_shards: int = params.RS_DATA_SHARDS,
                  parity_shards: int = params.RS_PARITY_SHARDS,
                  gbps: float = params.RS_TILE_GBPS,
-                 codec: ReedSolomonCodec | None = None,
                  **kwargs):
         bytes_per_cycle = gbps * 1e9 / 8 / params.CLOCK_HZ
         kwargs.setdefault(
@@ -40,8 +39,7 @@ class RsEncoderTile(Tile):
             math.ceil(params.RS_REQUEST_BYTES / bytes_per_cycle),
         )
         super().__init__(name, mesh, coord, **kwargs)
-        self.codec = codec or ReedSolomonCodec(data_shards,
-                                               parity_shards)
+        self.codec = ReedSolomonCodec(data_shards, parity_shards)
         self.next_hop = NextHopTable(name=f"{name}.nexthop")
         self.requests = 0
         self.bad_requests = 0
@@ -72,15 +70,3 @@ class RsEncoderTile(Tile):
         return [self.make_message(dest, metadata=reply_meta,
                                   data=parity)]
 
-    def logged_goodput_gbps(self) -> float:
-        """Consumed-data bandwidth from the metadata log (the paper's
-        per-tile bandwidth accounting)."""
-        if len(self.metadata_log) < 2:
-            return 0.0
-        first_cycle, _ = self.metadata_log[0]
-        last_cycle, _ = self.metadata_log[-1]
-        if last_cycle == first_cycle:
-            return 0.0
-        total = sum(size for _, size in self.metadata_log[1:])
-        return total * 8 / ((last_cycle - first_cycle)
-                            * params.CYCLE_TIME_S) / 1e9

@@ -34,9 +34,6 @@ class KvStore:
     def snapshot(self) -> dict[bytes, bytes]:
         return dict(self._data)
 
-    def __len__(self) -> int:
-        return len(self._data)
-
 
 @dataclass(frozen=True)
 class KvOp:
@@ -48,21 +45,15 @@ class KvOp:
 class KvWorkload:
     """Uniform-key, read-mostly operation generator."""
 
-    def __init__(self, rng: random.Random,
-                 n_keys: int = 10_000,
-                 key_bytes: int = params.VR_KEY_BYTES,
-                 value_bytes: int = params.VR_VALUE_BYTES,
-                 read_fraction: float = params.VR_READ_FRACTION,
-                 shards: int = 1):
+    #: Distinct keys the workload draws from, uniformly.
+    n_keys = 10_000
+
+    def __init__(self, rng: random.Random, shards: int = 1):
         self.rng = rng
-        self.n_keys = n_keys
-        self.key_bytes = key_bytes
-        self.value_bytes = value_bytes
-        self.read_fraction = read_fraction
         self.shards = shards
 
     def _key(self, index: int) -> bytes:
-        return str(index).encode().rjust(self.key_bytes, b"k")
+        return str(index).encode().rjust(params.VR_KEY_BYTES, b"k")
 
     def shard_of(self, key: bytes) -> int:
         return int(key[-8:].strip(b"k") or b"0") % self.shards
@@ -72,7 +63,7 @@ class KvWorkload:
         index = self.rng.randrange(self.n_keys)
         key = self._key(index)
         shard = self.shard_of(key)
-        if self.rng.random() < self.read_fraction:
+        if self.rng.random() < params.VR_READ_FRACTION:
             return shard, KvOp(kind="get", key=key)
-        value = self.rng.randbytes(self.value_bytes)
+        value = self.rng.randbytes(params.VR_VALUE_BYTES)
         return shard, KvOp(kind="put", key=key, value=value)

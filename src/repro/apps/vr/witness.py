@@ -61,6 +61,3 @@ class WitnessState:
         self.rejected += 1
         return WitnessDecision.GAP
 
-    @property
-    def prepare_ok(self) -> set:
-        return {WitnessDecision.ACCEPT, WitnessDecision.DUPLICATE}

@@ -33,13 +33,14 @@ SERVER_IP = IPv4Address("10.0.0.12")
 class CrossbarEndpoint:
     """A processing element attached to the crossbar."""
 
-    def __init__(self, name: str, handler,
-                 occupancy: int = params.TILE_MSG_OCCUPANCY_CYCLES,
-                 parse_latency: int = 29):
+    #: Cycles an element holds its engine per packet, and cycles from
+    #: pickup to emergence.
+    occupancy = params.TILE_MSG_OCCUPANCY_CYCLES
+    parse_latency = 29
+
+    def __init__(self, name: str, handler):
         self.name = name
         self.handler = handler
-        self.occupancy = occupancy
-        self.parse_latency = parse_latency
         self.crossbar: "Crossbar | None" = None
         self._queue: list = []
         # CALM's fused-path elements are deeply pipelined: each packet
@@ -82,11 +83,13 @@ class Crossbar:
     TCP semantics are hard to host on it).
     """
 
-    def __init__(self, sim: CycleSimulator, buffer_packets: int = 64,
-                 hop_cycles: int = 2):
+    #: Packets the scheduler buffers before it drops, and cycles a
+    #: transfer takes through it.
+    buffer_packets = 64
+    hop_cycles = 2
+
+    def __init__(self, sim: CycleSimulator):
         self.sim = sim
-        self.buffer_packets = buffer_packets
-        self.hop_cycles = hop_cycles
         self.endpoints: dict[str, CrossbarEndpoint] = {}
         self._in_flight: list[tuple[int, str, object]] = []
         self.scheduler_drops = 0
@@ -126,12 +129,10 @@ class Crossbar:
 class CalmUdpEcho:
     """The CALM UDP echo server: rx-path, app, tx-path endpoints."""
 
-    def __init__(self, udp_port: int = 7,
-                 line_rate_bytes_per_cycle: float | None = None):
+    def __init__(self, udp_port: int = 7):
         self.udp_port = udp_port
         self.sim = CycleSimulator()
         self.crossbar = Crossbar(self.sim)
-        self.line_rate = line_rate_bytes_per_cycle
         self.neighbor_macs: dict[IPv4Address, MacAddress] = {}
         self.frames_echoed = 0
         self.payload_bytes = 0
@@ -139,7 +140,6 @@ class CalmUdpEcho:
         self.last_cycle: int | None = None
         self.last_transit_cycles: int | None = None
         self.drops = 0
-        self._line_free = 0
 
         self.rx_path = self.crossbar.attach(
             CrossbarEndpoint("rx_path", self._rx_path))
@@ -210,10 +210,6 @@ class CalmUdpEcho:
                              ethertype=ETHERTYPE_IPV4)
         frame = eth.pack() + reply_ip.pack() + udp_bytes + payload
         emit = cycle
-        if self.line_rate is not None:
-            wire = len(frame) + params.ETHERNET_OVERHEAD_BYTES
-            emit = max(cycle, self._line_free)
-            self._line_free = emit + math.ceil(wire / self.line_rate)
         self.frames_echoed += 1
         self.payload_bytes += len(payload)
         if self.first_cycle is None:

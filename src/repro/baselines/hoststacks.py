@@ -40,8 +40,9 @@ class RttModel:
     def sample(self, rng: random.Random) -> float:
         return sum(component(rng) for component in self.components)
 
-    def run(self, n: int = 100_000, seed: int = 0xEC50) -> RttStats:
-        rng = SeededStreams(seed).stream(self.name)
+    def run(self) -> RttStats:
+        n = 100_000
+        rng = SeededStreams(0xEC50).stream(self.name)
         samples = sorted(self.sample(rng) for _ in range(n))
         return RttStats(
             median_us=samples[n // 2] * 1e6,

@@ -35,15 +35,14 @@ class _Stage:
     ``parse_latency`` cycles after pickup.
     """
 
-    def __init__(self, name: str, transform,
-                 occupancy: int = params.PIPELINED_MSG_OCCUPANCY_CYCLES,
-                 parse_latency: int = params.TILE_PARSE_LATENCY_CYCLES,
-                 queue_packets: int = 4):
+    occupancy = params.PIPELINED_MSG_OCCUPANCY_CYCLES
+    parse_latency = params.TILE_PARSE_LATENCY_CYCLES
+    #: Packets a stage queues before its upstream stalls.
+    queue_packets = 4
+
+    def __init__(self, name: str, transform):
         self.name = name
         self.transform = transform
-        self.occupancy = occupancy
-        self.parse_latency = parse_latency
-        self.queue_packets = queue_packets
         self.downstream: "_Stage | None" = None
         self._queue: list[tuple[int, object]] = []
         self._in_service = None
@@ -90,11 +89,9 @@ class _Stage:
 class PipelinedUdpEchoDesign:
     """Ethernet/IP/UDP echo with directly-wired engines (Fig 8b)."""
 
-    def __init__(self, udp_port: int = 7,
-                 line_rate_bytes_per_cycle: float | None = None):
+    def __init__(self, udp_port: int = 7):
         self.udp_port = udp_port
         self.sim = CycleSimulator()
-        self.line_rate = line_rate_bytes_per_cycle
         self.frames_echoed = 0
         self.payload_bytes = 0
         self.first_cycle: int | None = None
@@ -102,7 +99,6 @@ class PipelinedUdpEchoDesign:
         self.last_transit_cycles: int | None = None
         self.neighbor_macs: dict[IPv4Address, MacAddress] = {}
         self.drops = 0
-        self._line_free = 0
 
         self.stages = [
             _Stage("eth_rx", self._eth_rx),
@@ -209,10 +205,6 @@ class PipelinedUdpEchoDesign:
                              ethertype=ETHERTYPE_IPV4)
         frame = eth.pack() + data
         emit = cycle
-        if self.line_rate is not None:
-            wire = len(frame) + params.ETHERNET_OVERHEAD_BYTES
-            emit = max(cycle, self._line_free)
-            self._line_free = emit + math.ceil(wire / self.line_rate)
         self.frames_echoed += 1
         try:
             self.payload_bytes += len(parse_frame(frame).payload)

@@ -58,7 +58,7 @@ _EXPORTS = {
     "instantiation_loc": "loc",
     "register_tile_type": "registry",
 }
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ChainSpec",

@@ -53,7 +53,7 @@ class GeneratedDesign(Design):
             (dest.parsed_key() for tile in spec.tiles
              if tile.type == "udp_rx" for dest in tile.dests
              if dest.key.startswith("port:")), None)
-        self._mac_tx = [tiles[tile.name] for tile in spec.tiles
+        self.mac_tx = [tiles[tile.name] for tile in spec.tiles
                         if tile.type == "eth_tx" and not tile.dests]
         self.register(tiles, [chain.tiles for chain in spec.chains],
                       fault_plan)
@@ -74,7 +74,7 @@ class GeneratedDesign(Design):
 
     def add_client(self, ip: IPv4Address, mac: MacAddress) -> None:
         """Teach the TX path a client's MAC (static neighbour table)."""
-        for eth_tx in self._mac_tx:
+        for eth_tx in self.mac_tx:
             eth_tx.add_neighbor(ip, mac)
 
     def inject(self, frame: bytes, cycle: int) -> None:

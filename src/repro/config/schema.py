@@ -67,9 +67,6 @@ class DesignSpec:
                 return tile
         raise KeyError(f"no tile named {name!r} in design {self.name!r}")
 
-    def tile_names(self) -> list[str]:
-        return [tile.name for tile in self.tiles]
-
     def coords(self) -> dict[str, tuple[int, int]]:
         return {tile.name: tile.coord for tile in self.tiles}
 

@@ -44,15 +44,13 @@ def _design_from_root(root: ET.Element) -> DesignSpec:
 
 
 def _tile_from_xml(element: ET.Element) -> TileSpec:
-    def text_of(tag: str, default=None) -> str:
+    def text_of(tag: str) -> str:
         child = element.find(tag)
         if child is None or child.text is None:
-            if default is None:
-                raise ValueError(
-                    f"tile element missing <{tag}>: "
-                    f"{ET.tostring(element, encoding='unicode')[:120]}"
-                )
-            return default
+            raise ValueError(
+                f"tile element missing <{tag}>: "
+                f"{ET.tostring(element, encoding='unicode')[:120]}"
+            )
         return child.text.strip()
 
     tile = TileSpec(

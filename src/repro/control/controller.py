@@ -28,14 +28,14 @@ from repro.tiles.base import NextHopTable, PacketMeta, Tile
 
 
 def encode_control_rpc(target: tuple[int, int], table: str, key, value,
-                       tag=None, op: str = "update") -> bytes:
+                       tag=None) -> bytes:
     """Serialise an external controller command (wire format: JSON).
 
     ``op`` is ``"update"`` (rewrite a table entry) or
     ``"read_counter"`` (telemetry: ``key`` names the counter).
     """
     return json.dumps({
-        "op": op,
+        "op": "update",
         "target": list(target),
         "table": table,
         "key": str(key),
@@ -48,14 +48,6 @@ def decode_control_rpc(payload: bytes) -> dict:
     command = json.loads(payload.decode())
     command["target"] = tuple(command["target"])
     return command
-
-
-def encode_control_response(ok: bool, tag, detail: str = "") -> bytes:
-    return json.dumps({"ok": ok, "tag": tag, "detail": detail}).encode()
-
-
-def decode_control_response(payload: bytes) -> dict:
-    return json.loads(payload.decode())
 
 
 class InternalControllerTile(Tile):

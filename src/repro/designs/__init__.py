@@ -57,7 +57,7 @@ _EXPORTS = {
     "VrWitnessDesign": "vr_design",
     "VxlanEchoDesign": "vxlan_stack",
 }
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
 #: shipped design name -> (its class, the keywords that differ from
 #: the class's defaults): the one table of what "a shipped design" is.

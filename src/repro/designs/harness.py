@@ -38,43 +38,26 @@ class FrameSource(Wakeable):
     250 MHz; ``None`` saturates (injects a new frame the moment the
     ingress can conceptually accept one, modelling the paper's
     in-simulation 128 Gbps mode).  Injection pacing includes per-frame
-    Ethernet wire overhead, like a real generator.
-
-    ``overrun`` decides what happens when the NIC's admission backlog
-    is full at an injection instant: ``"block"`` (default, the
-    closed-loop behaviour) polls until the backlog drains, stretching
-    the effective rate; ``"drop"`` keeps the offered clock honest —
-    the frame is *counted* in ``offered_dropped``/``drop_reasons`` and
-    discarded, never buffered, so memory stays flat however far
-    arrivals outrun admission.
+    Ethernet wire overhead, like a real generator.  The source is closed
+    loop: every frame it offers is pushed, so ``offered_dropped`` stays
+    0 (an open-loop admission boundary that counts overruns is
+    :class:`repro.loadgen.source.OpenLoopSource`).
 
     Pacing is timer-driven: ``step`` returns the next injection cycle.
-    Only a backlog-blocked source polls (the backlog callable is
-    opaque, so no wake exists).
     """
 
     def __init__(self, push: Callable[[bytes, int], None],
                  frame_factory: Callable[[int], bytes],
                  rate: float | None = 50.0,
-                 count: int | None = None,
-                 backlog: Callable[[], int] | None = None,
-                 max_backlog: int = 8,
-                 overrun: str = "block"):
-        if overrun not in ("block", "drop"):
-            raise ValueError(
-                f"overrun must be 'block' or 'drop', not {overrun!r}")
+                 count: int | None = None):
         self.push = push
         self.frame_factory = frame_factory
         self.rate = rate
         self.count = count
-        self.backlog = backlog
-        self.max_backlog = max_backlog
-        self.overrun = overrun
         self.sent = 0
         self.bytes_sent = 0
         self.offered = 0
         self.offered_dropped = 0
-        self.drop_reasons: dict[str, int] = {}
         self._next_free = 0
 
     @property
@@ -86,10 +69,6 @@ class FrameSource(Wakeable):
             return NEVER
         if cycle < self._next_free:
             return self._next_free
-        blocked = (self.backlog is not None
-                   and self.backlog() >= self.max_backlog)
-        if blocked and self.overrun == "block":
-            return None     # polled until the backlog drains
         frame = self.frame_factory(self.offered)
         wire_bytes = len(frame) + params.ETHERNET_OVERHEAD_BYTES
         if self.rate is not None:
@@ -99,30 +78,22 @@ class FrameSource(Wakeable):
             arrival = cycle + 1
             self._next_free = cycle + 1
         self.offered += 1
-        if blocked:
-            # Open-loop admission boundary: the arrival happened, the
-            # NIC had no room, the frame is lost — count it, never
-            # queue it.
-            self.offered_dropped += 1
-            reason = "offered: admission overrun"
-            self.drop_reasons[reason] = \
-                self.drop_reasons.get(reason, 0) + 1
-        else:
-            self.push(frame, arrival)
-            self.sent += 1
-            self.bytes_sent += len(frame)
+        self.push(frame, arrival)
+        self.sent += 1
+        self.bytes_sent += len(frame)
         return NEVER if self.done else self._next_free
 
 
 class FrameSink(Wakeable):
-    """Drains an Ethernet TX tile's MAC output (a clocked component).
+    """Drains the MAC output of one or more Ethernet TX tiles (a clocked
+    component).
 
     It sleeps between frames: every recorded value derives from a
     frame's emit cycle, so draining on the emit cycle (the cycle
-    ``step`` returns) or on a wake from the TX tile loses nothing.
+    ``step`` returns) or on a wake from a TX tile loses nothing.
     """
 
-    def __init__(self, eth_tx, keep_frames: bool = True):
+    def __init__(self, *eth_tx, keep_frames: bool = True):
         self.eth_tx = eth_tx
         self.keep_frames = keep_frames
         self.frames: list[tuple[bytes, int]] = []
@@ -132,31 +103,37 @@ class FrameSink(Wakeable):
         self.malformed = 0
         self.first_cycle: int | None = None
         self.last_cycle: int | None = None
-        listeners = getattr(eth_tx, "frame_listeners", None)
-        if listeners is not None:
-            listeners.append(self._wake)
+        for tile in eth_tx:
+            listeners = getattr(tile, "frame_listeners", None)
+            if listeners is not None:
+                listeners.append(self._wake)
 
     def step(self, cycle: int) -> int:
-        while self.eth_tx.frames_out:
-            frame, emit_cycle = self.eth_tx.frames_out.popleft()
-            if emit_cycle > cycle:
-                self.eth_tx.frames_out.appendleft((frame, emit_cycle))
-                return emit_cycle
-            self.count += 1
-            self.frame_bytes += len(frame)
-            try:
-                parsed = parse_frame(frame)
-                self.payload_bytes += len(parsed.payload)
-            except ValueError:
-                # Garbage egress — the chaos invariant a healthy design
-                # must never produce, however hostile the ingress.
-                self.malformed += 1
-            if self.first_cycle is None:
-                self.first_cycle = emit_cycle
-            self.last_cycle = emit_cycle
-            if self.keep_frames:
-                self.frames.append((frame, emit_cycle))
-        return NEVER
+        due = NEVER
+        for tile in self.eth_tx:
+            frames_out = tile.frames_out
+            while frames_out:
+                frame, emit_cycle = frames_out.popleft()
+                if emit_cycle > cycle:
+                    frames_out.appendleft((frame, emit_cycle))
+                    due = min(due, emit_cycle)
+                    break
+                self.count += 1
+                self.frame_bytes += len(frame)
+                try:
+                    parsed = parse_frame(frame)
+                    self.payload_bytes += len(parsed.payload)
+                except ValueError:
+                    # Garbage egress — the chaos invariant a healthy
+                    # design must never produce, however hostile the
+                    # ingress.
+                    self.malformed += 1
+                if self.first_cycle is None:
+                    self.first_cycle = emit_cycle
+                self.last_cycle = emit_cycle
+                if self.keep_frames:
+                    self.frames.append((frame, emit_cycle))
+        return due
 
 
 def client_frame(design, payload: bytes, src_port: int = 5555,
@@ -177,7 +154,7 @@ def attach_client(design, traffic: bytes | Sequence[bytes],
                   ) -> tuple[FrameSource, FrameSink]:
     """Put the client on ``design``: teach the TX path its MAC, add a
     source injecting ``traffic`` at ``rate`` (``count`` frames, or
-    without end) and a sink draining ``design.eth_tx``.
+    without end) and one sink draining every MAC-facing TX tile.
 
     ``traffic`` is one UDP payload, sent as :func:`client_frame` builds
     it, or a sequence of ready frames, sent round-robin.
@@ -188,7 +165,7 @@ def attach_client(design, traffic: bytes | Sequence[bytes],
     n_frames = len(frames)
     source = FrameSource(design.inject, lambda i: frames[i % n_frames],
                          rate=rate, count=count)
-    sink = FrameSink(design.eth_tx, keep_frames=keep_frames)
+    sink = FrameSink(*design.mac_tx, keep_frames=keep_frames)
     design.sim.add(source)
     design.sim.add(sink)
     return source, sink

@@ -61,5 +61,3 @@ class MultiStackDesign(ShippedDesign):
     def inject(self, frame: bytes, cycle: int) -> None:
         self.lb.push_frame(frame, cycle)
 
-    def total_echoed(self) -> int:
-        return sum(stack.app.requests for stack in self.stacks)

@@ -102,13 +102,5 @@ class ScaledEchoDesign(ShippedDesign):
         return len(self.apps)
 
     @property
-    def width(self) -> int:
-        return self.mesh.width
-
-    @property
-    def height(self) -> int:
-        return self.mesh.height
-
-    @property
     def total_tiles(self) -> int:
         return len(self.tiles)

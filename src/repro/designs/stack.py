@@ -24,11 +24,6 @@ class ShippedDesign(GeneratedDesign):
                  **keywords):
         super().__init__(self.spec(*args, **keywords), profile, fault_plan)
 
-    @staticmethod
-    def spec(*args, **keywords) -> DesignSpec:
-        """The spec for the constructor's keywords; subclasses say."""
-        raise NotImplementedError
-
 
 def dests(entries: dict[str, list[str]],
           policy: str = "flow_hash") -> list[DestSpec]:

@@ -87,10 +87,3 @@ class TcpServerDesign(ShippedDesign):
                 chain for other in (tcp_rx, rx_buf, tcp_tx, tx_buf)
                 for chain in ([app, other], [other, app]))])
 
-    @property
-    def flows(self):
-        return self.tcp_rx.flows
-
-    @property
-    def tcp_port(self) -> int:
-        return next(iter(self.tcp_rx.listen_ports))

@@ -70,17 +70,5 @@ class VrWitnessDesign(ShippedDesign):
             [[eth_rx, ip_rx, rx, witness, tx, ip_tx, eth_tx]
              for witness in witnesses for rx in udp_rx for tx in udp_tx])
 
-    @property
-    def witnesses(self) -> list:
-        return self.tiles_named("witness")
-
-    @property
-    def udp_rx_tiles(self) -> list:
-        return self.tiles_named("udp_rx")
-
-    @property
-    def udp_tx_tiles(self) -> list:
-        return self.tiles_named("udp_tx")
-
     def shard_port(self, shard: int) -> int:
         return VR_BASE_PORT + shard

@@ -25,14 +25,6 @@ class CpuEnergyModel:
             raise ValueError("utilisation must be >= 0")
         return self.idle_w + self.core_w * utilisation
 
-    def energy_j(self, utilisation: float, seconds: float) -> float:
-        return self.power_w(utilisation) * seconds
-
-    def mj_per_op(self, utilisation: float, ops_per_s: float) -> float:
-        if ops_per_s <= 0:
-            raise ValueError("ops_per_s must be positive")
-        return self.power_w(utilisation) / ops_per_s * 1e3
-
 
 @dataclass(frozen=True)
 class TileActivity:
@@ -46,24 +38,16 @@ class FpgaEnergyModel:
     """Board power = static + per-tile idle + utilisation-scaled
     dynamic power, mirroring what the CMS registers report."""
 
-    def __init__(self,
-                 static_w: float = params.FPGA_STATIC_W,
-                 tile_idle_w: float = params.FPGA_TILE_IDLE_W,
-                 tile_active_w: float = params.FPGA_TILE_ACTIVE_W):
-        self.static_w = static_w
-        self.tile_idle_w = tile_idle_w
-        self.tile_active_w = tile_active_w
-
     def power_w(self, tiles: list[TileActivity]) -> float:
-        power = self.static_w
+        power = params.FPGA_STATIC_W
         for tile in tiles:
             if not 0.0 <= tile.utilisation <= 1.0:
                 raise ValueError(
                     f"tile {tile.name!r} utilisation "
                     f"{tile.utilisation} outside [0, 1]"
                 )
-            power += self.tile_idle_w
-            power += self.tile_active_w * tile.utilisation
+            power += params.FPGA_TILE_IDLE_W
+            power += params.FPGA_TILE_ACTIVE_W * tile.utilisation
         return power
 
     def mj_per_op(self, tiles: list[TileActivity],
@@ -73,9 +57,3 @@ class FpgaEnergyModel:
         return self.power_w(tiles) / ops_per_s * 1e3
 
 
-def rs_cpu_model() -> CpuEnergyModel:
-    return CpuEnergyModel(params.RS_CPU_IDLE_W, params.RS_CPU_CORE_W)
-
-
-def vr_cpu_model() -> CpuEnergyModel:
-    return CpuEnergyModel(params.VR_CPU_IDLE_W, params.VR_CPU_CORE_W)

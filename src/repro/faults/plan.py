@@ -109,16 +109,9 @@ class FaultPlan:
 
     def wire(self, drop: float = 0.0, corrupt: float = 0.0,
              duplicate: float = 0.0, reorder: float = 0.0,
-             delay: float = 0.0, corrupt_bytes: int = 1,
-             dup_delay_cycles: int = 1, reorder_cycles: int = 64,
+             delay: float = 0.0,
              delay_range: tuple[int, int] = (1, 64)) -> "FaultPlan":
         """Impair frames at the ``FrameSource``/``eth`` boundary."""
-        if corrupt_bytes < 1:
-            raise ValueError("corrupt_bytes must be >= 1")
-        if dup_delay_cycles < 1:
-            raise ValueError("dup_delay_cycles must be >= 1")
-        if reorder_cycles < 1:
-            raise ValueError("reorder_cycles must be >= 1")
         lo, hi = delay_range
         if not 0 < lo <= hi:
             raise ValueError(f"bad delay_range {delay_range!r}")
@@ -128,9 +121,6 @@ class FaultPlan:
             duplicate=_check_prob("duplicate", duplicate),
             reorder=_check_prob("reorder", reorder),
             delay=_check_prob("delay", delay),
-            corrupt_bytes=int(corrupt_bytes),
-            dup_delay_cycles=int(dup_delay_cycles),
-            reorder_cycles=int(reorder_cycles),
             delay_range=(int(lo), int(hi)),
         )
         return self
@@ -281,5 +271,3 @@ class FaultPlan:
                          f"[{at_s}s, {at_s + duration_s}s)")
         return "\n".join(lines)
 
-    def __repr__(self) -> str:
-        return self.describe().replace("\n", " | ")

@@ -32,9 +32,6 @@ class ArrivalProcess:
         self.rng = rng
         self._t = 0.0
 
-    def _gap(self) -> float:
-        raise NotImplementedError
-
     def next_arrival(self) -> float:
         self._t += self._gap()
         return self._t
@@ -61,16 +58,13 @@ class BurstyArrivals(ArrivalProcess):
     """
 
     kind = "bursty"
+    #: Mean arrivals per burst, and the in-burst gap as a share of the
+    #: mean interarrival.
+    burst_len = 16
+    duty = 0.25
 
-    def __init__(self, mean_interval_cycles: float, rng,
-                 burst_len: int = 16, duty: float = 0.25):
+    def __init__(self, mean_interval_cycles: float, rng):
         super().__init__(mean_interval_cycles, rng)
-        if burst_len < 1:
-            raise ValueError(f"burst_len must be >= 1, got {burst_len}")
-        if not 0.0 < duty <= 1.0:
-            raise ValueError(f"duty must be in (0, 1], got {duty}")
-        self.burst_len = int(burst_len)
-        self.duty = float(duty)
         self._left = 0  # arrivals left in the current burst
 
     def _gap(self) -> float:
@@ -100,18 +94,9 @@ class DiurnalArrivals(ArrivalProcess):
     """
 
     kind = "diurnal"
-
-    def __init__(self, mean_interval_cycles: float, rng,
-                 period_cycles: float = 1_000_000.0,
-                 amplitude: float = 0.5):
-        super().__init__(mean_interval_cycles, rng)
-        if not 0.0 <= amplitude < 1.0:
-            raise ValueError(f"amplitude must be in [0, 1), "
-                             f"got {amplitude}")
-        if period_cycles <= 0:
-            raise ValueError("period_cycles must be > 0")
-        self.period = float(period_cycles)
-        self.amplitude = float(amplitude)
+    #: The modulation's period in cycles, and its depth.
+    period = 1_000_000.0
+    amplitude = 0.5
 
     def _gap(self) -> float:
         scale = 1.0 + self.amplitude * math.sin(
@@ -156,8 +141,8 @@ ARRIVAL_KINDS = {
 }
 
 
-def make_arrivals(kind: str, mean_interval_cycles: float, streams,
-                  **kwargs) -> ArrivalProcess:
+def make_arrivals(kind: str, mean_interval_cycles: float,
+                  streams) -> ArrivalProcess:
     """Build an arrival process drawing from its own named substream
     of ``streams`` (a :class:`~repro.sim.rng.SeededStreams`)."""
     try:
@@ -167,4 +152,4 @@ def make_arrivals(kind: str, mean_interval_cycles: float, streams,
                          f"(choose from {sorted(ARRIVAL_KINDS)})") \
             from None
     rng = streams.stream(f"loadgen.arrivals.{kind}")
-    return cls(mean_interval_cycles, rng, **kwargs)
+    return cls(mean_interval_cycles, rng)

@@ -10,8 +10,7 @@ server re-ACK out of order, the peers' triple-dup-ACK detectors fire
 fast retransmits, and the chosen algorithm's loss response shapes the
 completion time — Tahoe collapses to one MSS, Reno halves, CUBIC
 probes back with its cubic curve.  Jain fairness and retransmission
-counters come back in the result (and via
-``repro.telemetry.design_report`` on the server's flow table).
+counters come back in the result.
 """
 
 from __future__ import annotations
@@ -26,20 +25,23 @@ from repro.tcp.peer import PeerNetwork, SoftTcpPeer
 from repro.telemetry.stats import jain_index
 
 
+#: Every flow's segment size, receive window and one-way wire delay.
+MSS = 1024
+WINDOW = 60_000
+WIRE_CYCLES = 500
+
+
 def build_competing_flows(cc: str = "reno", n_flows: int = 3,
-                          loss: float = 0.01, mss: int = 1024,
+                          loss: float = 0.01,
                           stream_bytes: int = 48 * 1024,
-                          request_size: int = 1024,
                           seed: int = 0xBEE,
-                          window: int = 60_000,
-                          wire_cycles: int = 500,
                           rto_cycles: int = 10_000,
                           profile: str = "fast"):
     """Construct the design plus its N sending peers (not yet run)."""
     plan = FaultPlan(seed=seed).wire(drop=loss) if loss else None
     design = TcpServerDesign(
         tcp_port=5000, app_tile_cls=TcpSinkAppTile,
-        request_size=request_size, mss=mss,
+        request_size=MSS, mss=MSS,
         line_rate_bytes_per_cycle=None, max_flows=n_flows + 2,
         profile=profile, fault_plan=plan)
     network = PeerNetwork(design)
@@ -51,9 +53,9 @@ def build_competing_flows(cc: str = "reno", n_flows: int = 3,
         mac = MacAddress(f"02:00:00:00:01:{index + 1:02x}")
         design.add_client(ip, mac)
         peer = SoftTcpPeer(design, ip, mac, design.server_ip, 5000,
-                           src_port=42_000 + index, mss=mss,
-                           window=window, service_cycles=2,
-                           wire_cycles=wire_cycles,
+                           src_port=42_000 + index, mss=MSS,
+                           window=WINDOW, service_cycles=2,
+                           wire_cycles=WIRE_CYCLES,
                            rto_cycles=rto_cycles,
                            iss=5_000 + 313 * index,
                            congestion_control=cc)
@@ -66,7 +68,7 @@ def build_competing_flows(cc: str = "reno", n_flows: int = 3,
 
 
 def run_competing_flows(cc: str = "reno", n_flows: int = 3,
-                        loss: float = 0.01, mss: int = 1024,
+                        loss: float = 0.01,
                         stream_bytes: int = 48 * 1024,
                         seed: int = 0xBEE,
                         max_cycles: int = 3_000_000,
@@ -74,7 +76,7 @@ def run_competing_flows(cc: str = "reno", n_flows: int = 3,
     """Run N competing flows to full-stream delivery; returns the
     completion/fairness/retransmission signature."""
     design, peers = build_competing_flows(
-        cc=cc, n_flows=n_flows, loss=loss, mss=mss,
+        cc=cc, n_flows=n_flows, loss=loss,
         stream_bytes=stream_bytes, seed=seed, **kwargs)
 
     flow_done: dict[int, int] = {}

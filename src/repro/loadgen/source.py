@@ -39,25 +39,19 @@ class OpenLoopSource(Wakeable):
     ``frame_for(seq, cycle)`` builds the ``seq``-th frame (the
     injection cycle is offered so payloads can carry timestamps).
     ``arrivals`` is an :class:`repro.loadgen.arrivals.ArrivalProcess`.
-    Exactly one of ``count`` / ``horizon_cycles`` bounds the run (both
-    may be given; whichever trips first ends it).  Purely timer-driven:
+    Arrivals after ``horizon_cycles`` are not offered.  Purely timer-driven:
     the next arrival time is always known, and ``step`` returns it.
     """
 
     def __init__(self, push: Callable[[bytes, int], None],
                  frame_for: Callable[[int, int], bytes],
                  arrivals,
-                 count: int | None = None,
-                 horizon_cycles: int | None = None,
+                 horizon_cycles: int,
                  admission: Callable[[], int] | None = None,
                  max_admission: int = 64):
-        if count is None and horizon_cycles is None:
-            raise ValueError(
-                "OpenLoopSource needs count or horizon_cycles")
         self.push = push
         self.frame_for = frame_for
         self.arrivals = arrivals
-        self.count = count
         self.horizon_cycles = horizon_cycles
         self.admission = admission
         self.max_admission = max_admission
@@ -71,10 +65,7 @@ class OpenLoopSource(Wakeable):
         self._check_horizon()
 
     def _check_horizon(self) -> None:
-        if self.count is not None and self.offered >= self.count:
-            self.done = True
-        if self.horizon_cycles is not None and \
-                self._next > self.horizon_cycles:
+        if self._next > self.horizon_cycles:
             self.done = True
 
     def step(self, cycle: int) -> int:

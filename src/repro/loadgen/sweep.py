@@ -52,9 +52,7 @@ def run_point(offered_gbps: float, *, seed: int = 0xBEE,
               warmup_cycles: int = 20_000,
               zipf_keys: int = 64, zipf_skew: float = 1.0,
               max_admission: int = 64,
-              profile: str = "fast",
-              metrics: MetricsRegistry | None = None,
-              arrival_kwargs: dict | None = None) -> dict:
+              profile: str = "fast") -> dict:
     """One offered-load point on the UDP echo design."""
     if payload_bytes < _TAG.size:
         raise ValueError(f"payload_bytes must be >= {_TAG.size} "
@@ -75,7 +73,7 @@ def run_point(offered_gbps: float, *, seed: int = 0xBEE,
     arrivals = make_arrivals(arrival,
                              _mean_interval_cycles(offered_gbps,
                                                    len(probe)),
-                             streams, **(arrival_kwargs or {}))
+                             streams)
     source = OpenLoopSource(design.inject, frame_for, arrivals,
                             horizon_cycles=duration_cycles,
                             admission=nic_backlog(design),
@@ -92,8 +90,7 @@ def run_point(offered_gbps: float, *, seed: int = 0xBEE,
     except TimeoutError:
         pass  # stuck frames show up as delivered < admitted
 
-    registry = metrics if metrics is not None else MetricsRegistry()
-    hist = registry.histogram(
+    hist = MetricsRegistry().histogram(
         f"loadgen.latency.{offered_gbps:g}gbps")
     key_counts: dict[int, int] = {}
     delivered = 0

@@ -9,7 +9,7 @@ theoretical peak the evaluation cites.
 
 from repro.noc.flit import Flit, FlitKind
 from repro.noc.message import MessageAssembler, NocMessage
-from repro.noc.routing import Port, xy_route, xy_route_path
+from repro.noc.routing import Port, xy_route
 from repro.noc.router import Router
 from repro.noc.mesh import LocalPort, Mesh
 from repro.noc.flatmesh import FlatMesh
@@ -25,5 +25,4 @@ __all__ = [
     "Port",
     "Router",
     "xy_route",
-    "xy_route_path",
 ]

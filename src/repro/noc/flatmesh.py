@@ -153,7 +153,7 @@ from repro.noc.router import (
     _PORT_VALUES,
     misroute_index,
 )
-from repro.noc.routing import Port, xy_route, yx_route
+from repro.noc.routing import Port, xy_route
 from repro.params import FLIT_BYTES, ROUTER_INPUT_FIFO_FLITS
 from repro.sim.kernel import NEVER, CycleSimulator, StagedFifo, Wakeable
 from repro.telemetry.trace import NULL_TRACER
@@ -202,9 +202,6 @@ class _RingView:
         ring = self._core._rings[self._fid]
         return self._core.flit_of(ring[0]) if ring else None
 
-    def __repr__(self) -> str:
-        return f"_RingView({self.name!r}, occ={self.occupancy})"
-
 
 class FlatRouterView:
     """Per-router facade over :class:`FlatMeshCore`'s arrays.
@@ -237,10 +234,6 @@ class FlatRouterView:
                 core, base + port_index,
                 f"{self.name}.in.{port.value}")
 
-    @property
-    def route_fn(self):
-        return self._core.route_fn
-
     def fault_misroute(self, enabled: bool) -> None:
         """Enter/leave a misroute-one-hop window (see
         :meth:`repro.noc.router.Router.fault_misroute`)."""
@@ -269,16 +262,12 @@ class FlatRouterView:
         return {port: forwarded(base + port_index)
                 for port_index, port in enumerate(_ALL_PORTS)}
 
-    @property
-    def tracer(self):
-        return self._core.tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
+    def _set_tracer(self, value) -> None:
         self._core.tracer = value
 
-    def __repr__(self) -> str:
-        return f"FlatRouterView({self.coord})"
+    #: Write-only: ``attach_tracer`` sets every router's tracer, and
+    #: the core holds the one the mesh reports to.
+    tracer = property(fset=_set_tracer)
 
 
 class FlatMeshCore(Wakeable):
@@ -1016,34 +1005,26 @@ class FlatMesh:
     steps_ports = True
 
     def __init__(self, width: int, height: int,
-                 fifo_depth: int = ROUTER_INPUT_FIFO_FLITS,
-                 routing: str = "xy"):
+                 fifo_depth: int = ROUTER_INPUT_FIFO_FLITS):
         if width < 1 or height < 1:
             raise ValueError(f"bad mesh dimensions {width}x{height}")
-        try:
-            route_fn = {"xy": xy_route, "yx": yx_route}[routing]
-        except KeyError:
-            raise ValueError(f"unknown routing {routing!r} "
-                             "(choose 'xy' or 'yx')") from None
         self.width = width
         self.height = height
-        self.routing = routing
-        self.core = FlatMeshCore(width, height, fifo_depth, route_fn)
+        self.core = FlatMeshCore(width, height, fifo_depth, xy_route)
         self.routers: dict[tuple[int, int], FlatRouterView] = {
             coord: FlatRouterView(self.core, index, coord)
             for index, coord in enumerate(self.core.coords)
         }
         self._ports: dict[tuple[int, int], LocalPort] = {}
 
-    def attach(self, coord: tuple[int, int],
-               eject_depth: int = 4) -> LocalPort:
+    def attach(self, coord: tuple[int, int]) -> LocalPort:
         """Create (or return) the local port at ``coord``."""
         if coord not in self.routers:
             raise KeyError(f"no router at {coord} in "
                            f"{self.width}x{self.height} mesh")
         if coord in self._ports:
             return self._ports[coord]
-        port = LocalPort(self.routers[coord], eject_depth)
+        port = LocalPort(self.routers[coord])
         self._ports[coord] = port
         self.core.add_port(port)
         return port

@@ -99,7 +99,3 @@ class Flit:
         self.payload = payload
         self.packet_id = packet_id
 
-    def __repr__(self) -> str:
-        marks = ("H" if self.is_head else "") + ("T" if self.is_tail else "")
-        return (f"Flit({self.kind.value}{marks} msg={self.msg_id} "
-                f"{self.src}->{self.dst})")

@@ -19,6 +19,9 @@ from repro.params import ROUTER_INPUT_FIFO_FLITS
 from repro.sim.kernel import CycleSimulator, StagedFifo, Wakeable
 from repro.telemetry.trace import NULL_TRACER
 
+#: Flits a local port's ejection FIFO holds.
+EJECT_FIFO_FLITS = 4
+
 
 def handle_framing_error(bits: int, assembler: MessageAssembler
                           ) -> ValueError:
@@ -67,11 +70,11 @@ class LocalPort(Wakeable):
     #: handles (``repro.noc.flit``), not ``Flit`` objects.
     _core = None
 
-    def __init__(self, router: Router, eject_depth: int = 4):
+    def __init__(self, router: Router):
         self.router = router
         self.coord = router.coord
         self.eject_fifo = StagedFifo(
-            eject_depth, name=f"{router.name}.eject"
+            EJECT_FIFO_FLITS, name=f"{router.name}.eject"
         )
         router.connect_output(Port.LOCAL, self.eject_fifo)
         self._local_in = router.inputs[Port.LOCAL]
@@ -229,24 +232,15 @@ class Mesh:
     steps_ports = False
 
     def __init__(self, width: int, height: int,
-                 fifo_depth: int = ROUTER_INPUT_FIFO_FLITS,
-                 routing: str = "xy"):
+                 fifo_depth: int = ROUTER_INPUT_FIFO_FLITS):
         if width < 1 or height < 1:
             raise ValueError(f"bad mesh dimensions {width}x{height}")
-        from repro.noc.routing import xy_route, yx_route
-        try:
-            route_fn = {"xy": xy_route, "yx": yx_route}[routing]
-        except KeyError:
-            raise ValueError(f"unknown routing {routing!r} "
-                             "(choose 'xy' or 'yx')") from None
         self.width = width
         self.height = height
-        self.routing = routing
         self.routers: dict[tuple[int, int], Router] = {}
         for y in range(height):
             for x in range(width):
-                self.routers[(x, y)] = Router((x, y), fifo_depth,
-                                              route_fn=route_fn)
+                self.routers[(x, y)] = Router((x, y), fifo_depth)
         self._wire()
         self._ports: dict[tuple[int, int], LocalPort] = {}
 
@@ -261,15 +255,14 @@ class Mesh:
                 router.connect_output(Port.SOUTH, south.inputs[Port.NORTH])
                 south.connect_output(Port.NORTH, router.inputs[Port.SOUTH])
 
-    def attach(self, coord: tuple[int, int],
-               eject_depth: int = 4) -> LocalPort:
+    def attach(self, coord: tuple[int, int]) -> LocalPort:
         """Create (or return) the local port at ``coord``."""
         if coord not in self.routers:
             raise KeyError(f"no router at {coord} in "
                            f"{self.width}x{self.height} mesh")
         if coord in self._ports:
             return self._ports[coord]
-        port = LocalPort(self.routers[coord], eject_depth)
+        port = LocalPort(self.routers[coord])
         self._ports[coord] = port
         return port
 

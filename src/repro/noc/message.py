@@ -78,10 +78,6 @@ class NocMessage:
             raise ValueError("n_meta_flits must be >= 0")
 
     @property
-    def n_data_flits(self) -> int:
-        return (len(self.data) + FLIT_BYTES - 1) // FLIT_BYTES
-
-    @property
     def n_flits(self) -> int:
         """Total flits on the wire: header + metadata + data (the
         length of :meth:`to_flits`, without building it)."""

@@ -19,7 +19,6 @@ one cycle of lookahead.
 
 from __future__ import annotations
 
-from repro.noc.flit import Flit
 from repro.noc.routing import Port, xy_route
 from repro.params import ROUTER_INPUT_FIFO_FLITS
 from repro.sim.kernel import StagedFifo
@@ -83,12 +82,10 @@ class Router:
     _clean_route_fn = None
 
     def __init__(self, coord: tuple[int, int],
-                 fifo_depth: int = ROUTER_INPUT_FIFO_FLITS,
-                 name: str | None = None,
-                 route_fn=xy_route):
+                 fifo_depth: int = ROUTER_INPUT_FIFO_FLITS):
         self.coord = coord
-        self.name = name or f"router{coord}"
-        self.route_fn = route_fn
+        self.name = f"router{coord}"
+        self.route_fn = xy_route
         self.inputs: dict[Port, StagedFifo] = {
             port: StagedFifo(fifo_depth, name=f"{self.name}.in.{port.value}")
             for port in _ALL_PORTS
@@ -168,9 +165,6 @@ class Router:
                     pass
 
     # -- per-cycle behaviour ------------------------------------------------
-
-    def _route(self, flit: Flit) -> Port:
-        return self.route_fn(self.coord, flit.dst)
 
     def step(self, cycle: int) -> None:
         """One cycle of wormhole switching.

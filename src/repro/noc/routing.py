@@ -19,18 +19,6 @@ class Port(enum.Enum):
     NORTH = "north"
     SOUTH = "south"
 
-    @property
-    def opposite(self) -> Port:
-        return _OPPOSITE[self]
-
-
-_OPPOSITE = {
-    Port.EAST: Port.WEST,
-    Port.WEST: Port.EAST,
-    Port.NORTH: Port.SOUTH,
-    Port.SOUTH: Port.NORTH,
-    Port.LOCAL: Port.LOCAL,
-}
 
 # Coordinate convention: x grows EAST, y grows SOUTH (row-major screen
 # order, matching the paper's layout figures).
@@ -51,28 +39,6 @@ def xy_route(here: tuple[int, int], dst: tuple[int, int]) -> Port:
     return Port.LOCAL
 
 
-def yx_route(here: tuple[int, int], dst: tuple[int, int]) -> Port:
-    """Y-before-X dimension-ordered routing.
-
-    Equally deadlock-free at the routing level; the paper's framework
-    does not mandate a particular routing function, only that it be
-    deterministic and deadlock-free.  A different dimension order
-    changes which *tile placements* are message-level safe, which the
-    deadlock analyzer accounts for when given this route function.
-    """
-    hx, hy = here
-    dx, dy = dst
-    if hy < dy:
-        return Port.SOUTH
-    if hy > dy:
-        return Port.NORTH
-    if hx < dx:
-        return Port.EAST
-    if hx > dx:
-        return Port.WEST
-    return Port.LOCAL
-
-
 def _step(here: tuple[int, int], port: Port) -> tuple[int, int]:
     hx, hy = here
     if port == Port.EAST:
@@ -86,27 +52,15 @@ def _step(here: tuple[int, int], port: Port) -> tuple[int, int]:
     return here
 
 
-def route_path(src: tuple[int, int], dst: tuple[int, int],
-               route_fn=xy_route) -> list:
+def route_path(src: tuple[int, int], dst: tuple[int, int]) -> list:
     """The full (router-coordinate, output-port) sequence from src to
-    dst under ``route_fn``, ending with ``(dst, Port.LOCAL)``.  Used by
-    the static deadlock analyzer to enumerate the links a wormhole
-    message can hold."""
+    dst, ending with ``(dst, Port.LOCAL)``.  Used by the static deadlock
+    analyzer to enumerate the links a wormhole message can hold."""
     path = []
     here = src
     while True:
-        port = route_fn(here, dst)
+        port = xy_route(here, dst)
         path.append((here, port))
         if port == Port.LOCAL:
             return path
         here = _step(here, port)
-
-
-def xy_route_path(src: tuple[int, int],
-                  dst: tuple[int, int]) -> list:
-    return route_path(src, dst, xy_route)
-
-
-def yx_route_path(src: tuple[int, int],
-                  dst: tuple[int, int]) -> list:
-    return route_path(src, dst, yx_route)

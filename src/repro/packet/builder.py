@@ -30,8 +30,6 @@ def build_ipv4_udp_frame(
     src_port: int,
     dst_port: int,
     payload: bytes,
-    vlan: int | None = None,
-    ttl: int = 64,
     identification: int = 0,
 ) -> bytes:
     """A complete Ethernet/IPv4/UDP frame with valid checksums."""
@@ -45,12 +43,11 @@ def build_ipv4_udp_frame(
         dst=dst_ip,
         protocol=IPPROTO_UDP,
         total_length=20 + udp.length,
-        ttl=ttl,
         identification=identification,
     )
     udp_bytes = udp.pack_with_checksum(ip.pseudo_header(udp.length), payload)
     eth = EthernetHeader(dst=dst_mac, src=src_mac,
-                         ethertype=ETHERTYPE_IPV4, vlan=vlan)
+                         ethertype=ETHERTYPE_IPV4)
     return eth.pack() + ip.pack() + udp_bytes + payload
 
 
@@ -61,8 +58,6 @@ def build_tcp_frame(
     dst_ip: IPv4Address,
     tcp: TcpHeader,
     payload: bytes = b"",
-    ttl: int = 64,
-    identification: int = 0,
 ) -> bytes:
     """A complete Ethernet/IPv4/TCP frame with valid checksums."""
     l4_length = tcp.header_len + len(payload)
@@ -71,8 +66,6 @@ def build_tcp_frame(
         dst=dst_ip,
         protocol=IPPROTO_TCP,
         total_length=20 + l4_length,
-        ttl=ttl,
-        identification=identification,
     )
     tcp_bytes = tcp.pack_with_checksum(ip.pseudo_header(l4_length), payload)
     eth = EthernetHeader(dst=dst_mac, src=src_mac, ethertype=ETHERTYPE_IPV4)
@@ -126,14 +119,6 @@ class ParsedFrame:
     udp: UdpHeader | None = None
     tcp: TcpHeader | None = None
     payload: bytes = b""
-
-    @property
-    def l4_proto(self) -> str:
-        if self.udp is not None:
-            return "udp"
-        if self.tcp is not None:
-            return "tcp"
-        return "none"
 
 
 def parse_frame(frame: bytes) -> ParsedFrame:

@@ -91,10 +91,6 @@ class EthernetHeader:
         if self.vlan is not None and not 0 <= self.vlan < 4096:
             raise ValueError(f"VLAN id out of range: {self.vlan}")
 
-    @property
-    def header_len(self) -> int:
-        return self.VLAN_HEADER_LEN if self.vlan is not None else self.HEADER_LEN
-
     def pack(self) -> bytes:
         key = (self.dst.packed, self.src.packed, self.ethertype,
                self.vlan, self.vlan_pcp)

@@ -71,9 +71,6 @@ class IPv4Address:
     def __eq__(self, other) -> bool:
         return isinstance(other, IPv4Address) and self._value == other._value
 
-    def __lt__(self, other: IPv4Address) -> bool:
-        return self._value < other._value
-
     def __hash__(self) -> int:
         return hash(self._value)
 
@@ -114,10 +111,6 @@ class IPv4Header:
     @property
     def ihl(self) -> int:
         return self.header_len // 4
-
-    @property
-    def payload_len(self) -> int:
-        return self.total_length - self.header_len
 
     def pack(self) -> bytes:
         """Serialise with a freshly computed header checksum.

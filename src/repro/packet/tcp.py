@@ -69,9 +69,6 @@ class TcpHeader:
             self.urgent,
         ) + self.options
 
-    def pack(self) -> bytes:
-        return self._pack_raw(self.checksum)
-
     def pack_with_checksum(self, pseudo_header: bytes,
                            payload: bytes) -> bytes:
         """Serialise with a computed checksum over pseudo-hdr + segment."""

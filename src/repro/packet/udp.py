@@ -26,10 +26,6 @@ class UdpHeader:
             bad = dst if 0 <= src < 65536 else src
             raise ValueError(f"port out of range: {bad}")
 
-    @property
-    def payload_len(self) -> int:
-        return self.length - HEADER_LEN
-
     def pack(self) -> bytes:
         return _HDR.pack(self.src_port, self.dst_port, self.length,
                          self.checksum)

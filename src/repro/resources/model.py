@@ -27,15 +27,6 @@ class ModuleCost:
     luts: int
     brams: float
 
-    @property
-    def lut_pct(self) -> float:
-        return 100.0 * self.luts / params.U200_TOTAL_LUTS
-
-    @property
-    def bram_pct(self) -> float:
-        return 100.0 * self.brams / params.U200_TOTAL_BRAMS
-
-
 # Which NoC-message-parsing flavour each tile kind uses, and whether
 # the kind has a dedicated (larger) router entry.
 _PARSE_FLAVOUR = {
@@ -100,23 +91,17 @@ class DesignUtilization:
     def lut_pct(self) -> float:
         return 100.0 * self.luts / params.U200_TOTAL_LUTS
 
-    @property
-    def bram_pct(self) -> float:
-        return 100.0 * self.brams / params.U200_TOTAL_BRAMS
 
-
-def design_utilization(design, name: str | None = None,
-                       include_empty: bool = True) -> DesignUtilization:
+def design_utilization(design, name: str | None = None
+                       ) -> DesignUtilization:
     """Aggregate cost of a built design (its tiles' KINDs plus the
     auto-generated empty-tile routers filling the mesh rectangle)."""
     tiles = design.tiles
     tiles = list(tiles.values() if isinstance(tiles, dict) else tiles)
     kinds = [tile.KIND for tile in tiles]
-    if include_empty:
-        occupied = {tile.coord for tile in tiles}
-        mesh = design.mesh
-        empties = mesh.width * mesh.height - len(occupied)
-        kinds.extend(["empty"] * empties)
+    occupied = {tile.coord for tile in tiles}
+    mesh = design.mesh
+    kinds.extend(["empty"] * (mesh.width * mesh.height - len(occupied)))
     luts = sum(tile_cost(kind).luts for kind in kinds)
     brams = sum(tile_cost(kind).brams for kind in kinds)
     return DesignUtilization(
@@ -143,9 +128,9 @@ def max_frequency_mhz(n_tiles: int) -> float:
     return 1e3 / path_ns
 
 
-def max_placeable_tiles(target_mhz: float = 250.0) -> int:
-    """Largest tile count meeting ``target_mhz`` under the model."""
+def max_placeable_tiles() -> int:
+    """Largest tile count meeting the paper's 250 MHz under the model."""
     n = 1
-    while max_frequency_mhz(n + 1) >= target_mhz:
+    while max_frequency_mhz(n + 1) >= params.CLOCK_HZ / 1e6:
         n += 1
     return n

@@ -13,18 +13,14 @@ from collections.abc import Callable
 
 
 class Event:
-    """Handle for a scheduled callback; supports cancellation."""
+    """A scheduled callback."""
 
-    __slots__ = ("time", "callback", "args", "cancelled")
+    __slots__ = ("time", "callback", "args")
 
     def __init__(self, time: float, callback: Callable, args: tuple):
         self.time = time
         self.callback = callback
         self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
 
 
 class EventSimulator:
@@ -48,10 +44,6 @@ class EventSimulator:
         """Run ``callback(*args)`` at absolute simulated time ``time``."""
         return self.schedule(time - self.now, callback, *args)
 
-    @property
-    def pending(self) -> int:
-        return sum(1 for _, _, e in self._queue if not e.cancelled)
-
     def run_until(self, end_time: float) -> None:
         """Process events with timestamps <= ``end_time``.
 
@@ -60,23 +52,8 @@ class EventSimulator:
         """
         while self._queue and self._queue[0][0] <= end_time:
             _, _, event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
             self.now = event.time
             event.callback(*event.args)
             self.events_run += 1
         self.now = max(self.now, end_time)
 
-    def run(self, max_events: int = 10_000_000) -> None:
-        """Process events until the queue is empty."""
-        processed = 0
-        while self._queue:
-            _, _, event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self.now = event.time
-            event.callback(*event.args)
-            self.events_run += 1
-            processed += 1
-            if processed >= max_events:
-                raise TimeoutError(f"exceeded {max_events} events")

@@ -210,11 +210,11 @@ class StagedFifo:
         """Committed plus staged items — what counts against capacity."""
         return len(self._items) + len(self._staged)
 
-    def can_accept(self, n: int = 1) -> bool:
+    def can_accept(self) -> bool:
         capacity = self.capacity
         if capacity is None:
             return True
-        return len(self._items) + len(self._staged) + n <= capacity
+        return len(self._items) + len(self._staged) < capacity
 
     def add_waker(self, waker: Callable[[], None]) -> None:
         """Have an unstaged producer re-activate a consumer."""
@@ -252,18 +252,6 @@ class StagedFifo:
         elif self._visible != len(self._items):
             self._visible = len(self._items)
 
-    def drain(self) -> list:
-        """Pop and return *everything*: committed items, then staged
-        (so nothing silently becomes visible on the next ``commit``).
-        It observes writes of the current cycle, so it is a
-        between-runs/testing convenience, not for use mid-simulation."""
-        out = self.snapshot()
-        self._items.clear()
-        self._staged.clear()
-        self._visible = 0
-        return out
-
-
 #: What ``step`` returns, and ``wake_at`` holds, for a component only
 #: a wake can rouse.
 NEVER = 1 << 62
@@ -275,20 +263,20 @@ class CycleSimulator:
     ``kernel`` selects the scheduler: ``"scheduled"`` (the default) or
     ``"naive"`` (step everything every cycle — the reference for
     differential testing; see the module docstring).  ``tracer`` is the
-    observability event bus (:mod:`repro.telemetry.trace`); it defaults
-    to the shared no-op tracer, one attribute test per tick.  Use
+    observability event bus (:mod:`repro.telemetry.trace`); it starts
+    as the shared no-op tracer, one attribute test per tick.  Use
     :func:`repro.telemetry.trace.attach_tracer` to wire a recording
     tracer into a whole design.
     """
 
-    def __init__(self, tracer=None, kernel: str = "scheduled"):
+    def __init__(self, kernel: str = "scheduled"):
         from repro.telemetry.trace import NULL_TRACER
         if kernel not in ("scheduled", "naive"):
             raise ValueError(f"unknown kernel {kernel!r} "
                              "(choose 'scheduled' or 'naive')")
         self.cycle = 0
         self.kernel = kernel
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = NULL_TRACER
         self._components: list[ClockedComponent] = []
         self._scheduled = kernel == "scheduled"
         # Scheduled-kernel state: the next cycle to step each
@@ -387,13 +375,6 @@ class CycleSimulator:
         wake.component = component
         wake.slot = slot
         return wake
-
-    def wake(self, component) -> None:
-        """Wake ``component`` (no-op under the naive kernel, or for a
-        component that was never added)."""
-        waker = self._wakers.get(component)
-        if waker is not None:
-            waker()
 
     def _skip_to(self, target: int) -> None:
         """Advance the clock over a stretch of provably idle cycles."""

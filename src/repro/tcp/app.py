@@ -86,12 +86,6 @@ class TcpAppTile(Tile):
     def on_connected(self, ctx: _FlowCtx, cycle: int) -> None:
         """Called when a connection completes its handshake."""
 
-    def on_request(self, ctx: _FlowCtx, data: bytes,
-                   cycle: int) -> bytes | None:
-        """Called with each complete ``request_size`` request; the
-        returned bytes (if any) are transmitted back on the flow."""
-        return None
-
     # -- engine interface -------------------------------------------------------
 
     def submit(self, ctx: _FlowCtx, data: bytes) -> list[NocMessage]:

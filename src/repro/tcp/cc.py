@@ -59,9 +59,8 @@ class CongestionControl:
     """
 
     name = "none"
-
-    def __init__(self, initial_window_mss: int = 2):
-        self.initial_window_mss = initial_window_mss
+    #: The window a flow opens with, in MSS.
+    initial_window_mss = 2
 
     def on_connect(self, flow, mss: int, cycle: int = 0) -> None:
         flow.cwnd = self.initial_window_mss * mss
@@ -129,14 +128,10 @@ class CubicCC(CongestionControl):
     """
 
     name = "cubic"
-
-    def __init__(self, initial_window_mss: int = 2,
-                 beta: float = CUBIC_BETA, c: float = CUBIC_C,
-                 cycles_per_unit: int = 25_000):
-        super().__init__(initial_window_mss)
-        self.beta = beta
-        self.c = c
-        self.cycles_per_unit = cycles_per_unit
+    beta = CUBIC_BETA
+    c = CUBIC_C
+    #: Simulated cycles per unit of CUBIC's time axis.
+    cycles_per_unit = 25_000
 
     def on_ack(self, flow, acked: int, mss: int, cycle: int = 0) -> None:
         if not flow.cwnd:
@@ -182,7 +177,7 @@ _CC_REGISTRY = {
 }
 
 
-def make_cc(spec, initial_window_mss: int = 2) -> CongestionControl | None:
+def make_cc(spec) -> CongestionControl | None:
     """Resolve a congestion-control spec to a strategy (or ``None``).
 
     ``None``/``False``/``""``/``"none"``/``"off"`` disable congestion
@@ -197,7 +192,7 @@ def make_cc(spec, initial_window_mss: int = 2) -> CongestionControl | None:
     if isinstance(spec, CongestionControl):
         return spec
     if spec is True:
-        return RenoCC(initial_window_mss)
+        return RenoCC()
     if isinstance(spec, str):
         key = spec.strip().lower()
         if key in ("", "none", "off"):
@@ -208,7 +203,7 @@ def make_cc(spec, initial_window_mss: int = 2) -> CongestionControl | None:
             raise ValueError(
                 f"unknown congestion control {spec!r} "
                 f"(choose from {sorted(_CC_REGISTRY)})") from None
-        return cls(initial_window_mss)
+        return cls()
     raise TypeError(
         f"congestion_control must be None, bool, str, or a "
         f"CongestionControl instance, not {type(spec).__name__}")

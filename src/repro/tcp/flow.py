@@ -132,8 +132,3 @@ class FlowTable:
         if rx is not None:
             self._by_tuple.pop(rx.four_tuple, None)
 
-    def flows(self) -> list[int]:
-        return list(self.rx)
-
-    def __len__(self) -> int:
-        return len(self._by_tuple)

@@ -46,8 +46,6 @@ class TcpRxEngineTile(Tile):
 
     def __init__(self, name: str, mesh: Mesh, coord: tuple[int, int],
                  flows: FlowTable, rx_buffer: BufferTile,
-                 rx_buf_bytes: int = params.TCP_RX_BUFFER_BYTES,
-                 pipeline_ii: int = params.TCP_ENGINE_PIPELINE_II_CYCLES,
                  tx_engine=None, **kwargs):
         kwargs.setdefault("occupancy", params.TCP_ENGINE_PER_PACKET_CYCLES)
         super().__init__(name, mesh, coord, **kwargs)
@@ -56,10 +54,10 @@ class TcpRxEngineTile(Tile):
         # *per-flow* state round-trip, which at the receive side is
         # already enforced by the sender's pacing, so segments of
         # different flows interleave freely.
-        self.pipeline_ii = pipeline_ii
+        self.pipeline_ii = params.TCP_ENGINE_PIPELINE_II_CYCLES
         self.flows = flows
         self.rx_buffer = rx_buffer
-        self.rx_buf_bytes = rx_buf_bytes
+        self.rx_buf_bytes = params.TCP_RX_BUFFER_BYTES
         self.listen_ports: dict[int, tuple[int, int]] = {}  # port -> app
         self.tx_engine = tx_engine
         self._next_buf_base = 0
@@ -88,7 +86,7 @@ class TcpRxEngineTile(Tile):
         ``app_coord``."""
         self.listen_ports[port] = app_coord
 
-    def connect(self, key: int, targets, policy="flow_hash") -> None:
+    def connect(self, key: int, targets, policy) -> None:
         """A ``port:N`` destination is ``listen(N, app)``."""
         (app_coord,) = targets
         self.listen(key, app_coord)

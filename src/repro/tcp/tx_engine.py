@@ -38,19 +38,16 @@ class TcpTxEngineTile(Tile):
 
     def __init__(self, name: str, mesh: Mesh, coord: tuple[int, int],
                  flows: FlowTable, tx_buffer: BufferTile,
-                 tx_buf_bytes: int = params.TCP_TX_BUFFER_BYTES,
                  mss: int = params.TCP_MSS_BYTES,
                  rto_cycles: int = params.TCP_RTO_CYCLES,
                  congestion_control: bool | str |
                  CongestionControl | None = False,
-                 initial_window_mss: int = 2,
-                 pipeline_ii: int = params.TCP_ENGINE_PIPELINE_II_CYCLES,
                  **kwargs):
         kwargs.setdefault("occupancy", params.TCP_ENGINE_PER_PACKET_CYCLES)
         super().__init__(name, mesh, coord, **kwargs)
         self.flows = flows
         self.tx_buffer = tx_buffer
-        self.tx_buf_bytes = tx_buf_bytes
+        self.tx_buf_bytes = params.TCP_TX_BUFFER_BYTES
         self.mss = mss
         self.rto_cycles = rto_cycles
         # Optional congestion control — the paper's engine ships
@@ -59,14 +56,13 @@ class TcpTxEngineTile(Tile):
         # resolves through repro.tcp.cc.make_cc: True keeps the
         # historical Reno behaviour; "tahoe"/"reno"/"cubic" pick an
         # algorithm; a CongestionControl instance is used as-is.
-        self.cc = make_cc(congestion_control, initial_window_mss)
+        self.cc = make_cc(congestion_control)
         self.congestion_control = self.cc is not None
-        self.initial_window_mss = initial_window_mss
         # The engine is pipelined: different flows issue pipeline_ii
         # cycles apart; the same flow waits the full occupancy (its
         # flow-state read-modify-write round-trip).  Section VII-D's
         # multi-connection bandwidth behaviour falls out of this.
-        self.pipeline_ii = pipeline_ii
+        self.pipeline_ii = params.TCP_ENGINE_PIPELINE_II_CYCLES
         self._flow_pace: dict[int, int] = {}
         self.next_hop = NextHopTable(name=f"{name}.nexthop")
         self._next_buf_base = 0

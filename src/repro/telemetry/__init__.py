@@ -21,7 +21,6 @@ from outside the program, by ``benchmarks/perflab``.
 
 from repro.telemetry.export import (
     SnapshotSeries,
-    parse_prometheus_text,
     prometheus_text,
 )
 from repro.telemetry.metrics import (
@@ -36,7 +35,6 @@ from repro.telemetry.stats import (
     design_counters,
     design_report,
     jain_index,
-    tcp_flow_counters,
 )
 from repro.telemetry.trace import (
     NULL_TRACER,
@@ -68,8 +66,6 @@ __all__ = [
     "design_counters",
     "design_report",
     "jain_index",
-    "tcp_flow_counters",
-    "parse_prometheus_text",
     "prometheus_text",
     "write_chrome_trace",
 ]

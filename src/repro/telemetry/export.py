@@ -82,42 +82,6 @@ def prometheus_text(registry: MetricsRegistry, prefix: str = "repro") -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_prometheus_text(text: str) -> dict[str, float]:
-    """Parse exposition text back to ``{series: value}`` (line check).
-
-    A deliberately strict little parser used by the tests and the CI
-    line-format gate: every non-comment line must be
-    ``name[{labels}] value`` with a float-parseable value and a
-    well-formed label block, or ValueError is raised.
-    """
-    series: dict[str, float] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            if line.startswith("#") and not line.startswith(("# HELP",
-                                                             "# TYPE")):
-                raise ValueError(f"line {lineno}: bad comment {line!r}")
-            continue
-        try:
-            key, value_text = line.rsplit(None, 1)
-        except ValueError:
-            raise ValueError(f"line {lineno}: not 'name value': {line!r}")
-        if "{" in key:
-            if not key.endswith("}") or key.count("{") != 1:
-                raise ValueError(f"line {lineno}: bad label block {key!r}")
-            name, labels = key[:-1].split("{", 1)
-            for part in labels.split(","):
-                if "=" not in part or part.split("=", 1)[1][:1] != '"':
-                    raise ValueError(
-                        f"line {lineno}: bad label {part!r}")
-        else:
-            name = key
-        if not name or name[0].isdigit() or \
-                not all(c.isalnum() or c in "_:" for c in name):
-            raise ValueError(f"line {lineno}: bad metric name {name!r}")
-        series[key] = float(value_text)
-    return series
-
-
 class SnapshotSeries:
     """A schema-versioned series of probe snapshots.
 
@@ -139,9 +103,6 @@ class SnapshotSeries:
 
     def append(self, snapshot: dict) -> None:
         self.snapshots.append(snapshot)
-
-    def __len__(self) -> int:
-        return len(self.snapshots)
 
     def to_dict(self) -> dict:
         return {

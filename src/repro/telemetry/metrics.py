@@ -19,8 +19,8 @@ Histogram precision
 
 Values are non-negative integers (cycle counts, queue depths).  The
 bucket for value ``v`` is unit-width while ``v < 2 * subbuckets`` and
-doubles every octave above, HDR-histogram style: with the default
-``significant_digits=2`` (``subbuckets=128``), every recorded value is
+doubles every octave above, HDR-histogram style: with two significant
+digits (``SUBBUCKETS = 128``), every recorded value is
 resolved *exactly* below 256 and with relative error below
 ``1/subbuckets`` (< 0.8%) above.  Percentiles interpolate nothing —
 they return the representative (highest) value of the bucket containing
@@ -41,6 +41,11 @@ import math
 from collections.abc import Iterator
 
 SCHEMA = "repro.telemetry.metrics/1"
+
+#: Buckets per histogram octave: the power of two at or above 10 ** 2,
+#: two significant digits.
+SUBBUCKETS = 128
+SUB_BITS = SUBBUCKETS.bit_length() - 1
 
 
 def _validate_name(name: str) -> str:
@@ -66,12 +71,6 @@ class Counter:
             raise ValueError("counters are monotonic; inc() takes >= 0")
         self.value += amount
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "name": self.name, "value": self.value}
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name!r}, value={self.value})"
-
 
 class Gauge:
     """A last-write-wins instantaneous value."""
@@ -88,48 +87,27 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
 
-    def inc(self, amount: float = 1) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        self.value -= amount
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "name": self.name, "value": self.value}
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name!r}, value={self.value})"
-
 
 class Histogram:
     """Log-bucketed HDR-style histogram over non-negative integers.
 
-    Bucket layout (``subbuckets = 2 ** ceil(log2(10 ** digits))``):
-    index ``v`` directly while ``v < 2 * subbuckets``; above that, each
-    octave reuses ``subbuckets`` buckets whose width doubles per
+    Bucket layout: index ``v`` directly while ``v < 2 * SUBBUCKETS``;
+    above that, each octave reuses ``SUBBUCKETS`` buckets whose width
+    doubles per
     octave, keeping relative resolution constant (see the module
     docstring for the accuracy contract).  ``record`` is O(1) with two
     integer ops and one list increment; ``percentile`` walks the
     non-empty prefix of the bucket array.
     """
 
-    __slots__ = ("name", "help", "significant_digits", "_subbuckets",
-                 "_sub_bits", "_buckets", "count", "total", "min", "max")
+    __slots__ = ("name", "help", "_buckets", "count", "total", "min",
+                 "max")
 
     kind = "histogram"
 
-    def __init__(self, name: str, help: str = "",
-                 significant_digits: int = 2) -> None:
-        if not 1 <= significant_digits <= 5:
-            raise ValueError("significant_digits must be in [1, 5]")
+    def __init__(self, name: str, help: str = "") -> None:
         self.name = _validate_name(name)
         self.help = help
-        self.significant_digits = significant_digits
-        sub = 1
-        while sub < 10 ** significant_digits:
-            sub <<= 1
-        self._subbuckets = sub
-        self._sub_bits = sub.bit_length() - 1
         self._buckets: list[int] = []
         self.count = 0
         self.total = 0
@@ -139,24 +117,24 @@ class Histogram:
     # -- recording --------------------------------------------------------
 
     def _index_of(self, value: int) -> int:
-        sub = self._subbuckets
+        sub = SUBBUCKETS
         if value < (sub << 1):
             return value
         # Octave = position of the highest bit above the unit horizon;
         # within an octave, values collapse onto ``sub`` buckets.
-        octave = value.bit_length() - self._sub_bits - 1
-        return (octave << self._sub_bits) + (value >> octave)
+        octave = value.bit_length() - SUB_BITS - 1
+        return (octave << SUB_BITS) + (value >> octave)
 
     def _value_of(self, index: int) -> int:
         """Highest value mapping to bucket ``index`` (its representative)."""
-        sub = self._subbuckets
+        sub = SUBBUCKETS
         if index < (sub << 1):
             return index
-        octave = (index >> self._sub_bits) - 1
-        base = (index - (octave << self._sub_bits)) << octave
+        octave = (index >> SUB_BITS) - 1
+        base = (index - (octave << SUB_BITS)) << octave
         return base + (1 << octave) - 1
 
-    def record(self, value: int, n: int = 1) -> None:
+    def record(self, value: int) -> None:
         value = int(value)
         if value < 0:
             raise ValueError("histograms take non-negative values")
@@ -164,9 +142,9 @@ class Histogram:
         buckets = self._buckets
         if index >= len(buckets):
             buckets.extend([0] * (index + 1 - len(buckets)))
-        buckets[index] += n
-        self.count += n
-        self.total += value * n
+        buckets[index] += 1
+        self.count += 1
+        self.total += value
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
@@ -190,32 +168,10 @@ class Histogram:
                 return float(self._value_of(index))
         return float(self._value_of(len(self._buckets) - 1))
 
-    @property
-    def mean(self) -> float | None:
-        return self.total / self.count if self.count else None
-
     def buckets(self) -> list[tuple[int, int]]:
         """Non-empty (upper_bound_value, count) pairs, ascending."""
         return [(self._value_of(index), n)
                 for index, n in enumerate(self._buckets) if n]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
-            "p50": self.percentile(50),
-            "p99": self.percentile(99),
-            "p999": self.percentile(99.9),
-            "buckets": [[bound, n] for bound, n in self.buckets()],
-        }
-
-    def __repr__(self) -> str:
-        return (f"Histogram({self.name!r}, count={self.count}, "
-                f"p50={self.percentile(50)}, p999={self.percentile(99.9)})")
 
 
 class MetricsRegistry:
@@ -249,28 +205,10 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get(Gauge, name, help)
 
-    def histogram(self, name: str, help: str = "",
-                  significant_digits: int = 2) -> Histogram:
-        return self._get(Histogram, name, help,
-                         significant_digits=significant_digits)
-
-    def get(self, name: str) -> Counter | Gauge | Histogram | None:
-        """The instrument registered under ``name``, or None."""
-        return self._instruments.get(name)
+    def histogram(self, name: str, help: str = "") -> Histogram:
+        return self._get(Histogram, name, help)
 
     def __iter__(self) -> Iterator[Counter | Gauge | Histogram]:
         return iter(sorted(self._instruments.values(),
                            key=lambda m: m.name))
 
-    def __len__(self) -> int:
-        return len(self._instruments)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._instruments
-
-    def collect(self) -> dict:
-        """A versioned, JSON-able snapshot of every instrument."""
-        return {
-            "schema": SCHEMA,
-            "metrics": [instrument.to_dict() for instrument in self],
-        }

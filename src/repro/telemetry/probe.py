@@ -69,14 +69,12 @@ class Probe(Wakeable):
 
     def __init__(self, design: object,
                  interval: int = DEFAULT_INTERVAL,
-                 registry: MetricsRegistry | None = None,
                  design_name: str = "") -> None:
         if interval < 1:
             raise ValueError("probe interval must be >= 1 cycle")
         self.design = design
         self.interval = interval
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.series = SnapshotSeries(
             interval=interval,
             design=design_name or type(design).__name__,
@@ -116,7 +114,7 @@ class Probe(Wakeable):
     def _sample_latencies(self) -> list[int]:
         """Latencies of packets that completed since the last sample.
 
-        Mirrors ``Tracer.packet_latencies(complete_only=True)``
+        Mirrors ``Tracer.packet_latencies()``
         incrementally: a packet completes at its first *terminal* span
         (no outputs) after at least one earlier span, unless dropped.
         """
@@ -294,7 +292,6 @@ class Probe(Wakeable):
 
 def attach_probe(design: object,
                  interval: int | None = DEFAULT_INTERVAL,
-                 registry: MetricsRegistry | None = None,
                  design_name: str = "") -> Probe | None:
     """Wire a periodic sampler into a design's simulator.
 
@@ -306,7 +303,6 @@ def attach_probe(design: object,
     """
     if interval is None:
         return None
-    probe = Probe(design, interval=interval, registry=registry,
-                  design_name=design_name)
+    probe = Probe(design, interval=interval, design_name=design_name)
     design.sim.add(probe)
     return probe

@@ -38,34 +38,29 @@ class FrameTraceRecorder:
         self._inner_inject(frame, cycle)
 
     def attach(self) -> None:
-        """Interpose on the design (undo with :meth:`detach`)."""
+        """Interpose on the design."""
         self.design.inject = self.inject
-
-    def detach(self) -> None:
-        self.design.inject = self._inner_inject
 
 
 class TraceReplayer:
     """Replays a recorded trace into a design, cycle-accurately.
 
     A clocked component: add it to the target design's simulator.  The
-    trace's first event is aligned to ``start_cycle``; every later
+    trace's first event is aligned to cycle 0; every later
     event keeps its recorded offset.  Nothing happens between events:
     the replayer sleeps until the cycle before the next one is due.
     """
 
-    def __init__(self, design: object, events: list[TraceEvent],
-                 start_cycle: int = 0) -> None:
+    def __init__(self, design: object, events: list[TraceEvent]) -> None:
         self.design = design
         self.events = sorted(events, key=lambda e: e.cycle)
-        self.start_cycle = start_cycle
         self._base = self.events[0].cycle if self.events else 0
         self._index = 0
         self.replayed = 0
         # Events due at or before the start are pre-loaded, exactly as
         # a recorded run's initial frames were injected before the
         # clock started.
-        self._inject_until(self.start_cycle)
+        self._inject_until(0)
 
     @property
     def done(self) -> bool:
@@ -73,8 +68,7 @@ class TraceReplayer:
 
     def _due(self) -> int:
         """The cycle the next event is due (there must be one)."""
-        return self.start_cycle + (
-            self.events[self._index].cycle - self._base)
+        return self.events[self._index].cycle - self._base
 
     def _inject_until(self, cycle: int) -> None:
         while not self.done:

@@ -55,51 +55,6 @@ def jain_index(values) -> float:
     return (total * total) / (len(values) * square_sum)
 
 
-def tcp_flow_counters(flows) -> dict:
-    """Per-flow TCP delivery/retransmission counters plus fairness.
-
-    ``flows`` is a :class:`repro.tcp.flow.FlowTable`; the fairness
-    index is computed over per-flow delivered bytes (received stream
-    bytes if the server mostly receives, acked transmit bytes if it
-    mostly sends — whichever direction carried more traffic).
-    """
-    from repro.tcp.flow import seq_add, seq_diff
-
-    per_flow = []
-    for flow_id in sorted(flows.rx):
-        rx = flows.rx[flow_id]
-        tx = flows.tx.get(flow_id)
-        rx_bytes = max(0, rx.rx_stream_received)
-        tx_acked = 0
-        if tx is not None and tx.iss:
-            tx_acked = max(0, seq_diff(rx.snd_una, seq_add(tx.iss, 1)))
-        per_flow.append({
-            "flow_id": flow_id,
-            "four_tuple": rx.four_tuple,
-            "state": rx.state.name,
-            "rx_stream_bytes": rx_bytes,
-            "tx_acked_bytes": tx_acked,
-            "retransmits": 0 if tx is None else tx.retransmits,
-            "fast_retransmits": 0 if tx is None else
-            tx.fast_retransmits,
-            "cwnd": 0 if tx is None else tx.cwnd,
-        })
-    rx_total = sum(f["rx_stream_bytes"] for f in per_flow)
-    tx_total = sum(f["tx_acked_bytes"] for f in per_flow)
-    key = "rx_stream_bytes" if rx_total >= tx_total else \
-        "tx_acked_bytes"
-    return {
-        "flows": per_flow,
-        "n_flows": len(per_flow),
-        "rx_stream_bytes": rx_total,
-        "tx_acked_bytes": tx_total,
-        "retransmits": sum(f["retransmits"] for f in per_flow),
-        "fast_retransmits": sum(f["fast_retransmits"]
-                                for f in per_flow),
-        "jain_fairness": jain_index(f[key] for f in per_flow),
-    }
-
-
 def design_counters(design: object) -> dict:
     """Structured counters for every tile and the NoC.
 
@@ -157,10 +112,6 @@ def design_counters(design: object) -> dict:
     engine = getattr(design, "fault_engine", None)
     if engine is not None:
         counters["faults"] = dict(engine.counters)
-    flows = getattr(design, "flows", None)
-    if flows is not None and hasattr(flows, "rx") and \
-            hasattr(flows, "tx") and flows.rx:
-        counters["tcp_flows"] = tcp_flow_counters(flows)
     return counters
 
 
@@ -258,21 +209,6 @@ def design_report(design: object,
         lines.append("fault injections:")
         for kind, count in sorted(faults.items()):
             lines.append(f"  {kind}: {count}")
-    tcp = counters.get("tcp_flows")
-    if tcp:
-        lines.append(
-            f"tcp flows: {tcp['n_flows']} "
-            f"(jain fairness {tcp['jain_fairness']:.3f}, "
-            f"retransmits {tcp['retransmits']}, "
-            f"fast {tcp['fast_retransmits']})")
-        for flow in tcp["flows"]:
-            lines.append(
-                f"  flow {flow['flow_id']} {flow['state']:<12} "
-                f"rx {flow['rx_stream_bytes']:>9} B  "
-                f"tx-acked {flow['tx_acked_bytes']:>9} B  "
-                f"rtx {flow['retransmits']} "
-                f"fast {flow['fast_retransmits']} "
-                f"cwnd {flow['cwnd']}")
     if metrics is not None:
         lines.extend(_render_windows(metrics))
     return "\n".join(lines)

@@ -39,63 +39,13 @@ from repro import params
 class NullTracer:
     """The do-nothing tracer wired into every component by default.
 
-    ``enabled`` is False, so instrumented hot paths skip even the hook
-    call; the hooks themselves are allocation-free no-ops, which keeps
-    behaviour identical whether a component checks ``enabled`` or not.
+    ``enabled`` is False, and every instrumented path tests it before
+    calling a hook, so this tracer has no hooks: a recording
+    :class:`Tracer` has them all.
     """
 
     __slots__ = ()
     enabled = False
-
-    # -- kernel ----------------------------------------------------------
-    def cycle_start(self, cycle: int) -> None:
-        pass
-
-    # -- NoC links -------------------------------------------------------
-    def flit_forwarded(self, cycle: int, coord: tuple,
-                       port: object, flit: object) -> None:
-        pass
-
-    def link_stall(self, cycle: int, coord: tuple,
-                   port: object, kind: str) -> None:
-        pass
-
-    # -- local ports -----------------------------------------------------
-    def inject_start(self, cycle: int, coord: tuple,
-                     message: object) -> None:
-        pass
-
-    def inject_end(self, cycle: int, coord: tuple,
-                   message: object) -> None:
-        pass
-
-    # -- tiles -----------------------------------------------------------
-    def message_received(self, cycle: int, tile: object,
-                         message: object) -> None:
-        pass
-
-    def processing_start(self, cycle: int, tile: object,
-                         message: object) -> None:
-        pass
-
-    def processing_end(self, cycle: int, tile: object,
-                       message: object,
-                       outputs: int = 0) -> None:
-        pass
-
-    def buffer_level(self, cycle: int, tile: object,
-                     flits: int) -> None:
-        pass
-
-    def drop(self, cycle: int, tile: object, message: object,
-             reason: str) -> None:
-        pass
-
-    # -- fault injection (repro.faults) ----------------------------------
-    def fault(self, cycle: int, kind: str,
-              target: str | None,
-              detail: str | None = None) -> None:
-        pass
 
 
 #: Shared singleton default for every instrumented component.
@@ -249,25 +199,21 @@ class Tracer(NullTracer):
             spans.sort(key=lambda s: (s.end, s.start))
         return dict(by_packet)
 
-    def packet_latencies(self, complete_only: bool = True) -> dict[int, int]:
+    def packet_latencies(self) -> dict[int, int]:
         """End-to-end cycles per packet (first to last processing-end).
 
-        A packet needs at least two tile spans for a latency to exist.
-        With ``complete_only`` (the default), only packets that finished
-        their trip count: the last span must be *terminal* (the tile
-        emitted no further NoC message — it consumed the packet or
-        handed it to a MAC) and the packet must not have been dropped.
-        Pass ``complete_only=False`` to include in-flight/dropped
-        packets' partial latencies.
+        A packet needs at least two tile spans for a latency to exist,
+        and only packets that finished their trip count: the last span
+        must be *terminal* (the tile emitted no further NoC message — it
+        consumed the packet or handed it to a MAC) and the packet must
+        not have been dropped.
         """
-        dropped = ({event.packet_id for event in self.drops}
-                   if complete_only else frozenset())
+        dropped = {event.packet_id for event in self.drops}
         return {
             packet_id: spans[-1].end - spans[0].end
             for packet_id, spans in self.packet_spans().items()
-            if len(spans) >= 2
-            and (not complete_only
-                 or (spans[-1].outputs == 0 and packet_id not in dropped))
+            if len(spans) >= 2 and spans[-1].outputs == 0
+            and packet_id not in dropped
         }
 
     @property
@@ -334,13 +280,6 @@ class WindowSample:
     p99: float | None
     p999: float | None
     drops: Counter         # drop reason -> count
-
-    @property
-    def busiest_link(self) -> tuple | None:
-        """((coord, port), util) of the hottest link, or None."""
-        if not self.link_util:
-            return None
-        return max(self.link_util.items(), key=lambda item: item[1])
 
     def to_dict(self) -> dict:
         """The window as a structured, JSON-able dict.

@@ -52,7 +52,7 @@ _EXPORTS = {
     "VxlanDecapTile": "vxlan",
     "VxlanEncapTile": "vxlan",
 }
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "BufferReadReq",

@@ -160,9 +160,6 @@ class NextHopTable:
         self._entries[key] = dests
         self._rr.setdefault(key, 0)
 
-    def remove_entry(self, key) -> None:
-        self._entries.pop(key, None)
-
     def keys(self) -> list:
         return list(self._entries)
 
@@ -222,6 +219,13 @@ class Tile(Wakeable):
     # shadows it per instance.
     _fault_frozen = False
 
+    #: Flits of received messages a tile holds before its ejection
+    #: stalls, and messages it may have queued for injection before its
+    #: engine stops picking up work.  An experiment may set either on
+    #: one tile.
+    buffer_flits = 320
+    max_tx_backlog = 2
+
     def __init__(
         self,
         name: str,
@@ -229,8 +233,6 @@ class Tile(Wakeable):
         coord: tuple[int, int],
         parse_latency: int = params.TILE_PARSE_LATENCY_CYCLES,
         occupancy: int = params.TILE_MSG_OCCUPANCY_CYCLES,
-        buffer_flits: int = 320,
-        max_tx_backlog: int = 2,
     ):
         self.name = name
         self.mesh = mesh
@@ -238,8 +240,6 @@ class Tile(Wakeable):
         self.port: LocalPort = mesh.attach(coord)
         self.parse_latency = parse_latency
         self.occupancy = occupancy
-        self.buffer_flits = buffer_flits
-        self.max_tx_backlog = max_tx_backlog
 
         self._buffered_flits = 0
         # (tail_cycle, msg) pairs; deque because pickup pops the head.
@@ -259,11 +259,6 @@ class Tile(Wakeable):
         self.drop_reasons: Counter = Counter()
 
     # -- subclass interface ---------------------------------------------------
-
-    def handle_message(self, message: NocMessage,
-                       cycle: int) -> Iterable[NocMessage]:
-        """Transform one input message into zero or more outputs."""
-        raise NotImplementedError
 
     def on_cycle(self, cycle: int) -> None:
         """Per-cycle hook for tiles that originate traffic."""
@@ -452,5 +447,3 @@ class Tile(Wakeable):
         self.bytes_out += len(message.data)
         self.port.send(message)
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.name!r}@{self.coord})"

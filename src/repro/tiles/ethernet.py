@@ -77,7 +77,6 @@ class EthernetTxTile(Tile):
     def __init__(self, name: str, mesh: Mesh, coord: tuple[int, int],
                  my_mac: MacAddress,
                  line_rate_bytes_per_cycle: float | None = 50.0,
-                 emit_to_noc: tuple[int, int] | None = None,
                  **kwargs):
         super().__init__(name, mesh, coord, **kwargs)
         self.my_mac = MacAddress(my_mac)
@@ -85,7 +84,7 @@ class EthernetTxTile(Tile):
         # An *inner* Ethernet TX tile (e.g. inside a VXLAN overlay)
         # hands its frames to the encapsulation tile over the NoC
         # instead of a MAC.
-        self.emit_to_noc = emit_to_noc
+        self.emit_to_noc: tuple[int, int] | None = None
         # Next-hop IP -> the packed Ethernet header to its MAC.
         self.neighbor_headers: dict[IPv4Address, bytes] = {}
         self.frames_out: deque[tuple[bytes, int]] = deque()
@@ -100,7 +99,7 @@ class EthernetTxTile(Tile):
             dst=MacAddress(mac), src=self.my_mac,
             ethertype=ETHERTYPE_IPV4).pack()
 
-    def connect(self, key, targets, policy="flow_hash") -> None:
+    def connect(self, key, targets, policy) -> None:
         """A destination makes this an inner TX tile: frames go to the
         encapsulation tile there instead of a MAC."""
         (self.emit_to_noc,) = targets

@@ -139,9 +139,8 @@ def _is_fast(tile: Tile) -> bool:
 class FlatTileView:
     """Read-only per-tile window into a :class:`FlatTileCore`.
 
-    The adapter the dashboards/probe use to see core-side scheduling
-    state (busy bit, armed deadline, dispatch mode) next to the
-    tile-side queue state — same pattern as ``flatmesh.FlatRouterView``.
+    The core-side scheduling state of one tile: busy bit, armed
+    deadline, dispatch mode.
     """
 
     __slots__ = ("_core", "index")
@@ -149,18 +148,6 @@ class FlatTileView:
     def __init__(self, core: FlatTileCore, index: int):
         self._core = core
         self.index = index
-
-    @property
-    def tile(self) -> Tile:
-        return self._core.tiles[self.index]
-
-    @property
-    def name(self) -> str:
-        return self.tile.name
-
-    @property
-    def kind(self) -> str:
-        return getattr(self.tile, "KIND", "generic")
 
     @property
     def busy(self) -> bool:
@@ -176,18 +163,6 @@ class FlatTileView:
         deadline = self._core._deadlines[self.index]
         return None if deadline < 0 else deadline
 
-    @property
-    def rx_depth(self) -> int:
-        return len(self.tile._rx_ready)
-
-    @property
-    def eject_depth(self) -> int:
-        return len(self.tile.port.eject_fifo)
-
-    def __repr__(self) -> str:
-        return (f"FlatTileView({self.name!r}, kind={self.kind!r}, "
-                f"mode={self.mode!r}, busy={self.busy})")
-
 
 class FlatTileCore(Wakeable):
     """Array-of-struct engine batch-stepping a design's tiles.
@@ -198,8 +173,8 @@ class FlatTileCore(Wakeable):
     the linter's BHV106 flags that double-step.
     """
 
-    def __init__(self, name: str = "flattiles"):
-        self.name = name
+    def __init__(self):
+        self.name = "flattiles"
         self.tiles: list[Tile] = []
         self._ejects: list = []
         # Per-tile hot-path record, indexed by tile bit: (tile, port,
@@ -274,9 +249,6 @@ class FlatTileCore(Wakeable):
         else:
             index = self.tiles.index(tile_or_name)
         return FlatTileView(self, index)
-
-    def views(self) -> list[FlatTileView]:
-        return [FlatTileView(self, i) for i in range(len(self.tiles))]
 
     @property
     def busy_tiles(self) -> int:
@@ -491,10 +463,6 @@ class FlatTileCore(Wakeable):
                     f"tile {tile.name!r} is armed for cycle {deadline} "
                     "with no entry in the timer heap")
         return problems
-
-    def __repr__(self) -> str:
-        return (f"FlatTileCore({self.name!r}, tiles={len(self.tiles)}, "
-                f"busy={self.busy_tiles})")
 
 
 def register_tiles(sim: CycleSimulator, tiles) -> FlatTileCore:

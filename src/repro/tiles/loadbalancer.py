@@ -40,7 +40,7 @@ class FlowHashLoadBalancerTile(Tile):
     def add_stack(self, ingress_coord: tuple[int, int]) -> None:
         self.stacks.append(ingress_coord)
 
-    def connect(self, key, targets, policy="flow_hash") -> None:
+    def connect(self, key, targets, policy) -> None:
         """Every destination is one more stack, whatever its key."""
         self.stacks.extend(targets)
 

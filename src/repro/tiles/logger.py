@@ -58,23 +58,6 @@ class LogEntry:
                    seq=seq, ack=ack, flags=flags, length=length)
 
 
-@dataclass(frozen=True)
-class LogReadReq:
-    """NoC-level log read: entry ``index`` to ``reply_to``."""
-
-    index: int
-    reply_to: tuple[int, int]
-    tag: object = None
-
-
-@dataclass(frozen=True)
-class LogReadResp:
-    index: int
-    total: int
-    entry: LogEntry | None
-    tag: object = None
-
-
 class PacketLogTile(Tile):
     """A pass-through tap that logs headers with cycle timestamps."""
 
@@ -103,7 +86,7 @@ class PacketLogTile(Tile):
         self.dropped_requests = 0
         self.next_hop = NextHopTable(name=f"{name}.nexthop")
 
-    def connect(self, key, targets, policy="flow_hash") -> None:
+    def connect(self, key, targets, policy) -> None:
         """``readback`` is where log reads are answered; under any
         other key the tile forwards the traffic it taps."""
         super().connect(
@@ -160,10 +143,9 @@ class PacketLogTile(Tile):
     READBACK = "readback"
 
     def handle_message(self, message: NocMessage, cycle: int):
-        request = message.metadata
-        if isinstance(request, LogReadReq):
-            return self._serve_read(request)
-        meta = request if isinstance(request, PacketMeta) else None
+        meta = message.metadata
+        if not isinstance(meta, PacketMeta):
+            meta = None
         if meta is not None and meta.udp is not None and \
                 self.READBACK in self.next_hop.keys():
             # The paper's section V-F flow: the L4 RX tile directed a
@@ -220,16 +202,3 @@ class PacketLogTile(Tile):
         dest = self.next_hop.lookup(self.READBACK)
         return [self.make_message(dest, metadata=reply_meta,
                                   data=body)]
-
-    def _serve_read(self, request: LogReadReq) -> list:
-        if self.request_buffer <= 0:
-            self.dropped_requests += 1
-            return []
-        entry = None
-        if 0 <= request.index < len(self.entries):
-            entry = self.entries[request.index]
-        resp = LogReadResp(index=request.index, total=len(self.entries),
-                           entry=entry, tag=request.tag)
-        data = entry.pack() if entry is not None else b""
-        return [self.make_message(request.reply_to, metadata=resp,
-                                  data=data)]

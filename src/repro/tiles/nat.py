@@ -42,9 +42,6 @@ class NatTable:
     def to_virtual(self, physical: IPv4Address) -> IPv4Address | None:
         return self._phys_to_virt.get(IPv4Address(physical))
 
-    def __len__(self) -> int:
-        return len(self._virt_to_phys)
-
 
 def rewrite_l4_checksum(data: bytes, new_ip: IPv4Header,
                         old_ip: IPv4Header | None = None) -> bytes:

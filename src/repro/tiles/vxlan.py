@@ -42,9 +42,6 @@ class VxlanDecapTile(Tile):
         self.decapsulated = 0
         self.unknown_vni_drops = 0
 
-    def allow_vni(self, vni: int) -> None:
-        self.known_vnis.add(vni)
-
     def handle_message(self, message: NocMessage, cycle: int):
         meta: PacketMeta = message.metadata
         if meta is None or meta.udp is None:

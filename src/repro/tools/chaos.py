@@ -175,15 +175,16 @@ def run_vr_cluster(seed: int, budget_s: float) -> tuple[list[str], str]:
                       f"client retries")
 
 
-def _hostile_frames(seed: int, count: int = 40):
-    """Deterministic garbage: random bytes, runts, flipped-bit frames."""
+def _hostile_frames(seed: int):
+    """Deterministic garbage: 40 frames of random bytes, runts and
+    plausible headers with garbage behind them."""
     from repro.designs.base import SERVER_MAC
     from repro.designs.harness import CLIENT_MAC
     from repro.packet.ethernet import EthernetHeader
 
     header = EthernetHeader(dst=SERVER_MAC, src=CLIENT_MAC).pack()
     rng = random.Random(seed)
-    for i in range(count):
+    for i in range(40):
         kind = i % 3
         if kind == 0:  # pure noise
             yield bytes(rng.randrange(256)
@@ -206,10 +207,8 @@ def run_design_hostile(name: str, seed: int,
     design = load_design(name)[1]()
     attach_faults(design, FaultPlan(seed=seed).wire(
         drop=0.1, corrupt=0.2, duplicate=0.05, reorder=0.1, delay=0.1))
-    sink = None
-    if hasattr(design, "eth_tx"):
-        sink = FrameSink(design.eth_tx, keep_frames=False)
-        design.sim.add(sink)
+    sink = FrameSink(*design.mac_tx, keep_frames=False)
+    design.sim.add(sink)
 
     failures: list[str] = []
     frames = 0
@@ -222,7 +221,7 @@ def run_design_hostile(name: str, seed: int,
         failures.append(f"wall-clock budget {budget_s}s exceeded")
     except Exception as error:  # noqa: BLE001 - the invariant itself
         failures.append(f"raised {type(error).__name__}: {error}")
-    if sink is not None and sink.malformed:
+    if sink.malformed:
         failures.append(f"{sink.malformed} malformed egress frames")
     return failures, f"{frames} hostile frames survived"
 

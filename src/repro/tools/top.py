@@ -74,9 +74,9 @@ def _shade(value: int, peak: int) -> str:
     return SHADES[min(index, len(SHADES) - 1)]
 
 
-def sparkline(values, width: int = SPARK_WIDTH) -> str:
-    """Fixed-width block sparkline of the last ``width`` values."""
-    tail = [v for v in values if v is not None][-width:]
+def sparkline(values) -> str:
+    """Fixed-width block sparkline of the last ``SPARK_WIDTH`` values."""
+    tail = [v for v in values if v is not None][-SPARK_WIDTH:]
     if not tail:
         return ""
     peak = max(tail) or 1

@@ -74,8 +74,7 @@ class TestPipelined:
         pipelined = self.make()
         pipe_gbps = saturate(pipelined, self.frame(pipelined, 64))
 
-        beehive = UdpEchoDesign(udp_port=7,
-                                line_rate_bytes_per_cycle=None)
+        beehive = UdpEchoDesign(udp_port=7)
         beehive.add_client(CLIENT_IP, CLIENT_MAC)
         frame = build_ipv4_udp_frame(CLIENT_MAC, beehive.server_mac,
                                      CLIENT_IP, beehive.server_ip,
@@ -145,7 +144,8 @@ class TestCalm:
     def test_scheduler_drops_when_full(self):
         """PANIC avoids deadlock by dropping, not backpressure."""
         sim = CycleSimulator()
-        crossbar = Crossbar(sim, buffer_packets=2)
+        crossbar = Crossbar(sim)
+        crossbar.buffer_packets = 2
         sink = CrossbarEndpoint("sink", lambda item, cycle: None)
         crossbar.attach(sink)
         for _ in range(5):
@@ -162,7 +162,7 @@ class TestHostStackModels:
             "dpdk_client/dpdk_accel": (6.22, 6.79),
         }
         for name, model in table1_configs().items():
-            stats = model.run(n=40_000)
+            stats = model.run()
             median_target, p99_target = paper[name]
             assert stats.median_us == pytest.approx(median_target,
                                                     rel=0.12)
@@ -175,16 +175,16 @@ class TestHostStackModels:
         for client in ("linux_client", "dpdk_client"):
             suffix = "linux_accel" if client == "linux_client" \
                 else "dpdk_accel"
-            direct = configs[f"{client}/beehive"].run(n=20_000)
-            bounced = configs[f"{client}/{suffix}"].run(n=20_000)
+            direct = configs[f"{client}/beehive"].run()
+            bounced = configs[f"{client}/{suffix}"].run()
             assert direct.median_us < bounced.median_us
             assert direct.p99_us < bounced.p99_us
 
     def test_linux_tail_amplification(self):
         """Linux p99/median >> DPDK p99/median (Table I's story)."""
         configs = table1_configs()
-        linux = configs["linux_client/linux_accel"].run(n=40_000)
-        dpdk = configs["dpdk_client/dpdk_accel"].run(n=40_000)
+        linux = configs["linux_client/linux_accel"].run()
+        dpdk = configs["dpdk_client/dpdk_accel"].run()
         assert linux.p99_us / linux.median_us > 2.5
         assert dpdk.p99_us / dpdk.median_us < 1.3
 
@@ -211,8 +211,7 @@ class TestHostStackModels:
 
 class TestMultiStack:
     def run_design(self, stacks, size, cycles=25000):
-        design = MultiStackDesign(stacks=stacks,
-                                  line_rate_bytes_per_cycle=None)
+        design = MultiStackDesign(stacks=stacks)
         mac = CLIENT_MAC
         ips = [IPv4Address(f"10.0.1.{i}") for i in range(1, 40)]
         for ip in ips:
@@ -257,8 +256,7 @@ class TestMultiStack:
         assert two / one < 1.15
 
     def test_flows_stay_on_one_stack(self):
-        design = MultiStackDesign(stacks=2,
-                                  line_rate_bytes_per_cycle=None)
+        design = MultiStackDesign(stacks=2)
         design.add_client(CLIENT_IP, CLIENT_MAC)
         frame = build_ipv4_udp_frame(CLIENT_MAC, design.server_mac,
                                      CLIENT_IP, design.server_ip,

@@ -1,5 +1,7 @@
 """Tests for buffer tiles, logging tiles, and the distribution tiles."""
 
+import struct
+
 from repro.noc import Mesh, NocMessage
 from repro.packet import build_ipv4_udp_frame, IPv4Address, MacAddress
 from repro.sim.kernel import CycleSimulator
@@ -12,9 +14,11 @@ from repro.tiles.buffer import (
     BufferWriteReq,
 )
 from repro.tiles.loadbalancer import FlowHashLoadBalancerTile
-from repro.tiles.logger import LogEntry, LogReadReq, LogReadResp, PacketLogTile
+from repro.tiles.logger import LogEntry, PacketLogTile
 from repro.tiles.scheduler import RoundRobinSchedulerTile
+from repro.packet.ipv4 import IPPROTO_UDP, IPv4Header
 from repro.packet.tcp import TcpHeader
+from repro.packet.udp import UdpHeader
 
 
 class Collector(Tile):
@@ -146,33 +150,6 @@ class TestPacketLogTile:
         cycles = [e.cycle for e in log_tile.entries]
         assert cycles == sorted(cycles)
 
-    def test_readback_over_noc(self):
-        sim, src, log_tile, collector = logger_fixture()
-        src.send(NocMessage(dst=(1, 0), src=(0, 0),
-                            metadata=self.make_meta(42), data=b""))
-        sim.run(60)
-        src.send(NocMessage(dst=(1, 0), src=(0, 0),
-                            metadata=LogReadReq(index=0,
-                                                reply_to=(2, 0))))
-        sim.run_until(
-            lambda: any(isinstance(m.metadata, LogReadResp)
-                        for m in collector.received),
-            max_cycles=500,
-        )
-        resp = [m for m in collector.received
-                if isinstance(m.metadata, LogReadResp)][0]
-        assert resp.metadata.entry.seq == 42
-        assert LogEntry.unpack(resp.data).seq == 42
-
-    def test_read_past_end_returns_empty(self):
-        sim, src, log_tile, collector = logger_fixture()
-        src.send(NocMessage(dst=(1, 0), src=(0, 0),
-                            metadata=LogReadReq(index=5,
-                                                reply_to=(2, 0))))
-        sim.run_until(lambda: collector.received, max_cycles=500)
-        resp = collector.received[0].metadata
-        assert resp.entry is None and resp.total == 0
-
     def test_capacity_is_a_ring(self):
         sim, src, log_tile, collector = logger_fixture(capacity=2)
         for seq in range(4):
@@ -183,10 +160,17 @@ class TestPacketLogTile:
         assert [e.seq for e in log_tile.entries] == [2, 3]
 
     def test_full_request_buffer_drops(self):
+        """A UDP read (section V-F) meeting a full request buffer is
+        dropped and counted; the client re-requests it."""
         sim, src, log_tile, collector = logger_fixture(request_buffer=0)
-        src.send(NocMessage(dst=(1, 0), src=(0, 0),
-                            metadata=LogReadReq(index=0,
-                                                reply_to=(2, 0))))
+        log_tile.next_hop.set_entry(PacketLogTile.READBACK, (2, 0))
+        read = PacketMeta(
+            ip=IPv4Header(src=IPv4Address("10.0.0.1"),
+                          dst=IPv4Address("10.0.0.10"),
+                          protocol=IPPROTO_UDP),
+            udp=UdpHeader(src_port=6001, dst_port=5100))
+        src.send(NocMessage(dst=(1, 0), src=(0, 0), metadata=read,
+                            data=struct.pack("!I", 0)))
         sim.run(300)
         assert not collector.received
         assert log_tile.dropped_requests == 1

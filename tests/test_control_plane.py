@@ -112,8 +112,9 @@ class TestControlPlaneBasics:
 
 def control_rpc_frame(design, target, table, key, value, tag=1,
                       op="update"):
-    payload = encode_control_rpc(target, table, key, value, tag=tag,
-                                 op=op)
+    payload = encode_control_rpc(target, table, key, value, tag=tag)
+    if op != "update":
+        payload = json.dumps(dict(json.loads(payload), op=op)).encode()
     return build_ipv4_udp_frame(
         ADMIN_MAC, design.server_mac, ADMIN_IP, design.server_ip,
         6000, ManagedNatEchoDesign.CONTROL_PORT, payload,

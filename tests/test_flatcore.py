@@ -78,7 +78,7 @@ class TestRegisterTiles:
         with pytest.raises(TypeError):
             register_tiles(CycleSimulator(), [], "flat")
         assert list(inspect.signature(CycleSimulator).parameters) == \
-            ["tracer", "kernel"]
+            ["kernel"]
 
     def test_dict_of_tiles_accepted(self):
         design = echo_design()
@@ -101,20 +101,13 @@ class TestRegisterTiles:
 
 
 class TestViews:
-    def test_views_expose_name_kind_and_mode(self):
-        design = echo_design()
-        core = design.tile_core
-        views = core.views()
-        assert [v.name for v in views] == list(design.tiles)
-        assert all(v.mode == "fast" for v in views)
-        assert core.view("udp_rx").tile is design.udp_rx
-        assert core.view(design.app).name == "app"
 
     def test_overriding_engine_hook_falls_back_to_object_mode(self):
         # The TCP TX engine overrides on_cycle (retransmit timers), so
         # the core must not inline it.
         design = TcpServerDesign()
-        modes = {v.name: v.mode for v in design.tile_core.views()}
+        core = design.tile_core
+        modes = {name: core.view(name).mode for name in design.tiles}
         assert modes["tcp_tx"] == "object"
         assert modes["ip_tx"] == "fast"
 
@@ -159,7 +152,7 @@ class TestLintIntegration:
 
     def test_double_adoption_is_flagged(self):
         design = echo_design()
-        second = FlatTileCore("second")
+        second = FlatTileCore()
         second.adopt(design.eth_rx)
         design.sim.add(second)
         codes = [f.code for f in lint(design)
@@ -175,6 +168,7 @@ class TestLintIntegration:
 
 
 # -- the tile<->mesh edge ------------------------------------------------------
+
 
 class FlitTracer(Tracer):
     """Records which flit crossed each link, not just that one did."""
@@ -467,7 +461,8 @@ def edge_soak(kind, reference, occupancy, seed=0xED6E, cycles=2_000):
     mesh = MESHES[mesh_kind](2, 1)
     source = mesh.attach((0, 0))
     sink = sink_cls("sink", mesh, (1, 0), occupancy=occupancy,
-                    parse_latency=2, buffer_flits=24)
+                    parse_latency=2)
+    sink.buffer_flits = 24
     mesh.register(sim)
     core = add_tiles(sim, [sink], tile_engine)
     port, fifo = sink.port, sink.port.eject_fifo
@@ -718,7 +713,7 @@ class TestInlinedHooks:
         patched = Sink("patched", mesh, (1, 0))
         patched._due = patched._engine_due
         core = register_tiles(CycleSimulator(), [plain, patched])
-        assert [v.mode for v in core.views()] == ["fast", "object"]
+        assert [core.view(t).mode for t in core.tiles] == ["fast", "object"]
 
     def test_handoff_counters_match_reference_at_64_bytes(self):
         """The counters the tile -> port hand-off writes, on the scaled

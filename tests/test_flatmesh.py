@@ -61,8 +61,7 @@ class TestBuildMesh:
                 Design(3, 2, profile)
 
     def test_options_forwarded(self):
-        mesh = FlatMesh(2, 2, fifo_depth=7, routing="yx")
-        assert mesh.routing == "yx"
+        mesh = FlatMesh(2, 2, fifo_depth=7)
         view = mesh.routers[(0, 0)]
         assert view.inputs[Port.EAST].capacity == 7
 
@@ -70,11 +69,6 @@ class TestBuildMesh:
         for mesh_cls in MESHES.values():
             with pytest.raises(ValueError):
                 mesh_cls(0, 2)
-
-    def test_bad_routing(self):
-        for mesh_cls in MESHES.values():
-            with pytest.raises(ValueError):
-                mesh_cls(2, 2, routing="zigzag")
 
 
 class TestFlatMeshStructure:

@@ -23,6 +23,7 @@ and ``test_flatmesh`` (scheduled kernel over an object mesh, flat mesh
 under the naive kernel) say in which layer.
 """
 
+import json
 import pytest
 
 import repro.designs
@@ -325,8 +326,8 @@ class TestTcpEquivalence:
     def tcp_fingerprint(design, tracer, peers, sent_at):
         fp = fingerprint(design, None, tracer)
         fp["tx_sends"] = sent_at
-        fp["flows"] = [vars(flow) for table in (design.flows.rx,
-                                                design.flows.tx)
+        fp["flows"] = [vars(flow) for table in (design.tcp_rx.flows.rx,
+                                                design.tcp_rx.flows.tx)
                        for flow in table.values()]
         fp["engines"] = [
             (design.tcp_tx.segments_out, design.tcp_tx.pure_acks_out,
@@ -412,7 +413,7 @@ class TestTcpEquivalence:
             peer.connect()
             self.run_checked(design,
                              lambda: len(peer.received) >= total, 60_000)
-            tx = design.flows.tx[0]
+            tx = design.tcp_rx.flows.tx[0]
             assert (tx.fast_retransmits, tx.retransmits) == (1, 11)
             # It slept through every one of those timers.
             gaps = [b - a for a, b in zip(sent_at, sent_at[1:])]
@@ -451,7 +452,7 @@ class TestTcpEquivalence:
                              lambda: len(peer.received) >= 16, 30_000)
             first = sent_at[0]
             assert sent_at[:5] == [first + 3_001 * k for k in range(5)]
-            assert design.flows.tx[0].retransmits == 4
+            assert design.tcp_rx.flows.tx[0].retransmits == 4
             assert peer.retransmits == 0 and peer.established
             fp = self.tcp_fingerprint(design, tracer, [peer], sent_at)
             fp["egress"] = egress
@@ -516,7 +517,8 @@ class TestMultiStackEquivalence:
             fp = fingerprint(design, None, tracer)
             for index, sink in enumerate(sinks):
                 fp[f"frames_{index}"] = list(sink.frames)
-            fp["echoed"] = design.total_echoed()
+            fp["echoed"] = sum(stack.app.requests
+                               for stack in design.stacks)
             return fp
 
         assert_equivalent(scenario)
@@ -656,11 +658,14 @@ class TestManagedNatEquivalence:
             design.sim.add(sink)
 
             def rpc(target, table, key, value, tag, op="update"):
+                payload = encode_control_rpc(target, table, key, value,
+                                             tag=tag)
+                if op != "update":
+                    payload = json.dumps(
+                        dict(json.loads(payload), op=op)).encode()
                 return build_ipv4_udp_frame(
                     self.ADMIN_MAC, design.server_mac, self.ADMIN_IP,
-                    design.server_ip, 6000, design.CONTROL_PORT,
-                    encode_control_rpc(target, table, key, value,
-                                       tag=tag, op=op))
+                    design.server_ip, 6000, design.CONTROL_PORT, payload)
 
             for i in range(6):
                 at = 1 + i * 260
@@ -781,9 +786,10 @@ class TestIdleSkipActuallyHappens:
         assert sum(tile.messages_in for tile in design.tile_core.tiles)
         for component in design.sim.components:
             assert design.sim.wake_cycle(component) is None, component
-        for view in design.tile_core.views():
-            assert view.tile._due() == NEVER, view
-            assert not view.busy and view.armed_deadline is None, view
+        for tile in design.tile_core.tiles:
+            view = design.tile_core.view(tile)
+            assert tile._due() == NEVER, tile.name
+            assert not view.busy and view.armed_deadline is None, tile.name
         skipped = design.sim.idle_cycles_skipped
         design.sim.run(1_000)
         assert design.sim.idle_cycles_skipped == skipped + 1_000

@@ -12,8 +12,8 @@ from repro.noc import (
     NocMessage,
     Port,
     xy_route,
-    xy_route_path,
 )
+from repro.noc.routing import route_path
 from repro.sim.kernel import CycleSimulator, no_commit
 
 
@@ -43,7 +43,6 @@ class TestMessageEncoding:
     def test_flit_counts(self):
         msg = NocMessage(dst=(0, 0), src=(1, 1), metadata="m",
                          data=bytes(130))
-        assert msg.n_data_flits == 3
         assert msg.n_flits == 5  # header + meta + 3 data
 
     @pytest.mark.parametrize("n_meta", [0, 1, 2])
@@ -56,7 +55,6 @@ class TestMessageEncoding:
                              n_meta_flits=n_meta)
             flits = msg.to_flits()
             assert msg.n_flits == len(flits), size
-            assert msg.n_data_flits == len(flits) - 1 - n_meta
             assert [f.is_head for f in flits] == \
                 [True] + [False] * (len(flits) - 1)
             assert [f.is_tail for f in flits] == \
@@ -137,7 +135,7 @@ class TestXYRouting:
         assert xy_route((1, 1), (1, 1)) == Port.LOCAL
 
     def test_path_enumeration(self):
-        path = xy_route_path((0, 0), (2, 1))
+        path = route_path((0, 0), (2, 1))
         assert path == [
             ((0, 0), Port.EAST),
             ((1, 0), Port.EAST),
@@ -146,17 +144,13 @@ class TestXYRouting:
         ]
 
     def test_path_to_self(self):
-        assert xy_route_path((1, 1), (1, 1)) == [((1, 1), Port.LOCAL)]
+        assert route_path((1, 1), (1, 1)) == [((1, 1), Port.LOCAL)]
 
     @given(sx=st.integers(0, 7), sy=st.integers(0, 7),
            dx=st.integers(0, 7), dy=st.integers(0, 7))
     def test_path_length_is_manhattan(self, sx, sy, dx, dy):
-        path = xy_route_path((sx, sy), (dx, dy))
+        path = route_path((sx, sy), (dx, dy))
         assert len(path) == abs(sx - dx) + abs(sy - dy) + 1
-
-    def test_opposite_ports(self):
-        assert Port.EAST.opposite == Port.WEST
-        assert Port.NORTH.opposite == Port.SOUTH
 
 
 class TestMeshDelivery:
@@ -247,7 +241,8 @@ class TestMeshDelivery:
         """A single stream sustains one flit per link per cycle."""
         sim, mesh = build(2, 1)
         src = mesh.attach((0, 0))
-        dst_port = mesh.attach((1, 0), eject_depth=8)
+        dst_port = mesh.attach((1, 0))
+        dst_port.eject_fifo.capacity = 8
         mesh.register(sim)
         drain = Drain(dst_port)
         sim.add(drain)
@@ -266,7 +261,8 @@ class TestMeshDelivery:
         """A slow consumer loses nothing; flow control backpressures."""
         sim, mesh = build(2, 1)
         src = mesh.attach((0, 0))
-        dst_port = mesh.attach((1, 0), eject_depth=2)
+        dst_port = mesh.attach((1, 0))
+        dst_port.eject_fifo.capacity = 2
         mesh.register(sim)
 
         class SlowDrain:
@@ -317,62 +313,3 @@ class TestMeshDelivery:
         # 3 flits crossed router (0,0) east and router (1,0) local.
         assert mesh.routers[(0, 0)].flits_per_output[Port.EAST] == 3
         assert mesh.routers[(1, 0)].flits_per_output[Port.LOCAL] == 3
-
-
-class TestYxRouting:
-    def test_yx_routes_y_first(self):
-        from repro.noc.routing import yx_route, yx_route_path
-        assert yx_route((0, 0), (2, 2)) == Port.SOUTH
-        assert yx_route((0, 2), (2, 2)) == Port.EAST
-        path = yx_route_path((0, 0), (2, 1))
-        assert path == [
-            ((0, 0), Port.SOUTH),
-            ((0, 1), Port.EAST),
-            ((1, 1), Port.EAST),
-            ((2, 1), Port.LOCAL),
-        ]
-
-    def test_routings_take_different_links(self):
-        from repro.noc.routing import xy_route_path, yx_route_path
-        xy = set(xy_route_path((0, 0), (2, 2)))
-        yx = set(yx_route_path((0, 0), (2, 2)))
-        assert xy != yx
-        # Same endpoints, same hop count, different corners.
-        assert len(xy) == len(yx)
-
-    def test_yx_mesh_delivers_in_order(self):
-        sim = CycleSimulator(kernel="naive")
-        mesh = Mesh(3, 3, routing="yx")
-        src = mesh.attach((0, 0))
-        dst_port = mesh.attach((2, 2))
-        mesh.register(sim)
-        drain = Drain(dst_port)
-        sim.add(drain)
-        for i in range(10):
-            src.send(NocMessage(dst=(2, 2), src=(0, 0), metadata=i,
-                                data=bytes(64)))
-        sim.run_until(lambda: len(drain.messages) == 10,
-                      max_cycles=2000)
-        assert [m.metadata for m in drain.messages] == list(range(10))
-
-    def test_bad_routing_name(self):
-        with pytest.raises(ValueError, match="unknown routing"):
-            Mesh(2, 2, routing="adaptive")
-
-    def test_analysis_respects_route_function(self):
-        """Safety is a property of placement *and* routing: the Fig 5b
-        placement is safe under XY, and an analysis under YX of a
-        vertically-laid-out chain shows the dual behaviour."""
-        from repro.analysis.deadlock import analyze_chains
-        from repro.noc.routing import yx_route
-
-        # Fig 5a rotated 90 degrees: a column layout that reuses a
-        # vertical link under YX routing.
-        coords = {"eth": (0, 0), "ip": (0, 2), "udp": (0, 1),
-                  "app": (0, 3)}
-        chain = [["eth", "ip", "udp", "app"]]
-        assert analyze_chains(chain, coords,
-                              route_fn=yx_route) is not None
-        safe = {"eth": (0, 0), "ip": (0, 1), "udp": (0, 2),
-                "app": (0, 3)}
-        assert analyze_chains(chain, safe, route_fn=yx_route) is None

@@ -153,7 +153,8 @@ class TestNocSoak:
         mesh = Mesh(3, 2)
         a = mesh.attach((0, 0))
         b = mesh.attach((0, 1))
-        sink_port = mesh.attach((2, 0), eject_depth=8)
+        sink_port = mesh.attach((2, 0))
+        sink_port.eject_fifo.capacity = 8
         mesh.register(sim)
         drain = Drain(sink_port)
         sim.add(drain)
@@ -262,7 +263,7 @@ class TestFaultSoak:
                     .stall_link((6, 3), at=1500, duration=500)
                     .corrupt_flits(0.1, coords=[(2, 0)]))
             design = ScaledEchoDesign(profile=profile, fault_plan=plan)
-            assert (design.width, design.height) == (7, 4)
+            assert (design.mesh.width, design.mesh.height) == (7, 4)
             design.add_client(CLIENT_IP, CLIENT_MAC)
             sink = FrameSink(design.eth_tx)
             design.sim.add(sink)

@@ -1,5 +1,6 @@
 """Tests for the byte-accurate packet formats."""
 
+import struct
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,8 +101,8 @@ class TestEthernet:
         assert rest == b"x"
 
     def test_vlan_header_len(self):
-        assert EthernetHeader(dst=MAC_B, src=MAC_A).header_len == 14
-        assert EthernetHeader(dst=MAC_B, src=MAC_A, vlan=1).header_len == 18
+        assert len(EthernetHeader(dst=MAC_B, src=MAC_A).pack()) == 14
+        assert len(EthernetHeader(dst=MAC_B, src=MAC_A, vlan=1).pack()) == 18
 
     def test_bad_vlan(self):
         with pytest.raises(ValueError):
@@ -207,7 +208,8 @@ class TestTcp:
     def test_roundtrip(self):
         tcp = TcpHeader(src_port=5, dst_port=6, seq=1000, ack=2000,
                         flags=TCP_SYN | TCP_ACK, window=512)
-        parsed, payload = TcpHeader.unpack(tcp.pack() + b"data")
+        parsed, payload = TcpHeader.unpack(
+            tcp.pack_with_checksum(b"", b"data") + b"data")
         assert parsed.seq == 1000 and parsed.ack == 2000
         assert parsed.flag(TCP_SYN) and parsed.flag(TCP_ACK)
         assert parsed.window == 512
@@ -215,7 +217,7 @@ class TestTcp:
 
     def test_options_roundtrip(self):
         tcp = TcpHeader(src_port=1, dst_port=2, options=b"\x02\x04\x05\xb4")
-        parsed, _ = TcpHeader.unpack(tcp.pack())
+        parsed, _ = TcpHeader.unpack(tcp.pack_with_checksum(b"", b""))
         assert parsed.options == b"\x02\x04\x05\xb4"
         assert parsed.header_len == 24
 
@@ -230,7 +232,7 @@ class TestTcp:
 
     def test_seq_wraps_32_bits(self):
         tcp = TcpHeader(src_port=1, dst_port=2, seq=(1 << 32) + 5)
-        parsed, _ = TcpHeader.unpack(tcp.pack())
+        parsed, _ = TcpHeader.unpack(tcp.pack_with_checksum(b"", b""))
         assert parsed.seq == 5
 
     def test_describe_flags(self):
@@ -275,7 +277,10 @@ class TestWholeFrames:
     def test_udp_frame_property_roundtrip(self, payload, src_port,
                                           dst_port, vlan):
         frame = build_ipv4_udp_frame(MAC_A, MAC_B, IP_A, IP_B, src_port,
-                                     dst_port, payload, vlan=vlan)
+                                     dst_port, payload)
+        if vlan is not None:
+            frame = frame[:12] + struct.pack("!HH", 0x8100, vlan) \
+                + frame[12:]
         parsed = parse_frame(frame)
         assert parsed.payload == payload
         assert parsed.udp.src_port == src_port

@@ -65,7 +65,7 @@ class TestSampling:
 
     def test_registry_counters_monotonic(self):
         _, probe, _ = run_echo()
-        flits = probe.registry.get("noc.flits_forwarded")
+        flits = probe.registry.counter("noc.flits_forwarded")
         assert flits is not None
         assert flits.value == \
             probe.series.snapshots[-1]["total_flits"]
@@ -79,7 +79,7 @@ class TestSampling:
         assert latency["completed"] > 0
         assert latency["p50"] is not None
         assert latency["p999"] >= latency["p50"]
-        hist = probe.registry.get("latency.e2e_cycles")
+        hist = probe.registry.histogram("latency.e2e_cycles")
         assert hist.count > 0
 
         _, probe_untraced, _ = run_echo(trace=False)
@@ -147,8 +147,8 @@ class TestBackends:
         assert series["reference"] == [(b, 25) for b in busy]
         assert [b for b, _ in series["fast"]] == busy
         registry = runs["reference"].registry
-        assert registry.get("tiles.busy").value == 1
-        assert registry.get("kernel.active_components").value == 25
+        assert registry.gauge("tiles.busy").value == 1
+        assert registry.gauge("kernel.active_components").value == 25
 
     def test_tiles_that_are_not_tiles_count_as_not_busy(self):
         """``attach_probe`` takes any design: the Fig 5 demo's

@@ -6,6 +6,7 @@ the stack must *drop*, never crash or emit garbage, whatever arrives
 off the wire.
 """
 
+import struct
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,7 +113,7 @@ class TestHostileTcp:
                 CLIENT_MAC, design.server_mac, CLIENT_IP,
                 design.server_ip, header), design.sim.cycle)
         design.sim.run(5000)
-        assert len(design.flows) == 0
+        assert len(design.tcp_rx.flows.rx) == 0
         assert design.tcp_tx.segments_out == 0
 
     def test_syn_flood_bounded_by_table(self):
@@ -130,7 +131,7 @@ class TestHostileTcp:
                 CLIENT_MAC, design.server_mac, CLIENT_IP,
                 design.server_ip, header), design.sim.cycle)
         design.sim.run(20_000)
-        assert len(design.flows) == 4
+        assert len(design.tcp_rx.flows.rx) == 4
 
     def test_rst_tears_down(self):
         from repro.packet import TcpHeader, TCP_RST, TCP_SYN
@@ -142,14 +143,14 @@ class TestHostileTcp:
                            design.server_ip, 5000, wire_cycles=50)
         design.sim.add(peer)
         peer.connect()
-        design.sim.run_until(lambda: len(design.flows) == 1,
+        design.sim.run_until(lambda: len(design.tcp_rx.flows.rx) == 1,
                              max_cycles=20_000)
         header = TcpHeader(src_port=peer.src_port, dst_port=5000,
                            seq=peer.snd_nxt, flags=TCP_RST)
         design.inject(build_tcp_frame(
             CLIENT_MAC, design.server_mac, CLIENT_IP,
             design.server_ip, header), design.sim.cycle)
-        design.sim.run_until(lambda: len(design.flows) == 0,
+        design.sim.run_until(lambda: len(design.tcp_rx.flows.rx) == 0,
                              max_cycles=20_000)
         assert design.tcp_rx.resets == 1
 
@@ -159,10 +160,11 @@ class TestVlanTraffic:
         """Section V-B: the Ethernet receive processor handles VLAN
         tags; a tagged request gets echoed (untagged reply)."""
         design, sink = make_udp_design()
-        tagged = build_ipv4_udp_frame(
+        frame = build_ipv4_udp_frame(
             CLIENT_MAC, design.server_mac, CLIENT_IP,
-            design.server_ip, 5555, 7, b"tagged!", vlan=42,
+            design.server_ip, 5555, 7, b"tagged!",
         )
+        tagged = frame[:12] + struct.pack("!HH", 0x8100, 42) + frame[12:]
         design.inject(tagged, 0)
         design.sim.run_until(lambda: sink.count >= 1, max_cycles=2000)
         reply = parse_frame(sink.frames[0][0])

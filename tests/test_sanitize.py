@@ -76,7 +76,7 @@ class TestCleanDesigns:
         assert sorted(report.passes_run) == sorted(
             f"sanitize:{p}" for p in SANITIZE_PASSES)
         for design in designs:
-            tx = design.flows.tx[0]
+            tx = design.tcp_rx.flows.tx[0]
             assert design.tcp_tx.segments_out == 4
             assert (tx.fast_retransmits, tx.tx_written) == (1, 64)
             assert design.tcp_tx._due() == NEVER

@@ -52,8 +52,9 @@ def test_a_shipped_design_is_what_its_spec_lists(name):
     design = factory()
     assert isinstance(design, GeneratedDesign)
     assert design.spec == spec
-    assert list(design.tiles) == spec.tile_names()
-    assert [t.name for t in design.tile_core.tiles] == spec.tile_names()
+    names = [tile.name for tile in spec.tiles]
+    assert list(design.tiles) == names
+    assert [t.name for t in design.tile_core.tiles] == names
     assert design.tile_coords == spec.coords()
     assert design.chains == [chain.tiles for chain in spec.chains]
     for tile_spec in spec.tiles:
@@ -93,7 +94,8 @@ def test_keywords_land_in_the_spec():
         DestSpec("default", ["udp_tx0", "udp_tx1"], "round_robin")]
     assert len(spec.chains) == 3 * 2 * 2
     design = VrWitnessDesign(shards=3, duplicate_udp=True)
-    assert len(design.udp_rx_tiles) == len(design.udp_tx_tiles) == 2
+    assert len(design.tiles_named("udp_rx")) == \
+        len(design.tiles_named("udp_tx")) == 2
     assert design.witness2.next_hop.policy == "round_robin"
 
     coords = [(5, 2), (5, 0), (3, 1)]
@@ -105,14 +107,15 @@ def test_keywords_land_in_the_spec():
 
     spec = TcpServerDesign.spec(with_logging=True, tcp_port=80,
                                 max_flows=3, congestion_control="cubic")
-    assert spec.tile_names()[-2:] == ["log_rx", "log_tx"]
+    assert [tile.name for tile in spec.tiles][-2:] == ["log_rx", "log_tx"]
     assert keys_of(spec, "ip_rx") == {"proto:6": ["log_rx"]}
     assert keys_of(spec, "log_tx") == {"default": ["ip_tx"]}
     assert keys_of(spec, "tcp_rx") == {"port:80": ["app"]}
     assert spec.tile("tcp_tx").params["congestion_control"] == "cubic"
     design = TcpServerDesign(with_logging=True, tcp_port=80, max_flows=3)
-    assert (design.tcp_port, design.flows.max_flows) == (80, 3)
-    assert design.flows is design.tcp_tx.flows
+    assert (list(design.tcp_rx.listen_ports), design.tcp_rx.flows.max_flows) == \
+        ([80], 3)
+    assert design.tcp_rx.flows is design.tcp_tx.flows
     assert design.rx_buf.size_bytes == 3 * params.TCP_RX_BUFFER_BYTES
 
 
@@ -123,6 +126,6 @@ def test_log_tile_takes_its_readback_entry_through_connect():
     table = design.log.next_hop
     assert table.lookup(PacketLogTile.FORWARD) == design.udp_rx.coord
     assert table.lookup(PacketLogTile.READBACK) == design.udp_tx.coord
-    design.log.connect("default", [design.app.coord])
+    design.log.connect("default", [design.app.coord], "flow_hash")
     assert table.lookup(PacketLogTile.FORWARD) == design.app.coord
     assert table.lookup(PacketLogTile.READBACK) == design.udp_tx.coord

@@ -79,34 +79,6 @@ class TestStagedFifo:
         assert len(fifo) == 1
         assert fifo.occupancy == 2
 
-    def test_drain(self):
-        fifo = StagedFifo()
-        fifo.push(1)
-        fifo.push(2)
-        fifo.commit()
-        assert fifo.drain() == [1, 2]
-        assert len(fifo) == 0
-
-    def test_drain_includes_staged(self):
-        """Drain empties the staging buffer too — staged items must not
-        silently commit on the next tick after a drain."""
-        fifo = StagedFifo()
-        fifo.push(1)
-        fifo.commit()
-        fifo.push(2)  # staged, not yet committed
-        assert fifo.drain() == [1, 2]
-        assert len(fifo) == 0
-        assert fifo.occupancy == 0
-        fifo.commit()
-        assert len(fifo) == 0  # nothing reappears
-
-    def test_drain_staged_frees_capacity(self):
-        fifo = StagedFifo(capacity=1)
-        fifo.push(1)
-        assert not fifo.can_accept()
-        fifo.drain()
-        assert fifo.can_accept()
-
 
 class Stepper(Counter):
     """A :class:`Counter` with nothing to commit, as the scheduled
@@ -324,7 +296,7 @@ class TestScheduledKernel:
         sim.add(consumer)
         sim.run(10)
         before = consumer.steps
-        sim.wake(consumer)
+        consumer._wake()
         sim.run(1)
         assert consumer.steps == before + 1
 
@@ -335,7 +307,7 @@ class TestScheduledKernel:
         alarm = Alarm(period=30)
         sim.add(alarm)
         sim.run(10)
-        sim.wake(alarm)
+        alarm._wake()
         sim.run(90)
         assert alarm.fired == [30, 60, 90]
 
@@ -535,18 +507,18 @@ def test_wake_reuses_the_waker_made_at_add():
     assert consumer.fifo._wakers == [consumer._kernel_wake]
     sim.run(3)
     assert sim.wake_cycle(consumer) is None     # only a wake rouses it
-    sim.wake(consumer)
+    consumer._wake()
     assert sim.wake_cycle(consumer) == sim.cycle == 3
-    sim.wake(Counter())  # never added: a no-op, not an error
     naive = CycleSimulator(kernel="naive")
     sleeper = SleepyConsumer(StagedFifo())
     naive.add(sleeper)
-    naive.wake(sleeper)
+    sleeper._wake()
     assert sleeper._kernel_wake is None and sleeper.fifo._wakers == []
     assert naive.wake_cycle(sleeper) == naive.cycle
 
 
 # -- the wake_at scheduler ---------------------------------------------------
+
 
 class TestNoTickWithoutWork:
     """Idle means idle: under ``fast`` a paced design is ticked on
@@ -595,8 +567,8 @@ class TestNoTickWithoutWork:
         if isinstance(component, FrameSource):
             return not component.done and component._next_free <= cycle
         if isinstance(component, FrameSink):
-            frames = component.eth_tx.frames_out
-            return bool(frames) and frames[0][1] <= cycle
+            return any(tile.frames_out and tile.frames_out[0][1] <= cycle
+                       for tile in component.eth_tx)
         raise AssertionError(f"no oracle for {type(component).__name__}")
 
     def test_every_tick_has_work_and_every_idle_cycle_is_skipped(self):
@@ -690,14 +662,14 @@ class TestWakeRule:
         assert sim.wake_cycle(late) is None
         assert sim.wake_cycle(waker) == 5
         late.inbox.append("poke")
-        sim.wake(late)
+        late._wake()
         assert sim.wake_cycle(late) == 3
         sim.run(1)
         assert late.seen == [(3, "poke")]
         # Waking a component that is already due changes nothing.
-        sim.wake(waker)
+        waker._wake()
         assert sim.wake_cycle(waker) == 4
-        sim.wake(waker)
+        waker._wake()
         sim.run(6)
         assert waker.stepped == [0, 4, 5]
 
@@ -744,7 +716,7 @@ class TestStepAnswer:
         sim.run(5)
         assert selfish.stepped == [0, 1]
         assert sim.wake_cycle(selfish) is None
-        sim.wake(selfish)
+        selfish._wake()
         sim.run(2)
         assert selfish.stepped == [0, 1, 5]
 
@@ -766,7 +738,7 @@ class TestStepAnswer:
         assert busy.stepped == list(range(20))
         assert sleeper.stepped == [0]
         assert sim.wake_cycle(sleeper) is None
-        sim.wake(sleeper)
+        sleeper._wake()
         sim.run(5)
         assert sleeper.stepped == [0, 20]
         assert busy.stepped == list(range(25))

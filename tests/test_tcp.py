@@ -96,14 +96,14 @@ class TestHandshake:
         design, peer = make_pair()
         peer.connect()
         design.sim.run_until(lambda: peer.established, max_cycles=20000)
-        flow_id = design.flows.lookup(
+        flow_id = design.tcp_rx.flows.lookup(
             (int(CLIENT_IP), peer.src_port, int(design.server_ip), 5000)
         )
         assert flow_id is not None
         # The server reaches ESTABLISHED once the peer's ACK lands, and
         # the app tile is notified a few NoC hops later.
         design.sim.run_until(
-            lambda: design.flows.rx[flow_id].state
+            lambda: design.tcp_rx.flows.rx[flow_id].state
             == TcpState.ESTABLISHED,
             max_cycles=20000,
         )
@@ -116,7 +116,7 @@ class TestHandshake:
         peer.connect()
         design.sim.run(5000)
         assert not peer.established
-        assert len(design.flows) == 0
+        assert len(design.tcp_rx.flows.rx) == 0
 
     def test_syn_retransmission_tolerated(self):
         """A duplicated SYN must not corrupt the flow state."""
@@ -136,7 +136,7 @@ class TestHandshake:
         peer.send(b"x" * 16)
         design.sim.run_until(lambda: len(peer.received) >= 16,
                              max_cycles=100000)
-        assert len(design.flows) == 1
+        assert len(design.tcp_rx.flows.rx) == 1
 
     def test_connection_table_full(self):
         design = make_design(max_flows=1)
@@ -265,8 +265,8 @@ class TestLossRecovery:
         design.sim.run_until(lambda: len(peer.received) >= 16,
                              max_cycles=1_000_000)
         assert bytes(peer.received) == b"Z" * 16
-        flow_id = design.flows.flows()[0]
-        assert design.flows.tx[flow_id].retransmits >= 1
+        flow_id = list(design.tcp_rx.flows.rx)[0]
+        assert design.tcp_rx.flows.tx[flow_id].retransmits >= 1
 
     def test_fast_retransmit_on_dup_acks(self):
         """Three duplicate ACKs trigger fast retransmit without waiting
@@ -289,8 +289,8 @@ class TestLossRecovery:
             peer.send(b"Q" * 16)
         design.sim.run_until(lambda: len(peer.received) >= 96,
                              max_cycles=1_000_000)
-        flow_id = design.flows.flows()[0]
-        assert design.flows.tx[flow_id].fast_retransmits >= 1
+        flow_id = list(design.tcp_rx.flows.rx)[0]
+        assert design.tcp_rx.flows.tx[flow_id].fast_retransmits >= 1
 
     def test_corrupted_segment_dropped(self):
         design, peer = make_pair(request_size=16)
@@ -326,8 +326,8 @@ class TestFlowControl:
         peer.connect()
         peer.send(bytes(300 * 1024))  # 5x the receive ring
         design.sim.run(400_000)
-        flow_id = design.flows.flows()[0]
-        rx = design.flows.rx[flow_id]
+        flow_id = list(design.tcp_rx.flows.rx)[0]
+        rx = design.tcp_rx.flows.rx[flow_id]
         # The server accepted at most one ring worth of data.
         assert rx.rx_stream_received <= rx.rx_buf_size
         # And the peer still has unsent data (it respected the window).
@@ -340,13 +340,13 @@ class TestFlowControl:
         design.sim.run_until(lambda: len(peer.received) >= 16,
                              max_cycles=200000)
         peer.close()
-        flow_id = design.flows.flows()[0]
+        flow_id = list(design.tcp_rx.flows.rx)[0]
         design.sim.run_until(
-            lambda: design.flows.rx[flow_id].state
+            lambda: design.tcp_rx.flows.rx[flow_id].state
             == TcpState.CLOSE_WAIT,
             max_cycles=200000,
         )
-        assert design.flows.rx[flow_id].fin_received
+        assert design.tcp_rx.flows.rx[flow_id].fin_received
 
 
 class TestLoggingTiles:
@@ -396,8 +396,8 @@ def scripted_session(design, gap, start=10):
 
     def segment(flags, seq, acked=0, payload=b""):
         def inject(at):
-            ack = seq_add(design.flows.tx[0].iss, acked) if acked else 0
-            header = TcpHeader(src_port=40_000, dst_port=design.tcp_port,
+            ack = seq_add(design.tcp_rx.flows.tx[0].iss, acked) if acked else 0
+            header = TcpHeader(src_port=40_000, dst_port=5000,
                                seq=seq, ack=ack, flags=flags,
                                window=65535)
             design.inject(build_tcp_frame(
@@ -459,9 +459,9 @@ class TestTxEngineSleeps:
     def test_every_wire_and_the_app_rouse_it_on_the_right_cycle(self):
         design, fast = self.drive("fast")
         _, reference = self.drive("reference")
-        tx = design.flows.tx[0]
+        tx = design.tcp_rx.flows.tx[0]
         assert tx.fast_retransmits == 1 and tx.retransmits == 0
-        assert seq_diff(design.flows.rx[0].snd_una, tx.iss) == 17
+        assert seq_diff(design.tcp_rx.flows.rx[0].snd_una, tx.iss) == 17
         # Every wire fired, and the engine was stepped in that very
         # cycle: the RX engine sits before it in the step order.
         for wire in self.WIRES:
@@ -504,4 +504,4 @@ class TestTxEngineSleeps:
         assert view.armed_deadline == echoed_at + 3_001
         design.sim.run(7_000)
         assert sent[-2:] == [echoed_at + 3_001, echoed_at + 6_002]
-        assert design.flows.tx[0].retransmits == 2
+        assert design.tcp_rx.flows.tx[0].retransmits == 2

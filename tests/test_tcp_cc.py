@@ -110,7 +110,8 @@ class TestCubic:
         assert cubic_window(k + 1.0, w_max) > w_max
 
     def test_growth_matches_closed_form(self):
-        cc = CubicCC(cycles_per_unit=1000)
+        cc = CubicCC()
+        cc.cycles_per_unit = 1000
         flow = make_flow(cc)
         flow.cwnd = 10 * MSS
         cc.on_loss(flow, 10 * MSS, MSS, cycle=0)
@@ -126,7 +127,8 @@ class TestCubic:
             assert flow.cwnd == max(7 * MSS, expected), cycle
 
     def test_window_is_monotone_between_losses(self):
-        cc = CubicCC(cycles_per_unit=1000)
+        cc = CubicCC()
+        cc.cycles_per_unit = 1000
         flow = make_flow(cc)
         flow.cwnd = 10 * MSS
         cc.on_loss(flow, 10 * MSS, MSS, cycle=0)
@@ -137,7 +139,8 @@ class TestCubic:
             last = flow.cwnd
 
     def test_timeout_restarts_from_one_mss(self):
-        cc = CubicCC(cycles_per_unit=1000)
+        cc = CubicCC()
+        cc.cycles_per_unit = 1000
         flow = make_flow(cc)
         flow.cwnd = 10 * MSS
         cc.on_timeout(flow, 10 * MSS, MSS, cycle=0)
@@ -160,7 +163,8 @@ class TestMakeCc:
         assert isinstance(make_cc("CUBIC"), CubicCC)
 
     def test_instance_passthrough(self):
-        cc = CubicCC(cycles_per_unit=500)
+        cc = CubicCC()
+        cc.cycles_per_unit = 500
         assert make_cc(cc) is cc
 
     def test_unknown_name_raises(self):
@@ -195,8 +199,8 @@ class TestEngineCubic:
         peer.connect()
         design.sim.run_until(lambda: len(peer.received) >= 16_000,
                              max_cycles=2_000_000)
-        flow_id = design.flows.flows()[0]
-        assert design.flows.tx[flow_id].cwnd >= 2 * MSS
+        flow_id = list(design.tcp_rx.flows.rx)[0]
+        assert design.tcp_rx.flows.tx[flow_id].cwnd >= 2 * MSS
 
 
 class TestCompetingFlowSignatures:
@@ -286,7 +290,7 @@ class TestCompetingFlowSignatures:
 
         design, peers = build_competing_flows(
             cc="reno", n_flows=2, loss=0.0, stream_bytes=4 * 1024,
-            rto_cycles=3_000, wire_cycles=500, profile=profile)
+            rto_cycles=3_000, profile=profile)
         inject = design.inject
         sent_at = []
 

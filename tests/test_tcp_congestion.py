@@ -35,8 +35,8 @@ def make_sender(congestion_control, **peer_kwargs):
 
 
 def flow_state(design):
-    flow_id = design.flows.flows()[0]
-    return design.flows.tx[flow_id], design.flows.rx[flow_id]
+    flow_id = list(design.tcp_rx.flows.rx)[0]
+    return design.tcp_rx.flows.tx[flow_id], design.tcp_rx.flows.rx[flow_id]
 
 
 class TestDisabledByDefault:
@@ -72,8 +72,8 @@ class TestSlowStart:
         from repro.tcp.flow import TcpState, seq_diff
 
         def server_established():
-            flows = design.flows.flows()
-            return flows and design.flows.rx[flows[0]].state == \
+            flows = list(design.tcp_rx.flows.rx)
+            return flows and design.tcp_rx.flows.rx[flows[0]].state == \
                 TcpState.ESTABLISHED
 
         design.sim.run_until(server_established, max_cycles=100_000)
@@ -92,8 +92,8 @@ class TestSlowStart:
         from repro.tcp.flow import TcpState, seq_diff
 
         def server_established():
-            flows = design.flows.flows()
-            return flows and design.flows.rx[flows[0]].state == \
+            flows = list(design.tcp_rx.flows.rx)
+            return flows and design.tcp_rx.flows.rx[flows[0]].state == \
                 TcpState.ESTABLISHED
 
         design.sim.run_until(server_established, max_cycles=100_000)

@@ -3,7 +3,6 @@
 from repro.designs import FrameSink, UdpEchoDesign
 from repro.packet import IPv4Address, MacAddress, build_ipv4_udp_frame
 from repro.telemetry import FrameTraceRecorder, TraceReplayer
-from repro.telemetry.replay import TraceEvent
 
 CLIENT_IP = IPv4Address("10.0.0.1")
 CLIENT_MAC = MacAddress("02:00:00:00:00:01")
@@ -33,14 +32,6 @@ class TestRecorder:
         design.sim.run_until(lambda: sink.count >= 2, max_cycles=2000)
         assert [e.cycle for e in recorder.events] == [3, 9]
 
-    def test_detach_restores(self):
-        design = make_design()
-        recorder = FrameTraceRecorder(design)
-        recorder.attach()
-        recorder.detach()
-        design.inject(frame(design, b"x"), 0)
-        assert recorder.events == []
-
 
 class TestReplay:
     def run_and_capture(self, design, until_count):
@@ -67,17 +58,6 @@ class TestReplay:
         replay_design.sim.add(replayer)
         replay_out = self.run_and_capture(replay_design, 5)
         assert replay_out == original_out
-
-    def test_replay_offset_shifts_timing(self):
-        design = make_design()
-        events = [TraceEvent(cycle=10, frame=frame(design, b"a" * 16))]
-        replayer = TraceReplayer(design, events, start_cycle=50)
-        design.sim.add(replayer)
-        out = self.run_and_capture(design, 1)
-        original = make_design()
-        original.inject(frame(original, b"a" * 16), 50)
-        expected = self.run_and_capture(original, 1)
-        assert out[0][1] == expected[0][1]
 
     def test_done_flag(self):
         design = make_design()

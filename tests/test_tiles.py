@@ -86,12 +86,6 @@ class TestNextHopTable:
         assert table.lookup("app") == (9, 0)
         assert table.lookup("app") == (9, 0)
 
-    def test_remove_entry(self):
-        table = NextHopTable()
-        table.set_entry(7, (1, 0))
-        table.remove_entry(7)
-        assert table.lookup(7) is None
-
     def test_empty_destination_rejected(self):
         with pytest.raises(ValueError):
             NextHopTable().set_entry(7, [])

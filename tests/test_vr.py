@@ -173,8 +173,9 @@ class TestVrWitnessTile:
         reply = self.run_one(design, prepare_frame(design, 1, 0, 1),
                              sink)
         assert reply.msg_type == MSG_PREPARE_OK
-        assert design.witnesses[0].state.last_opnum == 1
-        assert design.witnesses[1].state.last_opnum == 1
+        witnesses = design.tiles_named("witness")
+        assert witnesses[0].state.last_opnum == 1
+        assert witnesses[1].state.last_opnum == 1
 
     def test_witness_latency_under_microsecond(self):
         """The hardware witness answers within ~0.5 us of frame entry —

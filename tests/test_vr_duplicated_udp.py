@@ -60,7 +60,7 @@ class TestDuplicatedUdpTiles:
         replies = [PrepareWire.unpack(parse_frame(frame).payload)
                    for frame, _ in sink.frames]
         assert all(r.msg_type == MSG_PREPARE_OK for r in replies)
-        assert [w.state.last_opnum for w in design.witnesses] == \
+        assert [w.state.last_opnum for w in design.tiles_named("witness")] == \
             [7, 7, 7, 7]
 
     def test_flows_spread_across_udp_rx_replicas(self):
@@ -77,7 +77,7 @@ class TestDuplicatedUdpTiles:
                 sent += 1
         design.sim.run_until(lambda: sink.count >= sent,
                              max_cycles=30_000)
-        loads = [tile.messages_in for tile in design.udp_rx_tiles]
+        loads = [tile.messages_in for tile in design.tiles_named("udp_rx")]
         assert sum(loads) == sent
         assert all(load > 0 for load in loads)  # both replicas used
 
@@ -88,7 +88,7 @@ class TestDuplicatedUdpTiles:
                           design.sim.cycle)
         design.sim.run_until(lambda: sink.count >= 10,
                              max_cycles=30_000)
-        loads = [tile.messages_in for tile in design.udp_tx_tiles]
+        loads = [tile.messages_in for tile in design.tiles_named("udp_tx")]
         assert loads == [5, 5]  # witness round-robins its replies
 
     def test_in_order_delivery_per_flow_preserved(self):
@@ -100,6 +100,6 @@ class TestDuplicatedUdpTiles:
                           design.sim.cycle)
         design.sim.run_until(lambda: sink.count >= 29,
                              max_cycles=50_000)
-        witness = design.witnesses[1]
+        witness = design.tiles_named("witness")[1]
         assert witness.state.last_opnum == 29
         assert witness.state.rejected == 0  # no gaps seen
