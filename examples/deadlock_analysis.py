@@ -12,7 +12,7 @@ Run:  python examples/deadlock_analysis.py
 
 from repro.analysis import analyze
 from repro.analysis.deadlock import DeadlockError
-from repro.analysis.demo import Fig5Design
+from repro.analysis.demo import FIXTURES
 from repro.config import GeneratedDesign, design_from_xml
 from repro.config.examples import UDP_ECHO_XML
 from repro.noc import NocMessage
@@ -20,7 +20,7 @@ from repro.noc import NocMessage
 
 def static_analysis():
     for variant in ("a", "b"):
-        design = Fig5Design(variant)
+        design = FIXTURES[f"fig5{variant}"]()
         report = analyze(design, name=f"fig5{variant}")
         layout = ", ".join(f"{name}@{coord}"
                            for name, coord in design.tile_coords.items())
@@ -34,7 +34,7 @@ def static_analysis():
 def runtime_confirmation():
     print("\nruntime (8 KB packet through streaming relay tiles):")
     for variant in ("a", "b"):
-        design = Fig5Design(variant)
+        design = FIXTURES[f"fig5{variant}"]()
         tiles, coords = design.tiles, design.tile_coords
         design.ingress.send(NocMessage(dst=coords["ip"],
                                        src=coords["eth"],

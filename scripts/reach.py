@@ -63,14 +63,6 @@ KEEP: dict[str, str] = {
     # -- seeded-bug fixtures: the linter's own negative cases -------------------
     "repro.analysis.demo.LeakyEjectTile.handle_message": FIXTURE,
     "repro.analysis.demo.EarlyReadTile.handle_message": FIXTURE,
-    "repro.analysis.demo.build_fig5_layout": FIXTURE,
-    "repro.analysis.demo.IdleLiarTile.__init__(work_items)": FIXTURE,
-    "repro.analysis.demo.BrokenWakeDesign.send(data)": FIXTURE,
-    "repro.analysis.demo.LeakyEjectDesign.send(data)": FIXTURE,
-    "repro.analysis.demo.StepParityDesign.send(data)": FIXTURE,
-    "repro.analysis.demo.EarlyReadDesign.send(data)": FIXTURE,
-    "repro.analysis.demo._DomainFixtureDesign.send(data)": FIXTURE,
-    "repro.analysis.demo.BlindForwarderDesign.send(data)": FIXTURE,
     # -- TUTORIAL section 9: the fault plan and what carries it out -------------
     "repro.faults.plan.FaultPlan.crash_tile": DOCUMENTED,
     "repro.faults.plan.FaultPlan.misroute": DOCUMENTED,
@@ -426,10 +418,9 @@ def _examples(tmp: Path) -> None:
 
 
 def _tool_runs(tmp: Path) -> list[tuple[str, list[str]]]:
-    from repro.designs import SHIPPED
-    from repro.tools.lint import _demo_designs
-
+    from repro.analysis.demo import FIXTURES
     from repro.config.examples import UDP_ECHO_XML
+    from repro.designs import SHIPPED
 
     xml = tmp / "udp_echo.xml"
     xml.write_text(UDP_ECHO_XML)
@@ -487,7 +478,7 @@ def _tool_runs(tmp: Path) -> list[tuple[str, list[str]]]:
         runs.append(("load", ["--flows", "2", "--cc", cc, "--loss", "0.02",
                               "--stream-bytes", "8192", "--seed", "7",
                               "--out", out]))
-    for demo in sorted(_demo_designs()):
+    for demo in sorted(FIXTURES):
         runs.append(("lint", [demo, "--sanitize", "--cycles", "400"]))
     return runs
 

@@ -1,62 +1,53 @@
 """Seeded-bug designs for demonstrating (and testing) the linter.
 
-:func:`build_broken_wake_design` is the canonical lost-wakeup example:
-an echo tile whose ``wake_sources()`` deliberately returns nothing.
-Under the naive kernel the design works — every component is stepped
-every cycle, so the missing hook is invisible.  Under the scheduled
-kernel the tile idles out before traffic arrives and nothing ever
-wakes it, so the same design stalls forever.  The wake-contract pass
-flags exactly this divergence as BHV301 *before* anything runs.
+Each :data:`FIXTURES` entry builds one :class:`Fixture` under a
+profile: a small hand-wired mesh around a tile that seeds exactly one
+bug, so the linter's regression tests can assert "this pass catches
+this bug, and no other pass misfires on it":
 
-Every builder takes ``profile`` as the shipped designs do and maps it
-to a kernel and a mesh (:func:`_fixture`): the scheduled kernel over a
-``FlatMesh`` under ``fast``, the naive one over an object ``Mesh``
-under ``reference``.  What it does not take from the profile is the
-tile engine: a fixture registers its hand-built tiles one by one, so
-the kernel's wake rule — not the flat tile core's — is what schedules
-the buggy tile.  Two fixtures keep the object ``Mesh`` on the naive
-kernel whatever the profile: the leaky-eject tile (its bug is
-bookkeeping, not scheduling; on a flat mesh its off-the-books pops
-would also part ``fast`` from ``reference``, a BHV404 beside its
-BHV403) and the Fig 5 relays (they push ``Flit`` objects into a
-router's LOCAL FIFO).
+===============  ======  ===========================================
+fixture          code    seeded bug
+===============  ======  ===========================================
+fig5a            BHV201  Fig 5a placement: a message-level deadlock
+fig5b            none    Fig 5b placement of the same chain: safe
+broken_wake      BHV301  wake_sources() misses the FIFO
+idle_liar        BHV401  step() sleeps while work remains
+leaky_eject      BHV403  pops the eject FIFO off the books
+step_parity      BHV404  behaviour depends on step count
+early_read       BHV405  reads its port without the cycle
+phantom_dest     BHV501  declared domain coord unattached
+stale_domain     BHV502  domain wider than the replicas
+escaped_domain   BHV503  replicas outside the domain
+blind_forwarder  BHV504  forwarding with no declarations
+===============  ======  ===========================================
 
-The remaining builders each seed exactly one bug for one finding code,
-so the linter's regression tests can assert "this pass catches this
-bug, and no other pass misfires on it":
+``broken_wake`` is the canonical lost-wakeup example: an echo tile
+whose ``wake_sources()`` deliberately returns nothing.  Under the naive
+kernel the design works — every component is stepped every cycle, so
+the missing hook is invisible.  Under the scheduled kernel the tile
+idles out before traffic arrives and nothing ever wakes it, so the
+same design stalls forever.  The wake-contract pass flags exactly this
+divergence as BHV301 *before* anything runs.  (BHV402 needs no
+dedicated fixture: the same design is also the canonical *dynamic*
+lost wakeup — the ejection its consumer sleeps through — and,
+stalling under ``fast`` while it works under ``reference``, a BHV404
+as well.)
 
-==============================  ======  ==================================
-builder                         code    seeded bug
-==============================  ======  ==================================
-build_broken_wake_design        BHV301  wake_sources() misses the FIFO
-build_idle_liar_design          BHV401  step() sleeps while work remains
-build_leaky_eject_design        BHV403  pops the eject FIFO off the books
-build_step_parity_design        BHV404  behaviour depends on step count
-build_early_read_design         BHV405  reads its port without the cycle
-build_phantom_dest_design       BHV501  declared domain coord unattached
-build_stale_domain_design       BHV502  domain wider than the replicas
-build_escaped_domain_design     BHV503  replicas outside the domain
-build_blind_forwarder_design    BHV504  forwarding with no declarations
-==============================  ======  ==================================
-
-(BHV402 needs no dedicated fixture: the broken-wake design is also the
-canonical *dynamic* lost wakeup — the ejection its consumer sleeps
-through — and, stalling under ``fast`` while it works under
-``reference``, a BHV404 as well.)
-
-The module ends with the runtime reproduction of the paper's Fig 5
-deadlock (BHV201's fixture): :class:`CutThroughTile` forwards flits as
-they arrive (streaming, like the paper's protocol engines) with only a
-couple of flits of internal buffering, so a blocked downstream transfer
+``fig5a`` and ``fig5b`` are the runtime reproduction of the paper's
+Fig 5 deadlock: :class:`CutThroughTile` forwards flits as they arrive
+(streaming, like the paper's protocol engines) with only a couple of
+flits of internal buffering, so a blocked downstream transfer
 back-pressures through the tile and holds the upstream wormhole open.
-Chaining four of them in the Fig 5a placement wedges the NoC on a
-sufficiently long packet; the Fig 5b placement streams the same packet
-through cleanly.
+Chaining them in the Fig 5a placement wedges the NoC on a sufficiently
+long packet; the Fig 5b placement streams the same packet through
+cleanly.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
+from functools import partial
 
 from repro.noc.flatmesh import FlatMesh
 from repro.noc.flit import Flit
@@ -69,11 +60,7 @@ from repro.tiles.base import DestDomain, Tile
 from repro.tiles.scheduler import RoundRobinSchedulerTile
 
 
-def _fixture(profile: str) -> tuple[CycleSimulator, type]:
-    """A fixture's simulator and mesh class under ``profile``."""
-    kernel, flat = lookup(profile)
-    return CycleSimulator(kernel=kernel), FlatMesh if flat else Mesh
-
+# -- BHV301/402: a wake hook that is missing ----------------------------------
 
 class BrokenWakeEchoTile(Tile):
     """Counts messages; its FIFO wake hook is deliberately missing."""
@@ -92,31 +79,7 @@ class BrokenWakeEchoTile(Tile):
         return []
 
 
-class BrokenWakeDesign:
-    """A 2x1 mesh: an ingress port feeding one broken echo tile."""
-
-    def __init__(self, profile: str = "fast") -> None:
-        self.sim, mesh = _fixture(profile)
-        self.mesh = mesh(2, 1)
-        self.echo = BrokenWakeEchoTile("echo", self.mesh, (1, 0))
-        self.ingress = self.mesh.attach((0, 0))
-        self.tiles = {"echo": self.echo}
-        self.mesh.register(self.sim)
-        self.sim.add(self.echo)
-        self.chains = [["ingress", "echo"]]
-        self.tile_coords = {"ingress": (0, 0), "echo": (1, 0)}
-
-    def send(self, data: bytes = b"ping") -> None:
-        self.ingress.send(NocMessage(dst=self.echo.coord,
-                                     src=self.ingress.coord,
-                                     data=data))
-
-
-def build_broken_wake_design(profile: str = "fast") -> BrokenWakeDesign:
-    return BrokenWakeDesign(profile)
-
-
-# -- shared fixture scaffolding ---------------------------------------------
+# -- a well-behaved sink the data-flow fixtures share ------------------------
 
 class CountingSinkTile(Tile):
     """A well-behaved terminal tile: counts and discards messages."""
@@ -143,9 +106,9 @@ class IdleLiarTile(Tile):
     """
 
     def __init__(self, name: str, mesh: Mesh, coord: tuple[int, int],
-                 work_items: int = 8, **kwargs: object) -> None:
+                 **kwargs: object) -> None:
         super().__init__(name, mesh, coord, **kwargs)
-        self._work = list(range(work_items))
+        self._work = list(range(8))
         self.echoed = 0
 
     def on_cycle(self, cycle: int) -> None:
@@ -156,24 +119,6 @@ class IdleLiarTile(Tile):
     def _due(self) -> int:
         # BUG: only a wake, says step, while _work remains.
         return NEVER
-
-
-class IdleLiarDesign:
-    """A 2x1 mesh holding one lying tile; no traffic needed."""
-
-    def __init__(self, profile: str = "fast") -> None:
-        self.sim, mesh = _fixture(profile)
-        self.mesh = mesh(2, 1)
-        self.liar = IdleLiarTile("liar", self.mesh, (1, 0))
-        self.tiles = {"liar": self.liar}
-        self.mesh.register(self.sim)
-        self.sim.add(self.liar)
-        self.chains: list[list[str]] = []
-        self.tile_coords = {"liar": (1, 0)}
-
-
-def build_idle_liar_design(profile: str = "fast") -> IdleLiarDesign:
-    return IdleLiarDesign(profile)
 
 
 # -- BHV403: flits popped off the books -------------------------------------
@@ -201,31 +146,6 @@ class LeakyEjectTile(Tile):
     def handle_message(self, message: NocMessage,
                        cycle: int) -> list[NocMessage]:
         return []  # unreachable: on_cycle stole the flits
-
-
-class LeakyEjectDesign:
-    """A 2x1 object mesh on the naive kernel, whatever the profile: an
-    ingress port feeding the leaky tile."""
-
-    def __init__(self, profile: str = "fast") -> None:
-        self.sim = CycleSimulator(kernel="naive")
-        self.mesh = Mesh(2, 1)
-        self.leaky = LeakyEjectTile("leaky", self.mesh, (1, 0))
-        self.ingress = self.mesh.attach((0, 0))
-        self.tiles = {"leaky": self.leaky}
-        self.mesh.register(self.sim)
-        self.sim.add(self.leaky)
-        self.chains = [["ingress", "leaky"]]
-        self.tile_coords = {"ingress": (0, 0), "leaky": (1, 0)}
-
-    def send(self, data: bytes = b"x" * 256) -> None:
-        self.ingress.send(NocMessage(dst=self.leaky.coord,
-                                     src=self.ingress.coord,
-                                     data=data))
-
-
-def build_leaky_eject_design(profile: str = "fast") -> LeakyEjectDesign:
-    return LeakyEjectDesign(profile)
 
 
 # -- BHV404: behaviour keyed to step count ----------------------------------
@@ -264,30 +184,6 @@ class StepParityTile(Tile):
         return [self.make_message(message.src, data=message.data)]
 
 
-class StepParityDesign:
-    """A 2x1 mesh: an ingress port feeding the parity tile."""
-
-    def __init__(self, profile: str = "fast") -> None:
-        self.sim, mesh = _fixture(profile)
-        self.mesh = mesh(2, 1)
-        self.parity = StepParityTile("parity", self.mesh, (1, 0))
-        self.ingress = self.mesh.attach((0, 0))
-        self.tiles = {"parity": self.parity}
-        self.mesh.register(self.sim)
-        self.sim.add(self.parity)
-        self.chains = [["ingress", "parity"]]
-        self.tile_coords = {"ingress": (0, 0), "parity": (1, 0)}
-
-    def send(self, data: bytes = b"ping") -> None:
-        self.ingress.send(NocMessage(dst=self.parity.coord,
-                                     src=self.ingress.coord,
-                                     data=data))
-
-
-def build_step_parity_design(profile: str = "fast") -> StepParityDesign:
-    return StepParityDesign(profile)
-
-
 # -- BHV405: a flat mesh's flit read in the cycle it lands --------------------
 
 class EarlyReadTile(Tile):
@@ -316,30 +212,6 @@ class EarlyReadTile(Tile):
     def handle_message(self, message: NocMessage,
                        cycle: int) -> list[NocMessage]:
         return []
-
-
-class EarlyReadDesign:
-    """A flat 2x1 mesh: an ingress port feeding the early reader."""
-
-    def __init__(self, profile: str = "fast") -> None:
-        self.sim = _fixture(profile)[0]
-        self.mesh = FlatMesh(2, 1)
-        self.reader = EarlyReadTile("reader", self.mesh, (1, 0))
-        self.ingress = self.mesh.attach((0, 0))
-        self.tiles = {"reader": self.reader}
-        self.mesh.register(self.sim)
-        self.sim.add(self.reader)
-        self.chains = [["ingress", "reader"]]
-        self.tile_coords = {"ingress": (0, 0), "reader": (1, 0)}
-
-    def send(self, data: bytes = b"x" * 256) -> None:
-        self.ingress.send(NocMessage(dst=self.reader.coord,
-                                     src=self.ingress.coord,
-                                     data=data))
-
-
-def build_early_read_design(profile: str = "fast") -> EarlyReadDesign:
-    return EarlyReadDesign(profile)
 
 
 # -- BHV501/502/503: destination-domain declarations vs reality --------------
@@ -384,60 +256,6 @@ class EscapedDomainScheduler(RoundRobinSchedulerTile):
         return DestDomain.of(self.replicas[:1], data_dependent=True)
 
 
-class _DomainFixtureDesign:
-    """A 3x2 mesh: an ingress feeding one dispatcher plus two
-    well-behaved sink tiles; (2, 1) stays unoccupied."""
-
-    def __init__(self, dispatcher_cls: type,
-                 profile: str = "fast",
-                 **dispatcher_kwargs: object) -> None:
-        self.sim, mesh = _fixture(profile)
-        self.mesh = mesh(3, 2)
-        self.dispatch = dispatcher_cls("dispatch", self.mesh, (1, 0),
-                                       **dispatcher_kwargs)
-        self.sink_a = CountingSinkTile("sink_a", self.mesh, (2, 0))
-        self.sink_b = CountingSinkTile("sink_b", self.mesh, (1, 1))
-        self.ingress = self.mesh.attach((0, 0))
-        self.tiles = {tile.name: tile for tile in (
-            self.dispatch, self.sink_a, self.sink_b)}
-        self.mesh.register(self.sim)
-        self.sim.add_all(self.tiles.values())
-        self.chains = [["ingress", "dispatch"],
-                       ["dispatch", "sink_a"], ["dispatch", "sink_b"]]
-        self.tile_coords = {t.name: t.coord for t in self.tiles.values()}
-        self.tile_coords["ingress"] = (0, 0)
-
-    def send(self, data: bytes = b"ping") -> None:
-        self.ingress.send(NocMessage(dst=self.dispatch.coord,
-                                     src=self.ingress.coord,
-                                     data=data))
-
-
-def build_phantom_dest_design(
-        profile: str = "fast") -> _DomainFixtureDesign:
-    """BHV501: the declared domain names the unoccupied (2, 1)."""
-    return _DomainFixtureDesign(PhantomDomainTile, profile,
-                                phantom=(2, 1))
-
-
-def build_stale_domain_design(
-        profile: str = "fast") -> _DomainFixtureDesign:
-    """BHV502: sink_b is declared but only sink_a is a replica."""
-    design = _DomainFixtureDesign(StaleDomainScheduler, profile,
-                                  stale=(1, 1))
-    design.dispatch.add_replica(design.sink_a.coord)
-    return design
-
-
-def build_escaped_domain_design(
-        profile: str = "fast") -> _DomainFixtureDesign:
-    """BHV503: both sinks are replicas but only sink_a is declared."""
-    design = _DomainFixtureDesign(EscapedDomainScheduler, profile)
-    design.dispatch.add_replica(design.sink_a.coord)
-    design.dispatch.add_replica(design.sink_b.coord)
-    return design
-
-
 # -- BHV504: forwarding with no static footprint -----------------------------
 
 class BlindForwarderTile(Tile):
@@ -454,35 +272,6 @@ class BlindForwarderTile(Tile):
         return [self.make_message(self._forward_to,
                                   metadata=message.metadata,
                                   data=message.data)]
-
-
-class BlindForwarderDesign:
-    """A 3x1 mesh: the forwarder is non-terminal in a declared chain,
-    so its statically-invisible routing is the linter's blind spot."""
-
-    def __init__(self, profile: str = "fast") -> None:
-        self.sim, mesh = _fixture(profile)
-        self.mesh = mesh(3, 1)
-        self.sink = CountingSinkTile("sink", self.mesh, (2, 0))
-        self.fwd = BlindForwarderTile("fwd", self.mesh, (1, 0),
-                                      forward_to=self.sink.coord)
-        self.ingress = self.mesh.attach((0, 0))
-        self.tiles = {"fwd": self.fwd, "sink": self.sink}
-        self.mesh.register(self.sim)
-        self.sim.add_all(self.tiles.values())
-        self.chains = [["ingress", "fwd"], ["fwd", "sink"]]
-        self.tile_coords = {t.name: t.coord for t in self.tiles.values()}
-        self.tile_coords["ingress"] = (0, 0)
-
-    def send(self, data: bytes = b"ping") -> None:
-        self.ingress.send(NocMessage(dst=self.fwd.coord,
-                                     src=self.ingress.coord,
-                                     data=data))
-
-
-def build_blind_forwarder_design(
-        profile: str = "fast") -> BlindForwarderDesign:
-    return BlindForwarderDesign(profile)
 
 
 # -- BHV201: the Fig 5 message-level deadlock, at run time -------------------
@@ -548,58 +337,126 @@ class CutThroughTile:
         return [] if self.next_coord is None else [self.next_coord]
 
 
-class Fig5Design:
-    """The Fig 5 receive chain eth -> ip -> udp -> app on a 4x1 object
-    mesh under the naive kernel, in the deadlocking (``variant="a"``)
-    or safe (``"b"``) placement.
+# -- the scaffold every fixture shares -----------------------------------------
 
-    The Ethernet position is the injection point (its processing is the
-    message entering the NoC); ip and udp are streaming relays; app is
-    a sink.  Shaped like a design (``sim``/``mesh``/``tiles``/
-    ``chains``/``tile_coords``) so ``python -m repro.tools.lint`` can
-    analyze it directly.
+class Fixture:
+    """A seeded-bug design, shaped like a shipped one (``sim``, ``mesh``,
+    ``tiles``, ``chains``, ``tile_coords``) so the linter and the
+    sanitizer take it as they take those.
+
+    ``tiles`` are ``(class, name, coord, keywords)`` rows, built in
+    order and registered with the kernel one by one — never through
+    ``register_tiles``: the kernel's wake rule, not the flat tile
+    core's, must be what schedules the buggy tile, and a sanitizer
+    finding must name the tile, not the core.  With ``chains``, an
+    ingress port sits at (0, 0) under the first chain's first name;
+    ``send()`` messages ``payload`` to that chain's second name, which
+    also gets ``replicas`` once everything is registered.  With no
+    ``payload`` there is no ``send``, so the sanitizer drives no
+    traffic.
+
+    ``backing`` picks the kernel and the mesh:
+
+    - ``"profile"``: the profile's — the scheduled kernel over a
+      ``FlatMesh`` under ``fast``, the naive one over an object
+      ``Mesh`` under ``reference``;
+    - ``"naive"``: the naive kernel over an object ``Mesh`` whatever
+      the profile.  The leaky-eject bug is bookkeeping, not
+      scheduling, and on a flat mesh its off-the-books pops would also
+      part ``fast`` from ``reference`` (a BHV404 beside its BHV403);
+      the Fig 5 relays push ``Flit`` objects into a router's LOCAL
+      FIFO, and their wedge is in the placement, not the profile;
+    - ``"flat"``: the profile's kernel over a ``FlatMesh``: reading a
+      port without the cycle is a flat-mesh bug.
     """
 
-    def __init__(self, variant: str = "a") -> None:
-        if variant == "a":
-            coords = {"eth": (0, 0), "ip": (2, 0), "udp": (1, 0),
-                      "app": (3, 0)}
-        elif variant == "b":
-            coords = {"eth": (0, 0), "ip": (1, 0), "udp": (2, 0),
-                      "app": (3, 0)}
-        else:
-            raise ValueError(f"unknown Fig 5 variant {variant!r}")
-        self.variant = variant
-        self.sim = CycleSimulator(kernel="naive")
-        self.mesh = Mesh(4, 1)
-        self.tiles = {
-            "ip": CutThroughTile("ip", self.mesh, coords["ip"],
-                                 coords["udp"]),
-            "udp": CutThroughTile("udp", self.mesh, coords["udp"],
-                                  coords["app"]),
-            "app": CutThroughTile("app", self.mesh, coords["app"], None),
-        }
-        self.ingress = self.mesh.attach(coords["eth"])
+    def __init__(self, profile: str = "fast", *, size: tuple[int, int],
+                 tiles: list[tuple], chains: list[list[str]],
+                 backing: str = "profile", payload: bytes | None = None,
+                 replicas: tuple = ()) -> None:
+        kernel, flat = lookup(profile)
+        if backing == "naive":
+            kernel, flat = "naive", False
+        elif backing == "flat":
+            flat = True
+        self.sim = CycleSimulator(kernel=kernel)
+        self.mesh = (FlatMesh if flat else Mesh)(*size)
+        self.tiles = {name: cls(name, self.mesh, coord, **keywords)
+                      for cls, name, coord, keywords in tiles}
+        self.chains = [list(chain) for chain in chains]
+        self.tile_coords = {name: tile.coord
+                            for name, tile in self.tiles.items()}
+        if chains:
+            self.ingress = self.mesh.attach((0, 0))
+            self.tile_coords = {chains[0][0]: (0, 0), **self.tile_coords}
         self.mesh.register(self.sim)
-        self.sim.add_all(self.tiles.values())
-        self.chains = [["eth", "ip", "udp", "app"]]
-        self.tile_coords = dict(coords)
+        for tile in self.tiles.values():
+            self.sim.add(tile)
+        for coord in replicas:
+            self.tiles[chains[0][1]].add_replica(coord)
+        self._payload = payload
+        if payload is None:
+            self.send = None  # the sanitizer drives a callable send only
+
+    def send(self) -> None:
+        self.ingress.send(NocMessage(dst=self.tiles[self.chains[0][1]].coord,
+                                     src=self.ingress.coord,
+                                     data=self._payload))
 
 
-def build_fig5a_design(profile: str = "ignored") -> Fig5Design:
-    """The deadlocking placement.  The wedge is in the placement, so
-    the design is the same hand-built one whatever the profile."""
-    return Fig5Design("a")
+# The data-flow fixtures: an ingress feeding a dispatcher at (1, 0) and
+# two well-behaved sinks on a 3x2 mesh; (2, 1) stays unoccupied.
+_SINKS = [(CountingSinkTile, "sink_a", (2, 0), {}),
+          (CountingSinkTile, "sink_b", (1, 1), {})]
+_DISPATCH = [["ingress", "dispatch"],
+             ["dispatch", "sink_a"], ["dispatch", "sink_b"]]
 
-
-def build_fig5b_design(profile: str = "ignored") -> Fig5Design:
-    """The safe placement; ``profile`` ignored as for Fig 5a."""
-    return Fig5Design("b")
-
-
-def build_fig5_layout(variant: str) -> tuple:
-    """Build a :class:`Fig5Design` and unpack it the historical way:
-    ``(sim, ingress_port, tiles, chain, coords)``."""
-    design = Fig5Design(variant)
-    return (design.sim, design.ingress, design.tiles,
-            design.chains[0], design.tile_coords)
+#: name -> builder taking ``profile``: the linter's demo targets
+#: (``python -m repro.tools.lint <name>``), the tests' negative cases.
+FIXTURES: dict[str, Callable[[str], object]] = {
+    # The Fig 5 receive chain eth -> ip -> udp -> app on a 4x1 mesh.  The
+    # Ethernet position is the injection point (its processing is the
+    # message entering the NoC); ip and udp are streaming relays, app a
+    # sink.  Fig 5a swaps ip and udp, so the chain turns back on itself.
+    "fig5a": partial(Fixture, size=(4, 1), backing="naive", tiles=[
+        (CutThroughTile, "ip", (2, 0), {"next_coord": (1, 0)}),
+        (CutThroughTile, "udp", (1, 0), {"next_coord": (3, 0)}),
+        (CutThroughTile, "app", (3, 0), {"next_coord": None}),
+    ], chains=[["eth", "ip", "udp", "app"]]),
+    "fig5b": partial(Fixture, size=(4, 1), backing="naive", tiles=[
+        (CutThroughTile, "ip", (1, 0), {"next_coord": (2, 0)}),
+        (CutThroughTile, "udp", (2, 0), {"next_coord": (3, 0)}),
+        (CutThroughTile, "app", (3, 0), {"next_coord": None}),
+    ], chains=[["eth", "ip", "udp", "app"]]),
+    "broken_wake": partial(
+        Fixture, size=(2, 1), tiles=[(BrokenWakeEchoTile, "echo", (1, 0), {})],
+        chains=[["ingress", "echo"]], payload=b"ping"),
+    "idle_liar": partial(
+        Fixture, size=(2, 1), tiles=[(IdleLiarTile, "liar", (1, 0), {})],
+        chains=[]),
+    "leaky_eject": partial(
+        Fixture, size=(2, 1), backing="naive",
+        tiles=[(LeakyEjectTile, "leaky", (1, 0), {})],
+        chains=[["ingress", "leaky"]], payload=b"x" * 256),
+    "step_parity": partial(
+        Fixture, size=(2, 1), tiles=[(StepParityTile, "parity", (1, 0), {})],
+        chains=[["ingress", "parity"]], payload=b"ping"),
+    "early_read": partial(
+        Fixture, size=(2, 1), backing="flat",
+        tiles=[(EarlyReadTile, "reader", (1, 0), {})],
+        chains=[["ingress", "reader"]], payload=b"x" * 256),
+    "phantom_dest": partial(Fixture, size=(3, 2), tiles=[
+        (PhantomDomainTile, "dispatch", (1, 0), {"phantom": (2, 1)}),
+        *_SINKS], chains=_DISPATCH, payload=b"ping"),
+    "stale_domain": partial(Fixture, size=(3, 2), tiles=[
+        (StaleDomainScheduler, "dispatch", (1, 0), {"stale": (1, 1)}),
+        *_SINKS], chains=_DISPATCH, payload=b"ping", replicas=[(2, 0)]),
+    "escaped_domain": partial(Fixture, size=(3, 2), tiles=[
+        (EscapedDomainScheduler, "dispatch", (1, 0), {}),
+        *_SINKS], chains=_DISPATCH, payload=b"ping",
+        replicas=[(2, 0), (1, 1)]),
+    "blind_forwarder": partial(Fixture, size=(3, 1), tiles=[
+        (BlindForwarderTile, "fwd", (1, 0), {"forward_to": (2, 0)}),
+        (CountingSinkTile, "sink", (2, 0), {}),
+    ], chains=[["ingress", "fwd"], ["fwd", "sink"]], payload=b"ping"),
+}

@@ -104,6 +104,26 @@ class FaultPlan:
         #: "stuck_grant"}.
         self.router_events: list[
             tuple[str, tuple[int, int], int | None, int, int]] = []
+        #: target -> (label, start cycle, duration) of its windows.
+        self._windows: dict[tuple, list[tuple[str, int, int]]] = {}
+
+    def _window(self, target: tuple, label: str, at: int,
+                duration: int) -> tuple[int, int]:
+        """Check a window and claim ``target`` for it.
+
+        Every fault action sets a flag or a bit that the close of its
+        window clears, so of two windows on one target that meet, the
+        first to close would end both: such a plan is rejected.
+        """
+        at, duration = _check_window(at, duration)
+        for other, start, length in self._windows.get(target, ()):
+            if at <= start + length and start <= at + duration:
+                raise ValueError(
+                    f"{label} cycles ({at}, {at + duration}] meets "
+                    f"{other} cycles ({start}, {start + length}] on "
+                    "the same target")
+        self._windows.setdefault(target, []).append((label, at, duration))
+        return at, duration
 
     # -- wire impairments ---------------------------------------------------
 
@@ -134,7 +154,8 @@ class FaultPlan:
         running (queued injections drain, ejections back-pressure), and
         the resume is kernel-wake-safe: a frozen tile is pinned in the
         scheduler's active set and explicitly re-woken at thaw."""
-        at, duration = _check_window(at, duration)
+        at, duration = self._window(("tile", name), f"freeze tile {name!r}",
+                                    at, duration)
         self.tile_events.append(("freeze", name, at, duration))
         return self
 
@@ -144,7 +165,8 @@ class FaultPlan:
         state at the crash point: buffered/ in-service messages are
         dropped (counted under the ``fault: crash`` drop reason).
         Flits already in the NoC still deliver after the reboot."""
-        at, duration = _check_window(at, duration)
+        at, duration = self._window(("tile", name), f"crash tile {name!r}",
+                                    at, duration)
         self.tile_events.append(("crash", name, at, duration))
         return self
 
@@ -157,8 +179,10 @@ class FaultPlan:
         port's ejection FIFO fills and back-pressures the mesh — the
         same staging both backends share, so the stall is observed
         bit-identically by the object and flat cores."""
-        at, duration = _check_window(at, duration)
-        self.stall_windows.append((tuple(coord), at, duration))
+        coord = tuple(coord)
+        at, duration = self._window(("stall", coord),
+                                    f"stall link {coord}", at, duration)
+        self.stall_windows.append((coord, at, duration))
         return self
 
     def corrupt_flits(self, prob: float,
@@ -184,9 +208,10 @@ class FaultPlan:
         next hop, so traffic detours — and may transiently contend —
         but still delivers once the window closes.  Deterministic and
         bit-identical across the object and flat mesh backends."""
-        at, duration = _check_window(at, duration)
-        self.router_events.append(
-            ("misroute", tuple(coord), None, at, duration))
+        coord = tuple(coord)
+        at, duration = self._window(("misroute", coord),
+                                    f"misroute router {coord}", at, duration)
+        self.router_events.append(("misroute", coord, None, at, duration))
         return self
 
     def stuck_grant(self, coord: tuple[int, int], port, at: int,
@@ -198,15 +223,17 @@ class FaultPlan:
         arbiter wedged and downstream credits never returned.  The
         owning wormhole holds its chain of links (the Fig. 5 stall
         shape) until the window closes."""
-        at, duration = _check_window(at, duration)
         port_name = str(getattr(port, "value", port)).lower()
         if port_name not in _ROUTER_PORTS:
             raise ValueError(
                 f"unknown router port {port!r} "
                 f"(choose from {sorted(_ROUTER_PORTS)})")
+        coord, index = tuple(coord), _ROUTER_PORTS[port_name]
+        at, duration = self._window(("stuck_grant", coord, index),
+                                    f"stuck_grant router {coord}.{port_name}",
+                                    at, duration)
         self.router_events.append(
-            ("stuck_grant", tuple(coord), _ROUTER_PORTS[port_name],
-             at, duration))
+            ("stuck_grant", coord, index, at, duration))
         return self
 
     # -- event-level VR faults ----------------------------------------------

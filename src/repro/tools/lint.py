@@ -10,8 +10,10 @@ A target is either the name of a shipped design (see ``--list``) or a
 path to a design XML file (:func:`repro.designs.load_design`).  Either
 way its spec is linted first; then the design is built and every
 analysis pass runs over the real objects — mesh, routers, next-hop
-tables, simulator components.  The seeded-bug demo targets have no
-spec and are only built.
+tables, simulator components.  The seeded-bug demo targets
+(:data:`repro.analysis.demo.FIXTURES`, one per finding family the
+linter must catch, left out of ``--all``) have no spec and are only
+built.
 
 ``--sanitize`` additionally runs the dynamic sanitizer passes
 (BHV4xx): bounded instrumented simulations of ``--cycles`` cycles each,
@@ -34,39 +36,6 @@ from repro.analysis import CODES, SANITIZE_PASSES, AnalysisReport, analyze
 from repro.analysis.findings import Finding
 from repro.analysis.sanitize import DEFAULT_CYCLES, analyze_dynamic
 from repro.designs import SHIPPED, load_design
-
-
-def _demo_designs():
-    """Seeded-bug targets: useful for demos and the linter's own tests,
-    deliberately excluded from ``--all``.  One per finding family the
-    linter is supposed to catch — see :mod:`repro.analysis.demo`."""
-    from repro.analysis.demo import (
-        build_blind_forwarder_design,
-        build_broken_wake_design,
-        build_early_read_design,
-        build_escaped_domain_design,
-        build_fig5a_design,
-        build_fig5b_design,
-        build_idle_liar_design,
-        build_leaky_eject_design,
-        build_phantom_dest_design,
-        build_stale_domain_design,
-        build_step_parity_design,
-    )
-
-    return {
-        "fig5a": build_fig5a_design,
-        "fig5b": build_fig5b_design,
-        "broken_wake": build_broken_wake_design,
-        "idle_liar": build_idle_liar_design,
-        "leaky_eject": build_leaky_eject_design,
-        "step_parity": build_step_parity_design,
-        "early_read": build_early_read_design,
-        "phantom_dest": build_phantom_dest_design,
-        "stale_domain": build_stale_domain_design,
-        "escaped_domain": build_escaped_domain_design,
-        "blind_forwarder": build_blind_forwarder_design,
-    }
 
 
 def _split_passes(passes, sanitize: bool, error) -> tuple[list | None,
@@ -212,10 +181,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.cycles < 1:
         parser.error(f"--cycles must be >= 1, got {args.cycles}")
 
-    demos = _demo_designs()
+    from repro.analysis.demo import FIXTURES
+
     if args.list_designs:
         print("shipped:", " ".join(sorted(SHIPPED)))
-        print("demos:  ", " ".join(sorted(demos)))
+        print("demos:  ", " ".join(sorted(FIXTURES)))
         return 0
 
     targets = list(args.targets)
@@ -229,9 +199,9 @@ def main(argv: list[str] | None = None) -> int:
     worst = 0
     reports = []
     for target in targets:
-        if target in demos:
+        if target in FIXTURES:
             try:
-                report = _lint_demo(target, demos[target], static_passes,
+                report = _lint_demo(target, FIXTURES[target], static_passes,
                                     sanitize_passes, args.cycles)
             except Exception as error:  # noqa: BLE001 - reported, not hidden
                 print(f"error: cannot build design {target!r}: {error}",

@@ -12,7 +12,7 @@ from repro.analysis import (
     analyze_chains,
     lint_spec,
 )
-from repro.analysis.demo import Fig5Design, build_broken_wake_design
+from repro.analysis.demo import FIXTURES
 from repro.designs import SHIPPED, load_design
 from repro.noc.routing import Port
 from repro.tools.lint import main as lint_main
@@ -49,14 +49,14 @@ class TestFindingPipeline:
 
     def test_unknown_pass_rejected(self):
         with pytest.raises(KeyError, match="unknown pass"):
-            analyze(Fig5Design("b"), passes=["quantum"])
+            analyze(FIXTURES["fig5b"](), passes=["quantum"])
 
 
 class TestDeadlockPass:
     def test_fig5a_cycle_reported_with_edge_path(self):
         """The paper's Fig 5a placement must produce a BHV201 finding
         whose witness cycle includes the (1,0) east link."""
-        report = analyze(Fig5Design("a"), name="fig5a")
+        report = analyze(FIXTURES["fig5a"](), name="fig5a")
         findings = report.by_code("BHV201")
         assert len(findings) == 1
         finding = findings[0]
@@ -70,12 +70,12 @@ class TestDeadlockPass:
         assert finding.data["chains"]  # the chains holding the links
 
     def test_fig5b_clean(self):
-        report = analyze(Fig5Design("b"), name="fig5b")
+        report = analyze(FIXTURES["fig5b"](), name="fig5b")
         assert report.by_code("BHV201") == []
         assert report.ok
 
     def test_functional_api_matches_pass(self):
-        design = Fig5Design("a")
+        design = FIXTURES["fig5a"]()
         cycle = analyze_chains(design.chains, design.tile_coords)
         assert ((1, 0), Port.EAST) in cycle
 
@@ -111,7 +111,7 @@ class TestDeadlockPass:
 
 class TestWakeContractPass:
     def test_broken_wake_design_flagged(self):
-        report = analyze(build_broken_wake_design(), name="broken_wake")
+        report = analyze(FIXTURES["broken_wake"](), name="broken_wake")
         findings = report.by_code("BHV301")
         assert len(findings) == 1
         assert findings[0].severity == "error"
@@ -122,30 +122,31 @@ class TestWakeContractPass:
         """The lint finding corresponds to a real behavioural bug: the
         design works under the naive kernel and stalls forever under
         the scheduled one."""
-        naive = build_broken_wake_design("reference")
+        naive = FIXTURES["broken_wake"]("reference")
         naive.send()
         naive.sim.run(200)
-        assert naive.echo.echoed == 1
+        assert naive.tiles["echo"].echoed == 1
 
-        sched = build_broken_wake_design("fast")
+        sched = FIXTURES["broken_wake"]("fast")
         sched.send()
         sched.sim.run(200)
-        assert sched.echo.echoed == 0  # lost wakeup: message stranded
-        assert len(sched.echo.port.eject_fifo) > 0
+        echo = sched.tiles["echo"]
+        assert echo.echoed == 0  # lost wakeup: message stranded
+        assert len(echo.port.eject_fifo) > 0
 
     def test_fixed_design_passes_and_runs(self):
         """Restoring the wake hook clears the finding and the stall."""
-        design = build_broken_wake_design("fast")
-        design.echo.wake_sources = \
-            lambda: (design.echo.port.eject_fifo,)
+        design = FIXTURES["broken_wake"]("fast")
+        echo = design.tiles["echo"]
+        echo.wake_sources = lambda: (echo.port.eject_fifo,)
         # Re-wire as the kernel would have at add() time: the kernel
         # filled _kernel_wake; attach it to the now-declared source.
-        design.echo.port.eject_fifo.add_waker(design.echo._kernel_wake)
+        echo.port.eject_fifo.add_waker(echo._kernel_wake)
         report = analyze(design, name="fixed_wake")
         assert report.by_code("BHV301") == []
         design.send()
         design.sim.run(200)
-        assert design.echo.echoed == 1
+        assert echo.echoed == 1
 
 
     def test_a_raising_wake_source_is_bhv304(self):
@@ -154,12 +155,12 @@ class TestWakeContractPass:
         running it (BHV305 is the sanitizer's), so nothing asks a
         method BHV303 used to find missing."""
         assert "BHV303" not in CODES
-        design = build_broken_wake_design("fast")
+        design = FIXTURES["broken_wake"]("fast")
 
         def raising():
             raise RuntimeError("no sources today")
 
-        design.echo.wake_sources = raising
+        design.tiles["echo"].wake_sources = raising
         findings = analyze(design, name="raising").by_code("BHV304")
         assert len(findings) == 1
         assert "no sources today" in findings[0].message

@@ -16,7 +16,7 @@ from repro.analysis.deadlock import (
     witness_cycles,
 )
 from repro.analysis.deadlock import _strong_components as strong_components
-from repro.analysis.demo import Fig5Design, build_fig5_layout
+from repro.analysis.demo import FIXTURES
 from repro.noc import NocMessage, Port
 from tests.test_import_graph import run_python
 
@@ -105,9 +105,10 @@ class TestStaticAnalysis:
 
 class TestRuntimeDeadlock:
     def _run(self, variant, payload_bytes=8192, max_cycles=5000):
-        sim, ingress, tiles, chain, coords = build_fig5_layout(variant)
-        ingress.send(NocMessage(dst=coords["ip"], src=coords["eth"],
-                                data=bytes(payload_bytes)))
+        design = FIXTURES[f"fig5{variant}"]()
+        sim, tiles, coords = design.sim, design.tiles, design.tile_coords
+        design.ingress.send(NocMessage(dst=coords["ip"], src=coords["eth"],
+                                       data=bytes(payload_bytes)))
         sim.run_until(lambda: tiles["app"].messages_through >= 1,
                       max_cycles=max_cycles)
         return sim, tiles
@@ -130,8 +131,9 @@ class TestRuntimeDeadlock:
 
     def test_static_and_runtime_agree(self):
         for variant, expect_deadlock in (("a", True), ("b", False)):
-            _, _, _, chain, coords = build_fig5_layout(variant)
-            static = analyze_chains([chain], coords) is not None
+            design = FIXTURES[f"fig5{variant}"]()
+            static = analyze_chains(design.chains,
+                                    design.tile_coords) is not None
             assert static == expect_deadlock
 
 
@@ -242,14 +244,13 @@ for cycle in witness_cycles(build_dependency_graph(chains, coords)):
 class TestWitnessIsPinned:
     def test_fig5a_texts_are_those_of_the_networkx_analyzer(self):
         """Recorded at d425d27, the last commit on networkx."""
-        [finding] = [f for f in analyze(Fig5Design("a"),
-                                        name="fig5a").findings
+        design = FIXTURES["fig5a"]()
+        [finding] = [f for f in analyze(design, name="fig5a").findings
                      if f.code == "BHV201"]
         assert finding.message == FIG5A_MESSAGE
         assert finding.data == FIG5A_DATA
-        _, _, _, chain, coords = build_fig5_layout("a")
         with pytest.raises(DeadlockError) as excinfo:
-            assert_deadlock_free([chain], coords)
+            assert_deadlock_free(design.chains, design.tile_coords)
         assert str(excinfo.value) == FIG5A_ERROR
 
     def test_same_witness_under_every_hash_seed(self):

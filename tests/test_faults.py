@@ -63,6 +63,41 @@ class TestFaultPlanValidation:
         with pytest.raises(ValueError, match="start cycle"):
             FaultPlan().stall_link((0, 0), at=-1, duration=5)
 
+    def test_overlapping_tile_windows_rejected(self):
+        # The first window to close would thaw the tile under the
+        # second; freeze and crash set one flag, so they share a target.
+        with pytest.raises(ValueError, match=(
+                r"freeze tile 'app' cycles \(300, 700\] meets "
+                r"freeze tile 'app' cycles \(100, 500\]")):
+            (FaultPlan().freeze_tile("app", at=100, duration=400)
+             .freeze_tile("app", at=300, duration=400))
+        with pytest.raises(ValueError,
+                           match="crash tile 'app'.* meets freeze tile"):
+            (FaultPlan().freeze_tile("app", at=100, duration=400)
+             .crash_tile("app", at=450, duration=10))
+
+    def test_touching_tile_windows_rejected_in_either_order(self):
+        for first, second in ((100, 300), (300, 100)):
+            with pytest.raises(ValueError, match="meets"):
+                (FaultPlan().freeze_tile("app", at=first, duration=200)
+                 .freeze_tile("app", at=second, duration=200))
+
+    def test_overlapping_stall_windows_rejected(self):
+        with pytest.raises(ValueError, match=(
+                r"stall link \(3, 0\) cycles \(300, 700\] meets "
+                r"stall link \(3, 0\) cycles \(100, 500\]")):
+            (FaultPlan().stall_link((3, 0), at=100, duration=400)
+             .stall_link([3, 0], at=300, duration=400))
+
+    def test_windows_apart_or_on_other_targets_accepted(self):
+        plan = (FaultPlan().freeze_tile("app", at=100, duration=200)
+                .crash_tile("app", at=301, duration=200)
+                .freeze_tile("eth_rx", at=100, duration=400)
+                .stall_link((3, 0), at=100, duration=400)
+                .stall_link((2, 0), at=100, duration=400))
+        assert len(plan.tile_events) == 3
+        assert len(plan.stall_windows) == 2
+
     def test_bad_vr_role(self):
         with pytest.raises(ValueError, match="role"):
             FaultPlan().vr_freeze("observer", 0, 0.1, 0.1)

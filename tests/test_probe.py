@@ -159,9 +159,9 @@ class TestBackends:
         """``attach_probe`` takes any design: the Fig 5 demo's
         cut-through tiles are no ``Tile`` subclass and are sampled as
         not busy rather than raising."""
-        from repro.analysis.demo import Fig5Design
+        from repro.analysis.demo import FIXTURES
 
-        design = Fig5Design("b")
+        design = FIXTURES["fig5b"]()
         probe = attach_probe(design, interval=10)
         design.sim.run(35)
         assert [s["busy_tiles"] for s in probe.series.snapshots] == \

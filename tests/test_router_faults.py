@@ -80,6 +80,27 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="duration"):
             FaultPlan().misroute((1, 0), at=10, duration=0)
 
+    def test_overlapping_misroute_windows_rejected(self):
+        with pytest.raises(ValueError, match=(
+                r"misroute router \(1, 0\) cycles \(300, 700\] meets "
+                r"misroute router \(1, 0\) cycles \(100, 500\]")):
+            (FaultPlan().misroute((1, 0), at=100, duration=400)
+             .misroute((1, 0), at=300, duration=400))
+
+    def test_overlapping_stuck_grants_on_one_output_rejected(self):
+        with pytest.raises(ValueError, match=(
+                r"stuck_grant router \(1, 0\)\.east cycles \(150, 200\] "
+                r"meets stuck_grant router \(1, 0\)\.east")):
+            (FaultPlan().stuck_grant((1, 0), "east", at=100, duration=50)
+             .stuck_grant((1, 0), Port.EAST, at=150, duration=50))
+
+    def test_windows_on_other_routers_or_outputs_accepted(self):
+        plan = (FaultPlan().misroute((1, 0), at=100, duration=400)
+                .misroute((2, 0), at=100, duration=400)
+                .stuck_grant((1, 0), "east", at=100, duration=400)
+                .stuck_grant((1, 0), "west", at=100, duration=400))
+        assert len(plan.router_events) == 4
+
     def test_unknown_router_rejected_at_attach(self):
         with pytest.raises(KeyError):
             echo_design(FaultPlan().misroute((9, 9), at=1, duration=1))

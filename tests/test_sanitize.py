@@ -14,17 +14,7 @@ zero findings, which is what the CI sanitizer-smoke job pins.
 import pytest
 
 from repro.analysis import SANITIZE_PASSES, analyze, analyze_dynamic
-from repro.analysis.demo import (
-    build_blind_forwarder_design,
-    build_broken_wake_design,
-    build_early_read_design,
-    build_escaped_domain_design,
-    build_idle_liar_design,
-    build_leaky_eject_design,
-    build_phantom_dest_design,
-    build_stale_domain_design,
-    build_step_parity_design,
-)
+from repro.analysis.demo import FIXTURES
 from repro.analysis.sanitize import (
     build_design,
     conservation_ledger,
@@ -88,11 +78,11 @@ class TestBrokenWake:
     pass predicts at lint time."""
 
     def test_static_pass_predicts(self):
-        report = analyze(build_broken_wake_design(), name="broken_wake")
+        report = analyze(FIXTURES["broken_wake"](), name="broken_wake")
         assert "BHV301" in codes_of(report)
 
     def test_sanitizer_confirms_dynamically(self):
-        report = analyze_dynamic(build_broken_wake_design,
+        report = analyze_dynamic(FIXTURES["broken_wake"],
                                  name="broken_wake", cycles=400)
         codes = codes_of(report)
         assert "BHV401" in codes
@@ -101,14 +91,14 @@ class TestBrokenWake:
 
 class TestIdleLiar:
     def test_bhv401_only(self):
-        report = analyze_dynamic(build_idle_liar_design,
+        report = analyze_dynamic(FIXTURES["idle_liar"],
                                  name="idle_liar", cycles=400)
         assert codes_of(report) == ["BHV401"]
         finding = report.findings[0]
         assert "liar" in finding.location
 
     def test_static_passes_stay_silent(self):
-        report = analyze(build_idle_liar_design(), name="idle_liar")
+        report = analyze(FIXTURES["idle_liar"](), name="idle_liar")
         assert report.findings == [], report.render()
 
 
@@ -122,7 +112,7 @@ class TestRestless:
         monkeypatch.setattr(IdleLiarTile, "_due", lambda self: None)
 
     def test_a_consumer_that_never_sleeps_is_bhv305(self, restless):
-        report = analyze_dynamic(build_idle_liar_design,
+        report = analyze_dynamic(FIXTURES["idle_liar"],
                                  name="idle_liar", cycles=200)
         # Never asleep, so never shadow-stepped: no BHV401 either.
         assert codes_of(report) == ["BHV305"]
@@ -130,11 +120,11 @@ class TestRestless:
         assert (finding.location, finding.severity) == ("liar", "info")
         assert report.ok
         # Not from a missing method: the static passes see nothing.
-        assert analyze(build_idle_liar_design(), name="idle_liar"
+        assert analyze(FIXTURES["idle_liar"](), name="idle_liar"
                        ).findings == []
 
     def test_belongs_to_the_idle_truth_pass(self, restless):
-        report = analyze_dynamic(build_idle_liar_design,
+        report = analyze_dynamic(FIXTURES["idle_liar"],
                                  name="idle_liar", cycles=200,
                                  passes=["lost-wake", "conservation"])
         assert report.findings == [], report.render()
@@ -142,20 +132,20 @@ class TestRestless:
 
 class TestLeakyEject:
     def test_bhv403_only(self):
-        report = analyze_dynamic(build_leaky_eject_design,
+        report = analyze_dynamic(FIXTURES["leaky_eject"],
                                  name="leaky_eject", cycles=400)
         assert codes_of(report) == ["BHV403"]
         data = report.findings[0].data
         assert data["injected"] > data["ejected"] + data["in_flight"]
 
     def test_static_passes_stay_silent(self):
-        report = analyze(build_leaky_eject_design(), name="leaky_eject")
+        report = analyze(FIXTURES["leaky_eject"](), name="leaky_eject")
         assert report.findings == [], report.render()
 
 
 class TestEarlyRead:
     def test_bhv405_only(self):
-        report = analyze_dynamic(build_early_read_design,
+        report = analyze_dynamic(FIXTURES["early_read"],
                                  name="early_read", cycles=400)
         assert codes_of(report) == ["BHV405"]
         finding = report.findings[0]
@@ -166,7 +156,7 @@ class TestEarlyRead:
         assert finding.data["cycle"] == 22
 
     def test_static_passes_stay_silent(self):
-        report = analyze(build_early_read_design(), name="early_read")
+        report = analyze(FIXTURES["early_read"](), name="early_read")
         assert report.findings == [], report.render()
 
     def test_passing_the_cycle_is_the_whole_fix(self, monkeypatch):
@@ -177,17 +167,17 @@ class TestEarlyRead:
                 self.early += 1
 
         monkeypatch.setattr(EarlyReadTile, "on_cycle", on_cycle)
-        report = analyze_dynamic(build_early_read_design,
+        report = analyze_dynamic(FIXTURES["early_read"],
                                  name="early_read", cycles=400)
         assert report.findings == [], report.render()
 
     def test_belongs_to_the_conservation_pass(self):
-        report = analyze_dynamic(build_early_read_design,
+        report = analyze_dynamic(FIXTURES["early_read"],
                                  name="early_read", cycles=400,
                                  passes=["idle-truth", "lost-wake",
                                          "determinism"])
         assert report.findings == [], report.render()
-        report = analyze_dynamic(build_early_read_design,
+        report = analyze_dynamic(FIXTURES["early_read"],
                                  name="early_read", cycles=400,
                                  passes=["conservation"])
         assert codes_of(report) == ["BHV405"]
@@ -197,7 +187,7 @@ class TestStepParity:
     def test_bhv404_under_kernel_divergence(self):
         # No flag, no second configuration to name: determinism always
         # has the naive kernel on its reference side.
-        report = analyze_dynamic(build_step_parity_design,
+        report = analyze_dynamic(FIXTURES["step_parity"],
                                  name="step_parity", cycles=400)
         assert codes_of(report) == ["BHV404"]
         finding = report.findings[0]
@@ -205,7 +195,7 @@ class TestStepParity:
         assert "fast vs reference" in finding.message
 
     def test_static_passes_stay_silent(self):
-        report = analyze(build_step_parity_design(), name="step_parity")
+        report = analyze(FIXTURES["step_parity"](), name="step_parity")
         assert report.findings == [], report.render()
 
 
@@ -214,10 +204,10 @@ class TestDataflowFixtures:
     stays clean under the dynamic passes."""
 
     CASES = [
-        (build_phantom_dest_design, "BHV501"),
-        (build_stale_domain_design, "BHV502"),
-        (build_escaped_domain_design, "BHV503"),
-        (build_blind_forwarder_design, "BHV504"),
+        (FIXTURES["phantom_dest"], "BHV501"),
+        (FIXTURES["stale_domain"], "BHV502"),
+        (FIXTURES["escaped_domain"], "BHV503"),
+        (FIXTURES["blind_forwarder"], "BHV504"),
     ]
 
     @pytest.mark.parametrize("builder,code", CASES,
@@ -235,14 +225,14 @@ class TestDataflowFixtures:
 
 class TestPassSelection:
     def test_single_pass_runs_alone(self):
-        report = analyze_dynamic(build_idle_liar_design,
+        report = analyze_dynamic(FIXTURES["idle_liar"],
                                  name="idle_liar", cycles=400,
                                  passes=["idle-truth"])
         assert report.passes_run == ["sanitize:idle-truth"]
         assert codes_of(report) == ["BHV401"]
 
     def test_unselected_pass_cannot_fire(self):
-        report = analyze_dynamic(build_leaky_eject_design,
+        report = analyze_dynamic(FIXTURES["leaky_eject"],
                                  name="leaky_eject", cycles=400,
                                  passes=["idle-truth", "lost-wake",
                                          "determinism"])
@@ -250,11 +240,11 @@ class TestPassSelection:
 
     def test_unknown_pass_raises(self):
         with pytest.raises(KeyError, match="unknown sanitize pass"):
-            analyze_dynamic(build_idle_liar_design, passes=["bogus"])
+            analyze_dynamic(FIXTURES["idle_liar"], passes=["bogus"])
 
     def test_bad_cycles_raises(self):
         with pytest.raises(ValueError, match="cycles"):
-            analyze_dynamic(build_idle_liar_design, cycles=0)
+            analyze_dynamic(FIXTURES["idle_liar"], cycles=0)
 
 
 class TestConservationLedger:
@@ -273,7 +263,7 @@ class TestConservationLedger:
         assert ledger["injected"] > 0
 
     def test_detects_off_books_loss(self):
-        design = build_design(build_leaky_eject_design)
+        design = build_design(FIXTURES["leaky_eject"])
         design.send()
         for _ in range(50):
             design.sim.tick()
@@ -295,23 +285,22 @@ class TestBuildDesign:
         # flat-mesh bug) and the leaky tile (object mesh, naive kernel).
         from repro.noc import FlatMesh, Mesh
         for builder, meshes in [
-                (build_idle_liar_design, (FlatMesh, Mesh)),
-                (build_early_read_design, (FlatMesh, FlatMesh))]:
+                (FIXTURES["idle_liar"], (FlatMesh, Mesh)),
+                (FIXTURES["early_read"], (FlatMesh, FlatMesh))]:
             for profile, kernel, mesh_cls in zip(
                     ("fast", "reference"), ("scheduled", "naive"), meshes):
                 design = build_design(builder, profile)
                 assert design.sim.kernel == kernel
                 assert type(design.mesh) is mesh_cls
-        design = build_design(build_leaky_eject_design, "fast")
+        design = build_design(FIXTURES["leaky_eject"], "fast")
         assert design.sim.kernel == "naive"
         assert type(design.mesh) is Mesh
 
     def test_every_lintable_factory_takes_a_profile(self):
         from repro.designs import SHIPPED, load_design
-        from repro.tools.lint import _demo_designs
         for name, factory in {
                 **{name: load_design(name)[1] for name in SHIPPED},
-                **_demo_designs()}.items():
+                **FIXTURES}.items():
             for profile in ("fast", "reference"):
                 assert build_design(factory, profile).sim, name
 
@@ -350,11 +339,11 @@ class TestDefaultTraffic:
         assert all(d.eth_tx.messages_in > 0 for d in designs)
 
     def test_uses_send_hook_for_fixture_designs(self):
-        design = build_idle_liar_design()
+        design = FIXTURES["idle_liar"]()
         # No inject, no send: an idle fixture gets an empty schedule.
         actions = default_traffic(design, 1000)
         assert actions == []
-        leaky = build_leaky_eject_design()
+        leaky = FIXTURES["leaky_eject"]()
         assert default_traffic(leaky, 1000), "send() hook not used"
 
 
