@@ -46,7 +46,7 @@ cleanly.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from functools import partial
 
 from repro.noc.flatmesh import FlatMesh
@@ -373,7 +373,7 @@ class Fixture:
     def __init__(self, profile: str = "fast", *, size: tuple[int, int],
                  tiles: list[tuple], chains: list[list[str]],
                  backing: str = "profile", payload: bytes | None = None,
-                 replicas: tuple = ()) -> None:
+                 replicas: Sequence[tuple[int, int]] = ()) -> None:
         kernel, flat = lookup(profile)
         if backing == "naive":
             kernel, flat = "naive", False
