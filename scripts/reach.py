@@ -67,13 +67,12 @@ KEEP: dict[str, str] = {
     "repro.faults.plan.FaultPlan.crash_tile": DOCUMENTED,
     "repro.faults.plan.FaultPlan.misroute": DOCUMENTED,
     "repro.faults.plan.FaultPlan.stuck_grant": DOCUMENTED,
-    "repro.faults.plan.FaultPlan.describe": DOCUMENTED,
     "repro.faults.plan.FaultPlan.wire(delay_range)": DOCUMENTED,
     "repro.faults.engine.FaultEngine._crash": DOCUMENTED,
-    "repro.faults.engine.FaultEngine._misroute_on": DOCUMENTED,
-    "repro.faults.engine.FaultEngine._misroute_off": DOCUMENTED,
-    "repro.faults.engine.FaultEngine._grant_stick": DOCUMENTED,
-    "repro.faults.engine.FaultEngine._grant_release": DOCUMENTED,
+    "repro.faults.engine.FaultEngine._misroute": DOCUMENTED,
+    "repro.faults.engine.FaultEngine._stuck_grant": DOCUMENTED,
+    "repro.faults.engine._router": DOCUMENTED,
+    "repro.faults.engine._output": DOCUMENTED,
     "repro.noc.router.misroute_index": DOCUMENTED,
     "repro.noc.router.Router._connected_mask": DOCUMENTED,
     "repro.noc.router.Router.fault_misroute": DOCUMENTED,

@@ -89,26 +89,4 @@ _EXPORTS = {
 }
 __getattr__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "CODES",
-    "ERROR",
-    "INFO",
-    "PASSES",
-    "SANITIZE_PASSES",
-    "WARNING",
-    "AnalysisReport",
-    "DeadlockError",
-    "DesignModel",
-    "Finding",
-    "analyze",
-    "analyze_chains",
-    "analyze_dynamic",
-    "assert_deadlock_free",
-    "build_dependency_graph",
-    "chain_link_sequence",
-    "chains_through",
-    "derive_streaming_chains",
-    "extract",
-    "lint_spec",
-    "witness_cycles",
-]
+__all__ = sorted(_EXPORTS)

@@ -60,18 +60,4 @@ _EXPORTS = {
 }
 __getattr__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "ChainSpec",
-    "DesignSpec",
-    "DestSpec",
-    "GeneratedDesign",
-    "TileSpec",
-    "TileType",
-    "ValidationError",
-    "design_from_xml",
-    "design_to_xml",
-    "generate_top_level",
-    "instantiation_loc",
-    "register_tile_type",
-    "validate",
-]
+__all__ = sorted([*_EXPORTS, "ValidationError", "validate"])

@@ -27,7 +27,7 @@ class GeneratedDesign(Design):
     def __init__(self, spec: DesignSpec, profile: str = "fast",
                  fault_plan=None):
         self.spec = spec
-        self.report = validate(spec)
+        validate(spec)
         super().__init__(spec.width, spec.height, profile)
         context = BuildContext(self.mesh, spec)
         tiles = {tile.name: context.tile(tile.name) for tile in spec.tiles}

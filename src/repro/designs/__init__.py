@@ -93,25 +93,4 @@ def load_design(target: str):
     return spec, partial(GeneratedDesign, spec)
 
 
-__all__ = [
-    "CLIENT_IP",
-    "CLIENT_MAC",
-    "FrameSink",
-    "FrameSource",
-    "IpInIpEchoDesign",
-    "LoggedUdpEchoDesign",
-    "ManagedNatEchoDesign",
-    "MultiStackDesign",
-    "NatEchoDesign",
-    "RsDesign",
-    "SHIPPED",
-    "ScaledEchoDesign",
-    "TcpServerDesign",
-    "UdpEchoDesign",
-    "VrWitnessDesign",
-    "VxlanEchoDesign",
-    "attach_client",
-    "client_frame",
-    "load_design",
-    "saturation_goodput",
-]
+__all__ = sorted([*_EXPORTS, "SHIPPED", "load_design"])

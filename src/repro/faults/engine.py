@@ -9,9 +9,9 @@
   :meth:`repro.noc.mesh.LocalPort.receive` — the staging shared by the
   object and flat mesh backends, so both observe bit-identical fault
   streams;
-- a :class:`FaultEngine`, a clocked component owning the time-sorted
-  event schedule (tile freeze/crash windows, link-stall windows), the
-  fault counters, and the tracer feed.
+- a :class:`FaultEngine`, a clocked component that opens and closes
+  each of the plan's windows on its cycles, and owns the fault
+  counters and the tracer feed.
 
 Everything is deterministic per plan seed: wire draws happen in frame
 injection order from one named stream, ejection draws in per-port flit
@@ -23,10 +23,15 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
+from functools import partial
 
-from repro.faults.plan import FaultPlan, WireFaultSpec
+from repro.faults.plan import _ROUTER_PORTS, FaultPlan, WireFaultSpec
 from repro.sim.kernel import NEVER, Wakeable
 from repro.sim.rng import SeededStreams
+
+CORRUPT_BYTES = 1       # bytes XORed per corrupted frame
+DUP_DELAY_CYCLES = 1    # a duplicate arrives this long after the original
+REORDER_CYCLES = 64     # a reordered frame is held back this long
 
 
 def _corrupt_payload(data: bytes, rng, n_bytes: int) -> bytes:
@@ -52,8 +57,7 @@ class FaultyWire(Wakeable):
     wire for a new one.
     """
 
-    def __init__(self, sim, push, spec: WireFaultSpec, rng, engine):
-        self.sim = sim
+    def __init__(self, push, spec: WireFaultSpec, rng, engine):
         self._push = push
         self.spec = spec
         self.rng = rng
@@ -74,11 +78,11 @@ class FaultyWire(Wakeable):
             engine.record("wire.drop", detail=len(frame))
             return
         if spec.corrupt and rng.random() < spec.corrupt:
-            frame = _corrupt_payload(frame, rng, spec.corrupt_bytes)
+            frame = _corrupt_payload(frame, rng, CORRUPT_BYTES)
             engine.record("wire.corrupt")
         duplicate = spec.duplicate and rng.random() < spec.duplicate
         if spec.reorder and rng.random() < spec.reorder:
-            arrival += spec.reorder_cycles
+            arrival += REORDER_CYCLES
             engine.record("wire.reorder")
         if spec.delay and rng.random() < spec.delay:
             arrival += rng.randint(*spec.delay_range)
@@ -86,7 +90,7 @@ class FaultyWire(Wakeable):
         self._schedule(arrival, frame)
         if duplicate:
             engine.record("wire.duplicate")
-            self._schedule(arrival + spec.dup_delay_cycles, frame)
+            self._schedule(arrival + DUP_DELAY_CYCLES, frame)
 
     def _schedule(self, arrival: int, frame: bytes) -> None:
         self._seq += 1
@@ -145,25 +149,14 @@ class FaultEngine(Wakeable):
     kernel (timer wheel wakes it at exactly each event cycle).
     """
 
-    def __init__(self, design, plan: FaultPlan):
-        self.design = design
-        self.plan = plan
-        self.sim = design.sim
+    def __init__(self, sim):
+        self.sim = sim
         self.counters: Counter = Counter()
         #: (cycle, kind, target, detail) for every recorded fault.
         self.log: list[tuple] = []
-        self._events: list[tuple[int, int, object]] = []
-        self._next = 0
-
-    # -- schedule construction (attach time) --------------------------------
-
-    def schedule(self, cycle: int, action) -> None:
-        """Queue ``action(cycle)`` to run during the step at
-        ``cycle``.  Insertion order breaks ties, deterministically."""
-        self._events.append((cycle, len(self._events), action))
-
-    def seal(self) -> None:
-        self._events.sort(key=lambda event: (event[0], event[1]))
+        #: (cycle, insertion order, action) still to run, latest
+        #: first; insertion order breaks ties, deterministically.
+        self._events: list[tuple[int, int, partial]] = []
 
     # -- recording ----------------------------------------------------------
 
@@ -175,13 +168,24 @@ class FaultEngine(Wakeable):
         if tracer.enabled:
             tracer.fault(cycle, kind, target, detail)
 
-    # -- fault actions ------------------------------------------------------
+    # -- fault windows: each method opens one with ``on``, closes without --
 
-    def _freeze(self, tile, cycle: int) -> None:
-        tile._fault_frozen = True
-        self.record("tile.freeze", target=tile.name)
+    def _freeze(self, tile, on: bool) -> None:
+        tile._fault_frozen = on
+        if on:
+            self.record("tile.freeze", target=tile.name)
+            return
+        # Kernel-wake-safe resume: a tile that slept through the whole
+        # window re-enters the active set and re-derives its timers.
+        # ``_wake`` routes through whatever hook owns the tile — the
+        # scheduled kernel's waker, a flat tile core's busy-bit setter,
+        # or nothing under the naive kernel (which steps everything).
+        tile._wake()
+        self.record("tile.thaw", target=tile.name)
 
-    def _crash(self, tile, cycle: int) -> None:
+    def _crash(self, tile, on: bool) -> None:
+        if not on:
+            return self._freeze(tile, False)
         lost = len(tile._rx_ready)
         if tile._in_service is not None:
             lost += 1
@@ -195,52 +199,67 @@ class FaultEngine(Wakeable):
         tile._fault_frozen = True
         self.record("tile.crash", target=tile.name, detail=lost)
 
-    def _thaw(self, tile, cycle: int) -> None:
-        tile._fault_frozen = False
-        # Kernel-wake-safe resume: a tile that slept through the whole
-        # window re-enters the active set and re-derives its timers.
-        # ``_wake`` routes through whatever hook owns the tile — the
-        # scheduled kernel's waker, a flat tile core's busy-bit setter,
-        # or nothing under the naive kernel (which steps everything).
-        tile._wake()
-        self.record("tile.thaw", target=tile.name)
+    def _stall(self, port, on: bool) -> None:
+        port.fault_stalled = on
+        self.record("noc.stall" if on else "noc.unstall",
+                    target=port.coord)
 
-    def _stall(self, port, cycle: int) -> None:
-        port.fault_stalled = True
-        self.record("noc.stall", target=port.coord)
+    def _misroute(self, router, on: bool) -> None:
+        router.fault_misroute(on)
+        self.record("noc.misroute_on" if on else "noc.misroute_off",
+                    target=router.coord)
 
-    def _unstall(self, port, cycle: int) -> None:
-        port.fault_stalled = False
-        self.record("noc.unstall", target=port.coord)
-
-    def _misroute_on(self, router, cycle: int) -> None:
-        router.fault_misroute(True)
-        self.record("noc.misroute_on", target=router.coord)
-
-    def _misroute_off(self, router, cycle: int) -> None:
-        router.fault_misroute(False)
-        self.record("noc.misroute_off", target=router.coord)
-
-    def _grant_stick(self, router, out_index: int, cycle: int) -> None:
-        router.fault_block_output(out_index, True)
-        self.record("noc.stuck_grant", target=router.coord,
-                    detail=out_index)
-
-    def _grant_release(self, router, out_index: int,
-                       cycle: int) -> None:
-        router.fault_block_output(out_index, False)
-        self.record("noc.grant_release", target=router.coord,
-                    detail=out_index)
+    def _stuck_grant(self, output, on: bool) -> None:
+        router, index = output
+        router.fault_block_output(index, on)
+        self.record("noc.stuck_grant" if on else "noc.grant_release",
+                    target=router.coord, detail=index)
 
     # -- clocked behaviour --------------------------------------------------
 
     def step(self, cycle: int) -> int:
         events = self._events
-        while self._next < len(events) and events[self._next][0] <= cycle:
-            _, _, action = events[self._next]
-            self._next += 1
-            action(cycle)
-        return events[self._next][0] if self._next < len(events) else NEVER
+        while events and events[-1][0] <= cycle:
+            events.pop()[2]()
+        return events[-1][0] if events else NEVER
+
+
+def _find(table: dict, key, missing: str):
+    """``table[key]``, or a ``KeyError`` naming ``key`` and the table."""
+    if key not in table:
+        raise KeyError(missing.format(key, sorted(table)))
+    return table[key]
+
+
+def _tile(design, name):
+    return _find(design.tiles, name,
+                 "fault plan targets unknown tile {!r} (design has {})")
+
+
+def _port(design, coord):
+    return _find(design.mesh.ports, coord,
+                 "fault plan stalls unattached port {!r} (attached: {})")
+
+
+def _router(design, coord):
+    return _find(design.mesh.routers, coord,
+                 "fault plan targets unknown router {!r} (mesh has {})")
+
+
+def _output(design, target):
+    coord, port = target
+    return _router(design, coord), _ROUTER_PORTS[port]
+
+
+#: window kind -> (what its plan target names on a design, the engine
+#: method that opens and closes it).
+_WINDOW_KINDS = {
+    "freeze": (_tile, FaultEngine._freeze),
+    "crash": (_tile, FaultEngine._crash),
+    "stall": (_port, FaultEngine._stall),
+    "misroute": (_router, FaultEngine._misroute),
+    "stuck_grant": (_output, FaultEngine._stuck_grant),
+}
 
 
 def attach_faults(design, plan: FaultPlan | None):
@@ -261,50 +280,18 @@ def attach_faults(design, plan: FaultPlan | None):
         raise ValueError("design already has a fault plan attached")
 
     streams = SeededStreams(plan.seed)
-    engine = FaultEngine(design, plan)
+    engine = FaultEngine(design.sim)
 
-    tiles = design.tiles
-    for kind, name, at, duration in plan.tile_events:
-        tile = tiles.get(name)
-        if tile is None:
-            raise KeyError(
-                f"fault plan targets unknown tile {name!r} "
-                f"(design has {sorted(tiles)})")
-        apply = engine._crash if kind == "crash" else engine._freeze
-        engine.schedule(at, lambda c, t=tile, a=apply: a(t, c))
-        engine.schedule(at + duration,
-                        lambda c, t=tile: engine._thaw(t, c))
+    events = engine._events
+    for kind, target, at, duration in plan.windows:
+        find, method = _WINDOW_KINDS[kind]
+        found = find(design, target)
+        for cycle, on in ((at, True), (at + duration, False)):
+            events.append((cycle, len(events),
+                           partial(method, engine, found, on)))
+    events.sort(reverse=True)
 
     ports = design.mesh.ports
-    for coord, at, duration in plan.stall_windows:
-        port = ports.get(coord)
-        if port is None:
-            raise KeyError(
-                f"fault plan stalls unattached port {coord!r} "
-                f"(attached: {sorted(ports)})")
-        engine.schedule(at, lambda c, p=port: engine._stall(p, c))
-        engine.schedule(at + duration,
-                        lambda c, p=port: engine._unstall(p, c))
-
-    routers = design.mesh.routers
-    for kind, coord, port_index, at, duration in plan.router_events:
-        router = routers.get(tuple(coord))
-        if router is None:
-            raise KeyError(
-                f"fault plan targets unknown router {coord!r} "
-                f"(mesh has {sorted(routers)})")
-        if kind == "misroute":
-            engine.schedule(at, lambda c, r=router:
-                            engine._misroute_on(r, c))
-            engine.schedule(at + duration, lambda c, r=router:
-                            engine._misroute_off(r, c))
-        else:
-            engine.schedule(at, lambda c, r=router, o=port_index:
-                            engine._grant_stick(r, o, c))
-            engine.schedule(at + duration,
-                            lambda c, r=router, o=port_index:
-                            engine._grant_release(r, o, c))
-
     for coords, prob in plan.eject_corrupt:
         if not prob:
             continue
@@ -319,7 +306,7 @@ def attach_faults(design, plan: FaultPlan | None):
                 streams.stream(f"eject{tuple(coord)}"))
 
     if plan.wire_spec is not None and plan.wire_spec.active:
-        wire = FaultyWire(design.sim, design.inject, plan.wire_spec,
+        wire = FaultyWire(design.inject, plan.wire_spec,
                           streams.stream("wire"), engine)
         design.fault_wire = wire
         design.sim.add(wire)
@@ -327,7 +314,6 @@ def attach_faults(design, plan: FaultPlan | None):
         # FrameSource) now route through the lossy wire.
         design.inject = wire.inject
 
-    engine.seal()
     design.sim.add(engine)
     design.fault_engine = engine
     return engine

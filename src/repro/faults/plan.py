@@ -1,14 +1,14 @@
 """Declarative, seed-deterministic fault schedules.
 
 A :class:`FaultPlan` describes *what goes wrong and when* — wire
-impairments at the MAC boundary, NoC link stalls and ejection-flit
-corruption, tile freezes and crashes, and (for the event-level VR
-cluster) node freezes — without referencing any concrete design
-object.  The same plan can therefore be attached to several
-independently constructed designs (the ``fast`` / ``reference``
+impairments at the MAC boundary, ejection-flit corruption, timed fault
+windows (tile freezes and crashes, NoC link stalls, router misroutes
+and stuck grants) and event-level VR node freezes — without
+referencing any concrete design object.  One plan can therefore drive
+several independently built designs (the ``fast`` / ``reference``
 differential suite relies on this), and every random draw it implies
-comes from :class:`repro.sim.rng.SeededStreams` derived from the
-plan's single ``seed``, so a plan replays bit-identically.
+comes from :class:`repro.sim.rng.SeededStreams` derived from its one
+``seed``, so a plan replays bit-identically.
 
 Plans are builders: every mutator returns ``self`` so schedules read
 as one chained expression::
@@ -17,7 +17,18 @@ as one chained expression::
             .wire(drop=0.01, duplicate=0.005)
             .freeze_tile("app", at=2_000, duration=1_500)
             .stall_link((3, 0), at=5_000, duration=400)
+            .stuck_grant((2, 0), "south", at=6_000, duration=150)
             .corrupt_flits(0.001, coords=[(2, 0)]))
+
+Every window is one ``(kind, target, at, duration)`` entry of
+:attr:`FaultPlan.windows`, in plan order.  Two rules keep a plan
+unambiguous, and a call that breaks either raises ``ValueError``:
+
+- one window at a time per target — two windows on one target that
+  meet are rejected (a freeze and a crash share their tile);
+- one setting per port — a second :meth:`FaultPlan.wire`, or a
+  :meth:`FaultPlan.corrupt_flits` whose ports meet an earlier call's,
+  is rejected rather than silently replacing it.
 
 Attachment to a design happens through
 :func:`repro.faults.attach_faults` (or the ``fault_plan=`` kwarg every
@@ -32,6 +43,17 @@ from dataclasses import dataclass
 _ROUTER_PORTS = {"local": 0, "east": 1, "west": 2, "north": 3,
                  "south": 4}
 
+#: window kind -> how a window and its target read in an error.
+_LABELS = {
+    "freeze": "freeze tile {t!r}",
+    "crash": "crash tile {t!r}",
+    "stall": "stall link {t}",
+    "misroute": "misroute router {t}",
+    "stuck_grant": "stuck_grant router {t[0]}.{t[1]}",
+}
+#: Kinds that set the same flag of their target, so share it.
+_SHARED = {"crash": "freeze"}
+
 
 def _check_prob(name: str, value: float) -> float:
     value = float(value)
@@ -39,15 +61,6 @@ def _check_prob(name: str, value: float) -> float:
         raise ValueError(f"{name} must be a probability in [0, 1], "
                          f"got {value!r}")
     return value
-
-
-def _check_window(at: int, duration: int) -> tuple[int, int]:
-    if at < 0:
-        raise ValueError(f"fault start cycle must be >= 0, got {at}")
-    if duration < 1:
-        raise ValueError(f"fault duration must be >= 1 cycle, "
-                         f"got {duration}")
-    return int(at), int(duration)
 
 
 @dataclass(frozen=True)
@@ -66,9 +79,6 @@ class WireFaultSpec:
     duplicate: float = 0.0
     reorder: float = 0.0
     delay: float = 0.0
-    corrupt_bytes: int = 1        # bytes XORed per corrupted frame
-    dup_delay_cycles: int = 1     # copy arrives this long after the original
-    reorder_cycles: int = 64      # a reordered frame is held back this long
     delay_range: tuple[int, int] = (1, 64)  # uniform extra latency
 
     @property
@@ -88,42 +98,42 @@ class FaultPlan:
     def __init__(self, seed: int = 0xFA17):
         self.seed = seed
         self.wire_spec: WireFaultSpec | None = None
-        #: (kind, tile name, start cycle, duration) with kind in
-        #: {"freeze", "crash"}.
-        self.tile_events: list[tuple[str, str, int, int]] = []
-        #: (coord, start cycle, duration) ejection-stall windows.
-        self.stall_windows: list[tuple[tuple[int, int], int, int]] = []
+        #: (kind, target, start cycle, duration) in plan order; kind is
+        #: a key of ``_LABELS``, the target a tile name, a port or
+        #: router coord, or for a stuck grant (router coord, port).
+        self.windows: list[tuple[str, object, int, int]] = []
         #: (coords-or-None, probability) ejection flit corruption;
         #: ``None`` targets every attached port.
         self.eject_corrupt: list[tuple[list | None, float]] = []
         #: (role, shard, at_s, duration_s) for the event-level VR
         #: cluster (seconds, not cycles).
         self.vr_events: list[tuple[str, int, float, float]] = []
-        #: (kind, coord, port index or None, start cycle, duration)
-        #: router-internal fault windows, kind in {"misroute",
-        #: "stuck_grant"}.
-        self.router_events: list[
-            tuple[str, tuple[int, int], int | None, int, int]] = []
-        #: target -> (label, start cycle, duration) of its windows.
-        self._windows: dict[tuple, list[tuple[str, int, int]]] = {}
 
-    def _window(self, target: tuple, label: str, at: int,
-                duration: int) -> tuple[int, int]:
-        """Check a window and claim ``target`` for it.
+    def _window(self, kind: str, target, at: int,
+                duration: int) -> "FaultPlan":
+        """Check a window and append it.
 
-        Every fault action sets a flag or a bit that the close of its
-        window clears, so of two windows on one target that meet, the
-        first to close would end both: such a plan is rejected.
+        Every window sets a flag or a bit that its close clears, so of
+        two windows on one target that meet, the first to close would
+        end both: such a plan is rejected.
         """
-        at, duration = _check_window(at, duration)
-        for other, start, length in self._windows.get(target, ()):
-            if at <= start + length and start <= at + duration:
+        if at < 0:
+            raise ValueError(f"fault start cycle must be >= 0, got {at}")
+        if duration < 1:
+            raise ValueError(f"fault duration must be >= 1 cycle, "
+                             f"got {duration}")
+        at, duration = int(at), int(duration)
+        share = _SHARED.get(kind, kind)
+        for other, where, start, length in self.windows:
+            if (_SHARED.get(other, other) == share and where == target
+                    and at <= start + length and start <= at + duration):
                 raise ValueError(
-                    f"{label} cycles ({at}, {at + duration}] meets "
-                    f"{other} cycles ({start}, {start + length}] on "
-                    "the same target")
-        self._windows.setdefault(target, []).append((label, at, duration))
-        return at, duration
+                    f"{_LABELS[kind].format(t=target)} cycles "
+                    f"({at}, {at + duration}] meets "
+                    f"{_LABELS[other].format(t=where)} cycles "
+                    f"({start}, {start + length}] on the same target")
+        self.windows.append((kind, target, at, duration))
+        return self
 
     # -- wire impairments ---------------------------------------------------
 
@@ -131,7 +141,11 @@ class FaultPlan:
              duplicate: float = 0.0, reorder: float = 0.0,
              delay: float = 0.0,
              delay_range: tuple[int, int] = (1, 64)) -> "FaultPlan":
-        """Impair frames at the ``FrameSource``/``eth`` boundary."""
+        """Impair frames at the ``FrameSource``/``eth`` boundary.  A
+        plan has one wire: a second call raises ``ValueError``."""
+        if self.wire_spec is not None:
+            raise ValueError("the plan already impairs the wire: set "
+                             "every impairment in one wire() call")
         lo, hi = delay_range
         if not 0 < lo <= hi:
             raise ValueError(f"bad delay_range {delay_range!r}")
@@ -154,10 +168,7 @@ class FaultPlan:
         running (queued injections drain, ejections back-pressure), and
         the resume is kernel-wake-safe: a frozen tile is pinned in the
         scheduler's active set and explicitly re-woken at thaw."""
-        at, duration = self._window(("tile", name), f"freeze tile {name!r}",
-                                    at, duration)
-        self.tile_events.append(("freeze", name, at, duration))
-        return self
+        return self._window("freeze", name, at, duration)
 
     def crash_tile(self, name: str, at: int,
                    duration: int) -> "FaultPlan":
@@ -165,10 +176,7 @@ class FaultPlan:
         state at the crash point: buffered/ in-service messages are
         dropped (counted under the ``fault: crash`` drop reason).
         Flits already in the NoC still deliver after the reboot."""
-        at, duration = self._window(("tile", name), f"crash tile {name!r}",
-                                    at, duration)
-        self.tile_events.append(("crash", name, at, duration))
-        return self
+        return self._window("crash", name, at, duration)
 
     # -- NoC faults ---------------------------------------------------------
 
@@ -179,11 +187,7 @@ class FaultPlan:
         port's ejection FIFO fills and back-pressures the mesh — the
         same staging both backends share, so the stall is observed
         bit-identically by the object and flat cores."""
-        coord = tuple(coord)
-        at, duration = self._window(("stall", coord),
-                                    f"stall link {coord}", at, duration)
-        self.stall_windows.append((coord, at, duration))
-        return self
+        return self._window("stall", tuple(coord), at, duration)
 
     def corrupt_flits(self, prob: float,
                       coords: list | None = None) -> "FaultPlan":
@@ -191,10 +195,17 @@ class FaultPlan:
         probability ``prob`` per flit, at ``coords`` (or every
         attached port when ``None``).  Header and metadata flits are
         never touched — a corrupted header would misroute the wormhole
-        rather than model payload bit-rot."""
+        rather than model payload bit-rot.  A port has one setting: a
+        call whose ports meet an earlier call's raises ``ValueError``."""
         prob = _check_prob("corrupt_flits prob", prob)
         if coords is not None:
             coords = [tuple(c) for c in coords]
+        for other, other_prob in self.eject_corrupt:
+            if coords is None or other is None or set(coords) & set(other):
+                raise ValueError(
+                    f"corrupt_flits({prob}, coords={coords}) meets "
+                    f"corrupt_flits({other_prob}, coords={other}): set "
+                    "each port's probability in one call")
         self.eject_corrupt.append((coords, prob))
         return self
 
@@ -208,11 +219,7 @@ class FaultPlan:
         next hop, so traffic detours — and may transiently contend —
         but still delivers once the window closes.  Deterministic and
         bit-identical across the object and flat mesh backends."""
-        coord = tuple(coord)
-        at, duration = self._window(("misroute", coord),
-                                    f"misroute router {coord}", at, duration)
-        self.router_events.append(("misroute", coord, None, at, duration))
-        return self
+        return self._window("misroute", tuple(coord), at, duration)
 
     def stuck_grant(self, coord: tuple[int, int], port, at: int,
                     duration: int) -> "FaultPlan":
@@ -228,13 +235,8 @@ class FaultPlan:
             raise ValueError(
                 f"unknown router port {port!r} "
                 f"(choose from {sorted(_ROUTER_PORTS)})")
-        coord, index = tuple(coord), _ROUTER_PORTS[port_name]
-        at, duration = self._window(("stuck_grant", coord, index),
-                                    f"stuck_grant router {coord}.{port_name}",
-                                    at, duration)
-        self.router_events.append(
-            ("stuck_grant", coord, index, at, duration))
-        return self
+        return self._window("stuck_grant", (tuple(coord), port_name), at,
+                            duration)
 
     # -- event-level VR faults ----------------------------------------------
 
@@ -258,43 +260,7 @@ class FaultPlan:
     def is_null(self) -> bool:
         """True when the plan injects nothing — the fast path:
         attaching a null plan installs no machinery at all."""
-        return (
-            (self.wire_spec is None or not self.wire_spec.active)
-            and not self.tile_events
-            and not self.stall_windows
-            and not any(prob for _, prob in self.eject_corrupt)
-            and not self.vr_events
-            and not self.router_events
-        )
-
-    def describe(self) -> str:
-        """One line per scheduled fault, for logs and CLI output."""
-        lines = [f"FaultPlan(seed={self.seed:#x})"]
-        if self.wire_spec is not None and self.wire_spec.active:
-            s = self.wire_spec
-            lines.append(
-                f"  wire: drop={s.drop} corrupt={s.corrupt} "
-                f"duplicate={s.duplicate} reorder={s.reorder} "
-                f"delay={s.delay}"
-            )
-        for kind, name, at, duration in self.tile_events:
-            lines.append(f"  {kind} tile {name!r}: "
-                         f"cycles ({at}, {at + duration}]")
-        for coord, at, duration in self.stall_windows:
-            lines.append(f"  stall link {coord}: "
-                         f"cycles ({at}, {at + duration}]")
-        for coords, prob in self.eject_corrupt:
-            where = "all ports" if coords is None else str(coords)
-            lines.append(f"  corrupt ejected flits p={prob} at {where}")
-        for kind, coord, port_index, at, duration in self.router_events:
-            where = f"router {coord}"
-            if port_index is not None:
-                names = {v: k for k, v in _ROUTER_PORTS.items()}
-                where += f".{names[port_index]}"
-            lines.append(f"  {kind} {where}: "
-                         f"cycles ({at}, {at + duration}]")
-        for role, shard, at_s, duration_s in self.vr_events:
-            lines.append(f"  vr freeze {role}[{shard}]: "
-                         f"[{at_s}s, {at_s + duration_s}s)")
-        return "\n".join(lines)
-
+        return ((self.wire_spec is None or not self.wire_spec.active)
+                and not self.windows
+                and not any(prob for _, prob in self.eject_corrupt)
+                and not self.vr_events)

@@ -118,7 +118,6 @@ class ZipfPopularity:
         if skew < 0:
             raise ValueError(f"skew must be >= 0, got {skew}")
         self.n_keys = int(n_keys)
-        self.skew = float(skew)
         self.rng = rng
         weights = [1.0 / (k + 1) ** skew for k in range(self.n_keys)]
         total = sum(weights)

@@ -58,7 +58,6 @@ class OpenLoopSource(Wakeable):
         self.offered = 0
         self.admitted = 0
         self.offered_dropped = 0
-        self.bytes_admitted = 0
         self.drop_reasons: dict[str, int] = {}
         self.done = False
         self._next = arrivals.next_arrival()
@@ -81,7 +80,6 @@ class OpenLoopSource(Wakeable):
                 frame = self.frame_for(self.admitted, cycle)
                 self.push(frame, cycle)
                 self.admitted += 1
-                self.bytes_admitted += len(frame)
             self._next = self.arrivals.next_arrival()
             self._check_horizon()
         return NEVER if self.done else math.ceil(self._next)

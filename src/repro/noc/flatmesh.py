@@ -700,8 +700,8 @@ class FlatMeshCore(Wakeable):
         # Injection phase: busy ports only, LSB-first (= attachment
         # order, exactly where the object backend's registration order
         # puts them).  The body is ``LocalPort.step`` inlined (same
-        # observable effects: counters, trace events, one flit per
-        # cycle into the local input) minus the staging and the local
+        # observable effects: counters and one flit per cycle into
+        # the local input) minus the staging and the local
         # FIFO's waker fire: this phase runs after the router walk, so
         # a flit pushed straight into the committed queue cannot be
         # forwarded before the next cycle, and the FIFO's only waker
@@ -744,11 +744,7 @@ class FlatMeshCore(Wakeable):
                         pending.append(-base)
                     else:
                         pending.append(-(base | HANDLE_HEAD))
-                    port._injecting = message
                     port.messages_sent += 1
-                    if port.tracer.enabled:
-                        port.tracer.inject_start(cycle, port.coord,
-                                                 message)
                 items = fifo._items
                 occupancy = len(items)
                 if occupancy < fifo.capacity:
@@ -759,14 +755,8 @@ class FlatMeshCore(Wakeable):
                     if occupancy >= fifo.high_water:
                         fifo.high_water = occupancy + 1
                     port.flits_injected += 1
-                    if not pending:
-                        if port.tracer.enabled and \
-                                port._injecting is not None:
-                            port.tracer.inject_end(cycle, port.coord,
-                                                   port._injecting)
-                        port._injecting = None
-                        if not port._send_queue:
-                            self._inj_mask &= ~low
+                    if not pending and not port._send_queue:
+                        self._inj_mask &= ~low
         # Due every cycle while a flit is in a router input or a port
         # has anything to inject (a port's mask bit is set by ``send``
         # and cleared only once its queues are empty): the conjunction

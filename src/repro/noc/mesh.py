@@ -81,7 +81,6 @@ class LocalPort(Wakeable):
         self._assembler = MessageAssembler()
         self._pending_flits: deque[Flit | int] = deque()
         self._send_queue: deque[NocMessage] = deque()
-        self._injecting: NocMessage | None = None
         self.messages_sent = 0
         self.messages_received = 0
         self.flits_injected = 0
@@ -116,20 +115,12 @@ class LocalPort(Wakeable):
         if not self._pending_flits and self._send_queue:
             message = self._send_queue.popleft()
             self._pending_flits.extend(message.to_flits())
-            self._injecting = message
             self.messages_sent += 1
-            if self.tracer.enabled:
-                self.tracer.inject_start(cycle, self.coord, message)
         if self._pending_flits:
             local_in = self._local_in
             if local_in.can_accept():
                 local_in.push_unchecked(self._pending_flits.popleft())
                 self.flits_injected += 1
-                if not self._pending_flits:
-                    if self.tracer.enabled and self._injecting is not None:
-                        self.tracer.inject_end(cycle, self.coord,
-                                               self._injecting)
-                    self._injecting = None
 
     def commit(self) -> None:
         self.eject_fifo.commit()

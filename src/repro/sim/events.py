@@ -30,7 +30,6 @@ class EventSimulator:
         self.now = 0.0
         self._queue: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
-        self.events_run = 0
 
     def schedule(self, delay: float, callback: Callable, *args) -> Event:
         """Run ``callback(*args)`` ``delay`` seconds from now."""
@@ -54,6 +53,5 @@ class EventSimulator:
             _, _, event = heapq.heappop(self._queue)
             self.now = event.time
             event.callback(*event.args)
-            self.events_run += 1
         self.now = max(self.now, end_time)
 

@@ -67,17 +67,6 @@ class TileSpan:
 
 
 @dataclass(slots=True)
-class InjectSpan:
-    """A message streaming out of a tile's injection port."""
-
-    coord: tuple
-    msg_id: int
-    packet_id: int | None
-    start: int
-    end: int | None
-
-
-@dataclass(slots=True)
 class DropEvent:
     """A packet dropped at a tile, with the tile's stated reason."""
 
@@ -110,7 +99,6 @@ class Tracer(NullTracer):
 
     def __init__(self) -> None:
         self.spans: list[TileSpan] = []
-        self.inject_spans: list[InjectSpan] = []
         self.drops: list[DropEvent] = []
         self.link_flits: list[tuple[int, tuple, str]] = []
         self.link_stalls: list[tuple[int, tuple, str, str]] = []
@@ -119,7 +107,6 @@ class Tracer(NullTracer):
         self.last_cycle = 0
         self._rx_pending: dict[tuple, int] = {}
         self._svc_pending: dict[tuple, tuple] = {}
-        self._inject_pending: dict[tuple, InjectSpan] = {}
 
     # -- hooks ------------------------------------------------------------
 
@@ -133,21 +120,6 @@ class Tracer(NullTracer):
     def link_stall(self, cycle: int, coord: tuple,
                    port: object, kind: str) -> None:
         self.link_stalls.append((cycle, coord, port, kind))
-
-    def inject_start(self, cycle: int, coord: tuple,
-                     message: object) -> None:
-        span = InjectSpan(coord=coord, msg_id=message.msg_id,
-                          packet_id=message.packet_id, start=cycle,
-                          end=None)
-        self._inject_pending[(coord, message.msg_id)] = span
-        self.inject_spans.append(span)
-
-    def inject_end(self, cycle: int, coord: tuple,
-                   message: object) -> None:
-        span = self._inject_pending.pop((coord, message.msg_id), None)
-        if span is not None:
-            span.end = cycle
-            span.packet_id = message.packet_id
 
     def message_received(self, cycle: int, tile: object,
                          message: object) -> None:

@@ -54,27 +54,4 @@ _EXPORTS = {
 }
 __getattr__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "BufferReadReq",
-    "BufferTile",
-    "BufferWriteReq",
-    "DestDomain",
-    "EthernetRxTile",
-    "EthernetTxTile",
-    "FlowHashLoadBalancerTile",
-    "IpInIpDecapTile",
-    "IpInIpEncapTile",
-    "IpRxTile",
-    "IpTxTile",
-    "NatRxTile",
-    "NatTxTile",
-    "NextHopTable",
-    "PacketLogTile",
-    "PacketMeta",
-    "RoundRobinSchedulerTile",
-    "Tile",
-    "UdpRxTile",
-    "UdpTxTile",
-    "VxlanDecapTile",
-    "VxlanEncapTile",
-]
+__all__ = sorted(_EXPORTS)

@@ -190,7 +190,6 @@ class FlatTileCore(Wakeable):
         self._deadlines: list[int] = []
         self._timers: list[tuple[int, int]] = []
         self._index_of: dict[str, int] = {}
-        self.by_kind: dict[str, list[int]] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -218,8 +217,6 @@ class FlatTileCore(Wakeable):
         self._deadlines.append(-1)
         self._busy |= bit
         self._index_of[tile.name] = index
-        self.by_kind.setdefault(getattr(cls, "KIND", "generic"),
-                                []).append(index)
 
         def hook(core=self, bit=bit):
             # Fires on every ejected flit at saturation; the early exit

@@ -95,8 +95,39 @@ class TestFaultPlanValidation:
                 .freeze_tile("eth_rx", at=100, duration=400)
                 .stall_link((3, 0), at=100, duration=400)
                 .stall_link((2, 0), at=100, duration=400))
-        assert len(plan.tile_events) == 3
-        assert len(plan.stall_windows) == 2
+        assert [kind for kind, *_ in plan.windows] == [
+            "freeze", "crash", "freeze", "stall", "stall"]
+
+    def test_second_wire_rejected(self):
+        # A second call used to replace the first: drop ended at 0.0.
+        with pytest.raises(ValueError, match=r"one wire\(\) call"):
+            FaultPlan().wire(drop=0.5).wire(corrupt=0.1)
+
+    @pytest.mark.parametrize("second", [
+        ((0.2,), {"coords": [(2, 0)]}),
+        ((0.0,), {"coords": [[2, 0], (3, 0)]}),
+        ((0.1,), {}),
+    ])
+    def test_corrupt_flits_on_a_port_twice_rejected(self, second):
+        # Each used to override or be skipped in silence: the port
+        # ended at p 0.2, 0.5 and 0.1 in turn.
+        args, kwargs = second
+        plan = FaultPlan().corrupt_flits(0.5, coords=[(2, 0)])
+        with pytest.raises(ValueError, match=(
+                r"corrupt_flits\(.*\) meets corrupt_flits\(0\.5, "
+                r"coords=\[\(2, 0\)\]\)")):
+            plan.corrupt_flits(*args, **kwargs)
+
+    def test_every_port_meets_any_port(self):
+        with pytest.raises(ValueError, match=(
+                r"corrupt_flits\(0\.2, coords=\[\(3, 0\)\]\) meets "
+                r"corrupt_flits\(0\.1, coords=None\)")):
+            FaultPlan().corrupt_flits(0.1).corrupt_flits(0.2, coords=[(3, 0)])
+
+    def test_corrupt_flits_on_other_ports_accepted(self):
+        plan = (FaultPlan().corrupt_flits(0.5, coords=[(2, 0)])
+                .corrupt_flits(0.2, coords=[(3, 0)]))
+        assert plan.eject_corrupt == [([(2, 0)], 0.5), ([(3, 0)], 0.2)]
 
     def test_bad_vr_role(self):
         with pytest.raises(ValueError, match="role"):
@@ -108,12 +139,6 @@ class TestFaultPlanValidation:
         assert FaultPlan().wire().is_null
         assert not FaultPlan().wire(drop=0.1).is_null
         assert not FaultPlan().freeze_tile("app", 5, 5).is_null
-
-    def test_describe_lists_faults(self):
-        plan = (FaultPlan(seed=7).wire(drop=0.25)
-                .crash_tile("app", at=100, duration=50))
-        text = plan.describe()
-        assert "drop" in text and "crash" in text and "app" in text
 
 
 class TestNullFastPath:

@@ -111,14 +111,6 @@ class TestViews:
         assert modes["tcp_tx"] == "object"
         assert modes["ip_tx"] == "fast"
 
-    def test_by_kind_counts(self):
-        design = echo_design()
-        by_kind = design.tile_core.by_kind
-        assert len(by_kind["udp_rx"]) == 1
-        names = [design.tile_core.tiles[i].name
-                 for i in by_kind["echo_app"]]
-        assert names == ["app"]
-
 
 class TestScheduling:
     def test_core_goes_idle_and_wakes_on_injection(self):

@@ -267,8 +267,6 @@ def _scenario(backend, kernel, size, attach, script, cycles,
     return {
         "flits": tracer.link_flits,
         "stalls": tracer.link_stalls,
-        "injects": [(s.coord, s.msg_id, s.start, s.end)
-                    for s in tracer.inject_spans],
         "received": received,
         "per_output": {coord: router.flits_per_output
                        for coord, router in mesh.routers.items()},
@@ -287,7 +285,7 @@ def _both(kernel, *args, **kwargs):
     object mesh; they must agree flit for flit.  Returns the flat run."""
     flat = _scenario("flat", kernel, *args, **kwargs)
     obj = _scenario("object", kernel, *args, **kwargs)
-    for key in ("flits", "stalls", "injects", "received", "per_output",
+    for key in ("flits", "stalls", "received", "per_output",
                 "high_water"):
         assert flat[key] == obj[key], key
     return flat
@@ -548,7 +546,6 @@ def test_sent_message_leaves_its_router_next_cycle_at_the_earliest(kernel):
     run = _both(kernel, (2, 1), [(0, 0), (1, 0)], {5: send}, 20)
     assert [c for c, *_ in _crossings(run, (0, 0), "east")] == [6, 7]
     assert run["high_water"][((0, 0), "local")] == 1
-    assert run["injects"][0][2:] == (5, 6)
 
 
 class TestLazyRings:

@@ -82,7 +82,6 @@ def fingerprint(design, sink, tracer):
         "first_cycle": None if sink is None else sink.first_cycle,
         "last_cycle": None if sink is None else sink.last_cycle,
         "spans": tracer.spans,
-        "inject_spans": tracer.inject_spans,
         "trace_drops": tracer.drops,
         "link_flits": tracer.link_flits,
         "link_stalls": tracer.link_stalls,

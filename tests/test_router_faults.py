@@ -59,12 +59,6 @@ class TestPlanValidation:
         assert not FaultPlan().stuck_grant((1, 0), "east", at=10,
                                            duration=50).is_null
 
-    def test_describe_lists_router_events(self):
-        plan = (FaultPlan().misroute((1, 0), at=10, duration=50)
-                .stuck_grant((2, 0), "east", at=99, duration=40))
-        text = plan.describe()
-        assert "misroute" in text and "stuck" in text
-
     def test_unknown_port_rejected(self):
         with pytest.raises(ValueError, match="router port"):
             FaultPlan().stuck_grant((1, 0), "upward", at=1, duration=1)
@@ -72,9 +66,9 @@ class TestPlanValidation:
     def test_port_enum_accepted(self):
         plan = FaultPlan().stuck_grant((1, 0), Port.EAST, at=1,
                                        duration=1)
-        assert plan.router_events[0][2] == \
+        assert plan.windows == \
             FaultPlan().stuck_grant((1, 0), "east", at=1,
-                                    duration=1).router_events[0][2]
+                                    duration=1).windows
 
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError, match="duration"):
@@ -99,7 +93,7 @@ class TestPlanValidation:
                 .misroute((2, 0), at=100, duration=400)
                 .stuck_grant((1, 0), "east", at=100, duration=400)
                 .stuck_grant((1, 0), "west", at=100, duration=400))
-        assert len(plan.router_events) == 4
+        assert len(plan.windows) == 4
 
     def test_unknown_router_rejected_at_attach(self):
         with pytest.raises(KeyError):
