@@ -64,24 +64,7 @@ KEEP: dict[str, str] = {
     "repro.analysis.demo.LeakyEjectTile.handle_message": FIXTURE,
     "repro.analysis.demo.EarlyReadTile.handle_message": FIXTURE,
     # -- TUTORIAL section 9: the fault plan and what carries it out -------------
-    "repro.faults.plan.FaultPlan.crash_tile": DOCUMENTED,
-    "repro.faults.plan.FaultPlan.misroute": DOCUMENTED,
-    "repro.faults.plan.FaultPlan.stuck_grant": DOCUMENTED,
     "repro.faults.plan.FaultPlan.wire(delay_range)": DOCUMENTED,
-    "repro.faults.engine.FaultEngine._crash": DOCUMENTED,
-    "repro.faults.engine.FaultEngine._misroute": DOCUMENTED,
-    "repro.faults.engine.FaultEngine._stuck_grant": DOCUMENTED,
-    "repro.faults.engine._router": DOCUMENTED,
-    "repro.faults.engine._output": DOCUMENTED,
-    "repro.noc.router.misroute_index": DOCUMENTED,
-    "repro.noc.router.Router._connected_mask": DOCUMENTED,
-    "repro.noc.router.Router.fault_misroute": DOCUMENTED,
-    "repro.noc.router.Router.fault_block_output": DOCUMENTED,
-    "repro.noc.flatmesh.FlatRouterView.fault_misroute": DOCUMENTED,
-    "repro.noc.flatmesh.FlatRouterView.fault_block_output": DOCUMENTED,
-    "repro.noc.flatmesh.FlatMeshCore._fault_connected_mask": DOCUMENTED,
-    "repro.noc.flatmesh.FlatMeshCore.set_misroute": DOCUMENTED,
-    "repro.noc.flatmesh.FlatMeshCore.set_fault_block": DOCUMENTED,
     "repro.telemetry.trace.Tracer.fault": DOCUMENTED,
     "repro.analysis.sanitize.build_design(fault_plan)": DOCUMENTED,
     "repro.analysis.sanitize.analyze_dynamic(fault_plan)": DOCUMENTED,
@@ -128,6 +111,9 @@ KEEP: dict[str, str] = {
     "repro.tiles.base.NextHopTable.__init__(policy)": DOCUMENTED,
     # -- references the tests compare against ----------------------------------
     "repro.noc.router.Router.flits_per_output": REFERENCE,
+    "repro.noc.router.Router._connected_mask": REFERENCE,
+    "repro.noc.router.Router.fault_misroute": REFERENCE,
+    "repro.noc.router.Router.fault_block_output": REFERENCE,
     "repro.telemetry.trace.Tracer.link_stall": REFERENCE,
     "repro.apps.reed_solomon.cpu.CpuReedSolomonBaseline.encode_request":
         REFERENCE,

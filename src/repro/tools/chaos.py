@@ -5,8 +5,9 @@ hostile :class:`~repro.faults.plan.FaultPlan`\\ s and asserts the
 recovery properties the reproduction claims:
 
 - **udp**: the echo stack under wire drop/corrupt/duplicate/reorder/
-  delay plus a tile freeze and a link stall never raises, never emits
-  a malformed frame, and every echoed payload is one the client sent
+  delay plus one window of every kind (tile freeze and crash, link
+  stall, router misroute and stuck grant) never raises, never emits a
+  malformed frame, and every echoed payload is one the client sent
   (corrupted traffic is dropped by checksums, not echoed).
 - **tcp**: a client behind a lossy wire still delivers its full byte
   stream — the engines retransmit to completion.
@@ -41,18 +42,22 @@ def _run_cycles(design, end_cycle: int, budget_s: float) -> None:
 
 
 def _udp_plan(seed: int, loss: float) -> FaultPlan:
-    """The full hostile plan for the echo stack.
+    """The full hostile plan for the echo stack: every window kind.
 
     Ejection corruption targets only the UDP RX tile's port — after
     it, payloads are checksum-validated, so corrupting later hops
     would legitimately alter egress and void the payload-set
-    invariant.
+    invariant.  The stuck grant wedges the output that carries the
+    app's replies to ``udp_tx``.
     """
     return (FaultPlan(seed=seed)
             .wire(drop=loss, corrupt=0.05, duplicate=0.05,
                   reorder=0.1, delay=0.2)
             .freeze_tile("app", at=500, duration=400)
+            .crash_tile("udp_tx", at=1000, duration=150)
             .stall_link((3, 0), at=1500, duration=200)
+            .misroute((1, 0), at=1800, duration=200)
+            .stuck_grant((2, 0), "south", at=2100, duration=150)
             .corrupt_flits(0.05, coords=[(2, 0)]))
 
 
