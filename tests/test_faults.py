@@ -99,7 +99,6 @@ class TestFaultPlanValidation:
             "freeze", "crash", "freeze", "stall", "stall"]
 
     def test_second_wire_rejected(self):
-        # A second call used to replace the first: drop ended at 0.0.
         with pytest.raises(ValueError, match=r"one wire\(\) call"):
             FaultPlan().wire(drop=0.5).wire(corrupt=0.1)
 
@@ -109,8 +108,6 @@ class TestFaultPlanValidation:
         ((0.1,), {}),
     ])
     def test_corrupt_flits_on_a_port_twice_rejected(self, second):
-        # Each used to override or be skipped in silence: the port
-        # ended at p 0.2, 0.5 and 0.1 in turn.
         args, kwargs = second
         plan = FaultPlan().corrupt_flits(0.5, coords=[(2, 0)])
         with pytest.raises(ValueError, match=(
