@@ -519,6 +519,11 @@ def run_group(name: str) -> tuple[str, set, set, float, str | None]:
         os.chdir(ROOT)
         sys.setprofile(recorder)
         try:
+            # The flat mesh's C step is built once per cache: an empty
+            # one per group reaches the build whatever the checkout's
+            # own cache holds.
+            import repro.noc.flatmesh as flatmesh
+            flatmesh._CACHE = str(Path(tmp) / "flatstep")
             GROUPS[name](Path(tmp))
         except BaseException:   # noqa: BLE001 - reported, the run goes on
             failure = traceback.format_exc()

@@ -4,7 +4,17 @@
 five :class:`~repro.sim.kernel.StagedFifo` objects per router; stepping
 a saturated mesh is then a cascade of method calls and attribute loads.
 :class:`FlatMesh` keeps the same construction API and the same
-*observable* behaviour but compiles the mesh into flat parallel arrays:
+*observable* behaviour but compiles the mesh into flat parallel arrays
+(Python lists, deques and dicts held by one :class:`FlatMeshCore`).
+
+Those lists are the mesh's state, and the only copy of it.  The walk
+that mutates them each cycle is C: ``_flatstep.c`` beside this module,
+compiled by the first ``FlatMeshCore`` an interpreter builds (a C
+compiler and the Python headers, which ``profile="reference"`` does not
+need) and called as ``FlatMeshCore.step``.  It reads and writes the same
+lists, so every reader below — ``forwarded``, ``check_invariants``, the
+router and ring views, the fault hooks, the tracer — is Python, and the
+description that follows is the specification the C code implements:
 
 - the five input FIFOs of every router are one list of deques
   indexed ``fid = router_index * 5 + port_index``: the LOCAL slot is
@@ -134,7 +144,10 @@ off two integers — and None (every cycle) otherwise.
 
 from __future__ import annotations
 
-from bisect import insort
+import hashlib
+import importlib.machinery
+import importlib.util
+import os
 from collections import deque
 
 from repro.noc.flit import (
@@ -168,6 +181,79 @@ _SOUTH = 4
 # What every directional input slot holds until its first push: empty,
 # falsy and immutable, so a push that forgets to allocate fails loudly.
 _NO_RING: tuple = ()
+
+#: The step's C source, and where its build is cached: keyed by the
+#: source's hash and the interpreter's extension suffix, so an edit or
+#: another Python builds afresh and nothing stale is ever loaded.
+_SOURCE = os.path.join(os.path.dirname(__file__), "_flatstep.c")
+_CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
+
+#: ``step(core, cycle)`` from the compiled source, loaded by the first
+#: :class:`FlatMeshCore` (not at import: ``reference`` needs no build).
+_step = None
+
+
+def _compiled_step():
+    """The C step, built into the cache on first use and loaded once
+    per interpreter; a failed build raises ``RuntimeError``."""
+    global _step
+    if _step is None:
+        with open(_SOURCE, "rb") as file:
+            digest = hashlib.sha256(file.read()).hexdigest()[:16]
+        name = (f"_flatstep-{digest}"
+                f"{importlib.machinery.EXTENSION_SUFFIXES[0]}")
+        path = os.path.join(_CACHE, name)
+        if not os.path.exists(path):
+            try:
+                os.makedirs(_CACHE, exist_ok=True)
+                writable = os.access(_CACHE, os.W_OK)
+            except OSError:
+                writable = False
+            if not writable:
+                import tempfile
+                cache = os.path.join(tempfile.gettempdir(), "repro-flatstep")
+                os.makedirs(cache, exist_ok=True)
+                path = os.path.join(cache, name)
+            if not os.path.exists(path):
+                _build(path)
+        spec = importlib.util.spec_from_file_location("_flatstep", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module.bind(deque, NocMessage, _BYTES_LIKE, tuple(_PORT_VALUES),
+                    _NO_RING, NEVER, FLIT_BYTES, HANDLE_SEQ_SHIFT,
+                    HANDLE_HEAD)
+        _step = module.step
+    return _step
+
+
+def _build(path: str) -> None:
+    """Compile ``_SOURCE`` into ``path``, atomically: a temporary name
+    first, so a concurrent loader never sees half a file."""
+    import shlex
+    import subprocess
+    import sysconfig
+
+    partial = f"{path}.{os.getpid()}.tmp"
+    command = [*shlex.split(sysconfig.get_config_var("CC") or "cc"),
+               "-O2", "-shared", "-fPIC",
+               "-I", sysconfig.get_paths()["include"],
+               _SOURCE, "-o", partial]
+    try:
+        done = subprocess.run(command, capture_output=True, text=True)
+    except OSError as error:
+        complaint = str(error)
+    else:
+        if done.returncode == 0:
+            os.replace(partial, path)
+            return
+        complaint = done.stderr.strip()
+    if os.path.exists(partial):
+        os.remove(partial)
+    raise RuntimeError(
+        f"cannot build the flat mesh's step from {_SOURCE}: "
+        f"{' '.join(command)} failed:\n{complaint}\n"
+        "profile=\"fast\" needs a C compiler and the Python headers; "
+        "profile=\"reference\" needs no compiler.")
 
 
 class _RingView:
@@ -273,9 +359,10 @@ class FlatRouterView:
 class FlatMeshCore(Wakeable):
     """The entire mesh as one clocked component.
 
-    ``step`` resolves newly exposed head flits, walks the sorted list
-    of active outputs moving at most one flit through each, then steps
-    the attached local ports in attachment order.  Nothing is staged,
+    ``step`` (C, ``_flatstep.c``) resolves newly exposed head flits,
+    walks the sorted list of active outputs moving at most one flit
+    through each, then steps the attached local ports in attachment
+    order.  Nothing is staged,
     so there is no ``commit``: rings and ejection FIFOs carry cycle
     stamps instead.  See the module docstring for the state machine
     and the equivalence argument.
@@ -285,6 +372,7 @@ class FlatMeshCore(Wakeable):
     tracer = NULL_TRACER
 
     def __init__(self, width: int, height: int, depth: int, route_fn):
+        _compiled_step()
         self.width = width
         self.height = height
         self.depth = depth
@@ -416,7 +504,7 @@ class FlatMeshCore(Wakeable):
     def _route(self, r: int, dst) -> int:
         """Output port index for a head at router ``r`` bound for
         ``dst``, deflected while ``r`` is in a misroute-one-hop window
-        (so the window is baked into what ``_resolve_heads`` memoises)."""
+        (so the window is baked into what head resolution memoises)."""
         want = _ALL_PORTS.index(self.route_fn(self.coords[r], dst))
         if r in self._misrouted:
             want = misroute_index(want, self._fault_connected_mask(r))
@@ -492,276 +580,17 @@ class FlatMeshCore(Wakeable):
 
     # -- per-cycle behaviour ----------------------------------------------
 
-    def _resolve_heads(self) -> None:
-        """Route every newly exposed head flit and file its request.
-
-        Runs at step start, i.e. in the cycle the object backend's
-        ``wants`` scan would first see the head; an output that gains
-        its first requester joins the active list.
-        """
-        rings = self._rings
-        inflight = self._inflight
-        req = self._req
-        rq = self._rq
-        grant = self._grant
-        route_rows = self._route_rows
-        width = self.width
-        height = self.height
-        active = self._active
-        for fid in self._unres:
-            r, i = divmod(fid, _N_PORTS)
-            flit = rings[fid][0]
-            if flit.__class__ is not int:
-                raise TypeError(
-                    f"{flit!r} in input {fid} of a flat mesh, whose "
-                    "queues hold int handles: inject messages through "
-                    "LocalPort.send")
-            if flit < 0:
-                flit = -flit
-            if not flit & HANDLE_HEAD:
-                # A body flit with no wormhole to follow never moves
-                # (Router.step never requests an output for it).
-                continue
-            dst = inflight[flit >> HANDLE_SEQ_SHIFT].dst
-            dx, dy = dst
-            if 0 <= dx < width and 0 <= dy < height:
-                row = route_rows[r]
-                if row is None:
-                    row = route_rows[r] = {}
-                want = row.get(dy * width + dx)
-                if want is None:
-                    want = row[dy * width + dx] = self._route(r, dst)
-            else:
-                # Off the mesh (a corrupted header): never memoised.
-                want = self._route(r, dst)
-            req[fid] = want
-            ofid = fid - i + want
-            if not rq[ofid] and grant[ofid] < 0:
-                insort(active, ofid)
-            rq[ofid] |= 1 << i
-        self._unres.clear()
-
     def step(self, cycle: int) -> int | None:
-        if self._unres:
-            self._resolve_heads()
-        req = self._req
-        unres = self._unres
-        active = self._active
-        if active:
-            # Local aliases: this loop is the simulator's hottest path.
-            rings = self._rings
-            pushc = self._pushc
-            popc = self._popc
-            hw = self._hw
-            hwc = self._hwc
-            grant = self._grant
-            rr = self._rr
-            rq = self._rq
-            down = self._down
-            ejects = self._ejects
-            coords = self.coords
-            fwd_out = self._fwd_out
-            depth = self.depth
-            tracer = self.tracer
-            traced = tracer.enabled
-            inflight = self._inflight
-            observed = self._observed
-            fblocked = self._fault_blocked
-            n_ports = _N_PORTS
-            no_ring = _NO_RING
-            ring_total = self._ring_total
-            # Outputs the walk frees, in walk order.
-            retired = []
-            # Ascending ofid == routers row-major, outputs in port
-            # order: the object backend's visit (and trace) order.
-            for ofid in active:
-                sfid = grant[ofid]
-                if sfid >= 0:
-                    # Locked wormhole: the owner's next flit, if here
-                    # (one pushed this cycle is not here yet).
-                    ring = rings[sfid]
-                    n = len(ring)
-                    if n < 2 and (not n or pushc[sfid] == cycle):
-                        continue
-                dfid = down[ofid]
-                if dfid >= 0:
-                    # Lagged credit return: occupancy as of the last
-                    # cycle boundary (this output has not pushed yet,
-                    # and a pop made this cycle is not a credit yet).
-                    ring_down = rings[dfid]
-                    filled = len(ring_down)
-                    room = filled + (popc[dfid] == cycle) < depth
-                elif dfid == -2:
-                    eject = ejects[ofid // n_ports]
-                    if eject is None:
-                        continue
-                    # eject.can_accept() inlined (hot at saturation);
-                    # nothing is ever staged in an ejection FIFO.
-                    cap = eject.capacity
-                    filled = len(eject._items)
-                    room = cap is None or filled < cap
-                else:
-                    # Unwired mesh-edge output: nothing to move into.
-                    continue
-                if not room or fblocked is not None and ofid in fblocked:
-                    # No credit, or a stuck-grant fault (see
-                    # Router.fault_block_output).
-                    if traced:
-                        tracer.link_stall(
-                            cycle, coords[ofid // n_ports],
-                            _PORT_VALUES[ofid % n_ports],
-                            "wormhole_stall" if sfid >= 0
-                            else "credit_exhausted")
-                    continue
-                if sfid < 0:
-                    # Free output: round-robin among the waiting heads.
-                    mask = rq[ofid]
-                    start = rr[ofid]
-                    ahead = mask >> start
-                    if ahead:
-                        in_index = start - 1 + (ahead & -ahead).bit_length()
-                    else:
-                        in_index = (mask & -mask).bit_length() - 1
-                    rq[ofid] = mask ^ (1 << in_index)
-                    rr[ofid] = 0 if in_index == n_ports - 1 \
-                        else in_index + 1
-                    sfid = ofid - ofid % n_ports + in_index
-                    ring = rings[sfid]
-                    # Lock the output; a single-flit message releases
-                    # it again below.
-                    grant[ofid] = sfid
-                    req[sfid] = -1
-                    flit = ring.popleft()
-                    # Credit the whole message now: the head's count
-                    # + 1 (a lone head-tail is negated with a zero
-                    # count, so its masked bits are 0 too).  Readers
-                    # take back what is still upstream (``forwarded``).
-                    fwd_out[ofid] += (flit & HANDLE_COUNT_MASK) + 1
-                else:
-                    flit = ring.popleft()
-                popc[sfid] = cycle
-                if hwc[sfid] == cycle:
-                    # Pushed (and raised) earlier this cycle: the mark
-                    # records end-of-cycle depth, one less after all.
-                    hw[sfid] -= 1
-                if dfid >= 0:
-                    if not filled:
-                        if ring_down is no_ring:
-                            ring_down = rings[dfid] = deque()
-                        if req[dfid] == -2:
-                            # A head landed in an empty input.
-                            unres.append(dfid)
-                    ring_down.append(flit)
-                    pushc[dfid] = cycle
-                    filled += 1
-                    if filled > hw[dfid]:
-                        hw[dfid] = filled
-                        hwc[dfid] = cycle
-                else:
-                    # An unstaged push (StagedFifo's docstring): the
-                    # stamp keeps the flit from this cycle's consumer.
-                    # The wake hooks fire on the empty -> non-empty
-                    # edge only (module docstring).
-                    eject._items.append(flit)
-                    eject._pushc = cycle
-                    if not filled:
-                        for waker in eject._wakers:
-                            waker()
-                    if filled >= eject.high_water:
-                        eject.high_water = filled + 1
-                        eject._hwc = cycle
-                    ring_total -= 1
-                if traced:
-                    # flit_of(flit), inlined: a tracer pays for the
-                    # Flit objects it looks at, once per message.
-                    bits = -flit if flit < 0 else flit
-                    seq = bits >> HANDLE_SEQ_SHIFT
-                    flits = observed.get(seq)
-                    if flits is None:
-                        flits = observed[seq] = inflight[seq].to_flits()
-                    tracer.flit_forwarded(cycle, coords[ofid // n_ports],
-                                          _PORT_VALUES[ofid % n_ports],
-                                          flits[~(bits & HANDLE_COUNT_MASK)])
-                if flit < 0:
-                    grant[ofid] = -1
-                    req[sfid] = -2
-                    if ring:
-                        # The flit behind the tail (even one pushed
-                        # this cycle) is the next head; it is routed
-                        # next cycle, as in Router.step.
-                        unres.append(sfid)
-                    if not rq[ofid]:
-                        retired.append(ofid)
-            self._ring_total = ring_total
-            # Nothing requests an output during the walk, so one that
-            # went free and unrequested stays retired.
-            for ofid in retired:
-                active.remove(ofid)
-        # Injection phase: busy ports only, LSB-first (= attachment
-        # order, exactly where the object backend's registration order
-        # puts them).  The body is ``LocalPort.step`` inlined (same
-        # observable effects: counters and one flit per cycle into
-        # the local input) minus the staging and the local
-        # FIFO's waker fire: this phase runs after the router walk, so
-        # a flit pushed straight into the committed queue cannot be
-        # forwarded before the next cycle, and the FIFO's only waker
-        # re-activates this core, which its answer keeps due.
-        # ``send`` sets the port's mask bit through its wake hook; the
-        # loop prunes idle ports.
-        m = self._inj_mask
-        if m:
-            inj = self._inj
-            while m:
-                low = m & -m
-                m ^= low
-                port, lfid, fifo = inj[low.bit_length() - 1]
-                pending = port._pending_flits
-                if not pending:
-                    send_queue = port._send_queue
-                    if not send_queue:
-                        self._inj_mask &= ~low
-                        continue
-                    message = send_queue.popleft()
-                    # File the receiver's copy; the flits are a head
-                    # handle, a countdown and the negated tail.
-                    data = message.data
-                    if data.__class__ is not bytes:
-                        if not isinstance(data, _BYTES_LIKE):
-                            raise TypeError(
-                                "DATA flit payload must be bytes-like")
-                        data = bytes(data)
-                    n_meta = message.n_meta_flits
-                    self._seq = seq = self._seq + 1
-                    self._inflight[seq] = NocMessage(
-                        message.dst, message.src,
-                        message.metadata if n_meta else None, data,
-                        n_meta, message.msg_id, message.packet_id)
-                    base = seq << HANDLE_SEQ_SHIFT
-                    n = n_meta + (len(data) + FLIT_BYTES - 1) // FLIT_BYTES
-                    if n:
-                        pending.append(base | HANDLE_HEAD | n)
-                        pending.extend(range(base + n - 1, base, -1))
-                        pending.append(-base)
-                    else:
-                        pending.append(-(base | HANDLE_HEAD))
-                    port.messages_sent += 1
-                items = fifo._items
-                occupancy = len(items)
-                if occupancy < fifo.capacity:
-                    if not occupancy and req[lfid] == -2:
-                        unres.append(lfid)
-                    items.append(pending.popleft())
-                    self._ring_total += 1
-                    if occupancy >= fifo.high_water:
-                        fifo.high_water = occupancy + 1
-                    port.flits_injected += 1
-                    if not pending and not port._send_queue:
-                        self._inj_mask &= ~low
-        # Due every cycle while a flit is in a router input or a port
-        # has anything to inject (a port's mask bit is set by ``send``
-        # and cleared only once its queues are empty): the conjunction
-        # of the object backend's per-component contracts.
-        return None if self._ring_total or self._inj_mask else NEVER
+        """One cycle of the whole mesh: resolve newly exposed heads,
+        walk the active outputs, step the busy ports.  The body is C
+        (``_flatstep.c`` beside this file) over this object's lists.
+
+        Due every cycle (None) while a flit is in a router input or a
+        port has anything to inject (a port's mask bit is set by
+        ``send`` and cleared only once its queues are empty): the
+        conjunction of the object backend's per-component contracts.
+        """
+        return _step(self, cycle)
 
     def flit_of(self, handle: int) -> Flit:
         """The ``Flit`` a handle stands for, for whoever looks at one

@@ -14,12 +14,14 @@ under the naive kernel (the only one that commits its routers), under
 a tracer.
 """
 
+import gc
+import tracemalloc
 from collections import deque
 
 import pytest
 
 from repro.designs.base import Design
-from repro.noc.flatmesh import _NO_RING, FlatMesh, FlatRouterView
+from repro.noc.flatmesh import _NO_RING, _SOURCE, FlatMesh, FlatRouterView
 from repro.noc.flit import HANDLE_HEAD
 from repro.noc.mesh import LocalPort, Mesh
 from repro.noc.message import NocMessage, reset_id_counters
@@ -27,6 +29,7 @@ from repro.noc.router import _PORT_INDEX
 from repro.noc.routing import Port
 from repro.sim.kernel import CycleSimulator, StagedFifo
 from repro.telemetry.trace import Tracer
+from tests.test_import_graph import run_python
 
 MESHES = {"object": Mesh, "flat": FlatMesh}
 
@@ -875,3 +878,97 @@ def test_check_invariants_follows_the_ring_representation():
     assert "router(1, 0).in.local" in problems[2]
     # Without the cycle the stamps cannot be judged.
     assert len(core.check_invariants()) == 2
+
+
+# -- the compiled step ------------------------------------------------------
+
+#: Child-interpreter preamble: the flat mesh module with its build cache
+#: moved to a directory of the test's own (``sys.argv[1]``).
+IN_CACHE = """
+import sys
+import repro.noc.flatmesh as flatmesh
+flatmesh._CACHE = sys.argv[1]
+"""
+
+
+class TestBuildCache:
+    """``_flatstep.c`` is compiled by the first flat mesh an interpreter
+    builds, once per source and Python, into a cache keyed by both."""
+
+    def test_a_warm_cache_calls_no_compiler(self, tmp_path):
+        run_python(IN_CACHE + "flatmesh.FlatMesh(2, 1)", str(tmp_path))
+        built = list(tmp_path.iterdir())
+        # The build imports subprocess and sysconfig; a warm start
+        # imports nothing at all.
+        out = run_python(IN_CACHE + """
+before = set(sys.modules)
+flatmesh.FlatMesh(2, 1)
+print(sorted(set(sys.modules) - before))
+""", str(tmp_path))
+        assert out.strip() == "[]"
+        assert list(tmp_path.iterdir()) == built and len(built) == 1
+
+    def test_an_edited_source_builds_a_new_file(self, tmp_path):
+        cache = tmp_path / "cache"
+        run_python(IN_CACHE + "flatmesh.FlatMesh(2, 1)", str(cache))
+        [first] = cache.iterdir()
+        edited = tmp_path / "_flatstep.c"
+        with open(_SOURCE, "rb") as source:
+            edited.write_bytes(source.read() + b"\n/* edited */\n")
+        run_python(IN_CACHE + """
+flatmesh._SOURCE = sys.argv[2]
+flatmesh.FlatMesh(2, 1)
+""", str(cache), str(edited))
+        files = sorted(cache.iterdir())
+        assert len(files) == 2 and first in files
+
+    def test_a_failed_build_points_at_the_reference_profile(self, tmp_path):
+        out = run_python(IN_CACHE + """
+import subprocess
+
+def failing_compiler(command, **keywords):
+    return subprocess.CompletedProcess(command, 1, "",
+                                       "cc1: fatal error: simulated")
+
+subprocess.run = failing_compiler
+try:
+    flatmesh.FlatMesh(2, 1)
+except RuntimeError as error:
+    print(error)
+else:
+    raise SystemExit("a flat mesh without its C step")
+from repro.designs import UdpEchoDesign, attach_client
+design = UdpEchoDesign(udp_port=7, profile="reference")
+source, sink = attach_client(design, b"hello", count=1)
+design.sim.run_until(lambda: sink.count >= 1, max_cycles=5_000)
+print("echoed", sink.count)
+""", str(tmp_path))
+        assert "cc1: fatal error: simulated" in out
+        assert 'profile="reference" needs no compiler' in out
+        assert out.splitlines()[-1] == "echoed 1"
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_the_compiled_step_leaks_nothing():
+    """A reference the C step forgets to drop is memory that only
+    grows.  Once a saturated 7x4 MTU echo is warm, as many frames again
+    (about 70 000 flit hops) grow traced memory by under 256 KiB: one
+    leaked handle per hop would be about 2 MiB."""
+    from repro.designs import ScaledEchoDesign, attach_client
+
+    frames = 150
+    design = ScaledEchoDesign()
+    _source, sink = attach_client(design, bytes(1458), rate=None,
+                                  count=2 * frames, keep_frames=False)
+    design.sim.run_until(lambda: sink.count >= frames, max_cycles=50_000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        design.sim.run_until(lambda: sink.count >= 2 * frames,
+                             max_cycles=50_000)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 256 * 1024

@@ -72,7 +72,11 @@ CLIENT_MAC = MacAddress("02:00:00:00:00:01")
 
 def fingerprint(design, sink, tracer):
     """Everything observable about a finished run, comparable across
-    profiles."""
+    profiles.  After a ``fast`` run the flat mesh's and the flat tile
+    core's own state machines must also be consistent."""
+    if design.profile == "fast":
+        assert design.mesh.core.check_invariants(design.sim.cycle) == []
+        assert design.tile_core.check_invariants() == []
     record = run_record(design)
     del record["profile"], record["kernel"]  # expected to differ
     return {
