@@ -554,6 +554,9 @@ walk_output(Walk *w, long long ofid)
     } else if (dfid == -2) {
         eject = PyList_GET_ITEM(w->ejects, ofid / NPorts);
         if (eject == Py_None) {
+            /* No port attached here: the head waits, as at an unwired
+             * edge.  The None is borrowed; `out` must not release it. */
+            eject = NULL;
             failed = 0;
             goto out;
         }

@@ -188,6 +188,10 @@ _NO_RING: tuple = ()
 _SOURCE = os.path.join(os.path.dirname(__file__), "_flatstep.c")
 _CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
 
+#: What every build failure ends with.
+_NEEDS = ('profile="fast" needs a C compiler and the Python headers; '
+          'profile="reference" needs no compiler.')
+
 #: ``step(core, cycle)`` from the compiled source, loaded by the first
 #: :class:`FlatMeshCore` (not at import: ``reference`` needs no build).
 _step = None
@@ -210,10 +214,7 @@ def _compiled_step():
             except OSError:
                 writable = False
             if not writable:
-                import tempfile
-                cache = os.path.join(tempfile.gettempdir(), "repro-flatstep")
-                os.makedirs(cache, exist_ok=True)
-                path = os.path.join(cache, name)
+                path = os.path.join(_private_cache(), name)
             if not os.path.exists(path):
                 _build(path)
         spec = importlib.util.spec_from_file_location("_flatstep", path)
@@ -224,6 +225,35 @@ def _compiled_step():
                     HANDLE_HEAD)
         _step = module.step
     return _step
+
+
+def _private_cache() -> str:
+    """The cache used when the package's own is read-only: one
+    directory per user under the temporary directory, made ``0o700``.
+    What it holds is loaded as code, so it is refused unless this user
+    owns it and nobody else may write to it."""
+    import stat
+    import tempfile
+
+    uid = os.getuid()
+    cache = os.path.join(tempfile.gettempdir(), f"repro-flatstep-{uid}")
+    try:
+        os.makedirs(cache, mode=0o700, exist_ok=True)
+        info = os.lstat(cache)
+    except OSError as error:
+        problem = str(error)
+    else:
+        if not stat.S_ISDIR(info.st_mode):
+            problem = "it is not a directory"
+        elif info.st_uid != uid:
+            problem = f"it is owned by uid {info.st_uid}, not {uid}"
+        elif info.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
+            problem = "others may write to it"
+        else:
+            return cache
+    raise RuntimeError(
+        f"cannot cache the flat mesh's step in {cache}: {problem}\n"
+        f"{_NEEDS}")
 
 
 def _build(path: str) -> None:
@@ -251,9 +281,7 @@ def _build(path: str) -> None:
         os.remove(partial)
     raise RuntimeError(
         f"cannot build the flat mesh's step from {_SOURCE}: "
-        f"{' '.join(command)} failed:\n{complaint}\n"
-        "profile=\"fast\" needs a C compiler and the Python headers; "
-        "profile=\"reference\" needs no compiler.")
+        f"{' '.join(command)} failed:\n{complaint}\n{_NEEDS}")
 
 
 class _RingView:

@@ -15,6 +15,7 @@ a tracer.
 """
 
 import gc
+import sys
 import tracemalloc
 from collections import deque
 
@@ -948,6 +949,32 @@ print("echoed", sink.count)
         assert out.splitlines()[-1] == "echoed 1"
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_read_only_package_builds_in_a_private_directory(
+            self, tmp_path):
+        # A cache under a regular file cannot be made (read-only bits
+        # would not stop root), so the per-user fallback is taken.
+        (tmp_path / "file").write_bytes(b"")
+        out = run_python(IN_CACHE + """
+import os
+import tempfile
+tempfile.tempdir = sys.argv[2]
+private = os.path.join(sys.argv[2], f"repro-flatstep-{os.getuid()}")
+os.mkdir(private)
+os.chmod(private, 0o777)
+try:
+    flatmesh.FlatMesh(2, 1)
+except RuntimeError as error:
+    print(error)
+else:
+    raise SystemExit("a flat mesh built in a shared directory")
+os.chmod(private, 0o700)
+flatmesh.FlatMesh(2, 1)
+print(len(os.listdir(private)))
+""", str(tmp_path / "file" / "cache"), str(tmp_path))
+        assert "others may write to it" in out
+        assert 'profile="reference" needs no compiler' in out
+        assert out.splitlines()[-1] == "1"
+
 
 def test_the_compiled_step_leaks_nothing():
     """A reference the C step forgets to drop is memory that only
@@ -972,3 +999,25 @@ def test_the_compiled_step_leaks_nothing():
     finally:
         tracemalloc.stop()
     assert grown < 256 * 1024
+
+
+def test_a_head_at_a_portless_router_keeps_none_alive():
+    """A message addressed to a router with no attached port waits at
+    its local output for ever.  The C step finds ``None`` in that
+    router's ejection slot every cycle and must not release it: on
+    Pythons where ``None`` is reference-counted, one lost reference per
+    cycle would run its count down to a fatal deallocation."""
+    sim = CycleSimulator()
+    mesh = FlatMesh(2, 1)
+    port = mesh.attach((0, 0))
+    mesh.register(sim)
+    port.send(_message((0, 0), (1, 0), 3))
+    sim.run(20)
+    core = mesh.core
+    local_out = 1 * len(Port)  # router (1, 0)'s local output
+    assert local_out in core._active
+    before = sys.getrefcount(None)
+    sim.run(2_000)
+    assert sys.getrefcount(None) - before > -100
+    assert local_out in core._active
+    assert core.check_invariants(sim.cycle) == []
