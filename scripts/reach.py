@@ -123,6 +123,7 @@ KEEP: dict[str, str] = {
     "repro.tiles.logger.LogEntry.unpack": REFERENCE,
     # -- safety: loss recovery, teardown, bounds, framing checks ---------------
     "repro.noc.mesh.handle_framing_error": SAFETY,
+    "repro.noc.flatmesh._private_cache": SAFETY,
     "repro.tcp.cc.cubic_window": SAFETY,
     "repro.tcp.cc.CongestionControl.on_ack": SAFETY,
     "repro.tcp.cc.CongestionControl.on_loss": SAFETY,
