@@ -19,7 +19,7 @@ pipeline:
   asleep past the next cycle — no wake reached it and no timer is due
   in time — is a lost wakeup: the dynamic twin of the static BHV301
   check, catching hooks that exist but never fire.  Under the flat
-  tile engine, also a busy bit clear over a FIFO holding flits
+  tile engine, also a busy byte clear over a FIFO holding flits
   (``FlatTileCore.check_invariants``): the flat mesh wakes a tile only
   when it ejects into an empty FIFO.
 - **conservation** (BHV403): a flit ledger per mesh.  Every flit a
@@ -493,7 +493,7 @@ def _tile_core_findings(design: object) -> list[Finding]:
             f"flat tile engine state inconsistent: {problem}",
             location=tile_core.name,
             hint="the flat mesh wakes a tile only when it ejects "
-                 "into an empty FIFO, so the busy bit must stay set "
+                 "into an empty FIFO, so the busy byte must stay set "
                  "while the FIFO holds flits"))
     return findings
 

@@ -1,21 +1,31 @@
-/* The flat mesh's step, compiled.
+/* The flat cores' steps, compiled.
  *
- * step(core, cycle) is FlatMeshCore.step (src/repro/noc/flatmesh.py):
+ * mesh_step(core, cycle) is FlatMeshCore.step (src/repro/noc/flatmesh.py):
  * head resolution, the output walk and the injection phase, written
- * out over the core's own Python objects.  It keeps no state of its
- * own: every list, deque, dict and StagedFifo it reads or writes is the
- * one the Python readers (forwarded, check_invariants, the ring views,
- * the fault hooks, the tracer) see, so the module docstring there is
- * the specification of every line below.  Tracing, stuck-grant tests,
- * route misses and ejection wakes call back into Python; an exception
- * any of them raises propagates out of step.
+ * out over the core's own Python objects.  tile_step(core, cycle) is
+ * FlatTileCore.step (src/repro/tiles/flatcore.py): the timer heap, the
+ * busy walk and the inlined pumps of Tile.step over the tiles' own
+ * state.  Neither keeps state of its own: every list, deque, dict,
+ * StagedFifo and tile they read or write is the one the Python readers
+ * (check_invariants, the views, the fault hooks, the tracer, run_record)
+ * see, so the module docstrings there are the specification of every
+ * line below.  What a tile or the tracer may replace is called back
+ * through Python (handlers, send, an object-mode step, tracer events,
+ * route misses, stuck-grant tests); an exception any of them raises
+ * propagates out of the step.
  *
- * bind() hands over, once, the Python definitions the step needs (the
+ * tile_waker(core, busy, index) is the hook a tile core hands each
+ * adopted tile: a callable that sets the tile's byte in busy, so
+ * neither the mesh step's ejection wakes nor a tile's _wake() enters a
+ * Python frame unless the core was idle.
+ *
+ * bind() hands over, once, the Python definitions the steps need (the
  * deque type, NocMessage, the handle format, ...), so nothing here
  * restates a constant of the Python side.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <stddef.h>
 #include <stdint.h>
 
 /* -- bound by bind() ----------------------------------------------------- */
@@ -28,7 +38,9 @@ static PyObject *BytesLike;    /* (bytes, bytearray, memoryview) */
 static PyObject *PortValues;   /* tuple: port name by port index */
 static PyObject *NoRing;       /* what an unallocated ring slot holds */
 static PyObject *Never;        /* repro.sim.kernel.NEVER */
-static long long FlitBytes, SeqShift, HeadBit, CountMask;
+static PyObject *FramingError; /* repro.noc.mesh.handle_framing_error */
+static PyObject *NextPacketId; /* repro.noc.message.next_packet_id */
+static long long FlitBytes, SeqShift, HeadBit, CountMask, NeverValue;
 static Py_ssize_t NPorts;
 
 /* -- attribute names ----------------------------------------------------- */
@@ -44,10 +56,19 @@ enum {
     A_DATA, A_N_META, A_MSG_ID, A_PACKET_ID, A_ITEMS, A_CAPACITY,
     A_HIGH_WATER, A_WAKERS, A_PENDING, A_SEND_QUEUE,
     A_MESSAGES_SENT, A_FLITS_INJECTED, S_WORMHOLE_STALL,
-    S_CREDIT_EXHAUSTED, N_NAMES
+    S_CREDIT_EXHAUSTED,
+    /* the tile step's */
+    C_BUSY, C_FABRIC, C_TIMERS, C_DEADLINES, C_KERNEL_WAKE, C_OBSERVED,
+    T_FROZEN, T_BUFFERED, T_BUFFER_FLITS, T_RX_READY, T_IN_SERVICE,
+    T_EMIT_AT, T_MESSAGES_IN, T_BYTES_IN, T_SERVICE_CTX, T_MESSAGES_OUT,
+    T_ENGINE_FREE, T_MAX_TX_BACKLOG, T_OCCUPANCY, T_PARSE_LATENCY,
+    T_HANDLE_MESSAGE, T_SEND, T_STEP, T_SERVICE_CYCLES, P_FAULT_STALLED,
+    P_FAULT_EJECT, P_FLITS_EJECTED, P_MESSAGES_RECEIVED, P_RECEIVE,
+    M_ACTIVE, M_SEQ, E_MESSAGE_RECEIVED, E_BUFFER_LEVEL,
+    E_PROCESSING_START, E_PROCESSING_END, N_NAMES
 };
 
-static const char *const NAME_TEXT[N_NAMES] = {
+static const char *const NAME_TEXT[] = {
     "_rings", "_pushc", "_popc", "_hw", "_hwc", "_grant", "_rr", "_rq",
     "_req", "_down", "_ejects", "coords", "_fwd_out", "_unres", "_active",
     "_inflight", "_route_rows", "tracer", "_fault_blocked", "depth",
@@ -58,7 +79,19 @@ static const char *const NAME_TEXT[N_NAMES] = {
     "high_water", "_wakers", "_pending_flits",
     "_send_queue", "messages_sent", "flits_injected", "wormhole_stall",
     "credit_exhausted",
+    "_busy", "_fabric", "_timers", "_deadlines", "_kernel_wake",
+    "_observed",
+    "_fault_frozen", "_buffered_flits", "buffer_flits", "_rx_ready",
+    "_in_service", "_emit_at", "messages_in", "bytes_in", "_service_ctx",
+    "messages_out", "_engine_free", "max_tx_backlog", "occupancy",
+    "parse_latency", "handle_message", "send", "step", "service_cycles",
+    "fault_stalled", "_fault_eject", "flits_ejected", "messages_received",
+    "receive", "_active", "_seq", "message_received", "buffer_level",
+    "processing_start", "processing_end",
 };
+
+_Static_assert(sizeof NAME_TEXT / sizeof *NAME_TEXT == N_NAMES,
+               "one text per name");
 
 static PyObject *Name[N_NAMES];
 
@@ -1063,18 +1096,1052 @@ inject(Fetch *f)
     return failed;
 }
 
-/* -- the module ---------------------------------------------------------- */
+/* -- the tile step ------------------------------------------------------- */
+
+/* An exception set aside while a `finally` runs, and put back after. */
+#if PY_VERSION_HEX >= 0x030C0000
+typedef PyObject *Pending;
+
+static Pending
+pending_take(void)
+{
+    return PyErr_GetRaisedException();
+}
+
+static void
+pending_restore(Pending pending)
+{
+    PyErr_SetRaisedException(pending);
+}
+
+static void
+pending_drop(Pending pending)
+{
+    Py_XDECREF(pending);
+}
+#else
+typedef struct {
+    PyObject *type, *value, *traceback;
+} Pending;
+
+static Pending
+pending_take(void)
+{
+    Pending pending;
+    PyErr_Fetch(&pending.type, &pending.value, &pending.traceback);
+    return pending;
+}
+
+static void
+pending_restore(Pending pending)
+{
+    PyErr_Restore(pending.type, pending.value, pending.traceback);
+}
+
+static void
+pending_drop(Pending pending)
+{
+    Py_XDECREF(pending.type);
+    Py_XDECREF(pending.value);
+    Py_XDECREF(pending.traceback);
+}
+#endif
+
+static int
+attr_truth(PyObject *obj, PyObject *name)
+{
+    PyObject *value = PyObject_GetAttr(obj, name);
+    if (value == NULL)
+        return -1;
+    int result = PyObject_IsTrue(value);
+    Py_DECREF(value);
+    return result;
+}
+
+/* CALL(k, self, args...) is self.<Name[k]>(args...), looked up on the
+ * instance, so a method it or its class replaces is the one called;
+ * CALL_VOID drops the result (0, or -1 on an error). */
+#define CALL(k, ...) call_method( \
+    Name[k], (PyObject *[]){NULL, __VA_ARGS__}, \
+    sizeof((PyObject *[]){__VA_ARGS__}) / sizeof(PyObject *))
+#define CALL_VOID(k, ...) dropped(CALL(k, __VA_ARGS__))
+
+/* stack[0] is scratch space the callee may use. */
+static PyObject *
+call_method(PyObject *name, PyObject **stack, size_t nargs)
+{
+    return PyObject_VectorcallMethod(
+        name, stack + 1, nargs | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+}
+
+static int
+dropped(PyObject *result)
+{
+    Py_XDECREF(result);
+    return result == NULL ? -1 : 0;
+}
+
+/* What one tile step reads of the core, fetched once. */
+typedef struct {
+    PyObject *core, *cycle_obj;
+    long long cycle;
+    PyObject *busy;       /* bytearray: byte i set == tiles[i] must step */
+    PyObject *deadlines;  /* list: tile i's armed deadline, -1 unarmed */
+    PyObject *timers;     /* list: heap of (deadline, index) */
+} Tiles;
+
+/* _fabric[i], unpacked; the visit holds the record, so the rest are
+ * borrowed from it.  own is vars(tile). */
+typedef struct {
+    PyObject *record;
+    PyObject *tile, *port, *eject, *items, *assembler, *mesh_core, *own;
+    int fast, default_service;
+} Rec;
+
+static inline int
+busy_at(PyObject *busy, Py_ssize_t i)
+{
+    return i < PyByteArray_GET_SIZE(busy) && PyByteArray_AS_STRING(busy)[i];
+}
+
+static inline void
+set_busy(PyObject *busy, Py_ssize_t i, char value)
+{
+    if (i < PyByteArray_GET_SIZE(busy))
+        PyByteArray_AS_STRING(busy)[i] = value;
+}
+
+/* A timer entry's (deadline, index).  Only the step pushes entries, and
+ * only pairs of ints, so sifting runs no Python code. */
+static int
+timer_key(PyObject *entry, long long *deadline, long long *index)
+{
+    if (!PyTuple_CheckExact(entry) || PyTuple_GET_SIZE(entry) != 2
+            || !PyLong_CheckExact(PyTuple_GET_ITEM(entry, 0))
+            || !PyLong_CheckExact(PyTuple_GET_ITEM(entry, 1))) {
+        PyErr_Format(PyExc_TypeError,
+                     "timer entry %R is not (deadline, index)", entry);
+        return -1;
+    }
+    if (as_ll(PyTuple_GET_ITEM(entry, 0), deadline))
+        return -1;
+    return index == NULL ? 0 : as_ll(PyTuple_GET_ITEM(entry, 1), index);
+}
+
+/* a < b, as the tuples compare. */
+static int
+timer_less(PyObject *a, PyObject *b)
+{
+    long long da, ia, db, ib;
+    if (timer_key(a, &da, &ia) || timer_key(b, &db, &ib))
+        return -1;
+    return da < db || (da == db && ia < ib);
+}
+
+/* heapq._siftdown: heap[pos] moves up towards start.  Items move as
+ * pointers; on an error the list still holds each of them once. */
+static int
+sift_down(PyObject *heap, Py_ssize_t start, Py_ssize_t pos)
+{
+    PyObject *newitem = PyList_GET_ITEM(heap, pos);
+    int failed = 0;
+    while (pos > start) {
+        Py_ssize_t parentpos = (pos - 1) >> 1;
+        PyObject *parent = PyList_GET_ITEM(heap, parentpos);
+        int less = timer_less(newitem, parent);
+        if (less <= 0) {
+            failed = less;
+            break;
+        }
+        PyList_SET_ITEM(heap, pos, parent);
+        pos = parentpos;
+    }
+    PyList_SET_ITEM(heap, pos, newitem);
+    return failed;
+}
+
+/* heapq._siftup: the smaller child rises until heap[pos]'s old item
+ * reaches a leaf, then sifts down into place. */
+static int
+sift_up(PyObject *heap, Py_ssize_t pos)
+{
+    Py_ssize_t end = PyList_GET_SIZE(heap), start = pos;
+    PyObject *newitem = PyList_GET_ITEM(heap, pos);
+    Py_ssize_t child = 2 * pos + 1;
+    while (child < end) {
+        Py_ssize_t right = child + 1;
+        if (right < end) {
+            int less = timer_less(PyList_GET_ITEM(heap, child),
+                                  PyList_GET_ITEM(heap, right));
+            if (less < 0) {
+                PyList_SET_ITEM(heap, pos, newitem);
+                return -1;
+            }
+            if (!less)
+                child = right;
+        }
+        PyList_SET_ITEM(heap, pos, PyList_GET_ITEM(heap, child));
+        pos = child;
+        child = 2 * pos + 1;
+    }
+    PyList_SET_ITEM(heap, pos, newitem);
+    return sift_down(heap, start, pos);
+}
+
+/* heapq.heappush(heap, (deadline, index)) */
+static int
+heap_push(PyObject *heap, long long deadline, Py_ssize_t index)
+{
+    PyObject *d = PyLong_FromLongLong(deadline);
+    PyObject *i = d ? PyLong_FromSsize_t(index) : NULL;
+    PyObject *entry = i ? PyTuple_Pack(2, d, i) : NULL;
+    Py_XDECREF(d);
+    Py_XDECREF(i);
+    if (entry == NULL)
+        return -1;
+    int failed = PyList_Append(heap, entry);
+    Py_DECREF(entry);
+    return failed ? -1 : sift_down(heap, 0, PyList_GET_SIZE(heap) - 1);
+}
+
+/* heapq.heappop(heap), a new reference; the heap is not empty. */
+static PyObject *
+heap_pop(PyObject *heap)
+{
+    Py_ssize_t n = PyList_GET_SIZE(heap);
+    PyObject *last = Py_NewRef(PyList_GET_ITEM(heap, n - 1));
+    if (PyList_SetSlice(heap, n - 1, n, NULL)) {
+        Py_DECREF(last);
+        return NULL;
+    }
+    if (n == 1)
+        return last;
+    PyObject *top = PyList_GET_ITEM(heap, 0);
+    PyList_SET_ITEM(heap, 0, last);
+    if (sift_up(heap, 0)) {
+        Py_DECREF(top);
+        return NULL;
+    }
+    return top;
+}
+
+/* Arm tile i's timer for deadline (the next cycle at the earliest),
+ * unless an equal-or-earlier (safe) wake is already queued. */
+static int
+arm(Tiles *s, Py_ssize_t i, long long deadline)
+{
+    long long armed;
+    if (deadline <= s->cycle)
+        deadline = s->cycle + 1;
+    if (check_index(i, PyList_GET_SIZE(s->deadlines))
+            || item(s->deadlines, i, &armed))
+        return -1;
+    if (armed != -1 && armed <= deadline)
+        return 0;
+    return set_item(s->deadlines, i, deadline)
+           || heap_push(s->timers, deadline, i) ? -1 : 0;
+}
+
+/* tile.tracer if it is enabled (a new reference), else NULL; *failed
+ * is -1 on an error, else 0. */
+static PyObject *
+enabled_tracer(Rec *r, int *failed)
+{
+    PyObject *tracer = PyObject_GetAttr(r->tile, Name[A_TRACER]);
+    int on = tracer == NULL ? -1 : attr_truth(tracer, Name[A_ENABLED]);
+    if (on <= 0) {
+        Py_XDECREF(tracer);
+        *failed = on < 0 ? -1 : 0;
+        return NULL;
+    }
+    *failed = 0;
+    return tracer;
+}
+
+/* tracer.buffer_level(cycle, tile, tile._buffered_flits) */
+static int
+trace_buffer_level(Tiles *s, Rec *r, PyObject *tracer)
+{
+    PyObject *level = PyObject_GetAttr(r->tile, Name[T_BUFFERED]);
+    if (level == NULL)
+        return -1;
+    int failed = CALL_VOID(E_BUFFER_LEVEL, tracer, s->cycle_obj, r->tile,
+                           level);
+    Py_DECREF(level);
+    return failed;
+}
+
+/* mesh_core.take(seq): its two dict pops. */
+static PyObject *
+take(PyObject *mesh_core, long long seq)
+{
+    PyObject *dict = PyObject_GenericGetDict(mesh_core, NULL);
+    if (dict == NULL)
+        return NULL;
+    PyObject *key = PyLong_FromLongLong(seq), *message = NULL;
+    PyObject *observed = PyDict_GetItemWithError(dict, Name[C_OBSERVED]);
+    PyObject *inflight = observed == NULL ? NULL
+        : PyDict_GetItemWithError(dict, Name[A_INFLIGHT]);
+    if (key == NULL || inflight == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_AttributeError,
+                            "a flat mesh core without its tables");
+        goto done;
+    }
+    if (!PyDict_Check(observed) || !PyDict_Check(inflight)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "a flat mesh core's tables are dicts");
+        goto done;
+    }
+    Py_INCREF(observed);
+    Py_INCREF(inflight);
+    int failed = 0;
+    if (PyDict_GET_SIZE(observed)) {
+        /* _observed.pop(seq, None) */
+        PyObject *flits = PyDict_GetItemWithError(observed, key);
+        failed = flits == NULL ? PyErr_Occurred() != NULL
+                               : PyDict_DelItem(observed, key);
+    }
+    if (!failed) {
+        /* _inflight.pop(seq) */
+        message = PyDict_GetItemWithError(inflight, key);
+        if (message != NULL) {
+            Py_INCREF(message);
+            if (PyDict_DelItem(inflight, key))
+                Py_CLEAR(message);
+        } else if (!PyErr_Occurred()) {
+            PyErr_SetObject(PyExc_KeyError, key);
+        }
+    }
+    Py_DECREF(observed);
+    Py_DECREF(inflight);
+done:
+    Py_XDECREF(key);
+    Py_DECREF(dict);
+    return message;
+}
+
+/* handle_framing_error(bits, assembler), raised. */
+static int
+framing_error(long long bits, PyObject *assembler)
+{
+    PyObject *b = PyLong_FromLongLong(bits);
+    PyObject *error = b == NULL ? NULL
+        : PyObject_CallFunctionObjArgs(FramingError, b, assembler, NULL);
+    Py_XDECREF(b);
+    if (error != NULL) {
+        PyErr_SetObject((PyObject *)Py_TYPE(error), error);
+        Py_DECREF(error);
+    }
+    return -1;
+}
+
+/* The inlined eject pump once its guards have passed: count the flit
+ * against the buffer, pop it (LocalPort.pop_flit and the handle branch
+ * of LocalPort.receive, or port.receive itself under a fault filter)
+ * and queue a completed message for pickup. */
+static int
+eject_flit(Tiles *s, Rec *r)
+{
+    long long v, handle;
+    if (increment(r->tile, Name[T_BUFFERED]))
+        return -1;
+    PyObject *message = PyObject_GetAttr(r->port, Name[P_FAULT_EJECT]);
+    if (message == NULL)
+        return -1;
+    if (message != Py_None) {
+        /* A fault filter wants to see Flit objects. */
+        Py_SETREF(message, CALL(P_RECEIVE, r->port, s->cycle_obj));
+        if (message == NULL)
+            return -1;
+    } else {
+        Py_CLEAR(message);
+        PyObject *flit = popleft(r->items);
+        if (flit == NULL)
+            return -1;
+        int failed = 0;
+        if (!PyLong_CheckExact(flit)) {
+            PyErr_Format(PyExc_TypeError,
+                         "%R in a flat mesh's ejection FIFO, which holds "
+                         "int handles", flit);
+            failed = -1;
+        }
+        failed = failed || as_ll(flit, &handle);
+        Py_DECREF(flit);
+        if (failed || attr_ll(r->eject, Name[A_HWC], &v))
+            return -1;
+        if (v == s->cycle) {
+            if (attr_ll(r->eject, Name[A_HIGH_WATER], &v)
+                    || set_attr_ll(r->eject, Name[A_HIGH_WATER], v - 1)
+                    || set_attr_ll(r->eject, Name[A_HWC], -1))
+                return -1;
+        }
+        if (increment(r->port, Name[P_FLITS_EJECTED]))
+            return -1;
+        const long long bits = handle < 0 ? -handle : handle;
+        const long long seq = bits >> SeqShift;
+        int active = attr_truth(r->assembler, Name[M_ACTIVE]);
+        if (active < 0)
+            return -1;
+        if (bits & HeadBit) {
+            if (active)
+                return framing_error(bits, r->assembler);
+            if (PyObject_SetAttr(r->assembler, Name[M_ACTIVE], Py_True)
+                    || set_attr_ll(r->assembler, Name[M_SEQ], seq))
+                return -1;
+        } else {
+            if (!active)
+                return framing_error(bits, r->assembler);
+            if (attr_ll(r->assembler, Name[M_SEQ], &v))
+                return -1;
+            if (seq != v)
+                return framing_error(bits, r->assembler);
+        }
+        if (handle >= 0)
+            return 0;
+        if (PyObject_SetAttr(r->assembler, Name[M_ACTIVE], Py_False)
+                || increment(r->port, Name[P_MESSAGES_RECEIVED]))
+            return -1;
+        message = take(r->mesh_core, seq);
+        if (message == NULL)
+            return -1;
+    }
+    int failed = -1;
+    PyObject *rx = NULL, *pair = NULL, *tracer = NULL;
+    if (message == Py_None) {
+        failed = 0;
+        goto done;
+    }
+    rx = PyObject_GetAttr(r->tile, Name[T_RX_READY]);
+    pair = rx == NULL ? NULL : PyTuple_Pack(2, s->cycle_obj, message);
+    if (pair == NULL || push(rx, pair))
+        goto done;
+    tracer = enabled_tracer(r, &failed);
+    if (tracer != NULL)
+        failed = CALL_VOID(E_MESSAGE_RECEIVED, tracer, s->cycle_obj, r->tile,
+                           message)
+                 || trace_buffer_level(s, r, tracer) ? -1 : 0;
+done:
+    Py_XDECREF(tracer);
+    Py_XDECREF(pair);
+    Py_XDECREF(rx);
+    Py_DECREF(message);
+    return failed;
+}
+
+/* handle_message(in_service, cycle), each output through send(), then
+ * _service_ctx back to None whatever happened: the try/finally of
+ * Tile._finish_service. */
+static int
+run_handler(Tiles *s, Rec *r, PyObject *in_service)
+{
+    PyObject *outputs = CALL(T_HANDLE_MESSAGE, r->tile, in_service,
+                             s->cycle_obj);
+    int failed = outputs == NULL ? -1 : 0;
+    if (!failed) {
+        int any = PyObject_IsTrue(outputs);
+        PyObject *iter = any > 0 ? PyObject_GetIter(outputs) : NULL;
+        if (any < 0 || (any && iter == NULL))
+            failed = -1;
+        for (PyObject *out; iter != NULL && (out = PyIter_Next(iter));) {
+            failed = CALL_VOID(T_SEND, r->tile, out);
+            Py_DECREF(out);
+            if (failed)
+                break;
+        }
+        if (!failed && PyErr_Occurred())
+            failed = -1;
+        Py_XDECREF(iter);
+        Py_DECREF(outputs);
+    }
+    if (!failed)
+        return PyObject_SetAttr(r->tile, Name[T_SERVICE_CTX], Py_None);
+    Pending pending = pending_take();
+    if (PyObject_SetAttr(r->tile, Name[T_SERVICE_CTX], Py_None))
+        pending_drop(pending);  /* the finally's own error wins */
+    else
+        pending_restore(pending);
+    return -1;
+}
+
+/* Service finish: Tile._finish_service inlined (the handler and send
+ * through the instance), then the engine is free of the message. */
+static int
+finish_service(Tiles *s, Rec *r, PyObject *in_service)
+{
+    long long v, n_meta;
+    if (increment(r->tile, Name[T_MESSAGES_IN]))
+        return -1;
+    PyObject *data = PyObject_GetAttr(in_service, Name[A_DATA]);
+    if (data == NULL)
+        return -1;
+    const Py_ssize_t size = PyObject_Size(data);
+    Py_DECREF(data);
+    if (size < 0 || attr_ll(r->tile, Name[T_BYTES_IN], &v)
+            || set_attr_ll(r->tile, Name[T_BYTES_IN], v + size)
+            || attr_ll(in_service, Name[A_N_META], &n_meta)
+            || attr_ll(r->tile, Name[T_BUFFERED], &v))
+        return -1;
+    /* in_service.n_flits, inlined. */
+    v -= 1 + n_meta + (size + FlitBytes - 1) / FlitBytes;
+    if (set_attr_ll(r->tile, Name[T_BUFFERED], v > 0 ? v : 0))
+        return -1;
+    PyObject *packet_id = PyObject_GetAttr(in_service, Name[A_PACKET_ID]);
+    if (packet_id == NULL)
+        return -1;
+    if (packet_id == Py_None) {
+        Py_SETREF(packet_id, PyObject_CallNoArgs(NextPacketId));
+        if (packet_id == NULL || PyObject_SetAttr(in_service,
+                                                  Name[A_PACKET_ID],
+                                                  packet_id)) {
+            Py_XDECREF(packet_id);
+            return -1;
+        }
+    }
+    Py_DECREF(packet_id);
+    PyObject *context = PyTuple_Pack(2, in_service, s->cycle_obj);
+    if (context == NULL)
+        return -1;
+    int failed = PyObject_SetAttr(r->tile, Name[T_SERVICE_CTX], context);
+    Py_DECREF(context);
+    PyObject *sent_before = failed ? NULL
+        : PyObject_GetAttr(r->tile, Name[T_MESSAGES_OUT]);
+    if (sent_before == NULL || run_handler(s, r, in_service)) {
+        Py_XDECREF(sent_before);
+        return -1;
+    }
+    PyObject *tracer = enabled_tracer(r, &failed);
+    if (tracer != NULL) {
+        PyObject *now = PyObject_GetAttr(r->tile, Name[T_MESSAGES_OUT]);
+        PyObject *sent = now == NULL ? NULL
+                                     : PyNumber_Subtract(now, sent_before);
+        failed = sent == NULL
+                 || CALL_VOID(E_PROCESSING_END, tracer, s->cycle_obj,
+                              r->tile, in_service, sent)
+                 || trace_buffer_level(s, r, tracer) ? -1 : 0;
+        Py_XDECREF(sent);
+        Py_XDECREF(now);
+        Py_DECREF(tracer);
+    }
+    Py_DECREF(sent_before);
+    return failed ? -1
+                  : PyObject_SetAttr(r->tile, Name[T_IN_SERVICE], Py_None);
+}
+
+/* port.tx_backlog, inlined: messages queued plus one mid-injection. */
+static int
+tx_backlog(Rec *r, long long *out)
+{
+    PyObject *queue = PyObject_GetAttr(r->port, Name[A_SEND_QUEUE]);
+    if (queue == NULL)
+        return -1;
+    Py_ssize_t n = PyObject_Size(queue);
+    Py_DECREF(queue);
+    int pending = n < 0 ? -1 : attr_truth(r->port, Name[A_PENDING]);
+    if (pending < 0)
+        return -1;
+    *out = n + pending;
+    return 0;
+}
+
+/* rx[0][0]: the tail cycle of the oldest message waiting for pickup. */
+static int
+front_cycle(PyObject *rx, long long *out)
+{
+    PyObject *front = PySequence_GetItem(rx, 0);
+    if (front == NULL)
+        return -1;
+    PyObject *cycle = PySequence_GetItem(front, 0);
+    Py_DECREF(front);
+    if (cycle == NULL)
+        return -1;
+    int failed = as_ll(cycle, out);
+    Py_DECREF(cycle);
+    return failed;
+}
+
+/* Engine pickup: the oldest waiting message, for the default occupancy
+ * (inlined) or the one service_cycles gives. */
+static int
+pickup(Tiles *s, Rec *r, PyObject *rx)
+{
+    long long busy_cycles, latency;
+    PyObject *front = popleft(rx);
+    PyObject *message = front == NULL ? NULL : PySequence_GetItem(front, 1);
+    Py_XDECREF(front);
+    if (message == NULL)
+        return -1;
+    int failed = -1;
+    int own = PyDict_Contains(r->own, Name[T_SERVICE_CYCLES]);
+    if (own < 0)
+        goto done;
+    if (r->default_service && !own) {
+        long long n_meta, occupancy;
+        PyObject *data = PyObject_GetAttr(message, Name[A_DATA]);
+        if (data == NULL)
+            goto done;
+        const Py_ssize_t size = PyObject_Size(data);
+        Py_DECREF(data);
+        if (size < 0 || attr_ll(message, Name[A_N_META], &n_meta)
+                || attr_ll(r->tile, Name[T_OCCUPANCY], &occupancy))
+            goto done;
+        busy_cycles = 1 + n_meta + (size + FlitBytes - 1) / FlitBytes;
+        if (busy_cycles < occupancy)
+            busy_cycles = occupancy;
+    } else {
+        PyObject *cycles = CALL(T_SERVICE_CYCLES, r->tile, message);
+        if (cycles == NULL)
+            goto done;
+        int bad = as_ll(cycles, &busy_cycles);
+        Py_DECREF(cycles);
+        if (bad)
+            goto done;
+    }
+    if (PyObject_SetAttr(r->tile, Name[T_IN_SERVICE], message)
+            || attr_ll(r->tile, Name[T_PARSE_LATENCY], &latency)
+            || set_attr_ll(r->tile, Name[T_EMIT_AT],
+                           s->cycle + (latency > 1 ? latency : 1))
+            || set_attr_ll(r->tile, Name[T_ENGINE_FREE],
+                           s->cycle + busy_cycles))
+        goto done;
+    PyObject *tracer = enabled_tracer(r, &failed);
+    if (tracer != NULL) {
+        failed = CALL_VOID(E_PROCESSING_START, tracer, s->cycle_obj,
+                           r->tile, message);
+        Py_DECREF(tracer);
+    }
+done:
+    Py_DECREF(message);
+    return failed;
+}
+
+/* Tile._due inlined, after the pumps: clear the busy byte and arm the
+ * engine's next deadline, or keep the byte (flits to pump, or a blocked
+ * injection to poll). */
+static int
+settle(Tiles *s, Rec *r, Py_ssize_t i, PyObject *rx)
+{
+    long long v, w;
+    Py_ssize_t n = PyObject_Size(r->items);
+    if (n)
+        return n < 0 ? -1 : 0;  /* flits to pump (or a full buffer) */
+    PyObject *in_service = PyObject_GetAttr(r->tile, Name[T_IN_SERVICE]);
+    if (in_service == NULL)
+        return -1;
+    int serving = in_service != Py_None;
+    Py_DECREF(in_service);
+    if (serving) {
+        set_busy(s->busy, i, 0);
+        return attr_ll(r->tile, Name[T_EMIT_AT], &v) ? -1 : arm(s, i, v);
+    }
+    n = PyObject_Size(rx);
+    if (n < 0)
+        return -1;
+    if (n) {
+        if (tx_backlog(r, &v) || attr_ll(r->tile, Name[T_MAX_TX_BACKLOG], &w))
+            return -1;
+        if (v >= w)
+            return 0;  /* only port progress, not a wake, unblocks it */
+        if (front_cycle(rx, &v) || attr_ll(r->tile, Name[T_ENGINE_FREE], &w))
+            return -1;
+        set_busy(s->busy, i, 0);
+        return arm(s, i, v > w ? v : w);
+    }
+    set_busy(s->busy, i, 0);
+    return 0;
+}
+
+/* A fast-mode visit: Tile.step's pumps inlined (on_cycle is the base
+ * no-op), then its _due. */
+static int
+visit_fast(Tiles *s, Rec *r, Py_ssize_t i)
+{
+    const long long cycle = s->cycle;
+    long long v, w;
+    /* The eject pump: a lone flit the mesh ejected this very cycle is
+     * not here yet; mid-message is tested before the buffer. */
+    Py_ssize_t n = PyObject_Size(r->items);
+    if (n < 0)
+        return -1;
+    int ready = n > 1;
+    if (n == 1) {
+        if (attr_ll(r->eject, Name[A_PUSHC], &v))
+            return -1;
+        ready = v != cycle;
+    }
+    if (ready) {
+        int pump = attr_truth(r->port, Name[P_FAULT_STALLED]);
+        if (pump < 0)
+            return -1;
+        pump = !pump;
+        if (pump) {
+            pump = attr_truth(r->assembler, Name[M_ACTIVE]);
+            if (pump < 0)
+                return -1;
+            if (!pump) {
+                if (attr_ll(r->tile, Name[T_BUFFERED], &v)
+                        || attr_ll(r->tile, Name[T_BUFFER_FLITS], &w))
+                    return -1;
+                pump = v < w;
+            }
+        }
+        if (pump && eject_flit(s, r))
+            return -1;
+    }
+    /* The process pump: finish, then pick up. */
+    PyObject *in_service = PyObject_GetAttr(r->tile, Name[T_IN_SERVICE]);
+    if (in_service == NULL)
+        return -1;
+    if (in_service != Py_None) {
+        if (attr_ll(r->tile, Name[T_EMIT_AT], &v)) {
+            Py_DECREF(in_service);
+            return -1;
+        }
+        if (cycle >= v) {
+            int failed = finish_service(s, r, in_service);
+            Py_SETREF(in_service, Py_NewRef(Py_None));
+            if (failed) {
+                Py_DECREF(in_service);
+                return -1;
+            }
+        }
+    }
+    int idle = in_service == Py_None;
+    Py_DECREF(in_service);
+    PyObject *rx = PyObject_GetAttr(r->tile, Name[T_RX_READY]);
+    if (rx == NULL)
+        return -1;
+    int failed = -1;
+    n = PyObject_Size(rx);
+    if (n < 0)
+        goto done;
+    if (n && idle) {
+        if (front_cycle(rx, &v))
+            goto done;
+        if (v <= cycle) {
+            if (attr_ll(r->tile, Name[T_ENGINE_FREE], &v))
+                goto done;
+            if (cycle >= v) {
+                if (tx_backlog(r, &v)
+                        || attr_ll(r->tile, Name[T_MAX_TX_BACKLOG], &w))
+                    goto done;
+                if (v < w && pickup(s, r, rx))
+                    goto done;
+            }
+        }
+    }
+    failed = settle(s, r, i, rx);
+done:
+    Py_DECREF(rx);
+    return failed;
+}
+
+/* An object-mode visit: the tile's own step, whose answer the kernel
+ * would have taken.  Its byte clears only over an empty FIFO (the
+ * busy-byte invariant, whatever _due looks at); NEVER voids a timer
+ * armed earlier, as the kernel's wake_at would. */
+static int
+visit_object(Tiles *s, Rec *r, Py_ssize_t i)
+{
+    PyObject *due = CALL(T_STEP, r->tile, s->cycle_obj);
+    if (due == NULL)
+        return -1;
+    int failed = 0;
+    if (due != Py_None) {
+        long long deadline;
+        Py_ssize_t n = PyObject_Size(r->items);
+        if (n < 0 || (!n && as_ll(due, &deadline))) {
+            failed = -1;
+        } else if (!n) {
+            set_busy(s->busy, i, 0);
+            if (deadline != NeverValue)
+                failed = arm(s, i, deadline);
+            else if (check_index(i, PyList_GET_SIZE(s->deadlines)))
+                failed = -1;
+            else
+                failed = set_item(s->deadlines, i, -1);
+        }
+    }
+    Py_DECREF(due);
+    return failed;
+}
+
+static int
+unpack(PyObject *fabric, Py_ssize_t i, Rec *r)
+{
+    PyObject *record = PyList_GET_ITEM(fabric, i);
+    if (!PyTuple_Check(record) || PyTuple_GET_SIZE(record) != 9
+            || !PyDict_Check(PyTuple_GET_ITEM(record, 8))) {
+        PyErr_Format(PyExc_TypeError,
+                     "tile record %zd is not (tile, port, eject, items, "
+                     "assembler, mesh core, fast, default service, "
+                     "vars(tile))", i);
+        return -1;
+    }
+    r->record = Py_NewRef(record);
+    r->tile = PyTuple_GET_ITEM(record, 0);
+    r->port = PyTuple_GET_ITEM(record, 1);
+    r->eject = PyTuple_GET_ITEM(record, 2);
+    r->items = PyTuple_GET_ITEM(record, 3);
+    r->assembler = PyTuple_GET_ITEM(record, 4);
+    r->mesh_core = PyTuple_GET_ITEM(record, 5);
+    r->own = PyTuple_GET_ITEM(record, 8);
+    r->fast = PyObject_IsTrue(PyTuple_GET_ITEM(record, 6));
+    r->default_service = PyObject_IsTrue(PyTuple_GET_ITEM(record, 7));
+    if (r->fast < 0 || r->default_service < 0) {
+        Py_CLEAR(r->record);
+        return -1;
+    }
+    return 0;
+}
+
+/* One visit to tile i: a frozen tile's clock is gated and it stays
+ * busy (as Tile.step says). */
+static int
+visit(Tiles *s, PyObject *fabric, Py_ssize_t i)
+{
+    Rec r;
+    if (unpack(fabric, i, &r))
+        return -1;
+    int frozen = attr_truth(r.tile, Name[T_FROZEN]);
+    int failed = frozen < 0 ? -1
+        : frozen ? 0
+        : r.fast ? visit_fast(s, &r, i)
+        : visit_object(s, &r, i);
+    Py_DECREF(r.record);
+    return failed;
+}
+
+/* core.<name> from the core's dict, checked to be of the right type
+ * (a new reference). */
+static PyObject *
+tile_core_attr(PyObject *dict, int k, PyTypeObject *type)
+{
+    PyObject *value = PyDict_GetItemWithError(dict, Name[k]);
+    if (value == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_Format(PyExc_AttributeError,
+                         "flat tile core has no %U", Name[k]);
+        return NULL;
+    }
+    if (Py_TYPE(value) != type) {
+        PyErr_Format(PyExc_TypeError, "flat tile core: %U is not a %s",
+                     Name[k], type->tp_name);
+        return NULL;
+    }
+    return Py_NewRef(value);
+}
 
 static PyObject *
-step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+tile_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
     if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "step(core, cycle)");
+        PyErr_SetString(PyExc_TypeError, "tile_step(core, cycle)");
+        return NULL;
+    }
+    if (Never == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "tile_step before bind()");
+        return NULL;
+    }
+    Tiles s = {.core = args[0], .cycle_obj = args[1]};
+    if (as_ll(args[1], &s.cycle))
+        return NULL;
+    PyObject *dict = PyObject_GenericGetDict(s.core, NULL);
+    if (dict == NULL)
+        return NULL;
+    PyObject *result = NULL, *fabric = NULL;
+    s.busy = tile_core_attr(dict, C_BUSY, &PyByteArray_Type);
+    s.deadlines = s.busy ? tile_core_attr(dict, C_DEADLINES, &PyList_Type)
+                         : NULL;
+    s.timers = s.deadlines ? tile_core_attr(dict, C_TIMERS, &PyList_Type)
+                           : NULL;
+    fabric = s.timers ? tile_core_attr(dict, C_FABRIC, &PyList_Type) : NULL;
+    if (fabric == NULL)
+        goto done;
+    /* Timers due: each still armed for its deadline sets its tile's
+     * byte (a superseded entry is dropped on the way). */
+    while (PyList_GET_SIZE(s.timers)) {
+        long long deadline, index, armed;
+        if (timer_key(PyList_GET_ITEM(s.timers, 0), &deadline, NULL))
+            goto done;
+        if (deadline > s.cycle)
+            break;
+        PyObject *entry = heap_pop(s.timers);
+        int failed = entry == NULL || timer_key(entry, &deadline, &index)
+                     || check_index(index, PyList_GET_SIZE(s.deadlines))
+                     || item(s.deadlines, index, &armed);
+        Py_XDECREF(entry);
+        if (failed)
+            goto done;
+        if (armed == deadline) {
+            if (set_item(s.deadlines, index, -1))
+                goto done;
+            set_busy(s.busy, index, 1);
+        }
+    }
+    /* The walk, in adoption order.  A byte is read when the walk gets
+     * to it, so a tile woken by one earlier in the walk steps this
+     * cycle and one woken by a later tile keeps its byte for the next:
+     * the in-core wake rule. */
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(fabric); i++) {
+        if (busy_at(s.busy, i) && visit(&s, fabric, i))
+            goto done;
+    }
+    /* Due every cycle while a byte is set, else at the earliest live
+     * timer (superseded entries are dropped lazily). */
+    const char *bytes = PyByteArray_AS_STRING(s.busy);
+    for (Py_ssize_t i = 0; i < PyByteArray_GET_SIZE(s.busy); i++) {
+        if (bytes[i]) {
+            result = Py_NewRef(Py_None);
+            goto done;
+        }
+    }
+    while (PyList_GET_SIZE(s.timers)) {
+        long long deadline, index, armed;
+        PyObject *top = PyList_GET_ITEM(s.timers, 0);
+        if (timer_key(top, &deadline, &index)
+                || check_index(index, PyList_GET_SIZE(s.deadlines))
+                || item(s.deadlines, index, &armed))
+            goto done;
+        if (armed == deadline) {
+            result = Py_NewRef(PyTuple_GET_ITEM(top, 0));
+            goto done;
+        }
+        PyObject *entry = heap_pop(s.timers);
+        if (entry == NULL)
+            goto done;
+        Py_DECREF(entry);
+    }
+    result = Py_NewRef(Never);
+done:
+    Py_XDECREF(fabric);
+    Py_XDECREF(s.timers);
+    Py_XDECREF(s.deadlines);
+    Py_XDECREF(s.busy);
+    Py_DECREF(dict);
+    return result;
+}
+
+/* -- the tile waker ------------------------------------------------------ */
+
+/* The hook a tile core hands tile `index`: the ejection FIFO's waker
+ * and the tile's _kernel_wake.  It sets the tile's busy byte and, if
+ * the byte was clear, wakes the core through its own _kernel_wake (a
+ * set byte means the core is not idle, so it is still scheduled). */
+typedef struct {
+    PyObject_HEAD
+    vectorcallfunc vectorcall;
+    PyObject *core;
+    PyObject *busy;
+    Py_ssize_t index;
+} Waker;
+
+static PyObject *
+waker_call(PyObject *self, PyObject *const *args, size_t nargsf,
+           PyObject *kwnames)
+{
+    (void)args;
+    Waker *w = (Waker *)self;
+    if (PyVectorcall_NARGS(nargsf)
+            || (kwnames != NULL && PyTuple_GET_SIZE(kwnames))) {
+        PyErr_SetString(PyExc_TypeError, "a tile waker takes no arguments");
+        return NULL;
+    }
+    if (busy_at(w->busy, w->index))
+        Py_RETURN_NONE;
+    set_busy(w->busy, w->index, 1);
+    PyObject *wake = PyObject_GetAttr(w->core, Name[C_KERNEL_WAKE]);
+    if (wake == NULL || wake == Py_None)
+        return wake;
+    PyObject *none = PyObject_CallNoArgs(wake);
+    Py_DECREF(wake);
+    return none;
+}
+
+static int
+waker_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    Waker *w = (Waker *)self;
+    Py_VISIT(w->core);
+    Py_VISIT(w->busy);
+    return 0;
+}
+
+static int
+waker_clear(PyObject *self)
+{
+    Waker *w = (Waker *)self;
+    Py_CLEAR(w->core);
+    Py_CLEAR(w->busy);
+    return 0;
+}
+
+static void
+waker_dealloc(PyObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    waker_clear(self);
+    PyObject_GC_Del(self);
+}
+
+static PyObject *
+waker_repr(PyObject *self)
+{
+    return PyUnicode_FromFormat("<tile waker %zd>", ((Waker *)self)->index);
+}
+
+static PyTypeObject WakerType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_flatstep.TileWaker",
+    .tp_basicsize = sizeof(Waker),
+    .tp_dealloc = waker_dealloc,
+    .tp_vectorcall_offset = offsetof(Waker, vectorcall),
+    .tp_repr = waker_repr,
+    .tp_call = PyVectorcall_Call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC
+                | Py_TPFLAGS_HAVE_VECTORCALL,
+    .tp_doc = "Sets a flat tile core's busy byte; wakes the core if idle.",
+    .tp_traverse = waker_traverse,
+    .tp_clear = waker_clear,
+};
+
+static PyObject *
+tile_waker(PyObject *module, PyObject *args)
+{
+    (void)module;
+    PyObject *core, *busy;
+    Py_ssize_t index;
+    if (!PyArg_ParseTuple(args, "OO!n:tile_waker", &core, &PyByteArray_Type,
+                          &busy, &index))
+        return NULL;
+    if (index < 0) {
+        PyErr_SetString(PyExc_ValueError, "a tile index is not negative");
+        return NULL;
+    }
+    Waker *w = PyObject_GC_New(Waker, &WakerType);
+    if (w == NULL)
+        return NULL;
+    w->vectorcall = waker_call;
+    w->core = Py_NewRef(core);
+    w->busy = Py_NewRef(busy);
+    w->index = index;
+    PyObject_GC_Track(w);
+    return (PyObject *)w;
+}
+
+/* -- the module ---------------------------------------------------------- */
+
+static PyObject *
+mesh_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "mesh_step(core, cycle)");
         return NULL;
     }
     if (Deque == NULL) {
-        PyErr_SetString(PyExc_RuntimeError, "step before bind()");
+        PyErr_SetString(PyExc_RuntimeError, "mesh_step before bind()");
         return NULL;
     }
     long long cycle;
@@ -1114,10 +2181,13 @@ bind(PyObject *module, PyObject *args)
 {
     (void)module;
     PyObject *deque, *message, *bytes_like, *ports, *no_ring, *never;
-    long long flit_bytes, seq_shift, head_bit;
-    if (!PyArg_ParseTuple(args, "OOOO!OOLLL:bind", &deque, &message,
+    PyObject *framing_error, *next_packet_id;
+    long long flit_bytes, seq_shift, head_bit, never_value;
+    if (!PyArg_ParseTuple(args, "OOOO!OOLLLOO:bind", &deque, &message,
                           &bytes_like, &PyTuple_Type, &ports, &no_ring,
-                          &never, &flit_bytes, &seq_shift, &head_bit))
+                          &never, &flit_bytes, &seq_shift, &head_bit,
+                          &framing_error, &next_packet_id)
+            || as_ll(never, &never_value))
         return NULL;
     PyObject *pop = PyObject_GetAttrString(deque, "popleft");
     PyObject *append = PyObject_GetAttrString(deque, "append");
@@ -1133,6 +2203,9 @@ bind(PyObject *module, PyObject *args)
     Py_XSETREF(PortValues, Py_NewRef(ports));
     Py_XSETREF(NoRing, Py_NewRef(no_ring));
     Py_XSETREF(Never, Py_NewRef(never));
+    Py_XSETREF(FramingError, Py_NewRef(framing_error));
+    Py_XSETREF(NextPacketId, Py_NewRef(next_packet_id));
+    NeverValue = never_value;
     Py_XSETREF(Deque, Py_NewRef(deque));
     NPorts = PyTuple_GET_SIZE(ports);
     FlitBytes = flit_bytes;
@@ -1143,12 +2216,17 @@ bind(PyObject *module, PyObject *args)
 }
 
 static PyMethodDef methods[] = {
-    {"step", (PyCFunction)(void (*)(void))step, METH_FASTCALL,
-     "step(core, cycle): one cycle of a FlatMeshCore."},
+    {"mesh_step", (PyCFunction)(void (*)(void))mesh_step, METH_FASTCALL,
+     "mesh_step(core, cycle): one cycle of a FlatMeshCore."},
+    {"tile_step", (PyCFunction)(void (*)(void))tile_step, METH_FASTCALL,
+     "tile_step(core, cycle): one cycle of a FlatTileCore."},
+    {"tile_waker", tile_waker, METH_VARARGS,
+     "tile_waker(core, busy, index): the wake hook of a FlatTileCore's "
+     "tile index."},
     {"bind", bind, METH_VARARGS,
      "bind(deque, NocMessage, bytes_like, port_values, no_ring, never, "
-     "flit_bytes, seq_shift, head_bit): the Python definitions the step "
-     "uses."},
+     "flit_bytes, seq_shift, head_bit, handle_framing_error, "
+     "next_packet_id): the Python definitions the steps use."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1160,7 +2238,8 @@ static PyModuleDef_Slot slots[] = {
 static struct PyModuleDef module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "_flatstep",
-    .m_doc = "The flat mesh's step, compiled (see src/repro/noc/flatmesh.py).",
+    .m_doc = "The flat cores' steps, compiled (see src/repro/noc/flatmesh.py "
+             "and src/repro/tiles/flatcore.py).",
     .m_size = 0,
     .m_methods = methods,
     .m_slots = slots,
@@ -1169,6 +2248,8 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__flatstep(void)
 {
+    if (PyType_Ready(&WakerType))
+        return NULL;
     for (int k = 0; k < N_NAMES; k++) {
         if (Name[k] == NULL) {
             Name[k] = PyUnicode_InternFromString(NAME_TEXT[k]);

@@ -8,10 +8,11 @@ a saturated mesh is then a cascade of method calls and attribute loads.
 (Python lists, deques and dicts held by one :class:`FlatMeshCore`).
 
 Those lists are the mesh's state, and the only copy of it.  The walk
-that mutates them each cycle is C: ``_flatstep.c`` beside this module,
-compiled by the first ``FlatMeshCore`` an interpreter builds (a C
-compiler and the Python headers, which ``profile="reference"`` does not
-need) and called as ``FlatMeshCore.step``.  It reads and writes the same
+that mutates them each cycle is C: ``mesh_step`` in ``_flatstep.c``
+beside this module (which also holds ``repro.tiles.flatcore``'s step),
+compiled by the first flat core an interpreter builds (a C compiler and
+the Python headers, which ``profile="reference"`` does not need) and
+called as ``FlatMeshCore.step``.  It reads and writes the same
 lists, so every reader below — ``forwarded``, ``check_invariants``, the
 router and ring views, the fault hooks, the tracer — is Python, and the
 description that follows is the specification the C code implements:
@@ -109,7 +110,7 @@ non-empty edge* (in a streaming message the previous flit is still
 there: 23 of 24 ejections at MTU call nothing).  That is enough because
 nobody sleeps over a FIFO that holds flits: a consumer's step may not
 return a later cycle while a FIFO it consumes holds items (DESIGN.md
-5c) — ``FlatTileCore`` keeps the tile's busy bit set, ``Tile.step`` and
+5c) — ``FlatTileCore`` keeps the tile's busy byte set, ``Tile.step`` and
 ``ControlEndpoint.step`` return None.  (``StagedFifo.push`` wakes
 nobody: the object mesh stages, and runs only under the naive kernel,
 which steps everyone.)
@@ -158,8 +159,8 @@ from repro.noc.flit import (
     Flit,
     decode_handle,
 )
-from repro.noc.mesh import LocalPort
-from repro.noc.message import NocMessage
+from repro.noc.mesh import LocalPort, handle_framing_error
+from repro.noc.message import NocMessage, next_packet_id
 from repro.noc.router import (
     _ALL_PORTS,
     _N_PORTS,
@@ -182,9 +183,10 @@ _SOUTH = 4
 # falsy and immutable, so a push that forgets to allocate fails loudly.
 _NO_RING: tuple = ()
 
-#: The step's C source, and where its build is cached: keyed by the
-#: source's hash and the interpreter's extension suffix, so an edit or
-#: another Python builds afresh and nothing stale is ever loaded.
+#: The C source of both flat cores' steps (this mesh's and
+#: ``repro.tiles.flatcore``'s), and where its build is cached: keyed by
+#: the source's hash and the interpreter's extension suffix, so an edit
+#: or another Python builds afresh and nothing stale is ever loaded.
 _SOURCE = os.path.join(os.path.dirname(__file__), "_flatstep.c")
 _CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
 
@@ -192,16 +194,17 @@ _CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
 _NEEDS = ('profile="fast" needs a C compiler and the Python headers; '
           'profile="reference" needs no compiler.')
 
-#: ``step(core, cycle)`` from the compiled source, loaded by the first
-#: :class:`FlatMeshCore` (not at import: ``reference`` needs no build).
-_step = None
+#: The compiled module, loaded by the first flat core an interpreter
+#: builds, mesh or tiles (not at import: ``reference`` needs no build).
+_module = None
 
 
-def _compiled_step():
-    """The C step, built into the cache on first use and loaded once
+def compiled():
+    """The compiled module (``mesh_step``, ``tile_step``,
+    ``tile_waker``), built into the cache on first use and loaded once
     per interpreter; a failed build raises ``RuntimeError``."""
-    global _step
-    if _step is None:
+    global _module
+    if _module is None:
         with open(_SOURCE, "rb") as file:
             digest = hashlib.sha256(file.read()).hexdigest()[:16]
         name = (f"_flatstep-{digest}"
@@ -222,9 +225,9 @@ def _compiled_step():
         spec.loader.exec_module(module)
         module.bind(deque, NocMessage, _BYTES_LIKE, tuple(_PORT_VALUES),
                     _NO_RING, NEVER, FLIT_BYTES, HANDLE_SEQ_SHIFT,
-                    HANDLE_HEAD)
-        _step = module.step
-    return _step
+                    HANDLE_HEAD, handle_framing_error, next_packet_id)
+        _module = module
+    return _module
 
 
 def _private_cache() -> str:
@@ -252,7 +255,7 @@ def _private_cache() -> str:
         else:
             return cache
     raise RuntimeError(
-        f"cannot cache the flat mesh's step in {cache}: {problem}\n"
+        f"cannot cache the flat cores' steps in {cache}: {problem}\n"
         f"{_NEEDS}")
 
 
@@ -280,7 +283,7 @@ def _build(path: str) -> None:
     if os.path.exists(partial):
         os.remove(partial)
     raise RuntimeError(
-        f"cannot build the flat mesh's step from {_SOURCE}: "
+        f"cannot build the flat cores' steps from {_SOURCE}: "
         f"{' '.join(command)} failed:\n{complaint}\n{_NEEDS}")
 
 
@@ -400,7 +403,7 @@ class FlatMeshCore(Wakeable):
     tracer = NULL_TRACER
 
     def __init__(self, width: int, height: int, depth: int, route_fn):
-        _compiled_step()
+        self._step = compiled().mesh_step
         self.width = width
         self.height = height
         self.depth = depth
@@ -618,7 +621,7 @@ class FlatMeshCore(Wakeable):
         ``send`` and cleared only once its queues are empty): the
         conjunction of the object backend's per-component contracts.
         """
-        return _step(self, cycle)
+        return self._step(self, cycle)
 
     def flit_of(self, handle: int) -> Flit:
         """The ``Flit`` a handle stands for, for whoever looks at one

@@ -65,7 +65,7 @@ def run_record(design: object) -> dict:
     tiles: dict[str, dict] = {}
     # Busy tiles: those whose step would ask for the next cycle as
     # things stand; a tile that is no ``Tile`` (no ``_due``) is not.
-    # Not the flat tile core's busy mask, which stays set on a tile
+    # Not the flat tile core's busy bytes, which stay set on a tile
     # woken with work not yet due until the core next steps, nor
     # ``sim.wake_cycle``: the naive kernel schedules nothing.
     busy_tiles = 0

@@ -16,8 +16,10 @@ runs on the two profiles they are what says whether a divergence is
 the kernel's or the engines'.
 """
 
+import gc
 import inspect
 import random
+import sys
 
 import pytest
 
@@ -32,6 +34,7 @@ from repro.designs import (
 from repro.designs.udp_stack import UdpEchoDesign
 from repro.designs.tcp_stack import TcpServerDesign
 from repro.faults import FaultPlan
+from repro.loadgen.flows import build_competing_flows
 from repro.noc.flatmesh import FlatMesh
 from repro.noc.mesh import Mesh
 from repro.noc.message import NocMessage, reset_id_counters
@@ -40,6 +43,7 @@ from repro.sim.kernel import NEVER, CycleSimulator
 from repro.telemetry.trace import Tracer, attach_tracer
 from repro.tiles.base import Tile
 from repro.tiles.flatcore import FlatTileCore, register_tiles
+from repro.tiles.ip import IpRxTile
 
 CLIENT_IP = IPv4Address("10.0.0.1")
 CLIENT_MAC = MacAddress("02:00:00:00:00:01")
@@ -622,7 +626,7 @@ class TestInCoreWakeRule:
                 engine, kernel, [Relay, Relay])
             sim.run(40)
             if core is not None:
-                assert sim.wake_cycle(core) is None and not core._busy
+                assert sim.wake_cycle(core) is None and not any(core._busy)
             first.poke(4)
             sim.run(40)
             runs.append((first.noticed, second.noticed))
@@ -740,7 +744,7 @@ class TestCheckInvariants:
         fifo = design.app.port.eject_fifo
         design.inject(echo_frame(design, bytes(600)), 1)
         design.sim.run_until(lambda: len(fifo), max_cycles=400)
-        core._busy &= ~(1 << core.tiles.index(design.app))
+        core._busy[core.tiles.index(design.app)] = 0
         problems = core.check_invariants()
         assert len(problems) == 1
         assert "'app' is not busy" in problems[0]
@@ -754,3 +758,140 @@ class TestCheckInvariants:
         core._timers.clear()
         problems = core.check_invariants()
         assert problems and all("timer heap" in p for p in problems)
+
+
+class TestAdoptionJudgesTheClassAsItIs:
+    def test_a_class_patched_after_an_adoption_runs_its_hook(
+            self, monkeypatch):
+        """A class adopted on the inlined pumps and then given an
+        ``on_cycle`` of its own is object mode at every later adoption:
+        no verdict outlives the class it was made for."""
+        assert echo_design().tile_core.view("ip_rx").mode == "fast"
+        calls = {}
+        for profile in ("reference", "fast"):
+            seen = calls[profile] = []
+
+            def on_cycle(self, cycle, seen=seen):
+                seen.append(cycle)
+
+            monkeypatch.setattr(IpRxTile, "on_cycle", on_cycle)
+            design = echo_design(profile=profile)
+            design.sim.run(50)
+            if design.tile_core is not None:
+                assert design.tile_core.view("ip_rx").mode == "object"
+        assert calls["fast"] == calls["reference"] == list(range(50))
+
+
+class Boom(Exception):
+    pass
+
+
+def raise_on_call(tile, hook, nth):
+    """Shadow ``tile``'s ``hook`` with one that raises ``Boom`` on its
+    ``nth`` call and forwards every other call."""
+    original = getattr(tile, hook)
+    calls = []
+
+    def hooked(*args):
+        calls.append(args)
+        if len(calls) == nth:
+            raise Boom(f"{hook} call {nth}")
+        return original(*args)
+
+    setattr(tile, hook, hooked)
+
+
+class TestAnExceptionInsideTheCore:
+    """A handler or a ``send`` that raises inside the walk: the error
+    leaves ``sim.run`` as it does under ``reference``, after the tile's
+    service context is reset, and the core's scheduling state is still
+    consistent."""
+
+    @pytest.mark.parametrize("hook", ["handle_message", "send"])
+    def test_it_propagates_with_the_core_consistent(self, hook):
+        runs = {}
+        for profile in ("reference", "fast"):
+            reset_id_counters()
+            design = echo_design(profile=profile)
+            tile = design.tiles["udp_rx"]
+            raise_on_call(tile, hook, 5)
+            frames = [echo_frame(design, bytes(64)) for _ in range(20)]
+            _source, sink = attach_client(design, frames, rate=None,
+                                          count=20)
+            with pytest.raises(Boom) as raised:
+                design.sim.run_until(lambda: sink.count >= 20,
+                                     max_cycles=20_000)
+            assert tile._service_ctx is None
+            if design.tile_core is not None:
+                assert design.tile_core.check_invariants() == []
+            runs[profile] = (str(raised.value), design.sim.cycle,
+                             sink.count, tile.messages_in,
+                             tile.messages_out)
+        assert runs["fast"] == runs["reference"]
+        assert runs["fast"][0] == f"{hook} call 5"
+
+
+def singleton_counts():
+    gc.collect()
+    return [sys.getrefcount(value) for value in (None, True, False)]
+
+
+def singleton_drift(build, progress, warm, more):
+    """How far the reference counts of ``None``, ``True`` and ``False``
+    move while a warm design built by ``build(profile)`` goes from
+    ``warm`` to ``more`` units of ``progress(design)``, per profile."""
+    drift = {}
+    for profile in ("reference", "fast"):
+        reset_id_counters()
+        design, done = build(profile), None
+        for target in (warm, more):
+            design.sim.run_until(lambda: progress(design) >= target,
+                                 max_cycles=200_000)
+            assert progress(design) >= target
+            done = singleton_counts() if done is None else [
+                after - before
+                for after, before in zip(singleton_counts(), done)]
+        drift[profile] = done
+    return drift
+
+
+class TestReferenceCounts:
+    """A C step that releases a reference it does not own (a borrowed
+    ``None`` from a record, a ``True`` read off a flag) runs the
+    singleton's count down to a fatal deallocation, and ``tracemalloc``
+    cannot see it.  The counts wander with what a design holds (a
+    closed-loop echo loses about one ``None`` a frame under either
+    profile), so the ``fast`` drift is held against the ``reference``
+    drift over the same frames: one lost reference per message or per
+    visit would be thousands apart.  (From 3.12 on the three are
+    immortal and the check holds trivially.)"""
+
+    def test_a_warm_saturated_64_byte_echo(self):
+        def build(profile):
+            design = ScaledEchoDesign(profile=profile)
+            frames = [client_frame(design, bytes(64), src_port=5000 + i)
+                      for i in range(32)]
+            _source, design.sink = attach_client(
+                design, frames, rate=None, count=600, keep_frames=False)
+            return design
+
+        drift = singleton_drift(build, lambda design: design.sink.count,
+                                300, 600)
+        assert all(fast - reference > -100 for fast, reference
+                   in zip(drift["fast"], drift["reference"])), drift
+
+    def test_the_tcp_design_with_its_object_mode_engine(self):
+        def build(profile):
+            design, design.peers = build_competing_flows(
+                n_flows=2, seed=1, stream_bytes=400 * 1024,
+                profile=profile)
+            if profile == "fast":
+                assert design.tile_core.view("tcp_tx").mode == "object"
+            return design
+
+        def segments(design):
+            return sum(peer.segments_sent for peer in design.peers)
+
+        drift = singleton_drift(build, segments, 200, 500)
+        assert all(fast - reference > -100 for fast, reference
+                   in zip(drift["fast"], drift["reference"])), drift

@@ -402,7 +402,7 @@ class TestFlatTileLedger:
         # The flat mesh will not wake the app tile for the flits behind
         # this one: a clear bit here is a tile that never drains.
         core = design.tile_core
-        core._busy &= ~(1 << core.tiles.index(design.app))
+        core._busy[core.tiles.index(design.app)] = 0
         findings = _tile_core_findings(design)
         assert [f.code for f in findings] == ["BHV402"]
         assert "'app' is not busy" in findings[0].message

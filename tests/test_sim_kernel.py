@@ -562,7 +562,7 @@ class TestNoTickWithoutWork:
         if isinstance(component, FlatMeshCore):
             return bool(component._ring_total or component._inj_mask)
         if isinstance(component, FlatTileCore):
-            return bool(component._busy) or any(
+            return any(component._busy) or any(
                 0 <= deadline <= cycle for deadline in component._deadlines)
         if isinstance(component, FrameSource):
             return not component.done and component._next_free <= cycle
