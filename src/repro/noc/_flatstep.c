@@ -14,9 +14,11 @@
  * route misses, stuck-grant tests); an exception any of them raises
  * propagates out of the step.
  *
- * tile_waker(core, busy, index) is the hook a tile core hands each
- * adopted tile: a callable that sets the tile's byte in busy, so
- * neither the mesh step's ejection wakes nor a tile's _wake() enters a
+ * Both cores keep their busy set as a bytearray, one byte per member
+ * (a tile, a port).  waker(core, busy, index) is the wake hook either
+ * core hands member index: a callable that sets the member's byte and
+ * calls core._kernel_wake only if the byte was clear, so neither the
+ * mesh step's ejection wakes nor a send or a tile's _wake() enters a
  * Python frame unless the core was idle.
  *
  * bind() hands over, once, the Python definitions the steps need (the
@@ -26,7 +28,6 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stddef.h>
-#include <stdint.h>
 
 /* -- bound by bind() ----------------------------------------------------- */
 
@@ -49,9 +50,9 @@ enum {
     A_RINGS, A_PUSHC, A_POPC, A_HW, A_HWC, A_GRANT, A_RR, A_RQ, A_REQ,
     A_DOWN, A_EJECTS, A_COORDS, A_FWD_OUT, A_UNRES, A_ACTIVE, A_INFLIGHT,
     A_ROUTE_ROWS, A_TRACER, A_FAULT_BLOCKED, A_DEPTH, A_WIDTH, A_HEIGHT,
-    A_INJ, N_CORE_ATTRS,
+    A_INJ, A_INJ_BUSY, N_CORE_ATTRS,
     /* not read through a Fetch */
-    A_RING_TOTAL = N_CORE_ATTRS, A_INJ_MASK, A_SEQ, A_ROUTE, A_FLIT_OF,
+    A_RING_TOTAL = N_CORE_ATTRS, A_SEQ, A_ROUTE, A_FLIT_OF,
     A_ENABLED, A_LINK_STALL, A_FLIT_FORWARDED, A_DST, A_SRC, A_METADATA,
     A_DATA, A_N_META, A_MSG_ID, A_PACKET_ID, A_ITEMS, A_CAPACITY,
     A_HIGH_WATER, A_WAKERS, A_PENDING, A_SEND_QUEUE,
@@ -72,8 +73,8 @@ static const char *const NAME_TEXT[] = {
     "_rings", "_pushc", "_popc", "_hw", "_hwc", "_grant", "_rr", "_rq",
     "_req", "_down", "_ejects", "coords", "_fwd_out", "_unres", "_active",
     "_inflight", "_route_rows", "tracer", "_fault_blocked", "depth",
-    "width", "height", "_inj",
-    "_ring_total", "_inj_mask", "_seq", "_route", "flit_of", "enabled",
+    "width", "height", "_inj", "_inj_busy",
+    "_ring_total", "_seq", "_route", "flit_of", "enabled",
     "link_stall", "flit_forwarded", "dst", "src", "metadata", "data",
     "n_meta_flits", "msg_id", "packet_id", "_items", "capacity",
     "high_water", "_wakers", "_pending_flits",
@@ -129,16 +130,18 @@ get(Fetch *f, int k)
 }
 
 static PyObject *
-get_list(Fetch *f, int k)
+get_typed(Fetch *f, int k, PyTypeObject *type)
 {
-    PyObject *list = get(f, k);
-    if (list != NULL && !PyList_Check(list)) {
-        PyErr_Format(PyExc_TypeError, "flat mesh core: %U is not a list",
-                     Name[k]);
+    PyObject *value = get(f, k);
+    if (value != NULL && !PyObject_TypeCheck(value, type)) {
+        PyErr_Format(PyExc_TypeError, "flat mesh core: %U is not a %s",
+                     Name[k], type->tp_name);
         return NULL;
     }
-    return list;
+    return value;
 }
+
+#define get_list(f, k) get_typed(f, k, &PyList_Type)
 
 static int as_ll(PyObject *value, long long *out);
 
@@ -220,6 +223,30 @@ check_index(long long i, Py_ssize_t n)
                      "flat mesh index %lld out of range (0..%zd)", i, n - 1);
         return -1;
     }
+    return 0;
+}
+
+/* A core's busy set: a bytearray, byte i set == member i may have
+ * work.  Bytes past the end read as clear and take no write. */
+static inline int
+busy_at(PyObject *busy, Py_ssize_t i)
+{
+    return i < PyByteArray_GET_SIZE(busy) && PyByteArray_AS_STRING(busy)[i];
+}
+
+static inline void
+set_busy(PyObject *busy, Py_ssize_t i, char value)
+{
+    if (i < PyByteArray_GET_SIZE(busy))
+        PyByteArray_AS_STRING(busy)[i] = value;
+}
+
+static int
+any_busy(PyObject *busy)
+{
+    for (Py_ssize_t i = 0; i < PyByteArray_GET_SIZE(busy); i++)
+        if (PyByteArray_AS_STRING(busy)[i])
+            return 1;
     return 0;
 }
 
@@ -934,35 +961,14 @@ done:
     return failed;
 }
 
-/* core._inj_mask &= ~(1 << index): port index has nothing to inject. */
-static int
-port_idle(Fetch *f, Py_ssize_t index)
-{
-    PyObject *one = PyLong_FromLong(1);
-    PyObject *shift = PyLong_FromSsize_t(index);
-    PyObject *bit = one && shift ? PyNumber_Lshift(one, shift) : NULL;
-    PyObject *keep = bit ? PyNumber_Invert(bit) : NULL;
-    PyObject *now = keep ? core_attr(f, Name[A_INJ_MASK]) : NULL;
-    PyObject *next = now ? PyNumber_And(now, keep) : NULL;
-    int failed = next == NULL
-                 || PyObject_SetAttr(f->core, Name[A_INJ_MASK], next);
-    Py_XDECREF(one);
-    Py_XDECREF(shift);
-    Py_XDECREF(bit);
-    Py_XDECREF(keep);
-    Py_XDECREF(now);
-    Py_XDECREF(next);
-    return failed ? -1 : 0;
-}
-
 /* One port's injection cycle: LocalPort.step inlined, minus the
  * staging and the local FIFO's wake hooks.  This phase runs after the
  * walk, so a flit put straight into the committed queue cannot move
  * before the next cycle, and that FIFO's only waker is this core, which
- * its answer keeps due.  A port with nothing left to inject leaves the
- * mask. */
+ * its answer keeps due.  A port with nothing left to inject clears its
+ * busy byte. */
 static int
-inject_port(Fetch *f, PyObject *entry, Py_ssize_t index)
+inject_port(Fetch *f, PyObject *entry, PyObject *busy, Py_ssize_t index)
 {
     PyObject *req = get_list(f, A_REQ), *unres = get_list(f, A_UNRES);
     if (req == NULL || unres == NULL)
@@ -992,7 +998,8 @@ inject_port(Fetch *f, PyObject *entry, Py_ssize_t index)
         if (send_queue == NULL || (n = PyObject_Size(send_queue)) < 0)
             goto done;
         if (!n) {
-            failed = port_idle(f, index);
+            set_busy(busy, index, 0);
+            failed = 0;
             goto done;
         }
         PyObject *message = popleft(send_queue);
@@ -1027,9 +1034,10 @@ inject_port(Fetch *f, PyObject *entry, Py_ssize_t index)
             goto done;
         if (!n) {
             Py_XSETREF(send_queue, PyObject_GetAttr(port, Name[A_SEND_QUEUE]));
-            if (send_queue == NULL || (n = PyObject_Size(send_queue)) < 0
-                    || (!n && port_idle(f, index)))
+            if (send_queue == NULL || (n = PyObject_Size(send_queue)) < 0)
                 goto done;
+            if (!n)
+                set_busy(busy, index, 0);
         }
     }
     failed = 0;
@@ -1043,57 +1051,20 @@ done:
     return failed;
 }
 
-/* The injection phase: busy ports only, in attachment order (the set
- * bits of _inj_mask, LSB first). */
+/* The injection phase: the ports whose busy byte is set, in attachment
+ * order. */
 static int
-inject(Fetch *f)
+inject(Fetch *f, PyObject *busy)
 {
-    PyObject *mask = core_attr(f, Name[A_INJ_MASK]);
-    if (mask == NULL)
+    PyObject *inj = get_list(f, A_INJ);
+    if (inj == NULL)
         return -1;
-    int busy = PyObject_IsTrue(mask);
-    PyObject *inj = busy > 0 ? get_list(f, A_INJ) : NULL;
-    if (inj == NULL) {
-        Py_DECREF(mask);
-        return busy > 0 ? -1 : busy;
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(inj); i++) {
+        if (busy_at(busy, i) && inject_port(f, PyList_GET_ITEM(inj, i),
+                                            busy, i))
+            return -1;
     }
-    /* A bit per port: more than 64 on a large mesh, so the mask is
-     * read as words. */
-    Py_ssize_t n_ports = PyList_GET_SIZE(inj);
-    Py_ssize_t n_words = n_ports / 64 + 1;
-    uint64_t *words = PyMem_Calloc(n_words, sizeof *words);
-    PyObject *sixty_four = PyLong_FromLong(64);
-    int failed = 0;
-    if (words == NULL || sixty_four == NULL) {
-        if (words == NULL)
-            PyErr_NoMemory();
-        failed = -1;
-    }
-    for (Py_ssize_t k = 0; !failed && k < n_words; k++) {
-        words[k] = PyLong_AsUnsignedLongLongMask(mask);
-        if (words[k] == (uint64_t)-1 && PyErr_Occurred()) {
-            failed = -1;
-        } else {
-            Py_SETREF(mask, PyNumber_Rshift(mask, sixty_four));
-            failed = mask == NULL ? -1 : 0;
-        }
-    }
-    Py_XDECREF(mask);
-    Py_XDECREF(sixty_four);
-    for (Py_ssize_t k = 0; !failed && k < n_words; k++) {
-        for (uint64_t m = words[k]; m && !failed; m &= m - 1) {
-            Py_ssize_t index = k * 64 + count_trailing_zeros(m);
-            if (index >= n_ports) {
-                PyErr_SetString(PyExc_IndexError,
-                                "list index out of range");
-                failed = -1;
-            } else {
-                failed = inject_port(f, PyList_GET_ITEM(inj, index), index);
-            }
-        }
-    }
-    PyMem_Free(words);
-    return failed;
+    return 0;
 }
 
 /* -- the tile step ------------------------------------------------------- */
@@ -1197,19 +1168,6 @@ typedef struct {
     PyObject *tile, *port, *eject, *items, *assembler, *mesh_core, *own;
     int fast, default_service;
 } Rec;
-
-static inline int
-busy_at(PyObject *busy, Py_ssize_t i)
-{
-    return i < PyByteArray_GET_SIZE(busy) && PyByteArray_AS_STRING(busy)[i];
-}
-
-static inline void
-set_busy(PyObject *busy, Py_ssize_t i, char value)
-{
-    if (i < PyByteArray_GET_SIZE(busy))
-        PyByteArray_AS_STRING(busy)[i] = value;
-}
 
 /* A timer entry's (deadline, index).  Only the step pushes entries, and
  * only pairs of ints, so sifting runs no Python code. */
@@ -1990,12 +1948,9 @@ tile_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     }
     /* Due every cycle while a byte is set, else at the earliest live
      * timer (superseded entries are dropped lazily). */
-    const char *bytes = PyByteArray_AS_STRING(s.busy);
-    for (Py_ssize_t i = 0; i < PyByteArray_GET_SIZE(s.busy); i++) {
-        if (bytes[i]) {
-            result = Py_NewRef(Py_None);
-            goto done;
-        }
+    if (any_busy(s.busy)) {
+        result = Py_NewRef(Py_None);
+        goto done;
     }
     while (PyList_GET_SIZE(s.timers)) {
         long long deadline, index, armed;
@@ -2023,12 +1978,13 @@ done:
     return result;
 }
 
-/* -- the tile waker ------------------------------------------------------ */
+/* -- the waker ----------------------------------------------------------- */
 
-/* The hook a tile core hands tile `index`: the ejection FIFO's waker
- * and the tile's _kernel_wake.  It sets the tile's busy byte and, if
- * the byte was clear, wakes the core through its own _kernel_wake (a
- * set byte means the core is not idle, so it is still scheduled). */
+/* The hook a core hands member `index`: a tile's _kernel_wake and
+ * ejection FIFO waker, a port's _kernel_wake.  It sets the member's
+ * busy byte and, if the byte was clear, wakes the core through its own
+ * _kernel_wake (a set byte means the core is not idle, so it is still
+ * scheduled).  `component` is the core, the tag the wake lint reads. */
 typedef struct {
     PyObject_HEAD
     vectorcallfunc vectorcall;
@@ -2045,7 +2001,7 @@ waker_call(PyObject *self, PyObject *const *args, size_t nargsf,
     Waker *w = (Waker *)self;
     if (PyVectorcall_NARGS(nargsf)
             || (kwnames != NULL && PyTuple_GET_SIZE(kwnames))) {
-        PyErr_SetString(PyExc_TypeError, "a tile waker takes no arguments");
+        PyErr_SetString(PyExc_TypeError, "a waker takes no arguments");
         return NULL;
     }
     if (busy_at(w->busy, w->index))
@@ -2088,12 +2044,24 @@ waker_dealloc(PyObject *self)
 static PyObject *
 waker_repr(PyObject *self)
 {
-    return PyUnicode_FromFormat("<tile waker %zd>", ((Waker *)self)->index);
+    return PyUnicode_FromFormat("<waker %zd>", ((Waker *)self)->index);
 }
+
+static PyObject *
+waker_component(PyObject *self, void *closure)
+{
+    (void)closure;
+    return Py_NewRef(((Waker *)self)->core);
+}
+
+static PyGetSetDef waker_getset[] = {
+    {"component", waker_component, NULL, "The core this hook wakes.", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
 
 static PyTypeObject WakerType = {
     PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "_flatstep.TileWaker",
+    .tp_name = "_flatstep.Waker",
     .tp_basicsize = sizeof(Waker),
     .tp_dealloc = waker_dealloc,
     .tp_vectorcall_offset = offsetof(Waker, vectorcall),
@@ -2101,22 +2069,23 @@ static PyTypeObject WakerType = {
     .tp_call = PyVectorcall_Call,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC
                 | Py_TPFLAGS_HAVE_VECTORCALL,
-    .tp_doc = "Sets a flat tile core's busy byte; wakes the core if idle.",
+    .tp_doc = "Sets a flat core's busy byte; wakes the core if it was clear.",
     .tp_traverse = waker_traverse,
     .tp_clear = waker_clear,
+    .tp_getset = waker_getset,
 };
 
 static PyObject *
-tile_waker(PyObject *module, PyObject *args)
+waker(PyObject *module, PyObject *args)
 {
     (void)module;
     PyObject *core, *busy;
     Py_ssize_t index;
-    if (!PyArg_ParseTuple(args, "OO!n:tile_waker", &core, &PyByteArray_Type,
+    if (!PyArg_ParseTuple(args, "OO!n:waker", &core, &PyByteArray_Type,
                           &busy, &index))
         return NULL;
     if (index < 0) {
-        PyErr_SetString(PyExc_ValueError, "a tile index is not negative");
+        PyErr_SetString(PyExc_ValueError, "a member index is not negative");
         return NULL;
     }
     Waker *w = PyObject_GC_New(Waker, &WakerType);
@@ -2153,24 +2122,18 @@ mesh_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (unres == NULL || (PyList_GET_SIZE(unres) && resolve_heads(&f)))
         goto done;
     PyObject *active = get_list(&f, A_ACTIVE);
-    if (active == NULL
+    PyObject *busy = get_typed(&f, A_INJ_BUSY, &PyByteArray_Type);
+    if (active == NULL || busy == NULL
             || (PyList_GET_SIZE(active) && walk(&f, args[1], cycle))
-            || inject(&f))
+            || inject(&f, busy))
         goto done;
     /* Due every cycle while a flit is in a router input or a port has
      * anything to inject. */
-    for (int k = A_RING_TOTAL; k <= A_INJ_MASK; k++) {
-        PyObject *value = core_attr(&f, Name[k]);
-        int truth = value == NULL ? -1 : PyObject_IsTrue(value);
-        Py_XDECREF(value);
-        if (truth < 0)
-            goto done;
-        if (truth) {
-            result = Py_NewRef(Py_None);
-            goto done;
-        }
-    }
-    result = Py_NewRef(Never);
+    PyObject *total = core_attr(&f, Name[A_RING_TOTAL]);
+    int flits = total == NULL ? -1 : PyObject_IsTrue(total);
+    Py_XDECREF(total);
+    if (flits >= 0)
+        result = Py_NewRef(flits || any_busy(busy) ? Py_None : Never);
 done:
     release(&f);
     return result;
@@ -2220,9 +2183,9 @@ static PyMethodDef methods[] = {
      "mesh_step(core, cycle): one cycle of a FlatMeshCore."},
     {"tile_step", (PyCFunction)(void (*)(void))tile_step, METH_FASTCALL,
      "tile_step(core, cycle): one cycle of a FlatTileCore."},
-    {"tile_waker", tile_waker, METH_VARARGS,
-     "tile_waker(core, busy, index): the wake hook of a FlatTileCore's "
-     "tile index."},
+    {"waker", waker, METH_VARARGS,
+     "waker(core, busy, index): the wake hook of a flat core's member "
+     "index."},
     {"bind", bind, METH_VARARGS,
      "bind(deque, NocMessage, bytes_like, port_values, no_ring, never, "
      "flit_bytes, seq_shift, head_bit, handle_framing_error, "

@@ -140,7 +140,10 @@ Scheduling: the core is one schedulable component with no ``commit``.
 steps inside it.  Its ``step`` returns :data:`~repro.sim.kernel.NEVER`
 when no router input holds a flit and no port has anything to inject —
 the conjunction of the object backend's per-component contracts, read
-off two integers — and None (every cycle) otherwise.
+off ``_ring_total`` and the ports' busy bytes ``_inj_busy`` — and None
+(every cycle) otherwise.  A port's ``_kernel_wake`` is the compiled
+waker ``FlatTileCore`` hands its tiles too: it sets the byte and wakes
+the core only if the byte was clear.
 """
 
 from __future__ import annotations
@@ -200,8 +203,8 @@ _module = None
 
 
 def compiled():
-    """The compiled module (``mesh_step``, ``tile_step``,
-    ``tile_waker``), built into the cache on first use and loaded once
+    """The compiled module (``mesh_step``, ``tile_step``, ``waker``),
+    built into the cache on first use and loaded once
     per interpreter; a failed build raises ``RuntimeError``."""
     global _module
     if _module is None:
@@ -470,10 +473,9 @@ class FlatMeshCore(Wakeable):
         self._route_rows: list[dict[int, int] | None] = [None] * n
         # Flits in all router inputs, sum(len(ring)), for step's answer.
         self._ring_total = 0
-        # Bit i set iff port i (attachment order) may have injection
-        # work; iterating set bits LSB-first keeps the attachment order
-        # the trace contract requires.
-        self._inj_mask = 0
+        # Byte i set iff port i (attachment order) may have injection
+        # work; never replaced, since every port's waker holds it.
+        self._inj_busy = bytearray()
         # Attached ports, in attachment order (= object-backend
         # registration order), batch-stepped after the router phase.
         self._ports_list: list[LocalPort] = []
@@ -514,23 +516,12 @@ class FlatMeshCore(Wakeable):
         self._ports_list.append(port)
         port._core = self
         r = port.router._index
-        index = len(self._inj)
-        # The new port starts "possibly busy" so its first step is
-        # never skipped; the injection loop prunes it if it idles.
-        self._inj_mask |= 1 << index
+        # A port starts clear: it has nothing to inject until a send,
+        # whose _wake() sets its byte and wakes the core if it was.
+        port._kernel_wake = compiled().waker(self, self._inj_busy,
+                                             len(self._inj))
+        self._inj_busy.append(0)
         self._inj.append((port, r * _N_PORTS, port._local_in))
-        # ``LocalPort.send`` wakes via ``_kernel_wake``; under the flat
-        # backend that hook must both flag the port for the injection
-        # loop and wake the core (when a scheduled kernel attached one).
-        bit = 1 << index
-
-        def hook(core=self, bit=bit):
-            core._inj_mask |= bit
-            waker = core._kernel_wake
-            if waker is not None:
-                waker()
-
-        port._kernel_wake = hook
 
     def _route(self, r: int, dst) -> int:
         """Output port index for a head at router ``r`` bound for
@@ -617,7 +608,7 @@ class FlatMeshCore(Wakeable):
         (``_flatstep.c`` beside this file) over this object's lists.
 
         Due every cycle (None) while a flit is in a router input or a
-        port has anything to inject (a port's mask bit is set by
+        port has anything to inject (a port's busy byte is set by
         ``send`` and cleared only once its queues are empty): the
         conjunction of the object backend's per-component contracts.
         """
@@ -750,6 +741,13 @@ class FlatMeshCore(Wakeable):
             if fifo.occupancy != len(fifo):
                 problems.append(f"{fifo.name} has staged flits; the core "
                                 "injects into the committed queue")
+        # The waker wakes the core only on a clear -> set edge, so a
+        # port with anything to inject must keep its byte set.
+        for index, (port, _lfid, _fifo) in enumerate(self._inj):
+            if (port._send_queue or port._pending_flits) and \
+                    not self._inj_busy[index]:
+                problems.append(f"port {port.coord} is not busy but has "
+                                "messages or flits to inject")
         owners = {sfid for sfid in grant if sfid >= 0}
         for fid, want in enumerate(req):
             if (want == -1) != (fid in owners):
@@ -887,12 +885,13 @@ class FlatMesh:
     def register(self, simulator: CycleSimulator) -> None:
         """Add the mesh to a simulator as one batch-stepped component.
 
-        Each port's ``_kernel_wake`` hook (installed at attach, so a
-        port attached *after* registration too) flags the port for the
-        core's injection loop and wakes the core: the object backend
-        leaves late-attached ports unregistered, which the linter
-        flags; the flat backend has no such hole because the core
-        steps every attached port.
+        Each port's ``_kernel_wake`` hook, the compiled waker installed
+        at attach (so a port attached *after* registration too), sets
+        the port's busy byte for the core's injection loop and wakes
+        the core through the ``_kernel_wake`` this call fills: the
+        object backend leaves late-attached ports unregistered, which
+        the linter flags; the flat backend has no such hole because the
+        core steps every attached port.
         """
         simulator.add(self.core)
 

@@ -68,24 +68,29 @@ bit-identically between individually registered tiles and the core:
   on (a patch on the class after adoption is not seen by tiles already
   adopted: patch the tile).  ``handle_message``, ``send`` and ``drop``
   are never inlined.
-- Each adopted tile gets a ``_kernel_wake`` hook, ``tile_waker`` from
-  the compiled module: it sets the tile's busy byte and, if the byte
-  was clear, calls the core's own ``_kernel_wake`` (a set byte means
-  the core is not idle, so it is still scheduled).  The hook is also
-  the ejection FIFO's first waker, and the core registers the tiles'
-  ejection FIFOs as its own ``wake_sources`` — so frame injection,
-  router ejection, and fault thaw re-activate exactly the tiles they
-  touch, under both the scheduled and naive kernels, and no ejection
-  wake runs Python unless the core was idle.
+- Each adopted tile gets a ``_kernel_wake`` hook, ``waker`` from the
+  compiled module (the flat mesh's ports get one too): it sets the
+  tile's busy byte and, if the byte was clear, calls the core's own
+  ``_kernel_wake`` (a set byte means the core is not idle, so it is
+  still scheduled).  The same hook wakes every FIFO the tile's own
+  ``wake_sources()`` returns, and its ``component`` is the core, the
+  tag the wake lint reads.  So frame injection, router ejection, and
+  fault thaw re-activate exactly the tiles they touch, under both
+  kernels, and no ejection wake runs Python unless the tile was idle.
+  The core declares no ``wake_sources`` of its own, which would only
+  have the kernel repeat the waker's call.  Adoption wakes the core,
+  which may already be asleep.
 - **Busy-byte invariant:** a tile whose ejection FIFO holds anything
   has its busy byte set (all bytes clear implies every FIFO is empty).
   The flat mesh relies on it — it fires a FIFO's wake hooks only when
-  it ejects into an empty one — so it holds unconditionally: an
-  object-mode tile's byte is cleared only if its ``step`` returned a
-  cycle *and* the FIFO is empty, whatever a subclass's ``_due`` looks
-  at.  The walk clears a byte only at the end of that tile's visit, so
-  it also holds when a handler raises.
-  :meth:`FlatTileCore.check_invariants` checks it.
+  it ejects into an empty one.  It holds for every tile whose
+  ``wake_sources()`` returns its ejection FIFO: an object-mode tile's
+  byte is cleared only if its ``step`` returned a cycle *and* the FIFO
+  is empty, whatever a subclass's ``_due`` looks at, and the walk
+  clears a byte only at the end of that tile's visit, so it also holds
+  when a handler raises.  A tile whose ``wake_sources()`` misses the
+  FIFO loses the wake-up the kernel would lose (BHV301), and
+  :meth:`FlatTileCore.check_invariants` reports the stranded flits.
 
 The step
 --------
@@ -285,12 +290,16 @@ class FlatTileCore(Wakeable):
         self._busy.append(1)
         self._index_of[tile.name] = index
         # The tile-side wake hook: push_frame/send/fault-thaw call
-        # tile._wake(), the router's ejection lands in the FIFO — both
-        # must set the busy byte whether or not the kernel ever wired a
-        # waker of its own (it doesn't, under the naive kernel).
-        hook = compiled().tile_waker(self, self._busy, index)
+        # tile._wake(), the router's ejection lands in the FIFOs the
+        # tile's wake_sources() names — both must set the busy byte
+        # whether or not the kernel ever wired a waker of its own (it
+        # doesn't, under the naive kernel).
+        hook = compiled().waker(self, self._busy, index)
         tile._kernel_wake = hook
-        eject.add_waker(hook)
+        for fifo in tile.wake_sources():
+            fifo.add_waker(hook)
+        # The byte is set; a core already asleep must see it.
+        self._wake()
         return index
 
     # -- views --------------------------------------------------------------
@@ -319,10 +328,6 @@ class FlatTileCore(Wakeable):
     def kernel_substeps(self) -> list:
         """The components this core steps on the kernel's behalf."""
         return list(self.tiles)
-
-    def wake_sources(self):
-        """Ejections into any adopted tile re-activate the core."""
-        return list(self._ejects)
 
     def lint_consumed_fifos(self):
         """FIFOs the core itself pops (via the inlined eject pump)."""

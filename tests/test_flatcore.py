@@ -20,10 +20,13 @@ import gc
 import inspect
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from repro.analysis.demo import BrokenWakeEchoTile, CountingSinkTile
 from repro.analysis.structural import run as lint
+from repro.analysis.wake import run as wake_lint
 from repro.designs import (
     FrameSink,
     FrameSource,
@@ -35,7 +38,7 @@ from repro.designs.udp_stack import UdpEchoDesign
 from repro.designs.tcp_stack import TcpServerDesign
 from repro.faults import FaultPlan
 from repro.loadgen.flows import build_competing_flows
-from repro.noc.flatmesh import FlatMesh
+from repro.noc.flatmesh import FlatMesh, compiled
 from repro.noc.mesh import Mesh
 from repro.noc.message import NocMessage, reset_id_counters
 from repro.packet import IPv4Address, MacAddress, build_ipv4_udp_frame
@@ -132,12 +135,74 @@ class TestScheduling:
         assert len(design.eth_tx.frames_out) == 1
         assert core.busy_tiles == 0
 
-    def test_substeps_and_wake_sources_cover_all_tiles(self):
+    def test_each_ejection_fifo_holds_one_hook_the_compiled_waker(self):
+        """The tile's waker is its FIFO's only hook: the core declares
+        no ``wake_sources`` for the kernel to hook a closure behind it."""
         design = echo_design()
         core = design.tile_core
         assert core.kernel_substeps() == list(design.tiles.values())
-        assert core.wake_sources() == \
-            [t.port.eject_fifo for t in design.tiles.values()]
+        assert not hasattr(core, "wake_sources")
+        for tile in design.tiles.values():
+            hook = tile._kernel_wake
+            assert is_compiled_waker(hook)
+            assert tile.port.eject_fifo._wakers == [hook]
+            assert hook.component is core
+        with pytest.raises(AttributeError):
+            hook.component = None
+
+    def test_each_port_wakes_the_mesh_core_through_a_compiled_waker(self):
+        design = echo_design()
+        for port in design.mesh.ports.values():
+            assert is_compiled_waker(port._kernel_wake)
+            assert port._kernel_wake.component is design.mesh.core
+
+    def test_one_ejection_into_a_sleeping_core_wakes_the_kernel_once(
+            self, monkeypatch):
+        calls = []
+        make = CycleSimulator._waker_for
+
+        def counted(sim, component, slot):
+            wake = make(sim, component, slot)
+
+            def counting():
+                calls.append(component)
+                wake()
+
+            counting.component, counting.slot = component, slot
+            return counting
+
+        monkeypatch.setattr(CycleSimulator, "_waker_for", counted)
+        sim, _mesh, source, sink, core, _tracer = raw_chain("flat", Sink)
+        sim.run(20)
+        assert sim.wake_cycle(core) is None
+        source.send(NocMessage(dst=(1, 0), src=(0, 0), data=b"x"))
+        fifo = sink.port.eject_fifo
+        sim.run_until(lambda: len(fifo), max_cycles=50)
+        assert calls.count(core) == 1
+        sim.run(20)
+        assert len(sink.received) == 1
+        assert calls.count(core) == 1
+
+    def test_a_tile_adopted_into_a_sleeping_core_is_stepped(self):
+        """Adoption sets the tile's byte; unless it also wakes the core,
+        a core asleep for good never steps again, and every later wake
+        finds the byte already set."""
+        sim = CycleSimulator()
+        mesh = FlatMesh(3, 1)
+        source = mesh.attach((0, 0))
+        first = CountingSinkTile("first", mesh, (1, 0))
+        mesh.register(sim)
+        core = register_tiles(sim, [first])
+        sim.run(20)
+        assert sim.wake_cycle(core) is None
+        late = CountingSinkTile("late", mesh, (2, 0))
+        core.adopt(late)
+        sim.run(20)
+        source.send(NocMessage(dst=(2, 0), src=(0, 0), data=bytes(128)))
+        sim.run(500)
+        assert late.received == 1
+        assert len(late.port.eject_fifo) == 0
+        assert core.check_invariants() == []
 
 
 class TestLintIntegration:
@@ -145,6 +210,27 @@ class TestLintIntegration:
         for profile in ("reference", "fast"):
             design = echo_design(profile=profile)
             assert [f.code for f in lint(design)] == []
+
+    def test_a_tile_whose_wake_sources_miss_its_fifo_is_flagged(self):
+        """The core hooks a tile's waker onto what the tile's own
+        ``wake_sources()`` names, so ``broken_wake``'s tile loses its
+        wake-up inside the core as it does in a slot of its own."""
+        sim = CycleSimulator()
+        mesh = FlatMesh(2, 1)
+        ingress = mesh.attach((0, 0))
+        echo = BrokenWakeEchoTile("echo", mesh, (1, 0))
+        mesh.register(sim)
+        core = register_tiles(sim, [echo])
+        design = SimpleNamespace(sim=sim, mesh=mesh, tiles={"echo": echo})
+        assert [(f.code, f.location) for f in wake_lint(design)] == [
+            ("BHV301", "flattiles"), ("BHV301", "flattiles/echo")]
+        sim.run(20)
+        ingress.send(NocMessage(dst=(1, 0), src=(0, 0), data=b"ping"))
+        sim.run(200)
+        assert echo.echoed == 0
+        problems = core.check_invariants()
+        assert len(problems) == 1
+        assert "'echo' is not busy" in problems[0]
 
     def test_double_adoption_is_flagged(self):
         design = echo_design()
@@ -172,6 +258,10 @@ class FlitTracer(Tracer):
     def flit_forwarded(self, cycle, coord, port, flit):
         self.link_flits.append((cycle, coord, port, flit.msg_id,
                                 flit.is_head, flit.is_tail))
+
+
+def is_compiled_waker(hook):
+    return type(hook) is type(compiled().waker(None, bytearray(), 0))
 
 
 def counting_waker(fifo):
@@ -748,6 +838,18 @@ class TestCheckInvariants:
         problems = core.check_invariants()
         assert len(problems) == 1
         assert "'app' is not busy" in problems[0]
+
+    def test_clear_port_byte_over_a_queued_send_is_reported(self):
+        design = echo_design()
+        mesh_core = design.mesh.core
+        port = design.app.port
+        port.send(NocMessage(dst=design.eth_tx.coord, src=port.coord,
+                             data=b"x"))
+        assert mesh_core.check_invariants(design.sim.cycle) == []
+        mesh_core._inj_busy[mesh_core._ports_list.index(port)] = 0
+        problems = mesh_core.check_invariants(design.sim.cycle)
+        assert len(problems) == 1
+        assert f"port {port.coord} is not busy" in problems[0]
 
     def test_armed_deadline_without_a_heap_entry_is_reported(self):
         design = echo_design()

@@ -279,7 +279,7 @@ def _scenario(backend, kernel, size, attach, script, cycles,
                        for coord, router in mesh.routers.items()
                        for port, fifo in router.inputs.items()},
         # What the core's step answers: NEVER (idle) or every cycle.
-        "idle": (not (mesh.core._ring_total or mesh.core._inj_mask)
+        "idle": (not (mesh.core._ring_total or any(mesh.core._inj_busy))
                  if backend == "flat" else None),
         "mesh": mesh,
     }

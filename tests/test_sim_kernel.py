@@ -560,7 +560,7 @@ class TestNoTickWithoutWork:
         from repro.tiles.flatcore import FlatTileCore
 
         if isinstance(component, FlatMeshCore):
-            return bool(component._ring_total or component._inj_mask)
+            return bool(component._ring_total or any(component._inj_busy))
         if isinstance(component, FlatTileCore):
             return any(component._busy) or any(
                 0 <= deadline <= cycle for deadline in component._deadlines)
