@@ -1,4 +1,4 @@
-/* The flat cores' steps, compiled.
+/* The flat cores' steps and the scheduled kernel's clock, compiled.
  *
  * mesh_step(core, cycle) is FlatMeshCore.step (src/repro/noc/flatmesh.py):
  * head resolution, the output walk and the injection phase, written
@@ -21,6 +21,13 @@
  * mesh step's ejection wakes nor a send or a tile's _wake() enters a
  * Python frame unless the core was idle.
  *
+ * tick(sim) and run(sim, end, condition, deadline) are the scheduled
+ * CycleSimulator's tick and its run / run_until loop
+ * (src/repro/sim/kernel.py), over the simulator's own attributes; they
+ * step a flat core through mesh_step or tile_step directly.
+ * kernel_waker(sim, component, slot) is the kernel's wake hook of a
+ * slot, and a core's waker wakes it without a Python call.
+ *
  * bind() hands over, once, the Python definitions the steps need (the
  * deque type, NocMessage, the handle format, ...), so nothing here
  * restates a constant of the Python side.
@@ -41,6 +48,10 @@ static PyObject *NoRing;       /* what an unallocated ring slot holds */
 static PyObject *Never;        /* repro.sim.kernel.NEVER */
 static PyObject *FramingError; /* repro.noc.mesh.handle_framing_error */
 static PyObject *NextPacketId; /* repro.noc.message.next_packet_id */
+static PyObject *KernelTick;   /* CycleSimulator.tick, the function */
+static PyObject *Monotonic;    /* time.monotonic */
+static PyObject *MeshCore;     /* FlatMeshCore, by step_directly() */
+static PyObject *TileCore;     /* FlatTileCore, by step_directly() */
 static long long FlitBytes, SeqShift, HeadBit, CountMask, NeverValue;
 static Py_ssize_t NPorts;
 
@@ -66,7 +77,10 @@ enum {
     T_HANDLE_MESSAGE, T_SEND, T_STEP, T_SERVICE_CYCLES, P_FAULT_STALLED,
     P_FAULT_EJECT, P_FLITS_EJECTED, P_MESSAGES_RECEIVED, P_RECEIVE,
     M_ACTIVE, M_SEQ, E_MESSAGE_RECEIVED, E_BUFFER_LEVEL,
-    E_PROCESSING_START, E_PROCESSING_END, N_NAMES
+    E_PROCESSING_START, E_PROCESSING_END,
+    /* the clock's */
+    K_CYCLE, K_STEPPING, K_COMPONENT_STEPS, K_IDLE_SKIPPED, K_COMPONENTS,
+    K_WAKE_AT, K_TICK, K_CYCLE_START, K_MAX_CYCLES, K_WALL_CLOCK, N_NAMES
 };
 
 static const char *const NAME_TEXT[] = {
@@ -89,6 +103,9 @@ static const char *const NAME_TEXT[] = {
     "fault_stalled", "_fault_eject", "flits_ejected", "messages_received",
     "receive", "_active", "_seq", "message_received", "buffer_level",
     "processing_start", "processing_end",
+    "cycle", "_stepping", "component_steps", "idle_cycles_skipped",
+    "_components", "_wake_at", "tick", "cycle_start", "max_cycles",
+    "wall_clock_budget_s",
 };
 
 _Static_assert(sizeof NAME_TEXT / sizeof *NAME_TEXT == N_NAMES,
@@ -1978,13 +1995,195 @@ done:
     return result;
 }
 
+/* -- the kernel waker ---------------------------------------------------- */
+
+/* The scheduled kernel's wake hook for registration slot `slot`: what
+ * CycleSimulator._waker_for hands a component as its _kernel_wake and
+ * hooks on its wake_sources().  It applies the wake rule of
+ * repro.sim.kernel's module docstring to the simulator's own _wake_at,
+ * reading `cycle` and `_stepping` where the loop below writes them. */
+typedef struct {
+    PyObject_HEAD
+    vectorcallfunc vectorcall;
+    PyObject *sim;
+    PyObject *wake_at;
+    PyObject *component;
+    Py_ssize_t slot;
+} KernelWaker;
+
+static int
+kernel_wake(KernelWaker *w)
+{
+    PyObject *dict = PyObject_GenericGetDict(w->sim, NULL);
+    if (dict == NULL)
+        return -1;
+    PyObject *cycle_obj = PyDict_GetItemWithError(dict, Name[K_CYCLE]);
+    PyObject *stepping_obj = cycle_obj == NULL ? NULL
+        : PyDict_GetItemWithError(dict, Name[K_STEPPING]);
+    Py_XINCREF(cycle_obj);
+    Py_ssize_t slot = w->slot;
+    long long cycle, stepping, due;
+    int failed = -1;
+    if (stepping_obj == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_AttributeError,
+                            "a kernel waker's simulator has no cycle");
+    }
+    else if (as_ll(cycle_obj, &cycle) || as_ll(stepping_obj, &stepping)
+             || check_index(slot, PyList_GET_SIZE(w->wake_at))
+             || item(w->wake_at, slot, &due))
+        ;
+    else if (slot > stepping) {
+        /* Between ticks, or its turn this tick is still ahead. */
+        if (due > cycle)
+            set_object(w->wake_at, slot, cycle_obj);
+        failed = 0;
+    }
+    else if (slot == stepping || due > cycle + 1) {
+        /* Its turn has passed (stepping everything would have stepped
+         * it before the waker, seeing nothing new), or is now: the
+         * next cycle.  From its own step this marks the entry for the
+         * tick to keep over the answer. */
+        failed = set_item(w->wake_at, slot, cycle + 1);
+    }
+    else
+        failed = 0;
+    Py_XDECREF(cycle_obj);
+    Py_DECREF(dict);
+    return failed;
+}
+
+static PyObject *
+kernel_waker_call(PyObject *self, PyObject *const *args, size_t nargsf,
+                  PyObject *kwnames)
+{
+    (void)args;
+    if (PyVectorcall_NARGS(nargsf)
+            || (kwnames != NULL && PyTuple_GET_SIZE(kwnames))) {
+        PyErr_SetString(PyExc_TypeError, "a waker takes no arguments");
+        return NULL;
+    }
+    if (kernel_wake((KernelWaker *)self))
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static int
+kernel_waker_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    KernelWaker *w = (KernelWaker *)self;
+    Py_VISIT(w->sim);
+    Py_VISIT(w->wake_at);
+    Py_VISIT(w->component);
+    return 0;
+}
+
+static int
+kernel_waker_clear(PyObject *self)
+{
+    KernelWaker *w = (KernelWaker *)self;
+    Py_CLEAR(w->sim);
+    Py_CLEAR(w->wake_at);
+    Py_CLEAR(w->component);
+    return 0;
+}
+
+static void
+kernel_waker_dealloc(PyObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    kernel_waker_clear(self);
+    PyObject_GC_Del(self);
+}
+
+static PyObject *
+kernel_waker_repr(PyObject *self)
+{
+    return PyUnicode_FromFormat("<kernel waker of slot %zd>",
+                                ((KernelWaker *)self)->slot);
+}
+
+static PyObject *
+kernel_waker_component(PyObject *self, void *closure)
+{
+    (void)closure;
+    return Py_NewRef(((KernelWaker *)self)->component);
+}
+
+static PyObject *
+kernel_waker_slot(PyObject *self, void *closure)
+{
+    (void)closure;
+    return PyLong_FromSsize_t(((KernelWaker *)self)->slot);
+}
+
+static PyGetSetDef kernel_waker_getset[] = {
+    {"component", kernel_waker_component, NULL,
+     "The component this hook wakes.", NULL},
+    {"slot", kernel_waker_slot, NULL,
+     "The component's registration slot.", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyTypeObject KernelWakerType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_flatstep.KernelWaker",
+    .tp_basicsize = sizeof(KernelWaker),
+    .tp_dealloc = kernel_waker_dealloc,
+    .tp_vectorcall_offset = offsetof(KernelWaker, vectorcall),
+    .tp_repr = kernel_waker_repr,
+    .tp_call = PyVectorcall_Call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC
+                | Py_TPFLAGS_HAVE_VECTORCALL,
+    .tp_doc = "Lowers a slot's entry in the scheduled kernel's _wake_at.",
+    .tp_traverse = kernel_waker_traverse,
+    .tp_clear = kernel_waker_clear,
+    .tp_getset = kernel_waker_getset,
+};
+
+static PyObject *
+kernel_waker(PyObject *module, PyObject *args)
+{
+    (void)module;
+    PyObject *sim, *component;
+    Py_ssize_t slot;
+    if (!PyArg_ParseTuple(args, "OOn:kernel_waker", &sim, &component,
+                          &slot))
+        return NULL;
+    if (slot < 0) {
+        PyErr_SetString(PyExc_ValueError, "a slot is not negative");
+        return NULL;
+    }
+    PyObject *wake_at = PyObject_GetAttr(sim, Name[K_WAKE_AT]);
+    if (wake_at == NULL)
+        return NULL;
+    if (!PyList_CheckExact(wake_at)) {
+        PyErr_SetString(PyExc_TypeError, "_wake_at is not a list");
+        Py_DECREF(wake_at);
+        return NULL;
+    }
+    KernelWaker *w = PyObject_GC_New(KernelWaker, &KernelWakerType);
+    if (w == NULL) {
+        Py_DECREF(wake_at);
+        return NULL;
+    }
+    w->vectorcall = kernel_waker_call;
+    w->sim = Py_NewRef(sim);
+    w->wake_at = wake_at;
+    w->component = Py_NewRef(component);
+    w->slot = slot;
+    PyObject_GC_Track(w);
+    return (PyObject *)w;
+}
+
 /* -- the waker ----------------------------------------------------------- */
 
 /* The hook a core hands member `index`: a tile's _kernel_wake and
  * ejection FIFO waker, a port's _kernel_wake.  It sets the member's
  * busy byte and, if the byte was clear, wakes the core through its own
  * _kernel_wake (a set byte means the core is not idle, so it is still
- * scheduled).  `component` is the core, the tag the wake lint reads. */
+ * scheduled): a kernel waker directly, anything else by a call.
+ * `component` is the core, the tag the wake lint reads. */
 typedef struct {
     PyObject_HEAD
     vectorcallfunc vectorcall;
@@ -2010,7 +2209,9 @@ waker_call(PyObject *self, PyObject *const *args, size_t nargsf,
     PyObject *wake = PyObject_GetAttr(w->core, Name[C_KERNEL_WAKE]);
     if (wake == NULL || wake == Py_None)
         return wake;
-    PyObject *none = PyObject_CallNoArgs(wake);
+    PyObject *none = Py_IS_TYPE(wake, &KernelWakerType)
+        ? (kernel_wake((KernelWaker *)wake) ? NULL : Py_NewRef(Py_None))
+        : PyObject_CallNoArgs(wake);
     Py_DECREF(wake);
     return none;
 }
@@ -2139,17 +2340,391 @@ done:
     return result;
 }
 
+/* -- the clock ----------------------------------------------------------- */
+
+/* The scheduled kernel's cycle (`tick`) and its run and run_until
+ * (`run`): CycleSimulator in src/repro/sim/kernel.py, whose module
+ * docstring is their specification.  They keep nothing of their own.
+ * `cycle`, `_stepping`, `component_steps` and `idle_cycles_skipped`
+ * are the simulator's attributes, written as they change, so a step, a
+ * waker, a condition or the tracer reads them as it would from Python;
+ * `_wake_at` and `_components` are the simulator's lists, read live.
+ * A flat core whose step is not shadowed on the instance is stepped by
+ * mesh_step or tile_step directly.  Every other component, any
+ * shadowed step and a shadowed tick are called by name. */
+typedef struct {
+    PyObject *dict;        /* vars(sim) */
+    PyObject *components;  /* sim._components */
+    PyObject *wake_at;     /* sim._wake_at */
+} Clock;
+
+static int
+clock_open(Clock *k, PyObject *sim)
+{
+    k->components = k->wake_at = NULL;
+    k->dict = PyObject_GenericGetDict(sim, NULL);
+    if (k->dict == NULL)
+        return -1;
+    k->components = PyObject_GetAttr(sim, Name[K_COMPONENTS]);
+    k->wake_at = k->components == NULL ? NULL
+        : PyObject_GetAttr(sim, Name[K_WAKE_AT]);
+    if (k->wake_at == NULL)
+        return -1;
+    if (!PyList_CheckExact(k->components) || !PyList_CheckExact(k->wake_at)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "_components and _wake_at are lists");
+        return -1;
+    }
+    return 0;
+}
+
+static void
+clock_close(Clock *k)
+{
+    Py_XDECREF(k->wake_at);
+    Py_XDECREF(k->components);
+    Py_XDECREF(k->dict);
+}
+
+/* sim.<name>, borrowed. */
+static PyObject *
+state(Clock *k, int n)
+{
+    PyObject *value = PyDict_GetItemWithError(k->dict, Name[n]);
+    if (value == NULL && !PyErr_Occurred())
+        PyErr_Format(PyExc_AttributeError, "simulator has no %U", Name[n]);
+    return value;
+}
+
+static int
+state_ll(Clock *k, int n, long long *out)
+{
+    PyObject *value = state(k, n);
+    return value == NULL ? -1 : as_ll(value, out);
+}
+
+static int
+set_state(Clock *k, int n, PyObject *value)
+{
+    return PyDict_SetItem(k->dict, Name[n], value);
+}
+
+static int
+set_state_ll(Clock *k, int n, long long value)
+{
+    PyObject *obj = PyLong_FromLongLong(value);
+    if (obj == NULL)
+        return -1;
+    int failed = set_state(k, n, obj);
+    Py_DECREF(obj);
+    return failed;
+}
+
+/* sim.<name> += by */
+static int
+add_state(Clock *k, int n, long long by)
+{
+    long long value;
+    return state_ll(k, n, &value) || set_state_ll(k, n, value + by) ? -1 : 0;
+}
+
+/* sim.tracer.cycle_start(cycle), if the tracer is enabled. */
+static int
+announce(Clock *k, PyObject *cycle_obj)
+{
+    PyObject *tracer = state(k, A_TRACER);
+    if (tracer == NULL)
+        return -1;
+    Py_INCREF(tracer);
+    int on = attr_truth(tracer, Name[A_ENABLED]);
+    if (on > 0)
+        on = CALL_VOID(K_CYCLE_START, tracer, cycle_obj);
+    Py_DECREF(tracer);
+    return on < 0 ? -1 : 0;
+}
+
+/* components[slot].step(cycle): a flat core's C step when the instance
+ * does not shadow it, else by name. */
+static PyObject *
+step_slot(Clock *k, Py_ssize_t slot, PyObject *cycle_obj)
+{
+    PyObject *component = PyList_GetItem(k->components, slot);
+    if (component == NULL)
+        return NULL;
+    Py_INCREF(component);
+    PyObject *type = (PyObject *)Py_TYPE(component);
+    PyObject *args[2] = {component, cycle_obj};
+    PyObject *answer = NULL;
+    int direct = 0;
+    if (type == MeshCore || type == TileCore) {
+        PyObject *own = PyObject_GenericGetDict(component, NULL);
+        direct = own != NULL
+                 && PyDict_GetItemWithError(own, Name[T_STEP]) == NULL;
+        Py_XDECREF(own);
+        if (PyErr_Occurred())
+            goto done;
+    }
+    answer = !direct ? CALL(T_STEP, component, cycle_obj)
+        : type == MeshCore ? mesh_step(NULL, args, 2)
+        : tile_step(NULL, args, 2);
+done:
+    Py_DECREF(component);
+    return answer;
+}
+
+/* Files what slot's step answered in _wake_at.  None: due again next
+ * tick, the entry stays.  An entry past this cycle is a wake from its
+ * own step; it outranks the answer.  Otherwise the answer, or the next
+ * cycle (*next, made once a tick) for one at or before this cycle. */
+static int
+file_answer(PyObject *wake_at, Py_ssize_t slot, PyObject *answer,
+            long long cycle, PyObject **next)
+{
+    long long nxt, entry;
+    if (answer == Py_None)
+        return 0;
+    if (as_ll(answer, &nxt) || check_index(slot, PyList_GET_SIZE(wake_at))
+            || item(wake_at, slot, &entry))
+        return -1;
+    if (nxt > cycle && cycle >= entry) {
+        set_object(wake_at, slot, answer);
+        return 0;
+    }
+    if (*next == NULL && (*next = PyLong_FromLongLong(cycle + 1)) == NULL)
+        return -1;
+    set_object(wake_at, slot, *next);
+    return 0;
+}
+
+/* One cycle: the scheduled body of CycleSimulator.tick. */
+static int
+tick_body(Clock *k)
+{
+    PyObject *cycle_obj = state(k, K_CYCLE);
+    if (cycle_obj == NULL)
+        return -1;
+    Py_INCREF(cycle_obj);
+    PyObject *next = NULL;  /* cycle + 1, made once */
+    long long cycle, steps = 0;
+    if (as_ll(cycle_obj, &cycle) || announce(k, cycle_obj))
+        goto fail;
+    /* Read live: a wake lowers the entry of a slot still ahead. */
+    for (Py_ssize_t slot = 0; slot < PyList_GET_SIZE(k->wake_at); slot++) {
+        long long due;
+        if (item(k->wake_at, slot, &due))
+            goto fail;
+        if (due > cycle)
+            continue;
+        PyObject *stepping = PyLong_FromSsize_t(slot);
+        int failed = stepping == NULL || set_state(k, K_STEPPING, stepping);
+        Py_XDECREF(stepping);
+        PyObject *answer = failed ? NULL : step_slot(k, slot, cycle_obj);
+        if (answer == NULL)
+            goto fail;
+        failed = file_answer(k->wake_at, slot, answer, cycle, &next);
+        Py_DECREF(answer);
+        if (failed)
+            goto fail;
+        steps++;
+    }
+    if (next == NULL && (next = PyLong_FromLongLong(cycle + 1)) == NULL)
+        goto fail;
+    int failed = set_state_ll(k, K_STEPPING, -1)
+                 || add_state(k, K_COMPONENT_STEPS, steps)
+                 || set_state(k, K_CYCLE, next);
+    Py_DECREF(next);
+    Py_DECREF(cycle_obj);
+    return failed ? -1 : 0;
+fail:
+    /* The step phase's `finally`: the slot being stepped is reset, and
+     * the clock and the step count stay where they were. */
+    {
+        Pending pending = pending_take();
+        if (set_state_ll(k, K_STEPPING, -1))
+            pending_drop(pending);
+        else
+            pending_restore(pending);
+    }
+    Py_XDECREF(next);
+    Py_DECREF(cycle_obj);
+    return -1;
+}
+
+/* Advance the clock over a stretch of provably idle cycles. */
+static int
+skip_to(Clock *k, long long cycle, long long target)
+{
+    if (target <= cycle)
+        return 0;
+    if (add_state(k, K_IDLE_SKIPPED, target - cycle))
+        return -1;
+    /* The naive kernel announces every cycle; announcing the last
+     * skipped one keeps the tracer's last cycle identical. */
+    PyObject *last = PyLong_FromLongLong(target - 1);
+    int failed = last == NULL || announce(k, last);
+    Py_XDECREF(last);
+    return failed ? -1 : set_state_ll(k, K_CYCLE, target);
+}
+
+/* condition() with the clock set to `at` (only the clock advances
+ * during an idle stretch, so probing a trial cycle is just a matter of
+ * setting it); the clock is put back to `here`. */
+static int
+holds_at(Clock *k, PyObject *condition, long long at, long long here)
+{
+    if (set_state_ll(k, K_CYCLE, at))
+        return -1;
+    PyObject *value = PyObject_CallNoArgs(condition);
+    int holds = value == NULL ? -1 : PyObject_IsTrue(value);
+    Py_XDECREF(value);
+    if (holds < 0 || set_state_ll(k, K_CYCLE, here))
+        return -1;
+    return holds;
+}
+
+/* Skip an idle stretch, stopping at the first cycle in (cycle, target]
+ * where the condition holds (if any), found by bisection. */
+static int
+skip_to_condition(Clock *k, PyObject *condition, long long cycle,
+                  long long target)
+{
+    int holds = holds_at(k, condition, target, cycle);
+    if (holds <= 0)
+        return holds < 0 ? -1 : skip_to(k, cycle, target);
+    long long lo = cycle + 1, hi = target;
+    while (lo < hi) {
+        long long mid = lo + (hi - lo) / 2;
+        holds = holds_at(k, condition, mid, cycle);
+        if (holds < 0)
+            return -1;
+        if (holds)
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return skip_to(k, cycle, lo);
+}
+
+/* min(_wake_at), NEVER for an empty list. */
+static int
+first_due(Clock *k, long long *out)
+{
+    *out = NeverValue;
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(k->wake_at); i++) {
+        long long due;
+        if (item(k->wake_at, i, &due))
+            return -1;
+        if (due < *out)
+            *out = due;
+    }
+    return 0;
+}
+
+static PyObject *
+clock_tick(PyObject *module, PyObject *sim)
+{
+    (void)module;
+    Clock k;
+    int failed = clock_open(&k, sim) || tick_body(&k);
+    clock_close(&k);
+    if (failed)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* run(sim, end, condition, deadline): run (condition None) to cycle
+ * `end`, or run_until the condition holds, giving up at `end` or once
+ * time.monotonic() reaches `deadline` (a float, or None for no budget).
+ * Returns None when the run is done, else the name of the limit that
+ * ran out ("max_cycles" or "wall_clock_budget_s"), for run_until to
+ * raise with. */
+static PyObject *
+clock_run(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError,
+                        "run(sim, end, condition, deadline)");
+        return NULL;
+    }
+    if (KernelTick == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "run before bind()");
+        return NULL;
+    }
+    PyObject *sim = args[0], *condition = args[2], *result = NULL;
+    long long end, cycle, due;
+    double deadline = args[3] == Py_None ? 0 : PyFloat_AsDouble(args[3]);
+    if (as_ll(args[1], &end) || (deadline == -1 && PyErr_Occurred()))
+        return NULL;
+    Clock k;
+    /* Looked up once per run, as the Python loop did: a tick shadowed
+     * on the instance, or overridden, is called by name. */
+    PyObject *tick = clock_open(&k, sim) ? NULL
+        : PyObject_GetAttr(sim, Name[K_TICK]);
+    if (tick == NULL)
+        goto done;
+    int native = PyMethod_Check(tick) && PyMethod_GET_SELF(tick) == sim
+                 && PyMethod_GET_FUNCTION(tick) == KernelTick;
+    for (;;) {
+        if (condition != Py_None) {
+            PyObject *value = PyObject_CallNoArgs(condition);
+            int met = value == NULL ? -1 : PyObject_IsTrue(value);
+            Py_XDECREF(value);
+            if (met < 0)
+                goto done;
+            if (met)
+                break;
+        }
+        if (state_ll(&k, K_CYCLE, &cycle))
+            goto done;
+        if (cycle >= end) {
+            if (condition != Py_None) {
+                result = Py_NewRef(Name[K_MAX_CYCLES]);
+                goto done;
+            }
+            break;
+        }
+        if (args[3] != Py_None) {
+            PyObject *now = PyObject_CallNoArgs(Monotonic);
+            double at = now == NULL ? -1 : PyFloat_AsDouble(now);
+            Py_XDECREF(now);
+            if (at == -1 && PyErr_Occurred())
+                goto done;
+            if (at >= deadline) {
+                result = Py_NewRef(Name[K_WALL_CLOCK]);
+                goto done;
+            }
+        }
+        if (first_due(&k, &due))
+            goto done;
+        if (due > cycle) {
+            long long target = due > end ? end : due;
+            if (condition == Py_None ? skip_to(&k, cycle, target)
+                    : skip_to_condition(&k, condition, cycle, target))
+                goto done;
+        }
+        else if (native ? tick_body(&k) : dropped(PyObject_CallNoArgs(tick)))
+            goto done;
+    }
+    result = Py_NewRef(Py_None);
+done:
+    Py_XDECREF(tick);
+    clock_close(&k);
+    return result;
+}
+
 static PyObject *
 bind(PyObject *module, PyObject *args)
 {
     (void)module;
     PyObject *deque, *message, *bytes_like, *ports, *no_ring, *never;
-    PyObject *framing_error, *next_packet_id;
+    PyObject *framing_error, *next_packet_id, *tick, *monotonic;
     long long flit_bytes, seq_shift, head_bit, never_value;
-    if (!PyArg_ParseTuple(args, "OOOO!OOLLLOO:bind", &deque, &message,
+    if (!PyArg_ParseTuple(args, "OOOO!OOLLLOOOO:bind", &deque, &message,
                           &bytes_like, &PyTuple_Type, &ports, &no_ring,
                           &never, &flit_bytes, &seq_shift, &head_bit,
-                          &framing_error, &next_packet_id)
+                          &framing_error, &next_packet_id, &tick,
+                          &monotonic)
             || as_ll(never, &never_value))
         return NULL;
     PyObject *pop = PyObject_GetAttrString(deque, "popleft");
@@ -2168,6 +2743,8 @@ bind(PyObject *module, PyObject *args)
     Py_XSETREF(Never, Py_NewRef(never));
     Py_XSETREF(FramingError, Py_NewRef(framing_error));
     Py_XSETREF(NextPacketId, Py_NewRef(next_packet_id));
+    Py_XSETREF(KernelTick, Py_NewRef(tick));
+    Py_XSETREF(Monotonic, Py_NewRef(monotonic));
     NeverValue = never_value;
     Py_XSETREF(Deque, Py_NewRef(deque));
     NPorts = PyTuple_GET_SIZE(ports);
@@ -2175,6 +2752,28 @@ bind(PyObject *module, PyObject *args)
     SeqShift = seq_shift;
     HeadBit = head_bit;
     CountMask = head_bit - 1;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+step_directly(PyObject *module, PyObject *args)
+{
+    (void)module;
+    PyObject *cls, *step;
+    if (!PyArg_ParseTuple(args, "O!O:step_directly", &PyType_Type, &cls,
+                          &step))
+        return NULL;
+    PyCFunction fn = PyCFunction_Check(step)
+        ? PyCFunction_GetFunction(step) : NULL;
+    PyObject **core = fn == (PyCFunction)(void (*)(void))mesh_step
+        ? &MeshCore
+        : fn == (PyCFunction)(void (*)(void))tile_step ? &TileCore : NULL;
+    if (core == NULL) {
+        PyErr_SetString(PyExc_ValueError,
+                        "step_directly: step is mesh_step or tile_step");
+        return NULL;
+    }
+    Py_XSETREF(*core, Py_NewRef(cls));
     Py_RETURN_NONE;
 }
 
@@ -2186,10 +2785,23 @@ static PyMethodDef methods[] = {
     {"waker", waker, METH_VARARGS,
      "waker(core, busy, index): the wake hook of a flat core's member "
      "index."},
+    {"kernel_waker", kernel_waker, METH_VARARGS,
+     "kernel_waker(sim, component, slot): the scheduled kernel's wake "
+     "hook of a registration slot."},
+    {"tick", clock_tick, METH_O,
+     "tick(sim): one cycle of a scheduled CycleSimulator."},
+    {"run", (PyCFunction)(void (*)(void))clock_run, METH_FASTCALL,
+     "run(sim, end, condition, deadline): a scheduled CycleSimulator's "
+     "run and run_until."},
     {"bind", bind, METH_VARARGS,
      "bind(deque, NocMessage, bytes_like, port_values, no_ring, never, "
      "flit_bytes, seq_shift, head_bit, handle_framing_error, "
-     "next_packet_id): the Python definitions the steps use."},
+     "next_packet_id, CycleSimulator.tick, time.monotonic): the Python "
+     "definitions the steps use."},
+    {"step_directly", step_directly, METH_VARARGS,
+     "step_directly(cls, step): the clock steps an instance of exactly "
+     "cls whose step is not shadowed by calling step (mesh_step or "
+     "tile_step) itself."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2201,8 +2813,9 @@ static PyModuleDef_Slot slots[] = {
 static struct PyModuleDef module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "_flatstep",
-    .m_doc = "The flat cores' steps, compiled (see src/repro/noc/flatmesh.py "
-             "and src/repro/tiles/flatcore.py).",
+    .m_doc = "The flat cores' steps and the scheduled kernel's clock, "
+             "compiled (see src/repro/noc/flatmesh.py, "
+             "src/repro/tiles/flatcore.py and src/repro/sim/kernel.py).",
     .m_size = 0,
     .m_methods = methods,
     .m_slots = slots,
@@ -2211,7 +2824,7 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__flatstep(void)
 {
-    if (PyType_Ready(&WakerType))
+    if (PyType_Ready(&WakerType) || PyType_Ready(&KernelWakerType))
         return NULL;
     for (int k = 0; k < N_NAMES; k++) {
         if (Name[k] == NULL) {

@@ -9,11 +9,12 @@ a saturated mesh is then a cascade of method calls and attribute loads.
 
 Those lists are the mesh's state, and the only copy of it.  The walk
 that mutates them each cycle is C: ``mesh_step`` in ``_flatstep.c``
-beside this module (which also holds ``repro.tiles.flatcore``'s step),
-compiled by the first flat core an interpreter builds (a C compiler and
-the Python headers, which ``profile="reference"`` does not need) and
-called as ``FlatMeshCore.step``.  It reads and writes the same
-lists, so every reader below — ``forwarded``, ``check_invariants``, the
+beside this module (which also holds ``repro.tiles.flatcore``'s step
+and the scheduled kernel's loop), compiled by the first scheduled
+simulator or flat core an interpreter builds (a C compiler and the
+Python headers, which ``profile="reference"`` does not need) and
+called by that loop, or as ``FlatMeshCore.step``.  It reads and writes
+the same lists, so every reader below — ``forwarded``, ``check_invariants``, the
 router and ring views, the fault hooks, the tracer — is Python, and the
 description that follows is the specification the C code implements:
 
@@ -152,6 +153,7 @@ import hashlib
 import importlib.machinery
 import importlib.util
 import os
+import time
 from collections import deque
 
 from repro.noc.flit import (
@@ -187,7 +189,8 @@ _SOUTH = 4
 _NO_RING: tuple = ()
 
 #: The C source of both flat cores' steps (this mesh's and
-#: ``repro.tiles.flatcore``'s), and where its build is cached: keyed by
+#: ``repro.tiles.flatcore``'s) and of the scheduled kernel's loop
+#: (``repro.sim.kernel``), and where its build is cached: keyed by
 #: the source's hash and the interpreter's extension suffix, so an edit
 #: or another Python builds afresh and nothing stale is ever loaded.
 _SOURCE = os.path.join(os.path.dirname(__file__), "_flatstep.c")
@@ -197,15 +200,17 @@ _CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
 _NEEDS = ('profile="fast" needs a C compiler and the Python headers; '
           'profile="reference" needs no compiler.')
 
-#: The compiled module, loaded by the first flat core an interpreter
-#: builds, mesh or tiles (not at import: ``reference`` needs no build).
+#: The compiled module, loaded by the first scheduled simulator or flat
+#: core an interpreter builds (not at import: ``reference`` needs no
+#: build).
 _module = None
 
 
 def compiled():
-    """The compiled module (``mesh_step``, ``tile_step``, ``waker``),
-    built into the cache on first use and loaded once
-    per interpreter; a failed build raises ``RuntimeError``."""
+    """The compiled module (``mesh_step``, ``tile_step``, ``waker``, the
+    kernel's ``tick``, ``run`` and ``kernel_waker``), built into the
+    cache on first use and loaded once per interpreter; a failed build
+    raises ``RuntimeError``."""
     global _module
     if _module is None:
         with open(_SOURCE, "rb") as file:
@@ -228,7 +233,8 @@ def compiled():
         spec.loader.exec_module(module)
         module.bind(deque, NocMessage, _BYTES_LIKE, tuple(_PORT_VALUES),
                     _NO_RING, NEVER, FLIT_BYTES, HANDLE_SEQ_SHIFT,
-                    HANDLE_HEAD, handle_framing_error, next_packet_id)
+                    HANDLE_HEAD, handle_framing_error, next_packet_id,
+                    CycleSimulator.tick, time.monotonic)
         _module = module
     return _module
 
@@ -406,7 +412,11 @@ class FlatMeshCore(Wakeable):
     tracer = NULL_TRACER
 
     def __init__(self, width: int, height: int, depth: int, route_fn):
-        self._step = compiled().mesh_step
+        module = compiled()
+        # The scheduled clock calls ``mesh_step`` itself, not ``step``,
+        # unless ``step`` is shadowed on the instance.
+        module.step_directly(FlatMeshCore, module.mesh_step)
+        self._step = module.mesh_step
         self.width = width
         self.height = height
         self.depth = depth

@@ -34,12 +34,14 @@ not pass it: their ``profile`` names a kernel, see
     slots with ``wake_at[i] <= cycle`` and stores what each step
     returns as it goes: one call per stepped component.  Going to
     sleep, arming a timer and waking are one list store each.  A
-    component with a real ``commit`` is refused (``TypeError``).
+    component with a real ``commit`` is refused (``TypeError``).  Its
+    loop is C (below), so it needs a C compiler, as ``fast`` does.
 
 ``"naive"``
     Every registered component steps and commits every cycle: the
     reference for differential (cycle-equivalence) testing, and the
-    kernel for any mix of object and flat components.
+    kernel for any mix of object and flat components.  Pure Python:
+    it needs no compiler.
 
 The quiescence contract — what ``step`` returns, plus two optional
 hooks looked up once at ``add``:
@@ -77,16 +79,32 @@ survives whatever that step returns.
 The call chain
 --------------
 
-:meth:`CycleSimulator.tick` *is* the scheduled cycle body (it hands
-over to the naive body first thing under ``kernel="naive"``), and
-``run``/``run_until`` reach every cycle they do not skip through
-``self.tick``; between ticks they jump straight to ``min(wake_at)``.
-Steps (and, under naive, commits) are called *by name on the
-component*, and ``tick`` is looked up once per ``run``/``run_until``,
-so a ``tick``, ``step`` or ``commit`` shadowed on an instance after
-construction (as ``benchmarks/perflab`` does to attribute host time) is
-called exactly once per cycle its kernel steps (commits) the
-component: the scheduled kernel never calls ``commit``.
+Under ``kernel="scheduled"`` the cycle body, ``run`` and ``run_until``
+are one compiled loop (``tick`` and ``run`` in
+``src/repro/noc/_flatstep.c``, the flat cores' module, loaded when the
+simulator is constructed).  It keeps nothing of its own: it reads
+``_wake_at`` and ``_components`` live and writes ``cycle``,
+``_stepping``, ``component_steps`` and ``idle_cycles_skipped`` back as
+they change, so a step, a waker, a condition or the tracer reads them
+as it would from Python.  :meth:`CycleSimulator.tick` is one call into
+it (under ``kernel="naive"`` it runs the naive body instead).
+``run``/``run_until`` tick every cycle they do not skip and between
+ticks jump straight to ``min(wake_at)``.  ``run_until`` calls
+``condition()`` and checks its wall-clock budget before each tick or
+skip, and bisects an idle stretch for the condition's first cycle.
+Every wake hook is a compiled kernel waker (:meth:`_waker_for`) that
+applies the rule above and carries read-only ``.component`` and
+``.slot`` tags.
+
+Calls are by name.  ``tick`` is looked up once per ``run`` /
+``run_until``, so one shadowed on the instance after construction (as
+``benchmarks/perflab`` does to attribute host time) is called once per
+cycle not skipped.  Steps (and, under naive, commits) are called *by
+name on the component*, so a shadowed ``step`` or ``commit`` is called
+exactly once per cycle its kernel steps (commits) the component: the
+scheduled kernel never calls ``commit``.  The one shortcut: a flat core
+(``FlatMeshCore``, ``FlatTileCore``) whose ``step`` is not shadowed on
+the instance is stepped by the C step its ``step`` would call.
 """
 
 from __future__ import annotations
@@ -278,16 +296,22 @@ class CycleSimulator:
         self.kernel = kernel
         self.tracer = NULL_TRACER
         self._components: list[ClockedComponent] = []
+        self._slots: dict[int, int] = {}    # id(component) -> its slot
         self._scheduled = kernel == "scheduled"
         # Scheduled-kernel state: the next cycle to step each
         # registration slot, and the slot being stepped (-1 between
         # ticks).
         self._wake_at: list[int] = []
-        self._wakers: dict = {}         # component -> its wake closure
         self._stepping = -1
         # Stats (scheduled kernel only; stay 0 under naive).
         self.idle_cycles_skipped = 0
         self.component_steps = 0
+        if self._scheduled:
+            # The compiled clock (``tick``, ``run``, ``kernel_waker``),
+            # in the flat cores' module: built here, so a run imports
+            # nothing, and only here, so ``naive`` needs no compiler.
+            from repro.noc.flatmesh import compiled
+            self._clock = compiled()
 
     # -- read-only view ------------------------------------------------------
 
@@ -302,7 +326,7 @@ class CycleSimulator:
         naive), a later one asleep on a timer, None asleep for good."""
         if not self._scheduled:
             return self.cycle
-        due = self._wake_at[self._wakers[component].slot]
+        due = self._wake_at[self._slots[id(component)]]
         return None if due == NEVER else due
 
     def stats(self) -> dict:
@@ -326,19 +350,23 @@ class CycleSimulator:
     # -- registration -------------------------------------------------------
 
     def add(self, component: ClockedComponent) -> None:
-        if not self._scheduled:
-            self._components.append(component)
-            return
-        if getattr(type(component), "commit", None) is not no_commit:
+        if id(component) in self._slots:
+            raise ValueError(
+                f"{type(component).__name__} is already registered: a "
+                "component has one slot")
+        if (self._scheduled
+                and getattr(type(component), "commit", None) is not no_commit):
             raise TypeError(
                 f"{type(component).__name__} has a commit phase and the "
                 "scheduled kernel has none: run it under "
                 "CycleSimulator(kernel='naive'), or give a class that "
                 "stages nothing `commit = no_commit`")
+        slot = self._slots[id(component)] = len(self._components)
         self._components.append(component)
-        slot = len(self._wake_at)
+        if not self._scheduled:
+            return
         self._wake_at.append(0)         # due until its step says more
-        self._wakers[component] = waker = self._waker_for(component, slot)
+        waker = self._waker_for(component, slot)
         if getattr(component, "_kernel_wake", False) is None:
             component._kernel_wake = waker
         sources = getattr(component, "wake_sources", None)
@@ -350,44 +378,13 @@ class CycleSimulator:
         for component in components:
             self.add(component)
 
-    # -- scheduled-kernel machinery ----------------------------------------
-
     def _waker_for(self, component, slot: int) -> Callable[[], None]:
-        wake_at = self._wake_at
-
-        def wake() -> None:
-            cycle = self.cycle
-            stepping = self._stepping
-            if slot > stepping:
-                # Between ticks, or its turn this tick is still ahead.
-                if wake_at[slot] > cycle:
-                    wake_at[slot] = cycle
-            elif slot == stepping or wake_at[slot] > cycle + 1:
-                # Its turn has passed (stepping everything would have
-                # stepped it before the waker, seeing nothing new), or
-                # is now: the next cycle.  From its own step this marks
-                # the entry for ``tick`` to keep over the answer.
-                wake_at[slot] = cycle + 1
-
-        # Tag the closure with its target so static analysis
-        # (repro.analysis.wake) can verify FIFO hooks are wired to the
-        # component that consumes the FIFO.
-        wake.component = component
-        wake.slot = slot
-        return wake
-
-    def _skip_to(self, target: int) -> None:
-        """Advance the clock over a stretch of provably idle cycles."""
-        skipped = target - self.cycle
-        if skipped <= 0:
-            return
-        self.idle_cycles_skipped += skipped
-        if self.tracer.enabled:
-            # The naive kernel announces every cycle; announcing the
-            # last skipped one keeps Tracer.last_cycle (and horizon)
-            # identical without per-cycle cost.
-            self.tracer.cycle_start(target - 1)
-        self.cycle = target
+        """The scheduled kernel's wake hook for ``slot``, compiled: it
+        applies the wake rule (module docstring) and carries read-only
+        ``.component`` and ``.slot`` tags, which static analysis
+        (:mod:`repro.analysis.wake`) reads to check that a FIFO's hook
+        wakes the component that consumes the FIFO."""
+        return self._clock.kernel_waker(self, component, slot)
 
     # -- the clock ----------------------------------------------------------
 
@@ -402,32 +399,10 @@ class CycleSimulator:
 
     def tick(self) -> None:
         """Advance the simulation by one clock cycle."""
-        if not self._scheduled:
-            return self._tick_naive()
-        cycle = self.cycle
-        if self.tracer.enabled:
-            self.tracer.cycle_start(cycle)
-        components = self._components
-        wake_at = self._wake_at
-        steps = slot = 0
-        try:
-            # Read live: a wake lowers the entry of a slot still ahead.
-            for due in wake_at:
-                if due <= cycle:
-                    self._stepping = slot
-                    nxt = components[slot].step(cycle)
-                    if nxt is not None:
-                        # None: due again next tick, the entry stays.
-                        # An entry past this cycle is a wake from its
-                        # own step; it outranks the answer.
-                        wake_at[slot] = (nxt if nxt > cycle >= wake_at[slot]
-                                         else cycle + 1)
-                    steps += 1
-                slot += 1
-        finally:
-            self._stepping = -1
-        self.component_steps += steps
-        self.cycle = cycle + 1
+        if self._scheduled:
+            self._clock.tick(self)
+        else:
+            self._tick_naive()
 
     def sanitized_tick(self, observer) -> None:
         """One instrumented cycle for :mod:`repro.analysis.sanitize`.
@@ -475,19 +450,12 @@ class CycleSimulator:
         observer.cycle_done(cycle)
 
     def run(self, cycles: int) -> None:
-        tick = self.tick
-        if not self._scheduled:
-            for _ in range(cycles):
-                tick()
+        if self._scheduled:
+            self._clock.run(self, self.cycle + cycles, None, None)
             return
-        end = self.cycle + cycles
-        wake_at = self._wake_at or (NEVER,)
-        while self.cycle < end:
-            wake = min(wake_at)
-            if wake > self.cycle:
-                self._skip_to(end if wake > end else wake)
-            else:
-                tick()
+        tick = self.tick
+        for _ in range(cycles):
+            tick()
 
     def run_until(
         self,
@@ -512,54 +480,33 @@ class CycleSimulator:
         first-true cycle; bisection returns one of its true cycles.)
         """
         start = self.cycle
-        limit = start + max_cycles
         deadline = (None if wall_clock_budget_s is None
                     else time.monotonic() + wall_clock_budget_s)
-        tick = self.tick
-        # The naive kernel never skips: cycle 0 is always due.
-        wake_at = (0,) if not self._scheduled else \
-            self._wake_at or (NEVER,)
-        while not condition():
-            if self.cycle - start >= max_cycles:
-                raise TimeoutError(
-                    f"condition not met within {max_cycles} cycles"
-                )
-            if deadline is not None and time.monotonic() >= deadline:
-                raise WallClockBudgetExceeded(
-                    f"condition not met within {wall_clock_budget_s}s "
-                    f"of wall clock ({self.cycle - start} cycles run)"
-                )
-            wake = min(wake_at)
-            if wake > self.cycle:
-                self._skip_to_condition(
-                    condition, limit if wake > limit else wake)
-            else:
-                tick()
+        if self._scheduled:
+            limit = self._clock.run(self, start + max_cycles, condition,
+                                    deadline)
+        else:
+            limit = self._run_naive_until(condition, start + max_cycles,
+                                          deadline)
+        if limit == "max_cycles":
+            raise TimeoutError(
+                f"condition not met within {max_cycles} cycles")
+        if limit is not None:
+            raise WallClockBudgetExceeded(
+                f"condition not met within {wall_clock_budget_s}s "
+                f"of wall clock ({self.cycle - start} cycles run)")
         return self.cycle - start
 
-    def _skip_to_condition(
-        self,
-        condition: Callable[[], bool],
-        target: int,
-    ) -> None:
-        """Skip an idle stretch, stopping at the first cycle in
-        ``(cycle, target]`` where ``condition`` holds (if any).  Only
-        the clock advances during a stretch, so probing a trial cycle
-        is just a matter of setting ``self.cycle``."""
-        here = self.cycle
-        self.cycle = target
-        fired = condition()
-        self.cycle = here
-        if not fired:
-            self._skip_to(target)
-            return
-        lo, hi = here + 1, target
-        while lo < hi:
-            mid = (lo + hi) // 2
-            self.cycle = mid
-            if condition():
-                hi = mid
-            else:
-                lo = mid + 1
-        self.cycle = here
-        self._skip_to(lo)
+    def _run_naive_until(self, condition, end: int,
+                         deadline: float | None) -> str | None:
+        """The naive kernel's ``run_until``: every cycle is ticked.
+        Returns what the compiled loop does: None once the condition
+        holds, else the name of the limit that ran out."""
+        tick = self.tick
+        while not condition():
+            if self.cycle >= end:
+                return "max_cycles"
+            if deadline is not None and time.monotonic() >= deadline:
+                return "wall_clock_budget_s"
+            tick()
+        return None

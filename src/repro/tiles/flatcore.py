@@ -14,11 +14,11 @@ port no :class:`~repro.noc.flatmesh.FlatMeshCore` steps is refused at
 
 The walk is C: ``tile_step`` in ``repro/noc/_flatstep.c``, compiled
 with the mesh's step by the loader in :mod:`repro.noc.flatmesh` (one
-build, one cache entry) and called as ``FlatTileCore.step``.  It keeps
-no state of its own: the tiles, ports, FIFOs, assemblers and this
-core's ``_busy``, ``_deadlines``, ``_timers`` and ``_fabric`` are the
-Python objects every reader below sees, so this docstring is the
-specification the C code implements.  In the paper a protocol tile
+build, one cache entry) and called by the scheduled kernel's loop, or
+as ``FlatTileCore.step``.  It keeps no state of its own: the tiles,
+ports, FIFOs, assemblers and this core's ``_busy``, ``_deadlines``,
+``_timers`` and ``_fabric`` are the Python objects every reader below
+sees, so this docstring is the specification the C code implements.  In the paper a protocol tile
 is an RTL engine, of which the model keeps only the pipeline depth and
 occupancy; so the engine's bookkeeping (ejection, reassembly, parse
 latency, occupancy) is compiled, and only the handlers, which are the
@@ -262,7 +262,11 @@ class FlatTileCore(Wakeable):
         self._deadlines: list[int] = []
         self._timers: list[tuple[int, int]] = []
         self._index_of: dict[str, int] = {}
-        self._step = compiled().tile_step
+        module = compiled()
+        # The scheduled clock calls ``tile_step`` itself, not ``step``,
+        # unless ``step`` is shadowed on the instance.
+        module.step_directly(FlatTileCore, module.tile_step)
+        self._step = module.tile_step
 
     # -- construction -------------------------------------------------------
 

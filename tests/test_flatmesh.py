@@ -977,21 +977,24 @@ print(len(os.listdir(private)))
         assert out.splitlines()[-1] == "1"
 
 
-def traced_growth(traffic, frames: int) -> int:
-    """Bytes of traced memory a warm saturated 7x4 echo of ``traffic``
+def traced_growth(traffic, frames: int, build=None, rate=None,
+                  max_cycles: int = 50_000) -> int:
+    """Bytes of traced memory a warm echo of ``traffic``
     (``attach_client``'s: a payload, or frames sent round-robin) grows
-    by over ``frames`` more frames."""
+    by over ``frames`` more frames: a saturated 7x4 echo, or the design
+    ``build()`` returns offered ``traffic`` at ``rate``."""
     from repro.designs import ScaledEchoDesign, attach_client, client_frame
 
-    design = ScaledEchoDesign()
+    design = ScaledEchoDesign() if build is None else build()
     if traffic is None:
         # 64 B requests from 32 flows: a header the IPv4 codec caches is
         # one of 32, so its cache stops growing once the echo is warm.
         traffic = [client_frame(design, bytes(64), src_port=5000 + i)
                    for i in range(32)]
-    _source, sink = attach_client(design, traffic, rate=None,
+    _source, sink = attach_client(design, traffic, rate=rate,
                                   count=2 * frames, keep_frames=False)
-    design.sim.run_until(lambda: sink.count >= frames, max_cycles=50_000)
+    design.sim.run_until(lambda: sink.count >= frames,
+                         max_cycles=max_cycles)
     # The sink parses every reply, and each carries a fresh IPv4
     # identification: the codec caches one parsed header a frame, up to
     # its bound.  That is not the step's memory, so it is left out.
@@ -1001,7 +1004,7 @@ def traced_growth(traffic, frames: int) -> int:
     try:
         before = tracemalloc.get_traced_memory()[0]
         design.sim.run_until(lambda: sink.count >= 2 * frames,
-                             max_cycles=50_000)
+                             max_cycles=max_cycles)
         ipv4._UNPACK_CACHE.clear()
         gc.collect()
         grown = tracemalloc.get_traced_memory()[0] - before

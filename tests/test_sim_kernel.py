@@ -1,6 +1,7 @@
 """Tests for the cycle-driven simulation kernel."""
 
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from repro.sim.kernel import (
     NEVER,
     CycleSimulator,
     StagedFifo,
+    WallClockBudgetExceeded,
     Wakeable,
     no_commit,
 )
@@ -431,6 +433,33 @@ class TestByNameCallingContract:
         assert log == phases * 70
         assert (busy.steps, busy.commits) == (70, 70 if naive else 0)
 
+    @pytest.mark.parametrize("how", ["run", "run_until"])
+    def test_a_flat_core_step_shadowed_on_the_instance(self, how):
+        """The clock steps a flat core by its C step only while the
+        instance leaves ``step`` alone: shadowed, the shadow is what
+        runs, once per cycle the core is stepped, and the run is the
+        same run."""
+        runs = []
+        for shadow in (False, True):
+            design, sink = TestNoTickWithoutWork.paced_echo()
+            sim = design.sim
+            calls = {}
+            if shadow:
+                for component in sim.components:
+                    log = calls[component] = []
+                    step = component.step
+                    component.step = lambda cycle, step=step, log=log: (
+                        log.append(cycle), step(cycle))[1]
+            self.drive(sim, how, TestNoTickWithoutWork.CYCLES)
+            runs.append((sink.frames, sim.cycle, sim.component_steps,
+                         sim.idle_cycles_skipped))
+        assert runs[0] == runs[1]
+        assert sum(map(len, calls.values())) == sim.component_steps
+        assert design.mesh.core in calls and design.tile_core in calls
+        for log in calls.values():
+            assert log == sorted(set(log))
+        assert len(calls[design.mesh.core]) > 100
+
 
 class TestCommitList:
     """The scheduled kernel has no commit pass, so it takes only
@@ -515,6 +544,44 @@ def test_wake_reuses_the_waker_made_at_add():
     sleeper._wake()
     assert sleeper._kernel_wake is None and sleeper.fifo._wakers == []
     assert naive.wake_cycle(sleeper) == naive.cycle
+
+
+def test_the_kernel_waker_is_compiled_and_its_tags_are_read_only():
+    sim = CycleSimulator()
+    busy, consumer = Stepper(), SleepyConsumer(StagedFifo())
+    sim.add_all([busy, consumer])
+    hook = consumer._kernel_wake
+    assert not hasattr(hook, "__code__")
+    assert (hook.component, hook.slot) == (consumer, 1)
+    for tag in ("component", "slot"):
+        with pytest.raises(AttributeError):
+            setattr(hook, tag, None)
+    assert (hook.component, hook.slot) == (consumer, 1)
+    with pytest.raises(TypeError):
+        hook(1)
+    sim.run(4)
+    assert sim.wake_cycle(consumer) is None
+    hook()
+    assert sim.wake_cycle(consumer) == sim.cycle == 4
+
+
+@pytest.mark.parametrize("kernel", ["scheduled", "naive"])
+def test_a_component_is_registered_once(kernel):
+    """A second ``add`` of the same component is refused: it would get
+    a second slot, be stepped twice a cycle, and under the scheduled
+    kernel keep its ``_kernel_wake`` wired to the first."""
+    sim = CycleSimulator(kernel=kernel)
+    pulse = Answering(lambda cycle: None)
+    sim.add(pulse)
+    hook = pulse._kernel_wake
+    with pytest.raises(ValueError, match="already registered"):
+        sim.add(pulse)
+    with pytest.raises(ValueError, match="already registered"):
+        sim.add_all([Answering(lambda cycle: None), pulse])
+    assert sim.components[0] is pulse and len(sim.components) == 2
+    assert pulse._kernel_wake is hook
+    sim.run(10)
+    assert pulse.stepped == list(range(10))
 
 
 # -- the wake_at scheduler ---------------------------------------------------
@@ -870,3 +937,116 @@ def test_one_contract_step_says_when_it_is_next_due():
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if re.search(r"\bdef (is_idle|next_event_cycle)\b", line)]
     assert offenders == []
+
+
+class Boom(Exception):
+    pass
+
+
+class Fuse(Wakeable):
+    """Sleeps three cycles between steps and raises when stepped at
+    ``at``."""
+
+    def __init__(self, at):
+        self.at = at
+        self.stepped = []
+
+    def step(self, cycle):
+        self.stepped.append(cycle)
+        if cycle == self.at:
+            raise Boom(f"at {cycle}")
+        return cycle + 3
+
+
+class TestAStepThatRaises:
+    """An exception out of a step ends the tick with nothing of it
+    taken: the same exception at the same cycle under either kernel, no
+    slot left marked as stepping, and the tick's cycle and step count
+    not counted."""
+
+    @pytest.mark.parametrize("how", ["tick", "run", "run_until"])
+    @pytest.mark.parametrize("kernel", ["scheduled", "naive"])
+    def test_same_exception_same_cycle_and_the_tick_undone(self, kernel,
+                                                           how):
+        sim = CycleSimulator(kernel=kernel)
+        sleeper, busy, fuse = Mailbox(), Stepper(), Fuse(at=9)
+        sim.add_all([sleeper, busy, fuse])
+        sim.run(9)
+        steps = sim.component_steps
+        with pytest.raises(Boom, match="at 9"):
+            if how == "tick":
+                sim.tick()
+            elif how == "run":
+                sim.run(5)
+            else:
+                sim.run_until(lambda: False, max_cycles=5)
+        assert (sim.cycle, sim._stepping, sim.component_steps) == \
+            (9, -1, steps)
+        assert busy.steps == 10 and fuse.stepped[-1] == 9
+        # A wake between ticks is for the current cycle: no stale slot
+        # makes the sleeper, ahead of the fuse, wait for the next one.
+        sleeper.inbox.append("poke")
+        sleeper._wake()
+        assert sim.wake_cycle(sleeper) == 9
+        fuse.at = None
+        sim.run(1)
+        assert sleeper.seen == [(9, "poke")]
+
+
+@pytest.mark.parametrize("kernel", ["scheduled", "naive"])
+def test_the_wall_clock_budget_is_checked_between_ticks(kernel):
+    class Slow(Wakeable):
+        def __init__(self):
+            self.stepped = []
+
+        def step(self, cycle):
+            self.stepped.append(cycle)
+            time.sleep(0.001)
+            return cycle + 5
+
+    sim = CycleSimulator(kernel=kernel)
+    slow = Slow()
+    sim.add(slow)
+    # A check that never fires ends in a plain TimeoutError instead,
+    # after about 4 000 steps.
+    with pytest.raises(WallClockBudgetExceeded, match="cycles run"):
+        sim.run_until(lambda: False, max_cycles=20_000,
+                      wall_clock_budget_s=0.05)
+    assert sim._stepping == -1 and 1 <= len(slow.stepped) < 1_000
+    # Raised after a tick or after a skip, never inside either.
+    assert sim.cycle - slow.stepped[-1] in ((1, 5) if kernel == "scheduled"
+                                            else (1,))
+
+
+class TestTheCompiledLoopLeaksNothing:
+    """The loop makes an int for ``cycle`` and ``component_steps`` every
+    tick and stores each step's answer in ``_wake_at``: a reference it
+    forgets to drop is an int or a singleton count that only grows.  A
+    paced echo shaped like perflab's ``udp_idle_4x2`` ticks about 36
+    times a frame and skips the rest."""
+
+    def test_traced_memory(self):
+        from repro.designs import UdpEchoDesign
+        from tests.test_flatmesh import traced_growth
+
+        # 400 frames are about 14 000 ticks: one leaked int a tick
+        # would be over 400 KiB.
+        assert traced_growth(bytes(1458), 400, build=UdpEchoDesign,
+                             rate=5.0, max_cycles=400_000) < 256 * 1024
+
+    def test_singleton_reference_counts(self):
+        from repro.designs import UdpEchoDesign, attach_client
+        from tests.test_flatcore import singleton_drift
+
+        def build(profile):
+            design = UdpEchoDesign(profile=profile)
+            _source, design.sink = attach_client(
+                design, bytes(1458), rate=5.0, count=200, keep_frames=False)
+            return design
+
+        drift = singleton_drift(build, lambda design: design.sink.count,
+                                50, 200)
+        # A leak drives a count up, a release it does not own down:
+        # either, once a tick, is thousands apart from ``reference``.
+        assert all(abs(fast - reference) < 100 for fast, reference
+                   in zip(drift["fast"], drift["reference"])), drift
