@@ -5,11 +5,24 @@
  * out over the core's own Python objects.  tile_step(core, cycle) is
  * FlatTileCore.step (src/repro/tiles/flatcore.py): the timer heap, the
  * busy walk and the inlined pumps of Tile.step over the tiles' own
- * state.  Neither keeps state of its own: every list, deque, dict,
+ * state.  Neither keeps state of its own: every array, ring, list, dict,
  * StagedFifo and tile they read or write is the one the Python readers
  * (check_invariants, the views, the fault hooks, the tracer, run_record)
  * see, so the module docstrings there are the specification of every
- * line below.  What a tile or the tracer may replace is called back
+ * line below.
+ *
+ * Every queue of flit handles under a flat mesh is a Ring, defined
+ * here and exposed as _flatstep.Ring: an int64 circular buffer with the
+ * deque surface the Python readers use, so the steps move a flit as a
+ * C integer and a reader indexes it as it did a deque.  The mesh's ten
+ * per-output integer tables (_pushc, _popc, _hw, _hwc, _grant, _rr, _rq,
+ * _req, _down, _fwd_out) are array('q')s, taken through the buffer
+ * protocol once per step.  A flat queue that is not a Ring, or a table
+ * that is not an array('q') of one entry per router input, is a
+ * TypeError or a ValueError: there is no fallback.  Queues of objects (a
+ * port's _send_queue, a tile's _rx_ready) stay deques.
+ *
+ * What a tile or the tracer may replace is called back
  * through Python (handlers, send, an object-mode step, tracer events,
  * route misses, stuck-grant tests); an exception any of them raises
  * propagates out of the step.
@@ -29,8 +42,8 @@
  * slot, and a core's waker wakes it without a Python call.
  *
  * bind() hands over, once, the Python definitions the steps need (the
- * deque type, NocMessage, the handle format, ...), so nothing here
- * restates a constant of the Python side.
+ * deque type for the queues of objects, NocMessage, the handle format,
+ * ...), so nothing here restates a constant of the Python side.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -38,7 +51,6 @@
 
 /* -- bound by bind() ----------------------------------------------------- */
 
-static PyObject *Deque;        /* collections.deque */
 static PyObject *Popleft;      /* deque.popleft, unbound */
 static PyObject *Append;       /* deque.append, unbound */
 static PyObject *NocMessage;
@@ -58,8 +70,10 @@ static Py_ssize_t NPorts;
 /* -- attribute names ----------------------------------------------------- */
 
 enum {
-    A_RINGS, A_PUSHC, A_POPC, A_HW, A_HWC, A_GRANT, A_RR, A_RQ, A_REQ,
-    A_DOWN, A_EJECTS, A_COORDS, A_FWD_OUT, A_UNRES, A_ACTIVE, A_INFLIGHT,
+    /* the per-output int64 arrays, taken through the buffer protocol */
+    A_PUSHC, A_POPC, A_HW, A_HWC, A_GRANT, A_RR, A_RQ, A_REQ, A_DOWN,
+    A_FWD_OUT, N_ARRAYS,
+    A_RINGS = N_ARRAYS, A_EJECTS, A_COORDS, A_UNRES, A_ACTIVE, A_INFLIGHT,
     A_ROUTE_ROWS, A_TRACER, A_FAULT_BLOCKED, A_DEPTH, A_WIDTH, A_HEIGHT,
     A_INJ, A_INJ_BUSY, N_CORE_ATTRS,
     /* not read through a Fetch */
@@ -84,8 +98,9 @@ enum {
 };
 
 static const char *const NAME_TEXT[] = {
-    "_rings", "_pushc", "_popc", "_hw", "_hwc", "_grant", "_rr", "_rq",
-    "_req", "_down", "_ejects", "coords", "_fwd_out", "_unres", "_active",
+    "_pushc", "_popc", "_hw", "_hwc", "_grant", "_rr", "_rq", "_req",
+    "_down", "_fwd_out",
+    "_rings", "_ejects", "coords", "_unres", "_active",
     "_inflight", "_route_rows", "tracer", "_fault_blocked", "depth",
     "width", "height", "_inj", "_inj_busy",
     "_ring_total", "_seq", "_route", "flit_of", "enabled",
@@ -119,6 +134,9 @@ typedef struct {
     PyObject *core;
     PyObject *dict;  /* the core's __dict__, once looked at */
     PyObject *v[N_CORE_ATTRS];
+    Py_buffer q[N_ARRAYS];  /* the arrays' buffers; q[k].obj once taken */
+    Py_ssize_t n5;          /* len(_rings): five inputs per router */
+    long long ring_total;   /* _ring_total as this step moves flits */
 } Fetch;
 
 /* core.<name>, a new reference.  The core's own attributes are a plain
@@ -160,6 +178,37 @@ get_typed(Fetch *f, int k, PyTypeObject *type)
 
 #define get_list(f, k) get_typed(f, k, &PyList_Type)
 
+/* One of the per-output arrays as its n5 C integers: an array('q')
+ * (format 'q', n5 items), taken through the buffer protocol on first
+ * use and released with the rest when the step returns. */
+static long long *
+get_q(Fetch *f, int k)
+{
+    Py_buffer *view = &f->q[k];
+    if (view->obj != NULL)
+        return view->buf;
+    PyObject *value = get(f, k);
+    if (value == NULL)
+        return NULL;
+    if (!PyObject_CheckBuffer(value)
+            || PyObject_GetBuffer(value, view, PyBUF_WRITABLE | PyBUF_FORMAT)
+            || view->format == NULL || strcmp(view->format, "q") != 0) {
+        if (view->obj != NULL)
+            PyBuffer_Release(view);
+        PyErr_Format(PyExc_TypeError,
+                     "flat mesh core: %U is not an array('q')", Name[k]);
+        return NULL;
+    }
+    if (view->len != f->n5 * (Py_ssize_t)sizeof(long long)) {
+        PyBuffer_Release(view);
+        PyErr_Format(PyExc_ValueError,
+                     "flat mesh core: %U does not hold one entry per router "
+                     "input (%zd)", Name[k], f->n5);
+        return NULL;
+    }
+    return view->buf;
+}
+
 static int as_ll(PyObject *value, long long *out);
 
 static int
@@ -172,6 +221,9 @@ get_scalar(Fetch *f, int k, long long *out)
 static void
 release(Fetch *f)
 {
+    for (int k = 0; k < N_ARRAYS; k++)
+        if (f->q[k].obj != NULL)
+            PyBuffer_Release(&f->q[k]);
     for (int k = 0; k < N_CORE_ATTRS; k++)
         Py_CLEAR(f->v[k]);
     Py_CLEAR(f->dict);
@@ -267,6 +319,8 @@ any_busy(PyObject *busy)
     return 0;
 }
 
+/* popleft and append for the deques of objects: a port's _send_queue,
+ * a tile's _rx_ready. */
 static PyObject *
 popleft(PyObject *deque)
 {
@@ -284,31 +338,348 @@ push(PyObject *deque, PyObject *obj)
     return 0;
 }
 
-static int
-push_ll(PyObject *deque, long long value)
+/* An exception set aside while a `finally` runs, and put back after. */
+#if PY_VERSION_HEX >= 0x030C0000
+typedef PyObject *Pending;
+
+static Pending
+pending_take(void)
 {
-    PyObject *obj = PyLong_FromLongLong(value);
-    if (obj == NULL)
-        return -1;
-    int failed = push(deque, obj);
-    Py_DECREF(obj);
-    return failed;
+    return PyErr_GetRaisedException();
 }
 
-/* A flit's handle as a C integer.  Anything but an int got into a
- * queue some other way than LocalPort.send, and the error says so. */
-static int
-handle_of(PyObject *flit, long long fid, long long *out)
+static void
+pending_restore(Pending pending)
 {
-    if (!PyLong_CheckExact(flit)) {
-        PyErr_Format(PyExc_TypeError,
-                     "%R in input %lld of a flat mesh, whose queues hold "
-                     "int handles: inject messages through LocalPort.send",
-                     flit, fid);
+    PyErr_SetRaisedException(pending);
+}
+
+static void
+pending_drop(Pending pending)
+{
+    Py_XDECREF(pending);
+}
+#else
+typedef struct {
+    PyObject *type, *value, *traceback;
+} Pending;
+
+static Pending
+pending_take(void)
+{
+    Pending pending;
+    PyErr_Fetch(&pending.type, &pending.value, &pending.traceback);
+    return pending;
+}
+
+static void
+pending_restore(Pending pending)
+{
+    PyErr_Restore(pending.type, pending.value, pending.traceback);
+}
+
+static void
+pending_drop(Pending pending)
+{
+    Py_XDECREF(pending.type);
+    Py_XDECREF(pending.value);
+    Py_XDECREF(pending.traceback);
+}
+#endif
+
+/* -- the ring ------------------------------------------------------------ */
+
+/* Every queue of flit handles under a flat mesh: its directional inputs,
+ * the committed queues of its LOCAL input FIFOs and of its ejection
+ * FIFOs, and its ports' injection queues.  An int64 circular buffer
+ * whose capacity is a power of two and doubles when it fills, with the
+ * slice of the deque surface its Python readers use (len, truth, r[i]
+ * get and set, iteration, popleft, append, appendleft, extend, clear).
+ * The steps move handles through it as C integers, and a push of
+ * anything but an int fails at the push. */
+typedef struct {
+    PyObject_HEAD
+    long long *buf;
+    Py_ssize_t cap;   /* a power of two */
+    Py_ssize_t head;  /* buf index of the front */
+    Py_ssize_t len;
+} Ring;
+
+static PyTypeObject RingType;
+
+#define RING_FIRST_CAP 8
+
+/* The front handle, taken off; the ring is not empty. */
+static inline long long
+ring_pop(Ring *r)
+{
+    long long v = r->buf[r->head];
+    r->head = (r->head + 1) & (r->cap - 1);
+    r->len--;
+    return v;
+}
+
+static int
+ring_grow(Ring *r)
+{
+    if (r->cap > PY_SSIZE_T_MAX / 2 / (Py_ssize_t)sizeof(long long)) {
+        PyErr_NoMemory();
         return -1;
     }
-    return as_ll(flit, out);
+    Py_ssize_t cap = r->cap * 2;
+    long long *buf = PyMem_Malloc(cap * sizeof *buf);
+    if (buf == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < r->len; i++)
+        buf[i] = r->buf[(r->head + i) & (r->cap - 1)];
+    PyMem_Free(r->buf);
+    r->buf = buf;
+    r->cap = cap;
+    r->head = 0;
+    return 0;
 }
+
+static inline int
+ring_push(Ring *r, long long v)
+{
+    if (r->len == r->cap && ring_grow(r))
+        return -1;
+    r->buf[(r->head + r->len) & (r->cap - 1)] = v;
+    r->len++;
+    return 0;
+}
+
+static Ring *
+ring_new(void)
+{
+    Ring *r = PyObject_New(Ring, &RingType);
+    if (r == NULL)
+        return NULL;
+    r->buf = PyMem_Malloc(RING_FIRST_CAP * sizeof *r->buf);
+    r->cap = RING_FIRST_CAP;
+    r->head = r->len = 0;
+    if (r->buf == NULL) {
+        Py_DECREF(r);
+        PyErr_NoMemory();
+        return NULL;
+    }
+    return r;
+}
+
+/* obj as a handle.  Anything but an int got into a flat mesh's queue
+ * some other way than LocalPort.send, and the error says so. */
+static int
+as_handle(PyObject *obj, long long *out)
+{
+    if (!PyLong_CheckExact(obj)) {
+        PyErr_Format(PyExc_TypeError,
+                     "%R pushed into a queue of a flat mesh, which holds "
+                     "int handles: inject messages through LocalPort.send",
+                     obj);
+        return -1;
+    }
+    return as_ll(obj, out);
+}
+
+/* obj, which must be a Ring (what names what it is for). */
+static Ring *
+as_ring(PyObject *obj, const char *what)
+{
+    if (Py_IS_TYPE(obj, &RingType))
+        return (Ring *)obj;
+    PyErr_Format(PyExc_TypeError, "%s of a flat mesh is a %s, not a Ring",
+                 what, Py_TYPE(obj)->tp_name);
+    return NULL;
+}
+
+/* rings[fid], borrowed: a Ring, or NULL for the unallocated sentinel
+ * (*failed says which NULL is an error). */
+static Ring *
+ring_at(PyObject *rings, Py_ssize_t fid, int *failed)
+{
+    PyObject *ring = PyList_GET_ITEM(rings, fid);
+    *failed = 0;
+    if (ring == NoRing)
+        return NULL;
+    Ring *r = as_ring(ring, "a router input");
+    *failed = r == NULL;
+    return r;
+}
+
+static int
+ring_extend_from(Ring *r, PyObject *iterable)
+{
+    PyObject *iter = PyObject_GetIter(iterable);
+    if (iter == NULL)
+        return -1;
+    PyObject *obj;
+    long long v;
+    while ((obj = PyIter_Next(iter)) != NULL) {
+        int failed = as_handle(obj, &v) || ring_push(r, v);
+        Py_DECREF(obj);
+        if (failed) {
+            Py_DECREF(iter);
+            return -1;
+        }
+    }
+    Py_DECREF(iter);
+    return PyErr_Occurred() ? -1 : 0;
+}
+
+static PyObject *
+ring_tp_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    (void)type;
+    PyObject *iterable = NULL;
+    if ((kwds != NULL && PyDict_GET_SIZE(kwds))
+            || !PyArg_UnpackTuple(args, "Ring", 0, 1, &iterable)) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError,
+                            "Ring() takes no keyword arguments");
+        return NULL;
+    }
+    Ring *r = ring_new();
+    if (r != NULL && iterable != NULL && ring_extend_from(r, iterable))
+        Py_CLEAR(r);
+    return (PyObject *)r;
+}
+
+static void
+ring_dealloc(PyObject *self)
+{
+    PyMem_Free(((Ring *)self)->buf);
+    PyObject_Free(self);
+}
+
+static Py_ssize_t
+ring_length(PyObject *self)
+{
+    return ((Ring *)self)->len;
+}
+
+static int
+ring_index(Ring *r, Py_ssize_t i)
+{
+    if (i < 0 || i >= r->len) {
+        PyErr_SetString(PyExc_IndexError, "Ring index out of range");
+        return -1;
+    }
+    return 0;
+}
+
+static PyObject *
+ring_item(PyObject *self, Py_ssize_t i)
+{
+    Ring *r = (Ring *)self;
+    if (ring_index(r, i))
+        return NULL;
+    return PyLong_FromLongLong(r->buf[(r->head + i) & (r->cap - 1)]);
+}
+
+static int
+ring_ass_item(PyObject *self, Py_ssize_t i, PyObject *value)
+{
+    Ring *r = (Ring *)self;
+    long long v;
+    if (value == NULL) {
+        PyErr_SetString(PyExc_TypeError, "a Ring deletes nothing by index");
+        return -1;
+    }
+    if (ring_index(r, i) || as_handle(value, &v))
+        return -1;
+    r->buf[(r->head + i) & (r->cap - 1)] = v;
+    return 0;
+}
+
+static PyObject *
+ring_popleft(PyObject *self, PyObject *unused)
+{
+    (void)unused;
+    Ring *r = (Ring *)self;
+    if (!r->len) {
+        PyErr_SetString(PyExc_IndexError, "pop from an empty Ring");
+        return NULL;
+    }
+    return PyLong_FromLongLong(ring_pop(r));
+}
+
+static PyObject *
+ring_append(PyObject *self, PyObject *obj)
+{
+    long long v;
+    if (as_handle(obj, &v) || ring_push((Ring *)self, v))
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+ring_appendleft(PyObject *self, PyObject *obj)
+{
+    Ring *r = (Ring *)self;
+    long long v;
+    if (as_handle(obj, &v) || (r->len == r->cap && ring_grow(r)))
+        return NULL;
+    r->head = (r->head - 1) & (r->cap - 1);
+    r->buf[r->head] = v;
+    r->len++;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+ring_extend(PyObject *self, PyObject *iterable)
+{
+    /* r.extend(r) appends what r held when it was called, as a deque
+     * does. */
+    PyObject *source = iterable == self ? PySequence_List(self)
+                                        : Py_NewRef(iterable);
+    if (source == NULL)
+        return NULL;
+    int failed = ring_extend_from((Ring *)self, source);
+    Py_DECREF(source);
+    if (failed)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+ring_clear(PyObject *self, PyObject *unused)
+{
+    (void)unused;
+    Ring *r = (Ring *)self;
+    r->head = r->len = 0;
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef ring_methods[] = {
+    {"popleft", ring_popleft, METH_NOARGS,
+     "Remove and return the handle at the front."},
+    {"append", ring_append, METH_O, "Add a handle at the back."},
+    {"appendleft", ring_appendleft, METH_O, "Add a handle at the front."},
+    {"extend", ring_extend, METH_O, "Append every handle of an iterable."},
+    {"clear", ring_clear, METH_NOARGS, "Remove every handle."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PySequenceMethods ring_as_sequence = {
+    .sq_length = ring_length,
+    .sq_item = ring_item,
+    .sq_ass_item = ring_ass_item,
+};
+
+static PyTypeObject RingType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_flatstep.Ring",
+    .tp_basicsize = sizeof(Ring),
+    .tp_dealloc = ring_dealloc,
+    .tp_as_sequence = &ring_as_sequence,
+    .tp_hash = PyObject_HashNotImplemented,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "Ring(iterable=()): a flat mesh's queue of int flit handles.",
+    .tp_methods = ring_methods,
+    .tp_new = ring_tp_new,
+};
 
 static int
 set_attr_ll(PyObject *obj, PyObject *name, long long value)
@@ -487,34 +858,30 @@ resolve_heads(Fetch *f)
     PyObject *unres = get_list(f, A_UNRES);
     PyObject *rings = get_list(f, A_RINGS);
     PyObject *inflight = get(f, A_INFLIGHT);
-    PyObject *req = get_list(f, A_REQ);
-    PyObject *rq = get_list(f, A_RQ);
-    PyObject *grant = get_list(f, A_GRANT);
+    long long *req = get_q(f, A_REQ), *rq = get_q(f, A_RQ);
+    long long *grant = get_q(f, A_GRANT);
     PyObject *active = get_list(f, A_ACTIVE);
     long long width, height;
     if (!unres || !rings || !inflight || !req || !rq || !grant || !active
             || get_scalar(f, A_WIDTH, &width)
             || get_scalar(f, A_HEIGHT, &height))
         return -1;
-    Py_ssize_t n5 = PyList_GET_SIZE(rings);
-    if (PyList_GET_SIZE(req) != n5 || PyList_GET_SIZE(rq) != n5
-            || PyList_GET_SIZE(grant) != n5) {
-        PyErr_SetString(PyExc_ValueError,
-                        "flat mesh core: per-port lists differ in length");
-        return -1;
-    }
+    const Py_ssize_t n5 = f->n5;
     for (Py_ssize_t k = 0; k < PyList_GET_SIZE(unres); k++) {
-        long long fid, bits, want, mask, owner;
+        long long fid, bits, want;
+        int failed;
         if (item(unres, k, &fid) || check_index(fid, n5))
             return -1;
         long long r = fid / NPorts, i = fid % NPorts;
-        PyObject *flit = PySequence_GetItem(PyList_GET_ITEM(rings, fid), 0);
-        if (flit == NULL)
-            return -1;
-        int failed = handle_of(flit, fid, &bits);
-        Py_DECREF(flit);
+        Ring *ring = ring_at(rings, fid, &failed);
         if (failed)
             return -1;
+        if (ring == NULL || !ring->len) {
+            PyErr_Format(PyExc_IndexError,
+                         "input %lld waits for routing but is empty", fid);
+            return -1;
+        }
+        bits = ring->buf[ring->head];
         if (bits < 0)
             bits = -bits;
         if (!(bits & HeadBit))
@@ -533,15 +900,15 @@ resolve_heads(Fetch *f)
             return -1;
         failed = route(f, r, dst, width, height, &want);
         Py_DECREF(dst);
-        if (failed || set_item(req, fid, want))
+        if (failed)
             return -1;
+        req[fid] = want;
         long long ofid = fid - i + want;
-        if (check_index(ofid, n5) || item(rq, ofid, &mask) || item(grant, ofid, &owner))
+        if (check_index(ofid, n5))
             return -1;
-        if (!mask && owner < 0 && insort(active, ofid))
+        if (!rq[ofid] && grant[ofid] < 0 && insort(active, ofid))
             return -1;
-        if (set_item(rq, ofid, mask | (1LL << i)))
-            return -1;
+        rq[ofid] |= 1LL << i;
     }
     return PyList_SetSlice(unres, 0, PyList_GET_SIZE(unres), NULL);
 }
@@ -553,11 +920,12 @@ typedef struct {
     PyObject *core, *cycle_obj;
     long long cycle, depth;
     Py_ssize_t n5;
-    PyObject *rings, *pushc, *popc, *hw, *hwc, *grant, *rr, *rq, *req;
-    PyObject *down, *ejects, *coords, *fwd_out, *unres, *tracer;
+    long long *pushc, *popc, *hw, *hwc, *grant, *rr, *rq, *req, *down;
+    long long *fwd_out;
+    PyObject *rings, *ejects, *coords, *unres, *tracer;
     PyObject *fblocked;  /* None when no stuck-grant window is open */
     int traced;
-    long long ring_total;
+    long long *ring_total;
     long long *retired;
     Py_ssize_t n_retired, retired_cap;
 } Walk;
@@ -595,39 +963,41 @@ static int
 walk_output(Walk *w, long long ofid)
 {
     const long long cycle = w->cycle;
-    PyObject *ring = NULL, *ring_down = NULL, *eject = NULL, *items = NULL;
-    PyObject *flit = NULL;
-    long long sfid, dfid, filled = 0, v = -1;
+    Ring *ring = NULL, *ring_down = NULL, *items = NULL;
+    PyObject *eject = NULL;
+    long long sfid, dfid, filled = 0;
     int room, failed = -1;
 
-    if (check_index(ofid, w->n5) || item(w->grant, ofid, &sfid))
+    if (check_index(ofid, w->n5))
         return -1;
+    sfid = w->grant[ofid];
     if (sfid >= 0) {
         /* Locked wormhole: the owner's next flit, if here (one pushed
          * this cycle is not here yet). */
         if (check_index(sfid, w->n5))
             return -1;
-        ring = PyList_GET_ITEM(w->rings, sfid);
-        Py_ssize_t n = PyObject_Size(ring);
-        if (n < 0 || (n < 2 && n > 0 && item(w->pushc, sfid, &v)))
+        ring = ring_at(w->rings, sfid, &failed);
+        if (failed)
             return -1;
-        if (n < 2 && (!n || v == cycle))
+        failed = -1;
+        Py_ssize_t n = ring == NULL ? 0 : ring->len;
+        if (n < 2 && (!n || w->pushc[sfid] == cycle))
             return 0;
         Py_INCREF(ring);
     }
-    if (item(w->down, ofid, &dfid))
-        goto out;
+    dfid = w->down[ofid];
     if (dfid >= 0) {
         /* Lagged credit return: occupancy as of the last cycle
          * boundary. */
+        int bad;
         if (check_index(dfid, w->n5))
             goto out;
-        ring_down = PyList_GET_ITEM(w->rings, dfid);
-        Py_ssize_t n = PyObject_Size(ring_down);
-        if (n < 0 || item(w->popc, dfid, &v))
+        ring_down = ring_at(w->rings, dfid, &bad);
+        if (bad)
             goto out;
-        filled = n;
-        room = filled + (v == cycle) < w->depth;
+        Py_XINCREF(ring_down);
+        filled = ring_down == NULL ? 0 : ring_down->len;
+        room = filled + (w->popc[dfid] == cycle) < w->depth;
     } else if (dfid == -2) {
         eject = PyList_GET_ITEM(w->ejects, ofid / NPorts);
         if (eject == Py_None) {
@@ -641,18 +1011,24 @@ walk_output(Walk *w, long long ofid)
         /* eject.can_accept() inlined: nothing is ever staged in an
          * ejection FIFO. */
         PyObject *cap = PyObject_GetAttr(eject, Name[A_CAPACITY]);
-        items = PyObject_GetAttr(eject, Name[A_ITEMS]);
-        if (cap == NULL || items == NULL) {
+        PyObject *queue = PyObject_GetAttr(eject, Name[A_ITEMS]);
+        if (cap == NULL || queue == NULL) {
             Py_XDECREF(cap);
+            Py_XDECREF(queue);
             goto out;
         }
-        Py_ssize_t n = PyObject_Size(items);
-        long long capacity = 0;
-        if (n < 0 || (cap != Py_None && as_ll(cap, &capacity))) {
+        items = as_ring(queue, "an ejection FIFO's queue");
+        if (items == NULL) {
+            Py_DECREF(queue);
             Py_DECREF(cap);
             goto out;
         }
-        filled = n;
+        long long capacity = 0;
+        if (cap != Py_None && as_ll(cap, &capacity)) {
+            Py_DECREF(cap);
+            goto out;
+        }
+        filled = items->len;
         room = cap == Py_None || filled < capacity;
         Py_DECREF(cap);
     } else {
@@ -680,86 +1056,80 @@ walk_output(Walk *w, long long ofid)
             failed = 0;
         goto out;
     }
+    long long handle;
     if (sfid < 0) {
         /* Free output: round-robin among the waiting heads. */
-        long long mask, start, in_index;
-        if (item(w->rq, ofid, &mask) || item(w->rr, ofid, &start))
-            goto out;
+        const long long mask = w->rq[ofid], start = w->rr[ofid];
         if (!mask) {
             PyErr_SetString(PyExc_ValueError, "negative shift count");
             goto out;
         }
         long long ahead = (start >= 0 && start < 63) ? mask >> start : 0;
-        in_index = ahead ? start + count_trailing_zeros(ahead)
-                         : count_trailing_zeros(mask);
-        if (set_item(w->rq, ofid, mask ^ (1LL << in_index))
-                || set_item(w->rr, ofid,
-                            in_index == NPorts - 1 ? 0 : in_index + 1))
-            goto out;
+        long long in_index = ahead ? start + count_trailing_zeros(ahead)
+                                   : count_trailing_zeros(mask);
         sfid = ofid - ofid % NPorts + in_index;
+        int bad;
         if (check_index(sfid, w->n5))
             goto out;
-        ring = PyList_GET_ITEM(w->rings, sfid);
-        Py_INCREF(ring);
-        /* Lock the output; a single-flit message releases it below. */
-        if (set_item(w->grant, ofid, sfid) || set_item(w->req, sfid, -1))
+        ring = ring_at(w->rings, sfid, &bad);
+        if (bad)
             goto out;
+        if (ring == NULL || !ring->len) {
+            PyErr_Format(PyExc_IndexError,
+                         "input %lld requests output %lld but is empty",
+                         sfid, ofid);
+            ring = NULL;
+            goto out;
+        }
+        Py_INCREF(ring);
+        w->rq[ofid] = mask ^ (1LL << in_index);
+        w->rr[ofid] = in_index == NPorts - 1 ? 0 : in_index + 1;
+        /* Lock the output; a single-flit message releases it below. */
+        w->grant[ofid] = sfid;
+        w->req[sfid] = -1;
         /* Credit the whole message now: the head's count + 1 (a lone
          * head-tail is negated with a zero count, so its masked bits
          * are 0 too).  Readers take back what is still upstream. */
-        long long credited;
-        flit = popleft(ring);
-        if (flit == NULL || handle_of(flit, sfid, &v)
-                || item(w->fwd_out, ofid, &credited)
-                || set_item(w->fwd_out, ofid,
-                            credited + (v & CountMask) + 1))
-            goto out;
+        handle = ring_pop(ring);
+        w->fwd_out[ofid] += (handle & CountMask) + 1;
     } else {
-        flit = popleft(ring);
-        if (flit == NULL || handle_of(flit, sfid, &v))
-            goto out;
+        handle = ring_pop(ring);
     }
-    const long long handle = v;
-    set_object(w->popc, sfid, w->cycle_obj);
-    if (item(w->hwc, sfid, &v))
-        goto out;
-    if (v == cycle) {
+    w->popc[sfid] = cycle;
+    if (w->hwc[sfid] == cycle)
         /* Pushed (and raised) earlier this cycle: the mark records
          * end-of-cycle depth, one less after all. */
-        if (item(w->hw, sfid, &v) || set_item(w->hw, sfid, v - 1))
-            goto out;
-    }
+        w->hw[sfid] -= 1;
     if (dfid >= 0) {
         if (!filled) {
-            if (ring_down == NoRing) {
-                ring_down = PyObject_CallNoArgs(Deque);
-                if (ring_down == NULL
-                        || PyList_SetItem(w->rings, dfid, ring_down))
+            if (ring_down == NULL) {
+                ring_down = ring_new();
+                if (ring_down == NULL)
+                    goto out;
+                Py_INCREF(ring_down);
+                if (PyList_SetItem(w->rings, dfid, (PyObject *)ring_down))
                     goto out;
             }
-            if (item(w->req, dfid, &v))
-                goto out;
-            if (v == -2 && append_ll(w->unres, dfid))
+            if (w->req[dfid] == -2 && append_ll(w->unres, dfid))
                 /* A head landed in an empty input. */
                 goto out;
         }
-        if (push(ring_down, flit))
+        if (ring_push(ring_down, handle))
             goto out;
-        set_object(w->pushc, dfid, w->cycle_obj);
+        w->pushc[dfid] = cycle;
         filled += 1;
-        if (item(w->hw, dfid, &v))
-            goto out;
-        if (filled > v) {
-            if (set_item(w->hw, dfid, filled))
-                goto out;
-            set_object(w->hwc, dfid, w->cycle_obj);
+        if (filled > w->hw[dfid]) {
+            w->hw[dfid] = filled;
+            w->hwc[dfid] = cycle;
         }
     } else {
         /* An unstaged push: the stamp keeps the flit from this cycle's
          * consumer.  Wake hooks fire on the empty -> non-empty edge. */
-        if (push(items, flit)
+        long long high;
+        if (ring_push(items, handle)
                 || PyObject_SetAttr(eject, Name[A_PUSHC], w->cycle_obj))
             goto out;
+        *w->ring_total -= 1;
         if (!filled) {
             PyObject *wakers = PyObject_GetAttr(eject, Name[A_WAKERS]);
             if (wakers == NULL)
@@ -782,20 +1152,21 @@ walk_output(Walk *w, long long ofid)
             }
             Py_DECREF(wakers);
         }
-        if (attr_ll(eject, Name[A_HIGH_WATER], &v))
+        if (attr_ll(eject, Name[A_HIGH_WATER], &high))
             goto out;
-        if (filled >= v) {
+        if (filled >= high) {
             if (set_attr_ll(eject, Name[A_HIGH_WATER], filled + 1)
                     || PyObject_SetAttr(eject, Name[A_HWC], w->cycle_obj))
                 goto out;
         }
-        w->ring_total -= 1;
     }
     if (w->traced) {
         /* A tracer pays for the Flit objects it looks at, once per
          * message (flit_of). */
-        PyObject *seen = PyObject_CallMethodObjArgs(
+        PyObject *flit = PyLong_FromLongLong(handle);
+        PyObject *seen = flit == NULL ? NULL : PyObject_CallMethodObjArgs(
             w->core, Name[A_FLIT_OF], flit, NULL);
+        Py_XDECREF(flit);
         if (seen == NULL)
             goto out;
         int fail = trace_call(w, ofid, Name[A_FLIT_FORWARDED], seen);
@@ -804,23 +1175,20 @@ walk_output(Walk *w, long long ofid)
             goto out;
     }
     if (handle < 0) {
-        if (set_item(w->grant, ofid, -1) || set_item(w->req, sfid, -2))
-            goto out;
-        Py_ssize_t behind = PyObject_Size(ring);
-        if (behind < 0)
-            goto out;
+        w->grant[ofid] = -1;
+        w->req[sfid] = -2;
         /* The flit behind the tail (even one pushed this cycle) is the
          * next head; it is routed next cycle, as in Router.step. */
-        if (behind && append_ll(w->unres, sfid))
+        if (ring->len && append_ll(w->unres, sfid))
             goto out;
-        if (item(w->rq, ofid, &v) || (!v && retire(w, ofid)))
+        if (!w->rq[ofid] && retire(w, ofid))
             goto out;
     }
     failed = 0;
 out:
-    Py_XDECREF(flit);
     Py_XDECREF(items);
     Py_XDECREF(eject);
+    Py_XDECREF(ring_down);
     Py_XDECREF(ring);
     return failed;
 }
@@ -828,40 +1196,30 @@ out:
 static int
 walk(Fetch *f, PyObject *cycle_obj, long long cycle)
 {
-    Walk w = {.core = f->core, .cycle_obj = cycle_obj, .cycle = cycle};
+    Walk w = {.core = f->core, .cycle_obj = cycle_obj, .cycle = cycle,
+              .n5 = f->n5, .ring_total = &f->ring_total};
+    w.pushc = get_q(f, A_PUSHC);
+    w.popc = get_q(f, A_POPC);
+    w.hw = get_q(f, A_HW);
+    w.hwc = get_q(f, A_HWC);
+    w.grant = get_q(f, A_GRANT);
+    w.rr = get_q(f, A_RR);
+    w.rq = get_q(f, A_RQ);
+    w.req = get_q(f, A_REQ);
+    w.down = get_q(f, A_DOWN);
+    w.fwd_out = get_q(f, A_FWD_OUT);
     w.rings = get_list(f, A_RINGS);
-    w.pushc = get_list(f, A_PUSHC);
-    w.popc = get_list(f, A_POPC);
-    w.hw = get_list(f, A_HW);
-    w.hwc = get_list(f, A_HWC);
-    w.grant = get_list(f, A_GRANT);
-    w.rr = get_list(f, A_RR);
-    w.rq = get_list(f, A_RQ);
-    w.req = get_list(f, A_REQ);
-    w.down = get_list(f, A_DOWN);
     w.ejects = get_list(f, A_EJECTS);
     w.coords = get_list(f, A_COORDS);
-    w.fwd_out = get_list(f, A_FWD_OUT);
     w.unres = get_list(f, A_UNRES);
     w.tracer = get(f, A_TRACER);
     w.fblocked = get(f, A_FAULT_BLOCKED);
     PyObject *active = get_list(f, A_ACTIVE);
-    PyObject *total = NULL;
-    if (!w.rings || !w.pushc || !w.popc || !w.hw || !w.hwc || !w.grant
-            || !w.rr || !w.rq || !w.req || !w.down || !w.ejects
-            || !w.coords || !w.fwd_out || !w.unres || !w.tracer
+    if (!w.pushc || !w.popc || !w.hw || !w.hwc || !w.grant || !w.rr
+            || !w.rq || !w.req || !w.down || !w.fwd_out || !w.rings
+            || !w.ejects || !w.coords || !w.unres || !w.tracer
             || !w.fblocked || !active || get_scalar(f, A_DEPTH, &w.depth))
         return -1;
-    w.n5 = PyList_GET_SIZE(w.rings);
-    PyObject *per_port[] = {w.pushc, w.popc, w.hw, w.hwc, w.grant, w.rr,
-                            w.rq, w.req, w.down, w.fwd_out};
-    for (size_t k = 0; k < sizeof per_port / sizeof *per_port; k++) {
-        if (PyList_GET_SIZE(per_port[k]) != w.n5) {
-            PyErr_SetString(PyExc_ValueError,
-                            "flat mesh core: per-port lists differ in length");
-            return -1;
-        }
-    }
     if (PyList_GET_SIZE(w.ejects) * NPorts != w.n5
             || PyList_GET_SIZE(w.coords) * NPorts != w.n5) {
         PyErr_SetString(PyExc_ValueError,
@@ -873,13 +1231,8 @@ walk(Fetch *f, PyObject *cycle_obj, long long cycle)
         return -1;
     w.traced = PyObject_IsTrue(enabled);
     Py_DECREF(enabled);
-    total = core_attr(f, Name[A_RING_TOTAL]);
-    if (w.traced < 0 || total == NULL || as_ll(total, &w.ring_total)) {
-        Py_XDECREF(total);
+    if (w.traced < 0)
         return -1;
-    }
-    Py_DECREF(total);
-    const long long ring_total = w.ring_total;
     int failed = 0;
     /* Ascending ofid == routers row-major, outputs in port order: the
      * object backend's visit (and trace) order. */
@@ -890,8 +1243,6 @@ walk(Fetch *f, PyObject *cycle_obj, long long cycle)
             break;
         }
     }
-    if (!failed && w.ring_total != ring_total)
-        failed = set_attr_ll(f->core, Name[A_RING_TOTAL], w.ring_total);
     /* Nothing requests an output during the walk, so one that went
      * free and unrequested stays retired. */
     for (Py_ssize_t k = 0; !failed && k < w.n_retired; k++)
@@ -906,8 +1257,7 @@ walk(Fetch *f, PyObject *cycle_obj, long long cycle)
  * sequence number and queue its handles (a head handle, a countdown,
  * the negated tail). */
 static int
-start_message(Fetch *f, PyObject *port, PyObject *pending,
-              PyObject *message)
+start_message(Fetch *f, PyObject *port, Ring *pending, PyObject *message)
 {
     PyObject *inflight = get(f, A_INFLIGHT);
     if (inflight == NULL)
@@ -958,14 +1308,14 @@ start_message(Fetch *f, PyObject *port, PyObject *pending,
     long long n = n_meta + (PyBytes_GET_SIZE(data) + FlitBytes - 1)
                            / FlitBytes;
     if (n) {
-        if (push_ll(pending, base | HeadBit | n))
+        if (ring_push(pending, base | HeadBit | n))
             goto done;
         for (long long handle = base + n - 1; handle > base; handle--)
-            if (push_ll(pending, handle))
+            if (ring_push(pending, handle))
                 goto done;
-        if (push_ll(pending, -base))
+        if (ring_push(pending, -base))
             goto done;
-    } else if (push_ll(pending, -(base | HeadBit))) {
+    } else if (ring_push(pending, -(base | HeadBit))) {
         goto done;
     }
     failed = increment(port, Name[A_MESSAGES_SENT]);
@@ -987,7 +1337,8 @@ done:
 static int
 inject_port(Fetch *f, PyObject *entry, PyObject *busy, Py_ssize_t index)
 {
-    PyObject *req = get_list(f, A_REQ), *unres = get_list(f, A_UNRES);
+    long long *req = get_q(f, A_REQ);
+    PyObject *unres = get_list(f, A_UNRES);
     if (req == NULL || unres == NULL)
         return -1;
     if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 3) {
@@ -999,18 +1350,20 @@ inject_port(Fetch *f, PyObject *entry, PyObject *busy, Py_ssize_t index)
     PyObject *fifo = PyTuple_GET_ITEM(entry, 2);
     long long lfid;
     if (as_ll(PyTuple_GET_ITEM(entry, 1), &lfid)
-            || check_index(lfid, PyList_GET_SIZE(req)))
+            || check_index(lfid, f->n5))
         return -1;
     Py_INCREF(port);
     Py_INCREF(fifo);
     int failed = -1;
-    PyObject *pending = NULL, *send_queue = NULL, *items = NULL;
-    PyObject *flit = NULL;
+    PyObject *pending_obj = NULL, *send_queue = NULL, *items_obj = NULL;
+    Ring *pending = NULL, *items = NULL;
     Py_ssize_t n;
-    pending = PyObject_GetAttr(port, Name[A_PENDING]);
-    if (pending == NULL || (n = PyObject_Size(pending)) < 0)
+    pending_obj = PyObject_GetAttr(port, Name[A_PENDING]);
+    if (pending_obj == NULL
+            || (pending = as_ring(pending_obj, "a port's injection queue"))
+               == NULL)
         goto done;
-    if (!n) {
+    if (!pending->len) {
         send_queue = PyObject_GetAttr(port, Name[A_SEND_QUEUE]);
         if (send_queue == NULL || (n = PyObject_Size(send_queue)) < 0)
             goto done;
@@ -1027,29 +1380,26 @@ inject_port(Fetch *f, PyObject *entry, PyObject *busy, Py_ssize_t index)
         if (fail)
             goto done;
     }
-    long long capacity, high, v;
-    items = PyObject_GetAttr(fifo, Name[A_ITEMS]);
-    if (items == NULL || (n = PyObject_Size(items)) < 0
+    long long capacity, high;
+    items_obj = PyObject_GetAttr(fifo, Name[A_ITEMS]);
+    if (items_obj == NULL
+            || (items = as_ring(items_obj, "a LOCAL input's queue")) == NULL
             || attr_ll(fifo, Name[A_CAPACITY], &capacity))
         goto done;
-    const long long occupancy = n;
-    if (occupancy < capacity) {
-        if (!occupancy) {
-            if (item(req, lfid, &v) || (v == -2 && append_ll(unres, lfid)))
-                goto done;
-        }
-        flit = popleft(pending);
-        if (flit == NULL || push(items, flit)
-                || increment(f->core, Name[A_RING_TOTAL]))
+    const long long occupancy = items->len;
+    if (occupancy < capacity && pending->len) {
+        if (!occupancy && req[lfid] == -2 && append_ll(unres, lfid))
             goto done;
+        if (ring_push(items, pending->buf[pending->head]))
+            goto done;
+        ring_pop(pending);
+        f->ring_total += 1;
         if (attr_ll(fifo, Name[A_HIGH_WATER], &high)
                 || (occupancy >= high
                     && set_attr_ll(fifo, Name[A_HIGH_WATER], occupancy + 1))
                 || increment(port, Name[A_FLITS_INJECTED]))
             goto done;
-        if ((n = PyObject_Size(pending)) < 0)
-            goto done;
-        if (!n) {
+        if (!pending->len) {
             Py_XSETREF(send_queue, PyObject_GetAttr(port, Name[A_SEND_QUEUE]));
             if (send_queue == NULL || (n = PyObject_Size(send_queue)) < 0)
                 goto done;
@@ -1059,10 +1409,9 @@ inject_port(Fetch *f, PyObject *entry, PyObject *busy, Py_ssize_t index)
     }
     failed = 0;
 done:
-    Py_XDECREF(flit);
-    Py_XDECREF(items);
+    Py_XDECREF(items_obj);
     Py_XDECREF(send_queue);
-    Py_XDECREF(pending);
+    Py_XDECREF(pending_obj);
     Py_DECREF(fifo);
     Py_DECREF(port);
     return failed;
@@ -1085,55 +1434,6 @@ inject(Fetch *f, PyObject *busy)
 }
 
 /* -- the tile step ------------------------------------------------------- */
-
-/* An exception set aside while a `finally` runs, and put back after. */
-#if PY_VERSION_HEX >= 0x030C0000
-typedef PyObject *Pending;
-
-static Pending
-pending_take(void)
-{
-    return PyErr_GetRaisedException();
-}
-
-static void
-pending_restore(Pending pending)
-{
-    PyErr_SetRaisedException(pending);
-}
-
-static void
-pending_drop(Pending pending)
-{
-    Py_XDECREF(pending);
-}
-#else
-typedef struct {
-    PyObject *type, *value, *traceback;
-} Pending;
-
-static Pending
-pending_take(void)
-{
-    Pending pending;
-    PyErr_Fetch(&pending.type, &pending.value, &pending.traceback);
-    return pending;
-}
-
-static void
-pending_restore(Pending pending)
-{
-    PyErr_Restore(pending.type, pending.value, pending.traceback);
-}
-
-static void
-pending_drop(Pending pending)
-{
-    Py_XDECREF(pending.type);
-    Py_XDECREF(pending.value);
-    Py_XDECREF(pending.traceback);
-}
-#endif
 
 static int
 attr_truth(PyObject *obj, PyObject *name)
@@ -1182,7 +1482,8 @@ typedef struct {
  * borrowed from it.  own is vars(tile). */
 typedef struct {
     PyObject *record;
-    PyObject *tile, *port, *eject, *items, *assembler, *mesh_core, *own;
+    PyObject *tile, *port, *eject, *assembler, *mesh_core, *own;
+    Ring *items;
     int fast, default_service;
 } Rec;
 
@@ -1431,19 +1732,12 @@ eject_flit(Tiles *s, Rec *r)
             return -1;
     } else {
         Py_CLEAR(message);
-        PyObject *flit = popleft(r->items);
-        if (flit == NULL)
+        if (!r->items->len) {
+            PyErr_SetString(PyExc_IndexError, "pop from an empty Ring");
             return -1;
-        int failed = 0;
-        if (!PyLong_CheckExact(flit)) {
-            PyErr_Format(PyExc_TypeError,
-                         "%R in a flat mesh's ejection FIFO, which holds "
-                         "int handles", flit);
-            failed = -1;
         }
-        failed = failed || as_ll(flit, &handle);
-        Py_DECREF(flit);
-        if (failed || attr_ll(r->eject, Name[A_HWC], &v))
+        handle = ring_pop(r->items);
+        if (attr_ll(r->eject, Name[A_HWC], &v))
             return -1;
         if (v == s->cycle) {
             if (attr_ll(r->eject, Name[A_HIGH_WATER], &v)
@@ -1697,9 +1991,8 @@ static int
 settle(Tiles *s, Rec *r, Py_ssize_t i, PyObject *rx)
 {
     long long v, w;
-    Py_ssize_t n = PyObject_Size(r->items);
-    if (n)
-        return n < 0 ? -1 : 0;  /* flits to pump (or a full buffer) */
+    if (r->items->len)
+        return 0;  /* flits to pump (or a full buffer) */
     PyObject *in_service = PyObject_GetAttr(r->tile, Name[T_IN_SERVICE]);
     if (in_service == NULL)
         return -1;
@@ -1709,7 +2002,7 @@ settle(Tiles *s, Rec *r, Py_ssize_t i, PyObject *rx)
         set_busy(s->busy, i, 0);
         return attr_ll(r->tile, Name[T_EMIT_AT], &v) ? -1 : arm(s, i, v);
     }
-    n = PyObject_Size(rx);
+    Py_ssize_t n = PyObject_Size(rx);
     if (n < 0)
         return -1;
     if (n) {
@@ -1735,9 +2028,7 @@ visit_fast(Tiles *s, Rec *r, Py_ssize_t i)
     long long v, w;
     /* The eject pump: a lone flit the mesh ejected this very cycle is
      * not here yet; mid-message is tested before the buffer. */
-    Py_ssize_t n = PyObject_Size(r->items);
-    if (n < 0)
-        return -1;
+    Py_ssize_t n = r->items->len;
     int ready = n > 1;
     if (n == 1) {
         if (attr_ll(r->eject, Name[A_PUSHC], &v))
@@ -1824,8 +2115,8 @@ visit_object(Tiles *s, Rec *r, Py_ssize_t i)
     int failed = 0;
     if (due != Py_None) {
         long long deadline;
-        Py_ssize_t n = PyObject_Size(r->items);
-        if (n < 0 || (!n && as_ll(due, &deadline))) {
+        Py_ssize_t n = r->items->len;
+        if (!n && as_ll(due, &deadline)) {
             failed = -1;
         } else if (!n) {
             set_busy(s->busy, i, 0);
@@ -1853,11 +2144,17 @@ unpack(PyObject *fabric, Py_ssize_t i, Rec *r)
                      "vars(tile))", i);
         return -1;
     }
+    if (!Py_IS_TYPE(PyTuple_GET_ITEM(record, 3), &RingType)) {
+        PyErr_Format(PyExc_TypeError,
+                     "tile record %zd: the ejection queue is a %s, not a "
+                     "Ring", i, Py_TYPE(PyTuple_GET_ITEM(record, 3))->tp_name);
+        return -1;
+    }
     r->record = Py_NewRef(record);
     r->tile = PyTuple_GET_ITEM(record, 0);
     r->port = PyTuple_GET_ITEM(record, 1);
     r->eject = PyTuple_GET_ITEM(record, 2);
-    r->items = PyTuple_GET_ITEM(record, 3);
+    r->items = (Ring *)PyTuple_GET_ITEM(record, 3);
     r->assembler = PyTuple_GET_ITEM(record, 4);
     r->mesh_core = PyTuple_GET_ITEM(record, 5);
     r->own = PyTuple_GET_ITEM(record, 8);
@@ -2310,31 +2607,48 @@ mesh_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_TypeError, "mesh_step(core, cycle)");
         return NULL;
     }
-    if (Deque == NULL) {
+    if (Popleft == NULL) {
         PyErr_SetString(PyExc_RuntimeError, "mesh_step before bind()");
         return NULL;
     }
-    long long cycle;
+    long long cycle, ring_total;
     if (as_ll(args[1], &cycle))
         return NULL;
     Fetch f = {.core = args[0]};
     PyObject *result = NULL;
+    PyObject *rings = get_list(&f, A_RINGS);
     PyObject *unres = get_list(&f, A_UNRES);
-    if (unres == NULL || (PyList_GET_SIZE(unres) && resolve_heads(&f)))
-        goto done;
     PyObject *active = get_list(&f, A_ACTIVE);
     PyObject *busy = get_typed(&f, A_INJ_BUSY, &PyByteArray_Type);
-    if (active == NULL || busy == NULL
-            || (PyList_GET_SIZE(active) && walk(&f, args[1], cycle))
-            || inject(&f, busy))
+    PyObject *total = busy == NULL ? NULL : core_attr(&f, Name[A_RING_TOTAL]);
+    if (rings == NULL || unres == NULL || active == NULL || total == NULL
+            || as_ll(total, &ring_total)) {
+        Py_XDECREF(total);
         goto done;
+    }
+    Py_DECREF(total);
+    f.n5 = PyList_GET_SIZE(rings);
+    f.ring_total = ring_total;
+    int failed = (PyList_GET_SIZE(unres) && resolve_heads(&f))
+                 || (PyList_GET_SIZE(active) && walk(&f, args[1], cycle))
+                 || inject(&f, busy);
+    /* _ring_total, written once a step: after a failure too, for the
+     * flits that moved before it. */
+    if (f.ring_total != ring_total) {
+        if (!failed) {
+            failed = set_attr_ll(f.core, Name[A_RING_TOTAL], f.ring_total);
+        } else {
+            Pending pending = pending_take();
+            if (set_attr_ll(f.core, Name[A_RING_TOTAL], f.ring_total))
+                pending_drop(pending);
+            else
+                pending_restore(pending);
+        }
+    }
     /* Due every cycle while a flit is in a router input or a port has
      * anything to inject. */
-    PyObject *total = core_attr(&f, Name[A_RING_TOTAL]);
-    int flits = total == NULL ? -1 : PyObject_IsTrue(total);
-    Py_XDECREF(total);
-    if (flits >= 0)
-        result = Py_NewRef(flits || any_busy(busy) ? Py_None : Never);
+    if (!failed)
+        result = Py_NewRef(f.ring_total || any_busy(busy) ? Py_None : Never);
 done:
     release(&f);
     return result;
@@ -2746,7 +3060,6 @@ bind(PyObject *module, PyObject *args)
     Py_XSETREF(KernelTick, Py_NewRef(tick));
     Py_XSETREF(Monotonic, Py_NewRef(monotonic));
     NeverValue = never_value;
-    Py_XSETREF(Deque, Py_NewRef(deque));
     NPorts = PyTuple_GET_SIZE(ports);
     FlitBytes = flit_bytes;
     SeqShift = seq_shift;
@@ -2805,8 +3118,15 @@ static PyMethodDef methods[] = {
     {NULL, NULL, 0, NULL},
 };
 
+static int
+exec_module(PyObject *module)
+{
+    return PyModule_AddObjectRef(module, "Ring", (PyObject *)&RingType);
+}
+
 /* Multi-phase initialisation: the loader files nothing in sys.modules. */
 static PyModuleDef_Slot slots[] = {
+    {Py_mod_exec, exec_module},
     {0, NULL},
 };
 
@@ -2824,7 +3144,8 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__flatstep(void)
 {
-    if (PyType_Ready(&WakerType) || PyType_Ready(&KernelWakerType))
+    if (PyType_Ready(&RingType) || PyType_Ready(&WakerType)
+            || PyType_Ready(&KernelWakerType))
         return NULL;
     for (int k = 0; k < N_NAMES; k++) {
         if (Name[k] == NULL) {

@@ -5,20 +5,33 @@ five :class:`~repro.sim.kernel.StagedFifo` objects per router; stepping
 a saturated mesh is then a cascade of method calls and attribute loads.
 :class:`FlatMesh` keeps the same construction API and the same
 *observable* behaviour but compiles the mesh into flat parallel arrays
-(Python lists, deques and dicts held by one :class:`FlatMeshCore`).
+(``array('q')`` per-output state, compiled int64 rings, and the lists
+and dicts around them, held by one :class:`FlatMeshCore`).
 
-Those lists are the mesh's state, and the only copy of it.  The walk
-that mutates them each cycle is C: ``mesh_step`` in ``_flatstep.c``
-beside this module (which also holds ``repro.tiles.flatcore``'s step
-and the scheduled kernel's loop), compiled by the first scheduled
-simulator or flat core an interpreter builds (a C compiler and the
-Python headers, which ``profile="reference"`` does not need) and
-called by that loop, or as ``FlatMeshCore.step``.  It reads and writes
-the same lists, so every reader below — ``forwarded``, ``check_invariants``, the
-router and ring views, the fault hooks, the tracer — is Python, and the
-description that follows is the specification the C code implements:
+Those arrays and rings are the mesh's state, and the only copy of it.
+The walk that mutates them each cycle is C: ``mesh_step`` in
+``_flatstep.c`` beside this module (which also holds
+``repro.tiles.flatcore``'s step and the scheduled kernel's loop),
+compiled by the first scheduled simulator or flat core an interpreter
+builds (a C compiler and the Python headers, which
+``profile="reference"`` does not need) and called by that loop, or as
+``FlatMeshCore.step``.  It moves flits as C integers through the very
+objects every reader below — ``forwarded``, ``check_invariants``, the
+router and ring views, the fault hooks, the tracer — reads from Python
+by the same names and indexing, and the description that follows is
+the specification the C code implements:
 
-- the five input FIFOs of every router are one list of deques
+- every queue of flit handles is a ``Ring`` (``_flatstep.Ring``, the
+  module's ``compiled().Ring``): an int64 circular buffer that doubles
+  when it fills, with the slice of the ``deque`` surface its readers
+  use (``len``, truth, ``r[i]``, iteration, ``popleft``, ``append``,
+  ``appendleft``, ``extend``, ``clear``).  Pushing anything but an int
+  into one raises a ``TypeError`` naming ``LocalPort.send``, the one
+  way in.  The core installs a ring wherever it creates or wires a
+  queue: the directional inputs, the LOCAL input FIFOs' and the
+  ejection FIFOs' committed queues (``StagedFifo._items``) and each
+  port's injection queue (``_pending_flits``);
+- the five input FIFOs of every router are one list of rings
   indexed ``fid = router_index * 5 + port_index``: the LOCAL slot is
   the adapter FIFO's own committed queue, a directional slot is a ring
   allocated on its first push (until then it shares one empty
@@ -31,8 +44,11 @@ description that follows is the specification the C code implements:
   router's memo: nothing is built per router, and a corrupted ``dst``
   off the mesh is routed afresh every time, so it cannot grow the memo;
 - wormhole grants, round-robin pointers and pending-head requests
-  are flat integer lists indexed by output,
-  ``ofid = router_index * 5 + out_port_index``;
+  are ``array('q')`` objects indexed by output,
+  ``ofid = router_index * 5 + out_port_index``, as are the other
+  per-input and per-output integers (stamps, high-water marks, wiring,
+  forwarding counts); the C takes each through the buffer protocol
+  once a step;
 - the whole mesh steps in one loop per cycle inside a single
   :class:`FlatMeshCore` component, and that loop is *output-centric*:
   it walks one sorted list of **active outputs** — those locked by a
@@ -154,6 +170,7 @@ import importlib.machinery
 import importlib.util
 import os
 import time
+from array import array
 from collections import deque
 
 from repro.noc.flit import (
@@ -417,6 +434,7 @@ class FlatMeshCore(Wakeable):
         # unless ``step`` is shadowed on the instance.
         module.step_directly(FlatMeshCore, module.mesh_step)
         self._step = module.mesh_step
+        Ring = module.Ring
         self.width = width
         self.height = height
         self.depth = depth
@@ -428,41 +446,42 @@ class FlatMeshCore(Wakeable):
             (x, y) for y in range(height) for x in range(width)
         ]
         # Adapter boundary: LOCAL inputs are real StagedFifos so
-        # LocalPort (and the linter's wake checks) see ordinary queues.
+        # LocalPort (and the linter's wake checks) see ordinary queues;
+        # what they hold is a Ring, as every flit queue here.
         self._local_in: list[StagedFifo] = [
             StagedFifo(depth, name=f"router{coord}.in.local")
             for coord in self.coords
         ]
         # Router inputs, fid = r * 5 + port_index: the LOCAL FIFO's
-        # committed deque, or a directional ring (_NO_RING until its
+        # committed queue, or a directional ring (_NO_RING until its
         # first push; unwired mesh-edge slots never allocate).
         self._rings: list = [_NO_RING] * n5
         for r, fifo in enumerate(self._local_in):
-            self._rings[r * _N_PORTS] = fifo._items
+            fifo._items = self._rings[r * _N_PORTS] = Ring()
         # The cycle of each ring's latest push and pop.  A flit pushed
         # this cycle is not yet poppable; a pop this cycle is not yet a
         # credit upstream (inter-router credit return lags one cycle,
         # see repro.noc.router's module docstring).
-        self._pushc: list[int] = [-1] * n5
-        self._popc: list[int] = [-1] * n5
+        self._pushc = array("q", [-1]) * n5
+        self._popc = array("q", [-1]) * n5
         # Wormhole state per output ofid: the fid of the input owning
         # it (-1 = free), the round-robin pointer (an input port index,
         # as Router._rr) and the bitmask of input ports whose routed
         # head waits for it.
-        self._grant: list[int] = [-1] * n5
-        self._rr: list[int] = [0] * n5
-        self._rq: list[int] = [0] * n5
+        self._grant = array("q", [-1]) * n5
+        self._rr = array("q", [0]) * n5
+        self._rq = array("q", [0]) * n5
         # Head state per input (-2 / -1 / out port, see the module
         # docstring; fid base+LOCAL tracks the local input FIFO), the
         # inputs whose front flit is an unrouted head, and the
         # ascending ofids that are locked or requested.
-        self._req: list[int] = [-2] * n5
+        self._req = array("q", [-2]) * n5
         self._unres: list[int] = []
         self._active: list[int] = []
         # Output wiring: fid of the downstream ring per output, -1 for
         # an unconnected mesh edge, -2 for LOCAL outputs, which eject
         # through _ejects.
-        self._down: list[int] = [-1] * n5
+        self._down = array("q", [-1]) * n5
         for r in range(n):
             x = r % width
             y = r // width
@@ -501,13 +520,13 @@ class FlatMeshCore(Wakeable):
         # Flits credited per output: each grant adds its whole message,
         # so a locked output runs ahead of Router._flits_per_output
         # until its tail has passed.  Read through ``forwarded``.
-        self._fwd_out: list[int] = [0] * n5
+        self._fwd_out = array("q", [0]) * n5
         # Ring high-water marks, mirroring StagedFifo.high_water: the
         # deepest end-of-cycle depth per directional input.  Raised at
         # push time; _hwc stamps the cycle of the raise so a pop later
         # in that cycle can take it back.
-        self._hw: list[int] = [0] * n5
-        self._hwc: list[int] = [-1] * n5
+        self._hw = array("q", [0]) * n5
+        self._hwc = array("q", [-1]) * n5
         # Messages in flight by injection sequence number (module
         # docstring), and the ``Flit`` objects of those somebody looked
         # at; an ``_observed`` entry leaves with its ``_inflight`` one.
@@ -520,11 +539,14 @@ class FlatMeshCore(Wakeable):
     # -- wiring -----------------------------------------------------------
 
     def set_eject(self, index: int, downstream: StagedFifo) -> None:
+        # Before a tile core adopts the port and caches the queue.
+        downstream._items = compiled().Ring(downstream._items)
         self._ejects[index] = downstream
 
     def add_port(self, port: LocalPort) -> None:
         self._ports_list.append(port)
         port._core = self
+        port._pending_flits = compiled().Ring(port._pending_flits)
         r = port.router._index
         # A port starts clear: it has nothing to inject until a send,
         # whose _wake() sets its byte and wakes the core if it was.
@@ -615,7 +637,8 @@ class FlatMeshCore(Wakeable):
     def step(self, cycle: int) -> int | None:
         """One cycle of the whole mesh: resolve newly exposed heads,
         walk the active outputs, step the busy ports.  The body is C
-        (``_flatstep.c`` beside this file) over this object's lists.
+        (``_flatstep.c`` beside this file) over this object's arrays,
+        rings and lists.
 
         Due every cycle (None) while a flit is in a router input or a
         port has anything to inject (a port's busy byte is set by
@@ -737,11 +760,26 @@ class FlatMeshCore(Wakeable):
         if self._ring_total != in_rings:
             problems.append(f"_ring_total {self._ring_total} != "
                             f"{in_rings} flits in the router inputs")
+        # Credits bound a directional input by the depth, and an input's
+        # high-water mark (the LOCAL FIFO keeps its own) by what it
+        # holds at any cycle boundary.
+        for fid, ring in enumerate(rings):
+            held = len(ring)
+            if fid % _N_PORTS == _LOCAL:
+                mark = self._local_in[fid // _N_PORTS].high_water
+            else:
+                mark = self._hw[fid]
+                if held > self.depth:
+                    problems.append(f"input {fid} holds {held} flits, more "
+                                    f"than its depth {self.depth}")
+            if held > mark:
+                problems.append(f"input {fid} holds {held} flits, above its "
+                                f"high-water mark {mark}")
         if cycle is not None:
             ejects = [e for e in self._ejects if e is not None]
-            stamps = {"_pushc": self._pushc + [e._pushc for e in ejects],
+            stamps = {"_pushc": [*self._pushc, *(e._pushc for e in ejects)],
                       "_popc": self._popc,
-                      "_hwc": self._hwc + [e._hwc for e in ejects]}
+                      "_hwc": [*self._hwc, *(e._hwc for e in ejects)]}
             for name, values in stamps.items():
                 latest = max(values)
                 if latest >= cycle:

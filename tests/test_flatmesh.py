@@ -17,12 +17,21 @@ a tracer.
 import gc
 import sys
 import tracemalloc
+from array import array
 from collections import deque
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.designs.base import Design
-from repro.noc.flatmesh import _NO_RING, _SOURCE, FlatMesh, FlatRouterView
+from repro.noc.flatmesh import (
+    _NO_RING,
+    _SOURCE,
+    FlatMesh,
+    FlatRouterView,
+    compiled,
+)
 from repro.noc.flit import HANDLE_HEAD
 from repro.noc.mesh import LocalPort, Mesh
 from repro.noc.message import NocMessage, reset_id_counters
@@ -31,6 +40,8 @@ from repro.noc.routing import Port
 from repro.packet import ipv4
 from repro.sim.kernel import CycleSimulator, StagedFifo
 from repro.telemetry.trace import Tracer
+from repro.tiles.base import Tile
+from repro.tiles.flatcore import register_tiles
 from tests.test_import_graph import run_python
 
 MESHES = {"object": Mesh, "flat": FlatMesh}
@@ -582,9 +593,106 @@ class TestLazyRings:
                 if fid % 5 and ring is not _NO_RING]
         # (1,0).west, (2,0).west and (2,0).south carried traffic.
         assert len(used) == 3
-        assert all(isinstance(ring, deque) and not ring for ring in used)
+        assert all(isinstance(ring, compiled().Ring) and not ring
+                   for ring in used)
         assert len({id(ring) for ring in used}) == 3
         assert _NO_RING == ()
+
+
+_HANDLES = st.integers(-(1 << 63), (1 << 63) - 1)
+_INDICES = st.integers(-20, 20)
+_RING_OPS = st.lists(st.one_of(
+    st.tuples(st.just("append"), _HANDLES),
+    st.tuples(st.just("appendleft"), _HANDLES),
+    st.tuples(st.just("popleft"), st.none()),
+    st.tuples(st.just("extend"), st.lists(_HANDLES, max_size=12)),
+    st.tuples(st.just("clear"), st.none()),
+    st.tuples(st.just("get"), _INDICES),
+    st.tuples(st.just("set"), st.tuples(_INDICES, _HANDLES)),
+), max_size=60)
+
+#: Wraps the front past the end of the first buffer (8 slots), then
+#: grows it twice while wrapped, from either end.
+_WRAP_AND_GROW = ([("append", 1)] * 6 + [("popleft", None)] * 5
+                  + [("extend", list(range(2, 12)))]
+                  + [("appendleft", -1)] * 3 + [("get", -1), ("get", 0)]
+                  + [("set", (4, 99)), ("extend", list(range(12, 24)))]
+                  + [("popleft", None)] * 20)
+
+
+def _apply(queue, op, arg):
+    """``op`` on ``queue``: what it returned, or the type it raised."""
+    try:
+        if op == "get":
+            return queue[arg]
+        if op == "set":
+            index, value = arg
+            queue[index] = value
+            return None
+        return getattr(queue, op)(*(() if arg is None else (arg,)))
+    except IndexError as error:
+        return type(error)
+
+
+class TestRing:
+    """The compiled int64 ring every flat-mesh flit queue is: the
+    deque surface its readers use, behaving as a deque does."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_RING_OPS)
+    @example(_WRAP_AND_GROW)
+    def test_it_behaves_like_a_deque(self, ops):
+        ring, model = compiled().Ring(), deque()
+        for op, arg in ops:
+            assert _apply(ring, op, arg) == _apply(model, op, arg), op
+            assert list(ring) == list(model)
+            assert (len(ring), bool(ring)) == (len(model), bool(model))
+
+    def test_it_is_built_from_an_iterable_and_extends_by_itself(self):
+        ring = compiled().Ring(range(3))
+        ring.extend(ring)
+        assert list(ring) == [0, 1, 2, 0, 1, 2]
+
+    @pytest.mark.parametrize("push", [
+        lambda ring, obj: ring.append(obj),
+        lambda ring, obj: ring.appendleft(obj),
+        lambda ring, obj: ring.extend([1, obj]),
+        lambda ring, obj: ring.__setitem__(0, obj),
+        lambda ring, obj: compiled().Ring([obj]),
+    ])
+    @pytest.mark.parametrize("obj", [NocMessage(dst=(1, 0), src=(0, 0)),
+                                     True])
+    def test_a_push_of_anything_but_an_int_names_the_way_in(self, push,
+                                                            obj):
+        ring = compiled().Ring([0])
+        with pytest.raises(TypeError, match="LocalPort.send"):
+            push(ring, obj)
+
+    def test_every_flat_queue_is_a_ring_and_object_queues_stay_deques(self):
+        Ring = compiled().Ring
+        mesh = FlatMesh(2, 1)
+        port = mesh.attach((1, 0))
+        mesh.attach((0, 0)).send(_message((0, 0), (1, 0), 3))
+        sim = CycleSimulator()
+        mesh.register(sim)
+        sim.run(3)
+        core = mesh.core
+        assert core._rings[1 * 5 + _PORT_INDEX[Port.WEST]]  # allocated
+        queues = ([ring for ring in core._rings if ring is not _NO_RING]
+                  + [fifo._items for fifo in core._local_in]
+                  + [p.eject_fifo._items for p in mesh.ports.values()]
+                  + [p._pending_flits for p in mesh.ports.values()])
+        # Two LOCAL and one directional input, the two LOCAL FIFOs'
+        # queues (the same objects), two ejection and two port queues.
+        assert len(queues) == 2 + 1 + 2 + 2 + 2
+        assert all(type(queue) is Ring for queue in queues)
+        assert type(port._send_queue) is deque
+        obj = Mesh(2, 1)
+        obj_port = obj.attach((1, 0))
+        assert all(type(queue) is deque for queue in (
+            obj_port._pending_flits, obj_port.eject_fifo._items,
+            *(fifo._items for router in obj.routers.values()
+              for fifo in router.inputs.values())))
 
 
 class CountingRoute:
@@ -773,7 +881,7 @@ class TestCreditChecks:
         core._rings[7].clear()
         # Bait: a search that followed the free output's -1 would find
         # these and report nothing.
-        core._rings[-1] = deque(flits)
+        core._rings[-1] = compiled().Ring(flits)
         problems = core.check_invariants(sim.cycle)
         assert ("locked output 6: input 7 ran dry and output 1 feeding "
                 "it is unlocked") in problems
@@ -819,6 +927,97 @@ def _walks(size, attach, script, cycles):
         for port in ports.values():
             port.receive()
     return [walk for walk in walks if walk[0] != walk[1]]
+
+
+class TestRingBounds:
+    """``check_invariants`` holds every input to its depth and to its
+    high-water mark."""
+
+    def test_an_input_filled_past_its_depth(self):
+        sim, core, _port = _row_until(lambda core: core._rings[7])
+        ring = core._rings[7]
+        ring.extend([ring[-1]] * (core.depth + 1 - len(ring)))
+        core._hw[7] = core.depth + 1
+        assert (f"input 7 holds {core.depth + 1} flits, more than its "
+                f"depth {core.depth}") in core.check_invariants(sim.cycle)
+
+    @pytest.mark.parametrize("fid", [0, 7])
+    def test_an_input_above_its_high_water_mark(self, fid):
+        sim, core, _port = _row_until(
+            lambda core: core._rings[0] and core._rings[7])
+        held = len(core._rings[fid])
+        if fid:
+            core._hw[fid] = held - 1
+        else:
+            core._local_in[0].high_water = held - 1
+        assert core.check_invariants(sim.cycle) == [
+            f"input {fid} holds {held} flits, above its high-water mark "
+            f"{held - 1}"]
+
+
+class TestNoFallback:
+    """The step moves flits through rings and ``array('q')`` tables
+    only; anything else is refused, never stepped through a slower
+    path."""
+
+    @pytest.mark.parametrize("name", ["_grant", "_req"])
+    @pytest.mark.parametrize("convert", [list, lambda a: array("l", a)])
+    def test_a_table_that_is_not_an_array_q(self, name, convert):
+        sim, core, _port = _row_until(lambda core: core._grant[1] >= 0)
+        setattr(core, name, convert(getattr(core, name)))
+        with pytest.raises(TypeError, match=rf"{name} is not an array"):
+            sim.run(1)
+
+    def test_a_table_of_the_wrong_length(self):
+        sim, core, _port = _row_until(lambda core: core._grant[1] >= 0)
+        core._req = core._req[:-1]
+        with pytest.raises(ValueError, match="_req does not hold one entry "
+                                             r"per router input \(15\)"):
+            sim.run(1)
+
+    @pytest.mark.parametrize("where", ["input", "local", "pending", "eject"])
+    def test_a_queue_that_is_not_a_ring(self, where):
+        sim, core, port = _row_until(lambda core: core._grant[1] >= 0)
+        if where == "input":
+            core._rings[0] = deque(core._rings[0])
+        elif where == "local":
+            core._local_in[0]._items = deque(core._local_in[0]._items)
+        elif where == "pending":
+            port._pending_flits = deque(port._pending_flits)
+        else:
+            core._ejects[2]._items = deque()
+        with pytest.raises(TypeError, match="deque, not a Ring"):
+            sim.run(20)
+
+    def test_a_tile_core_record_whose_queue_is_not_a_ring(self):
+        sim = CycleSimulator()
+        mesh = FlatMesh(2, 1)
+        sink = Tile("sink", mesh, (1, 0))
+        mesh.register(sim)
+        core = register_tiles(sim, [sink])
+        record = core._fabric[0]
+        core._fabric[0] = (*record[:3], deque(), *record[4:])
+        with pytest.raises(TypeError, match="deque, not a Ring"):
+            core.step(0)
+
+    def test_a_table_cannot_be_resized_under_the_step(self):
+        """Python the step calls back (here the tracer) sees the very
+        tables the step holds, and cannot reallocate one under it."""
+        sim, core, _port = _row_until(lambda core: core._grant[1] >= 0)
+        refused = []
+
+        class Resizer(Tracer):
+            def flit_forwarded(self, cycle, coord, port, flit):
+                try:
+                    core._hw.append(0)
+                except BufferError:
+                    refused.append(cycle)
+
+        core.tracer = Resizer()
+        sim.run(3)
+        assert refused and len(core._hw) == 3 * 5
+        core._hw.append(0)  # between steps it is an array like any other
+        assert len(core._hw) == 3 * 5 + 1
 
 
 class TestActiveListInPlace:
