@@ -79,13 +79,6 @@ KEEP: dict[str, str] = {
     "repro.sim.kernel.ClockedComponent.step": DOCUMENTED,
     "repro.sim.kernel.ClockedComponent.commit": DOCUMENTED,
     "repro.sim.kernel.StagedFifo.peek": DOCUMENTED,
-    "repro.noc.flatmesh._RingView.peek": DOCUMENTED,
-    "repro.tiles.flatcore.FlatTileCore.view": DOCUMENTED,
-    "repro.tiles.flatcore.FlatTileView.__init__": DOCUMENTED,
-    "repro.tiles.flatcore.FlatTileView.busy": DOCUMENTED,
-    "repro.tiles.flatcore.FlatTileView.mode": DOCUMENTED,
-    "repro.tiles.flatcore.FlatTileView.armed_deadline": DOCUMENTED,
-    "repro.tiles.flatcore.FlatTileCore.busy_tiles": DOCUMENTED,
     "repro.loadgen.flows.build_competing_flows(profile)": DOCUMENTED,
     "repro.loadgen.sweep.run_point(profile)": DOCUMENTED,
     "repro.designs.vr_design.VrWitnessDesign.spec(duplicate_udp)": DOCUMENTED,

@@ -146,7 +146,8 @@ class FaultEngine(Wakeable):
     Registered after the design's own components, it applies due
     events during its ``step`` — so a fault landing "at cycle N"
     becomes visible to tiles from cycle N+1, identically under every
-    kernel (timer wheel wakes it at exactly each event cycle).
+    kernel (the scheduled one wakes it at exactly each event cycle: its
+    ``step`` answers with the next event's cycle).
     """
 
     def __init__(self, sim):

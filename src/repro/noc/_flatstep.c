@@ -3,13 +3,13 @@
  * mesh_step(core, cycle) is FlatMeshCore.step (src/repro/noc/flatmesh.py):
  * head resolution, the output walk and the injection phase, written
  * out over the core's own Python objects.  tile_step(core, cycle) is
- * FlatTileCore.step (src/repro/tiles/flatcore.py): the timer heap, the
- * busy walk and the inlined pumps of Tile.step over the tiles' own
- * state.  Neither keeps state of its own: every array, ring, list, dict,
- * StagedFifo and tile they read or write is the one the Python readers
- * (check_invariants, the views, the fault hooks, the tracer, run_record)
- * see, so the module docstrings there are the specification of every
- * line below.
+ * FlatTileCore.step (src/repro/tiles/flatcore.py): the pass over the
+ * tiles' armed deadlines, the busy walk and the inlined pumps of
+ * Tile.step over the tiles' own state.  Neither keeps state of its own:
+ * every array, ring, list, dict, StagedFifo and tile they read or write
+ * is the one the Python readers (check_invariants, the mesh's views, the
+ * fault hooks, the tracer, run_record) see, so the module docstrings
+ * there are the specification of every line below.
  *
  * Every queue of flit handles under a flat mesh is a Ring, defined
  * here and exposed as _flatstep.Ring: an int64 circular buffer with the
@@ -17,8 +17,9 @@
  * C integer and a reader indexes it as it did a deque.  The mesh's ten
  * per-output integer tables (_pushc, _popc, _hw, _hwc, _grant, _rr, _rq,
  * _req, _down, _fwd_out) are array('q')s, taken through the buffer
- * protocol once per step.  A flat queue that is not a Ring, or a table
- * that is not an array('q') of one entry per router input, is a
+ * protocol once per step, and so is the tile core's _deadlines, one
+ * entry per tile.  A flat queue that is not a Ring, or a table that is
+ * not an array('q') of one entry per router input or tile, is a
  * TypeError or a ValueError: there is no fallback.  Queues of objects (a
  * port's _send_queue, a tile's _rx_ready) stay deques.
  *
@@ -84,7 +85,7 @@ enum {
     A_MESSAGES_SENT, A_FLITS_INJECTED, S_WORMHOLE_STALL,
     S_CREDIT_EXHAUSTED,
     /* the tile step's */
-    C_BUSY, C_FABRIC, C_TIMERS, C_DEADLINES, C_KERNEL_WAKE, C_OBSERVED,
+    C_BUSY, C_FABRIC, C_DEADLINES, C_KERNEL_WAKE, C_OBSERVED,
     T_FROZEN, T_BUFFERED, T_BUFFER_FLITS, T_RX_READY, T_IN_SERVICE,
     T_EMIT_AT, T_MESSAGES_IN, T_BYTES_IN, T_SERVICE_CTX, T_MESSAGES_OUT,
     T_ENGINE_FREE, T_MAX_TX_BACKLOG, T_OCCUPANCY, T_PARSE_LATENCY,
@@ -109,7 +110,7 @@ static const char *const NAME_TEXT[] = {
     "high_water", "_wakers", "_pending_flits",
     "_send_queue", "messages_sent", "flits_injected", "wormhole_stall",
     "credit_exhausted",
-    "_busy", "_fabric", "_timers", "_deadlines", "_kernel_wake",
+    "_busy", "_fabric", "_deadlines", "_kernel_wake",
     "_observed",
     "_fault_frozen", "_buffered_flits", "buffer_flits", "_rx_ready",
     "_in_service", "_emit_at", "messages_in", "bytes_in", "_service_ctx",
@@ -178,35 +179,43 @@ get_typed(Fetch *f, int k, PyTypeObject *type)
 
 #define get_list(f, k) get_typed(f, k, &PyList_Type)
 
-/* One of the per-output arrays as its n5 C integers: an array('q')
- * (format 'q', n5 items), taken through the buffer protocol on first
- * use and released with the rest when the step returns. */
+/* value, a core's attribute Name[k], as its n C integers: an
+ * array('q') (format 'q', n items), taken through the buffer protocol
+ * into *view, which the caller releases.  Its errors name the core and
+ * what one entry stands for. */
 static long long *
-get_q(Fetch *f, int k)
+take_q(PyObject *value, Py_buffer *view, Py_ssize_t n, int k,
+       const char *core, const char *entry)
 {
-    Py_buffer *view = &f->q[k];
-    if (view->obj != NULL)
-        return view->buf;
-    PyObject *value = get(f, k);
-    if (value == NULL)
-        return NULL;
     if (!PyObject_CheckBuffer(value)
             || PyObject_GetBuffer(value, view, PyBUF_WRITABLE | PyBUF_FORMAT)
             || view->format == NULL || strcmp(view->format, "q") != 0) {
         if (view->obj != NULL)
             PyBuffer_Release(view);
-        PyErr_Format(PyExc_TypeError,
-                     "flat mesh core: %U is not an array('q')", Name[k]);
+        PyErr_Format(PyExc_TypeError, "%s: %U is not an array('q')",
+                     core, Name[k]);
         return NULL;
     }
-    if (view->len != f->n5 * (Py_ssize_t)sizeof(long long)) {
+    if (view->len != n * (Py_ssize_t)sizeof(long long)) {
         PyBuffer_Release(view);
         PyErr_Format(PyExc_ValueError,
-                     "flat mesh core: %U does not hold one entry per router "
-                     "input (%zd)", Name[k], f->n5);
+                     "%s: %U does not hold one entry per %s (%zd)",
+                     core, Name[k], entry, n);
         return NULL;
     }
     return view->buf;
+}
+
+/* One of the per-output arrays as its n5 C integers, taken on first use
+ * and released with the rest when the step returns. */
+static long long *
+get_q(Fetch *f, int k)
+{
+    if (f->q[k].obj != NULL)
+        return f->q[k].buf;
+    PyObject *value = get(f, k);
+    return value == NULL ? NULL : take_q(value, &f->q[k], f->n5, k,
+                                         "flat mesh core", "router input");
 }
 
 static int as_ll(PyObject *value, long long *out);
@@ -1473,9 +1482,10 @@ dropped(PyObject *result)
 typedef struct {
     PyObject *core, *cycle_obj;
     long long cycle;
-    PyObject *busy;       /* bytearray: byte i set == tiles[i] must step */
-    PyObject *deadlines;  /* list: tile i's armed deadline, -1 unarmed */
-    PyObject *timers;     /* list: heap of (deadline, index) */
+    PyObject *busy;        /* bytearray: byte i set == tiles[i] must step */
+    long long *deadlines;  /* _deadlines' buffer: tile i's armed deadline,
+                            * -1 unarmed */
+    Py_ssize_t n;          /* its length, len(_fabric) at the step's start */
 } Tiles;
 
 /* _fabric[i], unpacked; the visit holds the record, so the rest are
@@ -1487,135 +1497,19 @@ typedef struct {
     int fast, default_service;
 } Rec;
 
-/* A timer entry's (deadline, index).  Only the step pushes entries, and
- * only pairs of ints, so sifting runs no Python code. */
-static int
-timer_key(PyObject *entry, long long *deadline, long long *index)
-{
-    if (!PyTuple_CheckExact(entry) || PyTuple_GET_SIZE(entry) != 2
-            || !PyLong_CheckExact(PyTuple_GET_ITEM(entry, 0))
-            || !PyLong_CheckExact(PyTuple_GET_ITEM(entry, 1))) {
-        PyErr_Format(PyExc_TypeError,
-                     "timer entry %R is not (deadline, index)", entry);
-        return -1;
-    }
-    if (as_ll(PyTuple_GET_ITEM(entry, 0), deadline))
-        return -1;
-    return index == NULL ? 0 : as_ll(PyTuple_GET_ITEM(entry, 1), index);
-}
-
-/* a < b, as the tuples compare. */
-static int
-timer_less(PyObject *a, PyObject *b)
-{
-    long long da, ia, db, ib;
-    if (timer_key(a, &da, &ia) || timer_key(b, &db, &ib))
-        return -1;
-    return da < db || (da == db && ia < ib);
-}
-
-/* heapq._siftdown: heap[pos] moves up towards start.  Items move as
- * pointers; on an error the list still holds each of them once. */
-static int
-sift_down(PyObject *heap, Py_ssize_t start, Py_ssize_t pos)
-{
-    PyObject *newitem = PyList_GET_ITEM(heap, pos);
-    int failed = 0;
-    while (pos > start) {
-        Py_ssize_t parentpos = (pos - 1) >> 1;
-        PyObject *parent = PyList_GET_ITEM(heap, parentpos);
-        int less = timer_less(newitem, parent);
-        if (less <= 0) {
-            failed = less;
-            break;
-        }
-        PyList_SET_ITEM(heap, pos, parent);
-        pos = parentpos;
-    }
-    PyList_SET_ITEM(heap, pos, newitem);
-    return failed;
-}
-
-/* heapq._siftup: the smaller child rises until heap[pos]'s old item
- * reaches a leaf, then sifts down into place. */
-static int
-sift_up(PyObject *heap, Py_ssize_t pos)
-{
-    Py_ssize_t end = PyList_GET_SIZE(heap), start = pos;
-    PyObject *newitem = PyList_GET_ITEM(heap, pos);
-    Py_ssize_t child = 2 * pos + 1;
-    while (child < end) {
-        Py_ssize_t right = child + 1;
-        if (right < end) {
-            int less = timer_less(PyList_GET_ITEM(heap, child),
-                                  PyList_GET_ITEM(heap, right));
-            if (less < 0) {
-                PyList_SET_ITEM(heap, pos, newitem);
-                return -1;
-            }
-            if (!less)
-                child = right;
-        }
-        PyList_SET_ITEM(heap, pos, PyList_GET_ITEM(heap, child));
-        pos = child;
-        child = 2 * pos + 1;
-    }
-    PyList_SET_ITEM(heap, pos, newitem);
-    return sift_down(heap, start, pos);
-}
-
-/* heapq.heappush(heap, (deadline, index)) */
-static int
-heap_push(PyObject *heap, long long deadline, Py_ssize_t index)
-{
-    PyObject *d = PyLong_FromLongLong(deadline);
-    PyObject *i = d ? PyLong_FromSsize_t(index) : NULL;
-    PyObject *entry = i ? PyTuple_Pack(2, d, i) : NULL;
-    Py_XDECREF(d);
-    Py_XDECREF(i);
-    if (entry == NULL)
-        return -1;
-    int failed = PyList_Append(heap, entry);
-    Py_DECREF(entry);
-    return failed ? -1 : sift_down(heap, 0, PyList_GET_SIZE(heap) - 1);
-}
-
-/* heapq.heappop(heap), a new reference; the heap is not empty. */
-static PyObject *
-heap_pop(PyObject *heap)
-{
-    Py_ssize_t n = PyList_GET_SIZE(heap);
-    PyObject *last = Py_NewRef(PyList_GET_ITEM(heap, n - 1));
-    if (PyList_SetSlice(heap, n - 1, n, NULL)) {
-        Py_DECREF(last);
-        return NULL;
-    }
-    if (n == 1)
-        return last;
-    PyObject *top = PyList_GET_ITEM(heap, 0);
-    PyList_SET_ITEM(heap, 0, last);
-    if (sift_up(heap, 0)) {
-        Py_DECREF(top);
-        return NULL;
-    }
-    return top;
-}
-
-/* Arm tile i's timer for deadline (the next cycle at the earliest),
- * unless an equal-or-earlier (safe) wake is already queued. */
+/* Arm tile i's deadline (the next cycle at the earliest), unless an
+ * equal-or-earlier (safe) wake is already armed. */
 static int
 arm(Tiles *s, Py_ssize_t i, long long deadline)
 {
-    long long armed;
+    if (check_index(i, s->n))
+        return -1;
     if (deadline <= s->cycle)
         deadline = s->cycle + 1;
-    if (check_index(i, PyList_GET_SIZE(s->deadlines))
-            || item(s->deadlines, i, &armed))
-        return -1;
-    if (armed != -1 && armed <= deadline)
-        return 0;
-    return set_item(s->deadlines, i, deadline)
-           || heap_push(s->timers, deadline, i) ? -1 : 0;
+    long long armed = s->deadlines[i];
+    if (armed == -1 || deadline < armed)
+        s->deadlines[i] = deadline;
+    return 0;
 }
 
 /* tile.tracer if it is enabled (a new reference), else NULL; *failed
@@ -2122,10 +2016,10 @@ visit_object(Tiles *s, Rec *r, Py_ssize_t i)
             set_busy(s->busy, i, 0);
             if (deadline != NeverValue)
                 failed = arm(s, i, deadline);
-            else if (check_index(i, PyList_GET_SIZE(s->deadlines)))
+            else if (check_index(i, s->n))
                 failed = -1;
             else
-                failed = set_item(s->deadlines, i, -1);
+                s->deadlines[i] = -1;
         }
     }
     Py_DECREF(due);
@@ -2196,7 +2090,7 @@ tile_core_attr(PyObject *dict, int k, PyTypeObject *type)
                          "flat tile core has no %U", Name[k]);
         return NULL;
     }
-    if (Py_TYPE(value) != type) {
+    if (type != NULL && Py_TYPE(value) != type) {
         PyErr_Format(PyExc_TypeError, "flat tile core: %U is not a %s",
                      Name[k], type->tp_name);
         return NULL;
@@ -2222,34 +2116,25 @@ tile_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     PyObject *dict = PyObject_GenericGetDict(s.core, NULL);
     if (dict == NULL)
         return NULL;
-    PyObject *result = NULL, *fabric = NULL;
+    PyObject *result = NULL, *fabric = NULL, *deadlines = NULL;
+    Py_buffer view = {0};
     s.busy = tile_core_attr(dict, C_BUSY, &PyByteArray_Type);
-    s.deadlines = s.busy ? tile_core_attr(dict, C_DEADLINES, &PyList_Type)
-                         : NULL;
-    s.timers = s.deadlines ? tile_core_attr(dict, C_TIMERS, &PyList_Type)
-                           : NULL;
-    fabric = s.timers ? tile_core_attr(dict, C_FABRIC, &PyList_Type) : NULL;
-    if (fabric == NULL)
+    fabric = s.busy ? tile_core_attr(dict, C_FABRIC, &PyList_Type) : NULL;
+    deadlines = fabric ? tile_core_attr(dict, C_DEADLINES, NULL) : NULL;
+    if (deadlines == NULL)
         goto done;
-    /* Timers due: each still armed for its deadline sets its tile's
-     * byte (a superseded entry is dropped on the way). */
-    while (PyList_GET_SIZE(s.timers)) {
-        long long deadline, index, armed;
-        if (timer_key(PyList_GET_ITEM(s.timers, 0), &deadline, NULL))
-            goto done;
-        if (deadline > s.cycle)
-            break;
-        PyObject *entry = heap_pop(s.timers);
-        int failed = entry == NULL || timer_key(entry, &deadline, &index)
-                     || check_index(index, PyList_GET_SIZE(s.deadlines))
-                     || item(s.deadlines, index, &armed);
-        Py_XDECREF(entry);
-        if (failed)
-            goto done;
-        if (armed == deadline) {
-            if (set_item(s.deadlines, index, -1))
-                goto done;
-            set_busy(s.busy, index, 1);
+    /* Held until the step returns, so nothing the walk calls can resize
+     * it (adopt's first write is its append). */
+    s.n = PyList_GET_SIZE(fabric);
+    s.deadlines = take_q(deadlines, &view, s.n, C_DEADLINES,
+                         "flat tile core", "tile");
+    if (s.deadlines == NULL)
+        goto done;
+    /* Deadlines due: each is disarmed and sets its tile's byte. */
+    for (Py_ssize_t i = 0; i < s.n; i++) {
+        if (0 <= s.deadlines[i] && s.deadlines[i] <= s.cycle) {
+            s.deadlines[i] = -1;
+            set_busy(s.busy, i, 1);
         }
     }
     /* The walk, in adoption order.  A byte is read when the walk gets
@@ -2260,33 +2145,24 @@ tile_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         if (busy_at(s.busy, i) && visit(&s, fabric, i))
             goto done;
     }
-    /* Due every cycle while a byte is set, else at the earliest live
-     * timer (superseded entries are dropped lazily). */
+    /* Due every cycle while a byte is set, else at the earliest armed
+     * deadline (every one is after this cycle now), else never. */
     if (any_busy(s.busy)) {
         result = Py_NewRef(Py_None);
         goto done;
     }
-    while (PyList_GET_SIZE(s.timers)) {
-        long long deadline, index, armed;
-        PyObject *top = PyList_GET_ITEM(s.timers, 0);
-        if (timer_key(top, &deadline, &index)
-                || check_index(index, PyList_GET_SIZE(s.deadlines))
-                || item(s.deadlines, index, &armed))
-            goto done;
-        if (armed == deadline) {
-            result = Py_NewRef(PyTuple_GET_ITEM(top, 0));
-            goto done;
-        }
-        PyObject *entry = heap_pop(s.timers);
-        if (entry == NULL)
-            goto done;
-        Py_DECREF(entry);
+    long long next = -1;
+    for (Py_ssize_t i = 0; i < s.n; i++) {
+        long long d = s.deadlines[i];
+        if (d >= 0 && (next < 0 || d < next))
+            next = d;
     }
-    result = Py_NewRef(Never);
+    result = next < 0 ? Py_NewRef(Never) : PyLong_FromLongLong(next);
 done:
+    if (view.obj != NULL)
+        PyBuffer_Release(&view);
+    Py_XDECREF(deadlines);
     Py_XDECREF(fabric);
-    Py_XDECREF(s.timers);
-    Py_XDECREF(s.deadlines);
     Py_XDECREF(s.busy);
     Py_DECREF(dict);
     return result;

@@ -105,8 +105,8 @@ sequence number, not ``msg_id``, which nothing keeps unique among
 messages in flight: a tile may send one message object twice, or
 forward the message it received.  ``Flit`` objects are built, once per
 message by ``to_flits()``, only for someone who looks at one — a
-recording tracer, ``_RingView.peek()``, a port with an ejection fault
-filter (:meth:`FlatMeshCore.flit_of`).
+recording tracer, a port with an ejection fault filter
+(:meth:`FlatMeshCore.flit_of`).
 
 Ejection is stamped the same way.  The LOCAL output appends the handle
 straight to the ejection FIFO's committed queue and stamps the cycle on
@@ -341,10 +341,6 @@ class _RingView:
     def high_water(self) -> int:
         return self._core._hw[self._fid]
 
-    def peek(self) -> Flit | None:
-        ring = self._core._rings[self._fid]
-        return self._core.flit_of(ring[0]) if ring else None
-
 
 class FlatRouterView:
     """Per-router facade over :class:`FlatMeshCore`'s arrays.
@@ -353,8 +349,7 @@ class FlatRouterView:
     the hot loop: ``coord``/``name``, the ``inputs`` dict (LOCAL is the
     real adapter FIFO and, like every queue of a flat mesh, holds int
     handles, not ``Flit`` objects — messages enter through
-    ``LocalPort.send`` only; directions are :class:`_RingView`\\ s,
-    whose ``peek()`` materialises the ``Flit``),
+    ``LocalPort.send`` only; directions are :class:`_RingView`\\ s),
     ``connect_output`` for the LOCAL ejection hookup, the forwarding
     counters, and a ``tracer`` property that forwards to the core so
     ``attach_tracer`` works untouched.
@@ -649,7 +644,7 @@ class FlatMeshCore(Wakeable):
 
     def flit_of(self, handle: int) -> Flit:
         """The ``Flit`` a handle stands for, for whoever looks at one
-        (tracer, ``_RingView.peek``, a port's ejection fault filter).
+        (tracer, a port's ejection fault filter).
 
         A message's flits are built once, by ``to_flits()`` on its
         in-flight copy, so an observer sees the same object at every

@@ -23,7 +23,7 @@ is ``handle < 0``.  ``seq`` (>= 1, so no handle is 0) is the injection
 sequence number under which the injecting core filed its copy of the
 message; the message travels once, by reference, in that table and the
 ejecting port takes it out on the tail.  ``Flit`` objects exist there
-only where someone looks at one (tracer, fault filter, ``peek()``),
+only where someone looks at one (tracer, fault filter),
 built once per message by ``NocMessage.to_flits()``.  The object mesh
 (:mod:`repro.noc.mesh`, the reference) moves ``Flit`` objects as ever.
 """

@@ -29,7 +29,8 @@ SNAPSHOT_SCHEMA = "repro.telemetry.snapshots/1"
 PROMETHEUS_SCALARS = (
     ("kernel.active_components", "gauge",
      "schedule entries in the active set", "kernel.active"),
-    ("kernel.armed_timers", "gauge", "timer-wheel entries",
+    ("kernel.armed_timers", "gauge",
+     "sleeping components with a wake cycle of their own",
      "kernel.armed_timers"),
     ("kernel.component_steps", "counter",
      "component step() calls executed", "kernel.component_steps"),

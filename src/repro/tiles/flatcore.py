@@ -1,14 +1,13 @@
 """Flat tile engine: batch-step a design's tiles as one kernel component.
 
 ``repro.noc.flatmesh`` showed the shape: replace N scheduled Python
-objects with one array-of-struct core that keeps a busy set, steps
-only the members with work, and preserves the object API through
-read-only views.  :class:`FlatTileCore` applies the same recipe to the
-tile layer — under the ``reference`` profile every tile is its own
-schedule entry paying kernel dispatch, contract checks, and two
-``_pump_*`` method calls per cycle; under ``fast`` the whole protocol
-pipeline is one entry whose step inlines the pump bodies for busy
-tiles only.  The core only ever runs over a flat mesh: a tile whose
+objects with one array-of-struct core that keeps a busy set and steps
+only the members with work.  :class:`FlatTileCore` applies the same
+recipe to the tile layer — under the ``reference`` profile every tile
+is its own schedule entry paying kernel dispatch, contract checks, and
+two ``_pump_*`` method calls per cycle; under ``fast`` the whole
+protocol pipeline is one entry whose step inlines the pump bodies for
+busy tiles only.  The core only ever runs over a flat mesh: a tile whose
 port no :class:`~repro.noc.flatmesh.FlatMeshCore` steps is refused at
 :meth:`FlatTileCore.adopt`.
 
@@ -16,13 +15,13 @@ The walk is C: ``tile_step`` in ``repro/noc/_flatstep.c``, compiled
 with the mesh's step by the loader in :mod:`repro.noc.flatmesh` (one
 build, one cache entry) and called by the scheduled kernel's loop, or
 as ``FlatTileCore.step``.  It keeps no state of its own: the tiles,
-ports, FIFOs, assemblers and this core's ``_busy``, ``_deadlines``,
-``_timers`` and ``_fabric`` are the Python objects every reader below
-sees, so this docstring is the specification the C code implements.  In the paper a protocol tile
-is an RTL engine, of which the model keeps only the pipeline depth and
-occupancy; so the engine's bookkeeping (ejection, reassembly, parse
-latency, occupancy) is compiled, and only the handlers, which are the
-protocol logic, stay Python.
+ports, FIFOs, assemblers and this core's ``_busy``, ``_deadlines``
+and ``_fabric`` are the Python objects every reader below sees, so
+this docstring is the specification the C code implements.  In the
+paper a protocol tile is an RTL engine, of which the model keeps only
+the pipeline depth and occupancy; so the engine's bookkeeping
+(ejection, reassembly, parse latency, occupancy) is compiled, and only
+the handlers, which are the protocol logic, stay Python.
 
 Correctness contract
 --------------------
@@ -34,9 +33,9 @@ bit-identically between individually registered tiles and the core:
 
 - Tiles stay the source of truth for all mutable state (``_rx_ready``,
   ``_in_service``, ``_buffered_flits``, counters, ...).  The core owns
-  only scheduling state: the busy bytes, per-tile armed deadlines,
-  and a timer heap.  Telemetry (``run_record``, the probe) and the
-  fault engine keep reading and mutating tiles directly.
+  only scheduling state: the busy bytes and one armed deadline per
+  tile.  Telemetry (``run_record``, the probe) and the fault engine
+  keep reading and mutating tiles directly.
 - Adoption order is registration order, and the walk visits tiles in
   that order, so trace events appear in the same order as per-tile
   stepping.
@@ -97,11 +96,9 @@ The step
 
 One call, ``step(cycle)``:
 
-1. **Timers.**  While the heap's smallest ``(deadline, index)`` is due
-   (``deadline <= cycle``) it is popped; if ``_deadlines[index]`` still
-   equals that deadline, the deadline is disarmed (-1) and the tile's
-   busy byte set; otherwise the entry was superseded and is dropped.
-   The heap is ``heapq``'s, entry for entry.
+1. **Deadlines.**  One pass over ``_deadlines``: each armed deadline
+   that is due (``0 <= deadline <= cycle``) is disarmed (-1) and sets
+   its tile's busy byte.
 2. **The walk.**  Each tile ``i`` in adoption order whose byte is set
    is visited; a frozen tile (``_fault_frozen``) is skipped and stays
    busy (its clock is gated, as ``Tile.step`` says).  An object-mode
@@ -109,13 +106,23 @@ One call, ``step(cycle)``:
    FIFO holds flits, its byte is cleared and the cycle it returned is
    armed (``NEVER`` disarms instead).  A fast-mode tile runs the pumps
    below, then settles.
-3. **The answer.**  None while any byte is set; else the earliest live
-   timer, dropping superseded heap entries on the way; else ``NEVER``.
+3. **The answer.**  None while any byte is set; else the smallest
+   armed deadline, found in a second pass; else ``NEVER``.
 
-Arming ``deadline`` for tile ``i``: a deadline not after ``cycle``
-becomes ``cycle + 1``; an armed deadline no later than it stands (an
-equal-or-earlier wake is already queued, and is safe); otherwise it is
-recorded in ``_deadlines[i]`` and pushed as ``(deadline, i)``.
+Arming ``deadline`` for tile ``i`` is one store: a deadline not after
+``cycle`` becomes ``cycle + 1``; an armed deadline no later than it
+stands (an equal-or-earlier wake is already armed, and is safe);
+otherwise it becomes ``_deadlines[i]``.  A tile has at most one armed
+deadline, and arming only ever moves it earlier, so the smallest entry
+is the core's next timer.
+
+``_deadlines`` is an ``array('q')`` with one entry per adopted tile
+(-1 when unarmed), the form of the mesh core's per-output tables.  The
+step takes it through the buffer protocol and holds it until it
+returns: anything else, or an array of another length, raises (there
+is no fallback), and a callback that resizes it mid-step gets
+``BufferError``.  :meth:`FlatTileCore.adopt` grows it before anything
+else, so an adoption refused that way leaves the core as it was.
 
 A fast-mode visit reads one per-tile record, ``_fabric[i]``: the tile,
 its port, the ejection FIFO and its committed queue (which keeps its
@@ -173,11 +180,13 @@ counts and the injection backlog are computed inline, not through the
 Scheduling contract (``repro.sim.kernel``): the core lists the tiles
 as ``kernel_substeps()`` so the linter treats them as
 registered-by-proxy, and its ``step`` answers from its own busy bytes
-and timer heap — mirroring, tile by tile, what the kernel would have
-computed for individually registered tiles.
+and armed deadlines — mirroring, tile by tile, what the kernel would
+have computed for individually registered tiles.
 """
 
 from __future__ import annotations
+
+from array import array
 
 from repro.noc.flatmesh import compiled
 from repro.sim.kernel import CycleSimulator, Wakeable
@@ -207,34 +216,6 @@ def _is_fast(tile: Tile) -> bool:
         vars(tile).keys().isdisjoint(_ENGINE_HOOKS)
 
 
-class FlatTileView:
-    """Read-only per-tile window into a :class:`FlatTileCore`.
-
-    The core-side scheduling state of one tile: busy byte, armed
-    deadline, dispatch mode.
-    """
-
-    __slots__ = ("_core", "index")
-
-    def __init__(self, core: FlatTileCore, index: int):
-        self._core = core
-        self.index = index
-
-    @property
-    def busy(self) -> bool:
-        return bool(self._core._busy[self.index])
-
-    @property
-    def mode(self) -> str:
-        """``"fast"`` (inlined pumps) or ``"object"`` (delegated step)."""
-        return "fast" if self._core._fabric[self.index][6] else "object"
-
-    @property
-    def armed_deadline(self) -> int | None:
-        deadline = self._core._deadlines[self.index]
-        return None if deadline < 0 else deadline
-
-
 class FlatTileCore(Wakeable):
     """Array-of-struct engine batch-stepping a design's tiles.
 
@@ -247,21 +228,16 @@ class FlatTileCore(Wakeable):
     def __init__(self):
         self.name = "flattiles"
         self.tiles: list[Tile] = []
-        self._ejects: list = []
         # Per-tile record the walk reads, indexed by tile: (tile, port,
         # eject, eject._items, assembler, mesh_core, fast,
         # default_service, vars(tile)).
         self._fabric: list[tuple] = []
         # Scheduling state: busy bytes (byte i set == tiles[i] must
         # step; a bytearray, so a wake sets one without allocating, and
-        # never replaced: every tile's waker holds this one),
-        # per-tile armed deadline (-1 when unarmed), timer heap of
-        # (deadline, index) with lazy invalidation — the same shape the
-        # kernel uses for individually registered components.
+        # never replaced: every tile's waker holds this one) and each
+        # tile's armed deadline (-1 when unarmed).
         self._busy = bytearray()
-        self._deadlines: list[int] = []
-        self._timers: list[tuple[int, int]] = []
-        self._index_of: dict[str, int] = {}
+        self._deadlines = array("q")
         module = compiled()
         # The scheduled clock calls ``tile_step`` itself, not ``step``,
         # unless ``step`` is shadowed on the instance.
@@ -280,19 +256,19 @@ class FlatTileCore(Wakeable):
                 f"FlatTileCore can only adopt tiles on a FlatMesh, but "
                 f"no FlatMeshCore steps the port of {tile.name!r}: "
                 "register it with the simulator on its own")
+        # First: a step in progress holds this array, and a refused
+        # resize (BufferError) then leaves the core as it was.
+        self._deadlines.append(-1)
         index = len(self.tiles)
         self.tiles.append(tile)
         cls = type(tile)
         eject = tile.port.eject_fifo
-        self._ejects.append(eject)
         self._fabric.append((
             tile, tile.port, eject, eject._items,
             tile.port._assembler, tile.port._core, _is_fast(tile),
             cls.service_cycles is Tile.service_cycles, vars(tile),
         ))
-        self._deadlines.append(-1)
         self._busy.append(1)
-        self._index_of[tile.name] = index
         # The tile-side wake hook: push_frame/send/fault-thaw call
         # tile._wake(), the router's ejection lands in the FIFOs the
         # tile's wake_sources() names — both must set the busy byte
@@ -305,20 +281,6 @@ class FlatTileCore(Wakeable):
         # The byte is set; a core already asleep must see it.
         self._wake()
         return index
-
-    # -- views --------------------------------------------------------------
-
-    def view(self, tile_or_name) -> FlatTileView:
-        if isinstance(tile_or_name, str):
-            index = self._index_of[tile_or_name]
-        else:
-            index = self.tiles.index(tile_or_name)
-        return FlatTileView(self, index)
-
-    @property
-    def busy_tiles(self) -> int:
-        """How many tiles are busy (telemetry gauge)."""
-        return self._busy.count(1)
 
     # -- clocked behaviour --------------------------------------------------
 
@@ -335,28 +297,21 @@ class FlatTileCore(Wakeable):
 
     def lint_consumed_fifos(self):
         """FIFOs the core itself pops (via the inlined eject pump)."""
-        return list(self._ejects)
+        return [record[2] for record in self._fabric]
 
     def check_invariants(self) -> list[str]:
         """Cross-check the scheduling state; returns the violations.
 
         A debugging aid for tests and ``lint --sanitize`` (never called
         from ``step``), valid at any point outside ``step``: a clear
-        busy byte over a FIFO that holds flits is a lost wake-up, an
-        armed deadline with no heap entry a timer that never fires.
+        busy byte over a FIFO that holds flits is a lost wake-up.
         """
         problems: list[str] = []
-        live = set(self._timers)
         for i, (tile, _port, eject, *_rest) in enumerate(self._fabric):
             if eject.occupancy and not self._busy[i]:
                 problems.append(
                     f"tile {tile.name!r} is not busy but its ejection "
                     f"FIFO holds {eject.occupancy} flit(s)")
-            deadline = self._deadlines[i]
-            if deadline != -1 and (deadline, i) not in live:
-                problems.append(
-                    f"tile {tile.name!r} is armed for cycle {deadline} "
-                    "with no entry in the timer heap")
         return problems
 
 

@@ -21,6 +21,7 @@ from repro.packet import (
 )
 from repro.noc import FlatMesh, Mesh
 from repro.sim.kernel import CycleSimulator
+from tests.test_flatcore import scheduling
 
 CLIENT_MAC = MacAddress("02:00:00:00:00:01")
 CLIENT_PHYS_IP = IPv4Address("10.0.0.1")
@@ -153,8 +154,8 @@ class TestManagedDesign:
             design.sim.run(20_000)
             if profile == "fast":
                 assert design.sim.idle_cycles_skipped > 19_000
-                view = design.tile_core.view("controller")
-                assert view.mode == "object" and not view.busy
+                state = scheduling(design.tile_core, design.controller)
+                assert not state.fast and not state.busy
                 assert design.sim.wake_cycle(design.tile_core) is None
             response = self.rpc(design, sink, control_rpc_frame(
                 design, design.nat_rx.coord, "nat", CLIENT_VIRT_IP,

@@ -2,7 +2,7 @@
 
 The cross-backend bit-identity is pinned by
 ``test_kernel_equivalence``; these tests cover the core's own API —
-adoption, fast/object mode classification, views, wake plumbing,
+adoption, fast/object mode classification, scheduling, wake plumbing,
 ``register_tiles`` — the structural-lint interplay (double-stepping an
 adopted tile is a BHV106), and the tile<->mesh edge: the flat mesh
 wakes a tile only when it ejects into an empty FIFO, so every way a
@@ -20,6 +20,7 @@ import gc
 import inspect
 import random
 import sys
+from array import array
 from types import SimpleNamespace
 
 import pytest
@@ -57,6 +58,15 @@ def echo_design(**kwargs):
     design = UdpEchoDesign(udp_port=7, **kwargs)
     design.add_client(CLIENT_IP, CLIENT_MAC)
     return design
+
+
+def scheduling(core, tile):
+    """``tile``'s scheduling state, read off the core's own arrays: on
+    the inlined pumps (``fast``), its busy byte, its armed deadline (-1
+    when unarmed)."""
+    i = core.tiles.index(tile)
+    return SimpleNamespace(fast=core._fabric[i][6], busy=core._busy[i],
+                           deadline=core._deadlines[i])
 
 
 def echo_frame(design, payload=b"ping"):
@@ -114,9 +124,8 @@ class TestViews:
         # the core must not inline it.
         design = TcpServerDesign()
         core = design.tile_core
-        modes = {name: core.view(name).mode for name in design.tiles}
-        assert modes["tcp_tx"] == "object"
-        assert modes["ip_tx"] == "fast"
+        assert not scheduling(core, design.tcp_tx).fast
+        assert scheduling(core, design.ip_tx).fast
 
 
 class TestScheduling:
@@ -126,14 +135,14 @@ class TestScheduling:
         sim = design.sim
         sim.run(50)
         assert sim.wake_cycle(core) is None  # asleep until a wake
-        assert core.busy_tiles == 0
+        assert not any(core._busy)
         design.inject(echo_frame(design), sim.cycle)
         # eth_rx's busy bit is set again, and the core is due now.
-        assert core.busy_tiles == 1
+        assert core._busy.count(1) == 1
         assert sim.wake_cycle(core) == sim.cycle
         sim.run(500)
         assert len(design.eth_tx.frames_out) == 1
-        assert core.busy_tiles == 0
+        assert not any(core._busy)
 
     def test_each_ejection_fifo_holds_one_hook_the_compiled_waker(self):
         """The tile's waker is its FIFO's only hook: the core declares
@@ -498,7 +507,7 @@ class TestEjectionEdge:
                                      design.tiles.values(), tracer)
             runs[profile]["frames"] = list(sink.frames)
             if profile == "fast":
-                assert design.tile_core.busy_tiles == 0
+                assert not any(design.tile_core._busy)
                 assert design.tile_core.check_invariants() == []
                 assert (design.sim.cycle,
                         design.sim.idle_cycles_skipped,
@@ -799,7 +808,8 @@ class TestInlinedHooks:
         patched = Sink("patched", mesh, (1, 0))
         patched._due = patched._engine_due
         core = register_tiles(CycleSimulator(), [plain, patched])
-        assert [core.view(t).mode for t in core.tiles] == ["fast", "object"]
+        modes = [scheduling(core, tile).fast for tile in core.tiles]
+        assert modes == [True, False]
 
     def test_handoff_counters_match_reference_at_64_bytes(self):
         """The counters the tile -> port hand-off writes, on the scaled
@@ -851,15 +861,114 @@ class TestCheckInvariants:
         assert len(problems) == 1
         assert f"port {port.coord} is not busy" in problems[0]
 
-    def test_armed_deadline_without_a_heap_entry_is_reported(self):
-        design = echo_design()
-        core = design.tile_core
-        design.inject(echo_frame(design), 1)
-        design.sim.run_until(lambda: core._timers, max_cycles=400)
+
+def slow_sink_row(parse_latency=40):
+    """A 3x1 flat row: a port at (0, 0) and a ``Sink`` at (1, 0) that
+    takes ``parse_latency`` cycles per message, adopted alone into a
+    registered core; (2, 0) has a tile nobody adopted yet."""
+    sim = CycleSimulator()
+    mesh = FlatMesh(3, 1)
+    source = mesh.attach((0, 0))
+    sink = Sink("sink", mesh, (1, 0), parse_latency=parse_latency)
+    late = Sink("late", mesh, (2, 0))
+    mesh.register(sim)
+    core = register_tiles(sim, [sink])
+    return sim, core, source, sink, late
+
+
+class TestNoFallback:
+    """The step keeps each tile's one deadline in an ``array('q')``
+    only; anything else is refused, never stepped through a slower
+    path."""
+
+    @pytest.mark.parametrize("convert", [list, lambda a: array("l", a)])
+    def test_deadlines_that_are_not_an_array_q(self, convert):
+        _sim, core, _source, _sink, _late = slow_sink_row()
+        core._deadlines = convert(core._deadlines)
+        with pytest.raises(TypeError,
+                           match=r"_deadlines is not an array\('q'\)"):
+            core.step(0)
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_deadlines_of_the_wrong_length(self, change):
+        _sim, core, _source, _sink, _late = slow_sink_row()
+        core._deadlines = array("q", [-1] * (1 + change))
+        with pytest.raises(ValueError, match="_deadlines does not hold one "
+                                             r"entry per tile \(1\)"):
+            core.step(0)
+
+    def test_a_handler_cannot_adopt_into_its_own_core(self):
+        """The step holds ``_deadlines``, and ``adopt`` grows it before
+        anything else: an adoption from inside the step is refused and
+        leaves the core as it was."""
+        sim, core, source, sink, late = slow_sink_row(parse_latency=1)
+        refused = []
+
+        def handle_message(message, cycle):
+            try:
+                core.adopt(late)
+            except BufferError as error:
+                refused.append(error)
+            return []
+
+        sink.handle_message = handle_message
+        source.send(NocMessage(dst=(1, 0), src=(0, 0), data=b"x"))
+        sim.run(30)
+        assert len(refused) == 1 and sink.messages_in == 1
+        assert core.tiles == [sink]
+        assert (len(core._fabric), len(core._busy),
+                len(core._deadlines)) == (1, 1, 1)
         assert core.check_invariants() == []
-        core._timers.clear()
-        problems = core.check_invariants()
-        assert problems and all("timer heap" in p for p in problems)
+        assert core.adopt(late) == 1  # between steps it is allowed
+        assert len(core._deadlines) == 2
+
+
+class TestDeadlines:
+    def test_a_woken_tile_keeps_its_earlier_deadline_until_due(self):
+        """A tile woken while armed for ``due`` steps, re-arms for the
+        same cycle (an earlier-or-equal deadline stands), and is still
+        disarmed by the pass at ``due``, woken again or not; then the
+        core sleeps and the kernel skips every idle cycle."""
+        sim, core, source, sink, _late = slow_sink_row()
+        source.send(NocMessage(dst=(1, 0), src=(0, 0), data=b"x"))
+        sim.run_until(lambda: core._deadlines[0] >= 0, max_cycles=50)
+        due = core._deadlines[0]
+        assert due > sim.cycle + 2 and not core._busy[0]
+        sink._wake()
+        sim.run(1)
+        assert core._deadlines[0] == due and not core._busy[0]
+        assert sim.wake_cycle(core) == due
+        sim.run(due - sim.cycle)
+        sink._wake()  # woken in the very cycle its deadline is due
+        sim.run(1)
+        assert [cycle for cycle, _ in sink.received] == [due]
+        assert core._deadlines[0] == -1 and not core._busy[0]
+        assert sim.wake_cycle(core) is None
+        skipped, steps = sim.idle_cycles_skipped, sim.component_steps
+        sim.run(500)
+        assert sim.idle_cycles_skipped == skipped + 500
+        assert sim.component_steps == steps
+
+    def test_the_answer_is_the_smallest_armed_deadline(self):
+        """Two tiles, the first armed later than the second: the core is
+        next due at the second's deadline, and each fires on its own."""
+        sim = CycleSimulator()
+        mesh = FlatMesh(3, 1)
+        source = mesh.attach((0, 0))
+        slow = Sink("slow", mesh, (1, 0), parse_latency=60)
+        quick = Sink("quick", mesh, (2, 0), parse_latency=20)
+        mesh.register(sim)
+        core = register_tiles(sim, [slow, quick])
+        source.send(NocMessage(dst=(1, 0), src=(0, 0), data=b"x"))
+        source.send(NocMessage(dst=(2, 0), src=(0, 0), data=b"y"))
+        sim.run_until(lambda: min(core._deadlines) >= 0, max_cycles=50)
+        first, second = core._deadlines
+        assert first > second > sim.cycle and not any(core._busy)
+        assert sim.wake_cycle(core) == second
+        sim.run(200)
+        assert [cycle for cycle, _ in slow.received] == [first]
+        assert [cycle for cycle, _ in quick.received] == [second]
+        assert list(core._deadlines) == [-1, -1]
 
 
 class TestAdoptionJudgesTheClassAsItIs:
@@ -868,7 +977,8 @@ class TestAdoptionJudgesTheClassAsItIs:
         """A class adopted on the inlined pumps and then given an
         ``on_cycle`` of its own is object mode at every later adoption:
         no verdict outlives the class it was made for."""
-        assert echo_design().tile_core.view("ip_rx").mode == "fast"
+        design = echo_design()
+        assert scheduling(design.tile_core, design.ip_rx).fast
         calls = {}
         for profile in ("reference", "fast"):
             seen = calls[profile] = []
@@ -880,7 +990,7 @@ class TestAdoptionJudgesTheClassAsItIs:
             design = echo_design(profile=profile)
             design.sim.run(50)
             if design.tile_core is not None:
-                assert design.tile_core.view("ip_rx").mode == "object"
+                assert not scheduling(design.tile_core, design.ip_rx).fast
         assert calls["fast"] == calls["reference"] == list(range(50))
 
 
@@ -988,7 +1098,8 @@ class TestReferenceCounts:
                 n_flows=2, seed=1, stream_bytes=400 * 1024,
                 profile=profile)
             if profile == "fast":
-                assert design.tile_core.view("tcp_tx").mode == "object"
+                assert not scheduling(design.tile_core,
+                                      design.tcp_tx).fast
             return design
 
         def segments(design):

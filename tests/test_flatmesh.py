@@ -108,7 +108,6 @@ class TestFlatMeshStructure:
         east = mesh.routers[(0, 0)].inputs[Port.EAST]
         assert len(east) == 0
         assert east.occupancy == 0
-        assert east.peek() is None
         assert east.name == "router(0, 0).in.east"
 
     def test_connect_output_rejects_directions(self):

@@ -26,12 +26,14 @@ from repro.noc.flit import (
 )
 from repro.noc.mesh import Mesh
 from repro.noc.message import NocMessage, reset_id_counters
+from repro.noc.router import _PORT_INDEX
 from repro.noc.routing import Port
 from repro.packet import IPv4Address, MacAddress, build_ipv4_udp_frame
 from repro.sim.kernel import CycleSimulator
 from repro.telemetry.trace import Tracer, attach_tracer
 from repro.tiles.base import Tile
 from repro.tiles.flatcore import register_tiles
+from tests.test_flatcore import scheduling
 
 CLIENT_IP = IPv4Address("10.0.0.1")
 CLIENT_MAC = MacAddress("02:00:00:00:00:01")
@@ -280,7 +282,7 @@ def test_object_mode_tile_receives_through_the_handle_branch(flit_count):
     sink = OnCycleSink("sink", mesh, (1, 0))
     mesh.register(sim)
     core = register_tiles(sim, [sink])
-    assert core.view("sink").mode == "object"
+    assert not scheduling(core, sink).fast
     sent = NocMessage(dst=(1, 0), src=(0, 0), metadata="m",
                       data=bytes(range(150)))
     source.send(sent)
@@ -322,7 +324,7 @@ def test_broken_wormhole_framing_raises_in_the_tile_core(handles, error):
     sink = Tile("sink", mesh, (1, 0))
     mesh.register(sim)
     core = register_tiles(sim, [sink])
-    assert core.view("sink").mode == "fast"
+    assert scheduling(core, sink).fast
     sink.port.eject_fifo._items.extend(handles)
     with pytest.raises(ValueError, match=error):
         for cycle in range(len(handles)):
@@ -342,19 +344,24 @@ def test_reassembly_does_not_burn_a_msg_id(backend):
 
 
 def test_ring_view_peek_returns_the_flit():
+    """The handle at the front of a directional ring is the head
+    ``Flit`` to whoever looks through ``flit_of``, built once per
+    message."""
     sim, mesh, ports, _ = raw_mesh("flat", 3, [(0, 0), (2, 0)],
                                    traced=False)
     sent = NocMessage(dst=(2, 0), src=(0, 0), metadata="m",
                       data=bytes(range(100)))
     ports[(0, 0)].send(sent)
     sim.run(2)
-    west = mesh.routers[(1, 0)].inputs[Port.WEST]
+    core = mesh.core
+    fid = mesh.routers[(1, 0)]._index * 5 + _PORT_INDEX[Port.WEST]
+    west = core._rings[fid]
     assert len(west) > 0
-    flit = west.peek()
+    flit = core.flit_of(west[0])
     assert isinstance(flit, Flit)
     assert flit.is_head and (flit.dst, flit.msg_id) == ((2, 0),
                                                         sent.msg_id)
-    assert west.peek() is flit  # built once per message
+    assert core.flit_of(west[0]) is flit  # built once per message
     drain(sim, mesh, ports, 20)
     assert not mesh.core._inflight and not mesh.core._observed
 

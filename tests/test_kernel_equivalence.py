@@ -64,6 +64,7 @@ from repro.tcp.app import TcpSourceAppTile
 from repro.tcp.peer import PeerNetwork, SoftTcpPeer
 from repro.telemetry import run_record
 from repro.telemetry.trace import Tracer, attach_tracer
+from tests.test_flatcore import scheduling
 from tests.test_tcp import play, scripted_session
 
 CLIENT_IP = IPv4Address("10.0.0.1")
@@ -786,9 +787,9 @@ class TestIdleSkipActuallyHappens:
         for component in design.sim.components:
             assert design.sim.wake_cycle(component) is None, component
         for tile in design.tile_core.tiles:
-            view = design.tile_core.view(tile)
+            state = scheduling(design.tile_core, tile)
             assert tile._due() == NEVER, tile.name
-            assert not view.busy and view.armed_deadline is None, tile.name
+            assert not state.busy and state.deadline == -1, tile.name
         skipped = design.sim.idle_cycles_skipped
         design.sim.run(1_000)
         assert design.sim.idle_cycles_skipped == skipped + 1_000

@@ -18,6 +18,7 @@ from repro.tcp.flow import (
 )
 from repro.tcp.peer import PeerNetwork, SoftTcpPeer
 from repro.tcp.app import TcpSinkAppTile, TcpSourceAppTile
+from tests.test_flatcore import scheduling
 
 CLIENT_IP = IPv4Address("10.0.0.1")
 CLIENT_MAC = MacAddress("02:00:00:00:00:01")
@@ -479,9 +480,9 @@ class TestTxEngineSleeps:
     def test_an_established_idle_engine_is_not_stepped(self):
         design, log = self.drive("fast")
         sim = design.sim
-        view = design.tile_core.view("tcp_tx")
-        assert view.mode == "object"    # it overrides on_cycle
-        assert not view.busy and view.armed_deadline is None
+        state = scheduling(design.tile_core, design.tcp_tx)
+        assert not state.fast    # it overrides on_cycle
+        assert not state.busy and state.deadline == -1
         assert design.tcp_tx._due() == NEVER    # no work, no timer
         quiet_from = sim.cycle
         skipped = sim.idle_cycles_skipped
@@ -499,9 +500,9 @@ class TestTxEngineSleeps:
         design.sim.run(400)
         sent = log["send"]
         echoed_at = sent[-1]
-        view = design.tile_core.view("tcp_tx")
-        assert not view.busy
-        assert view.armed_deadline == echoed_at + 3_001
+        state = scheduling(design.tile_core, design.tcp_tx)
+        assert not state.busy
+        assert state.deadline == echoed_at + 3_001
         design.sim.run(7_000)
         assert sent[-2:] == [echoed_at + 3_001, echoed_at + 6_002]
         assert design.tcp_rx.flows.tx[0].retransmits == 2
