@@ -33,14 +33,18 @@
  * core hands member index: a callable that sets the member's byte and
  * calls core._kernel_wake only if the byte was clear, so neither the
  * mesh step's ejection wakes nor a send or a tile's _wake() enters a
- * Python frame unless the core was idle.
+ * Python frame unless the core was idle.  A router input, LOCAL
+ * included, is a Ring the mesh step alone fills and drains, so no hook
+ * sits on one: the ejection FIFOs are the only FIFOs a step wakes.
  *
  * tick(sim) and run(sim, end, condition, deadline) are the scheduled
  * CycleSimulator's tick and its run / run_until loop
  * (src/repro/sim/kernel.py), over the simulator's own attributes; they
  * step a flat core through mesh_step or tile_step directly.
  * kernel_waker(sim, component, slot) is the kernel's wake hook of a
- * slot, and a core's waker wakes it without a Python call.
+ * slot.  It and a core's waker are one type, Waker, which differ only in
+ * the function their vectorcall slot holds, so a core's waker wakes the
+ * kernel's without a Python call.
  *
  * bind() hands over, once, the Python definitions the steps need (the
  * deque type for the queues of objects, NocMessage, the handle format,
@@ -398,12 +402,12 @@ pending_drop(Pending pending)
 
 /* -- the ring ------------------------------------------------------------ */
 
-/* Every queue of flit handles under a flat mesh: its directional inputs,
- * the committed queues of its LOCAL input FIFOs and of its ejection
- * FIFOs, and its ports' injection queues.  An int64 circular buffer
- * whose capacity is a power of two and doubles when it fills, with the
- * slice of the deque surface its Python readers use (len, truth, r[i]
- * get and set, iteration, popleft, append, appendleft, extend, clear).
+/* Every queue of flit handles under a flat mesh: its router inputs, the
+ * committed queues of its ejection FIFOs, and its ports' injection
+ * queues.  An int64 circular buffer whose capacity is a power of two and
+ * doubles when it fills, with the slice of the deque surface its Python
+ * readers use (len, truth, r[i] get and set, iteration, popleft, append,
+ * appendleft, extend, clear).
  * The steps move handles through it as C integers, and a push of
  * anything but an int fails at the push. */
 typedef struct {
@@ -1337,35 +1341,35 @@ done:
     return failed;
 }
 
-/* One port's injection cycle: LocalPort.step inlined, minus the
- * staging and the local FIFO's wake hooks.  This phase runs after the
- * walk, so a flit put straight into the committed queue cannot move
- * before the next cycle, and that FIFO's only waker is this core, which
- * its answer keeps due.  A port with nothing left to inject clears its
- * busy byte. */
+/* One port's injection cycle: LocalPort.step inlined over its router's
+ * LOCAL ring.  This phase runs after the walk, so a flit pushed here
+ * cannot move before the next cycle and needs no push stamp; the mark
+ * is raised as the walk raises it.  A port with nothing left to inject
+ * clears its busy byte. */
 static int
-inject_port(Fetch *f, PyObject *entry, PyObject *busy, Py_ssize_t index)
+inject_port(Fetch *f, PyObject *entry, PyObject *busy, Py_ssize_t index,
+            long long cycle)
 {
-    long long *req = get_q(f, A_REQ);
-    PyObject *unres = get_list(f, A_UNRES);
-    if (req == NULL || unres == NULL)
+    long long *req = get_q(f, A_REQ), *hw = get_q(f, A_HW);
+    long long *hwc = get_q(f, A_HWC);
+    PyObject *unres = get_list(f, A_UNRES), *rings = get_list(f, A_RINGS);
+    long long depth, lfid;
+    if (req == NULL || hw == NULL || hwc == NULL || unres == NULL
+            || rings == NULL || get_scalar(f, A_DEPTH, &depth))
         return -1;
-    if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 3) {
+    if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 2) {
         PyErr_SetString(PyExc_TypeError,
-                        "an injection entry is (port, local fid, FIFO)");
+                        "an injection entry is (port, LOCAL fid)");
         return -1;
     }
     PyObject *port = PyTuple_GET_ITEM(entry, 0);
-    PyObject *fifo = PyTuple_GET_ITEM(entry, 2);
-    long long lfid;
     if (as_ll(PyTuple_GET_ITEM(entry, 1), &lfid)
             || check_index(lfid, f->n5))
         return -1;
     Py_INCREF(port);
-    Py_INCREF(fifo);
     int failed = -1;
-    PyObject *pending_obj = NULL, *send_queue = NULL, *items_obj = NULL;
-    Ring *pending = NULL, *items = NULL;
+    PyObject *pending_obj = NULL, *send_queue = NULL, *items = NULL;
+    Ring *pending = NULL;
     Py_ssize_t n;
     pending_obj = PyObject_GetAttr(port, Name[A_PENDING]);
     if (pending_obj == NULL
@@ -1389,24 +1393,23 @@ inject_port(Fetch *f, PyObject *entry, PyObject *busy, Py_ssize_t index)
         if (fail)
             goto done;
     }
-    long long capacity, high;
-    items_obj = PyObject_GetAttr(fifo, Name[A_ITEMS]);
-    if (items_obj == NULL
-            || (items = as_ring(items_obj, "a LOCAL input's queue")) == NULL
-            || attr_ll(fifo, Name[A_CAPACITY], &capacity))
+    items = Py_NewRef(PyList_GET_ITEM(rings, lfid));
+    Ring *local = as_ring(items, "a LOCAL input");
+    if (local == NULL)
         goto done;
-    const long long occupancy = items->len;
-    if (occupancy < capacity && pending->len) {
-        if (!occupancy && req[lfid] == -2 && append_ll(unres, lfid))
+    const long long filled = local->len;
+    if (filled < depth && pending->len) {
+        if (!filled && req[lfid] == -2 && append_ll(unres, lfid))
             goto done;
-        if (ring_push(items, pending->buf[pending->head]))
+        if (ring_push(local, pending->buf[pending->head]))
             goto done;
         ring_pop(pending);
         f->ring_total += 1;
-        if (attr_ll(fifo, Name[A_HIGH_WATER], &high)
-                || (occupancy >= high
-                    && set_attr_ll(fifo, Name[A_HIGH_WATER], occupancy + 1))
-                || increment(port, Name[A_FLITS_INJECTED]))
+        if (filled + 1 > hw[lfid]) {
+            hw[lfid] = filled + 1;
+            hwc[lfid] = cycle;
+        }
+        if (increment(port, Name[A_FLITS_INJECTED]))
             goto done;
         if (!pending->len) {
             Py_XSETREF(send_queue, PyObject_GetAttr(port, Name[A_SEND_QUEUE]));
@@ -1418,10 +1421,9 @@ inject_port(Fetch *f, PyObject *entry, PyObject *busy, Py_ssize_t index)
     }
     failed = 0;
 done:
-    Py_XDECREF(items_obj);
+    Py_XDECREF(items);
     Py_XDECREF(send_queue);
     Py_XDECREF(pending_obj);
-    Py_DECREF(fifo);
     Py_DECREF(port);
     return failed;
 }
@@ -1429,14 +1431,14 @@ done:
 /* The injection phase: the ports whose busy byte is set, in attachment
  * order. */
 static int
-inject(Fetch *f, PyObject *busy)
+inject(Fetch *f, PyObject *busy, long long cycle)
 {
     PyObject *inj = get_list(f, A_INJ);
     if (inj == NULL)
         return -1;
     for (Py_ssize_t i = 0; i < PyList_GET_SIZE(inj); i++) {
         if (busy_at(busy, i) && inject_port(f, PyList_GET_ITEM(inj, i),
-                                            busy, i))
+                                            busy, i, cycle))
             return -1;
     }
     return 0;
@@ -2168,33 +2170,48 @@ done:
     return result;
 }
 
-/* -- the kernel waker ---------------------------------------------------- */
+/* -- the wakers ---------------------------------------------------------- */
 
-/* The scheduled kernel's wake hook for registration slot `slot`: what
- * CycleSimulator._waker_for hands a component as its _kernel_wake and
- * hooks on its wake_sources().  It applies the wake rule of
- * repro.sim.kernel's module docstring to the simulator's own _wake_at,
- * reading `cycle` and `_stepping` where the loop below writes them. */
+/* Every wake hook is a Waker, of one of two kinds, chosen by its
+ * vectorcall:
+ *
+ * - kernel_waker(sim, component, slot), the scheduled kernel's hook for
+ *   registration slot `slot`: what CycleSimulator._waker_for hands a
+ *   component as its _kernel_wake and hooks on its wake_sources().  It
+ *   applies the wake rule of repro.sim.kernel's module docstring to the
+ *   simulator's own _wake_at (its table), reading `cycle` and
+ *   `_stepping` where the clock below writes them.
+ * - waker(core, busy, index), the hook a core hands member `index`: a
+ *   tile's _kernel_wake and ejection FIFO waker, a port's _kernel_wake.
+ *   It sets the member's byte in the core's busy bytearray (its table)
+ *   and, if the byte was clear, wakes the core through its own
+ *   _kernel_wake (a set byte means the core is not idle, so it is still
+ *   scheduled): a kernel waker directly, anything else by a call.
+ *
+ * `component` is what the hook wakes (the component, or the core), the
+ * tag the wake lint reads; `index` is the slot or the member. */
 typedef struct {
     PyObject_HEAD
     vectorcallfunc vectorcall;
-    PyObject *sim;
-    PyObject *wake_at;
+    PyObject *owner;      /* the simulator, or the core */
+    PyObject *table;      /* the simulator's _wake_at, or the busy bytes */
     PyObject *component;
-    Py_ssize_t slot;
-} KernelWaker;
+    Py_ssize_t index;
+} Waker;
+
+static PyTypeObject WakerType;
 
 static int
-kernel_wake(KernelWaker *w)
+kernel_wake(Waker *w)
 {
-    PyObject *dict = PyObject_GenericGetDict(w->sim, NULL);
+    PyObject *dict = PyObject_GenericGetDict(w->owner, NULL);
     if (dict == NULL)
         return -1;
     PyObject *cycle_obj = PyDict_GetItemWithError(dict, Name[K_CYCLE]);
     PyObject *stepping_obj = cycle_obj == NULL ? NULL
         : PyDict_GetItemWithError(dict, Name[K_STEPPING]);
     Py_XINCREF(cycle_obj);
-    Py_ssize_t slot = w->slot;
+    Py_ssize_t slot = w->index;
     long long cycle, stepping, due;
     int failed = -1;
     if (stepping_obj == NULL) {
@@ -2203,13 +2220,13 @@ kernel_wake(KernelWaker *w)
                             "a kernel waker's simulator has no cycle");
     }
     else if (as_ll(cycle_obj, &cycle) || as_ll(stepping_obj, &stepping)
-             || check_index(slot, PyList_GET_SIZE(w->wake_at))
-             || item(w->wake_at, slot, &due))
+             || check_index(slot, PyList_GET_SIZE(w->table))
+             || item(w->table, slot, &due))
         ;
     else if (slot > stepping) {
         /* Between ticks, or its turn this tick is still ahead. */
         if (due > cycle)
-            set_object(w->wake_at, slot, cycle_obj);
+            set_object(w->table, slot, cycle_obj);
         failed = 0;
     }
     else if (slot == stepping || due > cycle + 1) {
@@ -2217,7 +2234,7 @@ kernel_wake(KernelWaker *w)
          * it before the waker, seeing nothing new), or is now: the
          * next cycle.  From its own step this marks the entry for the
          * tick to keep over the answer. */
-        failed = set_item(w->wake_at, slot, cycle + 1);
+        failed = set_item(w->table, slot, cycle + 1);
     }
     else
         failed = 0;
@@ -2226,93 +2243,142 @@ kernel_wake(KernelWaker *w)
     return failed;
 }
 
+static int
+no_arguments(size_t nargsf, PyObject *kwnames)
+{
+    if (PyVectorcall_NARGS(nargsf)
+            || (kwnames != NULL && PyTuple_GET_SIZE(kwnames))) {
+        PyErr_SetString(PyExc_TypeError, "a waker takes no arguments");
+        return -1;
+    }
+    return 0;
+}
+
 static PyObject *
 kernel_waker_call(PyObject *self, PyObject *const *args, size_t nargsf,
                   PyObject *kwnames)
 {
     (void)args;
-    if (PyVectorcall_NARGS(nargsf)
-            || (kwnames != NULL && PyTuple_GET_SIZE(kwnames))) {
-        PyErr_SetString(PyExc_TypeError, "a waker takes no arguments");
-        return NULL;
-    }
-    if (kernel_wake((KernelWaker *)self))
+    if (no_arguments(nargsf, kwnames) || kernel_wake((Waker *)self))
         return NULL;
     Py_RETURN_NONE;
 }
 
-static int
-kernel_waker_traverse(PyObject *self, visitproc visit, void *arg)
+static PyObject *
+member_waker_call(PyObject *self, PyObject *const *args, size_t nargsf,
+                  PyObject *kwnames)
 {
-    KernelWaker *w = (KernelWaker *)self;
-    Py_VISIT(w->sim);
-    Py_VISIT(w->wake_at);
+    (void)args;
+    Waker *w = (Waker *)self;
+    if (no_arguments(nargsf, kwnames))
+        return NULL;
+    if (busy_at(w->table, w->index))
+        Py_RETURN_NONE;
+    set_busy(w->table, w->index, 1);
+    PyObject *wake = PyObject_GetAttr(w->owner, Name[C_KERNEL_WAKE]);
+    if (wake == NULL || wake == Py_None)
+        return wake;
+    PyObject *none = Py_IS_TYPE(wake, &WakerType)
+                     && ((Waker *)wake)->vectorcall == kernel_waker_call
+        ? (kernel_wake((Waker *)wake) ? NULL : Py_NewRef(Py_None))
+        : PyObject_CallNoArgs(wake);
+    Py_DECREF(wake);
+    return none;
+}
+
+static int
+waker_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    Waker *w = (Waker *)self;
+    Py_VISIT(w->owner);
+    Py_VISIT(w->table);
     Py_VISIT(w->component);
     return 0;
 }
 
 static int
-kernel_waker_clear(PyObject *self)
+waker_clear(PyObject *self)
 {
-    KernelWaker *w = (KernelWaker *)self;
-    Py_CLEAR(w->sim);
-    Py_CLEAR(w->wake_at);
+    Waker *w = (Waker *)self;
+    Py_CLEAR(w->owner);
+    Py_CLEAR(w->table);
     Py_CLEAR(w->component);
     return 0;
 }
 
 static void
-kernel_waker_dealloc(PyObject *self)
+waker_dealloc(PyObject *self)
 {
     PyObject_GC_UnTrack(self);
-    kernel_waker_clear(self);
+    waker_clear(self);
     PyObject_GC_Del(self);
 }
 
 static PyObject *
-kernel_waker_repr(PyObject *self)
+waker_repr(PyObject *self)
 {
-    return PyUnicode_FromFormat("<kernel waker of slot %zd>",
-                                ((KernelWaker *)self)->slot);
+    Waker *w = (Waker *)self;
+    return w->vectorcall == kernel_waker_call
+        ? PyUnicode_FromFormat("<kernel waker of slot %zd>", w->index)
+        : PyUnicode_FromFormat("<waker %zd>", w->index);
 }
 
 static PyObject *
-kernel_waker_component(PyObject *self, void *closure)
+waker_component(PyObject *self, void *closure)
 {
     (void)closure;
-    return Py_NewRef(((KernelWaker *)self)->component);
+    return Py_NewRef(((Waker *)self)->component);
 }
 
 static PyObject *
-kernel_waker_slot(PyObject *self, void *closure)
+waker_slot(PyObject *self, void *closure)
 {
     (void)closure;
-    return PyLong_FromSsize_t(((KernelWaker *)self)->slot);
+    return PyLong_FromSsize_t(((Waker *)self)->index);
 }
 
-static PyGetSetDef kernel_waker_getset[] = {
-    {"component", kernel_waker_component, NULL,
-     "The component this hook wakes.", NULL},
-    {"slot", kernel_waker_slot, NULL,
-     "The component's registration slot.", NULL},
+static PyGetSetDef waker_getset[] = {
+    {"component", waker_component, NULL, "What this hook wakes.", NULL},
+    {"slot", waker_slot, NULL,
+     "The registration slot (a core member's index).", NULL},
     {NULL, NULL, NULL, NULL, NULL},
 };
 
-static PyTypeObject KernelWakerType = {
+static PyTypeObject WakerType = {
     PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "_flatstep.KernelWaker",
-    .tp_basicsize = sizeof(KernelWaker),
-    .tp_dealloc = kernel_waker_dealloc,
-    .tp_vectorcall_offset = offsetof(KernelWaker, vectorcall),
-    .tp_repr = kernel_waker_repr,
+    .tp_name = "_flatstep.Waker",
+    .tp_basicsize = sizeof(Waker),
+    .tp_dealloc = waker_dealloc,
+    .tp_vectorcall_offset = offsetof(Waker, vectorcall),
+    .tp_repr = waker_repr,
     .tp_call = PyVectorcall_Call,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC
                 | Py_TPFLAGS_HAVE_VECTORCALL,
-    .tp_doc = "Lowers a slot's entry in the scheduled kernel's _wake_at.",
-    .tp_traverse = kernel_waker_traverse,
-    .tp_clear = kernel_waker_clear,
-    .tp_getset = kernel_waker_getset,
+    .tp_doc = "A wake hook: the scheduled kernel's for a slot, or a flat "
+              "core's for a member.",
+    .tp_traverse = waker_traverse,
+    .tp_clear = waker_clear,
+    .tp_getset = waker_getset,
 };
+
+/* A new Waker; steals a reference to table. */
+static PyObject *
+new_waker(vectorcallfunc call, PyObject *owner, PyObject *table,
+          PyObject *component, Py_ssize_t index)
+{
+    Waker *w = PyObject_GC_New(Waker, &WakerType);
+    if (w == NULL) {
+        Py_DECREF(table);
+        return NULL;
+    }
+    w->vectorcall = call;
+    w->owner = Py_NewRef(owner);
+    w->table = table;
+    w->component = Py_NewRef(component);
+    w->index = index;
+    PyObject_GC_Track(w);
+    return (PyObject *)w;
+}
 
 static PyObject *
 kernel_waker(PyObject *module, PyObject *args)
@@ -2335,119 +2401,8 @@ kernel_waker(PyObject *module, PyObject *args)
         Py_DECREF(wake_at);
         return NULL;
     }
-    KernelWaker *w = PyObject_GC_New(KernelWaker, &KernelWakerType);
-    if (w == NULL) {
-        Py_DECREF(wake_at);
-        return NULL;
-    }
-    w->vectorcall = kernel_waker_call;
-    w->sim = Py_NewRef(sim);
-    w->wake_at = wake_at;
-    w->component = Py_NewRef(component);
-    w->slot = slot;
-    PyObject_GC_Track(w);
-    return (PyObject *)w;
+    return new_waker(kernel_waker_call, sim, wake_at, component, slot);
 }
-
-/* -- the waker ----------------------------------------------------------- */
-
-/* The hook a core hands member `index`: a tile's _kernel_wake and
- * ejection FIFO waker, a port's _kernel_wake.  It sets the member's
- * busy byte and, if the byte was clear, wakes the core through its own
- * _kernel_wake (a set byte means the core is not idle, so it is still
- * scheduled): a kernel waker directly, anything else by a call.
- * `component` is the core, the tag the wake lint reads. */
-typedef struct {
-    PyObject_HEAD
-    vectorcallfunc vectorcall;
-    PyObject *core;
-    PyObject *busy;
-    Py_ssize_t index;
-} Waker;
-
-static PyObject *
-waker_call(PyObject *self, PyObject *const *args, size_t nargsf,
-           PyObject *kwnames)
-{
-    (void)args;
-    Waker *w = (Waker *)self;
-    if (PyVectorcall_NARGS(nargsf)
-            || (kwnames != NULL && PyTuple_GET_SIZE(kwnames))) {
-        PyErr_SetString(PyExc_TypeError, "a waker takes no arguments");
-        return NULL;
-    }
-    if (busy_at(w->busy, w->index))
-        Py_RETURN_NONE;
-    set_busy(w->busy, w->index, 1);
-    PyObject *wake = PyObject_GetAttr(w->core, Name[C_KERNEL_WAKE]);
-    if (wake == NULL || wake == Py_None)
-        return wake;
-    PyObject *none = Py_IS_TYPE(wake, &KernelWakerType)
-        ? (kernel_wake((KernelWaker *)wake) ? NULL : Py_NewRef(Py_None))
-        : PyObject_CallNoArgs(wake);
-    Py_DECREF(wake);
-    return none;
-}
-
-static int
-waker_traverse(PyObject *self, visitproc visit, void *arg)
-{
-    Waker *w = (Waker *)self;
-    Py_VISIT(w->core);
-    Py_VISIT(w->busy);
-    return 0;
-}
-
-static int
-waker_clear(PyObject *self)
-{
-    Waker *w = (Waker *)self;
-    Py_CLEAR(w->core);
-    Py_CLEAR(w->busy);
-    return 0;
-}
-
-static void
-waker_dealloc(PyObject *self)
-{
-    PyObject_GC_UnTrack(self);
-    waker_clear(self);
-    PyObject_GC_Del(self);
-}
-
-static PyObject *
-waker_repr(PyObject *self)
-{
-    return PyUnicode_FromFormat("<waker %zd>", ((Waker *)self)->index);
-}
-
-static PyObject *
-waker_component(PyObject *self, void *closure)
-{
-    (void)closure;
-    return Py_NewRef(((Waker *)self)->core);
-}
-
-static PyGetSetDef waker_getset[] = {
-    {"component", waker_component, NULL, "The core this hook wakes.", NULL},
-    {NULL, NULL, NULL, NULL, NULL},
-};
-
-static PyTypeObject WakerType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "_flatstep.Waker",
-    .tp_basicsize = sizeof(Waker),
-    .tp_dealloc = waker_dealloc,
-    .tp_vectorcall_offset = offsetof(Waker, vectorcall),
-    .tp_repr = waker_repr,
-    .tp_call = PyVectorcall_Call,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC
-                | Py_TPFLAGS_HAVE_VECTORCALL,
-    .tp_doc = "Sets a flat core's busy byte; wakes the core if it was clear.",
-    .tp_traverse = waker_traverse,
-    .tp_clear = waker_clear,
-    .tp_getset = waker_getset,
-};
 
 static PyObject *
 waker(PyObject *module, PyObject *args)
@@ -2462,15 +2417,7 @@ waker(PyObject *module, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "a member index is not negative");
         return NULL;
     }
-    Waker *w = PyObject_GC_New(Waker, &WakerType);
-    if (w == NULL)
-        return NULL;
-    w->vectorcall = waker_call;
-    w->core = Py_NewRef(core);
-    w->busy = Py_NewRef(busy);
-    w->index = index;
-    PyObject_GC_Track(w);
-    return (PyObject *)w;
+    return new_waker(member_waker_call, core, Py_NewRef(busy), core, index);
 }
 
 /* -- the module ---------------------------------------------------------- */
@@ -2507,7 +2454,7 @@ mesh_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     f.ring_total = ring_total;
     int failed = (PyList_GET_SIZE(unres) && resolve_heads(&f))
                  || (PyList_GET_SIZE(active) && walk(&f, args[1], cycle))
-                 || inject(&f, busy);
+                 || inject(&f, busy, cycle);
     /* _ring_total, written once a step: after a failure too, for the
      * flits that moved before it. */
     if (f.ring_total != ring_total) {
@@ -3020,8 +2967,7 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__flatstep(void)
 {
-    if (PyType_Ready(&RingType) || PyType_Ready(&WakerType)
-            || PyType_Ready(&KernelWakerType))
+    if (PyType_Ready(&RingType) || PyType_Ready(&WakerType))
         return NULL;
     for (int k = 0; k < N_NAMES; k++) {
         if (Name[k] == NULL) {

@@ -28,17 +28,17 @@ the specification the C code implements:
   ``appendleft``, ``extend``, ``clear``).  Pushing anything but an int
   into one raises a ``TypeError`` naming ``LocalPort.send``, the one
   way in.  The core installs a ring wherever it creates or wires a
-  queue: the directional inputs, the LOCAL input FIFOs' and the
-  ejection FIFOs' committed queues (``StagedFifo._items``) and each
-  port's injection queue (``_pending_flits``);
+  queue: the router inputs, the ejection FIFOs' committed queues
+  (``StagedFifo._items``) and each port's injection queue
+  (``_pending_flits``);
 - the five input FIFOs of every router are one list of rings
-  indexed ``fid = router_index * 5 + port_index``: the LOCAL slot is
-  the adapter FIFO's own committed queue, a directional slot is a ring
-  allocated on its first push (until then it shares one empty
-  sentinel, so an idle 32x32 mesh owns no ring at all).  Nothing is
-  staged: what a router may see of a ring this cycle is decided by two
-  per-ring *cycle stamps* (below), so each moved flit is touched once
-  and the core has no ``commit`` at all;
+  indexed ``fid = router_index * 5 + port_index``, each ``depth``
+  flits deep: the LOCAL slot is a ring from the start, a directional
+  slot a ring allocated on its first push (until then it shares one
+  empty sentinel, so an idle 32x32 mesh owns no directional ring at
+  all).  Nothing is staged: what a router may see of a ring this
+  cycle is decided by two per-ring *cycle stamps* (below), so each
+  moved flit is touched once and the core has no ``commit`` at all;
 - a routing decision is one ``route_fn`` call per (router, in-mesh
   destination), made when a head flit first needs it and kept in that
   router's memo: nothing is built per router, and a corrupted ``dst``
@@ -88,13 +88,15 @@ or, where that ran dry, further up the same wormhole.  So every count
 is exact between steps, as the object mesh's per-move counters are;
 raw ``_fwd_out`` runs ahead mid-message and nothing else reads it.
 
-The *adapter boundary* sits exactly at injection/ejection: every
-router's LOCAL input FIFO and every attached port's ejection FIFO stay
-real ``StagedFifo`` objects, and tiles talk to
-:class:`~repro.noc.mesh.LocalPort`.  That keeps tiles, the tracer, the
-linter's wake-contract checks, and ``run_record`` working
-unchanged.  What those FIFOs, the rings and a port's injection queue
-*hold* is an int handle, not a ``Flit`` (format: :mod:`repro.noc.flit`).
+The *adapter boundary* sits at ejection: every attached port's
+ejection FIFO stays a real ``StagedFifo``, woken for its consumer, and
+tiles talk to :class:`~repro.noc.mesh.LocalPort`.  That keeps tiles,
+the tracer, the linter's wake-contract checks, and ``run_record``
+working unchanged.  A router's LOCAL input is a ring like the other
+four: only this core's injection phase fills it and only its walk
+drains it, so it has no wake hook to keep.  What those FIFOs, the
+rings and a port's injection queue *hold* is an int handle, not a
+``Flit`` (format: :mod:`repro.noc.flit`).
 Body flits carry nothing the fabric reads, so injection start files a
 copy of the message — the one ``to_flits()`` would capture, at the same
 moment — in ``_inflight`` under a fresh sequence number and queues a
@@ -145,8 +147,9 @@ physically in the ring, its router may take ``n - pushed`` of them and
 the upstream output sees the lagged credit count ``n + popped`` (it
 reads it before its own push): the two-phase view the object backend
 gets from staging and commit, whichever of the two routers is visited
-first.  The LOCAL input needs no stamp at all, because the injection
-phase that fills it runs after the router walk of the same ``step``.
+first.  The LOCAL input needs no push or pop stamp, because the
+injection phase that fills it runs after the router walk of the same
+``step``; its high-water mark is raised as the walk raises the others.
 The differential suite in ``tests/test_kernel_equivalence.py`` pins it
 against the object backend on every shipped design;
 :meth:`FlatMeshCore.check_invariants` cross-checks the state machine
@@ -314,7 +317,7 @@ def _build(path: str) -> None:
 
 
 class _RingView:
-    """Read-only stand-in for a directional input FIFO.
+    """Read-only stand-in for a router input FIFO.
 
     Exposes the slice of the ``StagedFifo`` surface the linter and
     telemetry read (``capacity``, ``name``, occupancy); pushes go
@@ -346,10 +349,10 @@ class FlatRouterView:
     """Per-router facade over :class:`FlatMeshCore`'s arrays.
 
     Quacks like :class:`repro.noc.router.Router` for everything outside
-    the hot loop: ``coord``/``name``, the ``inputs`` dict (LOCAL is the
-    real adapter FIFO and, like every queue of a flat mesh, holds int
-    handles, not ``Flit`` objects — messages enter through
-    ``LocalPort.send`` only; directions are :class:`_RingView`\\ s),
+    the hot loop: ``coord``/``name``, the ``inputs`` dict (one
+    :class:`_RingView` per port, LOCAL included: like every queue of a
+    flat mesh, the rings behind them hold int handles, not ``Flit``
+    objects, and messages enter through ``LocalPort.send`` only),
     ``connect_output`` for the LOCAL ejection hookup, the forwarding
     counters, and a ``tracer`` property that forwards to the core so
     ``attach_tracer`` works untouched.
@@ -364,13 +367,10 @@ class FlatRouterView:
         self.coord = coord
         self.name = f"router{coord}"
         base = index * _N_PORTS
-        self.inputs: dict[Port, object] = {Port.LOCAL: core._local_in[index]}
-        for port_index, port in enumerate(_ALL_PORTS):
-            if port is Port.LOCAL:
-                continue
-            self.inputs[port] = _RingView(
-                core, base + port_index,
-                f"{self.name}.in.{port.value}")
+        self.inputs: dict[Port, _RingView] = {
+            port: _RingView(core, base + port_index,
+                            f"{self.name}.in.{port.value}")
+            for port_index, port in enumerate(_ALL_PORTS)}
 
     def fault_misroute(self, enabled: bool) -> None:
         """Enter/leave a misroute-one-hop window (see
@@ -423,7 +423,7 @@ class FlatMeshCore(Wakeable):
     name = "flatmesh.core"
     tracer = NULL_TRACER
 
-    def __init__(self, width: int, height: int, depth: int, route_fn):
+    def __init__(self, width: int, height: int, depth: int):
         module = compiled()
         # The scheduled clock calls ``mesh_step`` itself, not ``step``,
         # unless ``step`` is shadowed on the instance.
@@ -433,26 +433,19 @@ class FlatMeshCore(Wakeable):
         self.width = width
         self.height = height
         self.depth = depth
-        self.route_fn = route_fn
+        self.route_fn = xy_route
         n = width * height
         self.n_routers = n
         n5 = n * _N_PORTS
         self.coords: list[tuple[int, int]] = [
             (x, y) for y in range(height) for x in range(width)
         ]
-        # Adapter boundary: LOCAL inputs are real StagedFifos so
-        # LocalPort (and the linter's wake checks) see ordinary queues;
-        # what they hold is a Ring, as every flit queue here.
-        self._local_in: list[StagedFifo] = [
-            StagedFifo(depth, name=f"router{coord}.in.local")
-            for coord in self.coords
-        ]
-        # Router inputs, fid = r * 5 + port_index: the LOCAL FIFO's
-        # committed queue, or a directional ring (_NO_RING until its
-        # first push; unwired mesh-edge slots never allocate).
+        # Router inputs, fid = r * 5 + port_index: a LOCAL ring, or a
+        # directional one (_NO_RING until its first push; unwired
+        # mesh-edge slots never allocate).
         self._rings: list = [_NO_RING] * n5
-        for r, fifo in enumerate(self._local_in):
-            fifo._items = self._rings[r * _N_PORTS] = Ring()
+        for r in range(n):
+            self._rings[r * _N_PORTS] = Ring()
         # The cycle of each ring's latest push and pop.  A flit pushed
         # this cycle is not yet poppable; a pop this cycle is not yet a
         # credit upstream (inter-router credit return lags one cycle,
@@ -467,7 +460,7 @@ class FlatMeshCore(Wakeable):
         self._rr = array("q", [0]) * n5
         self._rq = array("q", [0]) * n5
         # Head state per input (-2 / -1 / out port, see the module
-        # docstring; fid base+LOCAL tracks the local input FIFO), the
+        # docstring; fid base+LOCAL tracks the LOCAL input), the
         # inputs whose front flit is an unrouted head, and the
         # ascending ofids that are locked or requested.
         self._req = array("q", [-2]) * n5
@@ -503,9 +496,9 @@ class FlatMeshCore(Wakeable):
         # Attached ports, in attachment order (= object-backend
         # registration order), batch-stepped after the router phase.
         self._ports_list: list[LocalPort] = []
-        # Injection-phase companion: (port, local fid, local FIFO) so
-        # the hot loops never re-derive the wiring.
-        self._inj: list[tuple[LocalPort, int, StagedFifo]] = []
+        # Injection-phase companion: (port, LOCAL fid) so the hot loops
+        # never re-derive the wiring.
+        self._inj: list[tuple[LocalPort, int]] = []
         # Router-internal fault state: routers currently misrouting
         # (their _route_rows entry holds *deflected* routes), and
         # the set of stuck ofids (None when no stuck-grant window is
@@ -517,7 +510,7 @@ class FlatMeshCore(Wakeable):
         # until its tail has passed.  Read through ``forwarded``.
         self._fwd_out = array("q", [0]) * n5
         # Ring high-water marks, mirroring StagedFifo.high_water: the
-        # deepest end-of-cycle depth per directional input.  Raised at
+        # deepest end-of-cycle depth per router input.  Raised at
         # push time; _hwc stamps the cycle of the raise so a pop later
         # in that cycle can take it back.
         self._hw = array("q", [0]) * n5
@@ -548,7 +541,7 @@ class FlatMeshCore(Wakeable):
         port._kernel_wake = compiled().waker(self, self._inj_busy,
                                              len(self._inj))
         self._inj_busy.append(0)
-        self._inj.append((port, r * _N_PORTS, port._local_in))
+        self._inj.append((port, r * _N_PORTS))
 
     def _route(self, r: int, dst) -> int:
         """Output port index for a head at router ``r`` bound for
@@ -616,16 +609,6 @@ class FlatMeshCore(Wakeable):
     def kernel_substeps(self):
         """Components batch-stepped inside this one (for the linter)."""
         return list(self._ports_list)
-
-    def wake_sources(self):
-        """Pushes into a router's LOCAL input re-activate the mesh.
-        (The ejection FIFOs are the mesh's output, woken for their
-        consumers: the mesh's own answer covers what it ejects.)"""
-        return list(self._local_in)
-
-    def lint_consumed_fifos(self):
-        """The FIFOs the router phase itself pops from."""
-        return list(self._local_in)
 
     # -- per-cycle behaviour ----------------------------------------------
 
@@ -706,7 +689,7 @@ class FlatMeshCore(Wakeable):
                 return ring[0]
             r, i = divmod(fid, _N_PORTS)
             if i == _LOCAL:
-                for port, lfid, _fifo in self._inj:
+                for port, lfid in self._inj:
                     if lfid == fid and port._pending_flits:
                         return port._pending_flits[0]
                 raise LookupError(f"input {fid} and its injection queue "
@@ -755,21 +738,17 @@ class FlatMeshCore(Wakeable):
         if self._ring_total != in_rings:
             problems.append(f"_ring_total {self._ring_total} != "
                             f"{in_rings} flits in the router inputs")
-        # Credits bound a directional input by the depth, and an input's
-        # high-water mark (the LOCAL FIFO keeps its own) by what it
-        # holds at any cycle boundary.
+        # Credits (injection's room test, for LOCAL) bound an input by
+        # the depth, and its high-water mark by what it holds at any
+        # cycle boundary.
         for fid, ring in enumerate(rings):
             held = len(ring)
-            if fid % _N_PORTS == _LOCAL:
-                mark = self._local_in[fid // _N_PORTS].high_water
-            else:
-                mark = self._hw[fid]
-                if held > self.depth:
-                    problems.append(f"input {fid} holds {held} flits, more "
-                                    f"than its depth {self.depth}")
-            if held > mark:
+            if held > self.depth:
+                problems.append(f"input {fid} holds {held} flits, more "
+                                f"than its depth {self.depth}")
+            if held > self._hw[fid]:
                 problems.append(f"input {fid} holds {held} flits, above its "
-                                f"high-water mark {mark}")
+                                f"high-water mark {self._hw[fid]}")
         if cycle is not None:
             ejects = [e for e in self._ejects if e is not None]
             stamps = {"_pushc": [*self._pushc, *(e._pushc for e in ejects)],
@@ -780,13 +759,9 @@ class FlatMeshCore(Wakeable):
                 if latest >= cycle:
                     problems.append(f"{name} holds cycle {latest}, which "
                                     f"has not been stepped (next: {cycle})")
-        for fifo in self._local_in:
-            if fifo.occupancy != len(fifo):
-                problems.append(f"{fifo.name} has staged flits; the core "
-                                "injects into the committed queue")
         # The waker wakes the core only on a clear -> set edge, so a
         # port with anything to inject must keep its byte set.
-        for index, (port, _lfid, _fifo) in enumerate(self._inj):
+        for index, (port, _lfid) in enumerate(self._inj):
             if (port._send_queue or port._pending_flits) and \
                     not self._inj_busy[index]:
                 problems.append(f"port {port.coord} is not busy but has "
@@ -901,7 +876,7 @@ class FlatMesh:
             raise ValueError(f"bad mesh dimensions {width}x{height}")
         self.width = width
         self.height = height
-        self.core = FlatMeshCore(width, height, fifo_depth, xy_route)
+        self.core = FlatMeshCore(width, height, fifo_depth)
         self.routers: dict[tuple[int, int], FlatRouterView] = {
             coord: FlatRouterView(self.core, index, coord)
             for index, coord in enumerate(self.core.coords)

@@ -94,7 +94,10 @@ ticks jump straight to ``min(wake_at)``.  ``run_until`` calls
 skip, and bisects an idle stretch for the condition's first cycle.
 Every wake hook is a compiled kernel waker (:meth:`_waker_for`) that
 applies the rule above and carries read-only ``.component`` and
-``.slot`` tags.
+``.slot`` tags.  It is the one compiled wake-hook type the flat cores
+hand their members too (``_flatstep.Waker``: which rule a hook applies
+is fixed when it is made), so a tile's or a port's hook wakes its core
+here without a Python call.
 
 Calls are by name.  ``tick`` is looked up once per ``run`` /
 ``run_until``, so one shadowed on the instance after construction (as

@@ -159,6 +159,22 @@ class TestScheduling:
         with pytest.raises(AttributeError):
             hook.component = None
 
+    def test_a_member_hook_wakes_its_core_on_the_clear_to_set_edge_only(
+            self):
+        """A member hook sets its byte and calls the core's own hook
+        only if the byte was clear: a set byte means the core is still
+        due, so a second call would be a wasted wake."""
+        calls = []
+        core = SimpleNamespace(_kernel_wake=lambda: calls.append(1))
+        busy = bytearray(2)
+        hook = compiled().waker(core, busy, 1)
+        hook()
+        hook()
+        assert (calls, busy) == ([1], bytearray([0, 1]))
+        busy[1] = 0
+        hook()
+        assert len(calls) == 2
+
     def test_each_port_wakes_the_mesh_core_through_a_compiled_waker(self):
         design = echo_design()
         for port in design.mesh.ports.values():

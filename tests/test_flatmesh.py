@@ -30,12 +30,13 @@ from repro.noc.flatmesh import (
     _SOURCE,
     FlatMesh,
     FlatRouterView,
+    _RingView,
     compiled,
 )
 from repro.noc.flit import HANDLE_HEAD
 from repro.noc.mesh import LocalPort, Mesh
 from repro.noc.message import NocMessage, reset_id_counters
-from repro.noc.router import _PORT_INDEX
+from repro.noc.router import _ALL_PORTS, _PORT_INDEX
 from repro.noc.routing import Port
 from repro.packet import ipv4
 from repro.sim.kernel import CycleSimulator, StagedFifo
@@ -98,10 +99,17 @@ class TestFlatMeshStructure:
             assert view.name == obj.routers[coord].name
 
     def test_local_input_is_a_real_fifo(self):
-        mesh = FlatMesh(2, 2)
-        local = mesh.routers[(1, 0)].inputs[Port.LOCAL]
-        assert isinstance(local, StagedFifo)
+        """The LOCAL input is a ring like the other four: every input
+        is a view of its own ring, ``depth`` flits deep."""
+        mesh = FlatMesh(2, 2, fifo_depth=3)
+        router = mesh.routers[(1, 0)]
+        assert list(router.inputs) == _ALL_PORTS
+        assert all(type(fifo) is _RingView and fifo.capacity == 3
+                   for fifo in router.inputs.values())
+        local = router.inputs[Port.LOCAL]
         assert local.name == "router(1, 0).in.local"
+        assert type(mesh.core._rings[1 * 5]) is compiled().Ring
+        assert (len(local), local.occupancy, local.high_water) == (0, 0, 0)
 
     def test_direction_inputs_are_ring_views(self):
         mesh = FlatMesh(2, 2)
@@ -570,9 +578,11 @@ class TestLazyRings:
                        if fid % 5]
         assert len(directional) == 32 * 32 * 4
         assert all(ring is _NO_RING for ring in directional)
-        # LOCAL slots are the adapter FIFOs' own queues.
-        assert all(core._rings[r * 5] is fifo._items
-                   for r, fifo in enumerate(core._local_in))
+        # Each LOCAL slot is an empty ring of its own from the start.
+        local = core._rings[::5]
+        assert all(type(ring) is compiled().Ring and not ring
+                   for ring in local)
+        assert len({id(ring) for ring in local}) == 32 * 32
 
     def test_a_used_ring_is_private_and_kept(self):
         reset_id_counters()
@@ -596,6 +606,33 @@ class TestLazyRings:
                    for ring in used)
         assert len({id(ring) for ring in used}) == 3
         assert _NO_RING == ()
+
+
+def test_only_ejection_fifos_carry_wake_hooks():
+    """The core fills its router inputs (LOCAL included) and drains
+    them itself, so no router input carries a wake hook; every FIFO a
+    hook sits on is an ejection FIFO, woken for its consumer.  Checked
+    on the data and the control mesh of a registered design."""
+    from repro.designs import ManagedNatEchoDesign
+
+    design = ManagedNatEchoDesign()
+    meshes = [design.mesh, design.control.mesh]
+    assert all(isinstance(mesh, FlatMesh) for mesh in meshes)
+    for mesh in meshes:
+        for router in mesh.routers.values():
+            for fifo in router.inputs.values():
+                assert not getattr(fifo, "_wakers", None), fifo.name
+    ejects = {id(port.eject_fifo) for mesh in meshes
+              for port in mesh.ports.values()}
+    members = [member for component in design.sim.components
+               for member in (component,
+                              *getattr(component, "kernel_substeps",
+                                       list)())]
+    hooked = [fifo for member in members
+              for fifo in getattr(member, "wake_sources", tuple)()
+              if fifo._wakers]
+    assert hooked
+    assert all(id(fifo) in ejects for fifo in hooked)
 
 
 _HANDLES = st.integers(-(1 << 63), (1 << 63) - 1)
@@ -678,12 +715,11 @@ class TestRing:
         core = mesh.core
         assert core._rings[1 * 5 + _PORT_INDEX[Port.WEST]]  # allocated
         queues = ([ring for ring in core._rings if ring is not _NO_RING]
-                  + [fifo._items for fifo in core._local_in]
                   + [p.eject_fifo._items for p in mesh.ports.values()]
                   + [p._pending_flits for p in mesh.ports.values()])
-        # Two LOCAL and one directional input, the two LOCAL FIFOs'
-        # queues (the same objects), two ejection and two port queues.
-        assert len(queues) == 2 + 1 + 2 + 2 + 2
+        # Two LOCAL and one directional input, two ejection and two
+        # port queues.
+        assert len(queues) == 2 + 1 + 2 + 2
         assert all(type(queue) is Ring for queue in queues)
         assert type(port._send_queue) is deque
         obj = Mesh(2, 1)
@@ -945,10 +981,7 @@ class TestRingBounds:
         sim, core, _port = _row_until(
             lambda core: core._rings[0] and core._rings[7])
         held = len(core._rings[fid])
-        if fid:
-            core._hw[fid] = held - 1
-        else:
-            core._local_in[0].high_water = held - 1
+        core._hw[fid] = held - 1
         assert core.check_invariants(sim.cycle) == [
             f"input {fid} holds {held} flits, above its high-water mark "
             f"{held - 1}"]
@@ -978,9 +1011,9 @@ class TestNoFallback:
     def test_a_queue_that_is_not_a_ring(self, where):
         sim, core, port = _row_until(lambda core: core._grant[1] >= 0)
         if where == "input":
-            core._rings[0] = deque(core._rings[0])
+            core._rings[7] = deque(core._rings[7])
         elif where == "local":
-            core._local_in[0]._items = deque(core._local_in[0]._items)
+            core._rings[0] = deque(core._rings[0])
         elif where == "pending":
             port._pending_flits = deque(port._pending_flits)
         else:
@@ -1070,14 +1103,12 @@ def test_check_invariants_follows_the_ring_representation():
     assert core.check_invariants(sim.cycle) == []
     core._ring_total += 1
     core._pushc[7] = sim.cycle
-    core._local_in[1]._staged.append("stray")
     problems = core.check_invariants(sim.cycle)
-    assert len(problems) == 3
+    assert len(problems) == 2
     assert "_ring_total" in problems[0]
     assert "_pushc" in problems[1]
-    assert "router(1, 0).in.local" in problems[2]
     # Without the cycle the stamps cannot be judged.
-    assert len(core.check_invariants()) == 2
+    assert len(core.check_invariants()) == 1
 
 
 # -- the compiled step ------------------------------------------------------

@@ -370,13 +370,13 @@ def test_raw_flit_in_a_flat_local_input_names_the_way_in():
     sim, mesh, ports, _ = raw_mesh("flat", traced=False)
     ports[(0, 0)].send(NocMessage(dst=(1, 0), src=(0, 0)))  # 2 flits
     sim.run(2)
-    local = mesh.routers[(0, 0)].inputs[Port.LOCAL]
-    assert len(local) == 1  # the tail; a raw flit would queue behind it
-    local.push(Flit(FlitKind.HEADER, True, True, (1, 0), (0, 0), 77))
-    # The queue is a Ring of handles: the flit is refused as it lands.
+    view = mesh.routers[(0, 0)].inputs[Port.LOCAL]
+    local = mesh.core._rings[view._fid]
+    assert len(view) == 1  # the tail; a raw flit would queue behind it
+    # The input is a Ring of handles: the flit is refused as it lands.
     with pytest.raises(TypeError, match="LocalPort.send"):
-        local.commit()
-    assert len(local) == 1
+        local.append(Flit(FlitKind.HEADER, True, True, (1, 0), (0, 0), 77))
+    assert len(view) == 1
 
 
 def test_check_invariants_audits_the_table():

@@ -557,6 +557,12 @@ def test_the_kernel_waker_is_compiled_and_its_tags_are_read_only():
         with pytest.raises(AttributeError):
             setattr(hook, tag, None)
     assert (hook.component, hook.slot) == (consumer, 1)
+    # One compiled type for every wake hook: the flat cores' member
+    # hooks too, told apart only by what they do (and their repr).
+    member = sim._clock.waker(consumer, bytearray(1), 0)
+    assert type(hook) is type(member)
+    assert (repr(hook), repr(member)) == ("<kernel waker of slot 1>",
+                                          "<waker 0>")
     with pytest.raises(TypeError):
         hook(1)
     sim.run(4)
